@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use reflex_flash::{device_a, CmdId, FlashDevice, IoType, NvmeCommand};
-use reflex_net::{Opcode, ReflexHeader};
+use reflex_net::{
+    ConnId, Delivery, Fabric, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader, StackProfile,
+};
 use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, SchedulerParams, SloSpec,
     TenantId, Tokens,
@@ -333,9 +335,128 @@ fn engine_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
+/// One windowed-fabric round at a standing backlog: the sender's uplink
+/// chain runs `backlog` flights ahead of the clock, and every step sends
+/// one more, raises the horizon past the oldest, asks both queues for
+/// their next arrival and polls — what a dataplane pump does per message
+/// once the server falls behind.
+struct WindowedRound {
+    fabric: Fabric<u64>,
+    client: MachineId,
+    server: MachineId,
+    sibling: NicQueueId,
+    conn: ConnId,
+    gap: SimDuration,
+    now: SimTime,
+    sent: u64,
+    out: Vec<Delivery<u64>>,
+}
+
+impl WindowedRound {
+    fn new(backlog: u64) -> Self {
+        let mut fabric: Fabric<u64> = Fabric::new(LinkConfig::default(), SimRng::seed(7));
+        let client = fabric.add_machine(StackProfile::ix_tcp());
+        let idle = fabric.add_machine(StackProfile::ix_tcp());
+        let server = fabric.add_machine(StackProfile::dataplane_raw());
+        let sibling = fabric.add_queue(server);
+        fabric.enable_windowed();
+        let conn = fabric.new_conn();
+        // A lone far-future flight keeps the sibling queue non-empty.
+        fabric.send_to_queue(
+            SimTime::from_secs(3_600),
+            idle,
+            server,
+            sibling,
+            conn,
+            64,
+            0,
+        );
+        let (mut prev, mut gap) = (SimTime::ZERO, SimDuration::ZERO);
+        for i in 0..backlog {
+            let bound =
+                fabric.send_to_queue(SimTime::ZERO, client, server, NicQueueId(0), conn, 64, i);
+            gap = bound.saturating_since(prev);
+            prev = bound;
+        }
+        WindowedRound {
+            fabric,
+            client,
+            server,
+            sibling,
+            conn,
+            gap,
+            now: SimTime::ZERO,
+            sent: backlog,
+            out: Vec::with_capacity(16),
+        }
+    }
+
+    fn step(&mut self) -> (Option<SimTime>, usize) {
+        // Advancing the clock by one serialization time per send holds the
+        // backlog steady: one flight departs, one resolves.
+        self.now += self.gap;
+        self.sent += 1;
+        let (f, q0) = (&mut self.fabric, NicQueueId(0));
+        f.send_to_queue(
+            self.now,
+            self.client,
+            self.server,
+            q0,
+            self.conn,
+            64,
+            self.sent,
+        );
+        f.observe(self.now);
+        let next = f
+            .next_arrival_queue(self.server, q0)
+            .min(f.next_arrival_queue(self.server, self.sibling));
+        f.poll_queue_into(self.now, self.server, q0, 16, &mut self.out);
+        (next, self.out.len())
+    }
+
+    /// Nanoseconds per step over 100 000 steps, timed outside criterion
+    /// for the guard.
+    fn ns_per_step(&mut self) -> f64 {
+        const STEPS: u32 = 100_000;
+        let start = std::time::Instant::now();
+        for _ in 0..STEPS {
+            criterion::black_box(self.step());
+        }
+        start.elapsed().as_nanos() as f64 / f64::from(STEPS)
+    }
+}
+
+/// The per-queue pending index makes a round's cost independent of the
+/// backlog; a scan over the machine's in-flight set makes it linear
+/// (180x from 4 to 16 384 flights before the index). The guard fails the
+/// bench if depth leaks back into cost.
+fn fabric_windowed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fabric_windowed");
+    for backlog in [4u64, 256, 4_096, 16_384] {
+        group.bench_function(format!("backlog_{backlog}"), |b| {
+            let mut round = WindowedRound::new(backlog);
+            b.iter(|| round.step());
+        });
+    }
+    group.finish();
+    // Best of five, alternating, so a slow phase of the host hits both.
+    let (mut few, mut many) = (WindowedRound::new(4), WindowedRound::new(16_384));
+    let (mut shallow, mut deep) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        shallow = shallow.min(few.ns_per_step());
+        deep = deep.min(many.ns_per_step());
+    }
+    println!(
+        "fabric_windowed guard: {shallow:.0} ns/round at 4 in flight, {deep:.0} at 16384 ({:.2}x, limit 2x)",
+        deep / shallow
+    );
+    assert!(deep <= 2.0 * shallow, "backlog depth leaks into cost");
+}
+
 criterion_group!(
     benches,
     engine_dispatch,
+    fabric_windowed,
     sched_round,
     bucket_ops,
     histogram_ops,

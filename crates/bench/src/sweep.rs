@@ -17,8 +17,10 @@
 //!
 //! Thread count comes from `REFLEX_BENCH_THREADS` (default: all cores).
 //! Besides the binaries' TSV on stdout, [`SweepResult::write_json`] drops
-//! a machine-readable `BENCH_<name>.json` with per-point metrics, the
-//! wall-clock time and the engine event throughput.
+//! a machine-readable `BENCH_<name>.json` with per-point metrics and wall
+//! time, the sweep's wall-clock time and the engine event throughput —
+//! taken over the points that dispatched engine events, so curves that
+//! drive no engine do not dilute it.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -40,6 +42,8 @@ pub struct PointOutcome {
     pub metrics: Vec<(String, f64)>,
     /// Engine events dispatched while producing this point.
     pub engine_events: u64,
+    /// Host wall-clock time the point's job took (set by the runner).
+    pub wall: Duration,
 }
 
 impl PointOutcome {
@@ -50,6 +54,7 @@ impl PointOutcome {
             rows: Vec::new(),
             metrics: Vec::new(),
             engine_events: 0,
+            wall: Duration::ZERO,
         }
     }
 
@@ -84,6 +89,22 @@ impl PointOutcome {
 }
 
 type Job = Box<dyn FnOnce() -> PointOutcome + Send>;
+
+fn run_timed(job: Job) -> PointOutcome {
+    let start = Instant::now();
+    let mut outcome = job();
+    outcome.wall = start.elapsed();
+    outcome
+}
+
+/// Summed wall of the points that dispatched engine events.
+fn event_wall<'a>(points: impl IntoIterator<Item = &'a PointOutcome>) -> Duration {
+    points
+        .into_iter()
+        .filter(|p| p.engine_events > 0)
+        .map(|p| p.wall)
+        .sum()
+}
 
 /// A named curve: an ordered list of point jobs plus an optional cutoff.
 pub struct Curve {
@@ -199,7 +220,7 @@ impl Sweep {
                         discarded += 1;
                         continue;
                     }
-                    let outcome = (job.expect("job present"))();
+                    let outcome = run_timed(job.expect("job present"));
                     engine_events += outcome.engine_events;
                     points.push(outcome);
                 }
@@ -210,11 +231,13 @@ impl Sweep {
                 });
             }
             let wall = start.elapsed();
+            let event_wall = event_wall(curves.iter().flat_map(|c| &c.points));
             return SweepResult {
                 name: self.name,
                 threads: 1,
                 wall,
                 engine_events,
+                event_wall,
                 curves,
                 faults: None,
             };
@@ -236,7 +259,7 @@ impl Sweep {
                             guard.0 += 1;
                             (i, guard.1[i].take().expect("job claimed once"))
                         };
-                        let outcome = job();
+                        let outcome = run_timed(job);
                         *slots[i].lock().expect("slot poisoned") = Some(outcome);
                     });
                 }
@@ -249,6 +272,7 @@ impl Sweep {
 
         let wall = start.elapsed();
         let engine_events: u64 = outcomes.iter().map(|o| o.engine_events).sum();
+        let event_wall = event_wall(&outcomes);
         let mut it = outcomes.into_iter();
         let mut curves = Vec::new();
         for ((label, cutoff), size) in specs.into_iter().zip(sizes) {
@@ -275,6 +299,7 @@ impl Sweep {
             threads: workers,
             wall,
             engine_events,
+            event_wall,
             curves,
             faults: None,
         }
@@ -322,6 +347,12 @@ pub struct SweepResult {
     /// Engine events dispatched across all executed points (parallel runs
     /// include speculatively-run discarded points; serial runs do not).
     pub engine_events: u64,
+    /// Summed wall of the executed points that dispatched engine events —
+    /// the denominator of [`events_per_sec`](Self::events_per_sec). Points
+    /// that drive no engine (fig4's `Local-*` curves) count toward `wall`
+    /// only. Point walls add up across workers, so on a parallel run this
+    /// can exceed `wall`.
+    pub event_wall: Duration,
     /// One entry per declared curve.
     pub curves: Vec<CurveResult>,
     /// Fault totals, if this was a chaos sweep (set after the run; the
@@ -370,9 +401,10 @@ impl SweepResult {
         print!("{}", self.tsv());
     }
 
-    /// Engine events per wall-clock second across the sweep.
+    /// Engine events per second of [`event_wall`](Self::event_wall): the
+    /// rate one worker sustains while it is running an engine.
     pub fn events_per_sec(&self) -> f64 {
-        self.engine_events as f64 / self.wall.as_secs_f64().max(1e-9)
+        self.engine_events as f64 / self.event_wall.as_secs_f64().max(1e-9)
     }
 
     /// Writes `BENCH_<name>.json` into the current directory and returns
@@ -389,6 +421,11 @@ impl SweepResult {
         writeln!(f, "  \"threads\": {},", self.threads)?;
         writeln!(f, "  \"wall_secs\": {},", json_num(self.wall.as_secs_f64()))?;
         writeln!(f, "  \"engine_events\": {},", self.engine_events)?;
+        writeln!(
+            f,
+            "  \"event_wall_secs\": {},",
+            json_num(self.event_wall.as_secs_f64())
+        )?;
         writeln!(
             f,
             "  \"engine_events_per_sec\": {},",
@@ -411,7 +448,12 @@ impl SweepResult {
             writeln!(f, "      \"discarded\": {},", c.discarded)?;
             writeln!(f, "      \"points\": [")?;
             for (pi, p) in c.points.iter().enumerate() {
-                write!(f, "        {{\"p95_us\": {}", json_num(p.p95_us))?;
+                write!(
+                    f,
+                    "        {{\"p95_us\": {}, \"wall_secs\": {}",
+                    json_num(p.p95_us),
+                    json_num(p.wall.as_secs_f64())
+                )?;
                 if p.engine_events > 0 {
                     write!(f, ", \"engine_events\": {}", p.engine_events)?;
                 }
@@ -515,6 +557,29 @@ mod tests {
         for (s, p) in serial.curves.iter().zip(&parallel.curves) {
             assert_eq!(s.points.len(), p.points.len());
             assert_eq!(s.discarded, p.discarded);
+        }
+    }
+
+    #[test]
+    fn events_per_sec_covers_only_points_that_report_events() {
+        for threads in [1, 2] {
+            let mut sweep = Sweep::new("mixed");
+            sweep.curve("engine").point(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                PointOutcome::new(1.0).with_events(1_000)
+            });
+            sweep.curve("no-engine").point(|| {
+                std::thread::sleep(Duration::from_millis(40));
+                PointOutcome::new(1.0)
+            });
+            let result = sweep.run_with_threads(threads);
+            let engine = &result.curve("engine").points[0];
+            assert!(engine.wall >= Duration::from_millis(5));
+            assert_eq!(result.event_wall, engine.wall);
+            // The slow engine-less point is in the sweep's wall, not in
+            // the rate's denominator.
+            assert!(result.wall >= Duration::from_millis(40));
+            assert_eq!(result.events_per_sec(), 1_000.0 / engine.wall.as_secs_f64());
         }
     }
 

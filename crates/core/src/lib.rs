@@ -60,5 +60,5 @@ pub use replica::{
 pub use server::{AdmissionError, ControlPlaneStats, ReflexServer, ServerConfig};
 pub use testbed::{
     ShardClamp, SplitFallback, Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport,
-    World, WorldEvent,
+    WakeStats, World, WorldEvent,
 };

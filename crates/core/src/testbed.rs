@@ -205,6 +205,7 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // cancels the old wake instead of leaving a dead event in the queue.
     thread_wake: Vec<Option<(SimTime, EventHandle)>>,
     client_wake: Vec<Option<(SimTime, EventHandle)>>,
+    wakes: WakeStats,
     measure_start: Option<SimTime>,
     busy_snapshot: Vec<SimDuration>,
     sched_snapshot: Vec<SimDuration>,
@@ -329,8 +330,10 @@ impl<S: ServerHarness + 'static> World<S> {
             }
         }
         let handle = ctx.schedule_event_at_handle(at, WorldEvent::PumpThread(thread));
+        self.wakes.thread_armed += 1;
         if let Some((_, stale)) = self.thread_wake[thread].replace((at, handle)) {
             ctx.cancel(stale);
+            self.wakes.thread_cancelled += 1;
         }
     }
 
@@ -346,8 +349,10 @@ impl<S: ServerHarness + 'static> World<S> {
             }
         }
         let handle = ctx.schedule_event_at_handle(at, WorldEvent::ClientPoll(client));
+        self.wakes.client_armed += 1;
         if let Some((_, stale)) = self.client_wake[client].replace((at, handle)) {
             ctx.cancel(stale);
+            self.wakes.client_cancelled += 1;
         }
     }
 
@@ -368,6 +373,7 @@ impl<S: ServerHarness + 'static> World<S> {
             if let Some((_, stale)) = self.thread_wake[i].take() {
                 if i != thread {
                     ctx.cancel(stale);
+                    self.wakes.thread_cancelled += 1;
                 }
             }
             self.pump_one(i, ctx);
@@ -428,6 +434,7 @@ impl<S: ServerHarness + 'static> World<S> {
             if let Some((_, stale)) = self.client_wake[c].take() {
                 if forced != Some(c) {
                     ctx.cancel(stale);
+                    self.wakes.client_cancelled += 1;
                 }
             }
             self.poll_client(c, ctx);
@@ -495,6 +502,8 @@ impl<S: ServerHarness + 'static> World<S> {
         let mut deliveries = std::mem::take(&mut self.poll_scratch);
         self.fabric
             .poll_into(ctx.now(), machine, usize::MAX, &mut deliveries);
+        self.wakes.client_polls += 1;
+        self.wakes.client_polls_empty += u64::from(deliveries.is_empty());
         for d in deliveries.drain(..) {
             let Ok(header) = ReflexHeader::decode(&d.payload) else {
                 continue;
@@ -997,6 +1006,10 @@ pub struct TestbedReport {
     /// Total events dispatched by the engine since the testbed was built
     /// (a proxy for simulation work; sweep harnesses report events/sec).
     pub engine_events: u64,
+    /// Wake churn since the testbed was built, summed over shards. Like
+    /// `engine_events` it describes the execution, not the simulation, and
+    /// differs across shard counts.
+    pub wakes: WakeStats,
     /// Telemetry snapshot (counters, per-tenant per-stage spans, IO
     /// conservation counters, SLO windows/violations) — `None` unless
     /// [`Testbed::enable_telemetry`] was called.
@@ -1014,6 +1027,39 @@ impl TestbedReport {
             .iter()
             .find(|w| w.name == name)
             .unwrap_or_else(|| panic!("no workload named {name}"))
+    }
+}
+
+/// How much of the engine's work is wake churn: pump and poll wakes are
+/// armed at a flight's arrival *bound*, so a wake can fire before the
+/// message has resolved (an empty poll) or be superseded before it fires
+/// (a cancel).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WakeStats {
+    /// `PumpThread` wakes scheduled.
+    pub thread_armed: u64,
+    /// `PumpThread` wakes cancelled before dispatch: re-armed earlier, or
+    /// serviced by a sibling's pump at the same instant.
+    pub thread_cancelled: u64,
+    /// `ClientPoll` wakes scheduled.
+    pub client_armed: u64,
+    /// `ClientPoll` wakes cancelled before dispatch.
+    pub client_cancelled: u64,
+    /// Client machine polls (wakes that fired, plus polls forced ahead of
+    /// retries and timeouts).
+    pub client_polls: u64,
+    /// Client polls that found no delivery.
+    pub client_polls_empty: u64,
+}
+
+impl std::ops::AddAssign for WakeStats {
+    fn add_assign(&mut self, o: WakeStats) {
+        self.thread_armed += o.thread_armed;
+        self.thread_cancelled += o.thread_cancelled;
+        self.client_armed += o.client_armed;
+        self.client_cancelled += o.client_cancelled;
+        self.client_polls += o.client_polls;
+        self.client_polls_empty += o.client_polls_empty;
     }
 }
 
@@ -1199,6 +1245,7 @@ impl TestbedBuilder {
             retry_scratch: Vec::new(),
             thread_wake: vec![None; n_threads],
             client_wake: vec![None; n_clients],
+            wakes: WakeStats::default(),
             measure_start: None,
             busy_snapshot: Vec::new(),
             sched_snapshot: Vec::new(),
@@ -1513,6 +1560,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 retry_scratch: Vec::new(),
                 thread_wake: vec![None; world.thread_wake.len()],
                 client_wake: vec![None; world.client_wake.len()],
+                wakes: WakeStats::default(),
                 measure_start: None,
                 busy_snapshot: Vec::new(),
                 sched_snapshot: Vec::new(),
@@ -1741,6 +1789,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 retry_scratch: Vec::new(),
                 thread_wake: vec![None; max_threads],
                 client_wake: vec![None; world.client_wake.len()],
+                wakes: WakeStats::default(),
                 measure_start: None,
                 busy_snapshot: Vec::new(),
                 sched_snapshot: Vec::new(),
@@ -2192,6 +2241,10 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         } else {
             world_server.renegotiations()
         };
+        let mut wakes = WakeStats::default();
+        for s in 0..shards {
+            wakes += self.engine.engine(s).world().wakes;
+        }
         TestbedReport {
             window,
             workloads,
@@ -2202,6 +2255,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             engine_events: (0..self.engine.shards())
                 .map(|s| self.engine.engine(s).dispatched())
                 .sum(),
+            wakes,
             telemetry: world.telemetry.snapshot(),
         }
     }

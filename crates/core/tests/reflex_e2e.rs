@@ -268,6 +268,35 @@ fn identical_seeds_give_identical_results() {
 }
 
 #[test]
+fn report_counts_wake_churn() {
+    let run = || {
+        let mut tb = Testbed::builder().seed(123).build();
+        let mut spec = WorkloadSpec::open_loop("x", TenantId(1), lc(100_000, 90, 1_000), 90_000.0);
+        spec.conns = 8;
+        tb.add_workload(spec).expect("admitted");
+        tb.begin_measurement();
+        tb.run(SimDuration::from_millis(100));
+        tb.report()
+    };
+    let r = run();
+    let w = r.wakes;
+    let completed = r.workload("x").read_latency.count() + r.workload("x").write_latency.count();
+    assert!(completed > 5_000, "{completed} completions");
+    // Every wake armed either fired, was cancelled, or is still pending
+    // (at most one per server thread / client machine).
+    let pumped = w.thread_armed - w.thread_cancelled;
+    let polled = w.client_armed - w.client_cancelled;
+    assert!(pumped > 0 && pumped <= r.engine_events, "{w:?}");
+    assert!((polled - 1..=polled).contains(&w.client_polls), "{w:?}");
+    // Each completion was delivered by a non-empty poll, and wakes armed
+    // at arrival bounds make some polls come up empty.
+    let delivering = w.client_polls - w.client_polls_empty;
+    assert!(delivering > 0 && delivering <= completed, "{w:?}");
+    assert!(w.client_polls_empty > 0, "{w:?}");
+    assert_eq!(w, run().wakes, "wake counts are deterministic");
+}
+
+#[test]
 fn sequential_pattern_walks_the_namespace() {
     let mut tb = Testbed::builder().seed(12).build();
     let mut spec = WorkloadSpec::closed_loop("seq", TenantId(1), TenantClass::BestEffort, 4);

@@ -331,8 +331,11 @@ struct Windowed<P> {
     window_ns: u64,
     /// All flights departing strictly before this instant are resolved.
     horizon: SimTime,
-    /// Per-destination-machine min-heaps of unresolved flights.
-    pending: Vec<BinaryHeap<Reverse<Flight<P>>>>,
+    /// Unresolved flights, one min-heap per destination `[machine][queue]`
+    /// (the shape of `rx_queues`). `bound = departed + propagation` is
+    /// monotone in `departed`, so a heap's head carries its queue's
+    /// earliest arrival bound.
+    pending: Vec<Vec<BinaryHeap<Reverse<Flight<P>>>>>,
     /// Present when this fabric endpoint is one shard of a sharded run.
     routes: Option<ShardRoutes>,
     /// Flights addressed to machines owned by other shards, awaiting the
@@ -349,6 +352,37 @@ impl<P: Clone> Clone for Windowed<P> {
             routes: self.routes.clone(),
             outbound: self.outbound.clone(),
         }
+    }
+}
+
+impl<P> Windowed<P> {
+    /// Hands a departed flight to the shard owning its destination queue:
+    /// the local pending index, or the outbound buffer for the exchange.
+    fn launch(&mut self, flight: Flight<P>) {
+        let route = self
+            .routes
+            .as_ref()
+            .map(|r| (r.dest_shard(flight.to, flight.queue), r.own));
+        match route {
+            Some((dest, own)) if dest != own => self.outbound.push((dest, flight)),
+            _ => self.pending[flight.to.0 as usize][flight.queue.0 as usize].push(Reverse(flight)),
+        }
+    }
+
+    /// Pops `machine`'s next unresolved flight if it departed before
+    /// `horizon`. A k-way merge over the queue heads: each heap is in
+    /// flight order, so the least head is the machine's next flight in the
+    /// global `(departed, src, tx_seq)` order — the sequence one
+    /// machine-wide heap would yield.
+    fn pop_before(&mut self, machine: usize, horizon: SimTime) -> Option<Flight<P>> {
+        let queues = &mut self.pending[machine];
+        let (q, Reverse(next)) = queues
+            .iter()
+            .enumerate()
+            .filter_map(|(q, h)| Some((q, h.peek()?)))
+            .min_by(|(_, Reverse(a)), (_, Reverse(b))| a.cmp(b))?;
+        let due = next.departed < horizon;
+        due.then(|| queues[q].pop().expect("peeked entry must pop").0)
     }
 }
 
@@ -413,7 +447,11 @@ impl<P> Fabric<P> {
         self.windowed = Some(Windowed {
             window_ns: self.link.propagation.as_nanos(),
             horizon: SimTime::ZERO,
-            pending: self.nics.iter().map(|_| BinaryHeap::new()).collect(),
+            pending: self
+                .rx_queues
+                .iter()
+                .map(|qs| qs.iter().map(|_| BinaryHeap::new()).collect())
+                .collect(),
             routes: None,
             outbound: Vec::new(),
         });
@@ -601,7 +639,7 @@ impl<P> Fabric<P> {
         });
         self.rx_queues.push(vec![BinaryHeap::new()]);
         if let Some(w) = self.windowed.as_mut() {
-            w.pending.push(BinaryHeap::new());
+            w.pending.push(vec![BinaryHeap::new()]);
         }
         id
     }
@@ -611,6 +649,9 @@ impl<P> Fabric<P> {
     pub fn add_queue(&mut self, machine: MachineId) -> NicQueueId {
         let queues = &mut self.rx_queues[machine.0 as usize];
         queues.push(BinaryHeap::new());
+        if let Some(w) = self.windowed.as_mut() {
+            w.pending[machine.0 as usize].push(BinaryHeap::new());
+        }
         NicQueueId(queues.len() as u32 - 1)
     }
 
@@ -745,17 +786,7 @@ impl<P> Fabric<P> {
             payload,
         };
         let bound = flight.bound;
-        match &w.routes {
-            Some(r) => {
-                let dest = r.dest_shard(to, NicQueueId(0));
-                if dest != r.own {
-                    w.outbound.push((dest, flight));
-                } else {
-                    w.pending[to.0 as usize].push(Reverse(flight));
-                }
-            }
-            None => w.pending[to.0 as usize].push(Reverse(flight)),
-        }
+        w.launch(flight);
         bound
     }
 
@@ -860,12 +891,7 @@ impl<P> Fabric<P> {
                 payload,
             };
             let bound = flight.bound;
-            match &w.routes {
-                Some(r) if r.dest_shard(to, queue) != r.own => {
-                    w.outbound.push((r.dest_shard(to, queue), flight));
-                }
-                _ => w.pending[to.0 as usize].push(Reverse(flight)),
-            }
+            w.launch(flight);
             return bound;
         }
 
@@ -950,15 +976,12 @@ impl<P> Fabric<P> {
         }
         w.horizon = horizon;
         for m in 0..self.nics.len() {
-            loop {
-                let w = self.windowed.as_mut().expect("windowed mode");
-                match w.pending[m].peek() {
-                    Some(Reverse(f)) if f.departed < horizon => {
-                        let flight = w.pending[m].pop().expect("peeked entry must pop").0;
-                        self.resolve(flight);
-                    }
-                    _ => break,
-                }
+            while let Some(flight) = self
+                .windowed
+                .as_mut()
+                .and_then(|w| w.pop_before(m, horizon))
+            {
+                self.resolve(flight);
             }
         }
     }
@@ -1056,7 +1079,7 @@ impl<P> Fabric<P> {
             .windowed
             .as_mut()
             .expect("accept_flight requires windowed mode");
-        w.pending[flight.to.0 as usize].push(Reverse(flight));
+        w.pending[flight.to.0 as usize][flight.queue.0 as usize].push(Reverse(flight));
     }
 
     /// Clones this fabric into the endpoint for one shard of a sharded
@@ -1223,33 +1246,34 @@ impl<P> Fabric<P> {
 
     /// Instant of the earliest undelivered message on `machine`'s queue 0.
     ///
-    /// In windowed mode this is a conservative *lower bound*: unresolved
-    /// flights contribute their arrival bound at machine granularity (a
-    /// flight steered to another queue of the same NIC can briefly make a
-    /// queue look earlier than its true next arrival), so a wake armed from
-    /// it may find nothing and must re-arm — at most one spurious poll per
-    /// message.
+    /// In windowed mode this is a conservative *lower bound*: an unresolved
+    /// flight to the queue contributes its arrival bound
+    /// (`departed + propagation`), and its true arrival adds receive-side
+    /// contention and stack latency. A wake armed from it may therefore
+    /// find nothing yet and must re-arm. Flights steered to other queues
+    /// of the same NIC never show up here.
     pub fn next_arrival(&self, machine: MachineId) -> Option<SimTime> {
         self.next_arrival_queue(machine, NicQueueId(0))
     }
 
     /// Instant (or, in windowed mode, lower bound — see
     /// [`next_arrival`](Self::next_arrival)) of the earliest undelivered
-    /// message on a specific queue.
+    /// message on a specific queue: the earlier of two heap heads, however
+    /// deep the queue's backlog of unresolved flights.
     pub fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        let resolved = self.rx_queues[machine.0 as usize][queue.0 as usize]
-            .peek()
-            .map(|Reverse(e)| e.at);
+        let (m, q) = (machine.0 as usize, queue.0 as usize);
+        let resolved = self.rx_queues[m][q].peek().map(|Reverse(e)| e.at);
         // Per-queue, not machine-level: a sharded server only learns about
         // a remote shard's in-flight messages at the window exchange, at
         // which point the destination thread's wake is armed per flight.
         // Reporting another queue's pending flight here would let the
         // single-shard run arm sibling wakes a sharded run cannot know
         // about yet, breaking shards=1 ≡ shards=N.
-        [resolved, self.pending_bound_queue(machine, queue)]
-            .into_iter()
-            .flatten()
-            .min()
+        let pending = self
+            .windowed
+            .as_ref()
+            .and_then(|w| w.pending[m][q].peek().map(|Reverse(f)| f.bound));
+        [resolved, pending].into_iter().flatten().min()
     }
 
     /// Earliest undelivered message (or arrival bound) across all machines
@@ -1263,22 +1287,9 @@ impl<P> Fabric<P> {
         let pending = self
             .windowed
             .iter()
-            .flat_map(|w| w.pending.iter())
+            .flat_map(|w| w.pending.iter().flatten())
             .filter_map(|h| h.peek().map(|Reverse(f)| f.bound));
         resolved.chain(pending).min()
-    }
-
-    /// Earliest arrival bound among unresolved flights to one queue of
-    /// `machine`. In-flight counts are bounded by per-connection queue
-    /// depths, so the linear scan stays small.
-    fn pending_bound_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        self.windowed.as_ref().and_then(|w| {
-            w.pending[machine.0 as usize]
-                .iter()
-                .filter(|Reverse(f)| f.queue == queue)
-                .map(|Reverse(f)| f.bound)
-                .min()
-        })
     }
 }
 
@@ -1740,15 +1751,64 @@ mod tests {
         let _ = f.split_for_shard(&[0, 1], 0);
     }
 
-    /// Drains one machine's pending heap, returning flights in resolution
-    /// order (test helper; production resolution consumes the same heap).
+    /// Drains one machine's unresolved flights through the merge
+    /// `observe` resolves with, returning their keys in resolution order.
     fn drain_pending(f: &mut Fabric<u32>, m: MachineId) -> Vec<(SimTime, MachineId, u64)> {
         let w = f.windowed.as_mut().expect("windowed");
-        let mut out = Vec::new();
-        while let Some(Reverse(fl)) = w.pending[m.0 as usize].pop() {
-            out.push((fl.departed, fl.src, fl.tx_seq));
+        std::iter::from_fn(|| w.pop_before(m.0 as usize, SimTime::MAX))
+            .map(|fl| fl.key())
+            .collect()
+    }
+
+    #[test]
+    fn backlog_depth_does_not_leak_across_queues() {
+        // One queue 10 000 unresolved flights deep, its sibling holding a
+        // single later one: each queue's bound is its own head, and the
+        // machine still resolves in global flight order.
+        let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(21));
+        let a = f.add_machine(StackProfile::ix_tcp());
+        let b = f.add_machine(StackProfile::ix_tcp());
+        let srv = f.add_machine(StackProfile::dataplane_raw());
+        f.enable_windowed();
+        let q1 = f.add_queue(srv);
+        let conn = f.new_conn();
+        let mut deep = Vec::new();
+        for i in 0..10_000u64 {
+            let t = SimTime::from_nanos(i * 100);
+            deep.push(f.send_to_queue(t, a, srv, NicQueueId(0), conn, 64, i as u32));
         }
-        out
+        let mid = SimTime::from_nanos(500_000);
+        let lone = f.send_to_queue(mid, b, srv, q1, conn, 64, 10_000);
+        assert_eq!(f.next_arrival_queue(srv, NicQueueId(0)), Some(deep[0]));
+        assert_eq!(f.next_arrival_queue(srv, q1), Some(lone));
+        assert_eq!(f.next_arrival_any(), Some(deep[0]));
+
+        // Resolve part of the backlog: the deep queue's bound moves to its
+        // first flight departing at or after the horizon, the sibling's
+        // stays put.
+        let horizon = SimTime::from_micros(400);
+        f.observe(horizon);
+        let prop = f.link().propagation;
+        let first_unresolved = *deep
+            .iter()
+            .find(|&&bound| bound - prop >= horizon)
+            .expect("backlog outlasts the horizon");
+        let got = f.poll_queue(SimTime::MAX, srv, NicQueueId(0), usize::MAX);
+        assert!(!got.is_empty() && got.len() < 10_000);
+        assert_eq!(
+            f.next_arrival_queue(srv, NicQueueId(0)),
+            Some(first_unresolved)
+        );
+        assert_eq!(f.next_arrival_queue(srv, q1), Some(lone));
+
+        // The rest drains in global flight order, the lone flight in its
+        // place among the deep queue's.
+        let order = drain_pending(&mut f, srv);
+        assert_eq!(order.len(), 10_001 - got.len());
+        assert!(order.windows(2).all(|w| w[0] < w[1]));
+        let at = order.iter().position(|k| k.1 == b).expect("lone flight");
+        assert!(at > 0 && at + 1 < order.len());
+        assert_eq!(f.next_arrival_any(), None);
     }
 
     proptest::proptest! {
@@ -1757,7 +1817,7 @@ mod tests {
         /// — the deterministic merge order of the window exchange.
         #[test]
         fn mailbox_drains_in_flight_order(
-            raw in proptest::prop::collection::vec((0u64..1_000_000, 0u32..4, 0u64..64), 1..80),
+            raw in proptest::prop::collection::vec((0u64..1_000_000, 0u32..4, 0u64..64, 0u32..3), 1..80),
             shuffle in proptest::prop::collection::vec(proptest::strategy::any::<u64>(), 80..81),
         ) {
             let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(3));
@@ -1766,17 +1826,19 @@ mod tests {
             }
             f.enable_windowed();
             let dst = MachineId(4);
+            f.add_queue(dst);
+            f.add_queue(dst);
             // Build flights from arbitrary (time, shard/source, seq)
             // triples, then accept them in an arbitrary interleaving.
             let mut flights: Vec<Flight<u32>> = raw
                 .iter()
                 .enumerate()
-                .map(|(i, &(t, src, seq))| Flight {
+                .map(|(i, &(t, src, seq, queue))| Flight {
                     departed: SimTime::from_nanos(t),
                     src: MachineId(src),
                     tx_seq: seq,
                     to: dst,
-                    queue: NicQueueId(0),
+                    queue: NicQueueId(queue),
                     conn: ConnId(0),
                     size: 64,
                     ser: SimDuration::from_nanos(50),
