@@ -623,8 +623,10 @@ fn client_allowlists_gate_connection_open() {
 
 #[test]
 fn inflight_read_across_tenant_teardown_never_fills_the_cache() {
-    let mut config = DataplaneConfig::default();
-    config.cache = Some(reflex_cache::CacheConfig::with_capacity(1 << 20));
+    let config = DataplaneConfig {
+        cache: Some(reflex_cache::CacheConfig::with_capacity(1 << 20)),
+        ..Default::default()
+    };
     let mut r = rig_with(lc_class(100_000), config);
     let req = ReflexHeader {
         opcode: Opcode::Get,

@@ -145,7 +145,12 @@ impl CostModel {
     /// Cost of a request: `ceil(len / page) × C(op, mix)`. Requests smaller
     /// than a page cost a full page.
     pub fn cost(&self, op: IoType, len: u32, mix: LoadMix) -> Tokens {
-        let pages = len.div_ceil(self.page_size).max(1) as i64;
+        // Up to one page — nearly every request — needs no division.
+        let pages = if len <= self.page_size {
+            1
+        } else {
+            len.div_ceil(self.page_size) as i64
+        };
         let per_page = match op {
             IoType::Read => self.read_cost(mix),
             IoType::Write => self.write,
@@ -206,6 +211,23 @@ mod tests {
             m.cost(IoType::Read, 512, LoadMix::Mixed),
             m.cost(IoType::Read, 4096, LoadMix::Mixed)
         );
+    }
+
+    #[test]
+    fn one_page_fast_path_equals_div_ceil() {
+        let m = CostModel::for_device_a();
+        let page = m.page_size();
+        for len in [0, 1, page - 1, page, page + 1, 16 * page] {
+            let pages = len.div_ceil(page).max(1) as i64;
+            for (op, mix, per_page) in [
+                (IoType::Read, LoadMix::Mixed, 1_000),
+                (IoType::Read, LoadMix::ReadOnly, 500),
+                (IoType::Write, LoadMix::Mixed, 10_000),
+            ] {
+                let want = Tokens::from_millitokens(per_page * pages);
+                assert_eq!(m.cost(op, len, mix), want, "{op:?} {len} {mix:?}");
+            }
+        }
     }
 
     #[test]

@@ -90,28 +90,55 @@ pub struct TenantSchedStats {
     pub dram_spent_millitokens: i64,
 }
 
+/// A queued request with both of its costs fixed at enqueue: the model
+/// never changes under a scheduler, so the round path only loads them.
+#[derive(Debug)]
+struct Queued<R> {
+    req: CostedRequest<R>,
+    cost_mixed: Tokens,
+    cost_ro: Tokens,
+}
+
+impl<R> Queued<R> {
+    fn cost(&self, mix: LoadMix) -> Tokens {
+        match mix {
+            LoadMix::Mixed => self.cost_mixed,
+            LoadMix::ReadOnly => self.cost_ro,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct LcState<R> {
+    id: TenantId,
     slo: SloSpec,
     rate: TokenRate,
     tokens: Tokens,
     gen: TokenGen,
     recent_gen: VecDeque<Tokens>,
-    queue: VecDeque<CostedRequest<R>>,
+    queue: VecDeque<Queued<R>>,
     stats: TenantSchedStats,
 }
 
 #[derive(Debug)]
 struct BeState<R> {
+    id: TenantId,
     tokens: Tokens,
     gen: TokenGen,
-    queue: VecDeque<CostedRequest<R>>,
+    queue: VecDeque<Queued<R>>,
     /// Incremental demand totals so scheduling rounds stay O(1) per
     /// tenant even with deep queues (overloaded BE tenants accumulate
     /// hundreds of thousands of requests).
     demand_mixed: Tokens,
     demand_ro: Tokens,
     stats: TenantSchedStats,
+}
+
+/// Where a tenant's state lives: an index into `lc` or `be`.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Lc(usize),
+    Be(usize),
 }
 
 /// Error returned by tenant registration and queueing operations.
@@ -170,11 +197,13 @@ pub struct QosScheduler<R> {
     model: CostModel,
     params: SchedulerParams,
     prev_sched_time: SimTime,
-    lc: HashMap<TenantId, LcState<R>>,
-    lc_order: Vec<TenantId>,
-    be: HashMap<TenantId, BeState<R>>,
-    be_order: Vec<TenantId>,
+    /// Tenant state in registration order; a round walks these directly.
+    lc: Vec<LcState<R>>,
+    be: Vec<BeState<R>>,
+    /// Tenant id to slot, for the by-id entry points only.
+    slots: HashMap<TenantId, Slot>,
     be_cursor: usize,
+    queued: usize,
     be_rate_per_tenant: TokenRate,
     rounds: u64,
     telemetry: Telemetry,
@@ -196,11 +225,11 @@ impl<R> QosScheduler<R> {
             model,
             params,
             prev_sched_time: now,
-            lc: HashMap::new(),
-            lc_order: Vec::new(),
-            be: HashMap::new(),
-            be_order: Vec::new(),
+            lc: Vec::new(),
+            be: Vec::new(),
+            slots: HashMap::new(),
             be_cursor: 0,
+            queued: 0,
             be_rate_per_tenant: TokenRate::ZERO,
             rounds: 0,
             telemetry: Telemetry::disabled(),
@@ -222,29 +251,6 @@ impl<R> QosScheduler<R> {
         self.pool = pool;
     }
 
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Replaces the cost model (control-plane recalibration) and rebuilds
-    /// the incremental demand totals under the new costs.
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.model = model;
-        for s in self.be.values_mut() {
-            s.demand_mixed = s
-                .queue
-                .iter()
-                .map(|r| self.model.cost(r.op, r.len, LoadMix::Mixed))
-                .sum();
-            s.demand_ro = s
-                .queue
-                .iter()
-                .map(|r| self.model.cost(r.op, r.len, LoadMix::ReadOnly))
-                .sum();
-        }
-    }
-
     /// Registers a latency-critical tenant with its SLO; `io_size` is the
     /// request size its reservation is computed against.
     ///
@@ -257,23 +263,20 @@ impl<R> QosScheduler<R> {
         slo: SloSpec,
         io_size: u32,
     ) -> Result<(), QosError> {
-        if self.lc.contains_key(&id) || self.be.contains_key(&id) {
+        if self.slots.contains_key(&id) {
             return Err(QosError::DuplicateTenant(id));
         }
-        let rate = slo.token_rate(&self.model, io_size);
-        self.lc.insert(
+        self.slots.insert(id, Slot::Lc(self.lc.len()));
+        self.lc.push(LcState {
             id,
-            LcState {
-                slo,
-                rate,
-                tokens: Tokens::ZERO,
-                gen: TokenGen::new(),
-                recent_gen: VecDeque::with_capacity(self.params.pos_history_rounds),
-                queue: VecDeque::new(),
-                stats: TenantSchedStats::default(),
-            },
-        );
-        self.lc_order.push(id);
+            slo,
+            rate: slo.token_rate(&self.model, io_size),
+            tokens: Tokens::ZERO,
+            gen: TokenGen::new(),
+            recent_gen: VecDeque::with_capacity(self.params.pos_history_rounds),
+            queue: VecDeque::new(),
+            stats: TenantSchedStats::default(),
+        });
         Ok(())
     }
 
@@ -283,42 +286,51 @@ impl<R> QosScheduler<R> {
     ///
     /// [`QosError::DuplicateTenant`] if the id is already registered.
     pub fn register_be(&mut self, id: TenantId) -> Result<(), QosError> {
-        if self.lc.contains_key(&id) || self.be.contains_key(&id) {
+        if self.slots.contains_key(&id) {
             return Err(QosError::DuplicateTenant(id));
         }
-        self.be.insert(
+        self.slots.insert(id, Slot::Be(self.be.len()));
+        self.be.push(BeState {
             id,
-            BeState {
-                tokens: Tokens::ZERO,
-                gen: TokenGen::new(),
-                queue: VecDeque::new(),
-                demand_mixed: Tokens::ZERO,
-                demand_ro: Tokens::ZERO,
-                stats: TenantSchedStats::default(),
-            },
-        );
-        self.be_order.push(id);
+            tokens: Tokens::ZERO,
+            gen: TokenGen::new(),
+            queue: VecDeque::new(),
+            demand_mixed: Tokens::ZERO,
+            demand_ro: Tokens::ZERO,
+            stats: TenantSchedStats::default(),
+        });
         Ok(())
     }
 
-    /// Unregisters a tenant, returning any requests still queued.
+    /// Unregisters a tenant, returning any requests still queued. The
+    /// tenants registered after it keep their relative order.
     ///
     /// # Errors
     ///
     /// [`QosError::UnknownTenant`] if the id is not registered.
     pub fn unregister(&mut self, id: TenantId) -> Result<Vec<CostedRequest<R>>, QosError> {
-        if let Some(state) = self.lc.remove(&id) {
-            self.lc_order.retain(|t| *t != id);
-            return Ok(state.queue.into());
-        }
-        if let Some(state) = self.be.remove(&id) {
-            self.be_order.retain(|t| *t != id);
-            if self.be_cursor >= self.be_order.len() {
-                self.be_cursor = 0;
+        let queue = match self.slots.remove(&id) {
+            Some(Slot::Lc(i)) => {
+                let state = self.lc.remove(i);
+                for (j, s) in self.lc.iter().enumerate().skip(i) {
+                    self.slots.insert(s.id, Slot::Lc(j));
+                }
+                state.queue
             }
-            return Ok(state.queue.into());
-        }
-        Err(QosError::UnknownTenant(id))
+            Some(Slot::Be(i)) => {
+                let state = self.be.remove(i);
+                for (j, s) in self.be.iter().enumerate().skip(i) {
+                    self.slots.insert(s.id, Slot::Be(j));
+                }
+                if self.be_cursor >= self.be.len() {
+                    self.be_cursor = 0;
+                }
+                state.queue
+            }
+            None => return Err(QosError::UnknownTenant(id)),
+        };
+        self.queued -= queue.len();
+        Ok(queue.into_iter().map(|q| q.req).collect())
     }
 
     /// Sets each BE tenant's fair share of unallocated device throughput
@@ -329,14 +341,21 @@ impl<R> QosScheduler<R> {
         self.be_rate_per_tenant = rate;
     }
 
+    fn lc_state(&self, id: TenantId) -> Option<&LcState<R>> {
+        match *self.slots.get(&id)? {
+            Slot::Lc(i) => Some(&self.lc[i]),
+            Slot::Be(_) => None,
+        }
+    }
+
     /// The token rate reserved by LC tenant `id`, if registered here.
     pub fn lc_rate(&self, id: TenantId) -> Option<TokenRate> {
-        self.lc.get(&id).map(|s| s.rate)
+        self.lc_state(id).map(|s| s.rate)
     }
 
     /// The SLO of LC tenant `id`, if registered here.
     pub fn lc_slo(&self, id: TenantId) -> Option<SloSpec> {
-        self.lc.get(&id).map(|s| s.slo)
+        self.lc_state(id).map(|s| s.slo)
     }
 
     /// Replaces an LC tenant's SLO (renegotiation after repeated deficit
@@ -351,9 +370,11 @@ impl<R> QosScheduler<R> {
         slo: SloSpec,
         io_size: u32,
     ) -> Result<(), QosError> {
-        let s = self.lc.get_mut(&id).ok_or(QosError::UnknownTenant(id))?;
-        s.slo = slo;
-        s.rate = slo.token_rate(&self.model, io_size);
+        let Some(&Slot::Lc(i)) = self.slots.get(&id) else {
+            return Err(QosError::UnknownTenant(id));
+        };
+        self.lc[i].slo = slo;
+        self.lc[i].rate = slo.token_rate(&self.model, io_size);
         Ok(())
     }
 
@@ -361,7 +382,7 @@ impl<R> QosScheduler<R> {
     pub fn lc_reserved_rate(&self) -> TokenRate {
         let mt = self
             .lc
-            .values()
+            .iter()
             .map(|s| s.rate.as_millitokens_per_sec())
             .sum();
         TokenRate::millitokens_per_sec(mt)
@@ -378,40 +399,47 @@ impl<R> QosScheduler<R> {
     ///
     /// [`QosError::UnknownTenant`] if the id is not registered.
     pub fn enqueue(&mut self, id: TenantId, req: CostedRequest<R>) -> Result<(), QosError> {
-        if let Some(s) = self.lc.get_mut(&id) {
-            s.queue.push_back(req);
-            return Ok(());
-        }
-        if let Some(s) = self.be.get_mut(&id) {
-            s.demand_mixed += self.model.cost(req.op, req.len, LoadMix::Mixed);
-            s.demand_ro += self.model.cost(req.op, req.len, LoadMix::ReadOnly);
-            s.queue.push_back(req);
-            return Ok(());
-        }
-        Err(QosError::UnknownTenant(id))
+        let slot = *self.slots.get(&id).ok_or(QosError::UnknownTenant(id))?;
+        let cost_mixed = self.model.cost(req.op, req.len, LoadMix::Mixed);
+        let cost_ro = self.model.cost(req.op, req.len, LoadMix::ReadOnly);
+        let queue = match slot {
+            Slot::Lc(i) => &mut self.lc[i].queue,
+            Slot::Be(i) => {
+                let s = &mut self.be[i];
+                s.demand_mixed += cost_mixed;
+                s.demand_ro += cost_ro;
+                &mut s.queue
+            }
+        };
+        queue.push_back(Queued {
+            req,
+            cost_mixed,
+            cost_ro,
+        });
+        self.queued += 1;
+        Ok(())
     }
 
     /// Total requests queued across all tenants.
     pub fn queued_requests(&self) -> usize {
-        self.lc.values().map(|s| s.queue.len()).sum::<usize>()
-            + self.be.values().map(|s| s.queue.len()).sum::<usize>()
+        self.queued
     }
 
     /// Requests queued for one tenant.
     pub fn queued_for(&self, id: TenantId) -> usize {
-        self.lc
-            .get(&id)
-            .map(|s| s.queue.len())
-            .or_else(|| self.be.get(&id).map(|s| s.queue.len()))
-            .unwrap_or(0)
+        match self.slots.get(&id) {
+            Some(&Slot::Lc(i)) => self.lc[i].queue.len(),
+            Some(&Slot::Be(i)) => self.be[i].queue.len(),
+            None => 0,
+        }
     }
 
     /// Scheduling statistics for one tenant.
     pub fn stats_for(&self, id: TenantId) -> Option<TenantSchedStats> {
-        self.lc
-            .get(&id)
-            .map(|s| s.stats)
-            .or_else(|| self.be.get(&id).map(|s| s.stats))
+        Some(match *self.slots.get(&id)? {
+            Slot::Lc(i) => self.lc[i].stats,
+            Slot::Be(i) => self.be[i].stats,
+        })
     }
 
     /// Debits a DRAM-hit's token cost from a tenant's local balance.
@@ -426,27 +454,29 @@ impl<R> QosScheduler<R> {
     /// cache. The balance may go negative; the tenant's own generation
     /// repays it before further flash admissions.
     pub fn spend_dram_hit(&mut self, id: TenantId, cost: Tokens) -> Result<(), QosError> {
-        if let Some(s) = self.lc.get_mut(&id) {
-            s.tokens -= cost;
-            s.stats.dram_hits += 1;
-            s.stats.dram_spent_millitokens += cost.as_millitokens();
-            return Ok(());
-        }
-        if let Some(s) = self.be.get_mut(&id) {
-            s.tokens -= cost;
-            s.stats.dram_hits += 1;
-            s.stats.dram_spent_millitokens += cost.as_millitokens();
-            return Ok(());
-        }
-        Err(QosError::UnknownTenant(id))
+        let (tokens, stats) = match self.slots.get(&id) {
+            Some(&Slot::Lc(i)) => {
+                let s = &mut self.lc[i];
+                (&mut s.tokens, &mut s.stats)
+            }
+            Some(&Slot::Be(i)) => {
+                let s = &mut self.be[i];
+                (&mut s.tokens, &mut s.stats)
+            }
+            None => return Err(QosError::UnknownTenant(id)),
+        };
+        *tokens -= cost;
+        stats.dram_hits += 1;
+        stats.dram_spent_millitokens += cost.as_millitokens();
+        Ok(())
     }
 
     /// Current token balance of a tenant.
     pub fn tokens_of(&self, id: TenantId) -> Option<Tokens> {
-        self.lc
-            .get(&id)
-            .map(|s| s.tokens)
-            .or_else(|| self.be.get(&id).map(|s| s.tokens))
+        Some(match *self.slots.get(&id)? {
+            Slot::Lc(i) => self.lc[i].tokens,
+            Slot::Be(i) => self.be[i].tokens,
+        })
     }
 
     /// Rounds executed so far.
@@ -457,11 +487,7 @@ impl<R> QosScheduler<R> {
     /// Runs one scheduling round (Algorithm 1) at instant `now` under the
     /// device-wide load mix `mix`. Returns the admitted requests in order.
     pub fn schedule(&mut self, now: SimTime, mix: LoadMix) -> ScheduleOutcome<R> {
-        let mut out = ScheduleOutcome {
-            submitted: Vec::new(),
-            deficit_notifications: Vec::new(),
-            reset_bucket: false,
-        };
+        let mut out = ScheduleOutcome::default();
         self.schedule_into(now, mix, &mut out);
         out
     }
@@ -480,8 +506,7 @@ impl<R> QosScheduler<R> {
         out.reset_bucket = false;
 
         // --- Latency-critical tenants (Algorithm 1 lines 4-12) ---
-        for &id in &self.lc_order {
-            let s = self.lc.get_mut(&id).expect("lc_order tracks lc map");
+        for s in &mut self.lc {
             let generated = s.gen.generate(s.rate, elapsed);
             s.tokens += generated;
             if s.recent_gen.len() == self.params.pos_history_rounds {
@@ -491,16 +516,16 @@ impl<R> QosScheduler<R> {
 
             if s.tokens < self.params.neg_limit {
                 s.stats.deficit_events += 1;
-                out.deficit_notifications.push(id);
+                out.deficit_notifications.push(s.id);
             }
 
-            while !s.queue.is_empty() && s.tokens > self.params.neg_limit {
-                let req = s.queue.pop_front().expect("checked non-empty");
-                let cost = self.model.cost(req.op, req.len, mix);
+            while s.tokens > self.params.neg_limit {
+                let Some(q) = s.queue.pop_front() else { break };
+                let cost = q.cost(mix);
                 s.tokens -= cost;
                 s.stats.submitted += 1;
                 s.stats.spent_millitokens += cost.as_millitokens();
-                out.submitted.push((id, req));
+                out.submitted.push((s.id, q.req));
             }
 
             let pos_limit: Tokens = s.recent_gen.iter().copied().sum();
@@ -513,12 +538,9 @@ impl<R> QosScheduler<R> {
 
         let lc_admitted = out.submitted.len();
 
-        // --- Best-effort tenants, round-robin (lines 13-21) ---
-        let n_be = self.be_order.len();
-        for k in 0..n_be {
-            let idx = (self.be_cursor + k) % n_be;
-            let id = self.be_order[idx];
-            let s = self.be.get_mut(&id).expect("be_order tracks be map");
+        // --- Best-effort tenants, round-robin from the cursor (lines 13-21) ---
+        let (before_cursor, from_cursor) = self.be.split_at_mut(self.be_cursor);
+        for s in from_cursor.iter_mut().chain(before_cursor) {
             s.tokens += s.gen.generate(self.be_rate_per_tenant, elapsed);
 
             let demand = match mix {
@@ -531,18 +553,17 @@ impl<R> QosScheduler<R> {
             }
 
             // Conditional submission: only while the tenant can pay in full.
-            while let Some(front) = s.queue.front() {
-                let cost = self.model.cost(front.op, front.len, mix);
+            while let Some(cost) = s.queue.front().map(|q| q.cost(mix)) {
                 if s.tokens < cost {
                     break;
                 }
-                let req = s.queue.pop_front().expect("checked non-empty");
-                s.demand_mixed -= self.model.cost(req.op, req.len, LoadMix::Mixed);
-                s.demand_ro -= self.model.cost(req.op, req.len, LoadMix::ReadOnly);
+                let q = s.queue.pop_front().expect("front was Some");
+                s.demand_mixed -= q.cost_mixed;
+                s.demand_ro -= q.cost_ro;
                 s.tokens -= cost;
                 s.stats.submitted += 1;
                 s.stats.spent_millitokens += cost.as_millitokens();
-                out.submitted.push((id, req));
+                out.submitted.push((s.id, q.req));
             }
 
             // DRR rule: no token accumulation while idle.
@@ -551,9 +572,11 @@ impl<R> QosScheduler<R> {
                 s.tokens = Tokens::ZERO;
             }
         }
-        if n_be > 0 {
-            self.be_cursor = (self.be_cursor + 1) % n_be;
+        self.be_cursor += 1;
+        if self.be_cursor >= self.be.len() {
+            self.be_cursor = 0;
         }
+        self.queued -= out.submitted.len();
 
         out.reset_bucket = self.pool.mark_round(now, self.thread_idx);
 

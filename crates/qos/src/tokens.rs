@@ -200,18 +200,87 @@ impl TokenGen {
     /// Generates tokens for `elapsed` at `rate`, carrying the sub-millitoken
     /// remainder into the next call. Over any sequence of calls the total
     /// generated equals `rate × total_elapsed` exactly (within 1 mt).
+    ///
+    /// `rate × elapsed + carry` is formed in `u64` whenever it fits — it
+    /// always does at simulated rates and round lengths — and in `u128`
+    /// otherwise; both are the same integer, so quotient and carry agree.
     pub fn generate(&mut self, rate: TokenRate, elapsed: SimDuration) -> Tokens {
-        let numer =
-            rate.as_millitokens_per_sec() as u128 * elapsed.as_nanos() as u128 + self.carry as u128;
-        let mt = (numer / 1_000_000_000) as i64;
-        self.carry = (numer % 1_000_000_000) as u64;
-        Tokens::from_millitokens(mt)
+        const NS_PER_SEC: u64 = 1_000_000_000;
+        let (rate, ns) = (rate.as_millitokens_per_sec(), elapsed.as_nanos());
+        let narrow = rate.checked_mul(ns).and_then(|p| p.checked_add(self.carry));
+        let (mt, carry) = match narrow {
+            Some(numer) => (numer / NS_PER_SEC, numer % NS_PER_SEC),
+            None => {
+                let numer = rate as u128 * ns as u128 + self.carry as u128;
+                let per_sec = NS_PER_SEC as u128;
+                ((numer / per_sec) as u64, (numer % per_sec) as u64)
+            }
+        };
+        self.carry = carry;
+        Tokens::from_millitokens(mt as i64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The formula `generate` had before its `u64` path: always `u128`.
+    fn generate_u128(carry: u64, rate: u64, ns: u64) -> (i64, u64) {
+        let numer = rate as u128 * ns as u128 + carry as u128;
+        (
+            (numer / 1_000_000_000) as i64,
+            (numer % 1_000_000_000) as u64,
+        )
+    }
+
+    proptest! {
+        /// Rates up to `u64::MAX / 2` mt/s over nanoseconds to seconds put
+        /// `rate × elapsed + carry` on both sides of `u64::MAX`; quotient
+        /// and carry must equal the `u128` formula's on either path.
+        #[test]
+        fn generation_matches_u128_formula_across_the_u64_boundary(
+            // Shifts make the magnitudes log-uniform: up to 2^63 mt/s, up
+            // to 2^33 ns (8.6 s).
+            steps in prop::collection::vec(
+                (any::<u64>(), 1u32..64, any::<u64>(), 31u32..64),
+                1..40,
+            ),
+        ) {
+            let mut gen = TokenGen::new();
+            for (rate_raw, rate_shift, ns_raw, ns_shift) in steps {
+                let (rate, ns) = (rate_raw >> rate_shift, ns_raw >> ns_shift);
+                let (mt, carry) = generate_u128(gen.carry, rate, ns);
+                let got = gen.generate(
+                    TokenRate::millitokens_per_sec(rate),
+                    SimDuration::from_nanos(ns),
+                );
+                prop_assert_eq!(got, Tokens::from_millitokens(mt));
+                prop_assert_eq!(gen.carry, carry);
+            }
+        }
+    }
+
+    #[test]
+    fn generation_agrees_on_each_side_of_the_u64_boundary() {
+        // 18 446 744 073 mt/s for one second leaves 709 551 615 below
+        // u64::MAX: that carry is the last to fit, one more overflows.
+        let (rate, ns) = (18_446_744_073u64, 1_000_000_000u64);
+        let last_fit = u64::MAX - rate * ns;
+        assert_eq!(last_fit, 709_551_615);
+        for carry in [last_fit, last_fit + 1] {
+            let fits = (rate * ns).checked_add(carry).is_some();
+            assert_eq!(fits, carry == last_fit);
+            let mut gen = TokenGen { carry };
+            let got = gen.generate(
+                TokenRate::millitokens_per_sec(rate),
+                SimDuration::from_nanos(ns),
+            );
+            assert_eq!(got, Tokens::from_millitokens(18_446_744_073));
+            assert_eq!(gen.carry, carry);
+        }
+    }
 
     #[test]
     fn token_arithmetic() {

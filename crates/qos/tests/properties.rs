@@ -1,14 +1,55 @@
 //! Property-based tests of the QoS scheduler's invariants.
 
-use std::sync::Arc;
+mod reference;
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
+use reference::RefScheduler;
 use reflex_flash::IoType;
 use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LeaseEntry, LeaseLedger, LoadMix, QosScheduler,
-    SchedulerParams, SloSpec, TenantId, TokenGen, TokenRate, Tokens,
+    ScheduleOutcome, SchedulerParams, SloSpec, TenantId, TokenGen, TokenPool, TokenRate, Tokens,
 };
 use reflex_sim::{SimDuration, SimTime};
+
+/// A two-thread spare-token pool; the differential test plays the peer
+/// thread (index 1) itself.
+fn test_pool(leased: bool) -> TokenPool {
+    if leased {
+        let ledger = LeaseLedger::new(2, SimDuration::from_micros(10));
+        TokenPool::Leased(Arc::new(Mutex::new(ledger)))
+    } else {
+        TokenPool::Shared(Arc::new(GlobalBucket::new(2)))
+    }
+}
+
+/// Applies window boundaries up to `now` (the event dispatcher's job in a
+/// split-dataplane run; a no-op on the shared bucket).
+fn observe(pool: &TokenPool, now: SimTime) {
+    if let TokenPool::Leased(l) = pool {
+        l.lock().unwrap().observe(now);
+    }
+}
+
+/// Everything the pool holds, for comparing two pools.
+fn pool_state(pool: &TokenPool) -> Vec<i64> {
+    match pool {
+        TokenPool::Shared(b) => vec![b.balance().as_millitokens()],
+        TokenPool::Leased(l) => {
+            let l = l.lock().unwrap();
+            let mt = |t: Tokens| t.as_millitokens();
+            vec![
+                mt(l.residue()),
+                mt(l.lease_of(0)),
+                mt(l.lease_of(1)),
+                l.gives_cum(),
+                l.taken_cum(),
+                l.discarded_cum(),
+            ]
+        }
+    }
+}
 
 proptest! {
     /// Token generation is exact: any partition of an interval into rounds
@@ -108,6 +149,135 @@ proptest! {
             "spent {} > generated {generated} + allowance",
             stats.spent_millitokens
         );
+    }
+
+    /// Differential against the map-based reference (`reference/mod.rs`):
+    /// any schedule of registrations, unregistrations (mid-rotation, on
+    /// either side of the BE cursor), mixed-size reads and writes, DRAM
+    /// debits, renegotiations, rate changes, peer-thread pool traffic and
+    /// rounds of irregular length under both load mixes makes the same
+    /// decisions and leaves the same per-tenant and pool state, on the
+    /// shared bucket and on a leased ledger.
+    #[test]
+    fn dense_scheduler_matches_map_based_reference(
+        leased in any::<bool>(),
+        ops in prop::collection::vec((0u8..20, 0u32..10, any::<u64>(), any::<u64>()), 1..250),
+    ) {
+        const IDS: u32 = 10;
+        let model = CostModel::for_device_a();
+        let (pool, ref_pool) = (test_pool(leased), test_pool(leased));
+        let mut sched: QosScheduler<u64> = QosScheduler::new(
+            0,
+            Arc::new(GlobalBucket::new(1)), // replaced by `set_pool` below
+            model.clone(),
+            SchedulerParams::default(),
+            SimTime::ZERO,
+        );
+        sched.set_pool(pool.clone());
+        let mut oracle: RefScheduler<u64> = RefScheduler::new(
+            0,
+            ref_pool.clone(),
+            model,
+            SchedulerParams::default(),
+            SimTime::ZERO,
+        );
+        let slo = |x: u64, y: u64| {
+            SloSpec::new(1_000 + x % 200_000, (y % 101) as u8, SimDuration::from_millis(1))
+        };
+        let io_size = |x: u64| [1024, 4096, 8192][(x >> 32) as usize % 3];
+        // Three LC and five BE tenants to start from; ids 8 and 9 are free.
+        for t in 0..8u32 {
+            let id = TenantId(t);
+            if t < 3 {
+                let spec = slo(u64::from(t) * 40_000, 80);
+                prop_assert_eq!(sched.register_lc(id, spec, 4096), oracle.register_lc(id, spec, 4096));
+            } else {
+                prop_assert_eq!(sched.register_be(id), oracle.register_be(id));
+            }
+        }
+
+        let mut now = SimTime::ZERO;
+        let mut out = ScheduleOutcome::default();
+        for (seq, (kind, tenant, x, y)) in ops.into_iter().enumerate() {
+            let id = TenantId(tenant);
+            match kind {
+                0 => {
+                    let (spec, size) = (slo(x, y), io_size(x));
+                    prop_assert_eq!(
+                        sched.register_lc(id, spec, size),
+                        oracle.register_lc(id, spec, size)
+                    );
+                }
+                1 => prop_assert_eq!(sched.register_be(id), oracle.register_be(id)),
+                2 => prop_assert_eq!(sched.unregister(id), oracle.unregister(id)),
+                3 => {
+                    let (spec, size) = (slo(x, y), io_size(x));
+                    prop_assert_eq!(
+                        sched.renegotiate_lc(id, spec, size),
+                        oracle.renegotiate_lc(id, spec, size)
+                    );
+                }
+                4 => {
+                    let cost = Tokens::from_millitokens((x % 5_000) as i64);
+                    prop_assert_eq!(sched.spend_dram_hit(id, cost), oracle.spend_dram_hit(id, cost));
+                }
+                5 => {
+                    // Up to 10^10 mt/s: over the multi-second rounds below
+                    // this overflows `u64` and takes the `u128` fallback.
+                    let rate = TokenRate::millitokens_per_sec(x % 10_000_000_000);
+                    sched.set_be_rate(rate);
+                    oracle.set_be_rate(rate);
+                }
+                6 => {
+                    let gift = Tokens::from_millitokens((x % 100_000) as i64);
+                    pool.give(now, 1, gift);
+                    ref_pool.give(now, 1, gift);
+                }
+                7 => {
+                    // The peer finishes a round: with this thread's own
+                    // mark that resets the pool.
+                    prop_assert_eq!(pool.mark_round(now, 1), ref_pool.mark_round(now, 1));
+                }
+                8..=13 => {
+                    // 512 B to 64 KiB, half of them on or next to a page edge.
+                    let len = if x % 2 == 0 {
+                        [512, 4095, 4096, 4097, 8192, 65_536][(x >> 8) as usize % 6]
+                    } else {
+                        512 + ((x >> 8) % (65_536 - 512 + 1)) as u32
+                    };
+                    let op = if y % 3 == 0 { IoType::Write } else { IoType::Read };
+                    let req = CostedRequest { op, len, payload: seq as u64 };
+                    prop_assert_eq!(sched.enqueue(id, req.clone()), oracle.enqueue(id, req));
+                }
+                _ => {
+                    // Irregular rounds: back to back, sub-microsecond,
+                    // hundreds of microseconds, and now and then seconds.
+                    let elapsed_ns = match x % 16 {
+                        0 => 0,
+                        1 => (x >> 8) % 30_000_000_000,
+                        2..=7 => (x >> 8) % 2_000,
+                        _ => (x >> 8) % 300_000,
+                    };
+                    now += SimDuration::from_nanos(elapsed_ns);
+                    let mix = if y % 2 == 0 { LoadMix::Mixed } else { LoadMix::ReadOnly };
+                    observe(&pool, now);
+                    observe(&ref_pool, now);
+                    sched.schedule_into(now, mix, &mut out);
+                    let want = oracle.schedule(now, mix);
+                    prop_assert_eq!(&out.submitted, &want.submitted);
+                    prop_assert_eq!(&out.deficit_notifications, &want.deficit_notifications);
+                    prop_assert_eq!(out.reset_bucket, want.reset_bucket);
+                }
+            }
+            for t in (0..IDS).map(TenantId) {
+                prop_assert_eq!(sched.tokens_of(t), oracle.tokens_of(t));
+                prop_assert_eq!(sched.stats_for(t), oracle.stats_for(t));
+                prop_assert_eq!(sched.queued_for(t), oracle.queued_for(t));
+                prop_assert_eq!(sched.lc_rate(t), oracle.lc_rate(t));
+            }
+            prop_assert_eq!(sched.queued_requests(), oracle.queued_requests());
+            prop_assert_eq!(pool_state(&pool), pool_state(&ref_pool));
+        }
     }
 
     /// Global bucket conservation under arbitrary give/take sequences.
