@@ -7,13 +7,14 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use reflex_dataplane::{AclEntry, DataplaneConfig, DataplaneThread, WireMsg};
 use reflex_flash::{device_a, CmdId, FlashDevice, IoType, NvmeCommand};
 use reflex_net::{
     ConnId, Delivery, Fabric, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader, StackProfile,
 };
 use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, ScheduleOutcome,
-    SchedulerParams, SloSpec, TenantId, TokenRate, Tokens,
+    SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate, Tokens,
 };
 use reflex_sim::{Histogram, SimDuration, SimRng, SimTime};
 
@@ -64,6 +65,9 @@ fn sched_round(c: &mut Criterion) {
         });
     }
     group.finish();
+    if !c.selected("sched_round/guard") {
+        return;
+    }
     // Best of five, alternating, so a slow phase of the host hits both.
     let mut round = BackloggedRound::new(100);
     let mut yardstick = MapAndWideDivide::new(100);
@@ -560,6 +564,9 @@ fn fabric_windowed(c: &mut Criterion) {
         });
     }
     group.finish();
+    if !c.selected("fabric_windowed/guard") {
+        return;
+    }
     // Best of five, alternating, so a slow phase of the host hits both.
     let (mut few, mut many) = (WindowedRound::new(4), WindowedRound::new(16_384));
     let (mut shallow, mut deep) = (f64::INFINITY, f64::INFINITY);
@@ -574,10 +581,151 @@ fn fabric_windowed(c: &mut Criterion) {
     assert!(deep <= 2.0 * shallow, "backlog depth leaks into cost");
 }
 
+/// One request's trip through the request path, in steady state: a client
+/// sends a 1 KiB read on the next of `conns` connections, the windowed
+/// fabric resolves it, one `pump` receives it (flow-table lookup, ACL,
+/// enqueue), runs the scheduling round that is due, submits, and answers
+/// whatever the device completed meanwhile, and the client polls the
+/// responses out. Requests take ~100 µs at the device and arrive every
+/// 4 µs, so each step handles one arrival and on average one completion.
+struct RequestTrip {
+    fabric: Fabric<WireMsg>,
+    device: FlashDevice,
+    thread: DataplaneThread,
+    client: MachineId,
+    server: MachineId,
+    conns: Vec<ConnId>,
+    now: SimTime,
+    sent: u64,
+    responses: Vec<Delivery<WireMsg>>,
+}
+
+impl RequestTrip {
+    fn new(conns: u32, tenants: u32) -> Self {
+        let mut fabric: Fabric<WireMsg> = Fabric::new(LinkConfig::forty_gbe(), SimRng::seed(5));
+        let client = fabric.add_machine(StackProfile::ix_tcp());
+        let server = fabric.add_machine(StackProfile::dataplane_raw());
+        fabric.enable_windowed();
+        let mut device = FlashDevice::new(device_a(), SimRng::seed(6));
+        device.precondition();
+        let mut thread = DataplaneThread::new(
+            0,
+            server,
+            NicQueueId(0),
+            device.create_queue_pair(),
+            Arc::new(GlobalBucket::new(1)),
+            CostModel::for_device_a(),
+            SchedulerParams::default(),
+            DataplaneConfig::default(),
+            SimTime::ZERO,
+        );
+        let acl = AclEntry::full(device.profile().capacity_bytes);
+        for t in 0..tenants {
+            thread
+                .register_tenant(TenantId(t), TenantClass::BestEffort, acl.clone(), 1024)
+                .expect("unique tenants");
+        }
+        thread.set_be_rate(TokenRate::per_sec(1_000_000));
+        let conns = (0..conns)
+            .map(|c| {
+                let conn = fabric.new_conn();
+                thread
+                    .bind_connection(conn, TenantId(c % tenants), client)
+                    .expect("registered tenant");
+                conn
+            })
+            .collect();
+        let mut trip = RequestTrip {
+            fabric,
+            device,
+            thread,
+            client,
+            server,
+            conns,
+            now: SimTime::ZERO,
+            sent: 0,
+            responses: Vec::with_capacity(64),
+        };
+        // Fill the pipeline and every pool before anything is timed.
+        for _ in 0..20_000 {
+            trip.step();
+        }
+        trip
+    }
+
+    fn step(&mut self) -> usize {
+        self.now += SimDuration::from_micros(4);
+        self.sent += 1;
+        // A stride coprime to both connection counts walks the whole table
+        // without walking it in order.
+        let conn = self.conns[(self.sent * 7 % self.conns.len() as u64) as usize];
+        let header = ReflexHeader {
+            opcode: Opcode::Get,
+            tenant: 0,
+            cookie: self.sent,
+            addr: (self.sent * 7919 % 1_000_000) * 4096,
+            len: 1024,
+        };
+        let (f, q0) = (&mut self.fabric, NicQueueId(0));
+        f.send_to_queue(
+            self.now,
+            self.client,
+            self.server,
+            q0,
+            conn,
+            0,
+            header.encode_array(),
+        );
+        f.observe(self.now);
+        self.thread.pump(self.now, f, &mut self.device);
+        f.poll_into(self.now, self.client, usize::MAX, &mut self.responses);
+        self.responses.len()
+    }
+}
+
+/// How much a trip at 2 500 bound connections may cost over one at 48:
+/// tables found by index do not care how many connections are bound
+/// (measured 0.98-1.02x). This pins that property; it is not what told
+/// the map-based tables apart — `HashMap`s of 2 500 entries measured
+/// 0.99-1.02x here too, their cost was per lookup (875 ns a trip against
+/// 680, EXPERIMENTS.md).
+const TRIP_GUARD_LIMIT: f64 = 1.25;
+
+fn request_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("request_path");
+    for (conns, tenants) in [(48u32, 4u32), (2_500, 4), (48, 200), (2_500, 200)] {
+        group.bench_function(format!("{conns}_conns_{tenants}_tenants"), |b| {
+            let mut trip = RequestTrip::new(conns, tenants);
+            b.iter(|| trip.step());
+        });
+    }
+    group.finish();
+    if !c.selected("request_path/guard") {
+        return;
+    }
+    // Best of five, alternating, so a slow phase of the host hits both.
+    let (mut few, mut many) = (RequestTrip::new(48, 4), RequestTrip::new(2_500, 4));
+    let (mut narrow, mut wide) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        narrow = narrow.min(ns_per_call(100_000, || few.step()));
+        wide = wide.min(ns_per_call(100_000, || many.step()));
+    }
+    println!(
+        "request_path guard: {narrow:.0} ns/trip at 48 connections, {wide:.0} at 2500 \
+         ({:.2}x, limit {TRIP_GUARD_LIMIT}x)",
+        wide / narrow
+    );
+    assert!(
+        wide <= TRIP_GUARD_LIMIT * narrow,
+        "the number of bound connections leaks into a request's cost"
+    );
+}
+
 criterion_group!(
     benches,
     engine_dispatch,
     fabric_windowed,
+    request_path,
     sched_round,
     bucket_ops,
     histogram_ops,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use reflex_dataplane::{AclEntry, DataplaneConfig, DataplaneThread, WireMsg};
 use reflex_flash::FlashDevice;
-use reflex_net::{ConnId, Fabric, MachineId, NicQueueId};
+use reflex_net::{ConnId, ConnTable, Fabric, MachineId, NicQueueId};
 use reflex_qos::{
     CostModel, GlobalBucket, SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate,
 };
@@ -125,7 +125,8 @@ pub struct ReflexServer {
     capacity: CapacityProfile,
     config: ServerConfig,
     tenants: HashMap<TenantId, TenantInfo>,
-    conn_route: HashMap<ConnId, (usize, MachineId)>,
+    /// Serving thread and client machine of every bound connection.
+    conn_route: ConnTable<(usize, MachineId)>,
     /// Connections torn down because their client's link died, awaiting
     /// re-registration when the link returns.
     parked: HashMap<MachineId, Vec<(ConnId, TenantId)>>,
@@ -133,6 +134,10 @@ pub struct ReflexServer {
     last_busy: Vec<SimDuration>,
     last_deficits: HashMap<TenantId, u64>,
     cp_stats: ControlPlaneStats,
+    /// Scratch recycled by `control_tick`, which runs inside every
+    /// measured window: the sorted tenant ids and the histograms to reset.
+    tick_ids: Vec<TenantId>,
+    tick_resets: Vec<(usize, TenantId)>,
 }
 
 impl ReflexServer {
@@ -189,12 +194,14 @@ impl ReflexServer {
             capacity,
             config,
             tenants: HashMap::new(),
-            conn_route: HashMap::new(),
+            conn_route: ConnTable::new(),
             parked: HashMap::new(),
             next_shard_id: 0x8000_0000,
             last_busy,
             last_deficits: HashMap::new(),
             cp_stats: ControlPlaneStats::default(),
+            tick_ids: Vec::new(),
+            tick_resets: Vec::new(),
         }
     }
 
@@ -245,12 +252,14 @@ impl ReflexServer {
             capacity: self.capacity.clone(),
             config: self.config.clone(),
             tenants: HashMap::new(),
-            conn_route: HashMap::new(),
+            conn_route: ConnTable::new(),
             parked: HashMap::new(),
             next_shard_id: 0x8000_0000,
             last_busy,
             last_deficits: HashMap::new(),
             cp_stats: ControlPlaneStats::default(),
+            tick_ids: Vec::new(),
+            tick_resets: Vec::new(),
         }
     }
 
@@ -596,7 +605,7 @@ impl ReflexServer {
             let _ = self.threads[thread].unregister_tenant(shard_id);
         }
         for conn in info.conns {
-            self.conn_route.remove(&conn);
+            self.conn_route.remove(conn);
         }
         self.recompute_rates();
         Ok(())
@@ -633,13 +642,13 @@ impl ReflexServer {
     /// rebalancing; stale sends are forwarded by the old thread).
     pub fn route(&self, conn: ConnId) -> Option<NicQueueId> {
         self.conn_route
-            .get(&conn)
+            .get(conn)
             .map(|&(t, _)| self.threads[t].nic_queue())
     }
 
     /// The dataplane thread currently serving `conn`.
     pub fn thread_of_conn(&self, conn: ConnId) -> Option<usize> {
-        self.conn_route.get(&conn).map(|&(t, _)| t)
+        self.conn_route.get(conn).map(|&(t, _)| t)
     }
 
     /// Tears down every connection belonging to `client` — its link died.
@@ -658,17 +667,13 @@ impl ReflexServer {
         let mut parked = Vec::new();
         for id in ids {
             for &conn in &self.tenants[&id].conns {
-                if self
-                    .conn_route
-                    .get(&conn)
-                    .is_some_and(|&(_, c)| c == client)
-                {
+                if self.conn_route.get(conn).is_some_and(|&(_, c)| c == client) {
                     parked.push((conn, id));
                 }
             }
         }
         for &(conn, _) in &parked {
-            if let Some((thread, _)) = self.conn_route.remove(&conn) {
+            if let Some((thread, _)) = self.conn_route.remove(conn) {
                 self.threads[thread].unbind_connection(conn);
             }
         }
@@ -765,7 +770,7 @@ impl ReflexServer {
         let to_queue = self.threads[to].nic_queue();
         for conn in conns {
             self.threads[from].forward_connection(conn, to_queue);
-            if let Some(route) = self.conn_route.get_mut(&conn) {
+            if let Some(route) = self.conn_route.get_mut(conn) {
                 let client = route.1;
                 route.0 = to;
                 let _ = self.threads[to].bind_connection(conn, id, client);
@@ -793,12 +798,14 @@ impl ReflexServer {
         // the last tick are candidates for renegotiation (paper line 7).
         let mut flagged = Vec::new();
         let mut latency_hot = false;
-        let mut to_reset = Vec::new();
+        let mut to_reset = std::mem::take(&mut self.tick_resets);
         // Deterministic traversal: HashMap order varies per process and
         // several decisions below depend on visit order.
-        let mut ids: Vec<TenantId> = self.tenants.keys().copied().collect();
-        ids.sort();
-        for id in ids {
+        let mut ids = std::mem::take(&mut self.tick_ids);
+        ids.clear();
+        ids.extend(self.tenants.keys().copied());
+        ids.sort_unstable();
+        for &id in &ids {
             let info = &self.tenants[&id];
             if !info.class.is_latency_critical() {
                 continue;
@@ -836,9 +843,11 @@ impl ReflexServer {
                 }
             }
         }
-        for (thread, id) in to_reset {
+        self.tick_ids = ids;
+        for (thread, id) in to_reset.drain(..) {
             self.threads[thread].reset_tenant_read_latency(id);
         }
+        self.tick_resets = to_reset;
 
         if self.config.auto_scale && !window.is_zero() {
             let mut fractions = Vec::new();

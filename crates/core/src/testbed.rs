@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use reflex_dataplane::WireMsg;
 use reflex_flash::{DeviceProfile, DeviceStats, FlashDevice, StagedCmd};
 use reflex_net::{
-    ConnId, Delivery, Fabric, Flight, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader,
+    ConnTable, Delivery, Fabric, Flight, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader,
     StackProfile,
 };
 use reflex_qos::{CostModel, LeaseEntry, LeaseLedger, TenantId, TokenPool};
@@ -177,7 +177,7 @@ pub struct World<S: ServerHarness = ReflexServer> {
     /// Static conn → NIC-queue routes cached at bind time, consulted by
     /// shards that do not hold the server (sharding requires servers whose
     /// routing is static — see [`ServerHarness::supports_sharding`]).
-    route_table: HashMap<ConnId, NicQueueId>,
+    route_table: ConnTable<NicQueueId>,
     /// Whether client machine `i` is simulated by this world (all true in
     /// a single-shard run).
     client_local: Vec<bool>,
@@ -205,6 +205,11 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // cancels the old wake instead of leaving a dead event in the queue.
     thread_wake: Vec<Option<(SimTime, EventHandle)>>,
     client_wake: Vec<Option<(SimTime, EventHandle)>>,
+    // `Fabric::inbound` of each client machine when its wake was last
+    // checked after a pump: a pump that sent it nothing leaves its wake be.
+    client_inbound: Vec<u64>,
+    // Recycled buffer for the flights `flush_outbound` hands over.
+    outbound_scratch: Vec<(usize, Flight<WireMsg>)>,
     wakes: WakeStats,
     measure_start: Option<SimTime>,
     busy_snapshot: Vec<SimDuration>,
@@ -380,33 +385,64 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
+    /// The raw arrival bound of server thread `i`'s NIC queue.
+    fn thread_arrival_bound(&self, i: usize) -> Option<SimTime> {
+        let server = self.server.as_ref().expect("server shard");
+        self.fabric
+            .next_arrival_queue(server.machine(), server.nic_queue(i))
+    }
+
     fn pump_one(&mut self, thread: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
+        let now = ctx.now();
         let server = self.server.as_mut().expect("pump runs on the server shard");
         let device = self.device.as_mut().expect("device lives with the server");
-        let wake = server.pump_thread(thread, ctx.now(), &mut self.fabric, device);
-        if let Some(at) = wake {
+        let hint = server.pump_thread(thread, now, &mut self.fabric, device);
+        let n_active = server.active_threads();
+        // The pumped thread wakes at `min(bound, hint)`: the raw arrival
+        // bound of its queue, or the pump's own hint, which folds that
+        // bound together with completions, the next scheduling round and
+        // the core-busy horizon (`max(next_arrival, core_busy)`). A sharded
+        // run's window exchange arms the *raw* bound, so taking it here too
+        // makes the effective wake `min(bound, max(other sources,
+        // core_busy))` in both modes and pump instants identical at any
+        // shard count. The wake is armed once, at the place in this
+        // function's arming order its instant used to win from — the hint
+        // ahead of the client wakes, the bound in the sweep over the
+        // threads after them — so same-instant events keep their order.
+        let hint = hint.map(|at| at.max(now));
+        let bound = (thread < n_active)
+            .then(|| self.thread_arrival_bound(thread))
+            .flatten()
+            .map(|at| at.max(now));
+        let bound_wins = match (bound, hint) {
+            (Some(b), Some(h)) => b < h,
+            (b, None) => b.is_some(),
+            (None, Some(_)) => false,
+        };
+        if let (Some(at), false) = (hint, bound_wins) {
             self.ensure_thread_wake(ctx, thread, at);
         }
-        // Responses (and rebalance forwards) may now be in flight.
+        // Responses may now be in flight. Only a client this pump sent to
+        // can have an arrival earlier than its armed wake.
         for c in 0..self.clients.len() {
-            if self.client_local[c] {
+            if !self.client_local[c] {
+                continue;
+            }
+            let inbound = self.fabric.inbound(self.clients[c].machine);
+            if inbound != self.client_inbound[c] {
+                self.client_inbound[c] = inbound;
                 self.ensure_client_wake(ctx, c);
             }
         }
-        // Re-arm every active thread whose queue has pending arrivals —
-        // including the thread just pumped. Its own `pump_thread` hint also
-        // covers the next arrival, but folded together with the core-busy
-        // horizon (`max(next_arrival, core_busy)`), whereas a sharded run's
-        // window exchange arms the *raw* arrival bound. Arming the raw
-        // bound here too makes the effective wake
-        // `min(bound, max(other sources, core_busy))` in both modes, so
-        // pump instants are identical at any shard count.
-        let server = self.server.as_ref().expect("server shard");
-        let n_active = server.active_threads();
-        let machine = server.machine();
+        // A rebalance forward may have landed on a sibling's queue: re-arm
+        // every other active thread whose queue has pending arrivals.
         for i in 0..n_active {
-            let queue = self.server.as_ref().expect("server shard").nic_queue(i);
-            if let Some(at) = self.fabric.next_arrival_queue(machine, queue) {
+            let at = if i == thread {
+                bound.filter(|_| bound_wins)
+            } else {
+                self.thread_arrival_bound(i)
+            };
+            if let Some(at) = at {
                 self.ensure_thread_wake(ctx, i, at);
             }
         }
@@ -725,7 +761,7 @@ impl<S: ServerHarness + 'static> World<S> {
             // Client shard: static route cached at bind time. The
             // server-side wake is armed by the window exchange on the
             // shard that holds the server.
-            None => self.route_table.get(&conn).copied().unwrap_or_default(),
+            None => self.route_table.get(conn).copied().unwrap_or_default(),
         };
         let arrival = self.fabric.send_to_queue(
             t_send,
@@ -891,9 +927,10 @@ impl<S: ServerHarness + 'static> ShardWorld<WorldEvent> for World<S> {
     type Flight = WorldFlight;
 
     fn flush_outbound(&mut self, sink: &mut Vec<(usize, Self::Flight)>) {
-        let mut nets = Vec::new();
+        let mut nets = std::mem::take(&mut self.outbound_scratch);
         self.fabric.take_outbound(&mut nets);
-        sink.extend(nets.into_iter().map(|(s, f)| (s, WorldFlight::Net(f))));
+        sink.extend(nets.drain(..).map(|(s, f)| (s, WorldFlight::Net(f))));
+        self.outbound_scratch = nets;
         if !self.split || self.dev_peers.is_empty() {
             return;
         }
@@ -1233,7 +1270,7 @@ impl TestbedBuilder {
             device: Some(device),
             server: Some(server),
             server_machine,
-            route_table: HashMap::new(),
+            route_table: ConnTable::new(),
             client_local: vec![true; n_clients],
             gen_seed,
             clients,
@@ -1245,6 +1282,8 @@ impl TestbedBuilder {
             retry_scratch: Vec::new(),
             thread_wake: vec![None; n_threads],
             client_wake: vec![None; n_clients],
+            client_inbound: vec![0; n_clients],
+            outbound_scratch: Vec::new(),
             wakes: WakeStats::default(),
             measure_start: None,
             busy_snapshot: Vec::new(),
@@ -1544,7 +1583,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 device: if s == 0 { device.take() } else { None },
                 server: if s == 0 { server.take() } else { None },
                 server_machine: world.server_machine,
-                route_table: HashMap::new(),
+                route_table: ConnTable::new(),
                 client_local: world
                     .clients
                     .iter()
@@ -1560,6 +1599,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 retry_scratch: Vec::new(),
                 thread_wake: vec![None; world.thread_wake.len()],
                 client_wake: vec![None; world.client_wake.len()],
+                client_inbound: vec![0; world.client_wake.len()],
+                outbound_scratch: Vec::new(),
                 wakes: WakeStats::default(),
                 measure_start: None,
                 busy_snapshot: Vec::new(),
@@ -1773,7 +1814,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 device: devices[s].take(),
                 server: servers[s].take(),
                 server_machine: world.server_machine,
-                route_table: HashMap::new(),
+                route_table: ConnTable::new(),
                 client_local: world
                     .clients
                     .iter()
@@ -1789,6 +1830,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 retry_scratch: Vec::new(),
                 thread_wake: vec![None; max_threads],
                 client_wake: vec![None; world.client_wake.len()],
+                client_inbound: vec![0; world.client_wake.len()],
+                outbound_scratch: Vec::new(),
                 wakes: WakeStats::default(),
                 measure_start: None,
                 busy_snapshot: Vec::new(),

@@ -297,6 +297,61 @@ fn report_counts_wake_churn() {
 }
 
 #[test]
+fn a_hot_thread_arms_each_wake_once() {
+    // One server thread at 0.9x its knee (fig4 ReFlex-1T): four IX client
+    // machines, 40GbE, 1KB reads. The thread is never idle for long, so
+    // its wake is re-armed by nearly every pump — once, at
+    // min(arrival bound, pump hint), not at the hint and then again at
+    // the bound.
+    let run = || {
+        let mut tb = Testbed::builder()
+            .seed(31)
+            .link(reflex_net::LinkConfig::forty_gbe())
+            .client_machines(vec![StackProfile::ix_tcp(); 4])
+            .build();
+        for t in 0..4u32 {
+            let mut spec = WorkloadSpec::open_loop(
+                &format!("t{t}"),
+                TenantId(t + 1),
+                TenantClass::BestEffort,
+                810_000.0 / 4.0,
+            );
+            spec.read_pct = 100;
+            spec.io_size = 1024;
+            spec.conns = 48;
+            spec.client_threads = 8;
+            spec.client_machine = t as usize;
+            tb.add_workload(spec).expect("admitted");
+        }
+        tb.run(SimDuration::from_millis(2));
+        tb.begin_measurement();
+        tb.run(SimDuration::from_millis(10));
+        tb.report()
+    };
+    let r = run();
+    let w = r.wakes;
+    let completed: u64 = r.workloads.iter().map(|w| w.read_latency.count()).sum();
+    assert!(completed > 6_000, "{completed} completions");
+    // What is still cancelled is a wake armed for a completion or a
+    // scheduling round that a new request's arrival bound then preceded:
+    // about one in ten here, one in two when every pump armed twice.
+    assert!(
+        w.thread_cancelled * 8 <= w.thread_armed,
+        "more than an eighth of thread wakes cancelled: {w:?}"
+    );
+    // A client wake is armed when a poll ends with messages still on the
+    // way, or when a pump sends to a client whose wake is later than the
+    // new arrival bound (a cancel): never for a client the pump did not
+    // send to, so never more often than polls and cancels account for.
+    assert!(
+        w.client_armed <= w.client_polls + w.client_cancelled + 4,
+        "{w:?}"
+    );
+    assert!(w.client_cancelled * 20 <= w.client_armed, "{w:?}");
+    assert_eq!(w, run().wakes, "wake counts are deterministic");
+}
+
+#[test]
 fn sequential_pattern_walks_the_namespace() {
     let mut tb = Testbed::builder().seed(12).build();
     let mut spec = WorkloadSpec::closed_loop("seq", TenantId(1), TenantClass::BestEffort, 4);

@@ -24,11 +24,11 @@ use reflex_flash::{
     CmdId, FlashDevice, IoType, NvmeCommand, NvmeCompletion, NvmeStatus, QpId, SubmitError,
 };
 use reflex_net::{
-    ConnId, Delivery, Fabric, MachineId, NicQueueId, Opcode, ReflexHeader, HEADER_SIZE,
+    ConnId, ConnTable, Delivery, Fabric, MachineId, NicQueueId, Opcode, ReflexHeader, HEADER_SIZE,
 };
 use reflex_qos::{
     CostModel, CostedRequest, LoadMix, QosError, QosScheduler, ScheduleOutcome, SchedulerParams,
-    TenantClass, TenantId, TokenRate, Tokens,
+    TenantClass, TenantId, TenantSlot, TokenRate, Tokens,
 };
 use reflex_sim::{Histogram, PoolKey, SimDuration, SimTime, SlabPool};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
@@ -108,6 +108,10 @@ impl AclEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReqCtx {
     tenant: TenantId,
+    /// The tenant's slot in the accepting thread's tenant table. A hint:
+    /// completions check that it still holds `tenant` (the tenant may
+    /// have been unregistered while the request was at the device).
+    slot: u32,
     conn: ConnId,
     client: MachineId,
     cookie: Cookie,
@@ -138,6 +142,98 @@ struct OrderingState {
     inflight: u32,
     fence: Option<ReqCtx>,
     buffered: VecDeque<(IoType, u32, ReqCtx)>,
+}
+
+/// What a thread keeps per registered tenant: one slot of its tenant
+/// table, so everything the request path needs about a tenant is one index
+/// away from the connection that carries the slot.
+#[derive(Debug)]
+struct TenantEntry {
+    id: TenantId,
+    /// The tenant's position in the scheduler, looked up again after
+    /// every unregister (which may shift it).
+    sched: TenantSlot,
+    acl: AclEntry,
+    ordering: OrderingState,
+    /// Server-side read-latency histogram, kept for LC tenants so the
+    /// control plane can monitor SLO compliance (paper §4.3).
+    read_latency: Option<Histogram>,
+}
+
+/// The thread's tenants in stable slots (a slot is reused only after its
+/// tenant is unregistered), plus the id index the control-plane entry
+/// points go through.
+#[derive(Debug, Default)]
+struct TenantTable {
+    slots: Vec<Option<TenantEntry>>,
+    by_id: HashMap<TenantId, u32>,
+}
+
+impl TenantTable {
+    fn insert(&mut self, entry: TenantEntry) -> u32 {
+        let slot = match self.slots.iter().position(Option::is_none) {
+            Some(free) => free,
+            None => {
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+        };
+        self.by_id.insert(entry.id, slot as u32);
+        self.slots[slot] = Some(entry);
+        slot as u32
+    }
+
+    fn remove(&mut self, id: TenantId) -> Option<TenantEntry> {
+        let slot = self.by_id.remove(&id)?;
+        self.slots[slot as usize].take()
+    }
+
+    fn slot_of(&self, id: TenantId) -> Option<u32> {
+        self.by_id.get(&id).copied()
+    }
+
+    fn get(&self, id: TenantId) -> Option<&TenantEntry> {
+        self.slots[self.slot_of(id)? as usize].as_ref()
+    }
+
+    /// The tenant in `slot`, for a caller that knows the slot is live: it
+    /// came from the id index just now, or from a bound connection, and
+    /// bindings die with their tenant.
+    #[inline]
+    fn at(&mut self, slot: u32) -> &mut TenantEntry {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("bound conn implies registered tenant")
+    }
+
+    /// The entry of tenant `id`, tried at `slot` first: where the request
+    /// asking was accepted. The id index answers only when the tenant left
+    /// that slot while the request was at the device (it may have been
+    /// registered again since, here or nowhere).
+    #[inline]
+    fn of_request(&mut self, slot: u32, id: TenantId) -> Option<&mut TenantEntry> {
+        let slot = match self.slots.get(slot as usize) {
+            Some(Some(e)) if e.id == id => slot,
+            _ => self.slot_of(id)?,
+        };
+        self.slots[slot as usize].as_mut()
+    }
+
+    fn live(&mut self) -> impl Iterator<Item = &mut TenantEntry> {
+        self.slots.iter_mut().flatten()
+    }
+}
+
+/// What a thread knows about a connection: the tenant it is bound to
+/// (with the tenant's slot), or the sibling queue its traffic moved to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ConnEntry {
+    Bound {
+        tenant: TenantId,
+        slot: u32,
+        client: MachineId,
+    },
+    Forwarded(NicQueueId),
 }
 
 /// Everything the thread tracks for one in-flight NVMe command. Lives in
@@ -206,13 +302,16 @@ pub struct DataplaneThread {
     /// Per-thread DRAM read cache (present iff `config.cache` is set).
     /// Private to this thread: no cross-thread or cross-shard coherence.
     cache: Option<DramCache>,
-    acl: HashMap<TenantId, AclEntry>,
-    ordering: HashMap<TenantId, OrderingState>,
-    /// Server-side read-latency histograms, kept for LC tenants so the
-    /// control plane can monitor SLO compliance (paper §4.3).
-    tenant_read_latency: HashMap<TenantId, Histogram>,
-    conn_binding: HashMap<ConnId, (TenantId, MachineId)>,
-    forwards: HashMap<ConnId, NicQueueId>,
+    tenants: TenantTable,
+    /// The flow table, indexed by connection id.
+    conns: ConnTable<ConnEntry>,
+    /// Connections bound to a tenant here (drives the LLC-pressure model).
+    bound_conns: u32,
+    /// Per-message CPU costs under the current connection pressure,
+    /// recomputed whenever `bound_conns` changes.
+    rx_cost: SimDuration,
+    tx_cost: SimDuration,
+    hit_cost: SimDuration,
     /// In-flight IOs, slot-recycled; the pool key rides in each command's
     /// `CmdId` and is generation-checked on completion.
     inflight: SlabPool<InflightIo>,
@@ -253,7 +352,7 @@ impl DataplaneThread {
         now: SimTime,
     ) -> Self {
         config.validate().expect("invalid dataplane config");
-        DataplaneThread {
+        let mut thread = DataplaneThread {
             thread_idx,
             machine,
             nic_queue,
@@ -261,11 +360,12 @@ impl DataplaneThread {
             config,
             sched: QosScheduler::new(thread_idx, bucket, model, sched_params, now),
             cache: config.cache.map(DramCache::new),
-            acl: HashMap::new(),
-            ordering: HashMap::new(),
-            tenant_read_latency: HashMap::new(),
-            conn_binding: HashMap::new(),
-            forwards: HashMap::new(),
+            tenants: TenantTable::default(),
+            conns: ConnTable::new(),
+            bound_conns: 0,
+            rx_cost: SimDuration::ZERO,
+            tx_cost: SimDuration::ZERO,
+            hit_cost: SimDuration::ZERO,
             inflight: SlabPool::new(),
             retry_submit: VecDeque::new(),
             core_busy: now,
@@ -278,7 +378,20 @@ impl DataplaneThread {
             cq_scratch: Vec::new(),
             sched_scratch: ScheduleOutcome::default(),
             stats: ThreadStats::default(),
-        }
+        };
+        thread.refresh_costs();
+        thread
+    }
+
+    /// Recomputes the per-message costs for the current connection count.
+    fn refresh_costs(&mut self) {
+        let factor = self.config.conn_pressure.factor(self.bound_conns);
+        self.rx_cost = self.config.rx_msg_cost.mul_f64(factor);
+        self.tx_cost = self.config.tx_msg_cost.mul_f64(factor);
+        // DRAM service (lookup + copy-out) of a cache hit.
+        self.hit_cost = self.config.cache.map_or(SimDuration::ZERO, |c| {
+            SimDuration::from_nanos(c.hit_cpu_nanos).mul_f64(factor)
+        });
     }
 
     /// Installs a telemetry handle and forwards it to the thread's QoS
@@ -362,13 +475,14 @@ impl DataplaneThread {
     /// Server-side read latency (message arrival to response transmit)
     /// for an LC tenant — what the control plane monitors against SLOs.
     pub fn tenant_read_latency(&self, id: TenantId) -> Option<&Histogram> {
-        self.tenant_read_latency.get(&id)
+        self.tenants.get(id)?.read_latency.as_ref()
     }
 
     /// Resets a tenant's server-side latency window (the control plane
     /// clears it after each monitoring interval).
     pub fn reset_tenant_read_latency(&mut self, id: TenantId) {
-        if let Some(h) = self.tenant_read_latency.get_mut(&id) {
+        let slot = self.tenants.slot_of(id);
+        if let Some(h) = slot.and_then(|s| self.tenants.at(s).read_latency.as_mut()) {
             h.reset();
         }
     }
@@ -397,14 +511,23 @@ impl DataplaneThread {
         acl: AclEntry,
         io_size: u32,
     ) -> Result<TenantHandle, QosError> {
-        match class {
+        let read_latency = match class {
             TenantClass::LatencyCritical(slo) => {
                 self.sched.register_lc(id, slo, io_size)?;
-                self.tenant_read_latency.insert(id, Histogram::new());
+                Some(Histogram::new())
             }
-            TenantClass::BestEffort => self.sched.register_be(id)?,
-        }
-        self.acl.insert(id, acl);
+            TenantClass::BestEffort => {
+                self.sched.register_be(id)?;
+                None
+            }
+        };
+        self.tenants.insert(TenantEntry {
+            id,
+            sched: self.sched.slot_of(id).expect("just registered"),
+            acl,
+            ordering: OrderingState::default(),
+            read_latency,
+        });
         Ok(TenantHandle(id.0))
     }
 
@@ -420,7 +543,13 @@ impl DataplaneThread {
         id: TenantId,
     ) -> Result<Vec<CostedRequest<ReqCtx>>, QosError> {
         let leftovers = self.sched.unregister(id)?;
-        self.acl.remove(&id);
+        let entry = self.tenants.remove(id);
+        // Tenants registered after this one moved up in the scheduler.
+        for t in self.tenants.live() {
+            if let Some(slot) = self.sched.slot_of(t.id) {
+                t.sched = slot;
+            }
+        }
         if let Some(cache) = &mut self.cache {
             // Epoch bump: a future tenant reusing this id can never see
             // generation-stale lines. Reads still in flight at the device
@@ -428,13 +557,12 @@ impl DataplaneThread {
             // epoch in ReqCtx, so the cache rejects their fills.
             self.stats.cache_invalidations += cache.invalidate_tenant(id.0);
         }
-        let buffered = self
-            .ordering
-            .remove(&id)
-            .map(|o| o.buffered)
-            .unwrap_or_default();
-        self.tenant_read_latency.remove(&id);
-        self.conn_binding.retain(|_, (t, _)| *t != id);
+        let buffered = entry.map(|t| t.ordering.buffered).unwrap_or_default();
+        let bound_before = self.conns.len();
+        self.conns
+            .retain(|_, e| !matches!(e, ConnEntry::Bound { tenant, .. } if *tenant == id));
+        self.bound_conns -= (bound_before - self.conns.len()) as u32;
+        self.refresh_costs();
         // Fence-buffered requests follow the queued ones (order preserved:
         // scheduler queue first, then post-barrier buffer).
         let mut all = leftovers;
@@ -469,16 +597,21 @@ impl DataplaneThread {
             .as_ref()
             .map(|c| (c.clock(), c.generation(id.0)))
             .unwrap_or((0, 0));
+        let slot = self
+            .tenants
+            .slot_of(id)
+            .ok_or(QosError::UnknownTenant(id))?;
         for req in &mut reqs {
+            req.payload.slot = slot;
             if req.payload.op.is_read() {
                 req.payload.cache_clock = clock;
                 req.payload.cache_gen = generation;
             }
         }
-        let ordering = self.ordering.entry(id).or_default();
-        ordering.inflight += reqs.len() as u32;
+        let t = self.tenants.at(slot);
+        t.ordering.inflight += reqs.len() as u32;
         for req in reqs {
-            self.sched.enqueue(id, req)?;
+            self.sched.enqueue_at(t.sched, id, req)?;
         }
         Ok(())
     }
@@ -495,32 +628,56 @@ impl DataplaneThread {
         tenant: TenantId,
         client: MachineId,
     ) -> Result<(), QosError> {
-        let Some(acl) = self.acl.get(&tenant) else {
+        let Some(slot) = self.tenants.slot_of(tenant) else {
             return Err(QosError::UnknownTenant(tenant));
         };
-        if !acl.permits_client(client) {
+        if !self.tenants.at(slot).acl.permits_client(client) {
             return Err(QosError::ConnectionDenied(tenant));
         }
-        self.conn_binding.insert(conn, (tenant, client));
+        // Replaces whatever the table held for `conn`, a forward included:
+        // traffic for a connection bound here is served here.
+        self.set_conn(
+            conn,
+            Some(ConnEntry::Bound {
+                tenant,
+                slot,
+                client,
+            }),
+        );
         Ok(())
     }
 
     /// Removes a connection binding.
     pub fn unbind_connection(&mut self, conn: ConnId) {
-        self.conn_binding.remove(&conn);
+        if let Some(ConnEntry::Bound { .. }) = self.conns.get(conn) {
+            self.set_conn(conn, None);
+        }
+    }
+
+    /// Replaces `conn`'s flow-table entry, keeping the bound-connection
+    /// count, and the per-message costs scaled by it, in step.
+    fn set_conn(&mut self, conn: ConnId, entry: Option<ConnEntry>) {
+        let bound = |e: Option<ConnEntry>| u32::from(matches!(e, Some(ConnEntry::Bound { .. })));
+        let old = match entry {
+            Some(e) => self.conns.insert(conn, e),
+            None => self.conns.remove(conn),
+        };
+        if bound(entry) != bound(old) {
+            self.bound_conns = self.bound_conns + bound(entry) - bound(old);
+            self.refresh_costs();
+        }
     }
 
     /// Installs a forwarding entry: messages for `conn` arriving on this
     /// thread's queue are re-steered to `queue` (tenant rebalancing keeps
     /// in-flight traffic from being dropped, paper §3.1, reference \[53\]).
     pub fn forward_connection(&mut self, conn: ConnId, queue: NicQueueId) {
-        self.conn_binding.remove(&conn);
-        self.forwards.insert(conn, queue);
+        self.set_conn(conn, Some(ConnEntry::Forwarded(queue)));
     }
 
     /// Active connection count (drives the LLC-pressure model).
     pub fn connection_count(&self) -> u32 {
-        self.conn_binding.len() as u32
+        self.bound_conns
     }
 
     /// Sets each BE tenant's fair-share token rate (control plane).
@@ -604,8 +761,7 @@ impl DataplaneThread {
             },
         };
         let (header, payload) = Self::user_handle_event(&event, &ctx);
-        let factor = self.config.conn_pressure.factor(self.connection_count());
-        self.charge(self.config.tx_msg_cost.mul_f64(factor));
+        self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
         fabric.send_from(
             self.core_busy,
@@ -625,14 +781,21 @@ impl DataplaneThread {
         rx_started: SimTime,
     ) {
         self.stats.rx_msgs += 1;
-        let Some(&(tenant, client)) = self.conn_binding.get(&delivery.conn) else {
-            if let Some(&queue) = self.forwards.get(&delivery.conn) {
+        let (tenant, slot, client) = match self.conns.get(delivery.conn) {
+            Some(&ConnEntry::Bound {
+                tenant,
+                slot,
+                client,
+            }) => (tenant, slot, client),
+            Some(&ConnEntry::Forwarded(queue)) => {
                 fabric.requeue(self.core_busy, self.machine, queue, delivery);
                 self.stats.forwarded += 1;
-            } else {
-                self.stats.unbound_conns += 1;
+                return;
             }
-            return;
+            None => {
+                self.stats.unbound_conns += 1;
+                return;
+            }
         };
         let header = match ReflexHeader::decode(&delivery.payload) {
             Ok(h) => h,
@@ -647,6 +810,7 @@ impl DataplaneThread {
                 self.stats.decode_errors += 1;
                 let ctx = ReqCtx {
                     tenant,
+                    slot,
                     conn: delivery.conn,
                     client,
                     cookie: header.cookie,
@@ -669,6 +833,7 @@ impl DataplaneThread {
         let Some(syscall) = syscall else {
             let ctx = ReqCtx {
                 tenant,
+                slot,
                 conn: delivery.conn,
                 client,
                 cookie: header.cookie,
@@ -681,18 +846,18 @@ impl DataplaneThread {
                 cache_clock: 0,
                 cache_gen: 0,
             };
-            let ordering = self.ordering.entry(tenant).or_default();
-            if ordering.fence.is_some() {
+            let t = self.tenants.at(slot);
+            if t.ordering.fence.is_some() {
                 // One outstanding barrier per tenant; a second is an error.
                 self.stats.decode_errors += 1;
                 self.send_error(fabric, ctx, AbiStatus::OutOfResources);
                 return;
             }
-            let drained = ordering.inflight == 0 && self.sched.queued_for(tenant) == 0;
+            let drained = t.ordering.inflight == 0 && self.sched.queued_at(t.sched, tenant) == 0;
             if drained {
                 self.ack_barrier(fabric, ctx);
             } else {
-                self.ordering.entry(tenant).or_default().fence = Some(ctx);
+                t.ordering.fence = Some(ctx);
             }
             return;
         };
@@ -711,6 +876,7 @@ impl DataplaneThread {
         };
         let mut ctx = ReqCtx {
             tenant,
+            slot,
             conn: delivery.conn,
             client,
             cookie,
@@ -723,12 +889,7 @@ impl DataplaneThread {
             cache_clock: 0,
             cache_gen: 0,
         };
-        let acl_verdict = self
-            .acl
-            .get(&tenant)
-            .expect("bound conn implies ACL entry")
-            .check(op, addr, len);
-        if let Err(status) = acl_verdict {
+        if let Err(status) = self.tenants.at(slot).acl.check(op, addr, len) {
             self.stats.acl_rejections += 1;
             self.send_error(fabric, ctx, status);
             return;
@@ -759,18 +920,14 @@ impl DataplaneThread {
                 }
             }
         }
-        let fenced = self.ordering.entry(tenant).or_default().fence.is_some();
-        if fenced {
+        let t = self.tenants.at(slot);
+        if t.ordering.fence.is_some() {
             // Requests behind a barrier wait for it to complete; reads
             // skip the cache probe so ordering stays exact.
             if self.cache.is_some() && op.is_read() {
                 self.stats.cache_bypasses += 1;
             }
-            self.ordering
-                .get_mut(&tenant)
-                .expect("entry created above")
-                .buffered
-                .push_back((op, len, ctx));
+            t.ordering.buffered.push_back((op, len, ctx));
             return;
         }
         if op.is_read() {
@@ -783,12 +940,11 @@ impl DataplaneThread {
                 self.stats.cache_misses += 1;
             }
         }
-        self.ordering
-            .get_mut(&tenant)
-            .expect("entry created above")
-            .inflight += 1;
+        let t = self.tenants.at(slot);
+        t.ordering.inflight += 1;
         self.sched
-            .enqueue(
+            .enqueue_at(
+                t.sched,
                 tenant,
                 CostedRequest {
                     op,
@@ -816,11 +972,10 @@ impl DataplaneThread {
             status: AbiStatus::Ok,
         };
         let (header, payload) = Self::user_handle_event(&event, &ctx);
-        let factor = self.config.conn_pressure.factor(self.connection_count());
         // DRAM service (lookup + copy-out) plus the usual TX cost, both
         // under connection-state cache pressure.
-        self.charge(SimDuration::from_nanos(cache_cfg.hit_cpu_nanos).mul_f64(factor));
-        self.charge(self.config.tx_msg_cost.mul_f64(factor));
+        self.charge(self.hit_cost);
+        self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
         fabric.send_from(
             self.core_busy,
@@ -831,13 +986,17 @@ impl DataplaneThread {
             payload,
             header.encode_array(),
         );
+        // A hit completes inside `handle_rx`, so the slot is the live one
+        // its connection carried.
+        let t = self.tenants.at(ctx.slot);
         self.sched
-            .spend_dram_hit(
+            .spend_dram_hit_at(
+                t.sched,
                 ctx.tenant,
                 Tokens::from_millitokens(cache_cfg.dram_cost_millitokens * pages),
             )
             .expect("bound conn implies registered tenant");
-        if let Some(h) = self.tenant_read_latency.get_mut(&ctx.tenant) {
+        if let Some(h) = &mut t.read_latency {
             h.record(self.core_busy.saturating_since(ctx.arrived));
         }
         if self.telemetry.is_enabled() {
@@ -875,8 +1034,7 @@ impl DataplaneThread {
             addr: 0,
             len: 0,
         };
-        let factor = self.config.conn_pressure.factor(self.connection_count());
-        self.charge(self.config.tx_msg_cost.mul_f64(factor));
+        self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
         fabric.send_from(
             self.core_busy,
@@ -889,22 +1047,27 @@ impl DataplaneThread {
         );
     }
 
-    /// Called when one of `tenant`'s I/Os completes: release a pending
+    /// Called when one of a tenant's I/Os completes: release a pending
     /// barrier (and the requests buffered behind it) once drained.
-    fn note_completion(&mut self, fabric: &mut Fabric<WireMsg>, tenant: TenantId) {
-        let Some(ordering) = self.ordering.get_mut(&tenant) else {
+    fn note_completion(&mut self, fabric: &mut Fabric<WireMsg>, slot: u32, tenant: TenantId) {
+        let Some(t) = self.tenants.of_request(slot, tenant) else {
             return;
         };
+        let ordering = &mut t.ordering;
         ordering.inflight = ordering.inflight.saturating_sub(1);
-        if ordering.inflight == 0 && ordering.fence.is_some() && self.sched.queued_for(tenant) == 0
+        if ordering.inflight == 0
+            && ordering.fence.is_some()
+            && self.sched.queued_at(t.sched, tenant) == 0
         {
             let ctx = ordering.fence.take().expect("checked above");
             let buffered = std::mem::take(&mut ordering.buffered);
             ordering.inflight += buffered.len() as u32;
+            let sched_slot = t.sched;
             self.ack_barrier(fabric, ctx);
             for (op, len, rctx) in buffered {
                 self.sched
-                    .enqueue(
+                    .enqueue_at(
+                        sched_slot,
                         tenant,
                         CostedRequest {
                             op,
@@ -995,8 +1158,7 @@ impl DataplaneThread {
             },
         };
         let (header, payload) = Self::user_handle_event(&event, &ctx);
-        let factor = self.config.conn_pressure.factor(self.connection_count());
-        self.charge(self.config.tx_msg_cost.mul_f64(factor));
+        self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
         fabric.send_from(
             self.core_busy,
@@ -1008,7 +1170,8 @@ impl DataplaneThread {
             header.encode_array(),
         );
         if ctx.op.is_read() {
-            if let Some(h) = self.tenant_read_latency.get_mut(&ctx.tenant) {
+            let entry = self.tenants.of_request(ctx.slot, ctx.tenant);
+            if let Some(h) = entry.and_then(|t| t.read_latency.as_mut()) {
                 h.record(self.core_busy.saturating_since(ctx.arrived));
             }
             // Fill the DRAM cache from the completed read. Errored reads
@@ -1071,7 +1234,7 @@ impl DataplaneThread {
         }
         // Barrier release happens after the response is on the wire so the
         // client observes completions in order.
-        self.note_completion(fabric, ctx.tenant);
+        self.note_completion(fabric, ctx.slot, ctx.tenant);
     }
 
     /// Runs the polling loop at `now`: drains available NIC arrivals, runs
@@ -1090,7 +1253,6 @@ impl DataplaneThread {
 
         loop {
             let mut progress = false;
-            let factor = self.config.conn_pressure.factor(self.connection_count());
 
             // Step 1: NIC RX batch (bounded, adaptive). The scratch vector
             // is owned by the thread and recycled tick over tick, so a
@@ -1105,7 +1267,7 @@ impl DataplaneThread {
             );
             for d in msgs.drain(..) {
                 let rx_started = self.core_busy.max(d.arrived_at);
-                self.charge(self.config.rx_msg_cost.mul_f64(factor));
+                self.charge(self.rx_cost);
                 self.handle_rx(fabric, d, rx_started);
                 progress = true;
             }

@@ -10,7 +10,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use reflex_sim::{SimDuration, SimRng, SimTime};
+use reflex_sim::{PoolKey, SimDuration, SimRng, SimTime, SlabPool};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 use serde::{Deserialize, Serialize};
 
@@ -91,6 +91,9 @@ struct Nic {
     rng: SimRng,
     tx_bytes: u64,
     rx_bytes: u64,
+    /// Messages this endpoint has queued toward the machine (see
+    /// [`Fabric::inbound`]).
+    inbound: u64,
     /// Monotone per-source transmit counter; the tie-break of the windowed
     /// delivery order (see [`Flight`]).
     tx_seq: u64,
@@ -151,33 +154,77 @@ pub trait NetFaultHook: Send {
     ) -> NetFaultAction;
 }
 
+/// A message body. It is written into the fabric's slab once, when the
+/// message is sent (or accepted from another shard), and read out once,
+/// when the receiver polls it; the queues in between order 24- and 32-byte
+/// [`PendingEntry`]/[`RxEntry`] records that point at it.
 #[derive(Clone)]
-struct RxEntry<P> {
-    at: SimTime,
-    seq: u64,
-    delivery: Delivery<P>,
+struct Msg<P> {
+    src: MachineId,
+    conn: ConnId,
+    size: u32,
+    ser: SimDuration,
+    sent_at: SimTime,
+    stage: Stage,
+    fault: NetFaultAction,
+    payload: P,
 }
 
-impl<P> PartialEq for RxEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// A resolved message waiting in a receive queue, ordered by arrival
+/// instant and then resolution sequence (which is unique, so the slab key
+/// never decides).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RxEntry {
+    at: SimTime,
+    seq: u64,
+    msg: PoolKey,
 }
-impl<P> Eq for RxEntry<P> {}
-impl<P> PartialOrd for RxEntry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// An unresolved flight waiting for the horizon (windowed mode), ordered
+/// by the flight key `(departed, src, tx_seq)`. Its arrival bound is
+/// `departed + propagation`, the same for every flight on one fabric.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct PendingEntry {
+    departed: SimTime,
+    src: MachineId,
+    tx_seq: u64,
+    msg: PoolKey,
 }
-impl<P> Ord for RxEntry<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+/// One NIC receive queue: resolved messages the receiver may poll, and
+/// (windowed mode) flights addressed to it that the horizon has not
+/// reached. `bound = departed + propagation` is monotone in `departed`,
+/// so the head of `pending` carries the queue's earliest arrival bound.
+#[derive(Clone, Default)]
+struct NicQueue {
+    rx: BinaryHeap<Reverse<RxEntry>>,
+    pending: BinaryHeap<Reverse<PendingEntry>>,
+}
+
+impl NicQueue {
+    /// The earlier of the two heap heads: the first resolved arrival, or
+    /// the first unresolved flight's bound.
+    #[inline]
+    fn next_arrival(&self, propagation: SimDuration) -> Option<SimTime> {
+        let bound = self
+            .pending
+            .peek()
+            .map(|Reverse(f)| f.departed + propagation);
+        match (self.rx.peek(), bound) {
+            (Some(Reverse(e)), Some(bound)) => Some(e.at.min(bound)),
+            (Some(Reverse(e)), None) => Some(e.at),
+            (None, bound) => bound,
+        }
     }
 }
 
 /// A message whose transmit half has completed but whose receive half has
 /// not yet been resolved (windowed delivery mode, see
-/// [`Fabric::enable_windowed`]).
+/// [`Fabric::enable_windowed`]), in the form it crosses shards in: a
+/// sender's fabric hands flights for other shards out through
+/// [`Fabric::take_outbound`], the owner of the destination takes them in
+/// through [`Fabric::accept_flight`]. Inside a fabric a flight is a slab
+/// slot plus a queue entry.
 ///
 /// Flights are totally ordered by `(departed, src, tx_seq)` — departure
 /// instant off the sender's uplink, source machine id, and the source NIC's
@@ -240,27 +287,6 @@ impl<P> Flight<P> {
     pub fn bound(&self) -> SimTime {
         self.bound
     }
-
-    fn key(&self) -> (SimTime, MachineId, u64) {
-        (self.departed, self.src, self.tx_seq)
-    }
-}
-
-impl<P> PartialEq for Flight<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<P> Eq for Flight<P> {}
-impl<P> PartialOrd for Flight<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for Flight<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
 }
 
 /// Machine → shard routing for a fabric endpoint that lives inside one
@@ -306,7 +332,14 @@ pub struct Fabric<P> {
     link: LinkConfig,
     nic_seed: u64,
     nics: Vec<Nic>,
-    rx_queues: Vec<Vec<BinaryHeap<Reverse<RxEntry<P>>>>>,
+    /// Receive queues, `[machine][queue]`.
+    queues: Vec<Vec<NicQueue>>,
+    /// Unresolved flights per destination machine (the sum of its queues'
+    /// `pending` depths), so a horizon crossing skips idle machines.
+    unresolved: Vec<usize>,
+    /// Every message between send and poll, one slot each. Grows to the
+    /// peak number in flight and recycles from then on.
+    msgs: SlabPool<Msg<P>>,
     seq: u64,
     next_conn: u64,
     fault_hook: Option<Box<dyn NetFaultHook>>,
@@ -326,16 +359,12 @@ pub struct Fabric<P> {
 
 /// State of windowed delivery mode (split send: the transmit half runs at
 /// send time, the receive half when the horizon passes the departure).
+#[derive(Clone)]
 struct Windowed<P> {
     /// Horizon quantum in nanoseconds (= link propagation, the lookahead).
     window_ns: u64,
     /// All flights departing strictly before this instant are resolved.
     horizon: SimTime,
-    /// Unresolved flights, one min-heap per destination `[machine][queue]`
-    /// (the shape of `rx_queues`). `bound = departed + propagation` is
-    /// monotone in `departed`, so a heap's head carries its queue's
-    /// earliest arrival bound.
-    pending: Vec<Vec<BinaryHeap<Reverse<Flight<P>>>>>,
     /// Present when this fabric endpoint is one shard of a sharded run.
     routes: Option<ShardRoutes>,
     /// Flights addressed to machines owned by other shards, awaiting the
@@ -343,47 +372,21 @@ struct Windowed<P> {
     outbound: Vec<(usize, Flight<P>)>,
 }
 
-impl<P: Clone> Clone for Windowed<P> {
-    fn clone(&self) -> Self {
-        Windowed {
-            window_ns: self.window_ns,
-            horizon: self.horizon,
-            pending: self.pending.clone(),
-            routes: self.routes.clone(),
-            outbound: self.outbound.clone(),
-        }
-    }
-}
-
-impl<P> Windowed<P> {
-    /// Hands a departed flight to the shard owning its destination queue:
-    /// the local pending index, or the outbound buffer for the exchange.
-    fn launch(&mut self, flight: Flight<P>) {
-        let route = self
-            .routes
-            .as_ref()
-            .map(|r| (r.dest_shard(flight.to, flight.queue), r.own));
-        match route {
-            Some((dest, own)) if dest != own => self.outbound.push((dest, flight)),
-            _ => self.pending[flight.to.0 as usize][flight.queue.0 as usize].push(Reverse(flight)),
-        }
-    }
-
-    /// Pops `machine`'s next unresolved flight if it departed before
-    /// `horizon`. A k-way merge over the queue heads: each heap is in
-    /// flight order, so the least head is the machine's next flight in the
-    /// global `(departed, src, tx_seq)` order — the sequence one
-    /// machine-wide heap would yield.
-    fn pop_before(&mut self, machine: usize, horizon: SimTime) -> Option<Flight<P>> {
-        let queues = &mut self.pending[machine];
-        let (q, Reverse(next)) = queues
-            .iter()
-            .enumerate()
-            .filter_map(|(q, h)| Some((q, h.peek()?)))
-            .min_by(|(_, Reverse(a)), (_, Reverse(b))| a.cmp(b))?;
-        let due = next.departed < horizon;
-        due.then(|| queues[q].pop().expect("peeked entry must pop").0)
-    }
+/// Pops a machine's next unresolved flight if it departed before
+/// `horizon`, with the queue it was addressed to. A k-way merge over the
+/// queue heads: each heap is in flight order, so the least head is the
+/// machine's next flight in the global `(departed, src, tx_seq)` order —
+/// the sequence one machine-wide heap would yield.
+fn pop_before(queues: &mut [NicQueue], horizon: SimTime) -> Option<(usize, PendingEntry)> {
+    let (q, next) = queues
+        .iter()
+        .enumerate()
+        .filter_map(|(q, nq)| Some((q, nq.pending.peek()?.0)))
+        .min_by_key(|&(_, next)| next)?;
+    (next.departed < horizon).then(|| {
+        queues[q].pending.pop();
+        (q, next)
+    })
 }
 
 impl<P> std::fmt::Debug for Fabric<P> {
@@ -391,6 +394,7 @@ impl<P> std::fmt::Debug for Fabric<P> {
         f.debug_struct("Fabric")
             .field("machines", &self.nics.len())
             .field("link", &self.link)
+            .field("in_flight", &self.msgs.len())
             .finish()
     }
 }
@@ -404,7 +408,9 @@ impl<P> Fabric<P> {
             link,
             nic_seed,
             nics: Vec::new(),
-            rx_queues: Vec::new(),
+            queues: Vec::new(),
+            unresolved: Vec::new(),
+            msgs: SlabPool::new(),
             seq: 0,
             next_conn: 0,
             fault_hook: None,
@@ -447,11 +453,6 @@ impl<P> Fabric<P> {
         self.windowed = Some(Windowed {
             window_ns: self.link.propagation.as_nanos(),
             horizon: SimTime::ZERO,
-            pending: self
-                .rx_queues
-                .iter()
-                .map(|qs| qs.iter().map(|_| BinaryHeap::new()).collect())
-                .collect(),
             routes: None,
             outbound: Vec::new(),
         });
@@ -485,7 +486,7 @@ impl<P> Fabric<P> {
             self.fault_hook.is_none(),
             "lanes are incompatible with fault injection"
         );
-        let queues = self.rx_queues[machine.0 as usize].len();
+        let queues = self.queues[machine.0 as usize].len();
         let lanes = (0..queues)
             .map(|q| Lane {
                 tx_busy: SimTime::ZERO,
@@ -635,29 +636,38 @@ impl<P> Fabric<P> {
             rng,
             tx_bytes: 0,
             rx_bytes: 0,
+            inbound: 0,
             tx_seq: 0,
         });
-        self.rx_queues.push(vec![BinaryHeap::new()]);
-        if let Some(w) = self.windowed.as_mut() {
-            w.pending.push(vec![BinaryHeap::new()]);
-        }
+        self.queues.push(vec![NicQueue::default()]);
+        self.unresolved.push(0);
         id
     }
 
     /// Adds a receive queue to `machine`'s NIC (queue 0 exists already);
     /// returns its id. Dataplane threads poll disjoint queues.
     pub fn add_queue(&mut self, machine: MachineId) -> NicQueueId {
-        let queues = &mut self.rx_queues[machine.0 as usize];
-        queues.push(BinaryHeap::new());
-        if let Some(w) = self.windowed.as_mut() {
-            w.pending[machine.0 as usize].push(BinaryHeap::new());
-        }
+        let queues = &mut self.queues[machine.0 as usize];
+        queues.push(NicQueue::default());
         NicQueueId(queues.len() as u32 - 1)
     }
 
     /// Number of receive queues on `machine`'s NIC.
     pub fn queue_count(&self, machine: MachineId) -> u32 {
-        self.rx_queues[machine.0 as usize].len() as u32
+        self.queues[machine.0 as usize].len() as u32
+    }
+
+    /// Messages currently held by the fabric: sent (or accepted from
+    /// another shard) and not yet polled, dropped or handed to another
+    /// shard's exchange.
+    pub fn in_flight(&self) -> usize {
+        self.msgs.len()
+    }
+
+    /// The most messages the fabric ever held at once — the size its
+    /// message slab has grown to.
+    pub fn in_flight_high_water(&self) -> usize {
+        self.msgs.capacity()
     }
 
     /// Allocates a fresh connection id.
@@ -676,6 +686,16 @@ impl<P> Fabric<P> {
     pub fn traffic(&self, m: MachineId) -> (u64, u64) {
         let nic = &self.nics[m.0 as usize];
         (nic.tx_bytes, nic.rx_bytes)
+    }
+
+    /// How many messages this fabric endpoint has queued toward `m` so
+    /// far: sent to it here, accepted for it from another shard, or
+    /// requeued onto one of its queues. While the count stands still,
+    /// [`next_arrival_queue`](Self::next_arrival_queue) of `m`'s queues
+    /// can only have moved later, so a receiver that already armed a wake
+    /// has nothing new to arm.
+    pub fn inbound(&self, m: MachineId) -> u64 {
+        self.nics[m.0 as usize].inbound
     }
 
     /// Sends `size` application bytes from `from` to `to`; returns the
@@ -766,11 +786,8 @@ impl<P> Fabric<P> {
         lane.tx_seq += 1;
         self.nics[from.0 as usize].tx_bytes += size as u64;
 
-        let w = self
-            .windowed
-            .as_mut()
-            .expect("lanes require windowed delivery");
-        let flight = Flight {
+        let bound = departed + self.link.propagation;
+        self.launch(Flight {
             departed,
             src: from,
             tx_seq,
@@ -780,13 +797,11 @@ impl<P> Fabric<P> {
             size,
             ser,
             sent_at: now,
-            bound: departed + self.link.propagation,
+            bound,
             stage: Stage::Egress,
             fault: NetFaultAction::Deliver,
             payload,
-        };
-        let bound = flight.bound;
-        w.launch(flight);
+        });
         bound
     }
 
@@ -864,7 +879,7 @@ impl<P> Fabric<P> {
         src.tx_busy = departed;
         src.tx_bytes += size as u64;
 
-        if let Some(w) = self.windowed.as_mut() {
+        if self.windowed.is_some() {
             // Windowed mode: the receive half resolves later, in flight
             // order; return only the conservative bound. The fault hook is
             // still consulted at send time (same call order and arguments
@@ -875,7 +890,8 @@ impl<P> Fabric<P> {
                 Some(hook) => hook.on_send(now, from, to, size),
                 None => NetFaultAction::Deliver,
             };
-            let flight = Flight {
+            let bound = departed + self.link.propagation;
+            self.launch(Flight {
                 departed,
                 src: from,
                 tx_seq,
@@ -885,13 +901,11 @@ impl<P> Fabric<P> {
                 size,
                 ser,
                 sent_at: now,
-                bound: departed + self.link.propagation,
+                bound,
                 stage,
                 fault,
                 payload,
-            };
-            let bound = flight.bound;
-            w.launch(flight);
+            });
             return bound;
         }
 
@@ -903,6 +917,7 @@ impl<P> Fabric<P> {
         let rx_stack = dst.stack.sample_rx(&mut dst.rng);
         let mut arrived_at = rx_done + rx_stack;
         dst.rx_bytes += size as u64;
+        dst.inbound += 1;
 
         // Fault hook last: the timing above (NIC busy state, jitter RNG)
         // has already advanced exactly as in a healthy run, so disabling
@@ -911,7 +926,6 @@ impl<P> Fabric<P> {
             Some(hook) => hook.on_send(now, from, to, size),
             None => NetFaultAction::Deliver,
         };
-        let mut copies = 1u32;
         match fault {
             NetFaultAction::Deliver => {}
             NetFaultAction::Drop => {
@@ -924,7 +938,6 @@ impl<P> Fabric<P> {
             NetFaultAction::Duplicate => {
                 self.duplicated += 1;
                 self.telemetry.count("net.duplicated", 1);
-                copies = 2;
             }
             NetFaultAction::Delay(extra) => arrived_at += extra,
         }
@@ -932,23 +945,86 @@ impl<P> Fabric<P> {
         self.telemetry
             .span(TenantKey::GLOBAL, stage, arrived_at.saturating_since(now));
 
-        for copy in 0..copies {
-            let at = arrived_at + SimDuration::from_nanos(500 * copy as u64);
+        let msg = self.msgs.insert(Msg {
+            src: from,
+            conn,
+            size,
+            ser,
+            sent_at: now,
+            stage,
+            fault,
+            payload,
+        });
+        let twice = fault == NetFaultAction::Duplicate;
+        self.enqueue_rx(to.0 as usize, queue.0 as usize, msg, arrived_at, twice);
+        arrived_at
+    }
+
+    /// Hands a departed flight to the shard owning its destination queue:
+    /// this fabric's own slab and pending index, or the outbound buffer
+    /// for the exchange.
+    fn launch(&mut self, flight: Flight<P>) {
+        let w = self
+            .windowed
+            .as_mut()
+            .expect("flights exist in windowed mode");
+        if let Some(r) = &w.routes {
+            let dest = r.dest_shard(flight.to, flight.queue);
+            if dest != r.own {
+                w.outbound.push((dest, flight));
+                return;
+            }
+        }
+        self.admit(flight);
+    }
+
+    /// Stores a flight's body and queues it for horizon resolution.
+    fn admit(&mut self, f: Flight<P>) {
+        debug_assert_eq!(
+            f.bound,
+            f.departed + self.link.propagation,
+            "a flight's bound is its departure plus this fabric's propagation"
+        );
+        let msg = self.msgs.insert(Msg {
+            src: f.src,
+            conn: f.conn,
+            size: f.size,
+            ser: f.ser,
+            sent_at: f.sent_at,
+            stage: f.stage,
+            fault: f.fault,
+            payload: f.payload,
+        });
+        let (m, q) = (f.to.0 as usize, f.queue.0 as usize);
+        self.nics[m].inbound += 1;
+        self.queues[m][q].pending.push(Reverse(PendingEntry {
+            departed: f.departed,
+            tx_seq: f.tx_seq,
+            src: f.src,
+            msg,
+        }));
+        self.unresolved[m] += 1;
+    }
+
+    /// Makes a resolved message pollable at `at`; a second copy (fault
+    /// duplication) gets a body of its own, 500 ns behind.
+    fn enqueue_rx(&mut self, machine: usize, queue: usize, msg: PoolKey, at: SimTime, twice: bool)
+    where
+        P: Clone,
+    {
+        let mut push = |at: SimTime, msg: PoolKey| {
             let seq = self.seq;
             self.seq += 1;
-            self.rx_queues[to.0 as usize][queue.0 as usize].push(Reverse(RxEntry {
-                at,
-                seq,
-                delivery: Delivery {
-                    from,
-                    conn,
-                    arrived_at: at,
-                    size,
-                    payload: payload.clone(),
-                },
-            }));
+            self.queues[machine][queue]
+                .rx
+                .push(Reverse(RxEntry { at, seq, msg }));
+        };
+        push(at, msg);
+        if twice {
+            let twin = self.msgs.get(msg).expect("just enqueued").clone();
+            let twin = self.msgs.insert(twin);
+            push(at + SimDuration::from_nanos(500), twin);
         }
-        arrived_at
     }
 
     /// Raises the delivery horizon to `now` rounded *down* to the window
@@ -963,25 +1039,38 @@ impl<P> Fabric<P> {
     /// barrier), but may not yet know of flights departing after it — so
     /// the single-shard fabric must not resolve those either, even though
     /// it already holds them.
+    #[inline]
     pub fn observe(&mut self, now: SimTime)
     where
         P: Clone,
     {
-        let Some(w) = self.windowed.as_mut() else {
+        // The horizon is a grid point, so `now` rounds down to a later one
+        // exactly when it has reached the next grid point: most events
+        // leave on this compare.
+        let Some(w) = &self.windowed else {
             return;
         };
-        let horizon = SimTime::from_nanos(now.as_nanos() / w.window_ns * w.window_ns);
-        if horizon <= w.horizon {
-            return;
+        if now.saturating_since(w.horizon).as_nanos() >= w.window_ns {
+            self.cross_boundary(now);
         }
+    }
+
+    /// The part of [`observe`](Self::observe) that runs when `now` has
+    /// crossed at least one window boundary.
+    fn cross_boundary(&mut self, now: SimTime)
+    where
+        P: Clone,
+    {
+        let w = self.windowed.as_mut().expect("checked by observe");
+        let horizon = SimTime::from_nanos(now.as_nanos() / w.window_ns * w.window_ns);
         w.horizon = horizon;
-        for m in 0..self.nics.len() {
-            while let Some(flight) = self
-                .windowed
-                .as_mut()
-                .and_then(|w| w.pop_before(m, horizon))
-            {
-                self.resolve(flight);
+        for m in 0..self.queues.len() {
+            while self.unresolved[m] > 0 {
+                let Some((q, flight)) = pop_before(&mut self.queues[m], horizon) else {
+                    break;
+                };
+                self.unresolved[m] -= 1;
+                self.resolve(m, q, flight);
             }
         }
     }
@@ -991,33 +1080,37 @@ impl<P> Fabric<P> {
     /// half of an immediate-mode transfer exactly; the only difference is
     /// *when* it runs (horizon crossing vs send time) and in what order
     /// (flight order vs send order).
-    fn resolve(&mut self, f: Flight<P>)
+    fn resolve(&mut self, to: usize, queue: usize, f: PendingEntry)
     where
         P: Clone,
     {
+        let bound = f.departed + self.link.propagation;
+        let body = self.msgs.get(f.msg).expect("pending entry owns its slot");
+        let (size, ser, sent_at, stage, fault) =
+            (body.size, body.ser, body.sent_at, body.stage, body.fault);
         // A lane machine receives against the destination queue's lane
         // (its own rx chain and RNG stream), so per-queue arrival timing
         // is independent of which shard resolves the other queues.
-        let (rx_done, rx_stack) = if self.has_lanes(f.to) {
-            let stack = &self.nics[f.to.0 as usize].stack;
-            let lanes = self.lanes.as_mut().expect("checked has_lanes");
-            let lane = &mut lanes.lanes[f.queue.0 as usize];
-            let rx_done = f.bound.max(lane.rx_busy) + f.ser;
-            lane.rx_busy = rx_done;
-            let rx_stack = stack.sample_rx(&mut lane.rng);
-            (rx_done, rx_stack)
-        } else {
-            let dst = &mut self.nics[f.to.0 as usize];
-            let rx_done = f.bound.max(dst.rx_busy) + f.ser;
-            dst.rx_busy = rx_done;
-            let rx_stack = dst.stack.sample_rx(&mut dst.rng);
-            (rx_done, rx_stack)
+        let (rx_done, rx_stack) = match &mut self.lanes {
+            Some(lanes) if lanes.machine.0 as usize == to => {
+                let lane = &mut lanes.lanes[queue];
+                let rx_done = bound.max(lane.rx_busy) + ser;
+                lane.rx_busy = rx_done;
+                let rx_stack = self.nics[to].stack.sample_rx(&mut lane.rng);
+                (rx_done, rx_stack)
+            }
+            _ => {
+                let dst = &mut self.nics[to];
+                let rx_done = bound.max(dst.rx_busy) + ser;
+                dst.rx_busy = rx_done;
+                let rx_stack = dst.stack.sample_rx(&mut dst.rng);
+                (rx_done, rx_stack)
+            }
         };
         let mut arrived_at = rx_done + rx_stack;
-        self.nics[f.to.0 as usize].rx_bytes += f.size as u64;
+        self.nics[to].rx_bytes += size as u64;
 
-        let mut copies = 1u32;
-        match f.fault {
+        match fault {
             NetFaultAction::Deliver => {}
             NetFaultAction::Drop => {
                 self.dropped += 1;
@@ -1025,38 +1118,23 @@ impl<P> Fabric<P> {
                 // Receive-side state above still advanced (the frame
                 // occupied the downlink before being lost), matching the
                 // immediate-mode semantics.
+                self.msgs.take(f.msg);
                 return;
             }
             NetFaultAction::Duplicate => {
                 self.duplicated += 1;
                 self.telemetry.count("net.duplicated", 1);
-                copies = 2;
             }
             NetFaultAction::Delay(extra) => arrived_at += extra,
         }
         self.telemetry.count("net.messages", 1);
         self.telemetry.span(
             TenantKey::GLOBAL,
-            f.stage,
-            arrived_at.saturating_since(f.sent_at),
+            stage,
+            arrived_at.saturating_since(sent_at),
         );
-
-        for copy in 0..copies {
-            let at = arrived_at + SimDuration::from_nanos(500 * copy as u64);
-            let seq = self.seq;
-            self.seq += 1;
-            self.rx_queues[f.to.0 as usize][f.queue.0 as usize].push(Reverse(RxEntry {
-                at,
-                seq,
-                delivery: Delivery {
-                    from: f.src,
-                    conn: f.conn,
-                    arrived_at: at,
-                    size: f.size,
-                    payload: f.payload.clone(),
-                },
-            }));
-        }
+        let twice = fault == NetFaultAction::Duplicate;
+        self.enqueue_rx(to, queue, f.msg, arrived_at, twice);
     }
 
     /// Moves all flights addressed to other shards into `sink` as
@@ -1075,11 +1153,11 @@ impl<P> Fabric<P> {
     ///
     /// Panics if windowed mode is not enabled.
     pub fn accept_flight(&mut self, flight: Flight<P>) {
-        let w = self
-            .windowed
-            .as_mut()
-            .expect("accept_flight requires windowed mode");
-        w.pending[flight.to.0 as usize][flight.queue.0 as usize].push(Reverse(flight));
+        assert!(
+            self.windowed.is_some(),
+            "accept_flight requires windowed mode"
+        );
+        self.admit(flight);
     }
 
     /// Clones this fabric into the endpoint for one shard of a sharded
@@ -1139,7 +1217,7 @@ impl<P> Fabric<P> {
             );
             assert_eq!(
                 qs.len(),
-                self.rx_queues[m.0 as usize].len(),
+                self.queues[m.0 as usize].len(),
                 "queue shard map must cover every queue"
             );
         }
@@ -1155,7 +1233,9 @@ impl<P> Fabric<P> {
             link: self.link,
             nic_seed: self.nic_seed,
             nics: self.nics.clone(),
-            rx_queues: self.rx_queues.clone(),
+            queues: self.queues.clone(),
+            unresolved: self.unresolved.clone(),
+            msgs: self.msgs.clone(),
             seq: self.seq,
             next_conn: self.next_conn,
             fault_hook: None,
@@ -1177,17 +1257,25 @@ impl<P> Fabric<P> {
         now: SimTime,
         machine: MachineId,
         queue: NicQueueId,
-        mut delivery: Delivery<P>,
+        delivery: Delivery<P>,
     ) {
         let at = now + SimDuration::from_nanos(500);
-        delivery.arrived_at = at;
+        let msg = self.msgs.insert(Msg {
+            src: delivery.from,
+            conn: delivery.conn,
+            size: delivery.size,
+            ser: SimDuration::ZERO,
+            sent_at: now,
+            stage: Stage::Fabric,
+            fault: NetFaultAction::Deliver,
+            payload: delivery.payload,
+        });
         let seq = self.seq;
         self.seq += 1;
-        self.rx_queues[machine.0 as usize][queue.0 as usize].push(Reverse(RxEntry {
-            at,
-            seq,
-            delivery,
-        }));
+        self.nics[machine.0 as usize].inbound += 1;
+        self.queues[machine.0 as usize][queue.0 as usize]
+            .rx
+            .push(Reverse(RxEntry { at, seq, msg }));
     }
 
     /// Pops up to `max` messages that have arrived at `machine`'s queue 0
@@ -1233,11 +1321,19 @@ impl<P> Fabric<P> {
         out: &mut Vec<Delivery<P>>,
     ) {
         out.clear();
-        let q = &mut self.rx_queues[machine.0 as usize][queue.0 as usize];
+        let rx = &mut self.queues[machine.0 as usize][queue.0 as usize].rx;
         while out.len() < max {
-            match q.peek() {
-                Some(Reverse(e)) if e.at <= now => {
-                    out.push(q.pop().expect("peeked entry must pop").0.delivery);
+            match rx.peek() {
+                Some(&Reverse(e)) if e.at <= now => {
+                    rx.pop();
+                    let msg = self.msgs.take(e.msg).expect("rx entry owns its slot");
+                    out.push(Delivery {
+                        from: msg.src,
+                        conn: msg.conn,
+                        arrived_at: e.at,
+                        size: msg.size,
+                        payload: msg.payload,
+                    });
                 }
                 _ => break,
             }
@@ -1260,36 +1356,25 @@ impl<P> Fabric<P> {
     /// [`next_arrival`](Self::next_arrival)) of the earliest undelivered
     /// message on a specific queue: the earlier of two heap heads, however
     /// deep the queue's backlog of unresolved flights.
+    #[inline]
     pub fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        let (m, q) = (machine.0 as usize, queue.0 as usize);
-        let resolved = self.rx_queues[m][q].peek().map(|Reverse(e)| e.at);
         // Per-queue, not machine-level: a sharded server only learns about
         // a remote shard's in-flight messages at the window exchange, at
         // which point the destination thread's wake is armed per flight.
         // Reporting another queue's pending flight here would let the
         // single-shard run arm sibling wakes a sharded run cannot know
         // about yet, breaking shards=1 ≡ shards=N.
-        let pending = self
-            .windowed
-            .as_ref()
-            .and_then(|w| w.pending[m][q].peek().map(|Reverse(f)| f.bound));
-        [resolved, pending].into_iter().flatten().min()
+        self.queues[machine.0 as usize][queue.0 as usize].next_arrival(self.link.propagation)
     }
 
     /// Earliest undelivered message (or arrival bound) across all machines
     /// and queues, if any.
     pub fn next_arrival_any(&self) -> Option<SimTime> {
-        let resolved = self
-            .rx_queues
+        self.queues
             .iter()
             .flatten()
-            .filter_map(|q| q.peek().map(|Reverse(e)| e.at));
-        let pending = self
-            .windowed
-            .iter()
-            .flat_map(|w| w.pending.iter().flatten())
-            .filter_map(|h| h.peek().map(|Reverse(f)| f.bound));
-        resolved.chain(pending).min()
+            .filter_map(|q| q.next_arrival(self.link.propagation))
+            .min()
     }
 }
 
@@ -1754,9 +1839,9 @@ mod tests {
     /// Drains one machine's unresolved flights through the merge
     /// `observe` resolves with, returning their keys in resolution order.
     fn drain_pending(f: &mut Fabric<u32>, m: MachineId) -> Vec<(SimTime, MachineId, u64)> {
-        let w = f.windowed.as_mut().expect("windowed");
-        std::iter::from_fn(|| w.pop_before(m.0 as usize, SimTime::MAX))
-            .map(|fl| fl.key())
+        let queues = &mut f.queues[m.0 as usize];
+        std::iter::from_fn(|| pop_before(queues, SimTime::MAX))
+            .map(|(_, fl)| (fl.departed, fl.src, fl.tx_seq))
             .collect()
     }
 
@@ -1862,6 +1947,142 @@ mod tests {
             sorted.sort();
             proptest::prop_assert_eq!(drained, sorted);
         }
+    }
+
+    #[test]
+    fn slab_tracks_messages_in_flight_not_messages_sent() {
+        let (mut f, a, b) = windowed_fabric();
+        let conn = f.new_conn();
+        let mut now = SimTime::ZERO;
+        let mut sent = 0u32;
+        // Waves of 1..=7 messages, each polled out before the next wave:
+        // thousands sent, never more than 7 held.
+        for wave in 0..500u32 {
+            let depth = 1 + wave % 7;
+            for _ in 0..depth {
+                now += SimDuration::from_nanos(100);
+                f.send(now, a, b, conn, 64, sent);
+                sent += 1;
+            }
+            assert_eq!(f.in_flight(), depth as usize);
+            now += SimDuration::from_micros(50);
+            f.observe(now);
+            assert_eq!(f.in_flight(), depth as usize, "resolving moves no body");
+            let got = f.poll(now, b, usize::MAX);
+            assert_eq!(got.len(), depth as usize);
+            assert_eq!(f.in_flight(), 0, "drained after wave {wave}");
+        }
+        assert!(sent > 1_900);
+        assert_eq!(f.in_flight_high_water(), 7, "slab sized by the peak held");
+    }
+
+    #[test]
+    fn dropped_messages_release_their_slot() {
+        let (mut f, a, b) = windowed_fabric();
+        f.set_fault_hook(Box::new(ScriptedNetHook {
+            actions: vec![NetFaultAction::Drop; 5],
+        }));
+        let conn = f.new_conn();
+        for i in 0..5u32 {
+            f.send(SimTime::from_micros(u64::from(i)), a, b, conn, 64, i);
+        }
+        assert_eq!(f.in_flight(), 5);
+        f.observe(SimTime::from_secs(1));
+        assert_eq!(f.in_flight(), 0);
+        assert_eq!(f.next_arrival_any(), None);
+    }
+
+    #[test]
+    fn duplicates_are_independent_copies() {
+        for windowed in [false, true] {
+            let (mut f, a, b) = fabric();
+            if windowed {
+                f.enable_windowed();
+            }
+            f.set_fault_hook(Box::new(ScriptedNetHook {
+                actions: vec![NetFaultAction::Duplicate],
+            }));
+            let conn = f.new_conn();
+            f.send(SimTime::ZERO, a, b, conn, 64, 41);
+            let end = SimTime::from_secs(1);
+            f.observe(end);
+            assert_eq!(f.in_flight(), 2, "each copy owns a slot");
+            // Polled one at a time: taking the first leaves the second
+            // whole, 500 ns behind.
+            let first = f.poll(end, b, 1);
+            assert_eq!(f.in_flight(), 1);
+            let second = f.poll(end, b, 1);
+            assert_eq!(f.in_flight(), 0);
+            assert_eq!((first[0].payload, second[0].payload), (41, 41));
+            assert_eq!((first[0].size, second[0].conn), (64, conn));
+            assert_eq!(
+                second[0].arrived_at,
+                first[0].arrived_at + SimDuration::from_nanos(500)
+            );
+        }
+    }
+
+    #[test]
+    fn exchange_carries_bodies_intact() {
+        // Every field a receiver sees must survive `take_outbound` →
+        // `accept_flight`, and a split taken mid-traffic must carry the
+        // messages its parent already holds.
+        let mk = || {
+            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(17));
+            let a = f.add_machine(StackProfile::ix_tcp());
+            let srv = f.add_machine(StackProfile::dataplane_raw());
+            let q1 = f.add_queue(srv);
+            f.enable_windowed();
+            (f, a, srv, q1)
+        };
+        let (mut whole, a, srv, q1) = mk();
+        let c0 = whole.new_conn();
+        let c1 = whole.new_conn();
+        let script = [
+            (c0, NicQueueId(0), 0u32, 7u32),
+            (c1, q1, 4096, 8),
+            (c0, q1, 512, 9),
+        ];
+        let send_all = |f: &mut Fabric<u32>, from_us: u64| {
+            for (i, &(conn, queue, size, payload)) in script.iter().enumerate() {
+                let t = SimTime::from_micros(from_us + i as u64);
+                f.send_to_queue(t, a, srv, queue, conn, size, payload);
+            }
+        };
+        // Three messages held by the parent when the split is taken...
+        send_all(&mut whole, 0);
+        let shard_of = vec![1, 0];
+        let mut server_side = whole.split_for_shard(&shard_of, 0);
+        let mut client_side = whole.split_for_shard(&shard_of, 1);
+        assert_eq!(server_side.in_flight(), 3, "the split carries held bodies");
+        // ...and three more that cross the exchange.
+        send_all(&mut whole, 10);
+        send_all(&mut client_side, 10);
+        assert_eq!(client_side.in_flight(), 3, "outbound flights are not held");
+        let mut sink = Vec::new();
+        client_side.take_outbound(&mut sink);
+        assert_eq!(sink.len(), 3);
+        for (shard, flight) in sink {
+            assert_eq!(shard, 0);
+            server_side.accept_flight(flight);
+        }
+        let end = SimTime::from_secs(1);
+        whole.observe(end);
+        server_side.observe(end);
+        for queue in [NicQueueId(0), q1] {
+            let want = whole.poll_queue(end, srv, queue, usize::MAX);
+            let got = server_side.poll_queue(end, srv, queue, usize::MAX);
+            assert_eq!(want, got, "queue {queue:?}");
+            assert!(!want.is_empty());
+            for d in &want {
+                let (conn, _, size, _) = *script
+                    .iter()
+                    .find(|s| s.3 == d.payload)
+                    .expect("a scripted payload");
+                assert_eq!((d.from, d.conn, d.size), (a, conn, size));
+            }
+        }
+        assert_eq!(server_side.in_flight(), 0);
     }
 
     #[test]

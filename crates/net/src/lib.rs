@@ -5,6 +5,8 @@
 //! * [`Fabric`] — machines connected through a switch; per-NIC
 //!   serialization/receive capacity and propagation delays, lazily computed
 //!   like the Flash device model.
+//! * [`ConnTable`] — per-connection state indexed by the densely issued
+//!   [`ConnId`], for flow tables and routes on the request path.
 //! * [`StackProfile`] — Linux kernel TCP versus the IX dataplane stack
 //!   (latency, jitter, per-thread message-rate ceilings).
 //! * [`ReflexHeader`] / [`wire_bytes`] — the binary wire protocol actually
@@ -13,10 +15,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod conn_table;
 mod fabric;
 mod stack;
 mod wire;
 
+pub use conn_table::ConnTable;
 pub use fabric::{
     ConnId, Delivery, Fabric, Flight, LinkConfig, MachineId, NetFaultAction, NetFaultHook,
     NicQueueId,

@@ -6,7 +6,7 @@
 //! bytes of per-4KB-request overhead. The header is actually serialized and
 //! parsed — the dataplane's protocol-processing step runs this code.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// Size of an encoded [`ReflexHeader`] in bytes.
@@ -142,27 +142,24 @@ impl ReflexHeader {
     /// # Errors
     ///
     /// See [`WireError`].
-    pub fn decode(mut bytes: &[u8]) -> Result<ReflexHeader, WireError> {
-        if bytes.len() < HEADER_SIZE {
+    pub fn decode(bytes: &[u8]) -> Result<ReflexHeader, WireError> {
+        let Some(b) = bytes.first_chunk::<HEADER_SIZE>() else {
             return Err(WireError::Truncated);
+        };
+        if b[0] != MAGIC {
+            return Err(WireError::BadMagic(b[0]));
         }
-        let magic = bytes.get_u8();
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
+        let opcode = Opcode::from_u8(b[1]).ok_or(WireError::BadOpcode(b[1]))?;
+        // b[2..4] is reserved.
+        fn be<const N: usize>(b: &[u8; HEADER_SIZE], at: usize) -> [u8; N] {
+            b[at..at + N].try_into().expect("inside the header")
         }
-        let op_raw = bytes.get_u8();
-        let opcode = Opcode::from_u8(op_raw).ok_or(WireError::BadOpcode(op_raw))?;
-        let _reserved = bytes.get_u16();
-        let tenant = bytes.get_u32();
-        let cookie = bytes.get_u64();
-        let addr = bytes.get_u64();
-        let len = bytes.get_u32();
         Ok(ReflexHeader {
             opcode,
-            tenant,
-            cookie,
-            addr,
-            len,
+            tenant: u32::from_be_bytes(be(b, 4)),
+            cookie: u64::from_be_bytes(be(b, 8)),
+            addr: u64::from_be_bytes(be(b, 16)),
+            len: u32::from_be_bytes(be(b, 24)),
         })
     }
 }

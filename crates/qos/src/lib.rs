@@ -39,6 +39,7 @@ pub use fair::{FairScheduler, FOUR_KB_QUANTUM};
 pub use lease::{LeaseEntry, LeaseLedger, LeaseOp, TokenPool};
 pub use scheduler::{
     CostedRequest, QosError, QosScheduler, ScheduleOutcome, SchedulerParams, TenantSchedStats,
+    TenantSlot,
 };
 pub use slo::{SloSpec, TenantClass, TenantId};
 pub use tokens::{TokenGen, TokenRate, Tokens};

@@ -135,11 +135,21 @@ struct BeState<R> {
 }
 
 /// Where a tenant's state lives: an index into `lc` or `be`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Lc(usize),
     Be(usize),
 }
+
+/// A tenant's position in its scheduler, from
+/// [`QosScheduler::slot_of`]: what the per-request entry points
+/// ([`enqueue_at`](QosScheduler::enqueue_at) and friends) take instead of
+/// hashing the id. Any [`unregister`](QosScheduler::unregister) may move
+/// the tenants registered after the one removed, so holders look their
+/// slots up again after one; a slot that no longer names its tenant is
+/// refused, never misapplied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TenantSlot(Slot);
 
 /// Error returned by tenant registration and queueing operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,7 +409,42 @@ impl<R> QosScheduler<R> {
     ///
     /// [`QosError::UnknownTenant`] if the id is not registered.
     pub fn enqueue(&mut self, id: TenantId, req: CostedRequest<R>) -> Result<(), QosError> {
-        let slot = *self.slots.get(&id).ok_or(QosError::UnknownTenant(id))?;
+        let slot = self.slot_of(id).ok_or(QosError::UnknownTenant(id))?;
+        self.enqueue_at(slot, id, req)
+    }
+
+    /// The slot of tenant `id`, if registered here.
+    pub fn slot_of(&self, id: TenantId) -> Option<TenantSlot> {
+        self.slots.get(&id).copied().map(TenantSlot)
+    }
+
+    /// `slot` if it still names tenant `id`.
+    #[inline]
+    fn checked(&self, slot: TenantSlot, id: TenantId) -> Result<Slot, QosError> {
+        let held = match slot.0 {
+            Slot::Lc(i) => self.lc.get(i).map(|s| s.id),
+            Slot::Be(i) => self.be.get(i).map(|s| s.id),
+        };
+        if held == Some(id) {
+            Ok(slot.0)
+        } else {
+            Err(QosError::UnknownTenant(id))
+        }
+    }
+
+    /// [`enqueue`](Self::enqueue) for a caller that holds the tenant's
+    /// slot: no hashing.
+    ///
+    /// # Errors
+    ///
+    /// [`QosError::UnknownTenant`] if `slot` no longer names `id`.
+    pub fn enqueue_at(
+        &mut self,
+        slot: TenantSlot,
+        id: TenantId,
+        req: CostedRequest<R>,
+    ) -> Result<(), QosError> {
+        let slot = self.checked(slot, id)?;
         let cost_mixed = self.model.cost(req.op, req.len, LoadMix::Mixed);
         let cost_ro = self.model.cost(req.op, req.len, LoadMix::ReadOnly);
         let queue = match slot {
@@ -427,10 +472,16 @@ impl<R> QosScheduler<R> {
 
     /// Requests queued for one tenant.
     pub fn queued_for(&self, id: TenantId) -> usize {
-        match self.slots.get(&id) {
-            Some(&Slot::Lc(i)) => self.lc[i].queue.len(),
-            Some(&Slot::Be(i)) => self.be[i].queue.len(),
-            None => 0,
+        self.slot_of(id).map_or(0, |slot| self.queued_at(slot, id))
+    }
+
+    /// [`queued_for`](Self::queued_for) by slot; 0 if `slot` no longer
+    /// names `id`.
+    pub fn queued_at(&self, slot: TenantSlot, id: TenantId) -> usize {
+        match self.checked(slot, id) {
+            Ok(Slot::Lc(i)) => self.lc[i].queue.len(),
+            Ok(Slot::Be(i)) => self.be[i].queue.len(),
+            Err(_) => 0,
         }
     }
 
@@ -454,16 +505,30 @@ impl<R> QosScheduler<R> {
     /// cache. The balance may go negative; the tenant's own generation
     /// repays it before further flash admissions.
     pub fn spend_dram_hit(&mut self, id: TenantId, cost: Tokens) -> Result<(), QosError> {
-        let (tokens, stats) = match self.slots.get(&id) {
-            Some(&Slot::Lc(i)) => {
+        let slot = self.slot_of(id).ok_or(QosError::UnknownTenant(id))?;
+        self.spend_dram_hit_at(slot, id, cost)
+    }
+
+    /// [`spend_dram_hit`](Self::spend_dram_hit) by slot.
+    ///
+    /// # Errors
+    ///
+    /// [`QosError::UnknownTenant`] if `slot` no longer names `id`.
+    pub fn spend_dram_hit_at(
+        &mut self,
+        slot: TenantSlot,
+        id: TenantId,
+        cost: Tokens,
+    ) -> Result<(), QosError> {
+        let (tokens, stats) = match self.checked(slot, id)? {
+            Slot::Lc(i) => {
                 let s = &mut self.lc[i];
                 (&mut s.tokens, &mut s.stats)
             }
-            Some(&Slot::Be(i)) => {
+            Slot::Be(i) => {
                 let s = &mut self.be[i];
                 (&mut s.tokens, &mut s.stats)
             }
-            None => return Err(QosError::UnknownTenant(id)),
         };
         *tokens -= cost;
         stats.dram_hits += 1;

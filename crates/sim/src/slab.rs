@@ -45,7 +45,7 @@ impl PoolKey {
 
 /// One pool slot: its current generation plus either a live value or a
 /// free-list link.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<T> {
     gen: u32,
     /// `Some` while occupied; `None` while on the free list.
@@ -57,7 +57,7 @@ struct Slot<T> {
 /// A free-list slab recycling objects of type `T`.
 ///
 /// See the module docs for the aliasing guarantees.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SlabPool<T> {
     slots: Vec<Slot<T>>,
     free_head: u32,

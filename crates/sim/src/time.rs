@@ -46,6 +46,27 @@ pub struct SimTime(u64);
 )]
 pub struct SimDuration(u64);
 
+/// `x.round() as u64`, bit for bit over all of `f64`, without the libm
+/// call `f64::round` is on x86-64 targets that lack SSE4.1.
+///
+/// Below 2^62 the truncation through `i64` is exact, and so is the
+/// fraction it leaves (the low bits of `x`), so comparing that fraction
+/// with one half rounds ties away from zero exactly as `round` does —
+/// unlike `(x + 0.5).floor()`, which rounds 0.49999999999999994 up.
+/// Everything else (huge, infinite, NaN) takes the libm path.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT_BELOW: f64 = (1u64 << 62) as f64;
+    if x.abs() < EXACT_BELOW {
+        let whole = x as i64;
+        let frac = x - whole as f64;
+        let rounded = whole + i64::from(frac >= 0.5) - i64::from(frac <= -0.5);
+        rounded.max(0) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 impl SimTime {
     /// The start of simulated time.
     pub const ZERO: SimTime = SimTime(0);
@@ -79,6 +100,7 @@ impl SimTime {
     }
 
     /// Microseconds since simulation start, as a float (for reporting).
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
@@ -90,16 +112,19 @@ impl SimTime {
 
     /// Duration elapsed since `earlier`, saturating to zero if `earlier` is
     /// actually later than `self`.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -131,20 +156,22 @@ impl SimDuration {
 
     /// Creates a duration from fractional microseconds, rounding to the
     /// nearest nanosecond. Negative inputs clamp to zero.
+    #[inline]
     pub fn from_micros_f64(micros: f64) -> Self {
         if micros <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((micros * 1_000.0).round() as u64)
+        SimDuration(round_to_u64(micros * 1_000.0))
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Length in nanoseconds.
@@ -153,6 +180,7 @@ impl SimDuration {
     }
 
     /// Length in microseconds, as a float.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
@@ -168,24 +196,28 @@ impl SimDuration {
     }
 
     /// The longer of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The shorter of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiplies by a non-negative float, rounding to nanoseconds.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "duration factor must be non-negative");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -334,6 +366,113 @@ mod tests {
         let d = SimDuration::from_micros(3);
         assert!((d.as_micros_f64() - 3.0).abs() < 1e-12);
         assert_eq!(d.mul_f64(0.5).as_nanos(), 1_500);
+    }
+
+    /// What the helper must equal, everywhere.
+    fn libm_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn inline_rounding_matches_libm_on_boundary_cases() {
+        let two52 = (1u64 << 52) as f64;
+        let two62 = (1u64 << 62) as f64;
+        let two63 = (1u64 << 63) as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994, // the largest f64 below one half
+            0.5,
+            0.5000000000000001,
+            1.5,
+            2.5,
+            -0.49999999999999994,
+            -0.5,
+            -1.5,
+            -7.0,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two62 - 512.0,
+            two62,
+            two63 - 1024.0,
+            two63,
+            two63 * 2.0,
+            two63 * 4.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::from_bits(1),       // smallest subnormal
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Ties k + 0.5 across the range where they are representable.
+        for k in [
+            0u64,
+            1,
+            2,
+            3,
+            10,
+            999,
+            1_000_000,
+            (1 << 51) - 1,
+            (1 << 52) - 1,
+        ] {
+            cases.push(k as f64 + 0.5);
+            cases.push(-(k as f64) - 0.5);
+        }
+        for x in cases {
+            assert_eq!(
+                round_to_u64(x),
+                libm_round(x),
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern at all: NaNs, infinities, subnormals, negatives.
+        #[test]
+        fn inline_rounding_matches_libm_on_any_bits(bits in proptest::strategy::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_to_u64(x), libm_round(x), "bits {:#x}", bits);
+        }
+
+        /// The range durations live in, dense around halves: an integer
+        /// part below 2^53 plus a fraction within a few ulps of a tie.
+        #[test]
+        fn inline_rounding_matches_libm_near_ties(
+            whole in 0u64..(1 << 53),
+            shift in 0u32..53,
+            ulps in -4i64..5,
+        ) {
+            let base = (whole >> shift) as f64 + 0.5;
+            let x = f64::from_bits((base.to_bits() as i64 + ulps) as u64);
+            proptest::prop_assert_eq!(round_to_u64(x), libm_round(x), "x = {:e}", x);
+            proptest::prop_assert_eq!(round_to_u64(-x), libm_round(-x), "x = {:e}", -x);
+        }
+
+        /// What the constructors compute, through the public surface.
+        #[test]
+        fn float_constructors_round_like_libm(micros in 0u64..4_000_000_000, nanos_frac in 0u32..1_000_000) {
+            let us = micros as f64 + f64::from(nanos_frac) / 1e6;
+            proptest::prop_assert_eq!(
+                SimDuration::from_micros_f64(us).as_nanos(),
+                libm_round(us * 1_000.0)
+            );
+            let factor = f64::from(nanos_frac) / 1e5;
+            proptest::prop_assert_eq!(
+                SimDuration::from_nanos(micros).mul_f64(factor).as_nanos(),
+                libm_round(micros as f64 * factor)
+            );
+        }
     }
 
     #[test]

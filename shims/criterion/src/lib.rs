@@ -13,6 +13,12 @@
 //!
 //! Set `CRITERION_SAMPLE_MS` to change the per-sample time budget
 //! (default 100 ms; CI can lower it).
+//!
+//! Positional command-line arguments are name filters, as with the real
+//! crate: `cargo bench -- fabric_windowed` runs only the benchmarks whose
+//! full name (`group/id`) contains `fabric_windowed`. Code a bench target
+//! runs beside its benchmarks (a self-timed guard) asks
+//! [`Criterion::selected`] with a name of its own.
 
 use std::time::{Duration, Instant};
 
@@ -110,17 +116,42 @@ fn run_bench<F: FnMut(&mut Bencher)>(name: &str, mut f: F) {
 }
 
 /// Top-level benchmark driver.
-#[derive(Debug, Default)]
-pub struct Criterion {}
+#[derive(Debug)]
+pub struct Criterion {
+    /// Name filters from the command line; empty selects everything.
+    filters: Vec<String>,
+}
+
+impl Default for Criterion {
+    /// Reads the name filters from the process arguments. Flags (cargo
+    /// passes `--bench`) are not filters.
+    fn default() -> Self {
+        Criterion {
+            filters: std::env::args()
+                .skip(1)
+                .filter(|a| !a.starts_with('-'))
+                .collect(),
+        }
+    }
+}
 
 impl Criterion {
-    /// Runs a single named benchmark.
+    /// Whether the command line selects the benchmark called `name`: no
+    /// filter was given, or one of them occurs in the name.
+    pub fn selected(&self, name: &str) -> bool {
+        self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
+    }
+
+    /// Runs a single named benchmark, if selected.
     pub fn bench_function<S, F>(&mut self, id: S, f: F) -> &mut Self
     where
         S: Into<String>,
         F: FnMut(&mut Bencher),
     {
-        run_bench(&id.into(), f);
+        let name = id.into();
+        if self.selected(&name) {
+            run_bench(&name, f);
+        }
         self
     }
 
@@ -128,7 +159,7 @@ impl Criterion {
     pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
-            _parent: self,
+            parent: self,
         }
     }
 }
@@ -137,17 +168,20 @@ impl Criterion {
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
     name: String,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Runs one benchmark in the group.
+    /// Runs one benchmark in the group, if selected.
     pub fn bench_function<S, F>(&mut self, id: S, f: F) -> &mut Self
     where
         S: Into<String>,
         F: FnMut(&mut Bencher),
     {
-        run_bench(&format!("{}/{}", self.name, id.into()), f);
+        let name = format!("{}/{}", self.name, id.into());
+        if self.parent.selected(&name) {
+            run_bench(&name, f);
+        }
         self
     }
 
@@ -174,4 +208,45 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with_filters(filters: &[&str]) -> Criterion {
+        Criterion {
+            filters: filters.iter().map(|f| (*f).to_owned()).collect(),
+        }
+    }
+
+    #[test]
+    fn filters_select_by_substring_of_the_full_name() {
+        let all = with_filters(&[]);
+        assert!(all.selected("anything/at_all"));
+        let one = with_filters(&["fabric_windowed"]);
+        assert!(one.selected("fabric_windowed/backlog_4"));
+        assert!(one.selected("fabric_windowed/guard"));
+        assert!(!one.selected("sched_round/1_lc_tenants"));
+        let two = with_filters(&["header_", "sched"]);
+        assert!(two.selected("header_encode_decode"));
+        assert!(two.selected("sched_round/guard"));
+        assert!(!two.selected("engine_dispatch/typed_wheel_64w"));
+    }
+
+    #[test]
+    fn unselected_benchmarks_do_not_run() {
+        let mut c = with_filters(&["wanted"]);
+        let mut ran = Vec::new();
+        c.bench_function("wanted_one", |b| {
+            ran.push("wanted_one");
+            b.iter(|| 1 + 1);
+        });
+        c.bench_function("other", |_| ran.push("other"));
+        let mut g = c.benchmark_group("group");
+        g.bench_function("wanted_too", |b| b.iter(|| 2 + 2));
+        g.bench_function("skipped", |_| panic!("filtered out"));
+        g.finish();
+        assert!(ran.contains(&"wanted_one") && !ran.contains(&"other"));
+    }
 }
