@@ -37,8 +37,7 @@ fn reflex_point(threads: u32, offered: f64) -> (f64, f64, u64) {
     // Four IX client machines (the paper's testbed size) and a 40GbE link
     // so the network never caps the 1KB experiment (the paper notes the
     // 10GbE bottleneck explicitly and uses 1KB requests to stress server
-    // IOPS instead). Four machines also give `REFLEX_SIM_SHARDS=4` a full
-    // client shard per core.
+    // IOPS instead).
     let tb = Testbed::builder()
         .seed(31)
         .server(ServerConfig {

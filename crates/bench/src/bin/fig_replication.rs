@@ -2,16 +2,12 @@
 //! load) plus failover recovery and SLO-violation panels.
 //!
 //! Run: `cargo run --release -p reflex-bench --bin fig_replication [-- --smoke]`
-//!
-//! Honors `REFLEX_SIM_SHARDS` for the healthy overlay points; the
-//! printed output is byte-identical at any shard count (CI diffs 1 vs 4).
 
 use reflex_bench::replication;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let shards = reflex_bench::sim_shards();
-    let result = replication::build_sweep(smoke, shards).run();
+    let result = replication::build_sweep(smoke).run();
     print!("{}", replication::render(&result));
     result.write_json_or_warn();
     reflex_bench::telemetry::flush("fig_replication");

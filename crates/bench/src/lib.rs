@@ -39,64 +39,12 @@ pub const WARMUP: SimDuration = SimDuration::from_millis(100);
 /// Standard measurement window used by the harnesses.
 pub const MEASURE: SimDuration = SimDuration::from_millis(400);
 
-/// Number of simulation shards requested via `REFLEX_SIM_SHARDS`
-/// (default 1 — single-shard; `0` auto-detects the host's cores).
-/// Orthogonal to `REFLEX_BENCH_THREADS`, which parallelizes *across*
-/// sweep points; this splits one simulation across cores while keeping
-/// its results byte-identical.
-///
-/// # Panics
-///
-/// Panics on non-numeric values — a typo silently running single-shard
-/// would invalidate a scaling measurement without anyone noticing.
-pub fn sim_shards() -> usize {
-    let Ok(raw) = std::env::var("REFLEX_SIM_SHARDS") else {
-        return 1;
-    };
-    if raw.is_empty() {
-        return 1;
-    }
-    let n: usize = raw
-        .parse()
-        .unwrap_or_else(|_| panic!("invalid REFLEX_SIM_SHARDS={raw:?} (expected 0=auto or N>=1)"));
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
-    }
-}
-
-/// Whether split-dataplane mode is requested via `REFLEX_SIM_SPLIT`
-/// (default off). When on, [`run_testbed`] switches the testbed to
-/// split-dataplane execution before sharding, so `REFLEX_SIM_SHARDS`
-/// distributes dataplane *threads* (not just client machines) across
-/// shards. Split-mode results are byte-identical at every shard count but
-/// differ from default-mode results (token grants quantize to the
-/// exchange-window grid), which is why the default stays off and every
-/// committed figure is generated without it.
-///
-/// # Panics
-///
-/// Panics on unrecognized values — a typo silently running the unified
-/// dataplane would invalidate a scaling measurement.
-pub fn sim_split() -> bool {
-    let Ok(raw) = std::env::var("REFLEX_SIM_SPLIT") else {
-        return false;
-    };
-    match raw.as_str() {
-        "" | "0" | "off" => false,
-        "1" | "on" => true,
-        other => panic!("invalid REFLEX_SIM_SPLIT={other:?} (expected 0/off or 1/on)"),
-    }
-}
-
 /// DRAM cache capacity requested via `REFLEX_CACHE` (in MiB; unset =
 /// no override). `fig_cache` honors it by replacing its cache-size axis
 /// with `{off, N MiB}`; harnesses whose scenario has no cache tier
 /// (`ext_features`, `chaos`) print a one-line stderr note that the knob
-/// is ignored, matching the split-dataplane loud-fallback convention —
-/// a silently-dropped knob would invalidate a comparison without anyone
-/// noticing.
+/// is ignored — a silently-dropped knob would invalidate a comparison
+/// without anyone noticing.
 ///
 /// # Panics
 ///
@@ -128,10 +76,23 @@ pub fn note_cache_knob_ignored(harness: &str) {
     }
 }
 
-/// Adds `workloads` to a testbed, runs warmup + measurement, and reports.
-/// Honors `REFLEX_SIM_SHARDS` (sharding applies before workloads are
-/// added; results are byte-identical at any shard count) and
-/// `REFLEX_SIM_SPLIT` (thread-granular sharding — see [`sim_split`]).
+/// Exits the process with a one-line stderr note if a removed
+/// simulation-mode knob is still set: they used to change how a run
+/// executed, there is one execution mode now, and a silently ignored knob
+/// would invalidate a measurement.
+pub(crate) fn reject_removed_sim_knobs() {
+    let removed = ["REFLEX_SIM_SHARDS", "REFLEX_SIM_SPLIT", "REFLEX_SIM_PIN"];
+    if let Some(knob) = removed.iter().find(|k| std::env::var_os(k).is_some()) {
+        eprintln!(
+            "reflex-bench: {knob} is set but no longer exists (the simulator has one \
+             execution mode); unset it"
+        );
+        std::process::exit(2);
+    }
+}
+
+/// Adds `workloads` to a testbed, runs warmup + measurement, and reports
+/// (after [rejecting](reject_removed_sim_knobs) removed knobs).
 ///
 /// # Panics
 ///
@@ -143,15 +104,7 @@ pub fn run_testbed<S: ServerHarness + 'static>(
     warmup: SimDuration,
     measure: SimDuration,
 ) -> TestbedReport {
-    let shards = sim_shards();
-    if sim_split() {
-        // Falls back (with a stderr note) when the server under test does
-        // not support splitting — the run is still valid, just unified.
-        let _ = tb.enable_split_dataplane();
-    }
-    if shards > 1 {
-        tb = tb.with_shards(shards);
-    }
+    reject_removed_sim_knobs();
     if telemetry::enabled() {
         tb.enable_telemetry();
     }

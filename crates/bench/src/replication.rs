@@ -17,11 +17,6 @@
 //!   counters (failovers, promotions, server deaths) during the same
 //!   failover runs.
 //!
-//! Healthy overlay points honour `REFLEX_SIM_SHARDS`; failover points
-//! always run single-shard (fault campaigns pin to one shard). Output
-//! is byte-identical at any shard count — the CI determinism gate diffs
-//! shards 1 vs 4.
-//!
 //! Run: `cargo run --release -p reflex-bench --bin fig_replication [-- --smoke]`
 
 use reflex_core::ReadPolicy;
@@ -87,16 +82,12 @@ fn overlay_point(
     policy: ReadPolicy,
     offered: f64,
     smoke: bool,
-    shards: usize,
 ) -> PointOutcome {
     let mut tb = ReplTestbed::builder()
         .sites(3)
         .replication(r)
         .seed(SEED)
         .build();
-    if shards > 1 {
-        tb = tb.with_shards(shards);
-    }
     if crate::telemetry::enabled() {
         tb.enable_telemetry();
     }
@@ -210,9 +201,9 @@ fn failover_point(r: usize, smoke: bool) -> PointOutcome {
 }
 
 /// Builds the replication sweep. `smoke` shrinks windows and load points
-/// to a CI-friendly size; `shards` is forwarded to the healthy overlay
-/// testbeds (failover runs are single-shard by construction).
-pub fn build_sweep(smoke: bool, shards: usize) -> Sweep {
+/// to a CI-friendly size.
+pub fn build_sweep(smoke: bool) -> Sweep {
+    crate::reject_removed_sim_knobs();
     let mut sweep = Sweep::new("fig_replication");
     let loads: &[f64] = if smoke {
         &[20_000.0, 40_000.0]
@@ -228,7 +219,7 @@ pub fn build_sweep(smoke: bool, shards: usize) -> Sweep {
     for &(label, r, policy) in configs {
         let curve = sweep.curve(label);
         for &offered in loads {
-            curve.point(move || overlay_point(label, r, policy, offered, smoke, shards));
+            curve.point(move || overlay_point(label, r, policy, offered, smoke));
         }
     }
     for r in [2usize, 3] {
@@ -249,8 +240,8 @@ pub const VIOLATIONS_HEADER: &str =
     "# violations\tR\tslo_violations\tfailovers\tpromotions\tserver_deaths";
 
 /// Renders the full figure output: title, the three panel headers, then
-/// every kept row. This is the exact byte stream the CI determinism gate
-/// diffs between shard counts.
+/// every kept row. This is the exact byte stream CI's golden-figure
+/// check hashes.
 pub fn render(result: &SweepResult) -> String {
     let mut out = String::new();
     out.push_str("# fig_replication: client-driven replication over remote Flash\n");

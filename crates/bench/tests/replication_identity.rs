@@ -1,19 +1,19 @@
-//! The replication figure is bit-reproducible across shard counts, and
-//! its panels carry the claims the figure exists to make: quorum reads
+//! The replication figure is bit-reproducible across sweep thread
+//! counts, and its panels carry the claims the figure exists to make: quorum reads
 //! cost more than single-copy reads, and failover recovery does not get
 //! worse as the replication factor grows.
 
 use reflex_bench::replication;
 
 #[test]
-fn replication_figure_is_byte_identical_across_shard_counts() {
-    let single = replication::build_sweep(true, 1).run_with_threads(1);
-    let sharded = replication::build_sweep(true, 4).run_with_threads(2);
+fn replication_figure_is_byte_identical_across_sweep_threads() {
+    let single = replication::build_sweep(true).run_with_threads(1);
+    let parallel = replication::build_sweep(true).run_with_threads(2);
 
-    assert_eq!(replication::render(&single), replication::render(&sharded));
+    assert_eq!(replication::render(&single), replication::render(&parallel));
 
     // Every per-point metric matches too, not just the rendered rows.
-    for (sc, pc) in single.curves.iter().zip(&sharded.curves) {
+    for (sc, pc) in single.curves.iter().zip(&parallel.curves) {
         assert_eq!(sc.label, pc.label);
         assert_eq!(sc.points.len(), pc.points.len());
         for (sp, pp) in sc.points.iter().zip(&pc.points) {
@@ -24,7 +24,7 @@ fn replication_figure_is_byte_identical_across_shard_counts() {
 
 #[test]
 fn replication_costs_show_and_failover_recovers() {
-    let result = replication::build_sweep(true, 1).run();
+    let result = replication::build_sweep(true).run();
 
     // Panel 1: replicated quorum reads are never cheaper than
     // single-copy primary reads at the same offered load.

@@ -1,11 +1,9 @@
 //! # reflex-cache — per-thread DRAM read cache in front of remote flash
 //!
 //! A deterministic, set-associative read cache keyed by `(tenant, line)`.
-//! Each dataplane thread owns a private instance, so the cache composes
-//! with sharded and split-dataplane execution without any cross-shard
-//! coherence traffic: the only inputs are the thread's own rx/completion
-//! sequence, which the simulator already makes byte-identical at any
-//! shard count.
+//! Each dataplane thread owns a private instance, so there is no
+//! cross-thread coherence traffic: the only inputs are the thread's own
+//! rx/completion sequence.
 //!
 //! Policy, in one paragraph: reads that overlap only valid lines *hit*
 //! and are served at DRAM cost without touching the flash SQ; reads that
@@ -56,7 +54,7 @@ pub struct CacheConfig {
     /// QoS token cost of one cached page, in millitokens. Hits debit
     /// this from the tenant's local token balance instead of the flash
     /// read cost, so scheduler rate limits keep reflecting real device
-    /// load (including under the split-dataplane lease ledger).
+    /// load.
     pub dram_cost_millitokens: i64,
 }
 
@@ -119,7 +117,7 @@ impl CacheConfig {
 
 /// Monotonic counters kept by the cache itself. The dataplane thread
 /// mirrors the interesting ones into its `ThreadStats`, which puts them
-/// inside the swarm's shard-identity fingerprint.
+/// inside the swarm's re-run identity fingerprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Reads served entirely from DRAM.

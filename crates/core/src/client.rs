@@ -377,11 +377,7 @@ impl WorkloadReport {
 }
 
 /// Internal per-workload runtime state (used by the testbed).
-///
-/// `Clone` because sharded testbeds replicate every workload's state onto
-/// every shard (indices must align across engines); only the copy on the
-/// shard owning the workload's client machine ever advances.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct WorkloadState {
     pub spec: WorkloadSpec,
     /// This workload's private randomness (address pattern, read/write
@@ -389,7 +385,7 @@ pub(crate) struct WorkloadState {
     /// [`SimRng::stream`] rather than forked from a shared generator, so
     /// the stream is a stable function of the workload's identity — draws
     /// by one workload (or by the fabric/device) can never shift another's
-    /// stream, which is what keeps sharded runs byte-identical.
+    /// stream.
     pub rng: SimRng,
     pub conns: Vec<ConnId>,
     /// Client thread index serving each connection.

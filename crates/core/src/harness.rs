@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use reflex_dataplane::{AclEntry, ThreadStats, WireMsg};
 use reflex_flash::FlashDevice;
 use reflex_net::{ConnId, Fabric, MachineId, NicQueueId};
-use reflex_qos::{TenantClass, TenantId, TokenPool};
+use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::Telemetry;
 
@@ -22,44 +22,6 @@ use crate::server::AdmissionError;
 pub trait ServerHarness: Send {
     /// The server's machine on the fabric.
     fn machine(&self) -> MachineId;
-
-    /// Whether the server's connection → thread routing is static for the
-    /// whole run, which is what sharded execution needs: client shards
-    /// cache routes at bind time and never see later rebalancing. Servers
-    /// that migrate connections at runtime (e.g. autoscaling) return
-    /// `false`, and [`Testbed::with_shards`](crate::Testbed::with_shards)
-    /// silently stays single-shard.
-    fn supports_sharding(&self) -> bool {
-        true
-    }
-
-    /// Whether the server supports split-dataplane sharding: one shard per
-    /// worker thread, with the QoS token state carried as deterministic
-    /// per-shard leases. Requires static thread/queue/qp assignment
-    /// (`thread i` ↔ `NicQueueId(i)` ↔ `QpId(i)`) for the whole run and a
-    /// server that can be [`replicate`](Self::replicate)d. Defaults to
-    /// `false`; [`Testbed::enable_split_dataplane`]
-    /// (crate::Testbed::enable_split_dataplane) falls back to the unified
-    /// dataplane (with a stderr note) when unsupported.
-    fn supports_split(&self) -> bool {
-        false
-    }
-
-    /// Replaces the token pool shared by the server's worker schedulers
-    /// (split-dataplane mode installs per-shard lease ledgers here).
-    /// Servers without a QoS scheduler ignore it.
-    fn set_token_pool(&mut self, _pool: TokenPool) {}
-
-    /// Clones this server into a pristine replica for another shard:
-    /// same configuration and thread layout, no tenants or connections.
-    /// Only meaningful before any workload is registered; servers that do
-    /// not support splitting return `None`.
-    fn replicate(&self, _now: SimTime) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
 
     /// Number of active worker threads.
     fn active_threads(&self) -> usize;

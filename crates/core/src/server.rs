@@ -210,59 +210,6 @@ impl ReflexServer {
         self.machine
     }
 
-    /// Clones this server into a pristine replica for another shard of a
-    /// split-dataplane run: identical configuration and thread layout
-    /// (thread `i` on `NicQueueId(i)` / `QpId(i)`), a fresh — and, under
-    /// token leases, inert — global bucket, and no tenants. The testbed
-    /// replays every registration and binding on each replica so placement
-    /// decisions agree everywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tenant is already registered (replicas must be carved
-    /// before workloads exist).
-    pub fn replicate(&self, now: SimTime) -> ReflexServer {
-        assert!(
-            self.tenants.is_empty(),
-            "replicate the server before registering tenants"
-        );
-        let bucket = Arc::new(GlobalBucket::new(self.config.threads));
-        let threads: Vec<DataplaneThread> = (0..self.config.max_threads)
-            .map(|i| {
-                DataplaneThread::new(
-                    i,
-                    self.machine,
-                    NicQueueId(i),
-                    reflex_flash::QpId(i),
-                    Arc::clone(&bucket),
-                    self.cost_model.clone(),
-                    self.config.sched_params,
-                    self.config.dataplane,
-                    now,
-                )
-            })
-            .collect();
-        let last_busy = vec![SimDuration::ZERO; threads.len()];
-        ReflexServer {
-            machine: self.machine,
-            threads,
-            active_threads: self.active_threads,
-            bucket,
-            cost_model: self.cost_model.clone(),
-            capacity: self.capacity.clone(),
-            config: self.config.clone(),
-            tenants: HashMap::new(),
-            conn_route: ConnTable::new(),
-            parked: HashMap::new(),
-            next_shard_id: 0x8000_0000,
-            last_busy,
-            last_deficits: HashMap::new(),
-            cp_stats: ControlPlaneStats::default(),
-            tick_ids: Vec::new(),
-            tick_resets: Vec::new(),
-        }
-    }
-
     /// Currently active dataplane threads.
     pub fn active_threads(&self) -> usize {
         self.active_threads
@@ -732,6 +679,35 @@ impl ReflexServer {
         out
     }
 
+    /// The server's token books in millitokens: `(generated, accounted)`.
+    /// Generation is the only source of tokens, so while no tenant has
+    /// been unregistered or moved the two are equal: everything the
+    /// schedulers generated is held by a tenant, was spent (on flash or on
+    /// DRAM hits), sits in the global bucket, or was discarded by a
+    /// bucket reset.
+    pub fn token_books(&self) -> (i64, i64) {
+        let generated = self
+            .threads
+            .iter()
+            .map(|t| t.scheduler().generated().as_millitokens())
+            .sum();
+        let with_tenants: i64 = self
+            .tenants
+            .values()
+            .flat_map(|info| &info.shards)
+            .map(|&(thread, shard_id)| {
+                let sched = self.threads[thread].scheduler();
+                let held = sched.tokens_of(shard_id).map_or(0, |t| t.as_millitokens());
+                let spent = sched
+                    .stats_for(shard_id)
+                    .map_or(0, |s| s.spent_millitokens + s.dram_spent_millitokens);
+                held + spent
+            })
+            .sum();
+        let in_bucket = self.bucket.balance() + self.bucket.discarded();
+        (generated, with_tenants + in_bucket.as_millitokens())
+    }
+
     /// Moves a tenant (and its connections) to another active thread,
     /// forwarding in-flight traffic. Used by control-plane rebalancing.
     ///
@@ -927,32 +903,6 @@ impl ReflexServer {
 impl crate::harness::ServerHarness for ReflexServer {
     fn machine(&self) -> MachineId {
         ReflexServer::machine(self)
-    }
-
-    fn supports_sharding(&self) -> bool {
-        // Autoscaling migrates connections between threads at runtime;
-        // client shards cache routes at bind time, so the two compose only
-        // when routing is static.
-        !self.config.auto_scale
-    }
-
-    fn supports_split(&self) -> bool {
-        // Thread-granular sharding additionally needs the identity
-        // thread ↔ queue ↔ qp layout replicas are reconstructed with.
-        !self.config.auto_scale
-            && self.threads.iter().enumerate().all(|(i, t)| {
-                t.nic_queue() == NicQueueId(i as u32) && t.qp() == reflex_flash::QpId(i as u32)
-            })
-    }
-
-    fn set_token_pool(&mut self, pool: reflex_qos::TokenPool) {
-        for t in &mut self.threads {
-            t.scheduler_mut().set_pool(pool.clone());
-        }
-    }
-
-    fn replicate(&self, now: SimTime) -> Option<Self> {
-        Some(ReflexServer::replicate(self, now))
     }
 
     fn active_threads(&self) -> usize {

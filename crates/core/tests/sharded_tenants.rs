@@ -32,7 +32,7 @@ fn blast(shards: u32, threads: u32) -> f64 {
 }
 
 #[test]
-fn one_tenant_exceeds_single_core_with_shards() {
+fn one_tenant_exceeds_single_core_when_sharded() {
     // The paper's limitation: one tenant = one thread, capped at ~850K.
     let single = blast(1, 2);
     assert!(

@@ -80,9 +80,8 @@ pub struct DataplaneConfig {
     pub conn_pressure: ConnPressure,
     /// Per-thread DRAM read cache in front of the flash device. `None`
     /// (the default) disables the tier entirely; `Some` gives every
-    /// dataplane thread a private cache of the configured size, so the
-    /// tier composes with sharded and split-dataplane execution without
-    /// cross-shard coherence traffic.
+    /// dataplane thread a private cache of the configured size: no
+    /// cross-thread coherence traffic.
     pub cache: Option<CacheConfig>,
 }
 

@@ -300,7 +300,7 @@ pub struct DataplaneThread {
     config: DataplaneConfig,
     sched: QosScheduler<ReqCtx>,
     /// Per-thread DRAM read cache (present iff `config.cache` is set).
-    /// Private to this thread: no cross-thread or cross-shard coherence.
+    /// Private to this thread: no cross-thread coherence.
     cache: Option<DramCache>,
     tenants: TenantTable,
     /// The flow table, indexed by connection id.
@@ -434,11 +434,6 @@ impl DataplaneThread {
     /// The NIC receive queue dedicated to this thread.
     pub fn nic_queue(&self) -> NicQueueId {
         self.nic_queue
-    }
-
-    /// The NVMe queue pair dedicated to this thread.
-    pub fn qp(&self) -> QpId {
-        self.qp
     }
 
     /// Statistics so far.
@@ -763,10 +758,9 @@ impl DataplaneThread {
         let (header, payload) = Self::user_handle_event(&event, &ctx);
         self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             payload,
@@ -957,9 +951,8 @@ impl DataplaneThread {
 
     /// Completes a read hit at DRAM latency: response straight to the
     /// wire, flash SQ/channel/CQ untouched. The tenant pays the cheap
-    /// DRAM token cost from its local balance (never the shared pool, so
-    /// sharded and split runs stay byte-identical) and the hit counts as
-    /// a submitted+completed IO for conservation.
+    /// DRAM token cost from its local balance (never the global bucket)
+    /// and the hit counts as a submitted+completed IO for conservation.
     fn complete_hit(&mut self, fabric: &mut Fabric<WireMsg>, ctx: ReqCtx) {
         let cache_cfg = *self
             .cache
@@ -977,10 +970,9 @@ impl DataplaneThread {
         self.charge(self.hit_cost);
         self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             payload,
@@ -1036,10 +1028,9 @@ impl DataplaneThread {
         };
         self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             0,
@@ -1160,10 +1151,9 @@ impl DataplaneThread {
         let (header, payload) = Self::user_handle_event(&event, &ctx);
         self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
-        fabric.send_from(
+        fabric.send(
             self.core_busy,
             self.machine,
-            self.nic_queue,
             ctx.client,
             ctx.conn,
             payload,

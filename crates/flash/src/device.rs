@@ -130,50 +130,6 @@ pub trait DeviceFaultHook: Send {
     fn on_command(&mut self, now: SimTime, cmd: &NvmeCommand) -> DeviceFaultAction;
 }
 
-/// One submission staged for boundary-replayed application (split-dataplane
-/// sharding). Every device replica applies the same staged commands in
-/// canonical `(at, qp, seq)` order at lookahead-window boundaries, so all
-/// replicas' channel backlog, RNG stream, and stats evolve identically.
-#[derive(Debug, Clone, Copy)]
-pub struct StagedCmd {
-    /// Submission instant.
-    pub at: SimTime,
-    /// Submitting queue pair.
-    pub qp: QpId,
-    /// Per-queue-pair monotone sequence number (tie-break within one
-    /// instant).
-    pub seq: u64,
-    /// The command.
-    pub cmd: NvmeCommand,
-}
-
-/// Windowed-staging state (split-dataplane sharding): submissions are
-/// staged and replayed at window boundaries instead of being serviced
-/// inline. See [`FlashDevice::enable_windowed`].
-#[derive(Debug)]
-struct WindowedDev {
-    window: SimDuration,
-    /// Queue pairs whose completions this replica delivers (the qps of the
-    /// dataplane threads placed on this replica's shard).
-    local_qp: Vec<bool>,
-    /// Local + remote staged commands awaiting boundary application.
-    staged: Vec<StagedCmd>,
-    /// Locally staged commands awaiting broadcast to peer replicas.
-    outbound: Vec<StagedCmd>,
-    /// Staged-but-unapplied count per qp (keeps the `sq_depth` check
-    /// exact while commands sit between staging and application).
-    staged_per_qp: Vec<u32>,
-    /// Per-qp staging sequence counters.
-    seqs: Vec<u64>,
-    /// Boundary up to which staged commands have been applied.
-    applied_until: SimTime,
-}
-
-fn grid_after(at: SimTime, window: SimDuration) -> SimTime {
-    let w = window.as_nanos();
-    SimTime::from_nanos(at.as_nanos() / w * w + w)
-}
-
 struct QueuePair {
     outstanding: u32,
     cq: BinaryHeap<Reverse<CqEntry>>,
@@ -216,7 +172,6 @@ pub struct FlashDevice {
     wear_factor: f64,
     stats: DeviceStats,
     fault_hook: Option<Box<dyn DeviceFaultHook>>,
-    windowed: Option<WindowedDev>,
     telemetry: Telemetry,
 }
 
@@ -249,7 +204,6 @@ impl FlashDevice {
             wear_factor: 1.0,
             stats: DeviceStats::default(),
             fault_hook: None,
-            windowed: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -290,16 +244,7 @@ impl FlashDevice {
     }
 
     /// Allocates a new hardware queue pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics in windowed mode — create every qp before
-    /// [`enable_windowed`](Self::enable_windowed).
     pub fn create_queue_pair(&mut self) -> QpId {
-        assert!(
-            self.windowed.is_none(),
-            "create queue pairs before enabling windowed mode"
-        );
         let id = QpId(self.qps.len() as u32);
         self.qps.push(QueuePair::new());
         id
@@ -344,30 +289,6 @@ impl FlashDevice {
     ) -> Result<SimTime, SubmitError> {
         if cmd.len == 0 {
             return Err(SubmitError::EmptyCommand);
-        }
-        if let Some(w) = &mut self.windowed {
-            // Split-dataplane mode: stage now, apply at the next window
-            // boundary on every replica in canonical order. The sq_depth
-            // check stays exact by counting staged-but-unapplied commands.
-            let qi = qp.0 as usize;
-            debug_assert!(w.local_qp[qi], "submit on a non-local qp");
-            if self.qps[qi].outstanding + w.staged_per_qp[qi] >= self.profile.sq_depth {
-                self.telemetry.count("device.sq_full", 1);
-                return Err(SubmitError::QueueFull);
-            }
-            let entry = StagedCmd {
-                at: now,
-                qp,
-                seq: w.seqs[qi],
-                cmd,
-            };
-            w.seqs[qi] += 1;
-            w.staged_per_qp[qi] += 1;
-            w.staged.push(entry);
-            w.outbound.push(entry);
-            // The modelled completion instant is only known at application;
-            // the earliest it can surface is the boundary after `now`.
-            return Ok(grid_after(now, w.window));
         }
         if self.qps[qp.0 as usize].outstanding >= self.profile.sq_depth {
             self.telemetry.count("device.sq_full", 1);
@@ -465,225 +386,6 @@ impl FlashDevice {
             },
         );
         Ok(completed_at)
-    }
-
-    /// Switches the device into windowed staging mode (split-dataplane
-    /// sharding): submissions are staged and replayed in canonical
-    /// `(at, qp, seq)` order at multiples of `window`, so independently-
-    /// fed replicas stay bit-identical. Safe because every modelled
-    /// completion latency (≥ 1µs) is at least one window, mirroring the
-    /// fabric's lookahead argument. All current qps start local.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or a fault hook is installed (fault
-    /// actions are decided inline at submit time and cannot be replayed
-    /// deterministically on replicas).
-    pub fn enable_windowed(&mut self, window: SimDuration) {
-        assert!(!window.is_zero(), "window must be positive");
-        assert!(
-            self.fault_hook.is_none(),
-            "windowed mode is incompatible with a device fault hook"
-        );
-        let n = self.qps.len();
-        self.windowed = Some(WindowedDev {
-            window,
-            local_qp: vec![true; n],
-            staged: Vec::new(),
-            outbound: Vec::new(),
-            staged_per_qp: vec![0; n],
-            seqs: vec![0; n],
-            applied_until: SimTime::ZERO,
-        });
-    }
-
-    /// `true` when windowed staging mode is active.
-    pub fn is_windowed(&self) -> bool {
-        self.windowed.is_some()
-    }
-
-    /// Whether a fault-injection hook is installed (windowed staging and
-    /// replication are incompatible with one).
-    pub fn has_fault_hook(&self) -> bool {
-        self.fault_hook.is_some()
-    }
-
-    /// Restricts which qps this replica delivers completions for (the qps
-    /// of the dataplane threads placed on its shard). Remote commands are
-    /// still applied — channel state, RNG, and stats evolve identically on
-    /// every replica — but their completions are dropped locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is off or `local` doesn't cover every qp.
-    pub fn set_local_qps(&mut self, local: Vec<bool>) {
-        let n = self.qps.len();
-        let w = self.windowed.as_mut().expect("windowed mode required");
-        assert_eq!(local.len(), n, "local mask must cover every qp");
-        w.local_qp = local;
-    }
-
-    /// Clones this device into a pristine replica for another shard:
-    /// identical profile, preconditioned channel state, RNG stream, and
-    /// stats, but fresh (empty) queue pairs and staging state. Replica
-    /// telemetry starts disabled — exactly one replica (shard 0's) should
-    /// record, since all replicas observe every command.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is off, a fault hook is installed, or the
-    /// device has already serviced or staged commands.
-    pub fn replicate(&self) -> FlashDevice {
-        assert!(
-            self.fault_hook.is_none(),
-            "cannot replicate a device with a fault hook"
-        );
-        let w = self.windowed.as_ref().expect("windowed mode required");
-        assert!(
-            w.staged.is_empty() && w.outbound.is_empty() && self.seq == 0,
-            "replicate before any submissions"
-        );
-        FlashDevice {
-            profile: self.profile.clone(),
-            channels: self.channels.clone(),
-            qps: self.qps.iter().map(|_| QueuePair::new()).collect(),
-            rng: self.rng.clone(),
-            seq: 0,
-            last_write_at: self.last_write_at,
-            wear_factor: self.wear_factor,
-            stats: self.stats,
-            fault_hook: None,
-            windowed: Some(WindowedDev {
-                window: w.window,
-                local_qp: w.local_qp.clone(),
-                staged: Vec::new(),
-                outbound: Vec::new(),
-                staged_per_qp: vec![0; self.qps.len()],
-                seqs: vec![0; self.qps.len()],
-                applied_until: SimTime::ZERO,
-            }),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Accepts commands staged by a peer replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is off.
-    pub fn accept_staged(&mut self, cmds: &[StagedCmd]) {
-        let w = self.windowed.as_mut().expect("windowed mode required");
-        for s in cmds {
-            w.staged_per_qp[s.qp.0 as usize] += 1;
-            w.staged.push(*s);
-        }
-    }
-
-    /// Drains the locally staged commands awaiting broadcast to peers.
-    pub fn take_staged_outbound(&mut self) -> Vec<StagedCmd> {
-        match &mut self.windowed {
-            Some(w) => std::mem::take(&mut w.outbound),
-            None => Vec::new(),
-        }
-    }
-
-    /// Applies all staged commands before `now`'s window boundary in
-    /// canonical `(at, qp, seq)` order. Driven by the event dispatcher so
-    /// every replica applies the same prefix at the same simulated time;
-    /// a no-op outside windowed mode.
-    pub fn observe(&mut self, now: SimTime) {
-        let todo = {
-            let Some(w) = &mut self.windowed else { return };
-            let wn = w.window.as_nanos();
-            let boundary = SimTime::from_nanos(now.as_nanos() / wn * wn);
-            if boundary <= w.applied_until {
-                return;
-            }
-            w.applied_until = boundary;
-            if w.staged.iter().all(|s| s.at >= boundary) {
-                return;
-            }
-            w.staged.sort_by_key(|s| (s.at, s.qp, s.seq));
-            let cut = w.staged.partition_point(|s| s.at < boundary);
-            let rest = w.staged.split_off(cut);
-            std::mem::replace(&mut w.staged, rest)
-        };
-        for s in todo {
-            self.apply_staged(s);
-        }
-    }
-
-    /// Replays one staged command through the exact inline service path
-    /// (with `now` = its staging instant), delivering the completion only
-    /// if its qp is local to this replica.
-    fn apply_staged(&mut self, s: StagedCmd) {
-        let qi = s.qp.0 as usize;
-        let local = {
-            let w = self.windowed.as_mut().expect("windowed mode");
-            w.staged_per_qp[qi] -= 1;
-            w.local_qp[qi]
-        };
-        let now = s.at;
-        let cmd = s.cmd;
-        if cmd.addr.saturating_add(cmd.len as u64) > self.profile.capacity_bytes {
-            self.stats.out_of_range += 1;
-            self.telemetry.count("device.out_of_range", 1);
-            let at = now + SimDuration::from_micros(1);
-            let seq = self.next_seq();
-            if local {
-                self.push_completion(
-                    s.qp,
-                    CqEntry {
-                        at,
-                        seq,
-                        completion: NvmeCompletion {
-                            id: cmd.id,
-                            op: cmd.op,
-                            completed_at: at,
-                            status: NvmeStatus::OutOfRange,
-                        },
-                    },
-                );
-            }
-            return;
-        }
-        let completed_at = match cmd.op {
-            IoType::Read => self.service_read(now, &cmd),
-            IoType::Write => self.service_write(now, &cmd),
-        };
-        debug_assert!(completed_at >= now);
-        let status = if cmd.op.is_read()
-            && self.profile.media_error_rate > 0.0
-            && self.rng.chance(self.profile.media_error_rate)
-        {
-            self.stats.media_errors += 1;
-            self.telemetry.count("device.media_errors", 1);
-            NvmeStatus::MediaError
-        } else {
-            NvmeStatus::Success
-        };
-        self.telemetry.count("device.commands", 1);
-        self.telemetry.span(
-            TenantKey::GLOBAL,
-            Stage::Channel,
-            completed_at.saturating_since(now),
-        );
-        let seq = self.next_seq();
-        if local {
-            self.push_completion(
-                s.qp,
-                CqEntry {
-                    at: completed_at,
-                    seq,
-                    completion: NvmeCompletion {
-                        id: cmd.id,
-                        op: cmd.op,
-                        completed_at,
-                        status,
-                    },
-                },
-            );
-        }
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -811,25 +513,9 @@ impl FlashDevice {
         }
     }
 
-    /// Instant of `qp`'s earliest pending completion, if any. In windowed
-    /// mode this also covers `qp`'s own staged-but-unapplied commands via
-    /// the boundary at which they will be applied — a conservative (and
-    /// still deterministic) wake hint, since a staged command's true
-    /// completion is only modelled at application.
+    /// Instant of `qp`'s earliest pending completion, if any.
     pub fn next_completion_time(&self, qp: QpId) -> Option<SimTime> {
-        let applied = self.qps[qp.0 as usize].cq.peek().map(|Reverse(e)| e.at);
-        let staged = self.windowed.as_ref().and_then(|w| {
-            w.staged
-                .iter()
-                .filter(|s| s.qp == qp)
-                .map(|s| s.at)
-                .min()
-                .map(|at| grid_after(at, w.window))
-        });
-        match (applied, staged) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.qps[qp.0 as usize].cq.peek().map(|Reverse(e)| e.at)
     }
 
     /// Earliest pending completion across all queue pairs, if any.
@@ -1144,95 +830,6 @@ mod tests {
             d0.poll_completions(SimTime::from_secs(1), qp0, usize::MAX);
             d1.poll_completions(SimTime::from_secs(1), qp1, usize::MAX);
         }
-    }
-
-    #[test]
-    fn windowed_replicas_match_inline_device() {
-        // Inline reference device vs two windowed replicas, each owning one
-        // qp and exchanging staged commands at every window boundary: the
-        // locally delivered completions and the stats must be identical.
-        let mut inline_d = FlashDevice::new(device_a(), SimRng::seed(7));
-        let i0 = inline_d.create_queue_pair();
-        let i1 = inline_d.create_queue_pair();
-        let mut base = FlashDevice::new(device_a(), SimRng::seed(7));
-        base.create_queue_pair();
-        base.create_queue_pair();
-        base.enable_windowed(SimDuration::from_micros(1));
-        let mut a = base.replicate();
-        let mut b = base.replicate();
-        a.set_local_qps(vec![true, false]);
-        b.set_local_qps(vec![false, true]);
-
-        let mut next_cmd = 0u64;
-        for win in 0..40u64 {
-            for j in 0..5u64 {
-                let t = SimTime::from_nanos(win * 1_000 + j * 180);
-                let addr = (next_cmd * 7_919 % 1_000_000) * 4096;
-                let cmd = if next_cmd.is_multiple_of(4) {
-                    NvmeCommand::write(CmdId(next_cmd), addr, 4096)
-                } else {
-                    NvmeCommand::read(CmdId(next_cmd), addr, 4096)
-                };
-                if next_cmd.is_multiple_of(2) {
-                    inline_d.submit(t, i0, cmd).unwrap();
-                    a.submit(t, i0, cmd).unwrap();
-                } else {
-                    inline_d.submit(t, i1, cmd).unwrap();
-                    b.submit(t, i1, cmd).unwrap();
-                }
-                next_cmd += 1;
-            }
-            let boundary = SimTime::from_nanos((win + 1) * 1_000);
-            let oa = a.take_staged_outbound();
-            let ob = b.take_staged_outbound();
-            a.accept_staged(&ob);
-            b.accept_staged(&oa);
-            a.observe(boundary);
-            b.observe(boundary);
-        }
-        // Flush the last window and compare.
-        let late = SimTime::from_secs(1);
-        let oa = a.take_staged_outbound();
-        let ob = b.take_staged_outbound();
-        a.accept_staged(&ob);
-        b.accept_staged(&oa);
-        a.observe(late);
-        b.observe(late);
-        assert_eq!(
-            inline_d.poll_completions(late, i0, usize::MAX),
-            a.poll_completions(late, i0, usize::MAX)
-        );
-        assert_eq!(
-            inline_d.poll_completions(late, i1, usize::MAX),
-            b.poll_completions(late, i1, usize::MAX)
-        );
-        assert_eq!(inline_d.stats(), a.stats());
-        assert_eq!(inline_d.stats(), b.stats());
-    }
-
-    #[test]
-    fn windowed_sq_depth_counts_staged_commands() {
-        let mut d = FlashDevice::new(device_a(), SimRng::seed(3));
-        let qp = d.create_queue_pair();
-        d.enable_windowed(SimDuration::from_micros(1));
-        let depth = d.profile().sq_depth;
-        for i in 0..depth {
-            d.submit(
-                SimTime::ZERO,
-                qp,
-                NvmeCommand::read(CmdId(i as u64), 0, 4096),
-            )
-            .unwrap();
-        }
-        // All staged, none applied — the queue must still report full.
-        let err = d.submit(SimTime::ZERO, qp, NvmeCommand::read(CmdId(9_999), 0, 4096));
-        assert_eq!(err, Err(SubmitError::QueueFull));
-        d.observe(SimTime::from_micros(1));
-        let t = SimTime::from_secs(10);
-        assert_eq!(d.poll_completions(t, qp, usize::MAX).len(), depth as usize);
-        assert!(d
-            .submit(t, qp, NvmeCommand::read(CmdId(9_999), 0, 4096))
-            .is_ok());
     }
 
     #[test]

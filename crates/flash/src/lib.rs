@@ -33,6 +33,6 @@ mod device;
 mod profile;
 mod types;
 
-pub use device::{DeviceFaultAction, DeviceFaultHook, DeviceStats, FlashDevice, QpId, StagedCmd};
+pub use device::{DeviceFaultAction, DeviceFaultHook, DeviceStats, FlashDevice, QpId};
 pub use profile::{device_a, device_b, device_c, DeviceProfile};
 pub use types::{CmdId, IoType, NvmeCommand, NvmeCompletion, NvmeStatus, SubmitError};

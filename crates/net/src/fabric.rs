@@ -83,7 +83,6 @@ pub struct Delivery<P> {
     pub payload: P,
 }
 
-#[derive(Clone)]
 struct Nic {
     stack: StackProfile,
     tx_busy: SimTime,
@@ -95,27 +94,8 @@ struct Nic {
     /// [`Fabric::inbound`]).
     inbound: u64,
     /// Monotone per-source transmit counter; the tie-break of the windowed
-    /// delivery order (see [`Flight`]).
+    /// delivery order (see [`PendingEntry`]).
     tx_seq: u64,
-}
-
-/// Per-queue NIC state for a machine whose dataplane threads may live on
-/// different shards (split-dataplane mode). Each lane carries its own
-/// busy chains, jitter RNG stream, and transmit counter so a thread's
-/// traffic touches only its own lane — which is what lets each lane live
-/// on its thread's shard without cross-shard NIC state.
-#[derive(Clone)]
-struct Lane {
-    tx_busy: SimTime,
-    rx_busy: SimTime,
-    rng: SimRng,
-    tx_seq: u64,
-}
-
-#[derive(Clone)]
-struct Lanes {
-    machine: MachineId,
-    lanes: Vec<Lane>,
 }
 
 /// What a [`NetFaultHook`] does to one message in flight.
@@ -155,9 +135,9 @@ pub trait NetFaultHook: Send {
 }
 
 /// A message body. It is written into the fabric's slab once, when the
-/// message is sent (or accepted from another shard), and read out once,
-/// when the receiver polls it; the queues in between order 24- and 32-byte
-/// [`PendingEntry`]/[`RxEntry`] records that point at it.
+/// message is sent, and read out once, when the receiver polls it; the
+/// queues in between order 24- and 32-byte [`PendingEntry`]/[`RxEntry`]
+/// records that point at it.
 #[derive(Clone)]
 struct Msg<P> {
     src: MachineId,
@@ -180,9 +160,19 @@ struct RxEntry {
     msg: PoolKey,
 }
 
-/// An unresolved flight waiting for the horizon (windowed mode), ordered
-/// by the flight key `(departed, src, tx_seq)`. Its arrival bound is
+/// A flight: a message whose transmit half has completed but whose receive
+/// half waits for the horizon (windowed mode, see
+/// [`Fabric::enable_windowed`]). Its arrival bound is
 /// `departed + propagation`, the same for every flight on one fabric.
+///
+/// Flights are totally ordered by `(departed, src, tx_seq)` — departure
+/// instant off the sender's uplink, source machine id, and the source NIC's
+/// monotone transmit counter. The receive half of every flight addressed to
+/// a machine is resolved in exactly this order, which is what makes
+/// windowed delivery independent of event interleaving: however sends from
+/// different machines race, the per-destination resolution sequence (and
+/// therefore the destination NIC's busy state and jitter-RNG stream) is a
+/// pure function of the flight set.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct PendingEntry {
     departed: SimTime,
@@ -195,7 +185,7 @@ struct PendingEntry {
 /// (windowed mode) flights addressed to it that the horizon has not
 /// reached. `bound = departed + propagation` is monotone in `departed`,
 /// so the head of `pending` carries the queue's earliest arrival bound.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct NicQueue {
     rx: BinaryHeap<Reverse<RxEntry>>,
     pending: BinaryHeap<Reverse<PendingEntry>>,
@@ -214,98 +204,6 @@ impl NicQueue {
             (Some(Reverse(e)), Some(bound)) => Some(e.at.min(bound)),
             (Some(Reverse(e)), None) => Some(e.at),
             (None, bound) => bound,
-        }
-    }
-}
-
-/// A message whose transmit half has completed but whose receive half has
-/// not yet been resolved (windowed delivery mode, see
-/// [`Fabric::enable_windowed`]), in the form it crosses shards in: a
-/// sender's fabric hands flights for other shards out through
-/// [`Fabric::take_outbound`], the owner of the destination takes them in
-/// through [`Fabric::accept_flight`]. Inside a fabric a flight is a slab
-/// slot plus a queue entry.
-///
-/// Flights are totally ordered by `(departed, src, tx_seq)` — departure
-/// instant off the sender's uplink, source machine id, and the source NIC's
-/// monotone transmit counter. The receive half of every flight addressed to
-/// a machine is resolved in exactly this order, which is what makes
-/// windowed delivery independent of event interleaving: however sends race
-/// across shards, the per-destination resolution sequence (and therefore
-/// the destination NIC's busy state and jitter-RNG stream) is a pure
-/// function of the flight set.
-#[derive(Debug, Clone)]
-pub struct Flight<P> {
-    departed: SimTime,
-    src: MachineId,
-    tx_seq: u64,
-    to: MachineId,
-    queue: NicQueueId,
-    conn: ConnId,
-    size: u32,
-    ser: SimDuration,
-    sent_at: SimTime,
-    /// Earliest possible arrival: `departed + propagation`. The true
-    /// arrival adds receive-side contention, stack latency, and any fault
-    /// delay, all of which resolve later.
-    bound: SimTime,
-    stage: Stage,
-    fault: NetFaultAction,
-    payload: P,
-}
-
-impl<P> Flight<P> {
-    /// Destination machine.
-    pub fn to(&self) -> MachineId {
-        self.to
-    }
-
-    /// Destination NIC receive queue.
-    pub fn queue(&self) -> NicQueueId {
-        self.queue
-    }
-
-    /// Connection the message belongs to.
-    pub fn conn(&self) -> ConnId {
-        self.conn
-    }
-
-    /// Source machine.
-    pub fn src(&self) -> MachineId {
-        self.src
-    }
-
-    /// Departure instant off the sender's uplink (first component of the
-    /// delivery order).
-    pub fn departed(&self) -> SimTime {
-        self.departed
-    }
-
-    /// Conservative lower bound on the arrival instant
-    /// (`departed + propagation`); receivers arm their next poll at this
-    /// time.
-    pub fn bound(&self) -> SimTime {
-        self.bound
-    }
-}
-
-/// Machine → shard routing for a fabric endpoint that lives inside one
-/// shard of a sharded run.
-#[derive(Debug, Clone)]
-struct ShardRoutes {
-    own: usize,
-    shard_of: Vec<usize>,
-    /// Queue-granular routing for the lane machine (split-dataplane mode):
-    /// flights to it are owned by the shard of their destination queue's
-    /// thread, not by a single machine-owning shard.
-    queue_shards: Option<(MachineId, Vec<usize>)>,
-}
-
-impl ShardRoutes {
-    fn dest_shard(&self, to: MachineId, queue: NicQueueId) -> usize {
-        match &self.queue_shards {
-            Some((m, qs)) if *m == to => qs[queue.0 as usize],
-            _ => self.shard_of[to.0 as usize],
         }
     }
 }
@@ -346,30 +244,17 @@ pub struct Fabric<P> {
     dropped: u64,
     duplicated: u64,
     telemetry: Telemetry,
-    /// Declared machine-pair links (unordered pairs). Empty means "no
-    /// accounting": any machine may talk to any other (full mesh). Once
-    /// links are declared, only declared pairs may exchange traffic, and
-    /// sharded runs derive per-shard-pair lookahead from them.
-    links: Vec<(MachineId, MachineId)>,
     /// Windowed delivery state; `None` in (default) immediate mode.
-    windowed: Option<Windowed<P>>,
-    /// Per-queue NIC lanes (split-dataplane mode); `None` normally.
-    lanes: Option<Lanes>,
+    windowed: Option<Windowed>,
 }
 
 /// State of windowed delivery mode (split send: the transmit half runs at
 /// send time, the receive half when the horizon passes the departure).
-#[derive(Clone)]
-struct Windowed<P> {
-    /// Horizon quantum in nanoseconds (= link propagation, the lookahead).
+struct Windowed {
+    /// Horizon quantum in nanoseconds (= link propagation).
     window_ns: u64,
     /// All flights departing strictly before this instant are resolved.
     horizon: SimTime,
-    /// Present when this fabric endpoint is one shard of a sharded run.
-    routes: Option<ShardRoutes>,
-    /// Flights addressed to machines owned by other shards, awaiting the
-    /// next window-boundary exchange.
-    outbound: Vec<(usize, Flight<P>)>,
 }
 
 /// Pops a machine's next unresolved flight if it departed before
@@ -417,9 +302,7 @@ impl<P> Fabric<P> {
             dropped: 0,
             duplicated: 0,
             telemetry: Telemetry::disabled(),
-            links: Vec::new(),
             windowed: None,
-            lanes: None,
         }
     }
 
@@ -431,21 +314,21 @@ impl<P> Fabric<P> {
     /// instead of the exact arrival. The receive half — downlink
     /// contention, receiver stack latency, fault outcome — resolves lazily
     /// when [`observe`](Self::observe) raises the delivery horizon past the
-    /// departure instant, and always in [`Flight`] order, making delivery
-    /// timing independent of the order in which sends from different
-    /// machines interleave. This is the delivery model shared by the
-    /// single-shard and sharded testbeds, and the reason their outputs are
-    /// byte-identical.
+    /// departure instant, and always in flight order (`(departed, src,
+    /// tx_seq)`), making delivery timing independent of the order in which
+    /// sends from different machines interleave. This is the testbeds'
+    /// delivery model.
     ///
     /// Must be called before any traffic. Irreversible.
     ///
     /// # Panics
     ///
-    /// Panics if the link has zero propagation delay (no lookahead).
+    /// Panics if the link has zero propagation delay (the horizon grid
+    /// would have no step).
     pub fn enable_windowed(&mut self) {
         assert!(
             self.link.propagation.as_nanos() > 0,
-            "windowed delivery needs nonzero propagation (lookahead)"
+            "windowed delivery needs nonzero propagation"
         );
         if self.windowed.is_some() {
             return;
@@ -453,146 +336,7 @@ impl<P> Fabric<P> {
         self.windowed = Some(Windowed {
             window_ns: self.link.propagation.as_nanos(),
             horizon: SimTime::ZERO,
-            routes: None,
-            outbound: Vec::new(),
         });
-    }
-
-    /// Whether windowed delivery is enabled.
-    pub fn is_windowed(&self) -> bool {
-        self.windowed.is_some()
-    }
-
-    /// Switches `machine`'s NIC to per-queue lanes (split-dataplane mode):
-    /// every receive queue gets its own tx/rx busy chains, jitter RNG
-    /// stream, and transmit counter, so each dataplane thread's traffic
-    /// touches only its own lane and the machine's threads can be placed
-    /// on different shards. Queue-aware sends go through
-    /// [`send_from`](Self::send_from); arrivals resolve against the lane
-    /// of their destination queue.
-    ///
-    /// Lane RNG streams derive from the machine and queue ids, so lane
-    /// timing is a pure function of the flight set — identical at any
-    /// shard count. Must be called before any traffic on `machine`, after
-    /// all its queues exist, and with windowed delivery enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is off or a fault hook is installed
-    /// (per-message hooks observe global send order).
-    pub fn enable_lanes(&mut self, machine: MachineId) {
-        assert!(self.windowed.is_some(), "lanes require windowed delivery");
-        assert!(
-            self.fault_hook.is_none(),
-            "lanes are incompatible with fault injection"
-        );
-        let queues = self.queues[machine.0 as usize].len();
-        let lanes = (0..queues)
-            .map(|q| Lane {
-                tx_busy: SimTime::ZERO,
-                rx_busy: SimTime::ZERO,
-                rng: SimRng::seed(
-                    self.nic_seed ^ (0x9e37_79b9 * (machine.0 as u64 + 1)) ^ ((q as u64 + 1) << 32),
-                ),
-                tx_seq: 0,
-            })
-            .collect();
-        self.lanes = Some(Lanes { machine, lanes });
-    }
-
-    /// Whether `machine`'s NIC runs per-queue lanes.
-    pub fn has_lanes(&self, machine: MachineId) -> bool {
-        matches!(&self.lanes, Some(l) if l.machine == machine)
-    }
-
-    /// Whether a fault-injection hook is installed.
-    pub fn has_fault_hook(&self) -> bool {
-        self.fault_hook.is_some()
-    }
-
-    /// The conservative lookahead of this fabric: no message can cross it
-    /// in less than the one-way propagation delay. Sharded runs use this as
-    /// the synchronization window.
-    pub fn lookahead(&self) -> SimDuration {
-        self.link.propagation
-    }
-
-    /// Declares that machines `a` and `b` exchange traffic (both ways).
-    /// Idempotent. Until the first declaration the fabric assumes a full
-    /// mesh; once any link is declared, sends between undeclared pairs are
-    /// rejected in debug builds, and sharded runs compute per-shard-pair
-    /// lookahead from the declared set (see
-    /// [`shard_topology`](Self::shard_topology)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` (loopback is not modelled) or either machine is
-    /// unknown.
-    pub fn declare_link(&mut self, a: MachineId, b: MachineId) {
-        assert_ne!(a, b, "loopback is not modelled");
-        assert!(
-            (a.0 as usize) < self.nics.len() && (b.0 as usize) < self.nics.len(),
-            "declare_link on unknown machine"
-        );
-        let pair = (a.min(b), a.max(b));
-        if !self.links.contains(&pair) {
-            self.links.push(pair);
-        }
-    }
-
-    /// Whether any machine-pair links have been declared.
-    pub fn has_declared_links(&self) -> bool {
-        !self.links.is_empty()
-    }
-
-    /// Whether `a` and `b` may exchange traffic (always true until links
-    /// are declared).
-    fn pair_linked(&self, a: MachineId, b: MachineId) -> bool {
-        self.links.is_empty() || self.links.contains(&(a.min(b), a.max(b)))
-    }
-
-    /// Per-shard-pair lookahead computed from the links actually crossing
-    /// each shard boundary: entry `(i, j)` is the minimum propagation among
-    /// declared links between a machine in shard `i` and one in shard `j`
-    /// (`None` when no link crosses that boundary, so `i` can never send
-    /// flights to `j`). Without declared links every distinct pair is
-    /// assumed linked — the conservative full mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_of` does not cover every machine.
-    pub fn shard_topology(&self, shard_of: &[usize], shards: usize) -> reflex_sim::ShardTopology {
-        assert_eq!(
-            shard_of.len(),
-            self.nics.len(),
-            "shard map must cover all machines"
-        );
-        let mut pair: Vec<Vec<Option<SimDuration>>> = vec![vec![None; shards]; shards];
-        if self.links.is_empty() {
-            for (i, row) in pair.iter_mut().enumerate() {
-                for (j, slot) in row.iter_mut().enumerate() {
-                    if i != j {
-                        *slot = Some(self.link.propagation);
-                    }
-                }
-            }
-        } else {
-            for &(a, b) in &self.links {
-                let (sa, sb) = (shard_of[a.0 as usize], shard_of[b.0 as usize]);
-                if sa == sb {
-                    continue;
-                }
-                // All links share the fabric's propagation today; the min
-                // keeps this correct if per-link delays ever diverge.
-                for (x, y) in [(sa, sb), (sb, sa)] {
-                    pair[x][y] = Some(match pair[x][y] {
-                        Some(cur) => cur.min(self.link.propagation),
-                        None => self.link.propagation,
-                    });
-                }
-            }
-        }
-        reflex_sim::ShardTopology::from_pair_matrix(pair)
     }
 
     /// Installs a telemetry handle. Wire-time spans are recorded per
@@ -657,9 +401,8 @@ impl<P> Fabric<P> {
         self.queues[machine.0 as usize].len() as u32
     }
 
-    /// Messages currently held by the fabric: sent (or accepted from
-    /// another shard) and not yet polled, dropped or handed to another
-    /// shard's exchange.
+    /// Messages currently held by the fabric: sent and not yet polled or
+    /// dropped.
     pub fn in_flight(&self) -> usize {
         self.msgs.len()
     }
@@ -688,9 +431,8 @@ impl<P> Fabric<P> {
         (nic.tx_bytes, nic.rx_bytes)
     }
 
-    /// How many messages this fabric endpoint has queued toward `m` so
-    /// far: sent to it here, accepted for it from another shard, or
-    /// requeued onto one of its queues. While the count stands still,
+    /// How many messages the fabric has queued toward `m` so far: sent to
+    /// it, or requeued onto one of its queues. While the count stands still,
     /// [`next_arrival_queue`](Self::next_arrival_queue) of `m`'s queues
     /// can only have moved later, so a receiver that already armed a wake
     /// has nothing new to arm.
@@ -730,79 +472,6 @@ impl<P> Fabric<P> {
             payload,
             Stage::Egress,
         )
-    }
-
-    /// Like [`send`](Self::send) but names the *sending* queue: when
-    /// `from` runs per-queue lanes (see [`enable_lanes`](Self::enable_lanes))
-    /// the transmit half uses `from_queue`'s lane — its own busy chain,
-    /// jitter RNG, and (queue-namespaced) transmit counter — instead of the
-    /// machine-wide NIC state. Falls back to [`send`](Self::send) exactly
-    /// when lanes are not active on `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` or either machine id is unknown.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_from(
-        &mut self,
-        now: SimTime,
-        from: MachineId,
-        from_queue: NicQueueId,
-        to: MachineId,
-        conn: ConnId,
-        size: u32,
-        payload: P,
-    ) -> SimTime
-    where
-        P: Clone,
-    {
-        if !self.has_lanes(from) {
-            return self.send(now, from, to, conn, size, payload);
-        }
-        assert_ne!(from, to, "loopback is not modelled");
-        debug_assert!(
-            self.pair_linked(from, to),
-            "send on undeclared link {from:?} -> {to:?}"
-        );
-        debug_assert!(
-            self.fault_hook.is_none(),
-            "lanes are incompatible with fault injection"
-        );
-        let overhead = self.nics[from.0 as usize].stack.transport.frame_overhead();
-        let bytes = wire_bytes_with(size as usize, overhead);
-        let ser = self.link.serialization(bytes);
-
-        // Transmit half against the lane, not the machine NIC.
-        let stack = &self.nics[from.0 as usize].stack;
-        let lanes = self.lanes.as_mut().expect("checked has_lanes");
-        let lane = &mut lanes.lanes[from_queue.0 as usize];
-        let tx_stack = stack.sample_tx(&mut lane.rng);
-        let depart_start = (now + tx_stack).max(lane.tx_busy);
-        let departed = depart_start + ser;
-        lane.tx_busy = departed;
-        // Namespace the transmit counter by queue so flight keys from
-        // different lanes of one machine can never collide.
-        let tx_seq = ((from_queue.0 as u64 + 1) << 48) | lane.tx_seq;
-        lane.tx_seq += 1;
-        self.nics[from.0 as usize].tx_bytes += size as u64;
-
-        let bound = departed + self.link.propagation;
-        self.launch(Flight {
-            departed,
-            src: from,
-            tx_seq,
-            to,
-            queue: NicQueueId(0),
-            conn,
-            size,
-            ser,
-            sent_at: now,
-            bound,
-            stage: Stage::Egress,
-            fault: NetFaultAction::Deliver,
-            payload,
-        });
-        bound
     }
 
     /// Replaces `machine`'s network stack profile. Used by fault injection
@@ -860,11 +529,6 @@ impl<P> Fabric<P> {
         P: Clone,
     {
         assert_ne!(from, to, "loopback is not modelled");
-        debug_assert!(
-            self.pair_linked(from, to),
-            "send on undeclared link {from:?} -> {to:?}: declare_link it, \
-             or the sharded lookahead accounting is unsound"
-        );
         // The flow's transport is the sender's (both ends of a connection
         // speak the same protocol).
         let overhead = self.nics[from.0 as usize].stack.transport.frame_overhead();
@@ -890,23 +554,18 @@ impl<P> Fabric<P> {
                 Some(hook) => hook.on_send(now, from, to, size),
                 None => NetFaultAction::Deliver,
             };
-            let bound = departed + self.link.propagation;
-            self.launch(Flight {
-                departed,
+            let body = Msg {
                 src: from,
-                tx_seq,
-                to,
-                queue,
                 conn,
                 size,
                 ser,
                 sent_at: now,
-                bound,
                 stage,
                 fault,
                 payload,
-            });
-            return bound;
+            };
+            self.admit(to, queue, departed, tx_seq, body);
+            return departed + self.link.propagation;
         }
 
         // Receiver: downlink capacity, then stack latency to the app.
@@ -960,47 +619,24 @@ impl<P> Fabric<P> {
         arrived_at
     }
 
-    /// Hands a departed flight to the shard owning its destination queue:
-    /// this fabric's own slab and pending index, or the outbound buffer
-    /// for the exchange.
-    fn launch(&mut self, flight: Flight<P>) {
-        let w = self
-            .windowed
-            .as_mut()
-            .expect("flights exist in windowed mode");
-        if let Some(r) = &w.routes {
-            let dest = r.dest_shard(flight.to, flight.queue);
-            if dest != r.own {
-                w.outbound.push((dest, flight));
-                return;
-            }
-        }
-        self.admit(flight);
-    }
-
-    /// Stores a flight's body and queues it for horizon resolution.
-    fn admit(&mut self, f: Flight<P>) {
-        debug_assert_eq!(
-            f.bound,
-            f.departed + self.link.propagation,
-            "a flight's bound is its departure plus this fabric's propagation"
-        );
-        let msg = self.msgs.insert(Msg {
-            src: f.src,
-            conn: f.conn,
-            size: f.size,
-            ser: f.ser,
-            sent_at: f.sent_at,
-            stage: f.stage,
-            fault: f.fault,
-            payload: f.payload,
-        });
-        let (m, q) = (f.to.0 as usize, f.queue.0 as usize);
+    /// Stores a departed flight's body and queues it for horizon
+    /// resolution.
+    fn admit(
+        &mut self,
+        to: MachineId,
+        queue: NicQueueId,
+        departed: SimTime,
+        tx_seq: u64,
+        body: Msg<P>,
+    ) {
+        let src = body.src;
+        let msg = self.msgs.insert(body);
+        let (m, q) = (to.0 as usize, queue.0 as usize);
         self.nics[m].inbound += 1;
         self.queues[m][q].pending.push(Reverse(PendingEntry {
-            departed: f.departed,
-            tx_seq: f.tx_seq,
-            src: f.src,
+            departed,
+            tx_seq,
+            src,
             msg,
         }));
         self.unresolved[m] += 1;
@@ -1032,13 +668,12 @@ impl<P> Fabric<P> {
     /// strictly before it (windowed mode only; a no-op otherwise).
     ///
     /// Callers invoke this at the start of every event that touches the
-    /// fabric, passing the event's scheduled instant. Rounding down to the
-    /// window grid is what keeps single-shard and sharded runs identical: a
-    /// sharded receiver provably holds every flight departing before the
-    /// current window boundary (they were exchanged at the boundary
-    /// barrier), but may not yet know of flights departing after it — so
-    /// the single-shard fabric must not resolve those either, even though
-    /// it already holds them.
+    /// fabric, passing the event's scheduled instant. The horizon sits on
+    /// the propagation grid: until it passes a flight's departure,
+    /// [`next_arrival_queue`](Self::next_arrival_queue) reports the flight
+    /// by its bound, not its arrival, so the grid decides the instants
+    /// receivers arm their wakes at — it is part of the model the
+    /// committed figures were generated with.
     #[inline]
     pub fn observe(&mut self, now: SimTime)
     where
@@ -1088,27 +723,12 @@ impl<P> Fabric<P> {
         let body = self.msgs.get(f.msg).expect("pending entry owns its slot");
         let (size, ser, sent_at, stage, fault) =
             (body.size, body.ser, body.sent_at, body.stage, body.fault);
-        // A lane machine receives against the destination queue's lane
-        // (its own rx chain and RNG stream), so per-queue arrival timing
-        // is independent of which shard resolves the other queues.
-        let (rx_done, rx_stack) = match &mut self.lanes {
-            Some(lanes) if lanes.machine.0 as usize == to => {
-                let lane = &mut lanes.lanes[queue];
-                let rx_done = bound.max(lane.rx_busy) + ser;
-                lane.rx_busy = rx_done;
-                let rx_stack = self.nics[to].stack.sample_rx(&mut lane.rng);
-                (rx_done, rx_stack)
-            }
-            _ => {
-                let dst = &mut self.nics[to];
-                let rx_done = bound.max(dst.rx_busy) + ser;
-                dst.rx_busy = rx_done;
-                let rx_stack = dst.stack.sample_rx(&mut dst.rng);
-                (rx_done, rx_stack)
-            }
-        };
+        let dst = &mut self.nics[to];
+        let rx_done = bound.max(dst.rx_busy) + ser;
+        dst.rx_busy = rx_done;
+        let rx_stack = dst.stack.sample_rx(&mut dst.rng);
         let mut arrived_at = rx_done + rx_stack;
-        self.nics[to].rx_bytes += size as u64;
+        dst.rx_bytes += size as u64;
 
         match fault {
             NetFaultAction::Deliver => {}
@@ -1135,117 +755,6 @@ impl<P> Fabric<P> {
         );
         let twice = fault == NetFaultAction::Duplicate;
         self.enqueue_rx(to, queue, f.msg, arrived_at, twice);
-    }
-
-    /// Moves all flights addressed to other shards into `sink` as
-    /// `(destination shard, flight)` pairs. Called at window boundaries by
-    /// the sharded runner. Empty unless shard routes are installed.
-    pub fn take_outbound(&mut self, sink: &mut Vec<(usize, Flight<P>)>) {
-        if let Some(w) = self.windowed.as_mut() {
-            sink.append(&mut w.outbound);
-        }
-    }
-
-    /// Accepts a flight exchanged from another shard, queueing it for
-    /// horizon resolution on this endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is not enabled.
-    pub fn accept_flight(&mut self, flight: Flight<P>) {
-        assert!(
-            self.windowed.is_some(),
-            "accept_flight requires windowed mode"
-        );
-        self.admit(flight);
-    }
-
-    /// Clones this fabric into the endpoint for one shard of a sharded
-    /// run: same machines, NIC state, and RNG streams, but sends to
-    /// machines owned by other shards are diverted to the outbound buffer
-    /// for exchange instead of the local pending heap.
-    ///
-    /// Each shard must only drive the machines assigned to it; the clone
-    /// carries the full NIC table (ids stay global) but only the local
-    /// machines' state ever advances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if windowed mode is not enabled, a fault hook is installed
-    /// (per-message hooks observe global send order, which sharding does
-    /// not preserve), or `shard_of` does not cover every machine.
-    pub fn split_for_shard(&self, shard_of: &[usize], own: usize) -> Fabric<P>
-    where
-        P: Clone,
-    {
-        self.split_for_shard_with_queues(shard_of, own, None)
-    }
-
-    /// [`split_for_shard`](Self::split_for_shard) with queue-granular
-    /// routing for a lane machine (split-dataplane mode):
-    /// `queue_shards = Some((machine, map))` routes flights addressed to
-    /// `machine` to the shard owning their destination queue's thread
-    /// instead of a single machine-owning shard.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`split_for_shard`](Self::split_for_shard), plus if the
-    /// queue map does not cover every queue of the lane machine.
-    pub fn split_for_shard_with_queues(
-        &self,
-        shard_of: &[usize],
-        own: usize,
-        queue_shards: Option<(MachineId, Vec<usize>)>,
-    ) -> Fabric<P>
-    where
-        P: Clone,
-    {
-        assert!(self.windowed.is_some(), "sharding requires windowed mode");
-        assert!(
-            self.fault_hook.is_none(),
-            "fault injection is incompatible with sharded execution"
-        );
-        assert_eq!(
-            shard_of.len(),
-            self.nics.len(),
-            "shard map must cover all machines"
-        );
-        if let Some((m, qs)) = &queue_shards {
-            assert!(
-                self.has_lanes(*m),
-                "queue-granular routing requires lanes on the split machine"
-            );
-            assert_eq!(
-                qs.len(),
-                self.queues[m.0 as usize].len(),
-                "queue shard map must cover every queue"
-            );
-        }
-        let mut windowed = self.windowed.clone();
-        if let Some(w) = windowed.as_mut() {
-            w.routes = Some(ShardRoutes {
-                own,
-                shard_of: shard_of.to_vec(),
-                queue_shards,
-            });
-        }
-        Fabric {
-            link: self.link,
-            nic_seed: self.nic_seed,
-            nics: self.nics.clone(),
-            queues: self.queues.clone(),
-            unresolved: self.unresolved.clone(),
-            msgs: self.msgs.clone(),
-            seq: self.seq,
-            next_conn: self.next_conn,
-            fault_hook: None,
-            dropped: self.dropped,
-            duplicated: self.duplicated,
-            telemetry: self.telemetry.clone(),
-            links: self.links.clone(),
-            windowed,
-            lanes: self.lanes.clone(),
-        }
     }
 
     /// Re-enqueues a polled delivery onto another queue of the same
@@ -1358,12 +867,8 @@ impl<P> Fabric<P> {
     /// deep the queue's backlog of unresolved flights.
     #[inline]
     pub fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        // Per-queue, not machine-level: a sharded server only learns about
-        // a remote shard's in-flight messages at the window exchange, at
-        // which point the destination thread's wake is armed per flight.
-        // Reporting another queue's pending flight here would let the
-        // single-shard run arm sibling wakes a sharded run cannot know
-        // about yet, breaking shards=1 ≡ shards=N.
+        // Per-queue, not machine-level: a thread wakes for its own
+        // queue's flights only.
         self.queues[machine.0 as usize][queue.0 as usize].next_arrival(self.link.propagation)
     }
 
@@ -1459,74 +964,6 @@ mod tests {
             assert!(w[0].arrived_at <= w[1].arrived_at);
         }
         assert!(f.next_arrival(b).is_none());
-    }
-
-    #[test]
-    fn lane_split_matches_unsplit_fabric() {
-        // A two-queue lane machine split queue-granularly across two
-        // shards must deliver identically to the unsplit lane fabric.
-        let build = || {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(11));
-            let client = f.add_machine(StackProfile::linux_tcp());
-            let server = f.add_machine(StackProfile::dataplane_raw());
-            let q1 = f.add_queue(server);
-            assert_eq!(q1, NicQueueId(1));
-            f.enable_windowed();
-            f.enable_lanes(server);
-            (f, client, server)
-        };
-        let (mut whole, client, server) = build();
-        let (base, _, _) = build();
-        // Client + queue 0's thread on shard 0, queue 1's thread on shard 1.
-        let shard_of = vec![0usize, 0];
-        let queue_shards = Some((server, vec![0usize, 1]));
-        let mut s0 = base.split_for_shard_with_queues(&shard_of, 0, queue_shards.clone());
-        let mut s1 = base.split_for_shard_with_queues(&shard_of, 1, queue_shards);
-        let conn = whole.new_conn();
-
-        for i in 0..50u64 {
-            let t = SimTime::from_nanos(i * 137);
-            let q = NicQueueId((i % 2) as u32);
-            whole.send_to_queue(t, client, server, q, conn, 1024, i as u32);
-            // The client machine lives on shard 0; its NIC state advances
-            // there and queue-1 flights travel to shard 1.
-            s0.send_to_queue(t, client, server, q, conn, 1024, i as u32);
-            // Server responses from each queue's lane.
-            whole.send_from(t, server, q, client, conn, 64, 1_000 + i as u32);
-            if q == NicQueueId(0) {
-                s0.send_from(t, server, q, client, conn, 64, 1_000 + i as u32);
-            } else {
-                s1.send_from(t, server, q, client, conn, 64, 1_000 + i as u32);
-            }
-        }
-        // Exchange outbound flights, then raise every horizon.
-        let mut sink = Vec::new();
-        s0.take_outbound(&mut sink);
-        s1.take_outbound(&mut sink);
-        for (shard, flight) in sink {
-            match shard {
-                0 => s0.accept_flight(flight),
-                _ => s1.accept_flight(flight),
-            }
-        }
-        let late = SimTime::from_millis(1);
-        whole.observe(late);
-        s0.observe(late);
-        s1.observe(late);
-
-        let w0 = whole.poll_queue(late, server, NicQueueId(0), usize::MAX);
-        let w1 = whole.poll_queue(late, server, NicQueueId(1), usize::MAX);
-        let p0 = s0.poll_queue(late, server, NicQueueId(0), usize::MAX);
-        let p1 = s1.poll_queue(late, server, NicQueueId(1), usize::MAX);
-        assert_eq!(w0.len(), 25);
-        assert_eq!(w1.len(), 25);
-        assert_eq!(w0, p0, "queue 0 deliveries diverged");
-        assert_eq!(w1, p1, "queue 1 deliveries diverged");
-        // Client-bound responses from both lanes land on shard 0.
-        let wc = whole.poll(late, client, usize::MAX);
-        let pc = s0.poll(late, client, usize::MAX);
-        assert_eq!(wc, pc, "client deliveries diverged");
-        assert_eq!(wc.len(), 50);
     }
 
     #[test]
@@ -1708,51 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn split_exchange_matches_unsplit_windowed() {
-        // A 3-machine world split into two shards must produce exactly the
-        // deliveries of the unsplit windowed fabric once flights are
-        // exchanged.
-        let mk = || {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(11));
-            let a = f.add_machine(StackProfile::ix_tcp());
-            let b = f.add_machine(StackProfile::ix_tcp());
-            let srv = f.add_machine(StackProfile::dataplane_raw());
-            f.enable_windowed();
-            (f, a, b, srv)
-        };
-        let (mut mono, a, b, srv) = mk();
-        let (whole, _, _, _) = mk();
-        // Shard 0 owns the server, shard 1 owns both clients.
-        let shard_of = vec![1, 1, 0];
-        let mut f0 = whole.split_for_shard(&shard_of, 0);
-        let mut f1 = whole.split_for_shard(&shard_of, 1);
-        let conn = mono.new_conn();
-        for i in 0..50u64 {
-            let t = SimTime::from_micros(i * 30);
-            let from = if i % 2 == 0 { a } else { b };
-            mono.send(t, from, srv, conn, 2048, i as u32);
-            f1.send(t, from, srv, conn, 2048, i as u32);
-        }
-        // Window-boundary exchange: client shard -> server shard.
-        let mut sink = Vec::new();
-        f1.take_outbound(&mut sink);
-        assert_eq!(sink.len(), 50);
-        for (dst_shard, flight) in sink {
-            assert_eq!(dst_shard, 0);
-            f0.accept_flight(flight);
-        }
-        let end = SimTime::from_secs(1);
-        mono.observe(end);
-        f0.observe(end);
-        let want = mono.poll(end, srv, usize::MAX);
-        let got = f0.poll(end, srv, usize::MAX);
-        assert_eq!(want.len(), 50);
-        let wv: Vec<(u32, SimTime)> = want.iter().map(|d| (d.payload, d.arrived_at)).collect();
-        let gv: Vec<(u32, SimTime)> = got.iter().map(|d| (d.payload, d.arrived_at)).collect();
-        assert_eq!(wv, gv);
-    }
-
-    #[test]
     fn windowed_fault_actions_apply_at_resolution() {
         let (mut f, a, b) = windowed_fabric();
         f.set_fault_hook(Box::new(ScriptedNetHook {
@@ -1775,65 +1167,6 @@ mod tests {
             .collect();
         assert_eq!(payloads, vec![1, 1, 2]);
         assert_eq!(f.fault_counts(), (1, 1));
-    }
-
-    #[test]
-    fn shard_topology_reflects_declared_links() {
-        // 5 machines: clients 0-3, server 4; hub links only.
-        let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(13));
-        for _ in 0..5 {
-            f.add_machine(StackProfile::ix_tcp());
-        }
-        let srv = MachineId(4);
-        for c in 0..4 {
-            f.declare_link(MachineId(c), srv);
-            f.declare_link(MachineId(c), srv); // idempotent
-        }
-        // Shard 0 owns the server; clients split over shards 1 and 2.
-        let shard_of = vec![1, 2, 1, 2, 0];
-        let topo = f.shard_topology(&shard_of, 3);
-        let prop = f.link().propagation;
-        // Hub pairs are linked both ways; client shards are mutually
-        // unlinked, so neither can ever constrain the other.
-        for s in [1, 2] {
-            assert_eq!(topo.pair_lookahead(0, s), Some(prop));
-            assert_eq!(topo.pair_lookahead(s, 0), Some(prop));
-        }
-        assert_eq!(topo.pair_lookahead(1, 2), None);
-        assert_eq!(topo.pair_lookahead(2, 1), None);
-        assert_eq!(topo.pair_lookahead(0, 0), None);
-    }
-
-    #[test]
-    fn shard_topology_without_links_is_full_mesh() {
-        let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(13));
-        for _ in 0..3 {
-            f.add_machine(StackProfile::ix_tcp());
-        }
-        let topo = f.shard_topology(&[0, 1, 1], 2);
-        assert_eq!(topo.pair_lookahead(0, 1), Some(f.link().propagation));
-        assert_eq!(topo.pair_lookahead(1, 0), Some(f.link().propagation));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "undeclared link")]
-    fn send_on_undeclared_pair_panics_in_debug() {
-        let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(13));
-        let a = f.add_machine(StackProfile::ix_tcp());
-        let b = f.add_machine(StackProfile::ix_tcp());
-        let c = f.add_machine(StackProfile::dataplane_raw());
-        f.declare_link(a, c);
-        let conn = f.new_conn();
-        f.send(SimTime::ZERO, a, b, conn, 64, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible")]
-    fn split_rejects_fault_hook() {
-        let (mut f, _a, _b) = windowed_fabric();
-        f.set_fault_hook(Box::new(ScriptedNetHook { actions: vec![] }));
-        let _ = f.split_for_shard(&[0, 1], 0);
     }
 
     /// Drains one machine's unresolved flights through the merge
@@ -1897,11 +1230,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Satellite: arbitrary interleavings of cross-shard sends always
-        /// drain in (timestamp, source machine, per-source sequence) order
-        /// — the deterministic merge order of the window exchange.
+        /// Flights admitted in an arbitrary order always drain in
+        /// (departure, source machine, per-source sequence) order.
         #[test]
-        fn mailbox_drains_in_flight_order(
+        fn pending_drains_in_flight_order(
             raw in proptest::prop::collection::vec((0u64..1_000_000, 0u32..4, 0u64..64, 0u32..3), 1..80),
             shuffle in proptest::prop::collection::vec(proptest::strategy::any::<u64>(), 80..81),
         ) {
@@ -1913,34 +1245,26 @@ mod tests {
             let dst = MachineId(4);
             f.add_queue(dst);
             f.add_queue(dst);
-            // Build flights from arbitrary (time, shard/source, seq)
-            // triples, then accept them in an arbitrary interleaving.
-            let mut flights: Vec<Flight<u32>> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(t, src, seq, queue))| Flight {
-                    departed: SimTime::from_nanos(t),
-                    src: MachineId(src),
-                    tx_seq: seq,
-                    to: dst,
-                    queue: NicQueueId(queue),
-                    conn: ConnId(0),
-                    size: 64,
-                    ser: SimDuration::from_nanos(50),
-                    sent_at: SimTime::from_nanos(t),
-                    bound: SimTime::from_nanos(t + 1_000),
-                    stage: Stage::Fabric,
-                    fault: NetFaultAction::Deliver,
-                    payload: i as u32,
-                })
-                .collect();
+            // Arbitrary (departure, source, seq, queue) keys, admitted in
+            // an arbitrary interleaving.
+            let mut flights = raw.clone();
             // Permute by repeatedly swapping with arbitrary indices.
             for (i, &r) in shuffle.iter().enumerate().take(flights.len()) {
                 let j = (r % flights.len() as u64) as usize;
                 flights.swap(i, j);
             }
-            for fl in flights {
-                f.accept_flight(fl);
+            for (i, (t, src, seq, queue)) in flights.into_iter().enumerate() {
+                let body = Msg {
+                    src: MachineId(src),
+                    conn: ConnId(0),
+                    size: 64,
+                    ser: SimDuration::from_nanos(50),
+                    sent_at: SimTime::from_nanos(t),
+                    stage: Stage::Fabric,
+                    fault: NetFaultAction::Deliver,
+                    payload: i as u32,
+                };
+                f.admit(dst, NicQueueId(queue), SimTime::from_nanos(t), seq, body);
             }
             let drained = drain_pending(&mut f, dst);
             let mut sorted = drained.clone();
@@ -2020,69 +1344,6 @@ mod tests {
                 first[0].arrived_at + SimDuration::from_nanos(500)
             );
         }
-    }
-
-    #[test]
-    fn exchange_carries_bodies_intact() {
-        // Every field a receiver sees must survive `take_outbound` →
-        // `accept_flight`, and a split taken mid-traffic must carry the
-        // messages its parent already holds.
-        let mk = || {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(17));
-            let a = f.add_machine(StackProfile::ix_tcp());
-            let srv = f.add_machine(StackProfile::dataplane_raw());
-            let q1 = f.add_queue(srv);
-            f.enable_windowed();
-            (f, a, srv, q1)
-        };
-        let (mut whole, a, srv, q1) = mk();
-        let c0 = whole.new_conn();
-        let c1 = whole.new_conn();
-        let script = [
-            (c0, NicQueueId(0), 0u32, 7u32),
-            (c1, q1, 4096, 8),
-            (c0, q1, 512, 9),
-        ];
-        let send_all = |f: &mut Fabric<u32>, from_us: u64| {
-            for (i, &(conn, queue, size, payload)) in script.iter().enumerate() {
-                let t = SimTime::from_micros(from_us + i as u64);
-                f.send_to_queue(t, a, srv, queue, conn, size, payload);
-            }
-        };
-        // Three messages held by the parent when the split is taken...
-        send_all(&mut whole, 0);
-        let shard_of = vec![1, 0];
-        let mut server_side = whole.split_for_shard(&shard_of, 0);
-        let mut client_side = whole.split_for_shard(&shard_of, 1);
-        assert_eq!(server_side.in_flight(), 3, "the split carries held bodies");
-        // ...and three more that cross the exchange.
-        send_all(&mut whole, 10);
-        send_all(&mut client_side, 10);
-        assert_eq!(client_side.in_flight(), 3, "outbound flights are not held");
-        let mut sink = Vec::new();
-        client_side.take_outbound(&mut sink);
-        assert_eq!(sink.len(), 3);
-        for (shard, flight) in sink {
-            assert_eq!(shard, 0);
-            server_side.accept_flight(flight);
-        }
-        let end = SimTime::from_secs(1);
-        whole.observe(end);
-        server_side.observe(end);
-        for queue in [NicQueueId(0), q1] {
-            let want = whole.poll_queue(end, srv, queue, usize::MAX);
-            let got = server_side.poll_queue(end, srv, queue, usize::MAX);
-            assert_eq!(want, got, "queue {queue:?}");
-            assert!(!want.is_empty());
-            for d in &want {
-                let (conn, _, size, _) = *script
-                    .iter()
-                    .find(|s| s.3 == d.payload)
-                    .expect("a scripted payload");
-                assert_eq!((d.from, d.conn, d.size), (a, conn, size));
-            }
-        }
-        assert_eq!(server_side.in_flight(), 0);
     }
 
     #[test]

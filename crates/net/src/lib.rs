@@ -22,8 +22,7 @@ mod wire;
 
 pub use conn_table::ConnTable;
 pub use fabric::{
-    ConnId, Delivery, Fabric, Flight, LinkConfig, MachineId, NetFaultAction, NetFaultHook,
-    NicQueueId,
+    ConnId, Delivery, Fabric, LinkConfig, MachineId, NetFaultAction, NetFaultHook, NicQueueId,
 };
 pub use stack::{StackProfile, Transport};
 pub use wire::{

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use reflex_net::{
-    wire_bytes, Delivery, Fabric, Flight, LinkConfig, MachineId, NetFaultAction, NetFaultHook,
+    wire_bytes, ConnId, Delivery, Fabric, LinkConfig, MachineId, NetFaultAction, NetFaultHook,
     NicQueueId, Opcode, ReflexHeader, StackProfile, WireError, HEADER_SIZE,
 };
 use reflex_sim::{SimDuration, SimRng, SimTime};
@@ -17,7 +17,7 @@ fn arb_opcode(raw: u8) -> Opcode {
 }
 
 /// Fault verdicts as a pure function of the message, so the hook gives
-/// the same answer on whichever fabric endpoint consults it.
+/// the same answer on whichever fabric consults it.
 struct SizeKeyedFaults;
 
 impl NetFaultHook for SizeKeyedFaults {
@@ -35,133 +35,134 @@ const CLIENTS: u32 = 3;
 const QUEUES: u32 = 3;
 const SERVER: MachineId = MachineId(CLIENTS);
 
-/// Naive reference for the windowed fabric's in-flight set. Every machine
-/// (with lanes: every server queue) is its own shard endpoint, so each
-/// flight leaves its sender through `take_outbound` and waits in a flat
-/// per-destination-machine list here, never in a fabric. Before a horizon
-/// passes a flight's departure the oracle hands it to the destination
-/// endpoint, one window at a time, so endpoints only ever compute
-/// transmit and receive timing; what is in flight, and each queue's
-/// earliest bound, is answered from the lists by linear scan.
+/// Naive reference for the windowed fabric's per-queue in-flight index.
+/// A second fabric whose machines all have a single receive queue only
+/// computes transmit and receive timing: every flight to a machine waits
+/// in one machine-wide heap, so there is no per-queue index and no merge.
+/// Which queue a message was steered to, what is still unresolved, what
+/// has resolved and not been polled, and each queue's earliest bound are
+/// kept here in flat lists and answered by linear scan.
 struct FlatOracle {
-    endpoints: Vec<Fabric<u32>>,
-    lanes: bool,
-    in_flight: Vec<Vec<(usize, Flight<u32>)>>,
+    flat: Fabric<u32>,
+    horizon: SimTime,
+    /// Queue each message was steered to, by payload tag.
+    steered: Vec<NicQueueId>,
+    /// Unresolved flights: destination, queue, arrival bound.
+    unresolved: Vec<(MachineId, NicQueueId, SimTime)>,
+    /// Resolved, unpolled deliveries with their resolution rank.
+    resolved: Vec<(MachineId, NicQueueId, u64, Delivery<u32>)>,
+    rank: u64,
 }
 
 impl FlatOracle {
-    fn new(base: &Fabric<u32>, lanes: bool) -> Self {
-        let shard_of: Vec<usize> = (0..=CLIENTS as usize).collect();
-        let (shards, queue_shards) = if lanes {
-            let map = (0..QUEUES as usize).map(|q| CLIENTS as usize + q).collect();
-            ((CLIENTS + QUEUES) as usize, Some((SERVER, map)))
-        } else {
-            (CLIENTS as usize + 1, None)
-        };
-        let endpoints = (0..shards)
-            .map(|own| {
-                let mut e = base.split_for_shard_with_queues(&shard_of, own, queue_shards.clone());
-                if !lanes {
-                    e.set_fault_hook(Box::new(SizeKeyedFaults));
-                }
-                e
-            })
-            .collect();
+    fn new(mut flat: Fabric<u32>, tags: usize) -> Self {
+        flat.set_fault_hook(Box::new(SizeKeyedFaults));
         FlatOracle {
-            endpoints,
-            lanes,
-            in_flight: vec![Vec::new(); CLIENTS as usize + 1],
+            flat,
+            horizon: SimTime::ZERO,
+            steered: vec![NicQueueId(0); tags],
+            unresolved: Vec::new(),
+            resolved: Vec::new(),
+            rank: 0,
         }
     }
 
-    /// The endpoint that owns `queue` of `machine` (its rx side and, for
-    /// the server, the lane it transmits from).
-    fn owner(&mut self, machine: MachineId, queue: NicQueueId) -> &mut Fabric<u32> {
-        let lane = if self.lanes && machine == SERVER {
-            queue.0
-        } else {
-            0
-        };
-        &mut self.endpoints[(machine.0 + lane) as usize]
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &mut self,
+        now: SimTime,
+        from: MachineId,
+        to: MachineId,
+        queue: NicQueueId,
+        conn: ConnId,
+        size: u32,
+        tag: u32,
+    ) -> SimTime {
+        let bound = self.flat.send(now, from, to, conn, size, tag);
+        self.steered[tag as usize] = queue;
+        self.unresolved.push((to, queue, bound));
+        bound
     }
 
-    fn collect_outbound(&mut self) {
-        let mut sink = Vec::new();
-        for e in &mut self.endpoints {
-            e.take_outbound(&mut sink);
-        }
-        for (shard, flight) in sink {
-            self.in_flight[flight.to().0 as usize].push((shard, flight));
-        }
-    }
-
-    fn observe(&mut self, now: SimTime, window_ns: u64) {
-        let horizon = now.as_nanos() / window_ns * window_ns;
-        let mut due = Vec::new();
-        for list in &mut self.in_flight {
-            let (now_due, later): (Vec<_>, Vec<_>) = std::mem::take(list)
-                .into_iter()
-                .partition(|(_, f)| f.departed().as_nanos() < horizon);
-            due.extend(now_due);
-            *list = later;
-        }
-        due.sort_by_key(|(_, f)| f.departed());
-        let mut due = due.into_iter().peekable();
-        while let Some((shard, flight)) = due.next() {
-            let window_end = (flight.departed().as_nanos() / window_ns + 1) * window_ns;
-            self.endpoints[shard].accept_flight(flight);
-            if due
-                .peek()
-                .is_none_or(|(_, f)| f.departed().as_nanos() >= window_end)
-            {
-                for e in &mut self.endpoints {
-                    e.observe(SimTime::from_nanos(window_end));
-                }
+    fn observe(&mut self, now: SimTime) {
+        self.flat.observe(now);
+        let propagation = self.flat.link().propagation;
+        let window_ns = propagation.as_nanos();
+        let grid = SimTime::from_nanos(now.as_nanos() / window_ns * window_ns);
+        self.horizon = self.horizon.max(grid);
+        let horizon = self.horizon;
+        self.unresolved
+            .retain(|&(_, _, bound)| bound - propagation >= horizon);
+        // Whatever the flat fabric has resolved comes out in (arrival,
+        // resolution) order; a later batch resolved later.
+        for m in 0..=CLIENTS {
+            for d in self.flat.poll(SimTime::MAX, MachineId(m), usize::MAX) {
+                let queue = self.steered[d.payload as usize];
+                self.resolved.push((MachineId(m), queue, self.rank, d));
+                self.rank += 1;
             }
         }
-        for e in &mut self.endpoints {
-            e.observe(now);
-        }
     }
 
-    fn next_arrival_queue(&mut self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        let resolved = self
-            .owner(machine, queue)
-            .next_arrival_queue(machine, queue);
-        let pending = self.in_flight[machine.0 as usize]
+    fn poll(
+        &mut self,
+        now: SimTime,
+        machine: MachineId,
+        queue: NicQueueId,
+        max: usize,
+    ) -> Vec<Delivery<u32>> {
+        let mut due: Vec<(SimTime, u64)> = self
+            .resolved
             .iter()
-            .filter(|(_, f)| f.queue() == queue)
-            .map(|(_, f)| f.bound())
-            .min();
-        [resolved, pending].into_iter().flatten().min()
+            .filter(|(m, q, _, d)| (*m, *q) == (machine, queue) && d.arrived_at <= now)
+            .map(|(_, _, rank, d)| (d.arrived_at, *rank))
+            .collect();
+        due.sort_unstable();
+        due.truncate(max);
+        due.iter()
+            .map(|&(_, rank)| {
+                let at = self
+                    .resolved
+                    .iter()
+                    .position(|(_, _, r, _)| *r == rank)
+                    .expect("ranked above");
+                self.resolved.remove(at).3
+            })
+            .collect()
     }
 
-    fn next_arrival_any(&self) -> Option<SimTime> {
-        let resolved = self.endpoints.iter().filter_map(Fabric::next_arrival_any);
-        let pending = self.in_flight.iter().flatten().map(|(_, f)| f.bound());
+    fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
+        let resolved = self
+            .resolved
+            .iter()
+            .filter(|(m, q, _, _)| (*m, *q) == (machine, queue))
+            .map(|(_, _, _, d)| d.arrived_at);
+        let pending = self
+            .unresolved
+            .iter()
+            .filter(|(m, q, _)| (*m, *q) == (machine, queue))
+            .map(|&(_, _, bound)| bound);
         resolved.chain(pending).min()
     }
 
-    fn fault_counts(&self) -> (u64, u64) {
-        self.endpoints
-            .iter()
-            .map(Fabric::fault_counts)
-            .fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1))
+    fn next_arrival_any(&self) -> Option<SimTime> {
+        let resolved = self.resolved.iter().map(|(_, _, _, d)| d.arrived_at);
+        let pending = self.unresolved.iter().map(|&(_, _, bound)| bound);
+        resolved.chain(pending).min()
     }
 }
 
 proptest! {
     /// Differential: the windowed fabric's per-queue pending index against
     /// [`FlatOracle`] under one random schedule of steered sends, plain
-    /// sends, lane replies, observes and polls — with lanes on, or with
-    /// lanes off and Drop/Duplicate/Delay verdicts. Deliveries, send
-    /// bounds and every `next_arrival*` answer must agree after each step.
+    /// sends, replies, observes and polls, with Drop/Duplicate/Delay
+    /// verdicts. Deliveries, send bounds and every `next_arrival*` answer
+    /// must agree after each step.
     #[test]
     fn windowed_index_matches_flat_oracle(
-        lanes in any::<bool>(),
         ops in prop::collection::vec((0u8..6, 0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096), 1..120),
     ) {
-        let build = |queues_first: bool| {
+        let build = |queues: u32, queues_first: bool| {
             let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(77));
             for _ in 0..CLIENTS {
                 f.add_machine(StackProfile::ix_tcp());
@@ -173,24 +174,18 @@ proptest! {
             if !queues_first {
                 f.enable_windowed();
             }
-            for _ in 1..QUEUES {
+            for _ in 1..queues {
                 f.add_queue(SERVER);
             }
             f.enable_windowed();
-            if lanes {
-                f.enable_lanes(SERVER);
-            }
             f
         };
-        let mut sut = build(false);
-        let mut oracle = FlatOracle::new(&build(true), lanes);
-        if !lanes {
-            sut.set_fault_hook(Box::new(SizeKeyedFaults));
-        }
-        let window_ns = sut.lookahead().as_nanos();
+        let mut sut = build(QUEUES, false);
+        sut.set_fault_hook(Box::new(SizeKeyedFaults));
+        let mut oracle = FlatOracle::new(build(1, true), ops.len());
         let conn = sut.new_conn();
         let mut now = SimTime::ZERO;
-        let (mut got, mut want): (Vec<Delivery<u32>>, Vec<Delivery<u32>>) = (Vec::new(), Vec::new());
+        let mut got: Vec<Delivery<u32>> = Vec::new();
 
         for (i, &(op, dt, client, queue, size)) in ops.iter().enumerate() {
             now += SimDuration::from_nanos(dt);
@@ -198,38 +193,33 @@ proptest! {
             match op {
                 0 | 1 => {
                     let a = sut.send_to_queue(now, client, SERVER, queue, conn, size, tag);
-                    let b = oracle
-                        .owner(client, NicQueueId(0))
-                        .send_to_queue(now, client, SERVER, queue, conn, size, tag);
+                    let b = oracle.send(now, client, SERVER, queue, conn, size, tag);
                     prop_assert_eq!(a, b, "steered send bound, op {}", i);
                 }
                 2 => {
                     let a = sut.send(now, client, SERVER, conn, size, tag);
-                    let b = oracle.owner(client, NicQueueId(0)).send(now, client, SERVER, conn, size, tag);
+                    let b = oracle.send(now, client, SERVER, NicQueueId(0), conn, size, tag);
                     prop_assert_eq!(a, b, "plain send bound, op {}", i);
                 }
                 3 => {
-                    let a = sut.send_from(now, SERVER, queue, client, conn, size, tag);
-                    let b = oracle
-                        .owner(SERVER, queue)
-                        .send_from(now, SERVER, queue, client, conn, size, tag);
+                    let a = sut.send(now, SERVER, client, conn, size, tag);
+                    let b = oracle.send(now, SERVER, client, NicQueueId(0), conn, size, tag);
                     prop_assert_eq!(a, b, "reply bound, op {}", i);
                 }
                 4 => {
                     sut.observe(now);
-                    oracle.observe(now, window_ns);
+                    oracle.observe(now);
                 }
                 _ => {
                     // Poll one server queue and one client, a few at a time.
                     let max = 1 + size as usize % 8;
                     for (m, q) in [(SERVER, queue), (client, NicQueueId(0))] {
                         sut.poll_queue_into(now, m, q, max, &mut got);
-                        oracle.owner(m, q).poll_queue_into(now, m, q, max, &mut want);
+                        let want = oracle.poll(now, m, q, max);
                         prop_assert_eq!(&got, &want, "deliveries on {:?}/{:?}, op {}", m, q, i);
                     }
                 }
             }
-            oracle.collect_outbound();
             for m in 0..=CLIENTS {
                 for q in 0..sut.queue_count(MachineId(m)) {
                     let (m, q) = (MachineId(m), NicQueueId(q));
@@ -246,21 +236,20 @@ proptest! {
         // Drain: everything sent is delivered identically, in order.
         let end = now + SimDuration::from_millis(50);
         sut.observe(end);
-        oracle.observe(end, window_ns);
+        oracle.observe(end);
         for m in 0..=CLIENTS {
             for q in 0..sut.queue_count(MachineId(m)) {
                 let (m, q) = (MachineId(m), NicQueueId(q));
                 sut.poll_queue_into(end, m, q, usize::MAX, &mut got);
-                oracle.owner(m, q).poll_queue_into(end, m, q, usize::MAX, &mut want);
+                let want = oracle.poll(end, m, q, usize::MAX);
                 prop_assert_eq!(&got, &want, "final deliveries on {:?}/{:?}", m, q);
             }
         }
         prop_assert_eq!(sut.next_arrival_any(), None);
         prop_assert_eq!(oracle.next_arrival_any(), None);
-        prop_assert_eq!(sut.fault_counts(), oracle.fault_counts());
+        prop_assert_eq!(sut.fault_counts(), oracle.flat.fault_counts());
     }
 
-    /// Header encode/decode round-trips for all field values.
     #[test]
     fn header_round_trip(
         op_raw in any::<u8>(),

@@ -34,6 +34,9 @@ pub struct GlobalBucket {
     millitokens: AtomicI64,
     round_marks: AtomicU64,
     active_mask: AtomicU64,
+    /// Millitokens thrown away by resets so far. Touched on the reset
+    /// path only, never by give/take.
+    discarded: AtomicI64,
 }
 
 impl GlobalBucket {
@@ -57,6 +60,7 @@ impl GlobalBucket {
             millitokens: AtomicI64::new(0),
             round_marks: AtomicU64::new(0),
             active_mask: AtomicU64::new(mask),
+            discarded: AtomicI64::new(0),
         }
     }
 
@@ -109,7 +113,15 @@ impl GlobalBucket {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return Tokens::from_millitokens(grant),
+                Ok(_) => {
+                    // Planted bug for the swarm's mutation check: hand
+                    // out one millitoken the bucket never held.
+                    #[cfg(feature = "mutation-hooks")]
+                    if crate::mutation::bucket_skim() {
+                        return Tokens::from_millitokens(grant + 1);
+                    }
+                    return Tokens::from_millitokens(grant);
+                }
                 Err(actual) => current = actual,
             }
         }
@@ -118,6 +130,12 @@ impl GlobalBucket {
     /// Current balance (advisory; may race with concurrent give/take).
     pub fn balance(&self) -> Tokens {
         Tokens::from_millitokens(self.millitokens.load(Ordering::Acquire))
+    }
+
+    /// Everything resets have thrown away so far. Closes the bucket's
+    /// books: donated = granted + [`balance`](Self::balance) + discarded.
+    pub fn discarded(&self) -> Tokens {
+        Tokens::from_millitokens(self.discarded.load(Ordering::Acquire))
     }
 
     /// Marks that thread `thread_idx` completed a scheduling round. When
@@ -139,7 +157,8 @@ impl GlobalBucket {
         let marked = (prev | bit) & active;
         if marked == active {
             self.round_marks.store(0, Ordering::Release);
-            self.millitokens.store(0, Ordering::Release);
+            let dropped = self.millitokens.swap(0, Ordering::AcqRel);
+            self.discarded.fetch_add(dropped, Ordering::AcqRel);
             true
         } else {
             false
@@ -180,8 +199,10 @@ mod tests {
     fn single_thread_reset_every_round() {
         let b = GlobalBucket::new(1);
         b.give(Tokens::from_tokens(5));
+        assert_eq!(b.take(Tokens::from_tokens(2)), Tokens::from_tokens(2));
         assert!(b.mark_round(0));
         assert_eq!(b.balance(), Tokens::ZERO);
+        assert_eq!(b.discarded(), Tokens::from_tokens(3));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * [`CostModel`] / [`LoadMix`] — `cost = ceil(size/4KB) × C(type, r)`.
 //! * [`TenantId`], [`SloSpec`], [`TenantClass`] — tenants and SLOs.
 //! * [`GlobalBucket`] — the lock-free shared bucket for spare tokens.
-//! * [`LeaseLedger`] / [`TokenPool`] — deterministic per-shard token
-//!   leases for split-dataplane sharded runs.
 //! * [`QosScheduler`] — Algorithm 1, one instance per dataplane thread.
 //! * [`fit_cost_model`] — the §3.2.1 calibration fit.
 
@@ -23,7 +21,6 @@ mod bucket;
 mod calibrate;
 mod cost;
 mod fair;
-mod lease;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
 mod scheduler;
@@ -36,7 +33,6 @@ pub use calibrate::{
 };
 pub use cost::{CostModel, LoadMix};
 pub use fair::{FairScheduler, FOUR_KB_QUANTUM};
-pub use lease::{LeaseEntry, LeaseLedger, LeaseOp, TokenPool};
 pub use scheduler::{
     CostedRequest, QosError, QosScheduler, ScheduleOutcome, SchedulerParams, TenantSchedStats,
     TenantSlot,

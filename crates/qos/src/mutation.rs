@@ -3,21 +3,21 @@
 //! Compiled in only with the `mutation-hooks` feature and **off by
 //! default even then** — a build with the feature but no switch flipped
 //! behaves identically to a build without it. The swarm runner
-//! (`reflex-swarm --mutate`) flips [`set_lease_skim`] and then asserts
-//! that its lease-conservation oracle catches the drift; a CI job that
-//! passes with mutation enabled means the oracle is vacuous.
+//! (`reflex-swarm --mutate`) flips [`set_bucket_skim`] and then asserts
+//! that its token-budget oracle catches the drift; a CI job that passes
+//! with mutation enabled means the oracle is vacuous.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-static LEASE_SKIM: AtomicBool = AtomicBool::new(false);
+static BUCKET_SKIM: AtomicBool = AtomicBool::new(false);
 
-/// Enables (or disables) the lease-skim mutation: every
-/// [`LeaseLedger`](crate::LeaseLedger) rebalance silently leaks one
-/// millitoken, violating the ledger's conservation identity.
-pub fn set_lease_skim(on: bool) {
-    LEASE_SKIM.store(on, Ordering::Relaxed);
+/// Enables (or disables) the bucket-skim mutation: every non-empty
+/// [`GlobalBucket::take`](crate::GlobalBucket::take) grants one
+/// millitoken more than it debits, creating tokens from nothing.
+pub fn set_bucket_skim(on: bool) {
+    BUCKET_SKIM.store(on, Ordering::Relaxed);
 }
 
-pub(crate) fn lease_skim() -> bool {
-    LEASE_SKIM.load(Ordering::Relaxed)
+pub(crate) fn bucket_skim() -> bool {
+    BUCKET_SKIM.load(Ordering::Relaxed)
 }

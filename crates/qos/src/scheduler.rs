@@ -19,7 +19,6 @@ use reflex_telemetry::Telemetry;
 
 use crate::bucket::GlobalBucket;
 use crate::cost::{CostModel, LoadMix};
-use crate::lease::TokenPool;
 use crate::slo::{SloSpec, TenantId};
 use crate::tokens::{TokenGen, TokenRate, Tokens};
 
@@ -203,7 +202,7 @@ impl std::error::Error for QosError {}
 #[derive(Debug)]
 pub struct QosScheduler<R> {
     thread_idx: u32,
-    pool: TokenPool,
+    bucket: Arc<GlobalBucket>,
     model: CostModel,
     params: SchedulerParams,
     prev_sched_time: SimTime,
@@ -216,6 +215,9 @@ pub struct QosScheduler<R> {
     queued: usize,
     be_rate_per_tenant: TokenRate,
     rounds: u64,
+    /// Tokens generated for all tenants so far (see
+    /// [`generated`](Self::generated)).
+    generated: Tokens,
     telemetry: Telemetry,
 }
 
@@ -231,7 +233,7 @@ impl<R> QosScheduler<R> {
     ) -> Self {
         QosScheduler {
             thread_idx,
-            pool: TokenPool::Shared(bucket),
+            bucket,
             model,
             params,
             prev_sched_time: now,
@@ -242,6 +244,7 @@ impl<R> QosScheduler<R> {
             queued: 0,
             be_rate_per_tenant: TokenRate::ZERO,
             rounds: 0,
+            generated: Tokens::ZERO,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -251,14 +254,6 @@ impl<R> QosScheduler<R> {
     /// submission order are bit-for-bit unchanged.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Replaces the spare-token pool. The split-dataplane testbed swaps in
-    /// a [`TokenPool::Leased`] ledger replica after construction; the
-    /// default [`TokenPool::Shared`] arm is bit-identical to the historical
-    /// direct-bucket path.
-    pub fn set_pool(&mut self, pool: TokenPool) {
-        self.pool = pool;
     }
 
     /// Registers a latency-critical tenant with its SLO; `io_size` is the
@@ -499,10 +494,9 @@ impl<R> QosScheduler<R> {
     /// [`schedule_into`](Self::schedule_into); they still consume the
     /// tenant's provisioned rate — at DRAM cost, not flash cost — so rate
     /// limits keep reflecting real device load. The debit touches only
-    /// tenant-local state (never the shared/leased token pool), which is
-    /// what keeps sharded and split-dataplane runs byte-identical: the
-    /// pool sees exactly the same give/take sequence with or without a
-    /// cache. The balance may go negative; the tenant's own generation
+    /// tenant-local state, never the global bucket, which sees exactly
+    /// the same give/take sequence with or without a cache. The balance
+    /// may go negative; the tenant's own generation
     /// repays it before further flash admissions.
     pub fn spend_dram_hit(&mut self, id: TenantId, cost: Tokens) -> Result<(), QosError> {
         let slot = self.slot_of(id).ok_or(QosError::UnknownTenant(id))?;
@@ -549,6 +543,14 @@ impl<R> QosScheduler<R> {
         self.rounds
     }
 
+    /// Every token this scheduler has generated, for LC and BE tenants
+    /// alike. Generation is the only source of tokens, so across the
+    /// threads sharing a bucket it equals what tenants hold and have spent
+    /// plus what the bucket holds and has discarded.
+    pub fn generated(&self) -> Tokens {
+        self.generated
+    }
+
     /// Runs one scheduling round (Algorithm 1) at instant `now` under the
     /// device-wide load mix `mix`. Returns the admitted requests in order.
     pub fn schedule(&mut self, now: SimTime, mix: LoadMix) -> ScheduleOutcome<R> {
@@ -570,9 +572,12 @@ impl<R> QosScheduler<R> {
         out.deficit_notifications.clear();
         out.reset_bucket = false;
 
+        let mut generated_now = Tokens::ZERO;
+
         // --- Latency-critical tenants (Algorithm 1 lines 4-12) ---
         for s in &mut self.lc {
             let generated = s.gen.generate(s.rate, elapsed);
+            generated_now += generated;
             s.tokens += generated;
             if s.recent_gen.len() == self.params.pos_history_rounds {
                 s.recent_gen.pop_front();
@@ -596,7 +601,7 @@ impl<R> QosScheduler<R> {
             let pos_limit: Tokens = s.recent_gen.iter().copied().sum();
             if s.tokens > pos_limit {
                 let donation = s.tokens.mul_f64(self.params.donate_fraction);
-                self.pool.give(now, self.thread_idx, donation);
+                self.bucket.give(donation);
                 s.tokens -= donation;
             }
         }
@@ -606,7 +611,9 @@ impl<R> QosScheduler<R> {
         // --- Best-effort tenants, round-robin from the cursor (lines 13-21) ---
         let (before_cursor, from_cursor) = self.be.split_at_mut(self.be_cursor);
         for s in from_cursor.iter_mut().chain(before_cursor) {
-            s.tokens += s.gen.generate(self.be_rate_per_tenant, elapsed);
+            let generated = s.gen.generate(self.be_rate_per_tenant, elapsed);
+            generated_now += generated;
+            s.tokens += generated;
 
             let demand = match mix {
                 LoadMix::Mixed => s.demand_mixed,
@@ -614,7 +621,7 @@ impl<R> QosScheduler<R> {
             };
             let deficit = demand - s.tokens;
             if deficit.is_positive() {
-                s.tokens += self.pool.take(now, self.thread_idx, deficit);
+                s.tokens += self.bucket.take(deficit);
             }
 
             // Conditional submission: only while the tenant can pay in full.
@@ -633,7 +640,7 @@ impl<R> QosScheduler<R> {
 
             // DRR rule: no token accumulation while idle.
             if s.tokens.is_positive() && s.queue.is_empty() {
-                self.pool.give(now, self.thread_idx, s.tokens);
+                self.bucket.give(s.tokens);
                 s.tokens = Tokens::ZERO;
             }
         }
@@ -642,8 +649,9 @@ impl<R> QosScheduler<R> {
             self.be_cursor = 0;
         }
         self.queued -= out.submitted.len();
+        self.generated += generated_now;
 
-        out.reset_bucket = self.pool.mark_round(now, self.thread_idx);
+        out.reset_bucket = self.bucket.mark_round(self.thread_idx);
 
         if self.telemetry.is_enabled() {
             self.telemetry.count("qos.rounds", 1);

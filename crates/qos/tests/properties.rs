@@ -2,54 +2,16 @@
 
 mod reference;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use reference::RefScheduler;
 use reflex_flash::IoType;
 use reflex_qos::{
-    CostModel, CostedRequest, GlobalBucket, LeaseEntry, LeaseLedger, LoadMix, QosScheduler,
-    ScheduleOutcome, SchedulerParams, SloSpec, TenantId, TokenGen, TokenPool, TokenRate, Tokens,
+    CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, ScheduleOutcome,
+    SchedulerParams, SloSpec, TenantId, TokenGen, TokenRate, Tokens,
 };
 use reflex_sim::{SimDuration, SimTime};
-
-/// A two-thread spare-token pool; the differential test plays the peer
-/// thread (index 1) itself.
-fn test_pool(leased: bool) -> TokenPool {
-    if leased {
-        let ledger = LeaseLedger::new(2, SimDuration::from_micros(10));
-        TokenPool::Leased(Arc::new(Mutex::new(ledger)))
-    } else {
-        TokenPool::Shared(Arc::new(GlobalBucket::new(2)))
-    }
-}
-
-/// Applies window boundaries up to `now` (the event dispatcher's job in a
-/// split-dataplane run; a no-op on the shared bucket).
-fn observe(pool: &TokenPool, now: SimTime) {
-    if let TokenPool::Leased(l) = pool {
-        l.lock().unwrap().observe(now);
-    }
-}
-
-/// Everything the pool holds, for comparing two pools.
-fn pool_state(pool: &TokenPool) -> Vec<i64> {
-    match pool {
-        TokenPool::Shared(b) => vec![b.balance().as_millitokens()],
-        TokenPool::Leased(l) => {
-            let l = l.lock().unwrap();
-            let mt = |t: Tokens| t.as_millitokens();
-            vec![
-                mt(l.residue()),
-                mt(l.lease_of(0)),
-                mt(l.lease_of(1)),
-                l.gives_cum(),
-                l.taken_cum(),
-                l.discarded_cum(),
-            ]
-        }
-    }
-}
 
 proptest! {
     /// Token generation is exact: any partition of an interval into rounds
@@ -154,29 +116,28 @@ proptest! {
     /// Differential against the map-based reference (`reference/mod.rs`):
     /// any schedule of registrations, unregistrations (mid-rotation, on
     /// either side of the BE cursor), mixed-size reads and writes, DRAM
-    /// debits, renegotiations, rate changes, peer-thread pool traffic and
+    /// debits, renegotiations, rate changes, peer-thread bucket traffic and
     /// rounds of irregular length under both load mixes makes the same
-    /// decisions and leaves the same per-tenant and pool state, on the
-    /// shared bucket and on a leased ledger.
+    /// decisions and leaves the same per-tenant and bucket state.
     #[test]
     fn dense_scheduler_matches_map_based_reference(
-        leased in any::<bool>(),
         ops in prop::collection::vec((0u8..20, 0u32..10, any::<u64>(), any::<u64>()), 1..250),
     ) {
         const IDS: u32 = 10;
         let model = CostModel::for_device_a();
-        let (pool, ref_pool) = (test_pool(leased), test_pool(leased));
+        // Two-thread buckets; the test plays the peer thread (index 1).
+        let (bucket, ref_bucket) =
+            (Arc::new(GlobalBucket::new(2)), Arc::new(GlobalBucket::new(2)));
         let mut sched: QosScheduler<u64> = QosScheduler::new(
             0,
-            Arc::new(GlobalBucket::new(1)), // replaced by `set_pool` below
+            Arc::clone(&bucket),
             model.clone(),
             SchedulerParams::default(),
             SimTime::ZERO,
         );
-        sched.set_pool(pool.clone());
         let mut oracle: RefScheduler<u64> = RefScheduler::new(
             0,
-            ref_pool.clone(),
+            Arc::clone(&ref_bucket),
             model,
             SchedulerParams::default(),
             SimTime::ZERO,
@@ -230,13 +191,13 @@ proptest! {
                 }
                 6 => {
                     let gift = Tokens::from_millitokens((x % 100_000) as i64);
-                    pool.give(now, 1, gift);
-                    ref_pool.give(now, 1, gift);
+                    bucket.give(gift);
+                    ref_bucket.give(gift);
                 }
                 7 => {
                     // The peer finishes a round: with this thread's own
-                    // mark that resets the pool.
-                    prop_assert_eq!(pool.mark_round(now, 1), ref_pool.mark_round(now, 1));
+                    // mark that resets the bucket.
+                    prop_assert_eq!(bucket.mark_round(1), ref_bucket.mark_round(1));
                 }
                 8..=13 => {
                     // 512 B to 64 KiB, half of them on or next to a page edge.
@@ -260,8 +221,6 @@ proptest! {
                     };
                     now += SimDuration::from_nanos(elapsed_ns);
                     let mix = if y % 2 == 0 { LoadMix::Mixed } else { LoadMix::ReadOnly };
-                    observe(&pool, now);
-                    observe(&ref_pool, now);
                     sched.schedule_into(now, mix, &mut out);
                     let want = oracle.schedule(now, mix);
                     prop_assert_eq!(&out.submitted, &want.submitted);
@@ -276,7 +235,7 @@ proptest! {
                 prop_assert_eq!(sched.lc_rate(t), oracle.lc_rate(t));
             }
             prop_assert_eq!(sched.queued_requests(), oracle.queued_requests());
-            prop_assert_eq!(pool_state(&pool), pool_state(&ref_pool));
+            prop_assert_eq!(bucket.balance(), ref_bucket.balance());
         }
     }
 
@@ -296,73 +255,6 @@ proptest! {
             prop_assert!(bucket.balance().as_millitokens() >= 0);
         }
         prop_assert_eq!(given - taken, bucket.balance().as_millitokens());
-    }
-
-    /// Lease conservation across carve / re-balance / merge: for any
-    /// give/take/mark sequence over any replica split, every replica's
-    /// per-thread leases and residue equal the monolithic ledger's at
-    /// every window boundary (Σ shard leases + residue == monolithic
-    /// pool), grants agree at stage time, and the conservation identity
-    /// `gives == residue + Σ leases + taken + discarded` holds.
-    #[test]
-    fn lease_ledger_replicas_match_monolithic(
-        windows in prop::collection::vec(
-            prop::collection::vec((0u32..4, 0u8..3, 1i64..50_000), 0..12),
-            1..20,
-        ),
-        replicas in 1usize..4,
-    ) {
-        let threads = 4u32;
-        let w = SimDuration::from_micros(1);
-        let mut mono = LeaseLedger::new(threads, w);
-        let mut reps: Vec<LeaseLedger> =
-            (0..replicas).map(|_| LeaseLedger::new(threads, w)).collect();
-        for (k, ops) in windows.iter().enumerate() {
-            for (i, (thread, kind, amount)) in ops.iter().enumerate() {
-                let at = SimTime::from_nanos(k as u64 * 1_000 + i as u64);
-                let owner = (*thread as usize) % replicas;
-                match kind {
-                    0 => {
-                        mono.give(at, *thread, Tokens::from_millitokens(*amount));
-                        reps[owner].give(at, *thread, Tokens::from_millitokens(*amount));
-                    }
-                    1 => {
-                        let g_mono = mono.take(at, *thread, Tokens::from_millitokens(*amount));
-                        let g_rep =
-                            reps[owner].take(at, *thread, Tokens::from_millitokens(*amount));
-                        prop_assert_eq!(g_mono, g_rep, "grant divergence at window {}", k);
-                    }
-                    _ => {
-                        mono.mark_round(at, *thread);
-                        reps[owner].mark_round(at, *thread);
-                    }
-                }
-            }
-            // Window boundary: exchange staged entries (the flight
-            // broadcast) and apply everywhere at the same instant.
-            let boundary = SimTime::from_nanos((k as u64 + 1) * 1_000);
-            let outs: Vec<Vec<LeaseEntry>> =
-                reps.iter_mut().map(LeaseLedger::take_outbound).collect();
-            for (i, rep) in reps.iter_mut().enumerate() {
-                for (j, out) in outs.iter().enumerate() {
-                    if i != j {
-                        rep.accept(out);
-                    }
-                }
-                rep.observe(boundary);
-            }
-            mono.observe(boundary);
-            for rep in &reps {
-                for t in 0..threads {
-                    prop_assert_eq!(rep.lease_of(t), mono.lease_of(t));
-                }
-                prop_assert_eq!(rep.residue(), mono.residue());
-                prop_assert_eq!(rep.gives_cum(), mono.gives_cum());
-                prop_assert_eq!(rep.taken_cum(), mono.taken_cum());
-                prop_assert_eq!(rep.discarded_cum(), mono.discarded_cum());
-                prop_assert_eq!(rep.accounted(), rep.gives_cum());
-            }
-        }
     }
 
     /// BE fairness: two identical BE tenants served from the same rate for

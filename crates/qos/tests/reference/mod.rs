@@ -6,16 +6,17 @@
 //! through the same schedule and demands identical decisions.
 //!
 //! It builds on the crate's public vocabulary types only ([`Tokens`],
-//! [`TokenRate`], [`SloSpec`], [`TokenPool`], …); everything the dense
+//! [`TokenRate`], [`SloSpec`], [`GlobalBucket`], …); everything the dense
 //! layout changed (generation, request cost, tenant state, rotation) is
 //! re-derived here so the two sides share no arithmetic.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use reflex_flash::IoType;
 use reflex_qos::{
-    CostModel, CostedRequest, LoadMix, QosError, SchedulerParams, SloSpec, TenantId,
-    TenantSchedStats, TokenPool, TokenRate, Tokens,
+    CostModel, CostedRequest, GlobalBucket, LoadMix, QosError, SchedulerParams, SloSpec, TenantId,
+    TenantSchedStats, TokenRate, Tokens,
 };
 use reflex_sim::{SimDuration, SimTime};
 
@@ -65,7 +66,7 @@ pub struct RefOutcome<R> {
 
 pub struct RefScheduler<R> {
     thread_idx: u32,
-    pool: TokenPool,
+    bucket: Arc<GlobalBucket>,
     model: CostModel,
     params: SchedulerParams,
     prev_sched_time: SimTime,
@@ -80,14 +81,14 @@ pub struct RefScheduler<R> {
 impl<R> RefScheduler<R> {
     pub fn new(
         thread_idx: u32,
-        pool: TokenPool,
+        bucket: Arc<GlobalBucket>,
         model: CostModel,
         params: SchedulerParams,
         now: SimTime,
     ) -> Self {
         RefScheduler {
             thread_idx,
-            pool,
+            bucket,
             model,
             params,
             prev_sched_time: now,
@@ -268,7 +269,7 @@ impl<R> RefScheduler<R> {
             let pos_limit: Tokens = s.recent_gen.iter().copied().sum();
             if s.tokens > pos_limit {
                 let donation = s.tokens.mul_f64(self.params.donate_fraction);
-                self.pool.give(now, self.thread_idx, donation);
+                self.bucket.give(donation);
                 s.tokens -= donation;
             }
         }
@@ -287,7 +288,7 @@ impl<R> RefScheduler<R> {
             };
             let deficit = demand - s.tokens;
             if deficit.is_positive() {
-                s.tokens += self.pool.take(now, self.thread_idx, deficit);
+                s.tokens += self.bucket.take(deficit);
             }
 
             // Conditional submission: only while the tenant can pay in full.
@@ -307,7 +308,7 @@ impl<R> RefScheduler<R> {
 
             // DRR rule: no token accumulation while idle.
             if s.tokens.is_positive() && s.queue.is_empty() {
-                self.pool.give(now, self.thread_idx, s.tokens);
+                self.bucket.give(s.tokens);
                 s.tokens = Tokens::ZERO;
             }
         }
@@ -315,7 +316,7 @@ impl<R> RefScheduler<R> {
             self.be_cursor = (self.be_cursor + 1) % n_be;
         }
 
-        out.reset_bucket = self.pool.mark_round(now, self.thread_idx);
+        out.reset_bucket = self.bucket.mark_round(self.thread_idx);
         out
     }
 }

@@ -23,9 +23,8 @@
 //! sub-request slab key *is* the wire cookie, so responses, duplicates,
 //! timeouts and stale retries all resolve by index.
 //!
-//! Determinism: runs are byte-identical at any `with_shards` count
-//! (fault campaigns pin to a single shard, exactly like the core
-//! testbed), and every random draw comes from per-workload streams.
+//! Determinism: every random draw comes from per-workload streams, so a
+//! re-run is byte-identical.
 //!
 //! ```
 //! use reflex_core::ReadPolicy;

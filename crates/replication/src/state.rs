@@ -11,20 +11,14 @@ use crate::world::MemberLink;
 const SERIES_BUCKET: SimDuration = SimDuration::from_millis(10);
 
 /// Internal per-workload runtime state.
-///
-/// `Clone` because sharded testbeds replicate every workload's state onto
-/// every shard (indices must align across engines); only the copy on the
-/// shard owning the workload's client machine ever advances.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ReplState {
     pub spec: ReplWorkloadSpec,
     /// This workload's private randomness (addresses, open-loop gaps),
     /// keyed by registration index via `SimRng::stream` so adding a
     /// workload never perturbs another's sequence.
     pub rng: SimRng,
-    /// Current replica membership, slot order. Mutated only by failover,
-    /// which runs on shard 0 — fault campaigns are single-shard, so every
-    /// shard's copy stays consistent with where generators actually run.
+    /// Current replica membership, slot order. Mutated only by failover.
     pub members: Vec<MemberLink>,
     /// Primary slot (serves `ReadPolicy::Primary` reads).
     pub primary: usize,

@@ -1,7 +1,6 @@
 //! Assembling a replicated testbed: N server sites, client machines, the
 //! replica-set coordinator, and the fault installer that drives failover.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use reflex_core::{
@@ -13,7 +12,7 @@ use reflex_faults::{FaultKind, FaultPlan, FaultStats, PlannedDeviceHook, Planned
 use reflex_flash::{DeviceProfile, FlashDevice};
 use reflex_net::{Fabric, LinkConfig, StackProfile};
 use reflex_qos::{CostModel, TenantClass};
-use reflex_sim::{Engine, ShardedEngine, SimDuration, SimRng, SimTime, SlabPool};
+use reflex_sim::{Engine, SimDuration, SimRng, SimTime, SlabPool};
 use reflex_telemetry::{Telemetry, TelemetrySnapshot, TenantKey};
 
 use crate::spec::ReplWorkloadSpec;
@@ -215,8 +214,7 @@ impl ReplTestbedBuilder {
         let cost = CostModel::for_profile(&self.device);
         let capacity = CapacityProfile::for_profile(&self.device);
         // One dataplane thread per site, no auto-scaling: routes never
-        // rebalance at runtime, which keeps sharded runs byte-identical
-        // (mirrors `ServerHarness::supports_sharding`).
+        // rebalance at runtime.
         let server_cfg = ServerConfig {
             threads: 1,
             max_threads: 1,
@@ -239,16 +237,13 @@ impl ReplTestbedBuilder {
                 server_cfg.clone(),
                 SimTime::ZERO,
             );
-            for c in &clients {
-                fabric.declare_link(c.machine, machine);
-            }
             descriptors.push(ServerDescriptor::new(
                 ServerId(s as u32),
                 capacity.clone(),
                 cost.clone(),
             ));
             site_machines.push(machine);
-            sites.push(Some(SiteState { server, device }));
+            sites.push(SiteState { server, device });
         }
         fabric.enable_windowed();
         let gen_seed = rng.next_u64();
@@ -260,12 +255,7 @@ impl ReplTestbedBuilder {
             site_machines,
             alive: vec![true; n_sites],
             death_at: vec![None; n_sites],
-            coord: Some(ReplicaSets::new(
-                ClusterPlanner::new(descriptors),
-                self.replication,
-            )),
-            route_table: HashMap::new(),
-            client_local: vec![true; n_clients],
+            coord: ReplicaSets::new(ClusterPlanner::new(descriptors), self.replication),
             gen_seed,
             clients,
             workloads: Vec::new(),
@@ -285,27 +275,21 @@ impl ReplTestbedBuilder {
         let interval = self.control_interval;
         engine.schedule_event_at(SimTime::ZERO + interval, ReplEvent::Control(interval));
         ReplTestbed {
-            engine: ShardedEngine::single(engine),
+            engine,
             measure_begin: SimTime::ZERO,
-            control_interval: interval,
-            owner: Vec::new(),
         }
     }
 }
 
 /// The assembled replicated simulation. See the crate documentation.
 pub struct ReplTestbed {
-    engine: ShardedEngine<ReplWorld, ReplEvent>,
+    engine: Engine<ReplWorld, ReplEvent>,
     measure_begin: SimTime,
-    control_interval: SimDuration,
-    /// Shard that owns each workload's generator, in registration order.
-    owner: Vec<usize>,
 }
 
 impl std::fmt::Debug for ReplTestbed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplTestbed")
-            .field("shards", &self.engine.shards())
             .field("now", &self.engine.now())
             .finish()
     }
@@ -322,128 +306,19 @@ impl ReplTestbed {
         self.engine.now()
     }
 
-    /// Number of shards the simulation runs on.
-    pub fn shards(&self) -> usize {
-        self.engine.shards()
-    }
-
-    /// Shared access to the world (shard 0 — the sites' shard).
+    /// Shared access to the world.
     pub fn world(&self) -> &ReplWorld {
-        self.engine.engine(0).world()
+        self.engine.world()
     }
 
-    /// Exclusive access to the world (shard 0 when sharded).
+    /// Exclusive access to the world.
     pub fn world_mut(&mut self) -> &mut ReplWorld {
-        self.engine.engine_mut(0).world_mut()
+        self.engine.world_mut()
     }
 
-    /// Site indices of workload `w_idx`'s current members, slot order
-    /// (membership changes only via failover, which runs on shard 0).
+    /// Site indices of workload `w_idx`'s current members, slot order.
     pub fn member_sites(&self, w_idx: usize) -> Vec<usize> {
-        self.engine.engine(0).world().member_sites(w_idx)
-    }
-
-    /// Splits the world by machine across up to `n` OS threads: shard 0
-    /// keeps every server site (and the coordinator); client machines
-    /// round-robin over the remaining shards. Same conservative-PDES
-    /// machinery as the core testbed — results are **byte-identical** to
-    /// the single-shard run.
-    ///
-    /// Silently stays single-shard when `n <= 1`, when there are no
-    /// client machines to split off, or when a network fault hook is
-    /// installed (fault campaigns are single-shard — which also means a
-    /// failover only ever mutates membership where generators run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after a workload was added or after the
-    /// simulation has started running.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        let world0 = self.engine.engine(0).world();
-        let n_clients = world0.clients.len();
-        let n_eff = 1 + n.saturating_sub(1).min(n_clients);
-        if self.engine.shards() != 1 || n_eff <= 1 {
-            return self;
-        }
-        let shardable = world0
-            .sites
-            .iter()
-            .flatten()
-            .all(|st| st.server.supports_sharding());
-        if !shardable || world0.fabric.has_fault_hook() {
-            return self;
-        }
-        assert!(
-            world0.workloads.is_empty(),
-            "with_shards must be called before add_workload"
-        );
-        assert_eq!(
-            self.engine.now(),
-            SimTime::ZERO,
-            "with_shards must be called before the simulation runs"
-        );
-        let engine = self
-            .engine
-            .into_engines()
-            .pop()
-            .expect("single-shard testbed holds one engine");
-        let mut world = engine.into_world();
-        let mut shard_of = vec![0usize; world.fabric.machines()];
-        for (i, c) in world.clients.iter().enumerate() {
-            shard_of[c.machine.0 as usize] = 1 + i % (n_eff - 1);
-        }
-        let window = world.fabric.lookahead();
-        let n_sites = world.sites.len();
-        let mut sites = std::mem::take(&mut world.sites);
-        let mut coord = world.coord.take();
-        let mut engines = Vec::with_capacity(n_eff);
-        for s in 0..n_eff {
-            let shard_world = ReplWorld {
-                fabric: world.fabric.split_for_shard(&shard_of, s),
-                sites: if s == 0 {
-                    std::mem::take(&mut sites)
-                } else {
-                    (0..n_sites).map(|_| None).collect()
-                },
-                site_machines: world.site_machines.clone(),
-                alive: world.alive.clone(),
-                death_at: world.death_at.clone(),
-                coord: if s == 0 { coord.take() } else { None },
-                route_table: HashMap::new(),
-                client_local: world
-                    .clients
-                    .iter()
-                    .map(|c| shard_of[c.machine.0 as usize] == s)
-                    .collect(),
-                gen_seed: world.gen_seed,
-                clients: world.clients.clone(),
-                workloads: Vec::new(),
-                client_threads_busy: Vec::new(),
-                ops: SlabPool::new(),
-                subs: SlabPool::new(),
-                poll_scratch: Vec::new(),
-                site_wake: vec![None; n_sites],
-                client_wake: vec![None; world.clients.len()],
-                measure_start: None,
-                detect_delay: world.detect_delay,
-                resync_bytes_per_sec: world.resync_bytes_per_sec,
-                timeline: Vec::new(),
-                telemetry: world.telemetry.clone(),
-            };
-            let mut eng = Engine::with_events(shard_world);
-            if s == 0 {
-                // The control plane ticks with the sites.
-                eng.schedule_event_at(
-                    SimTime::ZERO + self.control_interval,
-                    ReplEvent::Control(self.control_interval),
-                );
-            }
-            engines.push(eng);
-        }
-        let topology = world.fabric.shard_topology(&shard_of, n_eff);
-        self.engine = ShardedEngine::new(engines, window);
-        self.engine.set_topology(topology);
-        self
+        self.engine.world().member_sites(w_idx)
     }
 
     /// Registers a replicated workload: places its replica set, admits
@@ -458,32 +333,20 @@ impl ReplTestbed {
     pub fn add_workload(&mut self, spec: ReplWorkloadSpec) -> Result<(), ReplError> {
         let mut spec = spec;
         spec.validate().map_err(ReplError::InvalidSpec)?;
-        let shards = self.engine.shards();
-        let world = self.engine.engine_mut(0).world_mut();
+        let world = self.engine.world_mut();
         if spec.client_machine >= world.clients.len() {
             return Err(ReplError::NoSuchClient(spec.client_machine));
         }
         // Clamp the namespace to the device capacity so default specs
         // work on any profile (every site runs the same profile).
-        let capacity = world.sites[0]
-            .as_ref()
-            .expect("shard 0 holds the sites")
-            .device
-            .profile()
-            .capacity_bytes;
+        let capacity = world.sites[0].device.profile().capacity_bytes;
         if spec.namespace.0 >= capacity {
             return Err(ReplError::InvalidSpec(
                 "namespace beyond device capacity".into(),
             ));
         }
         spec.namespace.1 = spec.namespace.1.min(capacity - spec.namespace.0);
-        let members: Vec<ServerId> = world
-            .coord
-            .as_mut()
-            .expect("shard 0 holds the coordinator")
-            .place(spec.tenant, spec.slo)?
-            .members
-            .clone();
+        let members: Vec<ServerId> = world.coord.place(spec.tenant, spec.slo)?.members.clone();
         let acl = AclEntry {
             ns_start: spec.namespace.0,
             ns_len: spec.namespace.1,
@@ -494,29 +357,19 @@ impl ReplTestbed {
         let client_machine = world.clients[spec.client_machine].machine;
         let w_idx = world.workloads.len();
         let mut links = Vec::with_capacity(members.len());
-        let mut routes = Vec::with_capacity(members.len() * spec.conns as usize);
         for sid in &members {
             let site = sid.0 as usize;
-            world.sites[site]
-                .as_mut()
-                .expect("placement names a real site")
-                .server
-                .register_tenant(
-                    spec.tenant,
-                    TenantClass::LatencyCritical(spec.slo),
-                    acl.clone(),
-                    spec.io_size,
-                )?;
+            let server = &mut world.sites[site].server;
+            server.register_tenant(
+                spec.tenant,
+                TenantClass::LatencyCritical(spec.slo),
+                acl.clone(),
+                spec.io_size,
+            )?;
             let mut conns = Vec::with_capacity(spec.conns as usize);
             for _ in 0..spec.conns {
                 let conn = world.fabric.new_conn();
-                let st = world.sites[site]
-                    .as_mut()
-                    .expect("placement names a real site");
-                st.server
-                    .bind_connection(conn, spec.tenant, client_machine)?;
-                let queue = st.server.route(conn).unwrap_or_default();
-                routes.push((conn, site, queue));
+                server.bind_connection(conn, spec.tenant, client_machine)?;
                 conns.push(conn);
             }
             links.push(MemberLink {
@@ -530,9 +383,7 @@ impl ReplTestbed {
             .telemetry
             .slo_register(TenantKey(spec.tenant.0), spec.slo.p95_read_latency);
         // Each workload draws from its own RNG stream keyed by its stable
-        // registration index, and the kickoff offset comes out *before*
-        // the state is replicated — every shard's copy agrees on the
-        // stream position.
+        // registration index; the kickoff offset is its first draw.
         let mut state = ReplState::new(
             spec.clone(),
             SimRng::stream(world.gen_seed, w_idx as u64),
@@ -541,23 +392,13 @@ impl ReplTestbed {
         let offset = state
             .rng
             .exponential(SimDuration::from_secs_f64(1.0 / spec.iops));
-        for s in 0..shards {
-            let w = self.engine.engine_mut(s).world_mut();
-            debug_assert_eq!(w.workloads.len(), w_idx);
-            w.workloads.push(state.clone());
-            w.client_threads_busy
-                .push(vec![SimTime::ZERO; spec.client_threads as usize]);
-            for &(conn, site, queue) in &routes {
-                w.route_table.insert(conn, (site, queue));
-            }
-        }
-        let owner = (0..shards)
-            .find(|&s| self.engine.engine(s).world().client_local[spec.client_machine])
-            .expect("every client machine is local to exactly one shard");
-        self.owner.push(owner);
-        let eng = self.engine.engine_mut(owner);
-        let at = eng.now() + offset;
-        eng.schedule_event_at(at, ReplEvent::OpenLoopGen(w_idx));
+        world.workloads.push(state);
+        world
+            .client_threads_busy
+            .push(vec![SimTime::ZERO; spec.client_threads as usize]);
+        let at = self.engine.now() + offset;
+        self.engine
+            .schedule_event_at(at, ReplEvent::OpenLoopGen(w_idx));
         Ok(())
     }
 
@@ -569,18 +410,12 @@ impl ReplTestbed {
     ///
     /// # Panics
     ///
-    /// Panics when sharded (fault campaigns are single-shard), on any
-    /// non-`ServerDeath` fault kind (use `reflex_faults::install` on a
-    /// single-server testbed for those), or when a death names a site
-    /// outside the testbed.
+    /// Panics on any non-`ServerDeath` fault kind (use
+    /// `reflex_faults::install` on a single-server testbed for those), or
+    /// when a death names a site outside the testbed.
     pub fn install(&mut self, plan: &FaultPlan) -> Arc<FaultStats> {
-        assert_eq!(
-            self.engine.shards(),
-            1,
-            "fault campaigns are single-shard: install before with_shards"
-        );
         let stats = Arc::new(FaultStats::default());
-        let world = self.engine.engine_mut(0).world_mut();
+        let world = self.engine.world_mut();
         let n_sites = world.sites.len();
         let detect = world.detect_delay;
         let mut dev_hooks: Vec<PlannedDeviceHook> = (0..n_sites)
@@ -617,20 +452,17 @@ impl ReplTestbed {
         }
         for (site, hook) in dev_hooks.into_iter().enumerate() {
             if hook.is_armed() {
-                world.sites[site]
-                    .as_mut()
-                    .expect("shard 0 holds the sites")
-                    .device
-                    .set_fault_hook(Box::new(hook));
+                world.sites[site].device.set_fault_hook(Box::new(hook));
             }
         }
         if net.is_armed() {
             world.fabric_mut().set_fault_hook(Box::new(net));
         }
-        let eng = self.engine.engine_mut(0);
         for (at, site) in deaths {
-            eng.schedule_event_at(at, ReplEvent::ServerDeath(site));
-            eng.schedule_event_at(at + detect, ReplEvent::Failover(site));
+            self.engine
+                .schedule_event_at(at, ReplEvent::ServerDeath(site));
+            self.engine
+                .schedule_event_at(at + detect, ReplEvent::Failover(site));
         }
         stats
     }
@@ -640,17 +472,14 @@ impl ReplTestbed {
     pub fn begin_measurement(&mut self) {
         let now = self.engine.now();
         self.measure_begin = now;
-        for s in 0..self.engine.shards() {
-            let world = self.engine.engine_mut(s).world_mut();
-            world.measure_start = Some(now);
-            for w in &mut world.workloads {
-                w.reset_measurement();
-            }
+        let world = self.engine.world_mut();
+        world.measure_start = Some(now);
+        for w in &mut world.workloads {
+            w.reset_measurement();
         }
     }
 
-    /// Advances the simulation by `span` (all shards in lockstep windows
-    /// when sharded).
+    /// Advances the simulation by `span`.
     pub fn run(&mut self, span: SimDuration) {
         self.engine.run_for(span);
     }
@@ -658,22 +487,13 @@ impl ReplTestbed {
     /// Produces the measurement report for the window since
     /// [`begin_measurement`](Self::begin_measurement).
     pub fn report(&self) -> ReplReport {
-        let world = self.engine.engine(0).world();
+        let world = self.engine.world();
         let window = self.engine.now().saturating_since(self.measure_begin);
-        // Workload state advances only on its owner shard — read it there.
-        let workloads: Vec<WorkloadReport> = (0..world.workloads.len())
-            .map(|i| {
-                let s = self.owner.get(i).copied().unwrap_or(0);
-                self.engine.engine(s).world().workloads[i].report(window)
-            })
-            .collect();
         ReplReport {
             window,
-            workloads,
+            workloads: world.workloads.iter().map(|w| w.report(window)).collect(),
             recoveries: world.timeline().to_vec(),
-            engine_events: (0..self.engine.shards())
-                .map(|s| self.engine.engine(s).dispatched())
-                .sum(),
+            engine_events: self.engine.dispatched(),
             telemetry: world.telemetry.snapshot(),
         }
     }
@@ -690,32 +510,26 @@ impl ReplTestbed {
     /// Installs `telemetry` on every instrumented component (pass
     /// [`Telemetry::disabled`] to switch recording back off).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        for s in 0..self.engine.shards() {
-            let eng = self.engine.engine_mut(s);
-            if let Some(probe) = telemetry.engine_probe() {
-                eng.set_probe(probe);
-            } else {
-                eng.clear_probe();
-            }
-            let world = eng.world_mut();
-            world.fabric_mut().set_telemetry(telemetry.clone());
-            for st in world.sites.iter_mut().flatten() {
-                st.device.set_telemetry(telemetry.clone());
-                st.server.set_telemetry(telemetry.clone());
-            }
-            if let Some(coord) = world.coord.as_mut() {
-                coord.set_telemetry(telemetry.clone());
-            }
-            world.telemetry = telemetry.clone();
+        if let Some(probe) = telemetry.engine_probe() {
+            self.engine.set_probe(probe);
+        } else {
+            self.engine.clear_probe();
         }
-        let world = self.engine.engine(0).world();
+        let world = self.engine.world_mut();
+        world.fabric_mut().set_telemetry(telemetry.clone());
+        for st in &mut world.sites {
+            st.device.set_telemetry(telemetry.clone());
+            st.server.set_telemetry(telemetry.clone());
+        }
+        world.coord.set_telemetry(telemetry.clone());
         for w in &world.workloads {
             telemetry.slo_register(TenantKey(w.spec.tenant.0), w.spec.slo.p95_read_latency);
         }
+        world.telemetry = telemetry;
     }
 
     /// The current telemetry snapshot, when telemetry is enabled.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.engine.engine(0).world().telemetry.snapshot()
+        self.engine.world().telemetry.snapshot()
     }
 }

@@ -14,20 +14,14 @@
 //! responses, duplicates and stale timeouts resolve by index exactly
 //! like the single-server client.
 
-use std::collections::HashMap;
-
 use reflex_core::{
     quorum, ReadPolicy, ReflexServer, ReplicaSets, ServerHarness, ServerId, MAX_REPLICAS,
 };
 use reflex_dataplane::{AclEntry, WireMsg};
 use reflex_flash::FlashDevice;
-use reflex_net::{
-    ConnId, Delivery, Fabric, Flight, MachineId, NicQueueId, Opcode, ReflexHeader, StackProfile,
-};
+use reflex_net::{ConnId, Delivery, Fabric, MachineId, Opcode, ReflexHeader, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
-use reflex_sim::{
-    Ctx, EventHandle, PoolKey, ShardWorld, SimDuration, SimTime, SlabPool, TypedEvent,
-};
+use reflex_sim::{Ctx, EventHandle, PoolKey, SimDuration, SimTime, SlabPool, TypedEvent};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 use crate::state::ReplState;
@@ -164,27 +158,15 @@ impl TypedEvent<ReplWorld> for ReplEvent {
     }
 }
 
-/// The replicated simulation world. Shard 0 holds every server site (and
-/// the coordinator); client machines may split onto other shards — the
-/// same conservative-PDES machinery as the core testbed, byte-identical
-/// at any shard count.
+/// The replicated simulation world.
 pub struct ReplWorld {
     pub(crate) fabric: Fabric<WireMsg>,
-    /// Server sites (`Some` only on shard 0).
-    pub(crate) sites: Vec<Option<SiteState>>,
+    pub(crate) sites: Vec<SiteState>,
     pub(crate) site_machines: Vec<MachineId>,
     pub(crate) alive: Vec<bool>,
     pub(crate) death_at: Vec<Option<SimTime>>,
-    /// Replica-set coordinator (shard 0 only). Failover runs exclusively
-    /// on shard 0: death campaigns arm a fabric fault hook, which pins
-    /// the run to a single shard — so the membership every shard
-    /// replicated at `add_workload` time only ever changes where the
-    /// generators actually run.
-    pub(crate) coord: Option<ReplicaSets>,
-    /// conn → (site, NIC queue), cached at bind time for shards that do
-    /// not hold the servers.
-    pub(crate) route_table: HashMap<ConnId, (usize, NicQueueId)>,
-    pub(crate) client_local: Vec<bool>,
+    /// Replica-set coordinator.
+    pub(crate) coord: ReplicaSets,
     pub(crate) gen_seed: u64,
     pub(crate) clients: Vec<ClientMachine>,
     pub(crate) workloads: Vec<ReplState>,
@@ -303,7 +285,7 @@ impl ReplWorld {
         // Canonical same-instant order (see the core testbed): one pump
         // event services every site whose wake is due, ascending, so the
         // pump sequence depends only on the due set, never on wake
-        // insertion order — the invariant behind shard-count identity.
+        // insertion order.
         let now = ctx.now();
         for i in 0..self.site_wake.len() {
             let due = i == site || self.site_wake[i].is_some_and(|(at, _)| at <= now);
@@ -320,9 +302,7 @@ impl ReplWorld {
     }
 
     fn pump_one(&mut self, site: usize, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
-        let st = self.sites[site]
-            .as_mut()
-            .expect("pump runs on the server shard");
+        let st = &mut self.sites[site];
         let wake = st
             .server
             .pump_thread(0, ctx.now(), &mut self.fabric, &mut st.device);
@@ -330,15 +310,12 @@ impl ReplWorld {
             self.ensure_site_wake(ctx, site, at);
         }
         for c in 0..self.clients.len() {
-            if self.client_local[c] {
-                self.ensure_client_wake(ctx, c);
-            }
+            self.ensure_client_wake(ctx, c);
         }
-        // Re-arm the raw arrival bound of the pumped site's queue, so the
-        // effective wake matches what a sharded run's window exchange
-        // would arm (same reasoning as the core testbed's pump_one).
-        let st = self.sites[site].as_ref().expect("server shard");
-        let queue = st.server.nic_queue(0);
+        // Re-arm the raw arrival bound of the pumped site's queue: the
+        // effective wake is the earlier of it and the pump's hint (same
+        // rule as the core testbed's pump_one).
+        let queue = self.sites[site].server.nic_queue(0);
         if let Some(at) = self
             .fabric
             .next_arrival_queue(self.site_machines[site], queue)
@@ -350,9 +327,6 @@ impl ReplWorld {
     fn client_poll_event(&mut self, client: usize, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
         let now = ctx.now();
         for c in 0..self.clients.len() {
-            if !self.client_local[c] {
-                continue;
-            }
             let due = c == client || self.client_wake[c].is_some_and(|(at, _)| at <= now);
             if !due {
                 continue;
@@ -556,14 +530,7 @@ impl ReplWorld {
         let payload = if op.is_read { 0 } else { op.len };
         let client_machine = self.clients[client_idx].machine;
         let to = self.site_machines[site];
-        let queue = match self.sites[site].as_ref() {
-            Some(st) => st.server.route(conn).unwrap_or_default(),
-            None => self
-                .route_table
-                .get(&conn)
-                .map(|&(_, q)| q)
-                .unwrap_or_default(),
-        };
+        let queue = self.sites[site].server.route(conn).unwrap_or_default();
         let arrival = self.fabric.send_to_queue(
             t_send,
             client_machine,
@@ -573,9 +540,7 @@ impl ReplWorld {
             payload,
             header.encode_array(),
         );
-        if self.sites[site].is_some() {
-            self.ensure_site_wake(ctx, site, arrival);
-        }
+        self.ensure_site_wake(ctx, site, arrival);
         // RTO-style deadline widening: attempt k waits 2^(k-1) × the base
         // deadline. A member that is healthy but queue-delayed (e.g. a
         // fresh replacement absorbing the post-failover inrush) answers
@@ -643,8 +608,7 @@ impl ReplWorld {
         let slots = (ns_len / size).max(1);
         let addr = ns_start + w.rng.below(slots) * size;
         // Deterministic read/write interleaving: an accumulator spreads
-        // reads evenly so every run (and every shard count) sees the
-        // same sequence.
+        // reads evenly so every run sees the same sequence.
         w.read_debt += w.spec.read_pct as u32;
         let is_read = if w.read_debt >= 100 {
             w.read_debt -= 100;
@@ -744,7 +708,7 @@ impl ReplWorld {
     }
 
     fn control_event(&mut self, interval: SimDuration, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
-        for st in self.sites.iter_mut().flatten() {
+        for st in &mut self.sites {
             let _ = st.server.control_tick(ctx.now(), interval);
         }
         ctx.schedule_event_after(interval, ReplEvent::Control(interval));
@@ -765,10 +729,7 @@ impl ReplWorld {
     /// replica set: promotion, replacement placement, connection binding
     /// and the re-sync timer.
     fn failover_event(&mut self, site: usize, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
-        let Some(coord) = self.coord.as_mut() else {
-            return;
-        };
-        let Ok(fo) = coord.fail_server(ServerId(site as u32)) else {
+        let Ok(fo) = self.coord.fail_server(ServerId(site as u32)) else {
             return;
         };
         let now = ctx.now();
@@ -792,28 +753,20 @@ impl ReplWorld {
                     allowed_clients: None,
                 };
                 let client_machine = self.clients[spec.client_machine].machine;
-                {
-                    let st = self.sites[new_site]
-                        .as_mut()
-                        .expect("failover runs on the server shard");
-                    let _ = st.server.register_tenant(
-                        spec.tenant,
-                        TenantClass::LatencyCritical(spec.slo),
-                        acl,
-                        spec.io_size,
-                    );
-                }
+                let server = &mut self.sites[new_site].server;
+                let _ = server.register_tenant(
+                    spec.tenant,
+                    TenantClass::LatencyCritical(spec.slo),
+                    acl,
+                    spec.io_size,
+                );
                 let mut conns = Vec::with_capacity(spec.conns as usize);
                 for _ in 0..spec.conns {
                     let conn = self.fabric.new_conn();
-                    let st = self.sites[new_site].as_mut().expect("server shard");
-                    if st
-                        .server
+                    if server
                         .bind_connection(conn, spec.tenant, client_machine)
                         .is_ok()
                     {
-                        let queue = st.server.route(conn).unwrap_or_default();
-                        self.route_table.insert(conn, (new_site, queue));
                         conns.push(conn);
                     }
                 }
@@ -869,33 +822,6 @@ impl ReplWorld {
         if w.epoch == epoch && slot < w.members.len() {
             w.members[slot].resyncing = false;
             self.telemetry.count("replication.resyncs_done", 1);
-        }
-    }
-}
-
-// Sharded execution: identical to the core testbed's impl, with sites in
-// place of the one server.
-impl ShardWorld<ReplEvent> for ReplWorld {
-    type Flight = Flight<WireMsg>;
-
-    fn flush_outbound(&mut self, sink: &mut Vec<(usize, Self::Flight)>) {
-        self.fabric.take_outbound(sink);
-    }
-
-    fn flight_bound(flight: &Self::Flight) -> Option<SimTime> {
-        Some(flight.bound())
-    }
-
-    fn deliver(&mut self, ctx: &mut Ctx<'_, Self, ReplEvent>, flights: &mut Vec<Self::Flight>) {
-        for flight in flights.drain(..) {
-            let to = flight.to();
-            let bound = flight.bound();
-            self.fabric.accept_flight(flight);
-            if let Some(site) = self.site_machines.iter().position(|&m| m == to) {
-                self.ensure_site_wake(ctx, site, bound);
-            } else if let Some(c) = self.clients.iter().position(|c| c.machine == to) {
-                self.ensure_client_wake(ctx, c);
-            }
         }
     }
 }

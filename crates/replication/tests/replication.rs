@@ -1,5 +1,5 @@
 //! End-to-end behavior of the replicated testbed: fan-out costs, quorum
-//! reads, fault-driven failover, conservation and shard-count identity.
+//! reads, fault-driven failover and conservation.
 
 use reflex_faults::{FaultKind, FaultPlan};
 use reflex_qos::{SloSpec, TenantId};
@@ -204,62 +204,6 @@ fn conservation_holds_across_replica_death_and_promotion() {
     assert_eq!(count("replication.failovers"), 1);
     assert_eq!(count("replication.promotions"), 1);
     assert_eq!(count("replication.resyncs_done"), 1);
-}
-
-#[test]
-fn sharded_runs_are_byte_identical() {
-    let run = |shards: usize| {
-        let mut tb = ReplTestbed::builder()
-            .sites(3)
-            .replication(3)
-            .client_machines(vec![
-                reflex_net::StackProfile::ix_tcp(),
-                reflex_net::StackProfile::ix_tcp(),
-                reflex_net::StackProfile::linux_tcp(),
-            ])
-            .build()
-            .with_shards(shards);
-        tb.add_workload(spec("app", 20_000.0, ReadPolicy::Quorum))
-            .unwrap();
-        tb.add_workload(
-            ReplWorkloadSpec::open_loop("bulk", TenantId(2), slo(10_000, 30), 10_000.0)
-                .with_client_machine(1),
-        )
-        .unwrap();
-        tb.add_workload(
-            ReplWorkloadSpec::open_loop("far", TenantId(3), slo(5_000, 90), 5_000.0)
-                .with_client_machine(2)
-                .with_read_policy(ReadPolicy::Quorum),
-        )
-        .unwrap();
-        tb.run(SimDuration::from_millis(20));
-        tb.begin_measurement();
-        tb.run(SimDuration::from_millis(60));
-        tb.report()
-    };
-    let single = run(1);
-    let sharded = run(4);
-    assert!(sharded.workloads.len() == 3);
-    for (a, b) in single.workloads.iter().zip(&sharded.workloads) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.issued, b.issued, "{}: issued diverged", a.name);
-        assert_eq!(a.errors, b.errors);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(
-            a.iops.to_bits(),
-            b.iops.to_bits(),
-            "{}: iops diverged",
-            a.name
-        );
-        assert_eq!(
-            a.read_latency.p95(),
-            b.read_latency.p95(),
-            "{}: p95 read diverged",
-            a.name
-        );
-        assert_eq!(a.write_latency.p95(), b.write_latency.p95());
-        assert_eq!(a.iops_series, b.iops_series, "{}: series diverged", a.name);
-    }
 }
 
 #[test]

@@ -63,7 +63,7 @@ use crate::time::{SimDuration, SimTime};
 /// A one-shot event handler over world `W`.
 ///
 /// Handlers are `Send` so a whole `Engine` (with its queued events) can be
-/// moved to — or borrowed by — a worker thread by the sharded runner.
+/// moved to a sweep worker thread.
 pub type EventFn<W, E = NoEvent> = Box<dyn for<'e> FnOnce(&mut W, &mut Ctx<'e, W, E>) + Send>;
 
 /// A plain-data event dispatched without boxing.
@@ -361,18 +361,10 @@ impl<W, E> EventQueue<W, E> {
         }
     }
 
-    /// Removes and returns the earliest live event before the deadline:
-    /// at or before it when `inclusive`, strictly before it otherwise (the
-    /// window-execution mode — boundary-instant events stay queued so
-    /// cross-shard deliveries exchanged *at* the boundary precede them).
-    fn pop_next(&mut self, deadline: SimTime, inclusive: bool) -> Pop<W, E> {
-        let beyond = |at: SimTime| {
-            if inclusive {
-                at > deadline
-            } else {
-                at >= deadline
-            }
-        };
+    /// Removes and returns the earliest live event at or before the
+    /// deadline.
+    fn pop_next(&mut self, deadline: SimTime) -> Pop<W, E> {
+        let beyond = |at: SimTime| at > deadline;
         loop {
             // 1. Drain the current-tick heap first: everything in it is
             //    earlier than anything in the wheel or far heap.
@@ -802,11 +794,7 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
     /// This is the single dispatch path shared by [`Engine::step`] and
     /// [`Engine::run_until`].
     fn dispatch_next(&mut self, deadline: SimTime) -> Dispatched {
-        self.dispatch_next_bounded(deadline, true)
-    }
-
-    fn dispatch_next_bounded(&mut self, deadline: SimTime, inclusive: bool) -> Dispatched {
-        match self.queue.pop_next(deadline, inclusive) {
+        match self.queue.pop_next(deadline) {
             Pop::Empty => Dispatched::Idle,
             Pop::Deadline => Dispatched::Deadline,
             Pop::Event { at, action } => {
@@ -859,43 +847,6 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
     pub fn run_for(&mut self, span: SimDuration) {
         let deadline = self.now + span;
         self.run_until(deadline);
-    }
-
-    /// Runs every event *strictly before* `boundary`, then advances the
-    /// clock to it. Events scheduled exactly at the boundary stay queued.
-    ///
-    /// This is the window-execution primitive of conservative parallel
-    /// simulation: a shard runs its window `[now, boundary)`, the runner
-    /// exchanges cross-shard messages at the boundary instant, and only
-    /// then do boundary-instant events run — so deliveries exchanged at
-    /// `boundary` are visible to every event at or after it, exactly as in
-    /// a single-shard run.
-    pub fn run_before(&mut self, boundary: SimTime) {
-        loop {
-            match self.dispatch_next_bounded(boundary, false) {
-                Dispatched::Ran { stop: true, .. } => return,
-                Dispatched::Ran { .. } => {}
-                Dispatched::Deadline | Dispatched::Idle => break,
-            }
-        }
-        if self.now < boundary {
-            self.now = boundary;
-        }
-    }
-
-    /// Runs `f` with the world and a scheduling context pinned to the
-    /// current instant, outside event dispatch.
-    ///
-    /// Window-boundary hooks use this to inject cross-shard deliveries and
-    /// arm wake events with the same `Ctx` API ordinary handlers use; a
-    /// [`Ctx::stop`] request made here is ignored (nothing is running).
-    pub fn enter<R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W, E>) -> R) -> R {
-        let mut ctx = Ctx {
-            now: self.now,
-            stop: false,
-            queue: &mut self.queue,
-        };
-        f(&mut self.world, &mut ctx)
     }
 
     /// Runs until the event queue is completely drained, leaving the clock

@@ -50,7 +50,6 @@ mod engine;
 mod hist;
 mod rng;
 mod series;
-mod shard;
 mod slab;
 mod time;
 
@@ -58,6 +57,5 @@ pub use engine::{Ctx, Engine, EngineProbe, EventFn, EventHandle, NoEvent, Step, 
 pub use hist::Histogram;
 pub use rng::{SimRng, Zipf};
 pub use series::{Counter, RatePoint, RateSeries};
-pub use shard::{LookaheadPolicy, ShardStats, ShardTopology, ShardWorld, ShardedEngine};
 pub use slab::{PoolKey, SlabPool};
 pub use time::{SimDuration, SimTime};

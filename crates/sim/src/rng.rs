@@ -50,8 +50,7 @@ impl SimRng {
     /// preceded it, `stream` is keyed purely by `(seed, index)`. Components
     /// with a stable identity (a client host, a tenant workload) should use
     /// their id as the index so their stream survives reordering of
-    /// construction — a prerequisite for sharded execution, where hosts are
-    /// built per shard rather than in one global pass.
+    /// construction and never depends on what other components draw.
     pub fn stream(seed: u64, index: u64) -> SimRng {
         SimRng::seed(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index + 1))
     }

@@ -340,160 +340,3 @@ impl RefModel {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Sharded runner: policy equivalence on randomized topologies.
-
-use reflex_sim::{Ctx, LookaheadPolicy, NoEvent, ShardTopology, ShardWorld, ShardedEngine};
-
-/// Toy shard world driven by a pre-generated schedule: each tick stages a
-/// flight to a fixed destination shard; arrivals fold into an
-/// order-sensitive checksum, so any difference in merge order between two
-/// runs changes the final state.
-struct RandWorld {
-    shard: usize,
-    staged: Vec<(usize, (u64, usize, u64))>,
-    received: Vec<(u64, usize, u64)>,
-    checksum: u64,
-}
-
-impl ShardWorld<NoEvent> for RandWorld {
-    type Flight = (u64, usize, u64);
-
-    fn flush_outbound(&mut self, sink: &mut Vec<(usize, Self::Flight)>) {
-        sink.append(&mut self.staged);
-    }
-
-    fn deliver(&mut self, _ctx: &mut Ctx<'_, Self, NoEvent>, flights: &mut Vec<Self::Flight>) {
-        flights.sort_unstable();
-        for f in flights.drain(..) {
-            // Order-sensitive fold: commutative-only bugs would hide from a
-            // plain sum.
-            self.checksum = self
-                .checksum
-                .wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(f.0 ^ (f.1 as u64) << 40 ^ f.2);
-            self.received.push(f);
-        }
-    }
-}
-
-/// One sender: from its owner shard, `ticks` flights to `dst`, one every
-/// `period` nanoseconds starting at `period`.
-#[derive(Debug, Clone)]
-struct Sender {
-    dst: usize,
-    period: u64,
-    ticks: u64,
-}
-
-const WINDOW: u64 = 1_000;
-const MAX_SHARDS: usize = 6;
-
-/// Fixed-size raw strategy ([`MAX_SHARDS`] shard slots, destinations drawn
-/// wide); [`clamp_senders`] folds it onto the drawn shard count.
-fn sender_strategy() -> impl Strategy<Value = Vec<Vec<Sender>>> {
-    let one = (0usize..64, 500u64..4_000, 1u64..20).prop_map(|(dst, period, ticks)| Sender {
-        dst,
-        period,
-        ticks,
-    });
-    prop::collection::vec(prop::collection::vec(one, 0..3), MAX_SHARDS..MAX_SHARDS + 1)
-}
-
-fn clamp_senders(raw: &[Vec<Sender>], shards: usize) -> Vec<Vec<Sender>> {
-    raw[..shards]
-        .iter()
-        .map(|list| {
-            list.iter()
-                .map(|s| Sender {
-                    dst: s.dst % shards,
-                    ..s.clone()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Per-shard final state: (checksum, received flights in merge order).
-type PolicyOutcome = Vec<(u64, Vec<(u64, usize, u64)>)>;
-
-fn run_policy(
-    shards: usize,
-    senders: &[Vec<Sender>],
-    policy: LookaheadPolicy,
-    with_topology: bool,
-) -> PolicyOutcome {
-    let engines: Vec<Engine<RandWorld>> = (0..shards)
-        .map(|shard| {
-            let mut eng = Engine::new(RandWorld {
-                shard,
-                staged: Vec::new(),
-                received: Vec::new(),
-                checksum: 0,
-            });
-            for s in &senders[shard] {
-                if s.dst == shard {
-                    continue; // intra-shard traffic never crosses the exchange
-                }
-                let dst = s.dst;
-                for i in 1..=s.ticks {
-                    eng.schedule_at(
-                        SimTime::from_nanos(i * s.period),
-                        move |w: &mut RandWorld, ctx| {
-                            w.staged.push((dst, (ctx.now().as_nanos(), w.shard, i)));
-                        },
-                    );
-                }
-            }
-            eng
-        })
-        .collect();
-    let mut se = ShardedEngine::new(engines, SimDuration::from_nanos(WINDOW));
-    if with_topology {
-        // Pair matrix derived from the actual senders: a conservative
-        // superset of the traffic (exactly the fabric's link accounting).
-        let mut pair = vec![vec![None; shards]; shards];
-        for (src, list) in senders.iter().enumerate() {
-            for s in list {
-                if s.dst != src {
-                    pair[src][s.dst] = Some(SimDuration::from_nanos(WINDOW));
-                }
-            }
-        }
-        se.set_topology(ShardTopology::from_pair_matrix(pair));
-    }
-    se.set_policy(policy);
-    se.run_for(SimDuration::from_nanos(40_000));
-    (0..shards)
-        .map(|i| {
-            let w = se.engine(i).world();
-            (w.checksum, w.received.clone())
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The adaptive policy (event-horizon extension over the per-link
-    /// topology) merges cross-shard flights in exactly the same order as
-    /// the conservative one-barrier-per-window baseline, for randomized
-    /// shard counts, link matrices and event schedules — with and without
-    /// link accounting installed.
-    #[test]
-    fn adaptive_policy_equals_global_min_on_random_topologies(
-        shards in 2usize..MAX_SHARDS + 1,
-        raw in sender_strategy(),
-    ) {
-        let senders = clamp_senders(&raw, shards);
-        let baseline = run_policy(shards, &senders, LookaheadPolicy::GlobalMin, false);
-        for with_topology in [false, true] {
-            let adaptive = run_policy(shards, &senders, LookaheadPolicy::Adaptive, with_topology);
-            prop_assert_eq!(&baseline, &adaptive, "with_topology={}", with_topology);
-        }
-        // The topology must also leave the baseline untouched.
-        let baseline_topo = run_policy(shards, &senders, LookaheadPolicy::GlobalMin, true);
-        prop_assert_eq!(&baseline, &baseline_topo);
-    }
-}

@@ -5,15 +5,13 @@
 //! comes from one [`SwarmRng`] stream, consumed in a fixed order), so
 //! `--seed N` is a total repro of a swarm run. Cases are **valid by
 //! construction**: the generator only emits combinations the stack
-//! defines semantics for — fault campaigns force the unified
-//! single-shard dataplane (fault hooks and splitting are mutually
-//! exclusive by design, see `SplitFallback`), fault targets are bounded
-//! by the generated topology, and every tenant of a faulty case carries
-//! a retry policy so lost requests terminate instead of leaking open
-//! spans. Latency-critical reservations are capped well under device
-//! capacity; tenants the admission controller still rejects are dropped
-//! (rejection is legitimate behavior, not a generator bug) and the
-//! first tenant is always best-effort so every case carries traffic.
+//! defines semantics for — fault targets are bounded by the generated
+//! topology, and every tenant of a faulty case carries a retry policy so
+//! lost requests terminate instead of leaking open spans.
+//! Latency-critical reservations are capped well under device capacity;
+//! tenants the admission controller still rejects are dropped (rejection
+//! is legitimate behavior, not a generator bug) and the first tenant is
+//! always best-effort so every case carries traffic.
 //!
 //! A case also round-trips through a one-line string (`Display` /
 //! `FromStr`) so shrunk cases — which are generally *not* derivable
@@ -36,10 +34,6 @@ pub enum Topology {
         server_threads: usize,
         /// Client machines (1..=3).
         clients: usize,
-        /// Requested shard count (1..=4; clamping is legal and recorded).
-        shards: usize,
-        /// Split-dataplane execution (healthy cases only).
-        split: bool,
         /// Per-thread DRAM cache capacity in MiB (0 = tier disabled).
         cache_mb: u64,
     },
@@ -49,8 +43,6 @@ pub enum Topology {
         sites: usize,
         /// Replication factor (2..=3, ≤ sites).
         replication: usize,
-        /// Requested shard count (1..=4).
-        shards: usize,
     },
 }
 
@@ -124,19 +116,6 @@ impl SwarmCase {
         let server_threads = rng.range(1, 2) as usize;
         let clients = rng.range(1, 3) as usize;
         let faulty = rng.chance(40);
-        // Fault hooks and split/sharded execution are mutually exclusive
-        // by design; generate only combinations with defined semantics.
-        let (shards, split) = if faulty {
-            (1, false)
-        } else {
-            let shards = if rng.chance(50) {
-                1
-            } else {
-                rng.range(2, 4) as usize
-            };
-            (shards, rng.chance(40))
-        };
-
         let mut tenants = Vec::new();
         // Tenant 0 is always best-effort: admission can never reject it,
         // so every case carries traffic.
@@ -250,7 +229,7 @@ impl SwarmCase {
         // rewrites earlier tenant draws whenever cache_mb > 0, so a bare
         // seed may derive a different case than it did before this
         // dimension existed. That is fine: pinned repros are preserved by
-        // the serialized `v1|…` corpus lines, not by seeds.
+        // the serialized `v2|…` corpus lines, not by seeds.
         let cache_mb = if rng.chance(40) {
             rng.pick(&[2u64, 8, 32])
         } else {
@@ -275,8 +254,6 @@ impl SwarmCase {
             topology: Topology::Core {
                 server_threads,
                 clients,
-                shards,
-                split,
                 cache_mb,
             },
             tenants,
@@ -290,12 +267,6 @@ impl SwarmCase {
         let sites = rng.range(3, 4) as usize;
         let replication = rng.range(2, 3.min(sites as u64)) as usize;
         let faulty = rng.chance(60);
-        // Fault installation pins execution to one shard, same as core.
-        let shards = if faulty || rng.chance(50) {
-            1
-        } else {
-            rng.range(2, 4) as usize
-        };
         let n_tenants = rng.range(1, 2);
         let mut tenants = Vec::new();
         for _ in 0..n_tenants {
@@ -332,11 +303,7 @@ impl SwarmCase {
         }
         SwarmCase {
             seed,
-            topology: Topology::Replicated {
-                sites,
-                replication,
-                shards,
-            },
+            topology: Topology::Replicated { sites, replication },
             tenants,
             faults,
             warmup_ms,
@@ -351,7 +318,7 @@ impl SwarmCase {
 }
 
 // ---------------------------------------------------------------------
-// One-line case form: `v1|key=value|…`, fields split on `|`, values may
+// One-line case form: `v2|key=value|…`, fields split on `|`, values may
 // contain anything but `|`. The fault plan rides along with newlines
 // folded to `;`.
 
@@ -359,26 +326,18 @@ impl fmt::Display for SwarmCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "v1|seed={}|warmup={}|measure={}",
+            "v2|seed={}|warmup={}|measure={}",
             self.seed, self.warmup_ms, self.measure_ms
         )?;
         match self.topology {
             Topology::Core {
                 server_threads,
                 clients,
-                shards,
-                split,
                 cache_mb,
-            } => write!(
-                f,
-                "|topo=core:{server_threads}:{clients}:{shards}:{}:{cache_mb}",
-                u8::from(split)
-            )?,
-            Topology::Replicated {
-                sites,
-                replication,
-                shards,
-            } => write!(f, "|topo=repl:{sites}:{replication}:{shards}")?,
+            } => write!(f, "|topo=core:{server_threads}:{clients}:{cache_mb}")?,
+            Topology::Replicated { sites, replication } => {
+                write!(f, "|topo=repl:{sites}:{replication}")?;
+            }
         }
         for t in &self.tenants {
             let class = match t.lc {
@@ -417,8 +376,8 @@ impl FromStr for SwarmCase {
 
     fn from_str(s: &str) -> Result<SwarmCase, String> {
         let mut fields = s.split('|');
-        if fields.next() != Some("v1") {
-            return Err("case string must start with `v1|`".into());
+        if fields.next() != Some("v2") {
+            return Err("case string must start with `v2|`".into());
         }
         let mut seed = None;
         let mut warmup_ms = None;
@@ -437,26 +396,14 @@ impl FromStr for SwarmCase {
                 "topo" => {
                     let parts: Vec<&str> = value.split(':').collect();
                     topology = Some(match parts.as_slice() {
-                        // Pre-cache corpus lines carry five parts; they mean
-                        // "cache tier off".
-                        ["core", t, c, sh, sp] => Topology::Core {
+                        ["core", t, c, mb] => Topology::Core {
                             server_threads: parse_num("threads", t)?,
                             clients: parse_num("clients", c)?,
-                            shards: parse_num("shards", sh)?,
-                            split: *sp == "1",
-                            cache_mb: 0,
-                        },
-                        ["core", t, c, sh, sp, mb] => Topology::Core {
-                            server_threads: parse_num("threads", t)?,
-                            clients: parse_num("clients", c)?,
-                            shards: parse_num("shards", sh)?,
-                            split: *sp == "1",
                             cache_mb: parse_num("cache_mb", mb)?,
                         },
-                        ["repl", s, r, sh] => Topology::Replicated {
+                        ["repl", s, r] => Topology::Replicated {
                             sites: parse_num("sites", s)?,
                             replication: parse_num("replication", r)?,
-                            shards: parse_num("shards", sh)?,
                         },
                         _ => return Err(format!("bad topo `{value}`")),
                     });
@@ -545,21 +492,15 @@ mod tests {
                 Topology::Core {
                     server_threads,
                     clients,
-                    shards,
-                    split,
                     cache_mb,
                 } => {
                     assert!((1..=2).contains(&server_threads));
                     assert!((1..=3).contains(&clients));
-                    assert!((1..=4).contains(&shards));
                     assert!(
                         matches!(cache_mb, 0 | 2 | 8 | 32),
                         "seed {seed}: cache_mb {cache_mb}"
                     );
                     if case.faulty() {
-                        // Fault hooks force the unified single-shard path.
-                        assert_eq!(shards, 1, "seed {seed}");
-                        assert!(!split, "seed {seed}");
                         assert!(case.tenants.iter().all(|t| t.retry), "seed {seed}");
                     }
                     for e in &case.faults.events {
@@ -578,17 +519,9 @@ mod tests {
                         assert!(t.client_machine < clients);
                     }
                 }
-                Topology::Replicated {
-                    sites,
-                    replication,
-                    shards,
-                } => {
+                Topology::Replicated { sites, replication } => {
                     assert!(replication <= sites);
                     assert!(replication >= 2);
-                    if case.faulty() {
-                        // Fault installation is single-shard, as on core.
-                        assert_eq!(shards, 1, "seed {seed}");
-                    }
                     for e in &case.faults.events {
                         match e.kind {
                             FaultKind::ServerDeath { server } => assert!(server < sites),
@@ -606,8 +539,6 @@ mod tests {
 
     #[test]
     fn seeds_cover_every_regime() {
-        let mut split = 0;
-        let mut sharded = 0;
         let mut faulty = 0;
         let mut replicated = 0;
         let mut cached = 0;
@@ -618,18 +549,7 @@ mod tests {
                 faulty += 1;
             }
             match c.topology {
-                Topology::Core {
-                    shards,
-                    split: s,
-                    cache_mb,
-                    ..
-                } => {
-                    if s {
-                        split += 1;
-                    }
-                    if shards > 1 {
-                        sharded += 1;
-                    }
+                Topology::Core { cache_mb, .. } => {
                     if cache_mb > 0 {
                         cached += 1;
                         if c.tenants.iter().any(|t| t.read_pct < 60) {
@@ -642,8 +562,6 @@ mod tests {
         }
         // The CI budget (≥100 seeds) must exercise every oracle family;
         // require each regime to appear often in any 256-seed window.
-        assert!(split >= 10, "split cases too rare: {split}/256");
-        assert!(sharded >= 20, "sharded cases too rare: {sharded}/256");
         assert!(faulty >= 40, "faulty cases too rare: {faulty}/256");
         assert!(
             replicated >= 40,

@@ -11,8 +11,8 @@
 use reflex_flash::IoType;
 use reflex_net::{ReflexHeader, WireError, HEADER_SIZE};
 use reflex_qos::{
-    CostModel, CostedRequest, GlobalBucket, LeaseLedger, LoadMix, QosScheduler, SchedulerParams,
-    SloSpec, TenantId, Tokens,
+    CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, SchedulerParams, SloSpec,
+    TenantId,
 };
 use reflex_sim::{PoolKey, SimDuration, SimTime, SlabPool};
 
@@ -88,72 +88,6 @@ pub fn check_pool_cookie(data: &[u8]) {
     for (key, val) in &live {
         assert_eq!(pool.get(*key), Some(val), "live key unreadable");
     }
-}
-
-/// LeaseLedger accounting under arbitrary op sequences, replicated: two
-/// ledgers (one per dataplane thread, exchanging entries like split
-/// shards do) must converge to identical state at every synchronized
-/// boundary, and both must satisfy the conservation identity
-/// `gives == residue + Σ leases + taken + discarded`.
-pub fn check_lease_ops(data: &[u8]) {
-    const WINDOW_US: u64 = 100;
-    let window = SimDuration::from_micros(WINDOW_US);
-    let mut a = LeaseLedger::new(2, window);
-    let mut b = LeaseLedger::new(2, window);
-    let mut now = SimTime::ZERO;
-
-    let exchange_and_observe = |a: &mut LeaseLedger, b: &mut LeaseLedger, at: SimTime| {
-        let from_a = a.take_outbound();
-        let from_b = b.take_outbound();
-        a.accept(&from_b);
-        b.accept(&from_a);
-        a.observe(at);
-        b.observe(at);
-    };
-
-    for chunk in data.chunks(3) {
-        let sel = chunk[0];
-        let amount = i64::from(*chunk.get(1).unwrap_or(&1)) * 10 + 1;
-        let gap = u64::from(*chunk.get(2).unwrap_or(&0)) % (2 * WINDOW_US) + 1;
-        now += SimDuration::from_micros(gap);
-        // Thread 0 lives on replica A, thread 1 on replica B — each op is
-        // staged on its owner, exactly like split-dataplane shards.
-        let (owner, thread) = if sel & 1 == 0 {
-            (&mut a, 0u32)
-        } else {
-            (&mut b, 1u32)
-        };
-        match (sel >> 1) % 4 {
-            0 => owner.give(now, thread, Tokens::from_millitokens(amount)),
-            1 => {
-                let _ = owner.take(now, thread, Tokens::from_millitokens(amount));
-            }
-            2 => {
-                let _ = owner.mark_round(now, thread);
-            }
-            _ => exchange_and_observe(&mut a, &mut b, now),
-        }
-    }
-    // Final synchronized boundary: everything staged applies on both.
-    now += SimDuration::from_micros(2 * WINDOW_US);
-    exchange_and_observe(&mut a, &mut b, now);
-
-    for t in 0..2 {
-        assert_eq!(a.lease_of(t), b.lease_of(t), "replicas diverged: lease {t}");
-    }
-    assert_eq!(a.residue(), b.residue(), "replicas diverged: residue");
-    for (name, ledger) in [("A", &a), ("B", &b)] {
-        assert_eq!(
-            ledger.gives_cum(),
-            ledger.accounted(),
-            "conservation broken on replica {name}: gives {} vs accounted {}",
-            ledger.gives_cum(),
-            ledger.accounted()
-        );
-    }
-    assert_eq!(a.gives_cum(), b.gives_cum());
-    assert_eq!(a.taken_cum(), b.taken_cum());
-    assert_eq!(a.discarded_cum(), b.discarded_cum());
 }
 
 /// QoS scheduler under an arbitrary enqueue/schedule/renegotiate
@@ -261,7 +195,6 @@ mod tests {
         for data in [&[][..], &[0][..], &[0xff; 64][..]] {
             check_wire_roundtrip(data);
             check_pool_cookie(data);
-            check_lease_ops(data);
             check_sched_ops(data);
             check_fault_plan(data);
         }

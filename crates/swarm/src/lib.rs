@@ -4,9 +4,8 @@
 //! Two arms share this crate:
 //!
 //! * **Structure-aware fuzzing** ([`harness`]) — byte-driven bodies
-//!   over the decode/accounting edges (wire headers, pool cookies,
-//!   lease ledgers, QoS scheduling, fault-plan parsing). The `fuzz/`
-//!   workspace member wraps them in `fuzz_target!` binaries; the
+//!   over the decode/accounting edges (wire headers, pool cookies, QoS
+//!   scheduling, fault-plan parsing). The `fuzz/` workspace member wraps them in `fuzz_target!` binaries; the
 //!   `fuzz_mirrors` proptest suite runs the same bodies under plain
 //!   `cargo test`.
 //! * **Swarm running** ([`gen`], [`runner`], [`shrink`]) — one u64 seed

@@ -7,7 +7,7 @@
 //! reflex-swarm --repro '<case line>'  # replay a shrunk case
 //! reflex-swarm --corpus <file>        # replay a seed-per-line corpus
 //! reflex-swarm --mutate               # (feature `mutation`) flip the
-//!                                     # lease-skim bug on; the sweep
+//!                                     # bucket-skim bug on; the sweep
 //!                                     # must fail, proving the oracles
 //!                                     # can see a real accounting bug
 //! ```
@@ -98,8 +98,8 @@ fn main() -> ExitCode {
     if args.mutate {
         #[cfg(feature = "mutation")]
         {
-            reflex_qos::mutation::set_lease_skim(true);
-            eprintln!("reflex-swarm: MUTATION ACTIVE — lease skim on; this sweep must fail");
+            reflex_qos::mutation::set_bucket_skim(true);
+            eprintln!("reflex-swarm: MUTATION ACTIVE — bucket skim on; this sweep must fail");
         }
         #[cfg(not(feature = "mutation"))]
         {

@@ -3,8 +3,8 @@
 //!
 //! A family is *checked* when the case's configuration gives it
 //! something to bite on, and *vacuous* (with a stated reason) when the
-//! configuration makes it undefined — e.g. lease conservation only
-//! exists once a split-dataplane ledger exists. The runner reports the
+//! configuration makes it undefined — e.g. membership epochs only exist
+//! on the replicated topology. The runner reports the
 //! status of all five for every case, so a CI sweep can prove each
 //! family actually fired within its seed budget.
 
@@ -18,16 +18,16 @@ pub enum OracleFamily {
     /// Per-tenant `submitted == completed + failed + retried` and zero
     /// open spans, after generators stop and queues drain.
     IoConservation,
-    /// Split-dataplane ledger: `gives == residue + Σ leases + taken +
-    /// discarded` (and, unified, token spend within the device budget).
-    LeaseConservation,
+    /// Tokens are only made by generation: what the schedulers generated
+    /// equals what tenants hold and spent plus what the global bucket
+    /// holds and discarded, and token spend stays within the device
+    /// budget at the strictest admitted SLO.
+    TokenBudget,
     /// Replication: membership epochs only ever increase, member sets
     /// stay well-formed, failovers and epoch bumps correspond.
     QuorumEpoch,
-    /// Byte-identical reports between the case's sharded/split execution
-    /// and the mono execution of the same scenario (or an exact re-run,
-    /// for fault campaigns that pin execution to one shard).
-    ShardIdentity,
+    /// Byte-identical reports between two runs of the same case.
+    RerunIdentity,
     /// No hot-path allocations: steady-state allocs per completed IO
     /// under budget, measured with the counting allocator.
     AllocBudget,
@@ -37,9 +37,9 @@ impl OracleFamily {
     /// All five, in reporting order.
     pub const ALL: [OracleFamily; 5] = [
         OracleFamily::IoConservation,
-        OracleFamily::LeaseConservation,
+        OracleFamily::TokenBudget,
         OracleFamily::QuorumEpoch,
-        OracleFamily::ShardIdentity,
+        OracleFamily::RerunIdentity,
         OracleFamily::AllocBudget,
     ];
 
@@ -47,9 +47,9 @@ impl OracleFamily {
     pub fn name(self) -> &'static str {
         match self {
             OracleFamily::IoConservation => "io-conservation",
-            OracleFamily::LeaseConservation => "lease-conservation",
+            OracleFamily::TokenBudget => "token-budget",
             OracleFamily::QuorumEpoch => "quorum-epoch",
-            OracleFamily::ShardIdentity => "shard-identity",
+            OracleFamily::RerunIdentity => "rerun-identity",
             OracleFamily::AllocBudget => "alloc-budget",
         }
     }
@@ -136,15 +136,16 @@ pub fn check_io_conservation(snapshot: &TelemetrySnapshot, out: &mut Vec<Violati
     }
 }
 
-/// Checks the ledger half of the lease-conservation family.
-pub fn check_lease_ledger(gives: i64, accounted: i64, out: &mut Vec<Violation>) {
-    if gives != accounted {
+/// Checks the conservation half of the token-budget family on the
+/// server's books (millitokens).
+pub fn check_token_books(generated: i64, accounted: i64, out: &mut Vec<Violation>) {
+    if generated != accounted {
         out.push(Violation {
-            family: OracleFamily::LeaseConservation,
+            family: OracleFamily::TokenBudget,
             detail: format!(
-                "lease ledger broke conservation: gives {gives} != residue + Σ leases + \
-                 taken + discarded = {accounted} (drift {})",
-                gives - accounted
+                "token books do not balance: generated {generated} != held + spent + \
+                 bucket + discarded = {accounted} (drift {})",
+                accounted - generated
             ),
         });
     }
@@ -235,8 +236,8 @@ pub fn check_membership(
     }
 }
 
-/// Checks the shard/split identity family.
-pub fn check_identity(kind: &str, a: &str, b: &str, out: &mut Vec<Violation>) {
+/// Checks the re-run identity family.
+pub fn check_identity(a: &str, b: &str, out: &mut Vec<Violation>) {
     if a != b {
         // Find the first divergent region so the report is readable.
         let split = a
@@ -247,9 +248,9 @@ pub fn check_identity(kind: &str, a: &str, b: &str, out: &mut Vec<Violation>) {
         let lo = split.saturating_sub(40);
         let window = |s: &str| s[lo..(split + 80).min(s.len())].to_string();
         out.push(Violation {
-            family: OracleFamily::ShardIdentity,
+            family: OracleFamily::RerunIdentity,
             detail: format!(
-                "{kind} runs diverged at byte {split}:\n  a: …{}…\n  b: …{}…",
+                "two runs of one case diverged at byte {split}:\n  a: …{}…\n  b: …{}…",
                 window(a),
                 window(b)
             ),

@@ -1,17 +1,12 @@
 //! Executes one [`SwarmCase`] and holds it to the five oracle families.
 //!
-//! Two executions per case: the **oracle run** at one shard (where
-//! every workload generator is reachable for the stop-and-drain
-//! conservation check) and the **identity partner** at the case's
-//! sharded/split configuration. The identity family asserts the two
-//! produce byte-identical reports, which transfers every mono-run
-//! oracle verdict to the parallel execution. Fault campaigns pin
-//! execution to one shard by design, so their partner is an exact
-//! re-run — a plain determinism check.
+//! Two executions per case: the **oracle run**, which is then stopped
+//! and drained for the conservation checks, and an exact **re-run**
+//! whose report the identity family holds byte-identical to the first.
 //!
 //! Healthy core cases additionally run an **alloc pass**: the same
-//! scenario, telemetry off, unified dataplane, measured under the
-//! counting allocator (when the embedding binary installed it).
+//! scenario, telemetry off, measured under the counting allocator (when
+//! the embedding binary installed it).
 
 use std::sync::Mutex;
 
@@ -23,8 +18,8 @@ use reflex_sim::SimDuration;
 
 use crate::gen::{SwarmCase, TenantSpec, Topology};
 use crate::oracle::{
-    check_alloc, check_epochs, check_identity, check_io_conservation, check_lease_ledger,
-    check_membership, FamilyStatus, OracleFamily, Violation,
+    check_alloc, check_epochs, check_identity, check_io_conservation, check_membership,
+    check_token_books, FamilyStatus, OracleFamily, Violation,
 };
 
 /// Drain window after generators stop. Sized for the worst admissible
@@ -75,7 +70,7 @@ pub struct CaseOutcome {
     pub violations: Vec<Violation>,
     /// Status of all five families on this case.
     pub families: Vec<(OracleFamily, FamilyStatus)>,
-    /// Non-fatal observations (dropped tenants, clamps).
+    /// Non-fatal observations (dropped tenants).
     pub notes: Vec<String>,
     /// Completed IOs observed by the oracle run.
     pub completed_ios: u64,
@@ -106,8 +101,8 @@ struct CoreArtifacts {
 }
 
 fn core_fingerprint(r: &TestbedReport) -> String {
-    // Same exclusion as the sharded_identity tests: engine_events and
-    // telemetry are execution artifacts, not simulated results.
+    // engine_events and telemetry are execution artifacts, not simulated
+    // results.
     format!(
         "window={:?} workloads={:?} threads={:?} tokens={} device={:?} renegs={:?}",
         r.window,
@@ -164,15 +159,10 @@ fn core_spec(i: usize, t: &TenantSpec) -> WorkloadSpec {
     spec
 }
 
-/// Builds, populates and runs a core testbed through warmup + measure.
-/// Returns `None` only if every tenant was rejected (a generator bug —
-/// reported as an IO-conservation violation upstream).
-fn run_core(
-    case: &SwarmCase,
-    shards: usize,
-    split: bool,
-    telemetry: bool,
-) -> (Testbed, CoreArtifacts) {
+/// Builds, populates and runs a core testbed through warmup + measure,
+/// telemetry on. (A case whose tenants were all rejected — a generator
+/// bug — surfaces upstream as an IO-conservation violation.)
+fn run_core(case: &SwarmCase) -> (Testbed, CoreArtifacts) {
     let Topology::Core {
         server_threads,
         clients,
@@ -198,18 +188,7 @@ fn run_core(
     if !case.faults.is_empty() {
         let _stats = install(&case.faults, &mut tb);
     }
-    if split {
-        tb.enable_split_dataplane()
-            .expect("generator only splits hook-free scenarios");
-    }
-    let mut tb = tb.with_shards(shards);
-    if let Some(clamp) = tb.shard_clamp() {
-        notes.push(format!("shard clamp: {clamp}"));
-    }
-    if telemetry {
-        // After with_shards: the shared handle installs on every shard.
-        tb.enable_telemetry();
-    }
+    tb.enable_telemetry();
     for (i, t) in case.tenants.iter().enumerate() {
         if let Err(e) = tb.add_workload(core_spec(i, t)) {
             notes.push(format!("tenant t{i} rejected: {e}"));
@@ -234,34 +213,13 @@ fn run_core(
 }
 
 fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
-    let Topology::Core { shards, split, .. } = case.topology else {
-        unreachable!()
-    };
     let mut violations = Vec::new();
     let mut families = Vec::new();
 
-    // Oracle run: one shard, so stop-and-drain reaches every generator.
-    let (mut tb, oracle_run) = run_core(case, 1, split, true);
-    let mut notes = oracle_run.notes.clone();
-
-    // Identity partner: the case's parallel configuration (or, for fault
-    // campaigns — which pin execution to one shard by design — an exact
-    // re-run, i.e. a determinism check).
-    let (partner_shards, kind) = if case.faulty() {
-        (1, "determinism")
-    } else if shards > 1 {
-        (shards, "mono-vs-sharded")
-    } else {
-        (2, "mono-vs-sharded")
-    };
-    let (_, partner) = run_core(case, partner_shards, split, true);
-    check_identity(
-        kind,
-        &oracle_run.fingerprint,
-        &partner.fingerprint,
-        &mut violations,
-    );
-    families.push((OracleFamily::ShardIdentity, FamilyStatus::Checked));
+    let (mut tb, oracle_run) = run_core(case);
+    let (_, rerun) = run_core(case);
+    check_identity(&oracle_run.fingerprint, &rerun.fingerprint, &mut violations);
+    families.push((OracleFamily::RerunIdentity, FamilyStatus::Checked));
 
     // Stop, drain, and hold the exit books to exact balance.
     tb.world_mut().stop_all_workloads();
@@ -277,53 +235,44 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
         )),
     }
 
-    // Lease conservation: the ledger identity when split, the global
-    // token budget otherwise.
-    if split {
-        let (gives, accounted) = tb.lease_accounting().expect("split run installs a ledger");
-        check_lease_ledger(gives, accounted, &mut violations);
-        families.push((OracleFamily::LeaseConservation, FamilyStatus::Checked));
-    } else {
+    // Token budget: the books balance to the millitoken on every case;
+    // with a latency-critical tenant admitted, spend also stays within the
+    // device budget at the strictest SLO.
+    let (generated, accounted) = tb.world().server().token_books();
+    check_token_books(generated, accounted, &mut violations);
+    let strictest = case
+        .tenants
+        .iter()
+        .filter_map(|t| t.lc)
+        .map(|(_, _, p95)| p95)
+        .min();
+    if let Some(p95_us) = strictest {
         let report = tb.report();
-        let strictest = case
-            .tenants
-            .iter()
-            .filter_map(|t| t.lc)
-            .map(|(_, _, p95)| p95)
-            .min();
-        match strictest {
-            Some(p95_us) => {
-                let budget = tb
-                    .world()
-                    .server()
-                    .capacity()
-                    .tokens_per_sec_at(SimDuration::from_micros(p95_us));
-                if report.token_usage_per_sec > budget * 1.05 {
-                    violations.push(Violation {
-                        family: OracleFamily::LeaseConservation,
-                        detail: format!(
-                            "token spend {:.0}/s exceeds the device budget {budget:.0}/s \
-                             at the strictest admitted SLO ({p95_us}us)",
-                            report.token_usage_per_sec
-                        ),
-                    });
-                }
-                families.push((OracleFamily::LeaseConservation, FamilyStatus::Checked));
-            }
-            None => families.push((
-                OracleFamily::LeaseConservation,
-                FamilyStatus::Vacuous("no latency-critical tenant, no token reservation"),
-            )),
+        let budget = tb
+            .world()
+            .server()
+            .capacity()
+            .tokens_per_sec_at(SimDuration::from_micros(p95_us));
+        if report.token_usage_per_sec > budget * 1.05 {
+            violations.push(Violation {
+                family: OracleFamily::TokenBudget,
+                detail: format!(
+                    "token spend {:.0}/s exceeds the device budget {budget:.0}/s \
+                     at the strictest admitted SLO ({p95_us}us)",
+                    report.token_usage_per_sec
+                ),
+            });
         }
     }
+    families.push((OracleFamily::TokenBudget, FamilyStatus::Checked));
 
     families.push((
         OracleFamily::QuorumEpoch,
         FamilyStatus::Vacuous("single-server topology has no membership"),
     ));
 
-    // Alloc pass: healthy scenarios, telemetry off, unified mono
-    // dataplane, longer windows so per-IO amortization is meaningful.
+    // Alloc pass: healthy scenarios, telemetry off, longer windows so
+    // per-IO amortization is meaningful.
     match (cfg.alloc_counter, case.faulty()) {
         (Some(counter), false) => {
             let _gate = alloc_gate();
@@ -385,12 +334,11 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
         )),
     }
 
-    notes.extend(partner.notes);
     CaseOutcome {
         case: case.clone(),
         violations,
         families,
-        notes,
+        notes: oracle_run.notes,
         completed_ios: oracle_run.completed,
     }
 }
@@ -411,7 +359,7 @@ struct ReplArtifacts {
     completed: u64,
 }
 
-fn run_repl(case: &SwarmCase, shards: usize, sample: bool) -> (ReplTestbed, ReplArtifacts) {
+fn run_repl(case: &SwarmCase, sample: bool) -> (ReplTestbed, ReplArtifacts) {
     let Topology::Replicated {
         sites, replication, ..
     } = case.topology
@@ -422,8 +370,7 @@ fn run_repl(case: &SwarmCase, shards: usize, sample: bool) -> (ReplTestbed, Repl
         .sites(sites)
         .replication(replication)
         .seed(case.seed)
-        .build()
-        .with_shards(shards);
+        .build();
     tb.enable_telemetry();
     for (i, t) in case.tenants.iter().enumerate() {
         let (iops, pct, p95_us) = t.lc.expect("replicated tenants carry an SLO");
@@ -473,37 +420,20 @@ fn run_repl(case: &SwarmCase, shards: usize, sample: bool) -> (ReplTestbed, Repl
 }
 
 fn run_repl_case(case: &SwarmCase) -> CaseOutcome {
-    let Topology::Replicated {
-        replication,
-        shards,
-        ..
-    } = case.topology
-    else {
+    let Topology::Replicated { replication, .. } = case.topology else {
         unreachable!()
     };
     let mut violations = Vec::new();
     let mut families = Vec::new();
 
-    let (mut tb, oracle_run) = run_repl(case, 1, true);
+    let (mut tb, oracle_run) = run_repl(case, true);
     let report = tb.report();
 
-    // Identity partner at the case's shard count (or a determinism
-    // re-run when the case is already mono).
-    let (partner_shards, kind) = if case.faulty() {
-        (1, "determinism")
-    } else if shards > 1 {
-        (shards, "mono-vs-sharded")
-    } else {
-        (2, "mono-vs-sharded")
-    };
-    let (_, partner) = run_repl(case, partner_shards, false);
-    check_identity(
-        kind,
-        &oracle_run.fingerprint,
-        &partner.fingerprint,
-        &mut violations,
-    );
-    families.push((OracleFamily::ShardIdentity, FamilyStatus::Checked));
+    // The re-run does not sample epochs: slicing the measured window
+    // differently must not change the report either.
+    let (_, rerun) = run_repl(case, false);
+    check_identity(&oracle_run.fingerprint, &rerun.fingerprint, &mut violations);
+    families.push((OracleFamily::RerunIdentity, FamilyStatus::Checked));
 
     // Quorum/epoch family: sampled monotonicity + final membership.
     check_epochs(
@@ -538,8 +468,8 @@ fn run_repl_case(case: &SwarmCase) -> CaseOutcome {
     }
 
     families.push((
-        OracleFamily::LeaseConservation,
-        FamilyStatus::Vacuous("replicated testbed runs the unified token bucket"),
+        OracleFamily::TokenBudget,
+        FamilyStatus::Vacuous("the replicated testbed does not expose its sites' token books"),
     ));
     families.push((
         OracleFamily::AllocBudget,

@@ -85,82 +85,38 @@ fn candidates(case: &SwarmCase) -> Vec<SwarmCase> {
         }
     }
 
-    // Collapse the topology.
-    match case.topology {
-        Topology::Core {
-            server_threads,
-            clients,
-            shards,
-            split,
-            cache_mb,
-        } => {
-            if split {
-                let mut c = case.clone();
-                c.topology = Topology::Core {
-                    server_threads,
-                    clients,
-                    shards,
-                    split: false,
-                    cache_mb,
-                };
-                out.push(c);
-            }
-            if shards > 1 {
-                let mut c = case.clone();
-                c.topology = Topology::Core {
-                    server_threads,
-                    clients,
-                    shards: 1,
-                    split,
-                    cache_mb,
-                };
-                out.push(c);
-            }
-            // Turning the DRAM cache off isolates failures that only need
-            // the plain flash path.
-            if cache_mb > 0 {
-                let mut c = case.clone();
-                c.topology = Topology::Core {
-                    server_threads,
-                    clients,
-                    shards,
-                    split,
-                    cache_mb: 0,
-                };
-                out.push(c);
-            }
-            // Fewer client machines, when no tenant or fault targets the
-            // ones removed.
-            if clients > 1 {
-                let targets_last = case.tenants.iter().any(|t| t.client_machine >= clients - 1)
-                    || case.faults.events.iter().any(|e| {
-                        matches!(e.kind,
-                            reflex_faults::FaultKind::LinkFlap { client, .. } if client >= clients - 1)
-                    });
-                if !targets_last {
-                    let mut c = case.clone();
-                    c.topology = Topology::Core {
-                        server_threads,
-                        clients: clients - 1,
-                        shards,
-                        split,
-                        cache_mb,
-                    };
-                    out.push(c);
-                }
-            }
+    // Collapse the topology (the replicated one has nothing to collapse).
+    if let Topology::Core {
+        server_threads,
+        clients,
+        cache_mb,
+    } = case.topology
+    {
+        // Turning the DRAM cache off isolates failures that only need
+        // the plain flash path.
+        if cache_mb > 0 {
+            let mut c = case.clone();
+            c.topology = Topology::Core {
+                server_threads,
+                clients,
+                cache_mb: 0,
+            };
+            out.push(c);
         }
-        Topology::Replicated {
-            sites,
-            replication,
-            shards,
-        } => {
-            if shards > 1 {
+        // Fewer client machines, when no tenant or fault targets the
+        // ones removed.
+        if clients > 1 {
+            let targets_last = case.tenants.iter().any(|t| t.client_machine >= clients - 1)
+                || case.faults.events.iter().any(|e| {
+                    matches!(e.kind,
+                        reflex_faults::FaultKind::LinkFlap { client, .. } if client >= clients - 1)
+                });
+            if !targets_last {
                 let mut c = case.clone();
-                c.topology = Topology::Replicated {
-                    sites,
-                    replication,
-                    shards: 1,
+                c.topology = Topology::Core {
+                    server_threads,
+                    clients: clients - 1,
+                    cache_mb,
                 };
                 out.push(c);
             }

@@ -66,9 +66,9 @@ fn corpus_exercises_families() {
     }
     for family in [
         OracleFamily::IoConservation,
-        OracleFamily::LeaseConservation,
+        OracleFamily::TokenBudget,
         OracleFamily::QuorumEpoch,
-        OracleFamily::ShardIdentity,
+        OracleFamily::RerunIdentity,
     ] {
         assert!(
             checked.contains(&family),

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use reflex_swarm::harness::{
-    check_fault_plan, check_lease_ops, check_pool_cookie, check_sched_ops, check_wire_roundtrip,
+    check_fault_plan, check_pool_cookie, check_sched_ops, check_wire_roundtrip,
 };
 
 proptest! {
@@ -22,13 +22,6 @@ proptest! {
     #[test]
     fn pool_cookie_mirror(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         check_pool_cookie(&bytes);
-    }
-
-    /// Two lease-ledger replicas under arbitrary give/take/round/exchange
-    /// sequences converge and conserve.
-    #[test]
-    fn lease_ops_mirror(bytes in prop::collection::vec(any::<u8>(), 0..384)) {
-        check_lease_ops(&bytes);
     }
 
     /// QoS scheduler spend stays bounded by generation across arbitrary

@@ -24,7 +24,7 @@ fn first_seeds_pass_all_oracles() {
             );
         }
         // IO conservation and identity apply to every case.
-        for family in [OracleFamily::IoConservation, OracleFamily::ShardIdentity] {
+        for family in [OracleFamily::IoConservation, OracleFamily::RerunIdentity] {
             let status = outcome
                 .families
                 .iter()

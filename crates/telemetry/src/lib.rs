@@ -246,63 +246,6 @@ struct TelemetryCore {
 /// [`Telemetry::disabled`] is the zero-cost default: every method is a
 /// single `Option` branch and no state is allocated. Clones of an enabled
 /// handle share one sink, so a testbed can hand the same handle to the
-/// Deterministic per-shard counters exported by the sharded-PDES runner:
-/// how often each shard hit the rendezvous barrier, how many window-grid
-/// steps it committed, and how many rendezvous committed more than one
-/// window at once (event-horizon extension firing). All three are pure
-/// functions of the simulation — identical across runs and hosts — unlike
-/// wall-clock barrier-wait time, which stays out of snapshots by design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardCounter {
-    /// Barrier rendezvous the shard participated in.
-    BarrierWaits,
-    /// Window-grid steps the shard committed.
-    WindowsCommitted,
-    /// Rendezvous that committed more than one window at once.
-    ExtendedCommits,
-}
-
-macro_rules! shard_keys {
-    ($suffix:literal) => {
-        [
-            concat!("shard0.", $suffix),
-            concat!("shard1.", $suffix),
-            concat!("shard2.", $suffix),
-            concat!("shard3.", $suffix),
-            concat!("shard4.", $suffix),
-            concat!("shard5.", $suffix),
-            concat!("shard6.", $suffix),
-            concat!("shard7.", $suffix),
-            concat!("shard8.", $suffix),
-            concat!("shard9.", $suffix),
-            concat!("shard10.", $suffix),
-            concat!("shard11.", $suffix),
-            concat!("shard12.", $suffix),
-            concat!("shard13.", $suffix),
-            concat!("shard14.", $suffix),
-            concat!("shard15.", $suffix),
-            concat!("shard16plus.", $suffix),
-        ]
-    };
-}
-
-static SHARD_BARRIER_WAITS: [&str; 17] = shard_keys!("barrier_waits");
-static SHARD_WINDOWS_COMMITTED: [&str; 17] = shard_keys!("windows_committed");
-static SHARD_EXTENDED_COMMITS: [&str; 17] = shard_keys!("extended_commits");
-
-/// The `&'static str` counter key for `(kind, shard)` — e.g.
-/// `"shard3.barrier_waits"`. Shards past 15 fold into one shared
-/// `shard16plus.*` overflow key so keys stay static (no allocation on the
-/// recording path, per the crate's zero-cost contract).
-pub fn shard_counter(kind: ShardCounter, shard: usize) -> &'static str {
-    let idx = shard.min(16);
-    match kind {
-        ShardCounter::BarrierWaits => SHARD_BARRIER_WAITS[idx],
-        ShardCounter::WindowsCommitted => SHARD_WINDOWS_COMMITTED[idx],
-        ShardCounter::ExtendedCommits => SHARD_EXTENDED_COMMITS[idx],
-    }
-}
-
 /// fabric, the device, every dataplane thread, and the client world.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry(Option<Arc<TelemetryCore>>);
@@ -328,15 +271,6 @@ impl Telemetry {
     pub fn count(&self, name: &'static str, delta: u64) {
         if let Some(core) = &self.0 {
             *core.inner.lock().unwrap().counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
-    /// Adds `delta` to a per-shard counter of the sharded runner
-    /// ([`ShardCounter`] picks which). Skips the `Option` branch *and* the
-    /// static-key lookup when disabled, like [`count`](Self::count).
-    pub fn count_shard(&self, kind: ShardCounter, shard: usize, delta: u64) {
-        if self.0.is_some() {
-            self.count(shard_counter(kind, shard), delta);
         }
     }
 
@@ -755,30 +689,6 @@ fn json_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_counters_have_stable_static_keys() {
-        assert_eq!(
-            shard_counter(ShardCounter::BarrierWaits, 0),
-            "shard0.barrier_waits"
-        );
-        assert_eq!(
-            shard_counter(ShardCounter::WindowsCommitted, 15),
-            "shard15.windows_committed"
-        );
-        // Shards past the static table fold into one overflow key.
-        assert_eq!(
-            shard_counter(ShardCounter::ExtendedCommits, 40),
-            "shard16plus.extended_commits"
-        );
-        let tel = Telemetry::enabled();
-        tel.count_shard(ShardCounter::BarrierWaits, 3, 7);
-        tel.count_shard(ShardCounter::BarrierWaits, 3, 2);
-        let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.counters["shard3.barrier_waits"], 9);
-        // Disabled handles skip the key lookup entirely.
-        Telemetry::disabled().count_shard(ShardCounter::WindowsCommitted, 0, 1);
-    }
 
     #[test]
     fn disabled_is_inert() {
