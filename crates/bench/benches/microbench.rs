@@ -471,12 +471,11 @@ fn engine_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// One windowed-fabric round at a standing backlog: the sender's uplink
-/// chain runs `backlog` flights ahead of the clock, and every step sends
-/// one more, raises the horizon past the oldest, asks both queues for
-/// their next arrival and polls — what a dataplane pump does per message
-/// once the server falls behind.
-struct WindowedRound {
+/// One fabric round at a standing backlog: the sender's uplink chain runs
+/// `backlog` messages ahead of the clock, and every step sends one more,
+/// asks both queues for their next arrival and polls — what a dataplane
+/// pump does per message once the server falls behind.
+struct BacklogRound {
     fabric: Fabric<u64>,
     client: MachineId,
     server: MachineId,
@@ -488,16 +487,15 @@ struct WindowedRound {
     out: Vec<Delivery<u64>>,
 }
 
-impl WindowedRound {
+impl BacklogRound {
     fn new(backlog: u64) -> Self {
         let mut fabric: Fabric<u64> = Fabric::new(LinkConfig::default(), SimRng::seed(7));
         let client = fabric.add_machine(StackProfile::ix_tcp());
         let idle = fabric.add_machine(StackProfile::ix_tcp());
         let server = fabric.add_machine(StackProfile::dataplane_raw());
         let sibling = fabric.add_queue(server);
-        fabric.enable_windowed();
         let conn = fabric.new_conn();
-        // A lone far-future flight keeps the sibling queue non-empty.
+        // A lone far-future message keeps the sibling queue non-empty.
         fabric.send_to_queue(
             SimTime::from_secs(3_600),
             idle,
@@ -509,12 +507,12 @@ impl WindowedRound {
         );
         let (mut prev, mut gap) = (SimTime::ZERO, SimDuration::ZERO);
         for i in 0..backlog {
-            let bound =
+            let arrival =
                 fabric.send_to_queue(SimTime::ZERO, client, server, NicQueueId(0), conn, 64, i);
-            gap = bound.saturating_since(prev);
-            prev = bound;
+            gap = arrival.saturating_since(prev);
+            prev = arrival;
         }
-        WindowedRound {
+        BacklogRound {
             fabric,
             client,
             server,
@@ -529,7 +527,7 @@ impl WindowedRound {
 
     fn step(&mut self) -> (Option<SimTime>, usize) {
         // Advancing the clock by one serialization time per send holds the
-        // backlog steady: one flight departs, one resolves.
+        // backlog steady: one message is sent, one arrives.
         self.now += self.gap;
         self.sent += 1;
         let (f, q0) = (&mut self.fabric, NicQueueId(0));
@@ -542,7 +540,6 @@ impl WindowedRound {
             64,
             self.sent,
         );
-        f.observe(self.now);
         let next = f
             .next_arrival_queue(self.server, q0)
             .min(f.next_arrival_queue(self.server, self.sibling));
@@ -551,39 +548,43 @@ impl WindowedRound {
     }
 }
 
-/// The per-queue pending index makes a round's cost independent of the
-/// backlog; a scan over the machine's in-flight set makes it linear
-/// (180x from 4 to 16 384 flights before the index). The guard fails the
-/// bench if depth leaks back into cost.
-fn fabric_windowed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fabric_windowed");
+/// A queue is one heap over the message slab, so a round costs a push, a
+/// peek and a pop whatever the backlog; a scan over the in-flight set
+/// would make it linear. The guard fails the bench if depth leaks into
+/// cost.
+fn fabric_backlog(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fabric_backlog");
     for backlog in [4u64, 256, 4_096, 16_384] {
         group.bench_function(format!("backlog_{backlog}"), |b| {
-            let mut round = WindowedRound::new(backlog);
+            let mut round = BacklogRound::new(backlog);
             b.iter(|| round.step());
         });
     }
     group.finish();
-    if !c.selected("fabric_windowed/guard") {
+    if !c.selected("fabric_backlog/guard") {
         return;
     }
     // Best of five, alternating, so a slow phase of the host hits both.
-    let (mut few, mut many) = (WindowedRound::new(4), WindowedRound::new(16_384));
+    let (mut few, mut many) = (BacklogRound::new(4), BacklogRound::new(16_384));
     let (mut shallow, mut deep) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         shallow = shallow.min(ns_per_call(100_000, || few.step()));
         deep = deep.min(ns_per_call(100_000, || many.step()));
     }
     println!(
-        "fabric_windowed guard: {shallow:.0} ns/round at 4 in flight, {deep:.0} at 16384 ({:.2}x, limit 2x)",
+        "fabric_backlog guard: {shallow:.0} ns/round at 4 in flight, {deep:.0} at 16384 ({:.2}x, limit 2x)",
         deep / shallow
+    );
+    assert!(
+        many.fabric.in_flight() >= 16_384,
+        "the deep backlog drained"
     );
     assert!(deep <= 2.0 * shallow, "backlog depth leaks into cost");
 }
 
 /// One request's trip through the request path, in steady state: a client
-/// sends a 1 KiB read on the next of `conns` connections, the windowed
-/// fabric resolves it, one `pump` receives it (flow-table lookup, ACL,
+/// sends a 1 KiB read on the next of `conns` connections, the fabric
+/// queues it, one `pump` receives it (flow-table lookup, ACL,
 /// enqueue), runs the scheduling round that is due, submits, and answers
 /// whatever the device completed meanwhile, and the client polls the
 /// responses out. Requests take ~100 µs at the device and arrive every
@@ -605,7 +606,6 @@ impl RequestTrip {
         let mut fabric: Fabric<WireMsg> = Fabric::new(LinkConfig::forty_gbe(), SimRng::seed(5));
         let client = fabric.add_machine(StackProfile::ix_tcp());
         let server = fabric.add_machine(StackProfile::dataplane_raw());
-        fabric.enable_windowed();
         let mut device = FlashDevice::new(device_a(), SimRng::seed(6));
         device.precondition();
         let mut thread = DataplaneThread::new(
@@ -676,7 +676,6 @@ impl RequestTrip {
             0,
             header.encode_array(),
         );
-        f.observe(self.now);
         self.thread.pump(self.now, f, &mut self.device);
         f.poll_into(self.now, self.client, usize::MAX, &mut self.responses);
         self.responses.len()
@@ -724,7 +723,7 @@ fn request_path(c: &mut Criterion) {
 criterion_group!(
     benches,
     engine_dispatch,
-    fabric_windowed,
+    fabric_backlog,
     request_path,
     sched_round,
     bucket_ops,

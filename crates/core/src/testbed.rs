@@ -122,11 +122,6 @@ struct RetryRec {
 
 impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
     fn dispatch(self, world: &mut World<S>, ctx: &mut Ctx<'_, World<S>, WorldEvent>) {
-        // Windowed delivery: raise the fabric's resolution horizon to this
-        // event's scheduled instant before any handler looks at arrivals.
-        // (The event's *scheduled* time, not a busy-advanced one, so the
-        // horizon is a pure function of the event timeline.)
-        world.fabric.observe(ctx.now());
         match self {
             WorldEvent::PumpThread(i) => world.pump_event(i, ctx),
             WorldEvent::ClientPoll(i) => world.client_poll_event(i, ctx),
@@ -310,43 +305,27 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    /// The raw arrival bound of server thread `i`'s NIC queue.
-    fn thread_arrival_bound(&self, i: usize) -> Option<SimTime> {
+    /// Next arrival on server thread `i`'s NIC queue.
+    fn thread_next_arrival(&self, i: usize) -> Option<SimTime> {
         self.fabric
             .next_arrival_queue(self.server_machine, self.server.nic_queue(i))
     }
 
+    /// Pumps one thread and applies the wake rule: the pumped thread is
+    /// armed once, at the earlier of its queue's next arrival and the
+    /// pump's hint (completions, the next scheduling round, the core-busy
+    /// horizon); a client is re-armed from its queue only if this pump
+    /// enqueued something toward it, and every other active thread from
+    /// its own queue, where a rebalance forward may have landed — nobody
+    /// else's next arrival can have become earlier.
     fn pump_one(&mut self, thread: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
-        let now = ctx.now();
         let hint = self
             .server
-            .pump_thread(thread, now, &mut self.fabric, &mut self.device);
-        let n_active = self.server.active_threads();
-        // The pumped thread wakes at `min(bound, hint)`: the raw arrival
-        // bound of its queue, or the pump's own hint, which folds that
-        // bound together with completions, the next scheduling round and
-        // the core-busy horizon (`max(next_arrival, core_busy)`), so the
-        // effective wake is `min(bound, max(other sources, core_busy))` —
-        // the rule the committed figures were generated with. The wake is
-        // armed once, at the place in this function's arming order its
-        // instant wins from — the hint ahead of the client wakes, the
-        // bound in the sweep over the threads after them — so
-        // same-instant events keep their order.
-        let hint = hint.map(|at| at.max(now));
-        let bound = (thread < n_active)
-            .then(|| self.thread_arrival_bound(thread))
-            .flatten()
-            .map(|at| at.max(now));
-        let bound_wins = match (bound, hint) {
-            (Some(b), Some(h)) => b < h,
-            (b, None) => b.is_some(),
-            (None, Some(_)) => false,
-        };
-        if let (Some(at), false) = (hint, bound_wins) {
+            .pump_thread(thread, ctx.now(), &mut self.fabric, &mut self.device);
+        let own = self.thread_next_arrival(thread);
+        if let Some(at) = [own, hint].into_iter().flatten().min() {
             self.ensure_thread_wake(ctx, thread, at);
         }
-        // Responses may now be in flight. Only a client this pump sent to
-        // can have an arrival earlier than its armed wake.
         for c in 0..self.clients.len() {
             let inbound = self.fabric.inbound(self.clients[c].machine);
             if inbound != self.client_inbound[c] {
@@ -354,15 +333,8 @@ impl<S: ServerHarness + 'static> World<S> {
                 self.ensure_client_wake(ctx, c);
             }
         }
-        // A rebalance forward may have landed on a sibling's queue: re-arm
-        // every other active thread whose queue has pending arrivals.
-        for i in 0..n_active {
-            let at = if i == thread {
-                bound.filter(|_| bound_wins)
-            } else {
-                self.thread_arrival_bound(i)
-            };
-            if let Some(at) = at {
+        for i in (0..self.server.active_threads()).filter(|&i| i != thread) {
+            if let Some(at) = self.thread_next_arrival(i) {
                 self.ensure_thread_wake(ctx, i, at);
             }
         }
@@ -852,9 +824,9 @@ impl TestbedReport {
     }
 }
 
-/// How much of the engine's work is wake churn: pump and poll wakes are
-/// armed at a flight's arrival *bound*, so a wake can fire before the
-/// message has resolved (an empty poll) or be superseded before it fires
+/// How much of the engine's work is wake churn: a wake is armed at an
+/// exact arrival, completion or scheduling instant, so a poll wake always
+/// finds its message, but a wake can still be superseded before it fires
 /// (a cancel).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
@@ -1025,10 +997,6 @@ impl TestbedBuilder {
             .collect();
         let server_machine = fabric.add_machine(self.server_stack.clone());
         let server = make_server(&mut fabric, &mut device, server_machine);
-        // Windowed delivery is the testbed's delivery model: receive
-        // halves resolve in flight order, whatever order the sends of
-        // different machines were dispatched in.
-        fabric.enable_windowed();
         let gen_seed = rng.next_u64();
         let n_threads = server.max_threads();
         let n_clients = clients.len();

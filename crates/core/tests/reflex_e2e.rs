@@ -288,11 +288,10 @@ fn report_counts_wake_churn() {
     let polled = w.client_armed - w.client_cancelled;
     assert!(pumped > 0 && pumped <= r.engine_events, "{w:?}");
     assert!((polled - 1..=polled).contains(&w.client_polls), "{w:?}");
-    // Each completion was delivered by a non-empty poll, and wakes armed
-    // at arrival bounds make some polls come up empty.
-    let delivering = w.client_polls - w.client_polls_empty;
-    assert!(delivering > 0 && delivering <= completed, "{w:?}");
-    assert!(w.client_polls_empty > 0, "{w:?}");
+    // A poll wake is armed at an exact arrival and nothing here retries or
+    // times out, so every poll delivers.
+    assert!(w.client_polls > 0 && w.client_polls <= completed, "{w:?}");
+    assert_eq!(w.client_polls_empty, 0, "{w:?}");
     assert_eq!(w, run().wakes, "wake counts are deterministic");
 }
 
@@ -300,9 +299,8 @@ fn report_counts_wake_churn() {
 fn a_hot_thread_arms_each_wake_once() {
     // One server thread at 0.9x its knee (fig4 ReFlex-1T): four IX client
     // machines, 40GbE, 1KB reads. The thread is never idle for long, so
-    // its wake is re-armed by nearly every pump — once, at
-    // min(arrival bound, pump hint), not at the hint and then again at
-    // the bound.
+    // nearly every pump re-arms its wake — once, at the earlier of its
+    // queue's next arrival and the pump's hint.
     let run = || {
         let mut tb = Testbed::builder()
             .seed(31)
@@ -332,22 +330,30 @@ fn a_hot_thread_arms_each_wake_once() {
     let w = r.wakes;
     let completed: u64 = r.workloads.iter().map(|w| w.read_latency.count()).sum();
     assert!(completed > 6_000, "{completed} completions");
-    // What is still cancelled is a wake armed for a completion or a
-    // scheduling round that a new request's arrival bound then preceded:
-    // about one in ten here, one in two when every pump armed twice.
+    // Wakes sit on exact instants, so a pump always finds work and serves
+    // what queued up behind the core-busy horizon in one go: 2 858 pumps
+    // in 12 ms of 810 K requests/s. A wake that fires before its message
+    // can be polled shows up here as a pump per request.
+    let pumps = w.thread_armed - w.thread_cancelled;
+    assert!(pumps * 2 <= completed, "{pumps} pumps, {w:?}");
+    // With one thread only a send can cancel its wake: one armed for a
+    // completion or a scheduling round that a new request's arrival then
+    // preceded. 2 340 of 5 198 here (45 %), each replaced by exactly one
+    // earlier wake.
     assert!(
-        w.thread_cancelled * 8 <= w.thread_armed,
-        "more than an eighth of thread wakes cancelled: {w:?}"
+        w.thread_cancelled * 2 <= w.thread_armed,
+        "more than half of thread wakes cancelled: {w:?}"
     );
     // A client wake is armed when a poll ends with messages still on the
     // way, or when a pump sends to a client whose wake is later than the
-    // new arrival bound (a cancel): never for a client the pump did not
-    // send to, so never more often than polls and cancels account for.
+    // new arrival (a cancel): never for a client the pump did not send
+    // to, so never more often than polls and cancels account for.
     assert!(
         w.client_armed <= w.client_polls + w.client_cancelled + 4,
         "{w:?}"
     );
     assert!(w.client_cancelled * 20 <= w.client_armed, "{w:?}");
+    assert_eq!(w.client_polls_empty, 0, "{w:?}");
     assert_eq!(w, run().wakes, "wake counts are deterministic");
 }
 
@@ -391,4 +397,29 @@ fn deficit_notifications_surface_in_report() {
         "rate limiting failed: greedy got {} IOPS on a 10K SLO",
         w.iops
     );
+}
+
+#[test]
+fn zero_propagation_link_delivers() {
+    // A back-to-back link (no switch) is a legal configuration: arrivals
+    // are computed from serialization and stack latency alone.
+    let link = reflex_net::LinkConfig {
+        propagation: SimDuration::ZERO,
+        ..reflex_net::LinkConfig::default()
+    };
+    let mut tb = Testbed::builder().seed(5).link(link).build();
+    let spec = WorkloadSpec::closed_loop("qd1", TenantId(1), TenantClass::BestEffort, 1);
+    tb.add_workload(spec).expect("admitted");
+    tb.run(SimDuration::from_millis(5));
+    tb.begin_measurement();
+    tb.run(SimDuration::from_millis(20));
+    let r = tb.report();
+    let w = r.workload("qd1");
+    assert!(
+        w.read_latency.count() > 100,
+        "{} reads",
+        w.read_latency.count()
+    );
+    assert_eq!(w.errors, 0);
+    assert_eq!(r.wakes.client_polls_empty, 0, "{:?}", r.wakes);
 }

@@ -90,12 +90,9 @@ struct Nic {
     rng: SimRng,
     tx_bytes: u64,
     rx_bytes: u64,
-    /// Messages this endpoint has queued toward the machine (see
+    /// Messages enqueued on this machine's receive queues (see
     /// [`Fabric::inbound`]).
     inbound: u64,
-    /// Monotone per-source transmit counter; the tie-break of the windowed
-    /// delivery order (see [`PendingEntry`]).
-    tx_seq: u64,
 }
 
 /// What a [`NetFaultHook`] does to one message in flight.
@@ -136,76 +133,23 @@ pub trait NetFaultHook: Send {
 
 /// A message body. It is written into the fabric's slab once, when the
 /// message is sent, and read out once, when the receiver polls it; the
-/// queues in between order 24- and 32-byte [`PendingEntry`]/[`RxEntry`]
-/// records that point at it.
+/// receive queue in between orders 24-byte [`RxEntry`] records that point
+/// at it.
 #[derive(Clone)]
 struct Msg<P> {
     src: MachineId,
     conn: ConnId,
     size: u32,
-    ser: SimDuration,
-    sent_at: SimTime,
-    stage: Stage,
-    fault: NetFaultAction,
     payload: P,
 }
 
-/// A resolved message waiting in a receive queue, ordered by arrival
-/// instant and then resolution sequence (which is unique, so the slab key
-/// never decides).
+/// A message waiting in a receive queue, ordered by arrival instant and
+/// then enqueue sequence (which is unique, so the slab key never decides).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct RxEntry {
     at: SimTime,
     seq: u64,
     msg: PoolKey,
-}
-
-/// A flight: a message whose transmit half has completed but whose receive
-/// half waits for the horizon (windowed mode, see
-/// [`Fabric::enable_windowed`]). Its arrival bound is
-/// `departed + propagation`, the same for every flight on one fabric.
-///
-/// Flights are totally ordered by `(departed, src, tx_seq)` — departure
-/// instant off the sender's uplink, source machine id, and the source NIC's
-/// monotone transmit counter. The receive half of every flight addressed to
-/// a machine is resolved in exactly this order, which is what makes
-/// windowed delivery independent of event interleaving: however sends from
-/// different machines race, the per-destination resolution sequence (and
-/// therefore the destination NIC's busy state and jitter-RNG stream) is a
-/// pure function of the flight set.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PendingEntry {
-    departed: SimTime,
-    src: MachineId,
-    tx_seq: u64,
-    msg: PoolKey,
-}
-
-/// One NIC receive queue: resolved messages the receiver may poll, and
-/// (windowed mode) flights addressed to it that the horizon has not
-/// reached. `bound = departed + propagation` is monotone in `departed`,
-/// so the head of `pending` carries the queue's earliest arrival bound.
-#[derive(Default)]
-struct NicQueue {
-    rx: BinaryHeap<Reverse<RxEntry>>,
-    pending: BinaryHeap<Reverse<PendingEntry>>,
-}
-
-impl NicQueue {
-    /// The earlier of the two heap heads: the first resolved arrival, or
-    /// the first unresolved flight's bound.
-    #[inline]
-    fn next_arrival(&self, propagation: SimDuration) -> Option<SimTime> {
-        let bound = self
-            .pending
-            .peek()
-            .map(|Reverse(f)| f.departed + propagation);
-        match (self.rx.peek(), bound) {
-            (Some(Reverse(e)), Some(bound)) => Some(e.at.min(bound)),
-            (Some(Reverse(e)), None) => Some(e.at),
-            (None, bound) => bound,
-        }
-    }
 }
 
 /// The shared network fabric over which all machines communicate.
@@ -230,11 +174,8 @@ pub struct Fabric<P> {
     link: LinkConfig,
     nic_seed: u64,
     nics: Vec<Nic>,
-    /// Receive queues, `[machine][queue]`.
-    queues: Vec<Vec<NicQueue>>,
-    /// Unresolved flights per destination machine (the sum of its queues'
-    /// `pending` depths), so a horizon crossing skips idle machines.
-    unresolved: Vec<usize>,
+    /// Receive queues, `[machine][queue]`: one min-heap of arrivals each.
+    queues: Vec<Vec<BinaryHeap<Reverse<RxEntry>>>>,
     /// Every message between send and poll, one slot each. Grows to the
     /// peak number in flight and recycles from then on.
     msgs: SlabPool<Msg<P>>,
@@ -244,34 +185,6 @@ pub struct Fabric<P> {
     dropped: u64,
     duplicated: u64,
     telemetry: Telemetry,
-    /// Windowed delivery state; `None` in (default) immediate mode.
-    windowed: Option<Windowed>,
-}
-
-/// State of windowed delivery mode (split send: the transmit half runs at
-/// send time, the receive half when the horizon passes the departure).
-struct Windowed {
-    /// Horizon quantum in nanoseconds (= link propagation).
-    window_ns: u64,
-    /// All flights departing strictly before this instant are resolved.
-    horizon: SimTime,
-}
-
-/// Pops a machine's next unresolved flight if it departed before
-/// `horizon`, with the queue it was addressed to. A k-way merge over the
-/// queue heads: each heap is in flight order, so the least head is the
-/// machine's next flight in the global `(departed, src, tx_seq)` order —
-/// the sequence one machine-wide heap would yield.
-fn pop_before(queues: &mut [NicQueue], horizon: SimTime) -> Option<(usize, PendingEntry)> {
-    let (q, next) = queues
-        .iter()
-        .enumerate()
-        .filter_map(|(q, nq)| Some((q, nq.pending.peek()?.0)))
-        .min_by_key(|&(_, next)| next)?;
-    (next.departed < horizon).then(|| {
-        queues[q].pending.pop();
-        (q, next)
-    })
 }
 
 impl<P> std::fmt::Debug for Fabric<P> {
@@ -294,7 +207,6 @@ impl<P> Fabric<P> {
             nic_seed,
             nics: Vec::new(),
             queues: Vec::new(),
-            unresolved: Vec::new(),
             msgs: SlabPool::new(),
             seq: 0,
             next_conn: 0,
@@ -302,41 +214,7 @@ impl<P> Fabric<P> {
             dropped: 0,
             duplicated: 0,
             telemetry: Telemetry::disabled(),
-            windowed: None,
         }
-    }
-
-    /// Switches the fabric to *windowed* delivery.
-    ///
-    /// In windowed mode [`send`](Self::send) runs only the transmit half of
-    /// a transfer (sender stack, uplink serialization, departure) and
-    /// returns a conservative arrival *bound* (`departed + propagation`)
-    /// instead of the exact arrival. The receive half — downlink
-    /// contention, receiver stack latency, fault outcome — resolves lazily
-    /// when [`observe`](Self::observe) raises the delivery horizon past the
-    /// departure instant, and always in flight order (`(departed, src,
-    /// tx_seq)`), making delivery timing independent of the order in which
-    /// sends from different machines interleave. This is the testbeds'
-    /// delivery model.
-    ///
-    /// Must be called before any traffic. Irreversible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link has zero propagation delay (the horizon grid
-    /// would have no step).
-    pub fn enable_windowed(&mut self) {
-        assert!(
-            self.link.propagation.as_nanos() > 0,
-            "windowed delivery needs nonzero propagation"
-        );
-        if self.windowed.is_some() {
-            return;
-        }
-        self.windowed = Some(Windowed {
-            window_ns: self.link.propagation.as_nanos(),
-            horizon: SimTime::ZERO,
-        });
     }
 
     /// Installs a telemetry handle. Wire-time spans are recorded per
@@ -381,10 +259,8 @@ impl<P> Fabric<P> {
             tx_bytes: 0,
             rx_bytes: 0,
             inbound: 0,
-            tx_seq: 0,
         });
-        self.queues.push(vec![NicQueue::default()]);
-        self.unresolved.push(0);
+        self.queues.push(vec![BinaryHeap::new()]);
         id
     }
 
@@ -392,7 +268,7 @@ impl<P> Fabric<P> {
     /// returns its id. Dataplane threads poll disjoint queues.
     pub fn add_queue(&mut self, machine: MachineId) -> NicQueueId {
         let queues = &mut self.queues[machine.0 as usize];
-        queues.push(NicQueue::default());
+        queues.push(BinaryHeap::new());
         NicQueueId(queues.len() as u32 - 1)
     }
 
@@ -431,11 +307,12 @@ impl<P> Fabric<P> {
         (nic.tx_bytes, nic.rx_bytes)
     }
 
-    /// How many messages the fabric has queued toward `m` so far: sent to
-    /// it, or requeued onto one of its queues. While the count stands still,
-    /// [`next_arrival_queue`](Self::next_arrival_queue) of `m`'s queues
-    /// can only have moved later, so a receiver that already armed a wake
-    /// has nothing new to arm.
+    /// How many messages the fabric has enqueued on `m`'s receive queues so
+    /// far: sent to it (a dropped message does not count, a duplicated one
+    /// counts twice) or requeued onto one of its queues. While the count
+    /// stands still, [`next_arrival_queue`](Self::next_arrival_queue) of
+    /// `m`'s queues can only have moved later, so a receiver that already
+    /// armed a wake has nothing new to arm.
     pub fn inbound(&self, m: MachineId) -> u64 {
         self.nics[m.0 as usize].inbound
     }
@@ -543,31 +420,6 @@ impl<P> Fabric<P> {
         src.tx_busy = departed;
         src.tx_bytes += size as u64;
 
-        if self.windowed.is_some() {
-            // Windowed mode: the receive half resolves later, in flight
-            // order; return only the conservative bound. The fault hook is
-            // still consulted at send time (same call order and arguments
-            // as immediate mode); its verdict travels with the flight.
-            let tx_seq = src.tx_seq;
-            src.tx_seq += 1;
-            let fault = match self.fault_hook.as_mut() {
-                Some(hook) => hook.on_send(now, from, to, size),
-                None => NetFaultAction::Deliver,
-            };
-            let body = Msg {
-                src: from,
-                conn,
-                size,
-                ser,
-                sent_at: now,
-                stage,
-                fault,
-                payload,
-            };
-            self.admit(to, queue, departed, tx_seq, body);
-            return departed + self.link.propagation;
-        }
-
         // Receiver: downlink capacity, then stack latency to the app.
         let dst = &mut self.nics[to.0 as usize];
         let wire_arrival = departed + self.link.propagation;
@@ -576,7 +428,6 @@ impl<P> Fabric<P> {
         let rx_stack = dst.stack.sample_rx(&mut dst.rng);
         let mut arrived_at = rx_done + rx_stack;
         dst.rx_bytes += size as u64;
-        dst.inbound += 1;
 
         // Fault hook last: the timing above (NIC busy state, jitter RNG)
         // has already advanced exactly as in a healthy run, so disabling
@@ -604,157 +455,30 @@ impl<P> Fabric<P> {
         self.telemetry
             .span(TenantKey::GLOBAL, stage, arrived_at.saturating_since(now));
 
-        let msg = self.msgs.insert(Msg {
+        let body = Msg {
             src: from,
             conn,
             size,
-            ser,
-            sent_at: now,
-            stage,
-            fault,
             payload,
-        });
-        let twice = fault == NetFaultAction::Duplicate;
-        self.enqueue_rx(to.0 as usize, queue.0 as usize, msg, arrived_at, twice);
+        };
+        if fault == NetFaultAction::Duplicate {
+            // The copy gets a body of its own, 500 ns behind.
+            let late = arrived_at + SimDuration::from_nanos(500);
+            self.enqueue(to, queue, arrived_at, body.clone());
+            self.enqueue(to, queue, late, body);
+        } else {
+            self.enqueue(to, queue, arrived_at, body);
+        }
         arrived_at
     }
 
-    /// Stores a departed flight's body and queues it for horizon
-    /// resolution.
-    fn admit(
-        &mut self,
-        to: MachineId,
-        queue: NicQueueId,
-        departed: SimTime,
-        tx_seq: u64,
-        body: Msg<P>,
-    ) {
-        let src = body.src;
+    /// Makes `body` pollable on `queue` of `machine` from `at` on.
+    fn enqueue(&mut self, machine: MachineId, queue: NicQueueId, at: SimTime, body: Msg<P>) {
         let msg = self.msgs.insert(body);
-        let (m, q) = (to.0 as usize, queue.0 as usize);
-        self.nics[m].inbound += 1;
-        self.queues[m][q].pending.push(Reverse(PendingEntry {
-            departed,
-            tx_seq,
-            src,
-            msg,
-        }));
-        self.unresolved[m] += 1;
-    }
-
-    /// Makes a resolved message pollable at `at`; a second copy (fault
-    /// duplication) gets a body of its own, 500 ns behind.
-    fn enqueue_rx(&mut self, machine: usize, queue: usize, msg: PoolKey, at: SimTime, twice: bool)
-    where
-        P: Clone,
-    {
-        let mut push = |at: SimTime, msg: PoolKey| {
-            let seq = self.seq;
-            self.seq += 1;
-            self.queues[machine][queue]
-                .rx
-                .push(Reverse(RxEntry { at, seq, msg }));
-        };
-        push(at, msg);
-        if twice {
-            let twin = self.msgs.get(msg).expect("just enqueued").clone();
-            let twin = self.msgs.insert(twin);
-            push(at + SimDuration::from_nanos(500), twin);
-        }
-    }
-
-    /// Raises the delivery horizon to `now` rounded *down* to the window
-    /// grid, resolving the receive half of every flight that departed
-    /// strictly before it (windowed mode only; a no-op otherwise).
-    ///
-    /// Callers invoke this at the start of every event that touches the
-    /// fabric, passing the event's scheduled instant. The horizon sits on
-    /// the propagation grid: until it passes a flight's departure,
-    /// [`next_arrival_queue`](Self::next_arrival_queue) reports the flight
-    /// by its bound, not its arrival, so the grid decides the instants
-    /// receivers arm their wakes at — it is part of the model the
-    /// committed figures were generated with.
-    #[inline]
-    pub fn observe(&mut self, now: SimTime)
-    where
-        P: Clone,
-    {
-        // The horizon is a grid point, so `now` rounds down to a later one
-        // exactly when it has reached the next grid point: most events
-        // leave on this compare.
-        let Some(w) = &self.windowed else {
-            return;
-        };
-        if now.saturating_since(w.horizon).as_nanos() >= w.window_ns {
-            self.cross_boundary(now);
-        }
-    }
-
-    /// The part of [`observe`](Self::observe) that runs when `now` has
-    /// crossed at least one window boundary.
-    fn cross_boundary(&mut self, now: SimTime)
-    where
-        P: Clone,
-    {
-        let w = self.windowed.as_mut().expect("checked by observe");
-        let horizon = SimTime::from_nanos(now.as_nanos() / w.window_ns * w.window_ns);
-        w.horizon = horizon;
-        for m in 0..self.queues.len() {
-            while self.unresolved[m] > 0 {
-                let Some((q, flight)) = pop_before(&mut self.queues[m], horizon) else {
-                    break;
-                };
-                self.unresolved[m] -= 1;
-                self.resolve(m, q, flight);
-            }
-        }
-    }
-
-    /// Resolves the receive half of one flight: downlink contention,
-    /// receiver stack latency, fault outcome, enqueue. Mirrors the receive
-    /// half of an immediate-mode transfer exactly; the only difference is
-    /// *when* it runs (horizon crossing vs send time) and in what order
-    /// (flight order vs send order).
-    fn resolve(&mut self, to: usize, queue: usize, f: PendingEntry)
-    where
-        P: Clone,
-    {
-        let bound = f.departed + self.link.propagation;
-        let body = self.msgs.get(f.msg).expect("pending entry owns its slot");
-        let (size, ser, sent_at, stage, fault) =
-            (body.size, body.ser, body.sent_at, body.stage, body.fault);
-        let dst = &mut self.nics[to];
-        let rx_done = bound.max(dst.rx_busy) + ser;
-        dst.rx_busy = rx_done;
-        let rx_stack = dst.stack.sample_rx(&mut dst.rng);
-        let mut arrived_at = rx_done + rx_stack;
-        dst.rx_bytes += size as u64;
-
-        match fault {
-            NetFaultAction::Deliver => {}
-            NetFaultAction::Drop => {
-                self.dropped += 1;
-                self.telemetry.count("net.dropped", 1);
-                // Receive-side state above still advanced (the frame
-                // occupied the downlink before being lost), matching the
-                // immediate-mode semantics.
-                self.msgs.take(f.msg);
-                return;
-            }
-            NetFaultAction::Duplicate => {
-                self.duplicated += 1;
-                self.telemetry.count("net.duplicated", 1);
-            }
-            NetFaultAction::Delay(extra) => arrived_at += extra,
-        }
-        self.telemetry.count("net.messages", 1);
-        self.telemetry.span(
-            TenantKey::GLOBAL,
-            stage,
-            arrived_at.saturating_since(sent_at),
-        );
-        let twice = fault == NetFaultAction::Duplicate;
-        self.enqueue_rx(to, queue, f.msg, arrived_at, twice);
+        let seq = self.seq;
+        self.seq += 1;
+        self.nics[machine.0 as usize].inbound += 1;
+        self.queues[machine.0 as usize][queue.0 as usize].push(Reverse(RxEntry { at, seq, msg }));
     }
 
     /// Re-enqueues a polled delivery onto another queue of the same
@@ -768,23 +492,13 @@ impl<P> Fabric<P> {
         queue: NicQueueId,
         delivery: Delivery<P>,
     ) {
-        let at = now + SimDuration::from_nanos(500);
-        let msg = self.msgs.insert(Msg {
+        let body = Msg {
             src: delivery.from,
             conn: delivery.conn,
             size: delivery.size,
-            ser: SimDuration::ZERO,
-            sent_at: now,
-            stage: Stage::Fabric,
-            fault: NetFaultAction::Deliver,
             payload: delivery.payload,
-        });
-        let seq = self.seq;
-        self.seq += 1;
-        self.nics[machine.0 as usize].inbound += 1;
-        self.queues[machine.0 as usize][queue.0 as usize]
-            .rx
-            .push(Reverse(RxEntry { at, seq, msg }));
+        };
+        self.enqueue(machine, queue, now + SimDuration::from_nanos(500), body);
     }
 
     /// Pops up to `max` messages that have arrived at `machine`'s queue 0
@@ -830,7 +544,7 @@ impl<P> Fabric<P> {
         out: &mut Vec<Delivery<P>>,
     ) {
         out.clear();
-        let rx = &mut self.queues[machine.0 as usize][queue.0 as usize].rx;
+        let rx = &mut self.queues[machine.0 as usize][queue.0 as usize];
         while out.len() < max {
             match rx.peek() {
                 Some(&Reverse(e)) if e.at <= now => {
@@ -849,36 +563,29 @@ impl<P> Fabric<P> {
         }
     }
 
-    /// Instant of the earliest undelivered message on `machine`'s queue 0.
-    ///
-    /// In windowed mode this is a conservative *lower bound*: an unresolved
-    /// flight to the queue contributes its arrival bound
-    /// (`departed + propagation`), and its true arrival adds receive-side
-    /// contention and stack latency. A wake armed from it may therefore
-    /// find nothing yet and must re-arm. Flights steered to other queues
-    /// of the same NIC never show up here.
+    /// Arrival instant of the earliest undelivered message on `machine`'s
+    /// queue 0. Messages steered to other queues of the same NIC never
+    /// show up here.
     pub fn next_arrival(&self, machine: MachineId) -> Option<SimTime> {
         self.next_arrival_queue(machine, NicQueueId(0))
     }
 
-    /// Instant (or, in windowed mode, lower bound — see
-    /// [`next_arrival`](Self::next_arrival)) of the earliest undelivered
-    /// message on a specific queue: the earlier of two heap heads, however
-    /// deep the queue's backlog of unresolved flights.
+    /// Arrival instant of the earliest undelivered message on a specific
+    /// queue: a poll of that queue at the returned instant delivers it.
+    /// One heap peek, however deep the queue's backlog.
     #[inline]
     pub fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        // Per-queue, not machine-level: a thread wakes for its own
-        // queue's flights only.
-        self.queues[machine.0 as usize][queue.0 as usize].next_arrival(self.link.propagation)
+        self.queues[machine.0 as usize][queue.0 as usize]
+            .peek()
+            .map(|Reverse(e)| e.at)
     }
 
-    /// Earliest undelivered message (or arrival bound) across all machines
-    /// and queues, if any.
+    /// Earliest undelivered message across all machines and queues, if any.
     pub fn next_arrival_any(&self) -> Option<SimTime> {
         self.queues
             .iter()
             .flatten()
-            .filter_map(|q| q.next_arrival(self.link.propagation))
+            .filter_map(|q| q.peek().map(|Reverse(e)| e.at))
             .min()
     }
 }
@@ -1026,9 +733,13 @@ mod tests {
         }));
         let conn = f.new_conn();
         f.send(SimTime::ZERO, a, b, conn, 64, 0); // dropped
+        assert_eq!(f.inbound(b), 0, "a dropped message is not queued");
         f.send(SimTime::from_micros(100), a, b, conn, 64, 1); // duplicated
         let delayed_at = f.send(SimTime::from_micros(200), a, b, conn, 64, 2);
         f.send(SimTime::from_micros(300), a, b, conn, 64, 3);
+        // Inbound counts what was enqueued: nothing for the drop, two for
+        // the duplicate.
+        assert_eq!(f.inbound(b), 4);
         let all = f.poll(SimTime::from_secs(1), b, usize::MAX);
         let payloads: Vec<u32> = all.iter().map(|d| d.payload).collect();
         // 0 lost; 1 twice; 3 arrives before the delayed 2.
@@ -1067,215 +778,9 @@ mod tests {
         );
     }
 
-    fn windowed_fabric() -> (Fabric<u32>, MachineId, MachineId) {
-        let (mut f, a, b) = fabric();
-        f.enable_windowed();
-        (f, a, b)
-    }
-
-    #[test]
-    fn windowed_send_returns_conservative_bound() {
-        let (mut f, a, b) = windowed_fabric();
-        let (mut g, a2, b2) = fabric();
-        let conn = f.new_conn();
-        let conn2 = g.new_conn();
-        for i in 0..200u64 {
-            let t = SimTime::from_micros(i * 40);
-            let bound = f.send(t, a, b, conn, 1024, i as u32);
-            let exact = g.send(t, a2, b2, conn2, 1024, i as u32);
-            // Same NIC streams on both fabrics, so the exact arrival is
-            // comparable: the bound must never be later than it.
-            assert!(bound <= exact, "msg {i}: bound {bound} > exact {exact}");
-        }
-    }
-
-    #[test]
-    fn windowed_resolution_waits_for_horizon() {
-        let (mut f, a, b) = windowed_fabric();
-        let conn = f.new_conn();
-        let bound = f.send(SimTime::ZERO, a, b, conn, 64, 7);
-        // Before any observe the message is pending, but the arrival bound
-        // is already visible to wake scheduling.
-        assert!(f.poll(SimTime::from_secs(1), b, usize::MAX).is_empty());
-        assert_eq!(f.next_arrival(b), Some(bound));
-        // The horizon rounds down to the window grid, so observing just
-        // past the bound resolves the flight (propagation >= one window).
-        f.observe(bound + SimDuration::from_nanos(1));
-        let got = f.poll(SimTime::from_secs(1), b, usize::MAX);
-        assert_eq!(got.len(), 1);
-        assert!(got[0].arrived_at >= bound);
-    }
-
-    #[test]
-    fn windowed_resolution_order_is_flight_order() {
-        // Two senders, one receiver. Messages resolve in departure order
-        // regardless of send-call order, so issuing the sends in opposite
-        // orders on two fabrics yields identical deliveries.
-        let mk = || {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(5));
-            let s1 = f.add_machine(StackProfile::ix_tcp());
-            let s2 = f.add_machine(StackProfile::ix_tcp());
-            let dst = f.add_machine(StackProfile::dataplane_raw());
-            f.enable_windowed();
-            (f, s1, s2, dst)
-        };
-        let (mut f, s1, s2, dst) = mk();
-        let (mut g, g1, g2, gdst) = mk();
-        let conn = f.new_conn();
-        let gconn = g.new_conn();
-        for i in 0..100u64 {
-            let t1 = SimTime::from_micros(i * 20);
-            let t2 = SimTime::from_micros(i * 20) + SimDuration::from_nanos(200);
-            // f: s1 then s2; g: s2 then s1 (per-sender streams make the
-            // same calls, only the interleaving differs).
-            f.send(t1, s1, dst, conn, 1024, i as u32);
-            f.send(t2, s2, dst, conn, 512, 1000 + i as u32);
-            g.send(t2, g2, gdst, gconn, 512, 1000 + i as u32);
-            g.send(t1, g1, gdst, gconn, 1024, i as u32);
-        }
-        let end = SimTime::from_secs(1);
-        f.observe(end);
-        g.observe(end);
-        let fd = f.poll(end, dst, usize::MAX);
-        let gd = g.poll(end, gdst, usize::MAX);
-        assert_eq!(fd.len(), 200);
-        let fv: Vec<(u32, SimTime)> = fd.iter().map(|d| (d.payload, d.arrived_at)).collect();
-        let gv: Vec<(u32, SimTime)> = gd.iter().map(|d| (d.payload, d.arrived_at)).collect();
-        assert_eq!(fv, gv);
-    }
-
-    #[test]
-    fn windowed_fault_actions_apply_at_resolution() {
-        let (mut f, a, b) = windowed_fabric();
-        f.set_fault_hook(Box::new(ScriptedNetHook {
-            actions: vec![
-                NetFaultAction::Drop,
-                NetFaultAction::Duplicate,
-                NetFaultAction::Deliver,
-            ],
-        }));
-        let conn = f.new_conn();
-        f.send(SimTime::ZERO, a, b, conn, 64, 0);
-        f.send(SimTime::from_micros(100), a, b, conn, 64, 1);
-        f.send(SimTime::from_micros(200), a, b, conn, 64, 2);
-        assert_eq!(f.fault_counts(), (0, 0), "faults apply at resolution");
-        f.observe(SimTime::from_secs(1));
-        let payloads: Vec<u32> = f
-            .poll(SimTime::from_secs(1), b, usize::MAX)
-            .iter()
-            .map(|d| d.payload)
-            .collect();
-        assert_eq!(payloads, vec![1, 1, 2]);
-        assert_eq!(f.fault_counts(), (1, 1));
-    }
-
-    /// Drains one machine's unresolved flights through the merge
-    /// `observe` resolves with, returning their keys in resolution order.
-    fn drain_pending(f: &mut Fabric<u32>, m: MachineId) -> Vec<(SimTime, MachineId, u64)> {
-        let queues = &mut f.queues[m.0 as usize];
-        std::iter::from_fn(|| pop_before(queues, SimTime::MAX))
-            .map(|(_, fl)| (fl.departed, fl.src, fl.tx_seq))
-            .collect()
-    }
-
-    #[test]
-    fn backlog_depth_does_not_leak_across_queues() {
-        // One queue 10 000 unresolved flights deep, its sibling holding a
-        // single later one: each queue's bound is its own head, and the
-        // machine still resolves in global flight order.
-        let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(21));
-        let a = f.add_machine(StackProfile::ix_tcp());
-        let b = f.add_machine(StackProfile::ix_tcp());
-        let srv = f.add_machine(StackProfile::dataplane_raw());
-        f.enable_windowed();
-        let q1 = f.add_queue(srv);
-        let conn = f.new_conn();
-        let mut deep = Vec::new();
-        for i in 0..10_000u64 {
-            let t = SimTime::from_nanos(i * 100);
-            deep.push(f.send_to_queue(t, a, srv, NicQueueId(0), conn, 64, i as u32));
-        }
-        let mid = SimTime::from_nanos(500_000);
-        let lone = f.send_to_queue(mid, b, srv, q1, conn, 64, 10_000);
-        assert_eq!(f.next_arrival_queue(srv, NicQueueId(0)), Some(deep[0]));
-        assert_eq!(f.next_arrival_queue(srv, q1), Some(lone));
-        assert_eq!(f.next_arrival_any(), Some(deep[0]));
-
-        // Resolve part of the backlog: the deep queue's bound moves to its
-        // first flight departing at or after the horizon, the sibling's
-        // stays put.
-        let horizon = SimTime::from_micros(400);
-        f.observe(horizon);
-        let prop = f.link().propagation;
-        let first_unresolved = *deep
-            .iter()
-            .find(|&&bound| bound - prop >= horizon)
-            .expect("backlog outlasts the horizon");
-        let got = f.poll_queue(SimTime::MAX, srv, NicQueueId(0), usize::MAX);
-        assert!(!got.is_empty() && got.len() < 10_000);
-        assert_eq!(
-            f.next_arrival_queue(srv, NicQueueId(0)),
-            Some(first_unresolved)
-        );
-        assert_eq!(f.next_arrival_queue(srv, q1), Some(lone));
-
-        // The rest drains in global flight order, the lone flight in its
-        // place among the deep queue's.
-        let order = drain_pending(&mut f, srv);
-        assert_eq!(order.len(), 10_001 - got.len());
-        assert!(order.windows(2).all(|w| w[0] < w[1]));
-        let at = order.iter().position(|k| k.1 == b).expect("lone flight");
-        assert!(at > 0 && at + 1 < order.len());
-        assert_eq!(f.next_arrival_any(), None);
-    }
-
-    proptest::proptest! {
-        /// Flights admitted in an arbitrary order always drain in
-        /// (departure, source machine, per-source sequence) order.
-        #[test]
-        fn pending_drains_in_flight_order(
-            raw in proptest::prop::collection::vec((0u64..1_000_000, 0u32..4, 0u64..64, 0u32..3), 1..80),
-            shuffle in proptest::prop::collection::vec(proptest::strategy::any::<u64>(), 80..81),
-        ) {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(3));
-            for _ in 0..5 {
-                f.add_machine(StackProfile::ix_tcp());
-            }
-            f.enable_windowed();
-            let dst = MachineId(4);
-            f.add_queue(dst);
-            f.add_queue(dst);
-            // Arbitrary (departure, source, seq, queue) keys, admitted in
-            // an arbitrary interleaving.
-            let mut flights = raw.clone();
-            // Permute by repeatedly swapping with arbitrary indices.
-            for (i, &r) in shuffle.iter().enumerate().take(flights.len()) {
-                let j = (r % flights.len() as u64) as usize;
-                flights.swap(i, j);
-            }
-            for (i, (t, src, seq, queue)) in flights.into_iter().enumerate() {
-                let body = Msg {
-                    src: MachineId(src),
-                    conn: ConnId(0),
-                    size: 64,
-                    ser: SimDuration::from_nanos(50),
-                    sent_at: SimTime::from_nanos(t),
-                    stage: Stage::Fabric,
-                    fault: NetFaultAction::Deliver,
-                    payload: i as u32,
-                };
-                f.admit(dst, NicQueueId(queue), SimTime::from_nanos(t), seq, body);
-            }
-            let drained = drain_pending(&mut f, dst);
-            let mut sorted = drained.clone();
-            sorted.sort();
-            proptest::prop_assert_eq!(drained, sorted);
-        }
-    }
-
     #[test]
     fn slab_tracks_messages_in_flight_not_messages_sent() {
-        let (mut f, a, b) = windowed_fabric();
+        let (mut f, a, b) = fabric();
         let conn = f.new_conn();
         let mut now = SimTime::ZERO;
         let mut sent = 0u32;
@@ -1290,8 +795,6 @@ mod tests {
             }
             assert_eq!(f.in_flight(), depth as usize);
             now += SimDuration::from_micros(50);
-            f.observe(now);
-            assert_eq!(f.in_flight(), depth as usize, "resolving moves no body");
             let got = f.poll(now, b, usize::MAX);
             assert_eq!(got.len(), depth as usize);
             assert_eq!(f.in_flight(), 0, "drained after wave {wave}");
@@ -1301,8 +804,8 @@ mod tests {
     }
 
     #[test]
-    fn dropped_messages_release_their_slot() {
-        let (mut f, a, b) = windowed_fabric();
+    fn dropped_messages_never_take_a_slot() {
+        let (mut f, a, b) = fabric();
         f.set_fault_hook(Box::new(ScriptedNetHook {
             actions: vec![NetFaultAction::Drop; 5],
         }));
@@ -1310,40 +813,35 @@ mod tests {
         for i in 0..5u32 {
             f.send(SimTime::from_micros(u64::from(i)), a, b, conn, 64, i);
         }
-        assert_eq!(f.in_flight(), 5);
-        f.observe(SimTime::from_secs(1));
         assert_eq!(f.in_flight(), 0);
+        assert_eq!(f.in_flight_high_water(), 0);
         assert_eq!(f.next_arrival_any(), None);
+        // The frames still occupied both links before being lost.
+        assert_eq!((f.traffic(a).0, f.traffic(b).1), (320, 320));
     }
 
     #[test]
     fn duplicates_are_independent_copies() {
-        for windowed in [false, true] {
-            let (mut f, a, b) = fabric();
-            if windowed {
-                f.enable_windowed();
-            }
-            f.set_fault_hook(Box::new(ScriptedNetHook {
-                actions: vec![NetFaultAction::Duplicate],
-            }));
-            let conn = f.new_conn();
-            f.send(SimTime::ZERO, a, b, conn, 64, 41);
-            let end = SimTime::from_secs(1);
-            f.observe(end);
-            assert_eq!(f.in_flight(), 2, "each copy owns a slot");
-            // Polled one at a time: taking the first leaves the second
-            // whole, 500 ns behind.
-            let first = f.poll(end, b, 1);
-            assert_eq!(f.in_flight(), 1);
-            let second = f.poll(end, b, 1);
-            assert_eq!(f.in_flight(), 0);
-            assert_eq!((first[0].payload, second[0].payload), (41, 41));
-            assert_eq!((first[0].size, second[0].conn), (64, conn));
-            assert_eq!(
-                second[0].arrived_at,
-                first[0].arrived_at + SimDuration::from_nanos(500)
-            );
-        }
+        let (mut f, a, b) = fabric();
+        f.set_fault_hook(Box::new(ScriptedNetHook {
+            actions: vec![NetFaultAction::Duplicate],
+        }));
+        let conn = f.new_conn();
+        f.send(SimTime::ZERO, a, b, conn, 64, 41);
+        let end = SimTime::from_secs(1);
+        assert_eq!(f.in_flight(), 2, "each copy owns a slot");
+        // Polled one at a time: taking the first leaves the second
+        // whole, 500 ns behind.
+        let first = f.poll(end, b, 1);
+        assert_eq!(f.in_flight(), 1);
+        let second = f.poll(end, b, 1);
+        assert_eq!(f.in_flight(), 0);
+        assert_eq!((first[0].payload, second[0].payload), (41, 41));
+        assert_eq!((first[0].size, second[0].conn), (64, conn));
+        assert_eq!(
+            second[0].arrived_at,
+            first[0].arrived_at + SimDuration::from_nanos(500)
+        );
     }
 
     #[test]

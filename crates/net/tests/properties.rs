@@ -35,34 +35,27 @@ const CLIENTS: u32 = 3;
 const QUEUES: u32 = 3;
 const SERVER: MachineId = MachineId(CLIENTS);
 
-/// Naive reference for the windowed fabric's per-queue in-flight index.
-/// A second fabric whose machines all have a single receive queue only
-/// computes transmit and receive timing: every flight to a machine waits
-/// in one machine-wide heap, so there is no per-queue index and no merge.
-/// Which queue a message was steered to, what is still unresolved, what
-/// has resolved and not been polled, and each queue's earliest bound are
-/// kept here in flat lists and answered by linear scan.
+/// Naive reference for the fabric's per-queue receive heaps. A second
+/// fabric whose machines all have a single receive queue only computes
+/// arrival instants; which queue a message was steered to and what has not
+/// been polled yet are kept here in flat lists and answered by linear
+/// scan. It holds the two things queues must not change: steering never
+/// moves an arrival instant, and each queue drains in (arrival, enqueue
+/// sequence) order.
 struct FlatOracle {
     flat: Fabric<u32>,
-    horizon: SimTime,
-    /// Queue each message was steered to, by payload tag.
-    steered: Vec<NicQueueId>,
-    /// Unresolved flights: destination, queue, arrival bound.
-    unresolved: Vec<(MachineId, NicQueueId, SimTime)>,
-    /// Resolved, unpolled deliveries with their resolution rank.
-    resolved: Vec<(MachineId, NicQueueId, u64, Delivery<u32>)>,
+    /// Unpolled deliveries with the queue they were steered to and their
+    /// enqueue rank.
+    queued: Vec<(MachineId, NicQueueId, u64, Delivery<u32>)>,
     rank: u64,
 }
 
 impl FlatOracle {
-    fn new(mut flat: Fabric<u32>, tags: usize) -> Self {
+    fn new(mut flat: Fabric<u32>) -> Self {
         flat.set_fault_hook(Box::new(SizeKeyedFaults));
         FlatOracle {
             flat,
-            horizon: SimTime::ZERO,
-            steered: vec![NicQueueId(0); tags],
-            unresolved: Vec::new(),
-            resolved: Vec::new(),
+            queued: Vec::new(),
             rank: 0,
         }
     }
@@ -78,30 +71,13 @@ impl FlatOracle {
         size: u32,
         tag: u32,
     ) -> SimTime {
-        let bound = self.flat.send(now, from, to, conn, size, tag);
-        self.steered[tag as usize] = queue;
-        self.unresolved.push((to, queue, bound));
-        bound
-    }
-
-    fn observe(&mut self, now: SimTime) {
-        self.flat.observe(now);
-        let propagation = self.flat.link().propagation;
-        let window_ns = propagation.as_nanos();
-        let grid = SimTime::from_nanos(now.as_nanos() / window_ns * window_ns);
-        self.horizon = self.horizon.max(grid);
-        let horizon = self.horizon;
-        self.unresolved
-            .retain(|&(_, _, bound)| bound - propagation >= horizon);
-        // Whatever the flat fabric has resolved comes out in (arrival,
-        // resolution) order; a later batch resolved later.
-        for m in 0..=CLIENTS {
-            for d in self.flat.poll(SimTime::MAX, MachineId(m), usize::MAX) {
-                let queue = self.steered[d.payload as usize];
-                self.resolved.push((MachineId(m), queue, self.rank, d));
-                self.rank += 1;
-            }
+        let at = self.flat.send(now, from, to, conn, size, tag);
+        // Zero, one or (duplicated) two copies, in enqueue order.
+        for d in self.flat.poll(SimTime::MAX, to, usize::MAX) {
+            self.queued.push((to, queue, self.rank, d));
+            self.rank += 1;
         }
+        at
     }
 
     fn poll(
@@ -112,7 +88,7 @@ impl FlatOracle {
         max: usize,
     ) -> Vec<Delivery<u32>> {
         let mut due: Vec<(SimTime, u64)> = self
-            .resolved
+            .queued
             .iter()
             .filter(|(m, q, _, d)| (*m, *q) == (machine, queue) && d.arrived_at <= now)
             .map(|(_, _, rank, d)| (d.arrived_at, *rank))
@@ -122,67 +98,55 @@ impl FlatOracle {
         due.iter()
             .map(|&(_, rank)| {
                 let at = self
-                    .resolved
+                    .queued
                     .iter()
                     .position(|(_, _, r, _)| *r == rank)
                     .expect("ranked above");
-                self.resolved.remove(at).3
+                self.queued.remove(at).3
             })
             .collect()
     }
 
     fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        let resolved = self
-            .resolved
+        self.queued
             .iter()
             .filter(|(m, q, _, _)| (*m, *q) == (machine, queue))
-            .map(|(_, _, _, d)| d.arrived_at);
-        let pending = self
-            .unresolved
-            .iter()
-            .filter(|(m, q, _)| (*m, *q) == (machine, queue))
-            .map(|&(_, _, bound)| bound);
-        resolved.chain(pending).min()
+            .map(|(_, _, _, d)| d.arrived_at)
+            .min()
     }
 
     fn next_arrival_any(&self) -> Option<SimTime> {
-        let resolved = self.resolved.iter().map(|(_, _, _, d)| d.arrived_at);
-        let pending = self.unresolved.iter().map(|&(_, _, bound)| bound);
-        resolved.chain(pending).min()
+        self.queued.iter().map(|(_, _, _, d)| d.arrived_at).min()
     }
 }
 
+/// Three clients and a server with `queues` receive queues, fault verdicts
+/// keyed on message size.
+fn faulty_fabric(queues: u32) -> Fabric<u32> {
+    let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(77));
+    for _ in 0..CLIENTS {
+        f.add_machine(StackProfile::ix_tcp());
+    }
+    assert_eq!(f.add_machine(StackProfile::dataplane_raw()), SERVER);
+    for _ in 1..queues {
+        f.add_queue(SERVER);
+    }
+    f.set_fault_hook(Box::new(SizeKeyedFaults));
+    f
+}
+
 proptest! {
-    /// Differential: the windowed fabric's per-queue pending index against
-    /// [`FlatOracle`] under one random schedule of steered sends, plain
-    /// sends, replies, observes and polls, with Drop/Duplicate/Delay
-    /// verdicts. Deliveries, send bounds and every `next_arrival*` answer
-    /// must agree after each step.
+    /// Differential: the fabric's per-queue heaps against [`FlatOracle`]
+    /// under one random schedule of steered sends, plain sends, replies
+    /// and polls, with Drop/Duplicate/Delay verdicts. Deliveries, arrival
+    /// instants and every `next_arrival*` answer must agree after each
+    /// step.
     #[test]
-    fn windowed_index_matches_flat_oracle(
-        ops in prop::collection::vec((0u8..6, 0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096), 1..120),
+    fn queues_match_flat_oracle(
+        ops in prop::collection::vec((0u8..5, 0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096), 1..120),
     ) {
-        let build = |queues: u32, queues_first: bool| {
-            let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(77));
-            for _ in 0..CLIENTS {
-                f.add_machine(StackProfile::ix_tcp());
-            }
-            let server = f.add_machine(StackProfile::dataplane_raw());
-            assert_eq!(server, SERVER);
-            // The index must come out the same whether queues exist when
-            // windowed mode is enabled or are added afterwards.
-            if !queues_first {
-                f.enable_windowed();
-            }
-            for _ in 1..queues {
-                f.add_queue(SERVER);
-            }
-            f.enable_windowed();
-            f
-        };
-        let mut sut = build(QUEUES, false);
-        sut.set_fault_hook(Box::new(SizeKeyedFaults));
-        let mut oracle = FlatOracle::new(build(1, true), ops.len());
+        let mut sut = faulty_fabric(QUEUES);
+        let mut oracle = FlatOracle::new(faulty_fabric(1));
         let conn = sut.new_conn();
         let mut now = SimTime::ZERO;
         let mut got: Vec<Delivery<u32>> = Vec::new();
@@ -194,21 +158,17 @@ proptest! {
                 0 | 1 => {
                     let a = sut.send_to_queue(now, client, SERVER, queue, conn, size, tag);
                     let b = oracle.send(now, client, SERVER, queue, conn, size, tag);
-                    prop_assert_eq!(a, b, "steered send bound, op {}", i);
+                    prop_assert_eq!(a, b, "steered send arrival, op {}", i);
                 }
                 2 => {
                     let a = sut.send(now, client, SERVER, conn, size, tag);
                     let b = oracle.send(now, client, SERVER, NicQueueId(0), conn, size, tag);
-                    prop_assert_eq!(a, b, "plain send bound, op {}", i);
+                    prop_assert_eq!(a, b, "plain send arrival, op {}", i);
                 }
                 3 => {
                     let a = sut.send(now, SERVER, client, conn, size, tag);
                     let b = oracle.send(now, SERVER, client, NicQueueId(0), conn, size, tag);
-                    prop_assert_eq!(a, b, "reply bound, op {}", i);
-                }
-                4 => {
-                    sut.observe(now);
-                    oracle.observe(now);
+                    prop_assert_eq!(a, b, "reply arrival, op {}", i);
                 }
                 _ => {
                     // Poll one server queue and one client, a few at a time.
@@ -235,8 +195,6 @@ proptest! {
 
         // Drain: everything sent is delivered identically, in order.
         let end = now + SimDuration::from_millis(50);
-        sut.observe(end);
-        oracle.observe(end);
         for m in 0..=CLIENTS {
             for q in 0..sut.queue_count(MachineId(m)) {
                 let (m, q) = (MachineId(m), NicQueueId(q));
@@ -248,6 +206,72 @@ proptest! {
         prop_assert_eq!(sut.next_arrival_any(), None);
         prop_assert_eq!(oracle.next_arrival_any(), None);
         prop_assert_eq!(sut.fault_counts(), oracle.flat.fault_counts());
+        prop_assert_eq!(sut.in_flight(), 0);
+    }
+
+    /// `send`/`send_to_queue` return the exact arrival: a poll of the
+    /// destination queue at that instant yields the message (both copies of
+    /// a duplicate), unless the hook dropped it.
+    #[test]
+    fn a_poll_at_the_returned_instant_delivers_the_message(
+        sends in prop::collection::vec((0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096, any::<bool>()), 1..80),
+    ) {
+        let mut f = faulty_fabric(QUEUES);
+        let conn = f.new_conn();
+        let mut now = SimTime::ZERO;
+        for (i, &(dt, client, queue, size, reply)) in sends.iter().enumerate() {
+            now += SimDuration::from_nanos(dt);
+            let (client, queue, tag) = (MachineId(client), NicQueueId(queue), i as u32);
+            let (at, m, q) = if reply {
+                (f.send(now, SERVER, client, conn, size, tag), client, NicQueueId(0))
+            } else {
+                (f.send_to_queue(now, client, SERVER, queue, conn, size, tag), SERVER, queue)
+            };
+            prop_assert!(at > now);
+            let just_before = f.poll_queue(at - SimDuration::from_nanos(1), m, q, usize::MAX);
+            prop_assert!(just_before.iter().all(|d| d.payload != tag), "send {} early", i);
+            let copies = f
+                .poll_queue(at + SimDuration::from_nanos(500), m, q, usize::MAX)
+                .iter()
+                .filter(|d| d.payload == tag)
+                .map(|d| d.arrived_at)
+                .collect::<Vec<_>>();
+            let want = match size % 16 {
+                13 => vec![],
+                14 => vec![at, at + SimDuration::from_nanos(500)],
+                _ => vec![at],
+            };
+            prop_assert_eq!(copies, want, "send {}", i);
+        }
+    }
+
+    /// `next_arrival_queue` is an exact instant, never a bound: a poll one
+    /// nanosecond earlier finds nothing, and the next poll at that instant
+    /// returns a delivery stamped with it.
+    #[test]
+    fn next_arrival_is_the_next_delivery(
+        ops in prop::collection::vec((0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096, 0u8..3), 1..120),
+    ) {
+        let mut f = faulty_fabric(QUEUES);
+        let conn = f.new_conn();
+        let mut now = SimTime::ZERO;
+        for (i, &(dt, client, queue, size, op)) in ops.iter().enumerate() {
+            now += SimDuration::from_nanos(dt);
+            let queue = NicQueueId(queue);
+            if op < 2 {
+                f.send_to_queue(now, MachineId(client), SERVER, queue, conn, size, i as u32);
+                continue;
+            }
+            let Some(at) = f.next_arrival_queue(SERVER, queue) else {
+                prop_assert!(f.poll_queue(SimTime::MAX, SERVER, queue, 1).is_empty());
+                continue;
+            };
+            let early = f.poll_queue(at - SimDuration::from_nanos(1), SERVER, queue, 1);
+            prop_assert!(early.is_empty(), "op {}: delivery before next_arrival", i);
+            let due = f.poll_queue(at, SERVER, queue, 1);
+            prop_assert_eq!(due.len(), 1, "op {}: nothing at next_arrival", i);
+            prop_assert_eq!(due[0].arrived_at, at);
+        }
     }
 
     #[test]

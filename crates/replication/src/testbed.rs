@@ -245,7 +245,6 @@ impl ReplTestbedBuilder {
             site_machines.push(machine);
             sites.push(SiteState { server, device });
         }
-        fabric.enable_windowed();
         let gen_seed = rng.next_u64();
         let n_sites = sites.len();
         let n_clients = clients.len();

@@ -1,11 +1,11 @@
 //! The replicated world: clients ↔ fabric ↔ N ReFlex server sites.
 //!
 //! [`ReplWorld`] mirrors the single-server testbed's `World` (see
-//! `reflex-core/src/testbed.rs`) event for event — observe-first
-//! dispatch, canonical ascending wake servicing, raw arrival re-arming,
-//! slab-pooled in-flight state — and extends it with the replication
-//! data path: every op fans out 1..R *sub-requests*, one per chosen
-//! replica member, and completes when an ack quorum arrives.
+//! `reflex-core/src/testbed.rs`) event for event — canonical ascending
+//! wake servicing, the same wake rule, slab-pooled in-flight state — and
+//! extends it with the replication data path: every op fans out 1..R
+//! *sub-requests*, one per chosen replica member, and completes when an
+//! ack quorum arrives.
 //!
 //! Two slab pools carry the fan-out state with zero per-IO heap
 //! allocation: `ops` holds one [`ReplOp`] per logical request (quorum
@@ -140,9 +140,6 @@ pub enum ReplEvent {
 
 impl TypedEvent<ReplWorld> for ReplEvent {
     fn dispatch(self, world: &mut ReplWorld, ctx: &mut Ctx<'_, ReplWorld, ReplEvent>) {
-        // Same contract as the core testbed: raise the fabric's windowed
-        // resolution horizon before any handler looks at arrivals.
-        world.fabric.observe(ctx.now());
         match self {
             ReplEvent::Pump(i) => world.pump_event(i, ctx),
             ReplEvent::ClientPoll(i) => world.client_poll_event(i, ctx),
@@ -302,25 +299,21 @@ impl ReplWorld {
     }
 
     fn pump_one(&mut self, site: usize, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
+        // Same wake rule as the core testbed's `pump_one`: the pumped site
+        // arms once, at the earlier of its queue's next arrival and the
+        // pump's hint; clients re-arm from their own queues.
         let st = &mut self.sites[site];
-        let wake = st
+        let hint = st
             .server
             .pump_thread(0, ctx.now(), &mut self.fabric, &mut st.device);
-        if let Some(at) = wake {
+        let own = self
+            .fabric
+            .next_arrival_queue(self.site_machines[site], st.server.nic_queue(0));
+        if let Some(at) = [own, hint].into_iter().flatten().min() {
             self.ensure_site_wake(ctx, site, at);
         }
         for c in 0..self.clients.len() {
             self.ensure_client_wake(ctx, c);
-        }
-        // Re-arm the raw arrival bound of the pumped site's queue: the
-        // effective wake is the earlier of it and the pump's hint (same
-        // rule as the core testbed's pump_one).
-        let queue = self.sites[site].server.nic_queue(0);
-        if let Some(at) = self
-            .fabric
-            .next_arrival_queue(self.site_machines[site], queue)
-        {
-            self.ensure_site_wake(ctx, site, at);
         }
     }
 

@@ -106,6 +106,8 @@ const TICK_SHIFT: u32 = 10;
 /// nanoseconds (~4.2ms) ahead of the cursor.
 const WHEEL_SLOTS: usize = 4096;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// Entries each bucket is built for: a `Vec<u32>` grows 0 → 4 → 8 (DESIGN §7.1).
+const BUCKET_CAP: usize = 8;
 /// Sentinel for "no node" in the slab free list.
 const NIL: u32 = u32::MAX;
 
@@ -195,7 +197,7 @@ impl<W, E> EventQueue<W, E> {
         EventQueue {
             nodes: Vec::new(),
             free_head: NIL,
-            wheel: vec![Vec::new(); WHEEL_SLOTS],
+            wheel: Vec::from_iter((0..WHEEL_SLOTS).map(|_| Vec::with_capacity(BUCKET_CAP))),
             occupancy: [0; WHEEL_WORDS],
             wheel_count: 0,
             base_tick: 0,

@@ -15,8 +15,8 @@
 //! (default 100 ms; CI can lower it).
 //!
 //! Positional command-line arguments are name filters, as with the real
-//! crate: `cargo bench -- fabric_windowed` runs only the benchmarks whose
-//! full name (`group/id`) contains `fabric_windowed`. Code a bench target
+//! crate: `cargo bench -- fabric_backlog` runs only the benchmarks whose
+//! full name (`group/id`) contains `fabric_backlog`. Code a bench target
 //! runs beside its benchmarks (a self-timed guard) asks
 //! [`Criterion::selected`] with a name of its own.
 
@@ -224,9 +224,9 @@ mod tests {
     fn filters_select_by_substring_of_the_full_name() {
         let all = with_filters(&[]);
         assert!(all.selected("anything/at_all"));
-        let one = with_filters(&["fabric_windowed"]);
-        assert!(one.selected("fabric_windowed/backlog_4"));
-        assert!(one.selected("fabric_windowed/guard"));
+        let one = with_filters(&["fabric_backlog"]);
+        assert!(one.selected("fabric_backlog/backlog_4"));
+        assert!(one.selected("fabric_backlog/guard"));
         assert!(!one.selected("sched_round/1_lc_tenants"));
         let two = with_filters(&["header_", "sched"]);
         assert!(two.selected("header_encode_decode"));
