@@ -77,11 +77,6 @@ impl LocalRig {
         }
     }
 
-    /// Overrides the per-request software cost (for ablations).
-    pub fn set_per_req_cpu(&mut self, cpu: SimDuration) {
-        self.per_req_cpu = cpu;
-    }
-
     /// Open-loop measurement: Poisson arrivals at `iops` with `read_pct`%
     /// reads of `io_size` bytes, spread round-robin over the threads.
     pub fn run_open_loop(

@@ -400,16 +400,8 @@ impl ChurnWorld {
 }
 
 /// One timer event on the real engine; re-schedules itself until the
-/// world's budget is spent.
-fn wheel_chain_event(w: &mut ChurnWorld, ctx: &mut reflex_sim::Ctx<'_, ChurnWorld>) {
-    w.dispatched += 1;
-    if let Some(delay) = w.draw_delay() {
-        ctx.schedule_after(delay, wheel_chain_event);
-    }
-}
-
-/// The same chain as a pooled typed event: no `Box` per schedule, the
-/// variant payload lives inline in the recycled slab node.
+/// world's budget is spent. No `Box` per schedule: the value lives inline
+/// in the recycled slab node.
 #[derive(Clone, Copy)]
 struct ChainTick;
 
@@ -434,17 +426,6 @@ fn engine_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_dispatch");
     for width in [64u64, 4096, 32768] {
         let budget = (width * 10).max(40_000);
-        group.bench_function(format!("timer_wheel_{width}w"), |b| {
-            b.iter(|| {
-                let mut e = reflex_sim::Engine::new(ChurnWorld::new(budget, width));
-                for i in 0..width {
-                    e.schedule_at(SimTime::from_nanos(i * 100), wheel_chain_event);
-                }
-                e.run_to_completion();
-                assert!(e.world().dispatched >= budget - width);
-                e.world().dispatched
-            })
-        });
         group.bench_function(format!("typed_wheel_{width}w"), |b| {
             b.iter(|| {
                 let mut e = reflex_sim::Engine::with_events(ChurnWorld::new(budget, width));

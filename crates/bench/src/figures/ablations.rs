@@ -10,10 +10,10 @@
 //! * **Cost model off** (unit costs) — writes charged like reads: the
 //!   write-heavy tenant overruns its fair share and the reader's SLO dies.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin ablations`
+//! Run: `reflex-bench ablations`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
-use reflex_bench::{run_testbed, MEASURE, WARMUP};
+use crate::sweep::{PointOutcome, Sweep};
+use crate::{run_testbed, MEASURE, WARMUP};
 use reflex_core::{ServerConfig, Testbed, WorkloadSpec};
 use reflex_qos::{CostModel, SchedulerParams, SloSpec, TenantClass, TenantId, Tokens};
 use reflex_sim::SimDuration;
@@ -57,9 +57,11 @@ fn run_with(
         .with_events(report.engine_events)
 }
 
-fn main() {
-    let mut sweep = Sweep::new("ablations");
-
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Ablations on the Figure-5-style scenario (LC reader vs BE writer)\n\
+         knob\tvalue\tlc_kiops\tlc_p95_us\tbe_kiops\n",
+    );
     let curve = sweep.curve("batch_max");
     for batch in [4usize, 16, 64, 256] {
         curve.point(move || {
@@ -69,6 +71,7 @@ fn main() {
         });
     }
 
+    sweep.text("\n");
     let curve = sweep.curve("neg_limit");
     for neg in [-5i64, -50, -500, -5_000] {
         curve.point(move || {
@@ -83,6 +86,7 @@ fn main() {
         });
     }
 
+    sweep.text("\n");
     let curve = sweep.curve("donate_fraction");
     for frac in [0.0f64, 0.5, 0.9, 1.0] {
         curve.point(move || {
@@ -97,6 +101,7 @@ fn main() {
         });
     }
 
+    sweep.text("\n");
     let curve = sweep.curve("cost_model");
     curve.point(|| {
         // Cost model ablation: writes cost the same as reads (1 token).
@@ -121,23 +126,4 @@ fn main() {
             None,
         )
     });
-
-    let result = sweep.run();
-    println!("# Ablations on the Figure-5-style scenario (LC reader vs BE writer)");
-    println!("knob\tvalue\tlc_kiops\tlc_p95_us\tbe_kiops");
-    for (i, label) in ["batch_max", "neg_limit", "donate_fraction", "cost_model"]
-        .iter()
-        .enumerate()
-    {
-        if i > 0 {
-            println!();
-        }
-        for p in &result.curve(label).points {
-            for row in &p.rows {
-                println!("{row}");
-            }
-        }
-    }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("ablations");
 }

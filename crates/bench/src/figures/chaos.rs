@@ -13,7 +13,12 @@
 //! streams keyed by `(plan seed, event id)`, so the TSV is byte-identical
 //! for any `REFLEX_BENCH_THREADS` (see `tests/chaos_determinism.rs`).
 //!
-//! Run: `cargo run --release -p reflex-bench --bin chaos [-- --smoke]`
+//! `--smoke` runs the CI-sized plan and exits non-zero if any injected
+//! fault went unrecovered (requests exhausted their retry budget or
+//! tenants stranded without a server) — the regression gate for the
+//! recovery machinery.
+//!
+//! Run: `reflex-bench chaos [--smoke]`
 
 use reflex_core::{
     CapacityProfile, ClusterPlanner, RetryPolicy, ServerDescriptor, ServerId, Testbed, WorkloadSpec,
@@ -23,8 +28,11 @@ use reflex_qos::{CostModel, SloSpec, TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::TenantKey;
 
+use std::io::Write;
+use std::process::ExitCode;
+
 use crate::recovery;
-use crate::sweep::{FaultsSummary, PointOutcome, Sweep, SweepResult};
+use crate::sweep::{PointOutcome, Sweep, SweepResult};
 
 /// Master seed for every chaos fault plan.
 const PLAN_SEED: u64 = 0xC4A05;
@@ -217,12 +225,15 @@ fn server_death_point(tenants_per_server: u32) -> PointOutcome {
     o.into_point("server-death", &format!("{total}-tenants"))
 }
 
-/// Builds the chaos sweep. `smoke` shrinks windows and severities to a
-/// CI-friendly size whose faults must all recover (the binary gates on
+/// Declares the chaos sweep. `smoke` shrinks windows and severities to a
+/// CI-friendly size whose faults must all recover ([`render`] gates on
 /// it); the full sweep adds harsher points — including whole-device
 /// death, whose requests are unrecoverable by design.
-pub fn build_sweep(smoke: bool) -> Sweep {
-    let mut sweep = Sweep::new(if smoke { "chaos_smoke" } else { "chaos" });
+pub fn build(sweep: &mut Sweep, smoke: bool) {
+    sweep.text(format!(
+        "# Chaos: recovery under escalating faults{}\n{TSV_HEADER}\n",
+        if smoke { " (smoke)" } else { "" }
+    ));
     let w = warmup(smoke);
     let start = SimTime::ZERO + w;
 
@@ -389,25 +400,30 @@ pub fn build_sweep(smoke: bool) -> Sweep {
                 .into_point("device-death", "at=100ms")
         });
     }
-
-    sweep
-}
-
-/// Aggregates the per-point chaos metrics into the sweep-wide
-/// [`FaultsSummary`] for the JSON artifact.
-pub fn faults_summary(result: &SweepResult) -> FaultsSummary {
-    let mut s = FaultsSummary::default();
-    for c in &result.curves {
-        for p in &c.points {
-            s.injected += p.metric("injected").unwrap_or(0.0) as u64;
-            s.recovered += p.metric("recovered").unwrap_or(0.0) as u64;
-            s.unrecovered += p.metric("unrecovered").unwrap_or(0.0) as u64;
-            s.downtime_secs += p.metric("downtime_s").unwrap_or(0.0);
-        }
-    }
-    s
 }
 
 /// The TSV header matching [`row`].
-pub const TSV_HEADER: &str = "scenario\tseverity\tiops\tp95_us\tinjected\tretries\trecovered\t\
+const TSV_HEADER: &str = "scenario\tseverity\tiops\tp95_us\tinjected\tretries\trecovered\t\
      unrecovered\trecovery_ms\trecovery_p95_ms";
+
+/// Writes the TSV and the fault totals; a smoke run fails if any injected
+/// fault went unrecovered.
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+    out.write_all(result.tsv().as_bytes())?;
+    let summary = result.faults().expect("chaos points carry fault metrics");
+    eprintln!(
+        "[chaos] injected={} recovered={} unrecovered={} downtime={:.1}ms",
+        summary.injected,
+        summary.recovered,
+        summary.unrecovered,
+        summary.downtime_secs * 1_000.0
+    );
+    if result.smoke && summary.unrecovered > 0 {
+        eprintln!(
+            "[chaos] smoke gate FAILED: {} unrecovered faults",
+            summary.unrecovered
+        );
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
+}

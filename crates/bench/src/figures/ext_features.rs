@@ -5,10 +5,13 @@
 //! * **Sharded tenants**: one tenant's throughput with 1 vs 2 shards.
 //! * **Barriers**: cost of a barrier between dependent I/Os.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin ext_features`
+//! Run: `reflex-bench ext_features`
 
-use reflex_bench::run_testbed;
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use std::io::Write;
+use std::process::ExitCode;
+
+use crate::run_testbed;
+use crate::sweep::{PointOutcome, Sweep, SweepResult};
 use reflex_core::{ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::DataplaneConfig;
 use reflex_net::{LinkConfig, StackProfile};
@@ -113,14 +116,9 @@ fn tcp_udp_stacks(udp: bool) -> (StackProfile, StackProfile, DataplaneConfig) {
     }
 }
 
-fn main() {
-    // This harness compares network stacks on cacheless server
-    // configurations; a silently-ignored REFLEX_CACHE would invalidate
-    // any comparison against the cached figures.
-    reflex_bench::note_cache_knob_ignored("ext_features");
-    // Each of the six simulations is its own point; the combined
-    // tcp=/udp= rows are assembled from point metrics after the run.
-    let mut sweep = Sweep::new("ext_features");
+/// Declares the sweep: each of the six simulations is its own point; the
+/// combined tcp=/udp= rows are assembled from point metrics at render.
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
     let curve = sweep.curve("unloaded_read_us");
     for udp in [false, true] {
         curve.point(move || {
@@ -139,32 +137,29 @@ fn main() {
     for shards in [1u32, 2] {
         curve.point(move || PointOutcome::new(0.0).with_metric("value", sharded(shards)));
     }
-    let result = sweep.run();
+}
+
+/// Writes the TSV: the combined rows, assembled from the points' metrics.
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
     let value = |curve: &str, idx: usize| {
         result.curve(curve).points[idx]
             .metric("value")
             .expect("value metric")
     };
-
-    println!("# Extension measurements (future-work features implemented)");
-    println!("## UDP transport (paper: 'both tail latency and throughput will improve')");
-    println!(
-        "unloaded_read_us\ttcp={:.1}\tudp={:.1}",
+    write!(
+        out,
+        "# Extension measurements (future-work features implemented)\n\
+         ## UDP transport (paper: 'both tail latency and throughput will improve')\n\
+         unloaded_read_us\ttcp={:.1}\tudp={:.1}\n\
+         one_core_1kb_iops\ttcp={:.0}\tudp={:.0}\n\
+         \n## Sharded tenants (paper §4.1 limitation removed)\n\
+         one_tenant_iops\t1_shard={:.0}\t2_shards={:.0}\n",
         value("unloaded_read_us", 0),
-        value("unloaded_read_us", 1)
-    );
-    println!(
-        "one_core_1kb_iops\ttcp={:.0}\tudp={:.0}",
+        value("unloaded_read_us", 1),
         value("one_core_1kb_iops", 0),
-        value("one_core_1kb_iops", 1)
-    );
-
-    println!("\n## Sharded tenants (paper §4.1 limitation removed)");
-    println!(
-        "one_tenant_iops\t1_shard={:.0}\t2_shards={:.0}",
+        value("one_core_1kb_iops", 1),
         value("one_tenant_iops", 0),
         value("one_tenant_iops", 1)
-    );
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("ext_features");
+    )?;
+    Ok(ExitCode::SUCCESS)
 }

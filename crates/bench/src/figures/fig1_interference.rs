@@ -5,16 +5,19 @@
 //! device (local access, no network) exactly like the paper's device
 //! characterization.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig1_interference`
+//! Run: `reflex-bench fig1_interference`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_core::sweep_device_point;
 use reflex_flash::device_a;
 use reflex_sim::SimDuration;
 
-fn main() {
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 1: p95 read latency vs total IOPS (4KB, device A)\n\
+         read_pct\ttotal_kiops\tp95_read_us\n",
+    );
     let profile = device_a();
-    let mut sweep = Sweep::new("fig1_interference");
     for read_pct in [100u8, 99, 95, 90, 75, 50] {
         // Sweep up to just past each ratio's saturation point.
         let r = read_pct as f64 / 100.0;
@@ -46,10 +49,4 @@ fn main() {
             });
         }
     }
-    let result = sweep.run();
-    println!("# Figure 1: p95 read latency vs total IOPS (4KB, device A)");
-    println!("read_pct\ttotal_kiops\tp95_read_us");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig1_interference");
 }

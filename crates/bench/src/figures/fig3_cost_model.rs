@@ -6,9 +6,12 @@
 //! relies on. Also fits the linear model per device (paper §3.2.1) and
 //! prints the calibrated constants next to the published ones.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig3_cost_model`
+//! Run: `reflex-bench fig3_cost_model`
 
-use reflex_bench::sweep::{PointOutcome, Sweep, SweepResult};
+use std::io::Write;
+use std::process::ExitCode;
+
+use crate::sweep::{PointOutcome, Sweep, SweepResult};
 use reflex_core::sweep_device_point;
 use reflex_flash::{device_a, device_b, device_c, DeviceProfile};
 use reflex_qos::{fit_cost_model, max_iops_at_latency, CostModel, LoadMix, RatioCapacity};
@@ -89,18 +92,24 @@ fn add_device(sweep: &mut Sweep, profile: &DeviceProfile) {
     }
 }
 
-fn print_device(result: &SweepResult, profile: &DeviceProfile, published_write_cost: f64) {
-    println!(
-        "# Device {} (published C(write) = {published_write_cost})",
+fn write_device(
+    result: &SweepResult,
+    profile: &DeviceProfile,
+    published_write_cost: f64,
+    out: &mut dyn Write,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "# Device {} (published C(write) = {published_write_cost})\n\
+         curve\tweighted_ktokens\tp95_read_us",
         profile.name
-    );
-    println!("curve\tweighted_ktokens\tp95_read_us");
+    )?;
     let mut observations = Vec::new();
     for (read_pct, io_size) in CURVES {
         let curve = result.curve(&curve_label(&profile.name, read_pct, io_size));
         for p in &curve.points {
             for row in &p.rows {
-                println!("{row}");
+                writeln!(out, "{row}")?;
             }
             if p.p95_us > 5_000.0 {
                 break;
@@ -126,30 +135,38 @@ fn print_device(result: &SweepResult, profile: &DeviceProfile, published_write_c
         }
     }
     match fit_cost_model(&observations) {
-        Ok(fit) => println!(
+        Ok(fit) => writeln!(
+            out,
             "# fitted: C(write) = {:.1} tokens (published {published_write_cost}), \
              capacity = {:.0} tokens/s, C(read,100%) = {:.2}, rms {:.1}%",
             fit.write_cost,
             fit.token_rate,
             fit.read_only_cost,
             fit.rms_rel_error * 100.0
-        ),
-        Err(e) => println!("# fit failed: {e}"),
+        )?,
+        Err(e) => writeln!(out, "# fit failed: {e}")?,
     }
-    println!();
+    writeln!(out)
 }
 
-fn main() {
-    let devices = [(device_a(), 10.0), (device_b(), 20.0), (device_c(), 16.0)];
-    let mut sweep = Sweep::new("fig3_cost_model");
-    for (profile, _) in &devices {
-        add_device(&mut sweep, profile);
+/// The devices and their published write costs.
+fn devices() -> [(DeviceProfile, f64); 3] {
+    [(device_a(), 10.0), (device_b(), 20.0), (device_c(), 16.0)]
+}
+
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    for (profile, _) in &devices() {
+        add_device(sweep, profile);
     }
-    let result = sweep.run();
-    println!("# Figure 3: latency vs weighted IOPS; curves should collapse per device");
-    for (profile, published) in &devices {
-        print_device(&result, profile, *published);
+}
+
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+    writeln!(
+        out,
+        "# Figure 3: latency vs weighted IOPS; curves should collapse per device"
+    )?;
+    for (profile, published) in &devices() {
+        write_device(result, profile, *published, out)?;
     }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig3_cost_model");
+    Ok(ExitCode::SUCCESS)
 }

@@ -5,11 +5,11 @@
 //! reaches ~850K IOPS on one core and saturates the device with two;
 //! libaio manages ~75K per core.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig4_throughput`
+//! Run: `reflex-bench fig4_throughput`
 
 use reflex_baselines::{BaselineConfig, BaselineServer, LocalRig};
-use reflex_bench::sweep::{PointOutcome, Sweep};
-use reflex_bench::{max_p95_read_us, run_testbed, MEASURE, WARMUP};
+use crate::sweep::{PointOutcome, Sweep};
+use crate::{max_p95_read_us, run_testbed, MEASURE, WARMUP};
 use reflex_core::{ServerConfig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
 use reflex_net::{LinkConfig, StackProfile};
@@ -83,7 +83,11 @@ impl P95Ext for reflex_baselines::LocalReport {
     }
 }
 
-fn main() {
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 4: p95 latency vs throughput, 1KB read-only\n\
+         curve\toffered_kiops\tachieved_kiops\tp95_us\n",
+    );
     let fracs = [0.2, 0.4, 0.6, 0.75, 0.9, 1.0, 1.1];
     type Point = fn(u32, f64) -> (f64, f64, u64);
     let curves: [(&str, u32, f64, Point); 6] = [
@@ -94,8 +98,6 @@ fn main() {
         ("Libaio-1T", 1, 85_000.0, libaio_point),
         ("Libaio-2T", 2, 170_000.0, libaio_point),
     ];
-
-    let mut sweep = Sweep::new("fig4_throughput");
     for (name, threads, peak, point) in curves {
         let curve = sweep.curve(name);
         curve.cutoff_p95_us(3_000.0);
@@ -115,10 +117,4 @@ fn main() {
             });
         }
     }
-    let result = sweep.run();
-    println!("# Figure 4: p95 latency vs throughput, 1KB read-only");
-    println!("curve\toffered_kiops\tachieved_kiops\tp95_us");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig4_throughput");
 }

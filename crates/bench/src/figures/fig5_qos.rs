@@ -6,11 +6,11 @@
 //! 500µs p95. Scenario 1: A and B use their full reservations. Scenario 2:
 //! B issues only 45K IOPS, freeing tokens the BE tenants pick up.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig5_qos`
+//! Run: `reflex-bench fig5_qos`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
-use reflex_bench::{run_testbed, MEASURE, WARMUP};
-use reflex_core::{CapacityProfile, LoadPattern, Testbed, WorkloadSpec};
+use crate::sweep::{PointOutcome, Sweep};
+use crate::{run_testbed, MEASURE, WARMUP};
+use reflex_core::{CapacityProfile, Testbed, WorkloadSpec};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::SimDuration;
 
@@ -57,7 +57,7 @@ fn run(scenario: u8, qos: bool) -> PointOutcome {
     let report = run_testbed(tb, tenant_specs(scenario), WARMUP, MEASURE);
     let sched = if qos { "enabled" } else { "disabled" };
     let mut out =
-        PointOutcome::new(reflex_bench::max_p95_read_us(&report)).with_events(report.engine_events);
+        PointOutcome::new(crate::max_p95_read_us(&report)).with_events(report.engine_events);
     for w in &report.workloads {
         let qd_note = match w.name.as_str() {
             "C" | "D" => "closed-loop",
@@ -76,30 +76,17 @@ fn run(scenario: u8, qos: bool) -> PointOutcome {
     out
 }
 
-fn main() {
-    let mut sweep = Sweep::new("fig5_qos");
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 5: 4 tenants sharing one ReFlex server (device A)\n\
+         # LC SLOs: A=120K IOPS@100%r, B=70K@80%r, both p95<=500us\n\
+         scenario\tsched\ttenant\tkiops\tp95_read_us\tload\n",
+    );
     for scenario in [1u8, 2] {
         for qos in [false, true] {
             let label = format!("s{scenario}/{}", if qos { "sched" } else { "nosched" });
             sweep.curve(label).point(move || run(scenario, qos));
         }
+        sweep.text("\n");
     }
-    let result = sweep.run();
-    println!("# Figure 5: 4 tenants sharing one ReFlex server (device A)");
-    println!("# LC SLOs: A=120K IOPS@100%r, B=70K@80%r, both p95<=500us");
-    println!("scenario\tsched\ttenant\tkiops\tp95_read_us\tload");
-    for scenario in [1u8, 2] {
-        for qos in [false, true] {
-            let label = format!("s{scenario}/{}", if qos { "sched" } else { "nosched" });
-            for p in &result.curve(&label).points {
-                for row in &p.rows {
-                    println!("{row}");
-                }
-            }
-        }
-        println!();
-    }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig5_qos");
-    let _ = LoadPattern::ClosedLoop { queue_depth: 1 }; // (doc reference)
 }

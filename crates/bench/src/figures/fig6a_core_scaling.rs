@@ -6,10 +6,10 @@
 //! while BE throughput shrinks (rate-limited to the leftover tokens) and
 //! total token usage stays pinned at the device capacity for the 2ms SLO.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig6a_core_scaling`
+//! Run: `reflex-bench fig6a_core_scaling`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
-use reflex_bench::{run_testbed, MEASURE, WARMUP};
+use crate::sweep::{PointOutcome, Sweep};
+use crate::{run_testbed, MEASURE, WARMUP};
 use reflex_core::{ServerConfig, Testbed, WorkloadSpec};
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
@@ -93,16 +93,13 @@ fn core_point(cores: u32) -> PointOutcome {
         .with_events(report.engine_events)
 }
 
-fn main() {
-    let mut sweep = Sweep::new("fig6a_core_scaling");
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 6a: scaling LC tenants across cores (2ms SLO, 90% read)\n\
+         cores\tlc_kiops\tbe_kiops\ttoken_usage_ktokens_s\tmax_lc_p95_us\n",
+    );
     let curve = sweep.curve("core_scaling");
     for cores in 0..=12u32 {
         curve.point(move || core_point(cores));
     }
-    let result = sweep.run();
-    println!("# Figure 6a: scaling LC tenants across cores (2ms SLO, 90% read)");
-    println!("cores\tlc_kiops\tbe_kiops\ttoken_usage_ktokens_s\tmax_lc_p95_us");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig6a_core_scaling");
 }

@@ -6,10 +6,10 @@
 //! offered load linearly until per-round tenant iteration saturates the
 //! cores (paper: ~2,500 tenants per core).
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig6b_tenant_scaling`
+//! Run: `reflex-bench fig6b_tenant_scaling`
 
-use reflex_bench::run_testbed;
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::run_testbed;
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_core::{ServerConfig, Testbed, WorkloadSpec};
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
@@ -62,10 +62,12 @@ fn tenant_point(cores: u32, tenants: u32) -> PointOutcome {
         .with_events(report.engine_events)
 }
 
-fn main() {
-    let core_counts = [1u32, 2, 4];
-    let mut sweep = Sweep::new("fig6b_tenant_scaling");
-    for cores in core_counts {
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 6b: tenants at 100 x 1KB-read IOPS each (1 conn per tenant)\n\
+         cores\ttenants\toffered_kiops\tachieved_kiops\tbusy_frac\n",
+    );
+    for cores in [1u32, 2, 4] {
         let curve = sweep.curve(format!("{cores}cores"));
         for tenants in [250u32, 500, 1_000, 2_000, 3_000, 4_500, 6_000] {
             // Keep the per-core tenant count meaningful: skip absurd points.
@@ -74,18 +76,6 @@ fn main() {
             }
             curve.point(move || tenant_point(cores, tenants));
         }
+        sweep.text("\n");
     }
-    let result = sweep.run();
-    println!("# Figure 6b: tenants at 100 x 1KB-read IOPS each (1 conn per tenant)");
-    println!("cores\ttenants\toffered_kiops\tachieved_kiops\tbusy_frac");
-    for cores in core_counts {
-        for p in &result.curve(&format!("{cores}cores")).points {
-            for row in &p.rows {
-                println!("{row}");
-            }
-        }
-        println!();
-    }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig6b_tenant_scaling");
 }

@@ -5,10 +5,10 @@
 //! ceiling or — beyond ~5K connections — the LLC no longer holds the TCP
 //! connection state and per-request processing slows down.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig6c_conn_scaling`
+//! Run: `reflex-bench fig6c_conn_scaling`
 
-use reflex_bench::run_testbed;
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::run_testbed;
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_core::{Testbed, WorkloadSpec};
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
@@ -47,10 +47,12 @@ fn conn_point(per_conn: f64, conns: u32) -> PointOutcome {
         .with_events(report.engine_events)
 }
 
-fn main() {
-    let rates = [100.0f64, 500.0, 1_000.0];
-    let mut sweep = Sweep::new("fig6c_conn_scaling");
-    for per_conn in rates {
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 6c: connections for one tenant on one core (1KB reads)\n\
+         iops_per_conn\tconns\toffered_kiops\tachieved_kiops\n",
+    );
+    for per_conn in [100.0f64, 500.0, 1_000.0] {
         let curve = sweep.curve(format!("{per_conn:.0}iops_per_conn"));
         for conns in [
             10u32, 50, 100, 250, 500, 850, 1_500, 2_500, 5_000, 7_500, 10_000,
@@ -61,18 +63,6 @@ fn main() {
             }
             curve.point(move || conn_point(per_conn, conns));
         }
+        sweep.text("\n");
     }
-    let result = sweep.run();
-    println!("# Figure 6c: connections for one tenant on one core (1KB reads)");
-    println!("iops_per_conn\tconns\toffered_kiops\tachieved_kiops");
-    for per_conn in rates {
-        for p in &result.curve(&format!("{per_conn:.0}iops_per_conn")).points {
-            for row in &p.rows {
-                println!("{row}");
-            }
-        }
-        println!();
-    }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig6c_conn_scaling");
 }

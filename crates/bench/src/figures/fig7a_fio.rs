@@ -5,9 +5,9 @@
 //! saturates the 10GbE link (~1.2GB/s) with ~4x iSCSI's throughput and
 //! half its latency; local Flash goes further on raw device bandwidth.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig7a_fio`
+//! Run: `reflex-bench fig7a_fio`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_flash::device_a;
 use reflex_workloads::{Backend, BackendProfile, FioJob};
 
@@ -34,7 +34,7 @@ fn fio_point(name: &str, profile: &BackendProfile, threads: u32, qd: u32) -> Poi
 /// A backend's name, profile and (threads, queue-depth) ladder.
 type FioConfig = (&'static str, BackendProfile, Vec<(u32, u32)>);
 
-fn main() {
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
     let configs: [FioConfig; 3] = [
         (
             "local",
@@ -52,26 +52,16 @@ fn main() {
             vec![(1, 4), (1, 16), (2, 16), (3, 24), (4, 32), (5, 48), (6, 64)],
         ),
     ];
-    let mut sweep = Sweep::new("fig7a_fio");
-    for (name, profile, points) in &configs {
-        let curve = sweep.curve(*name);
-        for &(threads, qd) in points {
-            let name = *name;
+    sweep.text(
+        "# Figure 7a: FIO 4KB random read, p95 latency vs throughput\n\
+         path\tthreads\tqd\tMB_s\tkiops\tp95_us\n",
+    );
+    for (name, profile, points) in configs {
+        let curve = sweep.curve(name);
+        for (threads, qd) in points {
             let profile = profile.clone();
             curve.point(move || fio_point(name, &profile, threads, qd));
         }
+        sweep.text("\n");
     }
-    let result = sweep.run();
-    println!("# Figure 7a: FIO 4KB random read, p95 latency vs throughput");
-    println!("path\tthreads\tqd\tMB_s\tkiops\tp95_us");
-    for (name, _, _) in &configs {
-        for p in &result.curve(name).points {
-            for row in &p.rows {
-                println!("{row}");
-            }
-        }
-        println!();
-    }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig7a_fio");
 }

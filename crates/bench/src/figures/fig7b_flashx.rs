@@ -5,9 +5,9 @@
 //! block driver, and iSCSI. Reported as slowdown relative to local Flash
 //! (paper: ReFlex 1-3.8%, iSCSI 15-40%).
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig7b_flashx`
+//! Run: `reflex-bench fig7b_flashx`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_flash::device_a;
 use reflex_workloads::{run_flashx, Backend, BackendProfile, FlashXConfig, GraphAlgo};
 
@@ -39,15 +39,12 @@ fn algo_point(algo: GraphAlgo) -> PointOutcome {
         .with_metric("iscsi_slowdown", runtimes[2] / runtimes[0])
 }
 
-fn main() {
-    let mut sweep = Sweep::new("fig7b_flashx");
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 7b: FlashX end-to-end slowdown vs local Flash\n\
+         algo\tlocal_s\treflex_s\tiscsi_s\treflex_slowdown\tiscsi_slowdown\n",
+    );
     for algo in GraphAlgo::all() {
         sweep.curve(algo.name()).point(move || algo_point(algo));
     }
-    let result = sweep.run();
-    println!("# Figure 7b: FlashX end-to-end slowdown vs local Flash");
-    println!("algo\tlocal_s\treflex_s\tiscsi_s\treflex_slowdown\tiscsi_slowdown");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig7b_flashx");
 }

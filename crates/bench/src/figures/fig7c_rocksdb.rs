@@ -5,9 +5,9 @@
 //! ReFlex block driver, and iSCSI. Reported as slowdown vs local Flash
 //! (paper: BL ≈ equal everywhere; RR/RwW: iSCSI 32%/27%, ReFlex < 4%).
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig7c_rocksdb`
+//! Run: `reflex-bench fig7c_rocksdb`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_flash::device_a;
 use reflex_workloads::{run_db_bench, Backend, BackendProfile, DbBenchmark, LsmConfig};
 
@@ -39,15 +39,12 @@ fn bench_point(bench: DbBenchmark) -> PointOutcome {
         .with_metric("iscsi_slowdown", runtimes[2] / runtimes[0])
 }
 
-fn main() {
-    let mut sweep = Sweep::new("fig7c_rocksdb");
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Figure 7c: RocksDB db_bench slowdown vs local Flash (43GB DB)\n\
+         bench\tlocal_s\treflex_s\tiscsi_s\treflex_slowdown\tiscsi_slowdown\n",
+    );
     for bench in DbBenchmark::all() {
         sweep.curve(bench.name()).point(move || bench_point(bench));
     }
-    let result = sweep.run();
-    println!("# Figure 7c: RocksDB db_bench slowdown vs local Flash (43GB DB)");
-    println!("bench\tlocal_s\treflex_s\tiscsi_s\treflex_slowdown\tiscsi_slowdown");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig7c_rocksdb");
 }

@@ -15,15 +15,17 @@
 //! runs on the same core), so the panel separates CPU pressure from
 //! flash queueing.
 //!
-//! `REFLEX_CACHE=<MiB>` replaces panel 1's size axis with {off, MiB}.
-//! `--smoke` runs a reduced grid for CI gates. The binary exits
-//! non-zero if no cached point reaches a ≥50% hit rate with a read p95
-//! below the cache-off baseline of its own skew — the tentpole claim.
+//! `--smoke` runs a reduced grid for CI gates. The run exits non-zero if
+//! no cached point reaches a ≥50% hit rate with a read p95 below the
+//! cache-off baseline of its own skew — the tentpole claim.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig_cache`
+//! Run: `reflex-bench fig_cache`
 
-use reflex_bench::run_testbed;
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use std::io::Write;
+use std::process::ExitCode;
+
+use crate::run_testbed;
+use crate::sweep::{PointOutcome, Sweep, SweepResult};
 use reflex_core::{AddrPattern, ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::{CacheConfig, DataplaneConfig};
 use reflex_net::{LinkConfig, StackProfile};
@@ -143,28 +145,35 @@ fn conn_point(conns: u32, mb: u64) -> PointOutcome {
         .with_events(report.engine_events)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let thetas: &[u16] = if smoke { &[0, 990] } else { &[0, 900, 990] };
-    let sizes: Vec<u64> = match reflex_bench::cache_env_mb() {
-        Some(0) => vec![0],
-        Some(mb) => vec![0, mb],
-        None if smoke => vec![0, 16],
-        None => vec![0, 4, 16, 64],
-    };
-    let conn_counts: &[u32] = if smoke {
-        &[100, 2_500]
+/// The grid: panel 1's skews (θ‰, 0 = uniform) and cache sizes (MiB, the
+/// first is 0 = off), panel 2's connection counts.
+fn grid(smoke: bool) -> (&'static [u16], &'static [u64], &'static [u32]) {
+    if smoke {
+        (&[0, 990], &[0, 16], &[100, 2_500])
     } else {
-        &[10, 100, 500, 1_000, 2_500]
-    };
+        (&[0, 900, 990], &[0, 4, 16, 64], &[10, 100, 500, 1_000, 2_500])
+    }
+}
 
-    let mut sweep = Sweep::new("fig_cache");
+pub fn build(sweep: &mut Sweep, smoke: bool) {
+    let (thetas, sizes, conn_counts) = grid(smoke);
+    sweep.text(format!(
+        "# DRAM cache tier: hit rate vs read tail (panel 1) and connection pressure (panel 2){}\n\
+         # panel 1: one core, 4KB read-only open loop at 120 kIOPS over 512MiB\n\
+         theta\tcache_mb\thit_pct\tp95_read_us\tachieved_kiops\n",
+        if smoke { " (smoke)" } else { "" }
+    ));
     for &theta in thetas {
         let curve = sweep.curve(format!("tail_theta{theta}"));
-        for &mb in &sizes {
+        for &mb in sizes {
             curve.point(move || tail_point(theta, mb));
         }
+        sweep.text("\n");
     }
+    sweep.text(
+        "# panel 2: fig6c composed — 100 IOPS/conn 1KB reads, zipf .990 over 64MiB\n\
+         conns\tcache_mb\thit_pct\tp95_read_us\tachieved_kiops\n",
+    );
     for cached in [false, true] {
         let curve = sweep.curve(if cached {
             "conns_cache16mb"
@@ -175,33 +184,14 @@ fn main() {
             let mb = if cached { 16 } else { 0 };
             curve.point(move || conn_point(conns, mb));
         }
+        sweep.text("\n");
     }
-    let result = sweep.run();
+}
 
-    println!(
-        "# DRAM cache tier: hit rate vs read tail (panel 1) and connection pressure (panel 2){}",
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("# panel 1: one core, 4KB read-only open loop at 120 kIOPS over 512MiB");
-    println!("theta\tcache_mb\thit_pct\tp95_read_us\tachieved_kiops");
-    for &theta in thetas {
-        for p in &result.curve(&format!("tail_theta{theta}")).points {
-            for row in &p.rows {
-                println!("{row}");
-            }
-        }
-        println!();
-    }
-    println!("# panel 2: fig6c composed — 100 IOPS/conn 1KB reads, zipf .990 over 64MiB");
-    println!("conns\tcache_mb\thit_pct\tp95_read_us\tachieved_kiops");
-    for label in ["conns_cache_off", "conns_cache16mb"] {
-        for p in &result.curve(label).points {
-            for row in &p.rows {
-                println!("{row}");
-            }
-        }
-        println!();
-    }
+/// Writes the TSV, then holds the sweep to the tentpole gate.
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+    let (thetas, sizes, _) = grid(result.smoke);
+    out.write_all(result.tsv().as_bytes())?;
 
     // The tentpole gate: at least one cached point must reach a ≥50% hit
     // rate AND beat the cache-off read p95 of its own skew; every such
@@ -211,7 +201,7 @@ fn main() {
     for &theta in thetas {
         let curve = result.curve(&format!("tail_theta{theta}"));
         let base_p95 = curve.points[0].p95_us; // sizes[0] == 0: cache off
-        for (p, &mb) in curve.points.iter().zip(&sizes) {
+        for (p, &mb) in curve.points.iter().zip(sizes) {
             let hits = p.metric("hit_pct").unwrap_or(0.0);
             if mb == 0 || hits < 50.0 {
                 continue;
@@ -226,18 +216,17 @@ fn main() {
             }
         }
     }
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("fig_cache");
     if qualifying == 0 {
         eprintln!("[fig_cache] gate FAILED: no cached point reached a 50% hit rate");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     if !failures.is_empty() {
         eprintln!("[fig_cache] gate FAILED:\n  {}", failures.join("\n  "));
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     eprintln!(
         "[fig_cache] gate ok: {qualifying} cached point(s) at >=50% hits beat their \
          cache-off baseline"
     );
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,8 +1,8 @@
 //! Replication figure: what client-driven replication costs when
 //! healthy and what it buys when a server dies.
 //!
-//! Three panels in one TSV (see the `#`-prefixed column headers the
-//! binary prints):
+//! Three panels in one TSV (see the `#`-prefixed column headers it
+//! prints):
 //!
 //! - **overlay** — Figure-4-style throughput/latency curves for
 //!   single-copy (R=1) vs replicated (R=2, R=3) under primary and
@@ -17,7 +17,7 @@
 //!   counters (failovers, promotions, server deaths) during the same
 //!   failover runs.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin fig_replication [-- --smoke]`
+//! Run: `reflex-bench fig_replication [--smoke]`
 
 use reflex_core::ReadPolicy;
 use reflex_faults::{FaultKind, FaultPlan};
@@ -27,7 +27,7 @@ use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::TenantKey;
 
 use crate::recovery;
-use crate::sweep::{PointOutcome, Sweep, SweepResult};
+use crate::sweep::{PointOutcome, Sweep};
 
 /// Master seed for the failover fault plans.
 const PLAN_SEED: u64 = 0x5EF1EC;
@@ -200,11 +200,16 @@ fn failover_point(r: usize, smoke: bool) -> PointOutcome {
         .with_events(report.engine_events)
 }
 
-/// Builds the replication sweep. `smoke` shrinks windows and load points
-/// to a CI-friendly size.
-pub fn build_sweep(smoke: bool) -> Sweep {
-    crate::reject_removed_sim_knobs();
-    let mut sweep = Sweep::new("fig_replication");
+/// Declares the replication sweep. `smoke` shrinks windows and load
+/// points to a CI-friendly size.
+pub fn build(sweep: &mut Sweep, smoke: bool) {
+    // The title, then one column-header comment line per panel.
+    sweep.text(
+        "# fig_replication: client-driven replication over remote Flash\n\
+         # overlay\tcurve\toffered_iops\tiops\tp95_read_us\tp95_write_us\tmean_read_us\terrors\n\
+         # recovery\tR\trecovery_ms\tresync_ms\tfailover_total_ms\n\
+         # violations\tR\tslo_violations\tfailovers\tpromotions\tserver_deaths\n",
+    );
     let loads: &[f64] = if smoke {
         &[20_000.0, 40_000.0]
     } else {
@@ -227,30 +232,4 @@ pub fn build_sweep(smoke: bool) -> Sweep {
             .curve(format!("failover-R{r}"))
             .point(move || failover_point(r, smoke));
     }
-    sweep
-}
-
-/// Column headers, one comment line per panel.
-pub const OVERLAY_HEADER: &str =
-    "# overlay\tcurve\toffered_iops\tiops\tp95_read_us\tp95_write_us\tmean_read_us\terrors";
-/// See [`OVERLAY_HEADER`].
-pub const RECOVERY_HEADER: &str = "# recovery\tR\trecovery_ms\tresync_ms\tfailover_total_ms";
-/// See [`OVERLAY_HEADER`].
-pub const VIOLATIONS_HEADER: &str =
-    "# violations\tR\tslo_violations\tfailovers\tpromotions\tserver_deaths";
-
-/// Renders the full figure output: title, the three panel headers, then
-/// every kept row. This is the exact byte stream CI's golden-figure
-/// check hashes.
-pub fn render(result: &SweepResult) -> String {
-    let mut out = String::new();
-    out.push_str("# fig_replication: client-driven replication over remote Flash\n");
-    out.push_str(OVERLAY_HEADER);
-    out.push('\n');
-    out.push_str(RECOVERY_HEADER);
-    out.push('\n');
-    out.push_str(VIOLATIONS_HEADER);
-    out.push('\n');
-    out.push_str(&result.tsv());
-    out
 }

@@ -8,9 +8,9 @@
 //! appear). Each stage reports count, mean, p50, p95 and p99 from the
 //! same log-bucketed histograms every harness uses.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin latency_breakdown`
+//! Run: `reflex-bench latency_breakdown`
 
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_core::{Testbed, WorkloadSpec};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::SimDuration;
@@ -52,8 +52,8 @@ fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
     let report = tb.report();
     let w = report.workload("app");
     let telemetry = report.telemetry.as_ref().expect("telemetry enabled");
-    if reflex_bench::telemetry::enabled() {
-        reflex_bench::telemetry::merge(telemetry);
+    if crate::telemetry::enabled() {
+        crate::telemetry::merge(telemetry);
     }
     let mut point = PointOutcome::new(w.p95_read_us())
         .with_row(format!(
@@ -97,20 +97,15 @@ fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
         .with_events(report.engine_events)
 }
 
-fn main() {
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text("# Server-side latency decomposition (Figure 2 stages)\n");
     let points = [
         ("unloaded", 20_000.0f64),
         ("mid-load", 400_000.0),
         ("near-peak", 800_000.0),
     ];
-    let mut sweep = Sweep::new("latency_breakdown");
     let curve = sweep.curve("breakdown");
     for (label, offered) in points {
         curve.point(move || breakdown_point(label, offered));
     }
-    let result = sweep.run();
-    println!("# Server-side latency decomposition (Figure 2 stages)");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("latency_breakdown");
 }

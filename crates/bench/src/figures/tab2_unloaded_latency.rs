@@ -4,11 +4,11 @@
 //! Rows: Local (SPDK), iSCSI, libaio (Linux and IX clients), ReFlex (Linux
 //! and IX clients). Columns: read avg/p95, write avg/p95 in microseconds.
 //!
-//! Run: `cargo run --release -p reflex-bench --bin tab2_unloaded_latency`
+//! Run: `reflex-bench tab2_unloaded_latency`
 
 use reflex_baselines::{BaselineConfig, BaselineServer, LocalRig};
-use reflex_bench::run_testbed;
-use reflex_bench::sweep::{PointOutcome, Sweep};
+use crate::run_testbed;
+use crate::sweep::{PointOutcome, Sweep};
 use reflex_core::{Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
 use reflex_net::StackProfile;
@@ -93,8 +93,11 @@ fn row_outcome(label: &str, run: impl Fn(u8) -> (f64, f64)) -> PointOutcome {
         .with_metric("write_p95_us", wp)
 }
 
-fn main() {
-    let mut sweep = Sweep::new("tab2_unloaded_latency");
+pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    sweep.text(
+        "# Table 2: unloaded 4KB latency (us). Paper values in parens.\n\
+         config\tread_avg\tread_p95\twrite_avg\twrite_p95\n",
+    );
     sweep
         .curve("Local (SPDK)")
         .point(|| row_outcome("Local (SPDK)       (78/90, 11/17)", local_row));
@@ -123,10 +126,4 @@ fn main() {
             reflex_row(StackProfile::ix_tcp(), pct)
         })
     });
-    let result = sweep.run();
-    println!("# Table 2: unloaded 4KB latency (us). Paper values in parens.");
-    println!("config\tread_avg\tread_p95\twrite_avg\twrite_p95");
-    result.print_tsv();
-    result.write_json_or_warn();
-    reflex_bench::telemetry::flush("tab2_unloaded_latency");
 }

@@ -1,34 +1,42 @@
 //! # reflex-bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index) plus Criterion microbenches. Every binary prints a
-//! self-describing TSV so results can be diffed against EXPERIMENTS.md.
+//! One binary, `reflex-bench`, regenerates every table and figure of the
+//! paper's evaluation (see DESIGN.md's experiment index); Criterion
+//! microbenches sit beside it. Every figure prints a self-describing TSV
+//! so results can be diffed against EXPERIMENTS.md.
 //!
-//! | binary | regenerates |
-//! |---|---|
-//! | `fig1_interference` | Figure 1: p95 read latency vs total IOPS per read ratio |
-//! | `fig3_cost_model` | Figure 3: latency vs weighted IOPS for devices A/B/C |
-//! | `tab2_unloaded_latency` | Table 2: unloaded 4KB latency, six configurations |
-//! | `fig4_throughput` | Figure 4: latency vs 1KB IOPS, Local/ReFlex/libaio × 1-2 threads |
-//! | `fig5_qos` | Figure 5: four tenants, scheduler on/off, scenarios 1-2 |
-//! | `fig6a_core_scaling` | Figure 6a: LC/BE IOPS and token rate vs cores |
-//! | `fig6b_tenant_scaling` | Figure 6b: IOPS vs tenant count per core |
-//! | `fig6c_conn_scaling` | Figure 6c: IOPS vs connections at 3 per-conn rates |
-//! | `fig7a_fio` | Figure 7a: FIO p95 latency vs throughput |
-//! | `fig7b_flashx` | Figure 7b: FlashX slowdowns (WCC/PR/BFS/SCC) |
-//! | `fig7c_rocksdb` | Figure 7c: RocksDB slowdowns (BL/RR/RwW) |
-//! | `ablations` | design-choice sweeps: batching cap, NEG_LIMIT, donation |
-//! | `chaos` | recovery under escalating injected faults (`--smoke` gates CI) |
-//! | `fig_replication` | replication overlays (R=1/2/3), failover recovery, SLO violations |
-//! | `fig_cache` | DRAM cache tier: hit rate vs read tail, connection-pressure relief |
+//! `reflex-bench <figure>… [--smoke]` runs the named figures, `--all` the
+//! ones marked `all` below (the `experiments_output.txt` transcript), and
+//! `--list` prints this table from [`FIGURES`]:
+//!
+//! ```text
+//! fig1_interference      all        Figure 1: p95 read latency vs total IOPS per read ratio
+//! fig3_cost_model        all        Figure 3: latency vs weighted IOPS for devices A/B/C
+//! tab2_unloaded_latency  all        Table 2: unloaded 4KB latency, six configurations
+//! fig4_throughput        all        Figure 4: latency vs 1KB IOPS, Local/ReFlex/libaio x 1-2 threads
+//! fig5_qos               all        Figure 5: four tenants, scheduler on/off, scenarios 1-2
+//! fig6a_core_scaling     all        Figure 6a: LC/BE IOPS and token rate vs cores
+//! fig6b_tenant_scaling   all        Figure 6b: IOPS vs tenant count per core
+//! fig6c_conn_scaling     all        Figure 6c: IOPS vs connections at 3 per-conn rates
+//! fig7a_fio              all        Figure 7a: FIO p95 latency vs throughput
+//! fig7b_flashx           all        Figure 7b: FlashX slowdowns (WCC/PR/BFS/SCC)
+//! fig7c_rocksdb          all        Figure 7c: RocksDB slowdowns (BL/RR/RwW)
+//! latency_breakdown      all        Figure 2 stages: where the unloaded remote read's microseconds go
+//! ablations              all        design-choice sweeps: batching cap, NEG_LIMIT, donation, cost model
+//! ext_features           all        extensions: UDP transport, sharded tenants
+//! fig_cache              all smoke  DRAM cache tier: hit rate vs read tail, connection-pressure relief
+//! chaos                      smoke  recovery under escalating injected faults (--smoke gates CI)
+//! fig_replication            smoke  replication overlays (R=1/2/3), failover recovery, SLO violations
+//! ```
 
 #![warn(missing_docs)]
 
-pub mod chaos;
+pub mod figures;
 pub mod recovery;
-pub mod replication;
 pub mod sweep;
 pub mod telemetry;
+
+pub use figures::{figure, Figure, FIGURES};
 
 use reflex_core::{ServerHarness, Testbed, TestbedReport, WorkloadSpec};
 use reflex_sim::SimDuration;
@@ -39,60 +47,7 @@ pub const WARMUP: SimDuration = SimDuration::from_millis(100);
 /// Standard measurement window used by the harnesses.
 pub const MEASURE: SimDuration = SimDuration::from_millis(400);
 
-/// DRAM cache capacity requested via `REFLEX_CACHE` (in MiB; unset =
-/// no override). `fig_cache` honors it by replacing its cache-size axis
-/// with `{off, N MiB}`; harnesses whose scenario has no cache tier
-/// (`ext_features`, `chaos`) print a one-line stderr note that the knob
-/// is ignored — a silently-dropped knob would invalidate a comparison
-/// without anyone noticing.
-///
-/// # Panics
-///
-/// Panics on non-numeric values (`0` and `off` mean "force the cache
-/// off", mapped to `Some(0)`).
-pub fn cache_env_mb() -> Option<u64> {
-    let raw = std::env::var("REFLEX_CACHE").ok()?;
-    if raw.is_empty() {
-        return None;
-    }
-    if raw == "off" {
-        return Some(0);
-    }
-    let mb: u64 = raw
-        .parse()
-        .unwrap_or_else(|_| panic!("invalid REFLEX_CACHE={raw:?} (expected MiB, 0, or off)"));
-    Some(mb)
-}
-
-/// Prints the loud one-liner for harnesses that cannot honor
-/// `REFLEX_CACHE` (their scenarios run server configurations the cache
-/// tier is not part of).
-pub fn note_cache_knob_ignored(harness: &str) {
-    if let Some(mb) = cache_env_mb() {
-        eprintln!(
-            "reflex-bench: REFLEX_CACHE={mb} ignored by {harness} (its scenario has no \
-             DRAM cache tier); see fig_cache for the cached figures"
-        );
-    }
-}
-
-/// Exits the process with a one-line stderr note if a removed
-/// simulation-mode knob is still set: they used to change how a run
-/// executed, there is one execution mode now, and a silently ignored knob
-/// would invalidate a measurement.
-pub(crate) fn reject_removed_sim_knobs() {
-    let removed = ["REFLEX_SIM_SHARDS", "REFLEX_SIM_SPLIT", "REFLEX_SIM_PIN"];
-    if let Some(knob) = removed.iter().find(|k| std::env::var_os(k).is_some()) {
-        eprintln!(
-            "reflex-bench: {knob} is set but no longer exists (the simulator has one \
-             execution mode); unset it"
-        );
-        std::process::exit(2);
-    }
-}
-
-/// Adds `workloads` to a testbed, runs warmup + measurement, and reports
-/// (after [rejecting](reject_removed_sim_knobs) removed knobs).
+/// Adds `workloads` to a testbed, runs warmup + measurement, and reports.
 ///
 /// # Panics
 ///
@@ -104,7 +59,6 @@ pub fn run_testbed<S: ServerHarness + 'static>(
     warmup: SimDuration,
     measure: SimDuration,
 ) -> TestbedReport {
-    reject_removed_sim_knobs();
     if telemetry::enabled() {
         tb.enable_telemetry();
     }
@@ -130,14 +84,5 @@ pub fn max_p95_read_us(report: &TestbedReport) -> f64 {
         .workloads
         .iter()
         .map(reflex_core::WorkloadReport::p95_read_us)
-        .fold(0.0f64, f64::max)
-}
-
-/// Worst p95 write latency (µs) across a report's workloads.
-pub fn max_p95_write_us(report: &TestbedReport) -> f64 {
-    report
-        .workloads
-        .iter()
-        .map(reflex_core::WorkloadReport::p95_write_us)
         .fold(0.0f64, f64::max)
 }

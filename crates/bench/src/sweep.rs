@@ -1,7 +1,7 @@
 //! Parallel sweep runner for the experiment harnesses.
 //!
-//! Every figure binary is a set of *curves* (a configuration) each swept
-//! over *load points*. Points are independent, deterministic simulations,
+//! Every figure is a set of *curves* (a configuration) each swept over
+//! *load points*. Points are independent, deterministic simulations,
 //! so the [`Sweep`] fans them out across OS threads and re-assembles the
 //! results in declaration order — output is byte-identical to a serial
 //! run, only faster.
@@ -15,9 +15,9 @@
 //! old harness loops. Either way the kept points, and therefore the TSV,
 //! are identical.
 //!
-//! Thread count comes from `REFLEX_BENCH_THREADS` (default: all cores).
-//! Besides the binaries' TSV on stdout, [`SweepResult::write_json`] drops
-//! a machine-readable `BENCH_<name>.json` with per-point metrics and wall
+//! The driver picks the thread count (`REFLEX_BENCH_THREADS`, default all
+//! cores). Besides the figure's TSV on stdout, [`SweepResult::write_json`]
+//! drops a machine-readable `BENCH_<name>.json` with per-point metrics and wall
 //! time, the sweep's wall-clock time and the engine event throughput —
 //! taken over the points that dispatched engine events, so curves that
 //! drive no engine do not dilute it.
@@ -147,16 +147,9 @@ impl Curve {
 #[derive(Debug)]
 pub struct Sweep {
     name: String,
+    smoke: bool,
     curves: Vec<Curve>,
-}
-
-/// Thread count for sweeps: `REFLEX_BENCH_THREADS`, else all cores.
-pub fn bench_threads() -> usize {
-    std::env::var("REFLEX_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    texts: Vec<(usize, String)>,
 }
 
 impl Sweep {
@@ -165,8 +158,27 @@ impl Sweep {
     pub fn new(name: impl Into<String>) -> Self {
         Sweep {
             name: name.into(),
+            smoke: false,
             curves: Vec::new(),
+            texts: Vec::new(),
         }
+    }
+
+    /// Marks a reduced-grid smoke run: its artifacts are named
+    /// `<name>_smoke`, so it never overwrites a full run's.
+    #[must_use]
+    pub fn smoke(mut self, smoke: bool) -> Self {
+        if smoke {
+            self.name.push_str("_smoke");
+        }
+        self.smoke = smoke;
+        self
+    }
+
+    /// Adds literal TSV text — a title, a column header, a blank line
+    /// between panels — printed where it is declared among the curves.
+    pub fn text(&mut self, text: impl Into<String>) {
+        self.texts.push((self.curves.len(), text.into()));
     }
 
     /// Opens a new curve; add points to the returned handle.
@@ -177,12 +189,6 @@ impl Sweep {
             jobs: Vec::new(),
         });
         self.curves.last_mut().expect("just pushed")
-    }
-
-    /// Runs every point on [`bench_threads`] threads.
-    pub fn run(self) -> SweepResult {
-        let threads = bench_threads();
-        self.run_with_threads(threads)
     }
 
     /// Runs every point on exactly `threads` threads (1 = fully serial).
@@ -234,12 +240,13 @@ impl Sweep {
             let event_wall = event_wall(curves.iter().flat_map(|c| &c.points));
             return SweepResult {
                 name: self.name,
+                smoke: self.smoke,
+                texts: self.texts,
                 threads: 1,
                 wall,
                 engine_events,
                 event_wall,
                 curves,
-                faults: None,
             };
         }
 
@@ -296,19 +303,19 @@ impl Sweep {
         }
         SweepResult {
             name: self.name,
+            smoke: self.smoke,
+            texts: self.texts,
             threads: workers,
             wall,
             engine_events,
             event_wall,
             curves,
-            faults: None,
         }
     }
 }
 
 /// Fault-injection totals for a chaos sweep — emitted as the optional
-/// `faults` section of `BENCH_<name>.json` (see
-/// [`SweepResult::set_faults`]).
+/// `faults` section of `BENCH_<name>.json` (see [`SweepResult::faults`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultsSummary {
     /// Individual faults injected (failed/delayed commands, dropped or
@@ -340,6 +347,11 @@ pub struct CurveResult {
 pub struct SweepResult {
     /// Sweep name (JSON artifact stem).
     pub name: String,
+    /// Whether this was a reduced-grid smoke run (see [`Sweep::smoke`]).
+    pub smoke: bool,
+    /// Literal text (see [`Sweep::text`]), each with the index of the curve
+    /// it precedes.
+    texts: Vec<(usize, String)>,
     /// Worker threads actually used.
     pub threads: usize,
     /// Wall-clock time for the whole sweep.
@@ -355,9 +367,6 @@ pub struct SweepResult {
     pub event_wall: Duration,
     /// One entry per declared curve.
     pub curves: Vec<CurveResult>,
-    /// Fault totals, if this was a chaos sweep (set after the run; the
-    /// JSON artifact gains a `faults` section when present).
-    pub faults: Option<FaultsSummary>,
 }
 
 impl SweepResult {
@@ -373,32 +382,41 @@ impl SweepResult {
             .unwrap_or_else(|| panic!("no curve labelled {label}"))
     }
 
-    /// Attaches fault totals; `BENCH_<name>.json` then carries a
-    /// `faults` section. Chaos harnesses call this between the run and
-    /// [`write_json`](Self::write_json).
-    pub fn set_faults(&mut self, faults: FaultsSummary) {
-        self.faults = Some(faults);
+    /// Fault totals summed over the points' `injected`, `recovered`,
+    /// `unrecovered` and `downtime_s` metrics; `None` unless some point
+    /// carries an `injected` metric (chaos sweeps do). `BENCH_<name>.json`
+    /// gains a `faults` section when present.
+    pub fn faults(&self) -> Option<FaultsSummary> {
+        let mut s = FaultsSummary::default();
+        let mut any = false;
+        for p in self.curves.iter().flat_map(|c| &c.points) {
+            any |= p.metric("injected").is_some();
+            s.injected += p.metric("injected").unwrap_or(0.0) as u64;
+            s.recovered += p.metric("recovered").unwrap_or(0.0) as u64;
+            s.unrecovered += p.metric("unrecovered").unwrap_or(0.0) as u64;
+            s.downtime_secs += p.metric("downtime_s").unwrap_or(0.0);
+        }
+        any.then_some(s)
     }
 
-    /// All kept rows, curve by curve, newline-terminated — the canonical
-    /// TSV body (binaries with richer layouts print from `curves`
-    /// directly).
+    /// The figure's TSV: all kept rows, curve by curve, newline-terminated,
+    /// with the declared [text](Sweep::text) in between.
     pub fn tsv(&self) -> String {
         let mut out = String::new();
-        for c in &self.curves {
-            for p in &c.points {
-                for r in &p.rows {
-                    out.push_str(r);
-                    out.push('\n');
-                }
+        let mut texts = self.texts.iter().peekable();
+        for (i, c) in self.curves.iter().enumerate() {
+            while let Some((_, text)) = texts.next_if(|(at, _)| *at <= i) {
+                out.push_str(text);
+            }
+            for r in c.points.iter().flat_map(|p| &p.rows) {
+                out.push_str(r);
+                out.push('\n');
             }
         }
+        for (_, text) in texts {
+            out.push_str(text);
+        }
         out
-    }
-
-    /// Prints [`tsv`](Self::tsv) to stdout.
-    pub fn print_tsv(&self) {
-        print!("{}", self.tsv());
     }
 
     /// Engine events per second of [`event_wall`](Self::event_wall): the
@@ -431,7 +449,7 @@ impl SweepResult {
             "  \"engine_events_per_sec\": {},",
             json_num(self.events_per_sec())
         )?;
-        if let Some(fs) = &self.faults {
+        if let Some(fs) = self.faults() {
             writeln!(
                 f,
                 "  \"faults\": {{\"injected\": {}, \"recovered\": {}, \"unrecovered\": {}, \"downtime_secs\": {}}},",
@@ -476,7 +494,7 @@ impl SweepResult {
     }
 
     /// [`write_json`](Self::write_json), reporting failure on stderr
-    /// instead of returning it (harness binaries treat the artifact as
+    /// instead of returning it (the driver treats the artifact as
     /// best-effort).
     pub fn write_json_or_warn(&self) {
         match self.write_json() {
@@ -606,6 +624,23 @@ mod tests {
         let result = sweep.run_with_threads(3);
         assert_eq!(result.curve("only").points.len(), 4);
         assert_eq!(result.tsv(), "0\n1\n2\n3\n");
+    }
+
+    #[test]
+    fn text_prints_where_it_is_declared_and_smoke_renames() {
+        let mut sweep = Sweep::new("fig").smoke(true);
+        sweep.text("# title\ncols\n");
+        for label in ["a", "b"] {
+            let c = sweep.curve(label);
+            c.point(move || PointOutcome::new(0.0).with_row(format!("{label}1")));
+            c.point(move || PointOutcome::new(0.0).with_row(format!("{label}2")));
+            sweep.text("\n");
+        }
+        sweep.text("# end\n");
+        let result = sweep.run_with_threads(2);
+        assert_eq!(result.tsv(), "# title\ncols\na1\na2\n\nb1\nb2\n\n# end\n");
+        assert_eq!(result.name, "fig_smoke");
+        assert!(result.smoke && result.faults().is_none());
     }
 
     #[test]

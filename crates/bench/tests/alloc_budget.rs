@@ -1,7 +1,7 @@
 //! Steady-state allocation budget for the hot request path.
 //!
 //! Installs the counting allocator from `reflex_sim::alloc_count` as this
-//! binary's global allocator and measures two windows:
+//! binary's global allocator and measures four windows:
 //!
 //! 1. The engine alone: a self-rescheduling typed-event churn must run in
 //!    recycled slab nodes and wheel slots — effectively zero allocations
@@ -11,13 +11,18 @@
 //!    headers) is pooled, so allocations per completed IO must stay under a
 //!    small fixed budget (amortized growth of long-lived containers and
 //!    the 10ms control tick are all that remain).
+//! 3. The same with the DRAM cache tier serving hits.
+//! 4. A replicated run with one replica's server dead: the retry storm
+//!    runs on typed events, within the same per-IO budget.
 //!
 //! The counters are process-global, so everything runs inside a single
 //! `#[test]` — no other test in this binary may allocate concurrently.
 
-use reflex_core::{AddrPattern, ServerConfig, Testbed, WorkloadSpec};
+use reflex_core::{AddrPattern, ReadPolicy, RetryPolicy, ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::{CacheConfig, DataplaneConfig};
+use reflex_faults::{FaultKind, FaultPlan};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
+use reflex_replication::{ReplTestbed, ReplWorkloadSpec};
 use reflex_sim::alloc_count::{allocations, CountingAlloc};
 use reflex_sim::{Ctx, Engine, SimDuration, SimTime, TypedEvent};
 
@@ -146,6 +151,56 @@ fn cached_testbed_allocs_per_io() -> f64 {
     (after - before) as f64 / ios as f64
 }
 
+/// An R=3 replicated run whose non-primary replica's server died during
+/// warmup and stays undetected: through the whole window every quorum
+/// read routed to it times out and is retransmitted after a backoff,
+/// attempt after attempt, while writes and the other reads keep
+/// completing on the surviving majority.
+fn degraded_replication_allocs_per_io() -> f64 {
+    let mut tb = ReplTestbed::builder()
+        .sites(3)
+        .replication(3)
+        .detect_delay(SimDuration::from_secs(10))
+        .build();
+    let slo = SloSpec::new(40_000, 70, SimDuration::from_micros(800));
+    let retry = RetryPolicy {
+        max_attempts: 4,
+        base_backoff: SimDuration::from_micros(100),
+        timeout: Some(SimDuration::from_millis(2)),
+    };
+    tb.add_workload(
+        ReplWorkloadSpec::open_loop("repl-probe", TenantId(1), slo, 30_000.0)
+            .with_retry(retry)
+            .with_read_policy(ReadPolicy::Quorum),
+    )
+    .expect("valid workload");
+    let members = tb.member_sites(0);
+    let victim = members[(tb.world().primary_slot(0) + 1) % members.len()];
+    let death_at = SimTime::ZERO + SimDuration::from_millis(50);
+    tb.install(
+        &FaultPlan::seeded(1).with_event(death_at, FaultKind::ServerDeath { server: victim }),
+    );
+    tb.run(SimDuration::from_millis(200));
+    tb.begin_measurement();
+    let before = allocations();
+    tb.run(SimDuration::from_millis(300));
+    let after = allocations();
+    let report = tb.report();
+    let w = report.workload("repl-probe");
+    let ios = (w.iops * report.window.as_secs_f64()).round();
+    assert!(
+        ios > 3_000.0,
+        "the survivors must keep completing ops: {ios}"
+    );
+    assert!(
+        w.timeouts > 5_000 && w.retries > 5_000,
+        "the window must carry a retry storm: {} timeouts, {} retries",
+        w.timeouts,
+        w.retries
+    );
+    (after - before) as f64 / ios
+}
+
 fn completed_ios(tb: &Testbed) -> u64 {
     let report = tb.report();
     report
@@ -179,5 +234,12 @@ fn steady_state_allocations_stay_within_budget() {
     assert!(
         cached_rate < 0.05,
         "cached steady state exceeded the allocation budget: {cached_rate:.4} allocs/IO"
+    );
+
+    let degraded_rate = degraded_replication_allocs_per_io();
+    eprintln!("allocation rate of a replicated retry storm: {degraded_rate:.5} allocs/IO");
+    assert!(
+        degraded_rate < 0.05,
+        "a retry storm exceeded the allocation budget: {degraded_rate:.4} allocs/IO"
     );
 }

@@ -3,20 +3,24 @@
 //! per-point metric — is byte-identical no matter how many worker
 //! threads execute the points (`REFLEX_BENCH_THREADS=1` vs `=8`).
 
-use reflex_bench::chaos;
+use reflex_bench::sweep::Sweep;
+
+fn chaos_smoke() -> Sweep {
+    reflex_bench::figure("chaos")
+        .expect("registered")
+        .sweep(true)
+}
 
 #[test]
 fn chaos_tsv_is_byte_identical_across_thread_counts() {
-    let serial = chaos::build_sweep(true).run_with_threads(1);
-    let parallel = chaos::build_sweep(true).run_with_threads(8);
+    let serial = chaos_smoke().run_with_threads(1);
+    let parallel = chaos_smoke().run_with_threads(8);
 
     assert_eq!(serial.tsv(), parallel.tsv());
 
     // The aggregated fault totals (the JSON `faults` section) match too.
-    assert_eq!(
-        chaos::faults_summary(&serial),
-        chaos::faults_summary(&parallel)
-    );
+    assert!(serial.faults().is_some());
+    assert_eq!(serial.faults(), parallel.faults());
 
     // And so does every per-point metric, not just the rendered rows.
     for (sc, pc) in serial.curves.iter().zip(&parallel.curves) {
@@ -30,8 +34,8 @@ fn chaos_tsv_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn chaos_smoke_recovers_everything() {
-    let result = chaos::build_sweep(true).run_with_threads(2);
-    let summary = chaos::faults_summary(&result);
+    let result = chaos_smoke().run_with_threads(2);
+    let summary = result.faults().expect("chaos points carry fault metrics");
     assert!(summary.injected > 0, "smoke plan must inject faults");
     assert_eq!(
         summary.unrecovered, 0,

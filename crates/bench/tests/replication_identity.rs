@@ -3,14 +3,29 @@
 //! cost more than single-copy reads, and failover recovery does not get
 //! worse as the replication factor grows.
 
-use reflex_bench::replication;
+use reflex_bench::sweep::{Sweep, SweepResult};
+use reflex_bench::Figure;
+
+fn figure() -> &'static Figure {
+    reflex_bench::figure("fig_replication").expect("registered")
+}
+
+fn smoke_sweep() -> Sweep {
+    figure().sweep(true)
+}
+
+fn rendered(result: &SweepResult) -> String {
+    let mut out = Vec::new();
+    (figure().render)(result, &mut out).expect("rendering into a Vec");
+    String::from_utf8(out).expect("TSV is UTF-8")
+}
 
 #[test]
 fn replication_figure_is_byte_identical_across_sweep_threads() {
-    let single = replication::build_sweep(true).run_with_threads(1);
-    let parallel = replication::build_sweep(true).run_with_threads(2);
+    let single = smoke_sweep().run_with_threads(1);
+    let parallel = smoke_sweep().run_with_threads(2);
 
-    assert_eq!(replication::render(&single), replication::render(&parallel));
+    assert_eq!(rendered(&single), rendered(&parallel));
 
     // Every per-point metric matches too, not just the rendered rows.
     for (sc, pc) in single.curves.iter().zip(&parallel.curves) {
@@ -24,7 +39,7 @@ fn replication_figure_is_byte_identical_across_sweep_threads() {
 
 #[test]
 fn replication_costs_show_and_failover_recovers() {
-    let result = replication::build_sweep(true).run();
+    let result = smoke_sweep().run_with_threads(2);
 
     // Panel 1: replicated quorum reads are never cheaper than
     // single-copy primary reads at the same offered load.

@@ -4,12 +4,18 @@
 //! uninstrumented and diff the rendered rows, and pin the snapshot JSON
 //! schema against a golden file.
 
-use reflex_bench::chaos;
+use reflex_bench::sweep::Sweep;
 use reflex_bench::{run_testbed, telemetry, MEASURE, WARMUP};
 use reflex_core::{Testbed, WorkloadSpec};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
+
+fn chaos_smoke() -> Sweep {
+    reflex_bench::figure("chaos")
+        .expect("registered")
+        .sweep(true)
+}
 
 /// Serializes the tests that flip the process-wide telemetry switch or
 /// drain the global sink (cargo runs tests on parallel threads).
@@ -71,9 +77,9 @@ fn chaos_smoke_tsv_identical_with_and_without_global_sink() {
     // `run_faulted` always instruments its testbeds; the global sink
     // switch must not perturb the sweep either way.
     telemetry::force(Some(false));
-    let off = chaos::build_sweep(true).run_with_threads(1);
+    let off = chaos_smoke().run_with_threads(1);
     telemetry::force(Some(true));
-    let on = chaos::build_sweep(true).run_with_threads(1);
+    let on = chaos_smoke().run_with_threads(1);
     telemetry::force(None);
     let _ = telemetry::take(); // drop whatever the instrumented run merged
     assert_eq!(off.tsv(), on.tsv());

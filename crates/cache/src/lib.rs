@@ -30,13 +30,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration for one per-thread DRAM cache instance.
 ///
 /// Embedded in `DataplaneConfig` (which is `Copy`), so this stays a flat
 /// `Copy` value type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total data capacity in bytes per dataplane thread. Together with
     /// `line_bytes` and `ways` this fixes the set count at construction.
@@ -445,11 +443,6 @@ impl DramCache {
         }
         self.stats.invalidations += dropped;
         dropped
-    }
-
-    /// Number of currently valid lines (test/debug helper; O(capacity)).
-    pub fn resident_lines(&self) -> u64 {
-        self.entries.iter().filter(|e| e.valid).count() as u64
     }
 }
 

@@ -13,7 +13,6 @@
 use reflex_flash::{CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand};
 use reflex_qos::{max_iops_at_latency, SweepPoint, TokenRate};
 use reflex_sim::{Histogram, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Monotone (latency bound → token capacity) table for one device.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// // (the paper's physical device: 420K).
 /// assert!((300_000.0..360_000.0).contains(&at_500us));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityProfile {
     /// (p95 bound in µs, tokens/sec) points, strictly increasing in both.
     points: Vec<(f64, f64)>,
@@ -133,12 +132,6 @@ impl CapacityProfile {
             }
         }
         self.points.last().expect("validated non-empty").1
-    }
-
-    /// Same as [`tokens_per_sec_at`](Self::tokens_per_sec_at) but as a
-    /// [`TokenRate`].
-    pub fn rate_at(&self, p95_bound: SimDuration) -> TokenRate {
-        TokenRate::millitokens_per_sec((self.tokens_per_sec_at(p95_bound) * 1_000.0) as u64)
     }
 
     /// The device's maximum (most relaxed) token capacity.

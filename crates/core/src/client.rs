@@ -20,11 +20,10 @@ use std::sync::Arc;
 use reflex_net::ConnId;
 use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::{Histogram, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One operation of a recorded I/O trace (offsets are relative to the
 /// workload's start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Issue instant relative to trace start.
     pub at: SimDuration,
@@ -37,7 +36,7 @@ pub struct TraceOp {
 }
 
 /// Inter-arrival process of an open-loop generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Exponential gaps (a Poisson process) — maximally bursty.
     Poisson,
@@ -49,7 +48,7 @@ pub enum ArrivalProcess {
 }
 
 /// How requests are generated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadPattern {
     /// Poisson arrivals at a target rate, spread over the workload's
     /// connections (mutilate-style load generation).
@@ -67,7 +66,7 @@ pub enum LoadPattern {
 }
 
 /// How the read/write mix is realized by the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixProcess {
     /// Each request is independently a read with probability `read_pct`.
     /// With expensive writes (10-20 tokens) this makes a tenant's token
@@ -81,7 +80,7 @@ pub enum MixProcess {
 }
 
 /// How request addresses are chosen within the tenant's namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrPattern {
     /// Uniformly random, aligned to the request size.
     UniformRandom,
@@ -123,7 +122,7 @@ pub enum AddrPattern {
 /// assert_eq!(policy.backoff_after(3), SimDuration::from_micros(200));
 /// assert!(!RetryPolicy::disabled().is_active());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per request, including the first (minimum 1).
     pub max_attempts: u32,

@@ -23,12 +23,11 @@ use std::collections::HashMap;
 use reflex_qos::{CostModel, SloSpec, TenantId};
 use reflex_sim::SimDuration;
 use reflex_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 use crate::capacity::CapacityProfile;
 
 /// Identifier of a ReFlex server within the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
 
 /// The global control plane's view of one ReFlex server.

@@ -52,16 +52,6 @@ pub enum ReadPolicy {
     Quorum,
 }
 
-impl ReadPolicy {
-    /// Sub-requests a read issues under this policy with `r` replicas.
-    pub fn fanout(self, r: usize) -> usize {
-        match self {
-            ReadPolicy::Primary => 1,
-            ReadPolicy::Quorum => quorum(r),
-        }
-    }
-}
-
 /// One tenant's replica membership.
 #[derive(Debug, Clone)]
 pub struct ReplicaSet {

@@ -15,7 +15,7 @@ use reflex_flash::{DeviceProfile, DeviceStats, FlashDevice};
 use reflex_net::{Delivery, Fabric, LinkConfig, MachineId, Opcode, ReflexHeader, StackProfile};
 use reflex_qos::{CostModel, TenantId};
 use reflex_sim::{
-    Ctx, Engine, EventHandle, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, Zipf,
+    Ctx, Engine, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, WakeSlots, Zipf,
 };
 use reflex_telemetry::{Stage, Telemetry, TelemetrySnapshot, TenantKey};
 
@@ -62,12 +62,16 @@ struct ClientMachine {
     stack: StackProfile,
 }
 
-/// The recurring simulation events, dispatched through the engine's typed
-/// event path so the request loop — including the retry/backoff path,
-/// which can become hot under adversarial overload — allocates no
-/// per-event closures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorldEvent {
+/// The scheduling context the world's event handlers receive.
+type WorldCtx<'e, S> = Ctx<'e, World<S>, WorldEvent<S>>;
+
+/// What a [`WorldEvent::Call`] runs.
+type CallFn<S> = Box<dyn FnOnce(&mut World<S>, &mut WorldCtx<S>) + Send>;
+
+/// The simulation's events. The recurring ones are plain data, so the
+/// request loop — including the retry/backoff path, which can become hot
+/// under adversarial overload — allocates nothing per event.
+pub enum WorldEvent<S: ServerHarness = ReflexServer> {
     /// Wake server thread `i` and run its dataplane pump loop.
     PumpThread(usize),
     /// Poll client machine `i` for delivered responses.
@@ -101,6 +105,14 @@ pub enum WorldEvent {
     /// Fire every staged retransmission whose backoff has elapsed, in
     /// canonical order (see [`World::retry_fire_event`]).
     RetryFire,
+    /// An open-ended cold event (see [`Testbed::schedule_at`]).
+    Call(CallFn<S>),
+}
+
+impl<S: ServerHarness> std::fmt::Debug for WorldEvent<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorldEvent").finish_non_exhaustive()
+    }
 }
 
 /// A staged retransmission. Typed instead of a boxed closure so the retry
@@ -120,8 +132,8 @@ struct RetryRec {
     attempt: u32,
 }
 
-impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
-    fn dispatch(self, world: &mut World<S>, ctx: &mut Ctx<'_, World<S>, WorldEvent>) {
+impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
+    fn dispatch(self, world: &mut World<S>, ctx: &mut WorldCtx<S>) {
         match self {
             WorldEvent::PumpThread(i) => world.pump_event(i, ctx),
             WorldEvent::ClientPoll(i) => world.client_poll_event(i, ctx),
@@ -135,6 +147,7 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent {
             WorldEvent::Control(interval) => world.control_event(interval, ctx),
             WorldEvent::Issue { w_idx, conn_idx } => world.issue_request(w_idx, conn_idx, ctx),
             WorldEvent::RetryFire => world.retry_fire_event(ctx),
+            WorldEvent::Call(f) => f(world, ctx),
         }
     }
 }
@@ -164,14 +177,13 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // so sustained timeouts stay allocation-free.
     retries_pending: Vec<RetryRec>,
     retry_scratch: Vec<RetryRec>,
-    // Pending wake per server thread / client machine: the instant plus a
-    // handle to the scheduled event, so re-arming to an earlier instant
-    // cancels the old wake instead of leaving a dead event in the queue.
-    thread_wake: Vec<Option<(SimTime, EventHandle)>>,
-    client_wake: Vec<Option<(SimTime, EventHandle)>>,
+    // Pending wake per server thread / client machine.
+    thread_wake: WakeSlots,
+    client_wake: WakeSlots,
     // `Fabric::inbound` of each client machine when its wake was last
     // checked after a pump: a pump that sent it nothing leaves its wake be.
     client_inbound: Vec<u64>,
+    // Poll counters; the wake counters are read off the slots at report.
     wakes: WakeStats,
     measure_start: Option<SimTime>,
     busy_snapshot: Vec<SimDuration>,
@@ -245,63 +257,25 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn ensure_thread_wake(
-        &mut self,
-        ctx: &mut Ctx<World<S>, WorldEvent>,
-        thread: usize,
-        at: SimTime,
-    ) {
-        let at = at.max(ctx.now());
-        if let Some((pending, _)) = self.thread_wake[thread] {
-            if at >= pending {
-                return; // an earlier (or equal) wake is already armed
-            }
-        }
-        let handle = ctx.schedule_event_at_handle(at, WorldEvent::PumpThread(thread));
-        self.wakes.thread_armed += 1;
-        if let Some((_, stale)) = self.thread_wake[thread].replace((at, handle)) {
-            ctx.cancel(stale);
-            self.wakes.thread_cancelled += 1;
+    fn ensure_thread_wake(&mut self, ctx: &mut WorldCtx<S>, thread: usize, at: SimTime) {
+        self.thread_wake
+            .arm(ctx, thread, at, WorldEvent::PumpThread(thread));
+    }
+
+    fn ensure_client_wake(&mut self, ctx: &mut WorldCtx<S>, client: usize) {
+        if let Some(at) = self.fabric.next_arrival(self.clients[client].machine) {
+            self.client_wake
+                .arm(ctx, client, at, WorldEvent::ClientPoll(client));
         }
     }
 
-    fn ensure_client_wake(&mut self, ctx: &mut Ctx<World<S>, WorldEvent>, client: usize) {
-        let machine = self.clients[client].machine;
-        let Some(at) = self.fabric.next_arrival(machine) else {
-            return;
-        };
-        let at = at.max(ctx.now());
-        if let Some((pending, _)) = self.client_wake[client] {
-            if at >= pending {
-                return;
-            }
-        }
-        let handle = ctx.schedule_event_at_handle(at, WorldEvent::ClientPoll(client));
-        self.wakes.client_armed += 1;
-        if let Some((_, stale)) = self.client_wake[client].replace((at, handle)) {
-            ctx.cancel(stale);
-            self.wakes.client_cancelled += 1;
-        }
-    }
-
-    fn pump_event(&mut self, thread: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn pump_event(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
         // Canonical same-instant order: one pump event services every
-        // thread whose wake is due, in ascending thread order, cancelling
-        // the siblings' queued events. The pump sequence then depends only
-        // on the due set, never on wake insertion order.
-        let now = ctx.now();
-        for i in 0..self.thread_wake.len() {
-            let due = i == thread || self.thread_wake[i].is_some_and(|(at, _)| at <= now);
-            if !due {
-                continue;
+        // thread whose wake is due, in ascending thread order.
+        for i in 0..self.thread_wake.slots() {
+            if self.thread_wake.take_due(ctx, i, i == thread) {
+                self.pump_one(i, ctx);
             }
-            if let Some((_, stale)) = self.thread_wake[i].take() {
-                if i != thread {
-                    ctx.cancel(stale);
-                    self.wakes.thread_cancelled += 1;
-                }
-            }
-            self.pump_one(i, ctx);
         }
     }
 
@@ -318,7 +292,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// enqueued something toward it, and every other active thread from
     /// its own queue, where a rebalance forward may have landed — nobody
     /// else's next arrival can have become earlier.
-    fn pump_one(&mut self, thread: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn pump_one(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
         let hint = self
             .server
             .pump_thread(thread, ctx.now(), &mut self.fabric, &mut self.device);
@@ -340,34 +314,23 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn client_poll_event(&mut self, client: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn client_poll_event(&mut self, client: usize, ctx: &mut WorldCtx<S>) {
         self.poll_due_clients(Some(client), ctx);
     }
 
-    /// Same canonicalization as `pump_event`: poll every client
-    /// whose wake is due, ascending, so the poll sequence at an instant
-    /// is independent of wake insertion order. `forced` is the client
-    /// whose own wake is the currently-dispatching event (its handle is
-    /// already consumed, so it must not be cancelled).
-    fn poll_due_clients(&mut self, forced: Option<usize>, ctx: &mut Ctx<World<S>, WorldEvent>) {
-        let now = ctx.now();
+    /// Same canonicalization as `pump_event`: poll every client whose
+    /// wake is due, ascending. `forced` is the client whose own wake is
+    /// the currently-dispatching event.
+    fn poll_due_clients(&mut self, forced: Option<usize>, ctx: &mut WorldCtx<S>) {
         for c in 0..self.clients.len() {
-            let due = forced == Some(c) || self.client_wake[c].is_some_and(|(at, _)| at <= now);
-            if !due {
-                continue;
+            if self.client_wake.take_due(ctx, c, forced == Some(c)) {
+                self.poll_client(c, ctx);
             }
-            if let Some((_, stale)) = self.client_wake[c].take() {
-                if forced != Some(c) {
-                    ctx.cancel(stale);
-                    self.wakes.client_cancelled += 1;
-                }
-            }
-            self.poll_client(c, ctx);
         }
     }
 
     /// Stages a retransmission and schedules its backoff deadline.
-    fn stage_retry(&mut self, rec: RetryRec, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn stage_retry(&mut self, rec: RetryRec, ctx: &mut WorldCtx<S>) {
         self.retries_pending.push(rec);
         ctx.schedule_event_at(rec.fire_at, WorldEvent::RetryFire);
     }
@@ -382,7 +345,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// first, then fire due retries sorted by a key derived from the
     /// request itself. Records with identical keys are interchangeable,
     /// so the result is a pure function of the event timeline.
-    fn retry_fire_event(&mut self, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn retry_fire_event(&mut self, ctx: &mut WorldCtx<S>) {
         let now = ctx.now();
         self.poll_due_clients(None, ctx);
         let mut due = std::mem::take(&mut self.retry_scratch);
@@ -420,7 +383,7 @@ impl<S: ServerHarness + 'static> World<S> {
         self.retry_scratch = due;
     }
 
-    fn poll_client(&mut self, client: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn poll_client(&mut self, client: usize, ctx: &mut WorldCtx<S>) {
         let machine = self.clients[client].machine;
         let mut deliveries = std::mem::take(&mut self.poll_scratch);
         self.fabric
@@ -535,12 +498,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn issue_request(
-        &mut self,
-        w_idx: usize,
-        conn_idx: usize,
-        ctx: &mut Ctx<World<S>, WorldEvent>,
-    ) {
+    fn issue_request(&mut self, w_idx: usize, conn_idx: usize, ctx: &mut WorldCtx<S>) {
         let addr = self.next_addr(w_idx, conn_idx);
         let w = &mut self.workloads[w_idx];
         let spec = &w.spec;
@@ -570,7 +528,7 @@ impl<S: ServerHarness + 'static> World<S> {
         is_read: bool,
         addr: u64,
         io_size: u32,
-        ctx: &mut Ctx<World<S>, WorldEvent>,
+        ctx: &mut WorldCtx<S>,
     ) {
         let now = ctx.now();
         let measured = self.measure_start.is_some_and(|m| now >= m);
@@ -593,7 +551,7 @@ impl<S: ServerHarness + 'static> World<S> {
         first_sent_at: SimTime,
         measured: bool,
         attempt: u32,
-        ctx: &mut Ctx<World<S>, WorldEvent>,
+        ctx: &mut WorldCtx<S>,
     ) {
         let now = ctx.now();
         let w = &mut self.workloads[w_idx];
@@ -670,7 +628,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// still outstanding the attempt is declared lost: retry with backoff
     /// while attempts remain, otherwise abandon the request (topping up
     /// closed-loop depth so the generator does not deflate).
-    fn timeout_event(&mut self, cookie: u64, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn timeout_event(&mut self, cookie: u64, ctx: &mut WorldCtx<S>) {
         // Canonical same-instant order: a response that has *arrived* by
         // the timeout instant beats the timeout, whichever of the client's
         // poll wake and this event was inserted first — so drain the
@@ -712,7 +670,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn open_loop_gen_event(&mut self, w_idx: usize, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn open_loop_gen_event(&mut self, w_idx: usize, ctx: &mut WorldCtx<S>) {
         let w = &self.workloads[w_idx];
         if w.stopped {
             return;
@@ -740,7 +698,7 @@ impl<S: ServerHarness + 'static> World<S> {
         w_idx: usize,
         pos: usize,
         started: SimTime,
-        ctx: &mut Ctx<World<S>, WorldEvent>,
+        ctx: &mut WorldCtx<S>,
     ) {
         let w = &self.workloads[w_idx];
         if w.stopped {
@@ -765,7 +723,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn control_event(&mut self, interval: SimDuration, ctx: &mut Ctx<World<S>, WorldEvent>) {
+    fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx<S>) {
         let _ = self.server.control_tick(ctx.now(), interval);
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
     }
@@ -1013,8 +971,8 @@ impl TestbedBuilder {
             poll_scratch: Vec::new(),
             retries_pending: Vec::new(),
             retry_scratch: Vec::new(),
-            thread_wake: vec![None; n_threads],
-            client_wake: vec![None; n_clients],
+            thread_wake: WakeSlots::new(n_threads),
+            client_wake: WakeSlots::new(n_clients),
             client_inbound: vec![0; n_clients],
             wakes: WakeStats::default(),
             measure_start: None,
@@ -1037,7 +995,7 @@ impl TestbedBuilder {
 
 /// The assembled simulation. See the module documentation.
 pub struct Testbed<S: ServerHarness = ReflexServer> {
-    engine: Engine<World<S>, WorldEvent>,
+    engine: Engine<World<S>, WorldEvent<S>>,
     measure_begin: SimTime,
 }
 
@@ -1077,9 +1035,10 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     /// thread stalls) inside the simulation.
     pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
-        F: FnOnce(&mut World<S>, &mut Ctx<World<S>, WorldEvent>) + Send + 'static,
+        F: FnOnce(&mut World<S>, &mut Ctx<World<S>, WorldEvent<S>>) + Send + 'static,
     {
-        self.engine.schedule_at(at, f);
+        self.engine
+            .schedule_event_at(at, WorldEvent::Call(Box::new(f)));
     }
 
     /// Registers a workload: admits its tenant, opens and binds its
@@ -1284,7 +1243,13 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             device: world.device.stats(),
             renegotiations: server.renegotiations(),
             engine_events: self.engine.dispatched(),
-            wakes: world.wakes,
+            wakes: WakeStats {
+                thread_armed: world.thread_wake.armed,
+                thread_cancelled: world.thread_wake.cancelled,
+                client_armed: world.client_wake.armed,
+                client_cancelled: world.client_wake.cancelled,
+                ..world.wakes
+            },
             telemetry: world.telemetry.snapshot(),
         }
     }

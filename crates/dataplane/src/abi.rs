@@ -7,10 +7,9 @@
 //! are involved.
 
 use reflex_qos::{SloSpec, TenantId};
-use serde::{Deserialize, Serialize};
 
 /// Handle identifying a registered tenant to the dataplane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantHandle(pub u32);
 
 /// Opaque user-space correlation value carried through the dataplane and
@@ -19,12 +18,12 @@ pub type Cookie = u64;
 
 /// Handle to a pre-allocated zero-copy DMA buffer. The simulation tracks
 /// buffer accounting but not contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufHandle(pub u32);
 
 /// System calls the user-level server code issues to the dataplane
 /// (paper Table 1, top half). Batched over a shared array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Syscall {
     /// Registers a tenant with an SLO (`None` ⇒ best-effort).
     Register {
@@ -69,7 +68,7 @@ pub enum Syscall {
 }
 
 /// Completion status in an event condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbiStatus {
     /// Success.
     Ok,
@@ -84,7 +83,7 @@ pub enum AbiStatus {
 
 /// Event conditions the dataplane delivers to the user-level server code
 /// (paper Table 1, bottom half).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventCond {
     /// A `Register` syscall completed.
     Registered {

@@ -8,13 +8,12 @@
 
 use reflex_cache::CacheConfig;
 use reflex_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Models LLC pressure from TCP connection state: a multiplier applied to
 /// per-message CPU costs as the connection count grows (paper §5.5:
 /// performance degrades beyond ~5K connections per core as connection
 /// state spills out of the last-level cache).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnPressure {
     /// Mild warming term: extra cost fraction reached by `warm_conns`.
     pub warm_penalty: f64,
@@ -51,7 +50,7 @@ impl ConnPressure {
 }
 
 /// Per-item CPU costs of a dataplane thread.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataplaneConfig {
     /// CPU per incoming message: NIC RX descriptor handling, TCP/IP
     /// receive, protocol parse, ACL check, event dispatch, read/write

@@ -15,7 +15,6 @@ use std::collections::BinaryHeap;
 
 use reflex_sim::{SimDuration, SimRng, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::DeviceProfile;
 use crate::types::{IoType, NvmeCommand, NvmeCompletion, NvmeStatus, SubmitError};
@@ -24,7 +23,7 @@ use crate::types::{IoType, NvmeCommand, NvmeCompletion, NvmeStatus, SubmitError}
 ///
 /// Each dataplane thread owns one queue pair, mirroring ReFlex's
 /// one-QP-per-core design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QpId(pub u32);
 
 /// Per-channel backlog state.
@@ -77,7 +76,7 @@ impl Ord for CqEntry {
 }
 
 /// Aggregate device statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Read commands completed or in flight.
     pub reads: u64,
@@ -516,14 +515,6 @@ impl FlashDevice {
     /// Instant of `qp`'s earliest pending completion, if any.
     pub fn next_completion_time(&self, qp: QpId) -> Option<SimTime> {
         self.qps[qp.0 as usize].cq.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Earliest pending completion across all queue pairs, if any.
-    pub fn next_completion_time_any(&self) -> Option<SimTime> {
-        self.qps
-            .iter()
-            .filter_map(|q| q.cq.peek().map(|Reverse(e)| e.at))
-            .min()
     }
 
     /// Preconditions the device to steady state (the paper preconditions

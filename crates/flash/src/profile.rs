@@ -8,7 +8,6 @@
 //! device A.
 
 use reflex_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Physical parameters of a simulated NVMe Flash device.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// every `gc_every_pages` programs a channel additionally performs an erase
 /// (`gc_erase_time`) — this is what makes writes 10–20× more expensive than
 /// reads and what drags read tails at high write ratios (Figure 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable name ("device-a" …).
     pub name: String,

@@ -3,11 +3,10 @@
 use std::fmt;
 
 use reflex_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifier assigned by the submitter to correlate completions with
 /// commands (the paper's `cookie` travels alongside at a higher layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CmdId(pub u64);
 
 impl fmt::Display for CmdId {
@@ -17,7 +16,7 @@ impl fmt::Display for CmdId {
 }
 
 /// I/O direction of an NVMe command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoType {
     /// A Flash page read.
     Read,
@@ -47,7 +46,7 @@ impl fmt::Display for IoType {
 /// internally operates at its page granularity (4KB on every profiled
 /// device), so sub-page requests cost a full page, as in the paper's cost
 /// model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmeCommand {
     /// Submitter-chosen correlation id.
     pub id: CmdId,
@@ -88,7 +87,7 @@ impl NvmeCommand {
 }
 
 /// Completion status of an NVMe command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NvmeStatus {
     /// Command completed successfully.
     Success,
@@ -102,7 +101,7 @@ pub enum NvmeStatus {
 }
 
 /// A completed NVMe command popped from a completion queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmeCompletion {
     /// The submitter's correlation id.
     pub id: CmdId,

@@ -12,30 +12,27 @@ use std::collections::BinaryHeap;
 
 use reflex_sim::{PoolKey, SimDuration, SimRng, SimTime, SlabPool};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
-use serde::{Deserialize, Serialize};
 
 use crate::stack::StackProfile;
 use crate::wire::wire_bytes_with;
 
 /// Identifier of a machine attached to the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MachineId(pub u32);
 
 /// Identifier of a (TCP) connection between two machines. The fabric itself
 /// is connection-agnostic; ids are carried for the endpoints' bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
 
 /// Identifier of a receive queue on a machine's NIC. Multi-queue NICs let
 /// each dataplane thread poll its own queue (flow steering / RSS) while all
 /// queues share the NIC's bandwidth. Every machine has queue 0 by default.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NicQueueId(pub u32);
 
 /// Fabric-wide link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Link bandwidth in bits per second (default: 10GbE).
     pub bandwidth_bps: u64,

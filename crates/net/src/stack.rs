@@ -8,12 +8,11 @@
 //! supports ~70K messages per second per thread at 4KB).
 
 use reflex_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Transport protocol an endpoint speaks. The paper ships TCP (the most
 /// heavyweight choice, "a conservative lower bound on performance") and
 /// names UDP as the planned lighter transport (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// Reliable byte stream: 20B header, per-segment ACK bookkeeping.
     Tcp,
@@ -32,7 +31,7 @@ impl Transport {
 }
 
 /// Performance parameters of one network stack implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackProfile {
     /// Human-readable name ("linux-tcp", "ix-tcp", …).
     pub name: String,
@@ -64,20 +63,6 @@ impl StackProfile {
             rx_sigma: 0.4,
             per_msg_cpu: SimDuration::from_micros_f64(14.3), // 1 / 70K msgs/s
             transport: Transport::Tcp,
-        }
-    }
-
-    /// The Linux UDP stack: no connection state or congestion control
-    /// bookkeeping — ~35% lighter than TCP per message.
-    pub fn linux_udp() -> Self {
-        StackProfile {
-            name: "linux-udp".to_owned(),
-            tx_median: SimDuration::from_micros_f64(5.5),
-            tx_sigma: 0.3,
-            rx_median: SimDuration::from_micros_f64(6.0),
-            rx_sigma: 0.4,
-            per_msg_cpu: SimDuration::from_micros_f64(9.5),
-            transport: Transport::Udp,
         }
     }
 

@@ -7,7 +7,6 @@
 //! parsed — the dataplane's protocol-processing step runs this code.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Size of an encoded [`ReflexHeader`] in bytes.
 pub const HEADER_SIZE: usize = 28;
@@ -22,7 +21,7 @@ pub const FRAME_OVERHEAD: usize = 54;
 pub const MSS: usize = 1460;
 
 /// Request/response opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
     /// Read logical blocks.
@@ -70,7 +69,7 @@ impl Opcode {
 /// let back = ReflexHeader::decode(&bytes).expect("round trip");
 /// assert_eq!(back, hdr);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReflexHeader {
     /// Operation.
     pub opcode: Opcode,

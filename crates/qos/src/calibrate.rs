@@ -5,13 +5,11 @@
 //! a linear model. This module implements the pure fitting math; the control
 //! plane (reflex-core) feeds it measured sweeps of the simulated device.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::CostModel;
 use crate::tokens::Tokens;
 
 /// One measured point of a latency-vs-load curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Offered load in I/O operations per second.
     pub iops: f64,
@@ -48,7 +46,7 @@ pub fn max_iops_at_latency(sweep: &[SweepPoint], target_us: f64) -> Option<f64> 
 
 /// One per-ratio capacity observation: the max IOPS sustaining the target
 /// latency for a given read percentage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioCapacity {
     /// Read percentage of the workload (0-100).
     pub read_pct: u8,
@@ -57,7 +55,7 @@ pub struct RatioCapacity {
 }
 
 /// Result of the linear cost-model fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedCosts {
     /// Fitted write cost in tokens (reads cost 1 by definition).
     pub write_cost: f64,

@@ -10,14 +10,13 @@
 //! (`r = 100%`) reads get cheaper (½ token on device A).
 
 use reflex_flash::{DeviceProfile, IoType};
-use serde::{Deserialize, Serialize};
 
 use crate::tokens::Tokens;
 
 /// Device-wide read/write mix relevant to the cost model: the only
 /// distinction the paper's linear model makes is *read-only* versus
 /// *mixed* (`r = 100%` vs `r < 100%`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoadMix {
     /// All tenants currently issue only reads.
     ReadOnly,
@@ -46,7 +45,7 @@ pub enum LoadMix {
 /// // 1KB requests cost a full page (the device operates at 4KB granularity).
 /// assert_eq!(m.cost(IoType::Read, 1024, LoadMix::Mixed), Tokens::from_tokens(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     page_size: u32,
     read_mixed: Tokens,

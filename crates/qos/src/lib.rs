@@ -20,7 +20,6 @@
 mod bucket;
 mod calibrate;
 mod cost;
-mod fair;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
 mod scheduler;
@@ -32,7 +31,6 @@ pub use calibrate::{
     fit_cost_model, max_iops_at_latency, CalibrationError, FittedCosts, RatioCapacity, SweepPoint,
 };
 pub use cost::{CostModel, LoadMix};
-pub use fair::{FairScheduler, FOUR_KB_QUANTUM};
 pub use scheduler::{
     CostedRequest, QosError, QosScheduler, ScheduleOutcome, SchedulerParams, TenantSchedStats,
     TenantSlot,

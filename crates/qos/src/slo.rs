@@ -3,7 +3,6 @@
 use std::fmt;
 
 use reflex_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
 use crate::tokens::TokenRate;
@@ -12,7 +11,7 @@ use crate::tokens::TokenRate;
 ///
 /// A tenant is the paper's accounting/enforcement abstraction: one tenant
 /// may be shared by thousands of connections from many client machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
 impl fmt::Display for TenantId {
@@ -36,7 +35,7 @@ impl fmt::Display for TenantId {
 /// // 0.8*50K*1 + 0.2*50K*10 = 140K tokens/s.
 /// assert_eq!(rate.as_millitokens_per_sec(), 140_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SloSpec {
     /// Guaranteed I/O operations per second.
     pub iops: u64,
@@ -74,7 +73,7 @@ impl SloSpec {
 }
 
 /// Tenant service class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantClass {
     /// Guaranteed tail latency and throughput.
     LatencyCritical(SloSpec),

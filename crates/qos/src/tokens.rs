@@ -10,7 +10,6 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Neg, Sub, SubAssign};
 
 use reflex_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A signed token amount in fixed-point millitokens.
 ///
@@ -24,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(one + half, Tokens::from_millitokens(1_500));
 /// assert_eq!((one - one - half).as_tokens_f64(), -0.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tokens(i64);
 
 impl Tokens {
@@ -121,9 +118,7 @@ impl fmt::Display for Tokens {
 /// nanosecond-granularity remainder carried in [`TokenGen`], so no fraction
 /// of a token is ever lost to rounding — scheduling rounds can be as short
 /// as 0.5µs (paper §3.2.2) and typically generate well under one token.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TokenRate(u64);
 
 impl TokenRate {
@@ -185,7 +180,7 @@ impl TokenRate {
 /// let t = gen.generate(rate, SimDuration::from_micros(1));
 /// assert_eq!(t, Tokens::from_millitokens(420));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TokenGen {
     /// Remainder in millitoken-nanoseconds (< 1e9).
     carry: u64,

@@ -81,35 +81,6 @@ impl ReplWorkloadSpec {
         }
     }
 
-    /// Sets the read percentage.
-    #[must_use]
-    pub fn with_read_pct(mut self, read_pct: u8) -> Self {
-        self.read_pct = read_pct;
-        self
-    }
-
-    /// Sets the IO size in bytes.
-    #[must_use]
-    pub fn with_io_size(mut self, io_size: u32) -> Self {
-        self.io_size = io_size;
-        self
-    }
-
-    /// Sets connections per member and client threads.
-    #[must_use]
-    pub fn with_conns(mut self, conns: u32, client_threads: u32) -> Self {
-        self.conns = conns;
-        self.client_threads = client_threads;
-        self
-    }
-
-    /// Sets the issuing client machine.
-    #[must_use]
-    pub fn with_client_machine(mut self, idx: usize) -> Self {
-        self.client_machine = idx;
-        self
-    }
-
     /// Sets the namespace byte range (also the re-sync volume).
     #[must_use]
     pub fn with_namespace(mut self, start: u64, len: u64) -> Self {
@@ -128,13 +99,6 @@ impl ReplWorkloadSpec {
     #[must_use]
     pub fn with_read_policy(mut self, policy: ReadPolicy) -> Self {
         self.read_policy = policy;
-        self
-    }
-
-    /// Sets the arrival process.
-    #[must_use]
-    pub fn with_arrival(mut self, arrival: ArrivalProcess) -> Self {
-        self.arrival = arrival;
         self
     }
 

@@ -12,7 +12,7 @@ use reflex_faults::{FaultKind, FaultPlan, FaultStats, PlannedDeviceHook, Planned
 use reflex_flash::{DeviceProfile, FlashDevice};
 use reflex_net::{Fabric, LinkConfig, StackProfile};
 use reflex_qos::{CostModel, TenantClass};
-use reflex_sim::{Engine, SimDuration, SimRng, SimTime, SlabPool};
+use reflex_sim::{Engine, SimDuration, SimRng, SimTime, SlabPool, WakeSlots};
 use reflex_telemetry::{Telemetry, TelemetrySnapshot, TenantKey};
 
 use crate::spec::ReplWorkloadSpec;
@@ -262,8 +262,8 @@ impl ReplTestbedBuilder {
             ops: SlabPool::new(),
             subs: SlabPool::new(),
             poll_scratch: Vec::new(),
-            site_wake: vec![None; n_sites],
-            client_wake: vec![None; n_clients],
+            site_wake: WakeSlots::new(n_sites),
+            client_wake: WakeSlots::new(n_clients),
             measure_start: None,
             detect_delay: self.detect_delay,
             resync_bytes_per_sec: self.resync_bytes_per_sec,

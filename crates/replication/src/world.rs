@@ -21,7 +21,7 @@ use reflex_dataplane::{AclEntry, WireMsg};
 use reflex_flash::FlashDevice;
 use reflex_net::{ConnId, Delivery, Fabric, MachineId, Opcode, ReflexHeader, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
-use reflex_sim::{Ctx, EventHandle, PoolKey, SimDuration, SimTime, SlabPool, TypedEvent};
+use reflex_sim::{Ctx, PoolKey, SimDuration, SimTime, SlabPool, TypedEvent, WakeSlots};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 use crate::state::ReplState;
@@ -87,6 +87,17 @@ pub(crate) struct SubReq {
     pub attempt: u32,
 }
 
+impl SubReq {
+    /// The event that transmits this sub-request's next attempt.
+    fn retry(self) -> ReplEvent {
+        ReplEvent::RetrySub {
+            op: self.op,
+            slot: self.slot,
+            attempt: self.attempt + 1,
+        }
+    }
+}
+
 /// What failover did for one tenant, stamped with simulated instants —
 /// the raw material for the recovery-time figure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,9 +115,8 @@ pub struct TenantRecovery {
     pub new_site: Option<usize>,
 }
 
-/// The recurring replication events, dispatched through the engine's
-/// typed event path (no per-event closures on the steady-state path;
-/// retry backoffs still use boxed closures, like the core testbed).
+/// The replication events: plain data, so neither the steady-state path
+/// nor a retry storm allocates per event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplEvent {
     /// Wake server site `i` and run its dataplane pump loop.
@@ -116,6 +126,16 @@ pub enum ReplEvent {
     /// Response deadline for the sub-request whose slab key packs to
     /// `cookie` (generation-checked: stale deadlines are no-ops).
     SubTimeout(u64),
+    /// A backoff elapsed: transmit attempt `attempt` of op `op`'s
+    /// sub-request to replica slot `slot`.
+    RetrySub {
+        /// The op's slab key.
+        op: PoolKey,
+        /// Replica slot.
+        slot: u8,
+        /// Attempt number (2 or higher).
+        attempt: u32,
+    },
     /// Open-loop generator tick for workload `i`.
     OpenLoopGen(usize),
     /// Periodic control-plane tick on every live site.
@@ -144,6 +164,9 @@ impl TypedEvent<ReplWorld> for ReplEvent {
             ReplEvent::Pump(i) => world.pump_event(i, ctx),
             ReplEvent::ClientPoll(i) => world.client_poll_event(i, ctx),
             ReplEvent::SubTimeout(cookie) => world.sub_timeout_event(cookie, ctx),
+            ReplEvent::RetrySub { op, slot, attempt } => {
+                world.send_sub(op, slot as usize, attempt, ctx);
+            }
             ReplEvent::OpenLoopGen(i) => world.open_loop_gen_event(i, ctx),
             ReplEvent::Control(interval) => world.control_event(interval, ctx),
             ReplEvent::ServerDeath(site) => world.server_death_event(site, ctx),
@@ -171,8 +194,8 @@ pub struct ReplWorld {
     pub(crate) ops: SlabPool<ReplOp>,
     pub(crate) subs: SlabPool<SubReq>,
     pub(crate) poll_scratch: Vec<Delivery<WireMsg>>,
-    pub(crate) site_wake: Vec<Option<(SimTime, EventHandle)>>,
-    pub(crate) client_wake: Vec<Option<(SimTime, EventHandle)>>,
+    pub(crate) site_wake: WakeSlots,
+    pub(crate) client_wake: WakeSlots,
     pub(crate) measure_start: Option<SimTime>,
     /// Death → failover delay (the coordinator's detection time).
     pub(crate) detect_delay: SimDuration,
@@ -197,11 +220,6 @@ impl ReplWorld {
     /// The network fabric (fault injection installs hooks here).
     pub fn fabric_mut(&mut self) -> &mut Fabric<WireMsg> {
         &mut self.fabric
-    }
-
-    /// Number of server sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
     }
 
     /// Number of client machines.
@@ -249,52 +267,23 @@ impl ReplWorld {
     }
 
     fn ensure_site_wake(&mut self, ctx: &mut Ctx<ReplWorld, ReplEvent>, site: usize, at: SimTime) {
-        let at = at.max(ctx.now());
-        if let Some((pending, _)) = self.site_wake[site] {
-            if at >= pending {
-                return; // an earlier (or equal) wake is already armed
-            }
-        }
-        let handle = ctx.schedule_event_at_handle(at, ReplEvent::Pump(site));
-        if let Some((_, stale)) = self.site_wake[site].replace((at, handle)) {
-            ctx.cancel(stale);
-        }
+        self.site_wake.arm(ctx, site, at, ReplEvent::Pump(site));
     }
 
     fn ensure_client_wake(&mut self, ctx: &mut Ctx<ReplWorld, ReplEvent>, client: usize) {
-        let machine = self.clients[client].machine;
-        let Some(at) = self.fabric.next_arrival(machine) else {
-            return;
-        };
-        let at = at.max(ctx.now());
-        if let Some((pending, _)) = self.client_wake[client] {
-            if at >= pending {
-                return;
-            }
-        }
-        let handle = ctx.schedule_event_at_handle(at, ReplEvent::ClientPoll(client));
-        if let Some((_, stale)) = self.client_wake[client].replace((at, handle)) {
-            ctx.cancel(stale);
+        if let Some(at) = self.fabric.next_arrival(self.clients[client].machine) {
+            self.client_wake
+                .arm(ctx, client, at, ReplEvent::ClientPoll(client));
         }
     }
 
     fn pump_event(&mut self, site: usize, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
         // Canonical same-instant order (see the core testbed): one pump
-        // event services every site whose wake is due, ascending, so the
-        // pump sequence depends only on the due set, never on wake
-        // insertion order.
-        let now = ctx.now();
-        for i in 0..self.site_wake.len() {
-            let due = i == site || self.site_wake[i].is_some_and(|(at, _)| at <= now);
-            if !due {
-                continue;
+        // event services every site whose wake is due, ascending.
+        for i in 0..self.site_wake.slots() {
+            if self.site_wake.take_due(ctx, i, i == site) {
+                self.pump_one(i, ctx);
             }
-            if let Some((_, stale)) = self.site_wake[i].take() {
-                if i != site {
-                    ctx.cancel(stale);
-                }
-            }
-            self.pump_one(i, ctx);
         }
     }
 
@@ -318,18 +307,10 @@ impl ReplWorld {
     }
 
     fn client_poll_event(&mut self, client: usize, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
-        let now = ctx.now();
         for c in 0..self.clients.len() {
-            let due = c == client || self.client_wake[c].is_some_and(|(at, _)| at <= now);
-            if !due {
-                continue;
+            if self.client_wake.take_due(ctx, c, c == client) {
+                self.poll_client(c, ctx);
             }
-            if let Some((_, stale)) = self.client_wake[c].take() {
-                if c != client {
-                    ctx.cancel(stale);
-                }
-            }
-            self.poll_client(c, ctx);
         }
     }
 
@@ -356,10 +337,7 @@ impl ReplWorld {
                 // only — send_sub fences retries that cross a failover).
                 self.workloads[op.w_idx as usize].retries += 1;
                 let backoff = policy.backoff_after(sub.attempt);
-                let (op_key, slot, attempt) = (sub.op, sub.slot as usize, sub.attempt + 1);
-                ctx.schedule_after(backoff, move |w: &mut ReplWorld, ctx| {
-                    w.send_sub(op_key, slot, attempt, ctx);
-                });
+                ctx.schedule_event_after(backoff, sub.retry());
                 continue;
             }
             let acked = header.opcode != Opcode::Error;
@@ -560,10 +538,7 @@ impl ReplWorld {
         if !op.done && sub.attempt < policy.max_attempts {
             w.retries += 1;
             let backoff = policy.backoff_after(sub.attempt);
-            let (op_key, slot, attempt) = (sub.op, sub.slot as usize, sub.attempt + 1);
-            ctx.schedule_after(backoff, move |w: &mut ReplWorld, ctx| {
-                w.send_sub(op_key, slot, attempt, ctx);
-            });
+            ctx.schedule_event_after(backoff, sub.retry());
         } else {
             self.conclude_sub(sub.op, false, sub.attempt, ctx.now());
         }

@@ -6,8 +6,6 @@
 //! percentile while staying O(1) per insert and compact in memory — exactly
 //! what a million-IOPS simulation needs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Sub-bucket resolution: 64 linear sub-buckets per power of two bounds the
@@ -35,7 +33,7 @@ const BUCKET_COUNT: usize = (MAX_EXP + 1 - SUB_BUCKET_BITS as usize) * SUB_BUCKE
 /// let p95 = h.percentile(95.0).as_micros_f64();
 /// assert!((94.0..=97.0).contains(&p95));
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

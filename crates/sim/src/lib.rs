@@ -16,24 +16,34 @@
 //! # Examples
 //!
 //! ```
-//! use reflex_sim::{Engine, Histogram, SimDuration, SimRng, SimTime};
+//! use reflex_sim::{Ctx, Engine, Histogram, SimDuration, SimRng, SimTime, TypedEvent};
 //!
 //! struct World {
 //!     rng: SimRng,
 //!     lat: Histogram,
 //! }
 //!
-//! let mut engine = Engine::new(World { rng: SimRng::seed(1), lat: Histogram::new() });
+//! enum Request {
+//!     Arrive,
+//!     Done(SimTime),
+//! }
+//!
+//! impl TypedEvent<World> for Request {
+//!     fn dispatch(self, w: &mut World, ctx: &mut Ctx<'_, World, Self>) {
+//!         match self {
+//!             Request::Arrive => {
+//!                 let svc = w.rng.lognormal(SimDuration::from_micros(80), 0.1);
+//!                 ctx.schedule_event_after(svc, Request::Done(ctx.now()));
+//!             }
+//!             Request::Done(started) => w.lat.record(ctx.now() - started),
+//!         }
+//!     }
+//! }
+//!
+//! let mut engine = Engine::with_events(World { rng: SimRng::seed(1), lat: Histogram::new() });
 //! // Issue 1000 "requests" whose service time is lognormal around 80us.
 //! for i in 0..1000u64 {
-//!     let at = SimTime::from_nanos(i * 1_000);
-//!     engine.schedule_at(at, move |w: &mut World, ctx| {
-//!         let svc = w.rng.lognormal(SimDuration::from_micros(80), 0.1);
-//!         let started = ctx.now();
-//!         ctx.schedule_after(svc, move |w: &mut World, ctx| {
-//!             w.lat.record(ctx.now() - started);
-//!         });
-//!     });
+//!     engine.schedule_event_at(SimTime::from_nanos(i * 1_000), Request::Arrive);
 //! }
 //! engine.run_to_completion();
 //! assert_eq!(engine.world().lat.count(), 1000);
@@ -53,7 +63,7 @@ mod series;
 mod slab;
 mod time;
 
-pub use engine::{Ctx, Engine, EngineProbe, EventFn, EventHandle, NoEvent, Step, TypedEvent};
+pub use engine::{Ctx, Engine, EngineProbe, EventHandle, Step, TypedEvent, WakeSlots};
 pub use hist::Histogram;
 pub use rng::{SimRng, Zipf};
 pub use series::{Counter, RatePoint, RateSeries};

@@ -1,7 +1,5 @@
 //! Time-series recorders for throughput and token-rate plots.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Accumulates per-interval event counts and reports them as rates —
@@ -20,7 +18,7 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(points.len(), 2);
 /// assert!((points[0].rate_per_sec - 10_000.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateSeries {
     interval: SimDuration,
     current_start: SimTime,
@@ -29,7 +27,7 @@ pub struct RateSeries {
 }
 
 /// One interval of a [`RateSeries`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatePoint {
     /// Interval start instant.
     pub at: SimTime,
@@ -119,7 +117,7 @@ impl RateSeries {
 /// assert_eq!(c.total(), 10);
 /// assert!((c.rate_per_sec(SimTime::from_secs(2)) - 5.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
     total: u64,
     since: SimTime,

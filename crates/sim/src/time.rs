@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulation clock, in nanoseconds since simulation start.
 ///
 /// `SimTime` is totally ordered and starts at [`SimTime::ZERO`]. It only
@@ -25,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 5_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_nanos(5_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -41,9 +37,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_nanos(), 2_500);
 /// assert_eq!(d.as_micros_f64(), 2.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 /// `x.round() as u64`, bit for bit over all of `f64`, without the libm

@@ -1,7 +1,27 @@
 //! Property-based tests of the simulation substrate.
 
 use proptest::prelude::*;
-use reflex_sim::{Engine, Histogram, PoolKey, SimDuration, SimRng, SimTime, SlabPool, Zipf};
+use reflex_sim::{
+    Ctx, Engine, Histogram, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, Zipf,
+};
+
+/// A closure as an event: the engine dispatches typed events only, and
+/// these properties read better with closure-style bodies.
+struct Call<W>(CallFn<W>);
+
+type CallFn<W> = Box<dyn FnOnce(&mut W, &mut Ctx<'_, W, Call<W>>) + Send>;
+
+impl<W> Call<W> {
+    fn new(f: impl FnOnce(&mut W, &mut Ctx<'_, W, Call<W>>) + Send + 'static) -> Self {
+        Call(Box::new(f))
+    }
+}
+
+impl<W: 'static> TypedEvent<W> for Call<W> {
+    fn dispatch(self, world: &mut W, ctx: &mut Ctx<'_, W, Self>) {
+        (self.0)(world, ctx);
+    }
+}
 
 proptest! {
     /// Histogram percentiles are monotone in the percentile for any input.
@@ -59,11 +79,11 @@ proptest! {
     /// order, with FIFO tie-breaking by insertion sequence.
     #[test]
     fn engine_orders_arbitrary_schedules(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut engine = Engine::new(Vec::<(u64, usize)>::new());
+        let mut engine = Engine::with_events(Vec::<(u64, usize)>::new());
         for (i, &t) in times.iter().enumerate() {
-            engine.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<(u64, usize)>, ctx| {
+            engine.schedule_event_at(SimTime::from_nanos(t), Call::new(move |w: &mut Vec<(u64, usize)>, ctx| {
                 w.push((ctx.now().as_nanos(), i));
-            });
+            }));
         }
         engine.run_to_completion();
         let fired = engine.world();
@@ -125,9 +145,9 @@ proptest! {
         // event id so the reference model can replay them exactly:
         // id % 3 == 0 chains a follow-up, id % 5 == 0 cancels a target
         // picked from every handle created so far.
-        let mut engine = Engine::new(WheelWorld::default());
+        let mut engine = Engine::with_events(WheelWorld::default());
         for (i, &t) in times.iter().enumerate() {
-            let h = engine.schedule_at_handle(SimTime::from_nanos(t), wheel_handler(i as u64, times.clone()));
+            let h = engine.schedule_event_at_handle(SimTime::from_nanos(t), wheel_handler(i as u64, times.clone()));
             engine.world_mut().handles.push(h);
             engine.world_mut().next_id += 1;
         }
@@ -279,14 +299,14 @@ struct WheelWorld {
 
 /// One event of the wheel-vs-reference property, as a boxed handler so it
 /// can chain follow-ups recursively.
-fn wheel_handler(id: u64, times: std::sync::Arc<Vec<u64>>) -> reflex_sim::EventFn<WheelWorld> {
-    Box::new(move |w, ctx| {
+fn wheel_handler(id: u64, times: std::sync::Arc<Vec<u64>>) -> Call<WheelWorld> {
+    Call::new(move |w: &mut WheelWorld, ctx| {
         w.log.push(id);
         if id.is_multiple_of(3) {
             let next_id = w.next_id;
             w.next_id += 1;
             let d = times[id as usize % times.len()] % 10_000_000;
-            let h = ctx.schedule_after_handle(
+            let h = ctx.schedule_event_after_handle(
                 SimDuration::from_nanos(d),
                 wheel_handler(next_id, times.clone()),
             );

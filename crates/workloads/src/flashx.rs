@@ -18,13 +18,12 @@ use std::collections::BinaryHeap;
 
 use reflex_flash::IoType;
 use reflex_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::Backend;
 
 /// Graph dimensions. Defaults to SOC-LiveJournal1 (4.8M vertices, 68.9M
 /// edges), the paper's dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphSpec {
     /// Vertex count.
     pub vertices: u64,
@@ -49,7 +48,7 @@ impl GraphSpec {
 }
 
 /// The four benchmarks of Figure 7b.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphAlgo {
     /// Weakly connected components.
     Wcc,

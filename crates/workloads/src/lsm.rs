@@ -21,12 +21,11 @@ use std::collections::BinaryHeap;
 
 use reflex_flash::IoType;
 use reflex_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::Backend;
 
 /// The three `db_bench` routines of Figure 7c.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DbBenchmark {
     /// `bulkload` (BL): populate the database.
     BulkLoad,
