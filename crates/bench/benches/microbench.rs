@@ -64,6 +64,12 @@ fn sched_round(c: &mut Criterion) {
             b.iter(|| round.step());
         });
     }
+    for tenants in [100u32, 1_000] {
+        group.bench_function(format!("{tenants}_tenants_starved"), |b| {
+            let mut round = StarvedRound::new(tenants);
+            b.iter(|| round.step());
+        });
+    }
     group.finish();
     if !c.selected("sched_round/guard") {
         return;
@@ -85,7 +91,30 @@ fn sched_round(c: &mut Criterion) {
         per_tenant <= SCHED_GUARD_LIMIT * pair,
         "a tenant's turn costs a hash lookup and a wide division again"
     );
+    let (mut few, mut many) = (StarvedRound::new(100), StarvedRound::new(1_000));
+    let (mut at_100, mut at_1000) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        at_100 = at_100.min(ns_per_call(200_000, || few.step()));
+        at_1000 = at_1000.min(ns_per_call(200_000, || many.step()));
+    }
+    println!(
+        "sched_round guard: {at_100:.1} ns per starved round at 100 tenants, {at_1000:.1} ns \
+         at 1 000 ({:.2}x, limit {STARVED_GUARD_LIMIT}x; {:.2} and {:.2} visits per round)",
+        at_1000 / at_100,
+        few.visits_per_round(),
+        many.visits_per_round()
+    );
+    assert!(
+        at_1000 <= STARVED_GUARD_LIMIT * at_100,
+        "a round costs as many visits as there are tenants registered again"
+    );
 }
+
+/// How much more a starved round may cost at 1 000 tenants than at 100
+/// with the same token flows: the same few tenants can act in either, so
+/// only the wake heap's depth and the cache footprint differ (measured
+/// 1.2-1.5x; about 10x while a round visited every registered tenant).
+const STARVED_GUARD_LIMIT: f64 = 2.0;
 
 /// How many `HashMap` lookup + `u128` div/mod pairs a tenant's turn in a
 /// backlogged round may cost. Over repeated runs on the reference
@@ -104,6 +133,26 @@ fn ns_per_call<T>(calls: u32, mut f: impl FnMut() -> T) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(calls)
 }
 
+/// A scheduler on device A's cost model that is thread 0 of two, so that
+/// its own rounds never reset the bucket.
+fn thread_zero_of_two() -> QosScheduler<u64> {
+    QosScheduler::new(
+        0,
+        Arc::new(GlobalBucket::new(2)),
+        CostModel::for_device_a(),
+        SchedulerParams::default(),
+        SimTime::ZERO,
+    )
+}
+
+fn read_4k(payload: u64) -> CostedRequest<u64> {
+    CostedRequest {
+        op: IoType::Read,
+        len: 4096,
+        payload,
+    }
+}
+
 /// The benchmark's `tenants_rw` thread in miniature: a fifth of the
 /// tenants latency-critical and idle, the rest best-effort with standing
 /// 4 KiB read/write backlogs, an empty pool, and a fair share that admits
@@ -118,15 +167,7 @@ struct BackloggedRound {
 
 impl BackloggedRound {
     fn new(tenants: u32) -> Self {
-        // Two threads, so this one's rounds never reset the bucket.
-        let bucket = Arc::new(GlobalBucket::new(2));
-        let mut sched: QosScheduler<u64> = QosScheduler::new(
-            0,
-            bucket,
-            CostModel::for_device_a(),
-            SchedulerParams::default(),
-            SimTime::ZERO,
-        );
+        let mut sched = thread_zero_of_two();
         for t in 0..tenants {
             let id = TenantId(t);
             if t < tenants / 5 {
@@ -166,6 +207,85 @@ impl BackloggedRound {
             self.sched.enqueue(id, req).expect("registered");
         }
         admitted
+    }
+}
+
+/// The `tenants_rw` thread at the device's token cap, where hardly anyone
+/// can act: a fifth of the tenants latency-critical, 30 tokens in debt and
+/// offered exactly their reservation (so they stay there), the rest
+/// best-effort with standing backlogs earning a fraction of a request per
+/// round. The reservations (40 K IOPS at 80 % reads) and the BE income
+/// (100 K tokens/s) are totals split among however many tenants there
+/// are — 2 000 IOPS and 5 mt per 2 µs round each at 100 — so every size
+/// submits the same ~0.3 requests per round.
+struct StarvedRound {
+    sched: QosScheduler<u64>,
+    out: ScheduleOutcome<u64>,
+    now: SimTime,
+    lc: u32,
+    next_lc: u32,
+    /// LC income not yet offered as a request, in millitokens.
+    lc_income: u32,
+}
+
+impl StarvedRound {
+    fn new(tenants: u32) -> Self {
+        let mut sched = thread_zero_of_two();
+        let lc = tenants / 5;
+        for t in 0..tenants {
+            let id = TenantId(t);
+            if t < lc {
+                let slo = SloSpec::new(u64::from(40_000 / lc), 80, SimDuration::from_millis(1));
+                sched.register_lc(id, slo, 4096).expect("unique tenants");
+                for i in 0..30 {
+                    sched.enqueue(id, read_4k(i)).expect("registered");
+                }
+                continue;
+            }
+            sched.register_be(id).expect("unique tenants");
+            for i in 0..64u64 {
+                let mut req = read_4k(i);
+                if i % 2 == 1 {
+                    req.op = IoType::Write;
+                }
+                sched.enqueue(id, req).expect("registered");
+            }
+        }
+        sched.set_be_rate(TokenRate::per_sec(100_000).share(u64::from(tenants - lc)));
+        StarvedRound {
+            sched,
+            out: ScheduleOutcome::default(),
+            now: SimTime::ZERO,
+            lc,
+            next_lc: 0,
+            lc_income: 0,
+        }
+    }
+
+    fn step(&mut self) -> usize {
+        self.now += SimDuration::from_micros(2);
+        // 112 K tokens/s of LC reservations make 224 mt per round.
+        self.lc_income += 224;
+        if self.lc_income >= 1_000 {
+            self.lc_income -= 1_000;
+            self.sched
+                .enqueue(TenantId(self.next_lc), read_4k(0))
+                .expect("registered");
+            self.next_lc = (self.next_lc + 1) % self.lc;
+        }
+        self.sched
+            .schedule_into(self.now, LoadMix::Mixed, &mut self.out);
+        let admitted = self.out.submitted.len();
+        for (id, req) in self.out.submitted.drain(..) {
+            if id.0 >= self.lc {
+                self.sched.enqueue(id, req).expect("registered");
+            }
+        }
+        admitted
+    }
+
+    fn visits_per_round(&self) -> f64 {
+        self.sched.visits() as f64 / self.sched.rounds() as f64
     }
 }
 

@@ -245,6 +245,11 @@ impl DramCache {
     }
 
     fn gen_of(&self, tenant: u32) -> u32 {
+        // Only `invalidate_tenant` adds entries: until the first teardown
+        // every probe skips the hash.
+        if self.tenant_gens.is_empty() {
+            return 0;
+        }
         self.tenant_gens.get(&tenant).copied().unwrap_or(0)
     }
 

@@ -25,6 +25,7 @@ pub mod mutation;
 mod scheduler;
 mod slo;
 mod tokens;
+mod wake;
 
 pub use bucket::GlobalBucket;
 pub use calibrate::{

@@ -9,6 +9,11 @@
 //! order from their fair share of unallocated throughput plus whatever the
 //! bucket holds. BE tenants may not accumulate tokens while idle (the
 //! Deficit-Round-Robin-inspired rule).
+//!
+//! A round decides what visiting every tenant would but visits only those
+//! that can act: income is settled from a generation clock at a tenant's
+//! next visit, and a tenant whose visit could change nothing is parked
+//! until income, a request or the bucket reaches it (DESIGN.md §2.4).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,6 +26,7 @@ use crate::bucket::GlobalBucket;
 use crate::cost::{CostModel, LoadMix};
 use crate::slo::{SloSpec, TenantId};
 use crate::tokens::{TokenGen, TokenRate, Tokens};
+use crate::wake::WakeIndex;
 
 /// Tuning parameters of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,23 +113,91 @@ impl<R> Queued<R> {
     }
 }
 
+/// An LC tenant's generation in each of the last `pos_history_rounds`
+/// rounds (a ring; empty at zero rounds) and their sum, its `POS_LIMIT`.
+#[derive(Debug)]
+struct RecentGen {
+    ring: Box<[Tokens]>,
+    oldest: usize,
+    sum: Tokens,
+}
+
+impl RecentGen {
+    fn push(&mut self, generated: Tokens) {
+        if let Some(slot) = self.ring.get_mut(self.oldest) {
+            self.sum += generated - std::mem::replace(slot, generated);
+            self.oldest += 1;
+            if self.oldest == self.ring.len() {
+                self.oldest = 0;
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct LcState<R> {
     id: TenantId,
     slo: SloSpec,
     rate: TokenRate,
+    /// Balance, `gen` and the `POS_LIMIT` history as the visit of round
+    /// `synced_round` left them, when the LC clock stood at `synced_at`.
     tokens: Tokens,
     gen: TokenGen,
-    recent_gen: VecDeque<Tokens>,
+    recent_gen: RecentGen,
+    synced_round: u64,
+    synced_at: u64,
     queue: VecDeque<Queued<R>>,
     stats: TenantSchedStats,
+}
+
+impl<R> LcState<R> {
+    fn numer_to(&self, clock: u64) -> u128 {
+        self.rate.as_millitokens_per_sec() as u128 * (clock - self.synced_at) as u128
+    }
+
+    /// Income of the rounds since `synced_round`, not yet in `tokens`.
+    fn pending(&self, clock: u64) -> Tokens {
+        let mut gen = self.gen;
+        gen.accrue(self.numer_to(clock))
+    }
+
+    fn accrue_to(&mut self, clock: u64) -> Tokens {
+        let generated = self.gen.accrue(self.numer_to(clock));
+        self.synced_at = clock;
+        self.tokens += generated;
+        generated
+    }
+
+    /// Settles the income of every round up to `round` (`clocks`: the LC
+    /// clock after each of the last rounds, `round`'s last) as a visit in
+    /// each would have: rounds still inside the `POS_LIMIT` history are
+    /// generated one by one, the older ones in one accrual, whose quotient
+    /// and carry equal theirs. Returns the tokens generated.
+    fn catch_up(&mut self, round: u64, clocks: &[u64]) -> Tokens {
+        let history = clocks.len() - 1;
+        let missed = round - self.synced_round;
+        let recent = missed.min(history as u64) as usize;
+        let mut generated = Tokens::ZERO;
+        if missed > recent as u64 {
+            generated += self.accrue_to(clocks[history - recent]);
+        }
+        for &clock in &clocks[clocks.len() - recent..] {
+            let in_round = self.accrue_to(clock);
+            generated += in_round;
+            self.recent_gen.push(in_round);
+        }
+        self.synced_round = round;
+        generated
+    }
 }
 
 #[derive(Debug)]
 struct BeState<R> {
     id: TenantId,
+    /// Balance and `gen` as of the BE clock value `synced_at`.
     tokens: Tokens,
     gen: TokenGen,
+    synced_at: u128,
     queue: VecDeque<Queued<R>>,
     /// Incremental demand totals so scheduling rounds stay O(1) per
     /// tenant even with deep queues (overloaded BE tenants accumulate
@@ -131,6 +205,22 @@ struct BeState<R> {
     demand_mixed: Tokens,
     demand_ro: Tokens,
     stats: TenantSchedStats,
+}
+
+impl<R> BeState<R> {
+    /// Income generated since `synced_at`, not yet in `tokens`.
+    fn pending(&self, clock: u128) -> Tokens {
+        let mut gen = self.gen;
+        gen.accrue(clock - self.synced_at)
+    }
+
+    /// Settles the income up to `clock` in one accrual; returns it.
+    fn catch_up(&mut self, clock: u128) -> Tokens {
+        let generated = self.gen.accrue(clock - self.synced_at);
+        self.synced_at = clock;
+        self.tokens += generated;
+        generated
+    }
 }
 
 /// Where a tenant's state lives: an index into `lc` or `be`.
@@ -206,16 +296,28 @@ pub struct QosScheduler<R> {
     model: CostModel,
     params: SchedulerParams,
     prev_sched_time: SimTime,
-    /// Tenant state in registration order; a round walks these directly.
+    /// Tenant state in registration order, which is visiting order.
     lc: Vec<LcState<R>>,
     be: Vec<BeState<R>>,
+    /// Which of them the next round visits, and when the rest wake.
+    lc_wake: WakeIndex,
+    be_wake: WakeIndex,
+    /// The LC generation clock — nanoseconds of round time so far — after
+    /// each of the last `pos_history_rounds + 1` rounds, newest last.
+    lc_clocks: Box<[u64]>,
+    /// The BE generation clock: Σ BE rate × round time, in
+    /// millitoken-nanoseconds, so it is exact across `set_be_rate`.
+    be_clock: u128,
+    /// The mix of the last round, under which BE tenants are parked.
+    last_mix: LoadMix,
     /// Tenant id to slot, for the by-id entry points only.
     slots: HashMap<TenantId, Slot>,
     be_cursor: usize,
     queued: usize,
     be_rate_per_tenant: TokenRate,
     rounds: u64,
-    /// Tokens generated for all tenants so far (see
+    visits: u64,
+    /// Tokens settled into tenant balances so far (see
     /// [`generated`](Self::generated)).
     generated: Tokens,
     telemetry: Telemetry,
@@ -239,11 +341,17 @@ impl<R> QosScheduler<R> {
             prev_sched_time: now,
             lc: Vec::new(),
             be: Vec::new(),
+            lc_wake: WakeIndex::default(),
+            be_wake: WakeIndex::default(),
+            lc_clocks: vec![0; params.pos_history_rounds + 1].into(),
+            be_clock: 0,
+            last_mix: LoadMix::Mixed,
             slots: HashMap::new(),
             be_cursor: 0,
             queued: 0,
             be_rate_per_tenant: TokenRate::ZERO,
             rounds: 0,
+            visits: 0,
             generated: Tokens::ZERO,
             telemetry: Telemetry::disabled(),
         }
@@ -278,10 +386,17 @@ impl<R> QosScheduler<R> {
             rate: slo.token_rate(&self.model, io_size),
             tokens: Tokens::ZERO,
             gen: TokenGen::new(),
-            recent_gen: VecDeque::with_capacity(self.params.pos_history_rounds),
+            recent_gen: RecentGen {
+                ring: vec![Tokens::ZERO; self.params.pos_history_rounds].into(),
+                oldest: 0,
+                sum: Tokens::ZERO,
+            },
+            synced_round: self.rounds,
+            synced_at: self.lc_clock(),
             queue: VecDeque::new(),
             stats: TenantSchedStats::default(),
         });
+        self.lc_wake.push_tenant();
         Ok(())
     }
 
@@ -299,16 +414,19 @@ impl<R> QosScheduler<R> {
             id,
             tokens: Tokens::ZERO,
             gen: TokenGen::new(),
+            synced_at: self.be_clock,
             queue: VecDeque::new(),
             demand_mixed: Tokens::ZERO,
             demand_ro: Tokens::ZERO,
             stats: TenantSchedStats::default(),
         });
+        self.be_wake.push_tenant();
         Ok(())
     }
 
     /// Unregisters a tenant, returning any requests still queued. The
-    /// tenants registered after it keep their relative order.
+    /// tenants registered after it keep their relative order; their
+    /// indices shift, so the whole class is live for the next round.
     ///
     /// # Errors
     ///
@@ -317,6 +435,8 @@ impl<R> QosScheduler<R> {
         let queue = match self.slots.remove(&id) {
             Some(Slot::Lc(i)) => {
                 let state = self.lc.remove(i);
+                self.generated += state.pending(self.lc_clock());
+                self.lc_wake.pop_tenant();
                 for (j, s) in self.lc.iter().enumerate().skip(i) {
                     self.slots.insert(s.id, Slot::Lc(j));
                 }
@@ -324,6 +444,8 @@ impl<R> QosScheduler<R> {
             }
             Some(Slot::Be(i)) => {
                 let state = self.be.remove(i);
+                self.generated += state.pending(self.be_clock);
+                self.be_wake.pop_tenant();
                 for (j, s) in self.be.iter().enumerate().skip(i) {
                     self.slots.insert(s.id, Slot::Be(j));
                 }
@@ -344,6 +466,10 @@ impl<R> QosScheduler<R> {
     /// tenants system-wide).
     pub fn set_be_rate(&mut self, rate: TokenRate) {
         self.be_rate_per_tenant = rate;
+    }
+
+    fn lc_clock(&self) -> u64 {
+        self.lc_clocks[self.params.pos_history_rounds]
     }
 
     fn lc_state(&self, id: TenantId) -> Option<&LcState<R>> {
@@ -378,8 +504,13 @@ impl<R> QosScheduler<R> {
         let Some(&Slot::Lc(i)) = self.slots.get(&id) else {
             return Err(QosError::UnknownTenant(id));
         };
-        self.lc[i].slo = slo;
-        self.lc[i].rate = slo.token_rate(&self.model, io_size);
+        let s = &mut self.lc[i];
+        // The rounds so far ran at the old rate, as did a parked tenant's
+        // wake clock.
+        self.generated += s.catch_up(self.rounds, &self.lc_clocks);
+        self.lc_wake.unpark(i);
+        s.slo = slo;
+        s.rate = slo.token_rate(&self.model, io_size);
         Ok(())
     }
 
@@ -443,7 +574,11 @@ impl<R> QosScheduler<R> {
         let cost_mixed = self.model.cost(req.op, req.len, LoadMix::Mixed);
         let cost_ro = self.model.cost(req.op, req.len, LoadMix::ReadOnly);
         let queue = match slot {
-            Slot::Lc(i) => &mut self.lc[i].queue,
+            Slot::Lc(i) => {
+                self.lc_wake.unpark(i);
+                &mut self.lc[i].queue
+            }
+            // A parked BE tenant stays parked: its head did not change.
             Slot::Be(i) => {
                 let s = &mut self.be[i];
                 s.demand_mixed += cost_mixed;
@@ -514,12 +649,16 @@ impl<R> QosScheduler<R> {
         id: TenantId,
         cost: Tokens,
     ) -> Result<(), QosError> {
+        // A debit moves the balance a parked tenant's wake clock was
+        // computed from (and may take an LC tenant below `NEG_LIMIT`).
         let (tokens, stats) = match self.checked(slot, id)? {
             Slot::Lc(i) => {
+                self.lc_wake.unpark(i);
                 let s = &mut self.lc[i];
                 (&mut s.tokens, &mut s.stats)
             }
             Slot::Be(i) => {
+                self.be_wake.unpark(i);
                 let s = &mut self.be[i];
                 (&mut s.tokens, &mut s.stats)
             }
@@ -530,11 +669,11 @@ impl<R> QosScheduler<R> {
         Ok(())
     }
 
-    /// Current token balance of a tenant.
+    /// Current token balance of a tenant, unsettled income included.
     pub fn tokens_of(&self, id: TenantId) -> Option<Tokens> {
         Some(match *self.slots.get(&id)? {
-            Slot::Lc(i) => self.lc[i].tokens,
-            Slot::Be(i) => self.be[i].tokens,
+            Slot::Lc(i) => self.lc[i].tokens + self.lc[i].pending(self.lc_clock()),
+            Slot::Be(i) => self.be[i].tokens + self.be[i].pending(self.be_clock),
         })
     }
 
@@ -543,12 +682,20 @@ impl<R> QosScheduler<R> {
         self.rounds
     }
 
+    /// Tenant visits those rounds made, the unit of a round's host cost.
+    pub fn visits(&self) -> u64 {
+        self.visits
+    }
+
     /// Every token this scheduler has generated, for LC and BE tenants
     /// alike. Generation is the only source of tokens, so across the
     /// threads sharing a bucket it equals what tenants hold and have spent
     /// plus what the bucket holds and has discarded.
     pub fn generated(&self) -> Tokens {
-        self.generated
+        let lc_clock = self.lc_clock();
+        let pending_lc: Tokens = self.lc.iter().map(|s| s.pending(lc_clock)).sum();
+        let pending_be: Tokens = self.be.iter().map(|s| s.pending(self.be_clock)).sum();
+        self.generated + pending_lc + pending_be
     }
 
     /// Runs one scheduling round (Algorithm 1) at instant `now` under the
@@ -572,76 +719,54 @@ impl<R> QosScheduler<R> {
         out.deficit_notifications.clear();
         out.reset_bucket = false;
 
-        let mut generated_now = Tokens::ZERO;
+        // Advance both generation clocks and wake whom they reach.
+        let lc_clock = self.lc_clock() + elapsed.as_nanos();
+        self.lc_clocks.copy_within(1.., 0);
+        self.lc_clocks[self.params.pos_history_rounds] = lc_clock;
+        self.be_clock +=
+            self.be_rate_per_tenant.as_millitokens_per_sec() as u128 * elapsed.as_nanos() as u128;
+        if mix != self.last_mix {
+            // BE tenants are parked on what their head costs under a mix.
+            self.last_mix = mix;
+            self.be_wake.unpark_all();
+        }
+        self.lc_wake.wake_due(lc_clock as u128);
+        self.be_wake.wake_due(self.be_clock);
 
         // --- Latency-critical tenants (Algorithm 1 lines 4-12) ---
-        for s in &mut self.lc {
-            let generated = s.gen.generate(s.rate, elapsed);
-            generated_now += generated;
-            s.tokens += generated;
-            if s.recent_gen.len() == self.params.pos_history_rounds {
-                s.recent_gen.pop_front();
+        let mut next = 0;
+        while let Some(run) = self.lc_wake.live_run(next) {
+            for i in run.clone() {
+                self.visit_lc(i, mix, out);
             }
-            s.recent_gen.push_back(generated);
-
-            if s.tokens < self.params.neg_limit {
-                s.stats.deficit_events += 1;
-                out.deficit_notifications.push(s.id);
-            }
-
-            while s.tokens > self.params.neg_limit {
-                let Some(q) = s.queue.pop_front() else { break };
-                let cost = q.cost(mix);
-                s.tokens -= cost;
-                s.stats.submitted += 1;
-                s.stats.spent_millitokens += cost.as_millitokens();
-                out.submitted.push((s.id, q.req));
-            }
-
-            let pos_limit: Tokens = s.recent_gen.iter().copied().sum();
-            if s.tokens > pos_limit {
-                let donation = s.tokens.mul_f64(self.params.donate_fraction);
-                self.bucket.give(donation);
-                s.tokens -= donation;
-            }
+            self.visits += run.len() as u64;
+            next = run.end;
         }
 
         let lc_admitted = out.submitted.len();
 
         // --- Best-effort tenants, round-robin from the cursor (lines 13-21) ---
-        let (before_cursor, from_cursor) = self.be.split_at_mut(self.be_cursor);
-        for s in from_cursor.iter_mut().chain(before_cursor) {
-            let generated = s.gen.generate(self.be_rate_per_tenant, elapsed);
-            generated_now += generated;
-            s.tokens += generated;
-
-            let demand = match mix {
-                LoadMix::Mixed => s.demand_mixed,
-                LoadMix::ReadOnly => s.demand_ro,
-            };
-            let deficit = demand - s.tokens;
-            if deficit.is_positive() {
-                s.tokens += self.bucket.take(deficit);
-            }
-
-            // Conditional submission: only while the tenant can pay in full.
-            while let Some(cost) = s.queue.front().map(|q| q.cost(mix)) {
-                if s.tokens < cost {
-                    break;
+        // A parked tenant in rotation still takes from the bucket while it
+        // holds tokens; once it is empty only live ones can act. A visit
+        // parks or unparks nobody else, so a run of live tenants found
+        // ahead stays one.
+        for (from, to) in [(self.be_cursor, self.be.len()), (0, self.be_cursor)] {
+            let mut i = from;
+            while i < to {
+                if self.be_wake.is_parked(i) && self.bucket.balance().is_positive() {
+                    // Visited as a live tenant: it parks again if the
+                    // bucket did not cover its head.
+                    self.be_wake.unpark(i);
                 }
-                let q = s.queue.pop_front().expect("front was Some");
-                s.demand_mixed -= q.cost_mixed;
-                s.demand_ro -= q.cost_ro;
-                s.tokens -= cost;
-                s.stats.submitted += 1;
-                s.stats.spent_millitokens += cost.as_millitokens();
-                out.submitted.push((s.id, q.req));
-            }
-
-            // DRR rule: no token accumulation while idle.
-            if s.tokens.is_positive() && s.queue.is_empty() {
-                self.bucket.give(s.tokens);
-                s.tokens = Tokens::ZERO;
+                let Some(run) = self.be_wake.live_run(i).filter(|run| run.start < to) else {
+                    break;
+                };
+                let run = run.start..run.end.min(to);
+                for k in run.clone() {
+                    self.visit_be(k, mix, out);
+                }
+                self.visits += run.len() as u64;
+                i = run.end;
             }
         }
         self.be_cursor += 1;
@@ -649,7 +774,6 @@ impl<R> QosScheduler<R> {
             self.be_cursor = 0;
         }
         self.queued -= out.submitted.len();
-        self.generated += generated_now;
 
         out.reset_bucket = self.bucket.mark_round(self.thread_idx);
 
@@ -666,6 +790,85 @@ impl<R> QosScheduler<R> {
                 self.telemetry
                     .count("qos.deficit_events", out.deficit_notifications.len() as u64);
             }
+        }
+    }
+
+    /// LC tenant `i`'s turn in the current round.
+    fn visit_lc(&mut self, i: usize, mix: LoadMix, out: &mut ScheduleOutcome<R>) {
+        let s = &mut self.lc[i];
+        self.generated += s.catch_up(self.rounds, &self.lc_clocks);
+
+        if s.tokens < self.params.neg_limit {
+            s.stats.deficit_events += 1;
+            out.deficit_notifications.push(s.id);
+        }
+
+        while s.tokens > self.params.neg_limit {
+            let Some(q) = s.queue.pop_front() else { break };
+            let cost = q.cost(mix);
+            s.tokens -= cost;
+            s.stats.submitted += 1;
+            s.stats.spent_millitokens += cost.as_millitokens();
+            out.submitted.push((s.id, q.req));
+        }
+
+        if s.tokens > s.recent_gen.sum {
+            let donation = s.tokens.mul_f64(self.params.donate_fraction);
+            self.bucket.give(donation);
+            s.tokens -= donation;
+        }
+
+        // Idle and in debt within the limit: nothing to submit, to report
+        // or (POS_LIMIT >= 0) to donate until the balance turns positive.
+        let rate = s.rate.as_millitokens_per_sec() as u128;
+        if s.queue.is_empty()
+            && s.tokens >= self.params.neg_limit
+            && !s.tokens.is_positive()
+            && rate > 0
+        {
+            let to_positive = s.gen.numer_until(Tokens::from_millitokens(1) - s.tokens);
+            self.lc_wake
+                .park(i, s.synced_at as u128 + to_positive.div_ceil(rate));
+        }
+    }
+
+    /// BE tenant `i`'s turn in the current round.
+    fn visit_be(&mut self, i: usize, mix: LoadMix, out: &mut ScheduleOutcome<R>) {
+        let s = &mut self.be[i];
+        self.generated += s.catch_up(self.be_clock);
+
+        let demand = match mix {
+            LoadMix::Mixed => s.demand_mixed,
+            LoadMix::ReadOnly => s.demand_ro,
+        };
+        let deficit = demand - s.tokens;
+        if deficit.is_positive() {
+            s.tokens += self.bucket.take(deficit);
+        }
+
+        // Conditional submission: only while the tenant can pay in full.
+        while let Some(cost) = s.queue.front().map(|q| q.cost(mix)) {
+            if s.tokens < cost {
+                // Until income covers the head a visit has a positive
+                // deficit (no DRR give) and nothing to submit: it can only
+                // take, which the walk sees to.
+                let short = s.gen.numer_until(cost - s.tokens);
+                self.be_wake.park(i, s.synced_at + short);
+                return;
+            }
+            let q = s.queue.pop_front().expect("front was Some");
+            s.demand_mixed -= q.cost_mixed;
+            s.demand_ro -= q.cost_ro;
+            s.tokens -= cost;
+            s.stats.submitted += 1;
+            s.stats.spent_millitokens += cost.as_millitokens();
+            out.submitted.push((s.id, q.req));
+        }
+
+        // DRR rule: no token accumulation while idle.
+        if s.tokens.is_positive() {
+            self.bucket.give(s.tokens);
+            s.tokens = Tokens::ZERO;
         }
     }
 }
@@ -1041,6 +1244,133 @@ mod tests {
         assert_eq!(
             s.spend_dram_hit(TenantId(9), cost),
             Err(QosError::UnknownTenant(TenantId(9)))
+        );
+    }
+
+    /// The benchmark's `tenants_rw` thread: 20 LC tenants in debt with
+    /// nothing queued, 80 BE tenants with standing backlogs earning 5 mt a
+    /// round against costs of 1 000 and 10 000 mt.
+    fn starved(lc: u32, be: u32) -> (QosScheduler<u32>, Arc<GlobalBucket>) {
+        let (mut s, b) = sched(2);
+        for t in 0..lc {
+            let slo = SloSpec::new(2_000, 80, SimDuration::from_millis(1));
+            s.register_lc(TenantId(t), slo, 4096).unwrap();
+            for i in 0..30 {
+                s.enqueue(TenantId(t), read_req(i)).unwrap();
+            }
+        }
+        for t in lc..lc + be {
+            s.register_be(TenantId(t)).unwrap();
+            for i in 0..64 {
+                let req = if i % 2 == 0 {
+                    read_req(i)
+                } else {
+                    write_req(i)
+                };
+                s.enqueue(TenantId(t), req).unwrap();
+            }
+        }
+        s.set_be_rate(TokenRate::millitokens_per_sec(2_500_000));
+        (s, b)
+    }
+
+    #[test]
+    fn a_starved_round_visits_nobody() {
+        let (mut s, _b) = starved(20, 80);
+        let mut t = SimTime::ZERO;
+        let mut submitted = 0;
+        for _ in 0..1_000 {
+            t += SimDuration::from_micros(2);
+            submitted += s.schedule(t, LoadMix::Mixed).submitted.len();
+        }
+        // Round one visits all 100 and submits each LC tenant's 30 reads;
+        // after that a BE tenant is due once in 200 or 2 000 rounds.
+        assert_eq!(s.rounds(), 1_000);
+        assert!(s.visits() <= 3_000, "{} visits in 1 000 rounds", s.visits());
+        // 2 ms at 2.5 tokens/ms pays each BE tenant's first read and half
+        // of the write behind it.
+        assert_eq!(submitted, 20 * 30 + 80);
+        assert_eq!(s.tokens_of(TenantId(20)), Some(Tokens::from_tokens(4)));
+    }
+
+    #[test]
+    fn a_bucket_gift_reaches_the_parked_tenant_at_the_cursor() {
+        let (mut s, b) = sched(2);
+        for t in 0..3 {
+            s.register_be(TenantId(t)).unwrap();
+            for i in 0..4 {
+                s.enqueue(TenantId(t), read_req(i)).unwrap();
+            }
+        }
+        // No income: after one round all three are parked for good.
+        let mut t = SimTime::ZERO;
+        for _ in 0..2 {
+            t += SimDuration::from_micros(10);
+            assert!(s.schedule(t, LoadMix::Mixed).submitted.is_empty());
+        }
+        assert_eq!(s.visits(), 3);
+        // The cursor stands at tenant 2, then 0: one read's worth in the
+        // bucket is taken by exactly that tenant, and the walk ends there.
+        for (visits, at_cursor) in [(4, TenantId(2)), (5, TenantId(0))] {
+            b.give(Tokens::from_tokens(1));
+            t += SimDuration::from_micros(10);
+            let out = s.schedule(t, LoadMix::Mixed);
+            assert_eq!(out.submitted.len(), 1);
+            assert_eq!(out.submitted[0].0, at_cursor);
+            assert_eq!(s.visits(), visits);
+        }
+    }
+
+    #[test]
+    fn tokens_of_reads_through_a_parked_tenant() {
+        let (mut s, _b) = starved(1, 1);
+        let (lc, be) = (TenantId(0), TenantId(1));
+        s.schedule(SimTime::from_micros(2), LoadMix::Mixed);
+        // 5 600 tokens/s for the LC tenant (2 000 IOPS at 80 % reads).
+        assert_eq!(
+            s.tokens_of(lc),
+            Some(Tokens::from_millitokens(-30_000 + 11))
+        );
+        assert_eq!(s.tokens_of(be), Some(Tokens::from_millitokens(5)));
+        let (visits, generated) = (s.visits(), s.generated());
+        for round in 2..=100i64 {
+            s.schedule(SimTime::from_micros(2 * round as u64), LoadMix::Mixed);
+            let lc_income = 5_600 * 2 * round / 1_000;
+            assert_eq!(
+                s.tokens_of(lc),
+                Some(Tokens::from_millitokens(-30_000 + lc_income))
+            );
+            assert_eq!(s.tokens_of(be), Some(Tokens::from_millitokens(5 * round)));
+            assert_eq!(
+                s.generated() - generated,
+                Tokens::from_millitokens(lc_income - 11 + 5 * (round - 1))
+            );
+        }
+        assert_eq!(s.visits(), visits, "both tenants stay parked");
+    }
+
+    #[test]
+    fn a_zero_round_history_donates_every_idle_surplus() {
+        let bucket = Arc::new(GlobalBucket::new(2));
+        let params = SchedulerParams {
+            pos_history_rounds: 0,
+            ..SchedulerParams::default()
+        };
+        let model = CostModel::for_device_a();
+        let mut s: QosScheduler<u32> =
+            QosScheduler::new(0, Arc::clone(&bucket), model, params, SimTime::ZERO);
+        let id = TenantId(1);
+        let slo = SloSpec::new(100_000, 100, SimDuration::from_micros(500));
+        s.register_lc(id, slo, 4096).unwrap();
+        // 100 tokens a round, POS_LIMIT = 0: nine tenths of the balance go
+        // to the bucket every round, so it settles at 100 / 0.9.
+        for ms in 1..=20 {
+            s.schedule(SimTime::from_millis(ms), LoadMix::Mixed);
+        }
+        assert_eq!(s.tokens_of(id), Some(Tokens::from_millitokens(11_112)));
+        assert_eq!(
+            bucket.balance(),
+            Tokens::from_tokens(2_000) - Tokens::from_millitokens(11_112)
         );
     }
 

@@ -195,24 +195,42 @@ impl TokenGen {
     /// Generates tokens for `elapsed` at `rate`, carrying the sub-millitoken
     /// remainder into the next call. Over any sequence of calls the total
     /// generated equals `rate × total_elapsed` exactly (within 1 mt).
-    ///
-    /// `rate × elapsed + carry` is formed in `u64` whenever it fits — it
-    /// always does at simulated rates and round lengths — and in `u128`
-    /// otherwise; both are the same integer, so quotient and carry agree.
     pub fn generate(&mut self, rate: TokenRate, elapsed: SimDuration) -> Tokens {
+        self.accrue(rate.as_millitokens_per_sec() as u128 * elapsed.as_nanos() as u128)
+    }
+
+    /// Generates `floor((numer + carry) / 10⁹)` millitokens from `numer`
+    /// millitoken-nanoseconds (a rate × elapsed product, or a sum of
+    /// them) and carries the remainder. Quotients telescope: any split of
+    /// a numerator over several calls yields the same total and the same
+    /// final carry as one call on the sum, which is what lets a scheduler
+    /// skip a tenant for many rounds and settle its income in one call.
+    ///
+    /// `numer + carry` is divided in `u64` whenever it fits — it always
+    /// does at simulated rates and round lengths — and in `u128`
+    /// otherwise; both are the same integer, so quotient and carry agree.
+    pub fn accrue(&mut self, numer: u128) -> Tokens {
         const NS_PER_SEC: u64 = 1_000_000_000;
-        let (rate, ns) = (rate.as_millitokens_per_sec(), elapsed.as_nanos());
-        let narrow = rate.checked_mul(ns).and_then(|p| p.checked_add(self.carry));
+        let narrow = u64::try_from(numer)
+            .ok()
+            .and_then(|n| n.checked_add(self.carry));
         let (mt, carry) = match narrow {
             Some(numer) => (numer / NS_PER_SEC, numer % NS_PER_SEC),
             None => {
-                let numer = rate as u128 * ns as u128 + self.carry as u128;
+                let numer = numer + self.carry as u128;
                 let per_sec = NS_PER_SEC as u128;
                 ((numer / per_sec) as u64, (numer % per_sec) as u64)
             }
         };
         self.carry = carry;
         Tokens::from_millitokens(mt as i64)
+    }
+
+    /// The numerator [`accrue`](Self::accrue) still needs before it has
+    /// generated `amount` (at least one millitoken) in total.
+    pub(crate) fn numer_until(&self, amount: Tokens) -> u128 {
+        debug_assert!(amount.is_positive());
+        amount.as_millitokens() as u128 * 1_000_000_000 - self.carry as u128
     }
 }
 
@@ -255,6 +273,48 @@ mod tests {
                 prop_assert_eq!(gen.carry, carry);
             }
         }
+    }
+
+    proptest! {
+        /// Telescoping: numerators fed to `accrue` one by one or summed
+        /// into runs of any lengths give the same total and leave the
+        /// same carry as one call on their sum, with single numerators
+        /// and sums on both sides of `u64::MAX`.
+        #[test]
+        fn any_split_of_a_numerator_sequence_accrues_the_same(
+            start_carry in 0u64..1_000_000_000,
+            parts in prop::collection::vec((any::<u64>(), 0u32..64, 1usize..6), 1..40),
+        ) {
+            let numers: Vec<u128> = parts
+                .iter()
+                .map(|&(raw, shift, _)| (raw >> shift) as u128 * 4)
+                .collect();
+            let mut whole = TokenGen { carry: start_carry };
+            let total = whole.accrue(numers.iter().sum());
+
+            let mut one_by_one = TokenGen { carry: start_carry };
+            let singly: Tokens = numers.iter().map(|&n| one_by_one.accrue(n)).sum();
+            prop_assert_eq!((singly, one_by_one), (total, whole));
+
+            let mut in_runs = TokenGen { carry: start_carry };
+            let (mut rest, mut grouped) = (&numers[..], Tokens::ZERO);
+            for &(_, _, run) in &parts {
+                let (head, tail) = rest.split_at(run.min(rest.len()));
+                grouped += in_runs.accrue(head.iter().sum());
+                rest = tail;
+            }
+            grouped += in_runs.accrue(rest.iter().sum());
+            prop_assert_eq!((grouped, in_runs), (total, whole));
+        }
+    }
+
+    #[test]
+    fn numer_until_is_the_first_numerator_that_generates_the_amount() {
+        let gen = TokenGen { carry: 999_999_999 };
+        let need = gen.numer_until(Tokens::from_millitokens(3));
+        assert_eq!(need, 2_000_000_001);
+        assert_eq!({ gen }.accrue(need), Tokens::from_millitokens(3));
+        assert_eq!({ gen }.accrue(need - 1), Tokens::from_millitokens(2));
     }
 
     #[test]

@@ -118,99 +118,20 @@ proptest! {
     /// either side of the BE cursor), mixed-size reads and writes, DRAM
     /// debits, renegotiations, rate changes, peer-thread bucket traffic and
     /// rounds of irregular length under both load mixes makes the same
-    /// decisions and leaves the same per-tenant and bucket state.
+    /// decisions and leaves the same per-tenant and bucket state, at any
+    /// `POS_LIMIT` history length. Starved runs — hundreds of short rounds
+    /// in which nearly every tenant is parked — take the same control
+    /// operations in their midst.
     #[test]
     fn dense_scheduler_matches_map_based_reference(
-        ops in prop::collection::vec((0u8..20, 0u32..10, any::<u64>(), any::<u64>()), 1..250),
+        history in 0usize..5,
+        ops in prop::collection::vec((0u8..22, 0u32..10, any::<u64>(), any::<u64>()), 1..250),
     ) {
-        const IDS: u32 = 10;
-        let model = CostModel::for_device_a();
-        // Two-thread buckets; the test plays the peer thread (index 1).
-        let (bucket, ref_bucket) =
-            (Arc::new(GlobalBucket::new(2)), Arc::new(GlobalBucket::new(2)));
-        let mut sched: QosScheduler<u64> = QosScheduler::new(
-            0,
-            Arc::clone(&bucket),
-            model.clone(),
-            SchedulerParams::default(),
-            SimTime::ZERO,
-        );
-        let mut oracle: RefScheduler<u64> = RefScheduler::new(
-            0,
-            Arc::clone(&ref_bucket),
-            model,
-            SchedulerParams::default(),
-            SimTime::ZERO,
-        );
-        let slo = |x: u64, y: u64| {
-            SloSpec::new(1_000 + x % 200_000, (y % 101) as u8, SimDuration::from_millis(1))
-        };
-        let io_size = |x: u64| [1024, 4096, 8192][(x >> 32) as usize % 3];
-        // Three LC and five BE tenants to start from; ids 8 and 9 are free.
-        for t in 0..8u32 {
-            let id = TenantId(t);
-            if t < 3 {
-                let spec = slo(u64::from(t) * 40_000, 80);
-                prop_assert_eq!(sched.register_lc(id, spec, 4096), oracle.register_lc(id, spec, 4096));
-            } else {
-                prop_assert_eq!(sched.register_be(id), oracle.register_be(id));
-            }
-        }
-
-        let mut now = SimTime::ZERO;
-        let mut out = ScheduleOutcome::default();
+        let mut pair = Pair::new(history);
         for (seq, (kind, tenant, x, y)) in ops.into_iter().enumerate() {
-            let id = TenantId(tenant);
             match kind {
-                0 => {
-                    let (spec, size) = (slo(x, y), io_size(x));
-                    prop_assert_eq!(
-                        sched.register_lc(id, spec, size),
-                        oracle.register_lc(id, spec, size)
-                    );
-                }
-                1 => prop_assert_eq!(sched.register_be(id), oracle.register_be(id)),
-                2 => prop_assert_eq!(sched.unregister(id), oracle.unregister(id)),
-                3 => {
-                    let (spec, size) = (slo(x, y), io_size(x));
-                    prop_assert_eq!(
-                        sched.renegotiate_lc(id, spec, size),
-                        oracle.renegotiate_lc(id, spec, size)
-                    );
-                }
-                4 => {
-                    let cost = Tokens::from_millitokens((x % 5_000) as i64);
-                    prop_assert_eq!(sched.spend_dram_hit(id, cost), oracle.spend_dram_hit(id, cost));
-                }
-                5 => {
-                    // Up to 10^10 mt/s: over the multi-second rounds below
-                    // this overflows `u64` and takes the `u128` fallback.
-                    let rate = TokenRate::millitokens_per_sec(x % 10_000_000_000);
-                    sched.set_be_rate(rate);
-                    oracle.set_be_rate(rate);
-                }
-                6 => {
-                    let gift = Tokens::from_millitokens((x % 100_000) as i64);
-                    bucket.give(gift);
-                    ref_bucket.give(gift);
-                }
-                7 => {
-                    // The peer finishes a round: with this thread's own
-                    // mark that resets the bucket.
-                    prop_assert_eq!(bucket.mark_round(1), ref_bucket.mark_round(1));
-                }
-                8..=13 => {
-                    // 512 B to 64 KiB, half of them on or next to a page edge.
-                    let len = if x % 2 == 0 {
-                        [512, 4095, 4096, 4097, 8192, 65_536][(x >> 8) as usize % 6]
-                    } else {
-                        512 + ((x >> 8) % (65_536 - 512 + 1)) as u32
-                    };
-                    let op = if y % 3 == 0 { IoType::Write } else { IoType::Read };
-                    let req = CostedRequest { op, len, payload: seq as u64 };
-                    prop_assert_eq!(sched.enqueue(id, req.clone()), oracle.enqueue(id, req));
-                }
-                _ => {
+                0..=13 => pair.control(kind, TenantId(tenant), x, y, seq as u64),
+                14..=19 => {
                     // Irregular rounds: back to back, sub-microsecond,
                     // hundreds of microseconds, and now and then seconds.
                     let elapsed_ns = match x % 16 {
@@ -219,23 +140,12 @@ proptest! {
                         2..=7 => (x >> 8) % 2_000,
                         _ => (x >> 8) % 300_000,
                     };
-                    now += SimDuration::from_nanos(elapsed_ns);
                     let mix = if y % 2 == 0 { LoadMix::Mixed } else { LoadMix::ReadOnly };
-                    sched.schedule_into(now, mix, &mut out);
-                    let want = oracle.schedule(now, mix);
-                    prop_assert_eq!(&out.submitted, &want.submitted);
-                    prop_assert_eq!(&out.deficit_notifications, &want.deficit_notifications);
-                    prop_assert_eq!(out.reset_bucket, want.reset_bucket);
+                    pair.round(elapsed_ns, mix);
                 }
+                _ => pair.starved_run(x, y),
             }
-            for t in (0..IDS).map(TenantId) {
-                prop_assert_eq!(sched.tokens_of(t), oracle.tokens_of(t));
-                prop_assert_eq!(sched.stats_for(t), oracle.stats_for(t));
-                prop_assert_eq!(sched.queued_for(t), oracle.queued_for(t));
-                prop_assert_eq!(sched.lc_rate(t), oracle.lc_rate(t));
-            }
-            prop_assert_eq!(sched.queued_requests(), oracle.queued_requests());
-            prop_assert_eq!(bucket.balance(), ref_bucket.balance());
+            pair.check();
         }
     }
 
@@ -288,5 +198,235 @@ proptest! {
         let sa = sched.stats_for(a).expect("registered").submitted as i64;
         let sb = sched.stats_for(b).expect("registered").submitted as i64;
         prop_assert!((sa - sb).abs() <= 1, "unfair: {sa} vs {sb}");
+    }
+}
+
+/// [`QosScheduler`] and the reference side by side, each on its own
+/// two-thread bucket (the test plays the peer, thread 1), with the books
+/// of everything that entered or left from outside.
+struct Pair {
+    sched: QosScheduler<u64>,
+    oracle: RefScheduler<u64>,
+    bucket: Arc<GlobalBucket>,
+    ref_bucket: Arc<GlobalBucket>,
+    now: SimTime,
+    out: ScheduleOutcome<u64>,
+    /// Tokens the test put into the bucket.
+    gifted: Tokens,
+    /// What unregistered tenants had been generated, and what they held
+    /// and had spent when they left.
+    departed_generated: Tokens,
+    departed_accounted: Tokens,
+}
+
+impl Pair {
+    const IDS: u32 = 10;
+
+    /// Three LC and five BE tenants to start from; ids 8 and 9 are free.
+    fn new(pos_history_rounds: usize) -> Pair {
+        let model = CostModel::for_device_a();
+        let params = SchedulerParams {
+            pos_history_rounds,
+            ..SchedulerParams::default()
+        };
+        let (bucket, ref_bucket) = (
+            Arc::new(GlobalBucket::new(2)),
+            Arc::new(GlobalBucket::new(2)),
+        );
+        let mut pair = Pair {
+            sched: QosScheduler::new(0, Arc::clone(&bucket), model.clone(), params, SimTime::ZERO),
+            oracle: RefScheduler::new(0, Arc::clone(&ref_bucket), model, params, SimTime::ZERO),
+            bucket,
+            ref_bucket,
+            now: SimTime::ZERO,
+            out: ScheduleOutcome::default(),
+            gifted: Tokens::ZERO,
+            departed_generated: Tokens::ZERO,
+            departed_accounted: Tokens::ZERO,
+        };
+        for t in 0..8u32 {
+            let (kind, x) = if t < 3 {
+                (0, u64::from(t) * 40_000)
+            } else {
+                (1, 0)
+            };
+            pair.control(kind, TenantId(t), x, 80, 0);
+        }
+        pair
+    }
+
+    /// One operation other than a round, applied to both sides.
+    fn control(&mut self, kind: u8, id: TenantId, x: u64, y: u64, seq: u64) {
+        let (sched, oracle) = (&mut self.sched, &mut self.oracle);
+        let slo = SloSpec::new(
+            1_000 + x % 200_000,
+            (y % 101) as u8,
+            SimDuration::from_millis(1),
+        );
+        let io_size = [1024, 4096, 8192][(x >> 32) as usize % 3];
+        match kind {
+            0 => assert_eq!(
+                sched.register_lc(id, slo, io_size),
+                oracle.register_lc(id, slo, io_size)
+            ),
+            1 => assert_eq!(sched.register_be(id), oracle.register_be(id)),
+            2 => {
+                if let Some(stats) = sched.stats_for(id) {
+                    self.departed_generated += oracle.generated_for(id).expect("registered");
+                    self.departed_accounted += sched.tokens_of(id).expect("registered")
+                        + Tokens::from_millitokens(
+                            stats.spent_millitokens + stats.dram_spent_millitokens,
+                        );
+                }
+                assert_eq!(sched.unregister(id), oracle.unregister(id));
+            }
+            3 => assert_eq!(
+                sched.renegotiate_lc(id, slo, io_size),
+                oracle.renegotiate_lc(id, slo, io_size)
+            ),
+            4 => {
+                let cost = Tokens::from_millitokens((x % 5_000) as i64);
+                assert_eq!(
+                    sched.spend_dram_hit(id, cost),
+                    oracle.spend_dram_hit(id, cost)
+                );
+            }
+            5 => {
+                // Up to 10^10 mt/s: over the multi-second rounds this
+                // overflows `u64` and takes the `u128` fallback.
+                let rate = TokenRate::millitokens_per_sec(x % 10_000_000_000);
+                sched.set_be_rate(rate);
+                oracle.set_be_rate(rate);
+            }
+            6 => {
+                let gift = Tokens::from_millitokens((x % 100_000) as i64);
+                self.bucket.give(gift);
+                self.ref_bucket.give(gift);
+                self.gifted += gift;
+            }
+            // The peer finishes a round: with this thread's own mark that
+            // resets the bucket.
+            7 => assert_eq!(self.bucket.mark_round(1), self.ref_bucket.mark_round(1)),
+            _ => {
+                // 512 B to 64 KiB, half of them on or next to a page edge.
+                let len = if x.is_multiple_of(2) {
+                    [512, 4095, 4096, 4097, 8192, 65_536][(x >> 8) as usize % 6]
+                } else {
+                    512 + ((x >> 8) % (65_536 - 512 + 1)) as u32
+                };
+                let op = if y.is_multiple_of(3) {
+                    IoType::Write
+                } else {
+                    IoType::Read
+                };
+                let req = CostedRequest {
+                    op,
+                    len,
+                    payload: seq,
+                };
+                assert_eq!(sched.enqueue(id, req.clone()), oracle.enqueue(id, req));
+            }
+        }
+    }
+
+    fn round(&mut self, elapsed_ns: u64, mix: LoadMix) {
+        self.now += SimDuration::from_nanos(elapsed_ns);
+        self.sched.schedule_into(self.now, mix, &mut self.out);
+        let want = self.oracle.schedule(self.now, mix);
+        assert_eq!(self.out.submitted, want.submitted);
+        assert_eq!(self.out.deficit_notifications, want.deficit_notifications);
+        assert_eq!(self.out.reset_bucket, want.reset_bucket);
+    }
+
+    /// 50 to 400 back-to-back rounds of 0.5 to 10 us at a BE rate of 10^3
+    /// to 10^7 mt/s, entered with a backlog on every tenant: BE tenants
+    /// earn a few millitokens a round against costs in the thousands and
+    /// LC tenants run into debt, so nearly every tenant is parked nearly
+    /// always. Mix flips and every kind of control operation land inside
+    /// the run; both sides are compared after every round.
+    fn starved_run(&mut self, x: u64, y: u64) {
+        let mut draw = {
+            let mut state = x ^ y.rotate_left(32);
+            move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            }
+        };
+        // SLOs of 1 000 to 4 000 IOPS, so that debts outlast many rounds;
+        // the high half, which picks the IO size, is kept.
+        let small_slo = |x: u64| (x & !0xffff_ffff) | (x % 3_000);
+        let rate = TokenRate::millitokens_per_sec(10u64.pow(3 + (x % 5) as u32) * (1 + draw() % 9));
+        self.sched.set_be_rate(rate);
+        self.oracle.set_be_rate(rate);
+        for id in (0..Self::IDS).map(TenantId) {
+            if self.sched.lc_rate(id).is_some() {
+                self.control(3, id, small_slo(draw()), draw(), 0);
+                let balance = self.sched.tokens_of(id).expect("registered");
+                let debit = balance + Tokens::from_tokens(1 + (draw() % 40) as i64);
+                assert_eq!(
+                    self.sched.spend_dram_hit(id, debit.max_zero()),
+                    self.oracle.spend_dram_hit(id, debit.max_zero())
+                );
+            } else {
+                for _ in 0..1 + draw() % 12 {
+                    self.control(8, id, draw(), draw(), 0);
+                }
+            }
+        }
+        let mut mix = if y.is_multiple_of(2) {
+            LoadMix::Mixed
+        } else {
+            LoadMix::ReadOnly
+        };
+        for _ in 0..50 + y % 351 {
+            match draw() % 64 {
+                0 => {
+                    mix = if mix == LoadMix::Mixed {
+                        LoadMix::ReadOnly
+                    } else {
+                        LoadMix::Mixed
+                    }
+                }
+                kind @ 1..=8 => {
+                    // Anything but a new BE rate, which would end the famine.
+                    let kind = [0, 1, 2, 3, 4, 6, 7, 8][kind as usize - 1];
+                    let id = TenantId((draw() % u64::from(Self::IDS)) as u32);
+                    self.control(kind, id, small_slo(draw()), draw(), 0);
+                }
+                _ => {}
+            }
+            self.round(500 + draw() % 9_501, mix);
+            self.check();
+        }
+    }
+
+    /// Both sides hold the same state, and the scheduler's own books close.
+    fn check(&self) {
+        let (sched, oracle) = (&self.sched, &self.oracle);
+        let mut accounted = self.departed_accounted;
+        for t in (0..Self::IDS).map(TenantId) {
+            assert_eq!(sched.tokens_of(t), oracle.tokens_of(t));
+            assert_eq!(sched.stats_for(t), oracle.stats_for(t));
+            assert_eq!(sched.queued_for(t), oracle.queued_for(t));
+            assert_eq!(sched.lc_rate(t), oracle.lc_rate(t));
+            if let (Some(held), Some(stats)) = (sched.tokens_of(t), sched.stats_for(t)) {
+                accounted += held
+                    + Tokens::from_millitokens(
+                        stats.spent_millitokens + stats.dram_spent_millitokens,
+                    );
+            }
+        }
+        assert_eq!(sched.queued_requests(), oracle.queued_requests());
+        assert_eq!(self.bucket.balance(), self.ref_bucket.balance());
+        assert_eq!(
+            sched.generated(),
+            oracle.generated() + self.departed_generated
+        );
+        assert_eq!(
+            sched.generated() + self.gifted,
+            accounted + self.bucket.balance() + self.bucket.discarded()
+        );
     }
 }

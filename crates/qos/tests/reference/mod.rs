@@ -3,7 +3,12 @@
 //! the `lc_slo` accessor dropped) — `HashMap` per class plus an order
 //! vector, `u128` token generation, `div_ceil` costs recomputed at every
 //! pop. `properties.rs` drives it and [`reflex_qos::QosScheduler`]
-//! through the same schedule and demands identical decisions.
+//! through the same schedule and demands identical decisions. It visits
+//! every tenant in every round, which makes it the oracle for the
+//! scheduler's parked tenants too. Two lines differ from that scheduler:
+//! the `POS_LIMIT` history is pushed, then trimmed (the pop-when-full
+//! form grew for ever at zero rounds), and each tenant sums what it was
+//! generated.
 //!
 //! It builds on the crate's public vocabulary types only ([`Tokens`],
 //! [`TokenRate`], [`SloSpec`], [`GlobalBucket`], …); everything the dense
@@ -41,6 +46,7 @@ fn cost_div_ceil(model: &CostModel, op: IoType, len: u32, mix: LoadMix) -> Token
 struct LcState<R> {
     rate: TokenRate,
     tokens: Tokens,
+    generated: Tokens,
     carry: u64,
     recent_gen: VecDeque<Tokens>,
     queue: VecDeque<CostedRequest<R>>,
@@ -49,6 +55,7 @@ struct LcState<R> {
 
 struct BeState<R> {
     tokens: Tokens,
+    generated: Tokens,
     carry: u64,
     queue: VecDeque<CostedRequest<R>>,
     demand_mixed: Tokens,
@@ -115,6 +122,7 @@ impl<R> RefScheduler<R> {
             LcState {
                 rate: slo.token_rate(&self.model, io_size),
                 tokens: Tokens::ZERO,
+                generated: Tokens::ZERO,
                 carry: 0,
                 recent_gen: VecDeque::new(),
                 queue: VecDeque::new(),
@@ -133,6 +141,7 @@ impl<R> RefScheduler<R> {
             id,
             BeState {
                 tokens: Tokens::ZERO,
+                generated: Tokens::ZERO,
                 carry: 0,
                 queue: VecDeque::new(),
                 demand_mixed: Tokens::ZERO,
@@ -233,6 +242,23 @@ impl<R> RefScheduler<R> {
             .or_else(|| self.be.get(&id).map(|s| s.tokens))
     }
 
+    /// Every token generated for the tenants registered now, summed
+    /// tenant by tenant: `QosScheduler::generated` less what it counted
+    /// for tenants since unregistered.
+    pub fn generated(&self) -> Tokens {
+        let lc: Tokens = self.lc.values().map(|s| s.generated).sum();
+        let be: Tokens = self.be.values().map(|s| s.generated).sum();
+        lc + be
+    }
+
+    /// What one tenant was generated so far.
+    pub fn generated_for(&self, id: TenantId) -> Option<Tokens> {
+        self.lc
+            .get(&id)
+            .map(|s| s.generated)
+            .or_else(|| self.be.get(&id).map(|s| s.generated))
+    }
+
     pub fn schedule(&mut self, now: SimTime, mix: LoadMix) -> RefOutcome<R> {
         let elapsed = now.saturating_since(self.prev_sched_time);
         self.prev_sched_time = now;
@@ -247,10 +273,13 @@ impl<R> RefScheduler<R> {
             let s = self.lc.get_mut(&id).expect("lc_order tracks lc map");
             let generated = generate_u128(&mut s.carry, s.rate, elapsed);
             s.tokens += generated;
-            if s.recent_gen.len() == self.params.pos_history_rounds {
+            s.generated += generated;
+            // Push, then trim: a zero-round history keeps nothing (the
+            // pop-when-full form never popped at zero and grew for ever).
+            s.recent_gen.push_back(generated);
+            if s.recent_gen.len() > self.params.pos_history_rounds {
                 s.recent_gen.pop_front();
             }
-            s.recent_gen.push_back(generated);
 
             if s.tokens < self.params.neg_limit {
                 s.stats.deficit_events += 1;
@@ -280,7 +309,9 @@ impl<R> RefScheduler<R> {
             let idx = (self.be_cursor + k) % n_be;
             let id = self.be_order[idx];
             let s = self.be.get_mut(&id).expect("be_order tracks be map");
-            s.tokens += generate_u128(&mut s.carry, self.be_rate_per_tenant, elapsed);
+            let generated = generate_u128(&mut s.carry, self.be_rate_per_tenant, elapsed);
+            s.generated += generated;
+            s.tokens += generated;
 
             let demand = match mix {
                 LoadMix::Mixed => s.demand_mixed,
