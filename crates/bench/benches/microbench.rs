@@ -16,7 +16,13 @@ use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, ScheduleOutcome,
     SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate, Tokens,
 };
-use reflex_sim::{Histogram, SimDuration, SimRng, SimTime};
+use reflex_sim::{Histogram, SimDuration, SimRng, SimTime, Zipf};
+
+/// The Box–Muller generators `SimRng` shipped before its ziggurat, the
+/// `variates` guard's yardstick (`exponential` there is for the oracle).
+#[allow(dead_code)]
+#[path = "../../sim/tests/reference/mod.rs"]
+mod reference;
 
 fn sched_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("sched_round");
@@ -821,11 +827,61 @@ fn request_path(c: &mut Criterion) {
     );
 }
 
+/// How much of the Box–Muller lognormal timed beside it a ziggurat
+/// lognormal may cost: one generator word, a multiply and a compare, then
+/// the one `exp` both pay, against two words and `ln` + `sqrt` + `cos` on
+/// top (measured 0.36-0.43x on the reference container). A sampler that
+/// calls libm on its fast path again lands near 1x.
+const VARIATE_GUARD_LIMIT: f64 = 0.5;
+
+/// The three variates a simulated IO draws: five lognormals (a stack
+/// latency on each side of two messages, the flash read) and one
+/// exponential arrival gap on `rd1k_*`, a Zipf rank on `cache_zipf`.
+fn variates(c: &mut Criterion) {
+    let median = SimDuration::from_micros(76);
+    let mut group = c.benchmark_group("variates");
+    group.bench_function("lognormal", |b| {
+        let mut rng = SimRng::seed(1);
+        b.iter(|| rng.lognormal(median, 0.11))
+    });
+    group.bench_function("exponential", |b| {
+        let mut rng = SimRng::seed(1);
+        b.iter(|| rng.exponential(median))
+    });
+    group.bench_function("zipf", |b| {
+        let (mut rng, zipf) = (SimRng::seed(1), Zipf::new(1 << 22, 0.99));
+        b.iter(|| zipf.sample(&mut rng))
+    });
+    group.finish();
+    if !c.selected("variates/guard") {
+        return;
+    }
+    // Best of five, alternating, so a slow phase of the host hits both.
+    let (mut rng, mut reference_rng) = (SimRng::seed(1), SimRng::seed(1));
+    let (mut ziggurat, mut box_muller) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        ziggurat = ziggurat.min(ns_per_call(2_000_000, || rng.lognormal(median, 0.11)));
+        box_muller = box_muller.min(ns_per_call(2_000_000, || {
+            reference::lognormal(&mut reference_rng, median, 0.11)
+        }));
+    }
+    println!(
+        "variates guard: {ziggurat:.1} ns per ziggurat lognormal, {box_muller:.1} ns per \
+         Box-Muller one ({:.2}x, limit {VARIATE_GUARD_LIMIT}x)",
+        ziggurat / box_muller
+    );
+    assert!(
+        ziggurat <= VARIATE_GUARD_LIMIT * box_muller,
+        "a lognormal draw calls libm on its fast path again"
+    );
+}
+
 criterion_group!(
     benches,
     engine_dispatch,
     fabric_backlog,
     request_path,
+    variates,
     sched_round,
     bucket_ops,
     histogram_ops,

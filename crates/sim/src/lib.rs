@@ -62,6 +62,7 @@ mod rng;
 mod series;
 mod slab;
 mod time;
+mod ziggurat;
 
 pub use engine::{Ctx, Engine, EngineProbe, EventHandle, Step, TypedEvent, WakeSlots};
 pub use hist::Histogram;

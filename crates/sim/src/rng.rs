@@ -9,6 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::time::SimDuration;
+use crate::ziggurat;
 
 /// A seeded, deterministic RNG with simulation-oriented sampling helpers.
 ///
@@ -52,7 +53,7 @@ impl SimRng {
     /// their id as the index so their stream survives reordering of
     /// construction and never depends on what other components draw.
     pub fn stream(seed: u64, index: u64) -> SimRng {
-        SimRng::seed(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index + 1))
+        SimRng::seed(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1)))
     }
 
     /// Next raw 64-bit value.
@@ -62,7 +63,7 @@ impl SimRng {
 
     /// Uniform draw in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
-        self.inner.random::<f64>()
+        unit(self.next_u64())
     }
 
     /// Uniform integer in `[0, n)`.
@@ -83,9 +84,7 @@ impl SimRng {
     /// Exponentially distributed duration with the given mean — the
     /// inter-arrival gap of a Poisson process.
     pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        // Inverse-CDF sampling; guard the log against u == 0.
-        let u = self.f64().max(1e-12);
-        SimDuration::from_micros_f64(-mean.as_micros_f64() * u.ln())
+        SimDuration::from_micros_f64(mean.as_micros_f64() * self.standard_exponential())
     }
 
     /// Lognormally distributed duration parameterised by its *median* and
@@ -96,12 +95,65 @@ impl SimRng {
         SimDuration::from_micros_f64(median.as_micros_f64() * (sigma * z).exp())
     }
 
-    /// Standard normal draw (Box–Muller).
+    /// Standard normal draw (128-layer ziggurat; tables in `ziggurat.rs`).
+    ///
+    /// One generator word decides a draw on the fast path: its low 7 bits
+    /// pick the layer, its high 53 bits are the signed position across it.
+    /// libm is called only from the wedge and tail branches (under 3 % of
+    /// draws).
     pub fn standard_normal(&mut self) -> f64 {
-        let u1 = self.f64().max(1e-12);
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        let t = &ziggurat::tables().normal;
+        loop {
+            let word = self.next_u64();
+            let i = (word % ziggurat::NORMAL_LAYERS as u64) as usize;
+            let x = (2.0 * unit(word) - 1.0) * t.x[i];
+            if x.abs() < t.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                // Marsaglia's tail: an exponential proposal beyond R,
+                // thinned to the normal's shape. `1 - u` is in (0, 1].
+                let tail = loop {
+                    let d = -(1.0 - self.f64()).ln() / ziggurat::NORMAL_R;
+                    if -2.0 * (1.0 - self.f64()).ln() > d * d {
+                        break ziggurat::NORMAL_R + d;
+                    }
+                };
+                return tail.copysign(x);
+            }
+            // The wedge between the layer's two edges: a uniform height
+            // in the layer against the density.
+            if t.f[i] + self.f64() * (t.f[i + 1] - t.f[i]) < ziggurat::normal_pdf(x) {
+                return x;
+            }
+        }
     }
+
+    /// Standard exponential draw (256-layer ziggurat): the normal's scheme
+    /// with the low 8 bits as the layer and no sign. The tail beyond `R`
+    /// is, by memorylessness, `R` plus a fresh draw.
+    fn standard_exponential(&mut self) -> f64 {
+        let t = &ziggurat::tables().exp;
+        let mut base = 0.0;
+        loop {
+            let word = self.next_u64();
+            let i = (word % ziggurat::EXP_LAYERS as u64) as usize;
+            let x = unit(word) * t.x[i];
+            if x < t.x[i + 1] {
+                return base + x;
+            }
+            if i == 0 {
+                base += ziggurat::EXP_R;
+            } else if t.f[i] + self.f64() * (t.f[i + 1] - t.f[i]) < ziggurat::exp_pdf(x) {
+                return base + x;
+            }
+        }
+    }
+}
+
+/// The high 53 bits of a generator word as a uniform in `[0, 1)`.
+fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Zipfian distribution over `[0, n)` with skew `theta`, using the
@@ -120,7 +172,8 @@ impl SimRng {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^theta`: below it (in units of `1 / zetan`) a draw is rank 1.
+    rank1_below: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -144,7 +197,7 @@ impl Zipf {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipf {
             n,
-            theta,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -175,7 +228,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -263,6 +316,17 @@ mod tests {
             hits_top10 > n / 10,
             "zipf not skewed: {hits_top10}/{n} in top-10"
         );
+    }
+
+    /// `sample` used to evaluate `1.0 + 0.5f64.powf(theta)` on nearly every
+    /// draw; the field computed once in `new` is that expression bit for
+    /// bit, so every rank drawn is the one the old code drew.
+    #[test]
+    fn zipf_rank1_threshold_is_the_hoisted_expression() {
+        for theta in [0.5, 0.9, 0.99] {
+            let hoisted = Zipf::new(1 << 20, theta).rank1_below;
+            assert_eq!(hoisted.to_bits(), (1.0 + 0.5f64.powf(theta)).to_bits());
+        }
     }
 
     #[test]

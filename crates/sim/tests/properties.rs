@@ -110,6 +110,21 @@ proptest! {
         prop_assert_ne!(xs, ys);
     }
 
+    /// `SimRng::stream` takes any index — `u64::MAX` included, which used
+    /// to overflow `index + 1` — is keyed by `(seed, index)` alone, and
+    /// neighbouring indices get different streams.
+    #[test]
+    fn rng_stream_total_and_keyed(seed in any::<u64>(), index in any::<u64>()) {
+        for index in [index, u64::MAX] {
+            let mut a = SimRng::stream(seed, index);
+            let mut b = SimRng::stream(seed, index);
+            let mut next = SimRng::stream(seed, index.wrapping_add(1));
+            let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
+            prop_assert_eq!(&xs, &(0..8).map(|_| b.next_u64()).collect::<Vec<_>>());
+            prop_assert_ne!(&xs, &(0..8).map(|_| next.next_u64()).collect::<Vec<_>>());
+        }
+    }
+
     /// Exponential samples are non-negative and bounded-mean-ish; Zipf
     /// samples stay in range.
     #[test]
