@@ -54,7 +54,7 @@ fn run_with(
         .with_metric("lc_kiops", lc.iops / 1e3)
         .with_metric("lc_p95_us", p95)
         .with_metric("be_kiops", be.iops / 1e3)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {

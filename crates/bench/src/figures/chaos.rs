@@ -32,7 +32,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use crate::recovery;
-use crate::sweep::{PointOutcome, Sweep, SweepResult};
+use crate::sweep::{Execution, PointOutcome, Sweep, SweepResult};
 
 /// Master seed for every chaos fault plan.
 const PLAN_SEED: u64 = 0xC4A05;
@@ -87,7 +87,7 @@ struct ChaosOutcome {
     /// the replication figure reports (see [`crate::recovery`]), so the
     /// chaos and replication artifacts are comparable.
     recovery_p95_ms: f64,
-    engine_events: u64,
+    execution: Execution,
     slo_violations: u64,
 }
 
@@ -105,7 +105,7 @@ impl ChaosOutcome {
             .with_metric("recovery_ms", self.recovery_ms)
             .with_metric("recovery_p95_ms", self.recovery_p95_ms)
             .with_metric("slo_violations", self.slo_violations as f64)
-            .with_events(self.engine_events)
+            .with_events(self.execution)
     }
 }
 
@@ -162,7 +162,7 @@ fn run_faulted(
         downtime_secs: snap.downtime.as_secs_f64(),
         recovery_ms: recovery::mean_ms(&times),
         recovery_p95_ms: recovery::p95_ms(&times),
-        engine_events: report.engine_events,
+        execution: Execution::from(&report),
         slo_violations,
     }
 }
@@ -219,7 +219,7 @@ fn server_death_point(tenants_per_server: u32) -> PointOutcome {
         downtime_secs: recovery / 1_000.0,
         recovery_ms: recovery,
         recovery_p95_ms: recovery::p95_ms(&per_tenant),
-        engine_events: 0,
+        execution: Execution::default(),
         slo_violations: 0,
     };
     o.into_point("server-death", &format!("{total}-tenants"))

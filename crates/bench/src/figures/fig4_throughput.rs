@@ -8,7 +8,7 @@
 //! Run: `reflex-bench fig4_throughput`
 
 use reflex_baselines::{BaselineConfig, BaselineServer, LocalRig};
-use crate::sweep::{PointOutcome, Sweep};
+use crate::sweep::{Execution, PointOutcome, Sweep};
 use crate::{max_p95_read_us, run_testbed, MEASURE, WARMUP};
 use reflex_core::{ServerConfig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
@@ -33,7 +33,7 @@ fn load_specs(total_iops: f64, clients: usize) -> Vec<WorkloadSpec> {
         .collect()
 }
 
-fn reflex_point(threads: u32, offered: f64) -> (f64, f64, u64) {
+fn reflex_point(threads: u32, offered: f64) -> (f64, f64, Execution) {
     // Four IX client machines (the paper's testbed size) and a 40GbE link
     // so the network never caps the 1KB experiment (the paper notes the
     // 10GbE bottleneck explicitly and uses 1KB requests to stress server
@@ -50,10 +50,10 @@ fn reflex_point(threads: u32, offered: f64) -> (f64, f64, u64) {
         .build();
     let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE);
     let total: f64 = report.workloads.iter().map(|w| w.iops).sum();
-    (total, max_p95_read_us(&report), report.engine_events)
+    (total, max_p95_read_us(&report), Execution::from(&report))
 }
 
-fn libaio_point(workers: u32, offered: f64) -> (f64, f64, u64) {
+fn libaio_point(workers: u32, offered: f64) -> (f64, f64, Execution) {
     let config = BaselineConfig::libaio().with_threads(workers);
     let tb = TestbedBuilder::new()
         .seed(32)
@@ -65,13 +65,13 @@ fn libaio_point(workers: u32, offered: f64) -> (f64, f64, u64) {
         });
     let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE);
     let total: f64 = report.workloads.iter().map(|w| w.iops).sum();
-    (total, max_p95_read_us(&report), report.engine_events)
+    (total, max_p95_read_us(&report), Execution::from(&report))
 }
 
-fn local_point(threads: u32, offered: f64) -> (f64, f64, u64) {
+fn local_point(threads: u32, offered: f64) -> (f64, f64, Execution) {
     let mut rig = LocalRig::new(device_a(), threads, 34);
     let rep = rig.run_open_loop(offered, 100, 1024, WARMUP, MEASURE);
-    (rep.iops, rep.latency_p95_us(), 0)
+    (rep.iops, rep.latency_p95_us(), Execution::default())
 }
 
 trait P95Ext {
@@ -89,7 +89,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
          curve\toffered_kiops\tachieved_kiops\tp95_us\n",
     );
     let fracs = [0.2, 0.4, 0.6, 0.75, 0.9, 1.0, 1.1];
-    type Point = fn(u32, f64) -> (f64, f64, u64);
+    type Point = fn(u32, f64) -> (f64, f64, Execution);
     let curves: [(&str, u32, f64, Point); 6] = [
         ("Local-1T", 1, 900_000.0, local_point),
         ("Local-2T", 2, 1_150_000.0, local_point),

@@ -57,7 +57,7 @@ fn run(scenario: u8, qos: bool) -> PointOutcome {
     let report = run_testbed(tb, tenant_specs(scenario), WARMUP, MEASURE);
     let sched = if qos { "enabled" } else { "disabled" };
     let mut out =
-        PointOutcome::new(crate::max_p95_read_us(&report)).with_events(report.engine_events);
+        PointOutcome::new(crate::max_p95_read_us(&report)).with_events(&report);
     for w in &report.workloads {
         let qd_note = match w.name.as_str() {
             "C" | "D" => "closed-loop",

@@ -90,7 +90,7 @@ fn core_point(cores: u32) -> PointOutcome {
         .with_metric("lc_kiops", lc / 1e3)
         .with_metric("be_kiops", be / 1e3)
         .with_metric("token_usage_ktokens_s", report.token_usage_per_sec / 1e3)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {

@@ -59,7 +59,7 @@ fn tenant_point(cores: u32, tenants: u32) -> PointOutcome {
         ))
         .with_metric("achieved_kiops", achieved / 1e3)
         .with_metric("busy_frac", busy)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {

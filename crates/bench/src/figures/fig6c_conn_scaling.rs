@@ -44,7 +44,7 @@ fn conn_point(per_conn: f64, conns: u32) -> PointOutcome {
             w.iops / 1e3
         ))
         .with_metric("achieved_kiops", w.iops / 1e3)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {

@@ -101,7 +101,7 @@ fn tail_point(theta_permille: u16, mb: u64) -> PointOutcome {
         ))
         .with_metric("hit_pct", hits)
         .with_metric("kiops", w.iops / 1e3)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 /// Panel 2 point: the fig6c scenario (N conns × fixed per-conn 1KB read
@@ -142,7 +142,7 @@ fn conn_point(conns: u32, mb: u64) -> PointOutcome {
         ))
         .with_metric("hit_pct", hits)
         .with_metric("kiops", w.iops / 1e3)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 /// The grid: panel 1's skews (θ‰, 0 = uniform) and cache sizes (MiB, the

@@ -94,7 +94,7 @@ fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
         .with_metric("achieved_iops", w.iops)
         .with_metric("end_to_end_mean_us", w.mean_read_us())
         .with_metric("server_stages_mean_us", server_mean)
-        .with_events(report.engine_events)
+        .with_events(&report)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {

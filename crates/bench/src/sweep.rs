@@ -27,6 +27,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use reflex_core::TestbedReport;
+
 /// One measured load point.
 ///
 /// Built by the point's job closure: `p95_us` drives the curve's
@@ -40,10 +42,47 @@ pub struct PointOutcome {
     pub rows: Vec<String>,
     /// Named metrics for the JSON artifact, in insertion order.
     pub metrics: Vec<(String, f64)>,
-    /// Engine events dispatched while producing this point.
-    pub engine_events: u64,
+    /// How the point's simulation executed.
+    pub execution: Execution,
     /// Host wall-clock time the point's job took (set by the runner).
     pub wall: Duration,
+}
+
+/// How a point's simulation executed: host-side counts, none of them
+/// simulated. From a [`TestbedReport`], or from a bare event count where
+/// there is no such report.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Execution {
+    /// Engine events dispatched while producing the point.
+    pub engine_events: u64,
+    /// IOs completed in the point's measured window (0 when not recorded).
+    pub ios: f64,
+    /// Scheduling rounds its server threads slept through (see
+    /// `reflex_core::WakeStats`).
+    pub rounds_elided: u64,
+    /// Settle passes that found such a round.
+    pub settle_calls: u64,
+}
+
+impl From<u64> for Execution {
+    fn from(engine_events: u64) -> Self {
+        Execution {
+            engine_events,
+            ..Execution::default()
+        }
+    }
+}
+
+impl From<&TestbedReport> for Execution {
+    fn from(report: &TestbedReport) -> Self {
+        let secs = report.window.as_secs_f64();
+        Execution {
+            engine_events: report.engine_events,
+            ios: report.workloads.iter().map(|w| w.iops * secs).sum(),
+            rounds_elided: report.wakes.rounds_elided,
+            settle_calls: report.wakes.settle_calls,
+        }
+    }
 }
 
 impl PointOutcome {
@@ -53,7 +92,7 @@ impl PointOutcome {
             p95_us,
             rows: Vec::new(),
             metrics: Vec::new(),
-            engine_events: 0,
+            execution: Execution::default(),
             wall: Duration::ZERO,
         }
     }
@@ -72,10 +111,12 @@ impl PointOutcome {
         self
     }
 
-    /// Records how many engine events the point's simulation dispatched.
+    /// Records how the point's simulation executed: its engine events
+    /// and, given the testbed's report, the IOs they served and the
+    /// rounds its threads slept through.
     #[must_use]
-    pub fn with_events(mut self, events: u64) -> Self {
-        self.engine_events = events;
+    pub fn with_events(mut self, execution: impl Into<Execution>) -> Self {
+        self.execution = execution.into();
         self
     }
 
@@ -101,7 +142,7 @@ fn run_timed(job: Job) -> PointOutcome {
 fn event_wall<'a>(points: impl IntoIterator<Item = &'a PointOutcome>) -> Duration {
     points
         .into_iter()
-        .filter(|p| p.engine_events > 0)
+        .filter(|p| p.execution.engine_events > 0)
         .map(|p| p.wall)
         .sum()
 }
@@ -227,7 +268,7 @@ impl Sweep {
                         continue;
                     }
                     let outcome = run_timed(job.expect("job present"));
-                    engine_events += outcome.engine_events;
+                    engine_events += outcome.execution.engine_events;
                     points.push(outcome);
                 }
                 curves.push(CurveResult {
@@ -278,7 +319,7 @@ impl Sweep {
         };
 
         let wall = start.elapsed();
-        let engine_events: u64 = outcomes.iter().map(|o| o.engine_events).sum();
+        let engine_events: u64 = outcomes.iter().map(|o| o.execution.engine_events).sum();
         let event_wall = event_wall(&outcomes);
         let mut it = outcomes.into_iter();
         let mut curves = Vec::new();
@@ -449,6 +490,22 @@ impl SweepResult {
             "  \"engine_events_per_sec\": {},",
             json_num(self.events_per_sec())
         )?;
+        // Over the kept points that recorded their IOs: warm-up events
+        // included, IOs of the measured window only.
+        let points = self.curves.iter().flat_map(|c| &c.points);
+        let with_ios: Vec<Execution> = points
+            .map(|p| p.execution)
+            .filter(|e| e.ios > 0.0)
+            .collect();
+        if !with_ios.is_empty() {
+            let events: u64 = with_ios.iter().map(|e| e.engine_events).sum();
+            let ios: f64 = with_ios.iter().map(|e| e.ios).sum();
+            let elided: u64 = with_ios.iter().map(|e| e.rounds_elided).sum();
+            let settles: u64 = with_ios.iter().map(|e| e.settle_calls).sum();
+            writeln!(f, "  \"events_per_io\": {},", json_num(events as f64 / ios))?;
+            writeln!(f, "  \"rounds_elided\": {elided},")?;
+            writeln!(f, "  \"settle_calls\": {settles},")?;
+        }
         if let Some(fs) = self.faults() {
             writeln!(
                 f,
@@ -472,8 +529,18 @@ impl SweepResult {
                     json_num(p.p95_us),
                     json_num(p.wall.as_secs_f64())
                 )?;
-                if p.engine_events > 0 {
-                    write!(f, ", \"engine_events\": {}", p.engine_events)?;
+                let e = p.execution;
+                if e.engine_events > 0 {
+                    write!(f, ", \"engine_events\": {}", e.engine_events)?;
+                }
+                if e.ios > 0.0 {
+                    write!(
+                        f,
+                        ", \"events_per_io\": {}, \"rounds_elided\": {}, \"settle_calls\": {}",
+                        json_num(e.engine_events as f64 / e.ios),
+                        e.rounds_elided,
+                        e.settle_calls
+                    )?;
                 }
                 for (name, value) in &p.metrics {
                     write!(f, ", {}: {}", json_str(name), json_num(*value))?;

@@ -201,6 +201,37 @@ fn degraded_replication_allocs_per_io() -> f64 {
     (after - before) as f64 / ios
 }
 
+/// A starved two-thread window — LC tenants at their reservations, BE
+/// tenants offered more than the token cap leaves them — in which the
+/// threads sleep through the rounds that cannot act: settling those
+/// allocates nothing, so the budget is the plain path's.
+fn sleeping_testbed_allocs_per_io() -> f64 {
+    let mut tb = Testbed::builder().server_threads(2).build();
+    for t in 0..40u32 {
+        let (class, iops, read_pct) = if t < 8 {
+            let slo = SloSpec::new(2_000, 80, SimDuration::from_millis(1));
+            (TenantClass::LatencyCritical(slo), 2_000.0, 80)
+        } else {
+            (TenantClass::BestEffort, 2_500.0, 50)
+        };
+        let mut spec = WorkloadSpec::open_loop(&format!("t{t}"), TenantId(t + 1), class, iops);
+        spec.read_pct = read_pct;
+        tb.add_workload(spec).expect("valid workload");
+    }
+    tb.run(SimDuration::from_millis(200));
+    let (ios_before, elided_before) = (completed_ios(&tb), tb.report().wakes.rounds_elided);
+    let before = allocations();
+    tb.run(SimDuration::from_millis(300));
+    let after = allocations();
+    let ios = completed_ios(&tb) - ios_before;
+    let elided = tb.report().wakes.rounds_elided - elided_before;
+    assert!(
+        ios > 10_000 && elided > 10_000,
+        "the window must carry load and sleep through rounds: {ios} IOs, {elided} rounds elided"
+    );
+    (after - before) as f64 / ios as f64
+}
+
 fn completed_ios(tb: &Testbed) -> u64 {
     let report = tb.report();
     report
@@ -234,6 +265,13 @@ fn steady_state_allocations_stay_within_budget() {
     assert!(
         cached_rate < 0.05,
         "cached steady state exceeded the allocation budget: {cached_rate:.4} allocs/IO"
+    );
+
+    let sleeping_rate = sleeping_testbed_allocs_per_io();
+    eprintln!("allocation rate while threads sleep through rounds: {sleeping_rate:.5} allocs/IO");
+    assert!(
+        sleeping_rate < 0.05,
+        "a sleeping steady state exceeded the allocation budget: {sleeping_rate:.4} allocs/IO"
     );
 
     let degraded_rate = degraded_replication_allocs_per_io();

@@ -102,6 +102,31 @@ pub trait ServerHarness: Send {
         device: &mut FlashDevice,
     ) -> Option<SimTime>;
 
+    /// Settles the scheduling rounds the workers slept through strictly
+    /// before `before`. The testbed calls it ahead of everything that
+    /// pumps, mutates or reads the server at an instant; a server whose
+    /// workers are pumped for every round has nothing to settle.
+    fn settle(&mut self, _before: SimTime) {}
+
+    /// The instant worker `i` must next be pumped on account of its own
+    /// schedule, for a testbed pumping workers at `now`: `now` itself
+    /// when a round it would sleep through falls on it.
+    fn round_wake(&self, _i: usize, _now: SimTime) -> Option<SimTime> {
+        None
+    }
+
+    /// Whether a control-plane or fault entry has moved some worker's
+    /// [`round_wake`](Self::round_wake) earlier since the last call.
+    fn take_woken(&mut self) -> bool {
+        false
+    }
+
+    /// Scheduling rounds settled instead of pumped, and the settle passes
+    /// that found any.
+    fn sleep_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
     /// Periodic control-plane tick; returns tenants flagged for SLO
     /// renegotiation. Servers without a control plane do nothing.
     fn control_tick(&mut self, _now: SimTime, _window: SimDuration) -> Vec<TenantId> {

@@ -12,7 +12,7 @@ use reflex_dataplane::{AclEntry, DataplaneConfig, DataplaneThread, WireMsg};
 use reflex_flash::FlashDevice;
 use reflex_net::{ConnId, ConnTable, Fabric, MachineId, NicQueueId};
 use reflex_qos::{
-    CostModel, GlobalBucket, SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate,
+    CostModel, GlobalBucket, LoadMix, SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate,
 };
 use reflex_sim::{SimDuration, SimTime};
 
@@ -755,7 +755,47 @@ impl ReflexServer {
         Ok(())
     }
 
+    /// Settles the scheduling rounds the threads slept through strictly
+    /// before `before` (see [`DataplaneThread::settle`]), merged by
+    /// (instant, thread): each round marks the shared bucket, so they are
+    /// replayed in the order one pump event per round would have run
+    /// them. Everything that pumps, mutates or reads the threads at an
+    /// instant settles up to it first.
+    pub fn settle(&mut self, before: SimTime) {
+        let threads = &mut self.threads[..self.active_threads];
+        loop {
+            // The sleeper whose round comes first, and how far it goes
+            // before another's: at one instant the lower thread first.
+            let mut first: Option<(SimTime, usize)> = None;
+            let mut limit = before;
+            for (i, t) in threads.iter().enumerate() {
+                let Some(at) = t.idle_round_due(before) else {
+                    continue;
+                };
+                match first {
+                    Some((earliest, _)) if earliest <= at => {
+                        limit = limit.min(at + SimDuration::from_nanos(1));
+                    }
+                    _ => {
+                        if let Some((later, _)) = first.replace((at, i)) {
+                            limit = limit.min(later);
+                        }
+                    }
+                }
+            }
+            match first {
+                Some((_, i)) => threads[i].settle(limit),
+                None => return,
+            }
+        }
+    }
+
     /// Pumps dataplane thread `i`; returns its requested next wake instant.
+    /// The caller has [settled](Self::settle) the server up to `now` (the
+    /// thread settles itself, not its siblings). A pump that leaves tokens
+    /// in the bucket or writes to a device in read-only mode ends its
+    /// siblings' sleep at their next round, which is then no longer
+    /// provably idle: `round_wake` has their new wake instants.
     pub fn pump_thread(
         &mut self,
         i: usize,
@@ -763,13 +803,25 @@ impl ReflexServer {
         fabric: &mut Fabric<WireMsg>,
         device: &mut FlashDevice,
     ) -> Option<SimTime> {
-        self.threads[i].pump(now, fabric, device)
+        let hint = self.threads[i].pump(now, fabric, device);
+        if self.active_threads > 1 {
+            let filled = self.bucket.balance().is_positive();
+            if filled || self.threads[i].wrote() {
+                for (j, t) in self.threads[..self.active_threads].iter_mut().enumerate() {
+                    if j != i && (filled || t.scheduler().last_mix() == LoadMix::ReadOnly) {
+                        t.wake();
+                    }
+                }
+            }
+        }
+        hint
     }
 
     /// Control-plane tick: deficit detection and (optionally) thread
     /// scaling based on per-thread busy fractions over the elapsed window.
     /// Returns tenants newly flagged for renegotiation.
-    pub fn control_tick(&mut self, _now: SimTime, window: SimDuration) -> Vec<TenantId> {
+    pub fn control_tick(&mut self, now: SimTime, window: SimDuration) -> Vec<TenantId> {
+        self.settle(now);
         // Deficit detection: tenants whose deficit counter advanced since
         // the last tick are candidates for renegotiation (paper line 7).
         let mut flagged = Vec::new();
@@ -955,6 +1007,7 @@ impl crate::harness::ServerHarness for ReflexServer {
         ReflexServer::thread_of_conn(self, conn)
     }
 
+    #[inline]
     fn pump_thread(
         &mut self,
         i: usize,
@@ -967,6 +1020,29 @@ impl crate::harness::ServerHarness for ReflexServer {
 
     fn control_tick(&mut self, now: SimTime, window: SimDuration) -> Vec<TenantId> {
         ReflexServer::control_tick(self, now, window)
+    }
+
+    #[inline]
+    fn settle(&mut self, before: SimTime) {
+        ReflexServer::settle(self, before);
+    }
+
+    #[inline]
+    fn round_wake(&self, i: usize, now: SimTime) -> Option<SimTime> {
+        self.threads[i].round_wake(now)
+    }
+
+    fn take_woken(&mut self) -> bool {
+        self.threads
+            .iter_mut()
+            .fold(false, |any, t| t.take_woken() | any)
+    }
+
+    fn sleep_stats(&self) -> (u64, u64) {
+        self.threads.iter().fold((0, 0), |(rounds, calls), t| {
+            let (r, c) = t.sleep_stats();
+            (rounds + r, calls + c)
+        })
     }
 
     fn set_telemetry(&mut self, telemetry: reflex_telemetry::Telemetry) {

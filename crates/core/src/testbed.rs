@@ -147,7 +147,12 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
             WorldEvent::Control(interval) => world.control_event(interval, ctx),
             WorldEvent::Issue { w_idx, conn_idx } => world.issue_request(w_idx, conn_idx, ctx),
             WorldEvent::RetryFire => world.retry_fire_event(ctx),
-            WorldEvent::Call(f) => f(world, ctx),
+            WorldEvent::Call(f) => {
+                // The call may read or mutate anything.
+                world.server.settle(ctx.now());
+                f(world, ctx);
+                world.rearm_threads(ctx);
+            }
         }
     }
 }
@@ -271,10 +276,26 @@ impl<S: ServerHarness + 'static> World<S> {
 
     fn pump_event(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
         // Canonical same-instant order: one pump event services every
-        // thread whose wake is due, in ascending thread order.
+        // thread whose wake is due, in ascending thread order — a thread
+        // sleeping through a round at this very instant included, so that
+        // the round runs in its turn among the pumps.
+        let now = ctx.now();
+        self.server.settle(now);
         for i in 0..self.thread_wake.slots() {
-            if self.thread_wake.take_due(ctx, i, i == thread) {
+            let due = self.thread_wake.take_due(ctx, i, i == thread);
+            if due || self.server.round_wake(i, now) == Some(now) {
                 self.pump_one(i, ctx);
+            }
+        }
+    }
+
+    /// Arms every thread at the instant its round grid asks for: after a
+    /// control-plane or fault entry, which may have cut a sleep short.
+    fn rearm_threads(&mut self, ctx: &mut WorldCtx<S>) {
+        self.server.take_woken();
+        for i in 0..self.server.active_threads() {
+            if let Some(at) = self.server.round_wake(i, ctx.now()) {
+                self.ensure_thread_wake(ctx, i, at);
             }
         }
     }
@@ -291,13 +312,14 @@ impl<S: ServerHarness + 'static> World<S> {
     /// horizon); a client is re-armed from its queue only if this pump
     /// enqueued something toward it, and every other active thread from
     /// its own queue, where a rebalance forward may have landed — nobody
-    /// else's next arrival can have become earlier.
+    /// else's next arrival can have become earlier — and from its round
+    /// grid, where a sleep this pump cut short (it left tokens in the
+    /// bucket, or wrote to a read-only device) now ends.
     fn pump_one(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
         let hint = self
             .server
             .pump_thread(thread, ctx.now(), &mut self.fabric, &mut self.device);
-        let own = self.thread_next_arrival(thread);
-        if let Some(at) = [own, hint].into_iter().flatten().min() {
+        if let Some(at) = earlier(self.thread_next_arrival(thread), hint) {
             self.ensure_thread_wake(ctx, thread, at);
         }
         for c in 0..self.clients.len() {
@@ -308,7 +330,8 @@ impl<S: ServerHarness + 'static> World<S> {
             }
         }
         for i in (0..self.server.active_threads()).filter(|&i| i != thread) {
-            if let Some(at) = self.thread_next_arrival(i) {
+            let round = self.server.round_wake(i, ctx.now());
+            if let Some(at) = earlier(self.thread_next_arrival(i), round) {
                 self.ensure_thread_wake(ctx, i, at);
             }
         }
@@ -725,7 +748,16 @@ impl<S: ServerHarness + 'static> World<S> {
 
     fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx<S>) {
         let _ = self.server.control_tick(ctx.now(), interval);
+        self.rearm_threads(ctx);
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
+    }
+}
+
+/// The earlier of two optional instants.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -802,6 +834,11 @@ pub struct WakeStats {
     pub client_polls: u64,
     /// Client polls that found no delivery.
     pub client_polls_empty: u64,
+    /// Scheduling rounds no thread was pumped for: idle ones, settled in
+    /// a tight loop when the thread was next pumped, mutated or read.
+    pub rounds_elided: u64,
+    /// Settle passes that found a round to settle.
+    pub settle_calls: u64,
 }
 
 /// Builder for a [`Testbed`].
@@ -1181,6 +1218,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let now = self.engine.now();
         self.measure_begin = now;
         let world = self.engine.world_mut();
+        world.server.settle(now + SimDuration::from_nanos(1));
         world.measure_start = Some(now);
         for w in &mut world.workloads {
             w.reset_measurement();
@@ -1195,9 +1233,20 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         world.spent_snapshot = server.tenants_spent_millitokens();
     }
 
-    /// Advances the simulation by `span`.
+    /// Advances the simulation by `span`, then settles the server through
+    /// the new instant, so that every reader between runs ([`report`],
+    /// the world's `server()`) sees each round that has happened.
+    ///
+    /// [`report`]: Self::report
     pub fn run(&mut self, span: SimDuration) {
+        if self.engine.world_mut().server.take_woken() {
+            // A control-plane call made between runs cut a sleep short:
+            // an empty call re-arms the threads.
+            self.schedule_at(self.engine.now(), |_, _| {});
+        }
         self.engine.run_for(span);
+        let through = self.engine.now() + SimDuration::from_nanos(1);
+        self.engine.world_mut().server.settle(through);
     }
 
     /// Produces the measurement report for the window since
@@ -1235,6 +1284,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             spent_delta += now_mt - before;
         }
         let token_usage_per_sec = spent_delta as f64 / 1_000.0 / secs;
+        let (rounds_elided, settle_calls) = server.sleep_stats();
         TestbedReport {
             window,
             workloads,
@@ -1248,6 +1298,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 thread_cancelled: world.thread_wake.cancelled,
                 client_armed: world.client_wake.armed,
                 client_cancelled: world.client_wake.cancelled,
+                rounds_elided,
+                settle_calls,
                 ..world.wakes
             },
             telemetry: world.telemetry.snapshot(),

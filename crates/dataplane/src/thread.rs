@@ -103,6 +103,14 @@ impl AclEntry {
     }
 }
 
+/// The earlier of two optional instants.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// Per-request context carried from syscall to completion event. Opaque
 /// outside the dataplane; exposed only as the scheduler's payload type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,6 +329,28 @@ pub struct DataplaneThread {
     sched_time: SimDuration,
     last_sched: SimTime,
     max_sched_interval: SimDuration,
+    /// What a scheduling round costs the core and the spacing the thread
+    /// aims for between rounds, for the current tenant count and interval
+    /// bound (see [`refresh_costs`](Self::refresh_costs)).
+    round_cost: SimDuration,
+    interval: SimDuration,
+    /// While rounds are pending: the first instant on the round grid
+    /// (`core_busy + interval`, then every `round_cost + interval`) whose
+    /// round may act. The ones before it are idle and are settled, not
+    /// pumped. `None` while no round is pending.
+    idle_until: Option<SimTime>,
+    /// The next idle round's instant (`core_busy + interval` while that
+    /// is before `idle_until`), `SimTime::MAX` when there is none: what a
+    /// pump event compares against the clock for every thread.
+    idle_next: SimTime,
+    /// A control-plane or fault entry cut a sleep short since the last
+    /// [`take_woken`](Self::take_woken).
+    woken: bool,
+    /// Rounds settled as idle so far, and the settle passes that found any.
+    rounds_elided: u64,
+    settle_calls: u64,
+    /// The last pump submitted a write.
+    wrote: bool,
     /// Observability sink shared with the rest of the testbed; disabled
     /// by default, in which case every recording call is one branch.
     telemetry: Telemetry,
@@ -373,6 +403,14 @@ impl DataplaneThread {
             sched_time: SimDuration::ZERO,
             last_sched: now,
             max_sched_interval: config.max_sched_interval,
+            round_cost: SimDuration::ZERO,
+            interval: SimDuration::ZERO,
+            idle_until: None,
+            idle_next: SimTime::MAX,
+            woken: false,
+            rounds_elided: 0,
+            settle_calls: 0,
+            wrote: false,
             telemetry: Telemetry::disabled(),
             rx_scratch: Vec::new(),
             cq_scratch: Vec::new(),
@@ -383,8 +421,18 @@ impl DataplaneThread {
         thread
     }
 
-    /// Recomputes the per-message costs for the current connection count.
+    /// Recomputes the per-message costs for the current connection count,
+    /// and the round's cost and spacing for the current tenant count: a
+    /// round is spaced wide enough that per-tenant iteration stays below
+    /// ~half the core, but never beyond the control plane's SLO-derived
+    /// bound.
     fn refresh_costs(&mut self) {
+        let (lc, be) = self.sched.tenant_counts();
+        self.round_cost =
+            self.config.sched_base_cost + self.config.sched_per_tenant_cost * (lc + be) as u64;
+        self.interval = (self.round_cost * 2)
+            .max(self.config.min_sched_interval)
+            .min(self.max_sched_interval);
         let factor = self.config.conn_pressure.factor(self.bound_conns);
         self.rx_cost = self.config.rx_msg_cost.mul_f64(factor);
         self.tx_cost = self.config.tx_msg_cost.mul_f64(factor);
@@ -406,19 +454,9 @@ impl DataplaneThread {
     /// Sets the upper bound on the scheduling interval (the control plane
     /// keeps it at 5% of the strictest registered SLO, paper §3.2.2).
     pub fn set_max_sched_interval(&mut self, interval: SimDuration) {
+        self.interrupt();
         self.max_sched_interval = interval.max(self.config.min_sched_interval);
-    }
-
-    /// The spacing between scheduling rounds this thread currently aims
-    /// for: wide enough that per-tenant iteration stays below ~half the
-    /// core, but never beyond the control plane's SLO-derived bound.
-    fn sched_interval(&self) -> SimDuration {
-        let (lc, be) = self.sched.tenant_counts();
-        let round_cost =
-            self.config.sched_base_cost + self.config.sched_per_tenant_cost * (lc + be) as u64;
-        (round_cost * 2)
-            .max(self.config.min_sched_interval)
-            .min(self.max_sched_interval)
+        self.refresh_costs();
     }
 
     /// This thread's index (bit position in the global bucket).
@@ -436,7 +474,8 @@ impl DataplaneThread {
         self.nic_queue
     }
 
-    /// Statistics so far.
+    /// Statistics as of the last settle: rounds slept through since (see
+    /// [`settle`](Self::settle)) are not in them yet.
     pub fn stats(&self) -> ThreadStats {
         self.stats
     }
@@ -446,14 +485,123 @@ impl DataplaneThread {
         self.cache.as_ref().map(|c| *c.stats())
     }
 
-    /// Total CPU time consumed.
+    /// Total CPU time consumed, as of the last settle.
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
     }
 
-    /// CPU time spent in QoS scheduling (paper: 2–8% at load).
+    /// CPU time spent in QoS scheduling (paper: 2–8% at load), as of the
+    /// last settle.
     pub fn sched_cpu_time(&self) -> SimDuration {
         self.sched_time
+    }
+
+    /// Rounds settled as idle instead of pumped, and the settle passes
+    /// that found any.
+    pub fn sleep_stats(&self) -> (u64, u64) {
+        (self.rounds_elided, self.settle_calls)
+    }
+
+    /// Whether the last pump submitted a write to the device: that takes
+    /// the device out of read-only mode under a sleeping sibling.
+    pub fn wrote(&self) -> bool {
+        self.wrote
+    }
+
+    /// The instant of the next round this thread sleeps through, if that
+    /// is before `before`: rounds keep to the grid while nothing pumps the
+    /// thread, and the last wake hint proved the ones before
+    /// `idle_until` idle.
+    #[inline]
+    pub fn idle_round_due(&self, before: SimTime) -> Option<SimTime> {
+        (self.idle_next < before).then_some(self.idle_next)
+    }
+
+    /// Sleeps until `until` (`None`: no round is pending).
+    fn sleep_until(&mut self, until: Option<SimTime>) {
+        self.idle_until = until;
+        let next = self.core_busy + self.interval;
+        self.idle_next = match until {
+            Some(until) if next < until => next,
+            _ => SimTime::MAX,
+        };
+    }
+
+    /// Settles every round this thread slept through strictly before
+    /// `before`: the core is charged what [`pump`](Self::pump) charges
+    /// for that many rounds, the scheduler runs them as
+    /// [`idle_rounds`](QosScheduler::idle_rounds), and telemetry counts
+    /// them in one bump. Siblings on one bucket settle theirs merged by
+    /// (instant, thread), since each round marks the bucket: their owner
+    /// passes the instant up to which this thread comes first.
+    pub fn settle(&mut self, before: SimTime) {
+        let Some(first) = self.idle_round_due(before) else {
+            return;
+        };
+        let until = self.idle_until.expect("a round is due");
+        let before = before.min(until);
+        let period = self.round_cost + self.interval;
+        let (mut rounds, mut last) = (1, first);
+        while last + period < before {
+            last += period;
+            rounds += 1;
+        }
+        self.sched
+            .idle_rounds(first + self.round_cost, period, rounds);
+        self.last_sched = last;
+        self.core_busy = last + self.round_cost;
+        self.busy_time += self.round_cost * rounds;
+        self.sched_time += self.round_cost * rounds;
+        self.stats.sched_rounds += rounds;
+        self.rounds_elided += rounds;
+        self.settle_calls += 1;
+        if self.telemetry.is_enabled() {
+            self.telemetry.count("qos.rounds", rounds);
+        }
+        self.sleep_until(Some(until));
+    }
+
+    /// The instant this thread must next be pumped on account of its
+    /// round grid, for a caller pumping threads at `now` that has settled
+    /// it up to there: `now` itself when a round falls on it (a round
+    /// that coincides with a pump is pumped, idle or not), else the first
+    /// round that may act. `None` while no round is pending.
+    pub fn round_wake(&self, now: SimTime) -> Option<SimTime> {
+        let until = self.idle_until?;
+        Some(if self.core_busy + self.interval == now {
+            now
+        } else {
+            until
+        })
+    }
+
+    /// Ends a sleep at the next round: whatever made the rounds up to
+    /// `idle_until` idle no longer holds (a sibling left tokens in the
+    /// bucket or wrote to a device in read-only mode), or is about to
+    /// change. Returns whether that cut anything.
+    pub fn wake(&mut self) -> bool {
+        let cut = self.idle_next != SimTime::MAX;
+        if cut {
+            self.sleep_until(Some(self.idle_next));
+        }
+        cut
+    }
+
+    /// [`wake`](Self::wake) ahead of a control-plane or fault entry, which
+    /// unlike a pump has nobody re-arming the thread's wake after it: the
+    /// owner asks [`take_woken`](Self::take_woken). Such callers settle
+    /// the thread up to their instant first.
+    fn interrupt(&mut self) {
+        if self.wake() {
+            self.woken = true;
+        }
+    }
+
+    /// Whether a sleep was cut short by a control-plane or fault entry
+    /// since the last call, so that the wake armed for this thread is
+    /// later than [`round_wake`](Self::round_wake).
+    pub fn take_woken(&mut self) -> bool {
+        std::mem::take(&mut self.woken)
     }
 
     /// Fault injection: freezes this thread's core for `dur` starting at
@@ -462,6 +610,8 @@ impl DataplaneThread {
     /// delayed, never lost — so the visible effect is a latency spike on
     /// everything the thread owns.
     pub fn inject_stall(&mut self, now: SimTime, dur: SimDuration) {
+        self.settle(now);
+        self.interrupt();
         self.core_busy = self.core_busy.max(now) + dur;
         self.busy_time += dur;
         self.stats.stalls += 1;
@@ -485,6 +635,7 @@ impl DataplaneThread {
     /// Exclusive access to the thread's QoS scheduler (control plane
     /// operations: BE rates, cost-model recalibration, token inspection).
     pub fn scheduler_mut(&mut self) -> &mut QosScheduler<ReqCtx> {
+        self.interrupt();
         &mut self.sched
     }
 
@@ -506,6 +657,7 @@ impl DataplaneThread {
         acl: AclEntry,
         io_size: u32,
     ) -> Result<TenantHandle, QosError> {
+        self.interrupt();
         let read_latency = match class {
             TenantClass::LatencyCritical(slo) => {
                 self.sched.register_lc(id, slo, io_size)?;
@@ -523,6 +675,7 @@ impl DataplaneThread {
             ordering: OrderingState::default(),
             read_latency,
         });
+        self.refresh_costs();
         Ok(TenantHandle(id.0))
     }
 
@@ -537,6 +690,7 @@ impl DataplaneThread {
         &mut self,
         id: TenantId,
     ) -> Result<Vec<CostedRequest<ReqCtx>>, QosError> {
+        self.interrupt();
         let leftovers = self.sched.unregister(id)?;
         let entry = self.tenants.remove(id);
         // Tenants registered after this one moved up in the scheduler.
@@ -581,6 +735,7 @@ impl DataplaneThread {
         id: TenantId,
         mut reqs: Vec<CostedRequest<ReqCtx>>,
     ) -> Result<(), QosError> {
+        self.interrupt();
         // Cache clock and epoch values are meaningful only within one
         // thread's cache instance, and these requests captured the SOURCE
         // thread's. Re-stamp reads against this thread's cache as if
@@ -677,6 +832,7 @@ impl DataplaneThread {
 
     /// Sets each BE tenant's fair-share token rate (control plane).
     pub fn set_be_rate(&mut self, rate: TokenRate) {
+        self.interrupt();
         self.sched.set_be_rate(rate);
     }
 
@@ -1095,6 +1251,7 @@ impl DataplaneThread {
         match device.submit(self.core_busy, self.qp, cmd) {
             Ok(_) => {
                 self.stats.submitted += 1;
+                self.wrote |= !req.op.is_read();
             }
             Err(SubmitError::QueueFull) => {
                 let io = self.inflight.take(key).expect("just inserted");
@@ -1237,6 +1394,8 @@ impl DataplaneThread {
         fabric: &mut Fabric<WireMsg>,
         device: &mut FlashDevice,
     ) -> Option<SimTime> {
+        self.settle(now);
+        self.wrote = false;
         if self.core_busy < now {
             self.core_busy = now;
         }
@@ -1277,14 +1436,11 @@ impl DataplaneThread {
                     break;
                 }
             }
-            let due = self.core_busy.saturating_since(self.last_sched) >= self.sched_interval();
+            let due = self.core_busy.saturating_since(self.last_sched) >= self.interval;
             if self.sched.queued_requests() > 0 && due {
                 self.last_sched = self.core_busy;
-                let (lc, be) = self.sched.tenant_counts();
-                let cost = self.config.sched_base_cost
-                    + self.config.sched_per_tenant_cost * (lc + be) as u64;
-                self.charge(cost);
-                self.sched_time += cost;
+                self.charge(self.round_cost);
+                self.sched_time += self.round_cost;
                 self.stats.sched_rounds += 1;
                 let mix = if device.in_read_only_mode(self.core_busy) {
                     LoadMix::ReadOnly
@@ -1323,22 +1479,74 @@ impl DataplaneThread {
             }
         }
 
-        // Decide when to wake next.
-        let mut wake: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                wake = Some(match wake {
-                    Some(w) => w.min(t),
-                    None => t,
-                });
-            }
+        // Decide when to wake next: at the next arrival or completion, or
+        // at the first round that may act. A round that neither comes
+        // first nor has a retry to submit need not be the next one.
+        let completion = device.next_completion_time(self.qp);
+        let event = earlier(
+            fabric.next_arrival_queue(self.machine, self.nic_queue),
+            completion,
+        );
+        let retrying = !self.retry_submit.is_empty();
+        let round = if self.sched.queued_requests() > 0 || retrying {
+            let next = self.core_busy + self.interval;
+            Some(if retrying || event.is_some_and(|at| at <= next) {
+                next
+            } else {
+                self.first_acting_round(next, completion, device)
+            })
+        } else {
+            None
         };
-        consider(fabric.next_arrival_queue(self.machine, self.nic_queue));
-        consider(device.next_completion_time(self.qp));
-        if self.sched.queued_requests() > 0 || !self.retry_submit.is_empty() {
-            consider(Some(self.core_busy + self.sched_interval()));
+        self.sleep_until(round);
+        earlier(event, round).map(|t| t.max(self.core_busy))
+    }
+
+    /// The first round on the grid starting at `first` that is not
+    /// provably idle. A round started at `g` runs the scheduler and polls
+    /// the CQ at `g + round_cost`, so it is idle while that instant is
+    /// short of the scheduler's next wake and of the next completion and
+    /// sees the load mix of the round before; a sibling that fills the
+    /// bucket or writes to a read-only device meanwhile calls
+    /// [`wake`](Self::wake), and an arrival pumps the thread at its
+    /// instant, before the rounds past it. Where that cannot be told the
+    /// answer errs early, never late.
+    fn first_acting_round(
+        &mut self,
+        first: SimTime,
+        completion: Option<SimTime>,
+        device: &FlashDevice,
+    ) -> SimTime {
+        /// Bounds the search for a mix flip; a thread with nothing ever
+        /// due still looks up this often.
+        const MAX_SLEEP_ROUNDS: u64 = 1 << 16;
+        let period = self.round_cost + self.interval;
+        if period.is_zero() {
+            return first;
         }
-        wake.map(|t| t.max(self.core_busy))
+        let runs_first = first + self.round_cost;
+        let due = earlier(self.sched.next_wake(), completion);
+        // Round k is the first to run at or after `due`: rounded up, as a
+        // round that runs short of it finds nothing.
+        let mut idle = due.map_or(MAX_SLEEP_ROUNDS, |due| {
+            let short = due.saturating_since(runs_first).as_nanos();
+            short.div_ceil(period.as_nanos()).min(MAX_SLEEP_ROUNDS)
+        });
+        // The device leaves read-only mode only by a write and enters it
+        // only by the clock, so the mix along the grid flips at most once:
+        // read-only rounds stay so if the first is, and mixed ones are if
+        // the last is (halving the sleep until then errs early).
+        let read_only = |k: u64| device.in_read_only_mode(runs_first + period * k);
+        match self.sched.last_mix() {
+            LoadMix::ReadOnly if !read_only(0) => idle = 0,
+            LoadMix::ReadOnly => {}
+            LoadMix::Mixed => {
+                while idle > 0 && read_only(idle - 1) {
+                    idle /= 2;
+                }
+            }
+        }
+        first + period * idle
     }
 }
 

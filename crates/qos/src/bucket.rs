@@ -153,16 +153,26 @@ impl GlobalBucket {
         if bit & active == 0 {
             return false;
         }
-        let prev = self.round_marks.fetch_or(bit, Ordering::AcqRel);
-        let marked = (prev | bit) & active;
-        if marked == active {
-            self.round_marks.store(0, Ordering::Release);
+        // Most rounds need no locked read-modify-write: the thread that
+        // sees every other mark set resets without setting its own, a
+        // thread that marked already waits for its siblings, and most
+        // resets find the bucket empty.
+        let prev = self.round_marks.load(Ordering::Acquire);
+        let last = |marks: u64| (marks | bit) & active == active;
+        if !last(prev) {
+            if prev & bit != 0 {
+                return false;
+            }
+            if !last(self.round_marks.fetch_or(bit, Ordering::AcqRel)) {
+                return false;
+            }
+        }
+        self.round_marks.store(0, Ordering::Release);
+        if self.millitokens.load(Ordering::Acquire) != 0 {
             let dropped = self.millitokens.swap(0, Ordering::AcqRel);
             self.discarded.fetch_add(dropped, Ordering::AcqRel);
-            true
-        } else {
-            false
         }
+        true
     }
 }
 

@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use reflex_flash::IoType;
-use reflex_sim::SimTime;
+use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::Telemetry;
 
 use crate::bucket::GlobalBucket;
@@ -310,6 +310,9 @@ pub struct QosScheduler<R> {
     be_clock: u128,
     /// The mix of the last round, under which BE tenants are parked.
     last_mix: LoadMix,
+    /// A BE wake clock and the instant it comes due at the current BE
+    /// rate, if ever (see [`next_wake`](Self::next_wake)).
+    be_due: Option<(u128, Option<u64>)>,
     /// Tenant id to slot, for the by-id entry points only.
     slots: HashMap<TenantId, Slot>,
     be_cursor: usize,
@@ -346,6 +349,7 @@ impl<R> QosScheduler<R> {
             lc_clocks: vec![0; params.pos_history_rounds + 1].into(),
             be_clock: 0,
             last_mix: LoadMix::Mixed,
+            be_due: None,
             slots: HashMap::new(),
             be_cursor: 0,
             queued: 0,
@@ -465,6 +469,7 @@ impl<R> QosScheduler<R> {
     /// minus the sum of LC reservations, divided by the number of BE
     /// tenants system-wide).
     pub fn set_be_rate(&mut self, rate: TokenRate) {
+        self.be_due = None;
         self.be_rate_per_tenant = rate;
     }
 
@@ -711,6 +716,10 @@ impl<R> QosScheduler<R> {
     /// scratch [`ScheduleOutcome`] runs rounds without allocating in
     /// steady state.
     pub fn schedule_into(&mut self, now: SimTime, mix: LoadMix, out: &mut ScheduleOutcome<R>) {
+        if now < self.prev_sched_time {
+            // The BE clock stands still where time runs backwards.
+            self.be_due = None;
+        }
         let elapsed = now.saturating_since(self.prev_sched_time);
         self.prev_sched_time = now;
         self.rounds += 1;
@@ -790,6 +799,117 @@ impl<R> QosScheduler<R> {
                 self.telemetry
                     .count("qos.deficit_events", out.deficit_notifications.len() as u64);
             }
+        }
+    }
+
+    /// The earliest instant at which a round can do more than an idle one
+    /// (see [`idle_rounds`](Self::idle_rounds)), as far as this scheduler
+    /// can tell: the first at which a parked tenant's wake clock comes
+    /// due, rounded up to the nanosecond (a round that ends short of it
+    /// wakes nobody), or the last round's own instant while a tenant is
+    /// live or the bucket holds tokens. `None` when every tenant is parked
+    /// for good. A control operation, a request for an LC tenant, a new
+    /// load mix or a sibling's donation can make it earlier; nothing else
+    /// can.
+    pub fn next_wake(&mut self) -> Option<SimTime> {
+        if !self.lc_wake.all_parked()
+            || !self.be_wake.all_parked()
+            || self.bucket.balance().is_positive()
+        {
+            return Some(self.prev_sched_time);
+        }
+        // Both clocks are linear in time, so a wake clock comes due at an
+        // instant that no round in between moves.
+        let lc = self.lc_wake.next_wake().and_then(|wake| {
+            let nanos = u64::try_from(wake.saturating_sub(self.lc_clock() as u128)).ok()?;
+            self.prev_sched_time.as_nanos().checked_add(nanos)
+        });
+        let be = self.be_wake.next_wake().and_then(|wake| {
+            // The division is worth keeping: a starved tenant heads the
+            // heap for hundreds of rounds.
+            if self.be_due.is_none_or(|(cached, _)| cached != wake) {
+                let rate = self.be_rate_per_tenant.as_millitokens_per_sec() as u128;
+                let nanos = (rate > 0)
+                    .then(|| u64::try_from(wake.saturating_sub(self.be_clock).div_ceil(rate)).ok())
+                    .flatten();
+                let at = nanos.and_then(|n| self.prev_sched_time.as_nanos().checked_add(n));
+                self.be_due = Some((wake, at));
+            }
+            self.be_due.and_then(|(_, at)| at)
+        });
+        match (lc, be) {
+            (Some(lc), Some(be)) => Some(lc.min(be)),
+            (lc, be) => lc.or(be),
+        }
+        .map(SimTime::from_nanos)
+    }
+
+    /// The mix of the last round: the one a round that nothing woke runs
+    /// under, or it would not be idle.
+    pub fn last_mix(&self) -> LoadMix {
+        self.last_mix
+    }
+
+    /// The `rounds` rounds at `first`, `first + period`, … for a caller
+    /// that knows — from [`next_wake`](Self::next_wake) and an unchanged
+    /// mix — that none of them can admit or donate anything: what that
+    /// many [`schedule_into`] calls would leave behind — its prologue and
+    /// epilogue: clocks, the BE rotation, the round marks on the bucket —
+    /// in a few nanoseconds of host time however many they are. No other
+    /// user of the bucket may act between them. The caller counts them in
+    /// `qos.rounds` itself.
+    ///
+    /// [`schedule_into`]: Self::schedule_into
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the rounds were not idle after all: a
+    /// tenant is live, a wake clock came due, or the bucket holds tokens.
+    pub fn idle_rounds(&mut self, first: SimTime, period: SimDuration, rounds: u64) {
+        if rounds == 0 {
+            return;
+        }
+        let live = !(self.lc_wake.all_parked() && self.be_wake.all_parked());
+        let last = first + period * (rounds - 1);
+        let elapsed = last.saturating_since(self.prev_sched_time).as_nanos();
+        self.prev_sched_time = last;
+        self.rounds += rounds;
+        // The LC clock after each of the last rounds, the newest last.
+        let lc_clock = self.lc_clock() + elapsed;
+        let kept = self.lc_clocks.len();
+        let fresh = kept.min(rounds.try_into().unwrap_or(usize::MAX));
+        self.lc_clocks.copy_within(fresh.., 0);
+        for (back, clock) in self.lc_clocks.iter_mut().rev().take(fresh).enumerate() {
+            *clock = lc_clock - period.as_nanos() * back as u64;
+        }
+        self.be_clock += self.be_rate_per_tenant.as_millitokens_per_sec() as u128 * elapsed as u128;
+
+        // The clocks only run forward: what is not due now never was.
+        let due = |index: &WakeIndex, clock: u128| index.next_wake().is_some_and(|w| w <= clock);
+        let cause = if live {
+            Some("a tenant was live")
+        } else if due(&self.lc_wake, lc_clock as u128) || due(&self.be_wake, self.be_clock) {
+            Some("a wake clock came due")
+        } else if self.bucket.balance().is_positive() {
+            Some("the bucket holds tokens")
+        } else {
+            None
+        };
+        if let Some(cause) = cause {
+            panic!(
+                "thread {}: {rounds} round(s) up to {last} were settled as idle, but {cause}",
+                self.thread_idx
+            );
+        }
+
+        if !self.be.is_empty() {
+            self.be_cursor = ((self.be_cursor as u64 + rounds) % self.be.len() as u64) as usize;
+        }
+        // A mark after the second changes nothing: either the first reset
+        // the bucket's round and the second marks the new one, or this
+        // thread's mark stands until its siblings catch up.
+        for _ in 0..rounds.min(2) {
+            self.bucket.mark_round(self.thread_idx);
         }
     }
 
@@ -886,7 +1006,6 @@ impl<R> Default for ScheduleOutcome<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reflex_sim::SimDuration;
 
     fn sched(threads: u32) -> (QosScheduler<u32>, Arc<GlobalBucket>) {
         let bucket = Arc::new(GlobalBucket::new(threads));

@@ -78,6 +78,18 @@ impl WakeIndex {
         }
     }
 
+    /// Whether no tenant is live: a round would visit nobody.
+    #[inline]
+    pub(crate) fn all_parked(&self) -> bool {
+        self.heap.len() == self.pos.len()
+    }
+
+    /// The earliest wake clock among the parked tenants.
+    #[inline]
+    pub(crate) fn next_wake(&self) -> Option<u128> {
+        self.heap.first().map(|&(wake, _)| wake)
+    }
+
     /// Makes every tenant whose wake clock is at or before `clock` live.
     pub(crate) fn wake_due(&mut self, clock: u128) {
         while let Some(&(wake, i)) = self.heap.first() {

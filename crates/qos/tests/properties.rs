@@ -149,6 +149,103 @@ proptest! {
         }
     }
 
+    /// Sleeping is exact: for 1 to 3 threads on one bucket, each with its
+    /// own tenants, queues and round grid, the rounds up to the first one
+    /// that [`QosScheduler::next_wake`] says may act are run once as
+    /// `schedule_into` calls, one by one in (instant, thread) order, and
+    /// once on a twin as `idle_rounds` batches in that same order. Both
+    /// end in the same `Debug` state — schedulers and bucket, round marks
+    /// included — with the same books, the rounds before the hinted one
+    /// visit nobody, and the hinted one visits somebody.
+    #[test]
+    fn idle_rounds_match_round_by_round(
+        history in 0usize..5,
+        threads in 1u32..4,
+        k in 1u64..200,
+        setup in prop::collection::vec((0u32..3, 0u32..6, any::<u64>(), any::<u64>()), 0..60),
+        grid in prop::collection::vec((1u64..4_000, 500u64..12_000), 3..4),
+        be_rate in 0u64..20_000_000,
+    ) {
+        let mut eager = Rig::new(history, threads, be_rate);
+        let mut sleepy = Rig::new(history, threads, be_rate);
+        for rig in [&mut eager, &mut sleepy] {
+            for &(thread, tenant, x, y) in &setup {
+                rig.request(thread % threads, tenant, x, y);
+            }
+            rig.warm();
+        }
+        eager.assert_same(&mut sleepy);
+
+        // Thread t's rounds run at now[t] + offset, then every period.
+        // All of them sleep to the earliest instant any may act at (a
+        // sibling's acting round may fill the bucket), k rounds at most.
+        let due = sleepy.scheds.iter_mut().filter_map(QosScheduler::next_wake).min();
+        let mut rounds: Vec<(SimTime, usize)> = Vec::new();
+        let mut hinted: Option<(SimTime, usize)> = None;
+        for t in 0..threads as usize {
+            let (offset, period) = grid[t];
+            let mut at = sleepy.now[t] + SimDuration::from_nanos(offset);
+            for _ in 0..k {
+                if due.is_some_and(|due| at >= due) {
+                    hinted = hinted.min(Some((at, t))).or(Some((at, t)));
+                    break;
+                }
+                rounds.push((at, t));
+                at += SimDuration::from_nanos(period);
+            }
+        }
+        rounds.sort();
+
+        for &(at, t) in &rounds {
+            let before = eager.scheds[t].visits();
+            eager.scheds[t].schedule_into(at, LoadMix::Mixed, &mut eager.out);
+            prop_assert!(eager.out.submitted.is_empty() && !eager.bucket.balance().is_positive());
+            prop_assert_eq!(eager.scheds[t].visits(), before, "an idle round visited a tenant");
+        }
+        // The twin settles the same rounds in batches: a thread's run of
+        // consecutive rounds in the merged order is one `idle_rounds` call.
+        let mut i = 0;
+        while i < rounds.len() {
+            let (first, t) = rounds[i];
+            let run = rounds[i..].iter().take_while(|r| r.1 == t).count();
+            let period = SimDuration::from_nanos(grid[t].1);
+            sleepy.scheds[t].idle_rounds(first, period, run as u64);
+            i += run;
+        }
+        eager.assert_same(&mut sleepy);
+
+        // The hint is tight to the nanosecond: on a third twin the thread
+        // whose wake it is can settle a round one nanosecond short of it,
+        // and a round exactly on it visits somebody.
+        let mut probe = Rig::new(history, threads, be_rate);
+        for &(thread, tenant, x, y) in &setup {
+            probe.request(thread % threads, tenant, x, y);
+        }
+        probe.warm();
+        if let Some((due, t)) = due.and_then(|due| {
+            let t = probe.scheds.iter_mut().position(|s| s.next_wake() == Some(due))?;
+            (due.as_nanos() > probe.now[t].as_nanos() + 1).then_some((due, t))
+        }) {
+            let nano = SimDuration::from_nanos(1);
+            probe.scheds[t].idle_rounds(SimTime::from_nanos(due.as_nanos() - 1), nano, 1);
+            let before = probe.scheds[t].visits();
+            probe.scheds[t].schedule_into(due, LoadMix::Mixed, &mut probe.out);
+            prop_assert!(probe.scheds[t].visits() > before, "a round on the hint visited nobody");
+        }
+
+        // The first round at or past the hint is the first to act.
+        if let Some((at, t)) = hinted.filter(|&(_, t)| {
+            sleepy.scheds[t].next_wake().is_some_and(|own| Some(own) == due)
+        }) {
+            for rig in [&mut eager, &mut sleepy] {
+                let before = rig.scheds[t].visits();
+                rig.scheds[t].schedule_into(at, LoadMix::Mixed, &mut rig.out);
+                prop_assert!(rig.scheds[t].visits() > before, "the hinted round visited nobody");
+            }
+            eager.assert_same(&mut sleepy);
+        }
+    }
+
     /// Global bucket conservation under arbitrary give/take sequences.
     #[test]
     fn bucket_conserves(ops in prop::collection::vec((0u8..2, 1i64..100_000), 1..200)) {
@@ -429,4 +526,119 @@ impl Pair {
             accounted + self.bucket.balance() + self.bucket.discarded()
         );
     }
+}
+
+/// One to three schedulers on one bucket, each with an LC tenant and five
+/// BE tenants (see `idle_rounds_match_round_by_round`).
+struct Rig {
+    scheds: Vec<QosScheduler<u64>>,
+    bucket: Arc<GlobalBucket>,
+    /// Each thread's last round.
+    now: Vec<SimTime>,
+    out: ScheduleOutcome<u64>,
+}
+
+impl Rig {
+    fn new(pos_history_rounds: usize, threads: u32, be_rate: u64) -> Rig {
+        let params = SchedulerParams {
+            pos_history_rounds,
+            ..SchedulerParams::default()
+        };
+        let bucket = Arc::new(GlobalBucket::new(threads));
+        let scheds = (0..threads)
+            .map(|t| {
+                let model = CostModel::for_device_a();
+                let mut sched =
+                    QosScheduler::new(t, Arc::clone(&bucket), model, params, SimTime::ZERO);
+                let slo = SloSpec::new(1_000 + 700 * u64::from(t), 80, SimDuration::from_millis(1));
+                sched.register_lc(TenantId(0), slo, 4096).expect("fresh");
+                for id in 1..6 {
+                    sched.register_be(TenantId(id)).expect("fresh");
+                }
+                sched.set_be_rate(TokenRate::millitokens_per_sec(be_rate));
+                // Starved from the start, as on the benchmark's `tenants_rw`
+                // threads: the LC tenant in debt with nothing queued, every
+                // BE tenant behind a write it cannot pay for.
+                let debt = Tokens::from_tokens(5 + i64::from(t));
+                sched.spend_dram_hit(TenantId(0), debt).expect("registered");
+                for id in 1..6 {
+                    let req = CostedRequest {
+                        op: IoType::Write,
+                        len: 16_384,
+                        payload: 0,
+                    };
+                    sched.enqueue(TenantId(id), req).expect("registered");
+                }
+                sched
+            })
+            .collect();
+        Rig {
+            scheds,
+            bucket,
+            now: vec![SimTime::ZERO; threads as usize],
+            out: ScheduleOutcome::default(),
+        }
+    }
+
+    /// Queues a request, or debits the tenant a DRAM hit that puts it in
+    /// debt (an LC tenant in debt within the limit parks).
+    fn request(&mut self, thread: u32, tenant: u32, x: u64, y: u64) {
+        let sched = &mut self.scheds[thread as usize];
+        if y.is_multiple_of(5) {
+            let debit = Tokens::from_millitokens((x % 40_000) as i64);
+            sched
+                .spend_dram_hit(TenantId(tenant), debit)
+                .expect("registered");
+            return;
+        }
+        let op = if y.is_multiple_of(3) {
+            IoType::Write
+        } else {
+            IoType::Read
+        };
+        let len = [1024, 4096, 16_384][(x >> 8) as usize % 3];
+        let req = CostedRequest {
+            op,
+            len,
+            payload: x,
+        };
+        sched.enqueue(TenantId(tenant), req).expect("registered");
+    }
+
+    /// Two rounds on each thread: they drain what can be paid for and
+    /// park the rest.
+    fn warm(&mut self) {
+        for round in 1..=2 {
+            for t in 0..self.scheds.len() {
+                self.now[t] = SimTime::from_nanos(round * 2_000 + t as u64);
+                self.scheds[t].schedule_into(self.now[t], LoadMix::Mixed, &mut self.out);
+            }
+        }
+    }
+
+    /// Same `Debug` state and the same books, tenant by tenant.
+    fn assert_same(&mut self, other: &mut Rig) {
+        for (a, b) in self.scheds.iter_mut().zip(&mut other.scheds) {
+            // Fills the due-instant cache on both sides alike.
+            assert_eq!(a.next_wake(), b.next_wake());
+            assert_eq!(state(a), state(b));
+            assert_eq!(a.generated(), b.generated());
+            assert_eq!(a.rounds(), b.rounds());
+            for id in (0..6).map(TenantId) {
+                assert_eq!(a.tokens_of(id), b.tokens_of(id));
+                assert_eq!(a.stats_for(id), b.stats_for(id));
+            }
+        }
+        assert_eq!(format!("{:?}", self.bucket), format!("{:?}", other.bucket));
+        assert_eq!(self.bucket.discarded(), other.bucket.discarded());
+    }
+}
+
+/// A scheduler's `Debug` state without its id-to-slot map, which prints in
+/// hash order.
+fn state(sched: &QosScheduler<u64>) -> String {
+    let all = format!("{sched:?}");
+    let (head, tail) = all.split_once(" slots: {").expect("has a slot map");
+    let (_, tail) = tail.split_once("},").expect("the map closes");
+    format!("{head}{tail}")
 }

@@ -472,15 +472,28 @@ impl ReplTestbed {
         let now = self.engine.now();
         self.measure_begin = now;
         let world = self.engine.world_mut();
+        world.settle(now + SimDuration::from_nanos(1));
         world.measure_start = Some(now);
         for w in &mut world.workloads {
             w.reset_measurement();
         }
     }
 
-    /// Advances the simulation by `span`.
+    /// Advances the simulation by `span`, then settles every site through
+    /// the new instant (see the core testbed's `run`).
     pub fn run(&mut self, span: SimDuration) {
+        let world = self.engine.world_mut();
+        let woken = world
+            .sites
+            .iter_mut()
+            .fold(false, |any, st| st.server.take_woken() | any);
+        if woken {
+            self.engine
+                .schedule_event_at(self.engine.now(), ReplEvent::Rearm);
+        }
         self.engine.run_for(span);
+        let through = self.engine.now() + SimDuration::from_nanos(1);
+        self.engine.world_mut().settle(through);
     }
 
     /// Produces the measurement report for the window since

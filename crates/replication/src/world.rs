@@ -156,6 +156,9 @@ pub enum ReplEvent {
         /// (another failover happened meanwhile) is ignored.
         epoch: u32,
     },
+    /// Re-arm every site's wake from its round grid: a control-plane call
+    /// made between runs cut a sleeping thread's sleep short.
+    Rearm,
 }
 
 impl TypedEvent<ReplWorld> for ReplEvent {
@@ -174,6 +177,7 @@ impl TypedEvent<ReplWorld> for ReplEvent {
             ReplEvent::ResyncDone { w_idx, slot, epoch } => {
                 world.resync_done_event(w_idx, slot, epoch);
             }
+            ReplEvent::Rearm => world.rearm_sites(ctx),
         }
     }
 }
@@ -274,6 +278,27 @@ impl ReplWorld {
         if let Some(at) = self.fabric.next_arrival(self.clients[client].machine) {
             self.client_wake
                 .arm(ctx, client, at, ReplEvent::ClientPoll(client));
+        }
+    }
+
+    /// Arms every site at the instant its thread's round grid asks for:
+    /// after a control-plane entry, which may have cut a sleep short.
+    /// Sites share no bucket and no device, so unlike the core testbed's
+    /// threads they need no common settle order.
+    pub(crate) fn rearm_sites(&mut self, ctx: &mut Ctx<ReplWorld, ReplEvent>) {
+        for site in 0..self.sites.len() {
+            let server = &mut self.sites[site].server;
+            server.take_woken();
+            if let Some(at) = server.round_wake(0, ctx.now()) {
+                self.ensure_site_wake(ctx, site, at);
+            }
+        }
+    }
+
+    /// Settles every site's slept-through rounds strictly before `before`.
+    pub(crate) fn settle(&mut self, before: SimTime) {
+        for st in &mut self.sites {
+            st.server.settle(before);
         }
     }
 
@@ -679,6 +704,7 @@ impl ReplWorld {
         for st in &mut self.sites {
             let _ = st.server.control_tick(ctx.now(), interval);
         }
+        self.rearm_sites(ctx);
         ctx.schedule_event_after(interval, ReplEvent::Control(interval));
     }
 
@@ -722,6 +748,7 @@ impl ReplWorld {
                 };
                 let client_machine = self.clients[spec.client_machine].machine;
                 let server = &mut self.sites[new_site].server;
+                server.settle(now);
                 let _ = server.register_tenant(
                     spec.tenant,
                     TenantClass::LatencyCritical(spec.slo),
@@ -783,6 +810,7 @@ impl ReplWorld {
                 });
             }
         }
+        self.rearm_sites(ctx);
     }
 
     fn resync_done_event(&mut self, w_idx: usize, slot: usize, epoch: u32) {
