@@ -62,6 +62,8 @@ pub struct Execution {
     pub rounds_elided: u64,
     /// Settle passes that found such a round.
     pub settle_calls: u64,
+    /// Responses its client machines absorbed with no wake of their own.
+    pub client_absorbed: u64,
 }
 
 impl From<u64> for Execution {
@@ -81,6 +83,7 @@ impl From<&TestbedReport> for Execution {
             ios: report.workloads.iter().map(|w| w.iops * secs).sum(),
             rounds_elided: report.wakes.rounds_elided,
             settle_calls: report.wakes.settle_calls,
+            client_absorbed: report.wakes.client_absorbed,
         }
     }
 }
@@ -502,9 +505,11 @@ impl SweepResult {
             let ios: f64 = with_ios.iter().map(|e| e.ios).sum();
             let elided: u64 = with_ios.iter().map(|e| e.rounds_elided).sum();
             let settles: u64 = with_ios.iter().map(|e| e.settle_calls).sum();
+            let absorbed: u64 = with_ios.iter().map(|e| e.client_absorbed).sum();
             writeln!(f, "  \"events_per_io\": {},", json_num(events as f64 / ios))?;
             writeln!(f, "  \"rounds_elided\": {elided},")?;
             writeln!(f, "  \"settle_calls\": {settles},")?;
+            writeln!(f, "  \"client_absorbed\": {absorbed},")?;
         }
         if let Some(fs) = self.faults() {
             writeln!(
@@ -536,10 +541,11 @@ impl SweepResult {
                 if e.ios > 0.0 {
                     write!(
                         f,
-                        ", \"events_per_io\": {}, \"rounds_elided\": {}, \"settle_calls\": {}",
+                        ", \"events_per_io\": {}, \"rounds_elided\": {}, \"settle_calls\": {}, \"client_absorbed\": {}",
                         json_num(e.engine_events as f64 / e.ios),
                         e.rounds_elided,
-                        e.settle_calls
+                        e.settle_calls,
+                        e.client_absorbed
                     )?;
                 }
                 for (name, value) in &p.metrics {

@@ -1,7 +1,7 @@
 //! Steady-state allocation budget for the hot request path.
 //!
 //! Installs the counting allocator from `reflex_sim::alloc_count` as this
-//! binary's global allocator and measures four windows:
+//! binary's global allocator and measures five windows:
 //!
 //! 1. The engine alone: a self-rescheduling typed-event churn must run in
 //!    recycled slab nodes and wheel slots — effectively zero allocations
@@ -14,6 +14,8 @@
 //! 3. The same with the DRAM cache tier serving hits.
 //! 4. A replicated run with one replica's server dead: the retry storm
 //!    runs on typed events, within the same per-IO budget.
+//! 5. A fresh fabric filling one receive queue: the first 64 messages
+//!    allocate nothing, so no seed decides when a shallow queue doubles.
 //!
 //! The counters are process-global, so everything runs inside a single
 //! `#[test]` — no other test in this binary may allocate concurrently.
@@ -21,10 +23,11 @@
 use reflex_core::{AddrPattern, ReadPolicy, RetryPolicy, ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::{CacheConfig, DataplaneConfig};
 use reflex_faults::{FaultKind, FaultPlan};
+use reflex_net::{Fabric, LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_replication::{ReplTestbed, ReplWorkloadSpec};
 use reflex_sim::alloc_count::{allocations, CountingAlloc};
-use reflex_sim::{Ctx, Engine, SimDuration, SimTime, TypedEvent};
+use reflex_sim::{Ctx, Engine, SimDuration, SimRng, SimTime, TypedEvent};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -232,6 +235,29 @@ fn sleeping_testbed_allocs_per_io() -> f64 {
     (after - before) as f64 / ios as f64
 }
 
+/// Allocations while a new fabric takes 64 messages on one receive queue
+/// with nobody polling. An open-loop client's queue idles at about eight
+/// responses between pumps; built empty, it crossed that power of two in
+/// `cache_zipf`'s measured window on one seed in four.
+fn shallow_queue_allocs() -> u64 {
+    let mut fabric: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(1));
+    let server = fabric.add_machine(StackProfile::dataplane_raw());
+    let client = fabric.add_machine(StackProfile::ix_tcp());
+    let conn = fabric.new_conn();
+    let before = allocations();
+    for i in 0..64 {
+        fabric.send(
+            SimTime::from_micros(i),
+            server,
+            client,
+            conn,
+            1024,
+            i as u32,
+        );
+    }
+    allocations() - before
+}
+
 fn completed_ios(tb: &Testbed) -> u64 {
     let report = tb.report();
     report
@@ -280,4 +306,6 @@ fn steady_state_allocations_stay_within_budget() {
         degraded_rate < 0.05,
         "a retry storm exceeded the allocation budget: {degraded_rate:.4} allocs/IO"
     );
+
+    assert_eq!(shallow_queue_allocs(), 0, "a shallow receive queue grew");
 }

@@ -407,11 +407,18 @@ pub(crate) struct WorkloadState {
     pub timeouts: u64,
     pub stopped: bool,
     pub iops_series: RateSeries,
+    /// Mean gap between an open-loop generator's requests (zero otherwise).
+    pub mean_gap: SimDuration,
 }
 
 impl WorkloadState {
     pub fn new(spec: WorkloadSpec, rng: SimRng) -> Self {
+        let mean_gap = match spec.pattern {
+            LoadPattern::OpenLoop { iops } => SimDuration::from_secs_f64(1.0 / iops),
+            LoadPattern::ClosedLoop { .. } => SimDuration::ZERO,
+        };
         WorkloadState {
+            mean_gap,
             spec,
             rng,
             conns: Vec::new(),

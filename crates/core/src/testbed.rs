@@ -60,6 +60,10 @@ impl From<AdmissionError> for TestbedError {
 struct ClientMachine {
     machine: MachineId,
     stack: StackProfile,
+    /// Hosts a workload that acts on a delivery — closed-loop (re-issues
+    /// at the arrival instant) or with an active retry policy (backs off
+    /// from it): only such a machine is woken at its arrivals.
+    reactive: bool,
 }
 
 /// The scheduling context the world's event handlers receive.
@@ -136,7 +140,7 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
     fn dispatch(self, world: &mut World<S>, ctx: &mut WorldCtx<S>) {
         match self {
             WorldEvent::PumpThread(i) => world.pump_event(i, ctx),
-            WorldEvent::ClientPoll(i) => world.client_poll_event(i, ctx),
+            WorldEvent::ClientPoll(i) => world.poll_clients(Some(i), ctx),
             WorldEvent::Timeout(cookie) => world.timeout_event(cookie, ctx),
             WorldEvent::OpenLoopGen(i) => world.open_loop_gen_event(i, ctx),
             WorldEvent::TraceReplay {
@@ -150,6 +154,7 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
             WorldEvent::Call(f) => {
                 // The call may read or mutate anything.
                 world.server.settle(ctx.now());
+                world.absorb(ctx);
                 f(world, ctx);
                 world.rearm_threads(ctx);
             }
@@ -177,17 +182,16 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // Recycled buffer for client-side response polling (a fresh Vec per
     // poll event would be the last per-IO allocation on the client path).
     poll_scratch: Vec<Delivery<WireMsg>>,
+    // Likewise for `absorb`'s merge: each client machine's next arrival.
+    head_scratch: Vec<SimTime>,
     // Staged retransmissions plus a recycled drain buffer (see
     // `retry_fire_event`). Both keep their capacity across a retry storm,
     // so sustained timeouts stay allocation-free.
     retries_pending: Vec<RetryRec>,
     retry_scratch: Vec<RetryRec>,
-    // Pending wake per server thread / client machine.
+    // Pending wake per server thread / reactive client machine.
     thread_wake: WakeSlots,
     client_wake: WakeSlots,
-    // `Fabric::inbound` of each client machine when its wake was last
-    // checked after a pump: a pump that sent it nothing leaves its wake be.
-    client_inbound: Vec<u64>,
     // Poll counters; the wake counters are read off the slots at report.
     wakes: WakeStats,
     measure_start: Option<SimTime>,
@@ -309,46 +313,45 @@ impl<S: ServerHarness + 'static> World<S> {
     /// Pumps one thread and applies the wake rule: the pumped thread is
     /// armed once, at the earlier of its queue's next arrival and the
     /// pump's hint (completions, the next scheduling round, the core-busy
-    /// horizon); a client is re-armed from its queue only if this pump
-    /// enqueued something toward it, and every other active thread from
-    /// its own queue, where a rebalance forward may have landed — nobody
-    /// else's next arrival can have become earlier — and from its round
-    /// grid, where a sleep this pump cut short (it left tokens in the
-    /// bucket, or wrote to a read-only device) now ends.
+    /// horizon); responses that have landed are absorbed and every
+    /// reactive client is re-armed from its queue, where this pump may
+    /// have sent; every other active thread is re-armed from its own
+    /// queue, where a rebalance forward may have landed — nobody else's
+    /// next arrival can have become earlier — and from its round grid,
+    /// where a sleep this pump cut short (it left tokens in the bucket, or
+    /// wrote to a read-only device) now ends.
     fn pump_one(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
         let hint = self
             .server
             .pump_thread(thread, ctx.now(), &mut self.fabric, &mut self.device);
-        if let Some(at) = earlier(self.thread_next_arrival(thread), hint) {
+        if let Some(at) = SimTime::earlier(self.thread_next_arrival(thread), hint) {
             self.ensure_thread_wake(ctx, thread, at);
         }
+        self.absorb(ctx);
         for c in 0..self.clients.len() {
-            let inbound = self.fabric.inbound(self.clients[c].machine);
-            if inbound != self.client_inbound[c] {
-                self.client_inbound[c] = inbound;
+            if self.clients[c].reactive {
                 self.ensure_client_wake(ctx, c);
             }
         }
         for i in (0..self.server.active_threads()).filter(|&i| i != thread) {
             let round = self.server.round_wake(i, ctx.now());
-            if let Some(at) = earlier(self.thread_next_arrival(i), round) {
+            if let Some(at) = SimTime::earlier(self.thread_next_arrival(i), round) {
                 self.ensure_thread_wake(ctx, i, at);
             }
         }
     }
 
-    fn client_poll_event(&mut self, client: usize, ctx: &mut WorldCtx<S>) {
-        self.poll_due_clients(Some(client), ctx);
-    }
-
-    /// Same canonicalization as `pump_event`: poll every client whose
-    /// wake is due, ascending. `forced` is the client whose own wake is
+    /// Same canonicalization as `pump_event`: one poll services every
+    /// client whose wake is due. `fired` is the client whose own wake is
     /// the currently-dispatching event.
-    fn poll_due_clients(&mut self, forced: Option<usize>, ctx: &mut WorldCtx<S>) {
+    fn poll_clients(&mut self, fired: Option<usize>, ctx: &mut WorldCtx<S>) {
+        let mut polls = 0;
         for c in 0..self.clients.len() {
-            if self.client_wake.take_due(ctx, c, forced == Some(c)) {
-                self.poll_client(c, ctx);
-            }
+            polls += u64::from(self.client_wake.take_due(ctx, c, fired == Some(c)));
+        }
+        self.wakes.client_polls += polls;
+        if self.absorb(ctx) == 0 {
+            self.wakes.client_polls_empty += polls;
         }
     }
 
@@ -370,7 +373,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// so the result is a pure function of the event timeline.
     fn retry_fire_event(&mut self, ctx: &mut WorldCtx<S>) {
         let now = ctx.now();
-        self.poll_due_clients(None, ctx);
+        self.poll_clients(None, ctx);
         let mut due = std::mem::take(&mut self.retry_scratch);
         let mut i = 0;
         while i < self.retries_pending.len() {
@@ -406,96 +409,140 @@ impl<S: ServerHarness + 'static> World<S> {
         self.retry_scratch = due;
     }
 
-    fn poll_client(&mut self, client: usize, ctx: &mut WorldCtx<S>) {
-        let machine = self.clients[client].machine;
+    /// The one place client deliveries are processed: drains every client
+    /// machine's due deliveries (`arrived_at <= now`) in the order polls
+    /// at each exact arrival would have — arrival instant, then machine,
+    /// then send order — and returns how many there were. Everything a
+    /// delivery records is a function of its `arrived_at`, so a machine
+    /// that is not reactive needs no wake: the pump that sends responses
+    /// absorbs those that have landed, and so does whoever could observe
+    /// them (a `Call`, a timeout or retry, the end of a run). A reactive
+    /// machine's deliveries wait for its wake, armed at their very
+    /// instant, which absorbs them in its turn among that instant's
+    /// events — and whatever is ordered after them waits with them.
+    fn absorb(&mut self, ctx: &mut WorldCtx<S>) -> u64 {
+        let now = ctx.now();
         let mut deliveries = std::mem::take(&mut self.poll_scratch);
-        self.fabric
-            .poll_into(ctx.now(), machine, usize::MAX, &mut deliveries);
-        self.wakes.client_polls += 1;
-        self.wakes.client_polls_empty += u64::from(deliveries.is_empty());
-        for d in deliveries.drain(..) {
-            let Ok(header) = ReflexHeader::decode(&d.payload) else {
-                continue;
-            };
-            let Some(req) = self.outstanding.take(PoolKey::from_u64(header.cookie)) else {
-                // Duplicate delivery, or the response to an attempt that
-                // already timed out — a real client ignores both.
-                continue;
-            };
-            let w = &mut self.workloads[req.workload];
-            let policy = w.spec.retry;
-            if header.opcode == Opcode::Error && req.attempt < policy.max_attempts {
-                // Retryable failure: back off and retransmit instead of
-                // surfacing the error (the retry keeps closed-loop depth).
-                w.retries += 1;
-                let backoff = policy.backoff_after(req.attempt);
-                self.stage_retry(
-                    RetryRec {
-                        fire_at: ctx.now() + backoff,
-                        w_idx: req.workload,
-                        conn_idx: req.conn_idx,
-                        is_read: req.is_read,
-                        addr: req.addr,
-                        len: req.len,
-                        first_sent_at: req.sent_at,
-                        measured: req.measured,
-                        attempt: req.attempt + 1,
-                    },
-                    ctx,
-                );
-                continue;
-            }
-            if header.opcode != Opcode::Error && req.attempt > 1 {
-                w.retry_success += 1;
-            }
-            if header.opcode == Opcode::Error && policy.is_active() {
-                // Final attempt still failed: the request is abandoned
-                // with its retry budget spent.
-                w.exhausted += 1;
-            }
-            let in_window = self.measure_start.is_some_and(|m| d.arrived_at >= m);
-            if in_window {
-                let since = d
-                    .arrived_at
-                    .saturating_since(self.measure_start.expect("checked in_window"));
-                w.iops_series.add(SimTime::ZERO + since, 1);
-                // Throughput counts every in-window completion — under
-                // overload, responses to pre-window requests are still
-                // served work (mutilate measures goodput the same way).
-                if header.opcode == Opcode::Error {
-                    w.errors += 1;
-                } else if req.is_read {
-                    w.completed_reads += 1;
-                    w.read_bytes += req.len as u64;
-                } else {
-                    w.completed_writes += 1;
-                    w.write_bytes += req.len as u64;
+        let (mut total, mut unwoken) = (0, 0);
+        let mut heads = std::mem::take(&mut self.head_scratch);
+        heads.clear();
+        let next =
+            |fabric: &Fabric<WireMsg>, m: MachineId| fabric.next_arrival(m).unwrap_or(SimTime::MAX);
+        heads.extend(self.clients.iter().map(|m| next(&self.fabric, m.machine)));
+        loop {
+            // The earliest head, of several the lowest machine's: a
+            // linear pick over a handful.
+            let (mut c, mut at) = (0, heads[0]);
+            for (i, &head) in heads.iter().enumerate().skip(1) {
+                if head < at {
+                    (c, at) = (i, head);
                 }
-                // Latency distributions only include requests issued within
-                // the window (no warmup contamination).
-                if req.measured && header.opcode != Opcode::Error {
-                    let latency = d.arrived_at.saturating_since(req.sent_at);
-                    if req.is_read {
-                        w.read_hist.record(latency);
-                        // Feed the SLO monitor: rolling p95 per tenant
-                        // against the registered qos::slo target.
-                        self.telemetry.slo_observe(
-                            TenantKey(w.spec.tenant.0),
-                            latency,
-                            d.arrived_at,
-                        );
+            }
+            if at > now || self.client_wake.is_armed(c) {
+                break;
+            }
+            let ClientMachine {
+                machine, reactive, ..
+            } = self.clients[c];
+            self.fabric
+                .poll_into(at, machine, usize::MAX, &mut deliveries);
+            total += deliveries.len() as u64;
+            if !reactive {
+                unwoken += deliveries.len() as u64;
+            }
+            for d in deliveries.drain(..) {
+                let Ok(header) = ReflexHeader::decode(&d.payload) else {
+                    continue;
+                };
+                let Some(req) = self.outstanding.take(PoolKey::from_u64(header.cookie)) else {
+                    // Duplicate delivery, or the response to an attempt that
+                    // already timed out — a real client ignores both.
+                    continue;
+                };
+                let w = &mut self.workloads[req.workload];
+                let policy = w.spec.retry;
+                if header.opcode == Opcode::Error && req.attempt < policy.max_attempts {
+                    // Retryable failure: back off and retransmit instead of
+                    // surfacing the error (the retry keeps closed-loop depth).
+                    w.retries += 1;
+                    let backoff = policy.backoff_after(req.attempt);
+                    self.stage_retry(
+                        RetryRec {
+                            fire_at: ctx.now() + backoff,
+                            w_idx: req.workload,
+                            conn_idx: req.conn_idx,
+                            is_read: req.is_read,
+                            addr: req.addr,
+                            len: req.len,
+                            first_sent_at: req.sent_at,
+                            measured: req.measured,
+                            attempt: req.attempt + 1,
+                        },
+                        ctx,
+                    );
+                    continue;
+                }
+                if header.opcode != Opcode::Error && req.attempt > 1 {
+                    w.retry_success += 1;
+                }
+                if header.opcode == Opcode::Error && policy.is_active() {
+                    // Final attempt still failed: the request is abandoned
+                    // with its retry budget spent.
+                    w.exhausted += 1;
+                }
+                let in_window = self.measure_start.is_some_and(|m| d.arrived_at >= m);
+                if in_window {
+                    let since = d
+                        .arrived_at
+                        .saturating_since(self.measure_start.expect("checked in_window"));
+                    w.iops_series.add(SimTime::ZERO + since, 1);
+                    // Throughput counts every in-window completion — under
+                    // overload, responses to pre-window requests are still
+                    // served work (mutilate measures goodput the same way).
+                    if header.opcode == Opcode::Error {
+                        w.errors += 1;
+                    } else if req.is_read {
+                        w.completed_reads += 1;
+                        w.read_bytes += req.len as u64;
                     } else {
-                        w.write_hist.record(latency);
+                        w.completed_writes += 1;
+                        w.write_bytes += req.len as u64;
+                    }
+                    // Latency distributions only include requests issued within
+                    // the window (no warmup contamination).
+                    if req.measured && header.opcode != Opcode::Error {
+                        let latency = d.arrived_at.saturating_since(req.sent_at);
+                        if req.is_read {
+                            w.read_hist.record(latency);
+                            // Feed the SLO monitor: rolling p95 per tenant
+                            // against the registered qos::slo target.
+                            self.telemetry.slo_observe(
+                                TenantKey(w.spec.tenant.0),
+                                latency,
+                                d.arrived_at,
+                            );
+                        } else {
+                            w.write_hist.record(latency);
+                        }
                     }
                 }
+                // Closed-loop: keep the queue depth topped up.
+                if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
+                    self.issue_request(req.workload, req.conn_idx, ctx);
+                }
             }
-            // Closed-loop: keep the queue depth topped up.
-            if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
-                self.issue_request(req.workload, req.conn_idx, ctx);
+            if reactive {
+                self.ensure_client_wake(ctx, c);
             }
+            heads[c] = next(&self.fabric, machine);
         }
+        self.head_scratch = heads;
         self.poll_scratch = deliveries;
-        self.ensure_client_wake(ctx, client);
+        if unwoken > 0 {
+            self.wakes.client_absorbed += unwoken;
+            self.telemetry.count("client.absorbed", unwoken);
+        }
+        total
     }
 
     fn next_addr(&mut self, w_idx: usize, conn_idx: usize) -> u64 {
@@ -654,12 +701,10 @@ impl<S: ServerHarness + 'static> World<S> {
     fn timeout_event(&mut self, cookie: u64, ctx: &mut WorldCtx<S>) {
         // Canonical same-instant order: a response that has *arrived* by
         // the timeout instant beats the timeout, whichever of the client's
-        // poll wake and this event was inserted first — so drain the
-        // owning client's due deliveries first, then decide whether the
-        // attempt is lost.
-        if let Some(req) = self.outstanding.get(PoolKey::from_u64(cookie)) {
-            let client = self.workloads[req.workload].spec.client_machine;
-            self.poll_client(client, ctx);
+        // poll wake and this event was inserted first — so drain the due
+        // deliveries first, then decide whether the attempt is lost.
+        if self.outstanding.get(PoolKey::from_u64(cookie)).is_some() {
+            self.poll_clients(None, ctx);
         }
         let Some(req) = self.outstanding.take(PoolKey::from_u64(cookie)) else {
             return; // answered in time — nothing to do
@@ -698,16 +743,13 @@ impl<S: ServerHarness + 'static> World<S> {
         if w.stopped {
             return;
         }
-        let LoadPattern::OpenLoop { iops } = w.spec.pattern else {
-            return;
-        };
         let conns = w.conns.len();
         let arrival = w.spec.arrival;
         let conn_idx = self.gen_cursor[w_idx] % conns;
         self.gen_cursor[w_idx] += 1;
         self.issue_request(w_idx, conn_idx, ctx);
-        let mean = SimDuration::from_secs_f64(1.0 / iops);
         let w = &mut self.workloads[w_idx];
+        let mean = w.mean_gap;
         let gap = match arrival {
             ArrivalProcess::Poisson => w.rng.exponential(mean),
             // ±10% uniform jitter around the nominal gap.
@@ -750,14 +792,6 @@ impl<S: ServerHarness + 'static> World<S> {
         let _ = self.server.control_tick(ctx.now(), interval);
         self.rearm_threads(ctx);
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
-    }
-}
-
-/// The earlier of two optional instants.
-fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
     }
 }
 
@@ -817,7 +851,8 @@ impl TestbedReport {
 /// How much of the engine's work is wake churn: a wake is armed at an
 /// exact arrival, completion or scheduling instant, so a poll wake always
 /// finds its message, but a wake can still be superseded before it fires
-/// (a cancel).
+/// (a cancel). No count depends on how a window is cut into runs, except
+/// `settle_calls`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
     /// `PumpThread` wakes scheduled.
@@ -829,11 +864,14 @@ pub struct WakeStats {
     pub client_armed: u64,
     /// `ClientPoll` wakes cancelled before dispatch.
     pub client_cancelled: u64,
-    /// Client machine polls (wakes that fired, plus polls forced ahead of
-    /// retries and timeouts).
+    /// Client wakes serviced: fired, or due when a sibling's wake, a retry
+    /// or a timeout polled.
     pub client_polls: u64,
     /// Client polls that found no delivery.
     pub client_polls_empty: u64,
+    /// Deliveries to machines that are not reactive, processed with no
+    /// wake of their own by the next pump or observer.
+    pub client_absorbed: u64,
     /// Scheduling rounds no thread was pumped for: idle ones, settled in
     /// a tight loop when the thread was next pumped, mutated or read.
     pub rounds_elided: u64,
@@ -988,6 +1026,7 @@ impl TestbedBuilder {
             .map(|stack| ClientMachine {
                 machine: fabric.add_machine(stack.clone()),
                 stack,
+                reactive: false,
             })
             .collect();
         let server_machine = fabric.add_machine(self.server_stack.clone());
@@ -1006,11 +1045,11 @@ impl TestbedBuilder {
             client_threads_busy: Vec::new(),
             outstanding: SlabPool::new(),
             poll_scratch: Vec::new(),
+            head_scratch: Vec::new(),
             retries_pending: Vec::new(),
             retry_scratch: Vec::new(),
             thread_wake: WakeSlots::new(n_threads),
             client_wake: WakeSlots::new(n_clients),
-            client_inbound: vec![0; n_clients],
             wakes: WakeStats::default(),
             measure_start: None,
             busy_snapshot: Vec::new(),
@@ -1160,11 +1199,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         // The open-loop kickoff offset is the first draw of the workload's
         // own stream.
         let open_loop_offset = match (&spec.trace, spec.pattern) {
-            (None, LoadPattern::OpenLoop { iops }) => Some(
-                state
-                    .rng
-                    .exponential(SimDuration::from_secs_f64(1.0 / iops)),
-            ),
+            (None, LoadPattern::OpenLoop { .. }) => Some(state.rng.exponential(state.mean_gap)),
             _ => None,
         };
         world.zipf.push(zipf);
@@ -1173,6 +1208,16 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             .client_threads_busy
             .push(vec![SimTime::ZERO; spec.client_threads as usize]);
         world.gen_cursor.push(0);
+        let reactive =
+            matches!(spec.pattern, LoadPattern::ClosedLoop { .. }) || spec.retry.is_active();
+        if reactive && !world.clients[spec.client_machine].reactive {
+            // Responses on their way to the machine now need its wake.
+            self.engine.with_ctx(|world, ctx| {
+                world.absorb(ctx);
+                world.clients[spec.client_machine].reactive = true;
+                world.ensure_client_wake(ctx, spec.client_machine);
+            });
+        }
 
         // Kick off the generator (trace replay overrides the pattern).
         let eng = &mut self.engine;
@@ -1233,9 +1278,11 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         world.spent_snapshot = server.tenants_spent_millitokens();
     }
 
-    /// Advances the simulation by `span`, then settles the server through
-    /// the new instant, so that every reader between runs ([`report`],
-    /// the world's `server()`) sees each round that has happened.
+    /// Advances the simulation by `span`, then settles the server and
+    /// absorbs client deliveries through the new instant, so that every
+    /// reader between runs ([`report`], the world's `server()`) sees each
+    /// round and each response that has happened. Both are plain calls,
+    /// not events: how a window is cut into runs shows in no count.
     ///
     /// [`report`]: Self::report
     pub fn run(&mut self, span: SimDuration) {
@@ -1246,7 +1293,10 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         }
         self.engine.run_for(span);
         let through = self.engine.now() + SimDuration::from_nanos(1);
-        self.engine.world_mut().server.settle(through);
+        self.engine.with_ctx(|world, ctx| {
+            world.server.settle(through);
+            world.absorb(ctx);
+        });
     }
 
     /// Produces the measurement report for the window since

@@ -283,15 +283,15 @@ fn report_counts_wake_churn() {
     let completed = r.workload("x").read_latency.count() + r.workload("x").write_latency.count();
     assert!(completed > 5_000, "{completed} completions");
     // Every wake armed either fired, was cancelled, or is still pending
-    // (at most one per server thread / client machine).
+    // (at most one per server thread).
     let pumped = w.thread_armed - w.thread_cancelled;
-    let polled = w.client_armed - w.client_cancelled;
     assert!(pumped > 0 && pumped <= r.engine_events, "{w:?}");
-    assert!((polled - 1..=polled).contains(&w.client_polls), "{w:?}");
-    // A poll wake is armed at an exact arrival and nothing here retries or
-    // times out, so every poll delivers.
-    assert!(w.client_polls > 0 && w.client_polls <= completed, "{w:?}");
-    assert_eq!(w.client_polls_empty, 0, "{w:?}");
+    // Nothing here reacts to a response, so the client machine is never
+    // woken: each response is absorbed by a pump or by the end of the run
+    // (the client-wake ledger of a closed-loop run is pinned in
+    // `lazy_clients.rs::closed_loop_machines_keep_their_wakes`).
+    assert_eq!((w.client_armed, w.client_polls), (0, 0), "{w:?}");
+    assert!(w.client_absorbed >= completed, "{w:?}");
     assert_eq!(w, run().wakes, "wake counts are deterministic");
 }
 
@@ -344,16 +344,9 @@ fn a_hot_thread_arms_each_wake_once() {
         w.thread_cancelled * 2 <= w.thread_armed,
         "more than half of thread wakes cancelled: {w:?}"
     );
-    // A client wake is armed when a poll ends with messages still on the
-    // way, or when a pump sends to a client whose wake is later than the
-    // new arrival (a cancel): never for a client the pump did not send
-    // to, so never more often than polls and cancels account for.
-    assert!(
-        w.client_armed <= w.client_polls + w.client_cancelled + 4,
-        "{w:?}"
-    );
-    assert!(w.client_cancelled * 20 <= w.client_armed, "{w:?}");
-    assert_eq!(w.client_polls_empty, 0, "{w:?}");
+    // Open-loop clients arm no wake at all (`lazy_clients.rs` holds the
+    // client-wake clauses, on a closed-loop run).
+    assert_eq!(w.client_armed, 0, "{w:?}");
     assert_eq!(w, run().wakes, "wake counts are deterministic");
 }
 

@@ -103,14 +103,6 @@ impl AclEntry {
     }
 }
 
-/// The earlier of two optional instants.
-fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
 /// Per-request context carried from syscall to completion event. Opaque
 /// outside the dataplane; exposed only as the scheduler's payload type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1483,7 +1475,7 @@ impl DataplaneThread {
         // at the first round that may act. A round that neither comes
         // first nor has a retry to submit need not be the next one.
         let completion = device.next_completion_time(self.qp);
-        let event = earlier(
+        let event = SimTime::earlier(
             fabric.next_arrival_queue(self.machine, self.nic_queue),
             completion,
         );
@@ -1499,7 +1491,7 @@ impl DataplaneThread {
             None
         };
         self.sleep_until(round);
-        earlier(event, round).map(|t| t.max(self.core_busy))
+        SimTime::earlier(event, round).map(|t| t.max(self.core_busy))
     }
 
     /// The first round on the grid starting at `first` that is not
@@ -1525,7 +1517,7 @@ impl DataplaneThread {
             return first;
         }
         let runs_first = first + self.round_cost;
-        let due = earlier(self.sched.next_wake(), completion);
+        let due = SimTime::earlier(self.sched.next_wake(), completion);
         // Round k is the first to run at or after `due`: rounded up, as a
         // round that runs short of it finds nothing.
         let mut idle = due.map_or(MAX_SLEEP_ROUNDS, |due| {

@@ -87,9 +87,6 @@ struct Nic {
     rng: SimRng,
     tx_bytes: u64,
     rx_bytes: u64,
-    /// Messages enqueued on this machine's receive queues (see
-    /// [`Fabric::inbound`]).
-    inbound: u64,
 }
 
 /// What a [`NetFaultHook`] does to one message in flight.
@@ -149,6 +146,11 @@ struct RxEntry {
     msg: PoolKey,
 }
 
+/// Room each receive queue starts with (the message slab: four times it).
+/// A queue idling near a small power of two would otherwise double at an
+/// instant only the seed decides, long after warm-up (DESIGN §7.4).
+const RX_RESERVE: usize = 64;
+
 /// The shared network fabric over which all machines communicate.
 ///
 /// # Examples
@@ -169,6 +171,10 @@ struct RxEntry {
 /// ```
 pub struct Fabric<P> {
     link: LinkConfig,
+    /// The last few wire sizes sent and their serialization times (a run
+    /// sends two or three), replaced round-robin from `ser_next`.
+    ser_memo: [(usize, SimDuration); 4],
+    ser_next: usize,
     nic_seed: u64,
     nics: Vec<Nic>,
     /// Receive queues, `[machine][queue]`: one min-heap of arrivals each.
@@ -201,10 +207,13 @@ impl<P> Fabric<P> {
         let nic_seed = seed_rng.next_u64();
         Fabric {
             link,
+            // Every entry is true from the start: zero bytes take no time.
+            ser_memo: [(0, SimDuration::ZERO); 4],
+            ser_next: 0,
             nic_seed,
             nics: Vec::new(),
             queues: Vec::new(),
-            msgs: SlabPool::new(),
+            msgs: SlabPool::with_capacity(4 * RX_RESERVE),
             seq: 0,
             next_conn: 0,
             fault_hook: None,
@@ -255,9 +264,9 @@ impl<P> Fabric<P> {
             rng,
             tx_bytes: 0,
             rx_bytes: 0,
-            inbound: 0,
         });
-        self.queues.push(vec![BinaryHeap::new()]);
+        self.queues
+            .push(vec![BinaryHeap::with_capacity(RX_RESERVE)]);
         id
     }
 
@@ -265,7 +274,7 @@ impl<P> Fabric<P> {
     /// returns its id. Dataplane threads poll disjoint queues.
     pub fn add_queue(&mut self, machine: MachineId) -> NicQueueId {
         let queues = &mut self.queues[machine.0 as usize];
-        queues.push(BinaryHeap::new());
+        queues.push(BinaryHeap::with_capacity(RX_RESERVE));
         NicQueueId(queues.len() as u32 - 1)
     }
 
@@ -302,16 +311,6 @@ impl<P> Fabric<P> {
     pub fn traffic(&self, m: MachineId) -> (u64, u64) {
         let nic = &self.nics[m.0 as usize];
         (nic.tx_bytes, nic.rx_bytes)
-    }
-
-    /// How many messages the fabric has enqueued on `m`'s receive queues so
-    /// far: sent to it (a dropped message does not count, a duplicated one
-    /// counts twice) or requeued onto one of its queues. While the count
-    /// stands still, [`next_arrival_queue`](Self::next_arrival_queue) of
-    /// `m`'s queues can only have moved later, so a receiver that already
-    /// armed a wake has nothing new to arm.
-    pub fn inbound(&self, m: MachineId) -> u64 {
-        self.nics[m.0 as usize].inbound
     }
 
     /// Sends `size` application bytes from `from` to `to`; returns the
@@ -407,7 +406,7 @@ impl<P> Fabric<P> {
         // speak the same protocol).
         let overhead = self.nics[from.0 as usize].stack.transport.frame_overhead();
         let bytes = wire_bytes_with(size as usize, overhead);
-        let ser = self.link.serialization(bytes);
+        let ser = self.serialization(bytes);
 
         // Sender: stack latency, then serialization on the uplink.
         let src = &mut self.nics[from.0 as usize];
@@ -469,12 +468,22 @@ impl<P> Fabric<P> {
         arrived_at
     }
 
+    /// [`LinkConfig::serialization`] of `bytes`, computed once per size.
+    fn serialization(&mut self, bytes: usize) -> SimDuration {
+        if let Some(&(_, ser)) = self.ser_memo.iter().find(|&&(b, _)| b == bytes) {
+            return ser;
+        }
+        let ser = self.link.serialization(bytes);
+        self.ser_memo[self.ser_next] = (bytes, ser);
+        self.ser_next = (self.ser_next + 1) % self.ser_memo.len();
+        ser
+    }
+
     /// Makes `body` pollable on `queue` of `machine` from `at` on.
     fn enqueue(&mut self, machine: MachineId, queue: NicQueueId, at: SimTime, body: Msg<P>) {
         let msg = self.msgs.insert(body);
         let seq = self.seq;
         self.seq += 1;
-        self.nics[machine.0 as usize].inbound += 1;
         self.queues[machine.0 as usize][queue.0 as usize].push(Reverse(RxEntry { at, seq, msg }));
     }
 
@@ -615,6 +624,16 @@ mod tests {
     }
 
     #[test]
+    fn memoized_serialization_is_the_links() {
+        // Nine sizes through a four-entry memo: hits, misses, evictions.
+        let (mut f, ..) = fabric();
+        for i in 0..300usize {
+            let bytes = (i * 37 % 9) * 500 + i % 2;
+            assert_eq!(f.serialization(bytes), f.link().serialization(bytes));
+        }
+    }
+
+    #[test]
     fn four_kb_response_takes_longer() {
         let (mut f, a, b) = fabric();
         let conn = f.new_conn();
@@ -730,13 +749,12 @@ mod tests {
         }));
         let conn = f.new_conn();
         f.send(SimTime::ZERO, a, b, conn, 64, 0); // dropped
-        assert_eq!(f.inbound(b), 0, "a dropped message is not queued");
+        assert_eq!(f.in_flight(), 0, "a dropped message is not queued");
         f.send(SimTime::from_micros(100), a, b, conn, 64, 1); // duplicated
         let delayed_at = f.send(SimTime::from_micros(200), a, b, conn, 64, 2);
         f.send(SimTime::from_micros(300), a, b, conn, 64, 3);
-        // Inbound counts what was enqueued: nothing for the drop, two for
-        // the duplicate.
-        assert_eq!(f.inbound(b), 4);
+        // Nothing queued for the drop, two for the duplicate.
+        assert_eq!(f.in_flight(), 4);
         let all = f.poll(SimTime::from_secs(1), b, usize::MAX);
         let payloads: Vec<u32> = all.iter().map(|d| d.payload).collect();
         // 0 lost; 1 twice; 3 arrives before the delayed 2.

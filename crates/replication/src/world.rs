@@ -323,7 +323,7 @@ impl ReplWorld {
         let own = self
             .fabric
             .next_arrival_queue(self.site_machines[site], st.server.nic_queue(0));
-        if let Some(at) = [own, hint].into_iter().flatten().min() {
+        if let Some(at) = SimTime::earlier(own, hint) {
             self.ensure_site_wake(ctx, site, at);
         }
         for c in 0..self.clients.len() {

@@ -176,7 +176,10 @@ impl<E> EventQueue<E> {
             occupancy: [0; WHEEL_WORDS],
             wheel_count: 0,
             base_tick: 0,
-            current: BinaryHeap::new(),
+            // Built, like the buckets it drains, for more than a tick holds:
+            // a heap that first doubled late in a run would do so at an
+            // instant only the seed decides.
+            current: BinaryHeap::with_capacity(4 * BUCKET_CAP),
             far: BinaryHeap::new(),
             len: 0,
             seq: 0,
@@ -529,6 +532,11 @@ impl WakeSlots {
         self.slots.len()
     }
 
+    /// Whether slot `i` has a wake queued.
+    pub fn is_armed(&self, i: usize) -> bool {
+        self.slots[i].is_some()
+    }
+
     /// Arms slot `i` with `event` at `at` (no earlier than now). An
     /// earlier-or-equal armed wake makes this a no-op; a later one is
     /// cancelled and replaced.
@@ -711,6 +719,19 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
         self.queue.cancel(handle)
     }
 
+    /// Runs `f` with the world and a scheduling context at the current
+    /// instant — what an event handler gets, with no event dispatched:
+    /// [`dispatched`](Self::dispatched) does not move.
+    pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W, E>) -> R) -> R {
+        let mut ctx = Ctx {
+            now: self.now,
+            stop: false,
+            queue: &mut self.queue,
+            _world: PhantomData,
+        };
+        f(&mut self.world, &mut ctx)
+    }
+
     /// Dispatches the earliest event at or before `deadline`, if any.
     ///
     /// This is the single dispatch path shared by [`Engine::step`] and
@@ -873,6 +894,20 @@ mod tests {
         assert_eq!(e.queued(), 1);
         e.run_until(SimTime::from_micros(100));
         assert_eq!(e.world(), &[1, 2]);
+    }
+
+    #[test]
+    fn with_ctx_schedules_without_dispatching() {
+        let mut e = engine();
+        e.run_until(SimTime::from_micros(7));
+        let now = e.with_ctx(|world, ctx| {
+            world.push(0);
+            ctx.schedule_event_after(SimDuration::from_micros(1), Push(1));
+            ctx.now()
+        });
+        assert_eq!((now, e.dispatched(), e.queued()), (e.now(), 0, 1));
+        e.run_until(SimTime::from_micros(8));
+        assert_eq!((e.world().as_slice(), e.dispatched()), (&[0, 1][..], 1));
     }
 
     #[test]
@@ -1135,6 +1170,7 @@ mod tests {
         assert_eq!(e.world().serviced, [(us(5), 0), (us(5), 1), (us(7), 2)]);
         assert_eq!(e.world().wakes.armed, 4);
         assert_eq!(e.world().wakes.cancelled, 2);
+        assert!((0..3).all(|i| !e.world().wakes.is_armed(i)), "all serviced");
         assert_eq!(e.dispatched(), 5 + 2);
     }
 }

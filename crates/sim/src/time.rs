@@ -122,6 +122,15 @@ impl SimTime {
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
+
+    /// The earlier of two optional instants, `None` being never.
+    #[inline]
+    pub fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 impl SimDuration {
