@@ -383,12 +383,6 @@ fn header_codec(c: &mut Criterion) {
         addr: 123 << 12,
         len: 4096,
     };
-    c.bench_function("header_encode_decode", |b| {
-        b.iter(|| {
-            let bytes = hdr.encode();
-            ReflexHeader::decode(&bytes).expect("round trip")
-        })
-    });
     c.bench_function("header_encode_array_decode", |b| {
         b.iter(|| {
             let bytes = hdr.encode_array();

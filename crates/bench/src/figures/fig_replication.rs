@@ -19,10 +19,9 @@
 //!
 //! Run: `reflex-bench fig_replication [--smoke]`
 
-use reflex_core::ReadPolicy;
+use reflex_core::{ReadPolicy, Testbed, WorkloadSpec};
 use reflex_faults::{FaultKind, FaultPlan};
 use reflex_qos::{SloSpec, TenantId};
-use reflex_replication::{ReplTestbed, ReplWorkloadSpec};
 use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::TenantKey;
 
@@ -83,7 +82,7 @@ fn overlay_point(
     offered: f64,
     smoke: bool,
 ) -> PointOutcome {
-    let mut tb = ReplTestbed::builder()
+    let mut tb = Testbed::builder()
         .sites(3)
         .replication(r)
         .seed(SEED)
@@ -92,7 +91,7 @@ fn overlay_point(
         tb.enable_telemetry();
     }
     tb.add_workload(
-        ReplWorkloadSpec::open_loop("app", TenantId(1), slo_for(offered), offered)
+        WorkloadSpec::replicated("app", TenantId(1), slo_for(offered), offered)
             .with_read_policy(policy),
     )
     .unwrap_or_else(|e| panic!("overlay workload rejected ({label} @ {offered}): {e}"));
@@ -129,27 +128,26 @@ fn overlay_point(
 /// measured window. Emits one `recovery` row and one `violations` row.
 fn failover_point(r: usize, smoke: bool) -> PointOutcome {
     let w = warmup(smoke);
-    let mut tb = ReplTestbed::builder()
+    let mut tb = Testbed::builder()
         .sites(r + 1)
         .replication(r)
         .seed(SEED)
         .build();
-    tb.add_workload(
-        ReplWorkloadSpec::open_loop("app", TenantId(1), slo_for(DEATH_IOPS), DEATH_IOPS)
-            .with_read_policy(ReadPolicy::Quorum)
-            // 32 MiB namespace: the replacement's re-sync (2 GiB/s) takes
-            // ~16ms — long enough to see, short enough to finish in-window.
-            .with_namespace(0, 32 << 20),
-    )
-    .unwrap_or_else(|e| panic!("failover workload rejected (R={r}): {e}"));
+    let mut spec = WorkloadSpec::replicated("app", TenantId(1), slo_for(DEATH_IOPS), DEATH_IOPS)
+        .with_read_policy(ReadPolicy::Quorum);
+    // 32 MiB namespace: the replacement's re-sync (2 GiB/s) takes ~16ms —
+    // long enough to see, short enough to finish in-window.
+    spec.namespace = (0, 32 << 20);
+    tb.add_workload(spec)
+        .unwrap_or_else(|e| panic!("failover workload rejected (R={r}): {e}"));
     // Kill the primary: the worst case — the quorum-read anchor and the
     // write set both lose a member, and the coordinator must promote a
     // survivor *and* place a replacement.
-    let victim = tb.member_sites(0)[tb.world().primary_slot(0)];
+    let victim = tb.world().member_sites(0)[tb.world().primary_slot(0)];
     let death_at = SimTime::ZERO + w + SimDuration::from_millis(40);
     let plan = FaultPlan::seeded(PLAN_SEED)
         .with_event(death_at, FaultKind::ServerDeath { server: victim });
-    tb.install(&plan);
+    reflex_faults::install(&plan, &mut tb);
     // Always record telemetry here (passive, so the TSV is unaffected):
     // the violations panel needs the SLO monitor and the coordinator
     // counters.

@@ -1,7 +1,7 @@
 //! Shared recovery-time metric over 10 ms IOPS series.
 //!
-//! Both the chaos sweep ([`crate::chaos`]) and the replication figure
-//! ([`crate::replication`]) answer the same question — *how long after
+//! Both the chaos sweep (`figures/chaos.rs`) and the replication figure
+//! (`figures/fig_replication.rs`) answer the same question — *how long after
 //! an outage ended did throughput return to its pre-outage baseline?* —
 //! so the definition lives here once and the two artifacts stay
 //! comparable number-for-number.

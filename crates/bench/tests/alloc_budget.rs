@@ -22,12 +22,12 @@
 
 use reflex_core::{AddrPattern, ReadPolicy, RetryPolicy, ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::{CacheConfig, DataplaneConfig};
-use reflex_faults::{FaultKind, FaultPlan};
+use reflex_faults::{FaultStats, PlannedDeviceHook, PlannedNetHook};
 use reflex_net::{Fabric, LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
-use reflex_replication::{ReplTestbed, ReplWorkloadSpec};
 use reflex_sim::alloc_count::{allocations, CountingAlloc};
 use reflex_sim::{Ctx, Engine, SimDuration, SimRng, SimTime, TypedEvent};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -160,11 +160,7 @@ fn cached_testbed_allocs_per_io() -> f64 {
 /// attempt after attempt, while writes and the other reads keep
 /// completing on the surviving majority.
 fn degraded_replication_allocs_per_io() -> f64 {
-    let mut tb = ReplTestbed::builder()
-        .sites(3)
-        .replication(3)
-        .detect_delay(SimDuration::from_secs(10))
-        .build();
+    let mut tb = Testbed::builder().sites(3).replication(3).build();
     let slo = SloSpec::new(40_000, 70, SimDuration::from_micros(800));
     let retry = RetryPolicy {
         max_attempts: 4,
@@ -172,17 +168,26 @@ fn degraded_replication_allocs_per_io() -> f64 {
         timeout: Some(SimDuration::from_millis(2)),
     };
     tb.add_workload(
-        ReplWorkloadSpec::open_loop("repl-probe", TenantId(1), slo, 30_000.0)
+        WorkloadSpec::replicated("repl-probe", TenantId(1), slo, 30_000.0)
             .with_retry(retry)
             .with_read_policy(ReadPolicy::Quorum),
     )
     .expect("valid workload");
-    let members = tb.member_sites(0);
+    let members = tb.world().member_sites(0);
     let victim = members[(tb.world().primary_slot(0) + 1) % members.len()];
     let death_at = SimTime::ZERO + SimDuration::from_millis(50);
-    tb.install(
-        &FaultPlan::seeded(1).with_event(death_at, FaultKind::ServerDeath { server: victim }),
-    );
+    // What `FaultKind::ServerDeath` arms — a device that aborts, links
+    // gone dark — without telling the coordinator, which would fail the
+    // set over 30 ms later and end the storm.
+    let stats = Arc::new(FaultStats::default());
+    let mut dev = PlannedDeviceHook::new(Arc::clone(&stats));
+    dev.set_death(death_at);
+    let mut net = PlannedNetHook::new(stats);
+    let machine = tb.world().server_at(victim).machine();
+    net.add_link_down(death_at, SimDuration::from_secs(3600), machine);
+    let world = tb.world_mut();
+    world.device_at_mut(victim).set_fault_hook(Box::new(dev));
+    world.fabric_mut().set_fault_hook(Box::new(net));
     tb.run(SimDuration::from_millis(200));
     tb.begin_measurement();
     let before = allocations();

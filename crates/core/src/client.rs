@@ -18,8 +18,10 @@
 use std::sync::Arc;
 
 use reflex_net::ConnId;
-use reflex_qos::{TenantClass, TenantId};
-use reflex_sim::{Histogram, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
+use reflex_qos::{SloSpec, TenantClass, TenantId};
+use reflex_sim::{Histogram, PoolKey, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
+
+use crate::replica::{ReadPolicy, SLOT_SHIFT};
 
 /// One operation of a recorded I/O trace (offsets are relative to the
 /// workload's start).
@@ -216,6 +218,12 @@ pub struct WorkloadSpec {
     /// Client-side timeout/retry policy (default:
     /// [`RetryPolicy::disabled`]).
     pub retry: RetryPolicy,
+    /// `Some`: the workload is replicated by its client over the
+    /// testbed's replication factor R — every write fans out to the R
+    /// members of its replica set and completes on a majority of acks,
+    /// reads follow the policy, and latencies are whole-op (issue to
+    /// quorum). `None`: one copy, on the first site.
+    pub replicated: Option<ReadPolicy>,
 }
 
 impl WorkloadSpec {
@@ -240,7 +248,43 @@ impl WorkloadSpec {
             namespace: (0, 1 << 40),
             trace: None,
             retry: RetryPolicy::disabled(),
+            replicated: None,
         }
+    }
+
+    /// A replicated open-loop workload as the replication figures run
+    /// it: Poisson arrivals at the SLO's read percentage, 4 connections
+    /// per member over 2 client threads, a 1 GiB namespace (also the
+    /// volume a replacement member re-syncs), primary reads, and 4
+    /// attempts with a 10 ms base per-attempt deadline.
+    ///
+    /// The deadline sits far above healthy p999 latency on purpose: a
+    /// deadline close to the queue delay of a briefly-backlogged member
+    /// (e.g. a fresh replacement absorbing the post-failover inrush)
+    /// turns every late response into a retransmission, and at R=2 the
+    /// quorum needs every member, so the storm feeds itself and the
+    /// member never drains.
+    pub fn replicated(name: &str, tenant: TenantId, slo: SloSpec, iops: f64) -> Self {
+        WorkloadSpec {
+            read_pct: slo.read_pct,
+            conns: 4,
+            client_threads: 2,
+            arrival: ArrivalProcess::Poisson,
+            namespace: (0, 1 << 30),
+            retry: RetryPolicy {
+                max_attempts: 4,
+                base_backoff: SimDuration::from_micros(100),
+                timeout: Some(SimDuration::from_millis(10)),
+            },
+            replicated: Some(ReadPolicy::Primary),
+            ..Self::open_loop(name, tenant, TenantClass::LatencyCritical(slo), iops)
+        }
+    }
+
+    /// Replicates the workload, serving its reads by `policy`.
+    pub fn with_read_policy(mut self, policy: ReadPolicy) -> Self {
+        self.replicated = Some(policy);
+        self
     }
 
     /// Sets the client-side timeout/retry policy (builder style).
@@ -318,6 +362,24 @@ impl WorkloadSpec {
                 return Err("trace ops must have non-zero length".into());
             }
         }
+        if self.replicated.is_some() {
+            if self.class.slo().is_none() {
+                return Err("a replicated tenant reserves its SLO on every member".into());
+            }
+            if matches!(self.pattern, LoadPattern::ClosedLoop { .. }) || self.shards != 1 {
+                return Err("replicated workloads are open-loop and unsharded".into());
+            }
+            if self.retry.timeout.is_none() {
+                return Err(
+                    "replicated requests need retry.timeout: without a per-attempt deadline \
+                     a quorum op hangs forever on one message lost to a dead server"
+                        .into(),
+                );
+            }
+            if self.tenant.0 >= 1 << SLOT_SHIFT {
+                return Err("tenant id collides with replica-slot encoding (top 4 bits)".into());
+            }
+        }
         Ok(())
     }
 }
@@ -386,7 +448,16 @@ pub(crate) struct WorkloadState {
     /// by one workload (or by the fabric/device) can never shift another's
     /// stream.
     pub rng: SimRng,
-    pub conns: Vec<ConnId>,
+    /// Where the workload's copies live, slot order: one member on the
+    /// first site, or a replicated workload's current replica set
+    /// (mutated only by failover).
+    pub members: Vec<MemberLink>,
+    /// Primary slot (serves `ReadPolicy::Primary` reads).
+    pub primary: usize,
+    /// Membership epoch; bumped by every failover affecting the set.
+    pub epoch: u32,
+    /// Ops issued so far (rotates quorum-read start slots).
+    pub op_rr: u64,
     /// Client thread index serving each connection.
     pub conn_thread: Vec<u32>,
     /// Sequential cursors per connection.
@@ -421,7 +492,10 @@ impl WorkloadState {
             mean_gap,
             spec,
             rng,
-            conns: Vec::new(),
+            members: Vec::new(),
+            primary: 0,
+            epoch: 0,
+            op_rr: 0,
             conn_thread: Vec::new(),
             seq_cursor: Vec::new(),
             read_debt: 0,
@@ -482,11 +556,48 @@ impl WorkloadState {
     }
 }
 
+/// One member of a workload's replica set, as the data path sees it.
+#[derive(Debug, Clone)]
+pub(crate) struct MemberLink {
+    /// Site hosting this member.
+    pub site: usize,
+    /// The workload's connections to that site.
+    pub conns: Vec<ConnId>,
+    /// A freshly-placed replacement serves writes immediately but is not
+    /// read-eligible until its background re-sync completes.
+    pub resyncing: bool,
+}
+
+/// Quorum accounting for one replicated request. Freed when its last
+/// attempt concludes (`pending == 0`), which may be after the op itself
+/// completed or failed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplOp {
+    /// Membership epoch at issue: a retry under another epoch is fenced.
+    pub epoch: u32,
+    /// Acks required (the quorum).
+    pub needed: u8,
+    /// Acks received so far.
+    pub acks: u8,
+    /// Attempts in flight or staged for retry, over all members.
+    pub pending: u8,
+    /// Completed or failed; stragglers only decrement `pending`.
+    pub done: bool,
+}
+
+/// The replicated op an attempt belongs to, and the member it goes to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fan {
+    pub op: PoolKey,
+    pub slot: u8,
+}
+
 /// A request outstanding at a client, awaiting its response.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutstandingReq {
-    pub workload: usize,
-    pub conn_idx: usize,
+    // Indices as `u32`: a backlog holds one of these per request in flight.
+    pub workload: u32,
+    pub conn_idx: u32,
     /// Issue instant of the *first* attempt — latency is measured from
     /// here so retries surface as tail inflation.
     pub sent_at: SimTime,
@@ -496,6 +607,8 @@ pub(crate) struct OutstandingReq {
     pub measured: bool,
     /// 1-based attempt number of the in-flight transmission.
     pub attempt: u32,
+    /// `Some` for one member's share of a replicated request.
+    pub fan: Option<Fan>,
 }
 
 #[cfg(test)]
@@ -534,6 +647,32 @@ mod tests {
         let mut s = spec();
         s.namespace = (0, 100);
         assert!(s.validate().is_err());
+    }
+
+    fn replicated() -> WorkloadSpec {
+        let slo = SloSpec::new(10_000, 80, SimDuration::from_micros(500));
+        WorkloadSpec::replicated("w", TenantId(1), slo, 10_000.0)
+    }
+
+    #[test]
+    fn replicated_defaults_validate_and_read_as_the_slo_says() {
+        replicated().validate().expect("replicated default valid");
+        assert_eq!(replicated().read_pct, 80);
+    }
+
+    #[test]
+    fn a_replicated_spec_needs_a_deadline_an_slo_and_an_open_loop() {
+        let s = replicated().with_retry(RetryPolicy::disabled());
+        assert!(s.validate().unwrap_err().contains("timeout"));
+        let mut s = replicated();
+        s.class = TenantClass::BestEffort;
+        assert!(s.validate().unwrap_err().contains("SLO"));
+        let mut s = replicated();
+        s.pattern = LoadPattern::ClosedLoop { queue_depth: 4 };
+        assert!(s.validate().unwrap_err().contains("open-loop"));
+        let mut s = replicated();
+        s.tenant = TenantId(1 << 28);
+        assert!(s.validate().unwrap_err().contains("slot encoding"));
     }
 
     #[test]

@@ -398,6 +398,23 @@ impl ClusterPlanner {
         server.tenants.remove(&id);
         Ok(())
     }
+
+    /// Renames a placed tenant; its server and reservation stay as they
+    /// are. Nothing happens for an unplaced id.
+    pub(crate) fn rekey(&mut self, from: TenantId, to: TenantId) {
+        let Some(sid) = self.placements.remove(&from) else {
+            return;
+        };
+        self.placements.insert(to, sid);
+        let server = self
+            .servers
+            .iter_mut()
+            .find(|s| s.id == sid)
+            .expect("placement refers to a live server");
+        if let Some(slo) = server.tenants.remove(&from) {
+            server.tenants.insert(to, slo);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -59,6 +59,6 @@ pub use replica::{
 };
 pub use server::{AdmissionError, ControlPlaneStats, ReflexServer, ServerConfig};
 pub use testbed::{
-    Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport, WakeStats, World,
-    WorldEvent,
+    TenantRecovery, Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport, WakeStats,
+    World, WorldEvent,
 };

@@ -15,7 +15,7 @@
 //! shares a server with another copy survives nothing), and on a server
 //! death promotes a surviving replica and re-places the lost slot. The
 //! data-plane half — actual fan-out, ack counting and re-sync traffic —
-//! lives in `reflex-replication` and drives this type.
+//! is the testbed's (`testbed/fanout.rs`), which drives this type.
 
 use std::collections::BTreeMap;
 
@@ -31,7 +31,7 @@ pub const MAX_REPLICAS: usize = 8;
 
 /// Slot indices are packed into the high bits of per-slot pseudo-tenant
 /// ids, so real tenant ids must fit below this shift.
-const SLOT_SHIFT: u32 = 28;
+pub(crate) const SLOT_SHIFT: u32 = 28;
 
 /// Majority quorum size for `r` replicas: ⌊r/2⌋+1 = ⌈(r+1)/2⌉. Both the
 /// write-ack quorum and the read quorum use it, which is what makes any
@@ -147,6 +147,19 @@ fn slot_tenant(tenant: TenantId, slot: usize) -> TenantId {
     TenantId(tenant.0 | ((slot as u32) << SLOT_SHIFT))
 }
 
+/// Takes the member at `slot`, its reservation already released, out of
+/// `set`. Later members move down a slot and their reservations are
+/// re-keyed with them: slot `s`'s is always `slot_tenant(tenant, s)`.
+fn drop_slot(planner: &mut ClusterPlanner, set: &mut ReplicaSet, slot: usize) {
+    set.members.remove(slot);
+    if set.primary > slot {
+        set.primary -= 1;
+    }
+    for s in slot..set.members.len() {
+        planner.rekey(slot_tenant(set.tenant, s + 1), slot_tenant(set.tenant, s));
+    }
+}
+
 impl ReplicaSets {
     /// Wraps a planner with replication factor `r`.
     ///
@@ -236,6 +249,21 @@ impl ReplicaSets {
         Ok(&self.sets[&tenant])
     }
 
+    /// Takes slot `slot` of `tenant`'s set out of the books after the
+    /// server [`fail_server`](Self::fail_server) chose for it refused the
+    /// tenant: the reservation is released and the set runs degraded, as
+    /// if no survivor had had room. Returns the set's primary slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tenant has no set or the set no such slot.
+    pub fn strand(&mut self, tenant: TenantId, slot: usize) -> usize {
+        let set = self.sets.get_mut(&tenant).expect("tenant has a set");
+        let _ = self.planner.remove(slot_tenant(tenant, slot));
+        drop_slot(&mut self.planner, set, slot);
+        set.primary
+    }
+
     /// Handles a member server's death: for every tenant with a replica
     /// there (in tenant order), promotes the lowest surviving slot if the
     /// primary died, then re-places the lost slot on a survivor hosting
@@ -295,10 +323,7 @@ impl ReplicaSets {
                         Some(sid)
                     }
                     Err(_) => {
-                        set.members.remove(slot);
-                        if set.primary > slot {
-                            set.primary -= 1;
-                        }
+                        drop_slot(&mut self.planner, set, slot);
                         None
                     }
                 };
@@ -424,6 +449,50 @@ mod tests {
         let set = sets.set_of(TenantId(1)).unwrap();
         assert_eq!(set.members.len(), 2);
         assert_eq!(set.write_quorum(), 2);
+    }
+
+    /// Every reservation the planner holds belongs to a current member,
+    /// on that member's server, under that member's slot id.
+    fn assert_books_agree(sets: &ReplicaSets, tenant: TenantId) {
+        let set = sets.set_of(tenant).unwrap();
+        for (slot, &m) in set.members.iter().enumerate() {
+            assert_eq!(
+                sets.planner().placement_of(slot_tenant(tenant, slot)),
+                Some(m),
+                "slot {slot} of {:?}",
+                set.members
+            );
+        }
+        let reserved: usize = sets
+            .planner()
+            .servers()
+            .iter()
+            .map(|s| s.tenant_count())
+            .sum();
+        assert_eq!(reserved, set.members.len(), "orphaned reservations");
+    }
+
+    #[test]
+    fn a_dropped_slot_renumbers_the_reservations_behind_it() {
+        // Degraded by a death with no spare, then a death behind the gap.
+        let mut a = sets(3, 3);
+        let members = a.place(TenantId(1), slo()).unwrap().members.clone();
+        a.fail_server(members[1]).unwrap();
+        assert_books_agree(&a, TenantId(1));
+        let fo = a.fail_server(members[2]).unwrap();
+        assert_eq!(fo.actions[0].replaced_slot, 1);
+        assert_eq!(a.set_of(TenantId(1)).unwrap().members, [members[0]]);
+        assert_books_agree(&a, TenantId(1));
+        // Degraded by a replacement its site refused, likewise.
+        let mut b = sets(4, 3);
+        let members = b.place(TenantId(1), slo()).unwrap().members.clone();
+        let fo = b.fail_server(members[1]).unwrap();
+        assert!(fo.actions[0].new_member.is_some());
+        assert_eq!(b.strand(TenantId(1), 1), 0);
+        assert_books_agree(&b, TenantId(1));
+        b.fail_server(members[2]).unwrap();
+        assert_books_agree(&b, TenantId(1));
+        assert_eq!(b.set_of(TenantId(1)).unwrap().epoch, 2);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The Testbed: clients ↔ fabric ↔ ReFlex server ↔ Flash, in one engine.
+//! The Testbed: clients ↔ fabric ↔ ReFlex servers ↔ Flash, in one engine.
 //!
 //! [`Testbed`] wires every component of the reproduction into a single
 //! deterministic discrete-event simulation, mirroring the paper's
 //! experimental setup (§5.1): client machines running load generators, a
 //! 10GbE switch fabric, and a server machine with NVMe Flash running the
-//! ReFlex dataplane. Workloads are described declaratively
-//! ([`WorkloadSpec`](crate::WorkloadSpec)) and measured with
-//! warmup-then-measure windows, exactly like mutilate.
+//! ReFlex dataplane — or several such sites, over which a client
+//! replicates its workload (see the `fanout` child module). Workloads are
+//! described declaratively ([`WorkloadSpec`](crate::WorkloadSpec)) and
+//! measured with warmup-then-measure windows, exactly like mutilate.
+
+mod fanout;
 
 use std::collections::HashMap;
 
@@ -21,11 +24,15 @@ use reflex_telemetry::{Stage, Telemetry, TelemetrySnapshot, TenantKey};
 
 use crate::capacity::CapacityProfile;
 use crate::client::{
-    AddrPattern, ArrivalProcess, LoadPattern, MixProcess, OutstandingReq, WorkloadReport,
-    WorkloadSpec, WorkloadState,
+    AddrPattern, ArrivalProcess, LoadPattern, MemberLink, MixProcess, OutstandingReq, ReplOp,
+    WorkloadReport, WorkloadSpec, WorkloadState,
 };
+use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 use crate::harness::ServerHarness;
+use crate::replica::ReplicaSets;
 use crate::server::{AdmissionError, ReflexServer, ServerConfig};
+
+pub use fanout::TenantRecovery;
 
 /// Errors configuring a testbed.
 #[derive(Debug)]
@@ -36,6 +43,8 @@ pub enum TestbedError {
     NoSuchClient(usize),
     /// Tenant registration failed.
     Admission(AdmissionError),
+    /// The coordinator could not place a replicated workload's set.
+    Placement(PlacementError),
 }
 
 impl std::fmt::Display for TestbedError {
@@ -44,6 +53,7 @@ impl std::fmt::Display for TestbedError {
             TestbedError::InvalidSpec(s) => write!(f, "invalid workload: {s}"),
             TestbedError::NoSuchClient(i) => write!(f, "no client machine {i}"),
             TestbedError::Admission(e) => write!(f, "admission: {e}"),
+            TestbedError::Placement(e) => write!(f, "replica placement: {e}"),
         }
     }
 }
@@ -54,6 +64,17 @@ impl From<AdmissionError> for TestbedError {
     fn from(e: AdmissionError) -> Self {
         TestbedError::Admission(e)
     }
+}
+
+/// One server site: a server machine with its own Flash device.
+struct Site<S> {
+    server: S,
+    device: FlashDevice,
+    /// The wake slot of the site's thread 0; `server.max_threads()` slots
+    /// follow it: thread wakes are one flat table in (site, thread) order.
+    wake_base: usize,
+    /// Set by a `ServerDeath` (the armed fault hooks do the damage).
+    died_at: Option<SimTime>,
 }
 
 #[derive(Clone)]
@@ -76,7 +97,8 @@ type CallFn<S> = Box<dyn FnOnce(&mut World<S>, &mut WorldCtx<S>) + Send>;
 /// request loop — including the retry/backoff path, which can become hot
 /// under adversarial overload — allocates nothing per event.
 pub enum WorldEvent<S: ServerHarness = ReflexServer> {
-    /// Wake server thread `i` and run its dataplane pump loop.
+    /// Wake the server thread whose wake slot is `i` (sites' threads are
+    /// numbered in one sequence) and run its dataplane pump loop.
     PumpThread(usize),
     /// Poll client machine `i` for delivered responses.
     ClientPoll(usize),
@@ -109,6 +131,22 @@ pub enum WorldEvent<S: ServerHarness = ReflexServer> {
     /// Fire every staged retransmission whose backoff has elapsed, in
     /// canonical order (see [`World::retry_fire_event`]).
     RetryFire,
+    /// Site `i`'s server dies (bookkeeping; the armed fault hooks do the
+    /// damage).
+    ServerDeath(usize),
+    /// The replica-set coordinator detects site `i`'s death and fails
+    /// every set with a member there over.
+    Failover(usize),
+    /// Replacement member `slot` of workload `w_idx` finished re-syncing
+    /// under membership `epoch` (stale if another failover intervened).
+    ResyncDone {
+        /// Workload index.
+        w_idx: usize,
+        /// Replica slot.
+        slot: usize,
+        /// Membership epoch the re-sync started under.
+        epoch: u32,
+    },
     /// An open-ended cold event (see [`Testbed::schedule_at`]).
     Call(CallFn<S>),
 }
@@ -126,14 +164,8 @@ impl<S: ServerHarness> std::fmt::Debug for WorldEvent<S> {
 #[derive(Clone, Copy)]
 struct RetryRec {
     fire_at: SimTime,
-    w_idx: usize,
-    conn_idx: usize,
-    is_read: bool,
-    addr: u64,
-    len: u32,
-    first_sent_at: SimTime,
-    measured: bool,
-    attempt: u32,
+    /// The attempt to transmit.
+    req: OutstandingReq,
 }
 
 impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
@@ -151,9 +183,18 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
             WorldEvent::Control(interval) => world.control_event(interval, ctx),
             WorldEvent::Issue { w_idx, conn_idx } => world.issue_request(w_idx, conn_idx, ctx),
             WorldEvent::RetryFire => world.retry_fire_event(ctx),
+            WorldEvent::ServerDeath(site) => world.server_death_event(site, ctx),
+            WorldEvent::Failover(site) => {
+                world.settle(ctx.now());
+                world.failover_event(site, ctx);
+                world.rearm_threads(ctx);
+            }
+            WorldEvent::ResyncDone { w_idx, slot, epoch } => {
+                world.resync_done_event(w_idx, slot, epoch);
+            }
             WorldEvent::Call(f) => {
                 // The call may read or mutate anything.
-                world.server.settle(ctx.now());
+                world.settle(ctx.now());
                 world.absorb(ctx);
                 f(world, ctx);
                 world.rearm_threads(ctx);
@@ -165,9 +206,9 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
 /// The simulation world: every component plus scheduling bookkeeping.
 pub struct World<S: ServerHarness = ReflexServer> {
     fabric: Fabric<WireMsg>,
-    device: FlashDevice,
-    server: S,
-    server_machine: MachineId,
+    sites: Vec<Site<S>>,
+    /// Places replicated workloads' sets and re-shapes them on a death.
+    coord: ReplicaSets,
     /// Seed from which per-workload RNG streams derive
     /// ([`SimRng::stream`] keyed by registration index, so a workload's
     /// draws do not depend on what other workloads do).
@@ -179,6 +220,9 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // packs into the wire cookie, so responses and timeouts look the
     // request up by index with no hashing and slot reuse recycles storage.
     outstanding: SlabPool<OutstandingReq>,
+    // Quorum accounting of the replicated requests among them: an attempt
+    // with a `fan` points here; a plain request has no entry.
+    ops: SlabPool<ReplOp>,
     // Recycled buffer for client-side response polling (a fresh Vec per
     // poll event would be the last per-IO allocation on the client path).
     poll_scratch: Vec<Delivery<WireMsg>>,
@@ -189,17 +233,20 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // so sustained timeouts stay allocation-free.
     retries_pending: Vec<RetryRec>,
     retry_scratch: Vec<RetryRec>,
-    // Pending wake per server thread / reactive client machine.
+    // Pending wake per server thread, (site, thread) order / reactive
+    // client machine.
     thread_wake: WakeSlots,
     client_wake: WakeSlots,
     // Poll counters; the wake counters are read off the slots at report.
     wakes: WakeStats,
     measure_start: Option<SimTime>,
+    // Per wake slot, and per tenant over every site.
     busy_snapshot: Vec<SimDuration>,
     sched_snapshot: Vec<SimDuration>,
     spent_snapshot: HashMap<TenantId, i64>,
     gen_cursor: Vec<usize>,
     zipf: Vec<Option<Zipf>>,
+    recoveries: Vec<TenantRecovery>,
     // Disabled by default: a single branch on the hot path. When enabled
     // (see [`Testbed::enable_telemetry`]) the same handle is shared by the
     // device, fabric, server threads and the client-side span/SLO probes.
@@ -216,15 +263,20 @@ impl<S: ServerHarness> std::fmt::Debug for World<S> {
 }
 
 impl<S: ServerHarness + 'static> World<S> {
-    /// The simulated Flash device.
+    /// The first site's Flash device.
     pub fn device(&self) -> &FlashDevice {
-        &self.device
+        &self.sites[0].device
     }
 
-    /// Exclusive access to the device (fault injection installs hooks
-    /// here).
+    /// Exclusive access to the first site's device.
     pub fn device_mut(&mut self) -> &mut FlashDevice {
-        &mut self.device
+        self.device_at_mut(0)
+    }
+
+    /// Exclusive access to site `site`'s device (fault injection installs
+    /// hooks here).
+    pub fn device_at_mut(&mut self, site: usize) -> &mut FlashDevice {
+        &mut self.sites[site].device
     }
 
     /// The network fabric.
@@ -238,14 +290,30 @@ impl<S: ServerHarness + 'static> World<S> {
         &mut self.fabric
     }
 
-    /// The server under test.
+    /// The server under test (the first site's).
     pub fn server(&self) -> &S {
-        &self.server
+        self.server_at(0)
     }
 
-    /// Exclusive access to the server (tests and advanced harnesses).
+    /// Exclusive access to the first site's server.
     pub fn server_mut(&mut self) -> &mut S {
-        &mut self.server
+        self.server_at_mut(0)
+    }
+
+    /// Number of server sites.
+    pub fn site_count(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// Site `site`'s server.
+    pub fn server_at(&self, site: usize) -> &S {
+        &self.sites[site].server
+    }
+
+    /// Exclusive access to site `site`'s server (tests and advanced
+    /// harnesses).
+    pub fn server_at_mut(&mut self, site: usize) -> &mut S {
+        &mut self.sites[site].server
     }
 
     /// Machine id of client machine `idx` (panics if out of range).
@@ -266,9 +334,28 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn ensure_thread_wake(&mut self, ctx: &mut WorldCtx<S>, thread: usize, at: SimTime) {
+    /// Cumulative millitokens spent per tenant, over every site.
+    fn spent_millitokens(&self) -> HashMap<TenantId, i64> {
+        let mut spent = HashMap::new();
+        for site in &self.sites {
+            for (id, mt) in site.server.tenants_spent_millitokens() {
+                *spent.entry(id).or_insert(0) += mt;
+            }
+        }
+        spent
+    }
+
+    /// Settles every site's slept-through rounds strictly before `before`
+    /// (sites share no bucket and no device: each settles on its own).
+    fn settle(&mut self, before: SimTime) {
+        for site in &mut self.sites {
+            site.server.settle(before);
+        }
+    }
+
+    fn ensure_thread_wake(&mut self, ctx: &mut WorldCtx<S>, slot: usize, at: SimTime) {
         self.thread_wake
-            .arm(ctx, thread, at, WorldEvent::PumpThread(thread));
+            .arm(ctx, slot, at, WorldEvent::PumpThread(slot));
     }
 
     fn ensure_client_wake(&mut self, ctx: &mut WorldCtx<S>, client: usize) {
@@ -278,17 +365,20 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn pump_event(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
+    fn pump_event(&mut self, fired: usize, ctx: &mut WorldCtx<S>) {
         // Canonical same-instant order: one pump event services every
-        // thread whose wake is due, in ascending thread order — a thread
-        // sleeping through a round at this very instant included, so that
-        // the round runs in its turn among the pumps.
+        // thread whose wake is due, in ascending (site, thread) order — a
+        // thread sleeping through a round at this very instant included,
+        // so that the round runs in its turn among the pumps.
         let now = ctx.now();
-        self.server.settle(now);
-        for i in 0..self.thread_wake.slots() {
-            let due = self.thread_wake.take_due(ctx, i, i == thread);
-            if due || self.server.round_wake(i, now) == Some(now) {
-                self.pump_one(i, ctx);
+        self.settle(now);
+        for s in 0..self.sites.len() {
+            let base = self.sites[s].wake_base;
+            for t in 0..self.sites[s].server.max_threads() {
+                let due = self.thread_wake.take_due(ctx, base + t, base + t == fired);
+                if due || self.sites[s].server.round_wake(t, now) == Some(now) {
+                    self.pump_one(s, t, ctx);
+                }
             }
         }
     }
@@ -296,18 +386,21 @@ impl<S: ServerHarness + 'static> World<S> {
     /// Arms every thread at the instant its round grid asks for: after a
     /// control-plane or fault entry, which may have cut a sleep short.
     fn rearm_threads(&mut self, ctx: &mut WorldCtx<S>) {
-        self.server.take_woken();
-        for i in 0..self.server.active_threads() {
-            if let Some(at) = self.server.round_wake(i, ctx.now()) {
-                self.ensure_thread_wake(ctx, i, at);
+        for s in 0..self.sites.len() {
+            self.sites[s].server.take_woken();
+            for t in 0..self.sites[s].server.active_threads() {
+                if let Some(at) = self.sites[s].server.round_wake(t, ctx.now()) {
+                    self.ensure_thread_wake(ctx, self.sites[s].wake_base + t, at);
+                }
             }
         }
     }
 
-    /// Next arrival on server thread `i`'s NIC queue.
-    fn thread_next_arrival(&self, i: usize) -> Option<SimTime> {
+    /// Next arrival on the NIC queue of site `s`'s thread `t`.
+    fn thread_next_arrival(&self, s: usize, t: usize) -> Option<SimTime> {
+        let site = &self.sites[s];
         self.fabric
-            .next_arrival_queue(self.server_machine, self.server.nic_queue(i))
+            .next_arrival_queue(site.server.machine(), site.server.nic_queue(t))
     }
 
     /// Pumps one thread and applies the wake rule: the pumped thread is
@@ -315,17 +408,20 @@ impl<S: ServerHarness + 'static> World<S> {
     /// pump's hint (completions, the next scheduling round, the core-busy
     /// horizon); responses that have landed are absorbed and every
     /// reactive client is re-armed from its queue, where this pump may
-    /// have sent; every other active thread is re-armed from its own
-    /// queue, where a rebalance forward may have landed — nobody else's
-    /// next arrival can have become earlier — and from its round grid,
-    /// where a sleep this pump cut short (it left tokens in the bucket, or
-    /// wrote to a read-only device) now ends.
-    fn pump_one(&mut self, thread: usize, ctx: &mut WorldCtx<S>) {
-        let hint = self
+    /// have sent; every other active thread of the site is re-armed from
+    /// its own queue, where a rebalance forward may have landed — nobody
+    /// else's next arrival can have become earlier — and from its round
+    /// grid, where a sleep this pump cut short (it left tokens in the
+    /// bucket, or wrote to a read-only device) now ends. Another site's
+    /// threads share nothing with this one.
+    fn pump_one(&mut self, s: usize, thread: usize, ctx: &mut WorldCtx<S>) {
+        let site = &mut self.sites[s];
+        let base = site.wake_base;
+        let hint = site
             .server
-            .pump_thread(thread, ctx.now(), &mut self.fabric, &mut self.device);
-        if let Some(at) = SimTime::earlier(self.thread_next_arrival(thread), hint) {
-            self.ensure_thread_wake(ctx, thread, at);
+            .pump_thread(thread, ctx.now(), &mut self.fabric, &mut site.device);
+        if let Some(at) = SimTime::earlier(self.thread_next_arrival(s, thread), hint) {
+            self.ensure_thread_wake(ctx, base + thread, at);
         }
         self.absorb(ctx);
         for c in 0..self.clients.len() {
@@ -333,10 +429,10 @@ impl<S: ServerHarness + 'static> World<S> {
                 self.ensure_client_wake(ctx, c);
             }
         }
-        for i in (0..self.server.active_threads()).filter(|&i| i != thread) {
-            let round = self.server.round_wake(i, ctx.now());
-            if let Some(at) = SimTime::earlier(self.thread_next_arrival(i), round) {
-                self.ensure_thread_wake(ctx, i, at);
+        for i in (0..self.sites[s].server.active_threads()).filter(|&i| i != thread) {
+            let round = self.sites[s].server.round_wake(i, ctx.now());
+            if let Some(at) = SimTime::earlier(self.thread_next_arrival(s, i), round) {
+                self.ensure_thread_wake(ctx, base + i, at);
             }
         }
     }
@@ -355,10 +451,17 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    /// Stages a retransmission and schedules its backoff deadline.
-    fn stage_retry(&mut self, rec: RetryRec, ctx: &mut WorldCtx<S>) {
-        self.retries_pending.push(rec);
-        ctx.schedule_event_at(rec.fire_at, WorldEvent::RetryFire);
+    /// Stages the retransmission of `req` after its attempt's backoff.
+    fn stage_retry(&mut self, req: OutstandingReq, ctx: &mut WorldCtx<S>) {
+        let w = &mut self.workloads[req.workload as usize];
+        w.retries += 1;
+        let fire_at = ctx.now() + w.spec.retry.backoff_after(req.attempt);
+        let req = OutstandingReq {
+            attempt: req.attempt + 1,
+            ..req
+        };
+        self.retries_pending.push(RetryRec { fire_at, req });
+        ctx.schedule_event_at(fire_at, WorldEvent::RetryFire);
     }
 
     /// Fires every staged retransmission whose backoff has elapsed.
@@ -383,28 +486,19 @@ impl<S: ServerHarness + 'static> World<S> {
                 i += 1;
             }
         }
-        due.sort_unstable_by_key(|r| {
+        due.sort_unstable_by_key(|RetryRec { req: r, .. }| {
             (
-                r.w_idx,
+                r.workload,
                 r.conn_idx,
                 r.attempt,
-                r.first_sent_at,
+                r.sent_at,
                 r.addr,
                 r.is_read,
+                r.fan.map(|fan| fan.slot),
             )
         });
         for r in due.drain(..) {
-            self.transmit_attempt(
-                r.w_idx,
-                r.conn_idx,
-                r.is_read,
-                r.addr,
-                r.len,
-                r.first_sent_at,
-                r.measured,
-                r.attempt,
-                ctx,
-            );
+            self.transmit(r.req, ctx);
         }
         self.retry_scratch = due;
     }
@@ -459,33 +553,22 @@ impl<S: ServerHarness + 'static> World<S> {
                     // already timed out — a real client ignores both.
                     continue;
                 };
-                let w = &mut self.workloads[req.workload];
-                let policy = w.spec.retry;
-                if header.opcode == Opcode::Error && req.attempt < policy.max_attempts {
+                let failed = header.opcode == Opcode::Error;
+                if failed && self.may_retry(&req) {
                     // Retryable failure: back off and retransmit instead of
                     // surfacing the error (the retry keeps closed-loop depth).
-                    w.retries += 1;
-                    let backoff = policy.backoff_after(req.attempt);
-                    self.stage_retry(
-                        RetryRec {
-                            fire_at: ctx.now() + backoff,
-                            w_idx: req.workload,
-                            conn_idx: req.conn_idx,
-                            is_read: req.is_read,
-                            addr: req.addr,
-                            len: req.len,
-                            first_sent_at: req.sent_at,
-                            measured: req.measured,
-                            attempt: req.attempt + 1,
-                        },
-                        ctx,
-                    );
+                    self.stage_retry(req, ctx);
                     continue;
                 }
-                if header.opcode != Opcode::Error && req.attempt > 1 {
+                if let Some(fan) = req.fan {
+                    self.conclude_sub(&req, fan.op, !failed, d.arrived_at);
+                    continue;
+                }
+                let w = &mut self.workloads[req.workload as usize];
+                if !failed && req.attempt > 1 {
                     w.retry_success += 1;
                 }
-                if header.opcode == Opcode::Error && policy.is_active() {
+                if failed && w.spec.retry.is_active() {
                     // Final attempt still failed: the request is abandoned
                     // with its retry budget spent.
                     w.exhausted += 1;
@@ -499,7 +582,7 @@ impl<S: ServerHarness + 'static> World<S> {
                     // Throughput counts every in-window completion — under
                     // overload, responses to pre-window requests are still
                     // served work (mutilate measures goodput the same way).
-                    if header.opcode == Opcode::Error {
+                    if failed {
                         w.errors += 1;
                     } else if req.is_read {
                         w.completed_reads += 1;
@@ -510,7 +593,7 @@ impl<S: ServerHarness + 'static> World<S> {
                     }
                     // Latency distributions only include requests issued within
                     // the window (no warmup contamination).
-                    if req.measured && header.opcode != Opcode::Error {
+                    if req.measured && !failed {
                         let latency = d.arrived_at.saturating_since(req.sent_at);
                         if req.is_read {
                             w.read_hist.record(latency);
@@ -528,7 +611,7 @@ impl<S: ServerHarness + 'static> World<S> {
                 }
                 // Closed-loop: keep the queue depth topped up.
                 if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
-                    self.issue_request(req.workload, req.conn_idx, ctx);
+                    self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
                 }
             }
             if reactive {
@@ -543,6 +626,20 @@ impl<S: ServerHarness + 'static> World<S> {
             self.telemetry.count("client.absorbed", unwoken);
         }
         total
+    }
+
+    /// Whether a failed attempt (an error response, a timeout) is worth
+    /// another: attempts remain, and — for one member's share of a
+    /// replicated request — the op still waits for its quorum.
+    fn may_retry(&self, req: &OutstandingReq) -> bool {
+        req.attempt
+            < self.workloads[req.workload as usize]
+                .spec
+                .retry
+                .max_attempts
+            && req
+                .fan
+                .is_none_or(|fan| self.ops.get(fan.op).is_some_and(|op| !op.done))
     }
 
     fn next_addr(&mut self, w_idx: usize, conn_idx: usize) -> u64 {
@@ -590,7 +687,9 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Issues one fully-specified request (the trace-replay path and the
-    /// generated path share everything from here on).
+    /// generated path share everything from here on): one attempt to the
+    /// workload's only copy, or a replicated workload's fan-out.
+    #[inline]
     fn issue_explicit(
         &mut self,
         w_idx: usize,
@@ -602,41 +701,67 @@ impl<S: ServerHarness + 'static> World<S> {
     ) {
         let now = ctx.now();
         let measured = self.measure_start.is_some_and(|m| now >= m);
-        self.transmit_attempt(
-            w_idx, conn_idx, is_read, addr, io_size, now, measured, 1, ctx,
-        );
+        let w = &mut self.workloads[w_idx];
+        if measured {
+            w.issued += 1;
+        }
+        let req = OutstandingReq {
+            workload: w_idx as u32,
+            conn_idx: conn_idx as u32,
+            sent_at: now,
+            is_read,
+            addr,
+            len: io_size,
+            measured,
+            attempt: 1,
+            fan: None,
+        };
+        match w.spec.replicated {
+            None => self.transmit(req, ctx),
+            Some(policy) => self.fan_out(req, policy, ctx),
+        }
     }
 
     /// Transmits one attempt of a request. `attempt == 1` is a fresh issue;
     /// higher attempts are retransmissions carrying the original request's
-    /// first-send instant and measurement flag.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit_attempt(
-        &mut self,
-        w_idx: usize,
-        conn_idx: usize,
-        is_read: bool,
-        addr: u64,
-        io_size: u32,
-        first_sent_at: SimTime,
-        measured: bool,
-        attempt: u32,
-        ctx: &mut WorldCtx<S>,
-    ) {
+    /// first-send instant and measurement flag. One member's share of a
+    /// replicated request goes to that member as the set stands now, or
+    /// nowhere if the op or the set have moved on (see `fan_slot`).
+    fn transmit(&mut self, req: OutstandingReq, ctx: &mut WorldCtx<S>) {
         let now = ctx.now();
-        let w = &mut self.workloads[w_idx];
+        let slot = match req.fan {
+            None => 0,
+            Some(fan) => match self.fan_slot(&req, fan) {
+                Some(slot) => slot,
+                None => return self.conclude_sub(&req, fan.op, false, now),
+            },
+        };
+        let w = &self.workloads[req.workload as usize];
         let spec = &w.spec;
         let tenant = spec.tenant;
-        let timeout = spec.retry.timeout;
         let client_idx = spec.client_machine;
-        let conn = w.conns[conn_idx];
-        let th = w.conn_thread[conn_idx] as usize;
+        let member = &w.members[slot];
+        let conn = member.conns[req.conn_idx as usize];
+        let th = w.conn_thread[req.conn_idx as usize] as usize;
+        // RTO-style deadline widening for a replicated attempt: attempt k
+        // waits 2^(k-1) × the base deadline. A member that is healthy but
+        // queue-delayed (e.g. a fresh replacement absorbing the
+        // post-failover inrush) answers late; fixed deadlines would
+        // declare every such response stale and retransmit, and at R=2 —
+        // where the quorum needs *every* member — that feedback loop
+        // multiplies the arrival rate past the member's service rate and
+        // the queue never drains. Widening lets a late attempt accept the
+        // delayed response, which caps the retransmission rate.
+        let timeout = spec.retry.timeout.map(|t| match req.fan {
+            Some(_) => t.mul_f64((1u64 << (req.attempt - 1).min(16)) as f64),
+            None => t,
+        });
 
         // Client thread gating: the stack's per-message CPU bounds the
-        // thread's message rate (Linux: ~70K msgs/s). Retransmissions cost
-        // CPU like any other message.
+        // thread's message rate (Linux: ~70K msgs/s). Retransmissions and
+        // every copy of a fan-out cost CPU like any other message.
         let per_msg = self.clients[client_idx].stack.per_msg_cpu;
-        let busy = &mut self.client_threads_busy[w_idx][th];
+        let busy = &mut self.client_threads_busy[req.workload as usize][th];
         let t_send = now.max(*busy);
         *busy = t_send + per_msg;
         // Ingress span: time the request waited for a client stack thread
@@ -650,45 +775,35 @@ impl<S: ServerHarness + 'static> World<S> {
         // Register the attempt first: the slab key becomes the wire cookie
         // (slot + generation), so the response and the timeout both find it
         // by index, and a reused slot invalidates stale cookies.
-        let key = self.outstanding.insert(OutstandingReq {
-            workload: w_idx,
-            conn_idx,
-            sent_at: first_sent_at,
-            is_read,
-            addr,
-            len: io_size,
-            measured,
-            attempt,
-        });
-        let cookie = key.as_u64();
+        let cookie = self.outstanding.insert(req).as_u64();
         let header = ReflexHeader {
-            opcode: if is_read { Opcode::Get } else { Opcode::Put },
+            opcode: if req.is_read {
+                Opcode::Get
+            } else {
+                Opcode::Put
+            },
             tenant: tenant.0,
             cookie,
-            addr,
-            len: io_size,
+            addr: req.addr,
+            len: req.len,
         };
-        let payload = if is_read { 0 } else { io_size };
-        let client_machine = self.clients[client_idx].machine;
-        let server_machine = self.server_machine;
-        let queue = self.server.route(conn).unwrap_or_default();
+        let payload = if req.is_read { 0 } else { req.len };
+        let site = &self.sites[member.site];
+        let queue = site.server.route(conn).unwrap_or_default();
         let arrival = self.fabric.send_to_queue(
             t_send,
-            client_machine,
-            server_machine,
+            self.clients[client_idx].machine,
+            site.server.machine(),
             queue,
             conn,
             payload,
             header.encode_array(),
         );
-        if measured && attempt == 1 {
-            self.workloads[w_idx].issued += 1;
-        }
         // Unbound connection (link currently down): the message still
         // lands on queue 0 where the dataplane drops it — wake thread 0 so
         // the drop is processed even with no other traffic.
-        let thread = self.server.thread_of_conn(conn).unwrap_or(0);
-        self.ensure_thread_wake(ctx, thread, arrival);
+        let thread = site.server.thread_of_conn(conn).unwrap_or(0);
+        self.ensure_thread_wake(ctx, site.wake_base + thread, arrival);
         if let Some(timeout) = timeout {
             ctx.schedule_event_at(t_send + timeout, WorldEvent::Timeout(cookie));
         }
@@ -709,31 +824,17 @@ impl<S: ServerHarness + 'static> World<S> {
         let Some(req) = self.outstanding.take(PoolKey::from_u64(cookie)) else {
             return; // answered in time — nothing to do
         };
-        let w = &mut self.workloads[req.workload];
-        w.timeouts += 1;
-        let policy = w.spec.retry;
-        if req.attempt < policy.max_attempts {
-            w.retries += 1;
-            let backoff = policy.backoff_after(req.attempt);
-            self.stage_retry(
-                RetryRec {
-                    fire_at: ctx.now() + backoff,
-                    w_idx: req.workload,
-                    conn_idx: req.conn_idx,
-                    is_read: req.is_read,
-                    addr: req.addr,
-                    len: req.len,
-                    first_sent_at: req.sent_at,
-                    measured: req.measured,
-                    attempt: req.attempt + 1,
-                },
-                ctx,
-            );
+        self.workloads[req.workload as usize].timeouts += 1;
+        if self.may_retry(&req) {
+            self.stage_retry(req, ctx);
+        } else if let Some(fan) = req.fan {
+            self.conclude_sub(&req, fan.op, false, ctx.now());
         } else {
+            let w = &mut self.workloads[req.workload as usize];
             w.exhausted += 1;
             let refill = matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped;
             if refill {
-                self.issue_request(req.workload, req.conn_idx, ctx);
+                self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
             }
         }
     }
@@ -743,7 +844,7 @@ impl<S: ServerHarness + 'static> World<S> {
         if w.stopped {
             return;
         }
-        let conns = w.conns.len();
+        let conns = w.spec.conns as usize;
         let arrival = w.spec.arrival;
         let conn_idx = self.gen_cursor[w_idx] % conns;
         self.gen_cursor[w_idx] += 1;
@@ -771,8 +872,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
         let trace = w.spec.trace.clone().expect("trace workloads carry a trace");
         let Some(op) = trace.get(pos) else { return };
-        let conns = w.conns.len();
-        let conn_idx = pos % conns;
+        let conn_idx = pos % w.spec.conns as usize;
         self.issue_explicit(w_idx, conn_idx, op.is_read, op.addr, op.len, ctx);
         if let Some(next) = trace.get(pos + 1) {
             let due = started + next.at;
@@ -789,7 +889,9 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx<S>) {
-        let _ = self.server.control_tick(ctx.now(), interval);
+        for site in &mut self.sites {
+            let _ = site.server.control_tick(ctx.now(), interval);
+        }
         self.rearm_threads(ctx);
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
     }
@@ -812,16 +914,19 @@ pub struct ThreadReport {
 pub struct TestbedReport {
     /// Length of the measured window.
     pub window: SimDuration,
-    /// One report per workload, in registration order.
+    /// One report per workload, in registration order. A replicated
+    /// workload's latencies are whole-op: issue → ack quorum reached.
     pub workloads: Vec<WorkloadReport>,
-    /// One report per active server thread.
+    /// One report per active server thread, in (site, thread) order.
     pub threads: Vec<ThreadReport>,
-    /// Total token spend rate across all tenants (tokens/sec).
+    /// Total token spend rate across all sites' tenants (tokens/sec).
     pub token_usage_per_sec: f64,
-    /// Device statistics (cumulative).
+    /// The first site's device statistics (cumulative).
     pub device: DeviceStats,
-    /// Tenants the control plane flagged for SLO renegotiation.
+    /// Tenants the control planes flagged for SLO renegotiation.
     pub renegotiations: Vec<TenantId>,
+    /// Failover timeline: one entry per (tenant, failover) pair.
+    pub recoveries: Vec<TenantRecovery>,
     /// Total events dispatched by the engine since the testbed was built
     /// (a proxy for simulation work; sweep harnesses report events/sec).
     pub engine_events: u64,
@@ -891,6 +996,8 @@ pub struct TestbedBuilder {
     capacity: Option<CapacityProfile>,
     control_interval: SimDuration,
     seed: u64,
+    sites: usize,
+    replication: usize,
 }
 
 impl Default for TestbedBuilder {
@@ -905,13 +1012,15 @@ impl Default for TestbedBuilder {
             capacity: None,
             control_interval: SimDuration::from_millis(10),
             seed: 42,
+            sites: 1,
+            replication: 1,
         }
     }
 }
 
 impl TestbedBuilder {
-    /// Starts from defaults: device A, 10GbE, one IX client machine, one
-    /// server thread.
+    /// Starts from defaults: one site with device A, 10GbE, one IX client
+    /// machine, one server thread, replication factor 1.
     pub fn new() -> Self {
         Self::default()
     }
@@ -972,54 +1081,97 @@ impl TestbedBuilder {
         self
     }
 
-    /// Builds the testbed around a ReFlex server.
+    /// Sets the number of server sites, each a server machine with its
+    /// own device of the configured profile. Plain workloads run on the
+    /// first; replicated ones are placed over all of them.
+    pub fn sites(mut self, sites: usize) -> Self {
+        self.sites = sites;
+        self
+    }
+
+    /// Sets the replication factor R: the size of every replicated
+    /// workload's replica set.
+    pub fn replication(mut self, r: usize) -> Self {
+        self.replication = r;
+        self
+    }
+
+    /// Builds the testbed around ReFlex servers, one per site.
     ///
     /// # Panics
     ///
-    /// Panics if no client machines are configured.
+    /// Panics if no client machines are configured, the replication
+    /// factor is 0 or exceeds [`MAX_REPLICAS`](crate::MAX_REPLICAS) or the
+    /// site count.
     pub fn build(self) -> Testbed<ReflexServer> {
-        let cost_model = self
-            .cost_model
-            .clone()
-            .unwrap_or_else(|| CostModel::for_profile(&self.device));
-        let capacity = self
-            .capacity
-            .clone()
-            .unwrap_or_else(|| CapacityProfile::for_profile(&self.device));
         let server_cfg = self.server.clone();
-        self.build_with(move |fabric, device, machine| {
+        self.build_sites(move |fabric, device, machine, cost_model, capacity| {
             ReflexServer::new(
                 machine,
                 fabric,
                 device,
-                cost_model,
-                capacity,
-                server_cfg,
+                cost_model.clone(),
+                capacity.clone(),
+                server_cfg.clone(),
                 SimTime::ZERO,
             )
         })
     }
 
-    /// Builds the testbed around any [`ServerHarness`] (used by the
-    /// baseline servers). The constructor receives the fabric (to add NIC
-    /// queues), the device (to create queue pairs) and the server machine.
+    /// Builds a one-site testbed around any [`ServerHarness`] (used by
+    /// the baseline servers). The constructor receives the fabric (to add
+    /// NIC queues), the device (to create queue pairs) and the server
+    /// machine.
     ///
     /// # Panics
     ///
-    /// Panics if no client machines are configured.
+    /// As [`build`](Self::build), and if more than one site is
+    /// configured: the constructor runs once.
     pub fn build_with<S, F>(self, make_server: F) -> Testbed<S>
     where
         S: ServerHarness + 'static,
         F: FnOnce(&mut Fabric<WireMsg>, &mut FlashDevice, MachineId) -> S,
     {
+        assert!(self.sites == 1, "a custom server is built for one site");
+        let mut make_server = Some(make_server);
+        self.build_sites(|fabric, device, machine, _, _| {
+            make_server.take().expect("one site")(fabric, device, machine)
+        })
+    }
+
+    fn build_sites<S, F>(self, mut make_server: F) -> Testbed<S>
+    where
+        S: ServerHarness + 'static,
+        F: FnMut(
+            &mut Fabric<WireMsg>,
+            &mut FlashDevice,
+            MachineId,
+            &CostModel,
+            &CapacityProfile,
+        ) -> S,
+    {
         assert!(
             !self.client_stacks.is_empty(),
             "need at least one client machine"
         );
+        assert!(
+            self.replication >= 1 && self.replication <= self.sites,
+            "replication factor {} needs at least that many sites (have {})",
+            self.replication,
+            self.sites
+        );
+        // Matched to the device profile unless overridden: what a ReFlex
+        // server runs on, and what the coordinator plans with.
+        let cost_model = self
+            .cost_model
+            .unwrap_or_else(|| CostModel::for_profile(&self.device));
+        let capacity = self
+            .capacity
+            .unwrap_or_else(|| CapacityProfile::for_profile(&self.device));
         let mut rng = SimRng::seed(self.seed);
         let mut fabric = Fabric::new(self.link, rng.fork());
-        let mut device = FlashDevice::new(self.device.clone(), rng.fork());
-        device.precondition();
+        // Clients first, then the sites, each forking its device's stream
+        // in turn: a one-site testbed draws what it always drew.
         let clients: Vec<ClientMachine> = self
             .client_stacks
             .into_iter()
@@ -1029,21 +1181,40 @@ impl TestbedBuilder {
                 reactive: false,
             })
             .collect();
-        let server_machine = fabric.add_machine(self.server_stack.clone());
-        let server = make_server(&mut fabric, &mut device, server_machine);
+        let mut sites = Vec::with_capacity(self.sites);
+        let mut descriptors = Vec::with_capacity(self.sites);
+        let mut n_threads = 0;
+        for s in 0..self.sites {
+            let machine = fabric.add_machine(self.server_stack.clone());
+            let mut device = FlashDevice::new(self.device.clone(), rng.fork());
+            device.precondition();
+            let server = make_server(&mut fabric, &mut device, machine, &cost_model, &capacity);
+            let wake_base = n_threads;
+            n_threads += server.max_threads();
+            sites.push(Site {
+                server,
+                device,
+                wake_base,
+                died_at: None,
+            });
+            descriptors.push(ServerDescriptor::new(
+                ServerId(s as u32),
+                capacity.clone(),
+                cost_model.clone(),
+            ));
+        }
         let gen_seed = rng.next_u64();
-        let n_threads = server.max_threads();
         let n_clients = clients.len();
         let world = World {
             fabric,
-            device,
-            server,
-            server_machine,
+            sites,
+            coord: ReplicaSets::new(ClusterPlanner::new(descriptors), self.replication),
             gen_seed,
             clients,
             workloads: Vec::new(),
             client_threads_busy: Vec::new(),
             outstanding: SlabPool::new(),
+            ops: SlabPool::new(),
             poll_scratch: Vec::new(),
             head_scratch: Vec::new(),
             retries_pending: Vec::new(),
@@ -1057,6 +1228,7 @@ impl TestbedBuilder {
             spent_snapshot: HashMap::new(),
             gen_cursor: Vec::new(),
             zipf: Vec::new(),
+            recoveries: Vec::new(),
             telemetry: Telemetry::disabled(),
         };
         let mut engine = Engine::with_events(world);
@@ -1117,12 +1289,38 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             .schedule_event_at(at, WorldEvent::Call(Box::new(f)));
     }
 
-    /// Registers a workload: admits its tenant, opens and binds its
-    /// connections, and starts its generator.
+    /// Schedules the death of site `site`'s server at `at` and the
+    /// coordinator's failover one detection delay (30 ms) later. The
+    /// death event is bookkeeping: the caller arms what does the damage
+    /// (a device that aborts, links that go dark — see
+    /// `reflex_faults::install`). Returns the detection delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the testbed has no such site.
+    pub fn schedule_server_death(&mut self, at: SimTime, site: usize) -> SimDuration {
+        let n_sites = self.engine.world().sites.len();
+        assert!(
+            site < n_sites,
+            "ServerDeath names site {site} but the testbed has {n_sites}"
+        );
+        self.engine
+            .schedule_event_at(at, WorldEvent::ServerDeath(site));
+        self.engine
+            .schedule_event_at(at + fanout::DETECT_DELAY, WorldEvent::Failover(site));
+        fanout::DETECT_DELAY
+    }
+
+    /// Registers a workload: admits its tenant on the first site — or, a
+    /// replicated one, places its replica set and admits the tenant on
+    /// every member site — opens and binds its connections, and starts
+    /// its generator.
     ///
     /// # Errors
     ///
-    /// See [`TestbedError`].
+    /// See [`TestbedError`]. An admission failure partway through a
+    /// replica set leaves the tenant registered on the earlier members
+    /// (the builder-phase API does not roll back).
     pub fn add_workload(&mut self, spec: WorkloadSpec) -> Result<(), TestbedError> {
         let mut spec = spec;
         spec.validate().map_err(TestbedError::InvalidSpec)?;
@@ -1131,35 +1329,56 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             return Err(TestbedError::NoSuchClient(spec.client_machine));
         }
         // Clamp the namespace to the device capacity so default specs work
-        // on any profile.
-        let capacity = world.device.profile().capacity_bytes;
+        // on any profile (every site runs the same one).
+        let capacity = world.sites[0].device.profile().capacity_bytes;
         if spec.namespace.0 >= capacity {
             return Err(TestbedError::InvalidSpec(
                 "namespace beyond device capacity".into(),
             ));
         }
         spec.namespace.1 = spec.namespace.1.min(capacity - spec.namespace.0);
-        let acl = reflex_dataplane::AclEntry {
-            ns_start: spec.namespace.0,
-            ns_len: spec.namespace.1,
-            allow_read: true,
-            allow_write: true,
-            allowed_clients: None,
+        let member_sites: Vec<usize> = match (spec.replicated, spec.class.slo()) {
+            (Some(_), Some(slo)) => {
+                let set = world.coord.place(spec.tenant, *slo);
+                let set = set.map_err(TestbedError::Placement)?;
+                set.members.iter().map(|sid| sid.0 as usize).collect()
+            }
+            _ => vec![0],
         };
-        if spec.shards > 1 {
-            // Sharded registration goes through the concrete ReFlex path;
-            // harness servers without sharding treat it as an error.
-            world.server.register_tenant_sharded(
-                spec.tenant,
-                spec.class,
-                acl,
-                spec.io_size,
-                spec.shards,
-            )?;
-        } else {
-            world
-                .server
-                .register_tenant(spec.tenant, spec.class, acl, spec.io_size)?;
+        let client_machine = world.clients[spec.client_machine].machine;
+        let w_idx = world.workloads.len();
+        // Each workload draws from its own RNG stream, keyed by its stable
+        // registration index — draws never depend on other workloads or on
+        // event interleaving.
+        let mut state =
+            WorkloadState::new(spec.clone(), SimRng::stream(world.gen_seed, w_idx as u64));
+        for site in member_sites {
+            let server = &mut world.sites[site].server;
+            let acl = fanout::acl_of(spec.namespace);
+            if spec.shards > 1 {
+                // Sharded registration goes through the concrete ReFlex path;
+                // harness servers without sharding treat it as an error.
+                server.register_tenant_sharded(
+                    spec.tenant,
+                    spec.class,
+                    acl,
+                    spec.io_size,
+                    spec.shards,
+                )?;
+            } else {
+                server.register_tenant(spec.tenant, spec.class, acl, spec.io_size)?;
+            }
+            let mut conns = Vec::with_capacity(spec.conns as usize);
+            for _ in 0..spec.conns {
+                let conn = world.fabric.new_conn();
+                server.bind_connection(conn, spec.tenant, client_machine)?;
+                conns.push(conn);
+            }
+            state.members.push(MemberLink {
+                site,
+                conns,
+                resyncing: false,
+            });
         }
         // Latency-critical tenants get an SLO monitor entry keyed on their
         // p95 read-latency target (no-op while telemetry is disabled).
@@ -1168,21 +1387,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 .telemetry
                 .slo_register(TenantKey(spec.tenant.0), slo.p95_read_latency);
         }
-
-        let client_machine = world.clients[spec.client_machine].machine;
-        let w_idx = world.workloads.len();
-        // Each workload draws from its own RNG stream, keyed by its stable
-        // registration index — draws never depend on other workloads or on
-        // event interleaving.
-        let mut state =
-            WorkloadState::new(spec.clone(), SimRng::stream(world.gen_seed, w_idx as u64));
         for i in 0..spec.conns {
-            let conn = world.fabric.new_conn();
-            world
-                .server
-                .bind_connection(conn, spec.tenant, client_machine)
-                .map_err(TestbedError::Admission)?;
-            state.conns.push(conn);
             state.conn_thread.push(i % spec.client_threads);
             state.seq_cursor.push(0);
         }
@@ -1263,22 +1468,23 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let now = self.engine.now();
         self.measure_begin = now;
         let world = self.engine.world_mut();
-        world.server.settle(now + SimDuration::from_nanos(1));
+        world.settle(now + SimDuration::from_nanos(1));
         world.measure_start = Some(now);
         for w in &mut world.workloads {
             w.reset_measurement();
         }
-        let server = &world.server;
-        world.busy_snapshot = (0..server.max_threads())
-            .map(|i| server.busy_time(i))
-            .collect();
-        world.sched_snapshot = (0..server.max_threads())
-            .map(|i| server.sched_time(i))
-            .collect();
-        world.spent_snapshot = server.tenants_spent_millitokens();
+        let per_thread = |time: fn(&S, usize) -> SimDuration| {
+            let sites = world.sites.iter();
+            sites
+                .flat_map(|site| (0..site.server.max_threads()).map(move |i| time(&site.server, i)))
+                .collect()
+        };
+        world.busy_snapshot = per_thread(S::busy_time);
+        world.sched_snapshot = per_thread(S::sched_time);
+        world.spent_snapshot = world.spent_millitokens();
     }
 
-    /// Advances the simulation by `span`, then settles the server and
+    /// Advances the simulation by `span`, then settles the servers and
     /// absorbs client deliveries through the new instant, so that every
     /// reader between runs ([`report`], the world's `server()`) sees each
     /// round and each response that has happened. Both are plain calls,
@@ -1286,7 +1492,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     ///
     /// [`report`]: Self::report
     pub fn run(&mut self, span: SimDuration) {
-        if self.engine.world_mut().server.take_woken() {
+        let sites = self.engine.world_mut().sites.iter_mut();
+        if sites.fold(false, |any, site| site.server.take_woken() | any) {
             // A control-plane call made between runs cut a sleep short:
             // an empty call re-arms the threads.
             self.schedule_at(self.engine.now(), |_, _| {});
@@ -1294,7 +1501,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         self.engine.run_for(span);
         let through = self.engine.now() + SimDuration::from_nanos(1);
         self.engine.with_ctx(|world, ctx| {
-            world.server.settle(through);
+            world.settle(through);
             world.absorb(ctx);
         });
     }
@@ -1306,42 +1513,45 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let window = self.engine.now().saturating_since(self.measure_begin);
         let workloads: Vec<WorkloadReport> =
             world.workloads.iter().map(|w| w.report(window)).collect();
-        let server = &world.server;
         let secs = window.as_secs_f64().max(1e-12);
-        let threads = (0..server.active_threads())
-            .map(|i| {
-                let busy0 = world
-                    .busy_snapshot
-                    .get(i)
-                    .copied()
-                    .unwrap_or(SimDuration::ZERO);
-                let sched0 = world
-                    .sched_snapshot
-                    .get(i)
-                    .copied()
-                    .unwrap_or(SimDuration::ZERO);
-                ThreadReport {
-                    busy_fraction: server.busy_time(i).saturating_sub(busy0).as_secs_f64() / secs,
-                    sched_fraction: server.sched_time(i).saturating_sub(sched0).as_secs_f64()
-                        / secs,
-                    stats: server.thread_stats(i),
-                }
+        let since = |snapshot: &[SimDuration], slot: usize, now: SimDuration| {
+            let before = snapshot.get(slot).copied().unwrap_or(SimDuration::ZERO);
+            now.saturating_sub(before).as_secs_f64() / secs
+        };
+        let threads = world.sites.iter().flat_map(|site| {
+            let server = &site.server;
+            (0..server.active_threads()).map(move |i| ThreadReport {
+                busy_fraction: since(
+                    &world.busy_snapshot,
+                    site.wake_base + i,
+                    server.busy_time(i),
+                ),
+                sched_fraction: since(
+                    &world.sched_snapshot,
+                    site.wake_base + i,
+                    server.sched_time(i),
+                ),
+                stats: server.thread_stats(i),
             })
-            .collect();
-        let mut spent_delta = 0i64;
-        for (id, now_mt) in server.tenants_spent_millitokens() {
-            let before = world.spent_snapshot.get(&id).copied().unwrap_or(0);
-            spent_delta += now_mt - before;
-        }
+        });
+        let spent_delta: i64 = world
+            .spent_millitokens()
+            .into_iter()
+            .map(|(id, now_mt)| now_mt - world.spent_snapshot.get(&id).copied().unwrap_or(0))
+            .sum();
         let token_usage_per_sec = spent_delta as f64 / 1_000.0 / secs;
-        let (rounds_elided, settle_calls) = server.sleep_stats();
+        let servers = || world.sites.iter().map(|site| &site.server);
+        let (rounds_elided, settle_calls) = servers()
+            .map(S::sleep_stats)
+            .fold((0, 0), |(r, c), (dr, dc)| (r + dr, c + dc));
         TestbedReport {
             window,
             workloads,
-            threads,
+            threads: threads.collect(),
             token_usage_per_sec,
-            device: world.device.stats(),
-            renegotiations: server.renegotiations(),
+            device: world.sites[0].device.stats(),
+            renegotiations: servers().flat_map(S::renegotiations).collect(),
+            recoveries: world.recoveries.clone(),
             engine_events: self.engine.dispatched(),
             wakes: WakeStats {
                 thread_armed: world.thread_wake.armed,
@@ -1357,8 +1567,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     }
 
     /// Turns on telemetry: installs one shared [`Telemetry`] sink on the
-    /// device, fabric, server threads, the engine's dispatch probe and the
-    /// client-side span/SLO probes. Recording is strictly passive — it
+    /// devices, fabric, server threads, the replica-set coordinator, the
+    /// engine's dispatch probe and the client-side span/SLO probes. Recording is strictly passive — it
     /// draws no randomness and schedules nothing, so an instrumented run
     /// produces byte-identical results to an uninstrumented one. Returns a
     /// clone of the handle for direct inspection.
@@ -1379,8 +1589,11 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         }
         let world = self.engine.world_mut();
         world.fabric.set_telemetry(telemetry.clone());
-        world.device.set_telemetry(telemetry.clone());
-        world.server.set_telemetry(telemetry.clone());
+        for site in &mut world.sites {
+            site.device.set_telemetry(telemetry.clone());
+            site.server.set_telemetry(telemetry.clone());
+        }
+        world.coord.set_telemetry(telemetry.clone());
         for w in &world.workloads {
             if let Some(slo) = w.spec.class.slo() {
                 telemetry.slo_register(TenantKey(w.spec.tenant.0), slo.p95_read_latency);

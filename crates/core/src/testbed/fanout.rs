@@ -1,0 +1,378 @@
+//! Client-driven replication: the part of the world that only a
+//! replicated workload reaches.
+//!
+//! ReFlex (§6.3 of the paper) leaves replication to the client: servers
+//! stay single-site dataplanes, and a client that wants to survive a
+//! server loss writes to R of them. A replicated request is a
+//! [`ReplOp`] in the world's `ops` slab plus one ordinary attempt per
+//! chosen member, each carrying a `fan` that points back at it — so
+//! responses, duplicates, timeouts and retries of a member's share take
+//! the one path every request takes, and only what is decided per op
+//! lives here: which members a request goes to, when a quorum is
+//! reached or lost, the epoch fence, and failover.
+//!
+//! - **Writes** fan out to every member and complete when a majority
+//!   (`W = ⌊R/2⌋ + 1`) ack.
+//! - **Reads** go to the primary alone, or to a quorum of `Q = ⌊R/2⌋ + 1`
+//!   members — anchored on the primary, the rest rotating — and wait for
+//!   all of them, so any read quorum intersects any write quorum.
+//! - **Failover**: after a server's death and the detection delay the
+//!   [`ReplicaSets`](crate::ReplicaSets) coordinator promotes a survivor,
+//!   places a replacement (anti-affine to the survivors) and a timed
+//!   re-sync starts. The replacement serves writes at once and reads
+//!   when the re-sync ends.
+
+use reflex_dataplane::AclEntry;
+use reflex_net::ConnId;
+use reflex_qos::TenantId;
+use reflex_sim::{PoolKey, SimDuration, SimTime};
+use reflex_telemetry::TenantKey;
+
+use super::{World, WorldCtx, WorldEvent};
+use crate::client::{Fan, MemberLink, OutstandingReq, ReplOp};
+use crate::cluster::ServerId;
+use crate::harness::ServerHarness;
+use crate::replica::{quorum, ReadPolicy, MAX_REPLICAS};
+
+/// Death → failover: the time the coordinator takes to detect a dead site.
+pub(super) const DETECT_DELAY: SimDuration = SimDuration::from_millis(30);
+
+/// Background re-sync copy rate for a replacement member: 2 GiB/s, a
+/// deliberately throttled fraction of device bandwidth so re-sync does
+/// not starve foreground IO.
+const RESYNC_BYTES_PER_SEC: f64 = 2.0 * (1u64 << 30) as f64;
+
+/// What failover did for one tenant, stamped with simulated instants —
+/// the raw material for the recovery-time figure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TenantRecovery {
+    /// The affected tenant.
+    pub tenant: TenantId,
+    /// Instant its member's server died.
+    pub died_at: SimTime,
+    /// Instant the coordinator ran failover (death + detection delay).
+    pub failover_at: SimTime,
+    /// Instant the replacement member finished re-syncing and became
+    /// read-eligible (`None` if the set degraded instead).
+    pub resync_done_at: Option<SimTime>,
+    /// Replacement site (`None` if the set degraded).
+    pub new_site: Option<usize>,
+}
+
+impl<S: ServerHarness + 'static> World<S> {
+    /// Site indices of workload `w_idx`'s current members, slot order.
+    pub fn member_sites(&self, w_idx: usize) -> Vec<usize> {
+        let members = &self.workloads[w_idx].members;
+        members.iter().map(|m| m.site).collect()
+    }
+
+    /// Current primary slot of workload `w_idx`.
+    pub fn primary_slot(&self, w_idx: usize) -> usize {
+        self.workloads[w_idx].primary
+    }
+
+    /// Current membership epoch of workload `w_idx`. Bumped by every
+    /// failover action; in-flight operations issued under an older epoch
+    /// are fenced (fail fast) rather than redirected, so observers must
+    /// only ever see this value increase.
+    pub fn epoch(&self, w_idx: usize) -> u32 {
+        self.workloads[w_idx].epoch
+    }
+
+    /// Issues one replicated request: picks its members, registers the
+    /// op and transmits each member's share. Out of line, like the rest
+    /// of this file that `transmit`, `absorb` and the event dispatch
+    /// reach: inlined, it grows the plain request's path for nothing.
+    #[inline(never)]
+    pub(super) fn fan_out(
+        &mut self,
+        req: OutstandingReq,
+        policy: ReadPolicy,
+        ctx: &mut WorldCtx<S>,
+    ) {
+        let w = &mut self.workloads[req.workload as usize];
+        let r = w.members.len();
+        if r == 0 {
+            // Fully degraded set: nothing to send to.
+            w.exhausted += 1;
+            return;
+        }
+        // Targets live in a fixed array — the hot path allocates nothing
+        // per IO.
+        let mut targets = [0usize; MAX_REPLICAS];
+        let (n_targets, needed) = match (req.is_read, policy) {
+            // Writes go to every member; a majority of acks completes.
+            (false, _) => {
+                for (s, t) in targets.iter_mut().enumerate().take(r) {
+                    *t = s;
+                }
+                (r, quorum(r))
+            }
+            (true, ReadPolicy::Primary) => {
+                targets[0] = w.primary;
+                (1, 1)
+            }
+            (true, ReadPolicy::Quorum) => {
+                // The primary anchors every read quorum (it sees every
+                // quorum write, so anchored reads are read-your-writes
+                // across promotions); the remaining Q-1 members rotate so
+                // secondary read load spreads. Re-syncing members are
+                // used only when too few eligible members remain (keeps
+                // ops flowing while degraded — the simulation carries no
+                // data contents to go stale).
+                let q = quorum(r);
+                let start = (w.op_rr % r as u64) as usize;
+                let mut selected = [false; MAX_REPLICAS];
+                let mut n = 0;
+                if !w.members[w.primary].resyncing {
+                    targets[0] = w.primary;
+                    selected[w.primary] = true;
+                    n = 1;
+                }
+                for eligible_only in [true, false] {
+                    for s in (0..r).map(|off| (start + off) % r) {
+                        if n < q && !selected[s] && !(eligible_only && w.members[s].resyncing) {
+                            targets[n] = s;
+                            selected[s] = true;
+                            n += 1;
+                        }
+                    }
+                }
+                (n, q)
+            }
+        };
+        w.op_rr += 1;
+        let op = self.ops.insert(ReplOp {
+            epoch: w.epoch,
+            needed: needed as u8,
+            acks: 0,
+            pending: n_targets as u8,
+            done: false,
+        });
+        for &slot in &targets[..n_targets] {
+            let fan = Some(Fan {
+                op,
+                slot: slot as u8,
+            });
+            self.transmit(OutstandingReq { fan, ..req }, ctx);
+        }
+    }
+
+    /// The member slot an attempt of a replicated request goes to, as
+    /// the set stands now — or `None` when it must not go out at all.
+    #[inline(never)]
+    pub(super) fn fan_slot(&self, req: &OutstandingReq, fan: Fan) -> Option<usize> {
+        let op = self.ops.get(fan.op)?;
+        let w = &self.workloads[req.workload as usize];
+        // The quorum is already reached (or lost): no more attempts on
+        // the wire. Or the set degraded and the slot no longer exists.
+        if op.done || fan.slot as usize >= w.members.len() {
+            return None;
+        }
+        // Epoch fence. Every op that was in flight when the set reshaped
+        // would otherwise retry onto the fresh replacement at the
+        // failover instant — a thundering herd that pushes the
+        // replacement past its token reservation right as new ops start
+        // arriving, and (at R=2, where the quorum needs every member) can
+        // keep its queue in a retransmission-fed overload that never
+        // drains. Failing the old-epoch attempt fast is also the honest
+        // semantics: the replacement learns pre-failover writes from
+        // re-sync, not from replayed wire messages.
+        if req.attempt > 1 && op.epoch != w.epoch {
+            return None;
+        }
+        Some(fan.slot as usize)
+    }
+
+    /// Folds one member's concluded share (`req`, acked or given up at
+    /// `at`) into its op's quorum accounting and records the op's
+    /// completion or failure when it tips over.
+    #[inline(never)]
+    pub(super) fn conclude_sub(
+        &mut self,
+        req: &OutstandingReq,
+        op_key: PoolKey,
+        acked: bool,
+        at: SimTime,
+    ) {
+        let Some(op) = self.ops.get_mut(op_key) else {
+            return;
+        };
+        op.pending -= 1;
+        let done_before = op.done;
+        op.acks += u8::from(acked);
+        let completes = !done_before && op.acks >= op.needed;
+        let fails = !done_before && !completes && op.acks + op.pending < op.needed;
+        op.done |= completes || fails;
+        if op.pending == 0 {
+            self.ops.take(op_key);
+        }
+        let w = &mut self.workloads[req.workload as usize];
+        if acked && req.attempt > 1 && !done_before {
+            w.retry_success += 1;
+        }
+        let in_window = self.measure_start.filter(|&m| at >= m);
+        // Latency covers the whole op: issue → quorum reached (for quorum
+        // reads that is the max of the quorum).
+        let latency = at.saturating_since(req.sent_at);
+        if completes {
+            let Some(start) = in_window else { return };
+            // Unlike a plain workload's, the series counts successes
+            // only, so a failover blackout shows as a clean rate dip.
+            w.iops_series
+                .add(SimTime::ZERO + at.saturating_since(start), 1);
+            if req.is_read {
+                w.completed_reads += 1;
+                w.read_bytes += req.len as u64;
+            } else {
+                w.completed_writes += 1;
+                w.write_bytes += req.len as u64;
+            }
+            if req.measured && req.is_read {
+                w.read_hist.record(latency);
+                self.telemetry
+                    .slo_observe(TenantKey(w.spec.tenant.0), latency, at);
+            } else if req.measured {
+                w.write_hist.record(latency);
+            }
+        } else if fails {
+            w.exhausted += 1;
+            w.errors += u64::from(in_window.is_some());
+            // A failed read still held the application from issue to
+            // exhaustion; account that wait against the tenant's SLO
+            // windows so an outage shows up as violations, not silence.
+            // (The latency histograms stay completions-only.)
+            if req.measured && req.is_read {
+                self.telemetry
+                    .slo_observe(TenantKey(w.spec.tenant.0), latency, at);
+            }
+        }
+    }
+
+    pub(super) fn server_death_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
+        self.sites[site].died_at = Some(ctx.now());
+        self.telemetry.count("replication.server_deaths", 1);
+        // The armed hooks do the damage: the site's NIC links went dark
+        // (messages to/from it are black-holed at send time, so they are
+        // never device-submitted) and its device aborts every queued and
+        // future command. The dead site keeps being pumped so queued
+        // work drains into counted failures — conservation holds.
+    }
+
+    /// The coordinator detects the death and re-shapes every affected
+    /// replica set: promotion, replacement placement, connection binding
+    /// and the re-sync timer.
+    #[inline(never)]
+    pub(super) fn failover_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
+        let Ok(fo) = self.coord.fail_server(ServerId(site as u32)) else {
+            return;
+        };
+        let now = ctx.now();
+        let died_at = self.sites[site].died_at.unwrap_or(now);
+        for action in fo.actions {
+            let Some(w_idx) = self
+                .workloads
+                .iter()
+                .position(|w| w.spec.replicated.is_some() && w.spec.tenant == action.tenant)
+            else {
+                continue;
+            };
+            let slot = action.replaced_slot;
+            let replacement = action
+                .new_member
+                .and_then(|sid| self.admit_replacement(w_idx, sid));
+            let w = &mut self.workloads[w_idx];
+            w.epoch = action.epoch;
+            w.primary = action.promoted_primary;
+            let (resync_done_at, new_site) = match replacement {
+                Some(member) => {
+                    // Re-sync: control-plane re-admission (the action's
+                    // queued estimate) plus copying the namespace at the
+                    // modelled background rate. Write-eligible
+                    // immediately, read-eligible when done.
+                    let copy = w.spec.namespace.1 as f64 / RESYNC_BYTES_PER_SEC;
+                    let done_at = now + action.latency_estimate + SimDuration::from_secs_f64(copy);
+                    let epoch = action.epoch;
+                    ctx.schedule_event_at(done_at, WorldEvent::ResyncDone { w_idx, slot, epoch });
+                    let site = member.site;
+                    w.members[slot] = member;
+                    (Some(done_at), Some(site))
+                }
+                None => {
+                    // No survivor could host the slot, or the one the
+                    // coordinator chose refused it (and leaves its books
+                    // again): the set runs degraded.
+                    w.members.remove(slot);
+                    if action.new_member.is_some() {
+                        w.primary = self.coord.strand(action.tenant, slot);
+                    }
+                    (None, None)
+                }
+            };
+            self.recoveries.push(TenantRecovery {
+                tenant: action.tenant,
+                died_at,
+                failover_at: now,
+                resync_done_at,
+                new_site,
+            });
+        }
+    }
+
+    /// Admits workload `w_idx` on the site the coordinator chose for a
+    /// vacated slot and binds its connections there. `None` when the site
+    /// refuses: its own admission control has the last word.
+    fn admit_replacement(&mut self, w_idx: usize, sid: ServerId) -> Option<MemberLink> {
+        let spec = &self.workloads[w_idx].spec;
+        let client = self.clients[spec.client_machine].machine;
+        let site = sid.0 as usize;
+        let server = &mut self.sites[site].server;
+        let fabric = &mut self.fabric;
+        let conns: Result<Vec<ConnId>, _> = server
+            .register_tenant(
+                spec.tenant,
+                spec.class,
+                acl_of(spec.namespace),
+                spec.io_size,
+            )
+            .and_then(|_| {
+                (0..spec.conns)
+                    .map(|_| {
+                        let conn = fabric.new_conn();
+                        server.bind_connection(conn, spec.tenant, client)?;
+                        Ok(conn)
+                    })
+                    .collect()
+            });
+        match conns {
+            Ok(conns) => Some(MemberLink {
+                site,
+                conns,
+                resyncing: true,
+            }),
+            Err(_) => {
+                self.telemetry.count("replication.replacements_refused", 1);
+                None
+            }
+        }
+    }
+
+    pub(super) fn resync_done_event(&mut self, w_idx: usize, slot: usize, epoch: u32) {
+        let w = &mut self.workloads[w_idx];
+        if w.epoch == epoch && slot < w.members.len() {
+            w.members[slot].resyncing = false;
+            self.telemetry.count("replication.resyncs_done", 1);
+        }
+    }
+}
+
+/// The ACL a workload's tenant gets on every site hosting it.
+pub(super) fn acl_of((ns_start, ns_len): (u64, u64)) -> AclEntry {
+    AclEntry {
+        ns_start,
+        ns_len,
+        allow_read: true,
+        allow_write: true,
+        allowed_clients: None,
+    }
+}

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use reflex_core::{ReflexServer, Testbed, World};
+use reflex_sim::SimDuration;
 
 use crate::hooks::{PlannedDeviceHook, PlannedNetHook};
 use crate::plan::{FaultKind, FaultPlan};
@@ -10,7 +11,9 @@ use crate::stats::FaultStats;
 
 /// Installs `plan` into `tb`: arms the device and fabric fault hooks for
 /// the windowed faults and schedules the discrete ones (link flaps,
-/// thread stalls) as engine events. Returns the shared counter handle.
+/// thread stalls, server deaths) as engine events. Device and thread
+/// faults hit the first site; a [`FaultKind::ServerDeath`] names its
+/// own. Returns the shared counter handle.
 ///
 /// Installing [`FaultPlan::none`] (or any empty plan) arms nothing — the
 /// run is byte-identical to one without fault injection.
@@ -18,25 +21,25 @@ use crate::stats::FaultStats;
 /// # Panics
 ///
 /// Panics if a [`FaultKind::LinkFlap`] names a client index outside
-/// `tb.world().client_count()`, or on a [`FaultKind::ServerDeath`] —
-/// killing a whole server only makes sense on the multi-server
-/// replication testbed (`reflex-replication`), which has its own
-/// installer. A [`FaultKind::ThreadStall`] naming an inactive thread
-/// panics later, when the event fires.
+/// `tb.world().client_count()` or a [`FaultKind::ServerDeath`] a site
+/// outside `tb.world().site_count()`. A [`FaultKind::ThreadStall`]
+/// naming an inactive thread panics later, when the event fires.
 pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultStats> {
     let stats = Arc::new(FaultStats::default());
-    let mut dev = PlannedDeviceHook::new(Arc::clone(&stats));
+    let mut devs: Vec<PlannedDeviceHook> = (0..tb.world().site_count())
+        .map(|_| PlannedDeviceHook::new(Arc::clone(&stats)))
+        .collect();
     let mut net = PlannedNetHook::new(Arc::clone(&stats));
     for ev in &plan.events {
         let seed = plan.stream_seed(ev.id);
         match ev.kind {
             FaultKind::TransientDeviceErrors { rate, duration } => {
-                dev.add_transient(ev.at, duration, rate, seed);
+                devs[0].add_transient(ev.at, duration, rate, seed);
             }
             FaultKind::GcStorm { extra, duration } => {
-                dev.add_gc_storm(ev.at, duration, extra);
+                devs[0].add_gc_storm(ev.at, duration, extra);
             }
-            FaultKind::DeviceDeath => dev.set_death(ev.at),
+            FaultKind::DeviceDeath => devs[0].set_death(ev.at),
             FaultKind::PacketLoss { rate, duration } => {
                 net.add_loss(ev.at, duration, rate, seed);
             }
@@ -62,7 +65,11 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                 let s = Arc::clone(&stats);
                 tb.schedule_at(ev.at, move |w: &mut World<ReflexServer>, _ctx| {
                     FaultStats::bump(&s.link_downs);
-                    let torn = w.server_mut().on_link_down(machine) as u64;
+                    let sites = 0..w.site_count();
+                    let torn: usize = sites
+                        .map(|i| w.server_at_mut(i).on_link_down(machine))
+                        .sum();
+                    let torn = torn as u64;
                     s.conns_torn_down
                         .fetch_add(torn, std::sync::atomic::Ordering::Relaxed);
                 });
@@ -70,9 +77,12 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                 tb.schedule_at(
                     ev.at + down_for,
                     move |w: &mut World<ReflexServer>, _ctx| {
-                        let rebound = w.server_mut().rebind_client(machine) as u64;
+                        let sites = 0..w.site_count();
+                        let rebound: usize = sites
+                            .map(|i| w.server_at_mut(i).rebind_client(machine))
+                            .sum();
                         s.conns_rebound
-                            .fetch_add(rebound, std::sync::atomic::Ordering::Relaxed);
+                            .fetch_add(rebound as u64, std::sync::atomic::Ordering::Relaxed);
                     },
                 );
             }
@@ -86,15 +96,26 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                 });
             }
             FaultKind::ServerDeath { server } => {
-                panic!(
-                    "ServerDeath of site {server} needs a multi-server testbed: \
-                     install the plan through reflex-replication's ReplTestbed"
-                );
+                // The site dies whole (the testbed checks it exists): the
+                // coordinator fails its replica sets over one detection
+                // delay later...
+                stats.add_downtime(tb.schedule_server_death(ev.at, server));
+                // ...its device aborts every queued and future command,
+                // and its links go dark for the rest of the run (messages
+                // in either direction are black-holed at send time, so
+                // they never count as submitted work).
+                devs[server].set_death(ev.at);
+                let machine = tb.world().server_at(server).machine();
+                net.add_link_down(ev.at, SimDuration::from_secs_f64(3600.0), machine);
             }
         }
     }
-    if dev.is_armed() {
-        tb.world_mut().device_mut().set_fault_hook(Box::new(dev));
+    for (site, dev) in devs.into_iter().enumerate() {
+        if dev.is_armed() {
+            tb.world_mut()
+                .device_at_mut(site)
+                .set_fault_hook(Box::new(dev));
+        }
     }
     if net.is_armed() {
         tb.world_mut().fabric_mut().set_fault_hook(Box::new(net));
@@ -105,7 +126,7 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reflex_sim::{SimDuration, SimTime};
+    use reflex_sim::SimTime;
 
     #[test]
     fn empty_plan_installs_nothing() {

@@ -74,10 +74,8 @@ pub enum FaultKind {
         stall: SimDuration,
     },
     /// A whole server dies: its NIC links go permanently dark and its
-    /// device aborts every queued and future command. Only meaningful on
-    /// multi-server testbeds — the replication testbed
-    /// (`reflex-replication`) installs it and drives failover; the
-    /// single-server [`install`](crate::install) rejects it.
+    /// device aborts every queued and future command, and the testbed's
+    /// coordinator fails the replica sets with a member there over.
     ServerDeath {
         /// Site index (server machine) to kill.
         server: usize,

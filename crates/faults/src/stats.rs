@@ -104,9 +104,8 @@ impl FaultStats {
         counter.fetch_add(1, Relaxed);
     }
 
-    /// Adds planned downtime to the accumulated total (used by fault
-    /// installers — this crate's and `reflex-replication`'s).
-    pub fn add_downtime(&self, d: SimDuration) {
+    /// Adds planned downtime to the accumulated total.
+    pub(crate) fn add_downtime(&self, d: SimDuration) {
         self.downtime_ns.fetch_add(d.as_nanos(), Relaxed);
     }
 }

@@ -6,8 +6,6 @@
 //! bytes of per-4KB-request overhead. The header is actually serialized and
 //! parsed — the dataplane's protocol-processing step runs this code.
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// Size of an encoded [`ReflexHeader`] in bytes.
 pub const HEADER_SIZE: usize = 28;
 
@@ -65,7 +63,7 @@ impl Opcode {
 ///     addr: 1 << 20,
 ///     len: 4096,
 /// };
-/// let bytes = hdr.encode();
+/// let bytes = hdr.encode_array();
 /// let back = ReflexHeader::decode(&bytes).expect("round trip");
 /// assert_eq!(back, hdr);
 /// ```
@@ -107,22 +105,10 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 impl ReflexHeader {
-    /// Encodes the header into its 28-byte wire form.
+    /// Encodes the header into its 28-byte wire form, a fixed array the
+    /// dataplane and testbed hot paths ship on the simulated wire without
+    /// allocating.
     /// Layout: magic(1) opcode(1) reserved(2) tenant(4) cookie(8) addr(8) len(4).
-    ///
-    /// Allocates a [`Bytes`] buffer; hot paths that send headers per
-    /// message use [`ReflexHeader::encode_array`], which returns the same
-    /// 28 bytes on the stack.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_SIZE);
-        buf.put_slice(&self.encode_array());
-        buf.freeze()
-    }
-
-    /// Encodes the header into a fixed 28-byte array — the allocation-free
-    /// form the dataplane and testbed hot paths ship on the simulated wire.
-    /// Byte-for-byte identical to [`ReflexHeader::encode`] (the golden
-    /// round-trip tests pin both).
     #[inline]
     pub fn encode_array(&self) -> [u8; HEADER_SIZE] {
         let mut buf = [0u8; HEADER_SIZE];
@@ -196,12 +182,8 @@ mod tests {
                 addr,
                 len,
             };
-            let enc = hdr.encode();
-            assert_eq!(enc.len(), HEADER_SIZE);
+            let enc = hdr.encode_array();
             assert_eq!(ReflexHeader::decode(&enc).expect("round trip"), hdr);
-            // The stack-array form is byte-identical to the Bytes form.
-            assert_eq!(hdr.encode_array().as_slice(), &enc[..]);
-            assert_eq!(ReflexHeader::decode(&hdr.encode_array()).unwrap(), hdr);
         }
     }
 

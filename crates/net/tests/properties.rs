@@ -283,8 +283,7 @@ proptest! {
         len in any::<u32>(),
     ) {
         let hdr = ReflexHeader { opcode: arb_opcode(op_raw), tenant, cookie, addr, len };
-        let enc = hdr.encode();
-        prop_assert_eq!(enc.len(), HEADER_SIZE);
+        let enc = hdr.encode_array();
         prop_assert_eq!(ReflexHeader::decode(&enc).unwrap(), hdr);
     }
 
@@ -295,7 +294,7 @@ proptest! {
         match ReflexHeader::decode(&bytes) {
             Ok(h) => {
                 // Anything decoded must re-encode to the same prefix.
-                let enc = h.encode();
+                let enc = h.encode_array();
                 prop_assert_eq!(&enc[..], &bytes[..HEADER_SIZE]);
             }
             Err(WireError::Truncated) => prop_assert!(bytes.len() < HEADER_SIZE),

@@ -182,8 +182,7 @@ proptest! {
         let due = sleepy.scheds.iter_mut().filter_map(QosScheduler::next_wake).min();
         let mut rounds: Vec<(SimTime, usize)> = Vec::new();
         let mut hinted: Option<(SimTime, usize)> = None;
-        for t in 0..threads as usize {
-            let (offset, period) = grid[t];
+        for (t, &(offset, period)) in grid.iter().enumerate().take(threads as usize) {
             let mut at = sleepy.now[t] + SimDuration::from_nanos(offset);
             for _ in 0..k {
                 if due.is_some_and(|due| at >= due) {

@@ -25,10 +25,10 @@ use reflex_sim::{SimDuration, SimTime};
 
 use crate::rng::SwarmRng;
 
-/// Which testbed a case runs on.
+/// The shape of the `Testbed` a case runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// Single-server `Testbed` (reflex-core).
+    /// One server, plain workloads.
     Core {
         /// Server dataplane threads (1..=2).
         server_threads: usize,
@@ -37,7 +37,7 @@ pub enum Topology {
         /// Per-thread DRAM cache capacity in MiB (0 = tier disabled).
         cache_mb: u64,
     },
-    /// Replicated `ReplTestbed` (reflex-replication).
+    /// Several server sites, replicated workloads.
     Replicated {
         /// Server sites (3..=4).
         sites: usize,

@@ -4,16 +4,21 @@
 //! and drained for the conservation checks, and an exact **re-run**
 //! whose report the identity family holds byte-identical to the first.
 //!
-//! Healthy core cases additionally run an **alloc pass**: the same
-//! scenario, telemetry off, measured under the counting allocator (when
-//! the embedding binary installed it).
+//! Healthy cases additionally run an **alloc pass**: the same scenario,
+//! telemetry off, measured under the counting allocator (when the
+//! embedding binary installed it).
+//!
+//! Both topologies are one `Testbed` — the replicated one has more
+//! sites and workloads with the replication property — so they share
+//! every step; the quorum/epoch family alone asks which one it is.
 
 use std::sync::Mutex;
 
-use reflex_core::{AddrPattern, RetryPolicy, ServerConfig, Testbed, TestbedReport, WorkloadSpec};
+use reflex_core::{
+    AddrPattern, ReadPolicy, RetryPolicy, ServerConfig, Testbed, TestbedReport, WorkloadSpec,
+};
 use reflex_faults::install;
 use reflex_qos::{SloSpec, TenantClass, TenantId};
-use reflex_replication::{ReadPolicy, ReplReport, ReplTestbed, ReplWorkloadSpec};
 use reflex_sim::SimDuration;
 
 use crate::gen::{SwarmCase, TenantSpec, Topology};
@@ -83,35 +88,40 @@ impl CaseOutcome {
     }
 }
 
-/// Runs `case` under every applicable oracle family.
-pub fn run_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
-    match case.topology {
-        Topology::Core { .. } => run_core_case(case, cfg),
-        Topology::Replicated { .. } => run_repl_case(case),
-    }
-}
-
-// ------------------------------------------------------------------
-// Core topology
-
-struct CoreArtifacts {
+struct Artifacts {
     fingerprint: String,
+    /// Every replicated workload's membership epoch, sampled along the
+    /// measured window.
+    epochs: Vec<Vec<u32>>,
+    /// [`spent_by_site`] as the measured window opened.
+    spent_at_start: Vec<i64>,
     completed: u64,
     notes: Vec<String>,
 }
 
-fn core_fingerprint(r: &TestbedReport) -> String {
+fn fingerprint(r: &TestbedReport) -> String {
     // engine_events and telemetry are execution artifacts, not simulated
     // results.
     format!(
-        "window={:?} workloads={:?} threads={:?} tokens={} device={:?} renegs={:?}",
+        "window={:?} workloads={:?} threads={:?} tokens={} device={:?} renegs={:?} recoveries={:?}",
         r.window,
         r.workloads,
         r.threads,
         r.token_usage_per_sec.to_bits(),
         r.device,
-        r.renegotiations
+        r.renegotiations,
+        r.recoveries
     )
+}
+
+/// IOs the servers' threads have completed, over every site.
+fn completed(tb: &Testbed) -> u64 {
+    let threads = tb.report().threads;
+    threads
+        .iter()
+        .filter_map(|t| t.stats.as_ref())
+        .map(|s| s.completed)
+        .sum()
 }
 
 /// Derives the per-thread DRAM cache tier from the case topology.
@@ -159,67 +169,151 @@ fn core_spec(i: usize, t: &TenantSpec) -> WorkloadSpec {
     spec
 }
 
-/// Builds, populates and runs a core testbed through warmup + measure,
-/// telemetry on. (A case whose tenants were all rejected — a generator
-/// bug — surfaces upstream as an IO-conservation violation.)
-fn run_core(case: &SwarmCase) -> (Testbed, CoreArtifacts) {
-    let Topology::Core {
-        server_threads,
-        clients,
-        ..
-    } = case.topology
-    else {
-        unreachable!("run_core on non-core case")
-    };
-    let mut tb = Testbed::builder()
-        .seed(case.seed)
-        .server(ServerConfig {
-            threads: server_threads as u32,
-            max_threads: server_threads as u32,
-            dataplane: reflex_dataplane::DataplaneConfig {
-                cache: core_cache(case),
-                ..reflex_dataplane::DataplaneConfig::default()
-            },
-            ..ServerConfig::default()
-        })
-        .client_machines(vec![reflex_net::StackProfile::ix_tcp(); clients])
-        .build();
-    let mut notes = Vec::new();
+fn repl_spec(i: usize, t: &TenantSpec) -> WorkloadSpec {
+    let (iops, pct, p95_us) = t.lc.expect("replicated tenants carry an SLO");
+    let slo = SloSpec::new(iops, pct, SimDuration::from_micros(p95_us));
+    let mut spec = WorkloadSpec::replicated(
+        &format!("t{i}"),
+        TenantId(i as u32 + 1),
+        slo,
+        t.rate_iops as f64,
+    )
+    .with_read_policy(if t.quorum_read {
+        ReadPolicy::Quorum
+    } else {
+        ReadPolicy::Primary
+    })
+    .with_retry(RetryPolicy::standard());
+    spec.namespace = (i as u64 * (8 << 20), 8 << 20);
+    spec
+}
+
+/// Builds the case's testbed, faults installed, and populates it. A
+/// core tenant the admission controller rejects is dropped with a note
+/// (a case whose tenants were all rejected — a generator bug — surfaces
+/// upstream as an IO-conservation violation).
+fn build(case: &SwarmCase, telemetry: bool) -> (Testbed, Vec<String>) {
+    let builder = Testbed::builder().seed(case.seed);
+    let mut tb = match case.topology {
+        Topology::Core {
+            server_threads,
+            clients,
+            ..
+        } => builder
+            .server(ServerConfig {
+                threads: server_threads as u32,
+                max_threads: server_threads as u32,
+                dataplane: reflex_dataplane::DataplaneConfig {
+                    cache: core_cache(case),
+                    ..reflex_dataplane::DataplaneConfig::default()
+                },
+                ..ServerConfig::default()
+            })
+            .client_machines(vec![reflex_net::StackProfile::ix_tcp(); clients]),
+        Topology::Replicated { sites, replication } => {
+            builder.sites(sites).replication(replication)
+        }
+    }
+    .build();
     if !case.faults.is_empty() {
         let _stats = install(&case.faults, &mut tb);
     }
-    tb.enable_telemetry();
+    if telemetry {
+        tb.enable_telemetry();
+    }
+    let mut notes = Vec::new();
     for (i, t) in case.tenants.iter().enumerate() {
-        if let Err(e) = tb.add_workload(core_spec(i, t)) {
-            notes.push(format!("tenant t{i} rejected: {e}"));
+        match case.topology {
+            Topology::Core { .. } => {
+                if let Err(e) = tb.add_workload(core_spec(i, t)) {
+                    notes.push(format!("tenant t{i} rejected: {e}"));
+                }
+            }
+            Topology::Replicated { .. } => tb
+                .add_workload(repl_spec(i, t))
+                .expect("replicated workload admitted"),
         }
     }
+    (tb, notes)
+}
+
+/// Millitokens each site's tenants have spent so far.
+fn spent_by_site(tb: &Testbed) -> Vec<i64> {
+    let w = tb.world();
+    (0..w.site_count())
+        .map(|s| {
+            w.server_at(s)
+                .all_tenants_spent_millitokens()
+                .values()
+                .sum()
+        })
+        .collect()
+}
+
+/// Runs the case through warmup + measure, telemetry on. `slices` cuts
+/// the measured window and samples the membership epochs after each, so
+/// monotonicity is observed at several instants, not just at the end.
+fn run_measured(case: &SwarmCase, slices: u64) -> (Testbed, Artifacts) {
+    let (mut tb, notes) = build(case, true);
     tb.run(SimDuration::from_millis(case.warmup_ms));
     tb.begin_measurement();
-    tb.run(SimDuration::from_millis(case.measure_ms));
-    let report = tb.report();
-    let completed = report
-        .threads
-        .iter()
-        .filter_map(|t| t.stats.as_ref())
-        .map(|s| s.completed)
-        .sum();
-    let artifacts = CoreArtifacts {
-        fingerprint: core_fingerprint(&report),
-        completed,
+    let spent_at_start = spent_by_site(&tb);
+    let mut epochs = Vec::new();
+    for _ in 0..slices {
+        tb.run(SimDuration::from_millis(case.measure_ms) / slices);
+        if let Topology::Replicated { .. } = case.topology {
+            let w = tb.world();
+            epochs.push((0..case.tenants.len()).map(|i| w.epoch(i)).collect());
+        }
+    }
+    let artifacts = Artifacts {
+        fingerprint: fingerprint(&tb.report()),
+        epochs,
+        spent_at_start,
+        completed: completed(&tb),
         notes,
     };
     (tb, artifacts)
 }
 
-fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
+/// Runs `case` under every applicable oracle family.
+pub fn run_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
     let mut violations = Vec::new();
     let mut families = Vec::new();
 
-    let (mut tb, oracle_run) = run_core(case);
-    let (_, rerun) = run_core(case);
+    // The re-run slices the measured window differently: that must not
+    // change the report either.
+    let (mut tb, oracle_run) = run_measured(case, 4);
+    let (_, rerun) = run_measured(case, 1);
     check_identity(&oracle_run.fingerprint, &rerun.fingerprint, &mut violations);
     families.push((OracleFamily::RerunIdentity, FamilyStatus::Checked));
+
+    // Quorum/epoch family: sampled monotonicity + final membership.
+    match case.topology {
+        Topology::Replicated { replication, .. } => {
+            let recoveries = tb.report().recoveries.len();
+            check_epochs(
+                &oracle_run.epochs,
+                recoveries,
+                case.faulty(),
+                &mut violations,
+            );
+            for w_idx in 0..case.tenants.len() {
+                check_membership(
+                    &tb.world().member_sites(w_idx),
+                    tb.world().primary_slot(w_idx),
+                    replication,
+                    case.faulty(),
+                    &mut violations,
+                );
+            }
+            families.push((OracleFamily::QuorumEpoch, FamilyStatus::Checked));
+        }
+        Topology::Core { .. } => families.push((
+            OracleFamily::QuorumEpoch,
+            FamilyStatus::Vacuous("single-server topology has no membership"),
+        )),
+    }
 
     // Stop, drain, and hold the exit books to exact balance.
     tb.world_mut().stop_all_workloads();
@@ -235,92 +329,44 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
         )),
     }
 
-    // Token budget: the books balance to the millitoken on every case;
-    // with a latency-critical tenant admitted, spend also stays within the
-    // device budget at the strictest SLO.
-    let (generated, accounted) = tb.world().server().token_books();
-    check_token_books(generated, accounted, &mut violations);
-    let strictest = case
-        .tenants
-        .iter()
-        .filter_map(|t| t.lc)
-        .map(|(_, _, p95)| p95)
-        .min();
-    if let Some(p95_us) = strictest {
-        let report = tb.report();
-        let budget = tb
-            .world()
-            .server()
-            .capacity()
-            .tokens_per_sec_at(SimDuration::from_micros(p95_us));
-        if report.token_usage_per_sec > budget * 1.05 {
+    // Token budget: every site's books balance to the millitoken on
+    // every case; and a site that admitted latency-critical tenants
+    // spends within its device's budget at the strictest of their SLOs.
+    let secs = tb.report().window.as_secs_f64();
+    let spent = spent_by_site(&tb);
+    for (site, (now, start)) in spent.iter().zip(&oracle_run.spent_at_start).enumerate() {
+        let server = tb.world().server_at(site);
+        let (generated, accounted) = server.token_books();
+        check_token_books(generated, accounted, &mut violations);
+        let Some(slo) = server.strictest_slo() else {
+            continue;
+        };
+        let budget = server.capacity().tokens_per_sec_at(slo);
+        let usage = (now - start) as f64 / 1_000.0 / secs;
+        if usage > budget * 1.05 {
             violations.push(Violation {
                 family: OracleFamily::TokenBudget,
                 detail: format!(
-                    "token spend {:.0}/s exceeds the device budget {budget:.0}/s \
-                     at the strictest admitted SLO ({p95_us}us)",
-                    report.token_usage_per_sec
+                    "site {site}: token spend {usage:.0}/s exceeds the device budget \
+                     {budget:.0}/s at the strictest admitted SLO ({slo:?})"
                 ),
             });
         }
     }
     families.push((OracleFamily::TokenBudget, FamilyStatus::Checked));
 
-    families.push((
-        OracleFamily::QuorumEpoch,
-        FamilyStatus::Vacuous("single-server topology has no membership"),
-    ));
-
     // Alloc pass: healthy scenarios, telemetry off, longer windows so
     // per-IO amortization is meaningful.
     match (cfg.alloc_counter, case.faulty()) {
         (Some(counter), false) => {
             let _gate = alloc_gate();
-            let alloc_case = SwarmCase {
-                warmup_ms: 150,
-                measure_ms: 250,
-                ..case.clone()
-            };
-            let (allocs, ios) = {
-                let Topology::Core {
-                    server_threads,
-                    clients,
-                    ..
-                } = alloc_case.topology
-                else {
-                    unreachable!()
-                };
-                let mut tb = Testbed::builder()
-                    .seed(alloc_case.seed)
-                    .server(ServerConfig {
-                        threads: server_threads as u32,
-                        max_threads: server_threads as u32,
-                        dataplane: reflex_dataplane::DataplaneConfig {
-                            cache: core_cache(&alloc_case),
-                            ..reflex_dataplane::DataplaneConfig::default()
-                        },
-                        ..ServerConfig::default()
-                    })
-                    .client_machines(vec![reflex_net::StackProfile::ix_tcp(); clients])
-                    .build();
-                for (i, t) in alloc_case.tenants.iter().enumerate() {
-                    let _ = tb.add_workload(core_spec(i, t));
-                }
-                tb.run(SimDuration::from_millis(alloc_case.warmup_ms));
-                let completed = |tb: &Testbed| -> u64 {
-                    tb.report()
-                        .threads
-                        .iter()
-                        .filter_map(|t| t.stats.as_ref())
-                        .map(|s| s.completed)
-                        .sum()
-                };
-                let ios_before = completed(&tb);
-                let before = counter();
-                tb.run(SimDuration::from_millis(alloc_case.measure_ms));
-                let after = counter();
-                (after - before, completed(&tb) - ios_before)
-            };
+            let (mut tb, _) = build(case, false);
+            tb.run(SimDuration::from_millis(150));
+            let ios_before = completed(&tb);
+            let before = counter();
+            tb.run(SimDuration::from_millis(250));
+            let allocs = counter() - before;
+            let ios = completed(&tb) - ios_before;
             check_alloc(allocs, ios, ALLOC_BUDGET_PER_IO, &mut violations);
             families.push((OracleFamily::AllocBudget, FamilyStatus::Checked));
         }
@@ -339,148 +385,6 @@ fn run_core_case(case: &SwarmCase, cfg: &RunConfig) -> CaseOutcome {
         violations,
         families,
         notes: oracle_run.notes,
-        completed_ios: oracle_run.completed,
-    }
-}
-
-// ------------------------------------------------------------------
-// Replicated topology
-
-fn repl_fingerprint(r: &ReplReport) -> String {
-    format!(
-        "window={:?} workloads={:?} recoveries={:?}",
-        r.window, r.workloads, r.recoveries
-    )
-}
-
-struct ReplArtifacts {
-    fingerprint: String,
-    epochs: Vec<Vec<u32>>,
-    completed: u64,
-}
-
-fn run_repl(case: &SwarmCase, sample: bool) -> (ReplTestbed, ReplArtifacts) {
-    let Topology::Replicated {
-        sites, replication, ..
-    } = case.topology
-    else {
-        unreachable!("run_repl on non-replicated case")
-    };
-    let mut tb = ReplTestbed::builder()
-        .sites(sites)
-        .replication(replication)
-        .seed(case.seed)
-        .build();
-    tb.enable_telemetry();
-    for (i, t) in case.tenants.iter().enumerate() {
-        let (iops, pct, p95_us) = t.lc.expect("replicated tenants carry an SLO");
-        let spec = ReplWorkloadSpec::open_loop(
-            format!("t{i}"),
-            TenantId(i as u32 + 1),
-            SloSpec::new(iops, pct, SimDuration::from_micros(p95_us)),
-            t.rate_iops as f64,
-        )
-        .with_read_policy(if t.quorum_read {
-            ReadPolicy::Quorum
-        } else {
-            ReadPolicy::Primary
-        })
-        .with_namespace(i as u64 * (8 << 20), 8 << 20)
-        .with_retry(RetryPolicy::standard());
-        tb.add_workload(spec).expect("replicated workload admitted");
-    }
-    if !case.faults.is_empty() {
-        let _stats = tb.install(&case.faults);
-    }
-    tb.run(SimDuration::from_millis(case.warmup_ms));
-    tb.begin_measurement();
-    // Slice the measured window so epoch monotonicity is observed at
-    // several instants, not just at the end.
-    let mut epochs = Vec::new();
-    let slices: u64 = if sample { 4 } else { 1 };
-    for _ in 0..slices {
-        tb.run(SimDuration::from_millis(case.measure_ms) / slices);
-        if sample {
-            let w = tb.world();
-            epochs.push((0..case.tenants.len()).map(|i| w.epoch(i)).collect());
-        }
-    }
-    let report = tb.report();
-    let completed = report
-        .workloads
-        .iter()
-        .map(|w| (w.iops * case.measure_ms as f64 / 1_000.0) as u64)
-        .sum();
-    let artifacts = ReplArtifacts {
-        fingerprint: repl_fingerprint(&report),
-        epochs,
-        completed,
-    };
-    (tb, artifacts)
-}
-
-fn run_repl_case(case: &SwarmCase) -> CaseOutcome {
-    let Topology::Replicated { replication, .. } = case.topology else {
-        unreachable!()
-    };
-    let mut violations = Vec::new();
-    let mut families = Vec::new();
-
-    let (mut tb, oracle_run) = run_repl(case, true);
-    let report = tb.report();
-
-    // The re-run does not sample epochs: slicing the measured window
-    // differently must not change the report either.
-    let (_, rerun) = run_repl(case, false);
-    check_identity(&oracle_run.fingerprint, &rerun.fingerprint, &mut violations);
-    families.push((OracleFamily::RerunIdentity, FamilyStatus::Checked));
-
-    // Quorum/epoch family: sampled monotonicity + final membership.
-    check_epochs(
-        &oracle_run.epochs,
-        report.recoveries.len(),
-        case.faulty(),
-        &mut violations,
-    );
-    for w_idx in 0..case.tenants.len() {
-        check_membership(
-            &tb.member_sites(w_idx),
-            tb.world().primary_slot(w_idx),
-            replication,
-            case.faulty(),
-            &mut violations,
-        );
-    }
-    families.push((OracleFamily::QuorumEpoch, FamilyStatus::Checked));
-
-    // Conservation after stop-and-drain, exactly like the core path.
-    tb.world_mut().stop_all_workloads();
-    tb.run(DRAIN);
-    match tb.telemetry_snapshot() {
-        Some(snapshot) => {
-            check_io_conservation(&snapshot, &mut violations);
-            families.push((OracleFamily::IoConservation, FamilyStatus::Checked));
-        }
-        None => families.push((
-            OracleFamily::IoConservation,
-            FamilyStatus::Vacuous("telemetry unavailable"),
-        )),
-    }
-
-    families.push((
-        OracleFamily::TokenBudget,
-        FamilyStatus::Vacuous("the replicated testbed does not expose its sites' token books"),
-    ));
-    families.push((
-        OracleFamily::AllocBudget,
-        FamilyStatus::Vacuous("replicated fan-out is gated by the bench alloc budget"),
-    ));
-
-    CaseOutcome {
-        case: case.clone(),
-        violations,
-        families,
-        notes: Vec::new(),
         completed_ios: oracle_run.completed,
     }
 }

@@ -16,10 +16,9 @@
 //! | [`qos`] | `reflex-qos` | cost model, tokens, **Algorithm 1** scheduler |
 //! | [`cache`] | `reflex-cache` | per-thread DRAM read cache (write-around, set-associative) |
 //! | [`dataplane`] | `reflex-dataplane` | polling server threads, Table-1 ABI, ACLs |
-//! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] |
+//! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication |
 //! | [`telemetry`] | `reflex-telemetry` | counters, per-tenant stage spans, SLO monitor, snapshots |
 //! | [`faults`] | `reflex-faults` | deterministic fault injection + recovery measurement |
-//! | [`replication`] | `reflex-replication` | client-driven R-way replication, quorum reads, failover |
 //! | [`baselines`] | `reflex-baselines` | local SPDK, iSCSI, libaio comparisons |
 //! | [`workloads`] | `reflex-workloads` | FIO, FlashX-like, RocksDB-like apps |
 //!
@@ -56,7 +55,6 @@ pub use reflex_faults as faults;
 pub use reflex_flash as flash;
 pub use reflex_net as net;
 pub use reflex_qos as qos;
-pub use reflex_replication as replication;
 pub use reflex_sim as sim;
 pub use reflex_telemetry as telemetry;
 pub use reflex_workloads as workloads;
