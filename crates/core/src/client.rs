@@ -21,7 +21,7 @@ use reflex_net::ConnId;
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{Histogram, PoolKey, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
 
-use crate::replica::{ReadPolicy, SLOT_SHIFT};
+use crate::testbed::ReadPolicy;
 
 /// One operation of a recorded I/O trace (offsets are relative to the
 /// workload's start).
@@ -376,9 +376,6 @@ impl WorkloadSpec {
                         .into(),
                 );
             }
-            if self.tenant.0 >= 1 << SLOT_SHIFT {
-                return Err("tenant id collides with replica-slot encoding (top 4 bits)".into());
-            }
         }
         Ok(())
     }
@@ -670,9 +667,6 @@ mod tests {
         let mut s = replicated();
         s.pattern = LoadPattern::ClosedLoop { queue_depth: 4 };
         assert!(s.validate().unwrap_err().contains("open-loop"));
-        let mut s = replicated();
-        s.tenant = TenantId(1 << 28);
-        assert!(s.validate().unwrap_err().contains("slot encoding"));
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl ClusterPlanner {
         &self.servers
     }
 
-    /// Where a tenant is placed, if anywhere.
+    /// Where [`place`](Self::place) put a tenant, if anywhere.
     pub fn placement_of(&self, id: TenantId) -> Option<ServerId> {
         self.placements.get(&id).copied()
     }
@@ -248,32 +248,36 @@ impl ClusterPlanner {
     ///
     /// See [`PlacementError`].
     pub fn place(&mut self, id: TenantId, slo: SloSpec) -> Result<ServerId, PlacementError> {
-        self.place_excluding(id, slo, &[])
-    }
-
-    /// [`place`](Self::place) restricted to servers outside `exclude` —
-    /// the anti-affinity primitive replica placement needs: a tenant's
-    /// R-th copy must not share a server with its first R-1.
-    ///
-    /// # Errors
-    ///
-    /// See [`PlacementError`]; excluding every server reports
-    /// [`PlacementError::NoCapacity`] with zero available.
-    pub fn place_excluding(
-        &mut self,
-        id: TenantId,
-        slo: SloSpec,
-        exclude: &[ServerId],
-    ) -> Result<ServerId, PlacementError> {
         if self.placements.contains_key(&id) {
             return Err(PlacementError::Duplicate(id));
         }
+        let sid = self.best_server(slo, &[])?;
+        self.reserve(sid, id, slo);
+        self.placements.insert(id, sid);
+        Ok(sid)
+    }
+
+    /// The server [`place`](Self::place) would choose for `slo`, among
+    /// those outside `exclude` — the anti-affinity primitive replica
+    /// placement needs: a tenant's R-th copy must not share a server with
+    /// its first R-1. Books nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError::NoCapacity`]; excluding every server, or a
+    /// cluster every server of which has failed, reports it with zero
+    /// available.
+    pub(crate) fn best_server(
+        &self,
+        slo: SloSpec,
+        exclude: &[ServerId],
+    ) -> Result<ServerId, PlacementError> {
         let required =
             |s: &ServerDescriptor| slo.token_rate(&s.cost_model, 4096).as_tokens_per_sec_f64();
 
-        let mut best: Option<(usize, (f64, f64))> = None;
+        let mut best: Option<(ServerId, (f64, f64))> = None;
         let mut best_available = 0.0f64;
-        for (i, s) in self.servers.iter().enumerate() {
+        for s in &self.servers {
             if exclude.contains(&s.id) {
                 continue;
             }
@@ -303,19 +307,33 @@ impl ClusterPlanner {
             let score = (loss, affinity);
             match best {
                 Some((_, best_score)) if best_score <= score => {}
-                _ => best = Some((i, score)),
+                _ => best = Some((s.id, score)),
             }
         }
-        let Some((idx, _)) = best else {
-            return Err(PlacementError::NoCapacity {
-                required: required(&self.servers[0]),
+        best.map(|(sid, _)| sid)
+            .ok_or_else(|| PlacementError::NoCapacity {
+                required: self.servers.first().map_or(0.0, required),
                 best_available,
-            });
-        };
-        self.servers[idx].tenants.insert(id, slo);
-        let sid = self.servers[idx].id;
-        self.placements.insert(id, sid);
-        Ok(sid)
+            })
+    }
+
+    /// Reserves `slo` for tenant `id` on `server`. A reservation is keyed
+    /// by (server, tenant); one made here rather than by
+    /// [`place`](Self::place) is the caller's to track — [`remove`] and
+    /// [`fail_server`]'s migration never move it, and a dead server's
+    /// go with it.
+    ///
+    /// [`remove`]: Self::remove
+    /// [`fail_server`]: Self::fail_server
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server` is not in the cluster.
+    pub(crate) fn reserve(&mut self, server: ServerId, id: TenantId, slo: SloSpec) {
+        let s = self.servers.iter_mut().find(|s| s.id == server);
+        s.expect("reserving on a live server")
+            .tenants
+            .insert(id, slo);
     }
 
     /// Handles the death of a whole server (paper §4.3: "the control
@@ -341,7 +359,13 @@ impl ClusterPlanner {
             .position(|s| s.id == dead)
             .ok_or(PlacementError::UnknownServer(dead))?;
         let dead_server = self.servers.remove(idx);
-        let mut orphans: Vec<(TenantId, SloSpec)> = dead_server.tenants.into_iter().collect();
+        // Only tenants `place` put there migrate; reservations made
+        // through `reserve` die with the server.
+        let mut orphans: Vec<(TenantId, SloSpec)> = dead_server
+            .tenants
+            .into_iter()
+            .filter(|(id, _)| self.placements.get(id) == Some(&dead))
+            .collect();
         orphans.sort_by_key(|(id, slo)| (slo.p95_read_latency, *id));
         for (id, _) in &orphans {
             self.placements.remove(id);
@@ -397,23 +421,6 @@ impl ClusterPlanner {
             .expect("placement refers to a live server");
         server.tenants.remove(&id);
         Ok(())
-    }
-
-    /// Renames a placed tenant; its server and reservation stay as they
-    /// are. Nothing happens for an unplaced id.
-    pub(crate) fn rekey(&mut self, from: TenantId, to: TenantId) {
-        let Some(sid) = self.placements.remove(&from) else {
-            return;
-        };
-        self.placements.insert(to, sid);
-        let server = self
-            .servers
-            .iter_mut()
-            .find(|s| s.id == sid)
-            .expect("placement refers to a live server");
-        if let Some(slo) = server.tenants.remove(&from) {
-            server.tenants.insert(to, slo);
-        }
     }
 }
 
@@ -631,6 +638,29 @@ mod tests {
         assert!(report.migrated.is_empty());
         assert_eq!(report.stranded.len(), 1);
         assert!(planner.servers().is_empty());
+    }
+
+    #[test]
+    fn reservations_stay_where_the_caller_put_them() {
+        let mut planner = cluster(3);
+        let s = slo(10_000, 500);
+        let first = planner.best_server(s, &[]).unwrap();
+        planner.reserve(first, TenantId(1), s);
+        let second = planner.best_server(s, &[first]).unwrap();
+        assert_ne!(first, second, "anti-affine");
+        planner.reserve(second, TenantId(1), s);
+        assert_eq!(planner.placement_of(TenantId(1)), None);
+        assert!(planner.remove(TenantId(1)).is_err());
+        // A dead server's reservation goes with it; nothing migrates.
+        let report = planner.fail_server(first).unwrap();
+        assert!(report.migrated.is_empty() && report.stranded.is_empty());
+        let held: Vec<usize> = planner.servers().iter().map(|s| s.tenant_count()).collect();
+        assert_eq!(held.iter().sum::<usize>(), 1, "{held:?}");
+        let all: Vec<ServerId> = planner.servers().iter().map(|s| s.id).collect();
+        assert!(matches!(
+            planner.best_server(s, &all),
+            Err(PlacementError::NoCapacity { best_available, .. }) if best_available == 0.0
+        ));
     }
 
     #[test]

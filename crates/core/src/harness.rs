@@ -127,11 +127,9 @@ pub trait ServerHarness: Send {
         (0, 0)
     }
 
-    /// Periodic control-plane tick; returns tenants flagged for SLO
-    /// renegotiation. Servers without a control plane do nothing.
-    fn control_tick(&mut self, _now: SimTime, _window: SimDuration) -> Vec<TenantId> {
-        Vec::new()
-    }
+    /// Periodic control-plane tick: flags tenants for SLO renegotiation
+    /// and scales threads. Servers without a control plane do nothing.
+    fn control_tick(&mut self, _now: SimTime, _window: SimDuration) {}
 
     /// Installs a telemetry handle on the server's workers. Servers
     /// without instrumentation ignore it (the testbed still records

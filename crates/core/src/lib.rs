@@ -38,7 +38,6 @@ mod capacity;
 mod client;
 mod cluster;
 mod harness;
-mod replica;
 mod server;
 mod testbed;
 
@@ -54,11 +53,8 @@ pub use cluster::{
     MIGRATION_STEP,
 };
 pub use harness::ServerHarness;
-pub use replica::{
-    quorum, FailoverAction, ReadPolicy, ReplicaFailover, ReplicaSet, ReplicaSets, MAX_REPLICAS,
-};
-pub use server::{AdmissionError, ControlPlaneStats, ReflexServer, ServerConfig};
+pub use server::{AdmissionError, ReflexServer, ServerConfig};
 pub use testbed::{
-    TenantRecovery, Testbed, TestbedBuilder, TestbedError, TestbedReport, ThreadReport, WakeStats,
-    World, WorldEvent,
+    quorum, ReadPolicy, TenantRecovery, Testbed, TestbedBuilder, TestbedError, TestbedReport,
+    ThreadReport, WakeStats, World, WorldEvent, MAX_REPLICAS,
 };

@@ -100,20 +100,6 @@ struct TenantInfo {
     shard_rr: usize,
 }
 
-/// Control-plane bookkeeping published for reports.
-#[derive(Debug, Clone, Default)]
-pub struct ControlPlaneStats {
-    /// Tenants flagged for SLO renegotiation (persistent deficits).
-    pub renegotiations: Vec<TenantId>,
-    /// Tenants whose measured server-side p95 read latency exceeded their
-    /// SLO in some monitoring window.
-    pub slo_violations: Vec<TenantId>,
-    /// Thread scale-up events.
-    pub scale_ups: u64,
-    /// Thread scale-down events.
-    pub scale_downs: u64,
-}
-
 /// The ReFlex server with its local control plane.
 #[derive(Debug)]
 pub struct ReflexServer {
@@ -133,7 +119,9 @@ pub struct ReflexServer {
     next_shard_id: u32,
     last_busy: Vec<SimDuration>,
     last_deficits: HashMap<TenantId, u64>,
-    cp_stats: ControlPlaneStats,
+    /// Tenants flagged for SLO renegotiation (persistent deficits), in
+    /// flagging order.
+    renegotiations: Vec<TenantId>,
     /// Scratch recycled by `control_tick`, which runs inside every
     /// measured window: the sorted tenant ids and the histograms to reset.
     tick_ids: Vec<TenantId>,
@@ -199,7 +187,7 @@ impl ReflexServer {
             next_shard_id: 0x8000_0000,
             last_busy,
             last_deficits: HashMap::new(),
-            cp_stats: ControlPlaneStats::default(),
+            renegotiations: Vec::new(),
             tick_ids: Vec::new(),
             tick_resets: Vec::new(),
         }
@@ -233,11 +221,6 @@ impl ReflexServer {
     /// The cost model in force.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
-    }
-
-    /// Control-plane statistics so far.
-    pub fn control_stats(&self) -> &ControlPlaneStats {
-        &self.cp_stats
     }
 
     /// The strictest (smallest) p95 bound among registered LC tenants.
@@ -819,12 +802,10 @@ impl ReflexServer {
 
     /// Control-plane tick: deficit detection and (optionally) thread
     /// scaling based on per-thread busy fractions over the elapsed window.
-    /// Returns tenants newly flagged for renegotiation.
-    pub fn control_tick(&mut self, now: SimTime, window: SimDuration) -> Vec<TenantId> {
+    pub fn control_tick(&mut self, now: SimTime, window: SimDuration) {
         self.settle(now);
         // Deficit detection: tenants whose deficit counter advanced since
         // the last tick are candidates for renegotiation (paper line 7).
-        let mut flagged = Vec::new();
         let mut latency_hot = false;
         let mut to_reset = std::mem::take(&mut self.tick_resets);
         // Deterministic traversal: HashMap order varies per process and
@@ -850,22 +831,14 @@ impl ReflexServer {
                 })
                 .sum();
             let prev = self.last_deficits.insert(id, current).unwrap_or(0);
-            if current > prev {
-                flagged.push(id);
-                if !self.cp_stats.renegotiations.contains(&id) {
-                    self.cp_stats.renegotiations.push(id);
-                }
+            if current > prev && !self.renegotiations.contains(&id) {
+                self.renegotiations.push(id);
             }
             // SLO compliance monitoring (server-side read p95 per window).
             if let Some(slo) = info.class.slo() {
                 for &(thread, shard_id) in &info.shards {
                     if let Some(hist) = self.threads[thread].tenant_read_latency(shard_id) {
-                        if hist.count() >= 50 && hist.p95() > slo.p95_read_latency {
-                            latency_hot = true;
-                            if !self.cp_stats.slo_violations.contains(&id) {
-                                self.cp_stats.slo_violations.push(id);
-                            }
-                        }
+                        latency_hot |= hist.count() >= 50 && hist.p95() > slo.p95_read_latency;
                         to_reset.push((thread, shard_id));
                     }
                 }
@@ -900,14 +873,12 @@ impl ReflexServer {
                 self.scale_down();
             }
         }
-        flagged
     }
 
     fn scale_up(&mut self) {
         let new_idx = self.active_threads;
         self.active_threads += 1;
         self.bucket.set_active_threads(self.active_threads as u32);
-        self.cp_stats.scale_ups += 1;
         // Rebalance: move tenants from the most loaded thread until the
         // reserved rates are roughly even.
         let busiest = (0..new_idx)
@@ -948,7 +919,6 @@ impl ReflexServer {
         }
         self.active_threads -= 1;
         self.bucket.set_active_threads(self.active_threads as u32);
-        self.cp_stats.scale_downs += 1;
     }
 }
 
@@ -1018,8 +988,8 @@ impl crate::harness::ServerHarness for ReflexServer {
         ReflexServer::pump_thread(self, i, now, fabric, device)
     }
 
-    fn control_tick(&mut self, now: SimTime, window: SimDuration) -> Vec<TenantId> {
-        ReflexServer::control_tick(self, now, window)
+    fn control_tick(&mut self, now: SimTime, window: SimDuration) {
+        ReflexServer::control_tick(self, now, window);
     }
 
     #[inline]
@@ -1070,6 +1040,6 @@ impl crate::harness::ServerHarness for ReflexServer {
     }
 
     fn renegotiations(&self) -> Vec<TenantId> {
-        self.cp_stats.renegotiations.clone()
+        self.renegotiations.clone()
     }
 }

@@ -13,9 +13,11 @@ mod fanout;
 
 use std::collections::HashMap;
 
-use reflex_dataplane::WireMsg;
+use reflex_dataplane::{AclEntry, WireMsg};
 use reflex_flash::{DeviceProfile, DeviceStats, FlashDevice};
-use reflex_net::{Delivery, Fabric, LinkConfig, MachineId, Opcode, ReflexHeader, StackProfile};
+use reflex_net::{
+    ConnId, Delivery, Fabric, LinkConfig, MachineId, Opcode, ReflexHeader, StackProfile,
+};
 use reflex_qos::{CostModel, TenantId};
 use reflex_sim::{
     Ctx, Engine, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, WakeSlots, Zipf,
@@ -29,10 +31,9 @@ use crate::client::{
 };
 use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 use crate::harness::ServerHarness;
-use crate::replica::ReplicaSets;
 use crate::server::{AdmissionError, ReflexServer, ServerConfig};
 
-pub use fanout::TenantRecovery;
+pub use fanout::{quorum, ReadPolicy, TenantRecovery, MAX_REPLICAS};
 
 /// Errors configuring a testbed.
 #[derive(Debug)]
@@ -43,7 +44,7 @@ pub enum TestbedError {
     NoSuchClient(usize),
     /// Tenant registration failed.
     Admission(AdmissionError),
-    /// The coordinator could not place a replicated workload's set.
+    /// The planner could not place a replicated workload's set.
     Placement(PlacementError),
 }
 
@@ -134,8 +135,8 @@ pub enum WorldEvent<S: ServerHarness = ReflexServer> {
     /// Site `i`'s server dies (bookkeeping; the armed fault hooks do the
     /// damage).
     ServerDeath(usize),
-    /// The replica-set coordinator detects site `i`'s death and fails
-    /// every set with a member there over.
+    /// Site `i`'s death is detected: every replicated set with a member
+    /// there fails over.
     Failover(usize),
     /// Replacement member `slot` of workload `w_idx` finished re-syncing
     /// under membership `epoch` (stale if another failover intervened).
@@ -207,8 +208,12 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
 pub struct World<S: ServerHarness = ReflexServer> {
     fabric: Fabric<WireMsg>,
     sites: Vec<Site<S>>,
-    /// Places replicated workloads' sets and re-shapes them on a death.
-    coord: ReplicaSets,
+    /// Holds every replicated member's SLO reservation, keyed by (site,
+    /// tenant), and chooses sites for new and replacement members. The
+    /// membership itself is the workloads' member lists.
+    planner: ClusterPlanner,
+    /// The replication factor R of every replicated workload.
+    replication: usize,
     /// Seed from which per-workload RNG streams derive
     /// ([`SimRng::stream`] keyed by registration index, so a workload's
     /// draws do not depend on what other workloads do).
@@ -268,11 +273,6 @@ impl<S: ServerHarness + 'static> World<S> {
         &self.sites[0].device
     }
 
-    /// Exclusive access to the first site's device.
-    pub fn device_mut(&mut self) -> &mut FlashDevice {
-        self.device_at_mut(0)
-    }
-
     /// Exclusive access to site `site`'s device (fault injection installs
     /// hooks here).
     pub fn device_at_mut(&mut self, site: usize) -> &mut FlashDevice {
@@ -298,6 +298,12 @@ impl<S: ServerHarness + 'static> World<S> {
     /// Exclusive access to the first site's server.
     pub fn server_mut(&mut self) -> &mut S {
         self.server_at_mut(0)
+    }
+
+    /// The planner's books: one SLO reservation per replicated member,
+    /// on its site.
+    pub fn planner(&self) -> &ClusterPlanner {
+        &self.planner
     }
 
     /// Number of server sites.
@@ -890,11 +896,43 @@ impl<S: ServerHarness + 'static> World<S> {
 
     fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx<S>) {
         for site in &mut self.sites {
-            let _ = site.server.control_tick(ctx.now(), interval);
+            site.server.control_tick(ctx.now(), interval);
         }
         self.rearm_threads(ctx);
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
     }
+}
+
+/// Admits `spec`'s tenant on `server` and binds its connections from
+/// `client` there: a plain workload's one copy, or one member of a
+/// replicated workload's set.
+fn join<S: ServerHarness>(
+    server: &mut S,
+    fabric: &mut Fabric<WireMsg>,
+    client: MachineId,
+    spec: &WorkloadSpec,
+) -> Result<Vec<ConnId>, AdmissionError> {
+    let acl = AclEntry {
+        ns_start: spec.namespace.0,
+        ns_len: spec.namespace.1,
+        allow_read: true,
+        allow_write: true,
+        allowed_clients: None,
+    };
+    if spec.shards > 1 {
+        // Sharded registration goes through the concrete ReFlex path;
+        // harness servers without sharding treat it as an error.
+        server.register_tenant_sharded(spec.tenant, spec.class, acl, spec.io_size, spec.shards)?;
+    } else {
+        server.register_tenant(spec.tenant, spec.class, acl, spec.io_size)?;
+    }
+    (0..spec.conns)
+        .map(|_| {
+            let conn = fabric.new_conn();
+            server.bind_connection(conn, spec.tenant, client)?;
+            Ok(conn)
+        })
+        .collect()
 }
 
 /// Per-thread slice of a [`TestbedReport`].
@@ -1101,8 +1139,7 @@ impl TestbedBuilder {
     /// # Panics
     ///
     /// Panics if no client machines are configured, the replication
-    /// factor is 0 or exceeds [`MAX_REPLICAS`](crate::MAX_REPLICAS) or the
-    /// site count.
+    /// factor is 0 or exceeds [`MAX_REPLICAS`] or the site count.
     pub fn build(self) -> Testbed<ReflexServer> {
         let server_cfg = self.server.clone();
         self.build_sites(move |fabric, device, machine, cost_model, capacity| {
@@ -1155,13 +1192,13 @@ impl TestbedBuilder {
             "need at least one client machine"
         );
         assert!(
-            self.replication >= 1 && self.replication <= self.sites,
-            "replication factor {} needs at least that many sites (have {})",
+            (1..=MAX_REPLICAS.min(self.sites)).contains(&self.replication),
+            "replication factor {} needs at least that many sites (have {}, at most {MAX_REPLICAS})",
             self.replication,
             self.sites
         );
         // Matched to the device profile unless overridden: what a ReFlex
-        // server runs on, and what the coordinator plans with.
+        // server runs on, and what the planner plans with.
         let cost_model = self
             .cost_model
             .unwrap_or_else(|| CostModel::for_profile(&self.device));
@@ -1208,7 +1245,8 @@ impl TestbedBuilder {
         let world = World {
             fabric,
             sites,
-            coord: ReplicaSets::new(ClusterPlanner::new(descriptors), self.replication),
+            planner: ClusterPlanner::new(descriptors),
+            replication: self.replication,
             gen_seed,
             clients,
             workloads: Vec::new(),
@@ -1289,8 +1327,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             .schedule_event_at(at, WorldEvent::Call(Box::new(f)));
     }
 
-    /// Schedules the death of site `site`'s server at `at` and the
-    /// coordinator's failover one detection delay (30 ms) later. The
+    /// Schedules the death of site `site`'s server at `at` and its
+    /// replicated sets' failover one detection delay (30 ms) later. The
     /// death event is bookkeeping: the caller arms what does the damage
     /// (a device that aborts, links that go dark — see
     /// `reflex_faults::install`). Returns the detection delay.
@@ -1319,8 +1357,9 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     /// # Errors
     ///
     /// See [`TestbedError`]. An admission failure partway through a
-    /// replica set leaves the tenant registered on the earlier members
-    /// (the builder-phase API does not roll back).
+    /// replica set books nothing in the planner but leaves the tenant
+    /// registered on the earlier members' servers (the builder-phase API
+    /// does not roll back).
     pub fn add_workload(&mut self, spec: WorkloadSpec) -> Result<(), TestbedError> {
         let mut spec = spec;
         spec.validate().map_err(TestbedError::InvalidSpec)?;
@@ -1337,13 +1376,12 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             ));
         }
         spec.namespace.1 = spec.namespace.1.min(capacity - spec.namespace.0);
-        let member_sites: Vec<usize> = match (spec.replicated, spec.class.slo()) {
-            (Some(_), Some(slo)) => {
-                let set = world.coord.place(spec.tenant, *slo);
-                let set = set.map_err(TestbedError::Placement)?;
-                set.members.iter().map(|sid| sid.0 as usize).collect()
-            }
-            _ => vec![0],
+        let replica_slo = spec.replicated.and(spec.class.slo().copied());
+        let member_sites = match replica_slo {
+            Some(slo) => world
+                .choose_members(spec.tenant, slo)
+                .map_err(TestbedError::Placement)?,
+            None => vec![0],
         };
         let client_machine = world.clients[spec.client_machine].machine;
         let w_idx = world.workloads.len();
@@ -1354,31 +1392,20 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             WorkloadState::new(spec.clone(), SimRng::stream(world.gen_seed, w_idx as u64));
         for site in member_sites {
             let server = &mut world.sites[site].server;
-            let acl = fanout::acl_of(spec.namespace);
-            if spec.shards > 1 {
-                // Sharded registration goes through the concrete ReFlex path;
-                // harness servers without sharding treat it as an error.
-                server.register_tenant_sharded(
-                    spec.tenant,
-                    spec.class,
-                    acl,
-                    spec.io_size,
-                    spec.shards,
-                )?;
-            } else {
-                server.register_tenant(spec.tenant, spec.class, acl, spec.io_size)?;
-            }
-            let mut conns = Vec::with_capacity(spec.conns as usize);
-            for _ in 0..spec.conns {
-                let conn = world.fabric.new_conn();
-                server.bind_connection(conn, spec.tenant, client_machine)?;
-                conns.push(conn);
-            }
+            let conns = join(server, &mut world.fabric, client_machine, &spec)?;
             state.members.push(MemberLink {
                 site,
                 conns,
                 resyncing: false,
             });
+        }
+        // Every member site admitted the tenant: book the set.
+        if let Some(slo) = replica_slo {
+            for m in &state.members {
+                world
+                    .planner
+                    .reserve(ServerId(m.site as u32), spec.tenant, slo);
+            }
         }
         // Latency-critical tenants get an SLO monitor entry keyed on their
         // p95 read-latency target (no-op while telemetry is disabled).
@@ -1567,8 +1594,8 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     }
 
     /// Turns on telemetry: installs one shared [`Telemetry`] sink on the
-    /// devices, fabric, server threads, the replica-set coordinator, the
-    /// engine's dispatch probe and the client-side span/SLO probes. Recording is strictly passive — it
+    /// devices, fabric, server threads, the planner, the engine's dispatch
+    /// probe and the client-side span/SLO probes. Recording is strictly passive — it
     /// draws no randomness and schedules nothing, so an instrumented run
     /// produces byte-identical results to an uninstrumented one. Returns a
     /// clone of the handle for direct inspection.
@@ -1593,7 +1620,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             site.device.set_telemetry(telemetry.clone());
             site.server.set_telemetry(telemetry.clone());
         }
-        world.coord.set_telemetry(telemetry.clone());
+        world.planner.set_telemetry(telemetry.clone());
         for w in &world.workloads {
             if let Some(slo) = w.spec.class.slo() {
                 telemetry.slo_register(TenantKey(w.spec.tenant.0), slo.p95_read_latency);

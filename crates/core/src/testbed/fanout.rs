@@ -15,26 +15,54 @@
 //!   (`W = ⌊R/2⌋ + 1`) ack.
 //! - **Reads** go to the primary alone, or to a quorum of `Q = ⌊R/2⌋ + 1`
 //!   members — anchored on the primary, the rest rotating — and wait for
-//!   all of them, so any read quorum intersects any write quorum.
-//! - **Failover**: after a server's death and the detection delay the
-//!   [`ReplicaSets`](crate::ReplicaSets) coordinator promotes a survivor,
-//!   places a replacement (anti-affine to the survivors) and a timed
-//!   re-sync starts. The replacement serves writes at once and reads
-//!   when the re-sync ends.
+//!   all of them, so any read quorum intersects any write quorum
+//!   (2·(⌊R/2⌋+1) > R): a quorum read observes the newest
+//!   quorum-acknowledged write.
+//! - **Membership** is the workload's member list and nothing else: site
+//!   per slot, primary, epoch, re-sync state. The world's
+//!   [`ClusterPlanner`](crate::ClusterPlanner) holds each member's SLO
+//!   reservation under (site, tenant) and only places; the R copies go
+//!   on distinct sites
+//!   (anti-affinity — a copy that shares a site with another survives
+//!   nothing).
+//! - **Failover**: after a server's death and the detection delay every
+//!   set with a member there promotes its lowest surviving slot, and the
+//!   planner places a replacement anti-affine to the survivors, which
+//!   serves writes at once and reads when its timed re-sync ends.
 
-use reflex_dataplane::AclEntry;
-use reflex_net::ConnId;
-use reflex_qos::TenantId;
+use reflex_qos::{SloSpec, TenantId};
 use reflex_sim::{PoolKey, SimDuration, SimTime};
 use reflex_telemetry::TenantKey;
 
-use super::{World, WorldCtx, WorldEvent};
-use crate::client::{Fan, MemberLink, OutstandingReq, ReplOp};
-use crate::cluster::ServerId;
+use super::{join, World, WorldCtx, WorldEvent};
+use crate::client::{Fan, MemberLink, OutstandingReq, ReplOp, WorkloadState};
+use crate::cluster::{PlacementError, ServerId, MIGRATION_STEP};
 use crate::harness::ServerHarness;
-use crate::replica::{quorum, ReadPolicy, MAX_REPLICAS};
 
-/// Death → failover: the time the coordinator takes to detect a dead site.
+/// Upper bound on the replication factor: fan-out state on the client hot
+/// path lives in fixed `[_; MAX_REPLICAS]` arrays, never a heap `Vec`.
+pub const MAX_REPLICAS: usize = 8;
+
+/// Majority quorum size for `r` replicas: ⌊r/2⌋+1 = ⌈(r+1)/2⌉. Both the
+/// write-ack quorum and the read quorum use it, which is what makes any
+/// two quorums intersect (2·quorum(r) > r).
+pub fn quorum(r: usize) -> usize {
+    r / 2 + 1
+}
+
+/// How a replicated tenant serves reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadPolicy {
+    /// Read the primary replica only: one sub-request, lowest cost, but a
+    /// primary death stalls reads until failover promotes a survivor.
+    Primary,
+    /// Read from a quorum of ⌊R/2⌋+1 replicas and complete when *all* of
+    /// them answer — latency is the max of the quorum, buying freshness
+    /// and death-tolerance with extra load and a fatter tail.
+    Quorum,
+}
+
+/// Death → failover: the time the planner takes to detect a dead site.
 pub(super) const DETECT_DELAY: SimDuration = SimDuration::from_millis(30);
 
 /// Background re-sync copy rate for a replacement member: 2 GiB/s, a
@@ -50,7 +78,7 @@ pub struct TenantRecovery {
     pub tenant: TenantId,
     /// Instant its member's server died.
     pub died_at: SimTime,
-    /// Instant the coordinator ran failover (death + detection delay).
+    /// Instant failover ran (death + detection delay).
     pub failover_at: SimTime,
     /// Instant the replacement member finished re-syncing and became
     /// read-eligible (`None` if the set degraded instead).
@@ -259,92 +287,122 @@ impl<S: ServerHarness + 'static> World<S> {
         // work drains into counted failures — conservation holds.
     }
 
-    /// The coordinator detects the death and re-shapes every affected
-    /// replica set: promotion, replacement placement, connection binding
-    /// and the re-sync timer.
+    /// Chooses the sites of a new replicated workload's R members: slot 0
+    /// (the first primary) gets first pick, each later slot the best site
+    /// anti-affine to the earlier ones. Books nothing — `add_workload`
+    /// reserves the sites once every one of them has admitted the tenant.
+    pub(super) fn choose_members(
+        &self,
+        tenant: TenantId,
+        slo: SloSpec,
+    ) -> Result<Vec<usize>, PlacementError> {
+        let taken = |w: &WorkloadState| w.spec.replicated.is_some() && w.spec.tenant == tenant;
+        if self.workloads.iter().any(taken) {
+            return Err(PlacementError::Duplicate(tenant));
+        }
+        let mut members: Vec<ServerId> = Vec::with_capacity(self.replication);
+        for _ in 0..self.replication {
+            members.push(self.planner.best_server(slo, &members)?);
+        }
+        Ok(members.iter().map(|sid| sid.0 as usize).collect())
+    }
+
+    /// Failover for site `site`'s death, once detected: every replicated
+    /// set with a member there (in tenant order) promotes its lowest
+    /// surviving slot if the primary died, and the planner places a
+    /// replacement anti-affine to the survivors. The set degrades instead
+    /// when no survivor has room or the chosen site refuses the tenant
+    /// (its own admission control has the last word). Either way the
+    /// epoch is bumped; a replacement starts its re-sync.
     #[inline(never)]
     pub(super) fn failover_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
-        let Ok(fo) = self.coord.fail_server(ServerId(site as u32)) else {
+        // A site the planner no longer knows has been failed over already.
+        if self.planner.fail_server(ServerId(site as u32)).is_err() {
             return;
-        };
+        }
         let now = ctx.now();
         let died_at = self.sites[site].died_at.unwrap_or(now);
-        for action in fo.actions {
-            let Some(w_idx) = self
-                .workloads
-                .iter()
-                .position(|w| w.spec.replicated.is_some() && w.spec.tenant == action.tenant)
-            else {
-                continue;
-            };
-            let slot = action.replaced_slot;
-            let replacement = action
-                .new_member
-                .and_then(|sid| self.admit_replacement(w_idx, sid));
+        let mut hit: Vec<(TenantId, usize)> = (self.workloads.iter().enumerate())
+            .filter(|(_, w)| {
+                w.spec.replicated.is_some() && w.members.iter().any(|m| m.site == site)
+            })
+            .map(|(w_idx, w)| (w.spec.tenant, w_idx))
+            .collect();
+        hit.sort_unstable();
+        // Re-admissions queue through the control plane, `MIGRATION_STEP`
+        // each, in tenant order. A replacement the planner chose counts
+        // (in `cluster.migrations_total` too) even if its site refuses;
+        // `stranded` counts the sets no survivor had room for.
+        let (mut placed, mut stranded) = (0u32, 0);
+        for (tenant, w_idx) in hit {
             let w = &mut self.workloads[w_idx];
-            w.epoch = action.epoch;
-            w.primary = action.promoted_primary;
-            let (resync_done_at, new_site) = match replacement {
+            let slot = w.members.iter().position(|m| m.site == site).expect("hit");
+            // The last member has no survivor to promote.
+            let next = (0..w.members.len()).find(|&s| s != slot);
+            if let Some(next) = next.filter(|_| w.primary == slot) {
+                w.primary = next;
+                self.telemetry.count("replication.promotions", 1);
+            }
+            let survivors: Vec<ServerId> = (w.members.iter())
+                .filter(|m| m.site != site)
+                .map(|m| ServerId(m.site as u32))
+                .collect();
+            let slo = *w
+                .spec
+                .class
+                .slo()
+                .expect("a replicated workload has an SLO");
+            let chosen = self.planner.best_server(slo, &survivors).ok();
+            placed += u32::from(chosen.is_some());
+            stranded += u64::from(chosen.is_none());
+            let member = chosen.and_then(|sid| self.admit_replacement(w_idx, sid.0 as usize));
+            let w = &mut self.workloads[w_idx];
+            w.epoch += 1;
+            let (resync_done_at, new_site) = match member {
                 Some(member) => {
-                    // Re-sync: control-plane re-admission (the action's
-                    // queued estimate) plus copying the namespace at the
-                    // modelled background rate. Write-eligible
-                    // immediately, read-eligible when done.
+                    self.planner
+                        .reserve(ServerId(member.site as u32), tenant, slo);
+                    // Re-sync: control-plane re-admission plus copying
+                    // the namespace at the modelled background rate.
+                    // Write-eligible immediately, read-eligible when done.
                     let copy = w.spec.namespace.1 as f64 / RESYNC_BYTES_PER_SEC;
-                    let done_at = now + action.latency_estimate + SimDuration::from_secs_f64(copy);
-                    let epoch = action.epoch;
+                    let readmit = MIGRATION_STEP.mul_f64(f64::from(placed));
+                    let done_at = now + readmit + SimDuration::from_secs_f64(copy);
+                    let epoch = w.epoch;
                     ctx.schedule_event_at(done_at, WorldEvent::ResyncDone { w_idx, slot, epoch });
-                    let site = member.site;
+                    let new_site = member.site;
                     w.members[slot] = member;
-                    (Some(done_at), Some(site))
+                    (Some(done_at), Some(new_site))
                 }
                 None => {
-                    // No survivor could host the slot, or the one the
-                    // coordinator chose refused it (and leaves its books
-                    // again): the set runs degraded.
                     w.members.remove(slot);
-                    if action.new_member.is_some() {
-                        w.primary = self.coord.strand(action.tenant, slot);
+                    if w.primary > slot {
+                        w.primary -= 1;
                     }
                     (None, None)
                 }
             };
             self.recoveries.push(TenantRecovery {
-                tenant: action.tenant,
+                tenant,
                 died_at,
                 failover_at: now,
                 resync_done_at,
                 new_site,
             });
         }
+        self.telemetry.count("replication.failovers", 1);
+        self.telemetry
+            .count("cluster.migrations_total", u64::from(placed));
+        self.telemetry.count("cluster.stranded_total", stranded);
     }
 
-    /// Admits workload `w_idx` on the site the coordinator chose for a
-    /// vacated slot and binds its connections there. `None` when the site
-    /// refuses: its own admission control has the last word.
-    fn admit_replacement(&mut self, w_idx: usize, sid: ServerId) -> Option<MemberLink> {
+    /// Admits workload `w_idx` on the site the planner chose for a vacated
+    /// slot and binds its connections there. `None` when the site refuses.
+    fn admit_replacement(&mut self, w_idx: usize, site: usize) -> Option<MemberLink> {
         let spec = &self.workloads[w_idx].spec;
         let client = self.clients[spec.client_machine].machine;
-        let site = sid.0 as usize;
         let server = &mut self.sites[site].server;
-        let fabric = &mut self.fabric;
-        let conns: Result<Vec<ConnId>, _> = server
-            .register_tenant(
-                spec.tenant,
-                spec.class,
-                acl_of(spec.namespace),
-                spec.io_size,
-            )
-            .and_then(|_| {
-                (0..spec.conns)
-                    .map(|_| {
-                        let conn = fabric.new_conn();
-                        server.bind_connection(conn, spec.tenant, client)?;
-                        Ok(conn)
-                    })
-                    .collect()
-            });
-        match conns {
+        match join(server, &mut self.fabric, client, spec) {
             Ok(conns) => Some(MemberLink {
                 site,
                 conns,
@@ -363,16 +421,5 @@ impl<S: ServerHarness + 'static> World<S> {
             w.members[slot].resyncing = false;
             self.telemetry.count("replication.resyncs_done", 1);
         }
-    }
-}
-
-/// The ACL a workload's tenant gets on every site hosting it.
-pub(super) fn acl_of((ns_start, ns_len): (u64, u64)) -> AclEntry {
-    AclEntry {
-        ns_start,
-        ns_len,
-        allow_read: true,
-        allow_write: true,
-        allowed_clients: None,
     }
 }

@@ -9,12 +9,14 @@
 //! plain workload, on every report field and on `engine_events`.
 //! *Behaviour*: what the deleted crate's tests asserted
 //! of fan-out costs, quorum reads, failover, degradation, conservation
-//! and epoch fencing, asserted of the `Testbed`.
+//! and epoch fencing, asserted of the `Testbed` — and that a set's one
+//! book, the workload's member list, agrees with the planner's
+//! reservations after every placement and failover.
 
 use proptest::prelude::*;
 use reflex_core::{
-    quorum, ArrivalProcess, ReadPolicy, Testbed, TestbedReport, WorkloadSpec, WorldEvent,
-    MAX_REPLICAS,
+    quorum, AdmissionError, ArrivalProcess, PlacementError, ReadPolicy, ServerId, Testbed,
+    TestbedError, TestbedReport, WorkloadSpec, WorldEvent, MAX_REPLICAS, MIGRATION_STEP,
 };
 use reflex_dataplane::AclEntry;
 use reflex_faults::{install, FaultKind, FaultPlan};
@@ -182,10 +184,17 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 fn run(s: &Scenario) -> TestbedReport {
+    run_with(s, false)
+}
+
+fn run_with(s: &Scenario, telemetry: bool) -> TestbedReport {
     let mut tb = builder(s.sites, s.r)
         .seed(s.seed)
         .client_machines(vec![StackProfile::ix_tcp(); s.clients])
         .build();
+    if telemetry {
+        tb.enable_telemetry();
+    }
     for (i, t) in s.tenants.iter().enumerate() {
         let slo = SloSpec::new(
             (t.iops * 1.3) as u64,
@@ -262,6 +271,154 @@ const GOLDENS: [(&str, u64, u64); 11] = [
     ("two_tenants_two_machines", 0xa0b8_32b1_88fc_61a3, 24_245), // 18400 / 0 / 0 / 0, 0
     ("two_tenants_death", 0xa451_1ea0_aa49_bbad, 34_279), // 11015 / 436 / 732 / 732, 2
     ("stop_and_drain", 0x7b22_685f_0ac7_219f, 35_682), // 8279 / 801 / 1321 / 1664, 1
+];
+
+/// FNV-1a over the telemetry counters map, zero-valued entries included:
+/// what the failover path counts (`replication.*`, `cluster.*`) along
+/// with everything else.
+fn counters_digest(r: &TestbedReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let counters = &r.telemetry.as_ref().expect("telemetry enabled").counters;
+    fnv(&mut h, format!("{counters:?}").as_bytes());
+    h
+}
+
+/// Telemetry is passive: the fault scenarios, counted, report what they
+/// reported uncounted — and count what they counted on 4ea9c90.
+#[test]
+fn fault_scenarios_count_what_they_counted() {
+    let got: Vec<(&str, u64)> = scenarios()
+        .iter()
+        .filter(|s| s.death.is_some())
+        .map(|s| {
+            let report = run_with(s, true);
+            let golden = GOLDENS.iter().find(|g| g.0 == s.name).expect("a golden");
+            let seen = (s.name, digest(&report), report.engine_events);
+            assert_eq!(seen, *golden, "telemetry moved {}", s.name);
+            (s.name, counters_digest(&report))
+        })
+        .collect();
+    assert_eq!(got, COUNTER_GOLDENS, "{got:#x?}");
+}
+
+/// Counters digests, recorded on 4ea9c90.
+const COUNTER_GOLDENS: [(&str, u64); 5] = [
+    ("r2_primary_death", 0x2d3b_79f2_cc50_b9fc),
+    ("r3_primary_death", 0x7c3e_e060_6add_d06a),
+    ("r3_no_spare_degrades", 0x499c_cd97_b048_aeba),
+    ("two_tenants_death", 0x526b_2b33_839f_8dc1),
+    ("stop_and_drain", 0xaedc_9c7d_6ea0_162a),
+];
+
+/// Two deaths in tenant 1's R = 3 set: slot 1's site at 40 ms and slot
+/// 2's at 100 ms, so the second death lands behind the gap the first
+/// left (that site is slot 1 by then). On 3 sites the first death has no
+/// spare; with `refused`, a 4th site is the spare but is filled behind
+/// the planner's back, so both replacements are refused. `step` sees the
+/// testbed after each failover.
+fn two_deaths(refused: bool, step: &mut dyn FnMut(&Testbed)) -> TestbedReport {
+    let sites = 3 + usize::from(refused);
+    let mut tb = builder(sites, 3).seed(61).build();
+    tb.enable_telemetry();
+    tb.add_workload(small_spec("app", 20_000.0, ReadPolicy::Quorum))
+        .unwrap();
+    let m = tb.world().member_sites(0);
+    let plan = FaultPlan::seeded(61)
+        .with_event(
+            SimTime::ZERO + ms(40),
+            FaultKind::ServerDeath { server: m[1] },
+        )
+        .with_event(
+            SimTime::ZERO + ms(100),
+            FaultKind::ServerDeath { server: m[2] },
+        );
+    let _stats = install(&plan, &mut tb);
+    if refused {
+        let spare = (0..sites).find(|s| !m.contains(s)).unwrap();
+        fill(&mut tb, spare);
+    }
+    tb.run(ms(30));
+    tb.begin_measurement();
+    tb.run(ms(60));
+    assert_eq!(tb.world().member_sites(0), [m[0], m[2]]);
+    step(&tb);
+    tb.run(ms(80));
+    assert_eq!(tb.world().member_sites(0), [m[0]]);
+    assert_eq!(tb.world().epoch(0), 2);
+    step(&tb);
+    tb.report()
+}
+
+/// Behind the planner's back, fills site `site` with a tenant of its own.
+fn fill(tb: &mut Testbed, site: usize) {
+    let hog = TenantClass::LatencyCritical(slo(300_000, 100));
+    let acl = AclEntry {
+        ns_start: 1 << 30,
+        ns_len: 1 << 20,
+        allow_read: true,
+        allow_write: true,
+        allowed_clients: None,
+    };
+    tb.world_mut()
+        .server_at_mut(site)
+        .register_tenant(TenantId(99), hog, acl, 4096)
+        .expect("the empty site admits it");
+}
+
+#[test]
+fn two_deaths_recorded_on_the_parent() {
+    let got: Vec<(bool, u64, u64, u64)> = [false, true]
+        .into_iter()
+        .map(|refused| {
+            let r = two_deaths(refused, &mut |_| {});
+            (refused, digest(&r), r.engine_events, counters_digest(&r))
+        })
+        .collect();
+    assert_eq!(got, TWO_DEATHS, "{got:#x?}");
+}
+
+/// The planner's reservations are the member lists: every live site
+/// holds one per replicated workload (the first `workloads`) whose list
+/// names it, and a site that died is out of the planner with whatever it
+/// held.
+fn assert_books_agree(tb: &Testbed, workloads: usize) {
+    let world = tb.world();
+    let servers = world.planner().servers();
+    for site in 0..world.site_count() {
+        let named = (0..workloads)
+            .filter(|&w| world.member_sites(w).contains(&site))
+            .count();
+        let booked = servers.iter().find(|s| s.id == ServerId(site as u32));
+        assert_eq!(
+            booked.map_or(named, |s| s.tenant_count()),
+            named,
+            "site {site}"
+        );
+    }
+}
+
+#[test]
+fn the_books_agree_after_every_failover() {
+    for refused in [false, true] {
+        let mut steps = 0;
+        two_deaths(refused, &mut |tb| {
+            assert_books_agree(tb, 1);
+            // Both victims are out of the planner.
+            assert_eq!(
+                tb.world().planner().servers().len(),
+                tb.world().site_count() - 1 - steps
+            );
+            steps += 1;
+        });
+        assert_eq!(steps, 2);
+    }
+}
+
+/// (refused, digest, `engine_events`, counters digest), recorded on
+/// 4ea9c90.
+const TWO_DEATHS: [(bool, u64, u64, u64); 2] = [
+    (false, 0x3237_68d7_7f9e_73dc, 28_977, 0x3b3a_f269_fee0_7018),
+    (true, 0xade9_fb1e_14ca_56ce, 29_430, 0x3bb4_9b94_8223_de35),
 ];
 
 // ------------------------------------------------------------------
@@ -419,9 +576,10 @@ fn server_death_fails_over_promotes_and_resyncs() {
     // Failover happened: the victim left the set, the spare joined in its
     // slot, and the re-sync completed within the run.
     let members_after = tb.world().member_sites(0);
-    assert_eq!(members_after.len(), 3);
-    assert!(!members_after.contains(&victim));
-    assert!(members_after.contains(&spare));
+    assert_eq!(members_after, [spare, members_before[1], members_before[2]]);
+    assert_eq!(tb.world().primary_slot(0), 1, "the lowest surviving slot");
+    assert_eq!(tb.world().epoch(0), 1);
+    assert_books_agree(&tb, 1);
     assert_eq!(report.recoveries.len(), 1);
     let rec = report.recoveries[0];
     assert_eq!(rec.tenant, TenantId(1));
@@ -433,7 +591,9 @@ fn server_death_fails_over_promotes_and_resyncs() {
     );
     assert_eq!(rec.new_site, Some(spare));
     let resync_done = rec.resync_done_at.expect("a spare site means replacement");
-    assert!(resync_done > rec.failover_at);
+    // One re-admission, then 8 MiB at 2 GiB/s.
+    let copy = SimDuration::from_secs_f64((8 << 20) as f64 / (2u64 << 30) as f64);
+    assert_eq!(resync_done, rec.failover_at + MIGRATION_STEP + copy);
     assert!(tb.now() > resync_done, "run covers the re-sync");
     // R=3 quorum (2-of-3) survives one death: the workload kept serving
     // through the blackout and recovered to the offered load.
@@ -465,6 +625,9 @@ fn death_without_spare_degrades_the_set() {
     let members_after = tb.world().member_sites(0);
     assert_eq!(members_after.len(), 2);
     assert!(!members_after.contains(&victim));
+    assert_eq!(tb.world().primary_slot(0), 0, "the primary survived");
+    assert_eq!(quorum(members_after.len()), 2);
+    assert_books_agree(&tb, 1);
     assert_eq!(report.recoveries.len(), 1);
     assert_eq!(report.recoveries[0].new_site, None);
     assert_eq!(report.recoveries[0].resync_done_at, None);
@@ -476,8 +639,8 @@ fn death_without_spare_degrades_the_set() {
     );
 }
 
-/// The coordinator plans from its own books; the site's admission
-/// control has the last word. A replacement the site refuses used to
+/// The planner plans from its own books; the site's admission control
+/// has the last word. A replacement the site refuses used to
 /// leave a member with no connections, and the next op indexed past
 /// their end.
 #[test]
@@ -490,19 +653,8 @@ fn a_replacement_its_site_refuses_degrades_the_set() {
     let victim = members_before[1];
     let spare: usize = (0..4).find(|s| !members_before.contains(s)).unwrap();
     kill(&mut tb, 7, SimTime::ZERO + ms(40), victim);
-    // Behind the coordinator's back, the spare site fills up.
-    let hog = TenantClass::LatencyCritical(slo(300_000, 100));
-    let acl = AclEntry {
-        ns_start: 1 << 30,
-        ns_len: 1 << 20,
-        allow_read: true,
-        allow_write: true,
-        allowed_clients: None,
-    };
-    tb.world_mut()
-        .server_at_mut(spare)
-        .register_tenant(TenantId(99), hog, acl, 4096)
-        .expect("the empty site admits it");
+    // Behind the planner's back, the spare site fills up.
+    fill(&mut tb, spare);
     tb.run(ms(30));
     tb.begin_measurement();
     tb.run(ms(120));
@@ -522,13 +674,146 @@ fn a_replacement_its_site_refuses_degrades_the_set() {
         "degraded set stopped serving: {:.0}",
         w.iops
     );
-    // The coordinator's books agree: a second death re-shapes the two
-    // members that are left, not a slot that no longer exists.
+    // The refused site holds no reservation, and a second death
+    // re-shapes the two members that are left, not a slot that no longer
+    // exists.
+    assert_books_agree(&tb, 1);
     let second_death = tb.now() + ms(5);
     kill(&mut tb, 8, second_death, members_after[1]);
     tb.run(ms(80));
     assert_eq!(tb.world().member_sites(0), [members_after[0]]);
     assert_eq!(tb.world().epoch(0), 2);
+    assert_books_agree(&tb, 1);
+}
+
+/// A set whose sites refuse the tenant books nothing. On 4ea9c90 the
+/// planner kept the set, and re-adding the tenant at 4 KiB returned
+/// `Placement(Duplicate(TenantId(1)))` forever.
+#[test]
+fn a_set_its_sites_refuse_books_nothing() {
+    let mut tb = builder(3, 2).build();
+    let slo = SloSpec::new(30_000, 100, SimDuration::from_micros(800));
+    let mut big = WorkloadSpec::replicated("big", TenantId(1), slo, 20_000.0);
+    big.io_size = 64 << 10;
+    let err = tb.add_workload(big).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TestbedError::Admission(AdmissionError::NotAdmissible { .. })
+        ),
+        "{err}"
+    );
+    assert_books_agree(&tb, 0);
+    let small = WorkloadSpec::replicated("small", TenantId(1), slo, 20_000.0);
+    tb.add_workload(small).expect("nothing was booked");
+    assert_books_agree(&tb, 1);
+}
+
+/// R copies go on R distinct sites, and the set's first slot is its
+/// primary.
+#[test]
+fn a_set_spreads_over_distinct_sites() {
+    let mut tb = builder(4, 3).build();
+    tb.add_workload(spec("app", 20_000.0, ReadPolicy::Primary))
+        .unwrap();
+    let mut members = tb.world().member_sites(0);
+    assert_eq!(tb.world().primary_slot(0), 0);
+    assert_eq!(quorum(members.len()), 2);
+    assert_books_agree(&tb, 1);
+    members.sort_unstable();
+    members.dedup();
+    assert_eq!(members.len(), 3, "anti-affinity");
+}
+
+/// All or nothing: a set with no room for its last copy books none.
+#[test]
+fn a_set_that_does_not_fit_books_nothing() {
+    let mut tb = builder(3, 2).build();
+    // 280K of a site's 330K tokens/s at 500 µs: one per site.
+    let big = SloSpec::new(100_000, 80, SimDuration::from_micros(500));
+    let add = |tb: &mut Testbed, t: u32, slo| {
+        let spec = WorkloadSpec::replicated(&format!("t{t}"), TenantId(t), slo, 1_000.0);
+        tb.add_workload(spec)
+    };
+    add(&mut tb, 1, big).unwrap();
+    let free = (0..3)
+        .find(|s| !tb.world().member_sites(0).contains(s))
+        .unwrap();
+    let err = add(&mut tb, 2, big).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TestbedError::Placement(PlacementError::NoCapacity { .. })
+        ),
+        "{err}"
+    );
+    assert_books_agree(&tb, 1);
+    // The first copy's site was not kept: a smaller set gets it.
+    add(&mut tb, 3, slo(10_000, 80)).unwrap();
+    assert!(tb.world().member_sites(1).contains(&free));
+    assert_books_agree(&tb, 2);
+}
+
+/// A death the planner has failed over already changes nothing.
+#[test]
+fn a_site_that_dies_twice_fails_over_once() {
+    let mut tb = builder(3, 2).build();
+    tb.enable_telemetry();
+    tb.add_workload(small_spec("app", 20_000.0, ReadPolicy::Quorum))
+        .unwrap();
+    let victim = tb.world().member_sites(0)[1];
+    let plan = FaultPlan::seeded(3)
+        .with_event(
+            SimTime::ZERO + ms(40),
+            FaultKind::ServerDeath { server: victim },
+        )
+        .with_event(
+            SimTime::ZERO + ms(60),
+            FaultKind::ServerDeath { server: victim },
+        );
+    let _stats = install(&plan, &mut tb);
+    tb.run(ms(80));
+    let members = tb.world().member_sites(0);
+    tb.run(ms(40));
+    let report = tb.report();
+    assert_eq!(tb.world().member_sites(0), members);
+    assert_eq!(tb.world().epoch(0), 1);
+    assert_eq!(report.recoveries.len(), 1);
+    let counters = &report.telemetry.as_ref().expect("enabled").counters;
+    assert_eq!(counters["replication.server_deaths"], 2);
+    assert_eq!(counters["replication.failovers"], 1);
+    assert_books_agree(&tb, 1);
+}
+
+/// A set whose every site dies degrades to no members, with no panic:
+/// the planner, with no server left, places nothing, and the set's
+/// requests fail fast. The last member has no survivor to promote.
+#[test]
+fn a_set_whose_every_site_dies_degrades_to_nothing() {
+    for r in [1, 2] {
+        let mut tb = builder(r, r).build();
+        tb.enable_telemetry();
+        tb.add_workload(small_spec("app", 20_000.0, ReadPolicy::Quorum))
+            .unwrap();
+        let deaths = tb.world().member_sites(0).into_iter().enumerate();
+        let plan = deaths.fold(FaultPlan::seeded(5), |plan, (k, site)| {
+            let at = SimTime::ZERO + ms(20 + 40 * k as u64);
+            plan.with_event(at, FaultKind::ServerDeath { server: site })
+        });
+        let _stats = install(&plan, &mut tb);
+        tb.run(ms(40 * r as u64 + 40));
+        assert!(tb.world().member_sites(0).is_empty(), "r = {r}");
+        assert_eq!(tb.world().epoch(0), r as u32);
+        assert!(tb.world().planner().servers().is_empty());
+        assert_books_agree(&tb, 1);
+        let report = tb.report();
+        assert_eq!(report.recoveries.len(), r);
+        assert!(report.recoveries.iter().all(|rec| rec.new_site.is_none()));
+        let counters = &report.telemetry.as_ref().expect("enabled").counters;
+        let promotions = counters.get("replication.promotions").copied();
+        assert_eq!(promotions.unwrap_or(0), r as u64 - 1, "r = {r}");
+        assert!(report.workload("app").exhausted > 0, "r = {r}");
+    }
 }
 
 fn assert_drained_and_balanced(tb: &mut Testbed, resyncs: Option<u64>) {
@@ -729,6 +1014,14 @@ fn subset(r: usize, q: usize, seed: u64) -> u32 {
         }
     }
     mask
+}
+
+#[test]
+fn quorum_is_a_majority() {
+    assert_eq!([1, 2, 3, 4, 5].map(quorum), [1, 2, 2, 3, 3]);
+    for r in 1..=MAX_REPLICAS {
+        assert_eq!(quorum(r), (r + 1).div_ceil(2), "⌈(R+1)/2⌉ identity");
+    }
 }
 
 proptest! {

@@ -132,7 +132,7 @@ mod tests {
     fn empty_plan_installs_nothing() {
         let mut tb = Testbed::builder().server_threads(1).build();
         let stats = install(&FaultPlan::none(), &mut tb);
-        assert!(tb.world_mut().device_mut().clear_fault_hook().is_none());
+        assert!(tb.world_mut().device_at_mut(0).clear_fault_hook().is_none());
         assert!(tb.world_mut().fabric_mut().clear_fault_hook().is_none());
         assert_eq!(stats.snapshot().injected(), 0);
     }
@@ -156,7 +156,7 @@ mod tests {
                 },
             );
         let _stats = install(&plan, &mut tb);
-        assert!(tb.world_mut().device_mut().clear_fault_hook().is_some());
+        assert!(tb.world_mut().device_at_mut(0).clear_fault_hook().is_some());
         assert!(tb.world_mut().fabric_mut().clear_fault_hook().is_some());
     }
 

@@ -17,7 +17,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts every allocation.
 #[derive(Debug, Default, Clone, Copy)]
@@ -27,7 +26,6 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -38,7 +36,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place still hits the allocator; count it as one.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,9 +43,4 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Total allocations (alloc + realloc calls) since process start.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested since process start.
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }

@@ -1,12 +1,10 @@
-//! Byte-driven fuzz bodies, shared by two drivers.
+//! Byte-driven fuzz bodies.
 //!
 //! Each `check_*` function interprets an arbitrary byte buffer as a
 //! scenario for one decode/accounting edge and panics iff an invariant
-//! breaks. The `fuzz/` workspace member wraps them in `fuzz_target!`
-//! binaries (corpus replay / random loop — or libFuzzer proper when a
-//! nightly toolchain is available); `tests/fuzz_mirrors.rs` runs the
-//! same bodies as proptests under plain `cargo test`, so CI exercises
-//! them with no extra toolchain.
+//! breaks. `tests/fuzz_mirrors.rs` runs them as proptests under plain
+//! `cargo test`, so CI exercises them with no extra toolchain; a
+//! `fuzz_target!` wrapper for libFuzzer would call them unchanged.
 
 use reflex_flash::IoType;
 use reflex_net::{ReflexHeader, WireError, HEADER_SIZE};

@@ -5,9 +5,8 @@
 //!
 //! * **Structure-aware fuzzing** ([`harness`]) — byte-driven bodies
 //!   over the decode/accounting edges (wire headers, pool cookies, QoS
-//!   scheduling, fault-plan parsing). The `fuzz/` workspace member wraps them in `fuzz_target!` binaries; the
-//!   `fuzz_mirrors` proptest suite runs the same bodies under plain
-//!   `cargo test`.
+//!   scheduling, fault-plan parsing), run as proptests by the
+//!   `fuzz_mirrors` suite under plain `cargo test`.
 //! * **Swarm running** ([`gen`], [`runner`], [`shrink`]) — one u64 seed
 //!   derives one random-but-valid testbed configuration, which executes
 //!   under the five oracle families of [`oracle`]. A failing seed

@@ -1,10 +1,10 @@
-//! Proptest mirrors of the byte-driven fuzz bodies.
+//! The byte-driven fuzz bodies, run as proptests.
 //!
-//! The `fuzz/` workspace member drives the same `check_*` functions as
-//! libFuzzer-style binaries; these mirrors run them under plain
+//! These are the only driver of the `check_*` functions: plain
 //! `cargo test` with no nightly toolchain, so every CI run fuzzes the
-//! decode and accounting edges at least a few hundred cases deep.
-//! Raise the depth with `PROPTEST_CASES=10000 cargo test -p reflex-swarm`.
+//! decode and accounting edges at least a few hundred cases deep, and
+//! nightly CI runs them 4 096 cases deep. Raise the depth with
+//! `PROPTEST_CASES=10000 cargo test -p reflex-swarm`.
 
 use proptest::prelude::*;
 use reflex_swarm::harness::{
