@@ -3,9 +3,9 @@
 //! Figure-4-style sweeps, but instead of escalating *load* each curve
 //! escalates a *fault* — transient device errors, packet loss, latency
 //! storms, link flaps, dataplane thread stalls, whole-device death and
-//! control-plane server death — and measures what the recovery machinery
-//! (client retry with exponential backoff, server connection
-//! teardown/re-registration, cluster tenant re-placement) salvages:
+//! server death — and measures what the recovery machinery (client retry
+//! with exponential backoff, server connection teardown/re-registration,
+//! failover re-placing a dead server's tenants) salvages:
 //! achieved IOPS, p95 inflation, recovered vs unrecovered requests, and
 //! recovery time after outages.
 //!
@@ -20,13 +20,10 @@
 //!
 //! Run: `reflex-bench chaos [--smoke]`
 
-use reflex_core::{
-    CapacityProfile, ClusterPlanner, RetryPolicy, ServerDescriptor, ServerId, Testbed, WorkloadSpec,
-};
-use reflex_faults::{install, FaultKind, FaultPlan};
-use reflex_qos::{CostModel, SloSpec, TenantClass, TenantId};
-use reflex_sim::{SimDuration, SimTime};
-use reflex_telemetry::TenantKey;
+use reflex_core::{RetryPolicy, Testbed, TestbedReport, WorkloadSpec};
+use reflex_faults::{install, FaultCounts, FaultKind, FaultPlan};
+use reflex_qos::{SloSpec, TenantClass, TenantId};
+use reflex_sim::{Histogram, SimDuration, SimTime};
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -40,6 +37,10 @@ const PLAN_SEED: u64 = 0xC4A05;
 /// Offered load for the single-tenant chaos testbeds (well under one
 /// server thread's capacity, so fault effects dominate queueing).
 const OFFERED_IOPS: f64 = 50_000.0;
+
+/// Offered load per tenant of the server-death cluster (half its SLO
+/// reservation).
+const TENANT_IOPS: f64 = 10_000.0;
 
 fn warmup(smoke: bool) -> SimDuration {
     SimDuration::from_millis(if smoke { 30 } else { 100 })
@@ -109,6 +110,25 @@ impl ChaosOutcome {
     }
 }
 
+/// Runs `tb` under `plan` through the warmup and the measured window.
+/// Chaos points always record telemetry (recording is passive, so the
+/// TSV is unaffected): the third value is how many rolling SLO windows,
+/// over every tenant, the fault pushed over their p95 targets.
+fn run_plan(tb: &mut Testbed, plan: &FaultPlan, smoke: bool) -> (TestbedReport, FaultCounts, u64) {
+    let stats = install(plan, tb);
+    tb.enable_telemetry();
+    tb.run(warmup(smoke));
+    tb.begin_measurement();
+    tb.run(measure(smoke));
+    let report = tb.report();
+    let slo = report.telemetry.iter().flat_map(|t| t.slo.values());
+    let slo_violations = slo.map(|s| s.violations).sum();
+    if let Some(t) = report.telemetry.as_ref().filter(|_| crate::telemetry::enabled()) {
+        crate::telemetry::merge(t);
+    }
+    (report, stats.snapshot(), slo_violations)
+}
+
 /// Runs one single-tenant testbed under `plan` and collects the chaos
 /// metrics. Each entry of `up_ats` marks the end of one scheduled
 /// outage, enabling the recovery-time measurement (mean and p95 across
@@ -131,26 +151,8 @@ fn run_faulted(
         .with_retry(retry),
     )
     .expect("chaos workload rejected");
-    let stats = install(plan, &mut tb);
-    // Chaos points always record telemetry (recording is passive, so the
-    // TSV is unaffected): the sweep JSON reports how many rolling SLO
-    // windows each fault pushed over the tenant's p95 target.
-    tb.enable_telemetry();
-    tb.run(warmup(smoke));
-    tb.begin_measurement();
-    tb.run(measure(smoke));
-    let report = tb.report();
+    let (report, snap, slo_violations) = run_plan(&mut tb, plan, smoke);
     let w = report.workload("app");
-    let snap = stats.snapshot();
-    let slo_violations = report
-        .telemetry
-        .as_ref()
-        .map_or(0, |t| t.slo.get(&TenantKey(1)).map_or(0, |s| s.violations));
-    if crate::telemetry::enabled() {
-        if let Some(t) = &report.telemetry {
-            crate::telemetry::merge(t);
-        }
-    }
     let times = recovery::recovery_times(&w.iops_series, up_ats);
     ChaosOutcome {
         iops: w.iops,
@@ -167,60 +169,57 @@ fn run_faulted(
     }
 }
 
-/// Control-plane server death: a 3-server cluster loses one server and
-/// the planner re-places its tenants. Recovery time is modelled as
-/// failure detection (three missed 10ms heartbeats) plus 1ms of
-/// re-admission work per migrated tenant.
-fn server_death_point(tenants_per_server: u32) -> PointOutcome {
-    let mut planner = ClusterPlanner::new(
-        (0..3)
-            .map(|i| {
-                ServerDescriptor::new(
-                    ServerId(i),
-                    CapacityProfile::device_a_default(),
-                    CostModel::for_device_a(),
-                )
-            })
-            .collect(),
-    );
+/// Server death: three sites host `3 × per` single-copy (R = 1)
+/// replicated tenants, wherever the planner puts them; the most-loaded
+/// site dies 30 ms into the window, and one detection delay later
+/// failover re-places its tenants on the survivors. Injected, recovered
+/// and unrecovered count displaced, re-placed and stranded tenants;
+/// recovery is read off each displaced tenant's series from the
+/// failover instant, the end of the outage its clients see.
+fn server_death_point(per: u32, smoke: bool) -> PointOutcome {
+    let mut tb = Testbed::builder().sites(3).replication(1).seed(71).build();
     let slo = SloSpec::new(20_000, 100, SimDuration::from_micros(1_000));
-    let total = 3 * tenants_per_server;
+    let total = 3 * per;
     for t in 0..total {
-        planner
-            .place(TenantId(t + 1), slo)
-            .expect("chaos cluster sized to fit");
+        let mut spec =
+            WorkloadSpec::replicated(&format!("t{t}"), TenantId(t + 1), slo, TENANT_IOPS);
+        spec.namespace = (u64::from(t) * (8 << 20), 8 << 20);
+        tb.add_workload(spec).expect("chaos cluster sized to fit");
     }
-    let victim = planner
-        .servers()
-        .iter()
-        .max_by_key(|s| (s.tenant_count(), s.id.0))
-        .expect("three servers")
-        .id;
-    let report = planner.fail_server(victim).expect("victim exists");
-    let migrated = report.migrated.len() as u64;
-    let stranded = report.stranded.len() as u64;
-    let detection = SimDuration::from_millis(30);
-    let recovery = report.total_recovery_estimate(detection).as_micros_f64() / 1_000.0;
-    // Per-tenant recovery estimates: each migration queues behind the
-    // earlier ones, so the p95 is the estimate of the ~worst-placed
-    // tenant rather than the last one.
-    let per_tenant: Vec<f64> = report
-        .migrated
-        .iter()
-        .map(|m| (detection + m.latency_estimate).as_micros_f64() / 1_000.0)
+    let servers = tb.world().planner().servers().iter();
+    let victim = servers.max_by_key(|s| (s.tenant_count(), s.id)).expect("three sites");
+    let death = SimDuration::from_millis(30);
+    let plan = FaultPlan::seeded(PLAN_SEED).with_event(
+        SimTime::ZERO + warmup(smoke) + death,
+        FaultKind::ServerDeath {
+            server: victim.id.0 as usize,
+        },
+    );
+    let (report, snap, slo_violations) = run_plan(&mut tb, &plan, smoke);
+    // Series are relative to the window's start; the death's scheduled
+    // downtime is its detection delay.
+    let up_at = SimTime::ZERO + death + snap.downtime;
+    let (workloads, recoveries) = (&report.workloads, &report.recoveries);
+    let displaced = workloads.iter().filter(|w| recoveries.iter().any(|r| r.tenant == w.tenant));
+    let times: Vec<f64> = displaced
+        .flat_map(|w| recovery::recovery_times(&w.iops_series, &[up_at]))
         .collect();
+    let mut reads = Histogram::new();
+    workloads.iter().for_each(|w| reads.merge(&w.read_latency));
+    let recovered = recoveries.iter().filter(|r| r.new_site.is_some()).count() as u64;
+    let injected = recoveries.len() as u64;
     let o = ChaosOutcome {
-        iops: 0.0,
-        p95_us: 0.0,
-        injected: migrated + stranded,
-        retries: 0,
-        recovered: migrated,
-        unrecovered: stranded,
-        downtime_secs: recovery / 1_000.0,
-        recovery_ms: recovery,
-        recovery_p95_ms: recovery::p95_ms(&per_tenant),
-        execution: Execution::default(),
-        slo_violations: 0,
+        iops: workloads.iter().map(|w| w.iops).sum(),
+        p95_us: reads.p95().as_micros_f64(),
+        injected,
+        retries: workloads.iter().map(|w| w.retries).sum(),
+        recovered,
+        unrecovered: injected - recovered,
+        downtime_secs: snap.downtime.as_secs_f64(),
+        recovery_ms: recovery::mean_ms(&times),
+        recovery_p95_ms: recovery::p95_ms(&times),
+        execution: Execution::from(&report),
+        slo_violations,
     };
     o.into_point("server-death", &format!("{total}-tenants"))
 }
@@ -382,12 +381,12 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
         });
     }
 
-    // Control-plane server death: tenants migrate to the surviving
-    // servers (sized to always fit in smoke mode).
+    // Server death: failover re-places the dead site's tenants on the
+    // survivors (sized to always fit in smoke mode).
     let curve = sweep.curve("server-death");
     let sizes: &[u32] = if smoke { &[2] } else { &[2, 4] };
     for &per in sizes {
-        curve.point(move || server_death_point(per));
+        curve.point(move || server_death_point(per, smoke));
     }
 
     // Whole-device death: nothing can recover these; full runs report

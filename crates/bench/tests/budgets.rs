@@ -1,9 +1,11 @@
-//! Line budgets in the tree (ROADMAP 5(a)): every crate under `crates/`
-//! stays within its row of the checked-in `budgets.tsv` — non-test lines
-//! (those before the first `#[cfg(test)]` of each `src/**/*.rs`) and the
-//! `pub fn`s among them. A PR that grows a crate raises its row in the
-//! same diff and says why; one that shrinks it lowers the row.
-//! `benchmark/` is its own package and is not counted.
+//! Budgets in the tree (ROADMAP 5(a)): every crate under `crates/` stays
+//! within its row of the checked-in `budgets.tsv` — non-test lines (those
+//! before the first `#[cfg(test)]` of each `src/**/*.rs`), the `pub fn`s
+//! among them and the panic sites on them — and each budgeted document
+//! within its byte count. A PR that grows a crate raises its row in the
+//! same diff and says why; one that shrinks it lowers the row. Panic
+//! sites and document bytes only fall. `benchmark/` is its own package
+//! and is not counted.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,39 +26,58 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Non-test lines and `pub fn`s of one crate's `src/`.
-fn measure(krate: &Path) -> (usize, usize) {
+/// What can abort a run, as written: a panic site on a code line.
+const PANICS: [&str; 6] = [
+    ".unwrap()",
+    ".expect(",
+    "panic!(",
+    "unreachable!(",
+    "todo!(",
+    "unimplemented!(",
+];
+
+/// Non-test lines, the `pub fn`s among them and the panic sites on those
+/// that are not comments, of one crate's `src/`.
+fn measure(krate: &Path) -> [usize; 3] {
     let mut files = Vec::new();
     rs_files(&krate.join("src"), &mut files);
-    files.iter().fold((0, 0), |(lines, pub_fns), file| {
+    let mut counts = [0; 3];
+    for file in files {
         let text = fs::read_to_string(file).expect("a readable source file");
         let body = text
             .lines()
-            .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"));
-        let (n, fns) = body.fold((0, 0), |(n, fns), l| {
-            (
-                n + 1,
-                fns + usize::from(l.trim_start().starts_with("pub fn ")),
-            )
-        });
-        (lines + n, pub_fns + fns)
-    })
+            .map(str::trim_start)
+            .take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for l in body {
+            counts[0] += 1;
+            counts[1] += usize::from(l.starts_with("pub fn "));
+            if !l.starts_with("//") {
+                counts[2] += PANICS.iter().map(|p| l.matches(p).count()).sum::<usize>();
+            }
+        }
+    }
+    counts
 }
 
-/// `budgets.tsv`: `crate <TAB> non-test lines <TAB> pub fn`, `#` comments.
-fn budgets() -> BTreeMap<String, (usize, usize)> {
+/// `budgets.tsv`, `#` comments: `crate <TAB> non-test lines <TAB> pub fn
+/// <TAB> panics` rows, and `file.md <TAB> bytes` rows for documents.
+fn budgets() -> BTreeMap<String, Vec<usize>> {
     let tsv = fs::read_to_string(repo().join("budgets.tsv")).expect("budgets.tsv at the repo root");
     let rows = tsv
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty());
     rows.map(|row| {
-        let cells: Vec<&str> = row.split('\t').collect();
-        let num = |i: usize| -> usize {
-            let cell = cells.get(i).unwrap_or_else(|| panic!("short row {row:?}"));
-            cell.parse()
-                .unwrap_or_else(|_| panic!("bad number in {row:?}"))
-        };
-        (cells[0].to_owned(), (num(1), num(2)))
+        let mut cells = row.split('\t');
+        let name = cells.next().expect("a name").to_owned();
+        let nums: Vec<usize> = cells
+            .map(|cell| {
+                cell.parse()
+                    .unwrap_or_else(|_| panic!("bad number in {row:?}"))
+            })
+            .collect();
+        let width = if name.ends_with(".md") { 1 } else { 3 };
+        assert_eq!(nums.len(), width, "row {row:?}");
+        (name, nums)
     })
     .collect()
 }
@@ -64,26 +85,37 @@ fn budgets() -> BTreeMap<String, (usize, usize)> {
 #[test]
 fn every_crate_is_within_its_budget() {
     let mut budgets = budgets();
+    let docs: Vec<String> = budgets
+        .keys()
+        .filter(|k| k.ends_with(".md"))
+        .cloned()
+        .collect();
+    let mut over = Vec::new();
+    for doc in docs {
+        let bytes = fs::metadata(repo().join(&doc))
+            .expect("a budgeted document")
+            .len();
+        let max = budgets.remove(&doc).expect("listed")[0];
+        if bytes as usize > max {
+            over.push(format!("{doc}: {bytes} bytes, budget {max}"));
+        }
+    }
     let mut crates: Vec<PathBuf> = fs::read_dir(repo().join("crates"))
         .expect("crates/")
         .map(|e| e.expect("a directory entry").path())
         .collect();
     crates.sort();
-    let mut over = Vec::new();
     for krate in crates {
         let name = krate.file_name().expect("a crate dir").to_string_lossy();
-        let (lines, fns) = measure(&krate);
-        match budgets.remove(name.as_ref()) {
-            None => over.push(format!("{name}: no row ({lines} lines, {fns} pub fn)")),
-            Some((max_lines, max_fns)) => {
-                if lines > max_lines {
-                    over.push(format!(
-                        "{name}: {lines} non-test lines, budget {max_lines}"
-                    ));
-                }
-                if fns > max_fns {
-                    over.push(format!("{name}: {fns} pub fn, budget {max_fns}"));
-                }
+        let seen = measure(&krate);
+        let Some(max) = budgets.remove(name.as_ref()) else {
+            over.push(format!("{name}: no row ({seen:?})"));
+            continue;
+        };
+        let columns = ["non-test lines", "pub fn", "panics"];
+        for ((column, seen), max) in columns.iter().zip(seen).zip(max) {
+            if seen > max {
+                over.push(format!("{name}: {seen} {column}, budget {max}"));
             }
         }
     }

@@ -400,7 +400,9 @@ pub struct WorkloadReport {
     pub write_iops: f64,
     /// Goodput in bytes/second (reads returned + writes sent).
     pub bytes_per_sec: f64,
-    /// Error responses received (after retries, when a policy is active).
+    /// Requests that failed for good within the window — an error or a
+    /// timeout with no attempt left, a replicated op's lost quorum, a set
+    /// with no member left. Each also counts in `exhausted`.
     pub errors: u64,
     /// Requests issued during measurement.
     pub issued: u64,
@@ -408,12 +410,16 @@ pub struct WorkloadReport {
     pub retries: u64,
     /// Requests that ultimately succeeded after at least one retry.
     pub retry_success: u64,
-    /// Requests abandoned with all attempts spent.
+    /// Requests that failed for good since measurement began, whatever
+    /// the retry policy; `errors` counts those whose end fell in the
+    /// window.
     pub exhausted: u64,
     /// Per-attempt timeouts that fired.
     pub timeouts: u64,
-    /// Completion-rate time series over the measurement window (10ms
-    /// buckets) — the raw material for Figure-6a-style plots.
+    /// Success-rate time series over the measurement window (10ms
+    /// buckets), the raw material for Figure-6a-style plots: it sums to
+    /// the window's completed reads and writes, so an outage shows as a
+    /// clean dip.
     pub iops_series: Vec<RatePoint>,
 }
 

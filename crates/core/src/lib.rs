@@ -48,13 +48,10 @@ pub use client::{
     AddrPattern, ArrivalProcess, LoadPattern, MixProcess, RetryPolicy, TraceOp, WorkloadReport,
     WorkloadSpec,
 };
-pub use cluster::{
-    ClusterPlanner, FailoverReport, Migration, PlacementError, ServerDescriptor, ServerId,
-    MIGRATION_STEP,
-};
+pub use cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 pub use harness::ServerHarness;
 pub use server::{AdmissionError, ReflexServer, ServerConfig};
 pub use testbed::{
     quorum, ReadPolicy, TenantRecovery, Testbed, TestbedBuilder, TestbedError, TestbedReport,
-    ThreadReport, WakeStats, World, WorldEvent, MAX_REPLICAS,
+    ThreadReport, WakeStats, World, WorldEvent, MAX_REPLICAS, MIGRATION_STEP,
 };

@@ -33,7 +33,7 @@ use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId}
 use crate::harness::ServerHarness;
 use crate::server::{AdmissionError, ReflexServer, ServerConfig};
 
-pub use fanout::{quorum, ReadPolicy, TenantRecovery, MAX_REPLICAS};
+pub use fanout::{quorum, ReadPolicy, TenantRecovery, MAX_REPLICAS, MIGRATION_STEP};
 
 /// Errors configuring a testbed.
 #[derive(Debug)]
@@ -567,58 +567,13 @@ impl<S: ServerHarness + 'static> World<S> {
                     continue;
                 }
                 if let Some(fan) = req.fan {
-                    self.conclude_sub(&req, fan.op, !failed, d.arrived_at);
+                    self.conclude_sub(&req, fan.op, !failed, d.arrived_at, ctx);
                     continue;
                 }
-                let w = &mut self.workloads[req.workload as usize];
                 if !failed && req.attempt > 1 {
-                    w.retry_success += 1;
+                    self.workloads[req.workload as usize].retry_success += 1;
                 }
-                if failed && w.spec.retry.is_active() {
-                    // Final attempt still failed: the request is abandoned
-                    // with its retry budget spent.
-                    w.exhausted += 1;
-                }
-                let in_window = self.measure_start.is_some_and(|m| d.arrived_at >= m);
-                if in_window {
-                    let since = d
-                        .arrived_at
-                        .saturating_since(self.measure_start.expect("checked in_window"));
-                    w.iops_series.add(SimTime::ZERO + since, 1);
-                    // Throughput counts every in-window completion — under
-                    // overload, responses to pre-window requests are still
-                    // served work (mutilate measures goodput the same way).
-                    if failed {
-                        w.errors += 1;
-                    } else if req.is_read {
-                        w.completed_reads += 1;
-                        w.read_bytes += req.len as u64;
-                    } else {
-                        w.completed_writes += 1;
-                        w.write_bytes += req.len as u64;
-                    }
-                    // Latency distributions only include requests issued within
-                    // the window (no warmup contamination).
-                    if req.measured && !failed {
-                        let latency = d.arrived_at.saturating_since(req.sent_at);
-                        if req.is_read {
-                            w.read_hist.record(latency);
-                            // Feed the SLO monitor: rolling p95 per tenant
-                            // against the registered qos::slo target.
-                            self.telemetry.slo_observe(
-                                TenantKey(w.spec.tenant.0),
-                                latency,
-                                d.arrived_at,
-                            );
-                        } else {
-                            w.write_hist.record(latency);
-                        }
-                    }
-                }
-                // Closed-loop: keep the queue depth topped up.
-                if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
-                    self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
-                }
+                self.conclude(&req, !failed, d.arrived_at, ctx);
             }
             if reactive {
                 self.ensure_client_wake(ctx, c);
@@ -632,6 +587,51 @@ impl<S: ServerHarness + 'static> World<S> {
             self.telemetry.count("client.absorbed", unwoken);
         }
         total
+    }
+
+    /// The one place an application-level request ends: it succeeded
+    /// (`ok`) or failed for good at `at`, with no attempt left or its
+    /// replicated op's quorum lost. Within the measurement window a
+    /// success counts toward throughput, bytes and the `iops_series` —
+    /// under overload, responses to pre-window requests are still served
+    /// work (mutilate measures goodput the same way) — and, if issued in
+    /// the window, toward the latency histograms and the SLO monitor.
+    /// Every failure counts in `exhausted`, and in `errors` when it falls
+    /// in the window; a failed read still held the application from issue
+    /// to failure, so a measured one's wait feeds the SLO monitor too, and
+    /// an outage shows as violations, not silence. A closed-loop workload
+    /// then issues the request that keeps its depth.
+    #[inline]
+    fn conclude(&mut self, req: &OutstandingReq, ok: bool, at: SimTime, ctx: &mut WorldCtx<S>) {
+        let w = &mut self.workloads[req.workload as usize];
+        let in_window = self.measure_start.filter(|&m| at >= m);
+        let latency = at.saturating_since(req.sent_at);
+        if !ok {
+            w.exhausted += 1;
+            w.errors += u64::from(in_window.is_some());
+        } else if let Some(start) = in_window {
+            let since = at.saturating_since(start);
+            w.iops_series.add(SimTime::ZERO + since, 1);
+            if req.is_read {
+                w.completed_reads += 1;
+                w.read_bytes += u64::from(req.len);
+            } else {
+                w.completed_writes += 1;
+                w.write_bytes += u64::from(req.len);
+            }
+            if req.measured && req.is_read {
+                w.read_hist.record(latency);
+            } else if req.measured {
+                w.write_hist.record(latency);
+            }
+        }
+        if req.measured && req.is_read && (!ok || in_window.is_some()) {
+            let tenant = TenantKey(w.spec.tenant.0);
+            self.telemetry.slo_observe(tenant, latency, at);
+        }
+        if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
+            self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
+        }
     }
 
     /// Whether a failed attempt (an error response, a timeout) is worth
@@ -739,7 +739,7 @@ impl<S: ServerHarness + 'static> World<S> {
             None => 0,
             Some(fan) => match self.fan_slot(&req, fan) {
                 Some(slot) => slot,
-                None => return self.conclude_sub(&req, fan.op, false, now),
+                None => return self.conclude_sub(&req, fan.op, false, now, ctx),
             },
         };
         let w = &self.workloads[req.workload as usize];
@@ -834,14 +834,9 @@ impl<S: ServerHarness + 'static> World<S> {
         if self.may_retry(&req) {
             self.stage_retry(req, ctx);
         } else if let Some(fan) = req.fan {
-            self.conclude_sub(&req, fan.op, false, ctx.now());
+            self.conclude_sub(&req, fan.op, false, ctx.now(), ctx);
         } else {
-            let w = &mut self.workloads[req.workload as usize];
-            w.exhausted += 1;
-            let refill = matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped;
-            if refill {
-                self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
-            }
+            self.conclude(&req, false, ctx.now(), ctx);
         }
     }
 
@@ -1594,7 +1589,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     }
 
     /// Turns on telemetry: installs one shared [`Telemetry`] sink on the
-    /// devices, fabric, server threads, the planner, the engine's dispatch
+    /// devices, fabric, server threads, the engine's dispatch
     /// probe and the client-side span/SLO probes. Recording is strictly passive — it
     /// draws no randomness and schedules nothing, so an instrumented run
     /// produces byte-identical results to an uninstrumented one. Returns a
@@ -1620,7 +1615,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             site.device.set_telemetry(telemetry.clone());
             site.server.set_telemetry(telemetry.clone());
         }
-        world.planner.set_telemetry(telemetry.clone());
         for w in &world.workloads {
             if let Some(slo) = w.spec.class.slo() {
                 telemetry.slo_register(TenantKey(w.spec.tenant.0), slo.p95_read_latency);

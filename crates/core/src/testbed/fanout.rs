@@ -32,11 +32,10 @@
 
 use reflex_qos::{SloSpec, TenantId};
 use reflex_sim::{PoolKey, SimDuration, SimTime};
-use reflex_telemetry::TenantKey;
 
 use super::{join, World, WorldCtx, WorldEvent};
 use crate::client::{Fan, MemberLink, OutstandingReq, ReplOp, WorkloadState};
-use crate::cluster::{PlacementError, ServerId, MIGRATION_STEP};
+use crate::cluster::{PlacementError, ServerId};
 use crate::harness::ServerHarness;
 
 /// Upper bound on the replication factor: fan-out state on the client hot
@@ -64,6 +63,12 @@ pub enum ReadPolicy {
 
 /// Death → failover: the time the planner takes to detect a dead site.
 pub(super) const DETECT_DELAY: SimDuration = SimDuration::from_millis(30);
+
+/// Modelled control-plane re-admission time per replacement member:
+/// re-running admission control, installing token schedules, and
+/// rebinding connections on the new home. Replacements queue through
+/// one control plane, so the k-th of a failover waits k of these.
+pub const MIGRATION_STEP: SimDuration = SimDuration::from_millis(1);
 
 /// Background re-sync copy rate for a replacement member: 2 GiB/s, a
 /// deliberately throttled fraction of device bandwidth so re-sync does
@@ -122,8 +127,7 @@ impl<S: ServerHarness + 'static> World<S> {
         let r = w.members.len();
         if r == 0 {
             // Fully degraded set: nothing to send to.
-            w.exhausted += 1;
-            return;
+            return self.conclude(&req, false, ctx.now(), ctx);
         }
         // Targets live in a fixed array — the hot path allocates nothing
         // per IO.
@@ -213,8 +217,9 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Folds one member's concluded share (`req`, acked or given up at
-    /// `at`) into its op's quorum accounting and records the op's
-    /// completion or failure when it tips over.
+    /// `at`) into its op's quorum accounting, and concludes the op when
+    /// it tips over: its latency covers the whole op, issue → quorum
+    /// reached (for quorum reads, the max of the quorum).
     #[inline(never)]
     pub(super) fn conclude_sub(
         &mut self,
@@ -222,6 +227,7 @@ impl<S: ServerHarness + 'static> World<S> {
         op_key: PoolKey,
         acked: bool,
         at: SimTime,
+        ctx: &mut WorldCtx<S>,
     ) {
         let Some(op) = self.ops.get_mut(op_key) else {
             return;
@@ -235,45 +241,11 @@ impl<S: ServerHarness + 'static> World<S> {
         if op.pending == 0 {
             self.ops.take(op_key);
         }
-        let w = &mut self.workloads[req.workload as usize];
         if acked && req.attempt > 1 && !done_before {
-            w.retry_success += 1;
+            self.workloads[req.workload as usize].retry_success += 1;
         }
-        let in_window = self.measure_start.filter(|&m| at >= m);
-        // Latency covers the whole op: issue → quorum reached (for quorum
-        // reads that is the max of the quorum).
-        let latency = at.saturating_since(req.sent_at);
-        if completes {
-            let Some(start) = in_window else { return };
-            // Unlike a plain workload's, the series counts successes
-            // only, so a failover blackout shows as a clean rate dip.
-            w.iops_series
-                .add(SimTime::ZERO + at.saturating_since(start), 1);
-            if req.is_read {
-                w.completed_reads += 1;
-                w.read_bytes += req.len as u64;
-            } else {
-                w.completed_writes += 1;
-                w.write_bytes += req.len as u64;
-            }
-            if req.measured && req.is_read {
-                w.read_hist.record(latency);
-                self.telemetry
-                    .slo_observe(TenantKey(w.spec.tenant.0), latency, at);
-            } else if req.measured {
-                w.write_hist.record(latency);
-            }
-        } else if fails {
-            w.exhausted += 1;
-            w.errors += u64::from(in_window.is_some());
-            // A failed read still held the application from issue to
-            // exhaustion; account that wait against the tenant's SLO
-            // windows so an outage shows up as violations, not silence.
-            // (The latency histograms stay completions-only.)
-            if req.measured && req.is_read {
-                self.telemetry
-                    .slo_observe(TenantKey(w.spec.tenant.0), latency, at);
-            }
+        if completes || fails {
+            self.conclude(req, completes, at, ctx);
         }
     }
 
@@ -317,7 +289,7 @@ impl<S: ServerHarness + 'static> World<S> {
     #[inline(never)]
     pub(super) fn failover_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
         // A site the planner no longer knows has been failed over already.
-        if self.planner.fail_server(ServerId(site as u32)).is_err() {
+        if !self.planner.drop_server(ServerId(site as u32)) {
             return;
         }
         let now = ctx.now();

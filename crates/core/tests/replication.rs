@@ -426,8 +426,10 @@ const TWO_DEATHS: [(bool, u64, u64, u64); 2] = [
 
 /// Scenario `i` of the generated family: 1–3 client machines, 1–4
 /// tenants, reads and writes, Poisson and paced arrivals, as replicated
-/// workloads (`replicated`) or the same specs without the property.
-fn twin(i: u64, replicated: bool) -> TestbedReport {
+/// workloads (`replicated`) or the same specs without the property. With
+/// `errors`, the device fails two in five of its commands: error responses,
+/// retried and some exhausted, but no message is lost.
+fn twin(i: u64, replicated: bool, errors: bool) -> TestbedReport {
     let clients = 1 + (i % 3) as usize;
     let tenants = 1 + (i / 3 % 4) as u32;
     let mut tb = builder(1, 1)
@@ -438,7 +440,13 @@ fn twin(i: u64, replicated: bool) -> TestbedReport {
         let k = i + u64::from(t);
         let iops = 40_000.0 / f64::from(tenants) * (0.5 + 0.1 * (k % 5) as f64);
         let read_pct = [100, 90, 80, 95][(k % 4) as usize];
-        let slo = SloSpec::new((iops * 1.3) as u64, read_pct, SimDuration::from_micros(800));
+        // Room for the retries, so that no response outlives its deadline.
+        let reserve = if errors { 2.0 } else { 1.3 };
+        let slo = SloSpec::new(
+            (iops * reserve) as u64,
+            read_pct,
+            SimDuration::from_micros(800),
+        );
         let mut spec = WorkloadSpec::replicated(&format!("t{t}"), TenantId(t + 1), slo, iops);
         spec.namespace = (u64::from(t) * (8 << 20), 8 << 20);
         spec.client_machine = t as usize % clients;
@@ -450,19 +458,39 @@ fn twin(i: u64, replicated: bool) -> TestbedReport {
         }
         tb.add_workload(spec).expect("admissible");
     }
+    if errors {
+        let fault = FaultKind::TransientDeviceErrors {
+            rate: 0.4,
+            duration: ms(40),
+        };
+        let plan = FaultPlan::seeded(i).with_event(SimTime::ZERO, fault);
+        let _stats = install(&plan, &mut tb);
+    }
     tb.run(ms(10));
     tb.begin_measurement();
     tb.run(ms(30));
+    if errors {
+        // A replicated attempt's deadline widens with its number: drain
+        // until every retry's deadline has passed in both twins.
+        tb.world_mut().stop_all_workloads();
+        tb.run(ms(100));
+    }
     tb.report()
 }
 
 #[test]
 fn one_copy_on_one_site_is_the_plain_workload() {
-    for i in 0..24 {
-        let (repl, plain) = (twin(i, true), twin(i, false));
-        let iops: f64 = repl.workloads.iter().map(|w| w.iops).sum();
-        assert!(iops > 15_000.0, "case {i}: {iops}");
-        assert_eq!(digest(&repl), digest(&plain), "case {i}");
+    for (i, errors) in (0..24).flat_map(|i| [(i, false), (i, true)]) {
+        let (repl, plain) = (twin(i, true, errors), twin(i, false, errors));
+        if errors {
+            let failed: u64 = repl.workloads.iter().map(|w| w.errors).sum();
+            assert!(failed > 0, "case {i}: no request failed for good");
+            assert!(repl.workloads.iter().all(|w| w.timeouts == 0), "case {i}");
+        } else {
+            let iops: f64 = repl.workloads.iter().map(|w| w.iops).sum();
+            assert!(iops > 15_000.0, "case {i}: {iops}");
+        }
+        assert_eq!(digest(&repl), digest(&plain), "case {i}, errors {errors}");
         // Everything else the report holds, the execution's counts too.
         let rest = |r: &TestbedReport| {
             format!(
@@ -475,7 +503,7 @@ fn one_copy_on_one_site_is_the_plain_workload() {
                 r.wakes
             )
         };
-        assert_eq!(rest(&repl), rest(&plain), "case {i}");
+        assert_eq!(rest(&repl), rest(&plain), "case {i}, errors {errors}");
     }
 }
 

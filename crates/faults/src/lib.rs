@@ -8,8 +8,8 @@
 //! ([`reflex_net::NetFaultHook`]), and dataplane thread stalls — from a
 //! declarative, fully deterministic [`FaultPlan`], then measures how the
 //! recovery machinery (client retry with exponential backoff, server
-//! connection teardown/re-registration, control-plane tenant
-//! re-placement) restores service.
+//! connection teardown/re-registration, the testbed's failover of a dead
+//! server's tenants) restores service.
 //!
 //! Determinism is the design center: every probabilistic fault draws
 //! from a private RNG stream keyed by `(plan.seed, event.id)`, never

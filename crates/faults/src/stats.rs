@@ -35,8 +35,8 @@ pub struct FaultStats {
     pub conns_rebound: AtomicU64,
     /// Dataplane thread stalls fired.
     pub thread_stalls: AtomicU64,
-    /// Nanoseconds of scheduled unavailability (link-down windows plus
-    /// thread stalls).
+    /// Nanoseconds of scheduled unavailability (link-down windows, thread
+    /// stalls, and each server death's detection delay).
     pub downtime_ns: AtomicU64,
 }
 

@@ -1,12 +1,11 @@
 //! Deterministic random-number generation for simulations.
 //!
-//! [`SimRng`] wraps a seeded [`rand::rngs::SmallRng`] and adds the sampling
-//! helpers the storage and network models need: exponential inter-arrival
-//! gaps, lognormal service times, bounded uniform draws, and a Zipfian
-//! key-popularity distribution for key-value workloads.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+//! [`SimRng`] is xoshiro256++ (Blackman & Vigna) seeded through
+//! splitmix64 — deterministic across platforms, which is all the
+//! simulation needs — plus the sampling helpers the storage and network
+//! models need: exponential inter-arrival gaps, lognormal service times,
+//! bounded uniform draws, and a Zipfian key-popularity distribution for
+//! key-value workloads.
 
 use crate::time::SimDuration;
 use crate::ziggurat;
@@ -27,21 +26,33 @@ use crate::ziggurat;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
+}
+
+/// One step of splitmix64: the seeding generator xoshiro's authors
+/// recommend, so that similar seeds give unrelated states.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
+        let mut sm = seed;
         SimRng {
-            inner: SmallRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| splitmix64(&mut sm)),
         }
     }
 
     /// Derives an independent child generator; used to give each component
     /// its own stream so adding draws in one place does not perturb others.
     pub fn fork(&mut self) -> SimRng {
-        SimRng::seed(self.inner.next_u64() ^ 0x9e37_79b9_7f4a_7c15)
+        SimRng::seed(self.next_u64() ^ 0x9e37_79b9_7f4a_7c15)
     }
 
     /// Derives the `index`-th stream of a seed *without* consuming state
@@ -58,7 +69,16 @@ impl SimRng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -66,14 +86,15 @@ impl SimRng {
         unit(self.next_u64())
     }
 
-    /// Uniform integer in `[0, n)`.
+    /// Uniform integer in `[0, n)`: the high word of a widening
+    /// multiply, unbiased enough for simulation without a reject loop.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
-        self.inner.random_range(0..n)
+        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
@@ -239,6 +260,56 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator folded in from the `rand` shim draws what the shim
+    /// drew: first words, `below`, `f64`, `stream` and `fork` as recorded
+    /// before the fold.
+    #[test]
+    fn draws_are_the_shims() {
+        let first = |seed| {
+            let mut r = SimRng::seed(seed);
+            [r.next_u64(), r.next_u64(), r.next_u64()]
+        };
+        assert_eq!(
+            first(0),
+            [0x53175d61490b23df, 0x61da6f3dc380d507, 0x5c0fdf91ec9a7bfc]
+        );
+        assert_eq!(
+            first(42),
+            [0xd0764d4f4476689f, 0x519e4174576f3791, 0xfbe07cfb0c24ed8c]
+        );
+        assert_eq!(
+            first(u64::MAX),
+            [0x56ccf8ce948e27b2, 0xe68588432e5a5b90, 0xe3e9b5a48119ca8b]
+        );
+        let mut r = SimRng::seed(7);
+        let below: Vec<u64> = (0..6).map(|_| r.below(1000)).collect();
+        assert_eq!(below, [55, 172, 717, 427, 963, 465]);
+        let wide: Vec<u64> = (0..3).map(|_| r.below(u64::MAX)).collect();
+        assert_eq!(
+            wide,
+            [
+                13353728918970868607,
+                6084463542373836071,
+                18120654544720102364
+            ]
+        );
+        let unit: Vec<u64> = (0..3).map(|_| r.f64().to_bits()).collect();
+        assert_eq!(
+            unit,
+            [
+                4589945074327601424,
+                4592896369390868240,
+                4595363825524192468
+            ]
+        );
+        let mut s = SimRng::stream(42, 3);
+        assert_eq!(
+            [s.next_u64(), s.next_u64()],
+            [0x2e1dcb83efb37d39, 0x6d71c9045053a89f]
+        );
+        assert_eq!(SimRng::seed(1).fork().next_u64(), 0xc5f316bcc9233142);
+    }
 
     #[test]
     fn same_seed_same_stream() {
