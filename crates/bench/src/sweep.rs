@@ -386,7 +386,7 @@ pub struct CurveResult {
     pub discarded: usize,
 }
 
-/// Results of a [`Sweep::run`], in declaration order.
+/// Results of a [`Sweep::run_with_threads`], in declaration order.
 #[derive(Debug)]
 pub struct SweepResult {
     /// Sweep name (JSON artifact stem).

@@ -30,6 +30,9 @@
 
 use std::collections::HashMap;
 
+/// Associativity: entries per set.
+const WAYS: u32 = 8;
+
 /// Configuration for one per-thread DRAM cache instance.
 ///
 /// Embedded in `DataplaneConfig` (which is `Copy`), so this stays a flat
@@ -37,36 +40,21 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total data capacity in bytes per dataplane thread. Together with
-    /// `line_bytes` and `ways` this fixes the set count at construction.
+    /// `line_bytes` and the 8-way associativity this fixes the set count
+    /// at construction.
     pub capacity_bytes: u64,
-    /// Associativity: entries per set.
-    pub ways: u32,
     /// Cache-line size in bytes. Reads are admitted only when they fully
     /// cover a line, so benchmarks should match this to the workload's
     /// IO size (a 1KB-read workload never fills 4KB lines).
     pub line_bytes: u32,
-    /// CPU cost of serving one hit from DRAM (lookup + copy), in
-    /// nanoseconds. Charged to the dataplane core, and scaled by the
-    /// same connection-pressure factor as every other per-request cost.
-    pub hit_cpu_nanos: u64,
-    /// QoS token cost of one cached page, in millitokens. Hits debit
-    /// this from the tenant's local token balance instead of the flash
-    /// read cost, so scheduler rate limits keep reflecting real device
-    /// load.
-    pub dram_cost_millitokens: i64,
 }
 
 impl CacheConfig {
-    /// A small default: 16 MiB per thread, 8-way, 4KB lines, 250ns DRAM
-    /// service cost, 50 millitokens per cached page (a tenth of the
-    /// read-only flash read on device A).
+    /// A small default: 16 MiB per thread, 4KB lines.
     pub fn default_profile() -> Self {
         CacheConfig {
             capacity_bytes: 16 << 20,
-            ways: 8,
             line_bytes: 4096,
-            hit_cpu_nanos: 250,
-            dram_cost_millitokens: 50,
         }
     }
 
@@ -80,7 +68,7 @@ impl CacheConfig {
 
     /// Number of sets this configuration yields.
     pub fn sets(&self) -> u64 {
-        self.capacity_bytes / (self.line_bytes as u64 * self.ways as u64)
+        self.capacity_bytes / (self.line_bytes as u64 * WAYS as u64)
     }
 
     /// Validates the configuration, returning a human-readable complaint.
@@ -91,22 +79,10 @@ impl CacheConfig {
                 self.line_bytes
             ));
         }
-        if self.ways == 0 {
-            return Err("cache ways must be >= 1".into());
-        }
         if self.sets() == 0 {
             return Err(format!(
                 "cache capacity {}B holds zero sets of {} x {}B ways",
-                self.capacity_bytes, self.ways, self.line_bytes
-            ));
-        }
-        if self.hit_cpu_nanos == 0 {
-            return Err("cache hit_cpu_nanos must be positive".into());
-        }
-        if self.dram_cost_millitokens < 0 {
-            return Err(format!(
-                "cache dram_cost_millitokens must be >= 0, got {}",
-                self.dram_cost_millitokens
+                self.capacity_bytes, WAYS, self.line_bytes
             ));
         }
         Ok(())
@@ -199,7 +175,7 @@ impl DramCache {
             panic!("invalid cache config: {e}");
         }
         let sets = cfg.sets() as usize;
-        let ways = cfg.ways as usize;
+        let ways = WAYS as usize;
         DramCache {
             cfg,
             sets,
@@ -457,7 +433,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn small() -> DramCache {
-        // 64 lines of 4KB, 4-way => 16 sets.
+        // 64 lines of 4KB, 8-way => 8 sets.
         DramCache::new(CacheConfig::with_capacity(64 * 4096))
     }
 
@@ -556,25 +532,21 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_way() {
-        // One set only: 4 lines, 4-way.
-        let mut c = DramCache::new(CacheConfig {
-            capacity_bytes: 4 * 4096,
-            ways: 4,
-            ..CacheConfig::default_profile()
-        });
+        // One set only: 8 lines, 8-way.
+        let mut c = DramCache::new(CacheConfig::with_capacity(8 * 4096));
         let clk = c.clock();
-        for line in 0..4u64 {
+        for line in 0..8u64 {
             c.fill(1, line * 4096, 4096, clk, 0);
         }
-        // Touch lines 1..4, leaving line 0 coldest.
-        for line in 1..4u64 {
+        // Touch lines 1..8, leaving line 0 coldest.
+        for line in 1..8u64 {
             assert!(c.lookup(1, line * 4096, 4096));
         }
         let clk = c.clock();
-        let out = c.fill(1, 4 * 4096, 4096, clk, 0);
+        let out = c.fill(1, 8 * 4096, 4096, clk, 0);
         assert_eq!(out.evicted, 1);
         assert!(!c.lookup(1, 0, 4096), "coldest line should be gone");
-        assert!(c.lookup(1, 4 * 4096, 4096));
+        assert!(c.lookup(1, 8 * 4096, 4096));
     }
 
     #[test]
@@ -595,11 +567,8 @@ mod tests {
         fn never_aliases_tenants_or_stale_generations(
             ops in prop::collection::vec((0u8..5, 0u32..3, 0u64..32), 1..200)
         ) {
-            let mut c = DramCache::new(CacheConfig {
-                capacity_bytes: 8 * 4096, // tiny: 2 sets => constant eviction
-                ways: 4,
-                ..CacheConfig::default_profile()
-            });
+            // Tiny: 2 sets => constant eviction.
+            let mut c = DramCache::new(CacheConfig::with_capacity(16 * 4096));
             let mut epochs: std::collections::HashMap<u32, u32> = Default::default();
             // (tenant, epoch, line) -> still legitimately fillable/visible
             let mut model: std::collections::HashSet<(u32, u32, u64)> = Default::default();

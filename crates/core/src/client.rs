@@ -15,27 +15,11 @@
 //! fixed queue depth), with its read ratio, request size and address
 //! pattern.
 
-use std::sync::Arc;
-
 use reflex_net::ConnId;
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{Histogram, PoolKey, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
 
 use crate::testbed::ReadPolicy;
-
-/// One operation of a recorded I/O trace (offsets are relative to the
-/// workload's start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceOp {
-    /// Issue instant relative to trace start.
-    pub at: SimDuration,
-    /// `true` for reads.
-    pub is_read: bool,
-    /// Device byte address.
-    pub addr: u64,
-    /// Length in bytes.
-    pub len: u32,
-}
 
 /// Inter-arrival process of an open-loop generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,27 +51,11 @@ pub enum LoadPattern {
     },
 }
 
-/// How the read/write mix is realized by the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MixProcess {
-    /// Each request is independently a read with probability `read_pct`.
-    /// With expensive writes (10-20 tokens) this makes a tenant's token
-    /// spend a random walk that repeatedly hits the deficit limit even at
-    /// exactly the reserved rate.
-    Bernoulli,
-    /// Writes are interleaved deterministically at the exact ratio
-    /// (e.g. every 5th request for an 80% read mix) — how paced load
-    /// generators behave.
-    Deterministic,
-}
-
 /// How request addresses are chosen within the tenant's namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrPattern {
     /// Uniformly random, aligned to the request size.
     UniformRandom,
-    /// Sequential per connection with wraparound.
-    Sequential,
     /// Zipfian popularity over the namespace's blocks (KV-store style
     /// skew); `theta_permille` is the skew × 1000, e.g. 990 for the
     /// YCSB-default 0.99.
@@ -164,10 +132,11 @@ impl RetryPolicy {
     }
 
     /// Backoff delay after a failed attempt `attempt` (1-based):
-    /// `base_backoff * 2^(attempt-1)`, saturating.
+    /// `base_backoff * 2^(attempt-1)`, saturating; attempt 0 backs off
+    /// like attempt 1.
     pub fn backoff_after(&self, attempt: u32) -> SimDuration {
         self.base_backoff
-            .mul_f64((1u64 << (attempt - 1).min(32) as u64) as f64)
+            .mul_f64((1u64 << attempt.saturating_sub(1).min(32)) as f64)
     }
 }
 
@@ -205,16 +174,10 @@ pub struct WorkloadSpec {
     pub shards: u32,
     /// Inter-arrival process for open-loop generation.
     pub arrival: ArrivalProcess,
-    /// Read/write interleaving discipline.
-    pub mix: MixProcess,
     /// Address pattern within the namespace.
     pub addr_pattern: AddrPattern,
     /// Namespace (byte offset, byte length) on the device.
     pub namespace: (u64, u64),
-    /// When set, replay this recorded trace instead of generating
-    /// requests from `pattern` (connections are used round-robin; `at`
-    /// offsets must be non-decreasing).
-    pub trace: Option<Arc<[TraceOp]>>,
     /// Client-side timeout/retry policy (default:
     /// [`RetryPolicy::disabled`]).
     pub retry: RetryPolicy,
@@ -243,10 +206,8 @@ impl WorkloadSpec {
             client_machine: 0,
             shards: 1,
             arrival: ArrivalProcess::Paced,
-            mix: MixProcess::Deterministic,
             addr_pattern: AddrPattern::UniformRandom,
             namespace: (0, 1 << 40),
-            trace: None,
             retry: RetryPolicy::disabled(),
             replicated: None,
         }
@@ -293,19 +254,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// A workload that replays a recorded trace.
-    pub fn from_trace(
-        name: &str,
-        tenant: TenantId,
-        class: TenantClass,
-        trace: Arc<[TraceOp]>,
-    ) -> Self {
-        WorkloadSpec {
-            trace: Some(trace),
-            ..Self::open_loop(name, tenant, class, 1.0)
-        }
-    }
-
     /// A closed-loop workload (queue depth per connection).
     pub fn closed_loop(name: &str, tenant: TenantId, class: TenantClass, queue_depth: u32) -> Self {
         WorkloadSpec {
@@ -350,17 +298,6 @@ impl WorkloadSpec {
         }
         if self.retry.max_attempts == 0 {
             return Err("retry max_attempts must be at least 1".into());
-        }
-        if let Some(trace) = &self.trace {
-            if trace.is_empty() {
-                return Err("trace must not be empty".into());
-            }
-            if trace.windows(2).any(|w| w[1].at < w[0].at) {
-                return Err("trace offsets must be non-decreasing".into());
-            }
-            if trace.iter().any(|op| op.len == 0) {
-                return Err("trace ops must have non-zero length".into());
-            }
         }
         if self.replicated.is_some() {
             if self.class.slo().is_none() {
@@ -463,9 +400,7 @@ pub(crate) struct WorkloadState {
     pub op_rr: u64,
     /// Client thread index serving each connection.
     pub conn_thread: Vec<u32>,
-    /// Sequential cursors per connection.
-    pub seq_cursor: Vec<u64>,
-    /// Deterministic-mix accumulator (percent units).
+    /// Read/write interleave accumulator (percent units).
     pub read_debt: u32,
     pub read_hist: Histogram,
     pub write_hist: Histogram,
@@ -500,7 +435,6 @@ impl WorkloadState {
             epoch: 0,
             op_rr: 0,
             conn_thread: Vec::new(),
-            seq_cursor: Vec::new(),
             read_debt: 0,
             read_hist: Histogram::new(),
             write_hist: Histogram::new(),
@@ -650,6 +584,13 @@ mod tests {
         let mut s = spec();
         s.namespace = (0, 100);
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn attempt_zero_backs_off_like_attempt_one() {
+        let policy = RetryPolicy::standard();
+        assert_eq!(policy.backoff_after(0), policy.backoff_after(1));
+        assert_eq!(policy.backoff_after(0), SimDuration::from_micros(50));
     }
 
     fn replicated() -> WorkloadSpec {

@@ -45,8 +45,7 @@ pub use capacity::{
     calibrate_capacity, sweep_device, sweep_device_point, sweep_device_sized, CapacityProfile,
 };
 pub use client::{
-    AddrPattern, ArrivalProcess, LoadPattern, MixProcess, RetryPolicy, TraceOp, WorkloadReport,
-    WorkloadSpec,
+    AddrPattern, ArrivalProcess, LoadPattern, RetryPolicy, WorkloadReport, WorkloadSpec,
 };
 pub use cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 pub use harness::ServerHarness;

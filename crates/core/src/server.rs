@@ -31,10 +31,6 @@ pub struct ServerConfig {
     pub sched_params: SchedulerParams,
     /// Enables control-plane thread scaling.
     pub auto_scale: bool,
-    /// Busy fraction above which a thread is added.
-    pub scale_up_threshold: f64,
-    /// Busy fraction below which a thread is retired.
-    pub scale_down_threshold: f64,
 }
 
 impl Default for ServerConfig {
@@ -45,8 +41,6 @@ impl Default for ServerConfig {
             dataplane: DataplaneConfig::default(),
             sched_params: SchedulerParams::default(),
             auto_scale: false,
-            scale_up_threshold: 0.85,
-            scale_down_threshold: 0.20,
         }
     }
 }
@@ -861,15 +855,15 @@ impl ReflexServer {
             let max_frac = fractions.iter().cloned().fold(0.0f64, f64::max);
             let avg_frac = fractions.iter().sum::<f64>() / fractions.len() as f64;
             // Scale up when a core is saturated or an SLO is being missed;
-            // scale down only when everyone is idle (paper §4.3).
-            if (max_frac > self.config.scale_up_threshold || latency_hot)
+            // scale down only when everyone is idle (paper §4.3): busy
+            // fractions above and below which a thread is added, retired.
+            const SCALE_UP_BUSY: f64 = 0.85;
+            const SCALE_DOWN_BUSY: f64 = 0.20;
+            if (max_frac > SCALE_UP_BUSY || latency_hot)
                 && self.active_threads < self.config.max_threads as usize
             {
                 self.scale_up();
-            } else if avg_frac < self.config.scale_down_threshold
-                && !latency_hot
-                && self.active_threads > 1
-            {
+            } else if avg_frac < SCALE_DOWN_BUSY && !latency_hot && self.active_threads > 1 {
                 self.scale_down();
             }
         }

@@ -26,8 +26,8 @@ use reflex_telemetry::{Stage, Telemetry, TelemetrySnapshot, TenantKey};
 
 use crate::capacity::CapacityProfile;
 use crate::client::{
-    AddrPattern, ArrivalProcess, LoadPattern, MemberLink, MixProcess, OutstandingReq, ReplOp,
-    WorkloadReport, WorkloadSpec, WorkloadState,
+    AddrPattern, ArrivalProcess, LoadPattern, MemberLink, OutstandingReq, ReplOp, WorkloadReport,
+    WorkloadSpec, WorkloadState,
 };
 use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 use crate::harness::ServerHarness;
@@ -109,16 +109,6 @@ pub enum WorldEvent<S: ServerHarness = ReflexServer> {
     Timeout(u64),
     /// Open-loop generator tick for workload `i`.
     OpenLoopGen(usize),
-    /// Replay step `pos` of workload `w_idx`'s trace (replay began at
-    /// `started`).
-    TraceReplay {
-        /// Workload index.
-        w_idx: usize,
-        /// Position in the trace.
-        pos: usize,
-        /// Simulated instant replay began.
-        started: SimTime,
-    },
     /// Periodic control-plane tick.
     Control(SimDuration),
     /// Issue one request on `conn_idx` of workload `w_idx` (closed-loop
@@ -130,7 +120,8 @@ pub enum WorldEvent<S: ServerHarness = ReflexServer> {
         conn_idx: usize,
     },
     /// Fire every staged retransmission whose backoff has elapsed, in
-    /// canonical order (see [`World::retry_fire_event`]).
+    /// canonical order: due deliveries first, then due retries sorted by
+    /// a key derived from each request.
     RetryFire,
     /// Site `i`'s server dies (bookkeeping; the armed fault hooks do the
     /// damage).
@@ -176,11 +167,6 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
             WorldEvent::ClientPoll(i) => world.poll_clients(Some(i), ctx),
             WorldEvent::Timeout(cookie) => world.timeout_event(cookie, ctx),
             WorldEvent::OpenLoopGen(i) => world.open_loop_gen_event(i, ctx),
-            WorldEvent::TraceReplay {
-                w_idx,
-                pos,
-                started,
-            } => world.trace_replay_event(w_idx, pos, started, ctx),
             WorldEvent::Control(interval) => world.control_event(interval, ctx),
             WorldEvent::Issue { w_idx, conn_idx } => world.issue_request(w_idx, conn_idx, ctx),
             WorldEvent::RetryFire => world.retry_fire_event(ctx),
@@ -284,8 +270,8 @@ impl<S: ServerHarness + 'static> World<S> {
         &self.fabric
     }
 
-    /// Exclusive access to the fabric (fault injection installs hooks and
-    /// swaps stack profiles here).
+    /// Exclusive access to the fabric (fault injection installs hooks
+    /// here).
     pub fn fabric_mut(&mut self) -> &mut Fabric<WireMsg> {
         &mut self.fabric
     }
@@ -648,18 +634,13 @@ impl<S: ServerHarness + 'static> World<S> {
                 .is_none_or(|fan| self.ops.get(fan.op).is_some_and(|op| !op.done))
     }
 
-    fn next_addr(&mut self, w_idx: usize, conn_idx: usize) -> u64 {
+    fn next_addr(&mut self, w_idx: usize) -> u64 {
         let w = &mut self.workloads[w_idx];
         let (ns_start, ns_len) = w.spec.namespace;
         let size = w.spec.io_size as u64;
         let slots = (ns_len / size).max(1);
         match w.spec.addr_pattern {
             AddrPattern::UniformRandom => ns_start + w.rng.below(slots) * size,
-            AddrPattern::Sequential => {
-                let cur = w.seq_cursor[conn_idx];
-                w.seq_cursor[conn_idx] = (cur + 1) % slots;
-                ns_start + cur * size
-            }
             AddrPattern::Zipfian { .. } => {
                 let z = self.zipf[w_idx].as_ref().expect("built at add_workload");
                 // Scramble the rank so hot blocks scatter over the address
@@ -671,43 +652,20 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
+    /// Issues the workload's next request on `conn_idx`: one attempt to
+    /// its only copy, or a replicated workload's fan-out. Writes are
+    /// interleaved at the exact ratio (every 5th request of an 80 % read
+    /// mix), as paced load generators issue them.
     fn issue_request(&mut self, w_idx: usize, conn_idx: usize, ctx: &mut WorldCtx<S>) {
-        let addr = self.next_addr(w_idx, conn_idx);
-        let w = &mut self.workloads[w_idx];
-        let spec = &w.spec;
-        let read_pct = spec.read_pct;
-        let is_read = match spec.mix {
-            MixProcess::Bernoulli => w.rng.below(100) < read_pct as u64,
-            MixProcess::Deterministic => {
-                w.read_debt += spec.read_pct as u32;
-                if w.read_debt >= 100 {
-                    w.read_debt -= 100;
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        let len = spec.io_size;
-        self.issue_explicit(w_idx, conn_idx, is_read, addr, len, ctx);
-    }
-
-    /// Issues one fully-specified request (the trace-replay path and the
-    /// generated path share everything from here on): one attempt to the
-    /// workload's only copy, or a replicated workload's fan-out.
-    #[inline]
-    fn issue_explicit(
-        &mut self,
-        w_idx: usize,
-        conn_idx: usize,
-        is_read: bool,
-        addr: u64,
-        io_size: u32,
-        ctx: &mut WorldCtx<S>,
-    ) {
+        let addr = self.next_addr(w_idx);
         let now = ctx.now();
         let measured = self.measure_start.is_some_and(|m| now >= m);
         let w = &mut self.workloads[w_idx];
+        w.read_debt += u32::from(w.spec.read_pct);
+        let is_read = w.read_debt >= 100;
+        if is_read {
+            w.read_debt -= 100;
+        }
         if measured {
             w.issued += 1;
         }
@@ -717,7 +675,7 @@ impl<S: ServerHarness + 'static> World<S> {
             sent_at: now,
             is_read,
             addr,
-            len: io_size,
+            len: w.spec.io_size,
             measured,
             attempt: 1,
             fan: None,
@@ -860,35 +818,6 @@ impl<S: ServerHarness + 'static> World<S> {
         ctx.schedule_event_after(gap, WorldEvent::OpenLoopGen(w_idx));
     }
 
-    fn trace_replay_event(
-        &mut self,
-        w_idx: usize,
-        pos: usize,
-        started: SimTime,
-        ctx: &mut WorldCtx<S>,
-    ) {
-        let w = &self.workloads[w_idx];
-        if w.stopped {
-            return;
-        }
-        let trace = w.spec.trace.clone().expect("trace workloads carry a trace");
-        let Some(op) = trace.get(pos) else { return };
-        let conn_idx = pos % w.spec.conns as usize;
-        self.issue_explicit(w_idx, conn_idx, op.is_read, op.addr, op.len, ctx);
-        if let Some(next) = trace.get(pos + 1) {
-            let due = started + next.at;
-            let at = due.max(ctx.now());
-            ctx.schedule_event_at(
-                at,
-                WorldEvent::TraceReplay {
-                    w_idx,
-                    pos: pos + 1,
-                    started,
-                },
-            );
-        }
-    }
-
     fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx<S>) {
         for site in &mut self.sites {
             site.server.control_tick(ctx.now(), interval);
@@ -1027,7 +956,6 @@ pub struct TestbedBuilder {
     client_stacks: Vec<StackProfile>,
     cost_model: Option<CostModel>,
     capacity: Option<CapacityProfile>,
-    control_interval: SimDuration,
     seed: u64,
     sites: usize,
     replication: usize,
@@ -1043,7 +971,6 @@ impl Default for TestbedBuilder {
             client_stacks: vec![StackProfile::ix_tcp()],
             cost_model: None,
             capacity: None,
-            control_interval: SimDuration::from_millis(10),
             seed: 42,
             sites: 1,
             replication: 1,
@@ -1265,8 +1192,13 @@ impl TestbedBuilder {
             telemetry: Telemetry::disabled(),
         };
         let mut engine = Engine::with_events(world);
-        let interval = self.control_interval;
-        engine.schedule_event_at(SimTime::ZERO + interval, WorldEvent::Control(interval));
+        // The control plane's tick: deficit and SLO monitoring, thread
+        // scaling (paper §4.3).
+        const CONTROL_INTERVAL: SimDuration = SimDuration::from_millis(10);
+        engine.schedule_event_at(
+            SimTime::ZERO + CONTROL_INTERVAL,
+            WorldEvent::Control(CONTROL_INTERVAL),
+        );
         Testbed {
             engine,
             measure_begin: SimTime::ZERO,
@@ -1411,7 +1343,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         }
         for i in 0..spec.conns {
             state.conn_thread.push(i % spec.client_threads);
-            state.seq_cursor.push(0);
         }
         let zipf = match spec.addr_pattern {
             AddrPattern::Zipfian { theta_permille } => {
@@ -1421,12 +1352,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                     f64::from(theta_permille.clamp(1, 999)) / 1000.0,
                 ))
             }
-            _ => None,
-        };
-        // The open-loop kickoff offset is the first draw of the workload's
-        // own stream.
-        let open_loop_offset = match (&spec.trace, spec.pattern) {
-            (None, LoadPattern::OpenLoop { .. }) => Some(state.rng.exponential(state.mean_gap)),
             _ => None,
         };
         world.zipf.push(zipf);
@@ -1446,24 +1371,14 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             });
         }
 
-        // Kick off the generator (trace replay overrides the pattern).
+        // Kick off the generator.
         let eng = &mut self.engine;
-        if let Some(trace) = &spec.trace {
-            let start = eng.now();
-            let first_at = trace.first().expect("validated non-empty").at;
-            eng.schedule_event_at(
-                start + first_at,
-                WorldEvent::TraceReplay {
-                    w_idx,
-                    pos: 0,
-                    started: start,
-                },
-            );
-            return Ok(());
-        }
         match spec.pattern {
             LoadPattern::OpenLoop { .. } => {
-                let offset = open_loop_offset.expect("drawn above for open-loop patterns");
+                // The kickoff offset is the first draw of the workload's
+                // own stream.
+                let w = &mut eng.world_mut().workloads[w_idx];
+                let offset = w.rng.exponential(w.mean_gap);
                 let at = eng.now() + offset;
                 eng.schedule_event_at(at, WorldEvent::OpenLoopGen(w_idx));
             }

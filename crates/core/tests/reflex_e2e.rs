@@ -351,22 +351,6 @@ fn a_hot_thread_arms_each_wake_once() {
 }
 
 #[test]
-fn sequential_pattern_walks_the_namespace() {
-    let mut tb = Testbed::builder().seed(12).build();
-    let mut spec = WorkloadSpec::closed_loop("seq", TenantId(1), TenantClass::BestEffort, 4);
-    spec.addr_pattern = reflex_core::AddrPattern::Sequential;
-    spec.namespace = (0, 64 * 4096);
-    tb.add_workload(spec).expect("admitted");
-    tb.run(SimDuration::from_millis(20));
-    tb.begin_measurement();
-    tb.run(SimDuration::from_millis(50));
-    let report = tb.report();
-    let w = report.workload("seq");
-    assert!(w.errors == 0, "sequential wraparound must stay in range");
-    assert!(w.iops > 1_000.0);
-}
-
-#[test]
 fn deficit_notifications_surface_in_report() {
     // A tenant whose SLO reserves far less than it issues hits NEG_LIMIT
     // and gets flagged for renegotiation.

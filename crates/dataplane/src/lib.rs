@@ -19,7 +19,7 @@ mod config;
 mod thread;
 
 pub use abi::{AbiStatus, BufHandle, Cookie, EventCond, Syscall, TenantHandle};
-pub use config::{ConnPressure, DataplaneConfig};
+pub use config::DataplaneConfig;
 pub use thread::{AclEntry, DataplaneThread, ReqCtx, ThreadStats, WireMsg};
 // Re-exported so callers can flip the DRAM cache tier on via
 // `DataplaneConfig { cache: Some(..), .. }` without a direct

@@ -290,6 +290,47 @@ pub struct ThreadStats {
     pub cache_invalidations: u64,
 }
 
+/// Fixed CPU per QoS scheduling round.
+pub(crate) const SCHED_BASE_COST: SimDuration = SimDuration::from_nanos(150);
+/// CPU per registered tenant per scheduling round (token generation,
+/// queue inspection).
+const SCHED_PER_TENANT_COST: SimDuration = SimDuration::from_nanos(12);
+/// Minimum spacing between scheduling rounds: under low load the thread
+/// schedules immediately per arrival batch; this floor stops a
+/// many-tenant scheduler from being re-run for every single message (the
+/// paper's rounds run every 0.5-100us).
+const MIN_SCHED_INTERVAL: SimDuration = SimDuration::from_micros(3);
+/// The bound on round spacing until the control plane sets one (at most
+/// 5 % of the strictest SLO, paper §3.2.2).
+const MAX_SCHED_INTERVAL: SimDuration = SimDuration::from_micros(10);
+/// CPU of serving one cache hit from DRAM (lookup + copy-out).
+const HIT_CPU_COST: SimDuration = SimDuration::from_nanos(250);
+/// QoS token cost of one cached page: a tenth of a read-only flash read
+/// on device A, so rate limits keep reflecting real device load.
+const DRAM_COST_MILLITOKENS: i64 = 50;
+
+/// LLC pressure from TCP connection state: the multiplier on per-message
+/// CPU costs at `conns` bound connections (paper §5.5: performance
+/// degrades beyond ~5K connections per core as connection state spills
+/// out of the last-level cache).
+fn conn_pressure(conns: u32) -> f64 {
+    /// A mild warming term reaches this extra cost fraction at
+    /// `WARM_CONNS` connections and stays there.
+    const WARM_PENALTY: f64 = 0.10;
+    const WARM_CONNS: u32 = 1_000;
+    /// Beyond `SPILL_CONNS`, each further `SPILL_CONNS` connections add
+    /// `SPILL_PENALTY`.
+    const SPILL_CONNS: u32 = 5_000;
+    const SPILL_PENALTY: f64 = 0.55;
+    let warm = WARM_PENALTY * (conns as f64 / WARM_CONNS as f64).min(1.0);
+    let spill = if conns > SPILL_CONNS {
+        SPILL_PENALTY * (conns - SPILL_CONNS) as f64 / SPILL_CONNS as f64
+    } else {
+        0.0
+    };
+    1.0 + warm + spill
+}
+
 /// One simulated ReFlex server thread. See the module documentation.
 #[derive(Debug)]
 pub struct DataplaneThread {
@@ -394,7 +435,7 @@ impl DataplaneThread {
             busy_time: SimDuration::ZERO,
             sched_time: SimDuration::ZERO,
             last_sched: now,
-            max_sched_interval: config.max_sched_interval,
+            max_sched_interval: MAX_SCHED_INTERVAL,
             round_cost: SimDuration::ZERO,
             interval: SimDuration::ZERO,
             idle_until: None,
@@ -420,18 +461,17 @@ impl DataplaneThread {
     /// bound.
     fn refresh_costs(&mut self) {
         let (lc, be) = self.sched.tenant_counts();
-        self.round_cost =
-            self.config.sched_base_cost + self.config.sched_per_tenant_cost * (lc + be) as u64;
+        self.round_cost = SCHED_BASE_COST + SCHED_PER_TENANT_COST * (lc + be) as u64;
         self.interval = (self.round_cost * 2)
-            .max(self.config.min_sched_interval)
+            .max(MIN_SCHED_INTERVAL)
             .min(self.max_sched_interval);
-        let factor = self.config.conn_pressure.factor(self.bound_conns);
+        let factor = conn_pressure(self.bound_conns);
         self.rx_cost = self.config.rx_msg_cost.mul_f64(factor);
         self.tx_cost = self.config.tx_msg_cost.mul_f64(factor);
-        // DRAM service (lookup + copy-out) of a cache hit.
-        self.hit_cost = self.config.cache.map_or(SimDuration::ZERO, |c| {
-            SimDuration::from_nanos(c.hit_cpu_nanos).mul_f64(factor)
-        });
+        self.hit_cost = self
+            .config
+            .cache
+            .map_or(SimDuration::ZERO, |_| HIT_CPU_COST.mul_f64(factor));
     }
 
     /// Installs a telemetry handle and forwards it to the thread's QoS
@@ -447,7 +487,7 @@ impl DataplaneThread {
     /// keeps it at 5% of the strictest registered SLO, paper §3.2.2).
     pub fn set_max_sched_interval(&mut self, interval: SimDuration) {
         self.interrupt();
-        self.max_sched_interval = interval.max(self.config.min_sched_interval);
+        self.max_sched_interval = interval.max(MIN_SCHED_INTERVAL);
         self.refresh_costs();
     }
 
@@ -1133,7 +1173,7 @@ impl DataplaneThread {
             .spend_dram_hit_at(
                 t.sched,
                 ctx.tenant,
-                Tokens::from_millitokens(cache_cfg.dram_cost_millitokens * pages),
+                Tokens::from_millitokens(DRAM_COST_MILLITOKENS * pages),
             )
             .expect("bound conn implies registered tenant");
         if let Some(h) = &mut t.read_latency {
@@ -1545,6 +1585,27 @@ impl DataplaneThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn conn_pressure_shape() {
+        assert!((conn_pressure(1) - 1.0).abs() < 0.01);
+        // ~850 connections: the paper's 780K vs 850K peak (~9%).
+        let f850 = conn_pressure(850);
+        assert!((1.05..1.12).contains(&f850), "factor(850) = {f850}");
+        // At 5K connections the warm term has saturated, no spill yet.
+        let f5k = conn_pressure(5_000);
+        assert!((1.09..1.12).contains(&f5k), "factor(5000) = {f5k}");
+        // Beyond 5K the spill term dominates.
+        let f10k = conn_pressure(10_000);
+        assert!(f10k > 1.5, "factor(10000) = {f10k}");
+        // Monotone.
+        let mut prev = 0.0;
+        for n in [0u32, 100, 500, 1_000, 2_000, 5_000, 7_000, 10_000, 20_000] {
+            let f = conn_pressure(n);
+            assert!(f >= prev);
+            prev = f;
+        }
+    }
 
     #[test]
     fn acl_client_permits() {

@@ -168,7 +168,6 @@ pub struct FlashDevice {
     rng: SimRng,
     seq: u64,
     last_write_at: Option<SimTime>,
-    wear_factor: f64,
     stats: DeviceStats,
     fault_hook: Option<Box<dyn DeviceFaultHook>>,
     telemetry: Telemetry,
@@ -200,7 +199,6 @@ impl FlashDevice {
             rng,
             seq: 0,
             last_write_at: None,
-            wear_factor: 1.0,
             stats: DeviceStats::default(),
             fault_hook: None,
             telemetry: Telemetry::disabled(),
@@ -221,14 +219,6 @@ impl FlashDevice {
     /// Aggregate statistics so far.
     pub fn stats(&self) -> DeviceStats {
         self.stats
-    }
-
-    /// Multiplier applied to program occupancy to model wear-out; the
-    /// control plane raises this as the device ages and re-calibrates the
-    /// cost model (paper §3.2.1).
-    pub fn set_wear_factor(&mut self, factor: f64) {
-        assert!(factor >= 1.0, "wear can only slow a device down");
-        self.wear_factor = factor;
     }
 
     /// Installs a fault-injection hook consulted on every accepted command.
@@ -451,7 +441,7 @@ impl FlashDevice {
         self.stats.write_pages += pages;
         self.last_write_at = Some(now);
 
-        let program = self.profile.program_occupancy.mul_f64(self.wear_factor);
+        let program = self.profile.program_occupancy;
         let buffered = self.rng.lognormal(
             self.profile.write_buffer_median,
             self.profile.write_buffer_sigma,
@@ -825,8 +815,11 @@ mod tests {
 
     #[test]
     fn wear_factor_slows_writes() {
-        let (mut d, qp) = dev();
-        d.set_wear_factor(4.0);
+        // A worn device: program occupancy x4.
+        let mut profile = device_a();
+        profile.program_occupancy = profile.program_occupancy * 4;
+        let mut d = FlashDevice::new(profile, SimRng::seed(42));
+        let qp = d.create_queue_pair();
         let t0 = SimTime::ZERO;
         for i in 0..8 {
             d.submit(t0, qp, NvmeCommand::write(CmdId(i), 0, 4096))

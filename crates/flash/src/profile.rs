@@ -71,12 +71,6 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// Theoretical read-only 4KB IOPS capacity.
-    pub fn read_only_iops(&self) -> f64 {
-        let occ = self.read_occupancy.as_secs_f64() * self.read_only_occupancy_factor;
-        self.channels as f64 / occ
-    }
-
     /// Theoretical mixed-load token rate (4KB-read equivalents per second).
     pub fn token_rate(&self) -> f64 {
         self.channels as f64 / self.read_occupancy.as_secs_f64()
@@ -216,7 +210,9 @@ mod tests {
     #[test]
     fn device_a_capacity_targets() {
         let p = device_a();
-        let iops = p.read_only_iops();
+        // Read-only 4KB IOPS: every channel at read-only occupancy.
+        let occ = p.read_occupancy.as_secs_f64() * p.read_only_occupancy_factor;
+        let iops = p.channels as f64 / occ;
         assert!((0.9e6..1.15e6).contains(&iops), "read-only IOPS {iops}");
         let tokens = p.token_rate();
         assert!((6.0e5..7.0e5).contains(&tokens), "token rate {tokens}");

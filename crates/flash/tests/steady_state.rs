@@ -95,9 +95,9 @@ fn worn_device_sustains_less_write_throughput() {
     let run = |wear: f64| {
         let mut profile = device_a();
         profile.sq_depth = 1 << 20;
+        profile.program_occupancy = profile.program_occupancy.mul_f64(wear);
         let mut dev = FlashDevice::new(profile, SimRng::seed(11));
         dev.precondition();
-        dev.set_wear_factor(wear);
         let qp = dev.create_queue_pair();
         let mut heap = std::collections::BinaryHeap::new();
         for i in 0..32u64 {

@@ -224,8 +224,8 @@ impl<P> Fabric<P> {
     }
 
     /// Installs a telemetry handle. Wire-time spans are recorded per
-    /// message (`Stage::Fabric` for [`send_to_queue`], `Stage::Egress` for
-    /// [`send`]); recording is purely passive and perturbs no timing.
+    /// message (`Stage::Fabric` for [`send_to_queue`](Self::send_to_queue),
+    /// `Stage::Egress` for [`send`](Self::send)); recording is purely passive and perturbs no timing.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -345,13 +345,6 @@ impl<P> Fabric<P> {
             payload,
             Stage::Egress,
         )
-    }
-
-    /// Replaces `machine`'s network stack profile. Used by fault injection
-    /// to model latency storms (a degraded stack for a window of time);
-    /// the NIC's jitter RNG stream is untouched.
-    pub fn set_stack(&mut self, machine: MachineId, stack: StackProfile) {
-        self.nics[machine.0 as usize].stack = stack;
     }
 
     /// The stack profile currently in force on `machine`.
@@ -776,21 +769,6 @@ mod tests {
             let y = f1.send(t, a1, b1, c1, 1024, i as u32);
             assert_eq!(x, y, "diverged at msg {i}");
         }
-    }
-
-    #[test]
-    fn degraded_stack_swap_slows_delivery() {
-        let (mut f, a, b) = fabric();
-        let conn = f.new_conn();
-        let healthy = f.send(SimTime::ZERO, a, b, conn, 0, 0) - SimTime::ZERO;
-        let degraded = f.stack(a).degraded(10.0);
-        f.set_stack(a, degraded);
-        let t = SimTime::from_millis(1);
-        let stormy = f.send(t, a, b, conn, 0, 1) - t;
-        assert!(
-            stormy.as_micros_f64() > healthy.as_micros_f64() * 3.0,
-            "storm {stormy:?} vs healthy {healthy:?}"
-        );
     }
 
     #[test]

@@ -119,26 +119,6 @@ impl StackProfile {
         }
     }
 
-    /// A degraded copy of this profile: medians multiplied by `factor` and
-    /// jitter widened (latency-storm fault injection swaps a machine's
-    /// stack for a degraded one during the storm window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor < 1.0`.
-    pub fn degraded(&self, factor: f64) -> StackProfile {
-        assert!(factor >= 1.0, "degradation can only slow a stack down");
-        StackProfile {
-            name: format!("{}-degraded", self.name),
-            tx_median: self.tx_median.mul_f64(factor),
-            tx_sigma: (self.tx_sigma * factor.sqrt()).min(1.0),
-            rx_median: self.rx_median.mul_f64(factor),
-            rx_sigma: (self.rx_sigma * factor.sqrt()).min(1.0),
-            per_msg_cpu: self.per_msg_cpu,
-            transport: self.transport,
-        }
-    }
-
     /// Samples the transmit-side software latency.
     pub fn sample_tx(&self, rng: &mut SimRng) -> SimDuration {
         rng.lognormal(self.tx_median, self.tx_sigma)
@@ -148,17 +128,6 @@ impl StackProfile {
     pub fn sample_rx(&self, rng: &mut SimRng) -> SimDuration {
         rng.lognormal(self.rx_median, self.rx_sigma)
     }
-
-    /// Messages per second one thread of this stack can sustain
-    /// (infinite for a zero-CPU profile).
-    pub fn max_msgs_per_thread_per_sec(&self) -> f64 {
-        let cpu = self.per_msg_cpu.as_secs_f64();
-        if cpu <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / cpu
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +136,7 @@ mod tests {
 
     #[test]
     fn linux_thread_ceiling_near_70k() {
-        let rate = StackProfile::linux_tcp().max_msgs_per_thread_per_sec();
+        let rate = 1.0 / StackProfile::linux_tcp().per_msg_cpu.as_secs_f64();
         assert!((65_000.0..75_000.0).contains(&rate), "rate {rate}");
     }
 
@@ -195,8 +164,6 @@ mod tests {
 
     #[test]
     fn raw_profile_has_unbounded_thread_rate() {
-        assert!(StackProfile::dataplane_raw()
-            .max_msgs_per_thread_per_sec()
-            .is_infinite());
+        assert!(StackProfile::dataplane_raw().per_msg_cpu.is_zero());
     }
 }

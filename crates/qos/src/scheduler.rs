@@ -489,11 +489,6 @@ impl<R> QosScheduler<R> {
         self.lc_state(id).map(|s| s.rate)
     }
 
-    /// The SLO of LC tenant `id`, if registered here.
-    pub fn lc_slo(&self, id: TenantId) -> Option<SloSpec> {
-        self.lc_state(id).map(|s| s.slo)
-    }
-
     /// Replaces an LC tenant's SLO (renegotiation after repeated deficit
     /// notifications, paper §4.3). The token balance and queue carry over.
     ///

@@ -400,36 +400,6 @@ impl<E> EventQueue<E> {
             }
         }
     }
-
-    /// Instant of the earliest live event, if any.
-    fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        let mut consider = |at: SimTime| {
-            best = Some(match best {
-                Some(b) => b.min(at),
-                None => at,
-            });
-        };
-        for &Reverse((at, _, idx)) in self.current.iter() {
-            if self.nodes[idx as usize].event.is_some() {
-                consider(at);
-            }
-        }
-        if self.wheel_count > 0 {
-            // The first occupied slot holds the wheel's earliest events, and
-            // all wheel entries are live (cancellation is eager there).
-            let (slot, _) = self.next_occupied_slot();
-            for &idx in &self.wheel[slot] {
-                consider(self.nodes[idx as usize].at);
-            }
-        }
-        for &Reverse((at, _, idx)) in self.far.iter() {
-            if self.nodes[idx as usize].event.is_some() {
-                consider(at);
-            }
-        }
-        best
-    }
 }
 
 /// Scheduling context passed to every event handler.
@@ -662,11 +632,6 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
         &mut self.world
     }
 
-    /// Consumes the engine, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// Number of events dispatched so far.
     pub fn dispatched(&self) -> u64 {
         self.dispatched
@@ -675,11 +640,6 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
     /// Number of events currently queued (scheduled and not cancelled).
     pub fn queued(&self) -> usize {
         self.queue.len
-    }
-
-    /// Instant of the next queued event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// Schedules `event` at absolute instant `at`.
@@ -965,7 +925,7 @@ mod tests {
                 }
             }
             e.run_until(SimTime::from_micros(10));
-            e.into_world()
+            e.world().clone()
         }
         assert_eq!(run(), run());
         assert_eq!(run().len(), 134);
@@ -1038,20 +998,6 @@ mod tests {
         assert!(e.cancel(h2));
         e.run_until(SimTime::from_micros(10));
         assert_eq!(e.world(), &[1]);
-    }
-
-    #[test]
-    fn next_event_time_sees_all_levels() {
-        let mut e = engine();
-        assert_eq!(e.next_event_time(), None);
-        e.schedule_event_at(SimTime::from_secs(1), Push(0));
-        assert_eq!(e.next_event_time(), Some(SimTime::from_secs(1)));
-        e.schedule_event_at(SimTime::from_millis(1), Push(0));
-        assert_eq!(e.next_event_time(), Some(SimTime::from_millis(1)));
-        let h = e.schedule_event_at_handle(SimTime::from_micros(3), Push(0));
-        assert_eq!(e.next_event_time(), Some(SimTime::from_micros(3)));
-        e.cancel(h);
-        assert_eq!(e.next_event_time(), Some(SimTime::from_millis(1)));
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl Histogram {
         self.percentile(99.0)
     }
 
-    /// 99.9th percentile.
-    pub fn p999(&self) -> SimDuration {
-        self.percentile(99.9)
-    }
-
     /// Merges the samples of `other` into `self`.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {

@@ -11,7 +11,7 @@
 //! * [`SimRng`] / [`Zipf`] — seeded randomness and workload distributions,
 //! * [`Histogram`] — HDR-style latency histograms (p95 is the paper's
 //!   headline metric),
-//! * [`RateSeries`] / [`Counter`] — throughput and token-rate recorders.
+//! * [`RateSeries`] — throughput and token-rate recorder.
 //!
 //! # Examples
 //!
@@ -67,6 +67,6 @@ mod ziggurat;
 pub use engine::{Ctx, Engine, EngineProbe, EventHandle, Step, TypedEvent, WakeSlots};
 pub use hist::Histogram;
 pub use rng::{SimRng, Zipf};
-pub use series::{Counter, RatePoint, RateSeries};
+pub use series::{RatePoint, RateSeries};
 pub use slab::{PoolKey, SlabPool};
 pub use time::{SimDuration, SimTime};

@@ -94,71 +94,6 @@ impl RateSeries {
     pub fn points(&self) -> &[RatePoint] {
         &self.points
     }
-
-    /// Mean rate across all completed intervals (0 when empty).
-    pub fn mean_rate(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.rate_per_sec).sum::<f64>() / self.points.len() as f64
-    }
-}
-
-/// A running counter with a start instant, reporting an overall average rate.
-///
-/// # Examples
-///
-/// ```
-/// use reflex_sim::{Counter, SimTime};
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.add(7);
-/// assert_eq!(c.total(), 10);
-/// assert!((c.rate_per_sec(SimTime::from_secs(2)) - 5.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    total: u64,
-    since: SimTime,
-}
-
-impl Counter {
-    /// Creates a zeroed counter starting at `t=0`.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.total += n;
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.total += 1;
-    }
-
-    /// Total events counted.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Resets the count and marks `at` as the new measurement origin.
-    pub fn reset_at(&mut self, at: SimTime) {
-        self.total = 0;
-        self.since = at;
-    }
-
-    /// Average events/second between the origin and `now` (0 if no time passed).
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let span = now.saturating_since(self.since);
-        if span.is_zero() {
-            0.0
-        } else {
-            self.total as f64 / span.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,26 +137,5 @@ mod tests {
         let pts = s.points();
         assert_eq!(pts.len(), 2);
         assert!((pts[1].rate_per_sec - 5.0 / 0.007).abs() < 1.0);
-    }
-
-    #[test]
-    fn counter_rates() {
-        let mut c = Counter::new();
-        assert_eq!(c.rate_per_sec(SimTime::ZERO), 0.0);
-        c.add(100);
-        assert!((c.rate_per_sec(SimTime::from_millis(100)) - 1_000.0).abs() < 1e-9);
-        c.reset_at(SimTime::from_secs(1));
-        c.incr();
-        assert_eq!(c.total(), 1);
-        assert!((c.rate_per_sec(SimTime::from_secs(2)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_rate_averages_points() {
-        let mut s = RateSeries::new(SimDuration::from_millis(10));
-        s.add(SimTime::from_millis(0), 10);
-        s.add(SimTime::from_millis(10), 30);
-        s.finish(SimTime::from_millis(20));
-        assert!((s.mean_rate() - 2_000.0).abs() < 1e-9);
     }
 }

@@ -7,7 +7,7 @@
 //!   over the decode/accounting edges (wire headers, pool cookies, QoS
 //!   scheduling, fault-plan parsing), run as proptests by the
 //!   `fuzz_mirrors` suite under plain `cargo test`.
-//! * **Swarm running** ([`gen`], [`runner`], [`shrink`]) — one u64 seed
+//! * **Swarm running** ([`gen`], [`runner`], [`shrink`](mod@shrink)) — one u64 seed
 //!   derives one random-but-valid testbed configuration, which executes
 //!   under the five oracle families of [`oracle`]. A failing seed
 //!   shrinks to a minimal case with a one-line repro; past failures

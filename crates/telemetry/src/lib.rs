@@ -10,8 +10,9 @@
 //!   existing log-bucketed [`Histogram`],
 //! * per-tenant IO conservation counters (submitted / completed / failed /
 //!   retried, plus an open-span gauge),
-//! * a rolling-window [`SloMonitor`]-style tracker that checks p95/p99
-//!   against `qos::slo` targets and emits [`SloViolation`] events,
+//! * a rolling-window SLO tracker ([`Telemetry::slo_observe`]) that
+//!   checks p95/p99 against `qos::slo` targets and emits
+//!   [`SloViolation`] events,
 //! * a mergeable, deterministic [`TelemetrySnapshot`] with JSON and TSV
 //!   exporters.
 //!
@@ -506,11 +507,6 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Total SLO violations across all tenants.
-    pub fn total_violations(&self) -> u64 {
-        self.slo.values().map(|s| s.violations).sum()
-    }
-
     /// The span histogram for `(tenant, stage)` if any samples exist.
     pub fn stage(&self, tenant: TenantKey, stage: Stage) -> Option<&Histogram> {
         self.spans.get(&(tenant, stage))
@@ -794,7 +790,6 @@ mod tests {
         assert!(s.worst_p95_nanos >= 350_000);
         assert_eq!(snap.violations.len(), 1);
         assert_eq!(snap.violations[0].tenant, t);
-        assert_eq!(snap.total_violations(), 1);
     }
 
     #[test]

@@ -231,7 +231,7 @@ pub mod prop {
             VecStrategy { element, len }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,
