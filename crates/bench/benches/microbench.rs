@@ -10,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use reflex_dataplane::{AclEntry, DataplaneConfig, DataplaneThread, WireMsg};
 use reflex_flash::{device_a, CmdId, FlashDevice, IoType, NvmeCommand};
 use reflex_net::{
-    ConnId, Delivery, Fabric, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader, StackProfile,
+    ConnId, Delivery, Fabric, LinkConfig, MachineId, NetFaultAction, NetFaultHook, NicQueueId,
+    Opcode, ReflexHeader, StackProfile,
 };
 use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, ScheduleOutcome,
@@ -572,6 +573,19 @@ fn engine_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Delays every message it sees by a fixed amount.
+struct Late(SimDuration);
+
+impl NetFaultHook for Late {
+    fn on_send(&mut self, _: SimTime, _: MachineId, _: MachineId, _: u32) -> NetFaultAction {
+        NetFaultAction::Delay(self.0)
+    }
+}
+
+/// Messages an hour late at the back of a storm-end queue: twice a run's
+/// reach, so every later arrival lands farther back and is set aside.
+const STORM_TAIL: u64 = 64;
+
 /// One fabric round at a standing backlog: the sender's uplink chain runs
 /// `backlog` messages ahead of the clock, and every step sends one more,
 /// asks both queues for their next arrival and polls — what a dataplane
@@ -589,23 +603,15 @@ struct BacklogRound {
 }
 
 impl BacklogRound {
-    fn new(backlog: u64) -> Self {
+    /// With `storm_end`, [`STORM_TAIL`] messages an hour late sit behind
+    /// the backlog, as at the end of a latency storm.
+    fn new(backlog: u64, storm_end: bool) -> Self {
         let mut fabric: Fabric<u64> = Fabric::new(LinkConfig::default(), SimRng::seed(7));
         let client = fabric.add_machine(StackProfile::ix_tcp());
         let idle = fabric.add_machine(StackProfile::ix_tcp());
         let server = fabric.add_machine(StackProfile::dataplane_raw());
         let sibling = fabric.add_queue(server);
         let conn = fabric.new_conn();
-        // A lone far-future message keeps the sibling queue non-empty.
-        fabric.send_to_queue(
-            SimTime::from_secs(3_600),
-            idle,
-            server,
-            sibling,
-            conn,
-            64,
-            0,
-        );
         let (mut prev, mut gap) = (SimTime::ZERO, SimDuration::ZERO);
         for i in 0..backlog {
             let arrival =
@@ -613,6 +619,16 @@ impl BacklogRound {
             gap = arrival.saturating_since(prev);
             prev = arrival;
         }
+        // Late by a fault delay, not sent at a late instant, so that no
+        // NIC is busy until then: a lone message keeps the sibling queue
+        // non-empty, and the storm's tail lands behind the backlog.
+        fabric.set_fault_hook(Box::new(Late(SimDuration::from_secs(3_600))));
+        fabric.send_to_queue(SimTime::ZERO, idle, server, sibling, conn, 64, 0);
+        let tail = if storm_end { STORM_TAIL } else { 0 };
+        for i in 0..tail {
+            fabric.send_to_queue(SimTime::ZERO, client, server, NicQueueId(0), conn, 64, i);
+        }
+        fabric.clear_fault_hook();
         BacklogRound {
             fabric,
             client,
@@ -649,38 +665,46 @@ impl BacklogRound {
     }
 }
 
-/// A queue is one heap over the message slab, so a round costs a push, a
-/// peek and a pop whatever the backlog; a scan over the in-flight set
-/// would make it linear. The guard fails the bench if depth leaks into
-/// cost.
+/// A queue is one run of whole messages in arrival order, so a round
+/// appends, compares two heads and pops whatever the backlog. At a storm's
+/// end every send is set aside in the queue's heap instead, which sifts.
+/// A scan over the in-flight set would make either linear; the guard fails
+/// the bench if depth leaks into cost, in either case.
 fn fabric_backlog(c: &mut Criterion) {
     let mut group = c.benchmark_group("fabric_backlog");
-    for backlog in [4u64, 256, 4_096, 16_384] {
-        group.bench_function(format!("backlog_{backlog}"), |b| {
-            let mut round = BacklogRound::new(backlog);
-            b.iter(|| round.step());
-        });
+    for (case, storm_end) in [("backlog", false), ("storm_end", true)] {
+        for backlog in [4u64, 256, 4_096, 16_384] {
+            group.bench_function(format!("{case}_{backlog}"), |b| {
+                let mut round = BacklogRound::new(backlog, storm_end);
+                b.iter(|| round.step());
+            });
+        }
     }
     group.finish();
     if !c.selected("fabric_backlog/guard") {
         return;
     }
-    // Best of five, alternating, so a slow phase of the host hits both.
-    let (mut few, mut many) = (BacklogRound::new(4), BacklogRound::new(16_384));
-    let (mut shallow, mut deep) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        shallow = shallow.min(ns_per_call(100_000, || few.step()));
-        deep = deep.min(ns_per_call(100_000, || many.step()));
+    for (case, storm_end) in [("backlog", false), ("storm_end", true)] {
+        // Best of five, alternating, so a slow phase of the host hits both.
+        let mut few = BacklogRound::new(4, storm_end);
+        let mut many = BacklogRound::new(16_384, storm_end);
+        let (mut shallow, mut deep) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            shallow = shallow.min(ns_per_call(100_000, || few.step()));
+            deep = deep.min(ns_per_call(100_000, || many.step()));
+        }
+        println!(
+            "fabric_backlog guard ({case}): {shallow:.0} ns/round at 4 in flight, {deep:.0} at 16384 ({:.2}x, limit 2x)",
+            deep / shallow
+        );
+        assert!(
+            many.fabric.in_flight() >= 16_384,
+            "the deep backlog drained"
+        );
+        let pushes = many.fabric.rx_pushes();
+        assert_eq!(pushes.set_aside > 0, storm_end, "{case}: {pushes:?}");
+        assert!(deep <= 2.0 * shallow, "backlog depth leaks into cost");
     }
-    println!(
-        "fabric_backlog guard: {shallow:.0} ns/round at 4 in flight, {deep:.0} at 16384 ({:.2}x, limit 2x)",
-        deep / shallow
-    );
-    assert!(
-        many.fabric.in_flight() >= 16_384,
-        "the deep backlog drained"
-    );
-    assert!(deep <= 2.0 * shallow, "backlog depth leaks into cost");
 }
 
 /// One request's trip through the request path, in steady state: a client

@@ -14,8 +14,10 @@
 //! 3. The same with the DRAM cache tier serving hits.
 //! 4. A replicated run with one replica's server dead: the retry storm
 //!    runs on typed events, within the same per-IO budget.
-//! 5. A fresh fabric filling one receive queue: the first 64 messages
-//!    allocate nothing, so no seed decides when a shallow queue doubles.
+//! 5. A fresh fabric filling one receive queue: its run of whole messages
+//!    is built with room for 64, and no body lives anywhere else, so the
+//!    first 64 allocate nothing and no seed decides when a shallow queue
+//!    doubles.
 //!
 //! The counters are process-global, so everything runs inside a single
 //! `#[test]` — no other test in this binary may allocate concurrently.

@@ -7,10 +7,10 @@
 //! Receivers poll their delivery queue, mirroring how the dataplane polls
 //! NIC RX descriptor rings.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
-use reflex_sim::{PoolKey, SimDuration, SimRng, SimTime, SlabPool};
+use reflex_sim::{SimDuration, SimRng, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 use crate::stack::StackProfile;
@@ -125,31 +125,119 @@ pub trait NetFaultHook: Send {
     ) -> NetFaultAction;
 }
 
-/// A message body. It is written into the fabric's slab once, when the
-/// message is sent, and read out once, when the receiver polls it; the
-/// receive queue in between orders 24-byte [`RxEntry`] records that point
-/// at it.
-#[derive(Clone)]
-struct Msg<P> {
-    src: MachineId,
-    conn: ConnId,
-    size: u32,
-    payload: P,
+/// Receive-queue pushes by the path they took ([`Fabric::rx_pushes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RxPushes {
+    /// Landed behind every message already queued.
+    pub appended: u64,
+    /// Landed within 32 places of the back, and were inserted there.
+    pub inserted: u64,
+    /// Landed farther back, and went to the queue's set-aside heap.
+    pub set_aside: u64,
 }
 
-/// A message waiting in a receive queue, ordered by arrival instant and
-/// then enqueue sequence (which is unique, so the slab key never decides).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct RxEntry {
-    at: SimTime,
+/// A message waiting in a receive queue, whole, ordered by arrival instant
+/// and then enqueue sequence (which is unique).
+struct Rx<P> {
     seq: u64,
-    msg: PoolKey,
+    msg: Delivery<P>,
 }
 
-/// Room each receive queue starts with (the message slab: four times it).
-/// A queue idling near a small power of two would otherwise double at an
-/// instant only the seed decides, long after warm-up (DESIGN §7.4).
+impl<P> PartialEq for Rx<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+
+impl<P> Eq for Rx<P> {}
+
+impl<P> PartialOrd for Rx<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<P> Ord for Rx<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let key = |rx: &Self| (rx.msg.arrived_at, rx.seq);
+        key(self).cmp(&key(other))
+    }
+}
+
+/// Room each receive queue's run starts with. A queue idling near a small
+/// power of two would otherwise double at an instant only the seed
+/// decides, long after warm-up (DESIGN §7.4).
 const RX_RESERVE: usize = 64;
+
+/// How many places from the back of a run a push may land and still be
+/// inserted into it.
+const REACH: usize = 32;
+
+/// One NIC receive queue in `(arrival, enqueue sequence)` order. Arrivals
+/// come almost in send order (DESIGN §10, "Arrival"), so nearly every push
+/// appends to `run`; one that lands within [`REACH`] of its back is
+/// inserted by binary search, one farther back is set aside in `aside`.
+/// The queue's head is the earlier of the two heads.
+struct RxQueue<P> {
+    run: VecDeque<Rx<P>>,
+    aside: BinaryHeap<Reverse<Rx<P>>>,
+}
+
+impl<P> RxQueue<P> {
+    fn new() -> Self {
+        RxQueue {
+            run: VecDeque::with_capacity(RX_RESERVE),
+            aside: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, rx: Rx<P>, pushes: &mut RxPushes) {
+        let len = self.run.len();
+        if self.run.back().is_none_or(|back| *back < rx) {
+            pushes.appended += 1;
+            self.run.push_back(rx);
+            return;
+        }
+        let (mut lo, mut hi) = (len.saturating_sub(REACH), len - 1);
+        if lo > 0 && self.run[lo - 1] > rx {
+            pushes.set_aside += 1;
+            self.aside.push(Reverse(rx));
+            return;
+        }
+        // Binary search of `lo..len` for the first later message.
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.run[mid] < rx {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        pushes.inserted += 1;
+        self.run.insert(lo, rx);
+    }
+
+    /// The earliest message, and whether it is the set-aside heap's top.
+    fn head(&self) -> Option<(&Delivery<P>, bool)> {
+        match (self.run.front(), self.aside.peek()) {
+            (Some(front), Some(Reverse(top))) if front < top => Some((&front.msg, false)),
+            (_, Some(Reverse(top))) => Some((&top.msg, true)),
+            (front, None) => front.map(|rx| (&rx.msg, false)),
+        }
+    }
+
+    /// Takes the earliest message if it has arrived by `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<Delivery<P>> {
+        let (head, aside) = self.head()?;
+        if head.arrived_at > now {
+            return None;
+        }
+        match aside {
+            true => self.aside.pop().map(|Reverse(rx)| rx.msg),
+            false => self.run.pop_front().map(|rx| rx.msg),
+        }
+    }
+}
 
 /// The shared network fabric over which all machines communicate.
 ///
@@ -177,11 +265,12 @@ pub struct Fabric<P> {
     ser_next: usize,
     nic_seed: u64,
     nics: Vec<Nic>,
-    /// Receive queues, `[machine][queue]`: one min-heap of arrivals each.
-    queues: Vec<Vec<BinaryHeap<Reverse<RxEntry>>>>,
-    /// Every message between send and poll, one slot each. Grows to the
-    /// peak number in flight and recycles from then on.
-    msgs: SlabPool<Msg<P>>,
+    /// Receive queues, `[machine][queue]`.
+    queues: Vec<Vec<RxQueue<P>>>,
+    /// Messages between send and poll, and the most there ever were.
+    held: usize,
+    held_peak: usize,
+    pushes: RxPushes,
     seq: u64,
     next_conn: u64,
     fault_hook: Option<Box<dyn NetFaultHook>>,
@@ -195,7 +284,7 @@ impl<P> std::fmt::Debug for Fabric<P> {
         f.debug_struct("Fabric")
             .field("machines", &self.nics.len())
             .field("link", &self.link)
-            .field("in_flight", &self.msgs.len())
+            .field("in_flight", &self.held)
             .finish()
     }
 }
@@ -213,7 +302,9 @@ impl<P> Fabric<P> {
             nic_seed,
             nics: Vec::new(),
             queues: Vec::new(),
-            msgs: SlabPool::with_capacity(4 * RX_RESERVE),
+            held: 0,
+            held_peak: 0,
+            pushes: RxPushes::default(),
             seq: 0,
             next_conn: 0,
             fault_hook: None,
@@ -265,8 +356,7 @@ impl<P> Fabric<P> {
             tx_bytes: 0,
             rx_bytes: 0,
         });
-        self.queues
-            .push(vec![BinaryHeap::with_capacity(RX_RESERVE)]);
+        self.queues.push(vec![RxQueue::new()]);
         id
     }
 
@@ -274,7 +364,7 @@ impl<P> Fabric<P> {
     /// returns its id. Dataplane threads poll disjoint queues.
     pub fn add_queue(&mut self, machine: MachineId) -> NicQueueId {
         let queues = &mut self.queues[machine.0 as usize];
-        queues.push(BinaryHeap::with_capacity(RX_RESERVE));
+        queues.push(RxQueue::new());
         NicQueueId(queues.len() as u32 - 1)
     }
 
@@ -286,13 +376,18 @@ impl<P> Fabric<P> {
     /// Messages currently held by the fabric: sent and not yet polled or
     /// dropped.
     pub fn in_flight(&self) -> usize {
-        self.msgs.len()
+        self.held
     }
 
-    /// The most messages the fabric ever held at once — the size its
-    /// message slab has grown to.
+    /// The most messages the fabric ever held at once.
     pub fn in_flight_high_water(&self) -> usize {
-        self.msgs.capacity()
+        self.held_peak
+    }
+
+    /// Receive-queue pushes so far, by the path each took: how far out of
+    /// arrival order messages reach their queues.
+    pub fn rx_pushes(&self) -> RxPushes {
+        self.pushes
     }
 
     /// Allocates a fresh connection id.
@@ -444,19 +539,21 @@ impl<P> Fabric<P> {
         self.telemetry
             .span(TenantKey::GLOBAL, stage, arrived_at.saturating_since(now));
 
-        let body = Msg {
-            src: from,
+        let msg = Delivery {
+            from,
             conn,
+            arrived_at,
             size,
             payload,
         };
         if fault == NetFaultAction::Duplicate {
-            // The copy gets a body of its own, 500 ns behind.
-            let late = arrived_at + SimDuration::from_nanos(500);
-            self.enqueue(to, queue, arrived_at, body.clone());
-            self.enqueue(to, queue, late, body);
+            // The copy is a message of its own, 500 ns behind.
+            let mut late = msg.clone();
+            late.arrived_at += SimDuration::from_nanos(500);
+            self.enqueue(to, queue, msg);
+            self.enqueue(to, queue, late);
         } else {
-            self.enqueue(to, queue, arrived_at, body);
+            self.enqueue(to, queue, msg);
         }
         arrived_at
     }
@@ -472,12 +569,14 @@ impl<P> Fabric<P> {
         ser
     }
 
-    /// Makes `body` pollable on `queue` of `machine` from `at` on.
-    fn enqueue(&mut self, machine: MachineId, queue: NicQueueId, at: SimTime, body: Msg<P>) {
-        let msg = self.msgs.insert(body);
-        let seq = self.seq;
+    /// Makes `msg` pollable on `queue` of `machine` from its arrival on,
+    /// after every message enqueued before it for the same instant.
+    fn enqueue(&mut self, machine: MachineId, queue: NicQueueId, msg: Delivery<P>) {
+        let rx = Rx { seq: self.seq, msg };
         self.seq += 1;
-        self.queues[machine.0 as usize][queue.0 as usize].push(Reverse(RxEntry { at, seq, msg }));
+        self.held += 1;
+        self.held_peak = self.held_peak.max(self.held);
+        self.queues[machine.0 as usize][queue.0 as usize].push(rx, &mut self.pushes);
     }
 
     /// Re-enqueues a polled delivery onto another queue of the same
@@ -489,15 +588,10 @@ impl<P> Fabric<P> {
         now: SimTime,
         machine: MachineId,
         queue: NicQueueId,
-        delivery: Delivery<P>,
+        mut delivery: Delivery<P>,
     ) {
-        let body = Msg {
-            src: delivery.from,
-            conn: delivery.conn,
-            size: delivery.size,
-            payload: delivery.payload,
-        };
-        self.enqueue(machine, queue, now + SimDuration::from_nanos(500), body);
+        delivery.arrived_at = now + SimDuration::from_nanos(500);
+        self.enqueue(machine, queue, delivery);
     }
 
     /// Pops up to `max` messages that have arrived at `machine`'s queue 0
@@ -545,21 +639,10 @@ impl<P> Fabric<P> {
         out.clear();
         let rx = &mut self.queues[machine.0 as usize][queue.0 as usize];
         while out.len() < max {
-            match rx.peek() {
-                Some(&Reverse(e)) if e.at <= now => {
-                    rx.pop();
-                    let msg = self.msgs.take(e.msg).expect("rx entry owns its slot");
-                    out.push(Delivery {
-                        from: msg.src,
-                        conn: msg.conn,
-                        arrived_at: e.at,
-                        size: msg.size,
-                        payload: msg.payload,
-                    });
-                }
-                _ => break,
-            }
+            let Some(msg) = rx.pop_due(now) else { break };
+            out.push(msg);
         }
+        self.held -= out.len();
     }
 
     /// Arrival instant of the earliest undelivered message on `machine`'s
@@ -571,21 +654,13 @@ impl<P> Fabric<P> {
 
     /// Arrival instant of the earliest undelivered message on a specific
     /// queue: a poll of that queue at the returned instant delivers it.
-    /// One heap peek, however deep the queue's backlog.
+    /// One comparison of two heads, the run's and the set-aside heap's,
+    /// however deep the queue's backlog.
     #[inline]
     pub fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
         self.queues[machine.0 as usize][queue.0 as usize]
-            .peek()
-            .map(|Reverse(e)| e.at)
-    }
-
-    /// Earliest undelivered message across all machines and queues, if any.
-    pub fn next_arrival_any(&self) -> Option<SimTime> {
-        self.queues
-            .iter()
-            .flatten()
-            .filter_map(|q| q.peek().map(|Reverse(e)| e.at))
-            .min()
+            .head()
+            .map(|(msg, _)| msg.arrived_at)
     }
 }
 
@@ -689,7 +764,7 @@ mod tests {
         let t1 = f.send(SimTime::ZERO, a, b, conn, 0, 1);
         let _t2 = f.send(SimTime::from_micros(50), a, b, conn, 0, 2);
         assert_eq!(f.next_arrival(b), Some(t1));
-        assert_eq!(f.next_arrival_any(), Some(t1));
+        assert_eq!(f.next_arrival(a), None);
     }
 
     #[test]
@@ -772,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_tracks_messages_in_flight_not_messages_sent() {
+    fn in_flight_counts_messages_held_not_messages_sent() {
         let (mut f, a, b) = fabric();
         let conn = f.new_conn();
         let mut now = SimTime::ZERO;
@@ -793,11 +868,11 @@ mod tests {
             assert_eq!(f.in_flight(), 0, "drained after wave {wave}");
         }
         assert!(sent > 1_900);
-        assert_eq!(f.in_flight_high_water(), 7, "slab sized by the peak held");
+        assert_eq!(f.in_flight_high_water(), 7, "the peak held");
     }
 
     #[test]
-    fn dropped_messages_never_take_a_slot() {
+    fn dropped_messages_are_never_held() {
         let (mut f, a, b) = fabric();
         f.set_fault_hook(Box::new(ScriptedNetHook {
             actions: vec![NetFaultAction::Drop; 5],
@@ -808,7 +883,8 @@ mod tests {
         }
         assert_eq!(f.in_flight(), 0);
         assert_eq!(f.in_flight_high_water(), 0);
-        assert_eq!(f.next_arrival_any(), None);
+        assert_eq!(f.next_arrival(b), None);
+        assert_eq!(f.rx_pushes(), RxPushes::default());
         // The frames still occupied both links before being lost.
         assert_eq!((f.traffic(a).0, f.traffic(b).1), (320, 320));
     }
@@ -822,7 +898,7 @@ mod tests {
         let conn = f.new_conn();
         f.send(SimTime::ZERO, a, b, conn, 64, 41);
         let end = SimTime::from_secs(1);
-        assert_eq!(f.in_flight(), 2, "each copy owns a slot");
+        assert_eq!(f.in_flight(), 2, "each copy is a message");
         // Polled one at a time: taking the first leaves the second
         // whole, 500 ns behind.
         let first = f.poll(end, b, 1);
@@ -858,5 +934,56 @@ mod tests {
             linux_total / 500.0,
             ix_total / 500.0
         );
+    }
+
+    /// Each path once or more, ties on an instant broken by enqueue order,
+    /// and pops that alternate between the run and the set-aside heap.
+    #[test]
+    fn a_queue_drains_in_arrival_order_whatever_path_each_push_took() {
+        let mut q: RxQueue<u32> = RxQueue::new();
+        let mut pushes = RxPushes::default();
+        // Run 0, 10, .. 990 µs, then (each tagged by its push index):
+        // 5 places back, 32 (the reach), 33, before all, a tie with 500.
+        let mut ats: Vec<u64> = (0..100).map(|i| i * 10).collect();
+        ats.extend([945, 685, 682, 1, 500]);
+        for (seq, &us) in ats.iter().enumerate() {
+            let msg = Delivery {
+                from: MachineId(0),
+                conn: ConnId(0),
+                arrived_at: SimTime::from_micros(us),
+                size: 0,
+                payload: seq as u32,
+            };
+            q.push(
+                Rx {
+                    seq: seq as u64,
+                    msg,
+                },
+                &mut pushes,
+            );
+        }
+        let want = RxPushes {
+            appended: 100,
+            inserted: 2,
+            set_aside: 3,
+        };
+        assert_eq!(pushes, want);
+        assert_eq!(
+            q.pop_due(SimTime::from_nanos(999)).map(|m| m.payload),
+            Some(0)
+        );
+        assert!(
+            q.pop_due(SimTime::from_nanos(999)).is_none(),
+            "1 µs is due at 1 µs"
+        );
+        let mut order: Vec<(u64, u32)> = ats.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        let mut got = vec![(0, 0)];
+        while let Some((head, _)) = q.head() {
+            let at = head.arrived_at;
+            let msg = q.pop_due(at).expect("due at its own instant");
+            got.push((msg.arrived_at.as_nanos() / 1_000, msg.payload));
+        }
+        assert_eq!(got, order);
     }
 }

@@ -23,6 +23,7 @@ mod wire;
 pub use conn_table::ConnTable;
 pub use fabric::{
     ConnId, Delivery, Fabric, LinkConfig, MachineId, NetFaultAction, NetFaultHook, NicQueueId,
+    RxPushes,
 };
 pub use stack::{StackProfile, Transport};
 pub use wire::{

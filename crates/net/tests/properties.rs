@@ -1,6 +1,7 @@
 //! Property-based tests of the network model.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use reflex_net::{
     wire_bytes, ConnId, Delivery, Fabric, LinkConfig, MachineId, NetFaultAction, NetFaultHook,
     NicQueueId, Opcode, ReflexHeader, StackProfile, WireError, HEADER_SIZE,
@@ -16,16 +17,27 @@ fn arb_opcode(raw: u8) -> Opcode {
     }
 }
 
-/// Fault verdicts as a pure function of the message, so the hook gives
-/// the same answer on whichever fabric consults it.
-struct SizeKeyedFaults;
+/// Fault verdicts as a pure function of the message and its send instant,
+/// so the hook gives the same answer on whichever fabric consults it.
+#[derive(Clone, Copy)]
+struct SizeKeyedFaults {
+    /// A latency storm: other sends in `start..end` arrive `extra` late.
+    storm: (SimTime, SimTime, SimDuration),
+}
+
+/// No storm.
+const CALM: SizeKeyedFaults = SizeKeyedFaults {
+    storm: (SimTime::ZERO, SimTime::ZERO, SimDuration::ZERO),
+};
 
 impl NetFaultHook for SizeKeyedFaults {
-    fn on_send(&mut self, _: SimTime, _: MachineId, _: MachineId, size: u32) -> NetFaultAction {
+    fn on_send(&mut self, now: SimTime, _: MachineId, _: MachineId, size: u32) -> NetFaultAction {
+        let (start, end, extra) = self.storm;
         match size % 16 {
             13 => NetFaultAction::Drop,
             14 => NetFaultAction::Duplicate,
             15 => NetFaultAction::Delay(SimDuration::from_nanos(u64::from(size) * 3)),
+            _ if (start..end).contains(&now) => NetFaultAction::Delay(extra),
             _ => NetFaultAction::Deliver,
         }
     }
@@ -35,7 +47,7 @@ const CLIENTS: u32 = 3;
 const QUEUES: u32 = 3;
 const SERVER: MachineId = MachineId(CLIENTS);
 
-/// Naive reference for the fabric's per-queue receive heaps. A second
+/// Naive reference for the fabric's receive queues. A second
 /// fabric whose machines all have a single receive queue only computes
 /// arrival instants; which queue a message was steered to and what has not
 /// been polled yet are kept here in flat lists and answered by linear
@@ -51,8 +63,7 @@ struct FlatOracle {
 }
 
 impl FlatOracle {
-    fn new(mut flat: Fabric<u32>) -> Self {
-        flat.set_fault_hook(Box::new(SizeKeyedFaults));
+    fn new(flat: Fabric<u32>) -> Self {
         FlatOracle {
             flat,
             queued: Vec::new(),
@@ -107,6 +118,13 @@ impl FlatOracle {
             .collect()
     }
 
+    fn requeue(&mut self, now: SimTime, machine: MachineId, queue: NicQueueId, d: Delivery<u32>) {
+        let arrived_at = now + SimDuration::from_nanos(500);
+        self.queued
+            .push((machine, queue, self.rank, Delivery { arrived_at, ..d }));
+        self.rank += 1;
+    }
+
     fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
         self.queued
             .iter()
@@ -114,15 +132,51 @@ impl FlatOracle {
             .map(|(_, _, _, d)| d.arrived_at)
             .min()
     }
+}
 
-    fn next_arrival_any(&self) -> Option<SimTime> {
-        self.queued.iter().map(|(_, _, _, d)| d.arrived_at).min()
+/// Every queue's `next_arrival_queue` agrees with the oracle's.
+fn heads_agree(sut: &Fabric<u32>, oracle: &FlatOracle, after: &str) -> Result<(), TestCaseError> {
+    for m in 0..=CLIENTS {
+        for q in 0..sut.queue_count(MachineId(m)) {
+            let (m, q) = (MachineId(m), NicQueueId(q));
+            prop_assert_eq!(
+                sut.next_arrival_queue(m, q),
+                oracle.next_arrival_queue(m, q),
+                "next_arrival_queue({:?}, {:?}) after {}",
+                m,
+                q,
+                after
+            );
+        }
     }
+    Ok(())
+}
+
+/// Polls every queue through `end` on both sides and compares.
+fn drain_agrees(
+    sut: &mut Fabric<u32>,
+    oracle: &mut FlatOracle,
+    end: SimTime,
+) -> Result<(), TestCaseError> {
+    let mut got = Vec::new();
+    for m in 0..=CLIENTS {
+        for q in 0..sut.queue_count(MachineId(m)) {
+            let (m, q) = (MachineId(m), NicQueueId(q));
+            sut.poll_queue_into(end, m, q, usize::MAX, &mut got);
+            let want = oracle.poll(end, m, q, usize::MAX);
+            prop_assert_eq!(&got, &want, "final deliveries on {:?}/{:?}", m, q);
+        }
+    }
+    heads_agree(sut, oracle, "the drain")?;
+    prop_assert!(oracle.queued.is_empty());
+    prop_assert_eq!(sut.fault_counts(), oracle.flat.fault_counts());
+    prop_assert_eq!(sut.in_flight(), 0);
+    Ok(())
 }
 
 /// Three clients and a server with `queues` receive queues, fault verdicts
-/// keyed on message size.
-fn faulty_fabric(queues: u32) -> Fabric<u32> {
+/// keyed on message size and send instant.
+fn faulty_fabric(queues: u32, faults: SizeKeyedFaults) -> Fabric<u32> {
     let mut f: Fabric<u32> = Fabric::new(LinkConfig::default(), SimRng::seed(77));
     for _ in 0..CLIENTS {
         f.add_machine(StackProfile::ix_tcp());
@@ -131,22 +185,22 @@ fn faulty_fabric(queues: u32) -> Fabric<u32> {
     for _ in 1..queues {
         f.add_queue(SERVER);
     }
-    f.set_fault_hook(Box::new(SizeKeyedFaults));
+    f.set_fault_hook(Box::new(faults));
     f
 }
 
 proptest! {
-    /// Differential: the fabric's per-queue heaps against [`FlatOracle`]
+    /// Differential: the fabric's receive queues against [`FlatOracle`]
     /// under one random schedule of steered sends, plain sends, replies
     /// and polls, with Drop/Duplicate/Delay verdicts. Deliveries, arrival
-    /// instants and every `next_arrival*` answer must agree after each
-    /// step.
+    /// instants and every queue's `next_arrival_queue` must agree after
+    /// each step.
     #[test]
     fn queues_match_flat_oracle(
         ops in prop::collection::vec((0u8..5, 0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096), 1..120),
     ) {
-        let mut sut = faulty_fabric(QUEUES);
-        let mut oracle = FlatOracle::new(faulty_fabric(1));
+        let mut sut = faulty_fabric(QUEUES, CALM);
+        let mut oracle = FlatOracle::new(faulty_fabric(1, CALM));
         let conn = sut.new_conn();
         let mut now = SimTime::ZERO;
         let mut got: Vec<Delivery<u32>> = Vec::new();
@@ -180,33 +234,85 @@ proptest! {
                     }
                 }
             }
-            for m in 0..=CLIENTS {
-                for q in 0..sut.queue_count(MachineId(m)) {
-                    let (m, q) = (MachineId(m), NicQueueId(q));
-                    prop_assert_eq!(
-                        sut.next_arrival_queue(m, q),
-                        oracle.next_arrival_queue(m, q),
-                        "next_arrival_queue({:?}, {:?}) after op {}", m, q, i
-                    );
-                }
-            }
-            prop_assert_eq!(sut.next_arrival_any(), oracle.next_arrival_any(), "after op {}", i);
+            heads_agree(&sut, &oracle, &format!("op {i}"))?;
         }
 
         // Drain: everything sent is delivered identically, in order.
-        let end = now + SimDuration::from_millis(50);
-        for m in 0..=CLIENTS {
-            for q in 0..sut.queue_count(MachineId(m)) {
-                let (m, q) = (MachineId(m), NicQueueId(q));
-                sut.poll_queue_into(end, m, q, usize::MAX, &mut got);
-                let want = oracle.poll(end, m, q, usize::MAX);
-                prop_assert_eq!(&got, &want, "final deliveries on {:?}/{:?}", m, q);
-            }
+        drain_agrees(&mut sut, &mut oracle, now + SimDuration::from_millis(50))?;
+    }
+
+    /// The deep-queue paths `queues_match_flat_oracle` cannot reach. Server
+    /// queue 0 is built hundreds of messages deep while a latency storm of
+    /// up to 2 ms delays its middle, so every later arrival lands behind
+    /// the delayed tail, farther back than a run's reach. Then random
+    /// sends, replies, polls of one to four messages and `requeue`
+    /// forwards between the server's queues run against [`FlatOracle`].
+    #[test]
+    fn deep_queues_match_flat_oracle(
+        depth in 160u64..400,
+        storm_us in 300u64..2_000,
+        ops in prop::collection::vec((0u8..4, 0u64..2_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096), 1..200),
+    ) {
+        // One send every 100 ns; those from depth/8 to depth/2 in the storm.
+        let storm = SizeKeyedFaults {
+            storm: (
+                SimTime::from_nanos(depth / 8 * 100),
+                SimTime::from_nanos(depth / 2 * 100),
+                SimDuration::from_micros(storm_us),
+            ),
+        };
+        let mut sut = faulty_fabric(QUEUES, storm);
+        let mut oracle = FlatOracle::new(faulty_fabric(1, storm));
+        let conn = sut.new_conn();
+        let q0 = NicQueueId(0);
+        for i in 0..depth {
+            let (now, tag) = (SimTime::from_nanos(i * 100), i as u32);
+            let (client, size) = (MachineId(tag % CLIENTS), 64 + tag % 16);
+            let a = sut.send_to_queue(now, client, SERVER, q0, conn, size, tag);
+            let b = oracle.send(now, client, SERVER, q0, conn, size, tag);
+            prop_assert_eq!(a, b, "arrival of build send {}", i);
         }
-        prop_assert_eq!(sut.next_arrival_any(), None);
-        prop_assert_eq!(oracle.next_arrival_any(), None);
-        prop_assert_eq!(sut.fault_counts(), oracle.flat.fault_counts());
-        prop_assert_eq!(sut.in_flight(), 0);
+        prop_assert!(sut.rx_pushes().set_aside > 0, "{:?}", sut.rx_pushes());
+
+        let mut now = SimTime::from_nanos(depth * 100);
+        let mut got: Vec<Delivery<u32>> = Vec::new();
+        for (i, &(op, dt, client, queue, size)) in ops.iter().enumerate() {
+            now += SimDuration::from_nanos(dt);
+            let (client, queue) = (MachineId(client), NicQueueId(queue));
+            let (tag, max) = (depth as u32 + i as u32, 1 + size as usize % 4);
+            match op {
+                0 => {
+                    let a = sut.send_to_queue(now, client, SERVER, queue, conn, size, tag);
+                    let b = oracle.send(now, client, SERVER, queue, conn, size, tag);
+                    prop_assert_eq!(a, b, "steered send arrival, op {}", i);
+                }
+                1 => {
+                    let a = sut.send(now, SERVER, client, conn, size, tag);
+                    let b = oracle.send(now, SERVER, client, q0, conn, size, tag);
+                    prop_assert_eq!(a, b, "reply arrival, op {}", i);
+                }
+                2 => {
+                    // A rebalance: what one queue delivers moves to the next.
+                    let to = NicQueueId((queue.0 + 1) % QUEUES);
+                    sut.poll_queue_into(now, SERVER, queue, max, &mut got);
+                    let want = oracle.poll(now, SERVER, queue, max);
+                    prop_assert_eq!(&got, &want, "forwarded from {:?}, op {}", queue, i);
+                    for d in want {
+                        sut.requeue(now, SERVER, to, d);
+                        oracle.requeue(now, SERVER, to, d);
+                    }
+                }
+                _ => {
+                    for (m, q) in [(SERVER, queue), (client, q0)] {
+                        sut.poll_queue_into(now, m, q, max, &mut got);
+                        let want = oracle.poll(now, m, q, max);
+                        prop_assert_eq!(&got, &want, "deliveries on {:?}/{:?}, op {}", m, q, i);
+                    }
+                }
+            }
+            heads_agree(&sut, &oracle, &format!("op {i}"))?;
+        }
+        drain_agrees(&mut sut, &mut oracle, now + SimDuration::from_millis(50))?;
     }
 
     /// `send`/`send_to_queue` return the exact arrival: a poll of the
@@ -216,7 +322,7 @@ proptest! {
     fn a_poll_at_the_returned_instant_delivers_the_message(
         sends in prop::collection::vec((0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096, any::<bool>()), 1..80),
     ) {
-        let mut f = faulty_fabric(QUEUES);
+        let mut f = faulty_fabric(QUEUES, CALM);
         let conn = f.new_conn();
         let mut now = SimTime::ZERO;
         for (i, &(dt, client, queue, size, reply)) in sends.iter().enumerate() {
@@ -252,7 +358,7 @@ proptest! {
     fn next_arrival_is_the_next_delivery(
         ops in prop::collection::vec((0u64..3_000, 0u32..CLIENTS, 0u32..QUEUES, 0u32..4_096, 0u8..3), 1..120),
     ) {
-        let mut f = faulty_fabric(QUEUES);
+        let mut f = faulty_fabric(QUEUES, CALM);
         let conn = f.new_conn();
         let mut now = SimTime::ZERO;
         for (i, &(dt, client, queue, size, op)) in ops.iter().enumerate() {
