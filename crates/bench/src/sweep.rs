@@ -471,6 +471,9 @@ impl SweepResult {
 
     /// Writes `BENCH_<name>.json` into the current directory and returns
     /// its path. The sweep stays usable; call after printing the TSV.
+    /// `peak_rss_mib` is the process's peak resident set when the file is
+    /// written (`null` off Linux): under `--all` it covers every figure
+    /// run before this one too.
     ///
     /// # Errors
     ///
@@ -493,6 +496,8 @@ impl SweepResult {
             "  \"engine_events_per_sec\": {},",
             json_num(self.events_per_sec())
         )?;
+        let peak = peak_rss_mib().unwrap_or(f64::NAN);
+        writeln!(f, "  \"peak_rss_mib\": {},", json_num(peak))?;
         // Over the kept points that recorded their IOs: warm-up events
         // included, IOs of the measured window only.
         let points = self.curves.iter().flat_map(|c| &c.points);
@@ -600,6 +605,15 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// The process's peak resident set so far (`VmHWM` in `/proc/self/status`)
+/// in MiB; `None` where that file does not exist.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().strip_suffix("kB")?.trim_end().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 fn json_num(v: f64) -> String {

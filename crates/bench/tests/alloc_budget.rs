@@ -18,6 +18,9 @@
 //!    is built with room for 64, and no body lives anywhere else, so the
 //!    first 64 allocate nothing and no seed decides when a shallow queue
 //!    doubles.
+//! 6. A histogram after its construction: records over all 35 octaves in
+//!    descending order, a merge, a reset and more records stay inside the
+//!    room `Histogram::new` reserved for every bucket.
 //!
 //! The counters are process-global, so everything runs inside a single
 //! `#[test]` — no other test in this binary may allocate concurrently.
@@ -28,7 +31,7 @@ use reflex_faults::{FaultStats, PlannedDeviceHook, PlannedNetHook};
 use reflex_net::{Fabric, LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::alloc_count::{allocations, CountingAlloc};
-use reflex_sim::{Ctx, Engine, SimDuration, SimRng, SimTime, TypedEvent};
+use reflex_sim::{Ctx, Engine, Histogram, SimDuration, SimRng, SimTime, TypedEvent};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -265,6 +268,28 @@ fn shallow_queue_allocs() -> u64 {
     allocations() - before
 }
 
+/// Allocations of one histogram after `new`: its window grows downward an
+/// octave per record from the top bucket to the first, takes a merge, is
+/// reset and records again.
+fn histogram_allocs() -> u64 {
+    let mut other = Histogram::new();
+    other.record_nanos(3_000);
+    other.record_nanos(1 << 45);
+    let mut h = Histogram::new();
+    let before = allocations();
+    for octave in (0..35).rev() {
+        h.record_nanos((1 << (octave + 5)) + octave);
+    }
+    h.merge(&other);
+    h.reset();
+    for us in [900, 5, 40_000, 1] {
+        h.record(SimDuration::from_micros(us));
+    }
+    let after = allocations();
+    assert_eq!(h.count(), 4);
+    after - before
+}
+
 fn completed_ios(tb: &Testbed) -> u64 {
     let report = tb.report();
     report
@@ -315,4 +340,5 @@ fn steady_state_allocations_stay_within_budget() {
     );
 
     assert_eq!(shallow_queue_allocs(), 0, "a shallow receive queue grew");
+    assert_eq!(histogram_allocs(), 0, "a histogram allocated after `new`");
 }

@@ -3,8 +3,9 @@
 //! [`Histogram`] records `u64` values (we use nanoseconds) into
 //! logarithmically spaced buckets with a configurable number of significant
 //! sub-buckets per power of two, giving bounded relative error at every
-//! percentile while staying O(1) per insert and compact in memory — exactly
-//! what a million-IOPS simulation needs.
+//! percentile while staying O(1) per insert — exactly what a million-IOPS
+//! simulation needs. Memory in use scales with the octaves recorded: counts
+//! live in a window of octaves inside room reserved once, at construction.
 
 use crate::time::SimDuration;
 
@@ -33,9 +34,12 @@ const BUCKET_COUNT: usize = (MAX_EXP + 1 - SUB_BUCKET_BITS as usize) * SUB_BUCKE
 /// let p95 = h.percentile(95.0).as_micros_f64();
 /// assert!((94.0..=97.0).contains(&p95));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Histogram {
+    /// Counts of buckets `lo..lo + buckets.len()`, whole octaves, in room
+    /// for all `BUCKET_COUNT` (a clone's: just its window, until it grows).
     buckets: Vec<u64>,
+    lo: usize,
     count: u64,
     sum: u128,
     min: u64,
@@ -47,6 +51,15 @@ impl Default for Histogram {
         Self::new()
     }
 }
+
+/// Equal when the samples are, whatever empty octaves the windows hold.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.encode() == other.encode()
+    }
+}
+
+impl Eq for Histogram {}
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -63,7 +76,8 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; BUCKET_COUNT],
+            buckets: Vec::with_capacity(BUCKET_COUNT),
+            lo: 0,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -71,6 +85,7 @@ impl Histogram {
         }
     }
 
+    #[inline]
     fn index_for(value: u64) -> usize {
         // Values below SUB_BUCKETS land in the first linear region.
         if value < SUB_BUCKETS as u64 {
@@ -96,13 +111,47 @@ impl Histogram {
         base + width / 2
     }
 
+    /// Grows the window by whole octaves to cover buckets `from..to`, zeros
+    /// appended above or spliced in below; a clone first gets `new`'s room.
+    #[cold]
+    fn cover(&mut self, from: usize, to: usize) {
+        let (from, to) = (from & !(SUB_BUCKETS - 1), to.next_multiple_of(SUB_BUCKETS));
+        self.buckets
+            .reserve_exact(BUCKET_COUNT - self.buckets.len());
+        if self.buckets.is_empty() {
+            self.lo = from;
+        }
+        if to > self.lo + self.buckets.len() {
+            self.buckets.resize(to - self.lo, 0);
+        }
+        if from < self.lo {
+            self.buckets
+                .splice(..0, std::iter::repeat_n(0, self.lo - from));
+            self.lo = from;
+        }
+    }
+
     /// Records a raw nanosecond value.
+    #[inline]
     pub fn record_nanos(&mut self, nanos: u64) {
-        self.buckets[Self::index_for(nanos)] += 1;
+        let index = Self::index_for(nanos);
+        let Some(c) = self.buckets.get_mut(index.wrapping_sub(self.lo)) else {
+            return self.grow_and_record(nanos);
+        };
+        *c += 1;
         self.count += 1;
         self.sum += nanos as u128;
         self.min = self.min.min(nanos);
         self.max = self.max.max(nanos);
+    }
+
+    /// Out of line, so the common path saves no registers for it.
+    #[cold]
+    #[inline(never)]
+    fn grow_and_record(&mut self, nanos: u64) {
+        let index = Self::index_for(nanos);
+        self.cover(index, index + 1);
+        self.record_nanos(nanos);
     }
 
     /// Records a duration sample.
@@ -164,7 +213,7 @@ impl Histogram {
             if seen >= target {
                 // Clamp the bucket midpoint to the observed extremes so
                 // sparse histograms don't report values never seen.
-                let v = Self::value_for(i).clamp(self.min, self.max);
+                let v = Self::value_for(self.lo + i).clamp(self.min, self.max);
                 return SimDuration::from_nanos(v);
             }
         }
@@ -188,8 +237,12 @@ impl Histogram {
 
     /// Merges the samples of `other` into `self`.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        if !other.buckets.is_empty() {
+            self.cover(other.lo, other.lo + other.buckets.len());
+            let window = &mut self.buckets[other.lo - self.lo..];
+            for (a, b) in window.iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -199,7 +252,7 @@ impl Histogram {
 
     /// Clears all samples.
     pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        self.buckets.fill(0);
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -220,7 +273,7 @@ impl Histogram {
         out.extend_from_slice(&(occupied as u32).to_le_bytes());
         for (i, &c) in self.buckets.iter().enumerate() {
             if c != 0 {
-                out.extend_from_slice(&(i as u32).to_le_bytes());
+                out.extend_from_slice(&((self.lo + i) as u32).to_le_bytes());
                 out.extend_from_slice(&c.to_le_bytes());
             }
         }
@@ -255,16 +308,16 @@ impl Histogram {
                 return None;
             }
             last_index = Some(index);
-            h.buckets[index] = c;
+            h.cover(index, index + 1);
+            h.buckets[index - h.lo] = c;
             total = total.checked_add(c)?;
         }
-        if !b.is_empty() || total != count || (count == 0) != (min == u64::MAX) {
+        // Empty is exactly what `new` builds; samples have `min <= max`.
+        let extremes = (count == 0 && (min, max) == (u64::MAX, 0)) || (count > 0 && min <= max);
+        if !b.is_empty() || total != count || !extremes {
             return None;
         }
-        h.count = count;
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
+        (h.count, h.sum, h.min, h.max) = (count, sum, min, max);
         Some(h)
     }
 }
@@ -272,6 +325,268 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
+
+    /// The representation the window replaced: a count for every bucket.
+    struct Dense {
+        buckets: Box<[u64; BUCKET_COUNT]>,
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                buckets: Box::new([0; BUCKET_COUNT]),
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.buckets[Histogram::index_for(v)] += 1;
+            self.count += 1;
+            self.sum += v as u128;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        fn percentile(&self, pct: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let target = ((pct / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            for (i, &c) in self.buckets.iter().enumerate() {
+                seen += c;
+                if seen >= target {
+                    return Histogram::value_for(i).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let occupied: Vec<(usize, u64)> = (self.buckets.iter().copied().enumerate())
+                .filter(|&(_, c)| c != 0)
+                .collect();
+            let mut out = vec![1u8];
+            out.extend_from_slice(&self.count.to_le_bytes());
+            out.extend_from_slice(&self.sum.to_le_bytes());
+            out.extend_from_slice(&self.min.to_le_bytes());
+            out.extend_from_slice(&self.max.to_le_bytes());
+            out.extend_from_slice(&(occupied.len() as u32).to_le_bytes());
+            for (i, c) in occupied {
+                out.extend_from_slice(&(i as u32).to_le_bytes());
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            out
+        }
+    }
+
+    /// `n` values spread over every octave from 1 ns to 2^41 ns, past the
+    /// last bucket's 2^40.
+    fn stream(seed: u64, n: usize) -> Vec<u64> {
+        let mut rng = SimRng::seed(seed);
+        (0..n)
+            .map(|_| {
+                let octave = rng.below(41);
+                (1 << octave) + rng.below((1 << octave) + 1)
+            })
+            .collect()
+    }
+
+    fn record_both(h: &mut Histogram, d: &mut Dense, values: &[u64]) {
+        for &v in values {
+            h.record_nanos(v);
+            d.record(v);
+        }
+    }
+
+    /// `h` holds exactly the samples of `d`: every summary, percentiles on
+    /// a grid, the encoded bytes, and equality with a histogram decoded
+    /// from the tally, whose window is only its occupied octaves.
+    fn assert_matches(h: &Histogram, d: &Dense) {
+        assert_eq!(
+            (h.count, h.sum, h.min, h.max),
+            (d.count, d.sum, d.min, d.max)
+        );
+        let mean = d.sum.checked_div(d.count as u128).unwrap_or(0) as u64;
+        assert_eq!(h.mean(), SimDuration::from_nanos(mean));
+        let min = if d.count == 0 { 0 } else { d.min };
+        assert_eq!(
+            (h.min(), h.max()),
+            (SimDuration::from_nanos(min), SimDuration::from_nanos(d.max))
+        );
+        for pct in [
+            0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0,
+        ] {
+            assert_eq!(h.percentile(pct).as_nanos(), d.percentile(pct), "p{pct}");
+        }
+        let bytes = d.encode();
+        assert_eq!(h.encode(), bytes);
+        assert_eq!(Histogram::decode(&bytes).as_ref(), Some(h));
+        // All the room `new` reserves, or a clone's window not yet grown.
+        let room = h.buckets.capacity();
+        assert!(room == BUCKET_COUNT || room == h.buckets.len(), "{room}");
+        assert_eq!(h.lo % SUB_BUCKETS, 0);
+        assert_eq!(h.buckets.len() % SUB_BUCKETS, 0);
+    }
+
+    #[test]
+    fn ascending_and_descending_streams_match_dense_tally() {
+        for seed in 0..16 {
+            let drawn = stream(seed, 400);
+            let mut ascending = drawn.clone();
+            ascending.sort_unstable();
+            let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+            for values in [&drawn, &ascending, &descending] {
+                let (mut h, mut d) = (Histogram::new(), Dense::new());
+                for chunk in values.chunks(50) {
+                    record_both(&mut h, &mut d, chunk);
+                    assert_matches(&h, &d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merges_in_both_orders_match_dense_tally() {
+        for seed in 0..16 {
+            let (high, low): (Vec<u64>, Vec<u64>) =
+                stream(seed, 300).into_iter().partition(|&v| v >= 1 << 20);
+            let (mut a, mut da) = (Histogram::new(), Dense::new());
+            let (mut b, mut db) = (Histogram::new(), Dense::new());
+            record_both(&mut a, &mut da, &high);
+            record_both(&mut b, &mut db, &low[..low.len() / 2]);
+            record_both(&mut b, &mut db, &high[..high.len() / 3]);
+            let (mut ab, mut ba) = (a.clone(), b.clone());
+            ab.merge(&b);
+            ba.merge(&a);
+            da.merge(&db);
+            assert_matches(&ab, &da);
+            assert_matches(&ba, &da);
+            assert_eq!(ab, ba);
+            // Into and from an empty histogram.
+            let mut empty = Histogram::new();
+            empty.merge(&ab);
+            assert_matches(&empty, &da);
+            ab.merge(&Histogram::new());
+            assert_matches(&ab, &da);
+        }
+    }
+
+    #[test]
+    fn reset_then_record_matches_dense_tally() {
+        for seed in 0..16 {
+            let values = stream(seed, 300);
+            let (before, after) = values.split_at(150);
+            let mut h = Histogram::new();
+            for &v in before {
+                h.record_nanos(v);
+            }
+            h.reset();
+            assert_matches(&h, &Dense::new());
+            assert_eq!(h, Histogram::new());
+            let mut d = Dense::new();
+            record_both(&mut h, &mut d, after);
+            assert_matches(&h, &d);
+            // Recorded into a window that kept the first half's octaves:
+            // the same samples as a fresh histogram, whatever the windows.
+            let mut fresh = Histogram::new();
+            after.iter().for_each(|&v| fresh.record_nanos(v));
+            assert_eq!(h, fresh);
+        }
+        // One sample, then another eight octaves lower: the windows differ.
+        let mut h = Histogram::new();
+        h.record_nanos(1 << 30);
+        h.reset();
+        h.record_nanos(1 << 22);
+        let mut fresh = Histogram::new();
+        fresh.record_nanos(1 << 22);
+        assert_ne!(h.buckets.len(), fresh.buckets.len());
+        assert_eq!(h, fresh);
+    }
+
+    #[test]
+    fn decoded_histograms_match_dense_tally_and_keep_recording() {
+        for seed in 0..16 {
+            let values = stream(seed, 300);
+            let (mut h, mut d) = (Histogram::new(), Dense::new());
+            record_both(&mut h, &mut d, &values[..100]);
+            let mut back = Histogram::decode(&h.encode()).expect("a valid image");
+            assert_matches(&back, &d);
+            // Samples below and above the decoded window grow it.
+            record_both(&mut back, &mut d, &values[100..]);
+            record_both(&mut back, &mut d, &[1, 1 << 41]);
+            assert_matches(&back, &d);
+        }
+    }
+
+    #[test]
+    fn window_spans_only_the_recorded_octaves() {
+        let mut h = Histogram::new();
+        assert!(h.buckets.is_empty());
+        let mut rng = SimRng::seed(7);
+        for _ in 0..10_000 {
+            h.record_nanos(50_000 + rng.below(20_000_000 - 50_000 + 1));
+        }
+        h.record_nanos(50_000);
+        h.record_nanos(20_000_000);
+        let bytes = h.buckets.len() * std::mem::size_of::<u64>();
+        assert!(h.buckets.len() <= 10 * SUB_BUCKETS, "{bytes} B");
+        assert!(bytes <= 5 << 10);
+    }
+
+    #[test]
+    fn a_clone_holds_its_window_until_it_grows_into_the_full_room() {
+        let (mut h, mut d) = (Histogram::new(), Dense::new());
+        record_both(&mut h, &mut d, &[50_000, 20_000_000]);
+        let mut c = h.clone();
+        assert_eq!(c.buckets.capacity(), c.buckets.len());
+        assert_matches(&c, &d);
+        record_both(&mut c, &mut d, &[1, 1 << 41]);
+        assert_eq!(c.buckets.capacity(), BUCKET_COUNT);
+        assert_matches(&c, &d);
+    }
+
+    #[test]
+    fn decode_rejects_impossible_extremes() {
+        let image = |count: u64, min: u64, max: u64, entries: &[(u32, u64)]| {
+            let mut out = vec![1u8];
+            out.extend_from_slice(&count.to_le_bytes());
+            out.extend_from_slice(&(u128::from(min.min(max)) * u128::from(count)).to_le_bytes());
+            out.extend_from_slice(&min.to_le_bytes());
+            out.extend_from_slice(&max.to_le_bytes());
+            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            for (i, c) in entries {
+                out.extend_from_slice(&i.to_le_bytes());
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            Histogram::decode(&out)
+        };
+        let at = |v: u64| Histogram::index_for(v) as u32;
+        assert_eq!(image(0, u64::MAX, 0, &[]), Some(Histogram::new()));
+        assert!(image(1, 5, 5, &[(at(5), 1)]).is_some());
+        // Empty, yet claiming a largest sample that never existed.
+        assert_eq!(image(0, u64::MAX, 5, &[]), None);
+        // Samples whose smallest exceeds their largest.
+        assert_eq!(image(2, 90, 5, &[(at(5), 1), (at(90), 1)]), None);
+    }
 
     #[test]
     fn empty_histogram_reports_zero() {
