@@ -5,7 +5,7 @@
 //! within its byte count. A PR that grows a crate raises its row in the
 //! same diff and says why; one that shrinks it lowers the row. Panic
 //! sites and document bytes only fall. `benchmark/` is its own package
-//! and is not counted.
+//! and is not counted. Each new `CHANGES.md` line is capped in bytes.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -125,4 +125,35 @@ fn every_crate_is_within_its_budget() {
             .map(|name| format!("{name}: row for no crate")),
     );
     assert!(over.is_empty(), "budgets.tsv:\n{}", over.join("\n"));
+}
+
+/// The most bytes a `CHANGES.md` line may take: what its PR did, for a
+/// reader who needs the detail to find it in the PR (ROADMAP 7(b)).
+const CHANGES_LINE_BYTES: usize = 600;
+
+/// Lines of PRs up to this one were written before the cap and stay as
+/// they are.
+const LAST_UNCAPPED_PR: u32 = 30;
+
+#[test]
+fn changes_lines_are_capped() {
+    let changes =
+        fs::read_to_string(repo().join("CHANGES.md")).expect("CHANGES.md at the repo root");
+    let pr = |line: &str| -> Option<u32> {
+        let digits = line.strip_prefix("PR ")?;
+        let end = digits.find(|c: char| !c.is_ascii_digit())?;
+        digits[..end].parse().ok()
+    };
+    let long: Vec<String> = changes
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.len() > CHANGES_LINE_BYTES)
+        .filter(|(_, l)| pr(l).is_none_or(|n| n > LAST_UNCAPPED_PR))
+        .map(|(i, l)| format!("line {}: {} bytes", i + 1, l.len()))
+        .collect();
+    assert!(
+        long.is_empty(),
+        "CHANGES.md lines over {CHANGES_LINE_BYTES} bytes:\n{}",
+        long.join("\n")
+    );
 }

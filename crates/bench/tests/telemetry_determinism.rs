@@ -150,7 +150,7 @@ fn run_testbed_merges_into_global_sink_only_when_enabled() {
     );
 }
 
-/// Pins the `reflex-telemetry-v1` snapshot JSON schema: a snapshot built
+/// Pins the `reflex-telemetry-v2` snapshot JSON schema: a snapshot built
 /// from fixed recordings must render byte-identically to the golden
 /// file. Regenerate deliberately (and bump the schema tag) if the format
 /// changes: the rendered JSON is printed on mismatch.

@@ -19,7 +19,7 @@ use crate::server::AdmissionError;
 /// A server under test: owns its dataplane/worker threads and NVMe queue
 /// pairs, serves requests arriving on its machine's NIC queues, and sends
 /// responses back over the fabric.
-pub trait ServerHarness: Send {
+pub trait ServerHarness {
     /// The server's machine on the fabric.
     fn machine(&self) -> MachineId;
 
@@ -135,6 +135,12 @@ pub trait ServerHarness: Send {
     /// without instrumentation ignore it (the testbed still records
     /// client-side and fabric telemetry around them).
     fn set_telemetry(&mut self, _telemetry: Telemetry) {}
+
+    /// What the workers' QoS schedulers counted, summed: rounds, LC and
+    /// BE admissions, deficit notifications (zero without a scheduler).
+    fn sched_counts(&self) -> [u64; 4] {
+        [0; 4]
+    }
 
     /// Cumulative CPU time of worker `i`.
     fn busy_time(&self, i: usize) -> SimDuration;

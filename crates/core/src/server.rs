@@ -1011,10 +1011,19 @@ impl crate::harness::ServerHarness for ReflexServer {
 
     fn set_telemetry(&mut self, telemetry: reflex_telemetry::Telemetry) {
         // Every dataplane thread (active or not — scale-up may activate
-        // more later) shares the one sink.
+        // more later) shares the one recorder.
         for t in &mut self.threads {
             t.set_telemetry(telemetry.clone());
         }
+    }
+
+    fn sched_counts(&self) -> [u64; 4] {
+        self.threads.iter().fold([0; 4], |sum, t| {
+            let sched = t.scheduler();
+            let (lc, be) = sched.admitted();
+            let counts = [sched.rounds(), lc, be, sched.deficit_events()];
+            std::array::from_fn(|i| sum[i] + counts[i])
+        })
     }
 
     fn busy_time(&self, i: usize) -> SimDuration {

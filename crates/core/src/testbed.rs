@@ -239,8 +239,9 @@ pub struct World<S: ServerHarness = ReflexServer> {
     zipf: Vec<Option<Zipf>>,
     recoveries: Vec<TenantRecovery>,
     // Disabled by default: a single branch on the hot path. When enabled
-    // (see [`Testbed::enable_telemetry`]) the same handle is shared by the
-    // device, fabric, server threads and the client-side span/SLO probes.
+    // (see [`Testbed::enable_telemetry`]) the same recorder is shared by
+    // the devices, fabric, server threads and the client-side span/SLO
+    // probes.
     telemetry: Telemetry,
 }
 
@@ -570,7 +571,6 @@ impl<S: ServerHarness + 'static> World<S> {
         self.poll_scratch = deliveries;
         if unwoken > 0 {
             self.wakes.client_absorbed += unwoken;
-            self.telemetry.count("client.absorbed", unwoken);
         }
         total
     }
@@ -1202,14 +1202,21 @@ impl TestbedBuilder {
         Testbed {
             engine,
             measure_begin: SimTime::ZERO,
+            counted_before: [0; OWNED_COUNTERS],
         }
     }
 }
+
+/// Counters the components keep themselves (see
+/// [`Testbed::owned_counters`]).
+const OWNED_COUNTERS: usize = 14;
 
 /// The assembled simulation. See the module documentation.
 pub struct Testbed<S: ServerHarness = ReflexServer> {
     engine: Engine<World<S>, WorldEvent<S>>,
     measure_begin: SimTime,
+    /// [`owned_counters`](Self::owned_counters) when telemetry was enabled.
+    counted_before: [u64; OWNED_COUNTERS],
 }
 
 impl<S: ServerHarness + 'static> std::fmt::Debug for Testbed<S> {
@@ -1499,31 +1506,20 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 settle_calls,
                 ..world.wakes
             },
-            telemetry: world.telemetry.snapshot(),
+            telemetry: self.telemetry_snapshot(),
         }
     }
 
-    /// Turns on telemetry: installs one shared [`Telemetry`] sink on the
-    /// devices, fabric, server threads, the engine's dispatch
-    /// probe and the client-side span/SLO probes. Recording is strictly passive — it
-    /// draws no randomness and schedules nothing, so an instrumented run
-    /// produces byte-identical results to an uninstrumented one. Returns a
-    /// clone of the handle for direct inspection.
-    pub fn enable_telemetry(&mut self) -> Telemetry {
+    /// Turns on telemetry: installs one shared [`Telemetry`] recorder on
+    /// the devices, fabric, server threads and the client-side span/SLO
+    /// probes, and registers the SLO targets of the workloads added so
+    /// far. Counters the components keep themselves count from here on.
+    /// Recording is strictly passive — it draws no randomness and
+    /// schedules nothing, so an instrumented run produces byte-identical
+    /// results to an uninstrumented one.
+    pub fn enable_telemetry(&mut self) {
+        self.counted_before = self.owned_counters().map(|(_, n)| n);
         let telemetry = Telemetry::enabled();
-        self.set_telemetry(telemetry.clone());
-        telemetry
-    }
-
-    /// Installs `telemetry` on every instrumented component (pass
-    /// [`Telemetry::disabled`] to switch recording back off). SLO targets
-    /// of workloads added before this call are re-registered.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        if let Some(probe) = telemetry.engine_probe() {
-            self.engine.set_probe(probe);
-        } else {
-            self.engine.clear_probe();
-        }
         let world = self.engine.world_mut();
         world.fabric.set_telemetry(telemetry.clone());
         for site in &mut world.sites {
@@ -1538,8 +1534,48 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         world.telemetry = telemetry;
     }
 
-    /// The current telemetry snapshot, when telemetry is enabled.
+    /// The current telemetry snapshot, when telemetry is enabled: what the
+    /// recorder holds, and each counter a component keeps as far as it
+    /// moved since [`enable_telemetry`](Self::enable_telemetry).
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.engine.world().telemetry.snapshot()
+        let mut snap = self.engine.world().telemetry.snapshot()?;
+        let owned = self.owned_counters().into_iter().zip(self.counted_before);
+        for ((name, now), before) in owned {
+            if now > before {
+                snap.counters.insert(name.to_owned(), now - before);
+            }
+        }
+        Some(snap)
+    }
+
+    /// The counters the engine, the client world, the devices, the fabric
+    /// and the QoS schedulers keep, by their telemetry names.
+    fn owned_counters(&self) -> [(&'static str, u64); OWNED_COUNTERS] {
+        let world = self.engine.world();
+        let devices = |f: fn(&FlashDevice) -> u64| world.sites.iter().map(|s| f(&s.device)).sum();
+        let sched = world.sites.iter().fold([0; 4], |sum, site| {
+            let counts = site.server.sched_counts();
+            std::array::from_fn(|i| sum[i] + counts[i])
+        });
+        let (dropped, duplicated) = world.fabric.fault_counts();
+        [
+            ("engine.events", self.engine.dispatched()),
+            ("client.absorbed", world.wakes.client_absorbed),
+            (
+                "device.commands",
+                devices(|d| d.stats().reads + d.stats().writes),
+            ),
+            ("device.sq_full", devices(FlashDevice::sq_full)),
+            ("device.out_of_range", devices(|d| d.stats().out_of_range)),
+            ("device.unavailable", devices(|d| d.stats().unavailable)),
+            ("device.media_errors", devices(|d| d.stats().media_errors)),
+            ("net.messages", world.fabric.sent()),
+            ("net.dropped", dropped),
+            ("net.duplicated", duplicated),
+            ("qos.rounds", sched[0]),
+            ("qos.lc_admitted", sched[1]),
+            ("qos.be_admitted", sched[2]),
+            ("qos.deficit_events", sched[3]),
+        ]
     }
 }

@@ -48,7 +48,7 @@ fn media_errors_reach_the_client_as_error_responses() {
 #[test]
 fn a_plain_request_ends_in_one_place() {
     let mut tb = Testbed::builder().seed(92).build();
-    let telemetry = tb.enable_telemetry();
+    tb.enable_telemetry();
     let slo = SloSpec::new(50_000, 100, SimDuration::from_micros(500));
     let spec = WorkloadSpec::open_loop(
         "app",
@@ -71,7 +71,7 @@ fn a_plain_request_ends_in_one_place() {
     assert_eq!(series, completed, "the series counts successes only");
     // The monitor sees requests issued in the window: 100 ms of 10 ms
     // windows, of which the device served the first 20 ms.
-    let windows = telemetry.snapshot().expect("enabled").slo[&TenantKey(1)].windows;
+    let windows = tb.telemetry_snapshot().expect("enabled").slo[&TenantKey(1)].windows;
     assert!(windows >= 9, "{windows} SLO windows closed");
 }
 

@@ -31,7 +31,7 @@ use reflex_qos::{
     TenantClass, TenantId, TenantSlot, TokenRate, Tokens,
 };
 use reflex_sim::{Histogram, PoolKey, SimDuration, SimTime, SlabPool};
-use reflex_telemetry::{Stage, Telemetry, TenantKey};
+use reflex_telemetry::{Answer, Stage, Telemetry, TenantKey};
 use std::sync::Arc;
 
 use crate::abi::{AbiStatus, BufHandle, Cookie, EventCond, Syscall, TenantHandle};
@@ -474,12 +474,11 @@ impl DataplaneThread {
             .map_or(SimDuration::ZERO, |_| HIT_CPU_COST.mul_f64(factor));
     }
 
-    /// Installs a telemetry handle and forwards it to the thread's QoS
-    /// scheduler. Per-stage latency spans (paper Figure 2) are then
-    /// recorded per tenant on every completed request; recording is purely
-    /// passive and perturbs neither timing nor scheduling.
+    /// Installs a telemetry handle. Per-stage latency spans (paper
+    /// Figure 2) are then recorded per tenant on every completed request;
+    /// recording is purely passive and perturbs neither timing nor
+    /// scheduling.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.sched.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -562,10 +561,10 @@ impl DataplaneThread {
     /// Settles every round this thread slept through strictly before
     /// `before`: the core is charged what [`pump`](Self::pump) charges
     /// for that many rounds, the scheduler runs them as
-    /// [`idle_rounds`](QosScheduler::idle_rounds), and telemetry counts
-    /// them in one bump. Siblings on one bucket settle theirs merged by
-    /// (instant, thread), since each round marks the bucket: their owner
-    /// passes the instant up to which this thread comes first.
+    /// [`idle_rounds`](QosScheduler::idle_rounds). Siblings on one bucket
+    /// settle theirs merged by (instant, thread), since each round marks
+    /// the bucket: their owner passes the instant up to which this thread
+    /// comes first.
     pub fn settle(&mut self, before: SimTime) {
         let Some(first) = self.idle_round_due(before) else {
             return;
@@ -587,9 +586,6 @@ impl DataplaneThread {
         self.stats.sched_rounds += rounds;
         self.rounds_elided += rounds;
         self.settle_calls += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry.count("qos.rounds", rounds);
-        }
         self.sleep_until(Some(until));
     }
 
@@ -1179,26 +1175,24 @@ impl DataplaneThread {
         if let Some(h) = &mut t.read_latency {
             h.record(self.core_busy.saturating_since(ctx.arrived));
         }
-        if self.telemetry.is_enabled() {
-            let t = TenantKey(ctx.tenant.0);
-            self.telemetry.span(
-                t,
-                Stage::NicQueue,
-                ctx.rx_started.saturating_since(ctx.arrived),
-            );
-            self.telemetry.span(
-                t,
-                Stage::Dataplane,
-                ctx.enqueued.saturating_since(ctx.rx_started),
-            );
-            self.telemetry.span(
-                t,
-                Stage::DramCache,
-                self.core_busy.saturating_since(ctx.enqueued),
-            );
-            self.telemetry.note_hit(t);
-            self.telemetry.close_span(t);
-        }
+        self.telemetry.answer(
+            TenantKey(ctx.tenant.0),
+            &[
+                (
+                    Stage::NicQueue,
+                    ctx.rx_started.saturating_since(ctx.arrived),
+                ),
+                (
+                    Stage::Dataplane,
+                    ctx.enqueued.saturating_since(ctx.rx_started),
+                ),
+                (
+                    Stage::DramCache,
+                    self.core_busy.saturating_since(ctx.enqueued),
+                ),
+            ],
+            Answer::Hit,
+        );
         // No `note_completion`: the hit never entered `ordering.inflight`,
         // and its response is already on the wire before any later
         // barrier from the same tenant is processed.
@@ -1373,44 +1367,37 @@ impl DataplaneThread {
                 }
             }
         }
-        if self.telemetry.is_enabled() {
-            // Per-stage decomposition of the request's server-side life
-            // (paper Figure 2), attributed to its tenant. The single-take
-            // guard above means a stale/duplicated completion can never
-            // reach this point, so each request is decomposed exactly once.
-            let t = TenantKey(ctx.tenant.0);
-            self.telemetry.span(
-                t,
-                Stage::NicQueue,
-                ctx.rx_started.saturating_since(ctx.arrived),
-            );
-            self.telemetry.span(
-                t,
-                Stage::Dataplane,
-                ctx.enqueued.saturating_since(ctx.rx_started),
-            );
-            self.telemetry.span(
-                t,
-                Stage::FlashSq,
-                submitted_at.saturating_since(ctx.enqueued),
-            );
-            self.telemetry.span(
-                t,
-                Stage::Channel,
-                completed.completed_at.saturating_since(submitted_at),
-            );
-            self.telemetry.span(
-                t,
-                Stage::Cq,
-                self.core_busy.saturating_since(completed.completed_at),
-            );
-            if status == AbiStatus::Ok {
-                self.telemetry.note_completed(t);
-            } else {
-                self.telemetry.note_failed(t);
-            }
-            self.telemetry.close_span(t);
-        }
+        // Per-stage decomposition of the request's server-side life (paper
+        // Figure 2), attributed to its tenant. The single-take guard above
+        // means a stale/duplicated completion can never reach this point,
+        // so each request is decomposed exactly once.
+        let answer = match status {
+            AbiStatus::Ok => Answer::Completed,
+            _ => Answer::Failed,
+        };
+        self.telemetry.answer(
+            TenantKey(ctx.tenant.0),
+            &[
+                (
+                    Stage::NicQueue,
+                    ctx.rx_started.saturating_since(ctx.arrived),
+                ),
+                (
+                    Stage::Dataplane,
+                    ctx.enqueued.saturating_since(ctx.rx_started),
+                ),
+                (Stage::FlashSq, submitted_at.saturating_since(ctx.enqueued)),
+                (
+                    Stage::Channel,
+                    completed.completed_at.saturating_since(submitted_at),
+                ),
+                (
+                    Stage::Cq,
+                    self.core_busy.saturating_since(completed.completed_at),
+                ),
+            ],
+            answer,
+        );
         // Barrier release happens after the response is on the wire so the
         // client observes completions in order.
         self.note_completion(fabric, ctx.slot, ctx.tenant);

@@ -169,6 +169,9 @@ pub struct FlashDevice {
     seq: u64,
     last_write_at: Option<SimTime>,
     stats: DeviceStats,
+    /// Submissions refused with a full SQ (not in [`DeviceStats`]: a
+    /// refused command never reached the device).
+    sq_full: u64,
     fault_hook: Option<Box<dyn DeviceFaultHook>>,
     telemetry: Telemetry,
 }
@@ -200,6 +203,7 @@ impl FlashDevice {
             seq: 0,
             last_write_at: None,
             stats: DeviceStats::default(),
+            sq_full: 0,
             fault_hook: None,
             telemetry: Telemetry::disabled(),
         }
@@ -221,6 +225,11 @@ impl FlashDevice {
         self.stats
     }
 
+    /// Submissions refused with [`SubmitError::QueueFull`] so far.
+    pub fn sq_full(&self) -> u64 {
+        self.sq_full
+    }
+
     /// Installs a fault-injection hook consulted on every accepted command.
     /// Replaces any previously installed hook.
     pub fn set_fault_hook(&mut self, hook: Box<dyn DeviceFaultHook>) {
@@ -237,11 +246,6 @@ impl FlashDevice {
         let id = QpId(self.qps.len() as u32);
         self.qps.push(QueuePair::new());
         id
-    }
-
-    /// Number of commands submitted on `qp` and not yet polled.
-    pub fn outstanding(&self, qp: QpId) -> u32 {
-        self.qps[qp.0 as usize].outstanding
     }
 
     /// `true` if the device has seen no write for the profile's read-only
@@ -280,13 +284,12 @@ impl FlashDevice {
             return Err(SubmitError::EmptyCommand);
         }
         if self.qps[qp.0 as usize].outstanding >= self.profile.sq_depth {
-            self.telemetry.count("device.sq_full", 1);
+            self.sq_full += 1;
             return Err(SubmitError::QueueFull);
         }
 
         if cmd.addr.saturating_add(cmd.len as u64) > self.profile.capacity_bytes {
             self.stats.out_of_range += 1;
-            self.telemetry.count("device.out_of_range", 1);
             let at = now + SimDuration::from_micros(1);
             let seq = self.next_seq();
             self.push_completion(
@@ -314,7 +317,6 @@ impl FlashDevice {
         };
         if fault == DeviceFaultAction::Dead {
             self.stats.unavailable += 1;
-            self.telemetry.count("device.unavailable", 1);
             let at = now + SimDuration::from_micros(1);
             let seq = self.next_seq();
             self.push_completion(
@@ -349,12 +351,10 @@ impl FlashDevice {
                 && self.rng.chance(self.profile.media_error_rate))
         {
             self.stats.media_errors += 1;
-            self.telemetry.count("device.media_errors", 1);
             NvmeStatus::MediaError
         } else {
             NvmeStatus::Success
         };
-        self.telemetry.count("device.commands", 1);
         self.telemetry.span(
             TenantKey::GLOBAL,
             Stage::Channel,
@@ -689,8 +689,8 @@ mod tests {
         let qp1 = d.create_queue_pair();
         d.submit(SimTime::ZERO, qp0, NvmeCommand::read(CmdId(1), 0, 4096))
             .unwrap();
-        assert_eq!(d.outstanding(qp0), 1);
-        assert_eq!(d.outstanding(qp1), 0);
+        assert_eq!(d.qps[qp0.0 as usize].outstanding, 1);
+        assert_eq!(d.qps[qp1.0 as usize].outstanding, 0);
         let t = SimTime::from_millis(1);
         assert!(d.poll_completions(t, qp1, 8).is_empty());
         assert_eq!(d.poll_completions(t, qp0, 8).len(), 1);

@@ -80,7 +80,7 @@ impl NvmeCommand {
     }
 
     /// Number of device pages this command touches given `page_size`.
-    pub fn pages(&self, page_size: u32) -> u32 {
+    pub(crate) fn pages(&self, page_size: u32) -> u32 {
         debug_assert!(page_size > 0);
         self.len.div_ceil(page_size).max(1)
     }

@@ -10,7 +10,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use reflex_sim::{SimDuration, SimRng, SimTime};
+use reflex_sim::{DenseId, SimDuration, SimRng, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 use crate::stack::StackProfile;
@@ -24,6 +24,18 @@ pub struct MachineId(pub u32);
 /// is connection-agnostic; ids are carried for the endpoints' bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
+
+/// [`Fabric::new_conn`] issues ids densely from zero, so whoever keeps
+/// state per connection finds it by index.
+impl DenseId for ConnId {
+    fn index(self) -> u64 {
+        self.0
+    }
+
+    fn from_index(index: u64) -> Self {
+        ConnId(index)
+    }
+}
 
 /// Identifier of a receive queue on a machine's NIC. Multi-queue NICs let
 /// each dataplane thread poll its own queue (flow steering / RSS) while all
@@ -276,6 +288,8 @@ pub struct Fabric<P> {
     fault_hook: Option<Box<dyn NetFaultHook>>,
     dropped: u64,
     duplicated: u64,
+    /// Messages sent and not lost (a duplicated one counts once).
+    sent: u64,
     telemetry: Telemetry,
 }
 
@@ -310,6 +324,7 @@ impl<P> Fabric<P> {
             fault_hook: None,
             dropped: 0,
             duplicated: 0,
+            sent: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -337,9 +352,9 @@ impl<P> Fabric<P> {
         (self.dropped, self.duplicated)
     }
 
-    /// The fabric's link configuration.
-    pub fn link(&self) -> LinkConfig {
-        self.link
+    /// Messages sent so far and not lost; a duplicated one counts once.
+    pub fn sent(&self) -> u64 {
+        self.sent
     }
 
     /// Attaches a machine with the given stack; returns its id.
@@ -397,17 +412,6 @@ impl<P> Fabric<P> {
         id
     }
 
-    /// Number of attached machines.
-    pub fn machines(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// Total (tx, rx) application bytes a machine has moved.
-    pub fn traffic(&self, m: MachineId) -> (u64, u64) {
-        let nic = &self.nics[m.0 as usize];
-        (nic.tx_bytes, nic.rx_bytes)
-    }
-
     /// Sends `size` application bytes from `from` to `to`; returns the
     /// instant the receiving application will see the message. The message
     /// is queued on the destination and must be drained with
@@ -440,11 +444,6 @@ impl<P> Fabric<P> {
             payload,
             Stage::Egress,
         )
-    }
-
-    /// The stack profile currently in force on `machine`.
-    pub fn stack(&self, machine: MachineId) -> &StackProfile {
-        &self.nics[machine.0 as usize].stack
     }
 
     /// Like [`send`](Self::send) but steers the message to a specific
@@ -524,18 +523,16 @@ impl<P> Fabric<P> {
             NetFaultAction::Deliver => {}
             NetFaultAction::Drop => {
                 self.dropped += 1;
-                self.telemetry.count("net.dropped", 1);
                 // Callers treat the return value as "when to look"; for a
                 // lost message nothing will be there, which is harmless.
                 return arrived_at;
             }
             NetFaultAction::Duplicate => {
                 self.duplicated += 1;
-                self.telemetry.count("net.duplicated", 1);
             }
             NetFaultAction::Delay(extra) => arrived_at += extra,
         }
-        self.telemetry.count("net.messages", 1);
+        self.sent += 1;
         self.telemetry
             .span(TenantKey::GLOBAL, stage, arrived_at.saturating_since(now));
 
@@ -697,7 +694,7 @@ mod tests {
         let (mut f, ..) = fabric();
         for i in 0..300usize {
             let bytes = (i * 37 % 9) * 500 + i % 2;
-            assert_eq!(f.serialization(bytes), f.link().serialization(bytes));
+            assert_eq!(f.serialization(bytes), f.link.serialization(bytes));
         }
     }
 
@@ -772,8 +769,8 @@ mod tests {
         let (mut f, a, b) = fabric();
         let conn = f.new_conn();
         f.send(SimTime::ZERO, a, b, conn, 4096, 0);
-        assert_eq!(f.traffic(a).0, 4096);
-        assert_eq!(f.traffic(b).1, 4096);
+        assert_eq!(f.nics[a.0 as usize].tx_bytes, 4096);
+        assert_eq!(f.nics[b.0 as usize].rx_bytes, 4096);
     }
 
     #[test]
@@ -886,7 +883,10 @@ mod tests {
         assert_eq!(f.next_arrival(b), None);
         assert_eq!(f.rx_pushes(), RxPushes::default());
         // The frames still occupied both links before being lost.
-        assert_eq!((f.traffic(a).0, f.traffic(b).1), (320, 320));
+        assert_eq!(
+            (f.nics[a.0 as usize].tx_bytes, f.nics[b.0 as usize].rx_bytes),
+            (320, 320)
+        );
     }
 
     #[test]

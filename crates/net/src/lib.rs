@@ -15,18 +15,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod conn_table;
 mod fabric;
 mod stack;
 mod wire;
 
-pub use conn_table::ConnTable;
 pub use fabric::{
     ConnId, Delivery, Fabric, LinkConfig, MachineId, NetFaultAction, NetFaultHook, NicQueueId,
     RxPushes,
 };
 pub use stack::{StackProfile, Transport};
 pub use wire::{
-    wire_bytes, wire_bytes_with, Opcode, ReflexHeader, WireError, FRAME_OVERHEAD, HEADER_SIZE,
-    MAGIC, MSS,
+    wire_bytes, Opcode, ReflexHeader, WireError, FRAME_OVERHEAD, HEADER_SIZE, MAGIC, MSS,
 };
+
+/// Per-connection state, found by the connection's index.
+pub type ConnTable<T> = reflex_sim::DenseTable<ConnId, T>;

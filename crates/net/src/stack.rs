@@ -22,7 +22,7 @@ pub enum Transport {
 
 impl Transport {
     /// Per-packet framing overhead (Ethernet + IP + transport headers).
-    pub fn frame_overhead(self) -> usize {
+    pub(crate) fn frame_overhead(self) -> usize {
         match self {
             Transport::Tcp => crate::wire::FRAME_OVERHEAD,
             Transport::Udp => crate::wire::FRAME_OVERHEAD - 12, // 8B UDP vs 20B TCP

@@ -158,7 +158,7 @@ pub fn wire_bytes(payload: usize) -> usize {
 
 /// [`wire_bytes`] with a caller-chosen per-segment framing overhead
 /// (UDP frames are 12 bytes lighter than TCP).
-pub fn wire_bytes_with(payload: usize, frame_overhead: usize) -> usize {
+pub(crate) fn wire_bytes_with(payload: usize, frame_overhead: usize) -> usize {
     let app = payload + HEADER_SIZE;
     let segments = app.div_ceil(MSS).max(1);
     app + segments * frame_overhead

@@ -64,11 +64,6 @@ impl GlobalBucket {
         }
     }
 
-    /// Number of threads that must mark a round before the bucket resets.
-    pub fn num_threads(&self) -> u32 {
-        self.active_mask.load(Ordering::Acquire).count_ones()
-    }
-
     /// Updates the set of active dataplane threads (control-plane thread
     /// scaling). Threads are identified by bit position.
     ///
@@ -248,7 +243,7 @@ mod tests {
         assert!(!b.mark_round(1));
         // Scaling down to 2 threads clears marks: the cycle restarts.
         b.set_active_threads(2);
-        assert_eq!(b.num_threads(), 2);
+        assert_eq!(b.active_mask.load(Ordering::Acquire).count_ones(), 2);
         assert!(!b.mark_round(0));
         assert!(b.mark_round(1), "both active threads marked");
         // Scaling back up: thread 2 participates again.

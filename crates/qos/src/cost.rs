@@ -84,7 +84,7 @@ impl CostModel {
     }
 
     /// The paper's device B model: `C(write) = 20`.
-    pub fn for_device_b() -> Self {
+    pub(crate) fn for_device_b() -> Self {
         CostModel::new(
             4096,
             Tokens::from_tokens(1),
@@ -94,7 +94,7 @@ impl CostModel {
     }
 
     /// The paper's device C model: `C(write) = 16`.
-    pub fn for_device_c() -> Self {
+    pub(crate) fn for_device_c() -> Self {
         CostModel::new(
             4096,
             Tokens::from_tokens(1),

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use reflex_flash::IoType;
 use reflex_sim::{SimDuration, SimTime};
-use reflex_telemetry::Telemetry;
 
 use crate::bucket::GlobalBucket;
 use crate::cost::{CostModel, LoadMix};
@@ -323,7 +322,9 @@ pub struct QosScheduler<R> {
     /// Tokens settled into tenant balances so far (see
     /// [`generated`](Self::generated)).
     generated: Tokens,
-    telemetry: Telemetry,
+    /// Requests admitted so far, LC and BE, and deficit notifications.
+    admitted: (u64, u64),
+    deficit_events: u64,
 }
 
 impl<R> QosScheduler<R> {
@@ -357,15 +358,9 @@ impl<R> QosScheduler<R> {
             rounds: 0,
             visits: 0,
             generated: Tokens::ZERO,
-            telemetry: Telemetry::disabled(),
+            admitted: (0, 0),
+            deficit_events: 0,
         }
-    }
-
-    /// Installs a telemetry handle; scheduling rounds then bump admission
-    /// and deficit counters. Recording is purely passive — token flows and
-    /// submission order are bit-for-bit unchanged.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Registers a latency-critical tenant with its SLO; `io_size` is the
@@ -687,6 +682,16 @@ impl<R> QosScheduler<R> {
         self.visits
     }
 
+    /// Requests those rounds admitted: (LC, BE).
+    pub fn admitted(&self) -> (u64, u64) {
+        self.admitted
+    }
+
+    /// Deficit notifications those rounds raised.
+    pub fn deficit_events(&self) -> u64 {
+        self.deficit_events
+    }
+
     /// Every token this scheduler has generated, for LC and BE tenants
     /// alike. Generation is the only source of tokens, so across the
     /// threads sharing a bucket it equals what tenants hold and have spent
@@ -780,21 +785,9 @@ impl<R> QosScheduler<R> {
         self.queued -= out.submitted.len();
 
         out.reset_bucket = self.bucket.mark_round(self.thread_idx);
-
-        if self.telemetry.is_enabled() {
-            self.telemetry.count("qos.rounds", 1);
-            if lc_admitted > 0 {
-                self.telemetry.count("qos.lc_admitted", lc_admitted as u64);
-            }
-            let be_admitted = out.submitted.len() - lc_admitted;
-            if be_admitted > 0 {
-                self.telemetry.count("qos.be_admitted", be_admitted as u64);
-            }
-            if !out.deficit_notifications.is_empty() {
-                self.telemetry
-                    .count("qos.deficit_events", out.deficit_notifications.len() as u64);
-            }
-        }
+        self.admitted.0 += lc_admitted as u64;
+        self.admitted.1 += (out.submitted.len() - lc_admitted) as u64;
+        self.deficit_events += out.deficit_notifications.len() as u64;
     }
 
     /// The earliest instant at which a round can do more than an idle one

@@ -60,11 +60,6 @@ impl Tokens {
         Tokens(self.0.max(0))
     }
 
-    /// The smaller of two amounts.
-    pub fn min(self, other: Tokens) -> Tokens {
-        Tokens(self.0.min(other.0))
-    }
-
     /// Multiplies by a non-negative fraction, truncating to millitokens.
     pub fn mul_f64(self, f: f64) -> Tokens {
         debug_assert!(f >= 0.0);
@@ -145,16 +140,6 @@ impl TokenRate {
         self.0 as f64 / 1_000.0
     }
 
-    /// Saturating subtraction of two rates.
-    pub fn saturating_sub(self, other: TokenRate) -> TokenRate {
-        TokenRate(self.0.saturating_sub(other.0))
-    }
-
-    /// Sum of two rates.
-    pub fn checked_add(self, other: TokenRate) -> Option<TokenRate> {
-        self.0.checked_add(other.0).map(TokenRate)
-    }
-
     /// Divides the rate into `n` equal shares (floor).
     ///
     /// # Panics
@@ -209,7 +194,7 @@ impl TokenGen {
     /// `numer + carry` is divided in `u64` whenever it fits — it always
     /// does at simulated rates and round lengths — and in `u128`
     /// otherwise; both are the same integer, so quotient and carry agree.
-    pub fn accrue(&mut self, numer: u128) -> Tokens {
+    pub(crate) fn accrue(&mut self, numer: u128) -> Tokens {
         const NS_PER_SEC: u64 = 1_000_000_000;
         let narrow = u64::try_from(numer)
             .ok()
@@ -364,10 +349,6 @@ mod tests {
     fn rate_shares_and_subtraction() {
         let r = TokenRate::per_sec(420_000);
         assert_eq!(r.share(4), TokenRate::per_sec(105_000));
-        let lc = TokenRate::per_sec(316_000);
-        assert_eq!(r.saturating_sub(lc), TokenRate::per_sec(104_000));
-        assert_eq!(lc.saturating_sub(r), TokenRate::ZERO);
-        assert_eq!(r.checked_add(lc), Some(TokenRate::per_sec(736_000)));
     }
 
     #[test]

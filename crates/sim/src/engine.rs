@@ -49,8 +49,8 @@
 //! }
 //!
 //! let mut engine = Engine::with_events(0u32);
-//! engine.schedule_event_after(SimDuration::from_micros(5), Add { n: 1, more: 1 });
-//! engine.run_until(SimTime::from_micros(100));
+//! engine.schedule_event_at(SimTime::from_micros(5), Add { n: 1, more: 1 });
+//! engine.run_for(SimDuration::from_micros(100));
 //! assert_eq!(*engine.world(), 11);
 //! // The clock advances to the deadline once the queue drains.
 //! assert_eq!(engine.now(), SimTime::from_micros(100));
@@ -95,7 +95,7 @@ fn tick_of(at: SimTime) -> u64 {
 ///
 /// Returned by the `*_handle` scheduling methods. Handles are
 /// generation-checked: once the event has run or been cancelled, the handle
-/// goes stale and further [`Engine::cancel`]/[`Ctx::cancel`] calls return
+/// goes stale and further [`Ctx::cancel`] calls return
 /// `false`, even if the underlying slab slot has been reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
@@ -410,7 +410,6 @@ impl<E> EventQueue<E> {
 /// run after all previously-queued events for that instant) or in the future.
 pub struct Ctx<'e, W, E> {
     now: SimTime,
-    stop: bool,
     queue: &'e mut EventQueue<E>,
     _world: PhantomData<fn(&mut W)>,
 }
@@ -419,7 +418,6 @@ impl<W, E> std::fmt::Debug for Ctx<'_, W, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("now", &self.now)
-            .field("stop", &self.stop)
             .field("queued", &self.queue.len)
             .finish()
     }
@@ -450,7 +448,7 @@ impl<W, E> Ctx<'_, W, E> {
     /// # Panics
     ///
     /// Panics if `at` is before the current instant.
-    pub fn schedule_event_at_handle(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub(crate) fn schedule_event_at_handle(&mut self, at: SimTime, event: E) -> EventHandle {
         self.queue.insert(self.now, at, event)
     }
 
@@ -466,13 +464,6 @@ impl<W, E> Ctx<'_, W, E> {
     /// stale.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
-    }
-
-    /// Requests that the engine stop after the current handler returns.
-    ///
-    /// Queued events are retained; a later `run_*` call resumes them.
-    pub fn stop(&mut self) {
-        self.stop = true;
     }
 }
 
@@ -495,11 +486,6 @@ impl WakeSlots {
             armed: 0,
             cancelled: 0,
         }
-    }
-
-    /// Number of slots.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
     }
 
     /// Whether slot `i` has a wake queued.
@@ -550,23 +536,12 @@ pub enum Step {
 
 /// What [`Engine::dispatch_next`] did.
 enum Dispatched {
-    /// Ran one event; `stop` is the handler's stop request.
-    Ran { at: SimTime, stop: bool },
+    /// Ran one event at the contained instant.
+    Ran(SimTime),
     /// The next event is after the deadline.
     Deadline,
     /// The queue is empty.
     Idle,
-}
-
-/// Passive observer of engine dispatches.
-///
-/// Probes let observability layers count events without the engine
-/// depending on them (the telemetry crate sits above `reflex-sim`). A
-/// probe must be purely passive: it sees the clock but cannot schedule,
-/// mutate the world, or otherwise perturb the simulation.
-pub trait EngineProbe: Send {
-    /// Called once per dispatched event, after the clock advanced to `now`.
-    fn on_dispatch(&mut self, now: SimTime);
 }
 
 /// A deterministic discrete-event engine over a world `W`.
@@ -578,7 +553,6 @@ pub struct Engine<W, E> {
     queue: EventQueue<E>,
     now: SimTime,
     dispatched: u64,
-    probe: Option<Box<dyn EngineProbe>>,
 }
 
 impl<W: std::fmt::Debug, E> std::fmt::Debug for Engine<W, E> {
@@ -587,7 +561,6 @@ impl<W: std::fmt::Debug, E> std::fmt::Debug for Engine<W, E> {
             .field("now", &self.now)
             .field("queued", &self.queue.len)
             .field("dispatched", &self.dispatched)
-            .field("probe", &self.probe.is_some())
             .field("world", &self.world)
             .finish()
     }
@@ -601,20 +574,7 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             dispatched: 0,
-            probe: None,
         }
-    }
-
-    /// Installs an observability probe invoked once per dispatched event.
-    /// Replaces any previously installed probe. Leave unset on hot paths:
-    /// the unprobed dispatch cost is a single branch.
-    pub fn set_probe(&mut self, probe: Box<dyn EngineProbe>) {
-        self.probe = Some(probe);
-    }
-
-    /// Removes the probe, returning it.
-    pub fn clear_probe(&mut self) -> Option<Box<dyn EngineProbe>> {
-        self.probe.take()
     }
 
     /// The current simulation instant.
@@ -637,11 +597,6 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
         self.dispatched
     }
 
-    /// Number of events currently queued (scheduled and not cancelled).
-    pub fn queued(&self) -> usize {
-        self.queue.len
-    }
-
     /// Schedules `event` at absolute instant `at`.
     ///
     /// # Panics
@@ -649,11 +604,6 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
     /// Panics if `at` is before the current instant.
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
         self.schedule_event_at_handle(at, event);
-    }
-
-    /// Schedules `event` to run `delay` after the current instant.
-    pub fn schedule_event_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule_event_at(self.now + delay, event);
     }
 
     /// Schedules `event` at `at`, returning a cancellable handle.
@@ -665,27 +615,12 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
         self.queue.insert(self.now, at, event)
     }
 
-    /// Schedules `event` after `delay`, returning a cancellable handle.
-    pub fn schedule_event_after_handle(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        self.schedule_event_at_handle(self.now + delay, event)
-    }
-
-    /// Cancels a scheduled event.
-    ///
-    /// Returns `true` if the event was still pending and is now cancelled;
-    /// `false` if it already ran, was already cancelled, or the handle is
-    /// stale.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
-    }
-
     /// Runs `f` with the world and a scheduling context at the current
     /// instant — what an event handler gets, with no event dispatched:
     /// [`dispatched`](Self::dispatched) does not move.
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W, E>) -> R) -> R {
         let mut ctx = Ctx {
             now: self.now,
-            stop: false,
             queue: &mut self.queue,
             _world: PhantomData,
         };
@@ -704,18 +639,13 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
                 debug_assert!(at >= self.now, "event queue emitted a past event");
                 self.now = at;
                 self.dispatched += 1;
-                if let Some(probe) = self.probe.as_mut() {
-                    probe.on_dispatch(at);
-                }
                 let mut ctx = Ctx {
                     now: at,
-                    stop: false,
                     queue: &mut self.queue,
                     _world: PhantomData,
                 };
                 event.dispatch(&mut self.world, &mut ctx);
-                let stop = ctx.stop;
-                Dispatched::Ran { at, stop }
+                Dispatched::Ran(at)
             }
         }
     }
@@ -723,22 +653,15 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
     /// Dispatches the single earliest event, if any, advancing the clock.
     pub fn step(&mut self) -> Step {
         match self.dispatch_next(SimTime::from_nanos(u64::MAX)) {
-            Dispatched::Ran { at, .. } => Step::Ran(at),
+            Dispatched::Ran(at) => Step::Ran(at),
             Dispatched::Deadline | Dispatched::Idle => Step::Idle,
         }
     }
 
-    /// Runs until the queue drains, the deadline passes, or a handler calls
-    /// [`Ctx::stop`]. The clock is left at `min(deadline, last event time)`;
-    /// events scheduled after `deadline` stay queued.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            match self.dispatch_next(deadline) {
-                Dispatched::Ran { stop: true, .. } => return,
-                Dispatched::Ran { .. } => {}
-                Dispatched::Deadline | Dispatched::Idle => break,
-            }
-        }
+    /// Runs until the queue drains or the deadline passes, leaving the
+    /// clock at `deadline`; events scheduled after it stay queued.
+    pub(crate) fn run_until(&mut self, deadline: SimTime) {
+        while let Dispatched::Ran(_) = self.dispatch_next(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -771,12 +694,10 @@ mod tests {
         Then(u32, u32),
         /// Then schedules `Push(next)` after `delay`.
         Later(u32, SimDuration, u32),
-        /// Then stops the engine.
-        Stop(u32),
         /// Then cancels the handle, which must still be pending.
         Cancel(u32, EventHandle),
     }
-    use TestEvent::{Cancel, Chain, Later, Push, Stop, Then};
+    use TestEvent::{Cancel, Chain, Later, Push, Then};
 
     impl TypedEvent<Vec<u32>> for TestEvent {
         fn dispatch(self, world: &mut Vec<u32>, ctx: &mut Ctx<'_, Vec<u32>, Self>) {
@@ -796,10 +717,6 @@ mod tests {
                 Later(v, delay, next) => {
                     world.push(v);
                     ctx.schedule_event_after(delay, Push(next));
-                }
-                Stop(v) => {
-                    world.push(v);
-                    ctx.stop();
                 }
                 Cancel(v, victim) => {
                     world.push(v);
@@ -851,7 +768,7 @@ mod tests {
         e.run_until(SimTime::from_micros(10));
         assert_eq!(e.world(), &[1]);
         assert_eq!(e.now(), SimTime::from_micros(10));
-        assert_eq!(e.queued(), 1);
+        assert_eq!(e.queue.len, 1);
         e.run_until(SimTime::from_micros(100));
         assert_eq!(e.world(), &[1, 2]);
     }
@@ -865,20 +782,9 @@ mod tests {
             ctx.schedule_event_after(SimDuration::from_micros(1), Push(1));
             ctx.now()
         });
-        assert_eq!((now, e.dispatched(), e.queued()), (e.now(), 0, 1));
+        assert_eq!((now, e.dispatched(), e.queue.len), (e.now(), 0, 1));
         e.run_until(SimTime::from_micros(8));
         assert_eq!((e.world().as_slice(), e.dispatched()), (&[0, 1][..], 1));
-    }
-
-    #[test]
-    fn stop_pauses_and_resumes() {
-        let mut e = engine();
-        e.schedule_event_at(SimTime::from_micros(1), Stop(1));
-        e.schedule_event_at(SimTime::from_micros(2), Push(2));
-        e.run_until(SimTime::from_micros(10));
-        assert_eq!(e.world(), &[1]);
-        e.run_until(SimTime::from_micros(10));
-        assert_eq!(e.world(), &[1, 2]);
     }
 
     #[test]
@@ -967,11 +873,11 @@ mod tests {
         let near = e.schedule_event_at_handle(SimTime::from_micros(10), Push(1));
         let far = e.schedule_event_at_handle(SimTime::from_millis(50), Push(2));
         e.schedule_event_at(SimTime::from_micros(20), Push(3));
-        assert_eq!(e.queued(), 3);
-        assert!(e.cancel(near));
-        assert!(e.cancel(far));
-        assert!(!e.cancel(near), "double-cancel must report false");
-        assert_eq!(e.queued(), 1);
+        assert_eq!(e.queue.len, 3);
+        assert!(e.queue.cancel(near));
+        assert!(e.queue.cancel(far));
+        assert!(!e.queue.cancel(near), "double-cancel must report false");
+        assert_eq!(e.queue.len, 1);
         e.run_until(SimTime::from_millis(100));
         assert_eq!(e.world(), &[3]);
     }
@@ -991,11 +897,14 @@ mod tests {
         let h = e.schedule_event_at_handle(SimTime::from_micros(1), Push(1));
         e.run_until(SimTime::from_micros(2));
         assert_eq!(e.world(), &[1]);
-        assert!(!e.cancel(h), "handle to a dispatched event must be stale");
+        assert!(
+            !e.queue.cancel(h),
+            "handle to a dispatched event must be stale"
+        );
         // Slab slot reuse must not resurrect the stale handle.
         let h2 = e.schedule_event_at_handle(SimTime::from_micros(5), Push(10));
-        assert!(!e.cancel(h));
-        assert!(e.cancel(h2));
+        assert!(!e.queue.cancel(h));
+        assert!(e.queue.cancel(h2));
         e.run_until(SimTime::from_micros(10));
         assert_eq!(e.world(), &[1]);
     }
@@ -1005,12 +914,10 @@ mod tests {
         let mut e = engine();
         let t = SimTime::from_micros(5);
         e.schedule_event_at(t, Push(1));
-        e.schedule_event_at(t, Stop(2));
+        e.schedule_event_at(t, Chain(2));
         e.schedule_event_at(t, Push(3));
         e.run_until(SimTime::from_micros(10));
-        assert_eq!(e.world(), &[1, 2]);
-        e.run_until(SimTime::from_micros(10));
-        assert_eq!(e.world(), &[1, 2, 3]);
+        assert_eq!(e.world(), &[1, 2, 3, 102]);
     }
 
     #[test]
@@ -1027,8 +934,8 @@ mod tests {
         let mut e = engine();
         let h = e.schedule_event_at_handle(SimTime::from_micros(5), Push(1));
         e.schedule_event_at(SimTime::from_micros(6), Push(2));
-        assert!(e.cancel(h));
-        assert!(!e.cancel(h));
+        assert!(e.queue.cancel(h));
+        assert!(!e.queue.cancel(h));
         e.run_until(SimTime::from_micros(10));
         assert_eq!(e.world(), &[2]);
     }
@@ -1044,7 +951,7 @@ mod tests {
         }
         let mut e: Engine<u64, Tick> = Engine::with_events(0);
         for round in 0..1_000u64 {
-            e.schedule_event_after(SimDuration::from_nanos(round % 97 + 1), Tick);
+            e.schedule_event_at(e.now() + SimDuration::from_nanos(round % 97 + 1), Tick);
             e.run_to_completion();
         }
         assert_eq!(*e.world(), 1_000);
@@ -1062,10 +969,14 @@ mod tests {
         // high-water mark of pending events.
         let mut e = engine();
         for round in 0..1_000u32 {
-            let near = e.schedule_event_after_handle(SimDuration::from_micros(50), Push(0));
-            let far = e.schedule_event_after_handle(SimDuration::from_millis(50), Push(0));
-            e.schedule_event_after(SimDuration::from_nanos(u64::from(round % 97 + 1)), Push(1));
-            assert!(e.cancel(near) && e.cancel(far));
+            let now = e.now();
+            let near = e.schedule_event_at_handle(now + SimDuration::from_micros(50), Push(0));
+            let far = e.schedule_event_at_handle(now + SimDuration::from_millis(50), Push(0));
+            e.schedule_event_at(
+                now + SimDuration::from_nanos(u64::from(round % 97 + 1)),
+                Push(1),
+            );
+            assert!(e.queue.cancel(near) && e.queue.cancel(far));
             e.run_to_completion();
         }
         assert_eq!(e.world().len(), 1_000);
@@ -1092,7 +1003,7 @@ mod tests {
                 match self {
                     Ev::Arm(i, at) => w.wakes.arm(ctx, i, at, Ev::Wake(i)),
                     Ev::Wake(fired) => {
-                        for i in 0..w.wakes.slots() {
+                        for i in 0..w.wakes.slots.len() {
                             if w.wakes.take_due(ctx, i, i == fired) {
                                 w.serviced.push((ctx.now(), i));
                             }

@@ -11,7 +11,8 @@
 //! * [`SimRng`] / [`Zipf`] — seeded randomness and workload distributions,
 //! * [`Histogram`] — HDR-style latency histograms (p95 is the paper's
 //!   headline metric),
-//! * [`RateSeries`] — throughput and token-rate recorder.
+//! * [`RateSeries`] — throughput and token-rate recorder,
+//! * [`DenseTable`] — state per densely issued id, found by index.
 //!
 //! # Examples
 //!
@@ -56,6 +57,7 @@
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
+mod dense;
 mod engine;
 mod hist;
 mod rng;
@@ -64,7 +66,8 @@ mod slab;
 mod time;
 mod ziggurat;
 
-pub use engine::{Ctx, Engine, EngineProbe, EventHandle, Step, TypedEvent, WakeSlots};
+pub use dense::{DenseId, DenseTable};
+pub use engine::{Ctx, Engine, EventHandle, Step, TypedEvent, WakeSlots};
 pub use hist::Histogram;
 pub use rng::{SimRng, Zipf};
 pub use series::{RatePoint, RateSeries};

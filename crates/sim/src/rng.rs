@@ -237,11 +237,6 @@ impl Zipf {
         }
     }
 
-    /// Domain size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let u = rng.f64();

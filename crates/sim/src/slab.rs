@@ -80,15 +80,6 @@ impl<T> SlabPool<T> {
         }
     }
 
-    /// An empty pool with room for `cap` values before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        SlabPool {
-            slots: Vec::with_capacity(cap),
-            free_head: NIL,
-            len: 0,
-        }
-    }
-
     /// Live values currently stored.
     pub fn len(&self) -> usize {
         self.len
@@ -97,11 +88,6 @@ impl<T> SlabPool<T> {
     /// True when no values are stored.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Slots ever allocated (the pool's high-water mark).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Stores `value`, reusing a free slot when one exists.
@@ -160,25 +146,6 @@ impl<T> SlabPool<T> {
         }
         s.value.as_mut()
     }
-
-    /// True if `key` still refers to a live value.
-    pub fn contains(&self, key: PoolKey) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Removes every value, keeping slot storage. All outstanding keys go
-    /// stale (each occupied slot's generation advances).
-    pub fn clear(&mut self) {
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if s.value.is_some() {
-                s.value = None;
-                s.gen = s.gen.wrapping_add(1);
-                s.next_free = self.free_head;
-                self.free_head = i as u32;
-            }
-        }
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +159,7 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.get(k), Some(&"hello"));
         assert_eq!(p.take(k), Some("hello"));
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         assert_eq!(p.take(k), None, "double take must fail");
     }
 
@@ -221,7 +188,7 @@ mod tests {
             let k = p.insert(9u32);
             p.take(k);
         }
-        assert_eq!(p.capacity(), 8, "churn must not grow the pool");
+        assert_eq!(p.slots.len(), 8, "churn must not grow the pool");
     }
 
     #[test]
@@ -244,19 +211,5 @@ mod tests {
         let k = p.insert(vec![1, 2]);
         p.get_mut(k).unwrap().push(3);
         assert_eq!(p.take(k), Some(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn clear_stales_all_keys_and_keeps_storage() {
-        let mut p = SlabPool::new();
-        let keys: Vec<_> = (0..4u32).map(|i| p.insert(i)).collect();
-        p.clear();
-        assert!(p.is_empty());
-        assert_eq!(p.capacity(), 4);
-        for k in keys {
-            assert_eq!(p.get(k), None);
-        }
-        let _ = p.insert(9);
-        assert_eq!(p.capacity(), 4);
     }
 }

@@ -113,13 +113,13 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
     #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
 
@@ -196,18 +196,6 @@ impl SimDuration {
     /// `true` if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The longer of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The shorter of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 
     /// Saturating subtraction.

@@ -5,7 +5,6 @@
 //! microsecond can be attributed to a pipeline stage and per-tenant SLO
 //! conformance can be watched live. This crate provides that surface:
 //!
-//! * a registry of cheap named [counters](Telemetry::count),
 //! * per-tenant, per-[`Stage`] latency **spans** recorded into the
 //!   existing log-bucketed [`Histogram`],
 //! * per-tenant IO conservation counters (submitted / completed / failed /
@@ -13,8 +12,18 @@
 //! * a rolling-window SLO tracker ([`Telemetry::slo_observe`]) that
 //!   checks p95/p99 against `qos::slo` targets and emits
 //!   [`SloViolation`] events,
+//! * named [counters](Telemetry::count) for the rare events nobody else
+//!   counts (the components count their own work; the testbed reads those
+//!   counts into the snapshot),
 //! * a mergeable, deterministic [`TelemetrySnapshot`] with JSON and TSV
 //!   exporters.
+//!
+//! # One recorder per world
+//!
+//! A simulated world runs on one thread, so its recorder takes no lock:
+//! [`Telemetry`] is a shared handle to a `RefCell`, and each tenant's
+//! spans, IO counters and SLO window sit in one record found by the
+//! tenant's index, the way a connection's state is.
 //!
 //! # Zero cost when disabled
 //!
@@ -31,23 +40,24 @@
 //! use reflex_telemetry::{Stage, Telemetry, TenantKey};
 //!
 //! let tel = Telemetry::enabled();
-//! tel.count("engine.events", 3);
+//! tel.note_submitted(TenantKey(1));
 //! tel.span(TenantKey(1), Stage::Channel, SimDuration::from_micros(80));
 //! let snap = tel.snapshot().unwrap();
-//! assert_eq!(snap.counters["engine.events"], 3);
+//! assert_eq!(snap.ios[&TenantKey(1)].submitted, 1);
 //! assert_eq!(snap.spans[&(TenantKey(1), Stage::Channel)].count(), 1);
 //!
 //! let off = Telemetry::disabled();
-//! off.count("ignored", 1); // no-op, no allocation
+//! off.note_submitted(TenantKey(1)); // no-op, no allocation
 //! assert!(off.snapshot().is_none());
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::iter;
+use std::rc::Rc;
 
-use reflex_sim::{EngineProbe, Histogram, SimDuration, SimTime};
+use reflex_sim::{DenseId, DenseTable, Histogram, SimDuration, SimTime};
 
 /// Identifies a tenant inside the telemetry layer.
 ///
@@ -62,12 +72,23 @@ impl TenantKey {
     pub const GLOBAL: TenantKey = TenantKey(u32::MAX);
 
     /// Human-readable label (`"global"` for the sentinel).
-    pub fn label(self) -> String {
+    fn label(self) -> String {
         if self == Self::GLOBAL {
             "global".to_string()
         } else {
             self.0.to_string()
         }
+    }
+}
+
+/// Tenant ids are issued densely from zero, like connection ids.
+impl DenseId for TenantKey {
+    fn index(self) -> u64 {
+        u64::from(self.0)
+    }
+
+    fn from_index(index: u64) -> Self {
+        TenantKey(index as u32)
     }
 }
 
@@ -150,6 +171,19 @@ pub struct IoCounters {
     pub open_spans: u64,
 }
 
+/// How the dataplane answered a request it accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// From the DRAM cache: a submission the cache itself completed, so
+    /// `submitted`, `completed` and `hits` move together and conservation
+    /// holds without a device round trip.
+    Hit,
+    /// With the device's successful completion.
+    Completed,
+    /// With an error.
+    Failed,
+}
+
 /// A closed SLO window whose p95 exceeded the tenant's target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloViolation {
@@ -166,9 +200,7 @@ pub struct SloViolation {
 }
 
 /// Rolling SLO windows close every 10ms of simulated time.
-pub fn slo_window() -> SimDuration {
-    SimDuration::from_millis(10)
-}
+const SLO_WINDOW: SimDuration = SimDuration::from_millis(10);
 
 /// At most this many violation events are retained verbatim; the total
 /// count keeps incrementing past it.
@@ -200,7 +232,7 @@ impl SloState {
     /// event when the window's p95 missed the target.
     fn observe(&mut self, tenant: TenantKey, nanos: u64, now: SimTime) -> Option<SloViolation> {
         let mut fired = None;
-        if !self.window.is_empty() && now.saturating_since(self.window_start) >= slo_window() {
+        if !self.window.is_empty() && now.saturating_since(self.window_start) >= SLO_WINDOW {
             let p95 = self.window.p95().as_nanos();
             let p99 = self.window.p99().as_nanos();
             self.windows += 1;
@@ -223,33 +255,66 @@ impl SloState {
         self.window.record_nanos(nanos);
         fired
     }
+
+    fn summary(&self) -> SloSnapshot {
+        SloSnapshot {
+            target_p95_nanos: self.target_p95_nanos,
+            windows: self.windows,
+            violations: self.violations,
+            worst_p95_nanos: self.worst_p95_nanos,
+        }
+    }
+}
+
+/// Everything recorded for one tenant; `None` until first recorded.
+#[derive(Debug, Default)]
+struct TenantRecord {
+    /// Span histograms indexed by [`Stage`].
+    spans: [Option<Histogram>; 9],
+    ios: Option<IoCounters>,
+    slo: Option<SloState>,
+}
+
+impl TenantRecord {
+    #[inline]
+    fn span(&mut self, stage: Stage, nanos: u64) {
+        let h = self.spans[stage as usize].get_or_insert_with(Histogram::new);
+        h.record_nanos(nanos);
+    }
 }
 
 #[derive(Debug, Default)]
-struct Inner {
+struct Recorder {
+    /// Boxed so that the dense table costs a pointer per id below the
+    /// largest one seen, not a record.
+    tenants: DenseTable<TenantKey, Box<TenantRecord>>,
+    /// [`TenantKey::GLOBAL`]'s record, kept apart: the device and the
+    /// fabric record a span under it for every command and message.
+    global: TenantRecord,
     counters: BTreeMap<&'static str, u64>,
-    spans: BTreeMap<(TenantKey, Stage), Histogram>,
-    ios: BTreeMap<TenantKey, IoCounters>,
-    slo: BTreeMap<TenantKey, SloState>,
     violations: Vec<SloViolation>,
 }
 
-#[derive(Debug, Default)]
-struct TelemetryCore {
-    /// Engine dispatch count, kept lock-free because the engine probe runs
-    /// once per dispatched event.
-    engine_events: AtomicU64,
-    inner: Mutex<Inner>,
+impl Recorder {
+    #[inline]
+    fn tenant(&mut self, tenant: TenantKey) -> &mut TenantRecord {
+        if tenant == TenantKey::GLOBAL {
+            &mut self.global
+        } else {
+            self.tenants.get_or_insert_with(tenant, Box::default)
+        }
+    }
 }
 
-/// Shared, cloneable handle to a telemetry sink.
+/// Shared, cloneable handle to a world's telemetry recorder.
 ///
 /// [`Telemetry::disabled`] is the zero-cost default: every method is a
 /// single `Option` branch and no state is allocated. Clones of an enabled
-/// handle share one sink, so a testbed can hand the same handle to the
-/// fabric, the device, every dataplane thread, and the client world.
+/// handle share one recorder, so a testbed can hand the same handle to the
+/// fabric, the device, every dataplane thread, and the client world — all
+/// of which run on the world's one thread.
 #[derive(Debug, Clone, Default)]
-pub struct Telemetry(Option<Arc<TelemetryCore>>);
+pub struct Telemetry(Option<Rc<RefCell<Recorder>>>);
 
 impl Telemetry {
     /// A no-op handle: records nothing, allocates nothing.
@@ -257,22 +322,22 @@ impl Telemetry {
         Telemetry(None)
     }
 
-    /// A live handle backed by a fresh shared sink.
+    /// A live handle backed by a fresh recorder.
     pub fn enabled() -> Self {
-        Telemetry(Some(Arc::new(TelemetryCore::default())))
+        Telemetry(Some(Rc::default()))
     }
 
-    /// `true` if this handle records.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+    #[inline]
+    fn with(&self, f: impl FnOnce(&mut Recorder)) {
+        if let Some(rec) = &self.0 {
+            f(&mut rec.borrow_mut());
+        }
     }
 
     /// Adds `delta` to the named counter. Counter names are `&'static str`
-    /// so steady-state bumps never allocate.
+    /// so bumps never allocate after a name's first.
     pub fn count(&self, name: &'static str, delta: u64) {
-        if let Some(core) = &self.0 {
-            *core.inner.lock().unwrap().counters.entry(name).or_insert(0) += delta;
-        }
+        self.with(|rec| *rec.counters.entry(name).or_insert(0) += delta);
     }
 
     /// Records a latency sample for `(tenant, stage)`.
@@ -281,22 +346,14 @@ impl Telemetry {
     }
 
     /// Records a raw nanosecond latency sample for `(tenant, stage)`.
+    #[inline]
     pub fn span_nanos(&self, tenant: TenantKey, stage: Stage, nanos: u64) {
-        if let Some(core) = &self.0 {
-            core.inner
-                .lock()
-                .unwrap()
-                .spans
-                .entry((tenant, stage))
-                .or_default()
-                .record_nanos(nanos);
-        }
+        self.with(|rec| rec.tenant(tenant).span(stage, nanos));
     }
 
+    #[inline]
     fn with_ios(&self, tenant: TenantKey, f: impl FnOnce(&mut IoCounters)) {
-        if let Some(core) = &self.0 {
-            f(core.inner.lock().unwrap().ios.entry(tenant).or_default());
-        }
+        self.with(|rec| f(rec.tenant(tenant).ios.get_or_insert_default()));
     }
 
     /// Notes a device submission attempt for `tenant`.
@@ -319,17 +376,6 @@ impl Telemetry {
         self.with_ios(tenant, |c| c.retried += 1);
     }
 
-    /// Notes a read served from the DRAM cache: one submission the cache
-    /// itself completed, so `submitted`, `completed` and `hits` move
-    /// together and conservation holds without a device round trip.
-    pub fn note_hit(&self, tenant: TenantKey) {
-        self.with_ios(tenant, |c| {
-            c.submitted += 1;
-            c.completed += 1;
-            c.hits += 1;
-        });
-    }
-
     /// Opens a request span: the dataplane accepted a request it will
     /// eventually answer.
     pub fn open_span(&self, tenant: TenantKey) {
@@ -337,12 +383,34 @@ impl Telemetry {
     }
 
     /// Closes a request span: the response left the dataplane. Callers
-    /// must pair this with exactly one [`open_span`](Self::open_span) —
-    /// the generation-checked in-flight slab guarantees that even across
-    /// slot recycling.
+    /// pair this with exactly one [`open_span`](Self::open_span) — the
+    /// generation-checked in-flight slab guarantees that even across slot
+    /// recycling. A span opened before recording began closes at zero.
     pub fn close_span(&self, tenant: TenantKey) {
-        self.with_ios(tenant, |c| {
-            debug_assert!(c.open_spans > 0, "close_span without open_span");
+        self.with_ios(tenant, |c| c.open_spans = c.open_spans.saturating_sub(1));
+    }
+
+    /// Closes the span of a request the dataplane answered, with the
+    /// request's server-side stage `spans`: one visit to the tenant's
+    /// record for what [`span`](Self::span), a note of the `answer` and
+    /// [`close_span`](Self::close_span) would record.
+    #[inline]
+    pub fn answer(&self, tenant: TenantKey, spans: &[(Stage, SimDuration)], answer: Answer) {
+        self.with(|rec| {
+            let r = rec.tenant(tenant);
+            for &(stage, d) in spans {
+                r.span(stage, d.as_nanos());
+            }
+            let c = r.ios.get_or_insert_default();
+            match answer {
+                Answer::Hit => {
+                    c.submitted += 1;
+                    c.completed += 1;
+                    c.hits += 1;
+                }
+                Answer::Completed => c.completed += 1,
+                Answer::Failed => c.failed += 1,
+            }
             c.open_spans = c.open_spans.saturating_sub(1);
         });
     }
@@ -350,89 +418,53 @@ impl Telemetry {
     /// Registers (idempotently) an SLO target for `tenant`. Rolling p95
     /// checks start with the first [`slo_observe`](Self::slo_observe).
     pub fn slo_register(&self, tenant: TenantKey, target_p95: SimDuration) {
-        if let Some(core) = &self.0 {
-            core.inner
-                .lock()
-                .unwrap()
-                .slo
-                .entry(tenant)
-                .or_insert_with(|| SloState::new(target_p95.as_nanos()));
-        }
+        self.with(|rec| {
+            let slo = &mut rec.tenant(tenant).slo;
+            slo.get_or_insert_with(|| SloState::new(target_p95.as_nanos()));
+        });
     }
 
     /// Feeds one end-to-end latency sample into `tenant`'s rolling SLO
     /// window. Unregistered tenants are ignored.
     pub fn slo_observe(&self, tenant: TenantKey, latency: SimDuration, now: SimTime) {
-        if let Some(core) = &self.0 {
-            let mut inner = core.inner.lock().unwrap();
-            let Some(state) = inner.slo.get_mut(&tenant) else {
+        self.with(|rec| {
+            let Some(state) = rec.tenant(tenant).slo.as_mut() else {
                 return;
             };
             if let Some(v) = state.observe(tenant, latency.as_nanos(), now) {
-                if inner.violations.len() < MAX_VIOLATION_EVENTS {
-                    inner.violations.push(v);
+                if rec.violations.len() < MAX_VIOLATION_EVENTS {
+                    rec.violations.push(v);
                 }
             }
-        }
-    }
-
-    /// An [`EngineProbe`] that counts dispatched events into this sink
-    /// (`None` when disabled — don't install a probe at all).
-    pub fn engine_probe(&self) -> Option<Box<dyn EngineProbe>> {
-        self.0.as_ref().map(|core| {
-            Box::new(EngineEventsProbe {
-                core: Arc::clone(core),
-            }) as Box<dyn EngineProbe>
-        })
+        });
     }
 
     /// A point-in-time copy of everything recorded so far (`None` when
     /// disabled).
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
-        let core = self.0.as_ref()?;
-        let inner = core.inner.lock().unwrap();
-        let mut counters: BTreeMap<String, u64> = inner
-            .counters
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect();
-        let engine = core.engine_events.load(Ordering::Relaxed);
-        if engine > 0 {
-            *counters.entry("engine.events".to_string()).or_insert(0) += engine;
-        }
-        Some(TelemetrySnapshot {
-            counters,
-            spans: inner.spans.iter().map(|(k, v)| (*k, v.clone())).collect(),
-            ios: inner.ios.clone(),
-            slo: inner
-                .slo
-                .iter()
-                .map(|(t, s)| {
-                    (
-                        *t,
-                        SloSnapshot {
-                            target_p95_nanos: s.target_p95_nanos,
-                            windows: s.windows,
-                            violations: s.violations,
-                            worst_p95_nanos: s.worst_p95_nanos,
-                        },
-                    )
-                })
+        let rec = self.0.as_ref()?.borrow();
+        let mut snap = TelemetrySnapshot {
+            counters: (rec.counters.iter())
+                .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
-            violations: inner.violations.clone(),
-        })
-    }
-}
-
-/// Probe installed on `sim::Engine` to count dispatches without the engine
-/// depending on this crate.
-struct EngineEventsProbe {
-    core: Arc<TelemetryCore>,
-}
-
-impl EngineProbe for EngineEventsProbe {
-    fn on_dispatch(&mut self, _now: SimTime) {
-        self.core.engine_events.fetch_add(1, Ordering::Relaxed);
+            violations: rec.violations.clone(),
+            ..TelemetrySnapshot::default()
+        };
+        let tenants = rec.tenants.iter().map(|(t, r)| (t, &**r));
+        for (t, r) in tenants.chain(iter::once((TenantKey::GLOBAL, &rec.global))) {
+            for (stage, h) in Stage::ALL.into_iter().zip(&r.spans) {
+                if let Some(h) = h {
+                    snap.spans.insert((t, stage), h.clone());
+                }
+            }
+            if let Some(io) = r.ios {
+                snap.ios.insert(t, io);
+            }
+            if let Some(slo) = &r.slo {
+                snap.slo.insert(t, slo.summary());
+            }
+        }
+        Some(snap)
     }
 }
 
@@ -449,7 +481,7 @@ pub struct SloSnapshot {
     pub worst_p95_nanos: u64,
 }
 
-/// A mergeable point-in-time copy of a telemetry sink.
+/// A mergeable point-in-time copy of a telemetry recorder.
 ///
 /// Merging is commutative and associative (counters add, histograms
 /// merge, SLO windows add), so snapshots taken on different sweep worker
@@ -698,9 +730,7 @@ mod tests {
             SimDuration::from_micros(700),
             SimTime::from_nanos(1),
         );
-        assert!(!tel.is_enabled());
         assert!(tel.snapshot().is_none());
-        assert!(tel.engine_probe().is_none());
     }
 
     #[test]
@@ -746,8 +776,7 @@ mod tests {
         // conservation: submitted/completed/hits move together.
         for _ in 0..3 {
             tel.open_span(t);
-            tel.note_hit(t);
-            tel.close_span(t);
+            tel.answer(t, &[], Answer::Hit);
         }
         let c = tel.snapshot().unwrap().ios[&t];
         assert_eq!(c.submitted, 9);
@@ -817,7 +846,7 @@ mod tests {
     fn exports_are_deterministic() {
         let build = || {
             let tel = Telemetry::enabled();
-            tel.count("engine.events", 10);
+            tel.count("replication.failovers", 1);
             tel.span(
                 TenantKey::GLOBAL,
                 Stage::Fabric,
