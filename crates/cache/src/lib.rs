@@ -67,7 +67,7 @@ impl CacheConfig {
     }
 
     /// Number of sets this configuration yields.
-    pub fn sets(&self) -> u64 {
+    fn sets(&self) -> u64 {
         self.capacity_bytes / (self.line_bytes as u64 * WAYS as u64)
     }
 

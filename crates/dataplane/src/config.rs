@@ -57,7 +57,7 @@ impl DataplaneConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.batch_max == 0 {
             return Err("batch_max must be non-zero".into());
         }

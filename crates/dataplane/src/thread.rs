@@ -5,14 +5,18 @@
 //! one NVMe queue pair. A [`pump`](DataplaneThread::pump) call runs the
 //! polling loop at the current instant:
 //!
-//! 1. poll NIC RX, parse the wire protocol, run access control, and issue
-//!    read/write **syscalls** that enqueue requests into per-tenant QoS
-//!    queues (run-to-completion step 1);
+//! 1. poll NIC RX, parse the wire protocol, run access control, and
+//!    enqueue each request into its tenant's QoS queue (run-to-completion
+//!    step 1);
 //! 2. run the QoS scheduler and submit admissible requests to the NVMe
 //!    submission queue;
-//! 3. poll the NVMe completion queue, deliver **event conditions** to the
-//!    user-level server code, and transmit responses (run-to-completion
-//!    step 2).
+//! 3. poll the NVMe completion queue and transmit the responses
+//!    (run-to-completion step 2).
+//!
+//! A request is one [`ReqCtx`], built from its wire header on arrival; its
+//! answer is encoded from that record. The paper's syscalls and event
+//! conditions cost CPU (inside the per-message costs) but carry nothing
+//! the wire header does not.
 //!
 //! Adaptive batching emerges naturally: while the core is busy, arrivals
 //! and completions accumulate and are picked up in batches of up to 64.
@@ -34,7 +38,6 @@ use reflex_sim::{Histogram, PoolKey, SimDuration, SimTime, SlabPool};
 use reflex_telemetry::{Answer, Stage, Telemetry, TenantKey};
 use std::sync::Arc;
 
-use crate::abi::{AbiStatus, BufHandle, Cookie, EventCond, Syscall, TenantHandle};
 use crate::config::DataplaneConfig;
 
 /// The payload carried on the simulated wire: an encoded ReFlex header as
@@ -81,30 +84,28 @@ impl AclEntry {
     }
 
     /// `true` when `client` may open connections to this tenant.
-    pub fn permits_client(&self, client: MachineId) -> bool {
+    fn permits_client(&self, client: MachineId) -> bool {
         match &self.allowed_clients {
             None => true,
             Some(list) => list.contains(&client),
         }
     }
 
-    /// Checks an I/O against the entry.
-    fn check(&self, op: IoType, addr: u64, len: u32) -> Result<(), AbiStatus> {
-        match op {
-            IoType::Read if !self.allow_read => return Err(AbiStatus::AccessDenied),
-            IoType::Write if !self.allow_write => return Err(AbiStatus::AccessDenied),
-            _ => {}
-        }
+    /// `true` when the entry allows the I/O: the permission for `op`, and
+    /// every byte inside the namespace.
+    fn permits(&self, op: IoType, addr: u64, len: u32) -> bool {
+        let allowed = match op {
+            IoType::Read => self.allow_read,
+            IoType::Write => self.allow_write,
+        };
         let end = addr.saturating_add(len as u64);
-        if addr < self.ns_start || end > self.ns_start + self.ns_len {
-            return Err(AbiStatus::OutOfRange);
-        }
-        Ok(())
+        allowed && addr >= self.ns_start && end <= self.ns_start + self.ns_len
     }
 }
 
-/// Per-request context carried from syscall to completion event. Opaque
-/// outside the dataplane; exposed only as the scheduler's payload type.
+/// A request, from its arrival to its answer: what its wire header said,
+/// where it came from, and when it reached each stage. Opaque outside the
+/// dataplane; exposed only as the scheduler's payload type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReqCtx {
     tenant: TenantId,
@@ -114,7 +115,7 @@ pub struct ReqCtx {
     slot: u32,
     conn: ConnId,
     client: MachineId,
-    cookie: Cookie,
+    cookie: u64,
     op: IoType,
     addr: u64,
     len: u32,
@@ -135,13 +136,24 @@ pub struct ReqCtx {
     cache_gen: u32,
 }
 
+impl ReqCtx {
+    /// The request as the scheduler queues it.
+    fn costed(self) -> CostedRequest<ReqCtx> {
+        CostedRequest {
+            op: self.op,
+            len: self.len,
+            payload: self,
+        }
+    }
+}
+
 /// Per-tenant ordering state for barrier support: while fenced, new
 /// requests buffer here instead of entering the QoS queue.
 #[derive(Debug, Default)]
 struct OrderingState {
     inflight: u32,
     fence: Option<ReqCtx>,
-    buffered: VecDeque<(IoType, u32, ReqCtx)>,
+    buffered: VecDeque<ReqCtx>,
 }
 
 /// What a thread keeps per registered tenant: one slot of its tenant
@@ -334,7 +346,6 @@ fn conn_pressure(conns: u32) -> f64 {
 /// One simulated ReFlex server thread. See the module documentation.
 #[derive(Debug)]
 pub struct DataplaneThread {
-    thread_idx: u32,
     machine: MachineId,
     nic_queue: NicQueueId,
     qp: QpId,
@@ -356,7 +367,7 @@ pub struct DataplaneThread {
     /// In-flight IOs, slot-recycled; the pool key rides in each command's
     /// `CmdId` and is generation-checked on completion.
     inflight: SlabPool<InflightIo>,
-    retry_submit: VecDeque<(TenantId, CostedRequest<ReqCtx>)>,
+    retry_submit: VecDeque<CostedRequest<ReqCtx>>,
     core_busy: SimTime,
     busy_time: SimDuration,
     sched_time: SimDuration,
@@ -416,7 +427,6 @@ impl DataplaneThread {
     ) -> Self {
         config.validate().expect("invalid dataplane config");
         let mut thread = DataplaneThread {
-            thread_idx,
             machine,
             nic_queue,
             qp,
@@ -488,11 +498,6 @@ impl DataplaneThread {
         self.interrupt();
         self.max_sched_interval = interval.max(MIN_SCHED_INTERVAL);
         self.refresh_costs();
-    }
-
-    /// This thread's index (bit position in the global bucket).
-    pub fn thread_idx(&self) -> u32 {
-        self.thread_idx
     }
 
     /// The machine whose NIC queues this thread polls.
@@ -684,7 +689,7 @@ impl DataplaneThread {
         class: TenantClass,
         acl: AclEntry,
         io_size: u32,
-    ) -> Result<TenantHandle, QosError> {
+    ) -> Result<(), QosError> {
         self.interrupt();
         let read_latency = match class {
             TenantClass::LatencyCritical(slo) => {
@@ -704,7 +709,7 @@ impl DataplaneThread {
             read_latency,
         });
         self.refresh_costs();
-        Ok(TenantHandle(id.0))
+        Ok(())
     }
 
     /// Unregisters a tenant, returning its queued requests so a caller
@@ -743,11 +748,7 @@ impl DataplaneThread {
         // Fence-buffered requests follow the queued ones (order preserved:
         // scheduler queue first, then post-barrier buffer).
         let mut all = leftovers;
-        all.extend(buffered.into_iter().map(|(op, len, ctx)| CostedRequest {
-            op,
-            len,
-            payload: ctx,
-        }));
+        all.extend(buffered.into_iter().map(ReqCtx::costed));
         Ok(all)
     }
 
@@ -869,77 +870,15 @@ impl DataplaneThread {
         self.busy_time += cost;
     }
 
-    /// The *user-level server code* (paper: 490 SLOC in guest ring 3):
-    /// parses a message and turns it into a syscall. Pure function of the
-    /// header — any bug here cannot touch dataplane state.
-    fn user_handle_message(
-        header: &ReflexHeader,
-        tenant: TenantId,
-    ) -> Result<Option<Syscall>, AbiStatus> {
-        let handle = TenantHandle(tenant.0);
-        // Zero-copy: the buffer handle indexes a pre-allocated DMA region;
-        // the cookie travels to the completion event untouched.
-        let buf = BufHandle(0);
-        match header.opcode {
-            Opcode::Get => Ok(Some(Syscall::Read {
-                handle,
-                buf,
-                addr: header.addr,
-                len: header.len,
-                cookie: header.cookie,
-            })),
-            Opcode::Put => Ok(Some(Syscall::Write {
-                handle,
-                buf,
-                addr: header.addr,
-                len: header.len,
-                cookie: header.cookie,
-            })),
-            // Barriers are an ordering directive, not an I/O syscall.
-            Opcode::Barrier => Ok(None),
-            Opcode::Response | Opcode::Error => Err(AbiStatus::AccessDenied),
-        }
-    }
-
-    /// The user-level completion path: turns an event condition into the
-    /// response message for the wire.
-    fn user_handle_event(event: &EventCond, ctx: &ReqCtx) -> (ReflexHeader, u32) {
-        let ok = matches!(
-            event,
-            EventCond::Response {
-                status: AbiStatus::Ok,
-                ..
-            } | EventCond::Written {
-                status: AbiStatus::Ok,
-                ..
-            }
-        );
-        let opcode = if ok { Opcode::Response } else { Opcode::Error };
-        let payload = if ok && ctx.op.is_read() { ctx.len } else { 0 };
-        (
-            ReflexHeader {
-                opcode,
-                tenant: 0,
-                cookie: ctx.cookie,
-                addr: ctx.addr,
-                len: ctx.len,
-            },
-            payload,
-        )
-    }
-
-    fn send_error(&mut self, fabric: &mut Fabric<WireMsg>, ctx: ReqCtx, status: AbiStatus) {
-        let event = match ctx.op {
-            IoType::Read => EventCond::Response {
-                cookie: ctx.cookie,
-                status,
-            },
-            IoType::Write => EventCond::Written {
-                cookie: ctx.cookie,
-                status,
-            },
-        };
-        let (header, payload) = Self::user_handle_event(&event, &ctx);
+    /// Puts `header` on the wire to the client of `ctx`, after charging
+    /// the core for the transmit.
+    fn transmit(
+        &mut self,
+        fabric: &mut Fabric<WireMsg>,
+        ctx: &ReqCtx,
+        header: ReflexHeader,
+        payload: u32,
+    ) {
         self.charge(self.tx_cost);
         self.stats.tx_msgs += 1;
         fabric.send(
@@ -950,6 +889,22 @@ impl DataplaneThread {
             payload,
             header.encode_array(),
         );
+    }
+
+    /// Answers a request: a response that echoes its header and carries
+    /// a read's data, or an error with none. Every failure is the same
+    /// error on the wire: a client cannot tell a refused request from a
+    /// media error or a dying device, and retries.
+    fn respond(&mut self, fabric: &mut Fabric<WireMsg>, ctx: &ReqCtx, ok: bool) {
+        let header = ReflexHeader {
+            opcode: if ok { Opcode::Response } else { Opcode::Error },
+            tenant: 0,
+            cookie: ctx.cookie,
+            addr: ctx.addr,
+            len: ctx.len,
+        };
+        let payload = if ok && ctx.op.is_read() { ctx.len } else { 0 };
+        self.transmit(fabric, ctx, header, payload);
     }
 
     fn handle_rx(
@@ -975,101 +930,45 @@ impl DataplaneThread {
                 return;
             }
         };
-        let header = match ReflexHeader::decode(&delivery.payload) {
-            Ok(h) => h,
-            Err(_) => {
-                self.stats.decode_errors += 1;
-                return;
-            }
-        };
-        let syscall = match Self::user_handle_message(&header, tenant) {
-            Ok(s) => s,
-            Err(status) => {
-                self.stats.decode_errors += 1;
-                let ctx = ReqCtx {
-                    tenant,
-                    slot,
-                    conn: delivery.conn,
-                    client,
-                    cookie: header.cookie,
-                    op: IoType::Read,
-                    addr: header.addr,
-                    len: header.len,
-                    arrived: delivery.arrived_at,
-                    rx_started,
-                    enqueued: self.core_busy,
-                    cache_clock: 0,
-                    cache_gen: 0,
-                };
-                self.send_error(fabric, ctx, status);
-                return;
-            }
-        };
-
-        // Barrier: complete immediately if the tenant has nothing
-        // outstanding, otherwise fence the tenant until it drains.
-        let Some(syscall) = syscall else {
-            let ctx = ReqCtx {
-                tenant,
-                slot,
-                conn: delivery.conn,
-                client,
-                cookie: header.cookie,
-                op: IoType::Read,
-                addr: 0,
-                len: 0,
-                arrived: delivery.arrived_at,
-                rx_started,
-                enqueued: self.core_busy,
-                cache_clock: 0,
-                cache_gen: 0,
-            };
-            let t = self.tenants.at(slot);
-            if t.ordering.fence.is_some() {
-                // One outstanding barrier per tenant; a second is an error.
-                self.stats.decode_errors += 1;
-                self.send_error(fabric, ctx, AbiStatus::OutOfResources);
-                return;
-            }
-            let drained = t.ordering.inflight == 0 && self.sched.queued_at(t.sched, tenant) == 0;
-            if drained {
-                self.ack_barrier(fabric, ctx);
-            } else {
-                t.ordering.fence = Some(ctx);
-            }
+        let Ok(header) = ReflexHeader::decode(&delivery.payload) else {
+            self.stats.decode_errors += 1;
             return;
-        };
-
-        // Kernel side of the syscall: ACL check, then per-tenant queueing.
-        let (op, addr, len, cookie) = match syscall {
-            Syscall::Read {
-                addr, len, cookie, ..
-            } => (IoType::Read, addr, len, cookie),
-            Syscall::Write {
-                addr, len, cookie, ..
-            } => (IoType::Write, addr, len, cookie),
-            // Register/unregister arrive via the control plane in this
-            // reproduction; they never appear on the data path.
-            Syscall::Register { .. } | Syscall::Unregister { .. } => return,
         };
         let mut ctx = ReqCtx {
             tenant,
             slot,
             conn: delivery.conn,
             client,
-            cookie,
-            op,
-            addr,
-            len,
+            cookie: header.cookie,
+            op: IoType::Read,
+            addr: header.addr,
+            len: header.len,
             arrived: delivery.arrived_at,
             rx_started,
             enqueued: self.core_busy,
             cache_clock: 0,
             cache_gen: 0,
         };
-        if let Err(status) = self.tenants.at(slot).acl.check(op, addr, len) {
+        match header.opcode {
+            Opcode::Get => {}
+            Opcode::Put => ctx.op = IoType::Write,
+            Opcode::Barrier => {
+                // A barrier addresses no blocks, and its answer echoes none.
+                (ctx.addr, ctx.len) = (0, 0);
+                self.barrier(fabric, ctx);
+                return;
+            }
+            // Answers travel to clients only.
+            Opcode::Response | Opcode::Error => {
+                self.stats.decode_errors += 1;
+                self.respond(fabric, &ctx, false);
+                return;
+            }
+        }
+        let (op, addr, len) = (ctx.op, ctx.addr, ctx.len);
+        if !self.tenants.at(slot).acl.permits(op, addr, len) {
             self.stats.acl_rejections += 1;
-            self.send_error(fabric, ctx, status);
+            self.respond(fabric, &ctx, false);
             return;
         }
         // The request is accepted from here on: it will be answered by
@@ -1105,7 +1004,7 @@ impl DataplaneThread {
             if self.cache.is_some() && op.is_read() {
                 self.stats.cache_bypasses += 1;
             }
-            t.ordering.buffered.push_back((op, len, ctx));
+            t.ordering.buffered.push_back(ctx);
             return;
         }
         if op.is_read() {
@@ -1121,16 +1020,23 @@ impl DataplaneThread {
         let t = self.tenants.at(slot);
         t.ordering.inflight += 1;
         self.sched
-            .enqueue_at(
-                t.sched,
-                tenant,
-                CostedRequest {
-                    op,
-                    len,
-                    payload: ctx,
-                },
-            )
+            .enqueue_at(t.sched, tenant, ctx.costed())
             .expect("bound conn implies registered tenant");
+    }
+
+    /// A barrier: acknowledged at once if its tenant has nothing
+    /// outstanding, else the tenant is fenced until it drains. A second
+    /// barrier while one is pending is an error.
+    fn barrier(&mut self, fabric: &mut Fabric<WireMsg>, ctx: ReqCtx) {
+        let t = self.tenants.at(ctx.slot);
+        if t.ordering.fence.is_some() {
+            self.stats.decode_errors += 1;
+            self.respond(fabric, &ctx, false);
+        } else if t.ordering.inflight == 0 && self.sched.queued_at(t.sched, ctx.tenant) == 0 {
+            self.ack_barrier(fabric, ctx);
+        } else {
+            t.ordering.fence = Some(ctx);
+        }
     }
 
     /// Completes a read hit at DRAM latency: response straight to the
@@ -1144,24 +1050,10 @@ impl DataplaneThread {
             .expect("hit implies cache enabled")
             .config();
         let pages = ctx.len.div_ceil(cache_cfg.line_bytes).max(1) as i64;
-        let event = EventCond::Response {
-            cookie: ctx.cookie,
-            status: AbiStatus::Ok,
-        };
-        let (header, payload) = Self::user_handle_event(&event, &ctx);
         // DRAM service (lookup + copy-out) plus the usual TX cost, both
         // under connection-state cache pressure.
         self.charge(self.hit_cost);
-        self.charge(self.tx_cost);
-        self.stats.tx_msgs += 1;
-        fabric.send(
-            self.core_busy,
-            self.machine,
-            ctx.client,
-            ctx.conn,
-            payload,
-            header.encode_array(),
-        );
+        self.respond(fabric, &ctx, true);
         // A hit completes inside `handle_rx`, so the slot is the live one
         // its connection carried.
         let t = self.tenants.at(ctx.slot);
@@ -1208,16 +1100,7 @@ impl DataplaneThread {
             addr: 0,
             len: 0,
         };
-        self.charge(self.tx_cost);
-        self.stats.tx_msgs += 1;
-        fabric.send(
-            self.core_busy,
-            self.machine,
-            ctx.client,
-            ctx.conn,
-            0,
-            header.encode_array(),
-        );
+        self.transmit(fabric, &ctx, header, 0);
     }
 
     /// Called when one of a tenant's I/Os completes: release a pending
@@ -1237,28 +1120,15 @@ impl DataplaneThread {
             ordering.inflight += buffered.len() as u32;
             let sched_slot = t.sched;
             self.ack_barrier(fabric, ctx);
-            for (op, len, rctx) in buffered {
+            for rctx in buffered {
                 self.sched
-                    .enqueue_at(
-                        sched_slot,
-                        tenant,
-                        CostedRequest {
-                            op,
-                            len,
-                            payload: rctx,
-                        },
-                    )
+                    .enqueue_at(sched_slot, tenant, rctx.costed())
                     .expect("tenant still registered");
             }
         }
     }
 
-    fn submit_one(
-        &mut self,
-        device: &mut FlashDevice,
-        tenant: TenantId,
-        req: CostedRequest<ReqCtx>,
-    ) {
+    fn submit_one(&mut self, device: &mut FlashDevice, req: CostedRequest<ReqCtx>) {
         // The in-flight slab slot doubles as the NVMe command id: the pool
         // key (slot + generation) packs into the CmdId u64 and travels
         // through the device, so completion lookup is a generation-checked
@@ -1273,32 +1143,27 @@ impl DataplaneThread {
             IoType::Read => NvmeCommand::read(id, req.payload.addr, req.len),
             IoType::Write => NvmeCommand::write(id, req.payload.addr, req.len),
         };
-        self.telemetry.note_submitted(TenantKey(tenant.0));
+        let tenant = TenantKey(req.payload.tenant.0);
+        self.telemetry.note_submitted(tenant);
         match device.submit(self.core_busy, self.qp, cmd) {
             Ok(_) => {
                 self.stats.submitted += 1;
                 self.wrote |= !req.op.is_read();
             }
             Err(SubmitError::QueueFull) => {
-                let io = self.inflight.take(key).expect("just inserted");
+                self.inflight.take(key);
                 self.stats.sq_full_retries += 1;
-                self.telemetry.note_retried(TenantKey(tenant.0));
-                self.retry_submit.push_front((
-                    tenant,
-                    CostedRequest {
-                        op: req.op,
-                        len: req.len,
-                        payload: io.ctx,
-                    },
-                ));
+                self.telemetry.note_retried(tenant);
+                self.retry_submit.push_front(req);
             }
             Err(SubmitError::EmptyCommand) => {
-                // Zero-length requests were already rejected at parse time;
-                // treat defensively as a decode error.
+                // Nothing refuses a zero-length request before the device
+                // does: it is counted as a decode error and goes
+                // unanswered.
                 self.inflight.take(key);
                 self.stats.decode_errors += 1;
-                self.telemetry.note_failed(TenantKey(tenant.0));
-                self.telemetry.close_span(TenantKey(tenant.0));
+                self.telemetry.note_failed(tenant);
+                self.telemetry.close_span(tenant);
             }
         }
     }
@@ -1313,35 +1178,8 @@ impl DataplaneThread {
             return;
         };
         let InflightIo { ctx, submitted_at } = io;
-        let status = match completed.status {
-            NvmeStatus::Success => AbiStatus::Ok,
-            NvmeStatus::OutOfRange => AbiStatus::OutOfRange,
-            // Both map to the retryable error class: the client cannot
-            // distinguish a transient media error from a dying device and
-            // should retry (the control plane handles re-placement).
-            NvmeStatus::MediaError | NvmeStatus::DeviceUnavailable => AbiStatus::OutOfResources,
-        };
-        let event = match ctx.op {
-            IoType::Read => EventCond::Response {
-                cookie: ctx.cookie,
-                status,
-            },
-            IoType::Write => EventCond::Written {
-                cookie: ctx.cookie,
-                status,
-            },
-        };
-        let (header, payload) = Self::user_handle_event(&event, &ctx);
-        self.charge(self.tx_cost);
-        self.stats.tx_msgs += 1;
-        fabric.send(
-            self.core_busy,
-            self.machine,
-            ctx.client,
-            ctx.conn,
-            payload,
-            header.encode_array(),
-        );
+        let ok = completed.status == NvmeStatus::Success;
+        self.respond(fabric, &ctx, ok);
         if ctx.op.is_read() {
             let entry = self.tenants.of_request(ctx.slot, ctx.tenant);
             if let Some(h) = entry.and_then(|t| t.read_latency.as_mut()) {
@@ -1353,7 +1191,7 @@ impl DataplaneThread {
             // invalidated while the read was in flight, and the epoch
             // captured alongside it rejects fills whose tenant was torn
             // down in the meantime.
-            if status == AbiStatus::Ok {
+            if ok {
                 if let Some(cache) = &mut self.cache {
                     let out = cache.fill(
                         ctx.tenant.0,
@@ -1371,10 +1209,6 @@ impl DataplaneThread {
         // Figure 2), attributed to its tenant. The single-take guard above
         // means a stale/duplicated completion can never reach this point,
         // so each request is decomposed exactly once.
-        let answer = match status {
-            AbiStatus::Ok => Answer::Completed,
-            _ => Answer::Failed,
-        };
         self.telemetry.answer(
             TenantKey(ctx.tenant.0),
             &[
@@ -1396,7 +1230,11 @@ impl DataplaneThread {
                     self.core_busy.saturating_since(completed.completed_at),
                 ),
             ],
-            answer,
+            if ok {
+                Answer::Completed
+            } else {
+                Answer::Failed
+            },
         );
         // Barrier release happens after the response is on the wire so the
         // client observes completions in order.
@@ -1446,9 +1284,9 @@ impl DataplaneThread {
             // single queue: once one submit fails with QueueFull, the rest
             // will too, so stop immediately instead of rescanning the
             // whole backlog every round.
-            while let Some((tenant, req)) = self.retry_submit.pop_front() {
+            while let Some(req) = self.retry_submit.pop_front() {
                 let before = self.stats.sq_full_retries;
-                self.submit_one(device, tenant, req);
+                self.submit_one(device, req);
                 if self.stats.sq_full_retries > before {
                     // submit_one pushed the request back; the SQ is full,
                     // so every further attempt this round would fail too.
@@ -1469,8 +1307,8 @@ impl DataplaneThread {
                 let mut outcome = std::mem::take(&mut self.sched_scratch);
                 self.sched.schedule_into(self.core_busy, mix, &mut outcome);
                 let submitted_any = !outcome.submitted.is_empty();
-                for (tenant, req) in outcome.submitted.drain(..) {
-                    self.submit_one(device, tenant, req);
+                for (_, req) in outcome.submitted.drain(..) {
+                    self.submit_one(device, req);
                 }
                 self.sched_scratch = outcome;
                 if submitted_any {

@@ -73,13 +73,24 @@ impl PlannedDeviceHook {
 
     /// Adds a transient-error window: commands in `[start, start+duration)`
     /// fail with probability `rate`, drawn from a stream seeded by `seed`.
-    pub fn add_transient(&mut self, start: SimTime, duration: SimDuration, rate: f64, seed: u64) {
+    pub(crate) fn add_transient(
+        &mut self,
+        start: SimTime,
+        duration: SimDuration,
+        rate: f64,
+        seed: u64,
+    ) {
         self.transient
             .push(RateWindow::new(start, duration, rate, seed));
     }
 
     /// Adds a GC storm: commands in the window complete `extra` late.
-    pub fn add_gc_storm(&mut self, start: SimTime, duration: SimDuration, extra: SimDuration) {
+    pub(crate) fn add_gc_storm(
+        &mut self,
+        start: SimTime,
+        duration: SimDuration,
+        extra: SimDuration,
+    ) {
         self.gc.push(DelayWindow {
             start,
             end: start + duration,
@@ -151,18 +162,18 @@ impl PlannedNetHook {
 
     /// Adds a loss window: messages in it are dropped with probability
     /// `rate`, drawn from a stream seeded by `seed`.
-    pub fn add_loss(&mut self, start: SimTime, duration: SimDuration, rate: f64, seed: u64) {
+    pub(crate) fn add_loss(&mut self, start: SimTime, duration: SimDuration, rate: f64, seed: u64) {
         self.loss.push(RateWindow::new(start, duration, rate, seed));
     }
 
     /// Adds a duplication window: messages in it are duplicated with
     /// probability `rate`.
-    pub fn add_dup(&mut self, start: SimTime, duration: SimDuration, rate: f64, seed: u64) {
+    pub(crate) fn add_dup(&mut self, start: SimTime, duration: SimDuration, rate: f64, seed: u64) {
         self.dup.push(RateWindow::new(start, duration, rate, seed));
     }
 
     /// Adds a latency storm: messages in the window arrive `extra` late.
-    pub fn add_storm(&mut self, start: SimTime, duration: SimDuration, extra: SimDuration) {
+    pub(crate) fn add_storm(&mut self, start: SimTime, duration: SimDuration, extra: SimDuration) {
         self.storm.push(DelayWindow {
             start,
             end: start + duration,

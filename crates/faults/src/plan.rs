@@ -141,7 +141,7 @@ impl FaultPlan {
 
     /// The RNG seed for event `id`'s private stream (splitmix64 finalizer
     /// over the master seed, so neighbouring ids decorrelate).
-    pub fn stream_seed(&self, id: u32) -> u64 {
+    pub(crate) fn stream_seed(&self, id: u32) -> u64 {
         let mut z = self
             .seed
             .wrapping_add(u64::from(id) + 1)
