@@ -123,19 +123,19 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
     for udp in [false, true] {
         curve.point(move || {
             let (client, server, dp) = tcp_udp_stacks(udp);
-            PointOutcome::new(0.0).with_metric("value", unloaded(client, server, dp))
+            PointOutcome::new(None).with_metric("value", unloaded(client, server, dp))
         });
     }
     let curve = sweep.curve("one_core_1kb_iops");
     for udp in [false, true] {
         curve.point(move || {
             let (client, server, dp) = tcp_udp_stacks(udp);
-            PointOutcome::new(0.0).with_metric("value", peak(client, server, dp))
+            PointOutcome::new(None).with_metric("value", peak(client, server, dp))
         });
     }
     let curve = sweep.curve("one_tenant_iops");
     for shards in [1u32, 2] {
-        curve.point(move || PointOutcome::new(0.0).with_metric("value", sharded(shards)));
+        curve.point(move || PointOutcome::new(None).with_metric("value", sharded(shards)));
     }
 }
 

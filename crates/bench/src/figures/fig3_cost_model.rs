@@ -111,7 +111,7 @@ fn write_device(
             for row in &p.rows {
                 writeln!(out, "{row}")?;
             }
-            if p.p95_us > 5_000.0 {
+            if p.p95_us.is_some_and(|p95| p95 > 5_000.0) {
                 break;
             }
         }
@@ -121,9 +121,11 @@ fn write_device(
             let sweep: Vec<reflex_qos::SweepPoint> = curve
                 .points
                 .iter()
-                .map(|p| reflex_qos::SweepPoint {
-                    iops: p.metric("iops").expect("iops metric"),
-                    p95_read_us: p.p95_us,
+                .filter_map(|p| {
+                    Some(reflex_qos::SweepPoint {
+                        iops: p.metric("iops")?,
+                        p95_read_us: p.p95_us?,
+                    })
                 })
                 .collect();
             if let Some(iops) = max_iops_at_latency(&sweep, 1_000.0) {

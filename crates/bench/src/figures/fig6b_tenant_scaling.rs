@@ -51,7 +51,7 @@ fn tenant_point(cores: u32, tenants: u32) -> PointOutcome {
         .iter()
         .map(|t| t.busy_fraction)
         .fold(0.0f64, f64::max);
-    PointOutcome::new(0.0)
+    PointOutcome::new(None)
         .with_row(format!(
             "{cores}\t{tenants}\t{:.0}\t{:.0}\t{busy:.2}",
             tenants as f64 * 100.0 / 1e3,

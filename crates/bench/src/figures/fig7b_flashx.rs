@@ -22,7 +22,7 @@ fn algo_point(algo: GraphAlgo) -> PointOutcome {
         let mut backend = Backend::new(profile, device_a(), 6, 91);
         runtimes.push(run_flashx(algo, &config, &mut backend, 17).as_secs_f64());
     }
-    PointOutcome::new(0.0)
+    PointOutcome::new(None)
         .with_row(format!(
             "{}\t{:.1}\t{:.1}\t{:.1}\t{:.3}\t{:.3}",
             algo.name(),

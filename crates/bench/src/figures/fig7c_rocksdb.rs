@@ -22,7 +22,7 @@ fn bench_point(bench: DbBenchmark) -> PointOutcome {
         let mut backend = Backend::new(profile, device_a(), 6, 101);
         runtimes.push(run_db_bench(bench, &config, &mut backend, 19).as_secs_f64());
     }
-    PointOutcome::new(0.0)
+    PointOutcome::new(None)
         .with_row(format!(
             "{}\t{:.1}\t{:.1}\t{:.1}\t{:.3}\t{:.3}",
             bench.name(),

@@ -31,13 +31,14 @@ use reflex_core::TestbedReport;
 
 /// One measured load point.
 ///
-/// Built by the point's job closure: `p95_us` drives the curve's
-/// early-exit cutoff, `rows` are the pre-rendered TSV lines the binary
+/// Built by the point's job closure: `p95_us`, when the point reports a
+/// latency, drives the curve's early-exit cutoff, `rows` are the pre-rendered TSV lines the binary
 /// prints for this point, and `metrics` land in `BENCH_<name>.json`.
 #[derive(Debug, Clone)]
 pub struct PointOutcome {
-    /// The cutoff metric, typically the worst p95 read latency in µs.
-    pub p95_us: f64,
+    /// The cutoff metric, typically the worst p95 read latency in µs;
+    /// `None` for a point that reports no latency, which never breaches.
+    pub p95_us: Option<f64>,
     /// Pre-rendered TSV rows (no trailing newline), printed in order.
     pub rows: Vec<String>,
     /// Named metrics for the JSON artifact, in insertion order.
@@ -89,10 +90,10 @@ impl From<&TestbedReport> for Execution {
 }
 
 impl PointOutcome {
-    /// A point whose cutoff metric is `p95_us`.
-    pub fn new(p95_us: f64) -> Self {
+    /// A point whose cutoff metric is `p95_us` (`None`: no latency).
+    pub fn new(p95_us: impl Into<Option<f64>>) -> Self {
         PointOutcome {
-            p95_us,
+            p95_us: p95_us.into(),
             rows: Vec::new(),
             metrics: Vec::new(),
             execution: Execution::default(),
@@ -121,6 +122,11 @@ impl PointOutcome {
     pub fn with_events(mut self, execution: impl Into<Execution>) -> Self {
         self.execution = execution.into();
         self
+    }
+
+    /// Whether the point's latency is past `cutoff`; one with none never is.
+    fn breaches(&self, cutoff: f64) -> bool {
+        self.p95_us.is_some_and(|p95| p95 > cutoff)
     }
 
     /// Looks up a metric by name.
@@ -264,7 +270,7 @@ impl Sweep {
                 let mut discarded = 0usize;
                 for job in jobs.by_ref().take(size) {
                     let breached = cutoff.is_some_and(|c| {
-                        points.last().is_some_and(|p: &PointOutcome| p.p95_us > c)
+                        points.last().is_some_and(|p: &PointOutcome| p.breaches(c))
                     });
                     if breached {
                         discarded += 1;
@@ -331,7 +337,7 @@ impl Sweep {
             let kept = match cutoff {
                 // Keep everything up to and including the first breach.
                 Some(c) => {
-                    let breach = all.iter().position(|p| p.p95_us > c);
+                    let breach = all.iter().position(|p| p.breaches(c));
                     breach.map_or(all.len(), |i| i + 1)
                 }
                 None => all.len(),
@@ -481,6 +487,13 @@ impl SweepResult {
     pub fn write_json(&self) -> std::io::Result<PathBuf> {
         let path = PathBuf::from(format!("BENCH_{}.json", self.name));
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        self.json_into(&mut f)?;
+        f.flush()?;
+        Ok(path)
+    }
+
+    /// Renders the `BENCH_<name>.json` document into `f`.
+    fn json_into(&self, f: &mut impl std::io::Write) -> std::io::Result<()> {
         writeln!(f, "{{")?;
         writeln!(f, "  \"bench\": {},", json_str(&self.name))?;
         writeln!(f, "  \"threads\": {},", self.threads)?;
@@ -536,7 +549,7 @@ impl SweepResult {
                 write!(
                     f,
                     "        {{\"p95_us\": {}, \"wall_secs\": {}",
-                    json_num(p.p95_us),
+                    p.p95_us.map_or_else(|| "null".to_string(), json_num),
                     json_num(p.wall.as_secs_f64())
                 )?;
                 let e = p.execution;
@@ -566,9 +579,7 @@ impl SweepResult {
             )?;
         }
         writeln!(f, "  ]")?;
-        writeln!(f, "}}")?;
-        f.flush()?;
-        Ok(path)
+        writeln!(f, "}}")
     }
 
     /// [`write_json`](Self::write_json), reporting failure on stderr
@@ -695,8 +706,8 @@ mod tests {
         let c = result.curve("curve0");
         assert_eq!(c.points.len(), 5);
         assert_eq!(c.discarded, 1);
-        assert!(c.points[4].p95_us > 500.0);
-        assert!(c.points[3].p95_us <= 500.0);
+        assert!(c.points[4].breaches(500.0));
+        assert!(!c.points[3].breaches(500.0));
         // Discarded points still count toward engine events (they ran).
         assert_eq!(result.engine_events, 3 * 6 * 100);
     }
@@ -719,8 +730,8 @@ mod tests {
         sweep.text("# title\ncols\n");
         for label in ["a", "b"] {
             let c = sweep.curve(label);
-            c.point(move || PointOutcome::new(0.0).with_row(format!("{label}1")));
-            c.point(move || PointOutcome::new(0.0).with_row(format!("{label}2")));
+            c.point(move || PointOutcome::new(None).with_row(format!("{label}1")));
+            c.point(move || PointOutcome::new(None).with_row(format!("{label}2")));
             sweep.text("\n");
         }
         sweep.text("# end\n");
@@ -728,6 +739,33 @@ mod tests {
         assert_eq!(result.tsv(), "# title\ncols\na1\na2\n\nb1\nb2\n\n# end\n");
         assert_eq!(result.name, "fig_smoke");
         assert!(result.smoke && result.faults().is_none());
+    }
+
+    #[test]
+    fn a_point_without_latency_never_breaches_and_writes_null() {
+        let build = || {
+            let mut sweep = Sweep::new("nolatency");
+            let c = sweep.curve("only");
+            c.cutoff_p95_us(500.0);
+            for p95 in [None, Some(100.0), None, Some(600.0), None] {
+                c.point(move || PointOutcome::new(p95).with_row("x"));
+            }
+            sweep
+        };
+        for threads in [1, 2] {
+            let result = build().run_with_threads(threads);
+            // The breach is the first point past 500 us: the `None` points
+            // before it are kept, the one after it discarded.
+            let only = result.curve("only");
+            let kept: Vec<Option<f64>> = only.points.iter().map(|p| p.p95_us).collect();
+            assert_eq!(kept, [None, Some(100.0), None, Some(600.0)]);
+            assert_eq!(only.discarded, 1);
+            let mut json = Vec::new();
+            result.json_into(&mut json).unwrap();
+            let json = String::from_utf8(json).unwrap();
+            assert_eq!(json.matches("{\"p95_us\": null,").count(), 2, "{json}");
+            assert_eq!(json.matches("{\"p95_us\": 100,").count(), 1, "{json}");
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 mod fanout;
 
+use fanout::FailoverCounts;
+
 use std::collections::HashMap;
 
 use reflex_dataplane::{AclEntry, WireMsg};
@@ -19,9 +21,7 @@ use reflex_net::{
     ConnId, Delivery, Fabric, LinkConfig, MachineId, Opcode, ReflexHeader, StackProfile,
 };
 use reflex_qos::{CostModel, TenantId};
-use reflex_sim::{
-    Ctx, Engine, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, WakeSlots, Zipf,
-};
+use reflex_sim::{Ctx, Engine, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, Zipf};
 use reflex_telemetry::{Stage, Telemetry, TelemetrySnapshot, TenantKey};
 
 use crate::capacity::CapacityProfile;
@@ -98,11 +98,12 @@ type CallFn<S> = Box<dyn FnOnce(&mut World<S>, &mut WorldCtx<S>) + Send>;
 /// request loop — including the retry/backoff path, which can become hot
 /// under adversarial overload — allocates nothing per event.
 pub enum WorldEvent<S: ServerHarness = ReflexServer> {
-    /// Wake the server thread whose wake slot is `i` (sites' threads are
-    /// numbered in one sequence) and run its dataplane pump loop.
-    PumpThread(usize),
-    /// Poll client machine `i` for delivered responses.
-    ClientPoll(usize),
+    /// A server thread's wake (sites' threads have one wake slot each, in
+    /// one sequence): run the pump loop of every thread that is due.
+    PumpThread,
+    /// A client machine's wake (one slot each, after the threads'): poll
+    /// every machine that is due for delivered responses.
+    ClientPoll,
     /// Response deadline for the request whose slab key packs to `cookie`.
     /// Generation checking makes a stale deadline (request already
     /// answered, slot reused) a no-op.
@@ -163,8 +164,8 @@ struct RetryRec {
 impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
     fn dispatch(self, world: &mut World<S>, ctx: &mut WorldCtx<S>) {
         match self {
-            WorldEvent::PumpThread(i) => world.pump_event(i, ctx),
-            WorldEvent::ClientPoll(i) => world.poll_clients(Some(i), ctx),
+            WorldEvent::PumpThread => world.pump_event(ctx),
+            WorldEvent::ClientPoll => world.poll_clients(ctx),
             WorldEvent::Timeout(cookie) => world.timeout_event(cookie, ctx),
             WorldEvent::OpenLoopGen(i) => world.open_loop_gen_event(i, ctx),
             WorldEvent::Control(interval) => world.control_event(interval, ctx),
@@ -224,11 +225,11 @@ pub struct World<S: ServerHarness = ReflexServer> {
     // so sustained timeouts stay allocation-free.
     retries_pending: Vec<RetryRec>,
     retry_scratch: Vec<RetryRec>,
-    // Pending wake per server thread, (site, thread) order / reactive
-    // client machine.
-    thread_wake: WakeSlots,
-    client_wake: WakeSlots,
-    // Poll counters; the wake counters are read off the slots at report.
+    // The engine's wake slots hold one pending wake per server thread, in
+    // (site, thread) order, then one per client machine from here on.
+    client_wake_base: usize,
+    // Wake and poll counters; the sleep counters are read off the servers
+    // at report.
     wakes: WakeStats,
     measure_start: Option<SimTime>,
     // Per wake slot, and per tenant over every site.
@@ -238,6 +239,7 @@ pub struct World<S: ServerHarness = ReflexServer> {
     gen_cursor: Vec<usize>,
     zipf: Vec<Option<Zipf>>,
     recoveries: Vec<TenantRecovery>,
+    failover: FailoverCounts,
     // Disabled by default: a single branch on the hot path. When enabled
     // (see [`Testbed::enable_telemetry`]) the same recorder is shared by
     // the devices, fabric, server threads and the client-side span/SLO
@@ -347,18 +349,24 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     fn ensure_thread_wake(&mut self, ctx: &mut WorldCtx<S>, slot: usize, at: SimTime) {
-        self.thread_wake
-            .arm(ctx, slot, at, WorldEvent::PumpThread(slot));
-    }
-
-    fn ensure_client_wake(&mut self, ctx: &mut WorldCtx<S>, client: usize) {
-        if let Some(at) = self.fabric.next_arrival(self.clients[client].machine) {
-            self.client_wake
-                .arm(ctx, client, at, WorldEvent::ClientPoll(client));
+        if let Some(replaced) = ctx.arm(slot, at, WorldEvent::PumpThread) {
+            self.wakes.thread_armed += 1;
+            self.wakes.thread_cancelled += u64::from(replaced);
         }
     }
 
-    fn pump_event(&mut self, fired: usize, ctx: &mut WorldCtx<S>) {
+    fn ensure_client_wake(&mut self, ctx: &mut WorldCtx<S>, client: usize) {
+        let Some(at) = self.fabric.next_arrival(self.clients[client].machine) else {
+            return;
+        };
+        if let Some(replaced) = ctx.arm(self.client_wake_base + client, at, WorldEvent::ClientPoll)
+        {
+            self.wakes.client_armed += 1;
+            self.wakes.client_cancelled += u64::from(replaced);
+        }
+    }
+
+    fn pump_event(&mut self, ctx: &mut WorldCtx<S>) {
         // Canonical same-instant order: one pump event services every
         // thread whose wake is due, in ascending (site, thread) order — a
         // thread sleeping through a round at this very instant included,
@@ -368,8 +376,9 @@ impl<S: ServerHarness + 'static> World<S> {
         for s in 0..self.sites.len() {
             let base = self.sites[s].wake_base;
             for t in 0..self.sites[s].server.max_threads() {
-                let due = self.thread_wake.take_due(ctx, base + t, base + t == fired);
-                if due || self.sites[s].server.round_wake(t, now) == Some(now) {
+                let due = ctx.take_due(base + t);
+                self.wakes.thread_cancelled += u64::from(due == Some(true));
+                if due.is_some() || self.sites[s].server.round_wake(t, now) == Some(now) {
                     self.pump_one(s, t, ctx);
                 }
             }
@@ -431,12 +440,13 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Same canonicalization as `pump_event`: one poll services every
-    /// client whose wake is due. `fired` is the client whose own wake is
-    /// the currently-dispatching event.
-    fn poll_clients(&mut self, fired: Option<usize>, ctx: &mut WorldCtx<S>) {
+    /// client whose wake is due, the dispatching one's included.
+    fn poll_clients(&mut self, ctx: &mut WorldCtx<S>) {
         let mut polls = 0;
         for c in 0..self.clients.len() {
-            polls += u64::from(self.client_wake.take_due(ctx, c, fired == Some(c)));
+            let due = ctx.take_due(self.client_wake_base + c);
+            polls += u64::from(due.is_some());
+            self.wakes.client_cancelled += u64::from(due == Some(true));
         }
         self.wakes.client_polls += polls;
         if self.absorb(ctx) == 0 {
@@ -469,7 +479,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// so the result is a pure function of the event timeline.
     fn retry_fire_event(&mut self, ctx: &mut WorldCtx<S>) {
         let now = ctx.now();
-        self.poll_clients(None, ctx);
+        self.poll_clients(ctx);
         let mut due = std::mem::take(&mut self.retry_scratch);
         let mut i = 0;
         while i < self.retries_pending.len() {
@@ -525,7 +535,7 @@ impl<S: ServerHarness + 'static> World<S> {
                     (c, at) = (i, head);
                 }
             }
-            if at > now || self.client_wake.is_armed(c) {
+            if at > now || ctx.is_armed(self.client_wake_base + c) {
                 break;
             }
             let ClientMachine {
@@ -783,7 +793,7 @@ impl<S: ServerHarness + 'static> World<S> {
         // poll wake and this event was inserted first — so drain the due
         // deliveries first, then decide whether the attempt is lost.
         if self.outstanding.get(PoolKey::from_u64(cookie)).is_some() {
-            self.poll_clients(None, ctx);
+            self.poll_clients(ctx);
         }
         let Some(req) = self.outstanding.take(PoolKey::from_u64(cookie)) else {
             return; // answered in time — nothing to do
@@ -917,19 +927,19 @@ impl TestbedReport {
 
 /// How much of the engine's work is wake churn: a wake is armed at an
 /// exact arrival, completion or scheduling instant, so a poll wake always
-/// finds its message, but a wake can still be superseded before it fires
-/// (a cancel). No count depends on how a window is cut into runs, except
+/// finds its message, but a wake can still be superseded before it fires.
+/// No count depends on how a window is cut into runs, except
 /// `settle_calls`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
-    /// `PumpThread` wakes scheduled.
+    /// `PumpThread` wakes armed.
     pub thread_armed: u64,
-    /// `PumpThread` wakes cancelled before dispatch: re-armed earlier, or
+    /// `PumpThread` wakes superseded before dispatch: re-armed earlier, or
     /// serviced by a sibling's pump at the same instant.
     pub thread_cancelled: u64,
-    /// `ClientPoll` wakes scheduled.
+    /// `ClientPoll` wakes armed.
     pub client_armed: u64,
-    /// `ClientPoll` wakes cancelled before dispatch.
+    /// `ClientPoll` wakes superseded before dispatch.
     pub client_cancelled: u64,
     /// Client wakes serviced: fired, or due when a sibling's wake, a retry
     /// or a timeout polled.
@@ -1163,7 +1173,6 @@ impl TestbedBuilder {
             ));
         }
         let gen_seed = rng.next_u64();
-        let n_clients = clients.len();
         let world = World {
             fabric,
             sites,
@@ -1179,8 +1188,7 @@ impl TestbedBuilder {
             head_scratch: Vec::new(),
             retries_pending: Vec::new(),
             retry_scratch: Vec::new(),
-            thread_wake: WakeSlots::new(n_threads),
-            client_wake: WakeSlots::new(n_clients),
+            client_wake_base: n_threads,
             wakes: WakeStats::default(),
             measure_start: None,
             busy_snapshot: Vec::new(),
@@ -1189,6 +1197,7 @@ impl TestbedBuilder {
             gen_cursor: Vec::new(),
             zipf: Vec::new(),
             recoveries: Vec::new(),
+            failover: FailoverCounts::default(),
             telemetry: Telemetry::disabled(),
         };
         let mut engine = Engine::with_events(world);
@@ -1209,7 +1218,7 @@ impl TestbedBuilder {
 
 /// Counters the components keep themselves (see
 /// [`Testbed::owned_counters`]).
-const OWNED_COUNTERS: usize = 14;
+const OWNED_COUNTERS: usize = 21;
 
 /// The assembled simulation. See the module documentation.
 pub struct Testbed<S: ServerHarness = ReflexServer> {
@@ -1498,10 +1507,6 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             recoveries: world.recoveries.clone(),
             engine_events: self.engine.dispatched(),
             wakes: WakeStats {
-                thread_armed: world.thread_wake.armed,
-                thread_cancelled: world.thread_wake.cancelled,
-                client_armed: world.client_wake.armed,
-                client_cancelled: world.client_wake.cancelled,
                 rounds_elided,
                 settle_calls,
                 ..world.wakes
@@ -1545,11 +1550,17 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 snap.counters.insert(name.to_owned(), now - before);
             }
         }
+        // A failover reports its migration and stranded totals, zeros too.
+        if snap.counters.contains_key("replication.failovers") {
+            for name in ["cluster.migrations_total", "cluster.stranded_total"] {
+                snap.counters.entry(name.to_owned()).or_insert(0);
+            }
+        }
         Some(snap)
     }
 
-    /// The counters the engine, the client world, the devices, the fabric
-    /// and the QoS schedulers keep, by their telemetry names.
+    /// The counters the engine, the client world, the devices, the fabric,
+    /// the QoS schedulers and failover keep, by their telemetry names.
     fn owned_counters(&self) -> [(&'static str, u64); OWNED_COUNTERS] {
         let world = self.engine.world();
         let devices = |f: fn(&FlashDevice) -> u64| world.sites.iter().map(|s| f(&s.device)).sum();
@@ -1558,6 +1569,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             std::array::from_fn(|i| sum[i] + counts[i])
         });
         let (dropped, duplicated) = world.fabric.fault_counts();
+        let failover = world.failover;
         [
             ("engine.events", self.engine.dispatched()),
             ("client.absorbed", world.wakes.client_absorbed),
@@ -1576,6 +1588,13 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             ("qos.lc_admitted", sched[1]),
             ("qos.be_admitted", sched[2]),
             ("qos.deficit_events", sched[3]),
+            ("replication.server_deaths", failover.server_deaths),
+            ("replication.failovers", failover.failovers),
+            ("replication.promotions", failover.promotions),
+            ("cluster.migrations_total", failover.migrations),
+            ("cluster.stranded_total", failover.stranded),
+            ("replication.replacements_refused", failover.refused),
+            ("replication.resyncs_done", failover.resyncs_done),
         ]
     }
 }

@@ -38,6 +38,22 @@ use crate::client::{Fan, MemberLink, OutstandingReq, ReplOp, WorkloadState};
 use crate::cluster::{PlacementError, ServerId};
 use crate::harness::ServerHarness;
 
+/// What deaths and failovers did, counted always; a telemetry snapshot
+/// reads them under their `replication.*` and `cluster.*` names.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct FailoverCounts {
+    pub(super) server_deaths: u64,
+    pub(super) failovers: u64,
+    pub(super) promotions: u64,
+    /// Replacements the planner chose, refused ones included.
+    pub(super) migrations: u64,
+    /// Sets no survivor had room for.
+    pub(super) stranded: u64,
+    /// Replacements their chosen site refused.
+    pub(super) refused: u64,
+    pub(super) resyncs_done: u64,
+}
+
 /// Upper bound on the replication factor: fan-out state on the client hot
 /// path lives in fixed `[_; MAX_REPLICAS]` arrays, never a heap `Vec`.
 pub const MAX_REPLICAS: usize = 8;
@@ -251,7 +267,7 @@ impl<S: ServerHarness + 'static> World<S> {
 
     pub(super) fn server_death_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
         self.sites[site].died_at = Some(ctx.now());
-        self.telemetry.count("replication.server_deaths", 1);
+        self.failover.server_deaths += 1;
         // The armed hooks do the damage: the site's NIC links went dark
         // (messages to/from it are black-holed at send time, so they are
         // never device-submitted) and its device aborts every queued and
@@ -313,7 +329,7 @@ impl<S: ServerHarness + 'static> World<S> {
             let next = (0..w.members.len()).find(|&s| s != slot);
             if let Some(next) = next.filter(|_| w.primary == slot) {
                 w.primary = next;
-                self.telemetry.count("replication.promotions", 1);
+                self.failover.promotions += 1;
             }
             let survivors: Vec<ServerId> = (w.members.iter())
                 .filter(|m| m.site != site)
@@ -362,10 +378,9 @@ impl<S: ServerHarness + 'static> World<S> {
                 new_site,
             });
         }
-        self.telemetry.count("replication.failovers", 1);
-        self.telemetry
-            .count("cluster.migrations_total", u64::from(placed));
-        self.telemetry.count("cluster.stranded_total", stranded);
+        self.failover.failovers += 1;
+        self.failover.migrations += u64::from(placed);
+        self.failover.stranded += stranded;
     }
 
     /// Admits workload `w_idx` on the site the planner chose for a vacated
@@ -381,7 +396,7 @@ impl<S: ServerHarness + 'static> World<S> {
                 resyncing: true,
             }),
             Err(_) => {
-                self.telemetry.count("replication.replacements_refused", 1);
+                self.failover.refused += 1;
                 None
             }
         }
@@ -391,7 +406,7 @@ impl<S: ServerHarness + 'static> World<S> {
         let w = &mut self.workloads[w_idx];
         if w.epoch == epoch && slot < w.members.len() {
             w.members[slot].resyncing = false;
-            self.telemetry.count("replication.resyncs_done", 1);
+            self.failover.resyncs_done += 1;
         }
     }
 }

@@ -966,6 +966,13 @@ impl DataplaneThread {
             }
         }
         let (op, addr, len) = (ctx.op, ctx.addr, ctx.len);
+        if len == 0 {
+            // A request for no bytes would never reach the device, and
+            // nothing else would answer it.
+            self.stats.decode_errors += 1;
+            self.respond(fabric, &ctx, false);
+            return;
+        }
         if !self.tenants.at(slot).acl.permits(op, addr, len) {
             self.stats.acl_rejections += 1;
             self.respond(fabric, &ctx, false);
@@ -1157,9 +1164,8 @@ impl DataplaneThread {
                 self.retry_submit.push_front(req);
             }
             Err(SubmitError::EmptyCommand) => {
-                // Nothing refuses a zero-length request before the device
-                // does: it is counted as a decode error and goes
-                // unanswered.
+                // `handle_rx` refuses zero-length requests before they are
+                // queued, so the device never sees one from here.
                 self.inflight.take(key);
                 self.stats.decode_errors += 1;
                 self.telemetry.note_failed(tenant);

@@ -462,6 +462,40 @@ fn barrier_with_nothing_outstanding_acks_immediately() {
     assert!(latency < 30.0, "idle barrier ack took {latency}us");
 }
 
+/// A request for no bytes is refused at once. Were it scheduled, the
+/// device would refuse it, nothing would answer it, and the tenant's
+/// in-flight count would hold every later barrier open.
+#[test]
+fn zero_length_read_and_a_barrier_behind_it_are_both_answered() {
+    let mut r = rig(lc_class(100_000));
+    let server = r.thread.machine();
+    for (opcode, cookie) in [(Opcode::Get, 1), (Opcode::Barrier, 2)] {
+        let req = ReflexHeader {
+            opcode,
+            tenant: 1,
+            cookie,
+            addr: 8192,
+            len: 0,
+        };
+        r.fabric.send(
+            SimTime::ZERO,
+            r.client,
+            server,
+            r.conn,
+            0,
+            req.encode_array(),
+        );
+    }
+    let responses = drive(&mut r, 2, SimTime::from_millis(5));
+    let answers: Vec<(u64, Opcode)> = responses
+        .iter()
+        .map(|(h, _)| (h.cookie, h.opcode))
+        .collect();
+    assert_eq!(answers, [(1, Opcode::Error), (2, Opcode::Response)]);
+    let st = r.thread.stats();
+    assert_eq!((st.submitted, st.decode_errors, st.barriers), (0, 1, 1));
+}
+
 #[test]
 fn double_barrier_is_rejected() {
     let mut r = rig(lc_class(100_000));

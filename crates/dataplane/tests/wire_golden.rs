@@ -250,7 +250,7 @@ fn transcript() -> String {
     rig.send(0, 0, c1, 0, header(Opcode::Get, 19, 16384, 4096));
     rig.run_until(us(700));
 
-    // The device fails some, and a request for no bytes goes unanswered.
+    // The device fails some, and a request for no bytes is refused.
     rig.send(0, 0, c1, 0, header(Opcode::Get, 20, MEDIA, 4096));
     rig.send(0, 0, c1, 4096, header(Opcode::Put, 21, MEDIA + 4096, 4096));
     rig.send(0, 0, c1, 0, header(Opcode::Get, 22, DEAD, 4096));

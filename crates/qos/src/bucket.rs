@@ -108,15 +108,7 @@ impl GlobalBucket {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    // Planted bug for the swarm's mutation check: hand
-                    // out one millitoken the bucket never held.
-                    #[cfg(feature = "mutation-hooks")]
-                    if crate::mutation::bucket_skim() {
-                        return Tokens::from_millitokens(grant + 1);
-                    }
-                    return Tokens::from_millitokens(grant);
-                }
+                Ok(_) => return Tokens::from_millitokens(grant),
                 Err(actual) => current = actual,
             }
         }

@@ -20,8 +20,6 @@
 mod bucket;
 mod calibrate;
 mod cost;
-#[cfg(feature = "mutation-hooks")]
-pub mod mutation;
 mod scheduler;
 mod slo;
 mod tokens;

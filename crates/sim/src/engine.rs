@@ -16,15 +16,18 @@
 //! * a **current** min-heap for events inside the cursor's ~1&micro;s tick
 //!   (this is where same-instant FIFO ordering is resolved),
 //! * a **near wheel** of [`WHEEL_SLOTS`] buckets, one per tick, covering the
-//!   next ~4ms — insert and cancel are O(1) here, and advancing the cursor
+//!   next ~4ms — insert is O(1) here, and advancing the cursor
 //!   is a bitmap scan,
 //! * a **far** min-heap for everything beyond the wheel horizon, re-homed
 //!   into the wheel in batches as the cursor advances.
 //!
 //! Events live inline in a slab with an intrusive free list, so steady-state
-//! scheduling reuses nodes and bucket capacity instead of allocating.
-//! [`EventHandle`]s are generation-checked indexes into that slab, which
-//! makes cancellation O(1) and ABA-safe. A world that wants an open-ended
+//! scheduling reuses nodes and bucket capacity instead of allocating. An
+//! event, once queued, runs: what a simulation replaces is a party's next
+//! poll, and that lives in a **wake slot** beside the wheel (one per
+//! party, indexed by the world). Arming a slot earlier rewrites it in
+//! place with a fresh sequence number, and [`Ctx::take_due`] clears it, so
+//! no dead event is left behind anywhere. A world that wants an open-ended
 //! cold event says so in its own enum, with a variant that boxes a closure.
 //!
 //! # Examples
@@ -91,43 +94,27 @@ fn tick_of(at: SimTime) -> u64 {
     at.as_nanos() >> TICK_SHIFT
 }
 
-/// A cancellable reference to a scheduled event.
-///
-/// Returned by the `*_handle` scheduling methods. Handles are
-/// generation-checked: once the event has run or been cancelled, the handle
-/// goes stale and further [`Ctx::cancel`] calls return
-/// `false`, even if the underlying slab slot has been reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventHandle {
-    index: u32,
-    gen: u32,
-}
-
-/// Where a live node's (time, seq, index) entry currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// In the `current` heap; cancellation is lazy (skipped on pop).
-    Current,
-    /// In a near-wheel bucket; cancellation eagerly removes the entry.
-    Wheel,
-    /// In the `far` heap; cancellation is lazy (skipped on pop/re-home).
-    Far,
-}
-
 /// Slab node holding one scheduled event.
 struct Node<E> {
     at: SimTime,
     seq: u64,
-    /// Bumped every time the node is freed; stale handles mismatch.
-    gen: u32,
-    loc: Loc,
-    /// `None` once dispatched or cancelled.
+    /// `None` while the node is on the free list.
     event: Option<E>,
     /// Free-list link, `NIL` while the node is live.
     next_free: u32,
 }
 
-/// The two-level timer-wheel event queue.
+/// A party's one pending wake, ordered like any event by `(at, seq)`.
+/// `event` is taken when the wake dispatches; the slot then stays armed at
+/// that instant until [`Ctx::take_due`] clears it, so the party cannot be
+/// re-armed while its own wake runs.
+struct Wake<E> {
+    at: SimTime,
+    seq: u64,
+    event: Option<E>,
+}
+
+/// The two-level timer-wheel event queue, plus the wake slots.
 ///
 /// Ordering invariants:
 /// * every event in `current` is earlier than every event in a wheel bucket
@@ -135,7 +122,8 @@ struct Node<E> {
 ///   `(base_tick, base_tick + WHEEL_SLOTS)`),
 /// * every event in the wheel is earlier than every event in `far`
 ///   (`far` only holds ticks `>= base_tick + WHEEL_SLOTS`; `advance_to`
-///   re-homes far events whenever `base_tick` moves forward).
+///   re-homes far events whenever `base_tick` moves forward),
+/// * `next_wake` is the earliest queued wake's (time, seq, slot).
 struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     free_head: u32,
@@ -143,7 +131,7 @@ struct EventQueue<E> {
     wheel: Vec<Vec<u32>>,
     /// One bit per slot: does the bucket contain any entry?
     occupancy: [u64; WHEEL_WORDS],
-    /// Live entries currently stored in wheel buckets.
+    /// Entries currently stored in wheel buckets.
     wheel_count: usize,
     /// Tick the wheel cursor is parked on.
     base_tick: u64,
@@ -151,19 +139,23 @@ struct EventQueue<E> {
     current: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// Events beyond the wheel horizon, ordered by (time, seq).
     far: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Live (scheduled, not yet dispatched or cancelled) events.
+    /// Events in the slab (wakes not included).
     len: usize,
     /// Monotonic tie-break so same-instant events run in schedule order.
     seq: u64,
+    /// Wake slots, indexed by the world; grown on first arm.
+    wakes: Vec<Option<Wake<E>>>,
+    /// The earliest queued wake's (time, seq, slot), if any is queued.
+    next_wake: Option<(SimTime, u64, usize)>,
 }
 
 /// Outcome of asking the queue for its next event.
 enum Pop<E> {
-    /// The earliest live event, removed from the queue.
+    /// The earliest event, removed from the queue.
     Event { at: SimTime, event: E },
-    /// The earliest live event is after the deadline; nothing was removed.
+    /// The earliest event is after the deadline; nothing was removed.
     Deadline,
-    /// No live events at all.
+    /// No events at all.
     Empty,
 }
 
@@ -183,7 +175,14 @@ impl<E> EventQueue<E> {
             far: BinaryHeap::new(),
             len: 0,
             seq: 0,
+            wakes: Vec::new(),
+            next_wake: None,
         }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
     }
 
     fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
@@ -201,8 +200,6 @@ impl<E> EventQueue<E> {
             self.nodes.push(Node {
                 at,
                 seq,
-                gen: 0,
-                loc: Loc::Current,
                 event: Some(event),
                 next_free: NIL,
             });
@@ -210,82 +207,95 @@ impl<E> EventQueue<E> {
         }
     }
 
-    fn free(&mut self, idx: u32) {
+    /// Takes node `idx`'s event and puts the node on the free list.
+    fn take(&mut self, idx: u32) -> Option<E> {
         let node = &mut self.nodes[idx as usize];
-        node.gen = node.gen.wrapping_add(1);
-        node.event = None;
         node.next_free = self.free_head;
         self.free_head = idx;
+        self.len -= 1;
+        node.event.take()
     }
 
     /// Files a live node into current/wheel/far based on its tick.
     fn place(&mut self, idx: u32) {
-        let (at, seq) = {
-            let node = &self.nodes[idx as usize];
-            (node.at, node.seq)
-        };
+        let Node { at, seq, .. } = self.nodes[idx as usize];
         let tick = tick_of(at);
         if tick <= self.base_tick {
-            self.nodes[idx as usize].loc = Loc::Current;
             self.current.push(Reverse((at, seq, idx)));
         } else if tick - self.base_tick < WHEEL_SLOTS as u64 {
             let slot = (tick as usize) & (WHEEL_SLOTS - 1);
-            self.nodes[idx as usize].loc = Loc::Wheel;
             self.wheel[slot].push(idx);
             self.occupancy[slot >> 6] |= 1 << (slot & 63);
             self.wheel_count += 1;
         } else {
-            self.nodes[idx as usize].loc = Loc::Far;
             self.far.push(Reverse((at, seq, idx)));
         }
     }
 
     /// Queues `event` at `at`, which must not be before `now`.
-    fn insert(&mut self, now: SimTime, at: SimTime, event: E) -> EventHandle {
+    fn insert(&mut self, now: SimTime, at: SimTime, event: E) {
         assert!(at >= now, "cannot schedule into the past ({at} < {now})");
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.next_seq();
         let idx = self.alloc(at, seq, event);
         self.place(idx);
         self.len += 1;
-        EventHandle {
-            index: idx,
-            gen: self.nodes[idx as usize].gen,
-        }
     }
 
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        let Some(node) = self.nodes.get_mut(handle.index as usize) else {
-            return false;
+    /// Arms wake slot `i` at `at` (no earlier than `now`). A wake already
+    /// armed at or before `at` makes this a no-op (`None`); otherwise the
+    /// slot is rewritten with a fresh seq, and `Some(replaced)` says
+    /// whether a queued wake was superseded.
+    fn arm(&mut self, now: SimTime, i: usize, at: SimTime, event: E) -> Option<bool> {
+        let at = at.max(now);
+        if i >= self.wakes.len() {
+            self.wakes.resize_with(i + 1, || None);
+        }
+        let replaced = match &self.wakes[i] {
+            Some(pending) if at >= pending.at => return None,
+            pending => pending.is_some(),
         };
-        if node.gen != handle.gen || node.event.is_none() {
-            return false;
+        let seq = self.next_seq();
+        self.wakes[i] = Some(Wake {
+            at,
+            seq,
+            event: Some(event),
+        });
+        if self.next_wake.is_none_or(|next| next > (at, seq, i)) {
+            self.next_wake = Some((at, seq, i));
         }
-        node.event = None;
-        self.len -= 1;
-        if node.loc == Loc::Wheel {
-            // Wheel entries are removed eagerly so wheel_count and the
-            // occupancy bitmap stay exact; heap entries are skipped lazily.
-            let slot = (tick_of(node.at) as usize) & (WHEEL_SLOTS - 1);
-            let bucket = &mut self.wheel[slot];
-            let pos = bucket
-                .iter()
-                .position(|&i| i == handle.index)
-                .expect("wheel node missing from its bucket");
-            bucket.swap_remove(pos);
-            if bucket.is_empty() {
-                self.occupancy[slot >> 6] &= !(1 << (slot & 63));
-            }
-            self.wheel_count -= 1;
-            self.free(handle.index);
+        Some(replaced)
+    }
+
+    /// Clears slot `i` if it is armed at or before `now`: `Some(true)` if
+    /// its wake was still queued, `Some(false)` if it is the one
+    /// dispatching, `None` if it was not due.
+    fn take_due(&mut self, now: SimTime, i: usize) -> Option<bool> {
+        let slot = self.wakes.get_mut(i)?;
+        let wake = slot.take_if(|w| w.at <= now)?;
+        let queued = wake.event.is_some();
+        if self.next_wake.is_some_and(|(.., next)| next == i) {
+            self.refresh_next_wake();
         }
-        true
+        Some(queued)
+    }
+
+    /// Finds the earliest queued wake: a scan, as a world has a handful of
+    /// parties and a dispatch or take of the earliest is all that moves it.
+    fn refresh_next_wake(&mut self) {
+        self.next_wake = (self.wakes.iter().enumerate())
+            .filter_map(|(i, w)| {
+                w.as_ref()
+                    .filter(|w| w.event.is_some())
+                    .map(|w| (w.at, w.seq, i))
+            })
+            .min();
     }
 
     /// First occupied wheel slot at or after the cursor, with its tick.
-    ///
-    /// Caller must ensure `wheel_count > 0`.
-    fn next_occupied_slot(&self) -> (usize, u64) {
+    fn next_occupied_slot(&self) -> Option<(usize, u64)> {
+        if self.wheel_count == 0 {
+            return None;
+        }
         let start = (self.base_tick as usize) & (WHEEL_SLOTS - 1);
         let start_word = start >> 6;
         let start_bit = start & 63;
@@ -300,10 +310,10 @@ impl<E> EventQueue<E> {
             if word != 0 {
                 let slot = (word_idx << 6) + word.trailing_zeros() as usize;
                 let dist = (slot + WHEEL_SLOTS - start) & (WHEEL_SLOTS - 1);
-                return (slot, self.base_tick + dist as u64);
+                return Some((slot, self.base_tick + dist as u64));
             }
         }
-        unreachable!("next_occupied_slot called on an empty wheel");
+        None
     }
 
     /// Moves the cursor to `tick`, draining that tick's bucket into
@@ -314,8 +324,7 @@ impl<E> EventQueue<E> {
         self.occupancy[slot >> 6] &= !(1 << (slot & 63));
         self.wheel_count -= bucket.len();
         for idx in bucket.drain(..) {
-            let node = &mut self.nodes[idx as usize];
-            node.loc = Loc::Current;
+            let node = &self.nodes[idx as usize];
             self.current.push(Reverse((node.at, node.seq, idx)));
         }
         // Hand the (empty, but with retained capacity) Vec back to the slot.
@@ -335,70 +344,68 @@ impl<E> EventQueue<E> {
                 break;
             }
             self.far.pop();
-            if self.nodes[idx as usize].event.is_none() {
-                self.free(idx);
-            } else {
-                self.place(idx);
-            }
+            self.place(idx);
         }
     }
 
-    /// Removes and returns the earliest live event at or before the
-    /// deadline.
+    /// Removes and returns the earliest event at or before the deadline:
+    /// the head of current/wheel/far or the earliest queued wake, whichever
+    /// is earlier by (time, seq).
     fn pop_next(&mut self, deadline: SimTime) -> Pop<E> {
-        let beyond = |at: SimTime| at > deadline;
+        let wake = self.next_wake.map(|(at, seq, _)| (at, seq));
         loop {
             // 1. Drain the current-tick heap first: everything in it is
             //    earlier than anything in the wheel or far heap.
-            if let Some(&Reverse((at, _, idx))) = self.current.peek() {
-                if self.nodes[idx as usize].event.is_none() {
-                    self.current.pop();
-                    self.free(idx);
-                    continue;
+            if let Some(&Reverse((at, seq, idx))) = self.current.peek() {
+                if wake.is_some_and(|w| w < (at, seq)) {
+                    break;
                 }
-                if beyond(at) {
+                if at > deadline {
                     return Pop::Deadline;
                 }
                 self.current.pop();
-                let event = self.nodes[idx as usize]
-                    .event
-                    .take()
-                    .expect("live node lost its event");
-                self.len -= 1;
-                self.free(idx);
+                let event = self.take(idx).expect("queued node lost its event");
                 return Pop::Event { at, event };
             }
             // 2. Advance the cursor to the next occupied wheel slot and spill
-            //    that bucket into `current`.
-            if self.wheel_count > 0 {
-                let (slot, tick) = self.next_occupied_slot();
-                // A slot starting beyond the deadline holds only events
-                // beyond it (every event in a slot is at or after the
-                // slot's first nanosecond); don't advance into it.
-                if beyond(SimTime::from_nanos(tick << TICK_SHIFT)) {
-                    return Pop::Deadline;
-                }
-                self.advance_to(tick, slot);
-                continue;
-            }
-            // 3. Wheel empty: jump the cursor to the far heap's earliest tick.
-            while let Some(&Reverse((at, _, idx))) = self.far.peek() {
-                if self.nodes[idx as usize].event.is_none() {
-                    self.far.pop();
-                    self.free(idx);
-                    continue;
-                }
-                if beyond(at) {
-                    return Pop::Deadline;
-                }
-                self.base_tick = tick_of(at);
-                self.rehome_far();
+            //    that bucket into `current`; with the wheel empty, jump it
+            //    to the far heap's earliest tick.
+            let (tick, slot) = if let Some((slot, tick)) = self.next_occupied_slot() {
+                (tick, Some(slot))
+            } else if let Some(&Reverse((at, ..))) = self.far.peek() {
+                (tick_of(at), None)
+            } else {
+                break;
+            };
+            // Every event of a tick is at or after its first nanosecond: a
+            // wake before it comes first, and a tick starting beyond the
+            // deadline holds nothing due.
+            let start = SimTime::from_nanos(tick << TICK_SHIFT);
+            if wake.is_some_and(|(at, _)| at < start) {
                 break;
             }
-            if self.current.is_empty() && self.wheel_count == 0 && self.far.is_empty() {
-                return Pop::Empty;
+            if start > deadline {
+                return Pop::Deadline;
+            }
+            match slot {
+                Some(slot) => self.advance_to(tick, slot),
+                None => {
+                    self.base_tick = tick;
+                    self.rehome_far();
+                }
             }
         }
+        let Some((at, _, i)) = self.next_wake else {
+            return Pop::Empty;
+        };
+        if at > deadline {
+            return Pop::Deadline;
+        }
+        let event = (self.wakes[i].as_mut())
+            .and_then(|wake| wake.event.take())
+            .expect("next_wake names a queued wake");
+        self.refresh_next_wake();
+        Pop::Event { at, event }
     }
 }
 
@@ -435,93 +442,36 @@ impl<W, E> Ctx<'_, W, E> {
     ///
     /// Panics if `at` is before the current instant.
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
-        self.schedule_event_at_handle(at, event);
+        self.queue.insert(self.now, at, event);
     }
 
     /// Schedules `event` to run `delay` after the current instant.
     pub fn schedule_event_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule_event_at_handle(self.now + delay, event);
+        self.queue.insert(self.now, self.now + delay, event);
     }
 
-    /// Schedules `event` at `at`, returning a cancellable handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current instant.
-    pub(crate) fn schedule_event_at_handle(&mut self, at: SimTime, event: E) -> EventHandle {
-        self.queue.insert(self.now, at, event)
+    /// Arms wake slot `slot` (one per pollable party: a server thread, a
+    /// client machine) with `event` at `at`, or now if `at` has passed. A
+    /// wake already armed at or before that instant makes this a no-op
+    /// (`None`); a later one is rewritten in place, ordered as if
+    /// scheduled now, and `Some(replaced)` says whether one was queued.
+    pub fn arm(&mut self, slot: usize, at: SimTime, event: E) -> Option<bool> {
+        self.queue.arm(self.now, slot, at, event)
     }
 
-    /// Schedules `event` after `delay`, returning a cancellable handle.
-    pub fn schedule_event_after_handle(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        self.schedule_event_at_handle(self.now + delay, event)
+    /// Clears `slot` if its wake is due, which services it now: `None` if
+    /// it is not armed at or before now, `Some(true)` if its wake was still
+    /// queued (a sibling services it), `Some(false)` if its wake is the
+    /// event dispatching. Callers walk the slots ascending, so the service
+    /// order at an instant depends only on the due set.
+    pub fn take_due(&mut self, slot: usize) -> Option<bool> {
+        self.queue.take_due(self.now, slot)
     }
 
-    /// Cancels a scheduled event.
-    ///
-    /// Returns `true` if the event was still pending and is now cancelled;
-    /// `false` if it already ran, was already cancelled, or the handle is
-    /// stale.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
-    }
-}
-
-/// One wake slot per pollable party (a server thread, a client machine): each
-/// has at most one wake event queued, so re-arming leaves no dead event behind.
-#[derive(Debug, Clone)]
-pub struct WakeSlots {
-    slots: Vec<Option<(SimTime, EventHandle)>>,
-    /// Wakes scheduled so far.
-    pub armed: u64,
-    /// Wakes cancelled before dispatch: re-armed earlier, or serviced by a sibling's wake.
-    pub cancelled: u64,
-}
-
-impl WakeSlots {
-    /// `n` unarmed slots.
-    pub fn new(n: usize) -> Self {
-        WakeSlots {
-            slots: vec![None; n],
-            armed: 0,
-            cancelled: 0,
-        }
-    }
-
-    /// Whether slot `i` has a wake queued.
-    pub fn is_armed(&self, i: usize) -> bool {
-        self.slots[i].is_some()
-    }
-
-    /// Arms slot `i` with `event` at `at` (no earlier than now). An
-    /// earlier-or-equal armed wake makes this a no-op; a later one is
-    /// cancelled and replaced.
-    pub fn arm<W, E>(&mut self, ctx: &mut Ctx<'_, W, E>, i: usize, at: SimTime, event: E) {
-        let at = at.max(ctx.now());
-        if self.slots[i].is_some_and(|(pending, _)| at >= pending) {
-            return;
-        }
-        let handle = ctx.schedule_event_at_handle(at, event);
-        self.armed += 1;
-        if let Some((_, stale)) = self.slots[i].replace((at, handle)) {
-            ctx.cancel(stale);
-            self.cancelled += 1;
-        }
-    }
-
-    /// Whether slot `i` is serviced now, which leaves it unarmed: it is
-    /// `fired`, whose wake is dispatching (its handle is spent), or its wake
-    /// is due and gets cancelled. Callers walk the slots ascending, so the
-    /// service order at an instant depends only on the due set.
-    pub fn take_due<W, E>(&mut self, ctx: &mut Ctx<'_, W, E>, i: usize, fired: bool) -> bool {
-        let due = fired || self.slots[i].is_some_and(|(at, _)| at <= ctx.now());
-        if due {
-            if let Some((_, stale)) = self.slots[i].take().filter(|_| !fired) {
-                ctx.cancel(stale);
-                self.cancelled += 1;
-            }
-        }
-        due
+    /// Whether `slot` has a wake armed (its own dispatch included, until
+    /// [`take_due`](Self::take_due)).
+    pub fn is_armed(&self, slot: usize) -> bool {
+        self.queue.wakes.get(slot).is_some_and(Option::is_some)
     }
 }
 
@@ -603,16 +553,7 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
     ///
     /// Panics if `at` is before the current instant.
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
-        self.schedule_event_at_handle(at, event);
-    }
-
-    /// Schedules `event` at `at`, returning a cancellable handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current instant.
-    pub fn schedule_event_at_handle(&mut self, at: SimTime, event: E) -> EventHandle {
-        self.queue.insert(self.now, at, event)
+        self.queue.insert(self.now, at, event);
     }
 
     /// Runs `f` with the world and a scheduling context at the current
@@ -694,10 +635,8 @@ mod tests {
         Then(u32, u32),
         /// Then schedules `Push(next)` after `delay`.
         Later(u32, SimDuration, u32),
-        /// Then cancels the handle, which must still be pending.
-        Cancel(u32, EventHandle),
     }
-    use TestEvent::{Cancel, Chain, Later, Push, Then};
+    use TestEvent::{Chain, Later, Push, Then};
 
     impl TypedEvent<Vec<u32>> for TestEvent {
         fn dispatch(self, world: &mut Vec<u32>, ctx: &mut Ctx<'_, Vec<u32>, Self>) {
@@ -717,10 +656,6 @@ mod tests {
                 Later(v, delay, next) => {
                     world.push(v);
                     ctx.schedule_event_after(delay, Push(next));
-                }
-                Cancel(v, victim) => {
-                    world.push(v);
-                    assert!(ctx.cancel(victim));
                 }
             }
         }
@@ -868,48 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_do_not_run() {
-        let mut e = engine();
-        let near = e.schedule_event_at_handle(SimTime::from_micros(10), Push(1));
-        let far = e.schedule_event_at_handle(SimTime::from_millis(50), Push(2));
-        e.schedule_event_at(SimTime::from_micros(20), Push(3));
-        assert_eq!(e.queue.len, 3);
-        assert!(e.queue.cancel(near));
-        assert!(e.queue.cancel(far));
-        assert!(!e.queue.cancel(near), "double-cancel must report false");
-        assert_eq!(e.queue.len, 1);
-        e.run_until(SimTime::from_millis(100));
-        assert_eq!(e.world(), &[3]);
-    }
-
-    #[test]
-    fn cancel_from_within_a_handler() {
-        let mut e = engine();
-        let victim = e.schedule_event_at_handle(SimTime::from_micros(10), Push(9));
-        e.schedule_event_at(SimTime::from_micros(5), Cancel(1, victim));
-        e.run_until(SimTime::from_micros(100));
-        assert_eq!(e.world(), &[1]);
-    }
-
-    #[test]
-    fn handles_go_stale_after_dispatch() {
-        let mut e = engine();
-        let h = e.schedule_event_at_handle(SimTime::from_micros(1), Push(1));
-        e.run_until(SimTime::from_micros(2));
-        assert_eq!(e.world(), &[1]);
-        assert!(
-            !e.queue.cancel(h),
-            "handle to a dispatched event must be stale"
-        );
-        // Slab slot reuse must not resurrect the stale handle.
-        let h2 = e.schedule_event_at_handle(SimTime::from_micros(5), Push(10));
-        assert!(!e.queue.cancel(h));
-        assert!(e.queue.cancel(h2));
-        e.run_until(SimTime::from_micros(10));
-        assert_eq!(e.world(), &[1]);
-    }
-
-    #[test]
     fn different_variants_interleave_in_fifo_order() {
         let mut e = engine();
         let t = SimTime::from_micros(5);
@@ -927,17 +820,6 @@ mod tests {
         e.run_until(SimTime::from_micros(10));
         assert_eq!(e.world(), &[7, 107]);
         assert_eq!(e.dispatched(), 2);
-    }
-
-    #[test]
-    fn typed_events_are_cancellable() {
-        let mut e = engine();
-        let h = e.schedule_event_at_handle(SimTime::from_micros(5), Push(1));
-        e.schedule_event_at(SimTime::from_micros(6), Push(2));
-        assert!(e.queue.cancel(h));
-        assert!(!e.queue.cancel(h));
-        e.run_until(SimTime::from_micros(10));
-        assert_eq!(e.world(), &[2]);
     }
 
     #[test]
@@ -963,49 +845,28 @@ mod tests {
     }
 
     #[test]
-    fn slab_reuses_nodes_across_cancel_churn() {
-        // A near (wheel, eagerly freed) and a far (heap, lazily freed) event
-        // are scheduled and cancelled every round; the slab must stay at the
-        // high-water mark of pending events.
-        let mut e = engine();
-        for round in 0..1_000u32 {
-            let now = e.now();
-            let near = e.schedule_event_at_handle(now + SimDuration::from_micros(50), Push(0));
-            let far = e.schedule_event_at_handle(now + SimDuration::from_millis(50), Push(0));
-            e.schedule_event_at(
-                now + SimDuration::from_nanos(u64::from(round % 97 + 1)),
-                Push(1),
-            );
-            assert!(e.queue.cancel(near) && e.queue.cancel(far));
-            e.run_to_completion();
-        }
-        assert_eq!(e.world().len(), 1_000);
-        assert!(
-            e.queue.nodes.len() <= 4,
-            "slab grew to {} nodes despite bounded churn",
-            e.queue.nodes.len()
-        );
-    }
-
-    #[test]
     fn wake_slots_keep_one_wake_each_and_service_the_due_set() {
         struct World {
-            wakes: WakeSlots,
             serviced: Vec<(SimTime, usize)>,
+            tallies: [u32; 3],
         }
         #[derive(Clone, Copy)]
         enum Ev {
             Arm(usize, SimTime),
-            Wake(usize),
+            Wake,
         }
         impl TypedEvent<World> for Ev {
             fn dispatch(self, w: &mut World, ctx: &mut Ctx<'_, World, Self>) {
                 match self {
-                    Ev::Arm(i, at) => w.wakes.arm(ctx, i, at, Ev::Wake(i)),
-                    Ev::Wake(fired) => {
-                        for i in 0..w.wakes.slots.len() {
-                            if w.wakes.take_due(ctx, i, i == fired) {
+                    Ev::Arm(i, at) => match ctx.arm(i, at, Ev::Wake) {
+                        None => w.tallies[0] += 1,
+                        Some(replaced) => w.tallies[1 + usize::from(replaced)] += 1,
+                    },
+                    Ev::Wake => {
+                        for i in 0..3 {
+                            if let Some(queued) = ctx.take_due(i) {
                                 w.serviced.push((ctx.now(), i));
+                                w.tallies[2] += u32::from(queued);
                             }
                         }
                     }
@@ -1014,20 +875,61 @@ mod tests {
         }
         let us = SimTime::from_micros;
         let mut e = Engine::with_events(World {
-            wakes: WakeSlots::new(3),
             serviced: Vec::new(),
+            tallies: [0; 3],
         });
         // Slot 0: armed at 10, a later request is a no-op, an earlier one
-        // replaces it. Slot 1 shares slot 0's instant; slot 2 is on its own.
+        // rewrites it. Slot 1 shares slot 0's instant; slot 2 is on its own.
         for (i, at) in [(0, 10), (0, 20), (0, 5), (1, 5), (2, 7)] {
             e.schedule_event_at(SimTime::ZERO, Ev::Arm(i, us(at)));
         }
         e.run_to_completion();
-        // Slot 0's wake services slot 1 too and cancels its queued event.
+        // Slot 0's wake services slot 1 too, whose queued wake goes with it.
         assert_eq!(e.world().serviced, [(us(5), 0), (us(5), 1), (us(7), 2)]);
-        assert_eq!(e.world().wakes.armed, 4);
-        assert_eq!(e.world().wakes.cancelled, 2);
-        assert!((0..3).all(|i| !e.world().wakes.is_armed(i)), "all serviced");
+        // One no-op; four armed, one of them replacing; two superseded.
+        assert_eq!(e.world().tallies, [1, 3, 1 + 1]);
+        assert!(e.queue.wakes.iter().all(Option::is_none), "all serviced");
         assert_eq!(e.dispatched(), 5 + 2);
+    }
+
+    #[test]
+    fn a_wake_runs_in_its_seq_turn_among_same_instant_events() {
+        #[derive(Clone, Copy)]
+        enum Ev {
+            Push(u32),
+            Arm(SimTime),
+            Wake,
+        }
+        impl TypedEvent<Vec<u32>> for Ev {
+            fn dispatch(self, log: &mut Vec<u32>, ctx: &mut Ctx<'_, Vec<u32>, Self>) {
+                match self {
+                    Ev::Push(v) => log.push(v),
+                    Ev::Arm(at) => {
+                        ctx.arm(0, at, Ev::Wake);
+                    }
+                    Ev::Wake => {
+                        // Its own slot stays armed until taken: no re-arm.
+                        assert_eq!(ctx.arm(0, ctx.now(), Ev::Wake), None);
+                        assert_eq!(ctx.take_due(0), Some(false));
+                        log.push(99);
+                    }
+                }
+            }
+        }
+        let mut e: Engine<Vec<u32>, Ev> = Engine::with_events(Vec::new());
+        let (t, far) = (SimTime::from_micros(5), SimTime::from_millis(50));
+        let arm = |e: &mut Engine<_, _>, at| e.with_ctx(|_, ctx| ctx.arm(0, at, Ev::Wake));
+        e.schedule_event_at(t, Ev::Push(1));
+        assert_eq!(arm(&mut e, far), Some(false));
+        e.schedule_event_at(t, Ev::Push(2));
+        // Re-armed earlier, beyond the wheel and then at `t` from an event
+        // at 1us: the wake takes the seq of its last arm, after every push
+        // (its first arm's seq sat between Push(1) and Push(2)).
+        assert_eq!(arm(&mut e, far - SimDuration::from_millis(1)), Some(true));
+        e.schedule_event_at(SimTime::from_micros(1), Ev::Arm(t));
+        e.schedule_event_at(t, Ev::Push(3));
+        e.run_until(SimTime::from_millis(100));
+        assert_eq!(e.world(), &[1, 2, 3, 99]);
+        assert_eq!(e.queue.next_wake, None);
     }
 }

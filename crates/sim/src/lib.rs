@@ -67,7 +67,7 @@ mod time;
 mod ziggurat;
 
 pub use dense::{DenseId, DenseTable};
-pub use engine::{Ctx, Engine, EventHandle, Step, TypedEvent, WakeSlots};
+pub use engine::{Ctx, Engine, Step, TypedEvent};
 pub use hist::Histogram;
 pub use rng::{SimRng, Zipf};
 pub use series::{RatePoint, RateSeries};

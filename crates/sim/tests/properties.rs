@@ -149,45 +149,46 @@ proptest! {
         prop_assert!((back - us).abs() <= 0.001, "{us} -> {back}");
     }
 
-    /// The timer-wheel queue dispatches exactly like a sorted reference
-    /// model under random schedules spanning the near wheel and the far
-    /// heap, including chained events and mid-run cancellations.
+    /// The timer-wheel queue and its wake slots dispatch exactly like a
+    /// sorted reference under random interleavings of schedules, arms,
+    /// re-arms, takes and steps: same-instant ties, delays inside the
+    /// wheel and beyond its horizon, events scheduled and wakes taken from
+    /// inside handlers, and wakes left armed while they dispatch.
     #[test]
-    fn timer_wheel_matches_reference_heap(times in prop::collection::vec(0u64..20_000_000, 1..150)) {
-        let times = std::sync::Arc::new(times);
-
-        // Drive the real engine. Handlers follow fixed rules keyed on the
-        // event id so the reference model can replay them exactly:
-        // id % 3 == 0 chains a follow-up, id % 5 == 0 cancels a target
-        // picked from every handle created so far.
-        let mut engine = Engine::with_events(WheelWorld::default());
-        for (i, &t) in times.iter().enumerate() {
-            let h = engine.schedule_event_at_handle(SimTime::from_nanos(t), wheel_handler(i as u64, times.clone()));
-            engine.world_mut().handles.push(h);
-            engine.world_mut().next_id += 1;
+    fn engine_matches_sorted_reference_with_slots(
+        ops in prop::collection::vec((0u8..5, delay(), 0usize..SLOTS), 1..250),
+    ) {
+        let mut engine = Engine::with_events(SlotWorld::default());
+        let mut model = SlotModel::default();
+        for &(op, d, slot) in &ops {
+            match op {
+                0 => {
+                    let id = engine.world().next_id;
+                    engine.world_mut().next_id += 1;
+                    let at = engine.now() + SimDuration::from_nanos(d);
+                    engine.schedule_event_at(at, SlotEv::Plain(id));
+                    model.schedule(at.as_nanos(), id);
+                }
+                1 | 2 => {
+                    let at = engine.now() + SimDuration::from_nanos(d);
+                    let got = engine.with_ctx(|_, ctx| ctx.arm(slot, at, SlotEv::Wake(slot)));
+                    prop_assert_eq!(got, model.arm(slot, at.as_nanos()), "arm {} at {}", slot, at);
+                }
+                3 => {
+                    let got = engine.with_ctx(|_, ctx| ctx.take_due(slot));
+                    prop_assert_eq!(got, model.take_due(slot), "take {}", slot);
+                }
+                _ => {
+                    engine.step();
+                    model.step();
+                }
+            }
+            prop_assert_eq!(engine.now().as_nanos(), model.now);
         }
         engine.run_to_completion();
-
-        // Replay the same rules against a sort-based reference queue.
-        let mut model = RefModel::default();
-        for &t in times.iter() {
-            model.schedule(t);
-        }
-        while let Some((at, id)) = model.pop() {
-            model.log.push(id);
-            if id % 3 == 0 {
-                let d = times[id as usize % times.len()] % 10_000_000;
-                model.schedule(at + d);
-            }
-            if id % 5 == 0 && !model.handles.is_empty() {
-                let target = model.handles[id as usize * 7 % model.handles.len()];
-                let ok = model.cancel(target);
-                model.cancel_results.push(ok);
-            }
-        }
-
+        model.run_to_completion();
         prop_assert_eq!(&engine.world().log, &model.log);
-        prop_assert_eq!(&engine.world().cancel_results, &model.cancel_results);
+        prop_assert_eq!(engine.dispatched(), model.log.len() as u64);
     }
 
     /// Histogram merge is commutative: a∪b and b∪a are the same
@@ -303,75 +304,135 @@ proptest! {
     }
 }
 
-/// World for [`timer_wheel_matches_reference_heap`]'s engine side.
-#[derive(Default)]
-struct WheelWorld {
-    log: Vec<u64>,
-    cancel_results: Vec<bool>,
-    handles: Vec<reflex_sim::EventHandle>,
-    next_id: u64,
-}
+/// Wake slots in [`engine_matches_sorted_reference_with_slots`].
+const SLOTS: usize = 4;
 
-/// One event of the wheel-vs-reference property, as a boxed handler so it
-/// can chain follow-ups recursively.
-fn wheel_handler(id: u64, times: std::sync::Arc<Vec<u64>>) -> Call<WheelWorld> {
-    Call::new(move |w: &mut WheelWorld, ctx| {
-        w.log.push(id);
-        if id.is_multiple_of(3) {
-            let next_id = w.next_id;
-            w.next_id += 1;
-            let d = times[id as usize % times.len()] % 10_000_000;
-            let h = ctx.schedule_event_after_handle(
-                SimDuration::from_nanos(d),
-                wheel_handler(next_id, times.clone()),
-            );
-            w.handles.push(h);
-        }
-        if id.is_multiple_of(5) && !w.handles.is_empty() {
-            let target = w.handles[id as usize * 7 % w.handles.len()];
-            let ok = ctx.cancel(target);
-            w.cancel_results.push(ok);
-        }
+/// A delay on a 1 us grid, so instants meet often: none (a tie at the
+/// current instant), a few ticks, inside the wheel, or beyond its
+/// ~4.2 ms horizon.
+fn delay() -> impl Strategy<Value = u64> {
+    (0u8..4, any::<u64>()).prop_map(|(kind, x)| {
+        1_000
+            * match kind {
+                0 => 0,
+                1 => x % 4,
+                2 => x % 4_000,
+                _ => 4_000 + x % 56_000,
+            }
     })
 }
 
-/// Sorted-scan reference queue: ids are assigned in schedule order and
-/// double as the FIFO tie-break, exactly like the engine's internal seq.
-#[derive(Default)]
-struct RefModel {
-    pending: Vec<(u64, u64)>,
-    log: Vec<u64>,
-    cancel_results: Vec<bool>,
-    handles: Vec<u64>,
-    seq: u64,
+/// What a dispatch logs: a plain event's id, or a wake's slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fired {
+    Plain(u64),
+    Wake(usize),
 }
 
-impl RefModel {
-    fn schedule(&mut self, at: u64) -> u64 {
-        let id = self.seq;
-        self.seq += 1;
-        self.pending.push((at, id));
-        self.handles.push(id);
-        id
-    }
+#[derive(Default)]
+struct SlotWorld {
+    log: Vec<(u64, Fired)>,
+    next_id: u64,
+}
 
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        let best = self
-            .pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(at, id))| (at, id))
-            .map(|(i, _)| i)?;
-        Some(self.pending.swap_remove(best))
-    }
+/// Handler rules both sides replay: a plain event whose id is a multiple
+/// of 3 schedules a follow-up `id % 7` ms later (0 is a tie at its own
+/// instant); an even slot's wake takes itself, an odd one's stays armed
+/// at its instant until an op takes it.
+#[derive(Clone, Copy)]
+enum SlotEv {
+    Plain(u64),
+    Wake(usize),
+}
 
-    fn cancel(&mut self, id: u64) -> bool {
-        match self.pending.iter().position(|&(_, pid)| pid == id) {
-            Some(pos) => {
-                self.pending.swap_remove(pos);
-                true
+impl TypedEvent<SlotWorld> for SlotEv {
+    fn dispatch(self, w: &mut SlotWorld, ctx: &mut Ctx<'_, SlotWorld, Self>) {
+        let now = ctx.now().as_nanos();
+        match self {
+            SlotEv::Plain(id) => {
+                w.log.push((now, Fired::Plain(id)));
+                if id.is_multiple_of(3) {
+                    let next = w.next_id;
+                    w.next_id += 1;
+                    ctx.schedule_event_after(SimDuration::from_millis(id % 7), SlotEv::Plain(next));
+                }
             }
-            None => false,
+            SlotEv::Wake(slot) => {
+                w.log.push((now, Fired::Wake(slot)));
+                if slot % 2 == 0 {
+                    assert_eq!(ctx.take_due(slot), Some(false), "a dispatching wake is due");
+                }
+            }
         }
+    }
+}
+
+/// The reference: every pending event and wake in plain vectors, the
+/// earliest found by a scan over (time, seq). One counter numbers events
+/// and arms alike, as the engine's does.
+#[derive(Default)]
+struct SlotModel {
+    now: u64,
+    seq: u64,
+    events: Vec<(u64, u64, u64)>,
+    /// Per slot: (at, seq, still queued).
+    slots: [Option<(u64, u64, bool)>; SLOTS],
+    log: Vec<(u64, Fired)>,
+    next_id: u64,
+}
+
+impl SlotModel {
+    fn schedule(&mut self, at: u64, id: u64) {
+        self.events.push((at, self.seq, id));
+        self.seq += 1;
+        self.next_id = self.next_id.max(id + 1);
+    }
+
+    fn arm(&mut self, slot: usize, at: u64) -> Option<bool> {
+        let at = at.max(self.now);
+        if self.slots[slot].is_some_and(|(pending, ..)| at >= pending) {
+            return None;
+        }
+        let replaced = self.slots[slot].is_some();
+        self.slots[slot] = Some((at, self.seq, true));
+        self.seq += 1;
+        Some(replaced)
+    }
+
+    fn take_due(&mut self, slot: usize) -> Option<bool> {
+        let (at, _, queued) = self.slots[slot]?;
+        (at <= self.now).then(|| {
+            self.slots[slot] = None;
+            queued
+        })
+    }
+
+    fn step(&mut self) -> bool {
+        let event = (self.events.iter().enumerate()).map(|(i, &(at, seq, _))| ((at, seq), Err(i)));
+        let wakes = (self.slots.iter().enumerate())
+            .filter_map(|(s, w)| w.filter(|w| w.2).map(|(at, seq, _)| ((at, seq), Ok(s))));
+        let Some(((at, _), which)) = event.chain(wakes).min() else {
+            return false;
+        };
+        self.now = at;
+        match which {
+            Ok(slot) => {
+                self.log.push((at, Fired::Wake(slot)));
+                self.slots[slot] = (slot % 2 == 1).then_some((at, 0, false));
+            }
+            Err(i) => {
+                let (_, _, id) = self.events.swap_remove(i);
+                self.log.push((at, Fired::Plain(id)));
+                if id.is_multiple_of(3) {
+                    let next = self.next_id;
+                    self.schedule(at + (id % 7) * 1_000_000, next);
+                }
+            }
+        }
+        true
+    }
+
+    fn run_to_completion(&mut self) {
+        while self.step() {}
     }
 }

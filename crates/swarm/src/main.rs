@@ -6,10 +6,6 @@
 //! reflex-swarm --seed 42              # one seed, verbose
 //! reflex-swarm --repro '<case line>'  # replay a shrunk case
 //! reflex-swarm --corpus <file>        # replay a seed-per-line corpus
-//! reflex-swarm --mutate               # (feature `mutation`) flip the
-//!                                     # bucket-skim bug on; the sweep
-//!                                     # must fail, proving the oracles
-//!                                     # can see a real accounting bug
 //! ```
 //!
 //! Exit code 0 = every case passed; 1 = at least one oracle violation
@@ -35,7 +31,6 @@ struct Args {
     seed: Option<u64>,
     repro: Option<String>,
     corpus: Option<String>,
-    mutate: bool,
     require_all_families: bool,
 }
 
@@ -46,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         seed: None,
         repro: None,
         corpus: None,
-        mutate: false,
         require_all_families: false,
     };
     let mut it = std::env::args().skip(1);
@@ -74,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--repro" => args.repro = Some(value("--repro")?),
             "--corpus" => args.corpus = Some(value("--corpus")?),
-            "--mutate" => args.mutate = true,
             "--require-all-families" => args.require_all_families = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -94,22 +87,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if args.mutate {
-        #[cfg(feature = "mutation")]
-        {
-            reflex_qos::mutation::set_bucket_skim(true);
-            eprintln!("reflex-swarm: MUTATION ACTIVE — bucket skim on; this sweep must fail");
-        }
-        #[cfg(not(feature = "mutation"))]
-        {
-            eprintln!(
-                "reflex-swarm: --mutate needs `--features mutation` (the deliberate bug is \
-                 compiled out of normal builds)"
-            );
-            return ExitCode::from(2);
-        }
-    }
 
     let cfg = RunConfig {
         alloc_counter: Some(reflex_sim::alloc_count::allocations),

@@ -12,9 +12,8 @@
 //! * a rolling-window SLO tracker ([`Telemetry::slo_observe`]) that
 //!   checks p95/p99 against `qos::slo` targets and emits
 //!   [`SloViolation`] events,
-//! * named [counters](Telemetry::count) for the rare events nobody else
-//!   counts (the components count their own work; the testbed reads those
-//!   counts into the snapshot),
+//! * named counters, which the components keep themselves: the testbed
+//!   reads them into the snapshot,
 //! * a mergeable, deterministic [`TelemetrySnapshot`] with JSON and TSV
 //!   exporters.
 //!
@@ -291,7 +290,6 @@ struct Recorder {
     /// [`TenantKey::GLOBAL`]'s record, kept apart: the device and the
     /// fabric record a span under it for every command and message.
     global: TenantRecord,
-    counters: BTreeMap<&'static str, u64>,
     violations: Vec<SloViolation>,
 }
 
@@ -332,12 +330,6 @@ impl Telemetry {
         if let Some(rec) = &self.0 {
             f(&mut rec.borrow_mut());
         }
-    }
-
-    /// Adds `delta` to the named counter. Counter names are `&'static str`
-    /// so bumps never allocate after a name's first.
-    pub fn count(&self, name: &'static str, delta: u64) {
-        self.with(|rec| *rec.counters.entry(name).or_insert(0) += delta);
     }
 
     /// Records a latency sample for `(tenant, stage)`.
@@ -444,9 +436,6 @@ impl Telemetry {
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         let rec = self.0.as_ref()?.borrow();
         let mut snap = TelemetrySnapshot {
-            counters: (rec.counters.iter())
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
             violations: rec.violations.clone(),
             ..TelemetrySnapshot::default()
         };
@@ -721,7 +710,6 @@ mod tests {
     #[test]
     fn disabled_is_inert() {
         let tel = Telemetry::disabled();
-        tel.count("x", 1);
         tel.span(TenantKey(1), Stage::Channel, SimDuration::from_micros(5));
         tel.note_submitted(TenantKey(1));
         tel.slo_register(TenantKey(1), SimDuration::from_micros(500));
@@ -737,9 +725,9 @@ mod tests {
     fn clones_share_one_sink() {
         let a = Telemetry::enabled();
         let b = a.clone();
-        a.count("hits", 2);
-        b.count("hits", 3);
-        assert_eq!(a.snapshot().unwrap().counters["hits"], 5);
+        a.note_submitted(TenantKey(1));
+        b.note_submitted(TenantKey(1));
+        assert_eq!(a.snapshot().unwrap().ios[&TenantKey(1)].submitted, 2);
     }
 
     #[test]
@@ -824,15 +812,14 @@ mod tests {
     #[test]
     fn merge_is_commutative() {
         let a = Telemetry::enabled();
-        a.count("x", 1);
         a.span(TenantKey(1), Stage::Fabric, SimDuration::from_micros(10));
         a.note_submitted(TenantKey(1));
         let b = Telemetry::enabled();
-        b.count("x", 2);
-        b.count("y", 5);
         b.span(TenantKey(1), Stage::Fabric, SimDuration::from_micros(90));
         b.note_completed(TenantKey(1));
-        let (sa, sb) = (a.snapshot().unwrap(), b.snapshot().unwrap());
+        let (mut sa, mut sb) = (a.snapshot().unwrap(), b.snapshot().unwrap());
+        sa.counters.insert("x".into(), 1);
+        sb.counters.extend([("x".into(), 2), ("y".into(), 5)]);
         let mut ab = sa.clone();
         ab.merge(&sb);
         let mut ba = sb.clone();
@@ -846,14 +833,15 @@ mod tests {
     fn exports_are_deterministic() {
         let build = || {
             let tel = Telemetry::enabled();
-            tel.count("replication.failovers", 1);
             tel.span(
                 TenantKey::GLOBAL,
                 Stage::Fabric,
                 SimDuration::from_micros(7),
             );
             tel.note_submitted(TenantKey(3));
-            tel.snapshot().unwrap()
+            let mut snap = tel.snapshot().unwrap();
+            snap.counters.insert("replication.failovers".into(), 1);
+            snap
         };
         assert_eq!(build().to_json(), build().to_json());
         assert_eq!(build().to_tsv(), build().to_tsv());

@@ -1,6 +1,6 @@
 //! The recorder against the map-based sink it replaced
-//! (`reference/mod.rs`): random spans, IO notes, answers, SLO traffic and
-//! counter bumps over dense, stray and hostile tenant ids and
+//! (`reference/mod.rs`): random spans, IO notes, answers and SLO traffic
+//! over dense, stray and hostile tenant ids and
 //! [`TenantKey::GLOBAL`] must export the same JSON and TSV and keep the
 //! same violation events. And a hostile id costs the recorder one entry,
 //! not a table sized to the id.
@@ -23,12 +23,6 @@ const TENANTS: [TenantKey; 6] = [
     TenantKey(1 << 20),
     TenantKey(u32::MAX - 1),
     TenantKey::GLOBAL,
-];
-
-const COUNTERS: [&str; 3] = [
-    "replication.failovers",
-    "cluster.migrations_total",
-    "replication.promotions",
 ];
 
 /// A latency from 100 ns to ~10 ms, log-uniform, so histogram windows
@@ -54,7 +48,7 @@ fn recorder_exports_what_the_map_based_sink_exported() {
         let mut now = SimTime::ZERO;
         for op in 0..4_000 {
             let t = TENANTS[rng.below(TENANTS.len() as u64) as usize];
-            match rng.below(12) {
+            match rng.below(11) {
                 0 => {
                     let stage = Stage::ALL[rng.below(9) as usize];
                     let nanos = latency(&mut rng);
@@ -110,7 +104,7 @@ fn recorder_exports_what_the_map_based_sink_exported() {
                     recorder.slo_register(t, target);
                     oracle.slo_register(t, target);
                 }
-                9 | 10 => {
+                _ => {
                     // Mostly a few microseconds on; now and then past a
                     // whole window.
                     now += SimDuration::from_nanos(match rng.below(10) {
@@ -120,12 +114,6 @@ fn recorder_exports_what_the_map_based_sink_exported() {
                     let d = SimDuration::from_nanos(latency(&mut rng));
                     recorder.slo_observe(t, d, now);
                     oracle.slo_observe(t, d, now);
-                }
-                _ => {
-                    let name = COUNTERS[rng.below(3) as usize];
-                    let delta = rng.below(3);
-                    recorder.count(name, delta);
-                    oracle.count(name, delta);
                 }
             }
             if op % 500 == 0 {

@@ -1,7 +1,7 @@
 //! Test-only oracle: the telemetry sink as it stood before the recorder
-//! a world owns — one `Mutex` around four `BTreeMap`s keyed by name,
+//! a world owns — one `Mutex` around three `BTreeMap`s keyed by
 //! (tenant, stage) and tenant, every recording line kept (the engine
-//! probe dropped). `recorder.rs` drives it and [`reflex_telemetry::Telemetry`]
+//! probe and the named counters dropped). `recorder.rs` drives it and [`reflex_telemetry::Telemetry`]
 //! through the same operations and demands identical exports. It builds
 //! its snapshot from the crate's public types only.
 
@@ -67,7 +67,6 @@ impl SloState {
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<&'static str, u64>,
     spans: BTreeMap<(TenantKey, Stage), Histogram>,
     ios: BTreeMap<TenantKey, IoCounters>,
     slo: BTreeMap<TenantKey, SloState>,
@@ -79,10 +78,6 @@ struct Inner {
 pub struct MapSink(Arc<Mutex<Inner>>);
 
 impl MapSink {
-    pub fn count(&self, name: &'static str, delta: u64) {
-        *self.0.lock().unwrap().counters.entry(name).or_insert(0) += delta;
-    }
-
     pub fn span_nanos(&self, tenant: TenantKey, stage: Stage, nanos: u64) {
         let mut inner = self.0.lock().unwrap();
         inner
@@ -151,9 +146,6 @@ impl MapSink {
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let inner = self.0.lock().unwrap();
         TelemetrySnapshot {
-            counters: (inner.counters.iter())
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
             spans: inner.spans.clone(),
             ios: inner.ios.clone(),
             slo: (inner.slo.iter())
@@ -168,6 +160,7 @@ impl MapSink {
                 })
                 .collect(),
             violations: inner.violations.clone(),
+            ..TelemetrySnapshot::default()
         }
     }
 }
