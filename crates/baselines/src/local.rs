@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use reflex_flash::{CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand};
-use reflex_sim::{Histogram, SimDuration, SimRng, SimTime};
+use reflex_sim::{Exponential, Histogram, SimDuration, SimRng, SimTime};
 
 /// Per-request software cost of the SPDK path (submit + completion
 /// handling merged; charged at submission).
@@ -88,7 +88,7 @@ impl LocalRig {
         measure: SimDuration,
     ) -> LocalReport {
         assert!(iops > 0.0 && read_pct <= 100);
-        let gap = SimDuration::from_secs_f64(1.0 / iops);
+        let gap = Exponential::new(SimDuration::from_secs_f64(1.0 / iops));
         let start_measure = SimTime::ZERO + warmup;
         let end = start_measure + measure;
         let mut thread_busy = vec![SimTime::ZERO; self.qps.len()];

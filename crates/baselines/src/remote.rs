@@ -21,7 +21,7 @@ use reflex_dataplane::{AclEntry, WireMsg};
 use reflex_flash::{CmdId, FlashDevice, IoType, NvmeCommand, QpId};
 use reflex_net::{ConnId, Fabric, MachineId, NicQueueId, Opcode, ReflexHeader};
 use reflex_qos::{TenantClass, TenantId};
-use reflex_sim::{SimDuration, SimRng, SimTime};
+use reflex_sim::{LogNormal, SimDuration, SimRng, SimTime};
 
 /// Performance parameters of a baseline server.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +111,9 @@ pub struct BaselineServer {
     conn_binding: HashMap<ConnId, (TenantId, MachineId, usize)>,
     next_worker: usize,
     cmd_seq: u64,
+    /// The configured request and response overheads, prepared once.
+    request_overhead: LogNormal,
+    response_overhead: LogNormal,
     rng: SimRng,
 }
 
@@ -139,6 +142,11 @@ impl BaselineServer {
             .collect();
         BaselineServer {
             machine,
+            request_overhead: LogNormal::new(config.request_overhead_median, config.overhead_sigma),
+            response_overhead: LogNormal::new(
+                config.response_overhead_median,
+                config.overhead_sigma,
+            ),
             config,
             workers,
             tenants: HashMap::new(),
@@ -216,7 +224,6 @@ impl ServerHarness for BaselineServer {
         fabric: &mut Fabric<WireMsg>,
         device: &mut FlashDevice,
     ) -> Option<SimTime> {
-        let sigma = self.config.overhead_sigma;
         if self.workers[i].busy < now {
             self.workers[i].busy = now;
         }
@@ -228,9 +235,7 @@ impl ServerHarness for BaselineServer {
             let msgs = fabric.poll_queue(cursor, self.machine, self.workers[i].queue, 16);
             for d in msgs {
                 let rx_cpu = self.config.rx_cpu;
-                let overhead = self
-                    .rng
-                    .lognormal(self.config.request_overhead_median, sigma);
+                let overhead = self.rng.lognormal(self.request_overhead);
                 let w = &mut self.workers[i];
                 w.busy += rx_cpu;
                 w.busy_total += rx_cpu;
@@ -273,9 +278,7 @@ impl ServerHarness for BaselineServer {
             let comps = device.poll_completions(cursor, self.workers[i].qp, 16);
             for c in comps {
                 let tx_cpu = self.config.tx_cpu;
-                let overhead = self
-                    .rng
-                    .lognormal(self.config.response_overhead_median, sigma);
+                let overhead = self.rng.lognormal(self.response_overhead);
                 let w = &mut self.workers[i];
                 w.busy += tx_cpu;
                 w.busy_total += tx_cpu;

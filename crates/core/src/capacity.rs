@@ -12,7 +12,7 @@
 
 use reflex_flash::{CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand, NvmeCompletion};
 use reflex_qos::{max_iops_at_latency, SweepPoint, TokenRate};
-use reflex_sim::{Histogram, SimDuration, SimRng, SimTime};
+use reflex_sim::{Exponential, Histogram, SimDuration, SimRng, SimTime};
 
 /// Monotone (latency bound → token capacity) table for one device.
 ///
@@ -202,7 +202,7 @@ pub fn sweep_device_point(
     let mut rng = SimRng::seed(seed.wrapping_mul(31) ^ k as u64);
     let warmup = SimTime::from_millis(100);
     let end = warmup + duration;
-    let gap = SimDuration::from_secs_f64(1.0 / iops);
+    let gap = Exponential::new(SimDuration::from_secs_f64(1.0 / iops));
     let mut now = SimTime::ZERO;
     // Issue instants by command id: ids are handed out in sequence.
     let mut issued: Vec<SimTime> = Vec::new();

@@ -17,7 +17,9 @@
 
 use reflex_net::ConnId;
 use reflex_qos::{SloSpec, TenantClass, TenantId};
-use reflex_sim::{Histogram, PoolKey, RatePoint, RateSeries, SimDuration, SimRng, SimTime};
+use reflex_sim::{
+    Exponential, Histogram, PoolKey, RatePoint, RateSeries, SimDuration, SimRng, SimTime,
+};
 
 use crate::testbed::ReadPolicy;
 
@@ -418,6 +420,8 @@ pub(crate) struct WorkloadState {
     pub iops_series: RateSeries,
     /// Mean gap between an open-loop generator's requests (zero otherwise).
     pub mean_gap: SimDuration,
+    /// The Poisson gap of that mean, prepared once.
+    pub poisson_gap: Exponential,
 }
 
 impl WorkloadState {
@@ -428,6 +432,7 @@ impl WorkloadState {
         };
         WorkloadState {
             mean_gap,
+            poisson_gap: Exponential::new(mean_gap),
             spec,
             rng,
             members: Vec::new(),

@@ -526,7 +526,12 @@ impl ReflexServer {
             .remove(&id)
             .ok_or(AdmissionError::Unknown(id))?;
         for &(thread, shard_id) in &info.shards {
-            let _ = self.threads[thread].unregister_tenant(shard_id);
+            // Queued requests go unanswered (their clients time out), but
+            // a pending barrier is refused.
+            let left = self.threads[thread].unregister_tenant(shard_id);
+            if let Some(fence) = left.ok().and_then(|l| l.fence) {
+                self.threads[thread].refuse(fence);
+            }
         }
         for conn in info.conns {
             self.conn_route.remove(conn);

@@ -821,7 +821,7 @@ impl<S: ServerHarness + 'static> World<S> {
         let w = &mut self.workloads[w_idx];
         let mean = w.mean_gap;
         let gap = match arrival {
-            ArrivalProcess::Poisson => w.rng.exponential(mean),
+            ArrivalProcess::Poisson => w.rng.exponential(w.poisson_gap),
             // ±10% uniform jitter around the nominal gap.
             ArrivalProcess::Paced => mean.mul_f64(0.9 + 0.2 * w.rng.f64()),
         };
@@ -1394,7 +1394,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
                 // The kickoff offset is the first draw of the workload's
                 // own stream.
                 let w = &mut eng.world_mut().workloads[w_idx];
-                let offset = w.rng.exponential(w.mean_gap);
+                let offset = w.rng.exponential(w.poisson_gap);
                 let at = eng.now() + offset;
                 eng.schedule_event_at(at, WorldEvent::OpenLoopGen(w_idx));
             }

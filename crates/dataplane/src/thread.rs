@@ -156,6 +156,27 @@ struct OrderingState {
     buffered: VecDeque<ReqCtx>,
 }
 
+/// What a tenant leaves on a thread it is unregistered from, in the order
+/// it must be served: requests the scheduler held, a barrier still waiting
+/// for them and for the requests still at the device, and the requests
+/// that arrived behind that barrier. A tenant moved to another thread
+/// takes them along (see [`DataplaneThread::adopt_pending`]); an
+/// unregistered one has its barrier refused (see
+/// [`DataplaneThread::refuse`]).
+#[derive(Debug, Default)]
+pub struct Leftovers {
+    /// Requests the tenant's scheduler queue held, oldest first.
+    pub queued: Vec<CostedRequest<ReqCtx>>,
+    /// A barrier still waiting for the tenant's earlier requests.
+    pub fence: Option<ReqCtx>,
+    /// Requests buffered behind `fence`, oldest first.
+    pub buffered: VecDeque<ReqCtx>,
+    /// Requests this thread still has at the device or waiting to be
+    /// resubmitted. This thread answers them, and no other thread learns
+    /// when they complete.
+    pub outstanding: u32,
+}
+
 /// What a thread keeps per registered tenant: one slot of its tenant
 /// table, so everything the request path needs about a tenant is one index
 /// away from the connection that carries the slot.
@@ -390,6 +411,12 @@ pub struct DataplaneThread {
     /// A control-plane or fault entry cut a sleep short since the last
     /// [`take_woken`](Self::take_woken).
     woken: bool,
+    /// Answers a control-plane entry owes, sent at the next pump: a
+    /// barrier acknowledged (`true`) when its tenant moved here with
+    /// nothing left before it, or refused with the requests behind it when
+    /// its tenant was unregistered or moved with IOs still at the old
+    /// thread's device.
+    owed: Vec<(ReqCtx, bool)>,
     /// Rounds settled as idle so far, and the settle passes that found any.
     rounds_elided: u64,
     settle_calls: u64,
@@ -451,6 +478,7 @@ impl DataplaneThread {
             idle_until: None,
             idle_next: SimTime::MAX,
             woken: false,
+            owed: Vec::new(),
             rounds_elided: 0,
             settle_calls: 0,
             wrote: false,
@@ -597,9 +625,13 @@ impl DataplaneThread {
     /// The instant this thread must next be pumped on account of its
     /// round grid, for a caller pumping threads at `now` that has settled
     /// it up to there: `now` itself when a round falls on it (a round
-    /// that coincides with a pump is pumped, idle or not), else the first
-    /// round that may act. `None` while no round is pending.
+    /// that coincides with a pump is pumped, idle or not) or an answer is
+    /// owed, else the first round that may act. `None` while
+    /// neither is pending.
     pub fn round_wake(&self, now: SimTime) -> Option<SimTime> {
+        if !self.owed.is_empty() {
+            return Some(now);
+        }
         let until = self.idle_until?;
         Some(if self.core_busy + self.interval == now {
             now
@@ -712,19 +744,17 @@ impl DataplaneThread {
         Ok(())
     }
 
-    /// Unregisters a tenant, returning its queued requests so a caller
-    /// moving the tenant to another thread can re-enqueue them there (see
-    /// [`adopt_pending`](Self::adopt_pending)).
+    /// Unregisters a tenant, returning what it leaves: a caller moving
+    /// the tenant to another thread re-installs it there (see
+    /// [`adopt_pending`](Self::adopt_pending)), one unregistering it
+    /// refuses its barrier (see [`refuse`](Self::refuse)).
     ///
     /// # Errors
     ///
     /// Propagates [`QosError::UnknownTenant`].
-    pub fn unregister_tenant(
-        &mut self,
-        id: TenantId,
-    ) -> Result<Vec<CostedRequest<ReqCtx>>, QosError> {
+    pub fn unregister_tenant(&mut self, id: TenantId) -> Result<Leftovers, QosError> {
         self.interrupt();
-        let leftovers = self.sched.unregister(id)?;
+        let queued = self.sched.unregister(id)?;
         let entry = self.tenants.remove(id);
         // Tenants registered after this one moved up in the scheduler.
         for t in self.tenants.live() {
@@ -739,31 +769,47 @@ impl DataplaneThread {
             // epoch in ReqCtx, so the cache rejects their fills.
             self.stats.cache_invalidations += cache.invalidate_tenant(id.0);
         }
-        let buffered = entry.map(|t| t.ordering.buffered).unwrap_or_default();
+        let ordering = entry.map(|t| t.ordering).unwrap_or_default();
         let bound_before = self.conns.len();
         self.conns
             .retain(|_, e| !matches!(e, ConnEntry::Bound { tenant, .. } if *tenant == id));
         self.bound_conns -= (bound_before - self.conns.len()) as u32;
         self.refresh_costs();
-        // Fence-buffered requests follow the queued ones (order preserved:
-        // scheduler queue first, then post-barrier buffer).
-        let mut all = leftovers;
-        all.extend(buffered.into_iter().map(ReqCtx::costed));
-        Ok(all)
+        Ok(Leftovers {
+            outstanding: ordering.inflight.saturating_sub(queued.len() as u32),
+            queued,
+            fence: ordering.fence,
+            buffered: ordering.buffered,
+        })
     }
 
-    /// Re-enqueues requests drained from another thread during tenant
-    /// rebalancing, keeping their order. The tenant must already be
-    /// registered here.
+    /// Refuses a barrier whose tenant was unregistered here: its client
+    /// gets [`Opcode::Error`] at the thread's next pump.
+    pub fn refuse(&mut self, fence: ReqCtx) {
+        self.interrupt();
+        self.owed.push((fence, false));
+    }
+
+    /// Re-installs what a tenant left on another thread during tenant
+    /// rebalancing, keeping its order: the queued requests enter the
+    /// scheduler, and a pending barrier fences the tenant here until they
+    /// complete — or, with none, is acknowledged at the next pump and
+    /// releases the requests behind it. A barrier that still waits for
+    /// requests at the old thread's device cannot be kept here, since only
+    /// that thread sees them complete: it is refused at the next pump,
+    /// and so is every request behind it, so none of them overtakes one
+    /// before it. The tenant must already be registered here.
     ///
     /// # Errors
     ///
     /// Propagates [`QosError::UnknownTenant`].
-    pub fn adopt_pending(
-        &mut self,
-        id: TenantId,
-        mut reqs: Vec<CostedRequest<ReqCtx>>,
-    ) -> Result<(), QosError> {
+    pub fn adopt_pending(&mut self, id: TenantId, leftovers: Leftovers) -> Result<(), QosError> {
+        let Leftovers {
+            queued: mut reqs,
+            mut fence,
+            mut buffered,
+            outstanding,
+        } = leftovers;
         self.interrupt();
         // Cache clock and epoch values are meaningful only within one
         // thread's cache instance, and these requests captured the SOURCE
@@ -780,15 +826,34 @@ impl DataplaneThread {
             .tenants
             .slot_of(id)
             .ok_or(QosError::UnknownTenant(id))?;
-        for req in &mut reqs {
-            req.payload.slot = slot;
-            if req.payload.op.is_read() {
-                req.payload.cache_clock = clock;
-                req.payload.cache_gen = generation;
+        let restamp = |ctx: &mut ReqCtx| {
+            ctx.slot = slot;
+            if ctx.op.is_read() {
+                ctx.cache_clock = clock;
+                ctx.cache_gen = generation;
+            }
+        };
+        reqs.iter_mut().for_each(|req| restamp(&mut req.payload));
+        buffered.iter_mut().for_each(restamp);
+        if let Some(fence) = &mut fence {
+            fence.slot = slot;
+        }
+        if outstanding > 0 {
+            if let Some(fence) = fence.take() {
+                self.owed.push((fence, false));
+                self.owed.extend(buffered.drain(..).map(|req| (req, false)));
             }
         }
         let t = self.tenants.at(slot);
+        if reqs.is_empty() && t.ordering.inflight == 0 {
+            if let Some(fence) = fence.take() {
+                self.owed.push((fence, true));
+                reqs.extend(buffered.drain(..).map(ReqCtx::costed));
+            }
+        }
         t.ordering.inflight += reqs.len() as u32;
+        t.ordering.fence = fence;
+        t.ordering.buffered = buffered;
         for req in reqs {
             self.sched.enqueue_at(t.sched, id, req)?;
         }
@@ -1261,6 +1326,15 @@ impl DataplaneThread {
         self.wrote = false;
         if self.core_busy < now {
             self.core_busy = now;
+        }
+        if !self.owed.is_empty() {
+            for (ctx, ok) in std::mem::take(&mut self.owed) {
+                if ok {
+                    self.ack_barrier(fabric, ctx);
+                } else {
+                    self.respond(fabric, &ctx, false);
+                }
+            }
         }
 
         loop {

@@ -379,7 +379,7 @@ mod tables {
             let left = rig.threads[0]
                 .unregister_tenant(TENANTS[first])
                 .expect("registered");
-            assert!(left.is_empty(), "nothing was queued any more");
+            assert!(left.queued.is_empty(), "nothing was queued any more");
             assert!(
                 register(&mut rig, 0, successor),
                 "takes over the freed slot"
@@ -439,7 +439,7 @@ mod tables {
                         prop_assert_eq!(left.is_ok(), model[thread].tenants.remove(&id).is_some());
                         // Queued requests are handed back and dropped here:
                         // they will never be answered.
-                        expect_responses -= left.map_or(0, |l| l.len() as u64);
+                        expect_responses -= left.map_or(0, |l| l.queued.len() as u64);
                         model[thread].conns.retain(|_, c| *c != ModelConn::Bound(id));
                     }
                     Step::Move { from, tenant } => {
@@ -452,7 +452,7 @@ mod tables {
                         let mut moved = model[from].tenants.remove(&id).expect("modelled");
                         model[from].conns.retain(|_, c| *c != ModelConn::Bound(id));
                         prop_assert!(register(&mut rig, to, tenant));
-                        moved.accepted = pending.len() as u64;
+                        moved.accepted = pending.queued.len() as u64;
                         model[to].tenants.insert(id, moved);
                         rig.threads[to].adopt_pending(id, pending).expect("registered above");
                     }

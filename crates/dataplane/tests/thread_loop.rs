@@ -9,7 +9,7 @@ use reflex_flash::{device_a, FlashDevice};
 use reflex_net::{
     ConnId, Fabric, LinkConfig, MachineId, NicQueueId, Opcode, ReflexHeader, StackProfile,
 };
-use reflex_qos::{CostModel, SchedulerParams, SloSpec, TenantClass, TenantId};
+use reflex_qos::{CostModel, SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate};
 use reflex_sim::{SimDuration, SimRng, SimTime};
 
 struct Rig {
@@ -369,7 +369,7 @@ fn tenant_lifecycle_management() {
     r.thread.bind_connection(conn2, t2, r.client).unwrap();
     assert_eq!(r.thread.connection_count(), 2);
     let dropped = r.thread.unregister_tenant(t2).unwrap();
-    assert!(dropped.is_empty());
+    assert!(dropped.queued.is_empty() && dropped.fence.is_none());
     // The tenant's connections were unbound too.
     assert_eq!(r.thread.connection_count(), 1);
     assert!(r.thread.bind_connection(conn2, t2, r.client).is_err());
@@ -724,4 +724,152 @@ fn inflight_read_across_tenant_teardown_never_fills_the_cache() {
     assert_eq!(responses.len(), 1);
     assert_eq!(r.thread.stats().cache_hits, 0);
     assert_eq!(r.thread.stats().cache_misses, 2);
+}
+
+/// Sends twelve reads, a barrier (cookie 99) and four more reads on the
+/// rig's connection, and pumps its thread until the barrier is pending:
+/// received, with reads still outstanding before it.
+fn fence_pending(r: &mut Rig) {
+    let server = r.thread.machine();
+    let cookies = (0..12u64).chain([99]).chain(20..24);
+    for (i, cookie) in cookies.enumerate() {
+        let opcode = if cookie == 99 {
+            Opcode::Barrier
+        } else {
+            Opcode::Get
+        };
+        let (addr, len) = if cookie == 99 {
+            (0, 0)
+        } else {
+            (cookie * 4096, 4096)
+        };
+        let header = ReflexHeader {
+            opcode,
+            tenant: 1,
+            cookie,
+            addr,
+            len,
+        };
+        let at = SimTime::from_nanos(i as u64 * 10);
+        r.fabric
+            .send(at, r.client, server, r.conn, 0, header.encode_array());
+    }
+    let mut now = SimTime::ZERO;
+    while r.thread.stats().rx_msgs < 13 {
+        now += SimDuration::from_micros(1);
+        r.thread.pump(now, &mut r.fabric, &mut r.device);
+    }
+    assert!(
+        r.thread.stats().barriers == 0,
+        "the barrier is still pending"
+    );
+}
+
+/// Pumps every thread every 5 µs for 20 ms and returns every answer the
+/// client received, as (cookie, opcode) in arrival order.
+fn answers(
+    fabric: &mut Fabric<WireMsg>,
+    device: &mut FlashDevice,
+    client: MachineId,
+    threads: &mut [&mut DataplaneThread],
+) -> Vec<(u64, Opcode)> {
+    let mut answers = Vec::new();
+    let mut now = SimTime::from_micros(100);
+    while now < SimTime::from_millis(20) {
+        for t in threads.iter_mut() {
+            t.pump(now, fabric, device);
+        }
+        for d in fabric.poll(now, client, usize::MAX) {
+            let h = ReflexHeader::decode(&d.payload).expect("server speaks the protocol");
+            answers.push((h.cookie, h.opcode));
+        }
+        now += SimDuration::from_micros(5);
+    }
+    answers
+}
+
+/// A barrier pending when its tenant moves to another thread travels with
+/// it and is answered once, and so is every request around it. A
+/// best-effort tenant earning 2 K tokens/s still has all its reads queued
+/// when it moves: the barrier waits for them on the new thread and is
+/// acknowledged after every one of them, before any read behind it. A
+/// latency-critical tenant's reads are all at the old thread's device,
+/// whose completions the new thread never sees: the barrier is refused,
+/// and so is every read behind it.
+#[test]
+fn barrier_pending_across_a_move_is_answered_once() {
+    let slow = TokenRate::per_sec(2_000);
+    for (class, queued, outstanding) in
+        [(lc_class(100_000), 0, 12), (TenantClass::BestEffort, 12, 0)]
+    {
+        let mut r = rig(class);
+        r.thread.scheduler_mut().set_be_rate(slow);
+        fence_pending(&mut r);
+        let server = r.thread.machine();
+        let mut to = DataplaneThread::new(
+            1,
+            server,
+            r.fabric.add_queue(server),
+            r.device.create_queue_pair(),
+            Arc::new(reflex_qos::GlobalBucket::new(1)),
+            CostModel::for_device_a(),
+            SchedulerParams::default(),
+            DataplaneConfig::default(),
+            SimTime::from_micros(100),
+        );
+        to.scheduler_mut().set_be_rate(slow);
+        let tenant = TenantId(1);
+        let left = r.thread.unregister_tenant(tenant).expect("registered");
+        assert!(left.fence.is_some(), "the barrier leaves with its tenant");
+        let counts = (left.queued.len(), left.buffered.len(), left.outstanding);
+        assert_eq!(counts, (queued, 4, outstanding), "{class:?}");
+        let capacity = r.device.profile().capacity_bytes;
+        to.register_tenant(tenant, class, AclEntry::full(capacity), 4096)
+            .expect("fresh here");
+        to.adopt_pending(tenant, left).expect("registered");
+        r.thread.forward_connection(r.conn, to.nic_queue());
+        to.bind_connection(r.conn, tenant, r.client)
+            .expect("registered");
+        let threads = &mut [&mut r.thread, &mut to];
+        let answers = answers(&mut r.fabric, &mut r.device, r.client, threads);
+        let mut cookies: Vec<u64> = answers.iter().map(|&(c, _)| c).collect();
+        cookies.sort_unstable();
+        let sent: Vec<u64> = (0..12).chain(20..24).chain([99]).collect();
+        assert_eq!(cookies, sent, "{class:?}: each request answered once");
+        let barrier = answers.iter().position(|&(c, _)| c == 99).unwrap();
+        let (before, after) = (&answers[..barrier], &answers[barrier + 1..]);
+        if outstanding == 0 {
+            assert_eq!(answers[barrier].1, Opcode::Response);
+            assert!(before
+                .iter()
+                .all(|&(c, op)| c < 12 && op == Opcode::Response));
+            assert!(after
+                .iter()
+                .all(|&(c, op)| c >= 20 && op == Opcode::Response));
+        } else {
+            assert_eq!(answers[barrier].1, Opcode::Error);
+            for (cookie, op) in answers {
+                let expected = if cookie < 12 {
+                    Opcode::Response
+                } else {
+                    Opcode::Error
+                };
+                assert_eq!(op, expected, "cookie {cookie}");
+            }
+        }
+    }
+}
+
+/// A barrier pending when its tenant is unregistered is refused once.
+#[test]
+fn barrier_pending_across_an_unregister_is_refused_once() {
+    let mut r = rig(lc_class(100_000));
+    fence_pending(&mut r);
+    let left = r.thread.unregister_tenant(TenantId(1)).expect("registered");
+    r.thread
+        .refuse(left.fence.expect("the barrier leaves with its tenant"));
+    let threads = &mut [&mut r.thread];
+    let answers = answers(&mut r.fabric, &mut r.device, r.client, threads);
+    let barrier: Vec<_> = answers.iter().filter(|&&(c, _)| c == 99).collect();
+    assert_eq!(barrier, [&(99, Opcode::Error)]);
 }

@@ -11,8 +11,10 @@
 //!   address and length the answers must not echo;
 //! - device media errors and a dead device region, a zero-length read and
 //!   a burst deep enough to fill the submission queue;
-//! - a tenant moved to the other thread with requests still queued, its
-//!   connection forwarded, and a tenant unregistered while a read of its
+//! - a tenant moved to the other thread with a barrier pending and
+//!   requests buffered behind it (the barrier still waits for a write at
+//!   the first thread's device, so the second refuses it and the requests
+//!   behind it), its connection forwarded, and a tenant unregistered while a read of its
 //!   is at the device, its slot then taken by a newcomer.
 //!
 //! The transcript lists each delivery to a client (instant, connection,
@@ -290,7 +292,14 @@ fn transcript() -> String {
     }
     rig.run_until(us(1530));
     let leftovers = rig.threads[0].unregister_tenant(t4).expect("registered");
-    rig.note(("moved", leftovers.len()));
+    let fence = leftovers.fence.is_some();
+    rig.note((
+        "moved",
+        leftovers.queued.len(),
+        fence,
+        leftovers.buffered.len(),
+        leftovers.outstanding,
+    ));
     let adopted = (
         rig.threads[1].register_tenant(t4, TenantClass::BestEffort, AclEntry::full(capacity), 4096),
         rig.threads[1].adopt_pending(t4, leftovers),
@@ -328,7 +337,7 @@ fn transcript() -> String {
         let next = rig.now + SimDuration::from_micros(2);
         rig.run_until(next);
     }
-    let left = rig.threads[0].unregister_tenant(t2).map(|l| l.len());
+    let left = (rig.threads[0].unregister_tenant(t2)).map(|l| (l.queued.len(), l.fence.is_some()));
     rig.note(("unregistered", left));
     let newcomer = rig.threads[0].register_tenant(TenantId(5), lc, AclEntry::full(capacity), 4096);
     rig.note(newcomer);

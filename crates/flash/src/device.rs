@@ -10,14 +10,12 @@
 //! and GC erases occupy channels, reads queue behind them, and tail read
 //! latency degrades as the write share of the load grows.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use reflex_sim::{SimDuration, SimRng, SimTime};
+use reflex_sim::{LogNormal, SimDuration, SimRng, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
+use crate::cq::CompletionQueue;
 use crate::profile::DeviceProfile;
-use crate::types::{IoType, NvmeCommand, NvmeCompletion, NvmeStatus, SubmitError};
+use crate::types::{CmdId, IoType, NvmeCommand, NvmeCompletion, NvmeStatus, SubmitError};
 
 /// Identifier of a hardware submission/completion queue pair.
 ///
@@ -57,22 +55,11 @@ impl Channel {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CqEntry {
-    at: SimTime,
-    seq: u64,
-    completion: NvmeCompletion,
-}
-
-impl PartialOrd for CqEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CqEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// A completion as its queue holds it: its instant is the queue's key.
+struct Posted {
+    id: CmdId,
+    op: IoType,
+    status: NvmeStatus,
 }
 
 /// Aggregate device statistics.
@@ -131,16 +118,7 @@ pub trait DeviceFaultHook: Send {
 
 struct QueuePair {
     outstanding: u32,
-    cq: BinaryHeap<Reverse<CqEntry>>,
-}
-
-impl QueuePair {
-    fn new() -> Self {
-        QueuePair {
-            outstanding: 0,
-            cq: BinaryHeap::new(),
-        }
-    }
+    cq: CompletionQueue<Posted>,
 }
 
 /// A simulated NVMe Flash device with multiple hardware queue pairs.
@@ -163,6 +141,11 @@ impl QueuePair {
 /// ```
 pub struct FlashDevice {
     profile: DeviceProfile,
+    // Per-command constants, computed once from the profile.
+    page_shift: u32,
+    read_only_occupancy: SimDuration,
+    read_fixed: LogNormal,
+    write_buffered: LogNormal,
     channels: Vec<Channel>,
     qps: Vec<QueuePair>,
     rng: SimRng,
@@ -196,6 +179,12 @@ impl FlashDevice {
         profile.validate().expect("invalid device profile");
         let channels = vec![Channel::default(); profile.channels as usize];
         FlashDevice {
+            page_shift: profile.page_size.trailing_zeros(),
+            read_only_occupancy: profile
+                .read_occupancy
+                .mul_f64(profile.read_only_occupancy_factor),
+            read_fixed: LogNormal::new(profile.read_latency_median, profile.read_latency_sigma),
+            write_buffered: LogNormal::new(profile.write_buffer_median, profile.write_buffer_sigma),
             profile,
             channels,
             qps: Vec::new(),
@@ -244,7 +233,10 @@ impl FlashDevice {
     /// Allocates a new hardware queue pair.
     pub fn create_queue_pair(&mut self) -> QpId {
         let id = QpId(self.qps.len() as u32);
-        self.qps.push(QueuePair::new());
+        self.qps.push(QueuePair {
+            outstanding: 0,
+            cq: CompletionQueue::new(),
+        });
         id
     }
 
@@ -258,7 +250,7 @@ impl FlashDevice {
     }
 
     fn channel_index(&self, addr: u64) -> usize {
-        let page = addr / self.profile.page_size as u64;
+        let page = addr >> self.page_shift;
         // Multiplicative hash spreads both sequential and strided patterns.
         let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         (h % self.channels.len() as u64) as usize
@@ -291,20 +283,7 @@ impl FlashDevice {
         if cmd.addr.saturating_add(cmd.len as u64) > self.profile.capacity_bytes {
             self.stats.out_of_range += 1;
             let at = now + SimDuration::from_micros(1);
-            let seq = self.next_seq();
-            self.push_completion(
-                qp,
-                CqEntry {
-                    at,
-                    seq,
-                    completion: NvmeCompletion {
-                        id: cmd.id,
-                        op: cmd.op,
-                        completed_at: at,
-                        status: NvmeStatus::OutOfRange,
-                    },
-                },
-            );
+            self.post(qp, at, &cmd, NvmeStatus::OutOfRange);
             return Ok(at);
         }
 
@@ -318,20 +297,7 @@ impl FlashDevice {
         if fault == DeviceFaultAction::Dead {
             self.stats.unavailable += 1;
             let at = now + SimDuration::from_micros(1);
-            let seq = self.next_seq();
-            self.push_completion(
-                qp,
-                CqEntry {
-                    at,
-                    seq,
-                    completion: NvmeCompletion {
-                        id: cmd.id,
-                        op: cmd.op,
-                        completed_at: at,
-                        status: NvmeStatus::DeviceUnavailable,
-                    },
-                },
-            );
+            self.post(qp, at, &cmd, NvmeStatus::DeviceUnavailable);
             return Ok(at);
         }
 
@@ -360,58 +326,38 @@ impl FlashDevice {
             Stage::Channel,
             completed_at.saturating_since(now),
         );
-        let seq = self.next_seq();
-        self.push_completion(
-            qp,
-            CqEntry {
-                at: completed_at,
-                seq,
-                completion: NvmeCompletion {
-                    id: cmd.id,
-                    op: cmd.op,
-                    completed_at,
-                    status,
-                },
-            },
-        );
+        self.post(qp, completed_at, &cmd, status);
         Ok(completed_at)
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    fn push_completion(&mut self, qp: QpId, entry: CqEntry) {
+    /// Posts `cmd`'s completion to `qp`'s queue, visible from `at`; ties
+    /// at one instant leave in submission order.
+    fn post(&mut self, qp: QpId, at: SimTime, cmd: &NvmeCommand, status: NvmeStatus) {
         let q = &mut self.qps[qp.0 as usize];
         q.outstanding += 1;
-        q.cq.push(Reverse(entry));
+        let (id, op) = (cmd.id, cmd.op);
+        q.cq.push(at, self.seq, Posted { id, op, status });
+        self.seq += 1;
     }
 
     fn service_read(&mut self, now: SimTime, cmd: &NvmeCommand) -> SimTime {
-        let pages = cmd.pages(self.profile.page_size) as u64;
+        let pages = cmd.pages(self.page_shift) as u64;
         self.stats.reads += 1;
         self.stats.read_pages += pages;
 
         let occ_page = if self.in_read_only_mode(now) {
-            self.profile
-                .read_occupancy
-                .mul_f64(self.profile.read_only_occupancy_factor)
+            self.read_only_occupancy
         } else {
             self.profile.read_occupancy
         };
-        let fixed = self.rng.lognormal(
-            self.profile.read_latency_median,
-            self.profile.read_latency_sigma,
-        );
+        let fixed = self.rng.lognormal(self.read_fixed);
 
         // Multi-page commands stripe across channels (page i of the
         // request lands on the channel its page address hashes to); the
         // command completes when its slowest page does.
         let mut completed = now;
         for i in 0..pages {
-            let addr = cmd.addr + i * self.profile.page_size as u64;
+            let addr = cmd.addr + (i << self.page_shift);
             let ch_idx = self.channel_index(addr);
             let ch = &mut self.channels[ch_idx];
             ch.drain_idle(now);
@@ -436,23 +382,20 @@ impl FlashDevice {
     }
 
     fn service_write(&mut self, now: SimTime, cmd: &NvmeCommand) -> SimTime {
-        let pages = cmd.pages(self.profile.page_size) as u64;
+        let pages = cmd.pages(self.page_shift) as u64;
         self.stats.writes += 1;
         self.stats.write_pages += pages;
         self.last_write_at = Some(now);
 
         let program = self.profile.program_occupancy;
-        let buffered = self.rng.lognormal(
-            self.profile.write_buffer_median,
-            self.profile.write_buffer_sigma,
-        );
+        let buffered = self.rng.lognormal(self.write_buffered);
 
         // Each page's program lands on its own channel; host completion
         // stalls on the most backlogged channel involved once its pending
         // work exceeds the write-buffer allowance.
         let mut worst_stall = SimDuration::ZERO;
         for i in 0..pages {
-            let addr = cmd.addr + i * self.profile.page_size as u64;
+            let addr = cmd.addr + (i << self.page_shift);
             let ch_idx = self.channel_index(addr);
             let ch = &mut self.channels[ch_idx];
             ch.drain_idle(now);
@@ -492,19 +435,23 @@ impl FlashDevice {
         out.clear();
         let q = &mut self.qps[qp.0 as usize];
         while out.len() < max {
-            match q.cq.peek() {
-                Some(Reverse(e)) if e.at <= now => {
-                    out.push(q.cq.pop().expect("peeked entry must pop").0.completion);
-                    q.outstanding -= 1;
-                }
-                _ => break,
-            }
+            let Some((completed_at, Posted { id, op, status })) = q.cq.pop_due(now) else {
+                break;
+            };
+            q.outstanding -= 1;
+            let completion = NvmeCompletion {
+                id,
+                op,
+                completed_at,
+                status,
+            };
+            out.push(completion);
         }
     }
 
     /// Instant of `qp`'s earliest pending completion, if any.
     pub fn next_completion_time(&self, qp: QpId) -> Option<SimTime> {
-        self.qps[qp.0 as usize].cq.peek().map(|Reverse(e)| e.at)
+        self.qps[qp.0 as usize].cq.next_at()
     }
 
     /// Preconditions the device to steady state (the paper preconditions
@@ -521,8 +468,8 @@ impl FlashDevice {
     /// Convenience: submit a 4KB read at a uniformly random page-aligned
     /// address (workload generators use this for random-read patterns).
     pub fn random_page_addr(&mut self) -> u64 {
-        let pages = self.profile.capacity_bytes / self.profile.page_size as u64;
-        self.rng.below(pages) * self.profile.page_size as u64
+        let pages = self.profile.capacity_bytes >> self.page_shift;
+        self.rng.below(pages) << self.page_shift
     }
 }
 
@@ -537,6 +484,31 @@ mod tests {
         let mut d = FlashDevice::new(device_a(), SimRng::seed(42));
         let qp = d.create_queue_pair();
         (d, qp)
+    }
+
+    /// The channel map computed with the page shift picks the channel
+    /// `(addr / page_size * phi) % channels` picks, on devices A, B and C
+    /// (32, 16 and 24 channels), over random addresses and the ends of the
+    /// address space.
+    #[test]
+    fn channel_index_is_the_modulo_map() {
+        use crate::profile::{device_b, device_c};
+        let mut rng = SimRng::seed(34);
+        for profile in [device_a(), device_b(), device_c()] {
+            let (page, channels) = (u64::from(profile.page_size), u64::from(profile.channels));
+            let d = FlashDevice::new(profile, SimRng::seed(1));
+            let edges = [0, page - 1, page, u64::MAX, u64::MAX - page];
+            let addrs = edges.into_iter().chain((0..20_000).map(|_| rng.next_u64()));
+            for addr in addrs {
+                let want = (addr / page).wrapping_mul(0x9e37_79b9_7f4a_7c15) % channels;
+                assert_eq!(
+                    d.channel_index(addr) as u64,
+                    want,
+                    "{} addr {addr}",
+                    d.profile.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cq;
 mod device;
 mod profile;
 mod types;

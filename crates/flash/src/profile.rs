@@ -27,7 +27,8 @@ pub struct DeviceProfile {
     pub name: String,
     /// Usable capacity in bytes.
     pub capacity_bytes: u64,
-    /// Internal page size; requests smaller than this cost a full page.
+    /// Internal page size, a power of two; requests smaller than this
+    /// cost a full page.
     pub page_size: u32,
     /// Number of independent internal channels (dies/planes aggregated).
     pub channels: u32,
@@ -90,8 +91,8 @@ impl DeviceProfile {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.page_size == 0 {
-            return Err("page_size must be non-zero".into());
+        if !self.page_size.is_power_of_two() {
+            return Err("page_size must be a power of two".into());
         }
         if self.channels == 0 {
             return Err("channels must be non-zero".into());
@@ -236,6 +237,9 @@ mod tests {
     fn validate_rejects_bad_profiles() {
         let mut p = device_a();
         p.page_size = 0;
+        assert!(p.validate().is_err());
+        let mut p = device_a();
+        p.page_size = 3000;
         assert!(p.validate().is_err());
         let mut p = device_a();
         p.channels = 0;

@@ -79,10 +79,11 @@ impl NvmeCommand {
         }
     }
 
-    /// Number of device pages this command touches given `page_size`.
-    pub(crate) fn pages(&self, page_size: u32) -> u32 {
-        debug_assert!(page_size > 0);
-        self.len.div_ceil(page_size).max(1)
+    /// Number of device pages this command touches, pages being
+    /// `1 << page_shift` bytes.
+    pub(crate) fn pages(&self, page_shift: u32) -> u32 {
+        let page = 1u64 << page_shift;
+        ((u64::from(self.len) + page - 1) >> page_shift).max(1) as u32
     }
 }
 
@@ -140,13 +141,15 @@ mod tests {
     #[test]
     fn pages_rounds_up_and_never_zero() {
         let c = NvmeCommand::read(CmdId(1), 0, 1024);
-        assert_eq!(c.pages(4096), 1);
+        assert_eq!(c.pages(12), 1);
         let c = NvmeCommand::read(CmdId(1), 0, 4096);
-        assert_eq!(c.pages(4096), 1);
+        assert_eq!(c.pages(12), 1);
         let c = NvmeCommand::read(CmdId(1), 0, 4097);
-        assert_eq!(c.pages(4096), 2);
+        assert_eq!(c.pages(12), 2);
         let c = NvmeCommand::write(CmdId(1), 0, 32 * 1024);
-        assert_eq!(c.pages(4096), 8);
+        assert_eq!(c.pages(12), 8);
+        let c = NvmeCommand::write(CmdId(1), 0, u32::MAX);
+        assert_eq!(c.pages(12), u32::MAX.div_ceil(4096));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! read/write ratio) and Figure 3 (curves collapse under token weighting).
 
 use reflex_flash::{device_a, CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand};
-use reflex_sim::{Histogram, SimDuration, SimRng, SimTime};
+use reflex_sim::{Exponential, Histogram, SimDuration, SimRng, SimTime};
 
 /// Open-loop Poisson sweep at `total_iops` with `read_pct` reads; returns
 /// p95 read latency in microseconds. Requests are 4KB, uniformly random.
@@ -16,7 +16,7 @@ fn p95_read_at(mut profile: DeviceProfile, total_iops: f64, read_pct: u32, seed:
     let qp = dev.create_queue_pair();
     let mut rng = SimRng::seed(seed ^ 0xabcd);
     let mut hist = Histogram::new();
-    let mean_gap = SimDuration::from_secs_f64(1.0 / total_iops);
+    let mean_gap = Exponential::new(SimDuration::from_secs_f64(1.0 / total_iops));
     let mut now = SimTime::ZERO;
     let warmup = SimTime::from_millis(100);
     let end = SimTime::from_millis(400);

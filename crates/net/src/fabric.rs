@@ -10,7 +10,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use reflex_sim::{DenseId, SimDuration, SimRng, SimTime};
+use reflex_sim::{DenseId, LogNormal, SimDuration, SimRng, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 use crate::stack::StackProfile;
@@ -92,8 +92,12 @@ pub struct Delivery<P> {
     pub payload: P,
 }
 
+/// A machine's network interface: its stack's prepared latencies and
+/// framing, and its uplink and downlink horizons.
 struct Nic {
-    stack: StackProfile,
+    tx_stack: LogNormal,
+    rx_stack: LogNormal,
+    frame_overhead: usize,
     tx_busy: SimTime,
     rx_busy: SimTime,
     rng: SimRng,
@@ -364,7 +368,9 @@ impl<P> Fabric<P> {
         // machine creation order, not call order, determines jitter.
         let rng = SimRng::seed(self.nic_seed ^ (0x9e37_79b9 * (id.0 as u64 + 1)));
         self.nics.push(Nic {
-            stack,
+            tx_stack: LogNormal::new(stack.tx_median, stack.tx_sigma),
+            rx_stack: LogNormal::new(stack.rx_median, stack.rx_sigma),
+            frame_overhead: stack.transport.frame_overhead(),
             tx_busy: SimTime::ZERO,
             rx_busy: SimTime::ZERO,
             rng,
@@ -491,13 +497,13 @@ impl<P> Fabric<P> {
         assert_ne!(from, to, "loopback is not modelled");
         // The flow's transport is the sender's (both ends of a connection
         // speak the same protocol).
-        let overhead = self.nics[from.0 as usize].stack.transport.frame_overhead();
+        let overhead = self.nics[from.0 as usize].frame_overhead;
         let bytes = wire_bytes_with(size as usize, overhead);
         let ser = self.serialization(bytes);
 
         // Sender: stack latency, then serialization on the uplink.
         let src = &mut self.nics[from.0 as usize];
-        let tx_stack = src.stack.sample_tx(&mut src.rng);
+        let tx_stack = src.rng.lognormal(src.tx_stack);
         let depart_start = (now + tx_stack).max(src.tx_busy);
         let departed = depart_start + ser;
         src.tx_busy = departed;
@@ -508,7 +514,7 @@ impl<P> Fabric<P> {
         let wire_arrival = departed + self.link.propagation;
         let rx_done = wire_arrival.max(dst.rx_busy) + ser;
         dst.rx_busy = rx_done;
-        let rx_stack = dst.stack.sample_rx(&mut dst.rng);
+        let rx_stack = dst.rng.lognormal(dst.rx_stack);
         let mut arrived_at = rx_done + rx_stack;
         dst.rx_bytes += size as u64;
 

@@ -7,7 +7,7 @@
 //! bounds a client thread's message rate (§4.2: the Linux TCP stack
 //! supports ~70K messages per second per thread at 4KB).
 
-use reflex_sim::{SimDuration, SimRng};
+use reflex_sim::SimDuration;
 
 /// Transport protocol an endpoint speaks. The paper ships TCP (the most
 /// heavyweight choice, "a conservative lower bound on performance") and
@@ -118,21 +118,12 @@ impl StackProfile {
             ..Self::dataplane_raw()
         }
     }
-
-    /// Samples the transmit-side software latency.
-    pub fn sample_tx(&self, rng: &mut SimRng) -> SimDuration {
-        rng.lognormal(self.tx_median, self.tx_sigma)
-    }
-
-    /// Samples the receive-side software latency.
-    pub fn sample_rx(&self, rng: &mut SimRng) -> SimDuration {
-        rng.lognormal(self.rx_median, self.rx_sigma)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reflex_sim::{LogNormal, SimRng};
 
     #[test]
     fn linux_thread_ceiling_near_70k() {
@@ -154,8 +145,9 @@ mod tests {
     fn sampling_is_near_median() {
         let mut rng = SimRng::seed(1);
         let p = StackProfile::linux_tcp();
+        let rx = LogNormal::new(p.rx_median, p.rx_sigma);
         let mut xs: Vec<f64> = (0..2_001)
-            .map(|_| p.sample_rx(&mut rng).as_micros_f64())
+            .map(|_| rng.lognormal(rx).as_micros_f64())
             .collect();
         xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         let median = xs[1_000];

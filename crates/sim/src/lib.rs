@@ -17,7 +17,7 @@
 //! # Examples
 //!
 //! ```
-//! use reflex_sim::{Ctx, Engine, Histogram, SimDuration, SimRng, SimTime, TypedEvent};
+//! use reflex_sim::{Ctx, Engine, Histogram, LogNormal, SimDuration, SimRng, SimTime, TypedEvent};
 //!
 //! struct World {
 //!     rng: SimRng,
@@ -33,7 +33,7 @@
 //!     fn dispatch(self, w: &mut World, ctx: &mut Ctx<'_, World, Self>) {
 //!         match self {
 //!             Request::Arrive => {
-//!                 let svc = w.rng.lognormal(SimDuration::from_micros(80), 0.1);
+//!                 let svc = w.rng.lognormal(LogNormal::new(SimDuration::from_micros(80), 0.1));
 //!                 ctx.schedule_event_after(svc, Request::Done(ctx.now()));
 //!             }
 //!             Request::Done(started) => w.lat.record(ctx.now() - started),
@@ -69,7 +69,7 @@ mod ziggurat;
 pub use dense::{DenseId, DenseTable};
 pub use engine::{Ctx, Engine, Step, TypedEvent};
 pub use hist::Histogram;
-pub use rng::{SimRng, Zipf};
+pub use rng::{Exponential, LogNormal, SimRng, Zipf};
 pub use series::{RatePoint, RateSeries};
 pub use slab::{PoolKey, SlabPool};
 pub use time::{SimDuration, SimTime};

@@ -102,18 +102,17 @@ impl SimRng {
         self.f64() < p.clamp(0.0, 1.0)
     }
 
-    /// Exponentially distributed duration with the given mean — the
-    /// inter-arrival gap of a Poisson process.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_micros_f64(mean.as_micros_f64() * self.standard_exponential())
+    /// An exponentially distributed duration — the inter-arrival gap of
+    /// a Poisson process.
+    pub fn exponential(&mut self, dist: Exponential) -> SimDuration {
+        SimDuration::from_micros_f64(dist.mean_us * self.standard_exponential())
     }
 
-    /// Lognormally distributed duration parameterised by its *median* and
-    /// the underlying normal's sigma. Service-time jitter in the device and
-    /// stack models uses small sigmas (0.05–0.3).
-    pub fn lognormal(&mut self, median: SimDuration, sigma: f64) -> SimDuration {
+    /// A lognormally distributed duration. Service-time jitter in the
+    /// device and stack models uses small sigmas (0.05–0.3).
+    pub fn lognormal(&mut self, dist: LogNormal) -> SimDuration {
         let z = self.standard_normal();
-        SimDuration::from_micros_f64(median.as_micros_f64() * (sigma * z).exp())
+        SimDuration::from_micros_f64(dist.median_us * (dist.sigma * z).exp())
     }
 
     /// Standard normal draw (128-layer ziggurat; tables in `ziggurat.rs`).
@@ -168,6 +167,40 @@ impl SimRng {
             } else if t.f[i] + self.f64() * (t.f[i + 1] - t.f[i]) < ziggurat::exp_pdf(x) {
                 return base + x;
             }
+        }
+    }
+}
+
+/// A lognormal distribution prepared once for [`SimRng::lognormal`]: its
+/// median in microseconds, and the underlying normal's sigma.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    median_us: f64,
+    sigma: f64,
+}
+
+impl LogNormal {
+    /// The lognormal with the given median and sigma.
+    pub fn new(median: SimDuration, sigma: f64) -> Self {
+        LogNormal {
+            median_us: median.as_micros_f64(),
+            sigma,
+        }
+    }
+}
+
+/// An exponential distribution prepared once for
+/// [`SimRng::exponential`]: its mean in microseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Exponential {
+    mean_us: f64,
+}
+
+impl Exponential {
+    /// The exponential with the given mean.
+    pub fn new(mean: SimDuration) -> Self {
+        Exponential {
+            mean_us: mean.as_micros_f64(),
         }
     }
 }
@@ -329,7 +362,9 @@ mod tests {
         let mut rng = SimRng::seed(2);
         let mean = SimDuration::from_micros(100);
         let n = 20_000;
-        let total: f64 = (0..n).map(|_| rng.exponential(mean).as_micros_f64()).sum();
+        let total: f64 = (0..n)
+            .map(|_| rng.exponential(Exponential::new(mean)).as_micros_f64())
+            .sum();
         let avg = total / n as f64;
         assert!(
             (avg - 100.0).abs() < 3.0,
@@ -337,12 +372,36 @@ mod tests {
         );
     }
 
+    /// A prepared exponential draws what `mean.as_micros_f64() *
+    /// standard_exponential()` drew, the division done per draw, bit for
+    /// bit over 10^6 draws at each mean an arrival process or test uses.
+    #[test]
+    fn prepared_exponential_is_the_old_formula() {
+        for (seed, mean_ns) in [
+            (1, 1),
+            (2, 999),
+            (3, 1_000),
+            (4, 2_353),
+            (5, 50_000),
+            (6, 7_777_777),
+        ] {
+            let mean = SimDuration::from_nanos(mean_ns);
+            let dist = Exponential::new(mean);
+            let (mut a, mut b) = (SimRng::seed(seed), SimRng::seed(seed));
+            for _ in 0..1_000_000 {
+                let old =
+                    SimDuration::from_micros_f64(mean.as_micros_f64() * b.standard_exponential());
+                assert_eq!(a.exponential(dist), old, "mean {mean:?}");
+            }
+        }
+    }
+
     #[test]
     fn lognormal_median_is_close() {
         let mut rng = SimRng::seed(3);
         let median = SimDuration::from_micros(80);
         let mut xs: Vec<f64> = (0..10_001)
-            .map(|_| rng.lognormal(median, 0.2).as_micros_f64())
+            .map(|_| rng.lognormal(LogNormal::new(median, 0.2)).as_micros_f64())
             .collect();
         xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
         let sample_median = xs[5_000];

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use reflex_sim::{
-    Ctx, Engine, Histogram, PoolKey, SimDuration, SimRng, SimTime, SlabPool, TypedEvent, Zipf,
+    Ctx, Engine, Exponential, Histogram, PoolKey, SimDuration, SimRng, SimTime, SlabPool,
+    TypedEvent, Zipf,
 };
 
 /// A closure as an event: the engine dispatches typed events only, and
@@ -130,7 +131,7 @@ proptest! {
     #[test]
     fn distributions_well_formed(seed in any::<u64>(), n in 2u64..100_000, theta in 0.01f64..0.99) {
         let mut rng = SimRng::seed(seed);
-        let mean = SimDuration::from_micros(50);
+        let mean = Exponential::new(SimDuration::from_micros(50));
         for _ in 0..64 {
             let d = rng.exponential(mean);
             prop_assert!(d.as_nanos() < 10_000_000_000, "absurd exponential draw");

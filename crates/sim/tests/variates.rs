@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 
 use reflex_flash::{device_a, device_b, device_c};
 use reflex_net::StackProfile;
-use reflex_sim::{SimDuration, SimRng};
+use reflex_sim::{Exponential, LogNormal, SimDuration, SimRng};
 
 const DRAWS: usize = 1_000_000;
 const ONE_SECOND: SimDuration = SimDuration::from_secs(1);
@@ -86,7 +86,7 @@ fn exponential() -> &'static Sample {
     SAMPLE.get_or_init(|| {
         sample(
             20,
-            |rng| rng.exponential(ONE_SECOND).as_secs_f64(),
+            |rng| rng.exponential(Exponential::new(ONE_SECOND)).as_secs_f64(),
             |rng| reference::exponential(rng, ONE_SECOND).as_secs_f64(),
         )
     })
@@ -245,10 +245,9 @@ fn a_draw_takes_about_one_generator_word() {
     }
 }
 
-/// Median and p95 of every lognormal the shipped profiles draw, against
-/// `median` and `median * exp(1.645 sigma)`.
-#[test]
-fn lognormal_quantiles_match_closed_form() {
+/// The median and sigma of every lognormal the shipped stack and device
+/// profiles draw.
+fn profile_lognormals() -> impl Iterator<Item = (SimDuration, f64)> {
     let stacks = [
         StackProfile::linux_tcp(),
         StackProfile::ix_tcp(),
@@ -257,20 +256,27 @@ fn lognormal_quantiles_match_closed_form() {
         StackProfile::dataplane_raw_udp(),
     ];
     let devices = [device_a(), device_b(), device_c()];
-    let pairs = (stacks.iter())
+    let pairs: Vec<_> = (stacks.iter())
         .flat_map(|s| [(s.tx_median, s.tx_sigma), (s.rx_median, s.rx_sigma)])
         .chain(devices.iter().flat_map(|d| {
             [
                 (d.read_latency_median, d.read_latency_sigma),
                 (d.write_buffer_median, d.write_buffer_sigma),
             ]
-        }));
+        }))
+        .collect();
+    pairs.into_iter()
+}
+
+/// Median and p95 of every lognormal the shipped profiles draw, against
+/// `median` and `median * exp(1.645 sigma)`.
+#[test]
+fn lognormal_quantiles_match_closed_form() {
     const N: usize = 200_000;
     let mut rng = SimRng::seed(21);
-    for (median, sigma) in pairs {
-        let mut ns: Vec<u64> = (0..N)
-            .map(|_| rng.lognormal(median, sigma).as_nanos())
-            .collect();
+    for (median, sigma) in profile_lognormals() {
+        let dist = LogNormal::new(median, sigma);
+        let mut ns: Vec<u64> = (0..N).map(|_| rng.lognormal(dist).as_nanos()).collect();
         ns.sort_unstable();
         for (what, at, z) in [("median", N / 2, 0.0), ("p95", N * 95 / 100, 1.644_853_627)] {
             let want = median.as_nanos() as f64 * (sigma * z).exp();
@@ -282,6 +288,22 @@ fn lognormal_quantiles_match_closed_form() {
                 "lognormal({median:?}, {sigma}) {what}: {} ns vs {want:.1}",
                 ns[at]
             );
+        }
+    }
+}
+
+/// A prepared lognormal draws what `median.as_micros_f64() * (sigma *
+/// z).exp()` drew, the division done per draw, bit for bit over 10^6
+/// draws at every shipped profile's median and sigma.
+#[test]
+fn prepared_lognormal_is_the_old_formula() {
+    for (i, (median, sigma)) in profile_lognormals().enumerate() {
+        let dist = LogNormal::new(median, sigma);
+        let (mut a, mut b) = (SimRng::seed(i as u64), SimRng::seed(i as u64));
+        for _ in 0..DRAWS {
+            let z = b.standard_normal();
+            let old = SimDuration::from_micros_f64(median.as_micros_f64() * (sigma * z).exp());
+            assert_eq!(a.lognormal(dist), old, "lognormal({median:?}, {sigma})");
         }
     }
 }

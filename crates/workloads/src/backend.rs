@@ -13,7 +13,7 @@
 //! * fixed protocol latency on top of the device.
 
 use reflex_flash::{CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand, QpId};
-use reflex_sim::{SimDuration, SimRng, SimTime};
+use reflex_sim::{LogNormal, SimDuration, SimRng, SimTime};
 
 /// Which data path a [`Backend`] models.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,6 +102,9 @@ pub struct Backend {
     server_busy: SimTime,
     link_up_busy: SimTime,
     link_down_busy: SimTime,
+    /// The profile's request and response latencies, prepared once.
+    request_latency: LogNormal,
+    response_latency: LogNormal,
     rng: SimRng,
     seq: u64,
 }
@@ -126,6 +129,11 @@ impl Backend {
         device.precondition();
         let qp = device.create_queue_pair();
         Backend {
+            request_latency: LogNormal::new(profile.request_latency_median, profile.latency_sigma),
+            response_latency: LogNormal::new(
+                profile.response_latency_median,
+                profile.latency_sigma,
+            ),
             profile,
             device,
             qp,
@@ -195,10 +203,7 @@ impl Backend {
             self.link_up_busy = depart;
             t = depart;
         }
-        t += self.rng.lognormal(
-            self.profile.request_latency_median,
-            self.profile.latency_sigma,
-        );
+        t += self.rng.lognormal(self.request_latency);
 
         // Remote server serialization point.
         if let Some(cpu) = self.profile.server_per_req_cpu {
@@ -226,10 +231,7 @@ impl Backend {
             self.link_down_busy = depart;
             t = depart;
         }
-        t + self.rng.lognormal(
-            self.profile.response_latency_median,
-            self.profile.latency_sigma,
-        )
+        t + self.rng.lognormal(self.response_latency)
     }
 }
 
