@@ -36,12 +36,13 @@ fn run_with(
     value: String,
     server: ServerConfig,
     cost_model: Option<CostModel>,
+    telemetry: bool,
 ) -> PointOutcome {
     let mut builder = Testbed::builder().seed(111).server(server);
     if let Some(m) = cost_model {
         builder = builder.cost_model(m);
     }
-    let report = run_testbed(builder.build(), scenario_specs(), WARMUP, MEASURE);
+    let report = run_testbed(builder.build(), scenario_specs(), WARMUP, MEASURE, telemetry);
     let lc = report.workload("lc-reader");
     let be = report.workload("be-writer");
     let p95 = lc.p95_read_us();
@@ -55,6 +56,7 @@ fn run_with(
         .with_metric("lc_p95_us", p95)
         .with_metric("be_kiops", be.iops / 1e3)
         .with_events(&report)
+        .with_telemetry(report.telemetry)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -62,12 +64,13 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         "# Ablations on the Figure-5-style scenario (LC reader vs BE writer)\n\
          knob\tvalue\tlc_kiops\tlc_p95_us\tbe_kiops\n",
     );
+    let telemetry = sweep.telemetry;
     let curve = sweep.curve("batch_max");
     for batch in [4usize, 16, 64, 256] {
         curve.point(move || {
             let mut server = ServerConfig::default();
             server.dataplane.batch_max = batch;
-            run_with("batch_max", batch.to_string(), server, None)
+            run_with("batch_max", batch.to_string(), server, None, telemetry)
         });
     }
 
@@ -82,7 +85,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
                 },
                 ..ServerConfig::default()
             };
-            run_with("neg_limit", neg.to_string(), server, None)
+            run_with("neg_limit", neg.to_string(), server, None, telemetry)
         });
     }
 
@@ -97,13 +100,13 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
                 },
                 ..ServerConfig::default()
             };
-            run_with("donate_fraction", frac.to_string(), server, None)
+            run_with("donate_fraction", frac.to_string(), server, None, telemetry)
         });
     }
 
     sweep.text("\n");
     let curve = sweep.curve("cost_model");
-    curve.point(|| {
+    curve.point(move || {
         // Cost model ablation: writes cost the same as reads (1 token).
         let unit = CostModel::new(
             4096,
@@ -116,14 +119,16 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
             "unit-writes".into(),
             ServerConfig::default(),
             Some(unit),
+            telemetry,
         )
     });
-    curve.point(|| {
+    curve.point(move || {
         run_with(
             "cost_model",
             "calibrated".into(),
             ServerConfig::default(),
             None,
+            telemetry,
         )
     });
 }

@@ -24,6 +24,7 @@ use reflex_core::{RetryPolicy, Testbed, TestbedReport, WorkloadSpec};
 use reflex_faults::{install, FaultCounts, FaultKind, FaultPlan};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{Histogram, SimDuration, SimTime};
+use reflex_telemetry::TelemetrySnapshot;
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -90,6 +91,8 @@ struct ChaosOutcome {
     recovery_p95_ms: f64,
     execution: Execution,
     slo_violations: u64,
+    /// What the point recorded, when the sweep records telemetry.
+    telemetry: Option<TelemetrySnapshot>,
 }
 
 impl ChaosOutcome {
@@ -107,6 +110,7 @@ impl ChaosOutcome {
             .with_metric("recovery_p95_ms", self.recovery_p95_ms)
             .with_metric("slo_violations", self.slo_violations as f64)
             .with_events(self.execution)
+            .with_telemetry(self.telemetry)
     }
 }
 
@@ -115,7 +119,7 @@ impl ChaosOutcome {
 /// TSV is unaffected): the third value is how many rolling SLO windows,
 /// over every tenant, the fault pushed over their p95 targets.
 fn run_plan(tb: &mut Testbed, plan: &FaultPlan, smoke: bool) -> (TestbedReport, FaultCounts, u64) {
-    let stats = install(plan, tb);
+    let counts = install(plan, tb);
     tb.enable_telemetry();
     tb.run(warmup(smoke));
     tb.begin_measurement();
@@ -123,22 +127,15 @@ fn run_plan(tb: &mut Testbed, plan: &FaultPlan, smoke: bool) -> (TestbedReport, 
     let report = tb.report();
     let slo = report.telemetry.iter().flat_map(|t| t.slo.values());
     let slo_violations = slo.map(|s| s.violations).sum();
-    if let Some(t) = report.telemetry.as_ref().filter(|_| crate::telemetry::enabled()) {
-        crate::telemetry::merge(t);
-    }
-    (report, stats.snapshot(), slo_violations)
+    (report, counts.get(), slo_violations)
 }
 
-/// Runs one single-tenant testbed under `plan` and collects the chaos
-/// metrics. Each entry of `up_ats` marks the end of one scheduled
-/// outage, enabling the recovery-time measurement (mean and p95 across
-/// outages) from the 10ms IOPS series.
-fn run_faulted(
-    plan: &FaultPlan,
-    retry: RetryPolicy,
-    smoke: bool,
-    up_ats: &[SimTime],
-) -> ChaosOutcome {
+/// Runs one single-tenant testbed under `plan`, its client retrying by
+/// the standard policy, and collects the chaos metrics (and, with
+/// `telemetry` set, the snapshot). Each entry of `up_ats` marks the end
+/// of one scheduled outage, enabling the recovery-time measurement (mean
+/// and p95 across outages) from the 10ms IOPS series.
+fn run_faulted(plan: &FaultPlan, smoke: bool, telemetry: bool, up_ats: &[SimTime]) -> ChaosOutcome {
     let mut tb = Testbed::builder().seed(71).server_threads(1).build();
     let slo = SloSpec::new(OFFERED_IOPS as u64, 100, SimDuration::from_micros(500));
     tb.add_workload(
@@ -148,7 +145,7 @@ fn run_faulted(
             TenantClass::LatencyCritical(slo),
             OFFERED_IOPS,
         )
-        .with_retry(retry),
+        .with_retry(RetryPolicy::standard()),
     )
     .expect("chaos workload rejected");
     let (report, snap, slo_violations) = run_plan(&mut tb, plan, smoke);
@@ -166,6 +163,7 @@ fn run_faulted(
         recovery_p95_ms: recovery::p95_ms(&times),
         execution: Execution::from(&report),
         slo_violations,
+        telemetry: report.telemetry.filter(|_| telemetry),
     }
 }
 
@@ -176,7 +174,7 @@ fn run_faulted(
 /// and unrecovered count displaced, re-placed and stranded tenants;
 /// recovery is read off each displaced tenant's series from the
 /// failover instant, the end of the outage its clients see.
-fn server_death_point(per: u32, smoke: bool) -> PointOutcome {
+fn server_death_point(per: u32, smoke: bool, telemetry: bool) -> PointOutcome {
     let mut tb = Testbed::builder().sites(3).replication(1).seed(71).build();
     let slo = SloSpec::new(20_000, 100, SimDuration::from_micros(1_000));
     let total = 3 * per;
@@ -220,6 +218,7 @@ fn server_death_point(per: u32, smoke: bool) -> PointOutcome {
         recovery_p95_ms: recovery::p95_ms(&times),
         execution: Execution::from(&report),
         slo_violations,
+        telemetry: report.telemetry.filter(|_| telemetry),
     };
     o.into_point("server-death", &format!("{total}-tenants"))
 }
@@ -233,8 +232,8 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
         "# Chaos: recovery under escalating faults{}\n{TSV_HEADER}\n",
         if smoke { " (smoke)" } else { "" }
     ));
-    let w = warmup(smoke);
-    let start = SimTime::ZERO + w;
+    let telemetry = sweep.telemetry;
+    let start = SimTime::ZERO + warmup(smoke);
 
     // Transient device errors, escalating per-command error rate;
     // recovered by immediate client retries (exponential backoff).
@@ -257,7 +256,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
             } else {
                 FaultPlan::none()
             };
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[])
+            run_faulted(&plan, smoke, telemetry, &[])
                 .into_point("transient-errors", &format!("rate={rate}"))
         });
     }
@@ -275,7 +274,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
                     duration: measure(smoke),
                 },
             );
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[])
+            run_faulted(&plan, smoke, telemetry, &[])
                 .into_point("packet-loss", &format!("rate={rate}"))
         });
     }
@@ -292,7 +291,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
                     duration: measure(smoke),
                 },
             );
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[])
+            run_faulted(&plan, smoke, telemetry, &[])
                 .into_point("packet-dup", &format!("rate={rate}"))
         });
     }
@@ -309,7 +308,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
                     duration: measure(smoke),
                 },
             );
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[])
+            run_faulted(&plan, smoke, telemetry, &[])
                 .into_point("latency-storm", &format!("extra={extra}us"))
         });
     }
@@ -331,7 +330,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
                     down_for,
                 },
             );
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[flap_at + down_for])
+            run_faulted(&plan, smoke, telemetry, &[flap_at + down_for])
                 .into_point("link-flap", &format!("down={down}ms"))
         });
     }
@@ -356,7 +355,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
                 );
             }
             let up_ats: Vec<SimTime> = flaps.iter().map(|&at| at + down_for).collect();
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &up_ats)
+            run_faulted(&plan, smoke, telemetry, &up_ats)
                 .into_point("link-flap-train", "3x down=5ms")
         });
     }
@@ -376,7 +375,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
                     stall: dur,
                 },
             );
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[stall_at + dur])
+            run_faulted(&plan, smoke, telemetry, &[stall_at + dur])
                 .into_point("thread-stall", &format!("stall={stall}us"))
         });
     }
@@ -386,7 +385,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
     let curve = sweep.curve("server-death");
     let sizes: &[u32] = if smoke { &[2] } else { &[2, 4] };
     for &per in sizes {
-        curve.point(move || server_death_point(per, smoke));
+        curve.point(move || server_death_point(per, smoke, telemetry));
     }
 
     // Whole-device death: nothing can recover these; full runs report
@@ -395,8 +394,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
         let death_at = start + SimDuration::from_millis(100);
         sweep.curve("device-death").point(move || {
             let plan = FaultPlan::seeded(PLAN_SEED).with_event(death_at, FaultKind::DeviceDeath);
-            run_faulted(&plan, RetryPolicy::standard(), smoke, &[])
-                .into_point("device-death", "at=100ms")
+            run_faulted(&plan, smoke, telemetry, &[]).into_point("device-death", "at=100ms")
         });
     }
 }

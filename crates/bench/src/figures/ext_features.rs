@@ -12,13 +12,21 @@ use std::process::ExitCode;
 
 use crate::run_testbed;
 use crate::sweep::{PointOutcome, Sweep, SweepResult};
-use reflex_core::{ServerConfig, Testbed, WorkloadSpec};
+use reflex_core::{ServerConfig, Testbed, TestbedReport, WorkloadSpec};
 use reflex_dataplane::DataplaneConfig;
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::SimDuration;
 
-fn unloaded(client: StackProfile, server: StackProfile, dp: DataplaneConfig) -> f64 {
+/// A point whose one metric is `value`, measured by `report`'s run.
+fn value(value: f64, report: TestbedReport) -> PointOutcome {
+    PointOutcome::new(None)
+        .with_metric("value", value)
+        .with_telemetry(report.telemetry)
+}
+
+fn unloaded(udp: bool, telemetry: bool) -> PointOutcome {
+    let (client, server, dp) = tcp_udp_stacks(udp);
     let tb = Testbed::builder()
         .seed(121)
         .client_machines(vec![client])
@@ -35,11 +43,13 @@ fn unloaded(client: StackProfile, server: StackProfile, dp: DataplaneConfig) -> 
         vec![spec],
         SimDuration::from_millis(50),
         SimDuration::from_millis(300),
+        telemetry,
     );
-    report.workload("p").mean_read_us()
+    value(report.workload("p").mean_read_us(), report)
 }
 
-fn peak(client: StackProfile, server: StackProfile, dp: DataplaneConfig) -> f64 {
+fn peak(udp: bool, telemetry: bool) -> PointOutcome {
+    let (client, server, dp) = tcp_udp_stacks(udp);
     let tb = Testbed::builder()
         .seed(122)
         .client_machines(vec![client.clone(), client])
@@ -70,11 +80,12 @@ fn peak(client: StackProfile, server: StackProfile, dp: DataplaneConfig) -> f64 
         specs,
         SimDuration::from_millis(60),
         SimDuration::from_millis(150),
+        telemetry,
     );
-    report.workloads.iter().map(|w| w.iops).sum()
+    value(report.workloads.iter().map(|w| w.iops).sum(), report)
 }
 
-fn sharded(shards: u32) -> f64 {
+fn sharded(shards: u32, telemetry: bool) -> PointOutcome {
     let tb = Testbed::builder()
         .seed(123)
         .server(ServerConfig {
@@ -96,8 +107,9 @@ fn sharded(shards: u32) -> f64 {
         vec![spec],
         SimDuration::from_millis(60),
         SimDuration::from_millis(150),
+        telemetry,
     );
-    report.workload("big").iops
+    value(report.workload("big").iops, report)
 }
 
 fn tcp_udp_stacks(udp: bool) -> (StackProfile, StackProfile, DataplaneConfig) {
@@ -119,23 +131,18 @@ fn tcp_udp_stacks(udp: bool) -> (StackProfile, StackProfile, DataplaneConfig) {
 /// Declares the sweep: each of the six simulations is its own point; the
 /// combined tcp=/udp= rows are assembled from point metrics at render.
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
+    let telemetry = sweep.telemetry;
     let curve = sweep.curve("unloaded_read_us");
     for udp in [false, true] {
-        curve.point(move || {
-            let (client, server, dp) = tcp_udp_stacks(udp);
-            PointOutcome::new(None).with_metric("value", unloaded(client, server, dp))
-        });
+        curve.point(move || unloaded(udp, telemetry));
     }
     let curve = sweep.curve("one_core_1kb_iops");
     for udp in [false, true] {
-        curve.point(move || {
-            let (client, server, dp) = tcp_udp_stacks(udp);
-            PointOutcome::new(None).with_metric("value", peak(client, server, dp))
-        });
+        curve.point(move || peak(udp, telemetry));
     }
     let curve = sweep.curve("one_tenant_iops");
     for shards in [1u32, 2] {
-        curve.point(move || PointOutcome::new(None).with_metric("value", sharded(shards)));
+        curve.point(move || sharded(shards, telemetry));
     }
 }
 

@@ -14,6 +14,7 @@ use reflex_core::{ServerConfig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
+use reflex_telemetry::TelemetrySnapshot;
 
 fn load_specs(total_iops: f64, clients: usize) -> Vec<WorkloadSpec> {
     (0..clients)
@@ -33,7 +34,11 @@ fn load_specs(total_iops: f64, clients: usize) -> Vec<WorkloadSpec> {
         .collect()
 }
 
-fn reflex_point(threads: u32, offered: f64) -> (f64, f64, Execution) {
+/// Achieved IOPS, p95 read latency, how the point executed and what it
+/// recorded.
+type Measured = (f64, f64, Execution, Option<TelemetrySnapshot>);
+
+fn reflex_point(threads: u32, offered: f64, telemetry: bool) -> Measured {
     // Four IX client machines (the paper's testbed size) and a 40GbE link
     // so the network never caps the 1KB experiment (the paper notes the
     // 10GbE bottleneck explicitly and uses 1KB requests to stress server
@@ -48,12 +53,13 @@ fn reflex_point(threads: u32, offered: f64) -> (f64, f64, Execution) {
         .client_machines(vec![StackProfile::ix_tcp(); 4])
         .link(LinkConfig::forty_gbe())
         .build();
-    let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE);
+    let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE, telemetry);
     let total: f64 = report.workloads.iter().map(|w| w.iops).sum();
-    (total, max_p95_read_us(&report), Execution::from(&report))
+    let p95 = max_p95_read_us(&report);
+    (total, p95, Execution::from(&report), report.telemetry)
 }
 
-fn libaio_point(workers: u32, offered: f64) -> (f64, f64, Execution) {
+fn libaio_point(workers: u32, offered: f64, telemetry: bool) -> Measured {
     let config = BaselineConfig::libaio().with_threads(workers);
     let tb = TestbedBuilder::new()
         .seed(32)
@@ -63,24 +69,17 @@ fn libaio_point(workers: u32, offered: f64) -> (f64, f64, Execution) {
         .build_with(move |fabric, device, machine| {
             BaselineServer::new(machine, fabric, device, config, 33)
         });
-    let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE);
+    let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE, telemetry);
     let total: f64 = report.workloads.iter().map(|w| w.iops).sum();
-    (total, max_p95_read_us(&report), Execution::from(&report))
+    let p95 = max_p95_read_us(&report);
+    (total, p95, Execution::from(&report), report.telemetry)
 }
 
-fn local_point(threads: u32, offered: f64) -> (f64, f64, Execution) {
+fn local_point(threads: u32, offered: f64, _telemetry: bool) -> Measured {
     let mut rig = LocalRig::new(device_a(), threads, 34);
     let rep = rig.run_open_loop(offered, 100, 1024, WARMUP, MEASURE);
-    (rep.iops, rep.latency_p95_us(), Execution::default())
-}
-
-trait P95Ext {
-    fn latency_p95_us(&self) -> f64;
-}
-impl P95Ext for reflex_baselines::LocalReport {
-    fn latency_p95_us(&self) -> f64 {
-        self.read_latency.p95().as_micros_f64()
-    }
+    let p95 = rep.read_latency.p95().as_micros_f64();
+    (rep.iops, p95, Execution::default(), None)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -89,7 +88,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
          curve\toffered_kiops\tachieved_kiops\tp95_us\n",
     );
     let fracs = [0.2, 0.4, 0.6, 0.75, 0.9, 1.0, 1.1];
-    type Point = fn(u32, f64) -> (f64, f64, Execution);
+    type Point = fn(u32, f64, bool) -> Measured;
     let curves: [(&str, u32, f64, Point); 6] = [
         ("Local-1T", 1, 900_000.0, local_point),
         ("Local-2T", 2, 1_150_000.0, local_point),
@@ -98,13 +97,14 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         ("Libaio-1T", 1, 85_000.0, libaio_point),
         ("Libaio-2T", 2, 170_000.0, libaio_point),
     ];
+    let telemetry = sweep.telemetry;
     for (name, threads, peak, point) in curves {
         let curve = sweep.curve(name);
         curve.cutoff_p95_us(3_000.0);
         for frac in fracs {
             let offered = peak * frac;
             curve.point(move || {
-                let (iops, p95, events) = point(threads, offered);
+                let (iops, p95, events, snapshot) = point(threads, offered, telemetry);
                 PointOutcome::new(p95)
                     .with_row(format!(
                         "{name}\t{:.0}\t{:.0}\t{p95:.0}",
@@ -114,6 +114,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
                     .with_metric("offered_iops", offered)
                     .with_metric("achieved_iops", iops)
                     .with_events(events)
+                    .with_telemetry(snapshot)
             });
         }
     }

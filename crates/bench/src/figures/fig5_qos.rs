@@ -48,13 +48,13 @@ fn tenant_specs(scenario: u8) -> Vec<WorkloadSpec> {
     specs
 }
 
-fn run(scenario: u8, qos: bool) -> PointOutcome {
+fn run(scenario: u8, qos: bool, telemetry: bool) -> PointOutcome {
     let mut builder = Testbed::builder().seed(41);
     if !qos {
         builder = builder.capacity(CapacityProfile::unlimited());
     }
     let tb = builder.build();
-    let report = run_testbed(tb, tenant_specs(scenario), WARMUP, MEASURE);
+    let report = run_testbed(tb, tenant_specs(scenario), WARMUP, MEASURE, telemetry);
     let sched = if qos { "enabled" } else { "disabled" };
     let mut out =
         PointOutcome::new(crate::max_p95_read_us(&report)).with_events(&report);
@@ -73,7 +73,7 @@ fn run(scenario: u8, qos: bool) -> PointOutcome {
             .with_metric(format!("{}_kiops", w.name), w.iops / 1e3)
             .with_metric(format!("{}_p95_us", w.name), w.p95_read_us());
     }
-    out
+    out.with_telemetry(report.telemetry)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -82,10 +82,11 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
          # LC SLOs: A=120K IOPS@100%r, B=70K@80%r, both p95<=500us\n\
          scenario\tsched\ttenant\tkiops\tp95_read_us\tload\n",
     );
+    let telemetry = sweep.telemetry;
     for scenario in [1u8, 2] {
         for qos in [false, true] {
             let label = format!("s{scenario}/{}", if qos { "sched" } else { "nosched" });
-            sweep.curve(label).point(move || run(scenario, qos));
+            sweep.curve(label).point(move || run(scenario, qos, telemetry));
         }
         sweep.text("\n");
     }

@@ -15,7 +15,7 @@ use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::SimDuration;
 
-fn core_point(cores: u32) -> PointOutcome {
+fn core_point(cores: u32, telemetry: bool) -> PointOutcome {
     let threads = cores.max(2); // BE tenants always run on 2 threads
     let tb = Testbed::builder()
         .seed(51)
@@ -61,7 +61,7 @@ fn core_point(cores: u32) -> PointOutcome {
         specs.push(spec);
     }
 
-    let report = run_testbed(tb, specs, WARMUP, MEASURE);
+    let report = run_testbed(tb, specs, WARMUP, MEASURE, telemetry);
     let lc: f64 = report
         .workloads
         .iter()
@@ -91,6 +91,7 @@ fn core_point(cores: u32) -> PointOutcome {
         .with_metric("be_kiops", be / 1e3)
         .with_metric("token_usage_ktokens_s", report.token_usage_per_sec / 1e3)
         .with_events(&report)
+        .with_telemetry(report.telemetry)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -98,8 +99,9 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         "# Figure 6a: scaling LC tenants across cores (2ms SLO, 90% read)\n\
          cores\tlc_kiops\tbe_kiops\ttoken_usage_ktokens_s\tmax_lc_p95_us\n",
     );
+    let telemetry = sweep.telemetry;
     let curve = sweep.curve("core_scaling");
     for cores in 0..=12u32 {
-        curve.point(move || core_point(cores));
+        curve.point(move || core_point(cores, telemetry));
     }
 }

@@ -15,7 +15,7 @@ use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::SimDuration;
 
-fn tenant_point(cores: u32, tenants: u32) -> PointOutcome {
+fn tenant_point(cores: u32, tenants: u32, telemetry: bool) -> PointOutcome {
     let tb = Testbed::builder()
         .seed(61)
         .server(ServerConfig {
@@ -44,6 +44,7 @@ fn tenant_point(cores: u32, tenants: u32) -> PointOutcome {
         specs,
         SimDuration::from_millis(100),
         SimDuration::from_millis(300),
+        telemetry,
     );
     let achieved: f64 = report.workloads.iter().map(|w| w.iops).sum();
     let busy = report
@@ -60,6 +61,7 @@ fn tenant_point(cores: u32, tenants: u32) -> PointOutcome {
         .with_metric("achieved_kiops", achieved / 1e3)
         .with_metric("busy_frac", busy)
         .with_events(&report)
+        .with_telemetry(report.telemetry)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -67,6 +69,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         "# Figure 6b: tenants at 100 x 1KB-read IOPS each (1 conn per tenant)\n\
          cores\ttenants\toffered_kiops\tachieved_kiops\tbusy_frac\n",
     );
+    let telemetry = sweep.telemetry;
     for cores in [1u32, 2, 4] {
         let curve = sweep.curve(format!("{cores}cores"));
         for tenants in [250u32, 500, 1_000, 2_000, 3_000, 4_500, 6_000] {
@@ -74,7 +77,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
             if tenants / cores > 6_000 {
                 continue;
             }
-            curve.point(move || tenant_point(cores, tenants));
+            curve.point(move || tenant_point(cores, tenants, telemetry));
         }
         sweep.text("\n");
     }

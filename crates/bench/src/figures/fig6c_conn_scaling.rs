@@ -14,7 +14,7 @@ use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::SimDuration;
 
-fn conn_point(per_conn: f64, conns: u32) -> PointOutcome {
+fn conn_point(per_conn: f64, conns: u32, telemetry: bool) -> PointOutcome {
     let offered = per_conn * conns as f64;
     let tb = Testbed::builder()
         .seed(71)
@@ -35,6 +35,7 @@ fn conn_point(per_conn: f64, conns: u32) -> PointOutcome {
         vec![spec],
         SimDuration::from_millis(100),
         SimDuration::from_millis(300),
+        telemetry,
     );
     let w = report.workload("tenant");
     PointOutcome::new(w.p95_read_us())
@@ -45,6 +46,7 @@ fn conn_point(per_conn: f64, conns: u32) -> PointOutcome {
         ))
         .with_metric("achieved_kiops", w.iops / 1e3)
         .with_events(&report)
+        .with_telemetry(report.telemetry)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -52,6 +54,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         "# Figure 6c: connections for one tenant on one core (1KB reads)\n\
          iops_per_conn\tconns\toffered_kiops\tachieved_kiops\n",
     );
+    let telemetry = sweep.telemetry;
     for per_conn in [100.0f64, 500.0, 1_000.0] {
         let curve = sweep.curve(format!("{per_conn:.0}iops_per_conn"));
         for conns in [
@@ -61,7 +64,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
             if per_conn * conns as f64 > 1_800_000.0 {
                 continue;
             }
-            curve.point(move || conn_point(per_conn, conns));
+            curve.point(move || conn_point(per_conn, conns, telemetry));
         }
         sweep.text("\n");
     }

@@ -72,7 +72,7 @@ fn hit_pct(report: &reflex_core::TestbedReport) -> f64 {
 
 /// Panel 1 point: 4KB read-only open loop at fixed offered load over a
 /// 512MiB namespace, cache at `mb` MiB.
-fn tail_point(theta_permille: u16, mb: u64) -> PointOutcome {
+fn tail_point(theta_permille: u16, mb: u64, telemetry: bool) -> PointOutcome {
     let tb = cached_testbed(93, mb, 4096, 1);
     let mut spec =
         WorkloadSpec::open_loop("tenant", TenantId(1), TenantClass::BestEffort, 120_000.0);
@@ -89,6 +89,7 @@ fn tail_point(theta_permille: u16, mb: u64) -> PointOutcome {
         vec![spec],
         SimDuration::from_millis(200),
         SimDuration::from_millis(300),
+        telemetry,
     );
     let w = report.workload("tenant");
     let hits = hit_pct(&report);
@@ -102,6 +103,7 @@ fn tail_point(theta_permille: u16, mb: u64) -> PointOutcome {
         .with_metric("hit_pct", hits)
         .with_metric("kiops", w.iops / 1e3)
         .with_events(&report)
+        .with_telemetry(report.telemetry)
 }
 
 /// Panel 2 point: the fig6c scenario (N conns × fixed per-conn 1KB read
@@ -109,7 +111,7 @@ fn tail_point(theta_permille: u16, mb: u64) -> PointOutcome {
 /// 100 IOPS/conn keeps the offered load under the core's 1KB ceiling up
 /// to ~2.5K connections, where the LLC connection-pressure factor is
 /// already inflating per-request CPU — the regime the panel is about.
-fn conn_point(conns: u32, mb: u64) -> PointOutcome {
+fn conn_point(conns: u32, mb: u64, telemetry: bool) -> PointOutcome {
     let per_conn = 100.0f64;
     let tb = cached_testbed(71, mb, 1024, 4);
     let mut spec = WorkloadSpec::open_loop(
@@ -131,6 +133,7 @@ fn conn_point(conns: u32, mb: u64) -> PointOutcome {
         vec![spec],
         SimDuration::from_millis(100),
         SimDuration::from_millis(200),
+        telemetry,
     );
     let w = report.workload("tenant");
     let hits = hit_pct(&report);
@@ -143,6 +146,7 @@ fn conn_point(conns: u32, mb: u64) -> PointOutcome {
         .with_metric("hit_pct", hits)
         .with_metric("kiops", w.iops / 1e3)
         .with_events(&report)
+        .with_telemetry(report.telemetry)
 }
 
 /// The grid: panel 1's skews (θ‰, 0 = uniform) and cache sizes (MiB, the
@@ -163,10 +167,11 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
          theta\tcache_mb\thit_pct\tp95_read_us\tachieved_kiops\n",
         if smoke { " (smoke)" } else { "" }
     ));
+    let telemetry = sweep.telemetry;
     for &theta in thetas {
         let curve = sweep.curve(format!("tail_theta{theta}"));
         for &mb in sizes {
-            curve.point(move || tail_point(theta, mb));
+            curve.point(move || tail_point(theta, mb, telemetry));
         }
         sweep.text("\n");
     }
@@ -182,7 +187,7 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
         });
         for &conns in conn_counts {
             let mb = if cached { 16 } else { 0 };
-            curve.point(move || conn_point(conns, mb));
+            curve.point(move || conn_point(conns, mb, telemetry));
         }
         sweep.text("\n");
     }

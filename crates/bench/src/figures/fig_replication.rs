@@ -81,13 +81,14 @@ fn overlay_point(
     policy: ReadPolicy,
     offered: f64,
     smoke: bool,
+    telemetry: bool,
 ) -> PointOutcome {
     let mut tb = Testbed::builder()
         .sites(3)
         .replication(r)
         .seed(SEED)
         .build();
-    if crate::telemetry::enabled() {
+    if telemetry {
         tb.enable_telemetry();
     }
     tb.add_workload(
@@ -100,11 +101,6 @@ fn overlay_point(
     tb.run(measure(smoke));
     let report = tb.report();
     let wl = report.workload("app");
-    if crate::telemetry::enabled() {
-        if let Some(t) = &report.telemetry {
-            crate::telemetry::merge(t);
-        }
-    }
     PointOutcome::new(wl.p95_read_us())
         .with_row(format!(
             "overlay\t{label}\t{offered:.0}\t{:.0}\t{:.0}\t{:.0}\t{:.1}\t{}",
@@ -121,12 +117,13 @@ fn overlay_point(
         .with_metric("mean_read_us", wl.mean_read_us())
         .with_metric("errors", wl.errors as f64)
         .with_events(report.engine_events)
+        .with_telemetry(report.telemetry)
 }
 
 /// One failover run: R replicas on R+1 sites (one spare), quorum reads,
 /// and a scheduled death of the tenant's primary site 40ms into the
 /// measured window. Emits one `recovery` row and one `violations` row.
-fn failover_point(r: usize, smoke: bool) -> PointOutcome {
+fn failover_point(r: usize, smoke: bool, telemetry: bool) -> PointOutcome {
     let w = warmup(smoke);
     let mut tb = Testbed::builder()
         .sites(r + 1)
@@ -173,9 +170,6 @@ fn failover_point(r: usize, smoke: bool) -> PointOutcome {
     let snap = report.telemetry.as_ref().expect("telemetry enabled");
     let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let violations = snap.slo.get(&TenantKey(1)).map_or(0, |s| s.violations);
-    if crate::telemetry::enabled() {
-        crate::telemetry::merge(snap);
-    }
     PointOutcome::new(wl.p95_read_us())
         .with_row(format!(
             "recovery\tR={r}\t{}\t{}\t{}",
@@ -196,6 +190,7 @@ fn failover_point(r: usize, smoke: bool) -> PointOutcome {
         .with_metric("failover_total_ms", total_ms)
         .with_metric("slo_violations", violations as f64)
         .with_events(report.engine_events)
+        .with_telemetry(report.telemetry.filter(|_| telemetry))
 }
 
 /// Declares the replication sweep. `smoke` shrinks windows and load
@@ -219,15 +214,16 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
         ("R2-quorum", 2, ReadPolicy::Quorum),
         ("R3-quorum", 3, ReadPolicy::Quorum),
     ];
+    let telemetry = sweep.telemetry;
     for &(label, r, policy) in configs {
         let curve = sweep.curve(label);
         for &offered in loads {
-            curve.point(move || overlay_point(label, r, policy, offered, smoke));
+            curve.point(move || overlay_point(label, r, policy, offered, smoke, telemetry));
         }
     }
     for r in [2usize, 3] {
         sweep
             .curve(format!("failover-R{r}"))
-            .point(move || failover_point(r, smoke));
+            .point(move || failover_point(r, smoke, telemetry));
     }
 }

@@ -30,7 +30,7 @@ const PATH: &[(Stage, TenantKey, &str)] = &[
     (Stage::Egress, TenantKey::GLOBAL, "response_egress"),
 ];
 
-fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
+fn breakdown_point(label: &str, offered: f64, telemetry: bool) -> PointOutcome {
     let mut tb = Testbed::builder().seed(131).build();
     // Spans are recorded passively, so instrumenting the run does not
     // shift the latencies it decomposes.
@@ -51,10 +51,7 @@ fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
     tb.run(SimDuration::from_millis(200));
     let report = tb.report();
     let w = report.workload("app");
-    let telemetry = report.telemetry.as_ref().expect("telemetry enabled");
-    if crate::telemetry::enabled() {
-        crate::telemetry::merge(telemetry);
-    }
+    let snapshot = report.telemetry.as_ref().expect("telemetry enabled");
     let mut point = PointOutcome::new(w.p95_read_us())
         .with_row(format!(
             "\n## {label} ({offered:.0} IOPS offered, {:.0} achieved)",
@@ -63,7 +60,7 @@ fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
         .with_row("stage\tcount\tmean_us\tp50_us\tp95_us\tp99_us");
     let mut server_mean = 0.0f64;
     for &(stage, tenant, name) in PATH {
-        let Some(h) = telemetry.stage(tenant, stage) else {
+        let Some(h) = snapshot.stage(tenant, stage) else {
             continue;
         };
         point = point
@@ -95,6 +92,7 @@ fn breakdown_point(label: &str, offered: f64) -> PointOutcome {
         .with_metric("end_to_end_mean_us", w.mean_read_us())
         .with_metric("server_stages_mean_us", server_mean)
         .with_events(&report)
+        .with_telemetry(report.telemetry.filter(|_| telemetry))
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -104,8 +102,9 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         ("mid-load", 400_000.0),
         ("near-peak", 800_000.0),
     ];
+    let telemetry = sweep.telemetry;
     let curve = sweep.curve("breakdown");
     for (label, offered) in points {
-        curve.point(move || breakdown_point(label, offered));
+        curve.point(move || breakdown_point(label, offered, telemetry));
     }
 }

@@ -31,9 +31,11 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// The figure's sweep, declared but not yet run.
-    pub fn sweep(&self, smoke: bool) -> Sweep {
+    /// The figure's sweep, declared but not yet run; its points record
+    /// telemetry if `telemetry` is set.
+    pub fn sweep(&self, smoke: bool, telemetry: bool) -> Sweep {
         let mut sweep = Sweep::new(self.name).smoke(smoke);
+        sweep.telemetry = telemetry;
         (self.build)(&mut sweep, smoke);
         sweep
     }

@@ -32,9 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod recovery;
+mod recovery;
 pub mod sweep;
-pub mod telemetry;
 
 pub use figures::{figure, Figure, FIGURES};
 
@@ -48,6 +47,8 @@ pub const WARMUP: SimDuration = SimDuration::from_millis(100);
 pub const MEASURE: SimDuration = SimDuration::from_millis(400);
 
 /// Adds `workloads` to a testbed, runs warmup + measurement, and reports.
+/// With `telemetry` set the testbed records it, and the report carries
+/// the snapshot for the point to hand on to its sweep.
 ///
 /// # Panics
 ///
@@ -58,8 +59,9 @@ pub fn run_testbed<S: ServerHarness + 'static>(
     workloads: Vec<WorkloadSpec>,
     warmup: SimDuration,
     measure: SimDuration,
+    telemetry: bool,
 ) -> TestbedReport {
-    if telemetry::enabled() {
+    if telemetry {
         tb.enable_telemetry();
     }
     for spec in workloads {
@@ -70,16 +72,12 @@ pub fn run_testbed<S: ServerHarness + 'static>(
     tb.run(warmup);
     tb.begin_measurement();
     tb.run(measure);
-    let report = tb.report();
-    if let Some(snapshot) = &report.telemetry {
-        telemetry::merge(snapshot);
-    }
-    report
+    tb.report()
 }
 
 /// Worst p95 read latency (µs) across a report's workloads — the cutoff
 /// metric used by most figure sweeps.
-pub fn max_p95_read_us(report: &TestbedReport) -> f64 {
+pub(crate) fn max_p95_read_us(report: &TestbedReport) -> f64 {
     report
         .workloads
         .iter()

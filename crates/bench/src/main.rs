@@ -14,7 +14,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use reflex_bench::{figure, figures, telemetry, Figure, FIGURES};
+use reflex_bench::{figure, figures, Figure, FIGURES};
 
 /// Sweep parallelism from `REFLEX_BENCH_THREADS` (default: all cores),
 /// after refusing the removed simulation-mode knobs. A knob that is set
@@ -82,6 +82,9 @@ fn parse_args() -> Result<Request, String> {
 }
 
 fn run(req: &Request, threads: usize, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+    // Whether the points record telemetry: read here and nowhere else.
+    let telemetry =
+        std::env::var("REFLEX_TELEMETRY").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
     if req.list {
         out.write_all(figures::list().as_bytes())?;
     }
@@ -91,11 +94,10 @@ fn run(req: &Request, threads: usize, out: &mut dyn Write) -> std::io::Result<Ex
             writeln!(out, "\n{rule}\n== {}\n{rule}", fig.name)?;
             out.flush()?;
         }
-        let result = fig.sweep(req.smoke).run_with_threads(threads);
+        let result = fig.sweep(req.smoke, telemetry).run_with_threads(threads);
         let code = (fig.render)(&result, out)?;
         out.flush()?;
-        result.write_json_or_warn();
-        telemetry::flush(&result.name);
+        result.write_artifacts();
         if code != ExitCode::SUCCESS {
             eprintln!("reflex-bench: {} failed its gate", fig.name);
             return Ok(code);

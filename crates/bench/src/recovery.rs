@@ -14,7 +14,7 @@ use reflex_sim::{RatePoint, SimDuration, SimTime};
 /// length if the series never recovers (pessimistic, keeps the metric
 /// finite and deterministic), and `-1.0` when there is no pre-outage
 /// baseline to recover to.
-pub fn recovery_ms(series: &[RatePoint], up_at: SimTime) -> f64 {
+fn recovery_ms(series: &[RatePoint], up_at: SimTime) -> f64 {
     let baseline: Vec<f64> = series
         .iter()
         .filter(|p| p.at + SimDuration::from_millis(10) <= up_at)
@@ -37,7 +37,7 @@ pub fn recovery_ms(series: &[RatePoint], up_at: SimTime) -> f64 {
 /// Per-outage recovery times for a series that saw several scheduled
 /// outages, in `up_ats` order. Outages the series cannot answer (no
 /// pre-outage baseline) are dropped.
-pub fn recovery_times(series: &[RatePoint], up_ats: &[SimTime]) -> Vec<f64> {
+pub(crate) fn recovery_times(series: &[RatePoint], up_ats: &[SimTime]) -> Vec<f64> {
     up_ats
         .iter()
         .map(|&t| recovery_ms(series, t))
@@ -46,7 +46,7 @@ pub fn recovery_times(series: &[RatePoint], up_ats: &[SimTime]) -> Vec<f64> {
 }
 
 /// Mean recovery time, or `-1.0` when no outage was measured.
-pub fn mean_ms(times: &[f64]) -> f64 {
+pub(crate) fn mean_ms(times: &[f64]) -> f64 {
     if times.is_empty() {
         return -1.0;
     }
@@ -56,7 +56,7 @@ pub fn mean_ms(times: &[f64]) -> f64 {
 /// Nearest-rank p95 recovery time, or `-1.0` when no outage was
 /// measured. For a single outage this equals the outage's recovery time,
 /// so single-outage points report `p95 == mean`.
-pub fn p95_ms(times: &[f64]) -> f64 {
+pub(crate) fn p95_ms(times: &[f64]) -> f64 {
     if times.is_empty() {
         return -1.0;
     }

@@ -6,21 +6,27 @@
 //! results in declaration order — output is byte-identical to a serial
 //! run, only faster.
 //!
-//! The serial harnesses stopped a curve early once its p95 blew past a
-//! cutoff (`if p95 > cutoff { break }` after printing the breaching
-//! point). The parallel runner keeps that output rule by running all
-//! points speculatively and discarding everything after the first breach
-//! ([`Curve::cutoff_p95_us`]); a single-threaded run short-circuits
-//! instead — points past a breach are never executed, exactly like the
-//! old harness loops. Either way the kept points, and therefore the TSV,
-//! are identical.
+//! A curve may stop early once its p95 blows past a cutoff
+//! (`Curve::cutoff_p95_us`): the breaching point is kept, the points
+//! after it are discarded. One pool runs every sweep, at any thread
+//! count: its workers claim jobs in declaration order and skip a job once
+//! an earlier point of its curve is known to have breached. With one
+//! worker that is a serial loop's early exit, so no point past a breach
+//! runs; with more, a point may run speculatively before the breach ahead
+//! of it is known, and is then discarded. Either way the kept points —
+//! their TSV rows, metrics and telemetry — are identical.
 //!
 //! The driver picks the thread count (`REFLEX_BENCH_THREADS`, default all
-//! cores). Besides the figure's TSV on stdout, [`SweepResult::write_json`]
-//! drops a machine-readable `BENCH_<name>.json` with per-point metrics and wall
-//! time, the sweep's wall-clock time and the engine event throughput —
-//! taken over the points that dispatched engine events, so curves that
-//! drive no engine do not dilute it.
+//! cores) and whether points record telemetry (`REFLEX_TELEMETRY`, set on
+//! the sweep before its figure declares it). Besides the figure's TSV on
+//! stdout, [`SweepResult::write_artifacts`] drops a machine-readable
+//! `BENCH_<name>.json` with per-point metrics and wall time, the sweep's
+//! wall-clock time and the engine event throughput — taken over the
+//! points that dispatched engine events, so curves that drive no engine
+//! do not dilute it — and, when points recorded telemetry,
+//! `TELEMETRY_<name>.{json,tsv}`: the kept points' snapshots merged in
+//! declaration order, so a discarded point contributes nothing and the
+//! files are the same at any thread count.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -28,12 +34,14 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use reflex_core::TestbedReport;
+use reflex_telemetry::TelemetrySnapshot;
 
 /// One measured load point.
 ///
 /// Built by the point's job closure: `p95_us`, when the point reports a
-/// latency, drives the curve's early-exit cutoff, `rows` are the pre-rendered TSV lines the binary
-/// prints for this point, and `metrics` land in `BENCH_<name>.json`.
+/// latency, drives the curve's early-exit cutoff, `rows` are the
+/// pre-rendered TSV lines the binary prints for this point, `metrics`
+/// land in `BENCH_<name>.json` and `telemetry` in `TELEMETRY_<name>.*`.
 #[derive(Debug, Clone)]
 pub struct PointOutcome {
     /// The cutoff metric, typically the worst p95 read latency in µs;
@@ -45,6 +53,10 @@ pub struct PointOutcome {
     pub metrics: Vec<(String, f64)>,
     /// How the point's simulation executed.
     pub execution: Execution,
+    /// What the point's testbeds recorded, merged in the order they ran
+    /// (`None` unless the sweep records telemetry), until the sweep folds
+    /// it into [`SweepResult::telemetry`].
+    pub(crate) telemetry: Option<TelemetrySnapshot>,
     /// Host wall-clock time the point's job took (set by the runner).
     pub wall: Duration,
 }
@@ -91,26 +103,27 @@ impl From<&TestbedReport> for Execution {
 
 impl PointOutcome {
     /// A point whose cutoff metric is `p95_us` (`None`: no latency).
-    pub fn new(p95_us: impl Into<Option<f64>>) -> Self {
+    pub(crate) fn new(p95_us: impl Into<Option<f64>>) -> Self {
         PointOutcome {
             p95_us: p95_us.into(),
             rows: Vec::new(),
             metrics: Vec::new(),
             execution: Execution::default(),
+            telemetry: None,
             wall: Duration::ZERO,
         }
     }
 
     /// Appends a TSV row.
     #[must_use]
-    pub fn with_row(mut self, row: impl Into<String>) -> Self {
+    pub(crate) fn with_row(mut self, row: impl Into<String>) -> Self {
         self.rows.push(row.into());
         self
     }
 
     /// Appends a named metric for the JSON artifact.
     #[must_use]
-    pub fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
+    pub(crate) fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
         self.metrics.push((name.into(), value));
         self
     }
@@ -119,8 +132,20 @@ impl PointOutcome {
     /// and, given the testbed's report, the IOs they served and the
     /// rounds its threads slept through.
     #[must_use]
-    pub fn with_events(mut self, execution: impl Into<Execution>) -> Self {
+    pub(crate) fn with_events(mut self, execution: impl Into<Execution>) -> Self {
         self.execution = execution.into();
+        self
+    }
+
+    /// Merges a testbed's telemetry snapshot (`None`: nothing recorded)
+    /// into the point's.
+    #[must_use]
+    pub(crate) fn with_telemetry(mut self, snapshot: Option<TelemetrySnapshot>) -> Self {
+        match (&mut self.telemetry, snapshot) {
+            (Some(mine), Some(s)) => mine.merge(&s),
+            (mine, s @ Some(_)) => *mine = s,
+            (_, None) => {}
+        }
         self
     }
 
@@ -147,15 +172,6 @@ fn run_timed(job: Job) -> PointOutcome {
     outcome
 }
 
-/// Summed wall of the points that dispatched engine events.
-fn event_wall<'a>(points: impl IntoIterator<Item = &'a PointOutcome>) -> Duration {
-    points
-        .into_iter()
-        .filter(|p| p.execution.engine_events > 0)
-        .map(|p| p.wall)
-        .sum()
-}
-
 /// A named curve: an ordered list of point jobs plus an optional cutoff.
 pub struct Curve {
     label: String,
@@ -163,28 +179,18 @@ pub struct Curve {
     jobs: Vec<Job>,
 }
 
-impl std::fmt::Debug for Curve {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Curve")
-            .field("label", &self.label)
-            .field("cutoff", &self.cutoff)
-            .field("points", &self.jobs.len())
-            .finish()
-    }
-}
-
 impl Curve {
     /// Discard points after the first whose `p95_us` exceeds `cutoff`
     /// (the breaching point itself is kept, matching the serial harnesses'
     /// print-then-break behavior).
-    pub fn cutoff_p95_us(&mut self, cutoff: f64) -> &mut Self {
+    pub(crate) fn cutoff_p95_us(&mut self, cutoff: f64) -> &mut Self {
         self.cutoff = Some(cutoff);
         self
     }
 
     /// Adds the next load point. `job` must be a pure function of its
     /// captures — it runs on an arbitrary thread at an arbitrary time.
-    pub fn point<F>(&mut self, job: F) -> &mut Self
+    pub(crate) fn point<F>(&mut self, job: F) -> &mut Self
     where
         F: FnOnce() -> PointOutcome + Send + 'static,
     {
@@ -194,10 +200,13 @@ impl Curve {
 }
 
 /// A declarative sweep: curves × points, executed in parallel.
-#[derive(Debug)]
 pub struct Sweep {
     name: String,
     smoke: bool,
+    /// Whether the points record telemetry: the figures' jobs read it
+    /// when they are declared, and hand their snapshots back in
+    /// [`PointOutcome::telemetry`].
+    pub(crate) telemetry: bool,
     curves: Vec<Curve>,
     texts: Vec<(usize, String)>,
 }
@@ -205,10 +214,11 @@ pub struct Sweep {
 impl Sweep {
     /// Starts a sweep named `name` (the JSON artifact is
     /// `BENCH_<name>.json`).
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Sweep {
             name: name.into(),
             smoke: false,
+            telemetry: false,
             curves: Vec::new(),
             texts: Vec::new(),
         }
@@ -217,7 +227,7 @@ impl Sweep {
     /// Marks a reduced-grid smoke run: its artifacts are named
     /// `<name>_smoke`, so it never overwrites a full run's.
     #[must_use]
-    pub fn smoke(mut self, smoke: bool) -> Self {
+    pub(crate) fn smoke(mut self, smoke: bool) -> Self {
         if smoke {
             self.name.push_str("_smoke");
         }
@@ -227,12 +237,12 @@ impl Sweep {
 
     /// Adds literal TSV text — a title, a column header, a blank line
     /// between panels — printed where it is declared among the curves.
-    pub fn text(&mut self, text: impl Into<String>) {
+    pub(crate) fn text(&mut self, text: impl Into<String>) {
         self.texts.push((self.curves.len(), text.into()));
     }
 
     /// Opens a new curve; add points to the returned handle.
-    pub fn curve(&mut self, label: impl Into<String>) -> &mut Curve {
+    pub(crate) fn curve(&mut self, label: impl Into<String>) -> &mut Curve {
         self.curves.push(Curve {
             label: label.into(),
             cutoff: None,
@@ -241,125 +251,134 @@ impl Sweep {
         self.curves.last_mut().expect("just pushed")
     }
 
-    /// Runs every point on exactly `threads` threads (1 = fully serial).
+    /// Runs every point on `threads` threads (the calling one included):
+    /// one pool at any count, 1 being a serial run.
     ///
-    /// Kept points — and therefore the TSV — are identical for any thread
-    /// count; only wall clock (and whether discarded points actually ran)
-    /// varies.
+    /// Kept points — and therefore the TSV and the telemetry — are
+    /// identical for any thread count; only wall clock, and which
+    /// discarded points ran before their curve's breach was known, vary.
     pub fn run_with_threads(self, threads: usize) -> SweepResult {
         let start = Instant::now();
-        let sizes: Vec<usize> = self.curves.iter().map(|c| c.jobs.len()).collect();
-        let mut jobs: Vec<Option<Job>> = Vec::new();
-        let mut specs = Vec::new();
-        for curve in self.curves {
-            jobs.extend(curve.jobs.into_iter().map(Some));
-            specs.push((curve.label, curve.cutoff));
-        }
-        let n = jobs.len();
-        let workers = threads.max(1).min(n.max(1));
-
-        if workers <= 1 {
-            // True early exit, exactly like the old serial harness loops:
-            // once a curve breaches its cutoff, its remaining points are
-            // never executed (but still counted as discarded).
-            let mut jobs = jobs.into_iter();
-            let mut curves = Vec::new();
-            let mut engine_events = 0u64;
-            for ((label, cutoff), size) in specs.into_iter().zip(sizes) {
-                let mut points = Vec::new();
-                let mut discarded = 0usize;
-                for job in jobs.by_ref().take(size) {
-                    let breached = cutoff.is_some_and(|c| {
-                        points.last().is_some_and(|p: &PointOutcome| p.breaches(c))
-                    });
-                    if breached {
-                        discarded += 1;
-                        continue;
-                    }
-                    let outcome = run_timed(job.expect("job present"));
-                    engine_events += outcome.execution.engine_events;
-                    points.push(outcome);
-                }
-                curves.push(CurveResult {
-                    label,
-                    points,
-                    discarded,
-                });
-            }
-            let wall = start.elapsed();
-            let event_wall = event_wall(curves.iter().flat_map(|c| &c.points));
-            return SweepResult {
-                name: self.name,
-                smoke: self.smoke,
-                texts: self.texts,
-                threads: 1,
-                wall,
-                engine_events,
-                event_wall,
-                curves,
-            };
-        }
-
-        let outcomes: Vec<PointOutcome> = {
-            let work = Mutex::new((0usize, jobs));
-            let slots: Vec<Mutex<Option<PointOutcome>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let (i, job) = {
-                            let mut guard = work.lock().expect("sweep worker poisoned");
-                            let i = guard.0;
-                            if i >= n {
-                                break;
-                            }
-                            guard.0 += 1;
-                            (i, guard.1[i].take().expect("job claimed once"))
-                        };
-                        let outcome = run_timed(job);
-                        *slots[i].lock().expect("slot poisoned") = Some(outcome);
-                    });
-                }
+        let mut jobs = Vec::new();
+        let mut pool = Pool::default();
+        for (c, curve) in self.curves.into_iter().enumerate() {
+            pool.place.extend((0..curve.jobs.len()).map(|at| (c, at)));
+            pool.cutoffs.push(curve.cutoff);
+            pool.breach.push(usize::MAX);
+            pool.curves.push(CurveResult {
+                label: curve.label,
+                points: Vec::new(),
+                discarded: 0,
             });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("slot poisoned").expect("job ran"))
-                .collect()
+            jobs.extend(curve.jobs);
+        }
+        pool.resolved.resize_with(jobs.len(), || None);
+        let workers = threads.clamp(1, jobs.len().max(1));
+        pool.jobs = jobs.into_iter().enumerate();
+        let pool = Mutex::new(pool);
+        let work = || loop {
+            let claimed = pool.lock().expect(POISONED).claim();
+            let Some((i, job)) = claimed else { break };
+            let outcome = run_timed(job);
+            pool.lock().expect(POISONED).finish(i, outcome);
         };
-
-        let wall = start.elapsed();
-        let engine_events: u64 = outcomes.iter().map(|o| o.execution.engine_events).sum();
-        let event_wall = event_wall(&outcomes);
-        let mut it = outcomes.into_iter();
-        let mut curves = Vec::new();
-        for ((label, cutoff), size) in specs.into_iter().zip(sizes) {
-            let all: Vec<PointOutcome> = it.by_ref().take(size).collect();
-            let kept = match cutoff {
-                // Keep everything up to and including the first breach.
-                Some(c) => {
-                    let breach = all.iter().position(|p| p.breaches(c));
-                    breach.map_or(all.len(), |i| i + 1)
-                }
-                None => all.len(),
-            };
-            let discarded = all.len() - kept;
-            let mut points = all;
-            points.truncate(kept);
-            curves.push(CurveResult {
-                label,
-                points,
-                discarded,
-            });
-        }
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
+        });
+        let mut pool = pool.into_inner().expect(POISONED);
+        pool.settle();
         SweepResult {
             name: self.name,
             smoke: self.smoke,
             texts: self.texts,
             threads: workers,
-            wall,
-            engine_events,
-            event_wall,
-            curves,
+            wall: start.elapsed(),
+            engine_events: pool.engine_events,
+            event_wall: pool.event_wall,
+            curves: pool.curves,
+            telemetry: pool.telemetry,
+        }
+    }
+}
+
+const POISONED: &str = "a sweep worker panicked";
+
+/// A running sweep, shared by its workers.
+#[derive(Default)]
+struct Pool {
+    /// The unclaimed jobs, by index in declaration order.
+    jobs: std::iter::Enumerate<std::vec::IntoIter<Job>>,
+    /// Each job's curve and its place on the curve.
+    place: Vec<(usize, usize)>,
+    /// Each job once it is resolved: what it returned, or `None` when it
+    /// was skipped or its outcome was settled.
+    resolved: Vec<Option<Option<PointOutcome>>>,
+    /// How many jobs, in declaration order, are settled.
+    settled: usize,
+    /// Each curve's cutoff.
+    cutoffs: Vec<Option<f64>>,
+    /// Each curve's earliest breaching point so far (`usize::MAX`: none).
+    breach: Vec<usize>,
+    /// Engine events of every job that ran.
+    engine_events: u64,
+    /// Summed wall of the jobs that ran and dispatched engine events.
+    event_wall: Duration,
+    /// The settled curves and the fold of their kept points' telemetry.
+    curves: Vec<CurveResult>,
+    telemetry: Option<TelemetrySnapshot>,
+}
+
+impl Pool {
+    /// The next job in declaration order that no earlier point of its
+    /// curve is known to have breached ahead of; those it passes are
+    /// skipped.
+    fn claim(&mut self) -> Option<(usize, Job)> {
+        for (i, job) in self.jobs.by_ref() {
+            let (c, at) = self.place[i];
+            if at <= self.breach[c] {
+                return Some((i, job));
+            }
+            self.resolved[i] = Some(None);
+        }
+        None
+    }
+
+    /// Records job `i`'s outcome, and its curve's breach if it is one.
+    fn finish(&mut self, i: usize, outcome: PointOutcome) {
+        let (c, at) = self.place[i];
+        if self.cutoffs[c].is_some_and(|cutoff| outcome.breaches(cutoff)) {
+            self.breach[c] = self.breach[c].min(at);
+        }
+        self.engine_events += outcome.execution.engine_events;
+        if outcome.execution.engine_events > 0 {
+            self.event_wall += outcome.wall;
+        }
+        self.resolved[i] = Some(Some(outcome));
+        self.settle();
+    }
+
+    /// Settles the resolved jobs that follow the settled ones, in
+    /// declaration order. Every earlier point of a job's curve is settled
+    /// by then, so its curve's breach is known: a point at or before it is
+    /// kept, its telemetry folded in, and any other is discarded.
+    fn settle(&mut self) {
+        while let Some(Some(resolved)) = self.resolved.get_mut(self.settled) {
+            let (c, at) = self.place[self.settled];
+            self.settled += 1;
+            match resolved.take() {
+                Some(mut point) if at <= self.breach[c] => {
+                    if let Some(snapshot) = point.telemetry.take() {
+                        self.telemetry
+                            .get_or_insert_with(TelemetrySnapshot::default)
+                            .merge(&snapshot);
+                    }
+                    self.curves[c].points.push(point);
+                }
+                _ => self.curves[c].discarded += 1,
+            }
         }
     }
 }
@@ -387,8 +406,9 @@ pub struct CurveResult {
     pub label: String,
     /// Kept points, in declaration order.
     pub points: Vec<PointOutcome>,
-    /// Points dropped past the cutoff. Parallel runs executed them
-    /// speculatively; serial runs never executed them at all.
+    /// Points dropped past the cutoff. A serial run never executes them;
+    /// a parallel one may have run some speculatively, before the breach
+    /// was known.
     pub discarded: usize,
 }
 
@@ -397,7 +417,7 @@ pub struct CurveResult {
 pub struct SweepResult {
     /// Sweep name (JSON artifact stem).
     pub name: String,
-    /// Whether this was a reduced-grid smoke run (see [`Sweep::smoke`]).
+    /// Whether this was a reduced-grid smoke run (see `Sweep::smoke`).
     pub smoke: bool,
     /// Literal text (see [`Sweep::text`]), each with the index of the curve
     /// it precedes.
@@ -406,17 +426,21 @@ pub struct SweepResult {
     pub threads: usize,
     /// Wall-clock time for the whole sweep.
     pub wall: Duration,
-    /// Engine events dispatched across all executed points (parallel runs
-    /// include speculatively-run discarded points; serial runs do not).
+    /// Engine events dispatched across all executed points: discarded
+    /// points that ran speculatively count, so this, unlike the kept
+    /// points, may vary with the thread count.
     pub engine_events: u64,
     /// Summed wall of the executed points that dispatched engine events —
-    /// the denominator of [`events_per_sec`](Self::events_per_sec). Points
+    /// the denominator of the JSON's `engine_events_per_sec`. Points
     /// that drive no engine (fig4's `Local-*` curves) count toward `wall`
     /// only. Point walls add up across workers, so on a parallel run this
     /// can exceed `wall`.
     pub event_wall: Duration,
     /// One entry per declared curve.
     pub curves: Vec<CurveResult>,
+    /// The kept points' telemetry snapshots merged in declaration order;
+    /// `None` when no kept point recorded any.
+    pub telemetry: Option<TelemetrySnapshot>,
 }
 
 impl SweepResult {
@@ -450,7 +474,7 @@ impl SweepResult {
     }
 
     /// The figure's TSV: all kept rows, curve by curve, newline-terminated,
-    /// with the declared [text](Sweep::text) in between.
+    /// with the declared text (`Sweep::text`) in between.
     pub fn tsv(&self) -> String {
         let mut out = String::new();
         let mut texts = self.texts.iter().peekable();
@@ -471,25 +495,8 @@ impl SweepResult {
 
     /// Engine events per second of [`event_wall`](Self::event_wall): the
     /// rate one worker sustains while it is running an engine.
-    pub fn events_per_sec(&self) -> f64 {
+    pub(crate) fn events_per_sec(&self) -> f64 {
         self.engine_events as f64 / self.event_wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Writes `BENCH_<name>.json` into the current directory and returns
-    /// its path. The sweep stays usable; call after printing the TSV.
-    /// `peak_rss_mib` is the process's peak resident set when the file is
-    /// written (`null` off Linux): under `--all` it covers every figure
-    /// run before this one too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors creating or writing the file.
-    pub fn write_json(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(format!("BENCH_{}.json", self.name));
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        self.json_into(&mut f)?;
-        f.flush()?;
-        Ok(path)
     }
 
     /// Renders the `BENCH_<name>.json` document into `f`.
@@ -582,20 +589,39 @@ impl SweepResult {
         writeln!(f, "}}")
     }
 
-    /// [`write_json`](Self::write_json), reporting failure on stderr
-    /// instead of returning it (the driver treats the artifact as
-    /// best-effort).
-    pub fn write_json_or_warn(&self) {
-        match self.write_json() {
-            Ok(path) => eprintln!(
-                "[{}] {} threads, {:.2}s wall, {:.2}M engine events/s -> {}",
-                self.name,
+    /// Writes `BENCH_<name>.json` and, when kept points recorded
+    /// telemetry, `TELEMETRY_<name>.json` and `.tsv` into the current
+    /// directory, reporting each file or its failure on stderr: the
+    /// artifacts are best-effort. `peak_rss_mib` is the process's peak
+    /// resident set when the file is written (`null` off Linux): under
+    /// `--all` it covers every figure run before this one too.
+    pub fn write_artifacts(&self) {
+        let name = &self.name;
+        let path = PathBuf::from(format!("BENCH_{name}.json"));
+        let written = std::fs::File::create(&path).and_then(|file| {
+            let mut f = std::io::BufWriter::new(file);
+            self.json_into(&mut f)?;
+            f.flush()
+        });
+        match written {
+            Ok(()) => eprintln!(
+                "[{name}] {} threads, {:.2}s wall, {:.2}M engine events/s -> {}",
                 self.threads,
                 self.wall.as_secs_f64(),
                 self.events_per_sec() / 1e6,
                 path.display()
             ),
-            Err(e) => eprintln!("[{}] could not write JSON artifact: {e}", self.name),
+            Err(e) => eprintln!("[{name}] could not write JSON artifact: {e}"),
+        }
+        let Some(snapshot) = self.telemetry.as_ref().filter(|t| !t.is_empty()) else {
+            return;
+        };
+        for (ext, body) in [("json", snapshot.to_json()), ("tsv", snapshot.to_tsv())] {
+            let path = PathBuf::from(format!("TELEMETRY_{name}.{ext}"));
+            match std::fs::write(&path, body) {
+                Ok(()) => eprintln!("[{name}] telemetry -> {}", path.display()),
+                Err(e) => eprintln!("[{name}] could not write {}: {e}", path.display()),
+            }
         }
     }
 }
@@ -639,13 +665,23 @@ fn json_num(v: f64) -> String {
 mod tests {
     use super::*;
 
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+
     fn demo_sweep() -> Sweep {
+        counted_demo_sweep(&Arc::default())
+    }
+
+    /// [`demo_sweep`], each point counting its run in `runs`.
+    fn counted_demo_sweep(runs: &Arc<AtomicUsize>) -> Sweep {
         let mut sweep = Sweep::new("demo");
         for curve_idx in 0..3u64 {
             let c = sweep.curve(format!("curve{curve_idx}"));
             c.cutoff_p95_us(500.0);
             for point_idx in 0..6u64 {
+                let runs = Arc::clone(runs);
                 c.point(move || {
+                    runs.fetch_add(1, Relaxed);
                     // Deterministic pseudo-latency ramp per curve.
                     let p95 = (point_idx * 150 + curve_idx * 37) as f64;
                     PointOutcome::new(p95)
@@ -701,15 +737,79 @@ mod tests {
 
     #[test]
     fn cutoff_keeps_first_breaching_point() {
-        let result = demo_sweep().run_with_threads(2);
+        let runs = Arc::default();
+        let result = counted_demo_sweep(&runs).run_with_threads(2);
         // curve0: p95 = 0,150,300,450,600,750 -> first breach at index 4.
         let c = result.curve("curve0");
         assert_eq!(c.points.len(), 5);
         assert_eq!(c.discarded, 1);
         assert!(c.points[4].breaches(500.0));
         assert!(!c.points[3].breaches(500.0));
-        // Discarded points still count toward engine events (they ran).
-        assert_eq!(result.engine_events, 3 * 6 * 100);
+        // Every point that ran counts toward engine events, discarded
+        // ones that ran speculatively included.
+        let runs = runs.load(Relaxed);
+        assert!((5 + 5 + 4..=3 * 6).contains(&runs), "{runs} points ran");
+        assert_eq!(result.engine_events, runs as u64 * 100);
+    }
+
+    #[test]
+    fn one_thread_runs_no_point_past_a_breach() {
+        let runs = Arc::default();
+        let result = counted_demo_sweep(&runs).run_with_threads(1);
+        // curve0/curve1 breach at their fifth point, curve2 at its fourth.
+        assert_eq!(runs.load(Relaxed), 5 + 5 + 4);
+        let discarded: Vec<usize> = result.curves.iter().map(|c| c.discarded).collect();
+        assert_eq!(discarded, [1, 1, 2]);
+    }
+
+    /// A curve whose points record telemetry, counter `p<i>` in point
+    /// `i`'s snapshot, each counting its run in `runs`. Point 2 breaches,
+    /// and slowly, so with more than one thread point 3 runs before the
+    /// breach is known. Then a curve without a cutoff.
+    fn telemetry_sweep(runs: &Arc<AtomicUsize>) -> Sweep {
+        let mut sweep = Sweep::new("telemetry");
+        let record = |name: String| {
+            let mut snapshot = TelemetrySnapshot::default();
+            snapshot.counters.insert(name, 1);
+            Some(snapshot)
+        };
+        let c = sweep.curve("cut");
+        c.cutoff_p95_us(500.0);
+        for (i, p95) in [100.0, 200.0, 600.0, 300.0].into_iter().enumerate() {
+            let runs = Arc::clone(runs);
+            c.point(move || {
+                runs.fetch_add(1, Relaxed);
+                if p95 > 500.0 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                PointOutcome::new(p95).with_telemetry(record(format!("p{i}")))
+            });
+        }
+        sweep
+            .curve("uncut")
+            .point(move || PointOutcome::new(None).with_telemetry(record("q0".into())));
+        sweep
+    }
+
+    #[test]
+    fn telemetry_folds_kept_points_alike_at_any_thread_count() {
+        let (serial_runs, parallel_runs) = (Arc::default(), Arc::default());
+        let serial = telemetry_sweep(&serial_runs).run_with_threads(1);
+        let parallel = telemetry_sweep(&parallel_runs).run_with_threads(4);
+        // The discarded point ran speculatively on four threads only.
+        assert_eq!(serial_runs.load(Relaxed), 3);
+        assert_eq!(parallel_runs.load(Relaxed), 4);
+        let folded = |r: &SweepResult| {
+            let snapshot = r.telemetry.as_ref().expect("points recorded telemetry");
+            (
+                snapshot.counters.keys().cloned().collect::<Vec<_>>(),
+                snapshot.to_json(),
+            )
+        };
+        let (names, json) = folded(&serial);
+        assert_eq!(names, ["p0", "p1", "p2", "q0"]);
+        assert_eq!(folded(&parallel), (names, json));
+        assert_eq!(parallel.curve("cut").discarded, 1);
     }
 
     #[test]

@@ -27,12 +27,13 @@
 
 use reflex_core::{AddrPattern, ReadPolicy, RetryPolicy, ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::{CacheConfig, DataplaneConfig};
-use reflex_faults::{FaultStats, PlannedDeviceHook, PlannedNetHook};
+use reflex_faults::{FaultCounts, PlannedDeviceHook, PlannedNetHook};
 use reflex_net::{Fabric, LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::alloc_count::{allocations, CountingAlloc};
 use reflex_sim::{Ctx, Engine, Histogram, SimDuration, SimRng, SimTime, TypedEvent};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -184,10 +185,10 @@ fn degraded_replication_allocs_per_io() -> f64 {
     // What `FaultKind::ServerDeath` arms — a device that aborts, links
     // gone dark — without telling the coordinator, which would fail the
     // set over 30 ms later and end the storm.
-    let stats = Arc::new(FaultStats::default());
-    let mut dev = PlannedDeviceHook::new(Arc::clone(&stats));
+    let counts = Rc::new(Cell::new(FaultCounts::default()));
+    let mut dev = PlannedDeviceHook::new(Rc::clone(&counts));
     dev.set_death(death_at);
-    let mut net = PlannedNetHook::new(stats);
+    let mut net = PlannedNetHook::new(counts);
     let machine = tb.world().server_at(victim).machine();
     net.add_link_down(death_at, SimDuration::from_secs(3600), machine);
     let world = tb.world_mut();

@@ -8,7 +8,7 @@ use reflex_bench::sweep::Sweep;
 fn chaos_smoke() -> Sweep {
     reflex_bench::figure("chaos")
         .expect("registered")
-        .sweep(true)
+        .sweep(true, false)
 }
 
 #[test]

@@ -11,7 +11,7 @@ fn figure() -> &'static Figure {
 }
 
 fn smoke_sweep() -> Sweep {
-    figure().sweep(true)
+    figure().sweep(true, false)
 }
 
 fn rendered(result: &SweepResult) -> String {

@@ -2,24 +2,21 @@
 //! every simulation outcome — and therefore every figure TSV —
 //! byte-identical. These tests run the same scenarios instrumented and
 //! uninstrumented and diff the rendered rows, and pin the snapshot JSON
-//! schema against a golden file.
+//! schema against a golden file. Whether a sweep records is its own flag,
+//! so the runs compared here share nothing.
 
 use reflex_bench::sweep::Sweep;
-use reflex_bench::{run_testbed, telemetry, MEASURE, WARMUP};
+use reflex_bench::{run_testbed, MEASURE, WARMUP};
 use reflex_core::{Testbed, WorkloadSpec};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimTime};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
-fn chaos_smoke() -> Sweep {
+fn chaos_smoke(telemetry: bool) -> Sweep {
     reflex_bench::figure("chaos")
         .expect("registered")
-        .sweep(true)
+        .sweep(true, telemetry)
 }
-
-/// Serializes the tests that flip the process-wide telemetry switch or
-/// drain the global sink (cargo runs tests on parallel threads).
-static GLOBAL_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A fig4-style load sweep (one LC tenant, escalating open-loop load),
 /// rendered exactly like the figure binaries render their rows.
@@ -72,17 +69,13 @@ fn fig4_style_tsv_identical_with_and_without_telemetry() {
 }
 
 #[test]
-fn chaos_smoke_tsv_identical_with_and_without_global_sink() {
-    let _guard = GLOBAL_SINK.lock().unwrap();
-    // `run_faulted` always instruments its testbeds; the global sink
-    // switch must not perturb the sweep either way.
-    telemetry::force(Some(false));
-    let off = chaos_smoke().run_with_threads(1);
-    telemetry::force(Some(true));
-    let on = chaos_smoke().run_with_threads(1);
-    telemetry::force(None);
-    let _ = telemetry::take(); // drop whatever the instrumented run merged
+fn chaos_smoke_tsv_identical_with_and_without_telemetry() {
+    // `run_faulted` always instruments its testbeds; whether the sweep
+    // hands the snapshots on must not perturb it either way.
+    let off = chaos_smoke(false).run_with_threads(1);
+    let on = chaos_smoke(true).run_with_threads(1);
     assert_eq!(off.tsv(), on.tsv());
+    assert!(off.telemetry.is_none() && on.telemetry.is_some());
     // The chaos JSON carries the per-tenant SLO-violation count on every
     // point, instrumented or not.
     for result in [&off, &on] {
@@ -101,8 +94,7 @@ fn chaos_smoke_tsv_identical_with_and_without_global_sink() {
 }
 
 #[test]
-fn run_testbed_merges_into_global_sink_only_when_enabled() {
-    let _guard = GLOBAL_SINK.lock().unwrap();
+fn run_testbed_records_telemetry_only_when_asked() {
     let mk = || {
         let mut tb = Testbed::builder().seed(7).server_threads(1).build();
         let slo = SloSpec::new(50_000, 100, SimDuration::from_micros(500));
@@ -115,19 +107,11 @@ fn run_testbed_merges_into_global_sink_only_when_enabled() {
         tb.add_workload(spec).expect("admitted");
         tb
     };
-    telemetry::force(Some(false));
-    let _ = telemetry::take();
-    let quiet = run_testbed(mk(), Vec::new(), WARMUP, MEASURE);
-    assert!(quiet.telemetry.is_none());
-    assert!(
-        telemetry::take().is_none(),
-        "disabled run polluted the sink"
-    );
+    let quiet = run_testbed(mk(), Vec::new(), WARMUP, MEASURE, false);
+    assert!(quiet.telemetry.is_none(), "a run not asked to record did");
 
-    telemetry::force(Some(true));
-    let loud = run_testbed(mk(), Vec::new(), WARMUP, MEASURE);
-    telemetry::force(None);
-    let snap = telemetry::take().expect("instrumented run merged a snapshot");
+    let loud = run_testbed(mk(), Vec::new(), WARMUP, MEASURE, true);
+    let snap = loud.telemetry.as_ref().expect("instrumented run recorded");
     assert!(!snap.is_empty());
     assert_eq!(
         loud.workload("app").iops,

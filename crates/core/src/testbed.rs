@@ -92,7 +92,7 @@ struct ClientMachine {
 type WorldCtx<'e, S> = Ctx<'e, World<S>, WorldEvent<S>>;
 
 /// What a [`WorldEvent::Call`] runs.
-type CallFn<S> = Box<dyn FnOnce(&mut World<S>, &mut WorldCtx<S>) + Send>;
+type CallFn<S> = Box<dyn FnOnce(&mut World<S>, &mut WorldCtx<S>)>;
 
 /// The simulation's events. The recurring ones are plain data, so the
 /// request loop — including the retry/backoff path, which can become hot
@@ -1264,7 +1264,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     /// thread stalls) inside the simulation.
     pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
-        F: FnOnce(&mut World<S>, &mut Ctx<World<S>, WorldEvent<S>>) + Send + 'static,
+        F: FnOnce(&mut World<S>, &mut Ctx<World<S>, WorldEvent<S>>) + 'static,
     {
         self.engine
             .schedule_event_at(at, WorldEvent::Call(Box::new(f)));

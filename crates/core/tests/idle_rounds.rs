@@ -152,7 +152,7 @@ fn completed(report: &TestbedReport) -> f64 {
 
 /// `tenants_rw` with a control-plane or fault entry in the middle of the
 /// measured window, while its threads sleep.
-fn disturbed(at_ms: u64, disturb: impl FnOnce(&mut World, SimTime) + Send + 'static) -> u64 {
+fn disturbed(at_ms: u64, disturb: impl FnOnce(&mut World, SimTime) + 'static) -> u64 {
     let mut tb = tenants_rw(31, LinkConfig::default());
     let at = SimTime::from_millis(at_ms);
     tb.schedule_at(at, move |world, ctx| disturb(world, ctx.now()));

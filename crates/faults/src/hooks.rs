@@ -6,13 +6,14 @@
 //! hook whose windows are all in the past — or a run with no hook at all
 //! — produces byte-identical results.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use reflex_flash::{DeviceFaultAction, DeviceFaultHook, NvmeCommand};
 use reflex_net::{MachineId, NetFaultAction, NetFaultHook};
 use reflex_sim::{SimDuration, SimRng, SimTime};
 
-use crate::stats::FaultStats;
+use crate::stats::{count, FaultCounts};
 
 #[derive(Debug)]
 struct RateWindow {
@@ -57,17 +58,17 @@ pub struct PlannedDeviceHook {
     transient: Vec<RateWindow>,
     gc: Vec<DelayWindow>,
     death_at: Option<SimTime>,
-    stats: Arc<FaultStats>,
+    counts: Rc<Cell<FaultCounts>>,
 }
 
 impl PlannedDeviceHook {
-    /// An empty device schedule reporting into `stats`.
-    pub fn new(stats: Arc<FaultStats>) -> Self {
+    /// An empty device schedule counting into `counts`.
+    pub fn new(counts: Rc<Cell<FaultCounts>>) -> Self {
         PlannedDeviceHook {
             transient: Vec::new(),
             gc: Vec::new(),
             death_at: None,
-            stats,
+            counts,
         }
     }
 
@@ -113,12 +114,12 @@ impl PlannedDeviceHook {
 impl DeviceFaultHook for PlannedDeviceHook {
     fn on_command(&mut self, now: SimTime, _cmd: &NvmeCommand) -> DeviceFaultAction {
         if self.death_at.is_some_and(|t| now >= t) {
-            FaultStats::bump(&self.stats.dead_aborts);
+            count(&self.counts, |c| c.dead_aborts += 1);
             return DeviceFaultAction::Dead;
         }
         for w in &mut self.transient {
             if w.fires(now) {
-                FaultStats::bump(&self.stats.transient_errors);
+                count(&self.counts, |c| c.transient_errors += 1);
                 return DeviceFaultAction::TransientError;
             }
         }
@@ -130,7 +131,7 @@ impl DeviceFaultHook for PlannedDeviceHook {
             .map(SimDuration::as_nanos)
             .sum();
         if extra > 0 {
-            FaultStats::bump(&self.stats.gc_delays);
+            count(&self.counts, |c| c.gc_delays += 1);
             return DeviceFaultAction::ExtraLatency(SimDuration::from_nanos(extra));
         }
         DeviceFaultAction::None
@@ -145,18 +146,18 @@ pub struct PlannedNetHook {
     dup: Vec<RateWindow>,
     storm: Vec<DelayWindow>,
     link_down: Vec<(SimTime, SimTime, MachineId)>,
-    stats: Arc<FaultStats>,
+    counts: Rc<Cell<FaultCounts>>,
 }
 
 impl PlannedNetHook {
-    /// An empty network schedule reporting into `stats`.
-    pub fn new(stats: Arc<FaultStats>) -> Self {
+    /// An empty network schedule counting into `counts`.
+    pub fn new(counts: Rc<Cell<FaultCounts>>) -> Self {
         PlannedNetHook {
             loss: Vec::new(),
             dup: Vec::new(),
             storm: Vec::new(),
             link_down: Vec::new(),
-            stats,
+            counts,
         }
     }
 
@@ -206,19 +207,19 @@ impl NetFaultHook for PlannedNetHook {
     ) -> NetFaultAction {
         for &(start, end, machine) in &self.link_down {
             if now >= start && now < end && (from == machine || to == machine) {
-                FaultStats::bump(&self.stats.dropped);
+                count(&self.counts, |c| c.dropped += 1);
                 return NetFaultAction::Drop;
             }
         }
         for w in &mut self.loss {
             if w.fires(now) {
-                FaultStats::bump(&self.stats.dropped);
+                count(&self.counts, |c| c.dropped += 1);
                 return NetFaultAction::Drop;
             }
         }
         for w in &mut self.dup {
             if w.fires(now) {
-                FaultStats::bump(&self.stats.duplicated);
+                count(&self.counts, |c| c.duplicated += 1);
                 return NetFaultAction::Duplicate;
             }
         }
@@ -229,7 +230,7 @@ impl NetFaultHook for PlannedNetHook {
             .map(SimDuration::as_nanos)
             .sum();
         if extra > 0 {
-            FaultStats::bump(&self.stats.delayed);
+            count(&self.counts, |c| c.delayed += 1);
             return NetFaultAction::Delay(SimDuration::from_nanos(extra));
         }
         NetFaultAction::Deliver
@@ -247,8 +248,8 @@ mod tests {
 
     #[test]
     fn device_hook_death_overrides_everything() {
-        let stats = Arc::new(FaultStats::default());
-        let mut hook = PlannedDeviceHook::new(Arc::clone(&stats));
+        let counts = Rc::new(Cell::new(FaultCounts::default()));
+        let mut hook = PlannedDeviceHook::new(Rc::clone(&counts));
         hook.add_transient(SimTime::ZERO, SimDuration::from_secs(10), 1.0, 42);
         hook.set_death(SimTime::ZERO + SimDuration::from_millis(1));
         let before = SimTime::ZERO + SimDuration::from_micros(10);
@@ -258,15 +259,15 @@ mod tests {
             DeviceFaultAction::TransientError
         );
         assert_eq!(hook.on_command(after, &cmd()), DeviceFaultAction::Dead);
-        let snap = stats.snapshot();
+        let snap = counts.get();
         assert_eq!(snap.transient_errors, 1);
         assert_eq!(snap.dead_aborts, 1);
     }
 
     #[test]
     fn device_hook_windows_are_inactive_outside_their_span() {
-        let stats = Arc::new(FaultStats::default());
-        let mut hook = PlannedDeviceHook::new(stats);
+        let counts = Rc::new(Cell::new(FaultCounts::default()));
+        let mut hook = PlannedDeviceHook::new(counts);
         let start = SimTime::ZERO + SimDuration::from_millis(5);
         hook.add_transient(start, SimDuration::from_millis(1), 1.0, 9);
         hook.add_gc_storm(
@@ -286,8 +287,8 @@ mod tests {
 
     #[test]
     fn net_hook_link_down_blackholes_both_directions() {
-        let stats = Arc::new(FaultStats::default());
-        let mut hook = PlannedNetHook::new(Arc::clone(&stats));
+        let counts = Rc::new(Cell::new(FaultCounts::default()));
+        let mut hook = PlannedNetHook::new(Rc::clone(&counts));
         let m = MachineId(3);
         hook.add_link_down(SimTime::ZERO, SimDuration::from_millis(1), m);
         let inside = SimTime::ZERO + SimDuration::from_micros(10);
@@ -308,14 +309,14 @@ mod tests {
             hook.on_send(after, m, MachineId(0), 64),
             NetFaultAction::Deliver
         );
-        assert_eq!(stats.snapshot().dropped, 2);
+        assert_eq!(counts.get().dropped, 2);
     }
 
     #[test]
     fn rate_windows_are_reproducible_across_hook_instances() {
         let mk = || {
-            let stats = Arc::new(FaultStats::default());
-            let mut h = PlannedNetHook::new(stats);
+            let counts = Rc::new(Cell::new(FaultCounts::default()));
+            let mut h = PlannedNetHook::new(counts);
             h.add_loss(SimTime::ZERO, SimDuration::from_secs(1), 0.3, 77);
             h
         };

@@ -1,19 +1,20 @@
 //! Wiring a [`FaultPlan`] into a live [`Testbed`].
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use reflex_core::{ReflexServer, Testbed, World};
 use reflex_sim::SimDuration;
 
 use crate::hooks::{PlannedDeviceHook, PlannedNetHook};
 use crate::plan::{FaultKind, FaultPlan};
-use crate::stats::FaultStats;
+use crate::stats::{count, FaultCounts};
 
 /// Installs `plan` into `tb`: arms the device and fabric fault hooks for
 /// the windowed faults and schedules the discrete ones (link flaps,
 /// thread stalls, server deaths) as engine events. Device and thread
 /// faults hit the first site; a [`FaultKind::ServerDeath`] names its
-/// own. Returns the shared counter handle.
+/// own. Returns the counts the hooks and events record into.
 ///
 /// Installing [`FaultPlan::none`] (or any empty plan) arms nothing — the
 /// run is byte-identical to one without fault injection.
@@ -24,12 +25,13 @@ use crate::stats::FaultStats;
 /// `tb.world().client_count()` or a [`FaultKind::ServerDeath`] a site
 /// outside `tb.world().site_count()`. A [`FaultKind::ThreadStall`]
 /// naming an inactive thread panics later, when the event fires.
-pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultStats> {
-    let stats = Arc::new(FaultStats::default());
+pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Rc<Cell<FaultCounts>> {
+    let counts = Rc::new(Cell::new(FaultCounts::default()));
+    let add_downtime = |d: SimDuration| count(&counts, |c| c.downtime += d);
     let mut devs: Vec<PlannedDeviceHook> = (0..tb.world().site_count())
-        .map(|_| PlannedDeviceHook::new(Arc::clone(&stats)))
+        .map(|_| PlannedDeviceHook::new(Rc::clone(&counts)))
         .collect();
-    let mut net = PlannedNetHook::new(Arc::clone(&stats));
+    let mut net = PlannedNetHook::new(Rc::clone(&counts));
     for ev in &plan.events {
         let seed = plan.stream_seed(ev.id);
         match ev.kind {
@@ -59,21 +61,21 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                 // Packets already in flight or sent during the outage are
                 // black-holed by the fabric hook...
                 net.add_link_down(ev.at, down_for, machine);
-                stats.add_downtime(down_for);
+                add_downtime(down_for);
                 // ...and the server tears the client's connections down,
                 // re-registering them when the link returns.
-                let s = Arc::clone(&stats);
+                let c = Rc::clone(&counts);
                 tb.schedule_at(ev.at, move |w: &mut World<ReflexServer>, _ctx| {
-                    FaultStats::bump(&s.link_downs);
                     let sites = 0..w.site_count();
                     let torn: usize = sites
                         .map(|i| w.server_at_mut(i).on_link_down(machine))
                         .sum();
-                    let torn = torn as u64;
-                    s.conns_torn_down
-                        .fetch_add(torn, std::sync::atomic::Ordering::Relaxed);
+                    count(&c, |c| {
+                        c.link_downs += 1;
+                        c.conns_torn_down += torn as u64;
+                    });
                 });
-                let s = Arc::clone(&stats);
+                let c = Rc::clone(&counts);
                 tb.schedule_at(
                     ev.at + down_for,
                     move |w: &mut World<ReflexServer>, _ctx| {
@@ -81,16 +83,15 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                         let rebound: usize = sites
                             .map(|i| w.server_at_mut(i).rebind_client(machine))
                             .sum();
-                        s.conns_rebound
-                            .fetch_add(rebound as u64, std::sync::atomic::Ordering::Relaxed);
+                        count(&c, |c| c.conns_rebound += rebound as u64);
                     },
                 );
             }
             FaultKind::ThreadStall { thread, stall } => {
-                stats.add_downtime(stall);
-                let s = Arc::clone(&stats);
+                add_downtime(stall);
+                let c = Rc::clone(&counts);
                 tb.schedule_at(ev.at, move |w: &mut World<ReflexServer>, ctx| {
-                    FaultStats::bump(&s.thread_stalls);
+                    count(&c, |c| c.thread_stalls += 1);
                     let now = ctx.now();
                     w.server_mut().thread_mut(thread).inject_stall(now, stall);
                 });
@@ -99,7 +100,7 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
                 // The site dies whole (the testbed checks it exists): the
                 // coordinator fails its replica sets over one detection
                 // delay later...
-                stats.add_downtime(tb.schedule_server_death(ev.at, server));
+                add_downtime(tb.schedule_server_death(ev.at, server));
                 // ...its device aborts every queued and future command,
                 // and its links go dark for the rest of the run (messages
                 // in either direction are black-holed at send time, so
@@ -120,7 +121,7 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Arc<FaultSta
     if net.is_armed() {
         tb.world_mut().fabric_mut().set_fault_hook(Box::new(net));
     }
-    stats
+    counts
 }
 
 #[cfg(test)]
@@ -131,10 +132,10 @@ mod tests {
     #[test]
     fn empty_plan_installs_nothing() {
         let mut tb = Testbed::builder().server_threads(1).build();
-        let stats = install(&FaultPlan::none(), &mut tb);
+        let counts = install(&FaultPlan::none(), &mut tb);
         assert!(tb.world_mut().device_at_mut(0).clear_fault_hook().is_none());
         assert!(tb.world_mut().fabric_mut().clear_fault_hook().is_none());
-        assert_eq!(stats.snapshot().injected(), 0);
+        assert_eq!(counts.get().injected(), 0);
     }
 
     #[test]
@@ -155,7 +156,7 @@ mod tests {
                     duration: SimDuration::from_millis(2),
                 },
             );
-        let _stats = install(&plan, &mut tb);
+        let _counts = install(&plan, &mut tb);
         assert!(tb.world_mut().device_at_mut(0).clear_fault_hook().is_some());
         assert!(tb.world_mut().fabric_mut().clear_fault_hook().is_some());
     }

@@ -38,11 +38,11 @@
 //!         duration: SimDuration::from_millis(20),
 //!     },
 //! );
-//! let stats = install(&plan, &mut tb);
+//! let counts = install(&plan, &mut tb);
 //! tb.run(SimDuration::from_millis(50));
 //! let report = tb.report();
 //! let app = report.workload("app");
-//! assert!(stats.snapshot().transient_errors > 0);
+//! assert!(counts.get().transient_errors > 0);
 //! assert!(app.retry_success > 0); // errors were recovered by retries
 //! # Ok::<(), reflex_core::TestbedError>(())
 //! ```
@@ -60,4 +60,4 @@ pub use hooks::{PlannedDeviceHook, PlannedNetHook};
 pub use install::install;
 pub use parse::PlanParseError;
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
-pub use stats::{FaultCounts, FaultStats};
+pub use stats::FaultCounts;

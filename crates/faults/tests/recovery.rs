@@ -38,11 +38,11 @@ fn transient_errors_recovered_with_bounded_p95_inflation() {
         } else {
             FaultPlan::none()
         };
-        let stats = install(&plan, &mut tb);
+        let counts = install(&plan, &mut tb);
         tb.run(SimDuration::from_millis(20));
         tb.begin_measurement();
         tb.run(SimDuration::from_millis(60));
-        (tb.report(), stats.snapshot())
+        (tb.report(), counts.get())
     };
 
     let (healthy, _) = run(0.0);
@@ -84,13 +84,13 @@ fn link_flap_tears_down_and_rebinds_connections() {
             down_for,
         },
     );
-    let stats = install(&plan, &mut tb);
+    let counts = install(&plan, &mut tb);
     tb.run(SimDuration::from_millis(20));
     tb.begin_measurement();
     tb.run(SimDuration::from_millis(80));
     let report = tb.report();
     let w = report.workload("app");
-    let snap = stats.snapshot();
+    let snap = counts.get();
 
     assert_eq!(snap.link_downs, 1);
     assert!(
@@ -125,11 +125,11 @@ fn thread_stall_backs_up_and_drains() {
         } else {
             FaultPlan::none()
         };
-        let stats = install(&plan, &mut tb);
+        let counts = install(&plan, &mut tb);
         tb.run(SimDuration::from_millis(20));
         tb.begin_measurement();
         tb.run(SimDuration::from_millis(60));
-        (tb.report(), stats.snapshot())
+        (tb.report(), counts.get())
     };
 
     let (healthy, _) = run(0);
@@ -158,13 +158,13 @@ fn device_death_exhausts_retries() {
         SimTime::ZERO + SimDuration::from_millis(40),
         FaultKind::DeviceDeath,
     );
-    let stats = install(&plan, &mut tb);
+    let counts = install(&plan, &mut tb);
     tb.run(SimDuration::from_millis(20));
     tb.begin_measurement();
     tb.run(SimDuration::from_millis(60));
     let report = tb.report();
     let w = report.workload("app");
-    let snap = stats.snapshot();
+    let snap = counts.get();
 
     assert!(snap.dead_aborts > 0, "dead device must abort commands");
     assert!(w.retries > 0, "clients must try to recover");
@@ -193,7 +193,7 @@ fn same_plan_same_seed_is_bit_identical() {
                     duration: SimDuration::from_millis(20),
                 },
             );
-        let stats = install(&plan, &mut tb);
+        let counts = install(&plan, &mut tb);
         tb.run(SimDuration::from_millis(20));
         tb.begin_measurement();
         tb.run(SimDuration::from_millis(50));
@@ -205,7 +205,7 @@ fn same_plan_same_seed_is_bit_identical() {
             w.retries,
             w.retry_success,
             w.timeouts,
-            stats.snapshot(),
+            counts.get(),
         )
     };
     assert_eq!(run(), run());

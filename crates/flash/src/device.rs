@@ -111,7 +111,7 @@ pub enum DeviceFaultAction {
 /// byte-identical. Implementations needing randomness must bring their own
 /// [`SimRng`] stream — the device's stream is off-limits to keep healthy
 /// draws undisturbed.
-pub trait DeviceFaultHook: Send {
+pub trait DeviceFaultHook {
     /// Decides the fate of `cmd` submitted at `now`.
     fn on_command(&mut self, now: SimTime, cmd: &NvmeCommand) -> DeviceFaultAction;
 }

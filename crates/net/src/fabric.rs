@@ -130,7 +130,7 @@ pub enum NetFaultAction {
 /// fires — a hook that always returns [`NetFaultAction::Deliver`] is
 /// invisible. Implementations needing randomness must carry their own
 /// [`SimRng`] stream.
-pub trait NetFaultHook: Send {
+pub trait NetFaultHook {
     /// Decides the fate of a `size`-byte message from `from` to `to`.
     fn on_send(
         &mut self,

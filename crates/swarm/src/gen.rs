@@ -312,7 +312,7 @@ impl SwarmCase {
     }
 
     /// True when the case schedules at least one fault.
-    pub fn faulty(&self) -> bool {
+    pub(crate) fn faulty(&self) -> bool {
         !self.faults.is_empty()
     }
 }

@@ -86,7 +86,7 @@ pub enum FamilyStatus {
 }
 
 /// Checks the IO-conservation family on a drained telemetry snapshot.
-pub fn check_io_conservation(snapshot: &TelemetrySnapshot, out: &mut Vec<Violation>) {
+pub(crate) fn check_io_conservation(snapshot: &TelemetrySnapshot, out: &mut Vec<Violation>) {
     if snapshot.ios.is_empty() {
         out.push(Violation {
             family: OracleFamily::IoConservation,
@@ -138,7 +138,7 @@ pub fn check_io_conservation(snapshot: &TelemetrySnapshot, out: &mut Vec<Violati
 
 /// Checks the conservation half of the token-budget family on the
 /// server's books (millitokens).
-pub fn check_token_books(generated: i64, accounted: i64, out: &mut Vec<Violation>) {
+pub(crate) fn check_token_books(generated: i64, accounted: i64, out: &mut Vec<Violation>) {
     if generated != accounted {
         out.push(Violation {
             family: OracleFamily::TokenBudget,
@@ -153,7 +153,7 @@ pub fn check_token_books(generated: i64, accounted: i64, out: &mut Vec<Violation
 
 /// Checks sampled replication epochs for monotonicity and fault
 /// correspondence.
-pub fn check_epochs(
+pub(crate) fn check_epochs(
     samples: &[Vec<u32>],
     recoveries: usize,
     faulty: bool,
@@ -193,7 +193,7 @@ fn transpose(samples: &[Vec<u32>]) -> Vec<Vec<u32>> {
 }
 
 /// Checks a replicated workload's final membership shape.
-pub fn check_membership(
+pub(crate) fn check_membership(
     members: &[usize],
     primary_slot: usize,
     replication: usize,
@@ -237,7 +237,7 @@ pub fn check_membership(
 }
 
 /// Checks the re-run identity family.
-pub fn check_identity(a: &str, b: &str, out: &mut Vec<Violation>) {
+pub(crate) fn check_identity(a: &str, b: &str, out: &mut Vec<Violation>) {
     if a != b {
         // Find the first divergent region so the report is readable.
         let split = a
@@ -259,7 +259,7 @@ pub fn check_identity(a: &str, b: &str, out: &mut Vec<Violation>) {
 }
 
 /// Checks the allocation budget family.
-pub fn check_alloc(allocs: u64, ios: u64, budget_per_io: f64, out: &mut Vec<Violation>) {
+pub(crate) fn check_alloc(allocs: u64, ios: u64, budget_per_io: f64, out: &mut Vec<Violation>) {
     if ios == 0 {
         out.push(Violation {
             family: OracleFamily::AllocBudget,

@@ -11,12 +11,12 @@ pub struct SwarmRng(u64);
 
 impl SwarmRng {
     /// A generator whose whole future output is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SwarmRng(seed)
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -29,23 +29,23 @@ impl SwarmRng {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
         self.next_u64() % n
     }
 
     /// Uniform draw in the inclusive range.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.below(hi - lo + 1)
     }
 
     /// True with probability `percent / 100`.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
 
     /// Picks one element of a non-empty slice.
-    pub fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+    pub(crate) fn pick<T: Copy>(&mut self, options: &[T]) -> T {
         options[self.below(options.len() as u64) as usize]
     }
 }

@@ -81,13 +81,6 @@ pub struct CaseOutcome {
     pub completed_ios: u64,
 }
 
-impl CaseOutcome {
-    /// True when any oracle family fired.
-    pub fn failed(&self) -> bool {
-        !self.violations.is_empty()
-    }
-}
-
 struct Artifacts {
     fingerprint: String,
     /// Every replicated workload's membership epoch, sampled along the
@@ -399,7 +392,7 @@ pub fn run_seed(seed: u64, cfg: &RunConfig) -> CaseOutcome {
 static ALLOC_GATE: Mutex<()> = Mutex::new(());
 
 /// Serializes alloc-measuring runs across threads. Returns a guard.
-pub fn alloc_gate() -> std::sync::MutexGuard<'static, ()> {
+pub(crate) fn alloc_gate() -> std::sync::MutexGuard<'static, ()> {
     ALLOC_GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
