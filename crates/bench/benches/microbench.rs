@@ -17,7 +17,7 @@ use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, ScheduleOutcome,
     SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate, Tokens,
 };
-use reflex_sim::{Exponential, Histogram, LogNormal, SimDuration, SimRng, SimTime, Zipf};
+use reflex_sim::{Exponential, Histogram, LogNormal, SimDuration, SimRng, SimTime, TimeHeap, Zipf};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 /// The Box–Muller generators `SimRng` shipped before its ziggurat, the
@@ -25,11 +25,6 @@ use reflex_telemetry::{Stage, Telemetry, TenantKey};
 #[allow(dead_code)]
 #[path = "../../sim/tests/reference/mod.rs"]
 mod reference;
-
-/// The device's completion queue, compiled here as the device compiles it.
-#[path = "../../flash/src/cq.rs"]
-#[allow(dead_code)]
-mod cq;
 
 /// The completion heap it replaced.
 #[path = "../../flash/tests/reference/mod.rs"]
@@ -468,9 +463,9 @@ impl<Q> StandingCq<Q> {
     }
 }
 
-fn standing_cq() -> StandingCq<cq::CompletionQueue<(CmdId, IoType, NvmeStatus)>> {
+fn standing_cq() -> StandingCq<TimeHeap<(CmdId, IoType, NvmeStatus)>> {
     StandingCq::new(
-        cq::CompletionQueue::new(),
+        TimeHeap::default(),
         |q, at, seq, c| q.push(at, seq, (c.id, c.op, c.status)),
         |q, out| {
             out.clear();
@@ -542,7 +537,7 @@ fn header_codec(c: &mut Criterion) {
     });
 }
 
-/// Faithful replica of the pre-timer-wheel event queue: a `BinaryHeap` of
+/// Faithful replica of the seed engine's event queue: a `BinaryHeap` of
 /// `Scheduled` nodes carrying the boxed closure inline (moved on every heap
 /// sift), plus a per-dispatch pending `Vec` merged after each handler —
 /// exactly the structure the seed engine used. Kept here as the reference
@@ -633,9 +628,9 @@ mod baseline_heap {
 }
 
 /// Shared churn world: a `width`-wide event population with LCG-driven
-/// delays, mostly inside a ~4ms horizon with an occasional far (8ms)
-/// outlier. Width models how many events the testbed keeps in flight —
-/// a loaded multi-tenant run holds thousands.
+/// delays, mostly under 2ms with an occasional far (8ms) outlier. Width
+/// models how many events the testbed keeps in flight — a loaded
+/// multi-tenant run holds thousands.
 struct ChurnWorld {
     rng: u64,
     dispatched: u64,
@@ -662,7 +657,7 @@ impl ChurnWorld {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let nanos = if self.rng.is_multiple_of(61) {
-            8_000_000 + self.rng % 1_000_000 // beyond the near-wheel horizon
+            8_000_000 + self.rng % 1_000_000 // a far outlier
         } else {
             200 + self.rng % 2_000_000
         };
@@ -672,7 +667,7 @@ impl ChurnWorld {
 
 /// One timer event on the real engine; re-schedules itself until the
 /// world's budget is spent. No `Box` per schedule: the value lives inline
-/// in the recycled slab node.
+/// in the engine's heap.
 #[derive(Clone, Copy)]
 struct ChainTick;
 
@@ -697,7 +692,7 @@ fn engine_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_dispatch");
     for width in [64u64, 4096, 32768] {
         let budget = (width * 10).max(40_000);
-        group.bench_function(format!("typed_wheel_{width}w"), |b| {
+        group.bench_function(format!("typed_heap_{width}w"), |b| {
             b.iter(|| {
                 let mut e = reflex_sim::Engine::with_events(ChurnWorld::new(budget, width));
                 for i in 0..width {

@@ -4,8 +4,8 @@
 //! binary's global allocator and measures five windows:
 //!
 //! 1. The engine alone: a self-rescheduling typed-event churn must run in
-//!    recycled slab nodes and wheel slots — effectively zero allocations
-//!    per dispatch once the population is built.
+//!    the room its heap already has — effectively zero allocations per
+//!    dispatch once the population is built.
 //! 2. End to end: a closed-loop testbed in steady state. Every per-IO
 //!    structure (event nodes, in-flight slabs, scratch batch buffers, wire
 //!    headers) is pooled, so allocations per completed IO must stay under a
@@ -75,7 +75,7 @@ fn engine_allocs_per_dispatch() -> f64 {
     for i in 0..width {
         e.schedule_event_at(SimTime::from_nanos(i * 100), ChainTick);
     }
-    // Warm up: build the event population, the slab, and the wheel.
+    // Warm up: build the event population and grow the heap to hold it.
     e.run_for(SimDuration::from_millis(40));
     let warmed = e.world().dispatched;
     let before = allocations();

@@ -6,12 +6,12 @@
 //! generates tokens at a rate equal to the maximum weighted IOPS the Flash
 //! device can support at a given tail latency SLO"). A [`CapacityProfile`]
 //! is a monotone table of (p95 bound → tokens/sec) points with linear
-//! interpolation, either taken from the built-in calibration of the three
-//! paper devices or measured by sweeping a simulated device (see
-//! [`calibrate_capacity`]).
+//! interpolation, taken from the built-in calibration of the three paper
+//! devices; a unit test holds device A's table to what a [`sweep_device`]
+//! of the simulated device measures.
 
 use reflex_flash::{CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand, NvmeCompletion};
-use reflex_qos::{max_iops_at_latency, SweepPoint, TokenRate};
+use reflex_qos::{SweepPoint, TokenRate};
 use reflex_sim::{Exponential, Histogram, SimDuration, SimRng, SimTime};
 
 /// Monotone (latency bound → token capacity) table for one device.
@@ -69,7 +69,7 @@ impl CapacityProfile {
     }
 
     /// Calibrated table for the simulated device B (write cost 20).
-    pub fn device_b_default() -> Self {
+    pub(crate) fn device_b_default() -> Self {
         CapacityProfile::new(vec![
             (200.0, 75_000.0),
             (500.0, 175_000.0),
@@ -81,7 +81,7 @@ impl CapacityProfile {
     }
 
     /// Calibrated table for the simulated device C (write cost 16).
-    pub fn device_c_default() -> Self {
+    pub(crate) fn device_c_default() -> Self {
         CapacityProfile::new(vec![
             (200.0, 85_000.0),
             (500.0, 285_000.0),
@@ -160,27 +160,15 @@ pub fn sweep_device(
     duration: SimDuration,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    sweep_device_sized(profile, read_pct, 4096, offered_iops, duration, seed)
-}
-
-/// Like [`sweep_device`] but with a configurable request size (Figure 3
-/// also plots 1KB and 32KB curves).
-pub fn sweep_device_sized(
-    profile: &DeviceProfile,
-    read_pct: u8,
-    io_size: u32,
-    offered_iops: &[f64],
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<SweepPoint> {
     offered_iops
         .iter()
         .enumerate()
-        .map(|(k, &iops)| sweep_device_point(profile, read_pct, io_size, iops, duration, seed, k))
+        .map(|(k, &iops)| sweep_device_point(profile, read_pct, 4096, iops, duration, seed, k))
         .collect()
 }
 
-/// One point of [`sweep_device_sized`]: measures a single offered load.
+/// One point of a device sweep at any request size (Figure 3 also plots
+/// 1KB and 32KB curves): measures a single offered load.
 ///
 /// `k` is the point's index within the sweep; it perturbs the seed exactly
 /// like the batch call does, so sweeping point-by-point (e.g. from a
@@ -239,45 +227,11 @@ pub fn sweep_device_point(
     }
 }
 
-/// Measures a fresh [`CapacityProfile`] for a device by sweeping a 90%-read
-/// workload and reading off the token capacity at each latency bound via
-/// the cost model's per-IO cost. This is the control plane's periodic
-/// recalibration (paper §4.3); slower but device-agnostic.
-pub fn calibrate_capacity(
-    profile: &DeviceProfile,
-    write_cost_tokens: f64,
-    latency_bounds_us: &[f64],
-    seed: u64,
-) -> CapacityProfile {
-    let read_pct = 90u8;
-    let r = 0.9;
-    let cost_per_io = r + (1.0 - r) * write_cost_tokens;
-    let max_tokens = profile.token_rate();
-    let offered: Vec<f64> = (1..=14)
-        .map(|i| max_tokens / cost_per_io * (i as f64) / 12.0)
-        .collect();
-    let sweep = sweep_device(
-        profile,
-        read_pct,
-        &offered,
-        SimDuration::from_millis(300),
-        seed,
-    );
-    let mut points = Vec::new();
-    let mut last_cap = 0.0f64;
-    for &bound in latency_bounds_us {
-        let iops = max_iops_at_latency(&sweep, bound).unwrap_or(offered[0] * 0.5);
-        let cap = (iops * cost_per_io).max(last_cap + 1.0);
-        points.push((bound, cap));
-        last_cap = cap;
-    }
-    CapacityProfile::new(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reflex_flash::device_a;
+    use reflex_qos::max_iops_at_latency;
 
     #[test]
     fn interpolation_is_monotone_and_clamped() {
@@ -347,6 +301,41 @@ mod tests {
                 w[1]
             );
         }
+    }
+
+    /// Measures a fresh [`CapacityProfile`] for a device by sweeping a 90%-read
+    /// workload and reading off the token capacity at each latency bound via
+    /// the cost model's per-IO cost, as the paper's control plane
+    /// recalibrates (§4.3).
+    fn calibrate_capacity(
+        profile: &DeviceProfile,
+        write_cost_tokens: f64,
+        latency_bounds_us: &[f64],
+        seed: u64,
+    ) -> CapacityProfile {
+        let read_pct = 90u8;
+        let r = 0.9;
+        let cost_per_io = r + (1.0 - r) * write_cost_tokens;
+        let max_tokens = profile.token_rate();
+        let offered: Vec<f64> = (1..=14)
+            .map(|i| max_tokens / cost_per_io * (i as f64) / 12.0)
+            .collect();
+        let sweep = sweep_device(
+            profile,
+            read_pct,
+            &offered,
+            SimDuration::from_millis(300),
+            seed,
+        );
+        let mut points = Vec::new();
+        let mut last_cap = 0.0f64;
+        for &bound in latency_bounds_us {
+            let iops = max_iops_at_latency(&sweep, bound).unwrap_or(offered[0] * 0.5);
+            let cap = (iops * cost_per_io).max(last_cap + 1.0);
+            points.push((bound, cap));
+            last_cap = cap;
+        }
+        CapacityProfile::new(points)
     }
 
     #[test]

@@ -458,7 +458,7 @@ impl WorkloadState {
         }
     }
 
-    pub fn reset_measurement(&mut self) {
+    pub(crate) fn reset_measurement(&mut self) {
         self.iops_series = RateSeries::new(SimDuration::from_millis(10));
         self.read_hist.reset();
         self.write_hist.reset();

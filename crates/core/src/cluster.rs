@@ -60,7 +60,7 @@ impl ServerDescriptor {
     }
 
     /// Total tokens/sec reserved by placed tenants (4KB basis).
-    pub fn reserved_tokens_per_sec(&self) -> f64 {
+    pub(crate) fn reserved_tokens_per_sec(&self) -> f64 {
         self.tenants
             .values()
             .map(|s| s.token_rate(&self.cost_model, 4096).as_tokens_per_sec_f64())

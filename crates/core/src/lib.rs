@@ -41,9 +41,7 @@ mod harness;
 mod server;
 mod testbed;
 
-pub use capacity::{
-    calibrate_capacity, sweep_device, sweep_device_point, sweep_device_sized, CapacityProfile,
-};
+pub use capacity::{sweep_device, sweep_device_point, CapacityProfile};
 pub use client::{
     AddrPattern, ArrivalProcess, LoadPattern, RetryPolicy, WorkloadReport, WorkloadSpec,
 };

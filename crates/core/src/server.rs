@@ -226,7 +226,7 @@ impl ReflexServer {
     }
 
     /// Total token rate reserved by LC tenants (tokens/sec).
-    pub fn lc_reserved_tokens_per_sec(&self) -> f64 {
+    pub(crate) fn lc_reserved_tokens_per_sec(&self) -> f64 {
         self.tenants
             .values()
             .filter_map(|t| {
@@ -248,7 +248,7 @@ impl ReflexServer {
     /// The token rate the scheduler generates in total: the device capacity
     /// at the strictest registered latency SLO (or the device max when only
     /// best-effort tenants exist).
-    pub fn total_token_rate(&self) -> f64 {
+    pub(crate) fn total_token_rate(&self) -> f64 {
         match self.strictest_slo() {
             Some(slo) => self.capacity.tokens_per_sec_at(slo),
             None => self.capacity.max_rate().as_tokens_per_sec_f64(),
@@ -257,7 +257,7 @@ impl ReflexServer {
 
     /// Recomputes BE fair shares and pushes them to every thread
     /// (invoked on every registration change, paper §4.3).
-    pub fn recompute_rates(&mut self) {
+    pub(crate) fn recompute_rates(&mut self) {
         let total = self.total_token_rate();
         let lc = self.lc_reserved_tokens_per_sec();
         let spare = (total - lc).max(0.0);
@@ -282,7 +282,11 @@ impl ReflexServer {
     ///
     /// [`AdmissionError::NotAdmissible`] when the reservation cannot be
     /// honoured at the would-be strictest latency bound.
-    pub fn check_admission(&self, slo: &SloSpec, io_size: u32) -> Result<(), AdmissionError> {
+    pub(crate) fn check_admission(
+        &self,
+        slo: &SloSpec,
+        io_size: u32,
+    ) -> Result<(), AdmissionError> {
         let strictest = self
             .strictest_slo()
             .map_or(slo.p95_read_latency, |s| s.min(slo.p95_read_latency));
@@ -369,7 +373,7 @@ impl ReflexServer {
     /// # Panics
     ///
     /// Panics if `shards` is zero or exceeds the active thread count.
-    pub fn register_tenant_sharded(
+    pub(crate) fn register_tenant_sharded(
         &mut self,
         id: TenantId,
         class: TenantClass,
@@ -801,7 +805,7 @@ impl ReflexServer {
 
     /// Control-plane tick: deficit detection and (optionally) thread
     /// scaling based on per-thread busy fractions over the elapsed window.
-    pub fn control_tick(&mut self, now: SimTime, window: SimDuration) {
+    pub(crate) fn control_tick(&mut self, now: SimTime, window: SimDuration) {
         self.settle(now);
         // Deficit detection: tenants whose deficit counter advanced since
         // the last tick are candidates for renegotiation (paper line 7).

@@ -1015,7 +1015,7 @@ fn two_threads_on_every_site_run_like_one_run_in_slices() {
     }
 }
 
-/// Engine slab nodes hold events by value: folding the replication
+/// The engine's heap holds events by value: folding the replication
 /// events in must not grow them, and no fat variant may grow them back.
 #[test]
 fn the_event_is_as_small_as_before() {

@@ -10,10 +10,9 @@
 //! and GC erases occupy channels, reads queue behind them, and tail read
 //! latency degrades as the write share of the load grows.
 
-use reflex_sim::{LogNormal, SimDuration, SimRng, SimTime};
+use reflex_sim::{LogNormal, SimDuration, SimRng, SimTime, TimeHeap};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
-use crate::cq::CompletionQueue;
 use crate::profile::DeviceProfile;
 use crate::types::{CmdId, IoType, NvmeCommand, NvmeCompletion, NvmeStatus, SubmitError};
 
@@ -118,7 +117,7 @@ pub trait DeviceFaultHook {
 
 struct QueuePair {
     outstanding: u32,
-    cq: CompletionQueue<Posted>,
+    cq: TimeHeap<Posted>,
 }
 
 /// A simulated NVMe Flash device with multiple hardware queue pairs.
@@ -235,7 +234,7 @@ impl FlashDevice {
         let id = QpId(self.qps.len() as u32);
         self.qps.push(QueuePair {
             outstanding: 0,
-            cq: CompletionQueue::new(),
+            cq: TimeHeap::default(),
         });
         id
     }

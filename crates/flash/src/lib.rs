@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cq;
 mod device;
 mod profile;
 mod types;

@@ -7,10 +7,9 @@
 //! Receivers poll their delivery queue, mirroring how the dataplane polls
 //! NIC RX descriptor rings.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use reflex_sim::{DenseId, LogNormal, SimDuration, SimRng, SimTime};
+use reflex_sim::{time_key, DenseId, LogNormal, SimDuration, SimRng, SimTime, TimeHeap};
 use reflex_telemetry::{Stage, Telemetry, TenantKey};
 
 use crate::stack::StackProfile;
@@ -152,31 +151,16 @@ pub struct RxPushes {
     pub set_aside: u64,
 }
 
-/// A message waiting in a receive queue, whole, ordered by arrival instant
-/// and then enqueue sequence (which is unique).
+/// A message waiting in a receive queue's run, whole, ordered by arrival
+/// instant and then enqueue sequence (which is unique).
 struct Rx<P> {
     seq: u64,
     msg: Delivery<P>,
 }
 
-impl<P> PartialEq for Rx<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl<P> Eq for Rx<P> {}
-
-impl<P> PartialOrd for Rx<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P> Ord for Rx<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let key = |rx: &Self| (rx.msg.arrived_at, rx.seq);
-        key(self).cmp(&key(other))
+impl<P> Rx<P> {
+    fn key(&self) -> u128 {
+        time_key(self.msg.arrived_at, self.seq)
     }
 }
 
@@ -196,34 +180,34 @@ const REACH: usize = 32;
 /// The queue's head is the earlier of the two heads.
 struct RxQueue<P> {
     run: VecDeque<Rx<P>>,
-    aside: BinaryHeap<Reverse<Rx<P>>>,
+    aside: TimeHeap<Delivery<P>>,
 }
 
 impl<P> RxQueue<P> {
     fn new() -> Self {
         RxQueue {
             run: VecDeque::with_capacity(RX_RESERVE),
-            aside: BinaryHeap::new(),
+            aside: TimeHeap::default(),
         }
     }
 
     fn push(&mut self, rx: Rx<P>, pushes: &mut RxPushes) {
-        let len = self.run.len();
-        if self.run.back().is_none_or(|back| *back < rx) {
+        let (len, key) = (self.run.len(), rx.key());
+        if self.run.back().is_none_or(|back| back.key() < key) {
             pushes.appended += 1;
             self.run.push_back(rx);
             return;
         }
         let (mut lo, mut hi) = (len.saturating_sub(REACH), len - 1);
-        if lo > 0 && self.run[lo - 1] > rx {
+        if lo > 0 && self.run[lo - 1].key() > key {
             pushes.set_aside += 1;
-            self.aside.push(Reverse(rx));
+            self.aside.push(rx.msg.arrived_at, rx.seq, rx.msg);
             return;
         }
         // Binary search of `lo..len` for the first later message.
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.run[mid] < rx {
+            if self.run[mid].key() < key {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -233,25 +217,31 @@ impl<P> RxQueue<P> {
         self.run.insert(lo, rx);
     }
 
-    /// The earliest message, and whether it is the set-aside heap's top.
-    fn head(&self) -> Option<(&Delivery<P>, bool)> {
-        match (self.run.front(), self.aside.peek()) {
-            (Some(front), Some(Reverse(top))) if front < top => Some((&front.msg, false)),
-            (_, Some(Reverse(top))) => Some((&top.msg, true)),
-            (front, None) => front.map(|rx| (&rx.msg, false)),
+    /// Whether the set-aside heap's top comes before the run's front.
+    fn aside_first(&self) -> bool {
+        let front = self.run.front().map(Rx::key);
+        self.aside
+            .peek_key()
+            .is_some_and(|top| front.is_none_or(|front| top < front))
+    }
+
+    /// The earliest message's arrival instant.
+    fn next_at(&self) -> Option<SimTime> {
+        match self.aside_first() {
+            true => self.aside.next_at(),
+            false => self.run.front().map(|rx| rx.msg.arrived_at),
         }
     }
 
     /// Takes the earliest message if it has arrived by `now`.
     fn pop_due(&mut self, now: SimTime) -> Option<Delivery<P>> {
-        let (head, aside) = self.head()?;
-        if head.arrived_at > now {
+        if self.aside_first() {
+            return self.aside.pop_due(now).map(|(_, msg)| msg);
+        }
+        if self.run.front()?.msg.arrived_at > now {
             return None;
         }
-        match aside {
-            true => self.aside.pop().map(|Reverse(rx)| rx.msg),
-            false => self.run.pop_front().map(|rx| rx.msg),
-        }
+        self.run.pop_front().map(|rx| rx.msg)
     }
 }
 
@@ -661,9 +651,7 @@ impl<P> Fabric<P> {
     /// however deep the queue's backlog.
     #[inline]
     pub fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
-        self.queues[machine.0 as usize][queue.0 as usize]
-            .head()
-            .map(|(msg, _)| msg.arrived_at)
+        self.queues[machine.0 as usize][queue.0 as usize].next_at()
     }
 }
 
@@ -985,8 +973,7 @@ mod tests {
         let mut order: Vec<(u64, u32)> = ats.iter().copied().zip(0..).collect();
         order.sort_unstable();
         let mut got = vec![(0, 0)];
-        while let Some((head, _)) = q.head() {
-            let at = head.arrived_at;
+        while let Some(at) = q.next_at() {
             let msg = q.pop_due(at).expect("due at its own instant");
             got.push((msg.arrived_at.as_nanos() / 1_000, msg.payload));
         }

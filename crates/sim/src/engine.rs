@@ -9,26 +9,14 @@
 //!
 //! # Queue internals
 //!
-//! The queue is a two-level hierarchical timer wheel rather than a binary
-//! heap. Events land in one of three places based on how far ahead of the
-//! wheel cursor they are:
-//!
-//! * a **current** min-heap for events inside the cursor's ~1&micro;s tick
-//!   (this is where same-instant FIFO ordering is resolved),
-//! * a **near wheel** of [`WHEEL_SLOTS`] buckets, one per tick, covering the
-//!   next ~4ms — insert is O(1) here, and advancing the cursor
-//!   is a bitmap scan,
-//! * a **far** min-heap for everything beyond the wheel horizon, re-homed
-//!   into the wheel in batches as the cursor advances.
-//!
-//! Events live inline in a slab with an intrusive free list, so steady-state
-//! scheduling reuses nodes and bucket capacity instead of allocating. An
+//! Events wait inline in one [`TimeHeap`] keyed by `(instant, seq)`, `seq`
+//! from one counter, so ties at an instant leave in scheduling order. An
 //! event, once queued, runs: what a simulation replaces is a party's next
-//! poll, and that lives in a **wake slot** beside the wheel (one per
-//! party, indexed by the world). Arming a slot earlier rewrites it in
-//! place with a fresh sequence number, and [`Ctx::take_due`] clears it, so
-//! no dead event is left behind anywhere. A world that wants an open-ended
-//! cold event says so in its own enum, with a variant that boxes a closure.
+//! poll, and that lives in a **wake slot** beside the heap (one per party,
+//! indexed by the world). Arming a slot earlier rewrites it in place with
+//! a fresh sequence number, and [`Ctx::take_due`] clears it, so no dead
+//! event is left behind anywhere. A world that wants an open-ended cold
+//! event says so in its own enum, with a variant that boxes a closure.
 //!
 //! # Examples
 //!
@@ -59,18 +47,16 @@
 //! assert_eq!(engine.now(), SimTime::from_micros(100));
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
+use crate::heap::{time_key, TimeHeap};
 use crate::time::{SimDuration, SimTime};
 
 /// A plain-data event over world `W`.
 ///
 /// Implement this on a cheap enum describing the events of a simulation,
 /// then schedule values of it with [`Ctx::schedule_event_at`] and friends.
-/// The value is stored inline in the queue's node slab — no per-event heap
-/// allocation.
+/// The value is stored inline in the queue — no per-event heap allocation.
 pub trait TypedEvent<W>: 'static {
     /// Consumes the event, applying it to the world.
     fn dispatch(self, world: &mut W, ctx: &mut Ctx<'_, W, Self>)
@@ -78,31 +64,8 @@ pub trait TypedEvent<W>: 'static {
         Self: Sized;
 }
 
-/// Nanoseconds per wheel tick, as a shift: 1024ns, or roughly 1us.
-const TICK_SHIFT: u32 = 10;
-/// Number of near-wheel buckets; the wheel spans `WHEEL_SLOTS << TICK_SHIFT`
-/// nanoseconds (~4.2ms) ahead of the cursor.
-const WHEEL_SLOTS: usize = 4096;
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-/// Entries each bucket is built for: a `Vec<u32>` grows 0 → 4 → 8 (DESIGN §7.1).
-const BUCKET_CAP: usize = 8;
-/// Sentinel for "no node" in the slab free list.
-const NIL: u32 = u32::MAX;
-
-#[inline]
-fn tick_of(at: SimTime) -> u64 {
-    at.as_nanos() >> TICK_SHIFT
-}
-
-/// Slab node holding one scheduled event.
-struct Node<E> {
-    at: SimTime,
-    seq: u64,
-    /// `None` while the node is on the free list.
-    event: Option<E>,
-    /// Free-list link, `NIL` while the node is live.
-    next_free: u32,
-}
+/// Events the heap is built with room for (DESIGN §7.1).
+const QUEUE_RESERVE: usize = 64;
 
 /// A party's one pending wake, ordered like any event by `(at, seq)`.
 /// `event` is taken when the wake dispatches; the slot then stays armed at
@@ -114,33 +77,10 @@ struct Wake<E> {
     event: Option<E>,
 }
 
-/// The two-level timer-wheel event queue, plus the wake slots.
-///
-/// Ordering invariants:
-/// * every event in `current` is earlier than every event in a wheel bucket
-///   (current holds ticks `<= base_tick`, the wheel holds ticks
-///   `(base_tick, base_tick + WHEEL_SLOTS)`),
-/// * every event in the wheel is earlier than every event in `far`
-///   (`far` only holds ticks `>= base_tick + WHEEL_SLOTS`; `advance_to`
-///   re-homes far events whenever `base_tick` moves forward),
-/// * `next_wake` is the earliest queued wake's (time, seq, slot).
+/// The event heap, plus the wake slots. `next_wake` is the earliest
+/// queued wake's (time, seq, slot).
 struct EventQueue<E> {
-    nodes: Vec<Node<E>>,
-    free_head: u32,
-    /// Per-slot buckets of slab indexes; capacity is retained across drains.
-    wheel: Vec<Vec<u32>>,
-    /// One bit per slot: does the bucket contain any entry?
-    occupancy: [u64; WHEEL_WORDS],
-    /// Entries currently stored in wheel buckets.
-    wheel_count: usize,
-    /// Tick the wheel cursor is parked on.
-    base_tick: u64,
-    /// Events at or before the cursor tick, ordered by (time, seq).
-    current: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Events beyond the wheel horizon, ordered by (time, seq).
-    far: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Events in the slab (wakes not included).
-    len: usize,
+    heap: TimeHeap<E>,
     /// Monotonic tie-break so same-instant events run in schedule order.
     seq: u64,
     /// Wake slots, indexed by the world; grown on first arm.
@@ -149,31 +89,13 @@ struct EventQueue<E> {
     next_wake: Option<(SimTime, u64, usize)>,
 }
 
-/// Outcome of asking the queue for its next event.
-enum Pop<E> {
-    /// The earliest event, removed from the queue.
-    Event { at: SimTime, event: E },
-    /// The earliest event is after the deadline; nothing was removed.
-    Deadline,
-    /// No events at all.
-    Empty,
-}
-
 impl<E> EventQueue<E> {
     fn new() -> Self {
         EventQueue {
-            nodes: Vec::new(),
-            free_head: NIL,
-            wheel: Vec::from_iter((0..WHEEL_SLOTS).map(|_| Vec::with_capacity(BUCKET_CAP))),
-            occupancy: [0; WHEEL_WORDS],
-            wheel_count: 0,
-            base_tick: 0,
-            // Built, like the buckets it drains, for more than a tick holds:
-            // a heap that first doubled late in a run would do so at an
-            // instant only the seed decides.
-            current: BinaryHeap::with_capacity(4 * BUCKET_CAP),
-            far: BinaryHeap::new(),
-            len: 0,
+            // Built for more than a world queues (a few events, about one
+            // per open-loop tenant): a heap that first doubled late in a
+            // run would do so at an instant only the seed decides.
+            heap: TimeHeap::with_capacity(QUEUE_RESERVE),
             seq: 0,
             wakes: Vec::new(),
             next_wake: None,
@@ -185,60 +107,11 @@ impl<E> EventQueue<E> {
         self.seq - 1
     }
 
-    fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let node = &mut self.nodes[idx as usize];
-            self.free_head = node.next_free;
-            node.at = at;
-            node.seq = seq;
-            node.event = Some(event);
-            node.next_free = NIL;
-            idx
-        } else {
-            let idx = u32::try_from(self.nodes.len()).expect("event slab exceeds u32 indexes");
-            self.nodes.push(Node {
-                at,
-                seq,
-                event: Some(event),
-                next_free: NIL,
-            });
-            idx
-        }
-    }
-
-    /// Takes node `idx`'s event and puts the node on the free list.
-    fn take(&mut self, idx: u32) -> Option<E> {
-        let node = &mut self.nodes[idx as usize];
-        node.next_free = self.free_head;
-        self.free_head = idx;
-        self.len -= 1;
-        node.event.take()
-    }
-
-    /// Files a live node into current/wheel/far based on its tick.
-    fn place(&mut self, idx: u32) {
-        let Node { at, seq, .. } = self.nodes[idx as usize];
-        let tick = tick_of(at);
-        if tick <= self.base_tick {
-            self.current.push(Reverse((at, seq, idx)));
-        } else if tick - self.base_tick < WHEEL_SLOTS as u64 {
-            let slot = (tick as usize) & (WHEEL_SLOTS - 1);
-            self.wheel[slot].push(idx);
-            self.occupancy[slot >> 6] |= 1 << (slot & 63);
-            self.wheel_count += 1;
-        } else {
-            self.far.push(Reverse((at, seq, idx)));
-        }
-    }
-
     /// Queues `event` at `at`, which must not be before `now`.
     fn insert(&mut self, now: SimTime, at: SimTime, event: E) {
         assert!(at >= now, "cannot schedule into the past ({at} < {now})");
         let seq = self.next_seq();
-        let idx = self.alloc(at, seq, event);
-        self.place(idx);
-        self.len += 1;
+        self.heap.push(at, seq, event);
     }
 
     /// Arms wake slot `i` at `at` (no earlier than `now`). A wake already
@@ -291,128 +164,31 @@ impl<E> EventQueue<E> {
             .min();
     }
 
-    /// First occupied wheel slot at or after the cursor, with its tick.
-    fn next_occupied_slot(&self) -> Option<(usize, u64)> {
-        if self.wheel_count == 0 {
-            return None;
-        }
-        let start = (self.base_tick as usize) & (WHEEL_SLOTS - 1);
-        let start_word = start >> 6;
-        let start_bit = start & 63;
-        for step in 0..=WHEEL_WORDS {
-            let word_idx = (start_word + step) % WHEEL_WORDS;
-            let mut word = self.occupancy[word_idx];
-            if step == 0 {
-                word &= !0u64 << start_bit;
-            } else if step == WHEEL_WORDS {
-                word &= !(!0u64 << start_bit);
-            }
-            if word != 0 {
-                let slot = (word_idx << 6) + word.trailing_zeros() as usize;
-                let dist = (slot + WHEEL_SLOTS - start) & (WHEEL_SLOTS - 1);
-                return Some((slot, self.base_tick + dist as u64));
-            }
-        }
-        None
-    }
-
-    /// Moves the cursor to `tick`, draining that tick's bucket into
-    /// `current` and re-homing far events that now fall inside the horizon.
-    fn advance_to(&mut self, tick: u64, slot: usize) {
-        self.base_tick = tick;
-        let mut bucket = std::mem::take(&mut self.wheel[slot]);
-        self.occupancy[slot >> 6] &= !(1 << (slot & 63));
-        self.wheel_count -= bucket.len();
-        for idx in bucket.drain(..) {
-            let node = &self.nodes[idx as usize];
-            self.current.push(Reverse((node.at, node.seq, idx)));
-        }
-        // Hand the (empty, but with retained capacity) Vec back to the slot.
-        self.wheel[slot] = bucket;
-        self.rehome_far();
-    }
-
-    /// Pulls far events whose tick is now inside the wheel horizon.
-    ///
-    /// Maintains the invariant that `far` only holds ticks
-    /// `>= base_tick + WHEEL_SLOTS`, so the wheel's next occupied slot is
-    /// always earlier than everything in `far`.
-    fn rehome_far(&mut self) {
-        let horizon = self.base_tick + WHEEL_SLOTS as u64;
-        while let Some(&Reverse((at, _, idx))) = self.far.peek() {
-            if tick_of(at) >= horizon {
-                break;
-            }
-            self.far.pop();
-            self.place(idx);
-        }
-    }
-
     /// Removes and returns the earliest event at or before the deadline:
-    /// the head of current/wheel/far or the earliest queued wake, whichever
-    /// is earlier by (time, seq).
-    fn pop_next(&mut self, deadline: SimTime) -> Pop<E> {
-        let wake = self.next_wake.map(|(at, seq, _)| (at, seq));
-        loop {
-            // 1. Drain the current-tick heap first: everything in it is
-            //    earlier than anything in the wheel or far heap.
-            if let Some(&Reverse((at, seq, idx))) = self.current.peek() {
-                if wake.is_some_and(|w| w < (at, seq)) {
-                    break;
-                }
+    /// the heap's head or the earliest queued wake, whichever is earlier
+    /// by (time, seq).
+    fn pop_next(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let head = self.heap.peek_key();
+        match self.next_wake {
+            Some((at, seq, i)) if head.is_none_or(|head| time_key(at, seq) < head) => {
                 if at > deadline {
-                    return Pop::Deadline;
+                    return None;
                 }
-                self.current.pop();
-                let event = self.take(idx).expect("queued node lost its event");
-                return Pop::Event { at, event };
+                let event = (self.wakes[i].as_mut())
+                    .and_then(|wake| wake.event.take())
+                    .expect("next_wake names a queued wake");
+                self.refresh_next_wake();
+                Some((at, event))
             }
-            // 2. Advance the cursor to the next occupied wheel slot and spill
-            //    that bucket into `current`; with the wheel empty, jump it
-            //    to the far heap's earliest tick.
-            let (tick, slot) = if let Some((slot, tick)) = self.next_occupied_slot() {
-                (tick, Some(slot))
-            } else if let Some(&Reverse((at, ..))) = self.far.peek() {
-                (tick_of(at), None)
-            } else {
-                break;
-            };
-            // Every event of a tick is at or after its first nanosecond: a
-            // wake before it comes first, and a tick starting beyond the
-            // deadline holds nothing due.
-            let start = SimTime::from_nanos(tick << TICK_SHIFT);
-            if wake.is_some_and(|(at, _)| at < start) {
-                break;
-            }
-            if start > deadline {
-                return Pop::Deadline;
-            }
-            match slot {
-                Some(slot) => self.advance_to(tick, slot),
-                None => {
-                    self.base_tick = tick;
-                    self.rehome_far();
-                }
-            }
+            _ => self.heap.pop_due(deadline),
         }
-        let Some((at, _, i)) = self.next_wake else {
-            return Pop::Empty;
-        };
-        if at > deadline {
-            return Pop::Deadline;
-        }
-        let event = (self.wakes[i].as_mut())
-            .and_then(|wake| wake.event.take())
-            .expect("next_wake names a queued wake");
-        self.refresh_next_wake();
-        Pop::Event { at, event }
     }
 }
 
 /// Scheduling context passed to every event handler.
 ///
 /// The context borrows the engine's event queue directly, so events
-/// scheduled through it go straight into the timer wheel with no
+/// scheduled through it go straight into the heap with no
 /// intermediate buffering; they may be at the current instant (they will
 /// run after all previously-queued events for that instant) or in the future.
 pub struct Ctx<'e, W, E> {
@@ -425,7 +201,7 @@ impl<W, E> std::fmt::Debug for Ctx<'_, W, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("now", &self.now)
-            .field("queued", &self.queue.len)
+            .field("queue", &self.queue.heap)
             .finish()
     }
 }
@@ -484,20 +260,10 @@ pub enum Step {
     Idle,
 }
 
-/// What [`Engine::dispatch_next`] did.
-enum Dispatched {
-    /// Ran one event at the contained instant.
-    Ran(SimTime),
-    /// The next event is after the deadline.
-    Deadline,
-    /// The queue is empty.
-    Idle,
-}
-
 /// A deterministic discrete-event engine over a world `W`.
 ///
 /// See the module documentation for an example and a description of the
-/// timer-wheel queue.
+/// queue: one [`TimeHeap`] of events plus a wake slot per party.
 pub struct Engine<W, E> {
     world: W,
     queue: EventQueue<E>,
@@ -509,7 +275,7 @@ impl<W: std::fmt::Debug, E> std::fmt::Debug for Engine<W, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("queued", &self.queue.len)
+            .field("queue", &self.queue.heap)
             .field("dispatched", &self.dispatched)
             .field("world", &self.world)
             .finish()
@@ -568,41 +334,37 @@ impl<W, E: TypedEvent<W>> Engine<W, E> {
         f(&mut self.world, &mut ctx)
     }
 
-    /// Dispatches the earliest event at or before `deadline`, if any.
+    /// Dispatches the earliest event at or before `deadline`, if any,
+    /// returning its instant.
     ///
     /// This is the single dispatch path shared by [`Engine::step`] and
     /// [`Engine::run_until`].
-    fn dispatch_next(&mut self, deadline: SimTime) -> Dispatched {
-        match self.queue.pop_next(deadline) {
-            Pop::Empty => Dispatched::Idle,
-            Pop::Deadline => Dispatched::Deadline,
-            Pop::Event { at, event } => {
-                debug_assert!(at >= self.now, "event queue emitted a past event");
-                self.now = at;
-                self.dispatched += 1;
-                let mut ctx = Ctx {
-                    now: at,
-                    queue: &mut self.queue,
-                    _world: PhantomData,
-                };
-                event.dispatch(&mut self.world, &mut ctx);
-                Dispatched::Ran(at)
-            }
-        }
+    fn dispatch_next(&mut self, deadline: SimTime) -> Option<SimTime> {
+        let (at, event) = self.queue.pop_next(deadline)?;
+        debug_assert!(at >= self.now, "event queue emitted a past event");
+        self.now = at;
+        self.dispatched += 1;
+        let mut ctx = Ctx {
+            now: at,
+            queue: &mut self.queue,
+            _world: PhantomData,
+        };
+        event.dispatch(&mut self.world, &mut ctx);
+        Some(at)
     }
 
     /// Dispatches the single earliest event, if any, advancing the clock.
     pub fn step(&mut self) -> Step {
-        match self.dispatch_next(SimTime::from_nanos(u64::MAX)) {
-            Dispatched::Ran(at) => Step::Ran(at),
-            Dispatched::Deadline | Dispatched::Idle => Step::Idle,
+        match self.dispatch_next(SimTime::MAX) {
+            Some(at) => Step::Ran(at),
+            None => Step::Idle,
         }
     }
 
     /// Runs until the queue drains or the deadline passes, leaving the
     /// clock at `deadline`; events scheduled after it stay queued.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
-        while let Dispatched::Ran(_) = self.dispatch_next(deadline) {}
+        while self.dispatch_next(deadline).is_some() {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -703,9 +465,9 @@ mod tests {
         e.run_until(SimTime::from_micros(10));
         assert_eq!(e.world(), &[1]);
         assert_eq!(e.now(), SimTime::from_micros(10));
-        assert_eq!(e.queue.len, 1);
         e.run_until(SimTime::from_micros(100));
         assert_eq!(e.world(), &[1, 2]);
+        assert_eq!(e.step(), Step::Idle, "the later event ran once");
     }
 
     #[test]
@@ -717,9 +479,10 @@ mod tests {
             ctx.schedule_event_after(SimDuration::from_micros(1), Push(1));
             ctx.now()
         });
-        assert_eq!((now, e.dispatched(), e.queue.len), (e.now(), 0, 1));
+        assert_eq!((now, e.dispatched()), (e.now(), 0));
         e.run_until(SimTime::from_micros(8));
         assert_eq!((e.world().as_slice(), e.dispatched()), (&[0, 1][..], 1));
+        assert_eq!(e.step(), Step::Idle);
     }
 
     #[test]
@@ -773,9 +536,8 @@ mod tests {
     }
 
     #[test]
-    fn events_beyond_wheel_horizon_run_in_order() {
-        // Mix near-wheel and far-heap events; the far heap covers everything
-        // past ~4.2ms.
+    fn events_far_apart_run_in_order() {
+        // From a microsecond to a second ahead, scheduled out of order.
         let mut e = engine();
         e.schedule_event_at(SimTime::from_millis(100), Push(4));
         e.schedule_event_at(SimTime::from_micros(1), Push(1));
@@ -787,13 +549,12 @@ mod tests {
     }
 
     #[test]
-    fn far_events_interleave_with_later_wheel_inserts() {
-        // Regression shape: an event far beyond the horizon must still run
-        // before a nearer event scheduled later from inside the wheel window.
+    fn a_queued_event_runs_before_a_later_one_scheduled_after_it() {
+        // An event queued from the start must still run before one
+        // scheduled later, from a handler, for an instant after it.
         let mut e = engine();
         e.schedule_event_at(SimTime::from_millis(5), Push(2));
-        // The follow-up is scheduled while the cursor sits at ~4ms: it lands
-        // in the wheel, but after the 5ms far event above.
+        // The follow-up is scheduled at 4ms, for 6ms: after the 5ms event.
         e.schedule_event_at(
             SimTime::from_millis(4),
             Later(1, SimDuration::from_millis(2), 3),
@@ -823,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn typed_event_churn_reuses_slab_nodes() {
+    fn typed_event_churn_runs_each_event_once() {
         #[derive(Clone, Copy)]
         struct Tick;
         impl TypedEvent<u64> for Tick {
@@ -832,16 +593,14 @@ mod tests {
             }
         }
         let mut e: Engine<u64, Tick> = Engine::with_events(0);
+        let mut at = SimTime::ZERO;
         for round in 0..1_000u64 {
-            e.schedule_event_at(e.now() + SimDuration::from_nanos(round % 97 + 1), Tick);
+            at += SimDuration::from_nanos(round % 97 + 1);
+            e.schedule_event_at(at, Tick);
             e.run_to_completion();
+            assert_eq!((e.now(), e.step()), (at, Step::Idle), "round {round}");
         }
-        assert_eq!(*e.world(), 1_000);
-        assert!(
-            e.queue.nodes.len() <= 2,
-            "slab grew to {} nodes despite one-at-a-time churn",
-            e.queue.nodes.len()
-        );
+        assert_eq!((*e.world(), e.dispatched()), (1_000, 1_000));
     }
 
     #[test]
@@ -888,7 +647,8 @@ mod tests {
         assert_eq!(e.world().serviced, [(us(5), 0), (us(5), 1), (us(7), 2)]);
         // One no-op; four armed, one of them replacing; two superseded.
         assert_eq!(e.world().tallies, [1, 3, 1 + 1]);
-        assert!(e.queue.wakes.iter().all(Option::is_none), "all serviced");
+        let armed = e.with_ctx(|_, ctx| (0..3).filter(|&i| ctx.is_armed(i)).count());
+        assert_eq!(armed, 0, "all serviced");
         assert_eq!(e.dispatched(), 5 + 2);
     }
 
@@ -922,14 +682,18 @@ mod tests {
         e.schedule_event_at(t, Ev::Push(1));
         assert_eq!(arm(&mut e, far), Some(false));
         e.schedule_event_at(t, Ev::Push(2));
-        // Re-armed earlier, beyond the wheel and then at `t` from an event
-        // at 1us: the wake takes the seq of its last arm, after every push
+        // Re-armed earlier, at 49ms and then at `t` from an event at
+        // 1us: the wake takes the seq of its last arm, after every push
         // (its first arm's seq sat between Push(1) and Push(2)).
         assert_eq!(arm(&mut e, far - SimDuration::from_millis(1)), Some(true));
         e.schedule_event_at(SimTime::from_micros(1), Ev::Arm(t));
         e.schedule_event_at(t, Ev::Push(3));
         e.run_until(SimTime::from_millis(100));
         assert_eq!(e.world(), &[1, 2, 3, 99]);
-        assert_eq!(e.queue.next_wake, None);
+        assert!(
+            !e.with_ctx(|_, ctx| ctx.is_armed(0)),
+            "taken by its own wake"
+        );
+        assert_eq!(e.step(), Step::Idle);
     }
 }

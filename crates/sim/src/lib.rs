@@ -8,6 +8,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-granularity virtual time,
 //! * [`Engine`] — a deterministic event queue over a user-defined world,
+//! * [`TimeHeap`] — items ordered by `(instant, seq)`: the engine's events,
+//!   NVMe completions, receive-queue stragglers,
 //! * [`SimRng`] / [`Zipf`] — seeded randomness and workload distributions,
 //! * [`Histogram`] — HDR-style latency histograms (p95 is the paper's
 //!   headline metric),
@@ -59,6 +61,7 @@
 pub mod alloc_count;
 mod dense;
 mod engine;
+mod heap;
 mod hist;
 mod rng;
 mod series;
@@ -68,6 +71,7 @@ mod ziggurat;
 
 pub use dense::{DenseId, DenseTable};
 pub use engine::{Ctx, Engine, Step, TypedEvent};
+pub use heap::{time_key, TimeHeap};
 pub use hist::Histogram;
 pub use rng::{Exponential, LogNormal, SimRng, Zipf};
 pub use series::{RatePoint, RateSeries};

@@ -231,7 +231,7 @@ mod tests {
         let two = with_filters(&["header_", "sched"]);
         assert!(two.selected("header_encode_decode"));
         assert!(two.selected("sched_round/guard"));
-        assert!(!two.selected("engine_dispatch/typed_wheel_64w"));
+        assert!(!two.selected("engine_dispatch/typed_heap_64w"));
     }
 
     #[test]
