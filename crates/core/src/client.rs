@@ -476,8 +476,6 @@ impl WorkloadState {
 
     pub fn report(&self, window: SimDuration) -> WorkloadReport {
         let secs = window.as_secs_f64().max(1e-12);
-        let mut series = self.iops_series.clone();
-        series.finish(SimTime::ZERO + window);
         WorkloadReport {
             name: self.spec.name.clone(),
             tenant: self.spec.tenant,
@@ -493,7 +491,7 @@ impl WorkloadState {
             retry_success: self.retry_success,
             exhausted: self.exhausted,
             timeouts: self.timeouts,
-            iops_series: series.points().to_vec(),
+            iops_series: self.iops_series.points(SimTime::ZERO + window),
         }
     }
 }
@@ -534,23 +532,37 @@ pub(crate) struct Fan {
     pub slot: u8,
 }
 
-/// A request outstanding at a client, awaiting its response.
+/// A request outstanding at a client, awaiting its response. A backlog
+/// holds one per request in flight, so it packs into 40 bytes (48 in its
+/// slab slot): `u32` indices, no length (its workload's `io_size`) and no
+/// `Option` around its fan-out link.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutstandingReq {
-    // Indices as `u32`: a backlog holds one of these per request in flight.
     pub workload: u32,
     pub conn_idx: u32,
     /// Issue instant of the *first* attempt — latency is measured from
     /// here so retries surface as tail inflation.
     pub sent_at: SimTime,
-    pub is_read: bool,
     pub addr: u64,
-    pub len: u32,
-    pub measured: bool,
     /// 1-based attempt number of the in-flight transmission.
     pub attempt: u32,
+    pub is_read: bool,
+    pub measured: bool,
+    /// One member's share of a replicated request ([`fan`](Self::fan)):
+    /// the op and the member's slot, [`NO_FAN`] for a plain request.
+    pub fan_op: PoolKey,
+    pub fan_slot: u8,
+}
+
+/// The `fan_slot` of a plain request, beyond any replica set's.
+pub(crate) const NO_FAN: u8 = u8::MAX;
+
+impl OutstandingReq {
     /// `Some` for one member's share of a replicated request.
-    pub fan: Option<Fan>,
+    pub(crate) fn fan(&self) -> Option<Fan> {
+        let (op, slot) = (self.fan_op, self.fan_slot);
+        (slot != NO_FAN).then_some(Fan { op, slot })
+    }
 }
 
 #[cfg(test)]
@@ -619,6 +631,41 @@ mod tests {
         let mut s = replicated();
         s.pattern = LoadPattern::ClosedLoop { queue_depth: 4 };
         assert!(s.validate().unwrap_err().contains("open-loop"));
+    }
+
+    /// A client holds one slot per request in flight.
+    #[test]
+    fn an_outstanding_request_takes_at_most_48_bytes_of_slab() {
+        let size = reflex_sim::SlabPool::<OutstandingReq>::SLOT_BYTES;
+        assert!(size <= 48, "{size} bytes");
+    }
+
+    #[test]
+    fn fan_link_reads_back() {
+        let fan = Fan {
+            op: PoolKey::from_u64(7 << 32 | 3),
+            slot: 2,
+        };
+        assert!(NO_FAN as usize >= crate::testbed::MAX_REPLICAS);
+        let req = OutstandingReq {
+            workload: 0,
+            conn_idx: 0,
+            sent_at: SimTime::ZERO,
+            addr: 0,
+            attempt: 1,
+            is_read: true,
+            measured: false,
+            fan_op: PoolKey::from_u64(0),
+            fan_slot: NO_FAN,
+        };
+        assert!(req.fan().is_none());
+        let fanned = OutstandingReq {
+            fan_op: fan.op,
+            fan_slot: fan.slot,
+            ..req
+        };
+        let back = fanned.fan().expect("a member's share");
+        assert_eq!((back.op, back.slot), (fan.op, fan.slot));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use reflex_telemetry::{Stage, Telemetry, TelemetrySnapshot, TenantKey};
 use crate::capacity::CapacityProfile;
 use crate::client::{
     AddrPattern, ArrivalProcess, LoadPattern, MemberLink, OutstandingReq, ReplOp, WorkloadReport,
-    WorkloadSpec, WorkloadState,
+    WorkloadSpec, WorkloadState, NO_FAN,
 };
 use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 use crate::harness::ServerHarness;
@@ -497,7 +497,7 @@ impl<S: ServerHarness + 'static> World<S> {
                 r.sent_at,
                 r.addr,
                 r.is_read,
-                r.fan.map(|fan| fan.slot),
+                r.fan().map(|fan| fan.slot),
             )
         });
         for r in due.drain(..) {
@@ -563,7 +563,7 @@ impl<S: ServerHarness + 'static> World<S> {
                     self.stage_retry(req, ctx);
                     continue;
                 }
-                if let Some(fan) = req.fan {
+                if let Some(fan) = req.fan() {
                     self.conclude_sub(&req, fan.op, !failed, d.arrived_at, ctx);
                     continue;
                 }
@@ -610,10 +610,10 @@ impl<S: ServerHarness + 'static> World<S> {
             w.iops_series.add(SimTime::ZERO + since, 1);
             if req.is_read {
                 w.completed_reads += 1;
-                w.read_bytes += u64::from(req.len);
+                w.read_bytes += u64::from(w.spec.io_size);
             } else {
                 w.completed_writes += 1;
-                w.write_bytes += u64::from(req.len);
+                w.write_bytes += u64::from(w.spec.io_size);
             }
             if req.measured && req.is_read {
                 w.read_hist.record(latency);
@@ -640,7 +640,7 @@ impl<S: ServerHarness + 'static> World<S> {
                 .retry
                 .max_attempts
             && req
-                .fan
+                .fan()
                 .is_none_or(|fan| self.ops.get(fan.op).is_some_and(|op| !op.done))
     }
 
@@ -683,12 +683,12 @@ impl<S: ServerHarness + 'static> World<S> {
             workload: w_idx as u32,
             conn_idx: conn_idx as u32,
             sent_at: now,
-            is_read,
             addr,
-            len: w.spec.io_size,
-            measured,
             attempt: 1,
-            fan: None,
+            is_read,
+            measured,
+            fan_op: PoolKey::from_u64(0),
+            fan_slot: NO_FAN,
         };
         match w.spec.replicated {
             None => self.transmit(req, ctx),
@@ -703,7 +703,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// nowhere if the op or the set have moved on (see `fan_slot`).
     fn transmit(&mut self, req: OutstandingReq, ctx: &mut WorldCtx<S>) {
         let now = ctx.now();
-        let slot = match req.fan {
+        let slot = match req.fan() {
             None => 0,
             Some(fan) => match self.fan_slot(&req, fan) {
                 Some(slot) => slot,
@@ -726,7 +726,7 @@ impl<S: ServerHarness + 'static> World<S> {
         // multiplies the arrival rate past the member's service rate and
         // the queue never drains. Widening lets a late attempt accept the
         // delayed response, which caps the retransmission rate.
-        let timeout = spec.retry.timeout.map(|t| match req.fan {
+        let timeout = spec.retry.timeout.map(|t| match req.fan() {
             Some(_) => t.mul_f64((1u64 << (req.attempt - 1).min(16)) as f64),
             None => t,
         });
@@ -759,9 +759,9 @@ impl<S: ServerHarness + 'static> World<S> {
             tenant: tenant.0,
             cookie,
             addr: req.addr,
-            len: req.len,
+            len: spec.io_size,
         };
-        let payload = if req.is_read { 0 } else { req.len };
+        let payload = if req.is_read { 0 } else { spec.io_size };
         let site = &self.sites[member.site];
         let queue = site.server.route(conn).unwrap_or_default();
         let arrival = self.fabric.send_to_queue(
@@ -801,7 +801,7 @@ impl<S: ServerHarness + 'static> World<S> {
         self.workloads[req.workload as usize].timeouts += 1;
         if self.may_retry(&req) {
             self.stage_retry(req, ctx);
-        } else if let Some(fan) = req.fan {
+        } else if let Some(fan) = req.fan() {
             self.conclude_sub(&req, fan.op, false, ctx.now(), ctx);
         } else {
             self.conclude(&req, false, ctx.now(), ctx);

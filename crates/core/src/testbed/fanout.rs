@@ -198,11 +198,13 @@ impl<S: ServerHarness + 'static> World<S> {
             done: false,
         });
         for &slot in &targets[..n_targets] {
-            let fan = Some(Fan {
-                op,
-                slot: slot as u8,
-            });
-            self.transmit(OutstandingReq { fan, ..req }, ctx);
+            let (fan_op, fan_slot) = (op, slot as u8);
+            let share = OutstandingReq {
+                fan_op,
+                fan_slot,
+                ..req
+            };
+            self.transmit(share, ctx);
         }
     }
 

@@ -18,10 +18,10 @@ use reflex_core::{
     quorum, AdmissionError, ArrivalProcess, PlacementError, ReadPolicy, ServerId, Testbed,
     TestbedError, TestbedReport, WorkloadSpec, WorldEvent, MAX_REPLICAS, MIGRATION_STEP,
 };
-use reflex_dataplane::AclEntry;
+use reflex_dataplane::{AclEntry, ReqCtx};
 use reflex_faults::{install, FaultKind, FaultPlan};
 use reflex_net::StackProfile;
-use reflex_qos::{SloSpec, TenantClass, TenantId};
+use reflex_qos::{CostedRequest, SloSpec, TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimTime};
 
 fn ms(n: u64) -> SimDuration {
@@ -1020,6 +1020,14 @@ fn two_threads_on_every_site_run_like_one_run_in_slices() {
 #[test]
 fn the_event_is_as_small_as_before() {
     assert_eq!(std::mem::size_of::<WorldEvent>(), 24);
+}
+
+/// A request waiting in a tenant's scheduler queue is one of these, and a
+/// backlogged best-effort tenant holds tens of thousands.
+#[test]
+fn a_queued_request_is_at_most_72_bytes() {
+    let size = std::mem::size_of::<CostedRequest<ReqCtx>>();
+    assert!(size <= 72, "{size} bytes");
 }
 
 // ------------------------------------------------------------------

@@ -13,10 +13,10 @@
 //! 3. poll the NVMe completion queue and transmit the responses
 //!    (run-to-completion step 2).
 //!
-//! A request is one [`ReqCtx`], built from its wire header on arrival; its
-//! answer is encoded from that record. The paper's syscalls and event
-//! conditions cost CPU (inside the per-message costs) but carry nothing
-//! the wire header does not.
+//! A request is one [`CostedRequest`] of a [`ReqCtx`], built from its wire
+//! header on arrival; its answer is encoded from that record. The paper's
+//! syscalls and event conditions cost CPU (inside the per-message costs)
+//! but carry nothing the wire header does not.
 //!
 //! Adaptive batching emerges naturally: while the core is busy, arrivals
 //! and completions accumulate and are picked up in batches of up to 64.
@@ -103,8 +103,9 @@ impl AclEntry {
     }
 }
 
-/// A request, from its arrival to its answer: what its wire header said,
-/// where it came from, and when it reached each stage. Opaque outside the
+/// A request, from its arrival to its answer: what its wire header said
+/// beyond the opcode and length its [`CostedRequest`] carries, where it
+/// came from, and when it reached each stage. Opaque outside the
 /// dataplane; exposed only as the scheduler's payload type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReqCtx {
@@ -116,12 +117,12 @@ pub struct ReqCtx {
     conn: ConnId,
     client: MachineId,
     cookie: u64,
-    op: IoType,
     addr: u64,
-    len: u32,
     arrived: SimTime,
     rx_started: SimTime,
-    enqueued: SimTime,
+    /// Nanoseconds from `rx_started` to the scheduler's queue: the
+    /// thread's receive cost, exact below 4.29 s (it saturates there).
+    enqueued_after: u32,
     /// Cache clock captured when a read was accepted with the DRAM cache
     /// enabled; the fill on completion is rejected if its target set was
     /// invalidated after this instant (write-vs-fill race guard). Zero
@@ -137,23 +138,23 @@ pub struct ReqCtx {
 }
 
 impl ReqCtx {
-    /// The request as the scheduler queues it.
-    fn costed(self) -> CostedRequest<ReqCtx> {
-        CostedRequest {
-            op: self.op,
-            len: self.len,
-            payload: self,
-        }
+    /// The instant the request entered the scheduler's queue.
+    fn enqueued(&self) -> SimTime {
+        self.rx_started + SimDuration::from_nanos(self.enqueued_after.into())
     }
 }
+
+/// A request as a thread holds it, from its scheduler queue to its
+/// answer; a barrier is one of `len` 0.
+type Request = CostedRequest<ReqCtx>;
 
 /// Per-tenant ordering state for barrier support: while fenced, new
 /// requests buffer here instead of entering the QoS queue.
 #[derive(Debug, Default)]
 struct OrderingState {
     inflight: u32,
-    fence: Option<ReqCtx>,
-    buffered: VecDeque<ReqCtx>,
+    fence: Option<Request>,
+    buffered: VecDeque<Request>,
 }
 
 /// What a tenant leaves on a thread it is unregistered from, in the order
@@ -166,11 +167,11 @@ struct OrderingState {
 #[derive(Debug, Default)]
 pub struct Leftovers {
     /// Requests the tenant's scheduler queue held, oldest first.
-    pub queued: Vec<CostedRequest<ReqCtx>>,
+    pub queued: Vec<Request>,
     /// A barrier still waiting for the tenant's earlier requests.
-    pub fence: Option<ReqCtx>,
+    pub fence: Option<Request>,
     /// Requests buffered behind `fence`, oldest first.
-    pub buffered: VecDeque<ReqCtx>,
+    pub buffered: VecDeque<Request>,
     /// Requests this thread still has at the device or waiting to be
     /// resubmitted. This thread answers them, and no other thread learns
     /// when they complete.
@@ -275,7 +276,7 @@ enum ConnEntry {
 /// per-IO hash-map churn of `inflight` + `submit_times` maps.
 #[derive(Debug, Clone, Copy)]
 struct InflightIo {
-    ctx: ReqCtx,
+    req: Request,
     submitted_at: SimTime,
 }
 
@@ -388,7 +389,7 @@ pub struct DataplaneThread {
     /// In-flight IOs, slot-recycled; the pool key rides in each command's
     /// `CmdId` and is generation-checked on completion.
     inflight: SlabPool<InflightIo>,
-    retry_submit: VecDeque<CostedRequest<ReqCtx>>,
+    retry_submit: VecDeque<Request>,
     core_busy: SimTime,
     busy_time: SimDuration,
     sched_time: SimDuration,
@@ -416,7 +417,7 @@ pub struct DataplaneThread {
     /// nothing left before it, or refused with the requests behind it when
     /// its tenant was unregistered or moved with IOs still at the old
     /// thread's device.
-    owed: Vec<(ReqCtx, bool)>,
+    owed: Vec<(Request, bool)>,
     /// Rounds settled as idle so far, and the settle passes that found any.
     rounds_elided: u64,
     settle_calls: u64,
@@ -785,7 +786,7 @@ impl DataplaneThread {
 
     /// Refuses a barrier whose tenant was unregistered here: its client
     /// gets [`Opcode::Error`] at the thread's next pump.
-    pub fn refuse(&mut self, fence: ReqCtx) {
+    pub fn refuse(&mut self, fence: Request) {
         self.interrupt();
         self.owed.push((fence, false));
     }
@@ -826,17 +827,17 @@ impl DataplaneThread {
             .tenants
             .slot_of(id)
             .ok_or(QosError::UnknownTenant(id))?;
-        let restamp = |ctx: &mut ReqCtx| {
-            ctx.slot = slot;
-            if ctx.op.is_read() {
-                ctx.cache_clock = clock;
-                ctx.cache_gen = generation;
+        let restamp = |req: &mut Request| {
+            req.payload.slot = slot;
+            if req.op.is_read() {
+                req.payload.cache_clock = clock;
+                req.payload.cache_gen = generation;
             }
         };
-        reqs.iter_mut().for_each(|req| restamp(&mut req.payload));
+        reqs.iter_mut().for_each(restamp);
         buffered.iter_mut().for_each(restamp);
         if let Some(fence) = &mut fence {
-            fence.slot = slot;
+            fence.payload.slot = slot;
         }
         if outstanding > 0 {
             if let Some(fence) = fence.take() {
@@ -848,7 +849,7 @@ impl DataplaneThread {
         if reqs.is_empty() && t.ordering.inflight == 0 {
             if let Some(fence) = fence.take() {
                 self.owed.push((fence, true));
-                reqs.extend(buffered.drain(..).map(ReqCtx::costed));
+                reqs.extend(buffered.drain(..));
             }
         }
         t.ordering.inflight += reqs.len() as u32;
@@ -960,16 +961,16 @@ impl DataplaneThread {
     /// a read's data, or an error with none. Every failure is the same
     /// error on the wire: a client cannot tell a refused request from a
     /// media error or a dying device, and retries.
-    fn respond(&mut self, fabric: &mut Fabric<WireMsg>, ctx: &ReqCtx, ok: bool) {
+    fn respond(&mut self, fabric: &mut Fabric<WireMsg>, req: &Request, ok: bool) {
         let header = ReflexHeader {
             opcode: if ok { Opcode::Response } else { Opcode::Error },
             tenant: 0,
-            cookie: ctx.cookie,
-            addr: ctx.addr,
-            len: ctx.len,
+            cookie: req.payload.cookie,
+            addr: req.payload.addr,
+            len: req.len,
         };
-        let payload = if ok && ctx.op.is_read() { ctx.len } else { 0 };
-        self.transmit(fabric, ctx, header, payload);
+        let payload = if ok && req.op.is_read() { req.len } else { 0 };
+        self.transmit(fabric, &req.payload, header, payload);
     }
 
     fn handle_rx(
@@ -999,48 +1000,51 @@ impl DataplaneThread {
             self.stats.decode_errors += 1;
             return;
         };
-        let mut ctx = ReqCtx {
-            tenant,
-            slot,
-            conn: delivery.conn,
-            client,
-            cookie: header.cookie,
+        let enqueued_after = self.core_busy.saturating_since(rx_started).as_nanos();
+        let mut req = Request {
             op: IoType::Read,
-            addr: header.addr,
             len: header.len,
-            arrived: delivery.arrived_at,
-            rx_started,
-            enqueued: self.core_busy,
-            cache_clock: 0,
-            cache_gen: 0,
+            payload: ReqCtx {
+                tenant,
+                slot,
+                conn: delivery.conn,
+                client,
+                cookie: header.cookie,
+                addr: header.addr,
+                arrived: delivery.arrived_at,
+                rx_started,
+                enqueued_after: u32::try_from(enqueued_after).unwrap_or(u32::MAX),
+                cache_clock: 0,
+                cache_gen: 0,
+            },
         };
         match header.opcode {
             Opcode::Get => {}
-            Opcode::Put => ctx.op = IoType::Write,
+            Opcode::Put => req.op = IoType::Write,
             Opcode::Barrier => {
                 // A barrier addresses no blocks, and its answer echoes none.
-                (ctx.addr, ctx.len) = (0, 0);
-                self.barrier(fabric, ctx);
+                (req.payload.addr, req.len) = (0, 0);
+                self.barrier(fabric, req);
                 return;
             }
             // Answers travel to clients only.
             Opcode::Response | Opcode::Error => {
                 self.stats.decode_errors += 1;
-                self.respond(fabric, &ctx, false);
+                self.respond(fabric, &req, false);
                 return;
             }
         }
-        let (op, addr, len) = (ctx.op, ctx.addr, ctx.len);
+        let (op, addr, len) = (req.op, req.payload.addr, req.len);
         if len == 0 {
             // A request for no bytes would never reach the device, and
             // nothing else would answer it.
             self.stats.decode_errors += 1;
-            self.respond(fabric, &ctx, false);
+            self.respond(fabric, &req, false);
             return;
         }
         if !self.tenants.at(slot).acl.permits(op, addr, len) {
             self.stats.acl_rejections += 1;
-            self.respond(fabric, &ctx, false);
+            self.respond(fabric, &req, false);
             return;
         }
         // The request is accepted from here on: it will be answered by
@@ -1064,8 +1068,8 @@ impl DataplaneThread {
                 // prove its fill predates no invalidation and no tenant
                 // teardown.
                 IoType::Read => {
-                    ctx.cache_clock = cache.clock();
-                    ctx.cache_gen = cache.generation(tenant.0);
+                    req.payload.cache_clock = cache.clock();
+                    req.payload.cache_gen = cache.generation(tenant.0);
                 }
             }
         }
@@ -1076,14 +1080,14 @@ impl DataplaneThread {
             if self.cache.is_some() && op.is_read() {
                 self.stats.cache_bypasses += 1;
             }
-            t.ordering.buffered.push_back(ctx);
+            t.ordering.buffered.push_back(req);
             return;
         }
         if op.is_read() {
             if let Some(cache) = &mut self.cache {
                 if cache.lookup(tenant.0, addr, len) {
                     self.stats.cache_hits += 1;
-                    self.complete_hit(fabric, ctx);
+                    self.complete_hit(fabric, req);
                     return;
                 }
                 self.stats.cache_misses += 1;
@@ -1092,22 +1096,23 @@ impl DataplaneThread {
         let t = self.tenants.at(slot);
         t.ordering.inflight += 1;
         self.sched
-            .enqueue_at(t.sched, tenant, ctx.costed())
+            .enqueue_at(t.sched, tenant, req)
             .expect("bound conn implies registered tenant");
     }
 
     /// A barrier: acknowledged at once if its tenant has nothing
     /// outstanding, else the tenant is fenced until it drains. A second
     /// barrier while one is pending is an error.
-    fn barrier(&mut self, fabric: &mut Fabric<WireMsg>, ctx: ReqCtx) {
+    fn barrier(&mut self, fabric: &mut Fabric<WireMsg>, fence: Request) {
+        let ctx = fence.payload;
         let t = self.tenants.at(ctx.slot);
         if t.ordering.fence.is_some() {
             self.stats.decode_errors += 1;
-            self.respond(fabric, &ctx, false);
+            self.respond(fabric, &fence, false);
         } else if t.ordering.inflight == 0 && self.sched.queued_at(t.sched, ctx.tenant) == 0 {
             self.ack_barrier(fabric, ctx);
         } else {
-            t.ordering.fence = Some(ctx);
+            t.ordering.fence = Some(fence);
         }
     }
 
@@ -1115,17 +1120,18 @@ impl DataplaneThread {
     /// wire, flash SQ/channel/CQ untouched. The tenant pays the cheap
     /// DRAM token cost from its local balance (never the global bucket)
     /// and the hit counts as a submitted+completed IO for conservation.
-    fn complete_hit(&mut self, fabric: &mut Fabric<WireMsg>, ctx: ReqCtx) {
+    fn complete_hit(&mut self, fabric: &mut Fabric<WireMsg>, req: Request) {
         let cache_cfg = *self
             .cache
             .as_ref()
             .expect("hit implies cache enabled")
             .config();
-        let pages = ctx.len.div_ceil(cache_cfg.line_bytes).max(1) as i64;
+        let pages = req.len.div_ceil(cache_cfg.line_bytes).max(1) as i64;
         // DRAM service (lookup + copy-out) plus the usual TX cost, both
         // under connection-state cache pressure.
         self.charge(self.hit_cost);
-        self.respond(fabric, &ctx, true);
+        self.respond(fabric, &req, true);
+        let ctx = req.payload;
         // A hit completes inside `handle_rx`, so the slot is the live one
         // its connection carried.
         let t = self.tenants.at(ctx.slot);
@@ -1148,11 +1154,11 @@ impl DataplaneThread {
                 ),
                 (
                     Stage::Dataplane,
-                    ctx.enqueued.saturating_since(ctx.rx_started),
+                    ctx.enqueued().saturating_since(ctx.rx_started),
                 ),
                 (
                     Stage::DramCache,
-                    self.core_busy.saturating_since(ctx.enqueued),
+                    self.core_busy.saturating_since(ctx.enqueued()),
                 ),
             ],
             Answer::Hit,
@@ -1187,27 +1193,27 @@ impl DataplaneThread {
             && ordering.fence.is_some()
             && self.sched.queued_at(t.sched, tenant) == 0
         {
-            let ctx = ordering.fence.take().expect("checked above");
+            let fence = ordering.fence.take().expect("checked above");
             let buffered = std::mem::take(&mut ordering.buffered);
             ordering.inflight += buffered.len() as u32;
             let sched_slot = t.sched;
-            self.ack_barrier(fabric, ctx);
-            for rctx in buffered {
+            self.ack_barrier(fabric, fence.payload);
+            for req in buffered {
                 self.sched
-                    .enqueue_at(sched_slot, tenant, rctx.costed())
+                    .enqueue_at(sched_slot, tenant, req)
                     .expect("tenant still registered");
             }
         }
     }
 
-    fn submit_one(&mut self, device: &mut FlashDevice, req: CostedRequest<ReqCtx>) {
+    fn submit_one(&mut self, device: &mut FlashDevice, req: Request) {
         // The in-flight slab slot doubles as the NVMe command id: the pool
         // key (slot + generation) packs into the CmdId u64 and travels
         // through the device, so completion lookup is a generation-checked
         // index instead of a hash probe — and slot reuse recycles the
         // storage with no per-IO allocation.
         let key = self.inflight.insert(InflightIo {
-            ctx: req.payload,
+            req,
             submitted_at: self.core_busy,
         });
         let id = CmdId(key.as_u64());
@@ -1248,10 +1254,11 @@ impl DataplaneThread {
         let Some(io) = self.inflight.take(PoolKey::from_u64(completed.id.0)) else {
             return;
         };
-        let InflightIo { ctx, submitted_at } = io;
+        let InflightIo { req, submitted_at } = io;
+        let ctx = req.payload;
         let ok = completed.status == NvmeStatus::Success;
-        self.respond(fabric, &ctx, ok);
-        if ctx.op.is_read() {
+        self.respond(fabric, &req, ok);
+        if req.op.is_read() {
             let entry = self.tenants.of_request(ctx.slot, ctx.tenant);
             if let Some(h) = entry.and_then(|t| t.read_latency.as_mut()) {
                 h.record(self.core_busy.saturating_since(ctx.arrived));
@@ -1267,7 +1274,7 @@ impl DataplaneThread {
                     let out = cache.fill(
                         ctx.tenant.0,
                         ctx.addr,
-                        ctx.len,
+                        req.len,
                         ctx.cache_clock,
                         ctx.cache_gen,
                     );
@@ -1289,9 +1296,12 @@ impl DataplaneThread {
                 ),
                 (
                     Stage::Dataplane,
-                    ctx.enqueued.saturating_since(ctx.rx_started),
+                    ctx.enqueued().saturating_since(ctx.rx_started),
                 ),
-                (Stage::FlashSq, submitted_at.saturating_since(ctx.enqueued)),
+                (
+                    Stage::FlashSq,
+                    submitted_at.saturating_since(ctx.enqueued()),
+                ),
                 (
                     Stage::Channel,
                     completed.completed_at.saturating_since(submitted_at),
@@ -1328,11 +1338,11 @@ impl DataplaneThread {
             self.core_busy = now;
         }
         if !self.owed.is_empty() {
-            for (ctx, ok) in std::mem::take(&mut self.owed) {
+            for (req, ok) in std::mem::take(&mut self.owed) {
                 if ok {
-                    self.ack_barrier(fabric, ctx);
+                    self.ack_barrier(fabric, req.payload);
                 } else {
-                    self.respond(fabric, &ctx, false);
+                    self.respond(fabric, &req, false);
                 }
             }
         }

@@ -293,7 +293,7 @@ mod tables {
                 .collect();
             // Six ids as a fabric issues them, and one nobody issued.
             let mut conns: Vec<ConnId> = (0..6).map(|_| fabric.new_conn()).collect();
-            conns.push(ConnId(u64::MAX));
+            conns.push(ConnId(u32::MAX));
             let capacity = device.profile().capacity_bytes;
             Rig {
                 fabric,

@@ -22,17 +22,18 @@ pub struct MachineId(pub u32);
 /// Identifier of a (TCP) connection between two machines. The fabric itself
 /// is connection-agnostic; ids are carried for the endpoints' bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ConnId(pub u64);
+pub struct ConnId(pub u32);
 
 /// [`Fabric::new_conn`] issues ids densely from zero, so whoever keeps
 /// state per connection finds it by index.
 impl DenseId for ConnId {
     fn index(self) -> u64 {
-        self.0
+        self.0.into()
     }
 
     fn from_index(index: u64) -> Self {
-        ConnId(index)
+        // Every index a table holds came from an id.
+        ConnId(index as u32)
     }
 }
 
@@ -278,7 +279,7 @@ pub struct Fabric<P> {
     held_peak: usize,
     pushes: RxPushes,
     seq: u64,
-    next_conn: u64,
+    next_conn: u32,
     fault_hook: Option<Box<dyn NetFaultHook>>,
     dropped: u64,
     duplicated: u64,
@@ -658,6 +659,14 @@ impl<P> Fabric<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A receive queue holds one entry per message in flight to its
+    /// machine.
+    #[test]
+    fn a_queued_message_is_at_most_56_bytes() {
+        let size = std::mem::size_of::<Rx<[u8; crate::HEADER_SIZE]>>();
+        assert!(size <= 56, "{size} bytes");
+    }
 
     fn fabric() -> (Fabric<u32>, MachineId, MachineId) {
         let mut f = Fabric::new(LinkConfig::default(), SimRng::seed(9));

@@ -53,8 +53,10 @@ impl Default for SchedulerParams {
 }
 
 /// A Flash request waiting in a tenant's software queue. `R` is the
-/// caller's opaque payload (connection, cookie, buffer handle, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// caller's opaque payload (connection, cookie, buffer handle, …). The
+/// queue holds exactly this: a request's token cost is priced from `op`
+/// and `len` when a round reaches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostedRequest<R> {
     /// Read or write.
     pub op: IoType,
@@ -94,24 +96,6 @@ pub struct TenantSchedStats {
     pub dram_spent_millitokens: i64,
 }
 
-/// A queued request with both of its costs fixed at enqueue: the model
-/// never changes under a scheduler, so the round path only loads them.
-#[derive(Debug)]
-struct Queued<R> {
-    req: CostedRequest<R>,
-    cost_mixed: Tokens,
-    cost_ro: Tokens,
-}
-
-impl<R> Queued<R> {
-    fn cost(&self, mix: LoadMix) -> Tokens {
-        match mix {
-            LoadMix::Mixed => self.cost_mixed,
-            LoadMix::ReadOnly => self.cost_ro,
-        }
-    }
-}
-
 /// An LC tenant's generation in each of the last `pos_history_rounds`
 /// rounds (a ring; empty at zero rounds) and their sum, its `POS_LIMIT`.
 #[derive(Debug)]
@@ -145,7 +129,7 @@ struct LcState<R> {
     recent_gen: RecentGen,
     synced_round: u64,
     synced_at: u64,
-    queue: VecDeque<Queued<R>>,
+    queue: VecDeque<CostedRequest<R>>,
     stats: TenantSchedStats,
 }
 
@@ -197,10 +181,14 @@ struct BeState<R> {
     tokens: Tokens,
     gen: TokenGen,
     synced_at: u128,
-    queue: VecDeque<Queued<R>>,
+    /// Requests as they arrived: each is priced when it reaches the head
+    /// of a visit, under that round's mix (the model never changes under a
+    /// scheduler, so a price is the same whenever it is computed).
+    queue: VecDeque<CostedRequest<R>>,
     /// Incremental demand totals so scheduling rounds stay O(1) per
     /// tenant even with deep queues (overloaded BE tenants accumulate
-    /// hundreds of thousands of requests).
+    /// hundreds of thousands of requests): added at enqueue, taken back at
+    /// submission, at the same prices.
     demand_mixed: Tokens,
     demand_ro: Tokens,
     stats: TenantSchedStats,
@@ -456,7 +444,7 @@ impl<R> QosScheduler<R> {
             None => return Err(QosError::UnknownTenant(id)),
         };
         self.queued -= queue.len();
-        Ok(queue.into_iter().map(|q| q.req).collect())
+        Ok(Vec::from(queue))
     }
 
     /// Sets each BE tenant's fair share of unallocated device throughput
@@ -565,10 +553,7 @@ impl<R> QosScheduler<R> {
         id: TenantId,
         req: CostedRequest<R>,
     ) -> Result<(), QosError> {
-        let slot = self.checked(slot, id)?;
-        let cost_mixed = self.model.cost(req.op, req.len, LoadMix::Mixed);
-        let cost_ro = self.model.cost(req.op, req.len, LoadMix::ReadOnly);
-        let queue = match slot {
+        let queue = match self.checked(slot, id)? {
             Slot::Lc(i) => {
                 self.lc_wake.unpark(i);
                 &mut self.lc[i].queue
@@ -576,16 +561,12 @@ impl<R> QosScheduler<R> {
             // A parked BE tenant stays parked: its head did not change.
             Slot::Be(i) => {
                 let s = &mut self.be[i];
-                s.demand_mixed += cost_mixed;
-                s.demand_ro += cost_ro;
+                s.demand_mixed += self.model.cost(req.op, req.len, LoadMix::Mixed);
+                s.demand_ro += self.model.cost(req.op, req.len, LoadMix::ReadOnly);
                 &mut s.queue
             }
         };
-        queue.push_back(Queued {
-            req,
-            cost_mixed,
-            cost_ro,
-        });
+        queue.push_back(req);
         self.queued += 1;
         Ok(())
     }
@@ -913,11 +894,11 @@ impl<R> QosScheduler<R> {
 
         while s.tokens > self.params.neg_limit {
             let Some(q) = s.queue.pop_front() else { break };
-            let cost = q.cost(mix);
+            let cost = self.model.cost(q.op, q.len, mix);
             s.tokens -= cost;
             s.stats.submitted += 1;
             s.stats.spent_millitokens += cost.as_millitokens();
-            out.submitted.push((s.id, q.req));
+            out.submitted.push((s.id, q));
         }
 
         if s.tokens > s.recent_gen.sum {
@@ -955,7 +936,8 @@ impl<R> QosScheduler<R> {
         }
 
         // Conditional submission: only while the tenant can pay in full.
-        while let Some(cost) = s.queue.front().map(|q| q.cost(mix)) {
+        while let Some(head) = s.queue.front() {
+            let cost = self.model.cost(head.op, head.len, mix);
             if s.tokens < cost {
                 // Until income covers the head a visit has a positive
                 // deficit (no DRR give) and nothing to submit: it can only
@@ -964,13 +946,13 @@ impl<R> QosScheduler<R> {
                 self.be_wake.park(i, s.synced_at + short);
                 return;
             }
-            let q = s.queue.pop_front().expect("front was Some");
-            s.demand_mixed -= q.cost_mixed;
-            s.demand_ro -= q.cost_ro;
+            s.demand_mixed -= self.model.cost(head.op, head.len, LoadMix::Mixed);
+            s.demand_ro -= self.model.cost(head.op, head.len, LoadMix::ReadOnly);
             s.tokens -= cost;
             s.stats.submitted += 1;
             s.stats.spent_millitokens += cost.as_millitokens();
-            out.submitted.push((s.id, q.req));
+            let req = s.queue.pop_front().expect("front was Some");
+            out.submitted.push((s.id, req));
         }
 
         // DRR rule: no token accumulation while idle.

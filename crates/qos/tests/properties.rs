@@ -420,7 +420,7 @@ impl Pair {
                     len,
                     payload: seq,
                 };
-                assert_eq!(sched.enqueue(id, req.clone()), oracle.enqueue(id, req));
+                assert_eq!(sched.enqueue(id, req), oracle.enqueue(id, req));
             }
         }
     }

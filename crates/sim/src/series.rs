@@ -3,7 +3,9 @@
 use crate::time::{SimDuration, SimTime};
 
 /// Accumulates per-interval event counts and reports them as rates —
-/// used for the IOPS and tokens/s series in Figures 5 and 6.
+/// used for the IOPS and tokens/s series in Figures 5 and 6. It keeps one
+/// count per interval; an interval's instant and rate are derived when
+/// [`points`](Self::points) reads them.
 ///
 /// # Examples
 ///
@@ -13,8 +15,7 @@ use crate::time::{SimDuration, SimTime};
 /// let mut s = RateSeries::new(SimDuration::from_millis(10));
 /// s.add(SimTime::from_millis(1), 100);
 /// s.add(SimTime::from_millis(12), 50);
-/// s.finish(SimTime::from_millis(20));
-/// let points = s.points();
+/// let points = s.points(SimTime::from_millis(20));
 /// assert_eq!(points.len(), 2);
 /// assert!((points[0].rate_per_sec - 10_000.0).abs() < 1.0);
 /// ```
@@ -23,7 +24,8 @@ pub struct RateSeries {
     interval: SimDuration,
     current_start: SimTime,
     current_count: u64,
-    points: Vec<RatePoint>,
+    /// The counts of the whole intervals before `current_start`.
+    counts: Vec<u64>,
 }
 
 /// One interval of a [`RateSeries`].
@@ -49,50 +51,50 @@ impl RateSeries {
             interval,
             current_start: SimTime::ZERO,
             current_count: 0,
-            points: Vec::new(),
-        }
-    }
-
-    fn roll_to(&mut self, at: SimTime) {
-        while at >= self.current_start + self.interval {
-            let count = self.current_count;
-            let rate = count as f64 / self.interval.as_secs_f64();
-            self.points.push(RatePoint {
-                at: self.current_start,
-                count,
-                rate_per_sec: rate,
-            });
-            self.current_start += self.interval;
-            self.current_count = 0;
+            counts: Vec::new(),
         }
     }
 
     /// Adds `count` events at instant `at`. Instants must be non-decreasing.
     pub fn add(&mut self, at: SimTime, count: u64) {
-        self.roll_to(at);
+        while at >= self.current_start + self.interval {
+            self.counts.push(self.current_count);
+            self.current_start += self.interval;
+            self.current_count = 0;
+        }
         self.current_count += count;
     }
 
-    /// Flushes the final (possibly partial) interval up to `end`.
-    pub fn finish(&mut self, end: SimTime) {
-        self.roll_to(end);
-        if self.current_count > 0 {
-            let span = end.saturating_since(self.current_start);
-            if !span.is_zero() {
-                let rate = self.current_count as f64 / span.as_secs_f64();
-                self.points.push(RatePoint {
-                    at: self.current_start,
-                    count: self.current_count,
-                    rate_per_sec: rate,
-                });
-            }
-            self.current_count = 0;
+    /// The series as it stands at `end`: every whole interval up to it,
+    /// empty ones included, then the partial interval `end` falls in if
+    /// it counted anything, its rate over the span it covers.
+    pub fn points(&self, end: SimTime) -> Vec<RatePoint> {
+        let whole = |at: SimTime, count: u64| RatePoint {
+            at,
+            count,
+            rate_per_sec: count as f64 / self.interval.as_secs_f64(),
+        };
+        let mut points = Vec::with_capacity(self.counts.len() + 1);
+        let mut at = SimTime::ZERO;
+        for &count in &self.counts {
+            points.push(whole(at, count));
+            at += self.interval;
         }
-    }
-
-    /// The recorded interval points.
-    pub fn points(&self) -> &[RatePoint] {
-        &self.points
+        let mut count = self.current_count;
+        while end >= at + self.interval {
+            points.push(whole(at, count));
+            at += self.interval;
+            count = 0;
+        }
+        let span = end.saturating_since(at);
+        if count > 0 && !span.is_zero() {
+            points.push(RatePoint {
+                at,
+                count,
+                rate_per_sec: count as f64 / span.as_secs_f64(),
+            });
+        }
+        points
     }
 }
 
@@ -106,8 +108,7 @@ mod tests {
         s.add(SimTime::from_millis(0), 5);
         s.add(SimTime::from_millis(5), 5);
         s.add(SimTime::from_millis(15), 20);
-        s.finish(SimTime::from_millis(30));
-        let pts = s.points();
+        let pts = s.points(SimTime::from_millis(30));
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].count, 10);
         assert_eq!(pts[1].count, 20);
@@ -121,20 +122,28 @@ mod tests {
         let mut s = RateSeries::new(SimDuration::from_millis(1));
         s.add(SimTime::from_millis(0), 1);
         s.add(SimTime::from_millis(3), 1);
-        s.finish(SimTime::from_millis(4));
-        let pts = s.points();
+        let pts = s.points(SimTime::from_millis(4));
         assert_eq!(pts.len(), 4);
         assert_eq!(pts[1].count, 0);
         assert_eq!(pts[2].count, 0);
+    }
+
+    /// Each of a testbed's workloads keeps a series: an interval costs
+    /// one count.
+    #[test]
+    fn an_interval_is_one_word() {
+        let mut s = RateSeries::new(SimDuration::from_millis(1));
+        s.add(SimTime::from_millis(100), 1);
+        assert_eq!(s.counts.len(), 100);
+        assert_eq!(std::mem::size_of_val(s.counts.as_slice()), 100 * 8);
     }
 
     #[test]
     fn partial_tail_interval_uses_actual_span() {
         let mut s = RateSeries::new(SimDuration::from_millis(10));
         s.add(SimTime::from_millis(12), 5);
-        s.finish(SimTime::from_millis(17));
         // First interval [0,10) empty, tail [10,17) holds 5 over 7ms.
-        let pts = s.points();
+        let pts = s.points(SimTime::from_millis(17));
         assert_eq!(pts.len(), 2);
         assert!((pts[1].rate_per_sec - 5.0 / 0.007).abs() < 1.0);
     }

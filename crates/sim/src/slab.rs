@@ -35,7 +35,7 @@ impl PoolKey {
 
     /// Recovers a key packed by [`PoolKey::as_u64`].
     #[inline]
-    pub fn from_u64(v: u64) -> Self {
+    pub const fn from_u64(v: u64) -> Self {
         PoolKey {
             slot: (v >> 32) as u32,
             gen: v as u32,
@@ -71,6 +71,10 @@ impl<T> Default for SlabPool<T> {
 }
 
 impl<T> SlabPool<T> {
+    /// Bytes one slot occupies: the value and its generation and
+    /// free-list words, the unit a pool's memory grows by.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// An empty pool.
     pub fn new() -> Self {
         SlabPool {

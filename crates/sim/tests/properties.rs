@@ -150,11 +150,11 @@ proptest! {
         prop_assert!((back - us).abs() <= 0.001, "{us} -> {back}");
     }
 
-    /// The timer-wheel queue and its wake slots dispatch exactly like a
+    /// The engine's event heap and its wake slots dispatch exactly like a
     /// sorted reference under random interleavings of schedules, arms,
-    /// re-arms, takes and steps: same-instant ties, delays inside the
-    /// wheel and beyond its horizon, events scheduled and wakes taken from
-    /// inside handlers, and wakes left armed while they dispatch.
+    /// re-arms, takes and steps: same-instant ties, near and far delays,
+    /// events scheduled and wakes taken from inside handlers, and wakes
+    /// left armed while they dispatch.
     #[test]
     fn engine_matches_sorted_reference_with_slots(
         ops in prop::collection::vec((0u8..5, delay(), 0usize..SLOTS), 1..250),
@@ -309,8 +309,7 @@ proptest! {
 const SLOTS: usize = 4;
 
 /// A delay on a 1 us grid, so instants meet often: none (a tie at the
-/// current instant), a few ticks, inside the wheel, or beyond its
-/// ~4.2 ms horizon.
+/// current instant), a few microseconds, up to 4 ms, or 4 to 60 ms.
 fn delay() -> impl Strategy<Value = u64> {
     (0u8..4, any::<u64>()).prop_map(|(kind, x)| {
         1_000
