@@ -13,10 +13,10 @@
 //! streams keyed by `(plan seed, event id)`, so the TSV is byte-identical
 //! for any `REFLEX_BENCH_THREADS` (see `tests/chaos_determinism.rs`).
 //!
-//! `--smoke` runs the CI-sized plan and exits non-zero if any injected
-//! fault went unrecovered (requests exhausted their retry budget or
-//! tenants stranded without a server) — the regression gate for the
-//! recovery machinery.
+//! `--smoke` runs the CI-sized plan, and the claims table
+//! (`crate::claims`) fails the run if any injected fault went unrecovered
+//! (requests exhausted their retry budget or tenants stranded without a
+//! server) — the regression gate for the recovery machinery.
 //!
 //! Run: `reflex-bench chaos [--smoke]`
 
@@ -27,7 +27,6 @@ use reflex_sim::{Histogram, SimDuration, SimTime};
 use reflex_telemetry::TelemetrySnapshot;
 
 use std::io::Write;
-use std::process::ExitCode;
 
 use crate::recovery;
 use crate::sweep::{Execution, PointOutcome, Sweep, SweepResult};
@@ -224,9 +223,9 @@ fn server_death_point(per: u32, smoke: bool, telemetry: bool) -> PointOutcome {
 }
 
 /// Declares the chaos sweep. `smoke` shrinks windows and severities to a
-/// CI-friendly size whose faults must all recover ([`render`] gates on
-/// it); the full sweep adds harsher points — including whole-device
-/// death, whose requests are unrecoverable by design.
+/// CI-friendly size whose faults must all recover (a claim gates on it);
+/// the full sweep adds harsher points — including whole-device death,
+/// whose requests are unrecoverable by design.
 pub fn build(sweep: &mut Sweep, smoke: bool) {
     sweep.text(format!(
         "# Chaos: recovery under escalating faults{}\n{TSV_HEADER}\n",
@@ -403,9 +402,8 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
 const TSV_HEADER: &str = "scenario\tseverity\tiops\tp95_us\tinjected\tretries\trecovered\t\
      unrecovered\trecovery_ms\trecovery_p95_ms";
 
-/// Writes the TSV and the fault totals; a smoke run fails if any injected
-/// fault went unrecovered.
-pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+/// Writes the TSV, and the fault totals to stderr.
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<()> {
     out.write_all(result.tsv().as_bytes())?;
     let summary = result.faults().expect("chaos points carry fault metrics");
     eprintln!(
@@ -415,12 +413,5 @@ pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<Exit
         summary.unrecovered,
         summary.downtime_secs * 1_000.0
     );
-    if result.smoke && summary.unrecovered > 0 {
-        eprintln!(
-            "[chaos] smoke gate FAILED: {} unrecovered faults",
-            summary.unrecovered
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

@@ -8,7 +8,6 @@
 //! Run: `reflex-bench ext_features`
 
 use std::io::Write;
-use std::process::ExitCode;
 
 use crate::run_testbed;
 use crate::sweep::{PointOutcome, Sweep, SweepResult};
@@ -147,7 +146,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
 }
 
 /// Writes the TSV: the combined rows, assembled from the points' metrics.
-pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<()> {
     let value = |curve: &str, idx: usize| {
         result.curve(curve).points[idx]
             .metric("value")
@@ -167,6 +166,5 @@ pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<Exit
         value("one_core_1kb_iops", 1),
         value("one_tenant_iops", 0),
         value("one_tenant_iops", 1)
-    )?;
-    Ok(ExitCode::SUCCESS)
+    )
 }

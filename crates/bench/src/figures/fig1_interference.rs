@@ -30,7 +30,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
             let iops = max_iops * i as f64 / 11.0;
             let profile = profile.clone();
             curve.point(move || {
-                let p = sweep_device_point(
+                let (p, reads) = sweep_device_point(
                     &profile,
                     read_pct,
                     4096,
@@ -39,13 +39,14 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
                     11,
                     k,
                 );
-                PointOutcome::new(p.p95_read_us)
+                PointOutcome::new((reads > 0).then_some(p.p95_read_us))
                     .with_row(format!(
                         "{read_pct}\t{:.0}\t{:.0}",
                         p.iops / 1e3,
                         p.p95_read_us
                     ))
                     .with_metric("iops", p.iops)
+                    .with_metric("reads", reads as f64)
             });
         }
     }

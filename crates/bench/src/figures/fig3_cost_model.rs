@@ -9,12 +9,14 @@
 //! Run: `reflex-bench fig3_cost_model`
 
 use std::io::Write;
-use std::process::ExitCode;
 
+use crate::claims::crossing;
 use crate::sweep::{PointOutcome, Sweep, SweepResult};
 use reflex_core::sweep_device_point;
 use reflex_flash::{device_a, device_b, device_c, DeviceProfile};
-use reflex_qos::{fit_cost_model, max_iops_at_latency, CostModel, LoadMix, RatioCapacity};
+use reflex_qos::{
+    fit_cost_model, CalibrationError, CostModel, FittedCosts, LoadMix, RatioCapacity,
+};
 use reflex_sim::SimDuration;
 
 fn weighted(model: &CostModel, read_pct: u8, io_size: u32, iops: f64, read_only: bool) -> f64 {
@@ -69,7 +71,7 @@ fn add_device(sweep: &mut Sweep, profile: &DeviceProfile) {
             let model = model.clone();
             let label = label.clone();
             curve.point(move || {
-                let p = sweep_device_point(
+                let (p, reads) = sweep_device_point(
                     &profile,
                     read_pct,
                     io_size,
@@ -79,7 +81,7 @@ fn add_device(sweep: &mut Sweep, profile: &DeviceProfile) {
                     k,
                 );
                 let tokens = weighted(&model, read_pct, io_size, p.iops, read_pct == 100);
-                PointOutcome::new(p.p95_read_us)
+                PointOutcome::new((reads > 0).then_some(p.p95_read_us))
                     .with_row(format!(
                         "{label}\t{:.0}\t{:.0}",
                         tokens / 1e3,
@@ -87,9 +89,26 @@ fn add_device(sweep: &mut Sweep, profile: &DeviceProfile) {
                     ))
                     .with_metric("iops", p.iops)
                     .with_metric("weighted_tokens", tokens)
+                    .with_metric("reads", reads as f64)
             });
         }
     }
+}
+
+/// Device `device`'s linear cost model (§3.2.1), fitted through the p95 =
+/// 1 ms crossing of each 4KB curve over its full sweep: the figure prints
+/// it, the claims table reads it.
+pub(crate) fn fit(result: &SweepResult, device: &str) -> Result<FittedCosts, CalibrationError> {
+    let observations: Vec<RatioCapacity> = CURVES
+        .iter()
+        .filter(|&&(_, io_size)| io_size == 4096)
+        .filter_map(|&(read_pct, io_size)| {
+            let curve = result.find(&curve_label(device, read_pct, io_size))?;
+            let max_iops = crossing(curve, "iops")?;
+            Some(RatioCapacity { read_pct, max_iops })
+        })
+        .collect();
+    fit_cost_model(&observations)
 }
 
 fn write_device(
@@ -104,7 +123,6 @@ fn write_device(
          curve\tweighted_ktokens\tp95_read_us",
         profile.name
     )?;
-    let mut observations = Vec::new();
     for (read_pct, io_size) in CURVES {
         let curve = result.curve(&curve_label(&profile.name, read_pct, io_size));
         for p in &curve.points {
@@ -115,28 +133,8 @@ fn write_device(
                 break;
             }
         }
-        // Collect knee observations for the fit (4KB mixed curves + RO),
-        // using the full sweep exactly like the serial harness did.
-        if io_size == 4096 {
-            let sweep: Vec<reflex_qos::SweepPoint> = curve
-                .points
-                .iter()
-                .filter_map(|p| {
-                    Some(reflex_qos::SweepPoint {
-                        iops: p.metric("iops")?,
-                        p95_read_us: p.p95_us?,
-                    })
-                })
-                .collect();
-            if let Some(iops) = max_iops_at_latency(&sweep, 1_000.0) {
-                observations.push(RatioCapacity {
-                    read_pct,
-                    max_iops: iops,
-                });
-            }
-        }
     }
-    match fit_cost_model(&observations) {
+    match fit(result, &profile.name) {
         Ok(fit) => writeln!(
             out,
             "# fitted: C(write) = {:.1} tokens (published {published_write_cost}), \
@@ -162,7 +160,7 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
     }
 }
 
-pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
+pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<()> {
     writeln!(
         out,
         "# Figure 3: latency vs weighted IOPS; curves should collapse per device"
@@ -170,5 +168,5 @@ pub fn render(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<Exit
     for (profile, published) in &devices() {
         write_device(result, profile, *published, out)?;
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

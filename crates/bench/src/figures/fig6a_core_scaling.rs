@@ -62,12 +62,12 @@ fn core_point(cores: u32, telemetry: bool) -> PointOutcome {
     }
 
     let report = run_testbed(tb, specs, WARMUP, MEASURE, telemetry);
-    let lc: f64 = report
+    // A fold from +0.0: an empty `sum` of `f64`s is -0.0, which prints `-0`.
+    let lc = report
         .workloads
         .iter()
         .filter(|w| w.name.starts_with("lc"))
-        .map(|w| w.iops)
-        .sum();
+        .fold(0.0, |lc, w| lc + w.iops);
     let be: f64 = report
         .workloads
         .iter()
@@ -80,13 +80,16 @@ fn core_point(cores: u32, telemetry: bool) -> PointOutcome {
         .filter(|w| w.name.starts_with("lc"))
         .map(|w| w.p95_read_us())
         .fold(0.0f64, f64::max);
-    PointOutcome::new(max_p95)
+    // With no core there is no LC tenant, so no latency was measured; the
+    // row still prints 0.
+    PointOutcome::new((cores > 0).then_some(max_p95))
         .with_row(format!(
             "{cores}\t{:.0}\t{:.0}\t{:.0}\t{max_p95:.0}",
             lc / 1e3,
             be / 1e3,
             report.token_usage_per_sec / 1e3
         ))
+        .with_metric("cores", cores.into())
         .with_metric("lc_kiops", lc / 1e3)
         .with_metric("be_kiops", be / 1e3)
         .with_metric("token_usage_ktokens_s", report.token_usage_per_sec / 1e3)

@@ -52,12 +52,15 @@ fn tenant_point(cores: u32, tenants: u32, telemetry: bool) -> PointOutcome {
         .iter()
         .map(|t| t.busy_fraction)
         .fold(0.0f64, f64::max);
+    let offered = tenants as f64 * 100.0;
     PointOutcome::new(None)
         .with_row(format!(
             "{cores}\t{tenants}\t{:.0}\t{:.0}\t{busy:.2}",
-            tenants as f64 * 100.0 / 1e3,
+            offered / 1e3,
             achieved / 1e3
         ))
+        .with_metric("tenants", tenants.into())
+        .with_metric("offered_kiops", offered / 1e3)
         .with_metric("achieved_kiops", achieved / 1e3)
         .with_metric("busy_frac", busy)
         .with_events(&report)

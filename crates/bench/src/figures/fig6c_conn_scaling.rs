@@ -44,6 +44,8 @@ fn conn_point(per_conn: f64, conns: u32, telemetry: bool) -> PointOutcome {
             offered / 1e3,
             w.iops / 1e3
         ))
+        .with_metric("conns", conns.into())
+        .with_metric("offered_kiops", offered / 1e3)
         .with_metric("achieved_kiops", w.iops / 1e3)
         .with_events(&report)
         .with_telemetry(report.telemetry)

@@ -3,12 +3,12 @@
 //! A figure is a module with a `build` that declares its sweep — the
 //! curves and points, and the title, header and blank lines around them —
 //! and, where the finished sweep needs more than printing (fitted
-//! constants, a pass/fail gate), a `render` of its own. Everything else —
-//! knobs, thread count, the `BENCH_`/`TELEMETRY_` artifacts, exit codes —
-//! is the driver's (`src/main.rs`).
+//! constants, rows assembled from metrics), a `render` of its own.
+//! Everything else — knobs, thread count, the `BENCH_`/`TELEMETRY_`
+//! artifacts, the claims a run is held to ([`crate::claims`]) and so every
+//! exit code — is the driver's (`src/main.rs`).
 
 use std::io::Write;
-use std::process::ExitCode;
 
 use crate::sweep::{Sweep, SweepResult};
 
@@ -26,8 +26,8 @@ pub struct Figure {
     pub in_all: bool,
     /// Declares the sweep: curves, points and the text around them.
     pub build: fn(&mut Sweep, bool),
-    /// Writes the finished sweep's TSV; a failed gate is the exit code.
-    pub render: fn(&SweepResult, &mut dyn Write) -> std::io::Result<ExitCode>,
+    /// Writes the finished sweep's TSV.
+    pub render: fn(&SweepResult, &mut dyn Write) -> std::io::Result<()>,
 }
 
 impl Figure {
@@ -43,14 +43,13 @@ impl Figure {
 
 /// Writes the sweep's TSV as declared: what a figure without a `render`
 /// of its own gets.
-fn plain(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<ExitCode> {
-    out.write_all(result.tsv().as_bytes())?;
-    Ok(ExitCode::SUCCESS)
+fn plain(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<()> {
+    out.write_all(result.tsv().as_bytes())
 }
 
 macro_rules! figures {
     ($($module:ident { smoke: $smoke:expr, in_all: $in_all:expr, render: $render:expr, $about:expr })*) => {
-        $(mod $module;)*
+        $(pub(crate) mod $module;)*
 
         /// Every figure; the `in_all` ones are in `--all`'s order.
         pub static FIGURES: &[Figure] = &[$(Figure {
@@ -79,7 +78,7 @@ figures! {
     latency_breakdown { smoke: false, in_all: true, render: plain, "Figure 2 stages: where the unloaded remote read's microseconds go" }
     ablations { smoke: false, in_all: true, render: plain, "design-choice sweeps: batching cap, NEG_LIMIT, donation, cost model" }
     ext_features { smoke: false, in_all: true, render: ext_features::render, "extensions: UDP transport, sharded tenants" }
-    fig_cache { smoke: true, in_all: true, render: fig_cache::render, "DRAM cache tier: hit rate vs read tail, connection-pressure relief" }
+    fig_cache { smoke: true, in_all: true, render: plain, "DRAM cache tier: hit rate vs read tail, connection-pressure relief" }
     chaos { smoke: true, in_all: false, render: chaos::render, "recovery under escalating injected faults (--smoke gates CI)" }
     fig_replication { smoke: true, in_all: false, render: plain, "replication overlays (R=1/2/3), failover recovery, SLO violations" }
 }

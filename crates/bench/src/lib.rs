@@ -2,8 +2,8 @@
 //!
 //! One binary, `reflex-bench`, regenerates every table and figure of the
 //! paper's evaluation (see DESIGN.md's experiment index); Criterion
-//! microbenches sit beside it. Every figure prints a self-describing TSV
-//! so results can be diffed against EXPERIMENTS.md.
+//! microbenches sit beside it. Every figure prints a self-describing TSV,
+//! and every run is held to its rows of the [`claims`] table.
 //!
 //! `reflex-bench <figure>… [--smoke]` runs the named figures, `--all` the
 //! ones marked `all` below (the `experiments_output.txt` transcript), and
@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod figures;
 mod recovery;
 pub mod sweep;

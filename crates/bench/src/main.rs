@@ -8,12 +8,16 @@
 //!
 //! Each figure run also writes `BENCH_<name>.json` (and, under
 //! `REFLEX_TELEMETRY=1`, `TELEMETRY_<name>.{json,tsv}`) into the current
-//! directory; a smoke run's artifacts are named `<name>_smoke`. Exit codes:
-//! 0 ok, 1 a figure's gate failed, 2 bad command line or environment knob.
+//! directory; a smoke run's artifacts are named `<name>_smoke`. Each run is
+//! held to its claims (`reflex_bench::claims`), reported on stderr; `--all`
+//! also writes them all as `CLAIMS.md`. Exit codes: 0 ok, 1 a figure failed
+//! its claims (the other figures still run), 2 bad command line or
+//! environment knob.
 
 use std::io::Write;
 use std::process::ExitCode;
 
+use reflex_bench::claims::{self, CLAIMS};
 use reflex_bench::{figure, figures, Figure, FIGURES};
 
 /// Sweep parallelism from `REFLEX_BENCH_THREADS` (default: all cores),
@@ -88,6 +92,7 @@ fn run(req: &Request, threads: usize, out: &mut dyn Write) -> std::io::Result<Ex
     if req.list {
         out.write_all(figures::list().as_bytes())?;
     }
+    let mut verdicts = Vec::new();
     for fig in &req.figures {
         if req.all {
             let rule = "================================================================";
@@ -95,18 +100,28 @@ fn run(req: &Request, threads: usize, out: &mut dyn Write) -> std::io::Result<Ex
             out.flush()?;
         }
         let result = fig.sweep(req.smoke, telemetry).run_with_threads(threads);
-        let code = (fig.render)(&result, out)?;
+        (fig.render)(&result, out)?;
         out.flush()?;
-        result.write_artifacts();
-        if code != ExitCode::SUCCESS {
-            eprintln!("reflex-bench: {} failed its gate", fig.name);
-            return Ok(code);
-        }
+        let verdict = claims::judge(CLAIMS, &result);
+        result.write_artifacts(verdict.mare());
+        eprint!("{}", verdict.report());
+        verdicts.push(verdict);
     }
     if req.all {
         writeln!(out, "\nAll {} harnesses completed.", req.figures.len())?;
+        match std::fs::write("CLAIMS.md", claims::markdown(&verdicts)) {
+            Ok(()) => eprintln!("[all] claims -> CLAIMS.md"),
+            Err(e) => eprintln!("[all] could not write CLAIMS.md: {e}"),
+        }
     }
-    Ok(ExitCode::SUCCESS)
+    let failed: Vec<&str> = (verdicts.iter().filter(|v| !v.failures.is_empty()))
+        .map(|v| v.sweep.as_str())
+        .collect();
+    if failed.is_empty() {
+        return Ok(ExitCode::SUCCESS);
+    }
+    eprintln!("reflex-bench: failed its claims: {}", failed.join(", "));
+    Ok(ExitCode::FAILURE)
 }
 
 fn main() -> ExitCode {

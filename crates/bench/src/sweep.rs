@@ -202,7 +202,6 @@ impl Curve {
 /// A declarative sweep: curves × points, executed in parallel.
 pub struct Sweep {
     name: String,
-    smoke: bool,
     /// Whether the points record telemetry: the figures' jobs read it
     /// when they are declared, and hand their snapshots back in
     /// [`PointOutcome::telemetry`].
@@ -217,7 +216,6 @@ impl Sweep {
     pub(crate) fn new(name: impl Into<String>) -> Self {
         Sweep {
             name: name.into(),
-            smoke: false,
             telemetry: false,
             curves: Vec::new(),
             texts: Vec::new(),
@@ -231,7 +229,6 @@ impl Sweep {
         if smoke {
             self.name.push_str("_smoke");
         }
-        self.smoke = smoke;
         self
     }
 
@@ -292,7 +289,6 @@ impl Sweep {
         pool.settle();
         SweepResult {
             name: self.name,
-            smoke: self.smoke,
             texts: self.texts,
             threads: workers,
             wall: start.elapsed(),
@@ -415,10 +411,9 @@ pub struct CurveResult {
 /// Results of a [`Sweep::run_with_threads`], in declaration order.
 #[derive(Debug)]
 pub struct SweepResult {
-    /// Sweep name (JSON artifact stem).
+    /// Sweep name (JSON artifact stem), `_smoke` appended for a
+    /// reduced-grid smoke run (see `Sweep::smoke`).
     pub name: String,
-    /// Whether this was a reduced-grid smoke run (see `Sweep::smoke`).
-    pub smoke: bool,
     /// Literal text (see [`Sweep::text`]), each with the index of the curve
     /// it precedes.
     texts: Vec<(usize, String)>,
@@ -450,10 +445,13 @@ impl SweepResult {
     ///
     /// Panics if no curve has that label.
     pub fn curve(&self, label: &str) -> &CurveResult {
-        self.curves
-            .iter()
-            .find(|c| c.label == label)
+        self.find(label)
             .unwrap_or_else(|| panic!("no curve labelled {label}"))
+    }
+
+    /// The curve with the given label, if there is one.
+    pub(crate) fn find(&self, label: &str) -> Option<&CurveResult> {
+        self.curves.iter().find(|c| c.label == label)
     }
 
     /// Fault totals summed over the points' `injected`, `recovered`,
@@ -499,8 +497,13 @@ impl SweepResult {
         self.engine_events as f64 / self.event_wall.as_secs_f64().max(1e-9)
     }
 
-    /// Renders the `BENCH_<name>.json` document into `f`.
-    fn json_into(&self, f: &mut impl std::io::Write) -> std::io::Result<()> {
+    /// Renders the `BENCH_<name>.json` document into `f`, with the mean
+    /// absolute relative error of the figure's claims when it has any.
+    fn json_into(
+        &self,
+        claims_mare: Option<f64>,
+        f: &mut impl std::io::Write,
+    ) -> std::io::Result<()> {
         writeln!(f, "{{")?;
         writeln!(f, "  \"bench\": {},", json_str(&self.name))?;
         writeln!(f, "  \"threads\": {},", self.threads)?;
@@ -518,6 +521,9 @@ impl SweepResult {
         )?;
         let peak = peak_rss_mib().unwrap_or(f64::NAN);
         writeln!(f, "  \"peak_rss_mib\": {},", json_num(peak))?;
+        if let Some(mare) = claims_mare {
+            writeln!(f, "  \"claims_mare\": {},", json_num(mare))?;
+        }
         // Over the kept points that recorded their IOs: warm-up events
         // included, IOs of the measured window only.
         let points = self.curves.iter().flat_map(|c| &c.points);
@@ -595,12 +601,14 @@ impl SweepResult {
     /// artifacts are best-effort. `peak_rss_mib` is the process's peak
     /// resident set when the file is written (`null` off Linux): under
     /// `--all` it covers every figure run before this one too.
-    pub fn write_artifacts(&self) {
+    /// `claims_mare` is the figure's claims error (see
+    /// [`crate::claims::Verdict::mare`]).
+    pub fn write_artifacts(&self, claims_mare: Option<f64>) {
         let name = &self.name;
         let path = PathBuf::from(format!("BENCH_{name}.json"));
         let written = std::fs::File::create(&path).and_then(|file| {
             let mut f = std::io::BufWriter::new(file);
-            self.json_into(&mut f)?;
+            self.json_into(claims_mare, &mut f)?;
             f.flush()
         });
         match written {
@@ -658,6 +666,14 @@ fn json_num(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_string()
+    }
+}
+
+#[cfg(test)]
+impl Sweep {
+    /// The declared curves' labels; nothing runs.
+    pub(crate) fn labels(&self) -> impl Iterator<Item = &str> {
+        self.curves.iter().map(|c| c.label.as_str())
     }
 }
 
@@ -838,7 +854,7 @@ mod tests {
         let result = sweep.run_with_threads(2);
         assert_eq!(result.tsv(), "# title\ncols\na1\na2\n\nb1\nb2\n\n# end\n");
         assert_eq!(result.name, "fig_smoke");
-        assert!(result.smoke && result.faults().is_none());
+        assert!(result.faults().is_none());
     }
 
     #[test]
@@ -861,7 +877,7 @@ mod tests {
             assert_eq!(kept, [None, Some(100.0), None, Some(600.0)]);
             assert_eq!(only.discarded, 1);
             let mut json = Vec::new();
-            result.json_into(&mut json).unwrap();
+            result.json_into(None, &mut json).unwrap();
             let json = String::from_utf8(json).unwrap();
             assert_eq!(json.matches("{\"p95_us\": null,").count(), 2, "{json}");
             assert_eq!(json.matches("{\"p95_us\": 100,").count(), 1, "{json}");

@@ -7,8 +7,8 @@
 //! device can support at a given tail latency SLO"). A [`CapacityProfile`]
 //! is a monotone table of (p95 bound → tokens/sec) points with linear
 //! interpolation, taken from the built-in calibration of the three paper
-//! devices; a unit test holds device A's table to what a [`sweep_device`]
-//! of the simulated device measures.
+//! devices; a unit test holds device A's table within 0.5-2x of what a
+//! [`sweep_device`] of the simulated device measures.
 
 use reflex_flash::{CmdId, DeviceProfile, FlashDevice, IoType, NvmeCommand, NvmeCompletion};
 use reflex_qos::{SweepPoint, TokenRate};
@@ -55,8 +55,8 @@ impl CapacityProfile {
     /// knee so operating at capacity keeps p95 inside the bound. The
     /// paper's physical device A supported 420K tokens/s at 500µs and
     /// ~570K at 2ms; the simulated device lands at ~380K/~540K — same
-    /// shape, recorded in EXPERIMENTS.md ("Measured-vs-paper capacity
-    /// note").
+    /// shape. The claims table carries the difference as known deviations
+    /// (`fig6a_core_scaling/tokens`, fig5's best-effort shares).
     pub fn device_a_default() -> Self {
         CapacityProfile::new(vec![
             (200.0, 170_000.0),
@@ -163,12 +163,13 @@ pub fn sweep_device(
     offered_iops
         .iter()
         .enumerate()
-        .map(|(k, &iops)| sweep_device_point(profile, read_pct, 4096, iops, duration, seed, k))
+        .map(|(k, &iops)| sweep_device_point(profile, read_pct, 4096, iops, duration, seed, k).0)
         .collect()
 }
 
 /// One point of a device sweep at any request size (Figure 3 also plots
-/// 1KB and 32KB curves): measures a single offered load.
+/// 1KB and 32KB curves): measures a single offered load, and counts the
+/// reads its p95 was taken over (none: the p95 reads 0).
 ///
 /// `k` is the point's index within the sweep; it perturbs the seed exactly
 /// like the batch call does, so sweeping point-by-point (e.g. from a
@@ -181,7 +182,7 @@ pub fn sweep_device_point(
     duration: SimDuration,
     seed: u64,
     k: usize,
-) -> SweepPoint {
+) -> (SweepPoint, u64) {
     let mut sweep_profile = profile.clone();
     sweep_profile.sq_depth = 1 << 20; // open loop keeps issuing past saturation
     let mut dev = FlashDevice::new(sweep_profile, SimRng::seed(seed ^ (k as u64) << 16));
@@ -221,10 +222,11 @@ pub fn sweep_device_point(
     }
     dev.poll_completions_into(SimTime::from_secs(120), qp, usize::MAX, &mut done);
     record(&done, &issued);
-    SweepPoint {
+    let point = SweepPoint {
         iops,
         p95_read_us: hist.p95().as_micros_f64(),
-    }
+    };
+    (point, hist.count())
 }
 
 #[cfg(test)]
