@@ -56,8 +56,9 @@ fn run(scenario: u8, qos: bool, telemetry: bool) -> PointOutcome {
     let tb = builder.build();
     let report = run_testbed(tb, tenant_specs(scenario), WARMUP, MEASURE, telemetry);
     let sched = if qos { "enabled" } else { "disabled" };
-    let mut out =
-        PointOutcome::new(crate::max_p95_read_us(&report)).with_events(&report);
+    let mut out = PointOutcome::new(crate::max_p95_read_us(&report))
+        .with_events(&report)
+        .with_metric("admitted", report.workloads.len() as f64);
     for w in &report.workloads {
         let qd_note = match w.name.as_str() {
             "C" | "D" => "closed-loop",

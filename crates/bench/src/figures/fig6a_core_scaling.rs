@@ -90,6 +90,7 @@ fn core_point(cores: u32, telemetry: bool) -> PointOutcome {
             report.token_usage_per_sec / 1e3
         ))
         .with_metric("cores", cores.into())
+        .with_metric("admitted", report.workloads.len() as f64)
         .with_metric("lc_kiops", lc / 1e3)
         .with_metric("be_kiops", be / 1e3)
         .with_metric("token_usage_ktokens_s", report.token_usage_per_sec / 1e3)

@@ -38,7 +38,7 @@ pub mod sweep;
 
 pub use figures::{figure, Figure, FIGURES};
 
-use reflex_core::{ServerHarness, Testbed, TestbedReport, WorkloadSpec};
+use reflex_core::{ServerHarness, Testbed, TestbedError, TestbedReport, WorkloadSpec};
 use reflex_sim::SimDuration;
 
 /// Standard warmup used by the harnesses.
@@ -49,12 +49,14 @@ pub const MEASURE: SimDuration = SimDuration::from_millis(400);
 
 /// Adds `workloads` to a testbed, runs warmup + measurement, and reports.
 /// With `telemetry` set the testbed records it, and the report carries
-/// the snapshot for the point to hand on to its sweep.
+/// the snapshot for the point to hand on to its sweep. A workload that
+/// admission control refuses runs no IO and is missing from the report:
+/// the device's capacity decides that, and the figure's claims see it.
 ///
 /// # Panics
 ///
-/// Panics if any workload is rejected (harness configurations are
-/// pre-validated).
+/// Panics if a workload is rejected otherwise (harness configurations
+/// are pre-validated).
 pub fn run_testbed<S: ServerHarness + 'static>(
     mut tb: Testbed<S>,
     workloads: Vec<WorkloadSpec>,
@@ -67,8 +69,10 @@ pub fn run_testbed<S: ServerHarness + 'static>(
     }
     for spec in workloads {
         let name = spec.name.clone();
-        tb.add_workload(spec)
-            .unwrap_or_else(|e| panic!("workload {name} rejected: {e}"));
+        match tb.add_workload(spec) {
+            Ok(()) | Err(TestbedError::Admission(_)) => {}
+            Err(e) => panic!("workload {name} rejected: {e}"),
+        }
     }
     tb.run(warmup);
     tb.begin_measurement();
@@ -84,4 +88,29 @@ pub(crate) fn max_p95_read_us(report: &TestbedReport) -> f64 {
         .iter()
         .map(reflex_core::WorkloadReport::p95_read_us)
         .fold(0.0f64, f64::max)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reflex_qos::{SloSpec, TenantClass, TenantId};
+
+    #[test]
+    fn a_workload_admission_refuses_is_left_out_of_the_run() {
+        // 80K IOPS at 80 % reads reserves 224K tokens/s of device A's 330K
+        // at 500 µs: the first fits, the second does not.
+        let spec = |name, tenant| {
+            let slo = SloSpec::new(80_000, 80, SimDuration::from_micros(500));
+            let class = TenantClass::LatencyCritical(slo);
+            let mut spec = WorkloadSpec::open_loop(name, TenantId(tenant), class, 10_000.0);
+            spec.read_pct = 80;
+            spec
+        };
+        let tb = Testbed::builder().seed(7).build();
+        let ms = SimDuration::from_millis;
+        let report = run_testbed(tb, vec![spec("a", 1), spec("b", 2)], ms(1), ms(5), false);
+        let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(names, ["a"]);
+        assert!(report.workload("a").iops > 0.0);
+    }
 }
