@@ -7,10 +7,10 @@
 //!
 //! Run: `reflex-bench fig4_throughput`
 
-use reflex_baselines::{BaselineConfig, BaselineServer, LocalRig};
+use crate::baselines::libaio;
 use crate::sweep::{Execution, PointOutcome, Sweep};
 use crate::{max_p95_read_us, run_testbed, MEASURE, WARMUP};
-use reflex_core::{ServerConfig, Testbed, TestbedBuilder, WorkloadSpec};
+use reflex_core::{LocalRig, ServerConfig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{TenantClass, TenantId};
@@ -38,18 +38,13 @@ fn load_specs(total_iops: f64, clients: usize) -> Vec<WorkloadSpec> {
 /// recorded.
 type Measured = (f64, f64, Execution, Option<TelemetrySnapshot>);
 
-fn reflex_point(threads: u32, offered: f64, telemetry: bool) -> Measured {
+fn remote_point(server: TestbedBuilder, seed: u64, offered: f64, telemetry: bool) -> Measured {
     // Four IX client machines (the paper's testbed size) and a 40GbE link
     // so the network never caps the 1KB experiment (the paper notes the
     // 10GbE bottleneck explicitly and uses 1KB requests to stress server
     // IOPS instead).
-    let tb = Testbed::builder()
-        .seed(31)
-        .server(ServerConfig {
-            threads,
-            max_threads: threads,
-            ..ServerConfig::default()
-        })
+    let tb = server
+        .seed(seed)
         .client_machines(vec![StackProfile::ix_tcp(); 4])
         .link(LinkConfig::forty_gbe())
         .build();
@@ -59,20 +54,17 @@ fn reflex_point(threads: u32, offered: f64, telemetry: bool) -> Measured {
     (total, p95, Execution::from(&report), report.telemetry)
 }
 
+fn reflex_point(threads: u32, offered: f64, telemetry: bool) -> Measured {
+    let server = ServerConfig {
+        threads,
+        max_threads: threads,
+        ..ServerConfig::default()
+    };
+    remote_point(Testbed::builder().server(server), 31, offered, telemetry)
+}
+
 fn libaio_point(workers: u32, offered: f64, telemetry: bool) -> Measured {
-    let config = BaselineConfig::libaio().with_threads(workers);
-    let tb = TestbedBuilder::new()
-        .seed(32)
-        .server_stack(StackProfile::linux_tcp())
-        .client_machines(vec![StackProfile::ix_tcp(); 4])
-        .link(LinkConfig::forty_gbe())
-        .build_with(move |fabric, device, machine| {
-            BaselineServer::new(machine, fabric, device, config, 33)
-        });
-    let report = run_testbed(tb, load_specs(offered, 4), WARMUP, MEASURE, telemetry);
-    let total: f64 = report.workloads.iter().map(|w| w.iops).sum();
-    let p95 = max_p95_read_us(&report);
-    (total, p95, Execution::from(&report), report.telemetry)
+    remote_point(libaio(workers), 32, offered, telemetry)
 }
 
 fn local_point(threads: u32, offered: f64, _telemetry: bool) -> Measured {

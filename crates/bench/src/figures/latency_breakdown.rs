@@ -10,6 +10,7 @@
 //!
 //! Run: `reflex-bench latency_breakdown`
 
+use crate::run_testbed;
 use crate::sweep::{PointOutcome, Sweep};
 use reflex_core::{Testbed, WorkloadSpec};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
@@ -31,10 +32,6 @@ const PATH: &[(Stage, TenantKey, &str)] = &[
 ];
 
 fn breakdown_point(label: &str, offered: f64, telemetry: bool) -> PointOutcome {
-    let mut tb = Testbed::builder().seed(131).build();
-    // Spans are recorded passively, so instrumenting the run does not
-    // shift the latencies it decomposes.
-    tb.enable_telemetry();
     let slo = SloSpec::new(450_000, 100, SimDuration::from_millis(2));
     let mut spec = WorkloadSpec::open_loop(
         "app",
@@ -45,12 +42,19 @@ fn breakdown_point(label: &str, offered: f64, telemetry: bool) -> PointOutcome {
     spec.io_size = 1024;
     spec.conns = 32;
     spec.client_threads = 8;
-    tb.add_workload(spec).expect("admitted");
-    tb.run(SimDuration::from_millis(50));
-    tb.begin_measurement();
-    tb.run(SimDuration::from_millis(200));
-    let report = tb.report();
-    let w = report.workload("app");
+    let tb = Testbed::builder().seed(131).build();
+    let ms = SimDuration::from_millis;
+    // Spans are recorded passively, so instrumenting the run does not
+    // shift the latencies it decomposes.
+    let report = run_testbed(tb, vec![spec], ms(50), ms(200), true);
+    let Some(w) = report.workloads.first() else {
+        // Admission refused the tenant: nothing ran, and the claims'
+        // `admitted` row says so.
+        return PointOutcome::new(None)
+            .with_row(format!("\n## {label} ({offered:.0} IOPS offered, refused)"))
+            .with_metric("admitted", 0.0)
+            .with_events(&report);
+    };
     let snapshot = report.telemetry.as_ref().expect("telemetry enabled");
     let mut point = PointOutcome::new(w.p95_read_us())
         .with_row(format!(
@@ -88,6 +92,7 @@ fn breakdown_point(label: &str, offered: f64, telemetry: bool) -> PointOutcome {
             w.read_latency.p99().as_micros_f64(),
         ))
         .with_row(format!("server_stages_mean_sum\t-\t{server_mean:.1}"))
+        .with_metric("admitted", 1.0)
         .with_metric("achieved_iops", w.iops)
         .with_metric("end_to_end_mean_us", w.mean_read_us())
         .with_metric("server_stages_mean_us", server_mean)

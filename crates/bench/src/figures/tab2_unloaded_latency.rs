@@ -6,10 +6,10 @@
 //!
 //! Run: `reflex-bench tab2_unloaded_latency`
 
-use reflex_baselines::{BaselineConfig, BaselineServer, LocalRig};
 use crate::run_testbed;
 use crate::sweep::{PointOutcome, Sweep};
-use reflex_core::{ServerHarness, Testbed, TestbedBuilder, WorkloadSpec};
+use crate::baselines::{iscsi, libaio};
+use reflex_core::{LocalRig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
 use reflex_net::StackProfile;
 use reflex_qos::{SloSpec, TenantClass, TenantId};
@@ -31,11 +31,7 @@ fn probe_spec(read_pct: u8) -> WorkloadSpec {
 
 /// Runs `tb` with one QD1 `spec` and measures its reads, or its writes
 /// when it issues none.
-fn probe<S: ServerHarness + 'static>(
-    tb: Testbed<S>,
-    spec: WorkloadSpec,
-    telemetry: bool,
-) -> Measured {
+fn probe(tb: Testbed, spec: WorkloadSpec, telemetry: bool) -> Measured {
     let reads = spec.read_pct == 100;
     let report = run_testbed(
         tb,
@@ -63,18 +59,12 @@ fn reflex_row(client: StackProfile, read_pct: u8, telemetry: bool) -> Measured {
 }
 
 fn baseline_row(
-    config: BaselineConfig,
+    server: TestbedBuilder,
     client: StackProfile,
     read_pct: u8,
     telemetry: bool,
 ) -> Measured {
-    let tb = TestbedBuilder::new()
-        .server_stack(StackProfile::linux_tcp())
-        .client_machines(vec![client])
-        .seed(22)
-        .build_with(move |fabric, device, machine| {
-            BaselineServer::new(machine, fabric, device, config, 23)
-        });
+    let tb = server.client_machines(vec![client]).seed(22).build();
     let mut spec = WorkloadSpec::closed_loop("probe", TenantId(1), TenantClass::BestEffort, 1);
     spec.read_pct = read_pct;
     probe(tb, spec, telemetry)
@@ -116,17 +106,17 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         .point(|| row_outcome("Local (SPDK)       (78/90, 11/17)", local_row));
     sweep.curve("iSCSI").point(move || {
         row_outcome("iSCSI              (211/251, 155/215)", |pct| {
-            baseline_row(BaselineConfig::iscsi(), StackProfile::linux_tcp(), pct, telemetry)
+            baseline_row(iscsi(1), StackProfile::linux_tcp(), pct, telemetry)
         })
     });
     sweep.curve("Libaio (Linux)").point(move || {
         row_outcome("Libaio (Linux)     (183/205, 180/205)", |pct| {
-            baseline_row(BaselineConfig::libaio(), StackProfile::linux_tcp(), pct, telemetry)
+            baseline_row(libaio(1), StackProfile::linux_tcp(), pct, telemetry)
         })
     });
     sweep.curve("Libaio (IX)").point(move || {
         row_outcome("Libaio (IX)        (121/139, 117/144)", |pct| {
-            baseline_row(BaselineConfig::libaio(), StackProfile::ix_tcp(), pct, telemetry)
+            baseline_row(libaio(1), StackProfile::ix_tcp(), pct, telemetry)
         })
     });
     sweep.curve("ReFlex (Linux)").point(move || {

@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod claims;
 pub mod figures;
 mod recovery;
@@ -38,7 +39,7 @@ pub mod sweep;
 
 pub use figures::{figure, Figure, FIGURES};
 
-use reflex_core::{ServerHarness, Testbed, TestbedError, TestbedReport, WorkloadSpec};
+use reflex_core::{Testbed, TestbedError, TestbedReport, WorkloadSpec};
 use reflex_sim::SimDuration;
 
 /// Standard warmup used by the harnesses.
@@ -57,8 +58,8 @@ pub const MEASURE: SimDuration = SimDuration::from_millis(400);
 ///
 /// Panics if a workload is rejected otherwise (harness configurations
 /// are pre-validated).
-pub fn run_testbed<S: ServerHarness + 'static>(
-    mut tb: Testbed<S>,
+pub fn run_testbed(
+    mut tb: Testbed,
     workloads: Vec<WorkloadSpec>,
     warmup: SimDuration,
     measure: SimDuration,

@@ -5,7 +5,8 @@
 //! deficit monitoring, thread scaling), device capacity calibration, the
 //! client models, and the [`Testbed`] that wires clients ↔ fabric ↔ server
 //! ↔ Flash into one deterministic simulation for every experiment in the
-//! paper's evaluation.
+//! paper's evaluation. [`LocalRig`], the paper's local SPDK baseline,
+//! drives the device alone.
 //!
 //! # Examples
 //!
@@ -37,7 +38,7 @@
 mod capacity;
 mod client;
 mod cluster;
-mod harness;
+mod local;
 mod server;
 mod testbed;
 
@@ -46,7 +47,7 @@ pub use client::{
     AddrPattern, ArrivalProcess, LoadPattern, RetryPolicy, WorkloadReport, WorkloadSpec,
 };
 pub use cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
-pub use harness::ServerHarness;
+pub use local::{LocalReport, LocalRig};
 pub use server::{AdmissionError, ReflexServer, ServerConfig};
 pub use testbed::{
     quorum, ReadPolicy, TenantRecovery, Testbed, TestbedBuilder, TestbedError, TestbedReport,

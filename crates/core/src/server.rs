@@ -923,110 +923,35 @@ impl ReflexServer {
         self.active_threads -= 1;
         self.bucket.set_active_threads(self.active_threads as u32);
     }
-}
 
-impl crate::harness::ServerHarness for ReflexServer {
-    fn machine(&self) -> MachineId {
-        ReflexServer::machine(self)
-    }
-
-    fn active_threads(&self) -> usize {
-        ReflexServer::active_threads(self)
-    }
-
-    fn max_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    fn nic_queue(&self, thread: usize) -> NicQueueId {
-        self.threads[thread].nic_queue()
-    }
-
-    fn register_tenant(
-        &mut self,
-        id: TenantId,
-        class: TenantClass,
-        acl: AclEntry,
-        io_size: u32,
-    ) -> Result<usize, AdmissionError> {
-        ReflexServer::register_tenant(self, id, class, acl, io_size)
-    }
-
-    fn register_tenant_sharded(
-        &mut self,
-        id: TenantId,
-        class: TenantClass,
-        acl: AclEntry,
-        io_size: u32,
-        shards: u32,
-    ) -> Result<Vec<usize>, AdmissionError> {
-        ReflexServer::register_tenant_sharded(self, id, class, acl, io_size, shards)
-    }
-
-    fn bind_connection(
-        &mut self,
-        conn: ConnId,
-        tenant: TenantId,
-        client: MachineId,
-    ) -> Result<(usize, NicQueueId), AdmissionError> {
-        ReflexServer::bind_connection(self, conn, tenant, client)
-    }
-
-    fn route(&self, conn: ConnId) -> Option<NicQueueId> {
-        ReflexServer::route(self, conn)
-    }
-
-    fn thread_of_conn(&self, conn: ConnId) -> Option<usize> {
-        ReflexServer::thread_of_conn(self, conn)
-    }
-
-    #[inline]
-    fn pump_thread(
-        &mut self,
-        i: usize,
-        now: SimTime,
-        fabric: &mut Fabric<reflex_dataplane::WireMsg>,
-        device: &mut FlashDevice,
-    ) -> Option<SimTime> {
-        ReflexServer::pump_thread(self, i, now, fabric, device)
-    }
-
-    fn control_tick(&mut self, now: SimTime, window: SimDuration) {
-        ReflexServer::control_tick(self, now, window);
-    }
-
-    #[inline]
-    fn settle(&mut self, before: SimTime) {
-        ReflexServer::settle(self, before);
-    }
-
-    #[inline]
-    fn round_wake(&self, i: usize, now: SimTime) -> Option<SimTime> {
-        self.threads[i].round_wake(now)
-    }
-
-    fn take_woken(&mut self) -> bool {
+    /// Whether a control-plane or fault entry has moved some thread's
+    /// [`DataplaneThread::round_wake`] earlier since the last call.
+    pub(crate) fn take_woken(&mut self) -> bool {
         self.threads
             .iter_mut()
             .fold(false, |any, t| t.take_woken() | any)
     }
 
-    fn sleep_stats(&self) -> (u64, u64) {
+    /// Scheduling rounds settled instead of pumped, and the settle passes
+    /// that found any, over every thread.
+    pub(crate) fn sleep_stats(&self) -> (u64, u64) {
         self.threads.iter().fold((0, 0), |(rounds, calls), t| {
             let (r, c) = t.sleep_stats();
             (rounds + r, calls + c)
         })
     }
 
-    fn set_telemetry(&mut self, telemetry: reflex_telemetry::Telemetry) {
-        // Every dataplane thread (active or not — scale-up may activate
-        // more later) shares the one recorder.
+    /// Installs one recorder on every dataplane thread, active or not
+    /// (scale-up may activate more later).
+    pub(crate) fn set_telemetry(&mut self, telemetry: reflex_telemetry::Telemetry) {
         for t in &mut self.threads {
             t.set_telemetry(telemetry.clone());
         }
     }
 
-    fn sched_counts(&self) -> [u64; 4] {
+    /// What the threads' QoS schedulers counted, summed: rounds, LC and BE
+    /// admissions, deficit notifications.
+    pub(crate) fn sched_counts(&self) -> [u64; 4] {
         self.threads.iter().fold([0; 4], |sum, t| {
             let sched = t.scheduler();
             let (lc, be) = sched.admitted();
@@ -1035,23 +960,8 @@ impl crate::harness::ServerHarness for ReflexServer {
         })
     }
 
-    fn busy_time(&self, i: usize) -> SimDuration {
-        self.threads[i].busy_time()
-    }
-
-    fn sched_time(&self, i: usize) -> SimDuration {
-        self.threads[i].sched_cpu_time()
-    }
-
-    fn thread_stats(&self, i: usize) -> Option<reflex_dataplane::ThreadStats> {
-        Some(self.threads[i].stats())
-    }
-
-    fn tenants_spent_millitokens(&self) -> std::collections::HashMap<TenantId, i64> {
-        self.all_tenants_spent_millitokens()
-    }
-
-    fn renegotiations(&self) -> Vec<TenantId> {
-        self.renegotiations.clone()
+    /// Tenants flagged for SLO renegotiation so far, in flagging order.
+    pub(crate) fn renegotiations(&self) -> &[TenantId] {
+        &self.renegotiations
     }
 }

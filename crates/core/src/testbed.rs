@@ -15,7 +15,7 @@ use fanout::FailoverCounts;
 
 use std::collections::HashMap;
 
-use reflex_dataplane::{AclEntry, WireMsg};
+use reflex_dataplane::{AclEntry, DataplaneThread, WireMsg};
 use reflex_flash::{DeviceProfile, DeviceStats, FlashDevice};
 use reflex_net::{
     ConnId, Delivery, Fabric, LinkConfig, MachineId, Opcode, ReflexHeader, StackProfile,
@@ -30,7 +30,6 @@ use crate::client::{
     WorkloadSpec, WorkloadState, NO_FAN,
 };
 use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
-use crate::harness::ServerHarness;
 use crate::server::{AdmissionError, ReflexServer, ServerConfig};
 
 pub use fanout::{quorum, ReadPolicy, TenantRecovery, MAX_REPLICAS, MIGRATION_STEP};
@@ -68,10 +67,10 @@ impl From<AdmissionError> for TestbedError {
 }
 
 /// One server site: a server machine with its own Flash device.
-struct Site<S> {
-    server: S,
+struct Site {
+    server: ReflexServer,
     device: FlashDevice,
-    /// The wake slot of the site's thread 0; `server.max_threads()` slots
+    /// The wake slot of the site's thread 0; its other threads' slots
     /// follow it: thread wakes are one flat table in (site, thread) order.
     wake_base: usize,
     /// Set by a `ServerDeath` (the armed fault hooks do the damage).
@@ -89,15 +88,15 @@ struct ClientMachine {
 }
 
 /// The scheduling context the world's event handlers receive.
-type WorldCtx<'e, S> = Ctx<'e, World<S>, WorldEvent<S>>;
+type WorldCtx<'e> = Ctx<'e, World, WorldEvent>;
 
 /// What a [`WorldEvent::Call`] runs.
-type CallFn<S> = Box<dyn FnOnce(&mut World<S>, &mut WorldCtx<S>)>;
+type CallFn = Box<dyn FnOnce(&mut World, &mut WorldCtx)>;
 
 /// The simulation's events. The recurring ones are plain data, so the
 /// request loop — including the retry/backoff path, which can become hot
 /// under adversarial overload — allocates nothing per event.
-pub enum WorldEvent<S: ServerHarness = ReflexServer> {
+pub enum WorldEvent {
     /// A server thread's wake (sites' threads have one wake slot each, in
     /// one sequence): run the pump loop of every thread that is due.
     PumpThread,
@@ -141,10 +140,10 @@ pub enum WorldEvent<S: ServerHarness = ReflexServer> {
         epoch: u32,
     },
     /// An open-ended cold event (see [`Testbed::schedule_at`]).
-    Call(CallFn<S>),
+    Call(CallFn),
 }
 
-impl<S: ServerHarness> std::fmt::Debug for WorldEvent<S> {
+impl std::fmt::Debug for WorldEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorldEvent").finish_non_exhaustive()
     }
@@ -161,8 +160,8 @@ struct RetryRec {
     req: OutstandingReq,
 }
 
-impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
-    fn dispatch(self, world: &mut World<S>, ctx: &mut WorldCtx<S>) {
+impl TypedEvent<World> for WorldEvent {
+    fn dispatch(self, world: &mut World, ctx: &mut WorldCtx) {
         match self {
             WorldEvent::PumpThread => world.pump_event(ctx),
             WorldEvent::ClientPoll => world.poll_clients(ctx),
@@ -192,9 +191,9 @@ impl<S: ServerHarness + 'static> TypedEvent<World<S>> for WorldEvent<S> {
 }
 
 /// The simulation world: every component plus scheduling bookkeeping.
-pub struct World<S: ServerHarness = ReflexServer> {
+pub struct World {
     fabric: Fabric<WireMsg>,
-    sites: Vec<Site<S>>,
+    sites: Vec<Site>,
     /// Holds every replicated member's SLO reservation, keyed by (site,
     /// tenant), and chooses sites for new and replacement members. The
     /// membership itself is the workloads' member lists.
@@ -247,7 +246,7 @@ pub struct World<S: ServerHarness = ReflexServer> {
     telemetry: Telemetry,
 }
 
-impl<S: ServerHarness> std::fmt::Debug for World<S> {
+impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
             .field("workloads", &self.workloads.len())
@@ -256,7 +255,7 @@ impl<S: ServerHarness> std::fmt::Debug for World<S> {
     }
 }
 
-impl<S: ServerHarness + 'static> World<S> {
+impl World {
     /// The first site's Flash device.
     pub fn device(&self) -> &FlashDevice {
         &self.sites[0].device
@@ -280,12 +279,12 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// The server under test (the first site's).
-    pub fn server(&self) -> &S {
+    pub fn server(&self) -> &ReflexServer {
         self.server_at(0)
     }
 
     /// Exclusive access to the first site's server.
-    pub fn server_mut(&mut self) -> &mut S {
+    pub fn server_mut(&mut self) -> &mut ReflexServer {
         self.server_at_mut(0)
     }
 
@@ -301,13 +300,13 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Site `site`'s server.
-    pub fn server_at(&self, site: usize) -> &S {
+    pub fn server_at(&self, site: usize) -> &ReflexServer {
         &self.sites[site].server
     }
 
     /// Exclusive access to site `site`'s server (tests and advanced
     /// harnesses).
-    pub fn server_at_mut(&mut self, site: usize) -> &mut S {
+    pub fn server_at_mut(&mut self, site: usize) -> &mut ReflexServer {
         &mut self.sites[site].server
     }
 
@@ -333,7 +332,7 @@ impl<S: ServerHarness + 'static> World<S> {
     fn spent_millitokens(&self) -> HashMap<TenantId, i64> {
         let mut spent = HashMap::new();
         for site in &self.sites {
-            for (id, mt) in site.server.tenants_spent_millitokens() {
+            for (id, mt) in site.server.all_tenants_spent_millitokens() {
                 *spent.entry(id).or_insert(0) += mt;
             }
         }
@@ -348,14 +347,14 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn ensure_thread_wake(&mut self, ctx: &mut WorldCtx<S>, slot: usize, at: SimTime) {
+    fn ensure_thread_wake(&mut self, ctx: &mut WorldCtx, slot: usize, at: SimTime) {
         if let Some(replaced) = ctx.arm(slot, at, WorldEvent::PumpThread) {
             self.wakes.thread_armed += 1;
             self.wakes.thread_cancelled += u64::from(replaced);
         }
     }
 
-    fn ensure_client_wake(&mut self, ctx: &mut WorldCtx<S>, client: usize) {
+    fn ensure_client_wake(&mut self, ctx: &mut WorldCtx, client: usize) {
         let Some(at) = self.fabric.next_arrival(self.clients[client].machine) else {
             return;
         };
@@ -366,7 +365,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn pump_event(&mut self, ctx: &mut WorldCtx<S>) {
+    fn pump_event(&mut self, ctx: &mut WorldCtx) {
         // Canonical same-instant order: one pump event services every
         // thread whose wake is due, in ascending (site, thread) order — a
         // thread sleeping through a round at this very instant included,
@@ -375,10 +374,11 @@ impl<S: ServerHarness + 'static> World<S> {
         self.settle(now);
         for s in 0..self.sites.len() {
             let base = self.sites[s].wake_base;
-            for t in 0..self.sites[s].server.max_threads() {
+            for t in 0..self.sites[s].server.threads().len() {
                 let due = ctx.take_due(base + t);
                 self.wakes.thread_cancelled += u64::from(due == Some(true));
-                if due.is_some() || self.sites[s].server.round_wake(t, now) == Some(now) {
+                let server = &self.sites[s].server;
+                if due.is_some() || server.threads()[t].round_wake(now) == Some(now) {
                     self.pump_one(s, t, ctx);
                 }
             }
@@ -387,11 +387,11 @@ impl<S: ServerHarness + 'static> World<S> {
 
     /// Arms every thread at the instant its round grid asks for: after a
     /// control-plane or fault entry, which may have cut a sleep short.
-    fn rearm_threads(&mut self, ctx: &mut WorldCtx<S>) {
+    fn rearm_threads(&mut self, ctx: &mut WorldCtx) {
         for s in 0..self.sites.len() {
             self.sites[s].server.take_woken();
             for t in 0..self.sites[s].server.active_threads() {
-                if let Some(at) = self.sites[s].server.round_wake(t, ctx.now()) {
+                if let Some(at) = self.sites[s].server.threads()[t].round_wake(ctx.now()) {
                     self.ensure_thread_wake(ctx, self.sites[s].wake_base + t, at);
                 }
             }
@@ -401,8 +401,8 @@ impl<S: ServerHarness + 'static> World<S> {
     /// Next arrival on the NIC queue of site `s`'s thread `t`.
     fn thread_next_arrival(&self, s: usize, t: usize) -> Option<SimTime> {
         let site = &self.sites[s];
-        self.fabric
-            .next_arrival_queue(site.server.machine(), site.server.nic_queue(t))
+        let queue = site.server.threads()[t].nic_queue();
+        self.fabric.next_arrival_queue(site.server.machine(), queue)
     }
 
     /// Pumps one thread and applies the wake rule: the pumped thread is
@@ -416,7 +416,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// grid, where a sleep this pump cut short (it left tokens in the
     /// bucket, or wrote to a read-only device) now ends. Another site's
     /// threads share nothing with this one.
-    fn pump_one(&mut self, s: usize, thread: usize, ctx: &mut WorldCtx<S>) {
+    fn pump_one(&mut self, s: usize, thread: usize, ctx: &mut WorldCtx) {
         let site = &mut self.sites[s];
         let base = site.wake_base;
         let hint = site
@@ -432,7 +432,7 @@ impl<S: ServerHarness + 'static> World<S> {
             }
         }
         for i in (0..self.sites[s].server.active_threads()).filter(|&i| i != thread) {
-            let round = self.sites[s].server.round_wake(i, ctx.now());
+            let round = self.sites[s].server.threads()[i].round_wake(ctx.now());
             if let Some(at) = SimTime::earlier(self.thread_next_arrival(s, i), round) {
                 self.ensure_thread_wake(ctx, base + i, at);
             }
@@ -441,7 +441,7 @@ impl<S: ServerHarness + 'static> World<S> {
 
     /// Same canonicalization as `pump_event`: one poll services every
     /// client whose wake is due, the dispatching one's included.
-    fn poll_clients(&mut self, ctx: &mut WorldCtx<S>) {
+    fn poll_clients(&mut self, ctx: &mut WorldCtx) {
         let mut polls = 0;
         for c in 0..self.clients.len() {
             let due = ctx.take_due(self.client_wake_base + c);
@@ -455,7 +455,7 @@ impl<S: ServerHarness + 'static> World<S> {
     }
 
     /// Stages the retransmission of `req` after its attempt's backoff.
-    fn stage_retry(&mut self, req: OutstandingReq, ctx: &mut WorldCtx<S>) {
+    fn stage_retry(&mut self, req: OutstandingReq, ctx: &mut WorldCtx) {
         let w = &mut self.workloads[req.workload as usize];
         w.retries += 1;
         let fire_at = ctx.now() + w.spec.retry.backoff_after(req.attempt);
@@ -477,7 +477,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// first, then fire due retries sorted by a key derived from the
     /// request itself. Records with identical keys are interchangeable,
     /// so the result is a pure function of the event timeline.
-    fn retry_fire_event(&mut self, ctx: &mut WorldCtx<S>) {
+    fn retry_fire_event(&mut self, ctx: &mut WorldCtx) {
         let now = ctx.now();
         self.poll_clients(ctx);
         let mut due = std::mem::take(&mut self.retry_scratch);
@@ -517,7 +517,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// machine's deliveries wait for its wake, armed at their very
     /// instant, which absorbs them in its turn among that instant's
     /// events — and whatever is ordered after them waits with them.
-    fn absorb(&mut self, ctx: &mut WorldCtx<S>) -> u64 {
+    fn absorb(&mut self, ctx: &mut WorldCtx) -> u64 {
         let now = ctx.now();
         let mut deliveries = std::mem::take(&mut self.poll_scratch);
         let (mut total, mut unwoken) = (0, 0);
@@ -598,7 +598,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// an outage shows as violations, not silence. A closed-loop workload
     /// then issues the request that keeps its depth.
     #[inline]
-    fn conclude(&mut self, req: &OutstandingReq, ok: bool, at: SimTime, ctx: &mut WorldCtx<S>) {
+    fn conclude(&mut self, req: &OutstandingReq, ok: bool, at: SimTime, ctx: &mut WorldCtx) {
         let w = &mut self.workloads[req.workload as usize];
         let in_window = self.measure_start.filter(|&m| at >= m);
         let latency = at.saturating_since(req.sent_at);
@@ -666,7 +666,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// its only copy, or a replicated workload's fan-out. Writes are
     /// interleaved at the exact ratio (every 5th request of an 80 % read
     /// mix), as paced load generators issue them.
-    fn issue_request(&mut self, w_idx: usize, conn_idx: usize, ctx: &mut WorldCtx<S>) {
+    fn issue_request(&mut self, w_idx: usize, conn_idx: usize, ctx: &mut WorldCtx) {
         let addr = self.next_addr(w_idx);
         let now = ctx.now();
         let measured = self.measure_start.is_some_and(|m| now >= m);
@@ -701,7 +701,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// first-send instant and measurement flag. One member's share of a
     /// replicated request goes to that member as the set stands now, or
     /// nowhere if the op or the set have moved on (see `fan_slot`).
-    fn transmit(&mut self, req: OutstandingReq, ctx: &mut WorldCtx<S>) {
+    fn transmit(&mut self, req: OutstandingReq, ctx: &mut WorldCtx) {
         let now = ctx.now();
         let slot = match req.fan() {
             None => 0,
@@ -787,7 +787,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// still outstanding the attempt is declared lost: retry with backoff
     /// while attempts remain, otherwise abandon the request (topping up
     /// closed-loop depth so the generator does not deflate).
-    fn timeout_event(&mut self, cookie: u64, ctx: &mut WorldCtx<S>) {
+    fn timeout_event(&mut self, cookie: u64, ctx: &mut WorldCtx) {
         // Canonical same-instant order: a response that has *arrived* by
         // the timeout instant beats the timeout, whichever of the client's
         // poll wake and this event was inserted first — so drain the due
@@ -808,7 +808,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    fn open_loop_gen_event(&mut self, w_idx: usize, ctx: &mut WorldCtx<S>) {
+    fn open_loop_gen_event(&mut self, w_idx: usize, ctx: &mut WorldCtx) {
         let w = &self.workloads[w_idx];
         if w.stopped {
             return;
@@ -828,7 +828,7 @@ impl<S: ServerHarness + 'static> World<S> {
         ctx.schedule_event_after(gap, WorldEvent::OpenLoopGen(w_idx));
     }
 
-    fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx<S>) {
+    fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx) {
         for site in &mut self.sites {
             site.server.control_tick(ctx.now(), interval);
         }
@@ -840,8 +840,8 @@ impl<S: ServerHarness + 'static> World<S> {
 /// Admits `spec`'s tenant on `server` and binds its connections from
 /// `client` there: a plain workload's one copy, or one member of a
 /// replicated workload's set.
-fn join<S: ServerHarness>(
-    server: &mut S,
+fn join(
+    server: &mut ReflexServer,
     fabric: &mut Fabric<WireMsg>,
     client: MachineId,
     spec: &WorkloadSpec,
@@ -853,13 +853,7 @@ fn join<S: ServerHarness>(
         allow_write: true,
         allowed_clients: None,
     };
-    if spec.shards > 1 {
-        // Sharded registration goes through the concrete ReFlex path;
-        // harness servers without sharding treat it as an error.
-        server.register_tenant_sharded(spec.tenant, spec.class, acl, spec.io_size, spec.shards)?;
-    } else {
-        server.register_tenant(spec.tenant, spec.class, acl, spec.io_size)?;
-    }
+    server.register_tenant_sharded(spec.tenant, spec.class, acl, spec.io_size, spec.shards)?;
     (0..spec.conns)
         .map(|_| {
             let conn = fabric.new_conn();
@@ -876,8 +870,8 @@ pub struct ThreadReport {
     pub busy_fraction: f64,
     /// Fraction of the window spent in QoS scheduling.
     pub sched_fraction: f64,
-    /// Raw dataplane statistics (cumulative, not windowed), when the
-    /// server exposes them.
+    /// Raw dataplane statistics (cumulative, not windowed); every thread
+    /// has them.
     pub stats: Option<reflex_dataplane::ThreadStats>,
 }
 
@@ -1026,8 +1020,10 @@ impl TestbedBuilder {
         self
     }
 
-    /// Sets the server machine's network stack (baseline servers run on
-    /// the Linux kernel stack; ReFlex polls raw NIC queues).
+    /// Sets the server machine's network stack (default: ReFlex polling
+    /// raw NIC queues). A kernel-stack server such as the paper's iSCSI
+    /// and libaio baselines is this stack plus its protocol latency, with
+    /// its per-message CPU in the server's `DataplaneConfig`.
     pub fn server_stack(mut self, stack: StackProfile) -> Self {
         self.server_stack = stack;
         self
@@ -1072,53 +1068,7 @@ impl TestbedBuilder {
     ///
     /// Panics if no client machines are configured, the replication
     /// factor is 0 or exceeds [`MAX_REPLICAS`] or the site count.
-    pub fn build(self) -> Testbed<ReflexServer> {
-        let server_cfg = self.server.clone();
-        self.build_sites(move |fabric, device, machine, cost_model, capacity| {
-            ReflexServer::new(
-                machine,
-                fabric,
-                device,
-                cost_model.clone(),
-                capacity.clone(),
-                server_cfg.clone(),
-                SimTime::ZERO,
-            )
-        })
-    }
-
-    /// Builds a one-site testbed around any [`ServerHarness`] (used by
-    /// the baseline servers). The constructor receives the fabric (to add
-    /// NIC queues), the device (to create queue pairs) and the server
-    /// machine.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](Self::build), and if more than one site is
-    /// configured: the constructor runs once.
-    pub fn build_with<S, F>(self, make_server: F) -> Testbed<S>
-    where
-        S: ServerHarness + 'static,
-        F: FnOnce(&mut Fabric<WireMsg>, &mut FlashDevice, MachineId) -> S,
-    {
-        assert!(self.sites == 1, "a custom server is built for one site");
-        let mut make_server = Some(make_server);
-        self.build_sites(|fabric, device, machine, _, _| {
-            make_server.take().expect("one site")(fabric, device, machine)
-        })
-    }
-
-    fn build_sites<S, F>(self, mut make_server: F) -> Testbed<S>
-    where
-        S: ServerHarness + 'static,
-        F: FnMut(
-            &mut Fabric<WireMsg>,
-            &mut FlashDevice,
-            MachineId,
-            &CostModel,
-            &CapacityProfile,
-        ) -> S,
-    {
+    pub fn build(self) -> Testbed {
         assert!(
             !self.client_stacks.is_empty(),
             "need at least one client machine"
@@ -1157,9 +1107,17 @@ impl TestbedBuilder {
             let machine = fabric.add_machine(self.server_stack.clone());
             let mut device = FlashDevice::new(self.device.clone(), rng.fork());
             device.precondition();
-            let server = make_server(&mut fabric, &mut device, machine, &cost_model, &capacity);
+            let server = ReflexServer::new(
+                machine,
+                &mut fabric,
+                &mut device,
+                cost_model.clone(),
+                capacity.clone(),
+                self.server.clone(),
+                SimTime::ZERO,
+            );
             let wake_base = n_threads;
-            n_threads += server.max_threads();
+            n_threads += server.threads().len();
             sites.push(Site {
                 server,
                 device,
@@ -1221,14 +1179,14 @@ impl TestbedBuilder {
 const OWNED_COUNTERS: usize = 21;
 
 /// The assembled simulation. See the module documentation.
-pub struct Testbed<S: ServerHarness = ReflexServer> {
-    engine: Engine<World<S>, WorldEvent<S>>,
+pub struct Testbed {
+    engine: Engine<World, WorldEvent>,
     measure_begin: SimTime,
     /// [`owned_counters`](Self::owned_counters) when telemetry was enabled.
     counted_before: [u64; OWNED_COUNTERS],
 }
 
-impl<S: ServerHarness + 'static> std::fmt::Debug for Testbed<S> {
+impl std::fmt::Debug for Testbed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Testbed")
             .field("now", &self.engine.now())
@@ -1236,26 +1194,24 @@ impl<S: ServerHarness + 'static> std::fmt::Debug for Testbed<S> {
     }
 }
 
-impl Testbed<ReflexServer> {
+impl Testbed {
     /// Starts building a testbed.
     pub fn builder() -> TestbedBuilder {
         TestbedBuilder::new()
     }
-}
 
-impl<S: ServerHarness + 'static> Testbed<S> {
     /// Current simulated instant.
     pub fn now(&self) -> SimTime {
         self.engine.now()
     }
 
     /// Shared access to the world.
-    pub fn world(&self) -> &World<S> {
+    pub fn world(&self) -> &World {
         self.engine.world()
     }
 
     /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut World<S> {
+    pub fn world_mut(&mut self) -> &mut World {
         self.engine.world_mut()
     }
 
@@ -1264,7 +1220,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
     /// thread stalls) inside the simulation.
     pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
-        F: FnOnce(&mut World<S>, &mut Ctx<World<S>, WorldEvent<S>>) + 'static,
+        F: FnOnce(&mut World, &mut Ctx<World, WorldEvent>) + 'static,
     {
         self.engine
             .schedule_event_at(at, WorldEvent::Call(Box::new(f)));
@@ -1426,14 +1382,14 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         for w in &mut world.workloads {
             w.reset_measurement();
         }
-        let per_thread = |time: fn(&S, usize) -> SimDuration| {
+        let per_thread = |time: fn(&DataplaneThread) -> SimDuration| {
             let sites = world.sites.iter();
             sites
-                .flat_map(|site| (0..site.server.max_threads()).map(move |i| time(&site.server, i)))
+                .flat_map(|site| site.server.threads().iter().map(time))
                 .collect()
         };
-        world.busy_snapshot = per_thread(S::busy_time);
-        world.sched_snapshot = per_thread(S::sched_time);
+        world.busy_snapshot = per_thread(DataplaneThread::busy_time);
+        world.sched_snapshot = per_thread(DataplaneThread::sched_cpu_time);
         world.spent_snapshot = world.spent_millitokens();
     }
 
@@ -1472,19 +1428,14 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             now.saturating_sub(before).as_secs_f64() / secs
         };
         let threads = world.sites.iter().flat_map(|site| {
-            let server = &site.server;
-            (0..server.active_threads()).map(move |i| ThreadReport {
-                busy_fraction: since(
-                    &world.busy_snapshot,
-                    site.wake_base + i,
-                    server.busy_time(i),
-                ),
-                sched_fraction: since(
-                    &world.sched_snapshot,
-                    site.wake_base + i,
-                    server.sched_time(i),
-                ),
-                stats: server.thread_stats(i),
+            let active = &site.server.threads()[..site.server.active_threads()];
+            active.iter().enumerate().map(move |(i, t)| {
+                let slot = site.wake_base + i;
+                ThreadReport {
+                    busy_fraction: since(&world.busy_snapshot, slot, t.busy_time()),
+                    sched_fraction: since(&world.sched_snapshot, slot, t.sched_cpu_time()),
+                    stats: Some(t.stats()),
+                }
             })
         });
         let spent_delta: i64 = world
@@ -1495,7 +1446,7 @@ impl<S: ServerHarness + 'static> Testbed<S> {
         let token_usage_per_sec = spent_delta as f64 / 1_000.0 / secs;
         let servers = || world.sites.iter().map(|site| &site.server);
         let (rounds_elided, settle_calls) = servers()
-            .map(S::sleep_stats)
+            .map(ReflexServer::sleep_stats)
             .fold((0, 0), |(r, c), (dr, dc)| (r + dr, c + dc));
         TestbedReport {
             window,
@@ -1503,7 +1454,10 @@ impl<S: ServerHarness + 'static> Testbed<S> {
             threads: threads.collect(),
             token_usage_per_sec,
             device: world.sites[0].device.stats(),
-            renegotiations: servers().flat_map(S::renegotiations).collect(),
+            renegotiations: servers()
+                .flat_map(|s| s.renegotiations())
+                .copied()
+                .collect(),
             recoveries: world.recoveries.clone(),
             engine_events: self.engine.dispatched(),
             wakes: WakeStats {

@@ -36,7 +36,6 @@ use reflex_sim::{PoolKey, SimDuration, SimTime};
 use super::{join, World, WorldCtx, WorldEvent};
 use crate::client::{Fan, MemberLink, OutstandingReq, ReplOp, WorkloadState};
 use crate::cluster::{PlacementError, ServerId};
-use crate::harness::ServerHarness;
 
 /// What deaths and failovers did, counted always; a telemetry snapshot
 /// reads them under their `replication.*` and `cluster.*` names.
@@ -108,7 +107,7 @@ pub struct TenantRecovery {
     pub new_site: Option<usize>,
 }
 
-impl<S: ServerHarness + 'static> World<S> {
+impl World {
     /// Site indices of workload `w_idx`'s current members, slot order.
     pub fn member_sites(&self, w_idx: usize) -> Vec<usize> {
         let members = &self.workloads[w_idx].members;
@@ -133,12 +132,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// of this file that `transmit`, `absorb` and the event dispatch
     /// reach: inlined, it grows the plain request's path for nothing.
     #[inline(never)]
-    pub(super) fn fan_out(
-        &mut self,
-        req: OutstandingReq,
-        policy: ReadPolicy,
-        ctx: &mut WorldCtx<S>,
-    ) {
+    pub(super) fn fan_out(&mut self, req: OutstandingReq, policy: ReadPolicy, ctx: &mut WorldCtx) {
         let w = &mut self.workloads[req.workload as usize];
         let r = w.members.len();
         if r == 0 {
@@ -245,7 +239,7 @@ impl<S: ServerHarness + 'static> World<S> {
         op_key: PoolKey,
         acked: bool,
         at: SimTime,
-        ctx: &mut WorldCtx<S>,
+        ctx: &mut WorldCtx,
     ) {
         let Some(op) = self.ops.get_mut(op_key) else {
             return;
@@ -267,7 +261,7 @@ impl<S: ServerHarness + 'static> World<S> {
         }
     }
 
-    pub(super) fn server_death_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
+    pub(super) fn server_death_event(&mut self, site: usize, ctx: &mut WorldCtx) {
         self.sites[site].died_at = Some(ctx.now());
         self.failover.server_deaths += 1;
         // The armed hooks do the damage: the site's NIC links went dark
@@ -305,7 +299,7 @@ impl<S: ServerHarness + 'static> World<S> {
     /// (its own admission control has the last word). Either way the
     /// epoch is bumped; a replacement starts its re-sync.
     #[inline(never)]
-    pub(super) fn failover_event(&mut self, site: usize, ctx: &mut WorldCtx<S>) {
+    pub(super) fn failover_event(&mut self, site: usize, ctx: &mut WorldCtx) {
         // A site the planner no longer knows has been failed over already.
         if !self.planner.drop_server(ServerId(site as u32)) {
             return;

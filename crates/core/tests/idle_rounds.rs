@@ -10,7 +10,7 @@
 //! instants no testbed can aim at. *Counts*: events per IO and rounds
 //! elided, which stand in for a timer on any host.
 
-use reflex_core::{ServerConfig, ServerHarness, Testbed, TestbedReport, WorkloadSpec, World};
+use reflex_core::{ServerConfig, Testbed, TestbedReport, WorkloadSpec, World};
 use reflex_net::{LinkConfig, StackProfile};
 use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimTime};
@@ -416,7 +416,7 @@ impl Rig {
             if self.eager {
                 self.server.thread_mut(t).wake();
             }
-            let round = self.server.round_wake(t, now);
+            let round = self.server.threads()[t].round_wake(now);
             self.wake[t] = earlier(self.wake[t], earlier(self.next_arrival(t), round));
         }
     }
@@ -430,7 +430,9 @@ impl Rig {
             Action::Unregister(id) => self.server.unregister_tenant(TenantId(id)).expect("known"),
             Action::Move(id, to) => self.server.move_tenant(TenantId(id), to).expect("known"),
         }
-        self.server.take_woken();
+        for t in 0..2 {
+            self.server.thread_mut(t).take_woken();
+        }
         self.rearm(now);
     }
 
@@ -443,7 +445,7 @@ impl Rig {
             if due {
                 self.wake[t] = None;
             }
-            if due || self.server.round_wake(t, now) == Some(now) {
+            if due || self.server.threads()[t].round_wake(now) == Some(now) {
                 let hint = self
                     .server
                     .pump_thread(t, now, &mut self.fabric, &mut self.device);

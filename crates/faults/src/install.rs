@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use reflex_core::{ReflexServer, Testbed, World};
+use reflex_core::{Testbed, World};
 use reflex_sim::SimDuration;
 
 use crate::hooks::{PlannedDeviceHook, PlannedNetHook};
@@ -25,7 +25,7 @@ use crate::stats::{count, FaultCounts};
 /// `tb.world().client_count()` or a [`FaultKind::ServerDeath`] a site
 /// outside `tb.world().site_count()`. A [`FaultKind::ThreadStall`]
 /// naming an inactive thread panics later, when the event fires.
-pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Rc<Cell<FaultCounts>> {
+pub fn install(plan: &FaultPlan, tb: &mut Testbed) -> Rc<Cell<FaultCounts>> {
     let counts = Rc::new(Cell::new(FaultCounts::default()));
     let add_downtime = |d: SimDuration| count(&counts, |c| c.downtime += d);
     let mut devs: Vec<PlannedDeviceHook> = (0..tb.world().site_count())
@@ -65,7 +65,7 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Rc<Cell<Faul
                 // ...and the server tears the client's connections down,
                 // re-registering them when the link returns.
                 let c = Rc::clone(&counts);
-                tb.schedule_at(ev.at, move |w: &mut World<ReflexServer>, _ctx| {
+                tb.schedule_at(ev.at, move |w: &mut World, _ctx| {
                     let sites = 0..w.site_count();
                     let torn: usize = sites
                         .map(|i| w.server_at_mut(i).on_link_down(machine))
@@ -76,21 +76,18 @@ pub fn install(plan: &FaultPlan, tb: &mut Testbed<ReflexServer>) -> Rc<Cell<Faul
                     });
                 });
                 let c = Rc::clone(&counts);
-                tb.schedule_at(
-                    ev.at + down_for,
-                    move |w: &mut World<ReflexServer>, _ctx| {
-                        let sites = 0..w.site_count();
-                        let rebound: usize = sites
-                            .map(|i| w.server_at_mut(i).rebind_client(machine))
-                            .sum();
-                        count(&c, |c| c.conns_rebound += rebound as u64);
-                    },
-                );
+                tb.schedule_at(ev.at + down_for, move |w: &mut World, _ctx| {
+                    let sites = 0..w.site_count();
+                    let rebound: usize = sites
+                        .map(|i| w.server_at_mut(i).rebind_client(machine))
+                        .sum();
+                    count(&c, |c| c.conns_rebound += rebound as u64);
+                });
             }
             FaultKind::ThreadStall { thread, stall } => {
                 add_downtime(stall);
                 let c = Rc::clone(&counts);
-                tb.schedule_at(ev.at, move |w: &mut World<ReflexServer>, ctx| {
+                tb.schedule_at(ev.at, move |w: &mut World, ctx| {
                     count(&c, |c| c.thread_stalls += 1);
                     let now = ctx.now();
                     w.server_mut().thread_mut(thread).inject_stall(now, stall);

@@ -7,7 +7,7 @@ use reflex_sim::{SimDuration, SimTime};
 
 const OFFERED: f64 = 40_000.0;
 
-fn testbed_with_retry(retry: RetryPolicy) -> Testbed<reflex_core::ReflexServer> {
+fn testbed_with_retry(retry: RetryPolicy) -> Testbed {
     let mut tb = Testbed::builder().seed(5).server_threads(1).build();
     let slo = SloSpec::new(OFFERED as u64, 100, SimDuration::from_micros(500));
     tb.add_workload(

@@ -16,11 +16,13 @@
 //! | [`qos`] | `reflex-qos` | cost model, tokens, **Algorithm 1** scheduler |
 //! | [`cache`] | `reflex-cache` | per-thread DRAM read cache (write-around, set-associative) |
 //! | [`dataplane`] | `reflex-dataplane` | polling server threads, ACLs, barriers |
-//! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication |
+//! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication, the local SPDK rig |
 //! | [`telemetry`] | `reflex-telemetry` | counters, per-tenant stage spans, SLO monitor, snapshots |
 //! | [`faults`] | `reflex-faults` | deterministic fault injection + recovery measurement |
-//! | [`baselines`] | `reflex-baselines` | local SPDK, iSCSI, libaio comparisons |
 //! | [`workloads`] | `reflex-workloads` | FIO, FlashX-like, RocksDB-like apps |
+//!
+//! The paper's iSCSI and libaio baselines are ReFlex server configurations
+//! (per-message CPU, kernel-stack latency) in `reflex-bench`'s `baselines`.
 //!
 //! # Quickstart
 //!
@@ -47,7 +49,6 @@
 //! # Ok::<(), reflex::core::TestbedError>(())
 //! ```
 
-pub use reflex_baselines as baselines;
 pub use reflex_cache as cache;
 pub use reflex_core as core;
 pub use reflex_dataplane as dataplane;

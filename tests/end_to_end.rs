@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the paper's headline claims, verified
 //! end to end through the facade crate.
 
-use reflex::baselines::{BaselineConfig, BaselineServer};
-use reflex::core::{Testbed, TestbedBuilder, WorkloadSpec};
+use reflex::core::{LocalRig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex::net::StackProfile;
 use reflex::qos::{SloSpec, TenantClass, TenantId};
 use reflex::sim::SimDuration;
@@ -21,7 +20,7 @@ fn lc(iops: u64, read_pct: u8, p95_us: u64) -> TenantClass {
 #[test]
 fn headline_remote_approx_local() {
     // Local unloaded read.
-    let mut rig = reflex::baselines::LocalRig::new(reflex::flash::device_a(), 1, 5);
+    let mut rig = LocalRig::new(reflex::flash::device_a(), 1, 5);
     let local = rig.run_unloaded(100, 4096, 2_000);
     let local_avg = local.read_latency.mean().as_micros_f64();
 
@@ -56,20 +55,19 @@ fn system_ordering_under_one_roof() {
         spec.read_pct = 100;
         spec
     };
-    let run_baseline = |config: BaselineConfig| {
-        let mut tb = TestbedBuilder::new()
-            .server_stack(StackProfile::linux_tcp())
+    let run_baseline = |server: TestbedBuilder| {
+        let mut tb = server
             .client_machines(vec![StackProfile::ix_tcp()])
             .seed(6)
-            .build_with(move |f, d, m| BaselineServer::new(m, f, d, config, 7));
+            .build();
         tb.add_workload(probe()).expect("BE accepted");
         tb.run(SimDuration::from_millis(50));
         tb.begin_measurement();
         tb.run(SimDuration::from_millis(300));
         tb.report().workload("probe").mean_read_us()
     };
-    let libaio = run_baseline(BaselineConfig::libaio());
-    let iscsi = run_baseline(BaselineConfig::iscsi());
+    let libaio = run_baseline(reflex_bench::baselines::libaio(1));
+    let iscsi = run_baseline(reflex_bench::baselines::iscsi(1));
 
     let mut tb = Testbed::builder().seed(6).build();
     tb.add_workload(WorkloadSpec::closed_loop(
