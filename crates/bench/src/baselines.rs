@@ -8,12 +8,52 @@
 //! network stack: Linux TCP with the overhead added to each direction's
 //! median, at the overhead's sigma. Requests take the one data path ReFlex
 //! takes (dataplane, scheduler, fabric, device); only these numbers
-//! differ.
+//! differ. Figure 7's local kernel driver is the same path again, with
+//! the application on the server's machine.
 
 use reflex_core::{ServerConfig, Testbed, TestbedBuilder};
 use reflex_dataplane::DataplaneConfig;
-use reflex_net::StackProfile;
+use reflex_net::{LinkConfig, StackProfile};
 use reflex_sim::SimDuration;
+
+/// A data path by name, and a builder of its testbed, clients set.
+pub(crate) type BlockPath = (&'static str, fn() -> TestbedBuilder);
+
+/// The block data paths a Linux application of Figure 7 runs on: the
+/// local kernel driver, the ReFlex remote block device driver and iSCSI.
+pub(crate) const BLOCK_PATHS: [BlockPath; 3] = [
+    ("local", local_kernel),
+    ("reflex", || {
+        Testbed::builder().client_machines(vec![StackProfile::linux_tcp()])
+    }),
+    ("iscsi", || {
+        iscsi(1).client_machines(vec![StackProfile::linux_tcp()])
+    }),
+];
+
+/// The local kernel NVMe driver (§5.6): a loopback link, with no
+/// propagation and unbounded bandwidth, and a client stack with the block
+/// layer's costs: 4.8 µs of CPU per request (~200K IOPS per thread, so
+/// FIO needs ~5 threads to saturate the device), 3 µs to submit and 9 µs
+/// for the interrupt and completion.
+pub fn local_kernel() -> TestbedBuilder {
+    let us = SimDuration::from_micros_f64;
+    let loopback = LinkConfig {
+        bandwidth_bps: u64::MAX,
+        propagation: SimDuration::ZERO,
+    };
+    Testbed::builder()
+        .link(loopback)
+        .client_machines(vec![StackProfile {
+            name: "local-nvme".to_owned(),
+            tx_median: us(3.0),
+            tx_sigma: 0.25,
+            rx_median: us(9.0),
+            rx_sigma: 0.25,
+            per_msg_cpu: us(4.8),
+            ..StackProfile::linux_tcp()
+        }])
+}
 
 /// The Linux iSCSI target with `workers` cores: ~70K IOPS per core, 38 µs
 /// of protocol and copies per direction.

@@ -136,8 +136,10 @@ const CAPACITY: &str = "Device A's built-in capacity table is calibrated to the 
     (ROADMAP 1(c) re-derives it).";
 const FIG6B: &str = "Same mechanism (tenant management saturates the core), but the \
     model's per-tenant iteration is cheaper, so the knee falls later.";
-const FIG7A_LOCAL: &str = "The local kernel path is the `Backend` side model (ROADMAP \
-    item 4), which reaches device A's read bandwidth; the paper's stopped short of it.";
+const FIG7A_LOCAL: &str = "The local kernel driver is the one server over a loopback \
+    link, its client costing 4.8 µs per request: five threads ask for ~1M IOPS and get \
+    ~830K, what one server thread and device A serve; the paper's kernel block layer \
+    stopped near 710K.";
 const FIG7C_SYNC: &str = "The db_bench model issues strictly synchronous per-thread \
     reads, so all remote latency lands on the critical path; the paper's numbers imply \
     client-side overlap (readahead, internal parallelism) a trace-level model lacks.";

@@ -7,36 +7,42 @@
 //!
 //! Run: `reflex-bench fig7b_flashx`
 
+use crate::baselines::BLOCK_PATHS;
 use crate::sweep::{PointOutcome, Sweep};
-use reflex_flash::device_a;
-use reflex_workloads::{run_flashx, Backend, BackendProfile, FlashXConfig, GraphAlgo};
+use reflex_core::Testbed;
+use reflex_sim::SimDuration;
+use reflex_workloads::{run_flashx, FlashXConfig, GraphAlgo};
 
-fn algo_point(algo: GraphAlgo) -> PointOutcome {
-    let config = FlashXConfig::default();
-    let mut runtimes = Vec::new();
-    for profile in [
-        BackendProfile::local_nvme(),
-        BackendProfile::reflex_remote(),
-        BackendProfile::iscsi_remote(),
-    ] {
-        let mut backend = Backend::new(profile, device_a(), 6, 91);
-        runtimes.push(run_flashx(algo, &config, &mut backend, 17).as_secs_f64());
+/// Runs `app` on each block path (testbed seed `seed`): its runtimes and
+/// slowdowns against local, as `label`'s row.
+pub(crate) fn slowdown_point(
+    label: &str,
+    seed: u64,
+    telemetry: bool,
+    app: impl Fn(&mut Testbed) -> SimDuration,
+) -> PointOutcome {
+    let mut point = PointOutcome::new(None);
+    let mut s = Vec::new();
+    for (_, path) in BLOCK_PATHS {
+        let mut tb = path().seed(seed).build();
+        if telemetry {
+            tb.enable_telemetry();
+        }
+        s.push(app(&mut tb).as_secs_f64());
+        let report = tb.report();
+        point = point.with_events(&report).with_telemetry(report.telemetry);
     }
-    PointOutcome::new(None)
+    let (reflex, iscsi) = (s[1] / s[0], s[2] / s[0]);
+    point
         .with_row(format!(
-            "{}\t{:.1}\t{:.1}\t{:.1}\t{:.3}\t{:.3}",
-            algo.name(),
-            runtimes[0],
-            runtimes[1],
-            runtimes[2],
-            runtimes[1] / runtimes[0],
-            runtimes[2] / runtimes[0]
+            "{label}\t{:.1}\t{:.1}\t{:.1}\t{reflex:.3}\t{iscsi:.3}",
+            s[0], s[1], s[2]
         ))
-        .with_metric("local_s", runtimes[0])
-        .with_metric("reflex_s", runtimes[1])
-        .with_metric("iscsi_s", runtimes[2])
-        .with_metric("reflex_slowdown", runtimes[1] / runtimes[0])
-        .with_metric("iscsi_slowdown", runtimes[2] / runtimes[0])
+        .with_metric("local_s", s[0])
+        .with_metric("reflex_s", s[1])
+        .with_metric("iscsi_s", s[2])
+        .with_metric("reflex_slowdown", reflex)
+        .with_metric("iscsi_slowdown", iscsi)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -44,7 +50,12 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         "# Figure 7b: FlashX end-to-end slowdown vs local Flash\n\
          algo\tlocal_s\treflex_s\tiscsi_s\treflex_slowdown\tiscsi_slowdown\n",
     );
+    let telemetry = sweep.telemetry;
     for algo in GraphAlgo::all() {
-        sweep.curve(algo.name()).point(move || algo_point(algo));
+        sweep.curve(algo.name()).point(move || {
+            slowdown_point(algo.name(), 91, telemetry, |tb| {
+                run_flashx(algo, &FlashXConfig::default(), tb, 17)
+            })
+        });
     }
 }

@@ -7,44 +7,21 @@
 //!
 //! Run: `reflex-bench fig7c_rocksdb`
 
-use crate::sweep::{PointOutcome, Sweep};
-use reflex_flash::device_a;
-use reflex_workloads::{run_db_bench, Backend, BackendProfile, DbBenchmark, LsmConfig};
-
-fn bench_point(bench: DbBenchmark) -> PointOutcome {
-    let config = LsmConfig::default();
-    let mut runtimes = Vec::new();
-    for profile in [
-        BackendProfile::local_nvme(),
-        BackendProfile::reflex_remote(),
-        BackendProfile::iscsi_remote(),
-    ] {
-        let mut backend = Backend::new(profile, device_a(), 6, 101);
-        runtimes.push(run_db_bench(bench, &config, &mut backend, 19).as_secs_f64());
-    }
-    PointOutcome::new(None)
-        .with_row(format!(
-            "{}\t{:.1}\t{:.1}\t{:.1}\t{:.3}\t{:.3}",
-            bench.name(),
-            runtimes[0],
-            runtimes[1],
-            runtimes[2],
-            runtimes[1] / runtimes[0],
-            runtimes[2] / runtimes[0]
-        ))
-        .with_metric("local_s", runtimes[0])
-        .with_metric("reflex_s", runtimes[1])
-        .with_metric("iscsi_s", runtimes[2])
-        .with_metric("reflex_slowdown", runtimes[1] / runtimes[0])
-        .with_metric("iscsi_slowdown", runtimes[2] / runtimes[0])
-}
+use super::fig7b_flashx::slowdown_point;
+use crate::sweep::Sweep;
+use reflex_workloads::{run_db_bench, DbBenchmark, LsmConfig};
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
     sweep.text(
         "# Figure 7c: RocksDB db_bench slowdown vs local Flash (43GB DB)\n\
          bench\tlocal_s\treflex_s\tiscsi_s\treflex_slowdown\tiscsi_slowdown\n",
     );
+    let telemetry = sweep.telemetry;
     for bench in DbBenchmark::all() {
-        sweep.curve(bench.name()).point(move || bench_point(bench));
+        sweep.curve(bench.name()).point(move || {
+            slowdown_point(bench.name(), 101, telemetry, |tb| {
+                run_db_bench(bench, &LsmConfig::default(), tb, 19)
+            })
+        });
     }
 }

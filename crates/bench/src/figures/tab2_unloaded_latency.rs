@@ -6,9 +6,9 @@
 //!
 //! Run: `reflex-bench tab2_unloaded_latency`
 
-use crate::run_testbed;
-use crate::sweep::{PointOutcome, Sweep};
 use crate::baselines::{iscsi, libaio};
+use crate::run_testbed;
+use crate::sweep::{Execution, PointOutcome, Sweep};
 use reflex_core::{LocalRig, Testbed, TestbedBuilder, WorkloadSpec};
 use reflex_flash::device_a;
 use reflex_net::StackProfile;
@@ -16,8 +16,8 @@ use reflex_qos::{SloSpec, TenantClass, TenantId};
 use reflex_sim::SimDuration;
 use reflex_telemetry::TelemetrySnapshot;
 
-/// Mean and p95 latency in µs, and what the run recorded.
-type Measured = (f64, f64, Option<TelemetrySnapshot>);
+/// Mean and p95 latency in µs, how the run executed and what it recorded.
+type Measured = (f64, f64, Execution, Option<TelemetrySnapshot>);
 
 fn probe_spec(read_pct: u8) -> WorkloadSpec {
     // A QD1 prober self-clocks at ~1/latency; reserve enough IOPS that the
@@ -47,7 +47,7 @@ fn probe(tb: Testbed, spec: WorkloadSpec, telemetry: bool) -> Measured {
         &w.write_latency
     };
     let (mean, p95) = (h.mean().as_micros_f64(), h.p95().as_micros_f64());
-    (mean, p95, report.telemetry)
+    (mean, p95, Execution::from(&report), report.telemetry)
 }
 
 fn reflex_row(client: StackProfile, read_pct: u8, telemetry: bool) -> Measured {
@@ -78,19 +78,22 @@ fn local_row(read_pct: u8) -> Measured {
     } else {
         &rep.write_latency
     };
-    (h.mean().as_micros_f64(), h.p95().as_micros_f64(), None)
+    let (mean, p95) = (h.mean(), h.p95());
+    (mean.as_micros_f64(), p95.as_micros_f64(), Execution::default(), None)
 }
 
 /// Renders one table row from a read-mode and a write-mode measurement.
 fn row_outcome(label: &str, run: impl Fn(u8) -> Measured) -> PointOutcome {
-    let (ra, rp, read_telemetry) = run(100);
-    let (wa, wp, write_telemetry) = run(0);
+    let (ra, rp, read_events, read_telemetry) = run(100);
+    let (wa, wp, write_events, write_telemetry) = run(0);
     PointOutcome::new(rp)
         .with_row(format!("{label}\t{ra:.0}\t{rp:.0}\t{wa:.0}\t{wp:.0}"))
         .with_metric("read_avg_us", ra)
         .with_metric("read_p95_us", rp)
         .with_metric("write_avg_us", wa)
         .with_metric("write_p95_us", wp)
+        .with_events(read_events)
+        .with_events(write_events)
         .with_telemetry(read_telemetry)
         .with_telemetry(write_telemetry)
 }

@@ -128,12 +128,17 @@ impl PointOutcome {
         self
     }
 
-    /// Records how the point's simulation executed: its engine events
-    /// and, given the testbed's report, the IOs they served and the
-    /// rounds its threads slept through.
+    /// Adds how a testbed of the point executed to the point's: its
+    /// engine events and, given the testbed's report, the IOs they served
+    /// and the rounds its threads slept through.
     #[must_use]
     pub(crate) fn with_events(mut self, execution: impl Into<Execution>) -> Self {
-        self.execution = execution.into();
+        let (mine, e) = (&mut self.execution, execution.into());
+        mine.engine_events += e.engine_events;
+        mine.ios += e.ios;
+        mine.rounds_elided += e.rounds_elided;
+        mine.settle_calls += e.settle_calls;
+        mine.client_absorbed += e.client_absorbed;
         self
     }
 

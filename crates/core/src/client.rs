@@ -13,7 +13,8 @@
 //! A [`WorkloadSpec`] describes one tenant-bound stream of requests:
 //! open-loop (mutilate-style Poisson arrivals) or closed-loop (FIO-style
 //! fixed queue depth), with its read ratio, request size and address
-//! pattern.
+//! pattern. An [`AppDriver`] replaces a closed-loop generator with an
+//! application that picks each connection's next request as one completes.
 
 use reflex_net::ConnId;
 use reflex_qos::{SloSpec, TenantClass, TenantId};
@@ -146,6 +147,22 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self::disabled()
     }
+}
+
+/// An application in place of a closed loop's generator (depth 1): it
+/// picks each connection's next request, and when, as one completes —
+/// FlashX fetching an edge page after the last one's compute. Attached by
+/// [`Testbed::add_driven`](crate::Testbed::add_driven).
+pub trait AppDriver: std::fmt::Debug {
+    /// Connection `conn` is free at `now` (the workload was added, its
+    /// request completed, or another completed while it idled): when does
+    /// it issue next? `None` idles it until the next such call.
+    fn next(&mut self, conn: usize, now: SimTime) -> Option<SimTime>;
+
+    /// What `conn` issues at `now`: `(is_read, byte address)`. `None`
+    /// idles it; an app whose compute outlasts its last request names that
+    /// instant from [`next`](Self::next) and answers `None` there.
+    fn request(&mut self, conn: usize, now: SimTime) -> Option<(bool, u64)>;
 }
 
 /// One tenant-bound request stream.
@@ -422,6 +439,11 @@ pub(crate) struct WorkloadState {
     pub mean_gap: SimDuration,
     /// The Poisson gap of that mean, prepared once.
     pub poisson_gap: Exponential,
+    /// The app choosing its requests, if any, its idle connections (asked
+    /// again at each completion) and, once all idle, when it finished.
+    pub app: Option<Box<dyn AppDriver>>,
+    pub idle: Vec<u32>,
+    pub finished: Option<SimTime>,
 }
 
 impl WorkloadState {
@@ -455,6 +477,18 @@ impl WorkloadState {
             timeouts: 0,
             stopped: false,
             iops_series: RateSeries::new(SimDuration::from_millis(10)),
+            app: None,
+            idle: Vec::new(),
+            finished: None,
+        }
+    }
+
+    /// Idles a driven workload's connection `conn` at `at`: with nothing in
+    /// flight on any, nothing can wake one again.
+    pub(crate) fn idle(&mut self, conn: usize, at: SimTime) {
+        self.idle.push(conn as u32);
+        if self.idle.len() == self.spec.conns as usize {
+            self.finished = Some(at);
         }
     }
 

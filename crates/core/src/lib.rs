@@ -44,7 +44,7 @@ mod testbed;
 
 pub use capacity::{sweep_device, sweep_device_point, CapacityProfile};
 pub use client::{
-    AddrPattern, ArrivalProcess, LoadPattern, RetryPolicy, WorkloadReport, WorkloadSpec,
+    AddrPattern, AppDriver, ArrivalProcess, LoadPattern, RetryPolicy, WorkloadReport, WorkloadSpec,
 };
 pub use cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 pub use local::{LocalReport, LocalRig};

@@ -26,8 +26,8 @@ use reflex_telemetry::{Stage, Telemetry, TelemetrySnapshot, TenantKey};
 
 use crate::capacity::CapacityProfile;
 use crate::client::{
-    AddrPattern, ArrivalProcess, LoadPattern, MemberLink, OutstandingReq, ReplOp, WorkloadReport,
-    WorkloadSpec, WorkloadState, NO_FAN,
+    AddrPattern, AppDriver, ArrivalProcess, LoadPattern, MemberLink, OutstandingReq, ReplOp,
+    WorkloadReport, WorkloadSpec, WorkloadState, NO_FAN,
 };
 use crate::cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
 use crate::server::{AdmissionError, ReflexServer, ServerConfig};
@@ -112,7 +112,7 @@ pub enum WorldEvent {
     /// Periodic control-plane tick.
     Control(SimDuration),
     /// Issue one request on `conn_idx` of workload `w_idx` (closed-loop
-    /// kickoff).
+    /// kickoff, or when a driven workload's app asked for it).
     Issue {
         /// Workload index.
         w_idx: usize,
@@ -596,10 +596,11 @@ impl World {
     /// in the window; a failed read still held the application from issue
     /// to failure, so a measured one's wait feeds the SLO monitor too, and
     /// an outage shows as violations, not silence. A closed-loop workload
-    /// then issues the request that keeps its depth.
+    /// then issues the request that keeps its depth, or asks its app.
     #[inline]
     fn conclude(&mut self, req: &OutstandingReq, ok: bool, at: SimTime, ctx: &mut WorldCtx) {
-        let w = &mut self.workloads[req.workload as usize];
+        let w_idx = req.workload as usize;
+        let w = &mut self.workloads[w_idx];
         let in_window = self.measure_start.filter(|&m| at >= m);
         let latency = at.saturating_since(req.sent_at);
         if !ok {
@@ -625,8 +626,28 @@ impl World {
             let tenant = TenantKey(w.spec.tenant.0);
             self.telemetry.slo_observe(tenant, latency, at);
         }
-        if matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) && !w.stopped {
-            self.issue_request(req.workload as usize, req.conn_idx as usize, ctx);
+        if !matches!(w.spec.pattern, LoadPattern::ClosedLoop { .. }) || w.stopped {
+            return;
+        }
+        if w.app.is_none() {
+            return self.issue_request(w_idx, req.conn_idx as usize, ctx);
+        }
+        // Its app is asked for this connection, then for the idle ones.
+        for conn in std::iter::once(req.conn_idx).chain(std::mem::take(&mut w.idle)) {
+            self.drive(w_idx, conn as usize, at, ctx);
+        }
+    }
+
+    /// Asks a driven workload's app when connection `conn_idx`, free at
+    /// `at`, issues next: now, later (an `Issue` event) or not yet.
+    fn drive(&mut self, w_idx: usize, conn_idx: usize, at: SimTime, ctx: &mut WorldCtx) {
+        let w = &mut self.workloads[w_idx];
+        match w.app.as_mut().and_then(|app| app.next(conn_idx, at)) {
+            Some(t) if t > ctx.now() => {
+                ctx.schedule_event_at(t, WorldEvent::Issue { w_idx, conn_idx });
+            }
+            Some(_) => self.issue_request(w_idx, conn_idx, ctx),
+            None => w.idle(conn_idx, at),
         }
     }
 
@@ -662,20 +683,32 @@ impl World {
         }
     }
 
-    /// Issues the workload's next request on `conn_idx`: one attempt to
-    /// its only copy, or a replicated workload's fan-out. Writes are
-    /// interleaved at the exact ratio (every 5th request of an 80 % read
-    /// mix), as paced load generators issue them.
+    /// Issues the workload's next request on `conn_idx`, its app's choice
+    /// or a generated one: one attempt to its only copy, or a replicated
+    /// workload's fan-out. Generated writes are interleaved at the exact
+    /// ratio (every 5th request of an 80 % read mix), as paced load
+    /// generators issue them.
     fn issue_request(&mut self, w_idx: usize, conn_idx: usize, ctx: &mut WorldCtx) {
-        let addr = self.next_addr(w_idx);
         let now = ctx.now();
+        let w = &mut self.workloads[w_idx];
+        let (is_read, addr) = match &mut w.app {
+            Some(app) => match app.request(conn_idx, now) {
+                Some(req) => req,
+                None => return w.idle(conn_idx, now),
+            },
+            None => {
+                let addr = self.next_addr(w_idx);
+                let w = &mut self.workloads[w_idx];
+                w.read_debt += u32::from(w.spec.read_pct);
+                let is_read = w.read_debt >= 100;
+                if is_read {
+                    w.read_debt -= 100;
+                }
+                (is_read, addr)
+            }
+        };
         let measured = self.measure_start.is_some_and(|m| now >= m);
         let w = &mut self.workloads[w_idx];
-        w.read_debt += u32::from(w.spec.read_pct);
-        let is_read = w.read_debt >= 100;
-        if is_read {
-            w.read_debt -= 100;
-        }
         if measured {
             w.issued += 1;
         }
@@ -1260,6 +1293,39 @@ impl Testbed {
     /// registered on the earlier members' servers (the builder-phase API
     /// does not roll back).
     pub fn add_workload(&mut self, spec: WorkloadSpec) -> Result<(), TestbedError> {
+        self.add(spec, None)
+    }
+
+    /// Registers `spec` as [`add_workload`](Self::add_workload) does, its
+    /// [`AppDriver`] in place of its generator.
+    ///
+    /// # Errors
+    ///
+    /// As `add_workload`; `InvalidSpec` unless `spec` is closed at depth 1.
+    pub fn add_driven(
+        &mut self,
+        spec: WorkloadSpec,
+        app: Box<dyn AppDriver>,
+    ) -> Result<(), TestbedError> {
+        if spec.pattern != (LoadPattern::ClosedLoop { queue_depth: 1 }) {
+            let depth_1 = "a driven workload is closed-loop at depth 1";
+            return Err(TestbedError::InvalidSpec(depth_1.into()));
+        }
+        self.add(spec, Some(app))
+    }
+
+    /// When the app driving workload `name` was done: its last completion,
+    /// or the end of its compute after that; `None` until then.
+    pub fn app_finished(&self, name: &str) -> Option<SimTime> {
+        let workloads = &self.engine.world().workloads;
+        workloads.iter().find(|w| w.spec.name == name)?.finished
+    }
+
+    fn add(
+        &mut self,
+        spec: WorkloadSpec,
+        app: Option<Box<dyn AppDriver>>,
+    ) -> Result<(), TestbedError> {
         let mut spec = spec;
         spec.validate().map_err(TestbedError::InvalidSpec)?;
         let world = self.engine.world_mut();
@@ -1316,6 +1382,8 @@ impl Testbed {
         for i in 0..spec.conns {
             state.conn_thread.push(i % spec.client_threads);
         }
+        let driven = app.is_some();
+        state.app = app;
         let zipf = match spec.addr_pattern {
             AddrPattern::Zipfian { theta_permille } => {
                 let slots = (spec.namespace.1 / spec.io_size as u64).max(2);
@@ -1354,6 +1422,11 @@ impl Testbed {
                 let at = eng.now() + offset;
                 eng.schedule_event_at(at, WorldEvent::OpenLoopGen(w_idx));
             }
+            LoadPattern::ClosedLoop { .. } if driven => eng.with_ctx(|world, ctx| {
+                for conn in 0..spec.conns as usize {
+                    world.drive(w_idx, conn, ctx.now(), ctx);
+                }
+            }),
             LoadPattern::ClosedLoop { queue_depth } => {
                 for conn_idx in 0..spec.conns as usize {
                     for q in 0..queue_depth {

@@ -1,8 +1,8 @@
 //! RocksDB-style LSM key-value store I/O model (paper Figure 7c).
 //!
 //! The paper runs `db_bench` on a 43GB RocksDB with the database and WAL
-//! on Flash and the page cache limited via cgroups. What the storage
-//! backend sees is:
+//! on Flash and the page cache limited via cgroups. What the block
+//! device sees is:
 //!
 //! * **bulkload** — large sequential SST writes (compaction-style chunks);
 //!   Flash write bandwidth is the bottleneck, so local and remote perform
@@ -15,14 +15,15 @@
 //!
 //! Slowdowns versus local Flash reproduce the paper's ordering: iSCSI
 //! suffers heavily on read benchmarks, ReFlex stays close to local.
+//!
+//! Each bulkload stream and each reader thread is one connection of the
+//! app's workload; the writer is a second, open-loop workload.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use reflex_flash::IoType;
+use reflex_core::{AppDriver, Testbed, WorkloadSpec};
+use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::{SimDuration, SimRng, SimTime};
 
-use crate::backend::Backend;
+use crate::{run_app, IO_THREADS};
 
 /// The three `db_bench` routines of Figure 7c.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,18 +96,8 @@ impl Default for LsmConfig {
     }
 }
 
-impl LsmConfig {
-    /// A scaled-down configuration for fast tests.
-    pub fn small() -> Self {
-        LsmConfig {
-            db_bytes: 2 * 1024 * 1024 * 1024,
-            read_ops: 120_000,
-            ..LsmConfig::default()
-        }
-    }
-}
-
-/// Runs `bench` against `backend`; returns the end-to-end execution time.
+/// Runs `bench` on a workload of `tb` (and, for readwhilewriting, a
+/// writer beside it); returns the end-to-end execution time.
 ///
 /// # Panics
 ///
@@ -114,206 +105,118 @@ impl LsmConfig {
 pub fn run_db_bench(
     bench: DbBenchmark,
     config: &LsmConfig,
-    backend: &mut Backend,
+    tb: &mut Testbed,
     seed: u64,
 ) -> SimDuration {
     assert!(
         config.threads > 0 && config.read_ops > 0,
         "degenerate config"
     );
-    match bench {
-        DbBenchmark::BulkLoad => run_bulkload(config, backend),
-        DbBenchmark::RandomRead => run_reads(config, backend, seed, false),
-        DbBenchmark::ReadWhileWriting => run_reads(config, backend, seed, true),
+    let capacity = tb.world().device().profile().capacity_bytes;
+    if bench == DbBenchmark::BulkLoad {
+        let total = (config.db_bytes as f64 * config.bulkload_write_amp) as u64;
+        let app = BulkLoad {
+            left: total / u64::from(config.sst_chunk),
+            offset: 0,
+            chunk: u64::from(config.sst_chunk),
+            capacity,
+        };
+        let streams = (4, IO_THREADS, config.sst_chunk);
+        return run_app(tb, Box::new(app), streams, None);
+    }
+    // readwhilewriting's WAL appends plus amortized flush/compaction
+    // traffic: an open-loop writer on an I/O thread of its own.
+    let pages_per_sec = config.writer_puts_per_sec * config.write_pages_per_put;
+    let writer = (bench == DbBenchmark::ReadWhileWriting).then(|| WorkloadSpec {
+        read_pct: 0,
+        ..WorkloadSpec::open_loop(
+            "writer",
+            TenantId(2),
+            TenantClass::BestEffort,
+            pages_per_sec,
+        )
+    });
+    let io_threads = IO_THREADS - u32::from(writer.is_some());
+    let app = Readers {
+        remaining: config.read_ops,
+        compute: config.compute_per_op,
+        hit_pct: u64::from(config.cache_hit_pct),
+        blocks: config.db_bytes / 4096,
+        capacity,
+        done: vec![false; config.threads as usize],
+        rng: SimRng::seed(seed),
+    };
+    run_app(
+        tb,
+        Box::new(app),
+        (config.threads, io_threads, 4096),
+        writer,
+    )
+}
+
+/// bulkload: sequential chunk writes, 4 at a time.
+#[derive(Debug)]
+struct BulkLoad {
+    /// Chunks no stream has taken on yet, and the next one's place.
+    left: u64,
+    offset: u64,
+    chunk: u64,
+    capacity: u64,
+}
+
+impl AppDriver for BulkLoad {
+    fn next(&mut self, _conn: usize, now: SimTime) -> Option<SimTime> {
+        self.left = self.left.checked_sub(1)?;
+        Some(now)
+    }
+
+    fn request(&mut self, _conn: usize, _now: SimTime) -> Option<(bool, u64)> {
+        let addr = self.offset % (self.capacity - self.chunk);
+        self.offset += self.chunk;
+        Some((false, addr))
     }
 }
 
-fn run_bulkload(config: &LsmConfig, backend: &mut Backend) -> SimDuration {
-    let total = (config.db_bytes as f64 * config.bulkload_write_amp) as u64;
-    let chunks = total / config.sst_chunk as u64;
-    let qd = 4usize;
-    let io_threads = backend.client_threads();
-    let mut heap: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
-    let mut issued = 0u64;
-    let mut addr = 0u64;
-    let capacity = backend.capacity();
-    let issue = |backend: &mut Backend, now: SimTime, addr: &mut u64, issued: &mut u64| {
-        let a = *addr % (capacity - config.sst_chunk as u64);
-        *addr += config.sst_chunk as u64;
-        let done = backend.submit(
-            now,
-            (*issued as usize) % io_threads,
-            IoType::Write,
-            a,
-            config.sst_chunk,
-        );
-        *issued += 1;
-        done
-    };
-    for _ in 0..qd.min(chunks as usize) {
-        let done = issue(backend, SimTime::ZERO, &mut addr, &mut issued);
-        heap.push(Reverse(done));
-    }
-    let mut last = SimTime::ZERO;
-    while let Some(Reverse(done)) = heap.pop() {
-        last = last.max(done);
-        if issued < chunks {
-            let next = issue(backend, done, &mut addr, &mut issued);
-            heap.push(Reverse(next));
+/// The reader threads of randomread and readwhilewriting, one per
+/// connection: each op costs CPU, then reads a data block on a cache miss.
+#[derive(Debug)]
+struct Readers {
+    /// Point lookups left, over all threads.
+    remaining: u64,
+    compute: SimDuration,
+    hit_pct: u64,
+    /// Data blocks of the database.
+    blocks: u64,
+    capacity: u64,
+    /// Whether each thread has run out of lookups.
+    done: Vec<bool>,
+    rng: SimRng,
+}
+
+impl AppDriver for Readers {
+    fn next(&mut self, conn: usize, now: SimTime) -> Option<SimTime> {
+        if self.done[conn] {
+            return None;
         }
-    }
-    last.saturating_since(SimTime::ZERO)
-}
-
-fn run_reads(
-    config: &LsmConfig,
-    backend: &mut Backend,
-    seed: u64,
-    with_writer: bool,
-) -> SimDuration {
-    let mut rng = SimRng::seed(seed);
-    let io_threads = backend.client_threads();
-    // Reserve the last I/O thread for the writer stream when present.
-    let read_io_threads = if with_writer && io_threads > 1 {
-        io_threads - 1
-    } else {
-        io_threads
-    };
-
-    // Reader state: each thread performs ops sequentially.
-    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-    for th in 0..config.threads as usize {
-        heap.push(Reverse((SimTime::from_nanos(th as u64 * 700), th)));
-    }
-    let mut remaining = config.read_ops;
-    let mut completed_at = SimTime::ZERO;
-    let mut io_rr = 0usize;
-
-    // Writer pacing.
-    let write_page_gap = if with_writer {
-        Some(SimDuration::from_secs_f64(
-            1.0 / (config.writer_puts_per_sec * config.write_pages_per_put),
-        ))
-    } else {
-        None
-    };
-    let mut next_write = SimTime::ZERO;
-    let mut wal_addr = 0u64;
-    let capacity = backend.capacity();
-
-    while let Some(Reverse((ready, th))) = heap.pop() {
-        // Interleave the background writer up to the current instant.
-        if let Some(gap) = write_page_gap {
-            while next_write <= ready {
-                let a = wal_addr % (capacity - 4096);
-                wal_addr += 4096;
-                let _ = backend.submit(next_write, io_threads - 1, IoType::Write, a, 4096);
-                next_write += gap;
+        // Threads start 700 ns apart; a cache hit completes at its CPU's end.
+        let mut t = now.max(SimTime::from_nanos(conn as u64 * 700));
+        while self.remaining > 0 {
+            self.remaining -= 1;
+            t += self.compute;
+            if self.rng.below(100) >= self.hit_pct {
+                return Some(t);
             }
         }
+        // Done then: `request` answers the instant with no read.
+        self.done[conn] = true;
+        Some(t)
+    }
 
-        if remaining == 0 {
-            continue;
+    fn request(&mut self, conn: usize, _now: SimTime) -> Option<(bool, u64)> {
+        if self.done[conn] {
+            return None;
         }
-        remaining -= 1;
-        // Per-op CPU on the reader thread, then a data-block read on miss.
-        let after_cpu = ready + config.compute_per_op;
-        let done = if rng.below(100) < config.cache_hit_pct as u64 {
-            after_cpu
-        } else {
-            let addr = rng.below(config.db_bytes / 4096) * 4096 % (capacity - 4096);
-            let io_th = io_rr % read_io_threads;
-            io_rr += 1;
-            backend.submit(after_cpu, io_th, IoType::Read, addr, 4096)
-        };
-        completed_at = completed_at.max(done);
-        heap.push(Reverse((done, th)));
-        if remaining == 0 && heap.iter().all(|Reverse((t, _))| *t >= done) {
-            // All threads idle past the final op.
-        }
-    }
-    completed_at.saturating_since(SimTime::ZERO)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::BackendProfile;
-    use reflex_flash::device_a;
-
-    fn runtime(bench: DbBenchmark, profile: BackendProfile) -> f64 {
-        let mut b = Backend::new(profile, device_a(), 6, 31);
-        run_db_bench(bench, &LsmConfig::small(), &mut b, 3).as_secs_f64()
-    }
-
-    #[test]
-    fn bulkload_is_flash_bound_everywhere() {
-        let local = runtime(DbBenchmark::BulkLoad, BackendProfile::local_nvme());
-        let reflex = runtime(DbBenchmark::BulkLoad, BackendProfile::reflex_remote());
-        let iscsi = runtime(DbBenchmark::BulkLoad, BackendProfile::iscsi_remote());
-        // Paper: BL performance almost equal between local and remote.
-        assert!(
-            (0.95..1.10).contains(&(reflex / local)),
-            "BL reflex {}",
-            reflex / local
-        );
-        assert!(
-            (0.95..1.15).contains(&(iscsi / local)),
-            "BL iscsi {}",
-            iscsi / local
-        );
-        // Sanity: 2GB * 1.2 at ~260MB/s Flash write bandwidth ≈ 10s.
-        assert!((5.0..20.0).contains(&local), "BL local runtime {local}s");
-    }
-
-    #[test]
-    fn randomread_slowdown_ordering() {
-        let local = runtime(DbBenchmark::RandomRead, BackendProfile::local_nvme());
-        let reflex = runtime(DbBenchmark::RandomRead, BackendProfile::reflex_remote());
-        let iscsi = runtime(DbBenchmark::RandomRead, BackendProfile::iscsi_remote());
-        let s_reflex = reflex / local;
-        let s_iscsi = iscsi / local;
-        // Paper: iSCSI 32%, ReFlex <4%. Our synchronous-read client model
-        // overweights per-read latency, so ReFlex lands somewhat higher
-        // (documented in EXPERIMENTS.md); the ordering must hold clearly.
-        assert!(
-            (1.0..1.35).contains(&s_reflex),
-            "RR reflex slowdown {s_reflex:.3}"
-        );
-        assert!(
-            (1.2..1.8).contains(&s_iscsi),
-            "RR iscsi slowdown {s_iscsi:.3}"
-        );
-        assert!(s_iscsi > s_reflex + 0.1, "iSCSI must be clearly worse");
-    }
-
-    #[test]
-    fn readwhilewriting_amplifies_iscsi_pain() {
-        let rr_iscsi = runtime(DbBenchmark::RandomRead, BackendProfile::iscsi_remote())
-            / runtime(DbBenchmark::RandomRead, BackendProfile::local_nvme());
-        let rww_iscsi = runtime(
-            DbBenchmark::ReadWhileWriting,
-            BackendProfile::iscsi_remote(),
-        ) / runtime(DbBenchmark::ReadWhileWriting, BackendProfile::local_nvme());
-        // The writer stream competes for the iSCSI core.
-        assert!(
-            rww_iscsi > rr_iscsi - 0.1,
-            "RwW iscsi {rww_iscsi:.3} vs RR {rr_iscsi:.3}"
-        );
-        let rww_reflex = runtime(
-            DbBenchmark::ReadWhileWriting,
-            BackendProfile::reflex_remote(),
-        ) / runtime(DbBenchmark::ReadWhileWriting, BackendProfile::local_nvme());
-        assert!(
-            (0.95..1.4).contains(&rww_reflex),
-            "RwW reflex slowdown {rww_reflex:.3}"
-        );
-    }
-
-    #[test]
-    fn deterministic() {
-        let a = runtime(DbBenchmark::RandomRead, BackendProfile::local_nvme());
-        let b = runtime(DbBenchmark::RandomRead, BackendProfile::local_nvme());
-        assert_eq!(a.to_bits(), b.to_bits());
+        let block = self.rng.below(self.blocks);
+        Some((true, block * 4096 % (self.capacity - 4096)))
     }
 }

@@ -2,18 +2,28 @@
 //!
 //! Runs the FIO tester and the RocksDB-style `db_bench` workloads against
 //! the three block data paths of Figure 7 — local kernel NVMe, the ReFlex
-//! remote block device driver, and iSCSI — and prints per-path results.
+//! remote block device driver, and iSCSI, each a testbed — and prints
+//! per-path results.
 //!
 //! Run with: `cargo run --release --example remote_block_device`
 
-use reflex::flash::device_a;
-use reflex::workloads::{run_db_bench, Backend, BackendProfile, DbBenchmark, FioJob, LsmConfig};
+use reflex::core::{Testbed, TestbedBuilder, WorkloadSpec};
+use reflex::net::StackProfile;
+use reflex::qos::{TenantClass, TenantId};
+use reflex::sim::SimDuration;
+use reflex::workloads::{run_db_bench, DbBenchmark, LsmConfig};
+use reflex_bench::baselines::{iscsi, local_kernel};
 
 fn main() {
-    let profiles = [
-        BackendProfile::local_nvme(),
-        BackendProfile::reflex_remote(),
-        BackendProfile::iscsi_remote(),
+    type Builds = fn() -> TestbedBuilder;
+    let paths: [(&str, Builds); 3] = [
+        ("local", local_kernel),
+        ("reflex", || {
+            Testbed::builder().client_machines(vec![StackProfile::linux_tcp()])
+        }),
+        ("iscsi", || {
+            iscsi(1).client_machines(vec![StackProfile::linux_tcp()])
+        }),
     ];
 
     println!("--- FIO: 6 threads x QD32, 4KB random read ---");
@@ -21,20 +31,23 @@ fn main() {
         "{:<8} {:>10} {:>10} {:>12}",
         "path", "IOPS", "MB/s", "p95 us"
     );
-    for p in &profiles {
-        let mut b = Backend::new(p.clone(), device_a(), 6, 11);
-        let rep = FioJob {
-            threads: 6,
-            queue_depth: 32,
-            ..FioJob::default()
-        }
-        .run(&mut b, 1);
+    for (name, path) in &paths {
+        let mut tb = path().seed(11).build();
+        let mut fio = WorkloadSpec::closed_loop("fio", TenantId(1), TenantClass::BestEffort, 32);
+        fio.conns = 6;
+        fio.client_threads = 6;
+        tb.add_workload(fio).expect("accepted");
+        tb.run(SimDuration::from_millis(50));
+        tb.begin_measurement();
+        tb.run(SimDuration::from_millis(300));
+        let report = tb.report();
+        let rep = report.workload("fio");
         println!(
             "{:<8} {:>10.0} {:>10.0} {:>12.0}",
-            p.name,
+            name,
             rep.iops,
-            rep.mb_per_sec,
-            rep.latency.p95().as_micros_f64()
+            rep.bytes_per_sec / 1e6,
+            rep.p95_read_us()
         );
     }
 
@@ -43,22 +56,27 @@ fn main() {
         "{:<8} {:>8} {:>8} {:>8}   (seconds; lower is better)",
         "path", "BL", "RR", "RwW"
     );
+    let small = LsmConfig {
+        db_bytes: 2 * 1024 * 1024 * 1024,
+        read_ops: 120_000,
+        ..LsmConfig::default()
+    };
     let mut local_times = [0.0f64; 3];
-    for p in &profiles {
+    for (name, path) in &paths {
         let mut row = Vec::new();
         for (i, bench) in DbBenchmark::all().into_iter().enumerate() {
-            let mut b = Backend::new(p.clone(), device_a(), 6, 23);
-            let t = run_db_bench(bench, &LsmConfig::small(), &mut b, 5).as_secs_f64();
-            if p.name == "local" {
+            let mut tb = path().seed(23).build();
+            let t = run_db_bench(bench, &small, &mut tb, 5).as_secs_f64();
+            if *name == "local" {
                 local_times[i] = t;
             }
             row.push(t);
         }
         println!(
             "{:<8} {:>8.2} {:>8.2} {:>8.2}",
-            p.name, row[0], row[1], row[2]
+            name, row[0], row[1], row[2]
         );
-        if p.name != "local" {
+        if *name != "local" {
             println!(
                 "{:<8} {:>7.2}x {:>7.2}x {:>7.2}x  (slowdown vs local)",
                 "",

@@ -19,10 +19,11 @@
 //! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication, the local SPDK rig |
 //! | [`telemetry`] | `reflex-telemetry` | counters, per-tenant stage spans, SLO monitor, snapshots |
 //! | [`faults`] | `reflex-faults` | deterministic fault injection + recovery measurement |
-//! | [`workloads`] | `reflex-workloads` | FIO, FlashX-like, RocksDB-like apps |
+//! | [`workloads`] | `reflex-workloads` | FlashX-like, RocksDB-like apps driving testbed workloads |
 //!
 //! The paper's iSCSI and libaio baselines are ReFlex server configurations
-//! (per-message CPU, kernel-stack latency) in `reflex-bench`'s `baselines`.
+//! (per-message CPU, kernel-stack latency) in `reflex-bench`'s `baselines`,
+//! beside Figure 7's local kernel driver (a loopback link).
 //!
 //! # Quickstart
 //!
