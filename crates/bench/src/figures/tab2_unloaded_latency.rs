@@ -3,99 +3,55 @@
 //!
 //! Rows: Local (SPDK), iSCSI, libaio (Linux and IX clients), ReFlex (Linux
 //! and IX clients). Columns: read avg/p95, write avg/p95 in microseconds.
+//! Every row is one probe on its testbed: a best-effort tenant issuing
+//! paced 4KB reads, or writes, at 2 000 IOPS, so the device rests between
+//! probes and each request runs unloaded.
 //!
 //! Run: `reflex-bench tab2_unloaded_latency`
 
-use crate::baselines::{iscsi, libaio};
+use crate::baselines::{iscsi, libaio, local_spdk};
 use crate::run_testbed;
-use crate::sweep::{Execution, PointOutcome, Sweep};
-use reflex_core::{LocalRig, Testbed, TestbedBuilder, WorkloadSpec};
-use reflex_flash::device_a;
+use crate::sweep::{PointOutcome, Sweep};
+use reflex_core::{Testbed, TestbedBuilder, TestbedReport, WorkloadSpec};
 use reflex_net::StackProfile;
-use reflex_qos::{SloSpec, TenantClass, TenantId};
+use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::SimDuration;
-use reflex_telemetry::TelemetrySnapshot;
 
-/// Mean and p95 latency in µs, how the run executed and what it recorded.
-type Measured = (f64, f64, Execution, Option<TelemetrySnapshot>);
+/// A row's testbed, client machines set.
+type Path = fn() -> TestbedBuilder;
 
-fn probe_spec(read_pct: u8) -> WorkloadSpec {
-    // A QD1 prober self-clocks at ~1/latency; reserve enough IOPS that the
-    // scheduler never throttles it (ReFlex configs only).
-    let slo = SloSpec::new(40_000, read_pct.max(1), SimDuration::from_millis(2));
-    let mut spec =
-        WorkloadSpec::closed_loop("probe", TenantId(1), TenantClass::LatencyCritical(slo), 1);
+/// Runs one probe of `read_pct` % reads on `path` (client machines set):
+/// 3 200 requests in the measured window.
+fn probe(path: TestbedBuilder, seed: u64, read_pct: u8, telemetry: bool) -> TestbedReport {
+    let mut spec = WorkloadSpec::open_loop("probe", TenantId(1), TenantClass::BestEffort, 2_000.0);
     spec.read_pct = read_pct;
-    spec
-}
-
-/// Runs `tb` with one QD1 `spec` and measures its reads, or its writes
-/// when it issues none.
-fn probe(tb: Testbed, spec: WorkloadSpec, telemetry: bool) -> Measured {
-    let reads = spec.read_pct == 100;
-    let report = run_testbed(
-        tb,
+    run_testbed(
+        path.seed(seed).build(),
         vec![spec],
         SimDuration::from_millis(50),
-        SimDuration::from_millis(400),
+        SimDuration::from_millis(1_600),
         telemetry,
-    );
-    let w = report.workload("probe");
-    let h = if reads {
-        &w.read_latency
-    } else {
-        &w.write_latency
-    };
-    let (mean, p95) = (h.mean().as_micros_f64(), h.p95().as_micros_f64());
-    (mean, p95, Execution::from(&report), report.telemetry)
+    )
 }
 
-fn reflex_row(client: StackProfile, read_pct: u8, telemetry: bool) -> Measured {
-    let tb = Testbed::builder()
-        .client_machines(vec![client])
-        .seed(21)
-        .build();
-    probe(tb, probe_spec(read_pct), telemetry)
-}
-
-fn baseline_row(
-    server: TestbedBuilder,
-    client: StackProfile,
-    read_pct: u8,
-    telemetry: bool,
-) -> Measured {
-    let tb = server.client_machines(vec![client]).seed(22).build();
-    let mut spec = WorkloadSpec::closed_loop("probe", TenantId(1), TenantClass::BestEffort, 1);
-    spec.read_pct = read_pct;
-    probe(tb, spec, telemetry)
-}
-
-fn local_row(read_pct: u8) -> Measured {
-    let mut rig = LocalRig::new(device_a(), 1, 24);
-    let rep = rig.run_unloaded(read_pct, 4096, 3_000);
-    let h = if read_pct == 100 {
-        &rep.read_latency
-    } else {
-        &rep.write_latency
-    };
-    let (mean, p95) = (h.mean(), h.p95());
-    (mean.as_micros_f64(), p95.as_micros_f64(), Execution::default(), None)
-}
-
-/// Renders one table row from a read-mode and a write-mode measurement.
-fn row_outcome(label: &str, run: impl Fn(u8) -> Measured) -> PointOutcome {
-    let (ra, rp, read_events, read_telemetry) = run(100);
-    let (wa, wp, write_events, write_telemetry) = run(0);
+/// Renders one table row from a read-mode and a write-mode probe.
+fn row_outcome(label: &str, path: Path, seed: u64, telemetry: bool) -> PointOutcome {
+    let reads = probe(path(), seed, 100, telemetry);
+    let writes = probe(path(), seed, 0, telemetry);
+    let r = &reads.workload("probe").read_latency;
+    let w = &writes.workload("probe").write_latency;
+    let (ra, rp) = (r.mean().as_micros_f64(), r.p95().as_micros_f64());
+    let (wa, wp) = (w.mean().as_micros_f64(), w.p95().as_micros_f64());
     PointOutcome::new(rp)
         .with_row(format!("{label}\t{ra:.0}\t{rp:.0}\t{wa:.0}\t{wp:.0}"))
         .with_metric("read_avg_us", ra)
         .with_metric("read_p95_us", rp)
         .with_metric("write_avg_us", wa)
         .with_metric("write_p95_us", wp)
-        .with_events(read_events)
-        .with_events(write_events)
-        .with_telemetry(read_telemetry)
-        .with_telemetry(write_telemetry)
+        .with_events(&reads)
+        .with_events(&writes)
+        .with_telemetry(reads.telemetry)
+        .with_telemetry(writes.telemetry)
 }
 
 pub fn build(sweep: &mut Sweep, _smoke: bool) {
@@ -103,33 +59,20 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
         "# Table 2: unloaded 4KB latency (us). Paper values in parens.\n\
          config\tread_avg\tread_p95\twrite_avg\twrite_p95\n",
     );
+    #[rustfmt::skip]
+    let rows: [(&str, &str, Path, u64); 6] = [
+        ("Local (SPDK)", "(78/90, 11/17)", || local_spdk(1), 24),
+        ("iSCSI", "(211/251, 155/215)", || iscsi(1).client_machines(vec![StackProfile::linux_tcp()]), 22),
+        ("Libaio (Linux)", "(183/205, 180/205)", || libaio(1).client_machines(vec![StackProfile::linux_tcp()]), 22),
+        ("Libaio (IX)", "(121/139, 117/144)", || libaio(1).client_machines(vec![StackProfile::ix_tcp()]), 22),
+        ("ReFlex (Linux)", "(117/135, 58/64)", || Testbed::builder().client_machines(vec![StackProfile::linux_tcp()]), 21),
+        ("ReFlex (IX)", "(99/113, 31/34)", || Testbed::builder().client_machines(vec![StackProfile::ix_tcp()]), 21),
+    ];
     let telemetry = sweep.telemetry;
-    sweep
-        .curve("Local (SPDK)")
-        .point(|| row_outcome("Local (SPDK)       (78/90, 11/17)", local_row));
-    sweep.curve("iSCSI").point(move || {
-        row_outcome("iSCSI              (211/251, 155/215)", |pct| {
-            baseline_row(iscsi(1), StackProfile::linux_tcp(), pct, telemetry)
-        })
-    });
-    sweep.curve("Libaio (Linux)").point(move || {
-        row_outcome("Libaio (Linux)     (183/205, 180/205)", |pct| {
-            baseline_row(libaio(1), StackProfile::linux_tcp(), pct, telemetry)
-        })
-    });
-    sweep.curve("Libaio (IX)").point(move || {
-        row_outcome("Libaio (IX)        (121/139, 117/144)", |pct| {
-            baseline_row(libaio(1), StackProfile::ix_tcp(), pct, telemetry)
-        })
-    });
-    sweep.curve("ReFlex (Linux)").point(move || {
-        row_outcome("ReFlex (Linux)     (117/135, 58/64)", |pct| {
-            reflex_row(StackProfile::linux_tcp(), pct, telemetry)
-        })
-    });
-    sweep.curve("ReFlex (IX)").point(move || {
-        row_outcome("ReFlex (IX)        (99/113, 31/34)", |pct| {
-            reflex_row(StackProfile::ix_tcp(), pct, telemetry)
-        })
-    });
+    for (name, paper, path, seed) in rows {
+        let label = format!("{name:<19}{paper}");
+        sweep
+            .curve(name)
+            .point(move || row_outcome(&label, path, seed, telemetry));
+    }
 }

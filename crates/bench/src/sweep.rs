@@ -432,7 +432,7 @@ pub struct SweepResult {
     pub engine_events: u64,
     /// Summed wall of the executed points that dispatched engine events —
     /// the denominator of the JSON's `engine_events_per_sec`. Points
-    /// that drive no engine (fig4's `Local-*` curves) count toward `wall`
+    /// that drive no engine (fig1's and fig3's device sweeps) count toward `wall`
     /// only. Point walls add up across workers, so on a parallel run this
     /// can exceed `wall`.
     pub event_wall: Duration,

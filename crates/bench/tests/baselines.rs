@@ -1,10 +1,11 @@
-//! The iSCSI, libaio and local kernel presets on the one testbed:
-//! unloaded latency (Table 2), per-core throughput ceilings (§5.3),
-//! closed-loop semantics and Figure 7's block data paths, in the bands the
-//! separate baseline server and storage backend models were held to.
+//! The local SPDK, iSCSI, libaio and local kernel presets on the one
+//! testbed: unloaded latency (Table 2), per-core throughput ceilings
+//! (§5.3), closed-loop semantics and Figure 7's block data paths, in the
+//! bands the separate local rig, baseline server and storage backend
+//! models were held to.
 
-use reflex_bench::baselines::{iscsi, libaio, local_kernel};
-use reflex_core::{LoadPattern, Testbed, TestbedBuilder, WorkloadSpec};
+use reflex_bench::baselines::{iscsi, libaio, local_kernel, local_spdk};
+use reflex_core::{LoadPattern, Testbed, TestbedBuilder, TestbedReport, WorkloadSpec};
 use reflex_net::StackProfile;
 use reflex_qos::{TenantClass, TenantId};
 use reflex_sim::SimDuration;
@@ -17,17 +18,18 @@ fn unloaded(server: TestbedBuilder, client: StackProfile, read_pct: u8) -> (f64,
     unloaded_on(server.client_machines(vec![client]), read_pct, 4096)
 }
 
-/// Mean and p95 latency of a QD1 prober's `io_size` reads, or its writes
-/// when it issues none, on `path` (client machines set).
+/// Mean and p95 latency of Table 2's probe, `io_size` reads (or writes
+/// when it issues none) paced at 2 000 IOPS, on `path` (client machines
+/// set): 3 200 requests measured.
 fn unloaded_on(path: TestbedBuilder, read_pct: u8, io_size: u32) -> (f64, f64) {
     let mut tb = path.seed(99).build();
-    let mut spec = WorkloadSpec::closed_loop("probe", TenantId(1), TenantClass::BestEffort, 1);
+    let mut spec = WorkloadSpec::open_loop("probe", TenantId(1), TenantClass::BestEffort, 2_000.0);
     spec.read_pct = read_pct;
     spec.io_size = io_size;
     tb.add_workload(spec).expect("admitted");
     tb.run(SimDuration::from_millis(50));
     tb.begin_measurement();
-    tb.run(SimDuration::from_millis(400));
+    tb.run(SimDuration::from_millis(1_600));
     let report = tb.report();
     let w = report.workload("probe");
     assert_eq!(w.errors, 0, "probe must not error");
@@ -37,6 +39,77 @@ fn unloaded_on(path: TestbedBuilder, read_pct: u8, io_size: u32) -> (f64, f64) {
         &w.write_latency
     };
     (hist.mean().as_micros_f64(), hist.p95().as_micros_f64())
+}
+
+#[test]
+fn local_spdk_unloaded_latency_matches_table2() {
+    // Paper Table 2: local read 78 avg / 90 p95, write 11 avg / 17 p95.
+    let (avg, p95) = unloaded_on(local_spdk(1), 100, 4096);
+    assert!((73.0..85.0).contains(&avg), "local read avg {avg}");
+    assert!((85.0..100.0).contains(&p95), "local read p95 {p95}");
+    let (avg, p95) = unloaded_on(local_spdk(1), 0, 4096);
+    assert!((8.0..16.0).contains(&avg), "local write avg {avg}");
+    assert!((12.0..24.0).contains(&p95), "local write p95 {p95}");
+}
+
+/// Four best-effort tenants offered `iops` of 4KB reads between them on
+/// local SPDK with `threads` cores: 30 ms warmup, 100 ms measured.
+fn local_open_loop(threads: u32, iops: f64, seed: u64) -> TestbedReport {
+    let mut tb = local_spdk(threads).seed(seed).build();
+    for t in 0..4u32 {
+        let name = format!("load{t}");
+        let mut spec =
+            WorkloadSpec::open_loop(&name, TenantId(t + 1), TenantClass::BestEffort, iops / 4.0);
+        spec.conns = 48;
+        spec.client_threads = 8;
+        tb.add_workload(spec).expect("accepted");
+    }
+    tb.run(SimDuration::from_millis(30));
+    tb.begin_measurement();
+    tb.run(SimDuration::from_millis(100));
+    tb.report()
+}
+
+fn total_iops(report: &TestbedReport) -> f64 {
+    report.workloads.iter().map(|w| w.iops).sum()
+}
+
+#[test]
+fn local_spdk_one_core_saturates_near_870k() {
+    // Offered 2M 4KB reads, one core caps near SPDK's ~870K (§5.3).
+    let one = total_iops(&local_open_loop(1, 2_000_000.0, 3));
+    assert!(
+        (780_000.0..920_000.0).contains(&one),
+        "1-thread local IOPS {one}"
+    );
+}
+
+#[test]
+fn local_spdk_two_cores_reach_device_limit() {
+    // Offered 2M 4KB reads, two cores reach device A's read-only limit, ~1M.
+    let two = total_iops(&local_open_loop(2, 2_000_000.0, 4));
+    assert!(
+        (900_000.0..1_100_000.0).contains(&two),
+        "2-thread local IOPS {two}"
+    );
+}
+
+#[test]
+fn local_spdk_latency_near_unloaded_at_100k() {
+    let report = local_open_loop(1, 100_000.0, 7);
+    let avg = report.workload("load0").mean_read_us();
+    assert!((70.0..90.0).contains(&avg), "avg at 100K local {avg}us");
+}
+
+#[test]
+fn local_spdk_latency_low_at_half_load() {
+    let report = local_open_loop(2, 500_000.0, 5);
+    let p95 = report
+        .workloads
+        .iter()
+        .map(|w| w.p95_read_us())
+        .fold(0.0, f64::max);
+    assert!(p95 < 400.0, "p95 at 500K local {p95}us");
 }
 
 #[test]

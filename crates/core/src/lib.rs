@@ -5,8 +5,8 @@
 //! deficit monitoring, thread scaling), device capacity calibration, the
 //! client models, and the [`Testbed`] that wires clients ↔ fabric ↔ server
 //! ↔ Flash into one deterministic simulation for every experiment in the
-//! paper's evaluation. [`LocalRig`], the paper's local SPDK baseline,
-//! drives the device alone.
+//! paper's evaluation. The paper's baselines, local SPDK included, are
+//! configurations of the same testbed.
 //!
 //! # Examples
 //!
@@ -38,7 +38,6 @@
 mod capacity;
 mod client;
 mod cluster;
-mod local;
 mod server;
 mod testbed;
 
@@ -47,7 +46,6 @@ pub use client::{
     AddrPattern, AppDriver, ArrivalProcess, LoadPattern, RetryPolicy, WorkloadReport, WorkloadSpec,
 };
 pub use cluster::{ClusterPlanner, PlacementError, ServerDescriptor, ServerId};
-pub use local::{LocalReport, LocalRig};
 pub use server::{AdmissionError, ReflexServer, ServerConfig};
 pub use testbed::{
     quorum, ReadPolicy, TenantRecovery, Testbed, TestbedBuilder, TestbedError, TestbedReport,

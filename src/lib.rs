@@ -16,7 +16,7 @@
 //! | [`qos`] | `reflex-qos` | cost model, tokens, **Algorithm 1** scheduler |
 //! | [`cache`] | `reflex-cache` | per-thread DRAM read cache (write-around, set-associative) |
 //! | [`dataplane`] | `reflex-dataplane` | polling server threads, ACLs, barriers |
-//! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication, the local SPDK rig |
+//! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication |
 //! | [`telemetry`] | `reflex-telemetry` | counters, per-tenant stage spans, SLO monitor, snapshots |
 //! | [`faults`] | `reflex-faults` | deterministic fault injection + recovery measurement |
 //! | [`workloads`] | `reflex-workloads` | FlashX-like, RocksDB-like apps driving testbed workloads |

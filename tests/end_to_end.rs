@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the paper's headline claims, verified
 //! end to end through the facade crate.
 
-use reflex::core::{LocalRig, Testbed, TestbedBuilder, WorkloadSpec};
+use reflex::core::{Testbed, TestbedBuilder, WorkloadSpec};
 use reflex::net::StackProfile;
 use reflex::qos::{SloSpec, TenantClass, TenantId};
 use reflex::sim::SimDuration;
@@ -19,10 +19,20 @@ fn lc(iops: u64, read_pct: u8, p95_us: u64) -> TenantClass {
 /// NVMe) stays within ~25us of local access.
 #[test]
 fn headline_remote_approx_local() {
-    // Local unloaded read.
-    let mut rig = LocalRig::new(reflex::flash::device_a(), 1, 5);
-    let local = rig.run_unloaded(100, 4096, 2_000);
-    let local_avg = local.read_latency.mean().as_micros_f64();
+    // Local unloaded read: SPDK on the server's machine, probed at 2 000
+    // paced IOPS like Table 2.
+    let mut tb = reflex_bench::baselines::local_spdk(1).seed(5).build();
+    tb.add_workload(WorkloadSpec::open_loop(
+        "probe",
+        TenantId(1),
+        TenantClass::BestEffort,
+        2_000.0,
+    ))
+    .expect("admitted");
+    tb.run(SimDuration::from_millis(50));
+    tb.begin_measurement();
+    tb.run(SimDuration::from_millis(1_000));
+    let local_avg = tb.report().workload("probe").mean_read_us();
 
     // Remote unloaded read through ReFlex.
     let mut tb = Testbed::builder().seed(5).build();
