@@ -1,12 +1,7 @@
 //! Ablations: the design choices DESIGN.md calls out, swept one at a time.
 //!
-//! * **Batching cap** (paper: 64) — smaller caps cost throughput at load;
-//!   much larger caps cost tail latency.
 //! * **NEG_LIMIT** (paper: −50 tokens) — the LC burst allowance. Too small
-//!   queues bursts; too large lets expensive write bursts through and
-//!   hurts other tenants' tails.
-//! * **Donation fraction** (paper: 90%) — how much LC surplus flows to the
-//!   global bucket; lower fractions starve best-effort tenants.
+//!   queues bursts.
 //! * **Cost model off** (unit costs) — writes charged like reads: the
 //!   write-heavy tenant overruns its fair share and the reader's SLO dies.
 //!
@@ -42,7 +37,13 @@ fn run_with(
     if let Some(m) = cost_model {
         builder = builder.cost_model(m);
     }
-    let report = run_testbed(builder.build(), scenario_specs(), WARMUP, MEASURE, telemetry);
+    let report = run_testbed(
+        builder.build(),
+        scenario_specs(),
+        WARMUP,
+        MEASURE,
+        telemetry,
+    );
     let lc = report.workload("lc-reader");
     let be = report.workload("be-writer");
     let p95 = lc.p95_read_us();
@@ -65,16 +66,6 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
          knob\tvalue\tlc_kiops\tlc_p95_us\tbe_kiops\n",
     );
     let telemetry = sweep.telemetry;
-    let curve = sweep.curve("batch_max");
-    for batch in [4usize, 16, 64, 256] {
-        curve.point(move || {
-            let mut server = ServerConfig::default();
-            server.dataplane.batch_max = batch;
-            run_with("batch_max", batch.to_string(), server, None, telemetry)
-        });
-    }
-
-    sweep.text("\n");
     let curve = sweep.curve("neg_limit");
     for neg in [-5i64, -50, -500, -5_000] {
         curve.point(move || {
@@ -86,21 +77,6 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
                 ..ServerConfig::default()
             };
             run_with("neg_limit", neg.to_string(), server, None, telemetry)
-        });
-    }
-
-    sweep.text("\n");
-    let curve = sweep.curve("donate_fraction");
-    for frac in [0.0f64, 0.5, 0.9, 1.0] {
-        curve.point(move || {
-            let server = ServerConfig {
-                sched_params: SchedulerParams {
-                    donate_fraction: frac,
-                    ..SchedulerParams::default()
-                },
-                ..ServerConfig::default()
-            };
-            run_with("donate_fraction", frac.to_string(), server, None, telemetry)
         });
     }
 

@@ -184,7 +184,9 @@ fn server_death_point(per: u32, smoke: bool, telemetry: bool) -> PointOutcome {
         tb.add_workload(spec).expect("chaos cluster sized to fit");
     }
     let servers = tb.world().planner().servers().iter();
-    let victim = servers.max_by_key(|s| (s.tenant_count(), s.id)).expect("three sites");
+    let victim = servers
+        .max_by_key(|s| (s.tenant_count(), s.id))
+        .expect("three sites");
     let death = SimDuration::from_millis(30);
     let plan = FaultPlan::seeded(PLAN_SEED).with_event(
         SimTime::ZERO + warmup(smoke) + death,
@@ -197,7 +199,9 @@ fn server_death_point(per: u32, smoke: bool, telemetry: bool) -> PointOutcome {
     // downtime is its detection delay.
     let up_at = SimTime::ZERO + death + snap.downtime;
     let (workloads, recoveries) = (&report.workloads, &report.recoveries);
-    let displaced = workloads.iter().filter(|w| recoveries.iter().any(|r| r.tenant == w.tenant));
+    let displaced = workloads
+        .iter()
+        .filter(|w| recoveries.iter().any(|r| r.tenant == w.tenant));
     let times: Vec<f64> = displaced
         .flat_map(|w| recovery::recovery_times(&w.iops_series, &[up_at]))
         .collect();

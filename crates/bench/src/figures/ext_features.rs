@@ -3,7 +3,6 @@
 //!
 //! * **UDP transport**: unloaded latency and single-core throughput vs TCP.
 //! * **Sharded tenants**: one tenant's throughput with 1 vs 2 shards.
-//! * **Barriers**: cost of a barrier between dependent I/Os.
 //!
 //! Run: `reflex-bench ext_features`
 

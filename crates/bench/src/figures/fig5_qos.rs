@@ -87,7 +87,9 @@ pub fn build(sweep: &mut Sweep, _smoke: bool) {
     for scenario in [1u8, 2] {
         for qos in [false, true] {
             let label = format!("s{scenario}/{}", if qos { "sched" } else { "nosched" });
-            sweep.curve(label).point(move || run(scenario, qos, telemetry));
+            sweep
+                .curve(label)
+                .point(move || run(scenario, qos, telemetry));
         }
         sweep.text("\n");
     }

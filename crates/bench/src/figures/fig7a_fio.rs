@@ -21,7 +21,13 @@ fn fio_point((name, path): BlockPath, threads: u32, qd: u32, telemetry: bool) ->
     spec.conns = threads;
     spec.client_threads = threads;
     let ms = SimDuration::from_millis;
-    let report = run_testbed(path().seed(81).build(), vec![spec], ms(50), ms(300), telemetry);
+    let report = run_testbed(
+        path().seed(81).build(),
+        vec![spec],
+        ms(50),
+        ms(300),
+        telemetry,
+    );
     let fio = report.workload("fio");
     let (mb_per_sec, p95) = (fio.bytes_per_sec / 1e6, fio.p95_read_us());
     PointOutcome::new(p95)

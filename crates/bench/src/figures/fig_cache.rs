@@ -153,7 +153,11 @@ pub fn build(sweep: &mut Sweep, smoke: bool) {
     let (thetas, sizes, conn_counts): (&[u16], &[u64], &[u32]) = if smoke {
         (&[0, 990], &[0, 16], &[100, 2_500])
     } else {
-        (&[0, 900, 990], &[0, 4, 16, 64], &[10, 100, 500, 1_000, 2_500])
+        (
+            &[0, 900, 990],
+            &[0, 4, 16, 64],
+            &[10, 100, 500, 1_000, 2_500],
+        )
     };
     sweep.text(format!(
         "# DRAM cache tier: hit rate vs read tail (panel 1) and connection pressure (panel 2){}\n\

@@ -12,6 +12,24 @@ use std::io::Write;
 
 use crate::sweep::{Sweep, SweepResult};
 
+pub(crate) mod ablations;
+pub(crate) mod chaos;
+pub(crate) mod ext_features;
+pub(crate) mod fig1_interference;
+pub(crate) mod fig3_cost_model;
+pub(crate) mod fig4_throughput;
+pub(crate) mod fig5_qos;
+pub(crate) mod fig6a_core_scaling;
+pub(crate) mod fig6b_tenant_scaling;
+pub(crate) mod fig6c_conn_scaling;
+pub(crate) mod fig7a_fio;
+pub(crate) mod fig7b_flashx;
+pub(crate) mod fig7c_rocksdb;
+pub(crate) mod fig_cache;
+pub(crate) mod fig_replication;
+pub(crate) mod latency_breakdown;
+pub(crate) mod tab2_unloaded_latency;
+
 /// One figure harness.
 #[derive(Debug)]
 pub struct Figure {
@@ -49,8 +67,6 @@ fn plain(result: &SweepResult, out: &mut dyn Write) -> std::io::Result<()> {
 
 macro_rules! figures {
     ($($module:ident { smoke: $smoke:expr, in_all: $in_all:expr, render: $render:expr, $about:expr })*) => {
-        $(pub(crate) mod $module;)*
-
         /// Every figure; the `in_all` ones are in `--all`'s order.
         pub static FIGURES: &[Figure] = &[$(Figure {
             name: stringify!($module),
@@ -76,7 +92,7 @@ figures! {
     fig7b_flashx { smoke: false, in_all: true, render: plain, "Figure 7b: FlashX slowdowns (WCC/PR/BFS/SCC)" }
     fig7c_rocksdb { smoke: false, in_all: true, render: plain, "Figure 7c: RocksDB slowdowns (BL/RR/RwW)" }
     latency_breakdown { smoke: false, in_all: true, render: plain, "Figure 2 stages: where the unloaded remote read's microseconds go" }
-    ablations { smoke: false, in_all: true, render: plain, "design-choice sweeps: batching cap, NEG_LIMIT, donation, cost model" }
+    ablations { smoke: false, in_all: true, render: plain, "design-choice sweeps: NEG_LIMIT, cost model" }
     ext_features { smoke: false, in_all: true, render: ext_features::render, "extensions: UDP transport, sharded tenants" }
     fig_cache { smoke: true, in_all: true, render: plain, "DRAM cache tier: hit rate vs read tail, connection-pressure relief" }
     chaos { smoke: true, in_all: false, render: chaos::render, "recovery under escalating injected faults (--smoke gates CI)" }

@@ -22,7 +22,7 @@
 //! fig7b_flashx           all        Figure 7b: FlashX slowdowns (WCC/PR/BFS/SCC)
 //! fig7c_rocksdb          all        Figure 7c: RocksDB slowdowns (BL/RR/RwW)
 //! latency_breakdown      all        Figure 2 stages: where the unloaded remote read's microseconds go
-//! ablations              all        design-choice sweeps: batching cap, NEG_LIMIT, donation, cost model
+//! ablations              all        design-choice sweeps: NEG_LIMIT, cost model
 //! ext_features           all        extensions: UDP transport, sharded tenants
 //! fig_cache              all smoke  DRAM cache tier: hit rate vs read tail, connection-pressure relief
 //! chaos                      smoke  recovery under escalating injected faults (--smoke gates CI)

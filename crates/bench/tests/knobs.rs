@@ -7,7 +7,7 @@ use std::process::Command;
 
 /// Runs `reflex-bench <args>` with `knob=value` set and expects exit code
 /// 2 and exactly one stderr line, naming the knob.
-fn refused(args: &[&str], knob: &str, value: &str) {
+fn stops_the_run(args: &[&str], knob: &str, value: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_reflex-bench"))
         .args(args)
         .env("REFLEX_BENCH_THREADS", "1")
@@ -31,7 +31,7 @@ fn removed_sim_knobs_are_refused() {
         &["fig_replication", "--smoke"],
     ] {
         for knob in ["REFLEX_SIM_SHARDS", "REFLEX_SIM_SPLIT", "REFLEX_SIM_PIN"] {
-            refused(args, knob, "1");
+            stops_the_run(args, knob, "1");
         }
     }
 }
@@ -39,6 +39,6 @@ fn removed_sim_knobs_are_refused() {
 #[test]
 fn a_thread_count_that_is_not_one_is_refused() {
     for value in ["0", "x", "", "-1", "2.5"] {
-        refused(&["tab2_unloaded_latency"], "REFLEX_BENCH_THREADS", value);
+        stops_the_run(&["tab2_unloaded_latency"], "REFLEX_BENCH_THREADS", value);
     }
 }

@@ -530,12 +530,8 @@ impl ReflexServer {
             .remove(&id)
             .ok_or(AdmissionError::Unknown(id))?;
         for &(thread, shard_id) in &info.shards {
-            // Queued requests go unanswered (their clients time out), but
-            // a pending barrier is refused.
-            let left = self.threads[thread].unregister_tenant(shard_id);
-            if let Some(fence) = left.ok().and_then(|l| l.fence) {
-                self.threads[thread].refuse(fence);
-            }
+            // Queued requests go unanswered: their clients time out.
+            let _ = self.threads[thread].unregister_tenant(shard_id);
         }
         for conn in info.conns {
             self.conn_route.remove(conn);

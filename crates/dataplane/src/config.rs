@@ -20,8 +20,6 @@ pub struct DataplaneConfig {
     /// CPU per outgoing response: completion event, send syscall, TCP/IP
     /// transmit, NIC TX descriptor.
     pub tx_msg_cost: SimDuration,
-    /// Adaptive batching cap (paper: 64).
-    pub batch_max: usize,
     /// Per-thread DRAM read cache in front of the flash device. `None`
     /// (the default) disables the tier entirely; `Some` gives every
     /// dataplane thread a private cache of the configured size: no
@@ -34,7 +32,6 @@ impl Default for DataplaneConfig {
         DataplaneConfig {
             rx_msg_cost: SimDuration::from_nanos(640),
             tx_msg_cost: SimDuration::from_nanos(490),
-            batch_max: 64,
             cache: None,
         }
     }
@@ -58,9 +55,6 @@ impl DataplaneConfig {
     ///
     /// Returns a description of the first violated invariant.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.batch_max == 0 {
-            return Err("batch_max must be non-zero".into());
-        }
         if self.rx_msg_cost.is_zero() || self.tx_msg_cost.is_zero() {
             return Err("per-message costs must be positive".into());
         }
@@ -81,7 +75,7 @@ mod tests {
         let c = DataplaneConfig::default();
         let per_req = c.rx_msg_cost.as_secs_f64()
             + c.tx_msg_cost.as_secs_f64()
-            + crate::thread::SCHED_BASE_COST.as_secs_f64() / c.batch_max as f64;
+            + crate::thread::SCHED_BASE_COST.as_secs_f64() / crate::thread::BATCH_MAX as f64;
         let peak = 1.0 / per_req;
         assert!(
             (800_000.0..1_000_000.0).contains(&peak),
@@ -91,11 +85,6 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let c = DataplaneConfig {
-            batch_max: 0,
-            ..DataplaneConfig::default()
-        };
-        assert!(c.validate().is_err());
         let c = DataplaneConfig {
             rx_msg_cost: SimDuration::ZERO,
             ..DataplaneConfig::default()

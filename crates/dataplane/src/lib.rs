@@ -22,7 +22,7 @@ mod config;
 mod thread;
 
 pub use config::DataplaneConfig;
-pub use thread::{AclEntry, DataplaneThread, Leftovers, ReqCtx, ThreadStats, WireMsg};
+pub use thread::{AclEntry, DataplaneThread, ReqCtx, ThreadStats, WireMsg};
 // Re-exported so callers can flip the DRAM cache tier on via
 // `DataplaneConfig { cache: Some(..), .. }` without a direct
 // `reflex-cache` dependency.

@@ -16,22 +16,14 @@ struct Op {
     is_read: bool,
     page: u64,
     gap_ns: u64,
-    barrier: bool,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (
-        any::<bool>(),
-        0u64..1_000_000,
-        100u64..100_000,
-        prop::bool::weighted(0.05),
-    )
-        .prop_map(|(is_read, page, gap_ns, barrier)| Op {
-            is_read,
-            page,
-            gap_ns,
-            barrier,
-        })
+    (any::<bool>(), 0u64..1_000_000, 100u64..100_000).prop_map(|(is_read, page, gap_ns)| Op {
+        is_read,
+        page,
+        gap_ns,
+    })
 }
 
 proptest! {
@@ -70,29 +62,20 @@ proptest! {
         let conn = fabric.new_conn();
         thread.bind_connection(conn, tenant, client).expect("bound");
 
-        // Send the stream as-is. Overlapping barriers are application
-        // errors by our semantics; the server answers them with error
-        // responses, which the accounting below allows for.
+        // Send the stream as-is.
         let mut now = SimTime::ZERO;
         let mut sent = 0u64;
-        let mut barriers = 0u64;
         for (i, op) in ops.iter().enumerate() {
             now += SimDuration::from_nanos(op.gap_ns);
-            let cookie = i as u64;
-            let header = if op.barrier {
-                barriers += 1;
-                ReflexHeader { opcode: Opcode::Barrier, tenant: 1, cookie, addr: 0, len: 0 }
-            } else {
-                let opcode = if op.is_read { Opcode::Get } else { Opcode::Put };
-                ReflexHeader {
-                    opcode,
-                    tenant: 1,
-                    cookie,
-                    addr: op.page * 4096,
-                    len: 4096,
-                }
+            let opcode = if op.is_read { Opcode::Get } else { Opcode::Put };
+            let header = ReflexHeader {
+                opcode,
+                tenant: 1,
+                cookie: i as u64,
+                addr: op.page * 4096,
+                len: 4096,
             };
-            let payload = if header.opcode == Opcode::Put { 4096 } else { 0 };
+            let payload = if op.is_read { 0 } else { 4096 };
             fabric.send(now, client, server, conn, payload, header.encode_array());
             sent += 1;
         }
@@ -121,14 +104,7 @@ proptest! {
         prop_assert_eq!(stats.tx_msgs, sent);
         prop_assert!(stats.completed <= stats.submitted);
         prop_assert_eq!(stats.unbound_conns, 0);
-        // A barrier that arrives while another is outstanding is rejected
-        // with an error response (still answered exactly once); nothing
-        // else may count as a decode error.
-        prop_assert!(
-            stats.decode_errors < barriers.max(1),
-            "decode errors {} vs barriers {barriers}",
-            stats.decode_errors
-        );
+        prop_assert_eq!(stats.decode_errors, 0);
     }
 }
 
@@ -379,7 +355,7 @@ mod tables {
             let left = rig.threads[0]
                 .unregister_tenant(TENANTS[first])
                 .expect("registered");
-            assert!(left.queued.is_empty(), "nothing was queued any more");
+            assert!(left.is_empty(), "nothing was queued any more");
             assert!(
                 register(&mut rig, 0, successor),
                 "takes over the freed slot"
@@ -439,7 +415,7 @@ mod tables {
                         prop_assert_eq!(left.is_ok(), model[thread].tenants.remove(&id).is_some());
                         // Queued requests are handed back and dropped here:
                         // they will never be answered.
-                        expect_responses -= left.map_or(0, |l| l.queued.len() as u64);
+                        expect_responses -= left.map_or(0, |l| l.len() as u64);
                         model[thread].conns.retain(|_, c| *c != ModelConn::Bound(id));
                     }
                     Step::Move { from, tenant } => {
@@ -452,7 +428,7 @@ mod tables {
                         let mut moved = model[from].tenants.remove(&id).expect("modelled");
                         model[from].conns.retain(|_, c| *c != ModelConn::Bound(id));
                         prop_assert!(register(&mut rig, to, tenant));
-                        moved.accepted = pending.queued.len() as u64;
+                        moved.accepted = pending.len() as u64;
                         model[to].tenants.insert(id, moved);
                         rig.threads[to].adopt_pending(id, pending).expect("registered above");
                     }

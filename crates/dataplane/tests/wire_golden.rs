@@ -6,16 +6,12 @@
 //!   connection refused to a client outside the tenant's list;
 //! - a response opcode sent to the server, a bad magic byte, an unknown
 //!   opcode and a message on a connection nobody bound;
-//! - a barrier answered at once, one that fences writes and reads, and a
-//!   second barrier while the first is outstanding, all carrying an
-//!   address and length the answers must not echo;
 //! - device media errors and a dead device region, a zero-length read and
 //!   a burst deep enough to fill the submission queue;
-//! - a tenant moved to the other thread with a barrier pending and
-//!   requests buffered behind it (the barrier still waits for a write at
-//!   the first thread's device, so the second refuses it and the requests
-//!   behind it), its connection forwarded, and a tenant unregistered while a read of its
-//!   is at the device, its slot then taken by a newcomer.
+//! - a tenant moved to the other thread while its requests wait behind a
+//!   full submission queue, its connection forwarded, and a tenant
+//!   unregistered while a read of its is at the device, its slot then
+//!   taken by a newcomer.
 //!
 //! The transcript lists each delivery to a client (instant, connection,
 //! payload size, the 28 header bytes), every control-plane outcome, each
@@ -238,16 +234,11 @@ fn transcript() -> String {
     rig.send(0, 0, unbound, 0, header(Opcode::Get, 11, 0, 4096));
     rig.run_until(us(300));
 
-    // A hit, a barrier with nothing outstanding, then one that fences a
-    // write, with reads and a second barrier behind it.
+    // A hit, then writes with reads of their blocks behind them.
     rig.send(0, 0, c1, 0, header(Opcode::Get, 12, 8192, 4096));
-    rig.run_until(us(310));
-    rig.send(0, 0, c1, 0, header(Opcode::Barrier, 13, 77, 99));
     rig.run_until(us(320));
     rig.send(0, 0, c1, 4096, header(Opcode::Put, 14, 8192, 4096));
-    rig.send(0, 0, c1, 0, header(Opcode::Barrier, 15, 5, 7));
     rig.send(0, 0, c1, 0, header(Opcode::Get, 16, 8192, 4096));
-    rig.send(0, 0, c1, 0, header(Opcode::Barrier, 17, 9, 11));
     rig.send(0, 0, c1, 4096, header(Opcode::Put, 18, 16384, 4096));
     rig.send(0, 0, c1, 0, header(Opcode::Get, 19, 16384, 4096));
     rig.run_until(us(700));
@@ -272,15 +263,14 @@ fn transcript() -> String {
     }
     rig.run_until(us(1500));
 
-    // Tenant 4 moves to thread 1 with its requests queued behind a write
-    // and a barrier that a full submission queue holds up; its
-    // connection is forwarded there, and then bound there.
+    // Tenant 4 moves to thread 1 while its requests wait behind a full
+    // submission queue: they stay with thread 0, which answers them. Its
+    // connection is forwarded to thread 1, and then bound there.
     for i in 0..40 {
         let addr = (2 << 20) + i * 4096;
         rig.send(0, 0, c1, 0, header(Opcode::Get, 140 + i, addr, 4096));
     }
     rig.send(0, 0, c4, 4096, header(Opcode::Put, 198, 8 << 20, 4096));
-    rig.send(0, 0, c4, 0, header(Opcode::Barrier, 199, 3, 4));
     for i in 0..30 {
         rig.send(
             0,
@@ -291,18 +281,11 @@ fn transcript() -> String {
         );
     }
     rig.run_until(us(1530));
-    let leftovers = rig.threads[0].unregister_tenant(t4).expect("registered");
-    let fence = leftovers.fence.is_some();
-    rig.note((
-        "moved",
-        leftovers.queued.len(),
-        fence,
-        leftovers.buffered.len(),
-        leftovers.outstanding,
-    ));
+    let queued = rig.threads[0].unregister_tenant(t4).expect("registered");
+    rig.note(("moved", queued.len()));
     let adopted = (
         rig.threads[1].register_tenant(t4, TenantClass::BestEffort, AclEntry::full(capacity), 4096),
-        rig.threads[1].adopt_pending(t4, leftovers),
+        rig.threads[1].adopt_pending(t4, queued),
     );
     rig.note(adopted);
     let q1 = rig.queues[1];
@@ -337,7 +320,7 @@ fn transcript() -> String {
         let next = rig.now + SimDuration::from_micros(2);
         rig.run_until(next);
     }
-    let left = (rig.threads[0].unregister_tenant(t2)).map(|l| (l.queued.len(), l.fence.is_some()));
+    let left = rig.threads[0].unregister_tenant(t2).map(|l| l.len());
     rig.note(("unregistered", left));
     let newcomer = rig.threads[0].register_tenant(TenantId(5), lc, AclEntry::full(capacity), 4096);
     rig.note(newcomer);
@@ -409,10 +392,8 @@ fn script_reaches_every_answer() {
         "decode_errors: 0",
         "unbound_conns: 0",
         "forwarded: 0",
-        "barriers: 0",
         "sq_full_retries: 0",
         "cache_hits: 0",
-        "cache_bypasses: 0",
     ] {
         assert!(!stats.contains(&format!(" {field},")), "{field} in {stats}");
     }

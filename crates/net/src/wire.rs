@@ -26,10 +26,6 @@ pub enum Opcode {
     Get = 0x01,
     /// Write logical blocks.
     Put = 0x02,
-    /// Ordering barrier: completes only after every I/O the tenant issued
-    /// before it has completed; I/Os issued after it wait for it (paper
-    /// §4.1 future work — the substrate for atomic transactions).
-    Barrier = 0x03,
     /// Response carrying read data or a write acknowledgement.
     Response = 0x81,
     /// Error response (access denied, bad request, out of range).
@@ -41,7 +37,6 @@ impl Opcode {
         match v {
             0x01 => Some(Opcode::Get),
             0x02 => Some(Opcode::Put),
-            0x03 => Some(Opcode::Barrier),
             0x81 => Some(Opcode::Response),
             0xff => Some(Opcode::Error),
             _ => None,
@@ -221,13 +216,13 @@ mod tests {
             ReflexHeader::decode(&bad_magic),
             Err(WireError::BadMagic(0xAA))
         );
-        let mut bad_op = [0u8; HEADER_SIZE];
-        bad_op[0] = MAGIC;
-        bad_op[1] = 0x7e;
-        assert_eq!(
-            ReflexHeader::decode(&bad_op),
-            Err(WireError::BadOpcode(0x7e))
-        );
+        // 0x03 was an ordering barrier's opcode.
+        for op in [0x7e, 0x03] {
+            let mut bad_op = [0u8; HEADER_SIZE];
+            bad_op[0] = MAGIC;
+            bad_op[1] = op;
+            assert_eq!(ReflexHeader::decode(&bad_op), Err(WireError::BadOpcode(op)));
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use calibrate::{
 pub use cost::{CostModel, LoadMix};
 pub use scheduler::{
     CostedRequest, QosError, QosScheduler, ScheduleOutcome, SchedulerParams, TenantSchedStats,
-    TenantSlot,
+    TenantSlot, DONATE_FRACTION,
 };
 pub use slo::{SloSpec, TenantClass, TenantId};
 pub use tokens::{TokenGen, TokenRate, Tokens};

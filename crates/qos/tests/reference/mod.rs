@@ -21,7 +21,7 @@ use std::sync::Arc;
 use reflex_flash::IoType;
 use reflex_qos::{
     CostModel, CostedRequest, GlobalBucket, LoadMix, QosError, SchedulerParams, SloSpec, TenantId,
-    TenantSchedStats, TokenRate, Tokens,
+    TenantSchedStats, TokenRate, Tokens, DONATE_FRACTION,
 };
 use reflex_sim::{SimDuration, SimTime};
 
@@ -297,7 +297,7 @@ impl<R> RefScheduler<R> {
 
             let pos_limit: Tokens = s.recent_gen.iter().copied().sum();
             if s.tokens > pos_limit {
-                let donation = s.tokens.mul_f64(self.params.donate_fraction);
+                let donation = s.tokens.mul_f64(DONATE_FRACTION);
                 self.bucket.give(donation);
                 s.tokens -= donation;
             }

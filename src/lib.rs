@@ -15,7 +15,7 @@
 //! | [`net`] | `reflex-net` | 10GbE fabric, Linux/IX stacks, wire protocol |
 //! | [`qos`] | `reflex-qos` | cost model, tokens, **Algorithm 1** scheduler |
 //! | [`cache`] | `reflex-cache` | per-thread DRAM read cache (write-around, set-associative) |
-//! | [`dataplane`] | `reflex-dataplane` | polling server threads, ACLs, barriers |
+//! | [`dataplane`] | `reflex-dataplane` | polling server threads, ACLs |
 //! | [`core`] | `reflex-core` | server + control plane + clients + [`core::Testbed`] over one or more sites, client-driven R-way replication |
 //! | [`telemetry`] | `reflex-telemetry` | counters, per-tenant stage spans, SLO monitor, snapshots |
 //! | [`faults`] | `reflex-faults` | deterministic fault injection + recovery measurement |

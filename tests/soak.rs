@@ -1,6 +1,6 @@
 //! Soak test: a two-second mixed scenario with churn — tenants of every
-//! class, barrier traffic, renegotiation and thread scaling all active —
-//! verifying global invariants at the end.
+//! class, renegotiation and thread scaling all active — verifying global
+//! invariants at the end.
 
 use reflex::core::{ServerConfig, Testbed, WorkloadSpec};
 use reflex::qos::{SloSpec, TenantClass, TenantId};
