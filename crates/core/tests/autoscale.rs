@@ -121,3 +121,50 @@ fn rebalanced_connections_are_not_dropped() {
     }
     assert_eq!(unanswered, 0, "rebalancing must not drop messages");
 }
+
+/// A tenant moved while its scheduler queue holds requests hands them to
+/// its new thread, which answers every one: after the move the old thread
+/// queues nothing for it, and once the load stops and the server drains,
+/// every request issued was answered without error.
+#[test]
+fn requests_queued_across_a_move_are_answered_on_the_new_thread() {
+    let mut tb = Testbed::builder()
+        .seed(74)
+        .server(ServerConfig {
+            threads: 2,
+            max_threads: 2,
+            ..ServerConfig::default()
+        })
+        .build();
+    // 4KB writes offered at twice what the device takes: the tenant's
+    // scheduler queue grows.
+    let mut spec =
+        WorkloadSpec::open_loop("writer", TenantId(1), TenantClass::BestEffort, 200_000.0);
+    spec.read_pct = 0;
+    spec.conns = 8;
+    let id = spec.tenant;
+    tb.add_workload(spec).expect("accepted");
+    tb.begin_measurement();
+    tb.run(SimDuration::from_millis(5));
+    let queued = |tb: &Testbed, thread: usize| {
+        tb.world().server().threads()[thread]
+            .scheduler()
+            .queued_for(id)
+    };
+    let from = (0..2).max_by_key(|&t| queued(&tb, t)).expect("two threads");
+    let held = queued(&tb, from);
+    assert!(held > 0, "nothing queued to move");
+    let to = 1 - from;
+    tb.world_mut()
+        .server_mut()
+        .move_tenant(id, to)
+        .expect("registered");
+    assert_eq!((queued(&tb, from), queued(&tb, to)), (0, held));
+    tb.world_mut().stop_all_workloads();
+    tb.run(SimDuration::from_millis(100));
+    assert_eq!(tb.world().fabric().in_flight(), 0, "drained");
+    let report = tb.report();
+    let w = &report.workloads[0];
+    let answered = (w.iops * report.window.as_secs_f64()).round() as u64;
+    assert_eq!((w.issued, w.errors), (answered, 0));
+}
