@@ -1,7 +1,7 @@
 //! Steady-state allocation budget for the hot request path.
 //!
 //! Installs the counting allocator from `reflex_sim::alloc_count` as this
-//! binary's global allocator and measures five windows:
+//! binary's global allocator and measures six windows:
 //!
 //! 1. The engine alone: a self-rescheduling typed-event churn must run in
 //!    the room its heap already has — effectively zero allocations per
@@ -18,9 +18,11 @@
 //!    is built with room for 64, and no body lives anywhere else, so the
 //!    first 64 allocate nothing and no seed decides when a shallow queue
 //!    doubles.
-//! 6. A histogram after its construction: records over all 35 octaves in
-//!    descending order, a merge, a reset and more records stay inside the
-//!    room `Histogram::new` reserved for every bucket.
+//! 6. A histogram after its construction: records over any 8 consecutive
+//!    octaves in descending order, a merge of a histogram inside them, a
+//!    reset and more records stay inside the 8 octaves' room
+//!    `Histogram::new` reserved; records over all 35 octaves move the
+//!    window at most three times (8 -> 16 -> 32 -> 35 octaves).
 //!
 //! The counters are process-global, so everything runs inside a single
 //! `#[test]` — no other test in this binary may allocate concurrently.
@@ -269,6 +271,29 @@ fn shallow_queue_allocs() -> u64 {
     allocations() - before
 }
 
+/// Allocations of a histogram after `new` while it records 8 consecutive
+/// octaves from `top` down, takes a merge inside them, is reset and
+/// records again.
+fn eight_octave_histogram_allocs(top: u64) -> u64 {
+    let at = |octave: u64| (1 << (octave + 5)) + octave;
+    let mut other = Histogram::new();
+    other.record_nanos(at(top - 7));
+    other.record_nanos(at(top));
+    let mut h = Histogram::new();
+    let before = allocations();
+    for octave in (top - 7..=top).rev() {
+        h.record_nanos(at(octave));
+    }
+    h.merge(&other);
+    h.reset();
+    for octave in [top - 3, top, top - 7] {
+        h.record_nanos(at(octave));
+    }
+    let after = allocations();
+    assert_eq!(h.count(), 3);
+    after - before
+}
+
 /// Allocations of one histogram after `new`: its window grows downward an
 /// octave per record from the top bucket to the first, takes a merge, is
 /// reset and records again.
@@ -341,5 +366,10 @@ fn steady_state_allocations_stay_within_budget() {
     );
 
     assert_eq!(shallow_queue_allocs(), 0, "a shallow receive queue grew");
-    assert_eq!(histogram_allocs(), 0, "a histogram allocated after `new`");
+    for top in 7..35 {
+        let allocs = eight_octave_histogram_allocs(top);
+        assert_eq!(allocs, 0, "8 octaves up to {top} allocated after `new`");
+    }
+    let allocs = histogram_allocs();
+    assert!(allocs <= 3, "35 octaves moved a histogram {allocs} times");
 }

@@ -5,7 +5,8 @@
 //! sub-buckets per power of two, giving bounded relative error at every
 //! percentile while staying O(1) per insert — exactly what a million-IOPS
 //! simulation needs. Memory in use scales with the octaves recorded: counts
-//! live in a window of octaves inside room reserved once, at construction.
+//! live in a window of octaves inside room for 8 octaves reserved at
+//! construction, which a wider span at least doubles (at most three times).
 
 use crate::time::SimDuration;
 
@@ -18,6 +19,9 @@ const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 /// simulated latency.
 const MAX_EXP: usize = 40;
 const BUCKET_COUNT: usize = (MAX_EXP + 1 - SUB_BUCKET_BITS as usize) * SUB_BUCKETS;
+/// The room `new` reserves: 8 octaves (4 KiB), wider than the window any
+/// measured latency stream has needed.
+const ROOM: usize = 8 * SUB_BUCKETS;
 
 /// A mergeable, log-bucketed histogram of `u64` samples.
 ///
@@ -37,7 +41,8 @@ const BUCKET_COUNT: usize = (MAX_EXP + 1 - SUB_BUCKET_BITS as usize) * SUB_BUCKE
 #[derive(Clone)]
 pub struct Histogram {
     /// Counts of buckets `lo..lo + buckets.len()`, whole octaves, in room
-    /// for all `BUCKET_COUNT` (a clone's: just its window, until it grows).
+    /// for 8 octaves that at least doubles when outgrown, up to all
+    /// `BUCKET_COUNT` (a clone's room: just its window, until it grows).
     buckets: Vec<u64>,
     lo: usize,
     count: u64,
@@ -76,7 +81,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: Vec::with_capacity(BUCKET_COUNT),
+            buckets: Vec::with_capacity(ROOM),
             lo: 0,
             count: 0,
             sum: 0,
@@ -112,23 +117,27 @@ impl Histogram {
     }
 
     /// Grows the window by whole octaves to cover buckets `from..to`, zeros
-    /// appended above or spliced in below; a clone first gets `new`'s room.
+    /// appended above or spliced in below. A span past the room moves the
+    /// window, in one copy, into room at least twice as large.
     #[cold]
     fn cover(&mut self, from: usize, to: usize) {
         let (from, to) = (from & !(SUB_BUCKETS - 1), to.next_multiple_of(SUB_BUCKETS));
-        self.buckets
-            .reserve_exact(BUCKET_COUNT - self.buckets.len());
         if self.buckets.is_empty() {
             self.lo = from;
         }
-        if to > self.lo + self.buckets.len() {
-            self.buckets.resize(to - self.lo, 0);
-        }
-        if from < self.lo {
+        let (lo, hi) = (from.min(self.lo), to.max(self.lo + self.buckets.len()));
+        if hi - lo > self.buckets.capacity() {
+            let room = (hi - lo).max(2 * self.buckets.capacity());
+            let mut grown = Vec::with_capacity(room.clamp(ROOM, BUCKET_COUNT));
+            grown.resize(self.lo - lo, 0);
+            grown.extend_from_slice(&self.buckets);
+            self.buckets = grown;
+        } else if lo < self.lo {
             self.buckets
-                .splice(..0, std::iter::repeat_n(0, self.lo - from));
-            self.lo = from;
+                .splice(..0, std::iter::repeat_n(0, self.lo - lo));
         }
+        self.buckets.resize(hi - lo, 0);
+        self.lo = lo;
     }
 
     /// Records a raw nanosecond value.
@@ -440,9 +449,13 @@ mod tests {
         let bytes = d.encode();
         assert_eq!(h.encode(), bytes);
         assert_eq!(Histogram::decode(&bytes).as_ref(), Some(h));
-        // All the room `new` reserves, or a clone's window not yet grown.
-        let room = h.buckets.capacity();
-        assert!(room == BUCKET_COUNT || room == h.buckets.len(), "{room}");
+        // `new`'s room, or at most twice the window a growth moved, or
+        // every bucket; a clone's room is its window until it grows.
+        let (len, room) = (h.buckets.len(), h.buckets.capacity());
+        assert!(
+            room == BUCKET_COUNT || (len..=ROOM.max(2 * len)).contains(&room),
+            "{len} in {room}"
+        );
         assert_eq!(h.lo % SUB_BUCKETS, 0);
         assert_eq!(h.buckets.len() % SUB_BUCKETS, 0);
     }
@@ -553,11 +566,31 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_holds_its_window_until_it_grows_into_the_full_room() {
+    fn new_reserves_eight_octaves_and_a_wide_stream_regrows_once() {
+        let mut h = Histogram::new();
+        assert_eq!(h.buckets.capacity(), 512);
+        let mut rooms = vec![512];
+        let mut rng = SimRng::seed(7);
+        for _ in 0..10_000 {
+            h.record_nanos(50_000 + rng.below(20_000_000 - 50_000 + 1));
+            if rooms.last() != Some(&h.buckets.capacity()) {
+                rooms.push(h.buckets.capacity());
+            }
+        }
+        // 50 us - 20 ms spans 10 octaves: one move into 16 octaves' room.
+        assert_eq!(rooms, [512, 1024]);
+    }
+
+    #[test]
+    fn a_clone_holds_its_window_until_its_first_growth_at_most_doubles_it() {
         let (mut h, mut d) = (Histogram::new(), Dense::new());
         record_both(&mut h, &mut d, &[50_000, 20_000_000]);
         let mut c = h.clone();
-        assert_eq!(c.buckets.capacity(), c.buckets.len());
+        let window = c.buckets.len();
+        assert_eq!(c.buckets.capacity(), window);
+        assert_matches(&c, &d);
+        record_both(&mut c, &mut d, &[20_000]);
+        assert!((window + 1..=2 * window).contains(&c.buckets.capacity()));
         assert_matches(&c, &d);
         record_both(&mut c, &mut d, &[1, 1 << 41]);
         assert_eq!(c.buckets.capacity(), BUCKET_COUNT);
