@@ -8,8 +8,9 @@
 //!   opcode and a message on a connection nobody bound;
 //! - device media errors and a dead device region, a zero-length read and
 //!   a burst deep enough to fill the submission queue;
-//! - a tenant moved to the other thread while its requests wait behind a
-//!   full submission queue, its connection forwarded, and a tenant
+//! - a tenant moved to the other thread while its requests wait in its
+//!   scheduler queue behind a read its tokens cannot pay for, handed over
+//!   and answered there, its connection forwarded, and a tenant
 //!   unregistered while a read of its is at the device, its slot then
 //!   taken by a newcomer.
 //!
@@ -263,14 +264,18 @@ fn transcript() -> String {
     }
     rig.run_until(us(1500));
 
-    // Tenant 4 moves to thread 1 while its requests wait behind a full
-    // submission queue: they stay with thread 0, which answers them. Its
-    // connection is forwarded to thread 1, and then bound there.
+    // Tenant 4 moves to thread 1 while its requests wait in its scheduler
+    // queue: a 768 KiB read (192 tokens) heads it, more than the bucket
+    // and the tenant's own income hold, and 30 reads wait behind it.
+    // Thread 1 adopts them and answers them once the tenant's income pays
+    // for the head. Its connection is forwarded to thread 1, and then
+    // bound there.
     for i in 0..40 {
         let addr = (2 << 20) + i * 4096;
         rig.send(0, 0, c1, 0, header(Opcode::Get, 140 + i, addr, 4096));
     }
     rig.send(0, 0, c4, 4096, header(Opcode::Put, 198, 8 << 20, 4096));
+    rig.send(0, 0, c4, 0, header(Opcode::Get, 199, 12 << 20, 768 << 10));
     for i in 0..30 {
         rig.send(
             0,
@@ -280,7 +285,7 @@ fn transcript() -> String {
             header(Opcode::Get, 200 + i, (8 << 20) + i * 4096, 4096),
         );
     }
-    rig.run_until(us(1530));
+    rig.run_until(us(1560));
     let queued = rig.threads[0].unregister_tenant(t4).expect("registered");
     rig.note(("moved", queued.len()));
     let adopted = (
@@ -299,7 +304,7 @@ fn transcript() -> String {
             header(Opcode::Get, 300 + i, (9 << 20) + i * 4096, 4096),
         );
     }
-    rig.run_until(us(1532));
+    rig.run_until(us(1562));
     let bound = rig.threads[1].bind_connection(c4, t4, a);
     rig.note(bound);
     for i in 0..3 {
@@ -325,7 +330,7 @@ fn transcript() -> String {
     let newcomer = rig.threads[0].register_tenant(TenantId(5), lc, AclEntry::full(capacity), 4096);
     rig.note(newcomer);
     rig.send(0, 0, c2, 0, header(Opcode::Get, 401, 40960, 4096));
-    rig.run_until(us(5000));
+    rig.run_until(us(9000));
 
     let mut out = std::mem::take(&mut rig.out);
     for (i, t) in rig.threads.iter().enumerate() {
@@ -397,6 +402,9 @@ fn script_reaches_every_answer() {
     ] {
         assert!(!stats.contains(&format!(" {field},")), "{field} in {stats}");
     }
+    // The move hands requests over from the scheduler queue.
+    let moved = got.lines().find(|l| l.contains("(\"moved\", ")).unwrap();
+    assert!(!moved.ends_with("(\"moved\", 0)"), "{moved}");
     let opcode = |op: Opcode| format!("{MAGIC:02x}{:02x}", op as u8);
     assert!(got.contains(&opcode(Opcode::Error)));
     assert!(got.contains(&opcode(Opcode::Response)));
