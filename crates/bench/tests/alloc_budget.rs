@@ -1,7 +1,7 @@
 //! Steady-state allocation budget for the hot request path.
 //!
 //! Installs the counting allocator from `reflex_sim::alloc_count` as this
-//! binary's global allocator and measures six windows:
+//! binary's global allocator and measures eight windows:
 //!
 //! 1. The engine alone: a self-rescheduling typed-event churn must run in
 //!    the room its heap already has — effectively zero allocations per
@@ -23,6 +23,14 @@
 //!    reset and more records stay inside the 8 octaves' room
 //!    `Histogram::new` reserved; records over all 35 octaves move the
 //!    window at most three times (8 -> 16 -> 32 -> 35 octaves).
+//! 7. A measured window: fig4's ReFlex-1T testbed below its knee, for
+//!    1 s after `begin_measurement`. Each workload's 10 ms rate series was
+//!    built with room for the window's 100 intervals and every per-IO
+//!    structure is pooled, so the window allocates nothing at all.
+//! 8. A scheduler's backlog: best-effort tenants queue 32 768 requests
+//!    in the scheduler's one slab, which grows at most ⌈log2⌉ + 1 times;
+//!    a drain followed by a refill to the same depth, through other
+//!    tenants, reuses its nodes and allocates nothing.
 //!
 //! The counters are process-global, so everything runs inside a single
 //! `#[test]` — no other test in this binary may allocate concurrently.
@@ -30,12 +38,17 @@
 use reflex_core::{AddrPattern, ReadPolicy, RetryPolicy, ServerConfig, Testbed, WorkloadSpec};
 use reflex_dataplane::{CacheConfig, DataplaneConfig};
 use reflex_faults::{FaultCounts, PlannedDeviceHook, PlannedNetHook};
+use reflex_flash::IoType;
 use reflex_net::{Fabric, LinkConfig, StackProfile};
-use reflex_qos::{SloSpec, TenantClass, TenantId};
+use reflex_qos::{
+    CostModel, CostedRequest, GlobalBucket, LoadMix, QosScheduler, ScheduleOutcome,
+    SchedulerParams, SloSpec, TenantClass, TenantId, TokenRate,
+};
 use reflex_sim::alloc_count::{allocations, CountingAlloc};
 use reflex_sim::{Ctx, Engine, Histogram, SimDuration, SimRng, SimTime, TypedEvent};
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -316,6 +329,95 @@ fn histogram_allocs() -> u64 {
     after - before
 }
 
+/// Allocations in a 1 s measured window of fig4's ReFlex-1T testbed at
+/// 810K IOPS, 0.9x its knee: 4 best-effort tenants of 48 connections,
+/// each on its own IX client machine over 40 GbE, reading 1 KiB.
+fn measured_window_allocs() -> u64 {
+    let mut tb = Testbed::builder()
+        .seed(31)
+        .client_machines(vec![StackProfile::ix_tcp(); 4])
+        .link(LinkConfig::forty_gbe())
+        .build();
+    for t in 0..4u32 {
+        let mut spec = WorkloadSpec::open_loop(
+            &format!("t{t}"),
+            TenantId(t + 1),
+            TenantClass::BestEffort,
+            202_500.0,
+        );
+        spec.read_pct = 100;
+        spec.io_size = 1024;
+        spec.conns = 48;
+        spec.client_threads = 8;
+        spec.client_machine = t as usize;
+        tb.add_workload(spec).expect("valid workload");
+    }
+    tb.run(SimDuration::from_millis(100));
+    tb.begin_measurement();
+    let ios_before = completed_ios(&tb);
+    let before = allocations();
+    tb.run(SimDuration::from_secs(1));
+    let after = allocations();
+    let ios = completed_ios(&tb) - ios_before;
+    assert!(
+        ios > 790_000,
+        "the window must keep up with its load: {ios} IOs"
+    );
+    after - before
+}
+
+/// Allocations of a scheduler's waiting requests: (the slab's growth to
+/// a backlog of 32 768 best-effort requests over 160 tenants, a drain
+/// and a refill to the same depth through 40 of them, then a drain).
+fn backlog_allocs() -> (u64, u64) {
+    const DEPTH: u64 = 1 << 15;
+    let bucket = Arc::new(GlobalBucket::new(1));
+    let model = CostModel::for_device_a();
+    let params = SchedulerParams::default();
+    let mut sched: QosScheduler<u64> = QosScheduler::new(0, bucket, model, params, SimTime::ZERO);
+    for t in 0..160 {
+        sched.register_be(TenantId(t)).expect("fresh");
+    }
+    sched.set_be_rate(TokenRate::per_sec(1 << 30));
+    let slots: Vec<_> = (0..160)
+        .map(|t| sched.slot_of(TenantId(t)).expect("registered"))
+        .collect();
+    let mut out = ScheduleOutcome::default();
+    let mut now = SimTime::ZERO;
+    let fill = |sched: &mut QosScheduler<u64>, tenants: u64| {
+        for k in 0..DEPTH {
+            let t = (k % tenants) as usize;
+            let req = CostedRequest {
+                op: if k % 2 == 0 {
+                    IoType::Read
+                } else {
+                    IoType::Write
+                },
+                len: 4096,
+                payload: k,
+            };
+            sched
+                .enqueue_at(slots[t], TenantId(t as u32), req)
+                .expect("registered");
+        }
+        assert_eq!(sched.queued_requests(), DEPTH as usize);
+    };
+    let mut drain = |sched: &mut QosScheduler<u64>| {
+        now += SimDuration::from_secs(1);
+        sched.schedule_into(now, LoadMix::Mixed, &mut out);
+        assert_eq!(out.submitted.len(), DEPTH as usize);
+        assert_eq!(sched.queued_requests(), 0);
+    };
+    let before = allocations();
+    fill(&mut sched, 160);
+    let grown = allocations() - before;
+    drain(&mut sched);
+    let before = allocations();
+    fill(&mut sched, 40);
+    drain(&mut sched);
+    (grown, allocations() - before)
+}
+
 fn completed_ios(tb: &Testbed) -> u64 {
     let report = tb.report();
     report
@@ -372,4 +474,12 @@ fn steady_state_allocations_stay_within_budget() {
     }
     let allocs = histogram_allocs();
     assert!(allocs <= 3, "35 octaves moved a histogram {allocs} times");
+
+    let allocs = measured_window_allocs();
+    assert_eq!(allocs, 0, "a measured window below the knee allocated");
+
+    let (grown, again) = backlog_allocs();
+    eprintln!("slab growths to a backlog of 32 768 requests: {grown}");
+    assert!(grown <= 16, "a backlog of 2^15 grew the slab {grown} times");
+    assert_eq!(again, 0, "a drained backlog's refill allocated");
 }

@@ -15,7 +15,7 @@
 //! next visit, and a tenant whose visit could change nothing is parked
 //! until income, a request or the bucket reaches it (DESIGN.md §2.4).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use reflex_flash::IoType;
@@ -96,6 +96,94 @@ pub struct TenantSchedStats {
     pub dram_spent_millitokens: i64,
 }
 
+/// No node: the end of a queue or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A tenant's software queue: its oldest and newest requests' nodes in
+/// its scheduler's [`Waiting`] slab, and how many it holds.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// A waiting request and the next node of its queue, or of the free list
+/// (`req` is `None` there).
+#[derive(Debug)]
+struct Node<R> {
+    req: Option<CostedRequest<R>>,
+    next: u32,
+}
+
+/// Every tenant's waiting requests in one slab, each [`Fifo`] a list
+/// through it. Popped nodes form a free list that the next push, for any
+/// tenant, reuses, so the slab grows only with the total backlog and a
+/// queue owns no buffer of its own.
+#[derive(Debug)]
+struct Waiting<R> {
+    nodes: Vec<Node<R>>,
+    free: u32,
+}
+
+impl<R> Waiting<R> {
+    fn push(&mut self, q: &mut Fifo, req: CostedRequest<R>) {
+        let node = Node {
+            req: Some(req),
+            next: NIL,
+        };
+        let mut at = self.free;
+        match self.nodes.get_mut(at as usize) {
+            Some(slot) => self.free = std::mem::replace(slot, node).next,
+            None => {
+                // An index fits a `u32`: 2^32 waiting requests would
+                // take 320 GiB.
+                at = self.nodes.len() as u32;
+                self.nodes.push(node);
+            }
+        }
+        match self.nodes.get_mut(q.tail as usize) {
+            Some(tail) => tail.next = at,
+            None => q.head = at,
+        }
+        q.tail = at;
+        q.len += 1;
+    }
+
+    fn front(&self, q: &Fifo) -> Option<&CostedRequest<R>> {
+        self.nodes.get(q.head as usize)?.req.as_ref()
+    }
+
+    fn pop(&mut self, q: &mut Fifo) -> Option<CostedRequest<R>> {
+        let at = q.head;
+        let node = self.nodes.get_mut(at as usize)?;
+        q.head = std::mem::replace(&mut node.next, self.free);
+        self.free = at;
+        if q.head == NIL {
+            q.tail = NIL;
+        }
+        q.len -= 1;
+        node.req.take()
+    }
+
+    /// Empties `q` into a `Vec`, oldest first.
+    fn drain(&mut self, mut q: Fifo) -> Vec<CostedRequest<R>> {
+        let mut out = Vec::with_capacity(q.len as usize);
+        while let Some(req) = self.pop(&mut q) {
+            out.push(req);
+        }
+        out
+    }
+}
+
 /// An LC tenant's generation in each of the last `pos_history_rounds`
 /// rounds (a ring; empty at zero rounds) and their sum, its `POS_LIMIT`.
 #[derive(Debug)]
@@ -118,7 +206,7 @@ impl RecentGen {
 }
 
 #[derive(Debug)]
-struct LcState<R> {
+struct LcState {
     id: TenantId,
     slo: SloSpec,
     rate: TokenRate,
@@ -129,11 +217,11 @@ struct LcState<R> {
     recent_gen: RecentGen,
     synced_round: u64,
     synced_at: u64,
-    queue: VecDeque<CostedRequest<R>>,
+    queue: Fifo,
     stats: TenantSchedStats,
 }
 
-impl<R> LcState<R> {
+impl LcState {
     fn numer_to(&self, clock: u64) -> u128 {
         self.rate.as_millitokens_per_sec() as u128 * (clock - self.synced_at) as u128
     }
@@ -175,7 +263,7 @@ impl<R> LcState<R> {
 }
 
 #[derive(Debug)]
-struct BeState<R> {
+struct BeState {
     id: TenantId,
     /// Balance and `gen` as of the BE clock value `synced_at`.
     tokens: Tokens,
@@ -184,7 +272,7 @@ struct BeState<R> {
     /// Requests as they arrived: each is priced when it reaches the head
     /// of a visit, under that round's mix (the model never changes under a
     /// scheduler, so a price is the same whenever it is computed).
-    queue: VecDeque<CostedRequest<R>>,
+    queue: Fifo,
     /// Incremental demand totals so scheduling rounds stay O(1) per
     /// tenant even with deep queues (overloaded BE tenants accumulate
     /// hundreds of thousands of requests): added at enqueue, taken back at
@@ -194,7 +282,7 @@ struct BeState<R> {
     stats: TenantSchedStats,
 }
 
-impl<R> BeState<R> {
+impl BeState {
     /// Income generated since `synced_at`, not yet in `tokens`.
     fn pending(&self, clock: u128) -> Tokens {
         let mut gen = self.gen;
@@ -284,8 +372,10 @@ pub struct QosScheduler<R> {
     params: SchedulerParams,
     prev_sched_time: SimTime,
     /// Tenant state in registration order, which is visiting order.
-    lc: Vec<LcState<R>>,
-    be: Vec<BeState<R>>,
+    lc: Vec<LcState>,
+    be: Vec<BeState>,
+    /// Every tenant's queued requests.
+    waiting: Waiting<R>,
     /// Which of them the next round visits, and when the rest wake.
     lc_wake: WakeIndex,
     be_wake: WakeIndex,
@@ -333,6 +423,10 @@ impl<R> QosScheduler<R> {
             prev_sched_time: now,
             lc: Vec::new(),
             be: Vec::new(),
+            waiting: Waiting {
+                nodes: Vec::new(),
+                free: NIL,
+            },
             lc_wake: WakeIndex::default(),
             be_wake: WakeIndex::default(),
             lc_clocks: vec![0; params.pos_history_rounds + 1].into(),
@@ -380,7 +474,7 @@ impl<R> QosScheduler<R> {
             },
             synced_round: self.rounds,
             synced_at: self.lc_clock(),
-            queue: VecDeque::new(),
+            queue: Fifo::EMPTY,
             stats: TenantSchedStats::default(),
         });
         self.lc_wake.push_tenant();
@@ -402,7 +496,7 @@ impl<R> QosScheduler<R> {
             tokens: Tokens::ZERO,
             gen: TokenGen::new(),
             synced_at: self.be_clock,
-            queue: VecDeque::new(),
+            queue: Fifo::EMPTY,
             demand_mixed: Tokens::ZERO,
             demand_ro: Tokens::ZERO,
             stats: TenantSchedStats::default(),
@@ -443,8 +537,8 @@ impl<R> QosScheduler<R> {
             }
             None => return Err(QosError::UnknownTenant(id)),
         };
-        self.queued -= queue.len();
-        Ok(Vec::from(queue))
+        self.queued -= queue.len as usize;
+        Ok(self.waiting.drain(queue))
     }
 
     /// Sets each BE tenant's fair share of unallocated device throughput
@@ -460,7 +554,7 @@ impl<R> QosScheduler<R> {
         self.lc_clocks[self.params.pos_history_rounds]
     }
 
-    fn lc_state(&self, id: TenantId) -> Option<&LcState<R>> {
+    fn lc_state(&self, id: TenantId) -> Option<&LcState> {
         match *self.slots.get(&id)? {
             Slot::Lc(i) => Some(&self.lc[i]),
             Slot::Be(_) => None,
@@ -566,7 +660,7 @@ impl<R> QosScheduler<R> {
                 &mut s.queue
             }
         };
-        queue.push_back(req);
+        self.waiting.push(queue, req);
         self.queued += 1;
         Ok(())
     }
@@ -579,8 +673,8 @@ impl<R> QosScheduler<R> {
     /// Requests queued for one tenant.
     pub fn queued_for(&self, id: TenantId) -> usize {
         match self.slots.get(&id) {
-            Some(Slot::Lc(i)) => self.lc[*i].queue.len(),
-            Some(Slot::Be(i)) => self.be[*i].queue.len(),
+            Some(Slot::Lc(i)) => self.lc[*i].queue.len as usize,
+            Some(Slot::Be(i)) => self.be[*i].queue.len as usize,
             None => 0,
         }
     }
@@ -887,7 +981,9 @@ impl<R> QosScheduler<R> {
         }
 
         while s.tokens > self.params.neg_limit {
-            let Some(q) = s.queue.pop_front() else { break };
+            let Some(q) = self.waiting.pop(&mut s.queue) else {
+                break;
+            };
             let cost = self.model.cost(q.op, q.len, mix);
             s.tokens -= cost;
             s.stats.submitted += 1;
@@ -904,7 +1000,7 @@ impl<R> QosScheduler<R> {
         // Idle and in debt within the limit: nothing to submit, to report
         // or (POS_LIMIT >= 0) to donate until the balance turns positive.
         let rate = s.rate.as_millitokens_per_sec() as u128;
-        if s.queue.is_empty()
+        if s.queue.len == 0
             && s.tokens >= self.params.neg_limit
             && !s.tokens.is_positive()
             && rate > 0
@@ -930,7 +1026,7 @@ impl<R> QosScheduler<R> {
         }
 
         // Conditional submission: only while the tenant can pay in full.
-        while let Some(head) = s.queue.front() {
+        while let Some(head) = self.waiting.front(&s.queue) {
             let cost = self.model.cost(head.op, head.len, mix);
             if s.tokens < cost {
                 // Until income covers the head a visit has a positive
@@ -945,8 +1041,9 @@ impl<R> QosScheduler<R> {
             s.tokens -= cost;
             s.stats.submitted += 1;
             s.stats.spent_millitokens += cost.as_millitokens();
-            let req = s.queue.pop_front().expect("front was Some");
-            out.submitted.push((s.id, req));
+            if let Some(req) = self.waiting.pop(&mut s.queue) {
+                out.submitted.push((s.id, req));
+            }
         }
 
         // DRR rule: no token accumulation while idle.
@@ -1299,6 +1396,32 @@ mod tests {
         assert_eq!(handed_back, [0, 1, 2, 3, 4]);
         let handed_back: Vec<u32> = payloads(s.unregister(be).unwrap());
         assert_eq!(handed_back, [10, 11, 12, 13, 14]);
+    }
+
+    /// A waiting request costs its record and a link, padded: 80 bytes
+    /// for a dataplane's 72-byte `CostedRequest<ReqCtx>`. Idle tenants'
+    /// queues own nothing, and drained nodes serve any tenant.
+    #[test]
+    fn a_node_is_a_request_and_a_link() {
+        type Req = CostedRequest<[u64; 8]>;
+        assert_eq!(std::mem::size_of::<Req>(), 72);
+        assert_eq!(std::mem::size_of::<Node<[u64; 8]>>(), 80);
+
+        let (mut s, _b) = sched(1);
+        for t in 0..3 {
+            s.register_be(TenantId(t)).unwrap();
+        }
+        assert_eq!(s.waiting.nodes.capacity(), 0);
+        for i in 0..8 {
+            s.enqueue(TenantId(i % 2), read_req(i)).unwrap();
+        }
+        s.unregister(TenantId(0)).unwrap();
+        s.unregister(TenantId(1)).unwrap();
+        for i in 0..8 {
+            s.enqueue(TenantId(2), read_req(i)).unwrap();
+        }
+        assert_eq!(s.waiting.nodes.len(), 8);
+        assert_eq!(s.queued_for(TenantId(2)), 8);
     }
 
     #[test]

@@ -5,7 +5,10 @@ use crate::time::{SimDuration, SimTime};
 /// Accumulates per-interval event counts and reports them as rates —
 /// used for the IOPS and tokens/s series in Figures 5 and 6. It keeps one
 /// count per interval; an interval's instant and rate are derived when
-/// [`points`](Self::points) reads them.
+/// [`points`](Self::points) reads them. [`new`](Self::new) reserves room
+/// for 128 intervals (1 KiB; 1.28 s at 10 ms), so a series built before a
+/// measured window of that length does not allocate inside it; a longer
+/// series doubles its room as a `Vec` does.
 ///
 /// # Examples
 ///
@@ -39,8 +42,12 @@ pub struct RatePoint {
     pub rate_per_sec: f64,
 }
 
+/// Intervals a new series has room for.
+const ROOM: usize = 128;
+
 impl RateSeries {
-    /// Creates a series that aggregates counts per `interval`.
+    /// Creates a series that aggregates counts per `interval`, with room
+    /// for 128 of them.
     ///
     /// # Panics
     ///
@@ -51,7 +58,7 @@ impl RateSeries {
             interval,
             current_start: SimTime::ZERO,
             current_count: 0,
-            counts: Vec::new(),
+            counts: Vec::with_capacity(ROOM),
         }
     }
 
@@ -136,6 +143,18 @@ mod tests {
         s.add(SimTime::from_millis(100), 1);
         assert_eq!(s.counts.len(), 100);
         assert_eq!(std::mem::size_of_val(s.counts.as_slice()), 100 * 8);
+    }
+
+    /// The room is reserved up front and a longer series still grows.
+    #[test]
+    fn new_reserves_room_for_128_intervals() {
+        let mut s = RateSeries::new(SimDuration::from_millis(10));
+        assert_eq!(s.counts.capacity(), 128);
+        s.add(SimTime::from_millis(1_280), 1);
+        assert_eq!(s.counts.capacity(), 128);
+        s.add(SimTime::from_millis(4_000), 1);
+        assert_eq!(s.counts.len(), 400);
+        assert_eq!(s.points(SimTime::from_millis(4_005)).len(), 401);
     }
 
     #[test]
