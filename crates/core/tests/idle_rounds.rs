@@ -189,13 +189,11 @@ fn goldens_recorded_before_threads_slept() {
     });
     got.push(("a stall mid-sleep", stalled));
 
-    let moved = disturbed(37, |world, _| {
+    let unregistered = disturbed(37, |world, _| {
         let server = world.server_mut();
         server.unregister_tenant(TenantId(45)).expect("registered");
-        server.move_tenant(TenantId(46), 0).expect("registered");
-        server.move_tenant(TenantId(3), 1).expect("registered");
     });
-    got.push(("unregister + move_tenant mid-sleep", moved));
+    got.push(("unregister mid-sleep", unregistered));
 
     // A tenant admitted between two runs, while threads sleep.
     let mut tb = tenants_rw(31, LinkConfig::default());
@@ -214,7 +212,10 @@ fn goldens_recorded_before_threads_slept() {
 /// barrier and fence-bypass counters, which read 0 in every scenario
 /// here: the hash covers the stats' `Debug` text, and with those two zero
 /// fields written back into it the reports still hash to 9880467's
-/// values.
+/// values. "unregister mid-sleep" was recorded later, on the last commit
+/// that had tenant moves, when its scenario stopped moving two tenants
+/// after the unregister: it is the only entry recorded after threads
+/// slept.
 const GOLDENS: [(&str, u64); 7] = [
     ("tenants_rw", 0x1d68_a800_856f_0fa3),
     ("zero-propagation link", 0x2ae9_2327_4c73_e1cb),
@@ -227,7 +228,7 @@ const GOLDENS: [(&str, u64); 7] = [
         0x60b0_23e2_94a4_69cb,
     ),
     ("a stall mid-sleep", 0x9568_80fb_03b2_1be0),
-    ("unregister + move_tenant mid-sleep", 0x0de5_6150_d1e0_5606),
+    ("unregister mid-sleep", 0x9bac_1c46_d3d4_32e1),
     ("a tenant admitted between runs", 0xee23_6b38_4dec_a9b6),
 ];
 
