@@ -238,11 +238,15 @@ impl ReflexServer {
             .sum()
     }
 
+    /// Best-effort tenants in the schedulers: a sharded tenant counts once
+    /// per shard, so that the shares the threads hand out add up to the
+    /// spare rate.
     fn be_count(&self) -> usize {
         self.tenants
             .values()
             .filter(|t| !t.class.is_latency_critical())
-            .count()
+            .map(|t| t.shards.len())
+            .sum()
     }
 
     /// The token rate the scheduler generates in total: the device capacity
