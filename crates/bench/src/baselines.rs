@@ -39,7 +39,6 @@ pub(crate) const BLOCK_PATHS: [BlockPath; 3] = [
 pub fn local_spdk(threads: u32) -> TestbedBuilder {
     loopback(no_stack()).server(ServerConfig {
         threads,
-        max_threads: threads,
         ..ServerConfig::default()
     })
 }
@@ -106,7 +105,6 @@ fn baseline(workers: u32, rx_us: f64, tx_us: f64, overhead_us: f64, sigma: f64) 
     Testbed::builder()
         .server(ServerConfig {
             threads: workers,
-            max_threads: workers,
             dataplane: DataplaneConfig {
                 rx_msg_cost: us(rx_us),
                 tx_msg_cost: us(tx_us),

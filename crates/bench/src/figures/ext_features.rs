@@ -88,7 +88,6 @@ fn sharded(shards: u32, telemetry: bool) -> PointOutcome {
         .seed(123)
         .server(ServerConfig {
             threads: 2,
-            max_threads: 2,
             ..ServerConfig::default()
         })
         .client_machines(vec![StackProfile::ix_tcp(), StackProfile::ix_tcp()])

@@ -55,7 +55,6 @@ fn remote(server: TestbedBuilder) -> TestbedBuilder {
 fn reflex(threads: u32) -> TestbedBuilder {
     remote(Testbed::builder().server(ServerConfig {
         threads,
-        max_threads: threads,
         ..ServerConfig::default()
     }))
 }

@@ -21,7 +21,6 @@ fn core_point(cores: u32, telemetry: bool) -> PointOutcome {
         .seed(51)
         .server(ServerConfig {
             threads,
-            max_threads: threads,
             ..ServerConfig::default()
         })
         .client_machines(vec![

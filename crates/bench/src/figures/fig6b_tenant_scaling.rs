@@ -20,7 +20,6 @@ fn tenant_point(cores: u32, tenants: u32, telemetry: bool) -> PointOutcome {
         .seed(61)
         .server(ServerConfig {
             threads: cores,
-            max_threads: cores,
             ..ServerConfig::default()
         })
         .client_machines(vec![StackProfile::ix_tcp(), StackProfile::ix_tcp()])

@@ -52,7 +52,6 @@ fn traced_run() -> String {
         .replication(2)
         .server(ServerConfig {
             threads: 2,
-            max_threads: 2,
             dataplane: DataplaneConfig {
                 cache: Some(CacheConfig::with_capacity(4 << 20)),
                 ..DataplaneConfig::default()

@@ -2,7 +2,7 @@
 //!
 //! Brings the reproduction together: the multi-thread [`ReflexServer`] with
 //! its local control plane (admission control, token-rate management,
-//! deficit monitoring, thread scaling), device capacity calibration, the
+//! deficit monitoring), device capacity calibration, the
 //! client models, and the [`Testbed`] that wires clients ↔ fabric ↔ server
 //! ↔ Flash into one deterministic simulation for every experiment in the
 //! paper's evaluation. The paper's baselines, local SPDK included, are

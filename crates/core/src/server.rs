@@ -2,8 +2,9 @@
 //!
 //! [`ReflexServer`] owns one dataplane thread per core (each with its own
 //! NIC receive queue and NVMe queue pair), the shared global token bucket,
-//! and the control-plane state: tenant admission, token-rate management,
-//! deficit monitoring and thread scaling (paper §4.1, §4.3).
+//! and the control-plane state: tenant admission, token-rate management
+//! and deficit monitoring (paper §4.1, §4.3). The thread count is fixed
+//! when the server is built.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,16 +22,15 @@ use crate::capacity::CapacityProfile;
 /// Server-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dataplane threads active initially.
+    /// Dataplane threads the server runs.
     pub threads: u32,
-    /// Maximum threads the control plane may scale up to.
+    /// Read by nothing: the server runs exactly `threads` threads. Kept
+    /// because the frozen benchmark's struct literal names it.
     pub max_threads: u32,
     /// Per-thread dataplane CPU costs.
     pub dataplane: DataplaneConfig,
     /// Algorithm 1 tuning parameters.
     pub sched_params: SchedulerParams,
-    /// Enables control-plane thread scaling.
-    pub auto_scale: bool,
 }
 
 impl Default for ServerConfig {
@@ -40,7 +40,6 @@ impl Default for ServerConfig {
             max_threads: 12,
             dataplane: DataplaneConfig::default(),
             sched_params: SchedulerParams::default(),
-            auto_scale: false,
         }
     }
 }
@@ -83,8 +82,6 @@ impl std::error::Error for AdmissionError {}
 #[derive(Debug, Clone)]
 struct TenantInfo {
     class: TenantClass,
-    thread: usize,
-    acl: AclEntry,
     io_size: u32,
     conns: Vec<ConnId>,
     /// (thread, internal shard id) pairs; a single entry for ordinary
@@ -99,11 +96,9 @@ struct TenantInfo {
 pub struct ReflexServer {
     machine: MachineId,
     threads: Vec<DataplaneThread>,
-    active_threads: usize,
     bucket: Arc<GlobalBucket>,
     cost_model: CostModel,
     capacity: CapacityProfile,
-    config: ServerConfig,
     tenants: HashMap<TenantId, TenantInfo>,
     /// Serving thread and client machine of every bound connection.
     conn_route: ConnTable<(usize, MachineId)>,
@@ -111,24 +106,22 @@ pub struct ReflexServer {
     /// re-registration when the link returns.
     parked: HashMap<MachineId, Vec<(ConnId, TenantId)>>,
     next_shard_id: u32,
-    last_busy: Vec<SimDuration>,
     last_deficits: HashMap<TenantId, u64>,
     /// Tenants flagged for SLO renegotiation (persistent deficits), in
     /// flagging order.
     renegotiations: Vec<TenantId>,
     /// Scratch recycled by `control_tick`, which runs inside every
-    /// measured window: the sorted tenant ids and the histograms to reset.
+    /// measured window: the sorted tenant ids.
     tick_ids: Vec<TenantId>,
-    tick_resets: Vec<(usize, TenantId)>,
 }
 
 impl ReflexServer {
-    /// Builds a server on `machine`, creating one NIC queue and one NVMe
-    /// queue pair per potential thread.
+    /// Builds a server on `machine` with `config.threads` dataplane
+    /// threads, each with its own NIC queue and NVMe queue pair.
     ///
     /// # Panics
     ///
-    /// Panics if `config.threads` is zero or exceeds `config.max_threads`.
+    /// Panics if `config.threads` is zero or exceeds 64.
     pub fn new(
         machine: MachineId,
         fabric: &mut Fabric<WireMsg>,
@@ -138,14 +131,9 @@ impl ReflexServer {
         config: ServerConfig,
         now: SimTime,
     ) -> Self {
-        assert!(config.threads >= 1, "server needs at least one thread");
-        assert!(
-            config.threads <= config.max_threads,
-            "threads exceed max_threads"
-        );
         let bucket = Arc::new(GlobalBucket::new(config.threads));
         let mut threads = Vec::new();
-        for i in 0..config.max_threads {
+        for i in 0..config.threads {
             // Thread 0 polls the machine's default queue 0; later threads
             // get dedicated queues.
             let queue = if i == 0 {
@@ -166,24 +154,19 @@ impl ReflexServer {
                 now,
             ));
         }
-        let last_busy = vec![SimDuration::ZERO; threads.len()];
         ReflexServer {
             machine,
             threads,
-            active_threads: config.threads as usize,
             bucket,
             cost_model,
             capacity,
-            config,
             tenants: HashMap::new(),
             conn_route: ConnTable::new(),
             parked: HashMap::new(),
             next_shard_id: 0x8000_0000,
-            last_busy,
             last_deficits: HashMap::new(),
             renegotiations: Vec::new(),
             tick_ids: Vec::new(),
-            tick_resets: Vec::new(),
         }
     }
 
@@ -192,12 +175,7 @@ impl ReflexServer {
         self.machine
     }
 
-    /// Currently active dataplane threads.
-    pub fn active_threads(&self) -> usize {
-        self.active_threads
-    }
-
-    /// All dataplane threads (active first).
+    /// The dataplane threads.
     pub fn threads(&self) -> &[DataplaneThread] {
         &self.threads
     }
@@ -328,10 +306,10 @@ impl ReflexServer {
         if let TenantClass::LatencyCritical(slo) = &class {
             self.check_admission(slo, io_size)?;
         }
-        // Placement: the active thread with the least reserved token rate,
+        // Placement: the thread with the least reserved token rate,
         // breaking ties by tenant count so best-effort tenants (zero
         // reservation) spread across threads.
-        let thread = (0..self.active_threads)
+        let thread = (0..self.threads.len())
             .min_by(|&a, &b| {
                 let ra = self.threads[a]
                     .scheduler()
@@ -345,16 +323,14 @@ impl ReflexServer {
                 let (lb, bb) = self.threads[b].scheduler().tenant_counts();
                 ra.cmp(&rb).then((la + ba).cmp(&(lb + bb))).then(a.cmp(&b))
             })
-            .expect("at least one active thread");
+            .expect("at least one thread");
         self.threads[thread]
-            .register_tenant(id, class, acl.clone(), io_size)
+            .register_tenant(id, class, acl, io_size)
             .map_err(|_| AdmissionError::Duplicate(id))?;
         self.tenants.insert(
             id,
             TenantInfo {
                 class,
-                thread,
-                acl,
                 io_size,
                 conns: Vec::new(),
                 shards: vec![(thread, id)],
@@ -376,7 +352,7 @@ impl ReflexServer {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or exceeds the active thread count.
+    /// Panics if `shards` is zero or exceeds the thread count.
     pub(crate) fn register_tenant_sharded(
         &mut self,
         id: TenantId,
@@ -387,8 +363,8 @@ impl ReflexServer {
     ) -> Result<Vec<usize>, AdmissionError> {
         assert!(shards >= 1, "need at least one shard");
         assert!(
-            shards as usize <= self.active_threads,
-            "more shards than active threads"
+            shards as usize <= self.threads.len(),
+            "more shards than threads"
         );
         if shards == 1 {
             return self
@@ -434,8 +410,6 @@ impl ReflexServer {
             id,
             TenantInfo {
                 class,
-                thread: 0,
-                acl,
                 io_size,
                 conns: Vec::new(),
                 shards: shard_list,
@@ -444,83 +418,6 @@ impl ReflexServer {
         );
         self.recompute_rates();
         Ok(threads_used)
-    }
-
-    /// Renegotiates an LC tenant's SLO in place (the control plane's
-    /// answer to persistent deficit notifications). Admission is
-    /// re-checked against the new reservation; connections and queued
-    /// requests are untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError::Unknown`] for unknown or best-effort tenants;
-    /// [`AdmissionError::NotAdmissible`] when the new SLO does not fit.
-    pub fn renegotiate_tenant(
-        &mut self,
-        id: TenantId,
-        new_slo: SloSpec,
-    ) -> Result<(), AdmissionError> {
-        let info = self.tenants.get(&id).ok_or(AdmissionError::Unknown(id))?;
-        if !info.class.is_latency_critical() {
-            return Err(AdmissionError::Unknown(id));
-        }
-        let io_size = info.io_size;
-        // Admission against the cluster minus this tenant's old share.
-        let old_rate = info
-            .class
-            .slo()
-            .map(|s| {
-                s.token_rate(&self.cost_model, io_size)
-                    .as_tokens_per_sec_f64()
-            })
-            .unwrap_or(0.0);
-        let strictest = self
-            .tenants
-            .iter()
-            .filter(|(tid, _)| **tid != id)
-            .filter_map(|(_, t)| t.class.slo().map(|s| s.p95_read_latency))
-            .chain(std::iter::once(new_slo.p95_read_latency))
-            .min()
-            .expect("at least the new bound");
-        let capacity = self.capacity.tokens_per_sec_at(strictest);
-        let required = new_slo
-            .token_rate(&self.cost_model, io_size)
-            .as_tokens_per_sec_f64();
-        let reserved_others = self.lc_reserved_tokens_per_sec() - old_rate;
-        if reserved_others + required > capacity {
-            return Err(AdmissionError::NotAdmissible {
-                required,
-                available: (capacity - reserved_others).max(0.0),
-            });
-        }
-        let shards: Vec<(usize, TenantId, u64)> = {
-            let info = self.tenants.get(&id).expect("checked above");
-            let n = info.shards.len() as u64;
-            info.shards
-                .iter()
-                .enumerate()
-                .map(|(k, &(thread, shard_id))| {
-                    let base = new_slo.iops / n;
-                    let iops = if k == 0 {
-                        base + new_slo.iops % n
-                    } else {
-                        base
-                    };
-                    (thread, shard_id, iops.max(1))
-                })
-                .collect()
-        };
-        for (thread, shard_id, iops) in shards {
-            let shard_slo = SloSpec::new(iops, new_slo.read_pct, new_slo.p95_read_latency);
-            self.threads[thread]
-                .scheduler_mut()
-                .renegotiate_lc(shard_id, shard_slo, io_size)
-                .map_err(|_| AdmissionError::Unknown(id))?;
-        }
-        self.tenants.get_mut(&id).expect("checked above").class =
-            TenantClass::LatencyCritical(new_slo);
-        self.recompute_rates();
-        Ok(())
     }
 
     /// Unregisters a tenant and all its connections.
@@ -571,15 +468,14 @@ impl ReflexServer {
         Ok((thread, self.threads[thread].nic_queue()))
     }
 
-    /// The NIC queue currently serving `conn` (clients re-query after
-    /// rebalancing; stale sends are forwarded by the old thread).
+    /// The NIC queue serving `conn`.
     pub fn route(&self, conn: ConnId) -> Option<NicQueueId> {
         self.conn_route
             .get(conn)
             .map(|&(t, _)| self.threads[t].nic_queue())
     }
 
-    /// The dataplane thread currently serving `conn`.
+    /// The dataplane thread serving `conn`.
     pub fn thread_of_conn(&self, conn: ConnId) -> Option<usize> {
         self.conn_route.get(conn).map(|&(t, _)| t)
     }
@@ -618,9 +514,9 @@ impl ReflexServer {
     }
 
     /// Re-registers every connection parked for `client` after its link
-    /// came back, binding each to the thread currently serving its tenant
-    /// (the tenant may have been rebalanced while the link was down).
-    /// Returns the number of connections re-bound.
+    /// came back, binding each to a thread serving its tenant (the
+    /// tenant's next shard, round-robin). Returns the number of
+    /// connections re-bound.
     pub fn rebind_client(&mut self, client: MachineId) -> usize {
         let Some(mut parked) = self.parked.remove(&client) else {
             return 0;
@@ -667,7 +563,7 @@ impl ReflexServer {
 
     /// The server's token books in millitokens: `(generated, accounted)`.
     /// Generation is the only source of tokens, so while no tenant has
-    /// been unregistered or moved the two are equal: everything the
+    /// been unregistered the two are equal: everything the
     /// schedulers generated is held by a tenant, was spent (on flash or on
     /// DRAM hits), sits in the global bucket, or was discarded by a
     /// bucket reset.
@@ -694,53 +590,6 @@ impl ReflexServer {
         (generated, with_tenants + in_bucket.as_millitokens())
     }
 
-    /// Moves a tenant (and its connections) to another active thread,
-    /// forwarding in-flight traffic. Used by control-plane rebalancing.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError::Unknown`] for unknown tenants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is not an active thread.
-    pub fn move_tenant(&mut self, id: TenantId, to: usize) -> Result<(), AdmissionError> {
-        assert!(to < self.active_threads, "target thread inactive");
-        let info = self
-            .tenants
-            .get_mut(&id)
-            .ok_or(AdmissionError::Unknown(id))?;
-        assert!(info.shards.len() == 1, "sharded tenants are not moved");
-        let from = info.thread;
-        if from == to {
-            return Ok(());
-        }
-        // Drain queued requests from the old scheduler and hand them to
-        // the new thread; in-flight wire traffic is forwarded as well, so
-        // nothing is ever dropped during rebalancing.
-        let pending = self.threads[from].unregister_tenant(id).unwrap_or_default();
-        let class = info.class;
-        let acl = info.acl.clone();
-        let io_size = info.io_size;
-        let conns = info.conns.clone();
-        info.thread = to;
-        info.shards = vec![(to, id)];
-        self.threads[to]
-            .register_tenant(id, class, acl, io_size)
-            .map_err(|_| AdmissionError::Duplicate(id))?;
-        let _ = self.threads[to].adopt_pending(id, pending);
-        let to_queue = self.threads[to].nic_queue();
-        for conn in conns {
-            self.threads[from].forward_connection(conn, to_queue);
-            if let Some(route) = self.conn_route.get_mut(conn) {
-                let client = route.1;
-                route.0 = to;
-                let _ = self.threads[to].bind_connection(conn, id, client);
-            }
-        }
-        Ok(())
-    }
-
     /// Settles the scheduling rounds the threads slept through strictly
     /// before `before` (see [`DataplaneThread::settle`]), merged by
     /// (instant, thread): each round marks the shared bucket, so they are
@@ -748,7 +597,7 @@ impl ReflexServer {
     /// them. Everything that pumps, mutates or reads the threads at an
     /// instant settles up to it first.
     pub fn settle(&mut self, before: SimTime) {
-        let threads = &mut self.threads[..self.active_threads];
+        let threads = &mut self.threads;
         loop {
             // The sleeper whose round comes first, and how far it goes
             // before another's: at one instant the lower thread first.
@@ -790,10 +639,10 @@ impl ReflexServer {
         device: &mut FlashDevice,
     ) -> Option<SimTime> {
         let hint = self.threads[i].pump(now, fabric, device);
-        if self.active_threads > 1 {
+        if self.threads.len() > 1 {
             let filled = self.bucket.balance().is_positive();
             if filled || self.threads[i].wrote() {
-                for (j, t) in self.threads[..self.active_threads].iter_mut().enumerate() {
+                for (j, t) in self.threads.iter_mut().enumerate() {
                     if j != i && (filled || t.scheduler().last_mix() == LoadMix::ReadOnly) {
                         t.wake();
                     }
@@ -803,16 +652,14 @@ impl ReflexServer {
         hint
     }
 
-    /// Control-plane tick: deficit detection and (optionally) thread
-    /// scaling based on per-thread busy fractions over the elapsed window.
-    pub(crate) fn control_tick(&mut self, now: SimTime, window: SimDuration) {
+    /// Control-plane tick: deficit detection. A latency-critical tenant
+    /// whose deficit counter advanced since the last tick is flagged for
+    /// SLO renegotiation (paper Algorithm 1, line 7: "notify the control
+    /// plane"); nothing acts on the flag.
+    pub(crate) fn control_tick(&mut self, now: SimTime) {
         self.settle(now);
-        // Deficit detection: tenants whose deficit counter advanced since
-        // the last tick are candidates for renegotiation (paper line 7).
-        let mut latency_hot = false;
-        let mut to_reset = std::mem::take(&mut self.tick_resets);
-        // Deterministic traversal: HashMap order varies per process and
-        // several decisions below depend on visit order.
+        // Deterministic traversal: HashMap order varies per process, and
+        // the flags are kept in flagging order.
         let mut ids = std::mem::take(&mut self.tick_ids);
         ids.clear();
         ids.extend(self.tenants.keys().copied());
@@ -837,91 +684,8 @@ impl ReflexServer {
             if current > prev && !self.renegotiations.contains(&id) {
                 self.renegotiations.push(id);
             }
-            // SLO compliance monitoring (server-side read p95 per window).
-            if let Some(slo) = info.class.slo() {
-                for &(thread, shard_id) in &info.shards {
-                    if let Some(hist) = self.threads[thread].tenant_read_latency(shard_id) {
-                        latency_hot |= hist.count() >= 50 && hist.p95() > slo.p95_read_latency;
-                        to_reset.push((thread, shard_id));
-                    }
-                }
-            }
         }
         self.tick_ids = ids;
-        for (thread, id) in to_reset.drain(..) {
-            self.threads[thread].reset_tenant_read_latency(id);
-        }
-        self.tick_resets = to_reset;
-
-        if self.config.auto_scale && !window.is_zero() {
-            let mut fractions = Vec::new();
-            for i in 0..self.active_threads {
-                let busy = self.threads[i].busy_time();
-                let delta = busy.saturating_sub(self.last_busy[i]);
-                self.last_busy[i] = busy;
-                fractions.push(delta.as_secs_f64() / window.as_secs_f64());
-            }
-            let max_frac = fractions.iter().cloned().fold(0.0f64, f64::max);
-            let avg_frac = fractions.iter().sum::<f64>() / fractions.len() as f64;
-            // Scale up when a core is saturated or an SLO is being missed;
-            // scale down only when everyone is idle (paper §4.3): busy
-            // fractions above and below which a thread is added, retired.
-            const SCALE_UP_BUSY: f64 = 0.85;
-            const SCALE_DOWN_BUSY: f64 = 0.20;
-            if (max_frac > SCALE_UP_BUSY || latency_hot)
-                && self.active_threads < self.config.max_threads as usize
-            {
-                self.scale_up();
-            } else if avg_frac < SCALE_DOWN_BUSY && !latency_hot && self.active_threads > 1 {
-                self.scale_down();
-            }
-        }
-    }
-
-    fn scale_up(&mut self) {
-        let new_idx = self.active_threads;
-        self.active_threads += 1;
-        self.bucket.set_active_threads(self.active_threads as u32);
-        // Rebalance: move tenants from the most loaded thread until the
-        // reserved rates are roughly even.
-        let busiest = (0..new_idx)
-            .max_by_key(|&i| {
-                self.threads[i]
-                    .scheduler()
-                    .lc_reserved_rate()
-                    .as_millitokens_per_sec()
-            })
-            .expect("threads exist");
-        let mut movable: Vec<TenantId> = self
-            .tenants
-            .iter()
-            .filter(|(_, info)| info.shards.len() == 1 && info.thread == busiest)
-            .map(|(&id, _)| id)
-            .collect();
-        movable.sort();
-        // Prefer moving best-effort tenants: LC streams are latency
-        // sensitive and BE backlogs migrate painlessly.
-        movable.sort_by_key(|id| self.tenants[id].class.is_latency_critical());
-        for id in movable.into_iter().take(1) {
-            let _ = self.move_tenant(id, new_idx);
-        }
-    }
-
-    fn scale_down(&mut self) {
-        let retiring = self.active_threads - 1;
-        let mut movable: Vec<TenantId> = self
-            .tenants
-            .iter()
-            .filter(|(_, info)| info.shards.len() == 1 && info.thread == retiring)
-            .map(|(&id, _)| id)
-            .collect();
-        movable.sort();
-        for id in movable {
-            let target = 0;
-            let _ = self.move_tenant(id, target);
-        }
-        self.active_threads -= 1;
-        self.bucket.set_active_threads(self.active_threads as u32);
     }
 
     /// Whether a control-plane or fault entry has moved some thread's
@@ -941,8 +705,7 @@ impl ReflexServer {
         })
     }
 
-    /// Installs one recorder on every dataplane thread, active or not
-    /// (scale-up may activate more later).
+    /// Installs one recorder on every dataplane thread.
     pub(crate) fn set_telemetry(&mut self, telemetry: reflex_telemetry::Telemetry) {
         for t in &mut self.threads {
             t.set_telemetry(telemetry.clone());

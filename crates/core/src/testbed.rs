@@ -390,7 +390,7 @@ impl World {
     fn rearm_threads(&mut self, ctx: &mut WorldCtx) {
         for s in 0..self.sites.len() {
             self.sites[s].server.take_woken();
-            for t in 0..self.sites[s].server.active_threads() {
+            for t in 0..self.sites[s].server.threads().len() {
                 if let Some(at) = self.sites[s].server.threads()[t].round_wake(ctx.now()) {
                     self.ensure_thread_wake(ctx, self.sites[s].wake_base + t, at);
                 }
@@ -410,11 +410,10 @@ impl World {
     /// pump's hint (completions, the next scheduling round, the core-busy
     /// horizon); responses that have landed are absorbed and every
     /// reactive client is re-armed from its queue, where this pump may
-    /// have sent; every other active thread of the site is re-armed from
-    /// its own queue, where a rebalance forward may have landed — nobody
-    /// else's next arrival can have become earlier — and from its round
-    /// grid, where a sleep this pump cut short (it left tokens in the
-    /// bucket, or wrote to a read-only device) now ends. Another site's
+    /// have sent; every other thread of the site is re-armed at the
+    /// earlier of its own queue's next arrival and its round grid, where a
+    /// sleep this pump cut short (it left tokens in the bucket, or wrote
+    /// to a read-only device) now ends. Another site's
     /// threads share nothing with this one.
     fn pump_one(&mut self, s: usize, thread: usize, ctx: &mut WorldCtx) {
         let site = &mut self.sites[s];
@@ -431,7 +430,7 @@ impl World {
                 self.ensure_client_wake(ctx, c);
             }
         }
-        for i in (0..self.sites[s].server.active_threads()).filter(|&i| i != thread) {
+        for i in (0..self.sites[s].server.threads().len()).filter(|&i| i != thread) {
             let round = self.sites[s].server.threads()[i].round_wake(ctx.now());
             if let Some(at) = SimTime::earlier(self.thread_next_arrival(s, i), round) {
                 self.ensure_thread_wake(ctx, base + i, at);
@@ -863,7 +862,7 @@ impl World {
 
     fn control_event(&mut self, interval: SimDuration, ctx: &mut WorldCtx) {
         for site in &mut self.sites {
-            site.server.control_tick(ctx.now(), interval);
+            site.server.control_tick(ctx.now());
         }
         self.rearm_threads(ctx);
         ctx.schedule_event_after(interval, WorldEvent::Control(interval));
@@ -916,7 +915,7 @@ pub struct TestbedReport {
     /// One report per workload, in registration order. A replicated
     /// workload's latencies are whole-op: issue → ack quorum reached.
     pub workloads: Vec<WorkloadReport>,
-    /// One report per active server thread, in (site, thread) order.
+    /// One report per server thread, in (site, thread) order.
     pub threads: Vec<ThreadReport>,
     /// Total token spend rate across all sites' tenants (tokens/sec).
     pub token_usage_per_sec: f64,
@@ -1034,16 +1033,15 @@ impl TestbedBuilder {
         self
     }
 
-    /// Sets the server configuration (threads, dataplane costs, scaling).
+    /// Sets the server configuration (threads, dataplane costs).
     pub fn server(mut self, server: ServerConfig) -> Self {
         self.server = server;
         self
     }
 
-    /// Sets the number of active server threads (shorthand).
+    /// Sets the number of server threads (shorthand).
     pub fn server_threads(mut self, threads: u32) -> Self {
         self.server.threads = threads;
-        self.server.max_threads = self.server.max_threads.max(threads);
         self
     }
 
@@ -1192,8 +1190,8 @@ impl TestbedBuilder {
             telemetry: Telemetry::disabled(),
         };
         let mut engine = Engine::with_events(world);
-        // The control plane's tick: deficit and SLO monitoring, thread
-        // scaling (paper §4.3).
+        // The control plane's tick: deficit monitoring (paper Algorithm 1,
+        // line 7).
         const CONTROL_INTERVAL: SimDuration = SimDuration::from_millis(10);
         engine.schedule_event_at(
             SimTime::ZERO + CONTROL_INTERVAL,
@@ -1501,8 +1499,7 @@ impl Testbed {
             now.saturating_sub(before).as_secs_f64() / secs
         };
         let threads = world.sites.iter().flat_map(|site| {
-            let active = &site.server.threads()[..site.server.active_threads()];
-            active.iter().enumerate().map(move |(i, t)| {
+            site.server.threads().iter().enumerate().map(move |(i, t)| {
                 let slot = site.wake_base + i;
                 ThreadReport {
                     busy_fraction: since(&world.busy_snapshot, slot, t.busy_time()),

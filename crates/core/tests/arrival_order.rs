@@ -1,7 +1,6 @@
 //! The fabric's receive queues rely on arrivals coming almost in order:
 //! per destination NIC, `rx_done` rises with each send, and only receiver
-//! stack jitter, fault delays, duplicates and `requeue` forwards reorder
-//! arrivals. A message that lands at the back of its queue is appended, one
+//! stack jitter, fault delays and duplicates reorder arrivals. A message that lands at the back of its queue is appended, one
 //! within a short reach of the back is inserted, and only one farther back
 //! is set aside in a heap (DESIGN §7.4 mechanism 6). These counts are the
 //! guard: a change that reorders arrivals fails here, not in a benchmark
@@ -22,7 +21,6 @@ fn rd1k_overload() -> Testbed {
         .seed(31)
         .server(ServerConfig {
             threads: 1,
-            max_threads: 1,
             ..ServerConfig::default()
         })
         .client_machines(vec![StackProfile::ix_tcp(); 4])

@@ -22,7 +22,6 @@ fn lc(iops: u64, read_pct: u8) -> TenantClass {
 fn two_threads() -> ServerConfig {
     ServerConfig {
         threads: 2,
-        max_threads: 2,
         ..ServerConfig::default()
     }
 }
@@ -298,7 +297,7 @@ fn a_round_that_cannot_act_costs_no_event() {
 use reflex_core::{CapacityProfile, ReflexServer};
 use reflex_dataplane::{AclEntry, WireMsg};
 use reflex_flash::{device_a, FlashDevice};
-use reflex_net::{ConnId, Delivery, Fabric, MachineId, Opcode, ReflexHeader};
+use reflex_net::{ConnId, Fabric, MachineId, Opcode, ReflexHeader};
 use reflex_qos::CostModel;
 use reflex_sim::SimRng;
 
@@ -315,7 +314,8 @@ fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 enum Action {
     Stall(usize, SimDuration),
     Unregister(u32),
-    Move(u32, usize),
+    /// A new tenant without traffic: latency-critical or best-effort.
+    Register(u32, bool),
 }
 
 /// The core testbed's pump loop in miniature. `eager` cuts every sleep to
@@ -334,11 +334,24 @@ struct Rig {
 
 impl Rig {
     /// LC tenants 0 and 1 and BE tenants 2..8, alternating between the
-    /// two threads: even ids on thread 0.
+    /// two threads: even ids on thread 0. The fabric costs nothing: no
+    /// stack latency, propagation or serialization, so a request sent at
+    /// an instant, no earlier than the one before it, arrives then.
     fn new(eager: bool) -> Rig {
-        let mut fabric = Fabric::new(LinkConfig::default(), SimRng::seed(7));
-        let client = fabric.add_machine(StackProfile::ix_tcp());
-        let machine = fabric.add_machine(StackProfile::dataplane_raw());
+        let free_link = LinkConfig {
+            bandwidth_bps: u64::MAX,
+            propagation: SimDuration::ZERO,
+        };
+        let free_stack = StackProfile {
+            tx_median: SimDuration::ZERO,
+            tx_sigma: 0.0,
+            rx_median: SimDuration::ZERO,
+            rx_sigma: 0.0,
+            ..StackProfile::dataplane_raw()
+        };
+        let mut fabric = Fabric::new(free_link, SimRng::seed(7));
+        let client = fabric.add_machine(free_stack.clone());
+        let machine = fabric.add_machine(free_stack);
         let profile = device_a();
         let mut device = FlashDevice::new(profile.clone(), SimRng::seed(8));
         device.precondition();
@@ -382,7 +395,8 @@ impl Rig {
     }
 
     /// A request of `tenant`'s — 4 KB, or a 32 KB read for a BE tenant —
-    /// that reaches its thread's NIC queue at exactly `at`.
+    /// that reaches its thread's NIC queue at exactly `at`; requests are
+    /// sent in instant order (see [`Twins::run_for`]).
     fn request(&mut self, at: SimTime, tenant: u32, write: bool) {
         let len = if write || tenant < 2 { 4096 } else { 32_768 };
         self.cookie += 1;
@@ -394,19 +408,18 @@ impl Rig {
             len,
         };
         let conn = self.conns[tenant as usize];
-        let delivery = Delivery {
-            from: self.client,
-            conn,
-            arrived_at: at,
-            size: if write { len } else { 0 },
-            payload: header.encode_array(),
-        };
         let queue = self.server.route(conn).expect("bound");
         let thread = self.server.thread_of_conn(conn).expect("bound");
-        // Requeued messages surface 500 ns later.
-        let sent = SimTime::from_nanos(at.as_nanos() - 500);
-        self.fabric
-            .requeue(sent, self.server.machine(), queue, delivery);
+        let arrived = self.fabric.send_to_queue(
+            at,
+            self.client,
+            self.server.machine(),
+            queue,
+            conn,
+            if write { len } else { 0 },
+            header.encode_array(),
+        );
+        assert_eq!(arrived, at, "a free fabric delivers at once");
         self.wake[thread] = earlier(self.wake[thread], Some(at));
     }
 
@@ -433,7 +446,17 @@ impl Rig {
                 self.server.thread_mut(thread).inject_stall(now, stall);
             }
             Action::Unregister(id) => self.server.unregister_tenant(TenantId(id)).expect("known"),
-            Action::Move(id, to) => self.server.move_tenant(TenantId(id), to).expect("known"),
+            Action::Register(id, latency_critical) => {
+                let class = if latency_critical {
+                    lc(1_000, 100)
+                } else {
+                    TenantClass::BestEffort
+                };
+                let acl = AclEntry::full(self.device.profile().capacity_bytes);
+                self.server
+                    .register_tenant(TenantId(id), class, acl, 4096)
+                    .expect("admissible");
+            }
         }
         for t in 0..2 {
             self.server.thread_mut(t).take_woken();
@@ -520,6 +543,8 @@ struct Twins {
     sleepy: Rig,
     eager: Rig,
     now: SimTime,
+    /// Requests not sent yet: the next run sends them in instant order.
+    requests: Vec<(SimTime, u32, bool)>,
 }
 
 impl Twins {
@@ -528,11 +553,7 @@ impl Twins {
     /// deficit limit) and each BE tenant behind writes, or 32 KB
     /// reads, that its share pays for once in tens of rounds.
     fn starved(lc_backlog: bool, be_writes: bool) -> Twins {
-        let mut twins = Twins {
-            sleepy: Rig::new(false),
-            eager: Rig::new(true),
-            now: SimTime::ZERO,
-        };
+        let mut twins = Twins::new();
         for id in 0..8u32 {
             let n = match id {
                 0 | 1 if lc_backlog => 80,
@@ -549,12 +570,25 @@ impl Twins {
         twins
     }
 
+    fn new() -> Twins {
+        Twins {
+            sleepy: Rig::new(false),
+            eager: Rig::new(true),
+            now: SimTime::ZERO,
+            requests: Vec::new(),
+        }
+    }
+
     fn request(&mut self, at: SimTime, tenant: u32, write: bool) {
-        self.sleepy.request(at, tenant, write);
-        self.eager.request(at, tenant, write);
+        self.requests.push((at, tenant, write));
     }
 
     fn run_for(&mut self, span: SimDuration, script: &[(SimTime, Action)]) {
+        self.requests.sort_by_key(|r| r.0);
+        for (at, tenant, write) in self.requests.drain(..) {
+            self.sleepy.request(at, tenant, write);
+            self.eager.request(at, tenant, write);
+        }
         self.now += span;
         self.sleepy.run(self.now, script);
         self.eager.run(self.now, script);
@@ -601,15 +635,13 @@ fn an_arrival_on_next_to_and_between_slept_rounds() {
 #[test]
 fn a_siblings_donation_ends_the_sleep() {
     // Thread 0 keeps rounds going for LC tenant 0, at its deficit limit
-    // with reads queued, while LC tenant 1 — moved there, idle and in
-    // credit — donates every round. Nobody on thread 0 takes from the
-    // bucket, so the tokens are there when its pump ends, and thread 1's
-    // sleeping BE tenants are due them at its next round.
-    let mut twins = Twins {
-        sleepy: Rig::new(false),
-        eager: Rig::new(true),
-        now: SimTime::ZERO,
-    };
+    // with reads queued, while LC tenant 8 — registered there (the tie
+    // between the threads goes to thread 0) and idle, in credit —
+    // donates every round. LC tenant 1 and thread 0's BE tenants leave.
+    // Nobody on thread 0 takes from the bucket, so the tokens are there
+    // when its pump ends, and thread 1's sleeping BE tenants are due them
+    // at its next round.
+    let mut twins = Twins::new();
     for k in 0..120 {
         twins.request(SimTime::from_nanos(1_000 + k * 211), 0, false);
     }
@@ -624,12 +656,15 @@ fn a_siblings_donation_ends_the_sleep() {
     }
     let at = SimTime::from_micros(40);
     let script = [
-        (at, Action::Move(1, 0)),
+        (at, Action::Register(8, true)),
+        (at, Action::Unregister(1)),
         (at, Action::Unregister(2)),
         (at, Action::Unregister(4)),
         (at, Action::Unregister(6)),
     ];
     twins.run_for(SimDuration::from_micros(100), &script);
+    let donor = twins.sleepy.server.threads()[0].scheduler();
+    assert!(donor.stats_for(TenantId(8)).is_some(), "placed on thread 0");
     let before = twins.elided();
     twins.run_for(SimDuration::from_millis(3), &[]);
     assert!(twins.elided() > before, "thread 1 sleeps between donations");
@@ -677,11 +712,7 @@ fn a_siblings_write_ends_a_read_only_sleep() {
 /// were pump events: second, it would find the bucket full.
 #[test]
 fn a_slept_round_on_a_siblings_pump_instant() {
-    let mut twins = Twins {
-        sleepy: Rig::new(false),
-        eager: Rig::new(true),
-        now: SimTime::ZERO,
-    };
+    let mut twins = Twins::new();
     for k in 0..150 {
         twins.request(SimTime::from_nanos(1_000 + k * 211), 1, false);
     }
@@ -742,13 +773,13 @@ fn a_stall_mid_sleep() {
 }
 
 #[test]
-fn unregister_and_move_mid_sleep() {
+fn unregister_and_register_mid_sleep() {
     let mut twins = Twins::starved(false, true);
     let round = twins.asleep(0);
     let script = [
         (round, Action::Unregister(4)),
-        (round + NANO * 900, Action::Move(3, 0)),
-        (round + NANO * 900, Action::Move(0, 1)),
+        (round + NANO * 900, Action::Register(8, false)),
+        (round + NANO * 900, Action::Register(9, true)),
     ];
     twins.run_for(SimDuration::from_micros(100), &script);
     twins.run_for(SimDuration::from_millis(2), &[]);
@@ -760,13 +791,17 @@ fn random_scripts() {
         let mut rng = SimRng::seed(seed);
         let lc_backlog = seed % 4 == 0;
         let mut twins = Twins::starved(lc_backlog, seed % 3 != 0);
+        let mut newcomer = 8;
         for _ in 0..6 {
             let mut script = Vec::new();
             for _ in 0..rng.below(4) {
                 let at = twins.now + NANO * (1 + rng.below(150_000));
                 let action = match rng.below(3) {
                     0 => Action::Stall(rng.below(2) as usize, NANO * rng.below(30_000)),
-                    1 => Action::Move(rng.below(8) as u32, rng.below(2) as usize),
+                    1 => {
+                        newcomer += 1;
+                        Action::Register(newcomer - 1, rng.below(2) == 0)
+                    }
                     _ => Action::Stall(rng.below(2) as usize, NANO),
                 };
                 script.push((at, action));

@@ -57,7 +57,6 @@ impl Scenario {
             .link(self.link)
             .server(ServerConfig {
                 threads: self.threads,
-                max_threads: self.threads,
                 dataplane: DataplaneConfig {
                     cache,
                     ..DataplaneConfig::default()

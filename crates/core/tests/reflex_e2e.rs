@@ -212,7 +212,6 @@ fn multi_thread_server_scales_throughput() {
         .seed(11)
         .server(ServerConfig {
             threads: 2,
-            max_threads: 2,
             ..ServerConfig::default()
         })
         .client_machines(vec![StackProfile::ix_tcp(), StackProfile::ix_tcp()])
@@ -353,20 +352,25 @@ fn a_hot_thread_arms_each_wake_once() {
 #[test]
 fn deficit_notifications_surface_in_report() {
     // A tenant whose SLO reserves far less than it issues hits NEG_LIMIT
-    // and gets flagged for renegotiation.
+    // and gets flagged for renegotiation; one served within its
+    // reservation beside it never is.
     let mut tb = Testbed::builder().seed(13).build();
     let mut spec = WorkloadSpec::open_loop("greedy", TenantId(1), lc(10_000, 100, 500), 80_000.0);
     spec.conns = 8;
     tb.add_workload(spec).expect("admitted");
+    let modest = WorkloadSpec::open_loop("modest", TenantId(2), lc(20_000, 100, 500), 10_000.0);
+    tb.add_workload(modest).expect("admitted");
     tb.run(SimDuration::from_millis(50));
     tb.begin_measurement();
     tb.run(SimDuration::from_millis(200));
     let report = tb.report();
-    assert!(
-        report.renegotiations.contains(&TenantId(1)),
-        "greedy tenant should be flagged; got {:?}",
-        report.renegotiations
+    assert_eq!(
+        report.renegotiations,
+        [TenantId(1)],
+        "only the greedy tenant should be flagged"
     );
+    let modest = report.workload("modest");
+    assert!(modest.iops > 9_500.0, "modest got {} IOPS", modest.iops);
     // And it must have been rate-limited to roughly its reservation.
     let w = report.workload("greedy");
     assert!(

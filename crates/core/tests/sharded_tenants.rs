@@ -12,7 +12,6 @@ fn blast(shards: u32, threads: u32) -> f64 {
         .seed(81)
         .server(ServerConfig {
             threads,
-            max_threads: threads,
             ..ServerConfig::default()
         })
         .client_machines(vec![StackProfile::ix_tcp(), StackProfile::ix_tcp()])
@@ -53,7 +52,6 @@ fn sharded_lc_tenant_keeps_its_slo() {
         .seed(82)
         .server(ServerConfig {
             threads: 2,
-            max_threads: 2,
             ..ServerConfig::default()
         })
         .build();
@@ -98,7 +96,6 @@ fn sharding_spreads_work_across_both_threads() {
         .seed(83)
         .server(ServerConfig {
             threads: 2,
-            max_threads: 2,
             ..ServerConfig::default()
         })
         .build();

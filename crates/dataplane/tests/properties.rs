@@ -121,34 +121,19 @@ mod tables {
     use reflex_qos::TokenRate;
 
     /// What a thread does with a message, by the maps a reader would write
-    /// down from the API docs: a connection is bound to a tenant, forwards
-    /// to a sibling queue, or is unknown — one entry per connection, the
-    /// last `bind_connection`/`forward_connection` wins, `unbind` removes
-    /// a binding only, and unregistering a tenant removes its bindings.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum ModelConn {
-        Bound(TenantId),
-        Forwarded(usize),
-    }
-
+    /// down from the API docs: a connection is bound to a tenant or is
+    /// unknown — one entry per connection, the last `bind_connection`
+    /// wins, `unbind` removes it, and unregistering a tenant removes its
+    /// bindings.
     #[derive(Debug, Default)]
     struct ModelThread {
-        /// Registered tenants: is it latency-critical, requests accepted
-        /// for it since registration (adopted ones included), successful
-        /// reads recorded in its latency histogram.
-        tenants: HashMap<TenantId, ModelTenant>,
-        conns: HashMap<ConnId, ModelConn>,
+        /// Registered tenants, with the requests accepted for each since
+        /// its registration.
+        tenants: HashMap<TenantId, u64>,
+        conns: HashMap<ConnId, TenantId>,
         rx_msgs: u64,
-        forwarded: u64,
         unbound_conns: u64,
         acl_rejections: u64,
-    }
-
-    #[derive(Debug, Default, Clone, Copy)]
-    struct ModelTenant {
-        lc: bool,
-        accepted: u64,
-        reads_recorded: u64,
     }
 
     #[derive(Debug, Clone)]
@@ -161,12 +146,6 @@ mod tables {
             thread: usize,
             tenant: usize,
         },
-        /// Best-effort tenants only: unregister, register on the sibling,
-        /// adopt what was queued (the server's `move_tenant`).
-        Move {
-            from: usize,
-            tenant: usize,
-        },
         Bind {
             thread: usize,
             conn: usize,
@@ -174,10 +153,6 @@ mod tables {
         },
         Unbind {
             thread: usize,
-            conn: usize,
-        },
-        Forward {
-            from: usize,
             conn: usize,
         },
         Send {
@@ -193,17 +168,12 @@ mod tables {
             |(what, thread, tenant, conn, kind, page)| match what {
                 0 | 1 => Step::Register { thread, tenant },
                 2 => Step::Unregister { thread, tenant },
-                3 => Step::Move {
-                    from: thread,
-                    tenant,
-                },
-                4..=6 => Step::Bind {
+                3..=6 => Step::Bind {
                     thread,
                     conn,
                     tenant,
                 },
                 7 => Step::Unbind { thread, conn },
-                8 => Step::Forward { from: thread, conn },
                 _ => Step::Send {
                     to: thread,
                     conn,
@@ -300,7 +270,7 @@ mod tables {
                     return;
                 }
             }
-            panic!("receive queues never drained: a forwarding loop?");
+            panic!("receive queues never drained");
         }
     }
 
@@ -316,10 +286,9 @@ mod tables {
             .is_ok()
     }
 
-    /// A read at the device when its tenant is unregistered completes
-    /// under that tenant's id: a successor that took over the slot must
-    /// not see it in its latency histogram, the same id registered again
-    /// must (the histogram is the id's, as it was when ids keyed a map).
+    /// A read at the device when its tenant is unregistered is still
+    /// answered, once, and a successor that took over the slot (or the
+    /// same id registered again) is charged nothing for it.
     #[test]
     fn a_departed_tenants_completion_is_not_its_successors() {
         for same_id_returns in [false, true] {
@@ -363,11 +332,11 @@ mod tables {
             while rig.threads[0].stats().completed == 0 {
                 rig.drain_rx();
             }
-            let recorded = rig.threads[0]
-                .tenant_read_latency(TENANTS[successor])
-                .expect("latency-critical")
-                .count();
-            assert_eq!(recorded, u64::from(same_id_returns));
+            let books = rig.threads[0]
+                .scheduler()
+                .stats_for(TENANTS[successor])
+                .expect("registered");
+            assert_eq!(books.submitted, 0);
             assert_eq!(
                 rig.fabric.poll(SimTime::from_secs(1), rig.client, 8).len(),
                 1
@@ -381,16 +350,13 @@ mod tables {
         /// Random control-plane churn with traffic in between: after every
         /// step both threads agree with the model on what they did with
         /// each message, on their connection counts, and on which tenant
-        /// every accepted request and every recorded read went to — with
-        /// requests queued and at the device across the churn, and with
-        /// ids at the top of their ranges in the mix.
+        /// every accepted request went to — with requests queued and at
+        /// the device across the churn, and with ids at the top of their
+        /// ranges in the mix.
         #[test]
         fn dense_tables_match_map_model(steps in prop::collection::vec(step_strategy(), 1..200)) {
             let mut rig = Rig::new();
             let mut model = [ModelThread::default(), ModelThread::default()];
-            // Per request: the thread that accepted it, the tenant, was
-            // it a read. Keyed by cookie.
-            let mut accepted: HashMap<u64, (usize, TenantId, bool)> = HashMap::new();
             let mut expect_responses = 0u64;
             let mut responses = 0u64;
             let mut cookie = 0u64;
@@ -403,8 +369,7 @@ mod tables {
                         let taken = model.iter().any(|m| m.tenants.contains_key(&id));
                         if !taken {
                             prop_assert!(register(&mut rig, thread, tenant));
-                            let fresh = ModelTenant { lc: is_lc(tenant), ..Default::default() };
-                            model[thread].tenants.insert(id, fresh);
+                            model[thread].tenants.insert(id, 0);
                         } else if model[thread].tenants.contains_key(&id) {
                             prop_assert!(!register(&mut rig, thread, tenant), "duplicate accepted");
                         }
@@ -416,21 +381,7 @@ mod tables {
                         // Queued requests are handed back and dropped here:
                         // they will never be answered.
                         expect_responses -= left.map_or(0, |l| l.len() as u64);
-                        model[thread].conns.retain(|_, c| *c != ModelConn::Bound(id));
-                    }
-                    Step::Move { from, tenant } => {
-                        let id = TENANTS[tenant];
-                        if is_lc(tenant) || !model[from].tenants.contains_key(&id) {
-                            continue;
-                        }
-                        let to = 1 - from;
-                        let pending = rig.threads[from].unregister_tenant(id).expect("registered");
-                        let mut moved = model[from].tenants.remove(&id).expect("modelled");
-                        model[from].conns.retain(|_, c| *c != ModelConn::Bound(id));
-                        prop_assert!(register(&mut rig, to, tenant));
-                        moved.accepted = pending.len() as u64;
-                        model[to].tenants.insert(id, moved);
-                        rig.threads[to].adopt_pending(id, pending).expect("registered above");
+                        model[thread].conns.retain(|_, c| *c != id);
                     }
                     Step::Bind { thread, conn, tenant } => {
                         let id = TENANTS[tenant];
@@ -439,27 +390,12 @@ mod tables {
                             .is_ok();
                         prop_assert_eq!(bound, model[thread].tenants.contains_key(&id));
                         if bound {
-                            model[thread].conns.insert(rig.conns[conn], ModelConn::Bound(id));
+                            model[thread].conns.insert(rig.conns[conn], id);
                         }
                     }
                     Step::Unbind { thread, conn } => {
                         rig.threads[thread].unbind_connection(rig.conns[conn]);
-                        let c = rig.conns[conn];
-                        if matches!(model[thread].conns.get(&c), Some(ModelConn::Bound(_))) {
-                            model[thread].conns.remove(&c);
-                        }
-                    }
-                    Step::Forward { from, conn } => {
-                        let to = 1 - from;
-                        let c = rig.conns[conn];
-                        // Two threads forwarding one connection to each
-                        // other is a loop no control plane builds.
-                        if matches!(model[to].conns.get(&c), Some(ModelConn::Forwarded(_))) {
-                            continue;
-                        }
-                        let queue = rig.threads[to].nic_queue();
-                        rig.threads[from].forward_connection(c, queue);
-                        model[from].conns.insert(c, ModelConn::Forwarded(to));
+                        model[thread].conns.remove(&rig.conns[conn]);
                     }
                     Step::Send { to, conn, kind, page } => {
                         let c = rig.conns[conn];
@@ -484,27 +420,18 @@ mod tables {
                             if is_read { 0 } else { 4096 },
                             header.encode_array(),
                         );
-                        // The model's verdict: follow at most one forward.
-                        let mut at = to;
-                        model[at].rx_msgs += 1;
-                        if let Some(&ModelConn::Forwarded(next)) = model[at].conns.get(&c) {
-                            model[at].forwarded += 1;
-                            at = next;
-                            model[at].rx_msgs += 1;
-                        }
-                        match model[at].conns.get(&c).copied() {
-                            Some(ModelConn::Bound(_)) if addr + 4096 > rig.capacity => {
-                                model[at].acl_rejections += 1;
+                        let m = &mut model[to];
+                        m.rx_msgs += 1;
+                        match m.conns.get(&c).copied() {
+                            Some(_) if addr + 4096 > rig.capacity => {
+                                m.acl_rejections += 1;
                                 expect_responses += 1;
                             }
-                            Some(ModelConn::Bound(id)) => {
-                                let t = model[at].tenants.get_mut(&id).expect("bound to a tenant");
-                                t.accepted += 1;
-                                accepted.insert(cookie, (at, id, is_read));
+                            Some(id) => {
+                                *m.tenants.get_mut(&id).expect("bound to a tenant") += 1;
                                 expect_responses += 1;
                             }
-                            Some(ModelConn::Forwarded(_)) => unreachable!("no forwarding loops"),
-                            None => model[at].unbound_conns += 1,
+                            None => m.unbound_conns += 1,
                         }
                     }
                 }
@@ -512,25 +439,14 @@ mod tables {
 
                 // Responses that reached the wire during this step.
                 for d in rig.fabric.poll(SimTime::from_secs(3_600), rig.client, usize::MAX) {
-                    let h = ReflexHeader::decode(&d.payload).expect("server speaks protocol");
+                    ReflexHeader::decode(&d.payload).expect("server speaks protocol");
                     responses += 1;
-                    if let Some((thread, id, is_read)) = accepted.remove(&h.cookie) {
-                        // A read is recorded under the tenant's id: in
-                        // whatever holds that id on the accepting thread
-                        // when the read completes, if anything does.
-                        if let Some(t) = model[thread].tenants.get_mut(&id) {
-                            if t.lc && is_read && h.opcode == Opcode::Response {
-                                t.reads_recorded += 1;
-                            }
-                        }
-                    }
                 }
 
                 for (i, (thread, m)) in rig.threads.iter().zip(&model).enumerate() {
                     let s = thread.stats();
                     let routed = ThreadStats {
                         rx_msgs: m.rx_msgs,
-                        forwarded: m.forwarded,
                         unbound_conns: m.unbound_conns,
                         acl_rejections: m.acl_rejections,
                         // Not the tables' business: whatever the thread says.
@@ -542,23 +458,19 @@ mod tables {
                         ..ThreadStats::default()
                     };
                     prop_assert_eq!(s, routed, "thread {} stats", i);
-                    let bound = m.conns.values().filter(|c| matches!(c, ModelConn::Bound(_))).count();
-                    prop_assert_eq!(thread.connection_count() as usize, bound, "thread {}", i);
-                    for (&id, t) in &m.tenants {
+                    prop_assert_eq!(thread.connection_count() as usize, m.conns.len(), "thread {}", i);
+                    for (&id, &accepted) in &m.tenants {
                         let sched = thread.scheduler();
                         let stats = sched.stats_for(id).expect("registered in the scheduler");
                         prop_assert_eq!(
                             sched.queued_for(id) as u64 + stats.submitted,
-                            t.accepted,
+                            accepted,
                             "thread {} {} accepted", i, id
                         );
-                        let recorded = thread.tenant_read_latency(id).map(|h| h.count());
-                        prop_assert_eq!(recorded, t.lc.then_some(t.reads_recorded), "thread {} {}", i, id);
                     }
                     for id in TENANTS {
                         if !m.tenants.contains_key(&id) {
                             prop_assert!(thread.scheduler().stats_for(id).is_none());
-                            prop_assert!(thread.tenant_read_latency(id).is_none());
                         }
                     }
                 }

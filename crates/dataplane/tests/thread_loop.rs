@@ -522,87 +522,6 @@ fn reads_received(r: &mut Rig) {
     }
 }
 
-/// A second thread on the rig's server, with its own NIC queue and
-/// queue pair, started at 100 µs: where a tenant moves to.
-fn sibling(r: &mut Rig, config: DataplaneConfig) -> DataplaneThread {
-    let server = r.thread.machine();
-    DataplaneThread::new(
-        1,
-        server,
-        r.fabric.add_queue(server),
-        r.device.create_queue_pair(),
-        Arc::new(reflex_qos::GlobalBucket::new(1)),
-        CostModel::for_device_a(),
-        SchedulerParams::default(),
-        config,
-        SimTime::from_micros(100),
-    )
-}
-
-/// Pumps every thread every 5 µs for 20 ms and returns every answer the
-/// client received, as (cookie, opcode) in arrival order.
-fn answers(
-    fabric: &mut Fabric<WireMsg>,
-    device: &mut FlashDevice,
-    client: MachineId,
-    threads: &mut [&mut DataplaneThread],
-) -> Vec<(u64, Opcode)> {
-    let mut answers = Vec::new();
-    let mut now = SimTime::from_micros(100);
-    while now < SimTime::from_millis(20) {
-        for t in threads.iter_mut() {
-            t.pump(now, fabric, device);
-        }
-        for d in fabric.poll(now, client, usize::MAX) {
-            let h = ReflexHeader::decode(&d.payload).expect("server speaks the protocol");
-            answers.push((h.cookie, h.opcode));
-        }
-        now += SimDuration::from_micros(5);
-    }
-    answers
-}
-
-/// A tenant moved to another thread is answered once for every request,
-/// wherever the move found it. A best-effort tenant earning 2 K tokens/s
-/// still has all sixteen reads in its scheduler queue when it moves: they
-/// go with it, and the new thread answers them in arrival order. A
-/// latency-critical tenant's reads are all at the old thread's device:
-/// nothing goes with it, and the old thread answers them.
-#[test]
-fn requests_queued_across_a_move_are_answered_once_in_order() {
-    let slow = TokenRate::per_sec(2_000);
-    for (class, moved) in [(lc_class(100_000), 0), (TenantClass::BestEffort, 16)] {
-        let mut r = rig(class);
-        r.thread.scheduler_mut().set_be_rate(slow);
-        reads_received(&mut r);
-        let mut to = sibling(&mut r, DataplaneConfig::default());
-        to.scheduler_mut().set_be_rate(slow);
-        let tenant = TenantId(1);
-        let left = r.thread.unregister_tenant(tenant).expect("registered");
-        assert_eq!(left.len(), moved, "{class:?}");
-        let capacity = r.device.profile().capacity_bytes;
-        to.register_tenant(tenant, class, AclEntry::full(capacity), 4096)
-            .expect("fresh here");
-        to.adopt_pending(tenant, left).expect("registered");
-        r.thread.forward_connection(r.conn, to.nic_queue());
-        to.bind_connection(r.conn, tenant, r.client)
-            .expect("registered");
-        let threads = &mut [&mut r.thread, &mut to];
-        let answers = answers(&mut r.fabric, &mut r.device, r.client, threads);
-        assert!(
-            answers.iter().all(|&(_, op)| op == Opcode::Response),
-            "{class:?}: {answers:?}"
-        );
-        let mut cookies: Vec<u64> = answers.iter().map(|&(c, _)| c).collect();
-        if moved > 0 {
-            assert_eq!(cookies, (0..16).collect::<Vec<_>>(), "arrival order");
-        }
-        cookies.sort_unstable();
-        assert_eq!(cookies, (0..16).collect::<Vec<_>>(), "{class:?}: once each");
-        assert_eq!(to.stats().completed, moved as u64, "{class:?}");
-    }
-}
-
 /// Byte 0x03 was an ordering barrier's opcode and is now no opcode at all:
 /// the thread counts the frame as a decode error and answers nothing, and
 /// the read behind it on the same connection is served.
@@ -634,11 +553,11 @@ fn retired_barrier_opcode_is_a_decode_error() {
     assert_eq!((st.rx_msgs, st.decode_errors, st.submitted), (2, 1, 1));
 }
 
-/// A thread refuses to unregister a tenant it does not hold, and to adopt
-/// requests for a tenant not registered on it (here: the one they were
-/// just taken from), and keeps none of the refused requests queued.
+/// A thread refuses to unregister a tenant it does not hold; the tenant
+/// it holds leaves with the sixteen reads its scheduler queue held, and
+/// none stays queued.
 #[test]
-fn unregister_and_adopt_refuse_an_unknown_tenant() {
+fn unregister_refuses_an_unknown_tenant() {
     let mut r = rig(TenantClass::BestEffort);
     r.thread
         .scheduler_mut()
@@ -650,82 +569,7 @@ fn unregister_and_adopt_refuse_an_unknown_tenant() {
         matches!(refused, Err(QosError::UnknownTenant(t)) if t == stranger),
         "{refused:?}"
     );
-    let tenant = TenantId(1);
-    let left = r.thread.unregister_tenant(tenant).expect("registered");
+    let left = r.thread.unregister_tenant(TenantId(1)).expect("registered");
     assert_eq!(left.len(), 16);
-    assert_eq!(
-        r.thread.adopt_pending(tenant, left),
-        Err(QosError::UnknownTenant(tenant))
-    );
     assert_eq!(r.thread.scheduler().queued_requests(), 0);
-}
-
-/// Requests moved to a thread that already serves another tenant queue
-/// there under their own tenant, whose slot differs from the one they held
-/// on the thread they left, and are answered in arrival order.
-#[test]
-fn requests_moved_to_a_busy_thread_queue_under_their_own_tenant() {
-    let slow = TokenRate::per_sec(2_000);
-    let mut r = rig(TenantClass::BestEffort);
-    r.thread.scheduler_mut().set_be_rate(slow);
-    reads_received(&mut r);
-    let mut to = sibling(&mut r, DataplaneConfig::default());
-    to.scheduler_mut().set_be_rate(slow);
-    let acl = AclEntry::full(r.device.profile().capacity_bytes);
-    let (tenant, resident) = (TenantId(1), TenantId(2));
-    to.register_tenant(resident, TenantClass::BestEffort, acl.clone(), 4096)
-        .expect("fresh here");
-    let left = r.thread.unregister_tenant(tenant).expect("registered");
-    to.register_tenant(tenant, TenantClass::BestEffort, acl, 4096)
-        .expect("fresh here");
-    to.adopt_pending(tenant, left).expect("registered");
-    let sched = to.scheduler();
-    assert_eq!(
-        (sched.queued_for(tenant), sched.queued_for(resident)),
-        (16, 0)
-    );
-    r.thread.forward_connection(r.conn, to.nic_queue());
-    to.bind_connection(r.conn, tenant, r.client)
-        .expect("registered");
-    let threads = &mut [&mut r.thread, &mut to];
-    let answers = answers(&mut r.fabric, &mut r.device, r.client, threads);
-    let want: Vec<(u64, Opcode)> = (0..16).map(|c| (c, Opcode::Response)).collect();
-    assert_eq!(answers, want);
-}
-
-/// A tenant moved back to a thread it once left fills that thread's DRAM
-/// cache. Leaving bumped its epoch there, and the reads it brings back
-/// were stamped with the epoch of the thread they come from: the adopting
-/// thread re-stamps them, so their completions are not mistaken for reads
-/// issued before the teardown.
-#[test]
-fn a_tenant_moved_back_fills_the_cache_it_left() {
-    let cached = DataplaneConfig {
-        cache: Some(reflex_cache::CacheConfig::with_capacity(1 << 20)),
-        ..Default::default()
-    };
-    let slow = TokenRate::per_sec(2_000);
-    let mut r = rig_with(TenantClass::BestEffort, cached);
-    r.thread.scheduler_mut().set_be_rate(slow);
-    let mut to = sibling(&mut r, cached);
-    to.scheduler_mut().set_be_rate(slow);
-    let acl = AclEntry::full(r.device.profile().capacity_bytes);
-    let tenant = TenantId(1);
-    to.register_tenant(tenant, TenantClass::BestEffort, acl.clone(), 4096)
-        .expect("fresh here");
-    to.unregister_tenant(tenant).expect("registered");
-    reads_received(&mut r);
-    let left = r.thread.unregister_tenant(tenant).expect("registered");
-    assert_eq!(left.len(), 16);
-    to.register_tenant(tenant, TenantClass::BestEffort, acl, 4096)
-        .expect("gone from here");
-    to.adopt_pending(tenant, left).expect("registered");
-    r.thread.forward_connection(r.conn, to.nic_queue());
-    to.bind_connection(r.conn, tenant, r.client)
-        .expect("registered");
-    let threads = &mut [&mut r.thread, &mut to];
-    let answers = answers(&mut r.fabric, &mut r.device, r.client, threads);
-    assert_eq!(answers.len(), 16);
-    let cache = to.cache_stats().expect("cache enabled");
-    assert_eq!((cache.fills, cache.stale_fill_skips), (16, 0));
 }

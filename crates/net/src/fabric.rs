@@ -573,21 +573,6 @@ impl<P> Fabric<P> {
         self.queues[machine.0 as usize][queue.0 as usize].push(rx, &mut self.pushes);
     }
 
-    /// Re-enqueues a polled delivery onto another queue of the same
-    /// machine (connection rebalancing across dataplane threads forwards
-    /// in-flight messages instead of dropping them). The message becomes
-    /// visible shortly after `now`.
-    pub fn requeue(
-        &mut self,
-        now: SimTime,
-        machine: MachineId,
-        queue: NicQueueId,
-        mut delivery: Delivery<P>,
-    ) {
-        delivery.arrived_at = now + SimDuration::from_nanos(500);
-        self.enqueue(machine, queue, delivery);
-    }
-
     /// Pops up to `max` messages that have arrived at `machine`'s queue 0
     /// by `now`.
     pub fn poll(&mut self, now: SimTime, machine: MachineId, max: usize) -> Vec<Delivery<P>> {

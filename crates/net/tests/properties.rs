@@ -118,13 +118,6 @@ impl FlatOracle {
             .collect()
     }
 
-    fn requeue(&mut self, now: SimTime, machine: MachineId, queue: NicQueueId, d: Delivery<u32>) {
-        let arrived_at = now + SimDuration::from_nanos(500);
-        self.queued
-            .push((machine, queue, self.rank, Delivery { arrived_at, ..d }));
-        self.rank += 1;
-    }
-
     fn next_arrival_queue(&self, machine: MachineId, queue: NicQueueId) -> Option<SimTime> {
         self.queued
             .iter()
@@ -245,8 +238,8 @@ proptest! {
     /// queue 0 is built hundreds of messages deep while a latency storm of
     /// up to 2 ms delays its middle, so every later arrival lands behind
     /// the delayed tail, farther back than a run's reach. Then random
-    /// sends, replies, polls of one to four messages and `requeue`
-    /// forwards between the server's queues run against [`FlatOracle`].
+    /// sends, replies and polls of one to four messages run against
+    /// [`FlatOracle`].
     #[test]
     fn deep_queues_match_flat_oracle(
         depth in 160u64..400,
@@ -290,17 +283,6 @@ proptest! {
                     let a = sut.send(now, SERVER, client, conn, size, tag);
                     let b = oracle.send(now, SERVER, client, q0, conn, size, tag);
                     prop_assert_eq!(a, b, "reply arrival, op {}", i);
-                }
-                2 => {
-                    // A rebalance: what one queue delivers moves to the next.
-                    let to = NicQueueId((queue.0 + 1) % QUEUES);
-                    sut.poll_queue_into(now, SERVER, queue, max, &mut got);
-                    let want = oracle.poll(now, SERVER, queue, max);
-                    prop_assert_eq!(&got, &want, "forwarded from {:?}, op {}", queue, i);
-                    for d in want {
-                        sut.requeue(now, SERVER, to, d);
-                        oracle.requeue(now, SERVER, to, d);
-                    }
                 }
                 _ => {
                     for (m, q) in [(SERVER, queue), (client, q0)] {

@@ -33,7 +33,8 @@ use crate::tokens::Tokens;
 pub struct GlobalBucket {
     millitokens: AtomicI64,
     round_marks: AtomicU64,
-    active_mask: AtomicU64,
+    /// One bit per thread sharing the bucket, fixed at construction.
+    active_mask: u64,
     /// Millitokens thrown away by resets so far. Touched on the reset
     /// path only, never by give/take.
     discarded: AtomicI64,
@@ -59,26 +60,9 @@ impl GlobalBucket {
         GlobalBucket {
             millitokens: AtomicI64::new(0),
             round_marks: AtomicU64::new(0),
-            active_mask: AtomicU64::new(mask),
+            active_mask: mask,
             discarded: AtomicI64::new(0),
         }
-    }
-
-    /// Updates the set of active dataplane threads (control-plane thread
-    /// scaling). Threads are identified by bit position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or exceeds 64.
-    pub fn set_active_threads(&self, count: u32) {
-        assert!((1..=64).contains(&count), "bucket supports 1..=64 threads");
-        let mask = if count == 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        };
-        self.active_mask.store(mask, Ordering::Release);
-        self.round_marks.store(0, Ordering::Release);
     }
 
     /// Donates tokens to the bucket. Negative or zero amounts are ignored.
@@ -131,12 +115,11 @@ impl GlobalBucket {
     /// case. This keeps BE bursting bounded without cross-thread locking
     /// and lets threads schedule at different frequencies.
     ///
-    /// Marks from threads outside the active set (e.g. a thread retired by
-    /// the control plane that is still draining its queues) are ignored
-    /// and return `false`.
+    /// Marks from a thread index beyond those the bucket was built for
+    /// are ignored and return `false`.
     pub fn mark_round(&self, thread_idx: u32) -> bool {
         let bit = 1u64 << thread_idx;
-        let active = self.active_mask.load(Ordering::Acquire);
+        let active = self.active_mask;
         if bit & active == 0 {
             return false;
         }
@@ -226,23 +209,6 @@ mod tests {
             Tokens::from_tokens(1),
             "no reset from outsiders"
         );
-    }
-
-    #[test]
-    fn active_set_changes_reset_marks() {
-        let b = GlobalBucket::new(3);
-        assert!(!b.mark_round(0));
-        assert!(!b.mark_round(1));
-        // Scaling down to 2 threads clears marks: the cycle restarts.
-        b.set_active_threads(2);
-        assert_eq!(b.active_mask.load(Ordering::Acquire).count_ones(), 2);
-        assert!(!b.mark_round(0));
-        assert!(b.mark_round(1), "both active threads marked");
-        // Scaling back up: thread 2 participates again.
-        b.set_active_threads(3);
-        assert!(!b.mark_round(0));
-        assert!(!b.mark_round(1));
-        assert!(b.mark_round(2));
     }
 
     #[test]

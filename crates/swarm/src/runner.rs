@@ -195,7 +195,6 @@ fn build(case: &SwarmCase, telemetry: bool) -> (Testbed, Vec<String>) {
         } => builder
             .server(ServerConfig {
                 threads: server_threads as u32,
-                max_threads: server_threads as u32,
                 dataplane: reflex_dataplane::DataplaneConfig {
                     cache: core_cache(case),
                     ..reflex_dataplane::DataplaneConfig::default()

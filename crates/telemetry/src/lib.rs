@@ -159,7 +159,7 @@ pub struct IoCounters {
     pub completed: u64,
     /// Completions with an error status.
     pub failed: u64,
-    /// Submission attempts refused by a full submission queue and requeued.
+    /// Submission attempts refused by a full submission queue, retried.
     pub retried: u64,
     /// Reads served from the per-thread DRAM cache. Hits count in both
     /// `submitted` and `completed` (a hit is a submission the cache
@@ -363,7 +363,7 @@ impl Telemetry {
         self.with_ios(tenant, |c| c.failed += 1);
     }
 
-    /// Notes a submission refused by a full queue and requeued.
+    /// Notes a submission refused by a full queue, to be retried.
     pub fn note_retried(&self, tenant: TenantKey) {
         self.with_ios(tenant, |c| c.retried += 1);
     }

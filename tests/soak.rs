@@ -1,6 +1,6 @@
-//! Soak test: a two-second mixed scenario with churn — tenants of every
-//! class, renegotiation and thread scaling all active — verifying global
-//! invariants at the end.
+//! Soak test: a two-second mixed scenario — tenants of every class, a
+//! sharded tenant, writes and a Zipfian hot spot on two threads —
+//! verifying global invariants at the end.
 
 use reflex::core::{ServerConfig, Testbed, WorkloadSpec};
 use reflex::qos::{SloSpec, TenantClass, TenantId};
@@ -13,8 +13,6 @@ fn two_second_mixed_soak_holds_invariants() {
         .seed(1234)
         .server(ServerConfig {
             threads: 2,
-            max_threads: 4,
-            auto_scale: true,
             ..ServerConfig::default()
         })
         .client_machines(vec![
@@ -70,21 +68,11 @@ fn two_second_mixed_soak_holds_invariants() {
     tb.add_workload(spec).expect("accepted");
 
     tb.run(SimDuration::from_millis(200));
-
-    // Mid-run renegotiation: gold grows to 120K.
-    tb.world_mut()
-        .server_mut()
-        .renegotiate_tenant(
-            TenantId(1),
-            SloSpec::new(120_000, 100, SimDuration::from_micros(500)),
-        )
-        .expect("fits");
-
     tb.begin_measurement();
     tb.run(SimDuration::from_secs(2));
     let report = tb.report();
 
-    // 1. LC tenants keep their SLOs through the churn.
+    // 1. LC tenants keep their SLOs.
     let gold = report.workload("gold");
     assert!(gold.iops > 75_000.0, "gold IOPS {:.0}", gold.iops);
     assert!(
@@ -118,24 +106,15 @@ fn two_second_mixed_soak_holds_invariants() {
         report.token_usage_per_sec
     );
 
-    // 4. Server counters are consistent. Per-thread completed <= submitted
-    // always holds; rx >= submitted only holds globally because tenant
-    // rebalancing can adopt queued requests onto a thread that never saw
-    // their packets.
-    let mut rx_total = 0u64;
-    let mut submitted_total = 0u64;
+    // 4. Server counters are consistent: a thread submits only requests
+    // it received, and completes only what it submitted.
     for t in &report.threads {
         let s = t.stats.expect("reflex threads expose stats");
         assert!(s.completed <= s.submitted);
-        rx_total += s.rx_msgs;
-        submitted_total += s.submitted;
+        assert!(s.submitted <= s.rx_msgs, "{} > {}", s.submitted, s.rx_msgs);
         assert_eq!(s.unbound_conns, 0);
         assert_eq!(s.decode_errors, 0);
     }
-    assert!(
-        submitted_total <= rx_total,
-        "{submitted_total} > {rx_total}"
-    );
 
     // 5. The throughput time series covers the whole window.
     assert!(
@@ -180,7 +159,6 @@ fn two_second_mixed_soak_holds_invariants() {
     tb.run(SimDuration::from_millis(100));
     let after = tb.report();
     assert!(after.workload("gold").iops > 75_000.0);
-    let _ = tb.world().server().active_threads(); // still queryable
 
     // 8. Exit conservation: stop the generators, let every queue drain,
     // then require exact balance — every accepted request was answered
