@@ -1377,9 +1377,8 @@ mod tests {
         assert_eq!(s.tenant_counts(), (0, 0));
     }
 
-    /// A moved tenant's requests are re-queued on the new thread in the
-    /// order `unregister` hands them back, so both classes hand back their
-    /// queue oldest first.
+    /// Both classes hand back their queue oldest first, the order in
+    /// which the requests went unanswered.
     #[test]
     fn unregister_hands_back_each_queue_oldest_first() {
         let (mut s, _b) = sched(1);
@@ -1396,6 +1395,78 @@ mod tests {
         assert_eq!(handed_back, [0, 1, 2, 3, 4]);
         let handed_back: Vec<u32> = payloads(s.unregister(be).unwrap());
         assert_eq!(handed_back, [10, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn renegotiation_replaces_the_rate_and_keeps_the_queue() {
+        let (mut s, _b) = sched(1);
+        let id = TenantId(1);
+        // 1K IOPS at 100% read = 1 token/ms.
+        s.register_lc(
+            id,
+            SloSpec::new(1_000, 100, SimDuration::from_millis(2)),
+            4096,
+        )
+        .unwrap();
+        for i in 0..500 {
+            s.enqueue(id, read_req(i)).unwrap();
+        }
+        let first = s
+            .schedule(SimTime::from_micros(1), LoadMix::Mixed)
+            .submitted
+            .len();
+        assert!((50..=52).contains(&first), "burst admitted {first}");
+        let slo = SloSpec::new(100_000, 100, SimDuration::from_micros(500));
+        s.renegotiate_lc(id, slo, 4096).unwrap();
+        let rate = slo.token_rate(&CostModel::for_device_a(), 4096);
+        assert_eq!(s.lc_rate(id), Some(rate));
+        assert_eq!(s.lc_reserved_rate(), rate);
+        assert_eq!(s.queued_for(id), 500 - first, "the queue carries over");
+        // The next millisecond earns 100 tokens at the new rate, where the
+        // old one earned 1; the deficit carries over as well.
+        let second = s
+            .schedule(SimTime::from_millis(1), LoadMix::Mixed)
+            .submitted
+            .len();
+        assert!((95..=105).contains(&second), "renegotiated {second}");
+    }
+
+    #[test]
+    fn renegotiation_refuses_best_effort_and_unknown_tenants() {
+        let (mut s, _b) = sched(1);
+        let be = TenantId(1);
+        s.register_be(be).unwrap();
+        let slo = SloSpec::new(1_000, 100, SimDuration::from_millis(1));
+        assert_eq!(
+            s.renegotiate_lc(be, slo, 4096),
+            Err(QosError::UnknownTenant(be))
+        );
+        assert_eq!(
+            s.renegotiate_lc(TenantId(9), slo, 4096),
+            Err(QosError::UnknownTenant(TenantId(9)))
+        );
+        // The refused tenant stays best-effort and reserves nothing.
+        assert_eq!(s.tenant_counts(), (0, 1));
+        assert_eq!(s.lc_rate(be), None);
+        assert_eq!(s.lc_reserved_rate(), TokenRate::ZERO);
+    }
+
+    #[test]
+    fn renegotiation_generates_each_rate_over_its_own_span() {
+        let (mut s, _b) = sched(1);
+        let id = TenantId(1);
+        s.register_lc(
+            id,
+            SloSpec::new(1_000, 100, SimDuration::from_millis(2)),
+            4096,
+        )
+        .unwrap();
+        s.schedule(SimTime::from_millis(10), LoadMix::Mixed);
+        let slo = SloSpec::new(100_000, 100, SimDuration::from_micros(500));
+        s.renegotiate_lc(id, slo, 4096).unwrap();
+        s.schedule(SimTime::from_millis(20), LoadMix::Mixed);
+        // 10 ms at 1 token/ms, then 10 ms at 100 tokens/ms.
+        assert_eq!(s.generated().as_millitokens(), 1_010_000);
     }
 
     /// A waiting request costs its record and a link, padded: 80 bytes
